@@ -1,11 +1,11 @@
 """Columnar replay kernel — the vectorized per-shard fast path.
 
 This package is the optimization layer behind ``ExecutionSpec.kernel ==
-"vectorized"``: each replay batch (the flows between two periodic ticks) is
-re-expressed as parallel numpy arrays and classified against a snapshot of
-per-switch L-FIB/flow-table state.  Flows whose handling is a pure function
-of that snapshot (local delivery, live flow-table hits, intra-group
-forwarding) are accounted in bulk; everything that needs the control plane
+"vectorized"``: each replay batch (the flows between two periodic ticks)
+arrives as a column chunk, is read as parallel numpy arrays without a copy
+and classified against a snapshot of per-switch L-FIB/flow-table state.
+Flows whose handling is a pure function of that snapshot (local delivery,
+live flow-table hits, intra-group forwarding) are accounted in bulk; everything that needs the control plane
 (packet-in, table pressure, expired rules, departed endpoints) falls back to
 the scalar per-flow path.  The kernel is *not* a second semantics: counters,
 timelines, latency totals and link matrices stay bit-identical to the scalar
@@ -13,7 +13,9 @@ replayer, and the equivalence suite in ``tests/test_kernel_equivalence.py``
 gates exactly that.
 
 numpy is deliberately a soft dependency: importing :mod:`repro` (and running
-any scalar replay) never imports this package.  Requesting
+any scalar replay) never imports this package, and the column chunks it reads
+(:mod:`repro.traffic.chunk`) are stdlib buffers — this package is the only
+place they meet numpy.  Requesting
 ``kernel=vectorized`` without numpy installed raises a
 :class:`~repro.common.errors.ConfigurationError` instead of an ImportError
 deep inside a replay.
@@ -47,10 +49,11 @@ def require_numpy() -> None:
 def build_batch_handler(plane, *, perf=NULL_RECORDER):
     """Build the vectorized batch handler for one control plane.
 
-    Returns a callable accepting one replay batch (a list of
-    :class:`~repro.traffic.flow.FlowRecord`), or ``None`` when ``plane`` is
-    not a plane type the kernel knows how to accelerate (custom control
-    planes registered by tests keep the scalar path).  Raises
+    Returns a callable accepting one replay batch (a
+    :class:`~repro.traffic.chunk.FlowChunk` view; a plain list of
+    :class:`~repro.traffic.flow.FlowRecord` is adapted), or ``None`` when
+    ``plane`` is not a plane type the kernel knows how to accelerate (custom
+    control planes registered by tests keep the scalar path).  Raises
     :class:`~repro.common.errors.ConfigurationError` when numpy is missing.
     """
     require_numpy()

@@ -2,8 +2,9 @@
 
 One kernel instance wraps one control plane for one replay and is invoked by
 :class:`~repro.traffic.replay.TraceReplayer` once per batch (the flows
-between two periodic ticks, within one stream chunk).  The batch is
-columnarized into parallel numpy arrays, grouped by (src host, dst host)
+between two periodic ticks, within one stream chunk).  The batch arrives
+as a :class:`~repro.traffic.chunk.FlowChunk` view whose column buffers are
+wrapped as numpy arrays without a copy, is grouped by (src host, dst host)
 pair, and every pair is classified against the *current* dataplane state:
 
 * ``LOCAL`` — no flow rule, destination in the ingress L-FIB;
@@ -14,7 +15,10 @@ pair, and every pair is classified against the *current* dataplane state:
   (LazyCtrl only);
 * ``DEPARTED`` — an endpoint no longer exists;
 * everything else — ``FALLBACK``: the flows run the scalar
-  ``handle_flow_arrival`` path one by one, in arrival order.
+  ``handle_flow_arrival`` path one by one, in arrival order.  These (and,
+  under a link meter, the inter-switch flows the meter must see) are the
+  only flows a :class:`~repro.traffic.flow.FlowRecord` is built for;
+  ``kernel.records_minted`` counts them.
 
 The contract is bit-identity with the scalar replayer, not approximation.
 The load-bearing facts, each mirrored from the scalar code it replaces:
@@ -55,6 +59,7 @@ from repro.datastructures.flow_table import ActionType
 from repro.obs.events import LinkCongestedEvent
 from repro.obs.timeline import _latency_bin
 from repro.perf.recorder import NULL_RECORDER
+from repro.traffic.chunk import FlowChunk
 
 # Pair classes.
 _FALLBACK = 0
@@ -229,7 +234,7 @@ class ColumnarReplayKernel:
         self._pair_static[code] = info
         return info
 
-    def _scalar_batch(self, batch) -> None:
+    def _scalar_batch(self, batch: FlowChunk) -> None:
         handle = self._plane.handle_flow_arrival
         for flow in batch:
             handle(flow, flow.start_time)
@@ -238,7 +243,17 @@ class ColumnarReplayKernel:
             perf.count("kernel.batches", 1)
             perf.count("kernel.batches_bypassed", 1)
             perf.count("kernel.flows_fallback", len(batch))
+            self._count_minted(batch, len(batch))
             self._note_coverage(0, len(batch))
+
+    def _count_minted(self, batch: FlowChunk, records: int) -> None:
+        """Account ``records`` flows of ``batch`` read as records.
+
+        Only a column-backed chunk builds them; a chunk adapted from existing
+        records hands those back and mints nothing.
+        """
+        if records and batch.mints_records:
+            self._perf.count("kernel.records_minted", records)
 
     def _note_coverage(self, vectorized: int, total: int) -> None:
         if total <= 0:
@@ -254,6 +269,9 @@ class ColumnarReplayKernel:
         n = len(batch)
         if n == 0:
             return
+        # The replayer hands over chunk views; a plain record list (a direct
+        # caller) is transposed here, once.
+        batch = FlowChunk.from_records(batch)
         plane = self._plane
         tracer = plane.tracer
 
@@ -290,13 +308,15 @@ class ColumnarReplayKernel:
             perf.count("kernel.flows_fallback", fallback_flows)
             self._note_coverage(n - fallback_flows, n)
 
-    # -- stage 1: columnarize + classify --------------------------------------
+    # -- stage 1: classify ------------------------------------------------------
 
-    def _classify(self, batch, n: int):
-        src_ids = np.array([flow.src_host_id for flow in batch], dtype=np.int64)
-        dst_ids = np.array([flow.dst_host_id for flow in batch], dtype=np.int64)
-        times = np.array([flow.start_time for flow in batch], dtype=np.float64)
-        pcs = np.array([flow.packet_count for flow in batch], dtype=np.int64)
+    def _classify(self, batch: FlowChunk, n: int):
+        time_column, src_column, dst_column, packet_column, _, _ = batch.columns()
+        # Zero-copy, read-only views over the chunk's buffers.
+        times = np.frombuffer(time_column, dtype=np.float64)
+        src_ids = np.frombuffer(src_column, dtype=np.int64)
+        dst_ids = np.frombuffer(dst_column, dtype=np.int64)
+        pcs = np.frombuffer(packet_column, dtype=np.int64)
         if src_ids.size and (int(src_ids.max()) >= _CODE_BASE or int(dst_ids.max()) >= _CODE_BASE):
             return None  # host ids beyond the packing base: replay scalar
         codes = src_ids * _CODE_BASE + dst_ids
@@ -557,18 +577,21 @@ class ColumnarReplayKernel:
         first_flow = state["first_flow"]
         steady_flow = state["steady_flow"]
         handled = state["handled"]
+        replayed = 0
         for i in indices:
             if cls_flow[i] == _INTRA:
                 info = infos[inverse[i]]
                 info.gfib.query(info.dst_mac)
                 continue
             flow = batch[i]
+            replayed += 1
             result = handle(flow, flow.start_time)
             if result is None:
                 handled[i] = False
             else:
                 first_flow[i] = result.first_packet_latency_ms
                 steady_flow[i] = result.steady_packet_latency_ms
+        self._count_minted(batch, replayed)
 
     def _walk_with_meter(self, batch, state, meter) -> None:
         """Replay the whole batch in arrival order when links are metered.
@@ -576,7 +599,8 @@ class ColumnarReplayKernel:
         The meter's window accounting and congestion-crossing detection are
         order-dependent, so vectorized flows observe the meter (and collect
         their queueing penalty) interleaved with the scalar fallbacks
-        exactly as the scalar replayer would.
+        exactly as the scalar replayer would.  The meter reads whole records
+        (rate profiles), so this walk iterates — and mints — the batch.
         """
         plane = self._plane
         model = plane.latency_model
@@ -623,6 +647,7 @@ class ColumnarReplayKernel:
             if penalty > 0.0:
                 first_flow[i] = float(first_flow[i]) + penalty
                 steady_flow[i] = float(steady_flow[i]) + penalty
+        self._count_minted(batch, len(batch))
 
     # -- stage 3: exact write-back ---------------------------------------------
 

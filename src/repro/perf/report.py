@@ -95,6 +95,11 @@ def format_kernel_breakdown(snapshot: PerfSnapshot) -> str:
     floor = snapshot.gauges.get("kernel.min_batch_coverage")
     if floor is not None:
         lines.append(f"  worst single-batch coverage: {floor:.1%}")
+    minted = counters.get("kernel.records_minted", 0)
+    lines.append(
+        f"  records minted: {minted:,} (FlowRecords built from column chunks; "
+        "the rest of the flows stayed columns)"
+    )
     for name in ("kernel_classify", "kernel_fallback", "kernel_accumulate"):
         try:
             stage = snapshot.stage(name)

@@ -1,5 +1,6 @@
-"""Traffic traces: flow records, generators, streams, mixes, the registry and replay."""
+"""Traffic traces: flow records, column chunks, generators, streams, mixes, the registry and replay."""
 
+from repro.traffic.chunk import FlowChunk
 from repro.traffic.expand import expand_trace
 from repro.traffic.flow import FlowRecord
 from repro.traffic.mix import (
@@ -57,6 +58,7 @@ __all__ = [
     "ChunkWindow",
     "DIURNAL_PROFILE",
     "ElephantMiceParams",
+    "FlowChunk",
     "FlowRecord",
     "FlowSink",
     "FlowStream",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.common.errors import ConfigurationError, TrafficError
-from repro.common.rng import make_rng, sample_zipf_index
+from repro.common.rng import make_rng
 from repro.topology.network import DataCenterNetwork
 from repro.traffic.stream import ChunkWindow, FlowDraw, GeneratedStream, plan_windows
 from repro.traffic.trace import Trace
@@ -122,28 +122,35 @@ class RealisticTraceGenerator:
         hot_share = profile.hot_pair_flow_share
         zipf_exponent = profile.zipf_exponent
 
+        hot_population = len(hot_pairs)
+        cold_population = len(cold_pairs)
+        packet_rate = 1.0 / 12.0
+
         def emit(rng, window: ChunkWindow) -> List[FlowDraw]:
+            # The hot loop of trace generation: bound methods and lengths are
+            # hoisted and sample_zipf_index / the max-min clamps are inlined.
+            # The RNG call sequence — and so every draw — is unchanged.
             draws: List[FlowDraw] = []
+            append = draws.append
+            random, randrange, expovariate = rng.random, rng.randrange, rng.expovariate
             start, span = window.start, window.span
             for _ in range(window.counts[0]):
-                if rng.random() < hot_share:
-                    index = sample_zipf_index(rng, len(hot_pairs), zipf_exponent)
+                if random() < hot_share:
+                    index = int(hot_population * (random() ** zipf_exponent))
+                    if index >= hot_population:
+                        index = hot_population - 1
                     src, dst = hot_pairs[index]
                 else:
-                    src, dst = cold_pairs[rng.randrange(len(cold_pairs))]
-                if rng.random() < 0.5:
+                    src, dst = cold_pairs[randrange(cold_population)]
+                if random() < 0.5:
                     src, dst = dst, src
-                packet_count = max(1, int(rng.expovariate(1.0 / 12.0)) + 1)
-                draws.append(
-                    (
-                        start + rng.random() * span,
-                        src,
-                        dst,
-                        packet_count,
-                        packet_count * 1400,
-                        min(60.0, packet_count * 0.05),
-                    )
-                )
+                packet_count = int(expovariate(packet_rate)) + 1
+                if packet_count < 1:
+                    packet_count = 1
+                duration = packet_count * 0.05
+                if duration > 60.0:
+                    duration = 60.0
+                append((start + random() * span, src, dst, packet_count, packet_count * 1400, duration))
             return draws
 
         return GeneratedStream(

@@ -23,7 +23,12 @@ a generated stream as a lazy sequence of O(chunk)-sized ones — so replay
 memory is bounded by the chunk size, not the trace size.  Within each chunk
 the inner loop stays batched: flows between two periodic ticks are drained
 in one slice with the sink's handler pre-resolved to a local, and the engine
-lockstep is consulted only when an engine event is actually pending.  An
+lockstep is consulted only when an engine event is actually pending.  Which
+representation of a flow gets touched is the consumer's call, not an option:
+with a batch handler (the vectorized kernel) every batch is a
+:class:`~repro.traffic.chunk.FlowChunk` view read column-wise; without one
+the per-flow loop iterates records — a materialized trace's shared list, or
+records minted batch by batch from a stream's columns.  An
 optional :class:`~repro.perf.recorder.PerfRecorder` times the stages and
 counts drained chunks; the default
 :data:`~repro.perf.recorder.NULL_RECORDER` makes instrumentation a
@@ -39,6 +44,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence
 from repro.obs.events import ChunkDrainedEvent, ReplayTickEvent
 from repro.obs.tracer import NULL_TRACER
 from repro.perf.recorder import NULL_RECORDER
+from repro.traffic.chunk import FlowChunk
 from repro.traffic.flow import FlowRecord
 from repro.traffic.stream import FlowStream, windowed_chunks
 
@@ -139,9 +145,15 @@ class TraceReplayer:
         next_tick = start + interval
         last_arrival: Optional[float] = None
 
-        for flows in windowed_chunks(self._trace, start=start, end=end):
+        chunks = windowed_chunks(
+            self._trace, start=start, end=end, columnar=batch_handler is not None
+        )
+        for flows in chunks:
             progress.chunks_drained += 1
-            start_times = [flow.start_time for flow in flows]
+            if isinstance(flows, FlowChunk):
+                start_times = flows.start_times
+            else:
+                start_times = [flow.start_time for flow in flows]
             total = len(flows)
             index = 0
             while index < total:

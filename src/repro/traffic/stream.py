@@ -2,12 +2,20 @@
 
 A :class:`FlowStream` is the lazy counterpart of a materialized
 :class:`~repro.traffic.trace.Trace`: a re-iterable sequence of time-ordered
-*chunks* of :class:`~repro.traffic.flow.FlowRecord`, bound to a topology and
-carrying its nominal ``total_flows`` and ``duration`` up front.  The traffic
-generators emit streams natively, the replayer drains them chunk by chunk,
-and ``Trace`` is now just the convenience consumer that concatenates every
-chunk into a list — so a multi-million-flow replay never holds more than one
-chunk (plus the control plane under test) in memory.
+*chunks* of flows, bound to a topology and carrying its nominal
+``total_flows`` and ``duration`` up front.  The traffic generators emit
+streams natively, the replayer drains them chunk by chunk, and ``Trace`` is
+just the convenience consumer that keeps every chunk — so a multi-million-flow
+replay never holds more than one chunk (plus the control plane under test) in
+memory.
+
+A chunk is any ``Sequence[FlowRecord]``.  The built-in streams yield
+:class:`~repro.traffic.chunk.FlowChunk`: the generators' draws transposed
+into six columns, which builds a :class:`~repro.traffic.flow.FlowRecord`
+only for the flows a consumer actually indexes or iterates.  Third-party
+streams may keep yielding plain record lists; a column consumer adapts those
+once per chunk through :meth:`FlowChunk.from_records
+<repro.traffic.chunk.FlowChunk.from_records>`.
 
 The contract every stream upholds:
 
@@ -39,6 +47,7 @@ import heapq
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -57,6 +66,7 @@ from repro.common.errors import TrafficError
 from repro.common.rng import make_rng
 from repro.datastructures.intensity import IntensityMatrix
 from repro.topology.network import DataCenterNetwork
+from repro.traffic.chunk import FlowChunk, FlowDraw, draw_of, start_time_of
 from repro.traffic.flow import FlowRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace imports stream)
@@ -66,10 +76,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace imports stream
 #: runtime knob: the chunk grid feeds the per-chunk RNG derivation, so making
 #: it configurable would let two "identical" runs produce different traces.
 CHUNK_TARGET_FLOWS = 50_000
-
-#: A flow before it has an identity: (start_time, src, dst, packets, bytes,
-#: duration).  Generators emit draws, the stream sorts them and mints ids.
-FlowDraw = Tuple[float, int, int, int, int, float]
 
 
 @runtime_checkable
@@ -112,8 +118,13 @@ def accumulate_intensity(
         matrix = IntensityMatrix(network.switch_ids())
     pair_of = network.switch_pair_of_hosts
     record = matrix.record
-    for flow in flows:
-        src_switch, dst_switch = pair_of(flow.src_host_id, flow.dst_host_id)
+    if isinstance(flows, FlowChunk):
+        # The endpoint columns are all this fold reads: no record is built.
+        endpoints = zip(flows.src_host_ids, flows.dst_host_ids)
+    else:
+        endpoints = ((flow.src_host_id, flow.dst_host_id) for flow in flows)
+    for src_host_id, dst_host_id in endpoints:
+        src_switch, dst_switch = pair_of(src_host_id, dst_host_id)
         record(src_switch, dst_switch, 1.0)
     return matrix
 
@@ -378,10 +389,13 @@ ChunkEmitter = Callable[..., List[FlowDraw]]
 class GeneratedStream(FlowStreamBase):
     """A stream produced chunk-by-chunk from a planned window grid.
 
-    ``emit(rng, window)`` returns the chunk's raw draws; the stream sorts
-    them canonically, mints ascending flow ids and validates nothing — the
-    emitters only produce hosts that exist because they draw from the
-    topology they were built over.
+    ``emit(rng, window)`` returns the chunk's raw draws; the stream checks
+    the emitter drew what the grid planned, sorts the draws canonically and
+    transposes them into a :class:`~repro.traffic.chunk.FlowChunk` whose
+    position implies the ascending flow ids.  ``FlowRecord``'s own checks and
+    the hosts-exist check run on the chunk's columns, so a faulty emitter
+    fails here exactly as it did when every draw became a record — and no
+    record is built until a consumer asks for one.
     """
 
     def __init__(
@@ -417,21 +431,23 @@ class GeneratedStream(FlowStreamBase):
         """Number of planned chunks (empty windows included)."""
         return len(self._windows)
 
-    def chunks(self) -> Iterator[Sequence[FlowRecord]]:
+    def chunks(self) -> Iterator[FlowChunk]:
         return self.chunks_from(0.0)
 
-    def chunks_from(self, start: float) -> Iterator[Sequence[FlowRecord]]:
+    def chunks_from(self, start: float) -> Iterator[FlowChunk]:
         """Chunks that may contain flows at or after ``start``, ids intact.
 
         Windows ending strictly before ``start`` are *skipped without
         generating*: their planned ``flow_count`` is added to the flow-id
         cursor instead, which is valid because every emitter draws exactly
-        its window's planned counts.  This makes a time-window shard's
-        replay cost proportional to its own window rather than to the whole
-        timeline before it.  The boundary window (``end == start``) is
-        still generated — an emitter may draw an arrival exactly on its
-        window's end edge, and ownership of that instant belongs to the
-        consumer's trimming, not to the generator.
+        its window's planned counts — checked on every window that *is*
+        generated, so a model that over- or under-draws fails loudly instead
+        of shifting every later flow id under time-window sharding.  This
+        makes a time-window shard's replay cost proportional to its own
+        window rather than to the whole timeline before it.  The boundary
+        window (``end == start``) is still generated — an emitter may draw
+        an arrival exactly on its window's end edge, and ownership of that
+        instant belongs to the consumer's trimming, not to the generator.
         """
         flow_id = 0
         for window in self._windows:
@@ -442,20 +458,16 @@ class GeneratedStream(FlowStreamBase):
                 continue
             rng = make_rng(self._seed, *self._rng_labels, "chunk", str(window.index))
             draws = self._emit(rng, window)
-            draws.sort()
-            chunk = [
-                FlowRecord(
-                    start_time=draw[0],
-                    flow_id=flow_id + offset,
-                    src_host_id=draw[1],
-                    dst_host_id=draw[2],
-                    packet_count=draw[3],
-                    byte_count=draw[4],
-                    duration=draw[5],
+            if len(draws) != window.flow_count:
+                raise TrafficError(
+                    f"traffic model {self._rng_labels[0]!r} (stream {self.name!r}) drew "
+                    f"{len(draws)} flows for window {window.index} "
+                    f"[{window.start}, {window.end}), which planned {window.flow_count}"
                 )
-                for offset, draw in enumerate(draws)
-            ]
-            flow_id += len(chunk)
+            draws.sort()
+            chunk = FlowChunk.from_draws(draws, flow_id)
+            chunk.check_hosts(self.network)
+            flow_id += window.flow_count
             yield chunk
 
 
@@ -509,21 +521,6 @@ class MaterializedStream(FlowStreamBase):
             yield flows[offset : offset + self._chunk_flows]
 
 
-#: Canonical merge key: everything but the (re-assigned) flow id.  Identical
-#: to the materialized mix's canonical sort, which is what makes the merged
-#: stream independent of component order.
-def merge_key(flow: FlowRecord) -> FlowDraw:
-    """The canonical (time, endpoints, payload) ordering key of a flow."""
-    return (
-        flow.start_time,
-        flow.src_host_id,
-        flow.dst_host_id,
-        flow.packet_count,
-        flow.byte_count,
-        flow.duration,
-    )
-
-
 class MergedStream(FlowStreamBase):
     """A k-way merge of component streams onto one renumbered timeline.
 
@@ -560,40 +557,34 @@ class MergedStream(FlowStreamBase):
     @staticmethod
     def _shifted(stream: FlowStream, offset: float, span: float) -> Iterator[FlowDraw]:
         for chunk in stream.chunks():
-            for flow in chunk:
+            if isinstance(chunk, FlowChunk):
+                draws = zip(*chunk.columns())
+            else:
+                draws = map(draw_of, chunk)
+            for draw in draws:
                 # Models that ignore duration_hours could emit past the
                 # component's window; chunks are time-ordered, so the first
                 # flow at or past the span ends the component without
                 # generating (and discarding) everything after it.
-                if flow.start_time >= span:
+                if draw[0] >= span:
                     return
-                key = merge_key(flow)
-                yield (key[0] + offset, *key[1:]) if offset else key
+                yield (draw[0] + offset, *draw[1:]) if offset else draw
 
-    def chunks(self) -> Iterator[Sequence[FlowRecord]]:
-        iterators = [self._shifted(stream, offset, span) for stream, offset, span in self._parts]
-        merged = heapq.merge(*iterators)
-        chunk: List[FlowRecord] = []
+    def chunks(self) -> Iterator[FlowChunk]:
+        # Draws sort canonically — (time, endpoints, payload), the order the
+        # materialized mix sorts by — which is what makes the merged stream
+        # independent of component order.
+        merged = heapq.merge(
+            *(self._shifted(stream, offset, span) for stream, offset, span in self._parts)
+        )
         flow_id = 0
-        for key in merged:
-            chunk.append(
-                FlowRecord(
-                    start_time=key[0],
-                    flow_id=flow_id,
-                    src_host_id=key[1],
-                    dst_host_id=key[2],
-                    packet_count=key[3],
-                    byte_count=key[4],
-                    duration=key[5],
-                )
-            )
-            flow_id += 1
-            if len(chunk) >= self._chunk_flows:
-                yield chunk
-                chunk = []
-        if chunk:
+        while True:
+            chunk = FlowChunk.from_draws(islice(merged, self._chunk_flows), flow_id)
+            if not chunk:
+                break
+            flow_id += len(chunk)
             yield chunk
-        elif flow_id == 0:
+        if flow_id == 0:
             # Match the materialized path, which refuses to build an empty
             # mix trace, so the streamed and materialized contracts agree.
             raise TrafficError("the traffic mix produced no flows")
@@ -602,36 +593,69 @@ class MergedStream(FlowStreamBase):
 # -- windowed consumption ------------------------------------------------------
 
 
-def windowed_chunks(
-    source: FlowStream, *, start: float = 0.0, end: Optional[float] = None
+def trim_chunks(
+    chunks: Iterable[Sequence[FlowRecord]], start: float, end: Optional[float]
 ) -> Iterator[Sequence[FlowRecord]]:
-    """Drain a stream's chunks trimmed to the replay window ``[start, end)``.
+    """Trim time-ordered chunks to ``[start, end)``, stopping at the first one past it.
 
-    Chunks entirely before ``start`` are skipped, the stream is abandoned at
-    the first chunk starting at or past ``end``, and boundary chunks are
-    bisect-trimmed — so consuming a sub-window never generates flows past it.
-    Sources that can seek (:meth:`GeneratedStream.chunks_from`) additionally
-    never generate the chunks *before* the window, which is what makes a
-    time-window shard's cost proportional to its own span.
+    Chunks entirely before ``start`` are skipped, iteration is abandoned at
+    the first chunk starting at or past ``end`` (so a lazy source never
+    generates beyond the window), and boundary chunks are bisect-trimmed —
+    over the start-time column of a :class:`FlowChunk`, whose slice is a
+    view, or over the records of a plain list.
     """
-    if start > 0.0 and hasattr(source, "chunks_from"):
-        source_chunks = source.chunks_from(start)
-    else:
-        source_chunks = source.chunks()
-    for chunk in source_chunks:
+    for chunk in chunks:
         if not chunk:
             continue
-        if chunk[-1].start_time < start:
+        if isinstance(chunk, FlowChunk):
+            haystack, key = chunk.start_times, None
+            first, last = haystack[0], haystack[-1]
+        else:
+            haystack, key = chunk, start_time_of
+            first, last = chunk[0].start_time, chunk[-1].start_time
+        if last < start:
             continue
-        if end is not None and chunk[0].start_time >= end:
+        if end is not None and first >= end:
             break
         lo = 0
         hi = len(chunk)
-        if chunk[0].start_time < start:
-            lo = bisect_left(chunk, start, key=lambda flow: flow.start_time)
-        if end is not None and chunk[-1].start_time >= end:
-            hi = bisect_left(chunk, end, lo, key=lambda flow: flow.start_time)
+        if first < start:
+            lo = bisect_left(haystack, start, key=key)
+        if end is not None and last >= end:
+            hi = bisect_left(haystack, end, lo, key=key)
         if lo == 0 and hi == len(chunk):
             yield chunk
         elif lo < hi:
             yield chunk[lo:hi]
+
+
+def windowed_chunks(
+    source: FlowStream,
+    *,
+    start: float = 0.0,
+    end: Optional[float] = None,
+    columnar: bool = False,
+) -> Iterator[Sequence[FlowRecord]]:
+    """Drain a stream's chunks trimmed to the replay window ``[start, end)``.
+
+    Consuming a sub-window never generates flows past it (see
+    :func:`trim_chunks`), and sources that can seek
+    (:meth:`GeneratedStream.chunks_from`) additionally never generate the
+    chunks *before* the window, which is what makes a time-window shard's
+    cost proportional to its own span.
+
+    ``columnar`` is the consumer saying it reads columns, not records (the
+    vectorized kernel): every chunk then arrives as a :class:`FlowChunk` —
+    record lists adapted once per chunk — and a materialized
+    :class:`~repro.traffic.trace.Trace` is asked for its columns instead of
+    its shared record list, so no record is built for a flow nobody indexes.
+    """
+    if columnar and hasattr(source, "columns"):
+        source_chunks = (source.columns(),)
+    elif start > 0.0 and hasattr(source, "chunks_from"):
+        source_chunks = source.chunks_from(start)
+    else:
+        source_chunks = source.chunks()
+    if columnar:
+        source_chunks = map(FlowChunk.from_records, source_chunks)
+    return trim_chunks(source_chunks, start, end)

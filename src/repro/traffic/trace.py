@@ -1,12 +1,22 @@
 """Trace container and trace-level statistics.
 
-A :class:`Trace` couples a time-sorted list of :class:`FlowRecord` with the
+A :class:`Trace` couples a time-sorted collection of flows with the
 :class:`~repro.topology.network.DataCenterNetwork` the hosts live in.  Since
 the streaming refactor it is the *materialized convenience wrapper* over the
 chunked pipeline: every built-in generator natively emits a
 :class:`~repro.traffic.stream.FlowStream`, and :meth:`Trace.from_stream`
-(or passing the stream straight to the constructor — streams are iterable)
-collects the chunks into a list for callers that want random access.
+(or passing the stream straight to the constructor) keeps its chunks for
+callers that want random access.
+
+A trace built from a generated stream starts out *columnar*: it holds the
+stream's :class:`~repro.traffic.chunk.FlowChunk` columns and no
+:class:`FlowRecord` at all.  Column consumers — the warm-up intensity fold,
+the vectorized kernel via :meth:`Trace.columns` — read those directly.  The
+first consumer that wants records (``.flows``, iteration, ``chunks()``,
+``window``) materializes the record list once, chunk by chunk, dropping each
+chunk's columns as its records come into being; from then on the trace is
+exactly the record list it always was, shared by every later pass.  A trace
+built from a record iterable is in that state from the start.
 
 The derived views the rest of the library needs —
 
@@ -26,15 +36,19 @@ churn moves hosts between switches mid-replay).
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import le
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.common.errors import TrafficError
 from repro.datastructures.intensity import IntensityMatrix
 from repro.topology.network import DataCenterNetwork
+from repro.traffic.chunk import FlowChunk, start_time_of
 from repro.traffic.flow import FlowRecord
-from repro.traffic.stream import FlowStream, TraceStatistics, accumulate_intensity
+from repro.traffic.stream import FlowStream, TraceStatistics, accumulate_intensity, trim_chunks
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,15 +60,54 @@ class PairActivity:
     top_decile_share: float
 
 
+def _already_sorted(chunks: Sequence[Sequence[FlowRecord]]) -> bool:
+    """Whether ``chunks`` are minting chunks forming one run in trace order.
+
+    Trace order is ``(start_time, flow_id)``.  A run whose ids ascend by one
+    and whose start times never decrease is already in it — sorting would be
+    the identity — which is the canonical order every built-in stream emits.
+    """
+    next_id = None
+    last_time = float("-inf")
+    for chunk in chunks:
+        if not (isinstance(chunk, FlowChunk) and chunk.mints_records):
+            return False
+        if next_id is not None and chunk.first_id != next_id:
+            return False
+        times = chunk.start_times
+        if times[0] < last_time or not all(map(le, times, islice(times, 1, None))):
+            return False
+        next_id = chunk.first_id + len(chunk)
+        last_time = times[-1]
+    return True
+
+
 class Trace:
     """A named, time-sorted collection of flow records bound to a topology."""
 
-    def __init__(self, name: str, network: DataCenterNetwork, flows: Iterable[FlowRecord]) -> None:
+    def __init__(
+        self, name: str, network: DataCenterNetwork, flows: Iterable[FlowRecord] | FlowStream
+    ) -> None:
         self.name = name
         self.network = network
-        self._flows: List[FlowRecord] = sorted(flows)
-        self._start_times: List[float] = [flow.start_time for flow in self._flows]
         self._pair_stats: Optional[TraceStatistics] = None
+        # Exactly one of the two is set: the stream's column chunks, or the
+        # sorted record list they (or a record iterable) turn into.
+        self._chunks: Optional[List[FlowChunk]] = None
+        self._flows: Optional[List[FlowRecord]] = None
+        if hasattr(flows, "chunks"):
+            chunks = [chunk for chunk in flows.chunks() if len(chunk)]
+            if _already_sorted(chunks):
+                for chunk in chunks:
+                    chunk.check_hosts(network)
+                self._chunks = chunks
+                self._count = sum(len(chunk) for chunk in chunks)
+                self._duration = chunks[-1].start_times[-1] if chunks else 0.0
+                return
+            flows = chain.from_iterable(chunks)
+        self._flows = sorted(flows)
+        self._count = len(self._flows)
+        self._duration = self._flows[-1].start_time if self._flows else 0.0
         for flow in self._flows:
             # Fail fast on flows referencing hosts outside the topology.
             network.host(flow.src_host_id)
@@ -68,47 +121,74 @@ class Trace:
     # -- basic accessors ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._flows)
+        return self._count
 
     def __iter__(self) -> Iterator[FlowRecord]:
-        return iter(self._flows)
+        return iter(self.flows)
 
     @property
     def flows(self) -> Sequence[FlowRecord]:
-        """The time-sorted flow records."""
+        """The time-sorted flow records (built on first access, then shared)."""
+        if self._flows is None:
+            flows: List[FlowRecord] = []
+            pending = deque(self._chunks)
+            self._chunks = None
+            while pending:
+                # Popping releases each chunk's columns as soon as its records
+                # exist, so columns and records of the same flows are never
+                # both resident beyond one chunk.
+                flows.extend(pending.popleft().records())
+            self._flows = flows
         return self._flows
+
+    def columns(self) -> FlowChunk:
+        """The whole trace as one :class:`FlowChunk`, for column consumers.
+
+        A columnar trace joins its chunks into one (once) without building a
+        record; a trace already holding records transposes them.  One chunk,
+        not several, so a replay batches a materialized trace the same way
+        whichever representation it reads.
+        """
+        if self._chunks is None:
+            return FlowChunk.from_records(self._flows)
+        if len(self._chunks) != 1:
+            self._chunks = [FlowChunk.joined(self._chunks)]
+        return self._chunks[0]
 
     @property
     def total_flows(self) -> int:
         """Number of flow arrivals (the stream-protocol spelling)."""
-        return len(self._flows)
+        return self._count
 
     @property
     def duration(self) -> float:
         """Time of the last flow arrival (0 for an empty trace)."""
-        return self._flows[-1].start_time if self._flows else 0.0
+        return self._duration
 
     def flow_count(self) -> int:
         """Number of flow arrivals in the trace."""
-        return len(self._flows)
+        return self._count
 
     def chunks(self) -> Iterator[Sequence[FlowRecord]]:
-        """The whole trace as a single chunk (the stream protocol).
+        """The whole trace as a single chunk of records (the stream protocol).
 
-        A materialized trace is already resident, so presenting it as one
-        chunk costs nothing and lets every stream consumer (the replayer
-        first of all) treat traces and streams uniformly.
+        A materialized trace is resident, so presenting it as one chunk
+        costs nothing and lets every stream consumer treat traces and
+        streams uniformly.  The chunk is the shared record list; a consumer
+        that reads columns asks for :meth:`columns` instead
+        (:func:`~repro.traffic.stream.windowed_chunks` does, when told to).
         """
-        if self._flows:
-            yield self._flows
+        if self._count:
+            yield self.flows
 
     def window(self, start: float, end: float) -> List[FlowRecord]:
         """Flows whose arrival time falls in ``[start, end)``."""
         if end < start:
             raise TrafficError(f"invalid window [{start}, {end})")
-        lo = bisect.bisect_left(self._start_times, start)
-        hi = bisect.bisect_left(self._start_times, end)
-        return self._flows[lo:hi]
+        flows = self.flows
+        lo = bisect_left(flows, start, key=start_time_of)
+        hi = bisect_left(flows, end, lo, key=start_time_of)
+        return flows[lo:hi]
 
     # -- derived statistics ---------------------------------------------------
 
@@ -116,13 +196,13 @@ class Trace:
         """The single shared pass behind every topology-independent view."""
         if self._pair_stats is None:
             stats = TraceStatistics(self.network, track_pairs=True, track_intensity=False)
-            self._pair_stats = stats.observe_all(self._flows)
+            self._pair_stats = stats.observe_all(self.flows)
         return self._pair_stats
 
     def statistics(self, *, track_pairs: bool = True) -> TraceStatistics:
         """Accumulate every derived view (intensity included) in one fresh pass."""
         stats = TraceStatistics(self.network, track_pairs=track_pairs)
-        return stats.observe_all(self._flows)
+        return stats.observe_all(self.flows)
 
     def pair_activity(self) -> PairActivity:
         """Distinct communicating pairs and the share of the busiest 10 % of pairs."""
@@ -139,10 +219,17 @@ class Trace:
         arrival: a flow arriving exactly at ``duration`` is counted once.
         An explicit ``end`` keeps the usual half-open ``[start, end)``
         semantics.  The matrix reflects host placement at call time, so it
-        is accumulated fresh per call rather than cached.
+        is accumulated fresh per call rather than cached.  A columnar trace
+        folds its endpoint columns and builds no record for it.
         """
         window_end = float("inf") if end is None else end
-        return accumulate_intensity(self.network, self.window(start, window_end))
+        if window_end < start:
+            raise TrafficError(f"invalid window [{start}, {window_end})")
+        chunks = self._chunks if self._chunks is not None else (self._flows,)
+        matrix = IntensityMatrix(self.network.switch_ids())
+        for chunk in trim_chunks(chunks, start, window_end):
+            accumulate_intensity(self.network, chunk, matrix)
+        return matrix
 
     def hourly_flow_counts(self, *, hours: int = 24) -> List[int]:
         """Flow arrivals per hour over the first ``hours`` hours."""
@@ -167,4 +254,4 @@ class Trace:
         """
         if other.network is not self.network and not self.network.structurally_equal(other.network):
             raise TrafficError("cannot merge traces defined over different topologies")
-        return Trace(name or f"{self.name}+{other.name}", self.network, list(self._flows) + list(other.flows))
+        return Trace(name or f"{self.name}+{other.name}", self.network, list(self.flows) + list(other.flows))

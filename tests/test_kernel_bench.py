@@ -2,7 +2,7 @@
 contract they lean on.
 
 ``pytest-benchmark`` times the two array-heavy stages in isolation —
-``_classify`` (columnarize + pair-grouped classification) and
+``_classify`` (pair-grouped classification over a chunk's columns) and
 ``_accumulate`` (bulk counter/latency/timeline folds) — on a real
 lazyctrl-dynamic plane warmed with the paper-fig7 trace.  These numbers are
 for profiling regressions locally (``pytest tests/test_kernel_bench.py
@@ -47,11 +47,12 @@ def kernel_and_batch():
     plane.prepare(trace, warmup_end=spec.schedule.warmup_seconds)
     kernel = build_kernel(plane)
     assert kernel is not None
-    return kernel, list(trace.flows[:BATCH_FLOWS])
+    # The batch the replayer would hand over: a view into the trace's columns.
+    return kernel, trace.columns()[:BATCH_FLOWS]
 
 
 def test_classify_primitive(kernel_and_batch, benchmark):
-    """Columnarize + classify one batch.  Re-running is safe: _classify only
+    """Wrap the columns + classify one batch.  Re-running is safe: _classify only
     reads plane state and warms the pair-static memo."""
     kernel, batch = kernel_and_batch
     state = benchmark(kernel._classify, batch, len(batch))

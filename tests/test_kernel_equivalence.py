@@ -183,6 +183,57 @@ class TestDirectedEquivalence:
         assert serial_scalar == ScenarioRunner().run(sharded).to_dict()["runs"]
 
 
+class TestRecordsOnDemand:
+    """The kernel reads columns; records exist only for the flows that need one."""
+
+    def _run(self, spec):
+        result = ScenarioRunner().run(
+            dataclasses.replace(spec, execution=ExecutionSpec(kernel="vectorized")),
+            collect_perf=True,
+        )
+        return {name: run.perf for name, run in result.runs.items()}
+
+    def test_unmetered_run_mints_exactly_the_fallback_flows(self):
+        perfs = self._run(build_spec(flows=800, seed=21))
+        for name, perf in perfs.items():
+            counters = perf.counters
+            assert counters["kernel.flows_vectorized"] > 0, name
+            # The counter only appears once something was minted.
+            assert counters.get("kernel.records_minted", 0) == counters["kernel.flows_fallback"], name
+        assert perfs["openflow"].counters["kernel.records_minted"] > 0
+
+    def test_metered_walk_mints_every_flow_it_walks(self):
+        """Under a link meter the ordered walk hands each flow to the meter
+        as a record, so coverage stays partial while minting is total."""
+        for name, perf in self._run(build_spec(flows=800, seed=21, links=LINK_SPECS[1])).items():
+            counters = perf.counters
+            replayed = counters["kernel.flows_vectorized"] + counters["kernel.flows_fallback"]
+            assert counters["kernel.records_minted"] == replayed, name
+
+    def test_profile_kernel_block_reports_minted_records(self):
+        from repro.perf.report import format_kernel_breakdown
+
+        perf = self._run(build_spec(flows=800, seed=21))["openflow"]
+        minted = perf.counters["kernel.records_minted"]
+        assert f"records minted: {minted:,}" in format_kernel_breakdown(perf)
+
+    def test_record_list_batches_are_adapted_not_minted(self):
+        """A plain record list handed to the kernel is transposed once and
+        its own records are replayed: nothing is minted."""
+        from repro.core.registry import get_control_plane
+        from repro.kernel import build_batch_handler
+        from repro.perf.recorder import PerfRecorder
+
+        spec = build_spec(flows=400, seed=5)
+        network = spec.build_network()
+        records = list(spec.build_trace(network).flows)
+        plane = get_control_plane("openflow").build(network, config=spec.effective_config())
+        perf = PerfRecorder()
+        build_batch_handler(plane, perf=perf)(records[:200])
+        assert perf.counter("kernel.flows_fallback") > 0
+        assert perf.counter("kernel.records_minted") == 0
+
+
 class TestNumpyGate:
     def test_vectorized_without_numpy_raises_configuration_error(self, monkeypatch):
         import repro.kernel as kernel_pkg

@@ -320,3 +320,104 @@ class TestGeneratedStreamInternals:
         )
         flows = list(stream)
         assert [(record.src_host_id, record.flow_id) for record in flows] == [(1, 0), (3, 1)]
+
+    def test_emitter_must_draw_its_planned_count(self, network):
+        """Seeking skips a window by adding its *planned* count to the id
+        cursor, so a model that over- or under-draws must fail where it is
+        generated — naming the model and the window — not shift later ids."""
+        windows = [
+            ChunkWindow(index=0, start=0.0, end=10.0, counts=(1,)),
+            ChunkWindow(index=1, start=10.0, end=20.0, counts=(2,)),
+        ]
+
+        def emit(rng, window):
+            # Window 0 honours its plan; window 1 under-draws by one.
+            return [(window.start + 1.0, 1, 2, 1, 1400, 0.05)]
+
+        stream = GeneratedStream(
+            "short", network, windows, emit, seed=1, rng_label="sloppy-model", duration=20.0
+        )
+        chunks = stream.chunks()
+        assert len(next(chunks)) == 1
+        with pytest.raises(TrafficError, match=r"'sloppy-model'.*drew 1 flows for window 1 .*planned 2"):
+            next(chunks)
+        # A seek past window 0 trusts its plan and trips on window 1 just the same.
+        with pytest.raises(TrafficError, match="window 1"):
+            list(stream.chunks_from(15.0))
+
+    def test_faulty_emitter_fails_like_the_record_path(self, network):
+        windows = [ChunkWindow(index=0, start=0.0, end=10.0, counts=(1,))]
+
+        def stream_of(draw):
+            return GeneratedStream(
+                "bad", network, windows, lambda rng, window: [draw],
+                seed=1, rng_label="test", duration=10.0,
+            )
+
+        with pytest.raises(ValueError, match="two distinct hosts"):
+            list(stream_of((1.0, 4, 4, 1, 1400, 0.05)).chunks())
+        with pytest.raises(Exception, match="unknown host 9999"):
+            list(stream_of((1.0, 4, 9999, 1, 1400, 0.05)).chunks())
+
+
+class TestFlowChunk:
+    DRAWS = [(1.0, 0, 1, 10, 15_000, 1.0), (2.0, 2, 3, 4, 5_600, 0.2), (2.0, 4, 5, 1, 1_400, 0.05)]
+
+    def _chunk(self):
+        from repro.traffic.chunk import FlowChunk
+
+        return FlowChunk.from_draws(self.DRAWS, first_id=40)
+
+    def test_is_a_sequence_of_minted_records(self):
+        chunk = self._chunk()
+        assert len(chunk) == 3 and chunk.mints_records and chunk.first_id == 40
+        assert chunk[1] == FlowRecord(2.0, 41, 2, 3, 4, 5_600, 0.2)
+        assert chunk[-1] == chunk[2] == list(chunk)[2]
+        assert chunk[1] in chunk and chunk.index(chunk[2]) == 2
+        for index in (3, -4):
+            with pytest.raises(IndexError):
+                chunk[index]
+
+    def test_records_equals_iteration_but_shares_repeated_values(self):
+        from repro.traffic.chunk import FlowChunk
+
+        draws = [(float(t), 300 + t % 2, 500, 20, 28_000, 1.0) for t in range(6)]
+        chunk = FlowChunk.from_draws(draws)
+        kept = chunk.records()
+        assert kept == list(chunk)
+        # One object per distinct endpoint / size / duration across the list.
+        assert len({id(record.dst_host_id) for record in kept}) == 1
+        assert len({id(record.src_host_id) for record in kept}) == 2
+        assert len({id(record.byte_count) for record in kept}) == 1
+        assert len({id(record.duration) for record in kept}) == 1
+        # A chunk adapted from records hands back those very records.
+        assert all(a is b for a, b in zip(FlowChunk.from_records(kept).records(), kept))
+
+    def test_slices_are_contiguous_views(self):
+        chunk = self._chunk()
+        view = chunk[1:]
+        assert [record.flow_id for record in view] == [41, 42] and view.first_id == 41
+        assert view.start_times.obj is chunk.start_times.obj  # same buffer, no copy
+        assert len(chunk[2:1]) == 0 and len(chunk[5:]) == 0
+        with pytest.raises(ValueError):
+            chunk[::2]
+
+    def test_columns_are_read_only(self):
+        with pytest.raises(TypeError):
+            self._chunk().start_times[0] = 5.0
+
+    def test_empty_chunk(self):
+        from repro.traffic.chunk import FlowChunk
+
+        empty = FlowChunk.from_draws([])
+        assert len(empty) == 0 and list(empty) == [] and not empty
+        assert [len(column) for column in empty.columns()] == [0] * 6
+
+    def test_columnar_trace_pickles_and_deep_copies(self, network):
+        import copy
+        import pickle
+
+        params = UniformBackgroundParams(total_flows=300, duration_hours=1.0, seed=2)
+        trace = Trace.from_stream(stream_uniform_background(network, params))
+        clone = pickle.loads(pickle.dumps(trace))
+        assert list(clone) == list(copy.deepcopy(trace)) == list(trace)

@@ -6,19 +6,36 @@ materialized trace must agree on:
 
 * the exact ``FlowRecord`` sequence (ids, timestamps, endpoints, payloads);
 * the replayed arrival sequence and deterministic replay counters;
-* the derived intensity matrix over arbitrary windows.
+* the derived intensity matrix over arbitrary windows;
+* the columnar chunks the streams now yield: records minted from them, their
+  slices, bisect positions and window trimming, the kernel fed by them, and
+  their validation errors all equal what the record lists they replaced gave.
 
 The base-params table must cover every registered built-in model; the
 coverage test fails when a new model is added without extending it.
 """
 
+import heapq
+from bisect import bisect_left
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.errors import UnknownHostError
+from repro.common.rng import make_rng
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
+from repro.traffic.chunk import FlowChunk, draw_of
+from repro.traffic.flow import FlowRecord
 from repro.traffic.mix import TrafficComponentSpec, TrafficMixSpec
 from repro.traffic.registry import available_traffic_models, get_traffic_model
 from repro.replay.spec import ExecutionSpec
 from repro.traffic.replay import TraceReplayer
+from repro.traffic.stream import (
+    GeneratedStream,
+    MaterializedStream,
+    MergedStream,
+    windowed_chunks,
+)
 from repro.traffic.trace import Trace
 
 #: One small-but-representative params dict per registered built-in model
@@ -185,3 +202,240 @@ class TestScenarioStreamEquivalence:
             assert left.workload.krps == right.workload.krps
             assert left.latency == right.latency
             assert left.updates_per_hour == right.updates_per_hour
+
+
+# -- columnar chunks ≡ the record lists they replaced ----------------------------
+#
+# The reference below is the pre-chunk pipeline kept verbatim: one keyword-built
+# FlowRecord per sorted draw (generated streams) and per merged key (mixes).
+# Everything a FlowChunk does — minting, slicing, bisecting, trimming, feeding
+# the kernel — is held against those records.
+
+_FIELDS = (
+    "start_time",
+    "flow_id",
+    "src_host_id",
+    "dst_host_id",
+    "packet_count",
+    "byte_count",
+    "duration",
+    "rate_profile",
+)
+
+
+def _fields(flow):
+    return tuple(getattr(flow, name) for name in _FIELDS)
+
+
+def _record(draw, flow_id):
+    return FlowRecord(
+        start_time=draw[0],
+        flow_id=flow_id,
+        src_host_id=draw[1],
+        dst_host_id=draw[2],
+        packet_count=draw[3],
+        byte_count=draw[4],
+        duration=draw[5],
+    )
+
+
+def _reference_chunks(stream):
+    """The record-list chunks the pre-chunk pipeline produced for ``stream``."""
+    if isinstance(stream, GeneratedStream):
+        flow_id = 0
+        for window in stream._windows:
+            if window.flow_count <= 0:
+                continue
+            rng = make_rng(stream._seed, *stream._rng_labels, "chunk", str(window.index))
+            draws = stream._emit(rng, window)
+            draws.sort()
+            yield [_record(draw, flow_id + offset) for offset, draw in enumerate(draws)]
+            flow_id += len(draws)
+        return
+    assert isinstance(stream, MergedStream)
+
+    def shifted(part, offset, span):
+        for chunk in _reference_chunks(part):
+            for flow in chunk:
+                if flow.start_time >= span:
+                    return
+                key = draw_of(flow)
+                yield (key[0] + offset, *key[1:]) if offset else key
+
+    merged = heapq.merge(*(shifted(*part) for part in stream._parts))
+    chunk = []
+    for flow_id, key in enumerate(merged):
+        chunk.append(_record(key, flow_id))
+        if len(chunk) >= stream._chunk_flows:
+            yield chunk
+            chunk = []
+    if chunk:
+        yield chunk
+
+
+def _params_for(model, seed, duration):
+    if model == "mix":
+        return _mix_params(["realistic", "incast-hotspot"], seed, duration)
+    return {**BASE_PARAMS[model], "seed": seed, "duration_hours": duration}
+
+
+chunk_models = st.sampled_from(sorted(BASE_PARAMS) + ["mix"])
+
+
+class TestChunkEquivalence:
+    @given(model=chunk_models, seed=seeds, duration=st.sampled_from([1.0, 1.5]))
+    @settings(max_examples=30, deadline=None)
+    def test_minted_records_equal_the_record_pipeline(self, model, seed, duration):
+        stream = get_traffic_model(model).build_stream(
+            _NETWORK, _params_for(model, seed, duration), name="equiv"
+        )
+        chunks = list(stream.chunks())
+        reference = list(_reference_chunks(stream))
+        assert all(isinstance(chunk, FlowChunk) and chunk.mints_records for chunk in chunks)
+        assert [len(chunk) for chunk in chunks] == [len(chunk) for chunk in reference]
+        for chunk, records in zip(chunks, reference):
+            # Iteration, indexing (both ends) and the id cursor agree field for field.
+            assert [_fields(flow) for flow in chunk] == [_fields(flow) for flow in records]
+            assert _fields(chunk[0]) == _fields(records[0])
+            assert _fields(chunk[-1]) == _fields(records[-1])
+            assert chunk.first_id == records[0].flow_id
+        # The trace keeps the columns, then turns into the very same records.
+        trace = Trace.from_stream(stream)
+        flat = [flow for records in reference for flow in records]
+        assert len(trace) == len(flat) and trace.duration == flat[-1].start_time
+        assert [_fields(flow) for flow in trace.flows] == [_fields(flow) for flow in flat]
+        assert trace.flows is trace.flows
+
+    @given(model=chunk_models, seed=seeds, data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_slices_bisect_and_trimming_agree_at_chunk_edges(self, model, seed, data):
+        stream = get_traffic_model(model).build_stream(
+            _NETWORK, _params_for(model, seed, 1.5), name="equiv"
+        )
+        chunks = [chunk for chunk in stream.chunks() if len(chunk)]
+        reference = [records for records in _reference_chunks(stream) if records]
+        flat = [flow for records in reference for flow in records]
+
+        index = data.draw(st.integers(min_value=0, max_value=len(chunks) - 1))
+        chunk, records = chunks[index], reference[index]
+        lo = data.draw(st.integers(min_value=0, max_value=len(chunk)))
+        hi = data.draw(st.integers(min_value=0, max_value=len(chunk)))
+        view = chunk[lo:hi]
+        assert [_fields(flow) for flow in view] == [_fields(flow) for flow in records[lo:hi]]
+        assert len(view) == len(records[lo:hi])
+        if len(view):
+            assert view.first_id == records[lo].flow_id
+            assert _fields(view[len(view) - 1]) == _fields(records[hi - 1])
+
+        # Window edges that sit exactly on a chunk's first / last arrival, a
+        # hair either side of them, and somewhere in the middle.
+        edge = data.draw(st.sampled_from([records[0], records[-1], records[len(records) // 2]]))
+        nudge = data.draw(st.sampled_from([0.0, -1e-9, 1e-9]))
+        start = max(0.0, edge.start_time + nudge)
+        assert bisect_left(chunk.start_times, start) == bisect_left(
+            records, start, key=lambda flow: flow.start_time
+        )
+        end = data.draw(st.sampled_from([None, start, start + 600.0, flat[-1].start_time]))
+        expected = [
+            _fields(flow)
+            for flow in flat
+            if flow.start_time >= start and (end is None or flow.start_time < end)
+        ]
+        listed = MaterializedStream("lists", _NETWORK, flat, chunk_flows=37)
+        for source in (stream, Trace.from_stream(stream), listed):
+            for columnar in (False, True):
+                trimmed = list(windowed_chunks(source, start=start, end=end, columnar=columnar))
+                assert [_fields(flow) for part in trimmed for flow in part] == expected
+                if columnar:
+                    assert all(isinstance(part, FlowChunk) for part in trimmed)
+
+    @given(
+        model=st.sampled_from(["realistic", "incast-hotspot", "mix"]),
+        seed=seeds,
+        tables=st.booleans(),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_kernel_fed_chunks_equals_kernel_fed_record_lists(self, model, seed, tables):
+        pytest.importorskip("numpy")
+        from repro.core.runner import ScenarioRunner
+        from repro.core.scenario import ScheduleSpec
+        from repro.common.config import LazyCtrlConfig
+        from repro.obs.timeline import MetricsTimeline
+        from repro.obs.tracer import EventTracer
+        from repro.tables.spec import TableSpec
+
+        params = {**_params_for(model, seed, 2.0), "total_flows": 600}
+        columnar = get_traffic_model(model).build(_NETWORK, params, name="equiv")
+        listed = Trace("equiv", _NETWORK, list(get_traffic_model(model).build_stream(
+            _NETWORK, params, name="equiv"
+        )))
+        assert columnar._chunks is not None and listed._chunks is None
+        schedule = ScheduleSpec(warmup_hours=0.5, duration_hours=2.0, bucket_hours=1.0)
+        config = LazyCtrlConfig()
+        if tables:
+            config = TableSpec(capacity=8, policy="lru").apply(config)
+
+        def run(trace, system):
+            tracer = EventTracer(system=system, timeline=MetricsTimeline(schedule.bucket_seconds))
+            result = ScenarioRunner().replay_system(
+                system, trace, schedule=schedule, config=config, tracer=tracer, kernel="vectorized"
+            )
+            payload = result.to_dict()
+            payload.pop("perf")
+            return payload
+
+        for system in ("openflow", "lazyctrl-dynamic"):
+            assert run(columnar, system) == run(listed, system)
+        # Feeding the kernel built no record list on the columnar trace.
+        assert columnar._flows is None
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            (-1.0, 0, 1, 10, 15_000, 1.0),
+            (1.0, 3, 3, 10, 15_000, 1.0),
+            (1.0, 0, 1, 0, 15_000, 1.0),
+            (1.0, 0, 1, 10, 0, 1.0),
+            (1.0, 0, 1, 10, 15_000, 0.0),
+            # Two faults in one flow, and a later flow with an earlier check
+            # failing: the first offending flow's first failed check wins.
+            (1.0, 3, 3, 0, 15_000, -2.0),
+        ],
+    )
+    def test_invalid_columns_raise_the_record_paths_errors(self, draw):
+        good = (0.5, 0, 1, 10, 15_000, 1.0)
+        late_fault = (2.0, 0, 1, 10, 15_000, -1.0)
+        for draws in ([draw], [good, draw], [good, draw, late_fault]):
+            draws = sorted(draws)
+            with pytest.raises(ValueError) as from_records:
+                [_record(each, flow_id) for flow_id, each in enumerate(draws)]
+            with pytest.raises(ValueError) as from_columns:
+                FlowChunk.from_draws(draws)
+            assert str(from_columns.value) == str(from_records.value)
+
+    def test_unknown_hosts_raise_the_record_paths_error(self):
+        draws = [(1.0, 0, 1, 10, 15_000, 1.0), (2.0, 2, 10_001, 10, 15_000, 1.0),
+                 (3.0, 10_002, 3, 10, 15_000, 1.0)]
+        with pytest.raises(UnknownHostError) as from_records:
+            Trace("bad", _NETWORK, [_record(draw, flow_id) for flow_id, draw in enumerate(draws)])
+        with pytest.raises(UnknownHostError) as from_columns:
+            FlowChunk.from_draws(draws).check_hosts(_NETWORK)
+        assert str(from_columns.value) == str(from_records.value) == "unknown host 10001"
+
+    def test_from_records_keeps_the_records_and_their_rate_profiles(self):
+        from repro.bandwidth.profile import RateProfile
+
+        profile = RateProfile.constant(8_000.0, 2.0)
+        records = [
+            FlowRecord(1.0, 7, 0, 1),
+            FlowRecord(2.0, 3, 2, 3, rate_profile=profile),
+            FlowRecord(2.0, 9, 4, 5, 3, 4200, 0.5),
+        ]
+        chunk = FlowChunk.from_records(records)
+        assert not chunk.mints_records and FlowChunk.from_records(chunk) is chunk
+        assert all(got is want for got, want in zip(chunk, records))
+        assert chunk[1].rate_profile is profile and chunk[1:][0] is records[1]
+        assert [list(column) for column in chunk.columns()] == [
+            [1.0, 2.0, 2.0], [0, 2, 4], [1, 3, 5], [10, 10, 3], [15_000, 15_000, 4200],
+            [1.0, 1.0, 0.5],
+        ]

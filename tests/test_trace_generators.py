@@ -27,7 +27,67 @@ def real_like_trace(network):
     return generator.generate(name="real-like-test")
 
 
+def _reference_realistic_emit(generator):
+    """The realistic model's emit loop as first written (readable, slow).
+
+    ``RealisticTraceGenerator.stream`` tightened it — hoisted bound methods,
+    inlined ``sample_zipf_index`` and the clamps — on the promise that every
+    draw stays bit-identical; this is the loop that promise is held against.
+    """
+    from repro.common.rng import make_rng, sample_zipf_index
+
+    profile = generator.profile
+    setup_rng = make_rng(profile.seed, "realistic-trace", "real-like", "setup")
+    active_pairs = generator._select_active_pairs(setup_rng)
+    hot_count = max(1, int(len(active_pairs) * profile.hot_pair_fraction))
+    hot_pairs = active_pairs[:hot_count]
+    cold_pairs = active_pairs[hot_count:] or active_pairs
+
+    def emit(rng, window):
+        draws = []
+        start, span = window.start, window.span
+        for _ in range(window.counts[0]):
+            if rng.random() < profile.hot_pair_flow_share:
+                index = sample_zipf_index(rng, len(hot_pairs), profile.zipf_exponent)
+                src, dst = hot_pairs[index]
+            else:
+                src, dst = cold_pairs[rng.randrange(len(cold_pairs))]
+            if rng.random() < 0.5:
+                src, dst = dst, src
+            packet_count = max(1, int(rng.expovariate(1.0 / 12.0)) + 1)
+            draws.append(
+                (
+                    start + rng.random() * span,
+                    src,
+                    dst,
+                    packet_count,
+                    packet_count * 1400,
+                    min(60.0, packet_count * 0.05),
+                )
+            )
+        return draws
+
+    return emit
+
+
 class TestRealisticGenerator:
+    @pytest.mark.parametrize("seed", [7, 2015])
+    def test_tightened_emit_loop_draws_what_the_original_drew(self, network, seed):
+        from repro.common.rng import make_rng
+
+        generator = RealisticTraceGenerator(
+            network, RealisticTraceProfile(total_flows=6000, duration_hours=24.0, seed=seed)
+        )
+        stream = generator.stream()
+        reference_emit = _reference_realistic_emit(generator)
+        windows = [window for window in stream._windows if window.flow_count]
+        assert len(windows) == 24
+        for window in windows:
+            labels = ("realistic-trace", "real-like", "chunk", str(window.index))
+            assert stream._emit(make_rng(seed, *labels), window) == reference_emit(
+                make_rng(seed, *labels), window
+            )
+
     def test_flow_count_close_to_requested(self, real_like_trace):
         assert abs(len(real_like_trace) - 8000) < 200
 
