@@ -47,7 +47,7 @@ from repro.core.scenario import (
     TopologySpec,
     TraceSpec,
 )
-from repro.core.system import LazyCtrlSystem, OpenFlowSystem
+from repro.core.system import EdgePlane, LazyCtrlSystem, OpenFlowSystem
 from repro.obs import (
     EventTracer,
     JsonlEventListener,
@@ -83,6 +83,7 @@ __all__ = [
     "ControlPlaneEntry",
     "DayLongExperiment",
     "DayLongExperimentResult",
+    "EdgePlane",
     "EventTracer",
     "FailureInjectionSpec",
     "Grouping",

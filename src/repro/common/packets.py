@@ -17,13 +17,10 @@ dedicated :class:`PacketKind`.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.common.addresses import IpAddress, MacAddress
-
-_packet_counter = itertools.count()
 
 
 class PacketKind(enum.Enum):
@@ -55,8 +52,6 @@ class Packet:
 
     Attributes
     ----------
-    packet_id:
-        Monotonically increasing identifier, unique per process.
     kind:
         Data packet or ARP request/reply.
     src_mac / dst_mac:
@@ -86,7 +81,6 @@ class Packet:
     created_at: float = 0.0
     encap: Optional[EncapHeader] = None
     flow_id: Optional[int] = None
-    packet_id: int = field(default_factory=lambda: next(_packet_counter))
 
     @property
     def is_encapsulated(self) -> bool:
@@ -115,7 +109,6 @@ class Packet:
             created_at=self.created_at,
             encap=encap,
             flow_id=self.flow_id,
-            packet_id=self.packet_id,
         )
 
     def encapsulate(self, header: EncapHeader) -> "Packet":

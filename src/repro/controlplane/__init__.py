@@ -1,5 +1,6 @@
 """Control plane: channels, messages, groups, controllers and grouping management."""
 
+from repro.controlplane.base import EdgeController
 from repro.controlplane.channels import ChannelRegistry, ChannelStats, ChannelType, ControlChannel
 from repro.controlplane.group import LocalControlGroup, RingNeighbors
 from repro.controlplane.grouping_manager import GroupingManager, RegroupingDecision
@@ -26,6 +27,7 @@ __all__ = [
     "ControlChannel",
     "ControlMessage",
     "DisseminationStats",
+    "EdgeController",
     "FailureNotificationMessage",
     "FlowModMessage",
     "GroupConfigMessage",

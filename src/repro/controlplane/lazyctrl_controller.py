@@ -19,24 +19,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.common.config import LazyCtrlConfig
-from repro.common.errors import ControlPlaneError
-from repro.common.packets import FlowKey, Packet
+from repro.common.errors import UnknownHostError
+from repro.common.packets import Packet
 from repro.datastructures.fib import CentralLib, FibEntry
-from repro.datastructures.flow_table import ActionType, FlowAction
 from repro.dataplane.edge_switch import LazyCtrlEdgeSwitch
+from repro.controlplane.base import EdgeController
 from repro.controlplane.channels import ChannelRegistry, ChannelType
 from repro.controlplane.group import LocalControlGroup
 from repro.controlplane.grouping_manager import GroupingManager
 from repro.controlplane.messages import GroupConfigMessage, GroupStateReportMessage
 from repro.controlplane.tenant_manager import TenantManager
-from repro.obs.events import FlowInstallEvent, FlowRemovedEvent, PacketInEvent
-from repro.obs.tracer import NULL_TRACER
 from repro.partitioning.sgi import Grouping
-from repro.perf.recorder import NULL_RECORDER
-from repro.simulation.metrics import CounterSeries, WorkloadMeter
 from repro.topology.network import DataCenterNetwork
 
 
@@ -50,7 +46,7 @@ class InterGroupSetupResult:
     relayed_groups: int = 0
 
 
-class LazyCtrlController:
+class LazyCtrlController(EdgeController):
     """The lazy central controller of the hybrid control plane."""
 
     def __init__(
@@ -61,6 +57,7 @@ class LazyCtrlController:
         dynamic_grouping: bool = True,
         workload_bucket_seconds: float = 7200.0,
     ) -> None:
+        super().__init__(workload_bucket_seconds=workload_bucket_seconds)
         self._network = network
         self.config = config or LazyCtrlConfig()
         self.clib = CentralLib()
@@ -70,46 +67,21 @@ class LazyCtrlController:
             policy=self.config.regrouping,
             dynamic=dynamic_grouping,
         )
-        self._switches: Dict[int, LazyCtrlEdgeSwitch] = {}
         self._groups: Dict[int, LocalControlGroup] = {}
         self._group_of_switch: Dict[int, int] = {}
         self._channels = ChannelRegistry()
         self._rng = random.Random(self.config.grouping.random_seed)
-
-        self.workload_series = CounterSeries(workload_bucket_seconds)
-        self.workload_meter = WorkloadMeter(window_seconds=60.0)
-        self.perf = NULL_RECORDER
-        self.tracer = NULL_TRACER
-        self.total_requests = 0
-        self.flow_mods_sent = 0
         self.arp_relays = 0
         self.group_config_messages = 0
         self.regroupings_applied = 0
-        self.flow_removed_received = 0
 
     # -- switch registration ----------------------------------------------------
 
     def register_switch(self, switch: LazyCtrlEdgeSwitch) -> None:
         """Connect an edge switch to the controller via a control link."""
-        self._switches[switch.switch_id] = switch
-        switch.flow_removed_handler = self.handle_flow_removed
+        super().register_switch(switch)
         self._channels.get_or_create(ChannelType.CONTROL_LINK, "controller", f"switch:{switch.switch_id}")
         self.grouping_manager.register_switches([switch.switch_id])
-
-    def switch(self, switch_id: int) -> LazyCtrlEdgeSwitch:
-        """Return a registered switch by id."""
-        try:
-            return self._switches[switch_id]
-        except KeyError as exc:
-            raise ControlPlaneError(f"switch {switch_id} is not registered with the controller") from exc
-
-    def switches(self) -> List[LazyCtrlEdgeSwitch]:
-        """All registered switches ordered by id."""
-        return [self._switches[switch_id] for switch_id in sorted(self._switches)]
-
-    def switch_count(self) -> int:
-        """Number of registered switches."""
-        return len(self._switches)
 
     # -- bootstrap -----------------------------------------------------------------
 
@@ -230,14 +202,10 @@ class LazyCtrlController:
         not know the destination (cold start), the request is relayed as an
         ARP to the designated switches of every group hosting the tenant.
         """
-        self._record_request(now)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                PacketInEvent(time=now, switch_id=ingress_switch_id, kind="inter_group")
-            )
+        self._record_request(ingress_switch_id, now, "inter_group")
         egress = self.clib.locate(packet.dst_mac)
         if egress is not None:
-            self._install_inter_group_rule(ingress_switch_id, packet, egress, now)
+            self._install_forwarding_rule(ingress_switch_id, packet, egress, now)
             return InterGroupSetupResult(
                 ingress_switch_id=ingress_switch_id,
                 egress_switch_id=egress,
@@ -248,7 +216,7 @@ class LazyCtrlController:
         # known; resolve from the ground truth topology if possible.
         try:
             host = self._network.host_by_mac(packet.dst_mac)
-        except Exception:
+        except UnknownHostError:
             return InterGroupSetupResult(
                 ingress_switch_id=ingress_switch_id,
                 egress_switch_id=None,
@@ -256,7 +224,7 @@ class LazyCtrlController:
                 relayed_groups=relayed,
             )
         self.clib.record_host(packet.dst_mac, host.switch_id, host.tenant_id)
-        self._install_inter_group_rule(ingress_switch_id, packet, host.switch_id, now)
+        self._install_forwarding_rule(ingress_switch_id, packet, host.switch_id, now)
         return InterGroupSetupResult(
             ingress_switch_id=ingress_switch_id,
             egress_switch_id=host.switch_id,
@@ -269,9 +237,7 @@ class LazyCtrlController:
 
         Returns the number of groups the request was relayed to.
         """
-        self._record_request(now)
-        if self.tracer.enabled:
-            self.tracer.emit(PacketInEvent(time=now, switch_id=ingress_switch_id, kind="arp"))
+        self._record_request(ingress_switch_id, now, "arp")
         return self._relay_arp(packet, now)
 
     def _relay_arp(self, packet: Packet, now: float) -> int:
@@ -287,54 +253,6 @@ class LazyCtrlController:
             relayed += 1
         self.arp_relays += relayed
         return relayed
-
-    def _install_inter_group_rule(self, ingress_switch_id: int, packet: Packet, egress_switch_id: int, now: float) -> None:
-        switch = self._switches.get(ingress_switch_id)
-        if switch is None:
-            return
-        key = FlowKey(src_mac=packet.src_mac, dst_mac=packet.dst_mac, tenant_id=packet.tenant_id)
-        if egress_switch_id == ingress_switch_id:
-            entry = switch.lfib.lookup(packet.dst_mac)
-            action = FlowAction(ActionType.FORWARD_LOCAL, entry.port if entry else 1)
-        else:
-            action = FlowAction(ActionType.ENCAP_TO_SWITCH, egress_switch_id)
-        switch.install_flow_rule(key, action, now=now)
-        self.flow_mods_sent += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                FlowInstallEvent(
-                    time=now,
-                    switch_id=ingress_switch_id,
-                    egress_switch_id=egress_switch_id,
-                )
-            )
-
-    def handle_flow_removed(self, switch_id: int, rule, now: float, reason) -> None:
-        """Note a ``flow_removed`` sent by a switch whose table aged out a rule.
-
-        The notification is asynchronous bookkeeping, not a request for new
-        state: it is counted separately from ``total_requests`` so finite
-        tables change the controller's *re-install* load (via the subsequent
-        ``packet_in``), never the workload accounting of the removal itself.
-        """
-        self.flow_removed_received += 1
-        self.perf.count("controller.flow_removed")
-        if self.tracer.enabled:
-            self.tracer.emit(
-                FlowRemovedEvent(time=now, switch_id=switch_id, reason=reason.value)
-            )
-
-    # -- workload accounting --------------------------------------------------------------------
-
-    def current_load_rps(self, now: float) -> float:
-        """Controller load (requests per second) over the recent window."""
-        return self.workload_meter.rate(now)
-
-    def _record_request(self, now: float) -> None:
-        self.total_requests += 1
-        self.workload_series.record(now)
-        self.workload_meter.record(now)
-        self.perf.count("controller.requests")
 
     # -- periodic housekeeping ---------------------------------------------------------------------
 

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.common.addresses import MacAddress
-from repro.common.packets import FlowKey, Packet
-from repro.datastructures.flow_table import ActionType, FlowAction
-from repro.dataplane.openflow_switch import OpenFlowEdgeSwitch
-from repro.obs.events import FlowInstallEvent, FlowRemovedEvent, PacketInEvent
-from repro.obs.tracer import NULL_TRACER
-from repro.perf.recorder import NULL_RECORDER
-from repro.simulation.metrics import CounterSeries, WorkloadMeter
+from repro.common.packets import Packet
+from repro.controlplane.base import EdgeController
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,35 +28,13 @@ class PacketInResult:
     installed_rule: bool
 
 
-class OpenFlowController:
+class OpenFlowController(EdgeController):
     """Reactive centralized controller handling every flow setup itself."""
 
     def __init__(self, *, workload_bucket_seconds: float = 7200.0) -> None:
-        self._switches: Dict[int, OpenFlowEdgeSwitch] = {}
+        super().__init__(workload_bucket_seconds=workload_bucket_seconds)
         self._learned_locations: Dict[MacAddress, int] = {}
-        self.workload_series = CounterSeries(workload_bucket_seconds)
-        self.workload_meter = WorkloadMeter(window_seconds=60.0)
-        self.perf = NULL_RECORDER
-        self.tracer = NULL_TRACER
-        self.total_requests = 0
         self.arp_floods = 0
-        self.flow_mods_sent = 0
-        self.flow_removed_received = 0
-
-    # -- switch registration ---------------------------------------------------
-
-    def register_switch(self, switch: OpenFlowEdgeSwitch) -> None:
-        """Connect an edge switch to the controller."""
-        self._switches[switch.switch_id] = switch
-        switch.flow_removed_handler = self.handle_flow_removed
-
-    def switch(self, switch_id: int) -> OpenFlowEdgeSwitch:
-        """Return a registered switch by id."""
-        return self._switches[switch_id]
-
-    def switch_count(self) -> int:
-        """Number of connected switches."""
-        return len(self._switches)
 
     # -- location learning -------------------------------------------------------
 
@@ -99,11 +72,7 @@ class OpenFlowController:
         learning round (extra workload) before it can install the rule, which
         is what makes baseline cold-cache latency high.
         """
-        self._record_request(now)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                PacketInEvent(time=now, switch_id=ingress_switch_id, kind="reactive")
-            )
+        self._record_request(ingress_switch_id, now, "reactive")
         # Learning-switch behaviour: the Packet_In itself teaches the
         # controller where the source lives.
         self.learn_location(packet.src_mac, ingress_switch_id)
@@ -115,18 +84,14 @@ class OpenFlowController:
             self.arp_floods += 1
             # The flood itself generates additional controller work (one more
             # round of Packet_Ins carrying the replies).
-            self._record_request(now)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    PacketInEvent(time=now, switch_id=ingress_switch_id, kind="arp_flood")
-                )
+            self._record_request(ingress_switch_id, now, "arp_flood")
             egress = true_destination_switch
             if egress is not None:
                 self.learn_location(packet.dst_mac, egress)
 
         installed = False
         if egress is not None:
-            self._install_rule(ingress_switch_id, packet, egress, now)
+            self._install_forwarding_rule(ingress_switch_id, packet, egress, now)
             installed = True
         return PacketInResult(
             ingress_switch_id=ingress_switch_id,
@@ -134,50 +99,3 @@ class OpenFlowController:
             needed_location_learning=needed_learning,
             installed_rule=installed,
         )
-
-    def handle_flow_removed(self, switch_id: int, rule, now: float, reason) -> None:
-        """Note a ``flow_removed`` from a switch whose table aged out a rule.
-
-        Counted separately from ``total_requests``: the removal itself is
-        bookkeeping; the cost of finite tables shows up as the re-install
-        ``Packet_In`` the next packet of the flow triggers.
-        """
-        self.flow_removed_received += 1
-        self.perf.count("controller.flow_removed")
-        if self.tracer.enabled:
-            self.tracer.emit(
-                FlowRemovedEvent(time=now, switch_id=switch_id, reason=reason.value)
-            )
-
-    # -- helpers ---------------------------------------------------------------
-
-    def current_load_rps(self, now: float) -> float:
-        """Controller load (requests per second) over the recent window."""
-        return self.workload_meter.rate(now)
-
-    def _record_request(self, now: float) -> None:
-        self.total_requests += 1
-        self.workload_series.record(now)
-        self.workload_meter.record(now)
-        self.perf.count("controller.requests")
-
-    def _install_rule(self, ingress_switch_id: int, packet: Packet, egress_switch_id: int, now: float) -> None:
-        switch = self._switches.get(ingress_switch_id)
-        if switch is None:
-            return
-        key = FlowKey(src_mac=packet.src_mac, dst_mac=packet.dst_mac, tenant_id=packet.tenant_id)
-        if egress_switch_id == ingress_switch_id:
-            port = switch.local_host(packet.dst_mac) or 1
-            action = FlowAction(ActionType.FORWARD_LOCAL, port)
-        else:
-            action = FlowAction(ActionType.ENCAP_TO_SWITCH, egress_switch_id)
-        switch.install_flow_rule(key, action, now=now)
-        self.flow_mods_sent += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                FlowInstallEvent(
-                    time=now,
-                    switch_id=ingress_switch_id,
-                    egress_switch_id=egress_switch_id,
-                )
-            )

@@ -29,7 +29,7 @@ from repro.core.scenario import (
     TopologySpec,
     TraceSpec,
 )
-from repro.core.system import LazyCtrlSystem, OpenFlowSystem
+from repro.core.system import EdgePlane, LazyCtrlSystem, OpenFlowSystem
 
 __all__ = [
     "ColdCacheExperiment",
@@ -39,6 +39,7 @@ __all__ = [
     "ControlPlaneEntry",
     "DayLongExperiment",
     "DayLongExperimentResult",
+    "EdgePlane",
     "FailureInjectionSpec",
     "FlowHandlingResult",
     "FlowPathKind",

@@ -46,10 +46,11 @@ class ControlPlane(Protocol):
     ``inject_failures`` receive the spec's failure storms.  Workload churn
     is opted into *explicitly*: register the design with
     ``register_control_plane(..., churn_aware=True)`` and implement the
-    :class:`ChurnAware` hooks.  (Designs that implement the hooks without
-    declaring ``churn_aware`` still receive churn through a deprecation
-    shim in the runner.)  Designs without either simply run on a frozen
-    topology.
+    :class:`ChurnAware` hooks; a design registered without the flag runs on
+    a frozen topology.  Perf counters, event tracing and table/link
+    accounting come with :class:`~repro.core.system.EdgePlane`, the base of
+    the built-in designs; a design that implements only this protocol runs
+    without them.
     """
 
     counters: SystemCounters

@@ -18,7 +18,6 @@ import dataclasses
 import json
 import math
 import multiprocessing
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -36,6 +35,7 @@ from repro.core.results import (
     WorkloadSeriesResult,
 )
 from repro.core.scenario import FailureInjectionSpec, ScenarioSpec, ScheduleSpec
+from repro.core.system import EdgePlane
 from repro.obs.timeline import MetricsTimeline, TimelineResult
 from repro.obs.tracer import NULL_TRACER, EventTracer, JsonlEventListener, TraceOptions
 from repro.perf.recorder import NULL_RECORDER, PerfRecorder, peak_rss_bytes
@@ -238,30 +238,18 @@ class ScenarioRunner:
         self,
         specs: Iterable[ScenarioSpec],
         *,
-        workers: Optional[int] = None,
         execution: Optional[ExecutionSpec] = None,
     ) -> List[ScenarioResult]:
         """Run independent scenarios, fanned out over a process pool.
 
         ``execution.workers`` sizes the fan-out across *scenarios* (each
-        spec still runs under its own ``spec.execution``).  The legacy
-        ``workers=`` keyword still works but is deprecated in favour of
-        ``execution=ExecutionSpec(workers=...)``.  With one worker (or a
-        single spec) the scenarios run serially in this process.  The
+        spec still runs under its own ``spec.execution``).  With one worker
+        (or a single spec) the scenarios run serially in this process.  The
         fan-out uses fork-start processes where available so control planes
         registered by the calling program remain visible to the workers.
         """
         spec_list = list(specs)
-        if workers is not None:
-            warnings.warn(
-                "run_many(workers=...) is deprecated; pass "
-                "execution=ExecutionSpec(workers=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if workers < 0:
-                raise ConfigurationError("workers must be non-negative")
-        fan_out = execution.workers if execution is not None else (workers or 1)
+        fan_out = execution.workers if execution is not None else 1
         if not spec_list:
             return []
         if fan_out <= 1 or len(spec_list) == 1 or not can_fork_workers():
@@ -381,16 +369,18 @@ class ScenarioRunner:
         churn-aware (``register_control_plane(..., churn_aware=True)`` plus
         the :class:`~repro.core.registry.ChurnAware` hooks), the churn
         events are scheduled onto a simulation engine that the replayer
-        advances in lockstep with the trace.  An inert churn spec (all
-        rates zero) is ignored entirely, so it reproduces the churn-free
-        replay bit for bit.
+        advances in lockstep with the trace; a plane registered without the
+        flag runs on a frozen topology whatever methods it has.  An inert
+        churn spec (all rates zero) is ignored entirely, so it reproduces
+        the churn-free replay bit for bit.
 
         ``kernel`` selects the per-shard flow-handling engine (see
         :class:`~repro.replay.spec.ExecutionSpec`): ``"vectorized"`` runs
         the columnar numpy kernel from :mod:`repro.kernel`, bit-identical
         to the scalar path by construction.  It silently degrades to
         scalar when the replay needs per-flow engine lockstep (active
-        churn) or the control plane is not a known accelerable system.
+        churn) or the control plane is not an
+        :class:`~repro.core.system.EdgePlane`.
 
         .. warning:: Active churn mutates ``trace.network`` in place during
            the replay.  To compare systems fairly, give each call its own
@@ -444,10 +434,15 @@ class ScenarioRunner:
             workload_bucket_seconds=schedule.bucket_seconds,
             latency_bucket_seconds=schedule.bucket_seconds,
         )
-        if perf is not None and hasattr(plane, "set_perf_recorder"):
-            plane.set_perf_recorder(perf)
-        if tracer.enabled and hasattr(plane, "set_tracer"):
-            plane.set_tracer(tracer)
+        # Perf counters, event tracing, table and link accounting are the
+        # edge plane's surface; a design that implements only the
+        # ControlPlane protocol runs without them.
+        edge_plane = plane if isinstance(plane, EdgePlane) else None
+        if edge_plane is not None:
+            if perf is not None:
+                edge_plane.set_perf_recorder(perf)
+            if tracer.enabled:
+                edge_plane.set_tracer(tracer)
         plane.prepare(trace, warmup_end=schedule.warmup_seconds)
 
         callbacks = [plane.periodic]
@@ -458,24 +453,7 @@ class ScenarioRunner:
 
         engine: Optional[SimulationEngine] = None
         scheduler: Optional[ChurnScheduler] = None
-        if churn is not None and churn.active:
-            churn_capable = entry.churn_aware
-            if not churn_capable and hasattr(plane, "churn_migrate_host"):
-                # Legacy hasattr discovery: keep applying churn, but tell the
-                # design author to declare the capability explicitly.
-                warnings.warn(
-                    f"control plane {entry.name!r} implements churn hooks but was "
-                    "registered without churn_aware=True; hasattr discovery of "
-                    "churn hooks is deprecated — register with "
-                    "register_control_plane(..., churn_aware=True) and implement "
-                    "the repro.core.registry.ChurnAware protocol",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-                churn_capable = True
-        else:
-            churn_capable = False
-        if churn_capable:
+        if churn is not None and churn.active and entry.churn_aware:
             engine = SimulationEngine()
             scheduler = ChurnScheduler(
                 churn,
@@ -517,8 +495,8 @@ class ScenarioRunner:
 
         perf_snapshot: Optional[PerfSnapshot] = None
         if perf is not None:
-            if hasattr(plane, "fold_perf_counters"):
-                plane.fold_perf_counters()
+            if edge_plane is not None:
+                edge_plane.fold_perf_counters()
             perf.count("replay.flows_replayed", progress.flows_replayed)
             perf.count("replay.periodic_invocations", progress.periodic_invocations)
             perf.count("replay.chunks_drained", progress.chunks_drained)
@@ -529,6 +507,7 @@ class ScenarioRunner:
         run = self._collect(
             entry.label if label is None else label,
             plane,
+            edge_plane,
             schedule,
             injector,
             scheduler,
@@ -543,6 +522,7 @@ class ScenarioRunner:
     def _collect(
         label: str,
         plane: ControlPlane,
+        edge_plane: Optional[EdgePlane],
         schedule: ScheduleSpec,
         injector: Optional[_FailureInjector] = None,
         churn_scheduler: Optional[ChurnScheduler] = None,
@@ -566,13 +546,11 @@ class ScenarioRunner:
         ]
         churn_result = None
         if churn_scheduler is not None:
-            attributed = (
-                plane.churn_attributed_regroupings()
-                if hasattr(plane, "churn_attributed_regroupings")
-                else 0
-            )
             churn_result = churn_scheduler.result(
-                bucket_count=bucket_count, churn_attributed_regroupings=attributed
+                bucket_count=bucket_count,
+                churn_attributed_regroupings=(
+                    edge_plane.churn_attributed_regroupings() if edge_plane is not None else 0
+                ),
             )
         timeline_result: Optional[TimelineResult] = None
         if timeline is not None:
@@ -597,12 +575,10 @@ class ScenarioRunner:
             failover_events=injector.events if injector is not None else 0,
             churn=churn_result,
             perf=perf_snapshot,
-            tables=plane.table_usage() if hasattr(plane, "table_usage") else None,
+            tables=edge_plane.table_usage() if edge_plane is not None else None,
             timeline=timeline_result,
             links=(
-                plane.link_usage(schedule.duration_seconds)
-                if hasattr(plane, "link_usage")
-                else None
+                edge_plane.link_usage(schedule.duration_seconds) if edge_plane is not None else None
             ),
         )
 

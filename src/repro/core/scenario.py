@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -338,10 +337,8 @@ class ScenarioSpec:
     there selects chunk-by-chunk generation and replay, trading one extra
     generation of the warm-up window (and one full regeneration per
     additional control plane) for O(chunk) memory — the mode that makes
-    multi-million-flow scenarios fit on ordinary hardware.  The legacy
-    ``stream=`` constructor keyword still works (it folds into
-    ``execution`` with a :class:`DeprecationWarning`), and ``spec.stream``
-    remains readable as an alias for ``spec.execution.stream``.
+    multi-million-flow scenarios fit on ordinary hardware.  ``spec.stream``
+    reads ``spec.execution.stream``.
     """
 
     name: str
@@ -386,6 +383,11 @@ class ScenarioSpec:
         if len(set(systems)) != len(systems):
             raise ConfigurationError("systems must not contain duplicate control-plane names")
         object.__setattr__(self, "systems", systems)
+
+    @property
+    def stream(self) -> bool:
+        """Alias for ``execution.stream`` (the bounded-memory replay flag)."""
+        return self.execution.stream
 
     @property
     def churn_active(self) -> bool:
@@ -471,35 +473,3 @@ class ScenarioSpec:
     def load(cls, path: str | Path) -> "ScenarioSpec":
         """Load a spec previously written with :meth:`save`."""
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
-
-
-# Back-compat shims for the pre-ExecutionSpec ``stream`` field (PR ≤ 7):
-# a wrapped ``__init__`` keeps ``ScenarioSpec(stream=True)`` working (folding
-# the flag into ``execution`` with a DeprecationWarning), and a read-only
-# class property keeps ``spec.stream`` readable.  A real dataclass field (or
-# InitVar) would not do: ``dataclasses.replace`` re-feeds defaulted
-# init-only fields from ``getattr(obj, name)``, which would resurrect the
-# old stream value over a freshly supplied ``execution``.
-_scenario_dataclass_init = ScenarioSpec.__init__
-
-
-def _scenario_init_with_legacy_stream(self, *args, stream=None, **kwargs):
-    if stream is not None:
-        warnings.warn(
-            "ScenarioSpec(stream=...) is deprecated; pass "
-            "execution=ExecutionSpec(stream=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        kwargs["execution"] = dataclasses.replace(
-            kwargs.get("execution", ExecutionSpec()), stream=bool(stream)
-        )
-    _scenario_dataclass_init(self, *args, **kwargs)
-
-
-_scenario_init_with_legacy_stream.__wrapped__ = _scenario_dataclass_init
-ScenarioSpec.__init__ = _scenario_init_with_legacy_stream
-ScenarioSpec.stream = property(
-    lambda self: self.execution.stream,
-    doc="Alias for ``execution.stream`` (the bounded-memory replay flag).",
-)

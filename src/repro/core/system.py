@@ -1,25 +1,35 @@
 """The two systems under test: LazyCtrl and the baseline OpenFlow control.
 
-Both classes implement the :class:`~repro.traffic.replay.FlowSink` protocol,
-so the trace replayer can drive either one.  For every replayed flow the
-system decides which mechanism handles the first packet (flow table, L-FIB,
-G-FIB, or the controller), asks the latency model what that path costs,
-accounts controller workload, and records latency samples for every packet
-of the flow.
+The paper compares them on the same edge switches and the same replayed
+trace, and the baseline is the degenerate case of the hybrid plane: no
+groups, so every table miss is a ``Packet_In``.  :class:`EdgePlane` is that
+common system.  It implements the :class:`~repro.traffic.replay.FlowSink`
+protocol the trace replayer drives and handles one flow in three steps:
+**resolve** its endpoints on the (possibly churning) topology; **decide**
+(:meth:`EdgePlane.decide`) which mechanism handles the first packet — flow
+table, L-FIB, G-FIB or the controller — what that path costs under the
+latency model and the traversed uplinks' congestion, and what it adds to the
+counters; **record** latency samples for every packet, the flow in the
+intensity window, and the timeline.  :class:`LazyCtrlSystem` and
+:class:`OpenFlowSystem` supply the switch and controller they are built
+from, what a miss at the ingress switch leads to, their own perf counters
+and their churn hooks.  The vectorized kernel (:mod:`repro.kernel`) calls
+*decide* for the flows it cannot account in bulk and records per batch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.bandwidth.meter import build_link_meter
 from repro.common.config import LazyCtrlConfig
 from repro.common.packets import make_data_packet
+from repro.controlplane.base import EdgeController
 from repro.controlplane.lazyctrl_controller import LazyCtrlController
 from repro.controlplane.openflow_controller import OpenFlowController
 from repro.controlplane.state_dissemination import StateDisseminator
 from repro.dataplane.decisions import ForwardingOutcome
-from repro.dataplane.edge_switch import LazyCtrlEdgeSwitch
+from repro.dataplane.edge_switch import EdgeSwitch, LazyCtrlEdgeSwitch
 from repro.dataplane.openflow_switch import OpenFlowEdgeSwitch
 from repro.core.results import (
     FlowHandlingResult,
@@ -36,39 +46,12 @@ from repro.obs.events import (
 from repro.obs.tracer import NULL_TRACER
 from repro.partitioning.sgi import Grouping
 from repro.perf.recorder import NULL_RECORDER
+from repro.datastructures.intensity import IntensityMatrix
 from repro.simulation.latency import LatencyModel
 from repro.simulation.metrics import LatencyRecorder
-from repro.topology.network import DataCenterNetwork
+from repro.topology.host import Host
+from repro.topology.network import DataCenterNetwork, EdgeSwitchInfo
 from repro.traffic.flow import FlowRecord
-
-
-def _aggregate_table_usage(config, tables, flow_removed_messages: int) -> TableUsageResult:
-    """Fold per-switch flow-table stats into one :class:`TableUsageResult`."""
-    installs = overflows = evictions = idle = hard = reinstalls = 0
-    peak = final = 0
-    for table in tables:
-        stats = table.stats
-        installs += stats.installs
-        overflows += stats.overflows
-        evictions += stats.evictions
-        idle += stats.timeouts
-        hard += stats.hard_timeouts
-        reinstalls += stats.reinstalls
-        peak = max(peak, stats.peak_occupancy)
-        final += len(table)
-    return TableUsageResult(
-        capacity=config.flow_table.capacity,
-        policy=config.flow_table.policy,
-        installs=installs,
-        overflows=overflows,
-        evictions=evictions,
-        idle_timeouts=idle,
-        hard_timeouts=hard,
-        reinstalls=reinstalls,
-        flow_removed_messages=flow_removed_messages,
-        peak_occupancy=peak,
-        final_occupancy=final,
-    )
 
 
 def _attach_table_tracer(tracer, switch) -> None:
@@ -91,48 +74,319 @@ def _attach_table_tracer(tracer, switch) -> None:
     switch.flow_table.pressure_listener = on_pressure
 
 
-def _congestion_penalty_ms(system, flow: FlowRecord, src_switch_id: int, dst_switch_id: int, now: float) -> float:
-    """Queueing delay the traversed uplinks add to one flow's packets.
+#: A plane's miss handling returns (path, first-packet ms, steady ms,
+#: controller involved, an intra-group copy dropped at a false positive).
+MissResolution = Tuple[FlowPathKind, float, float, bool, bool]
 
-    Charges the flow's bytes to both capacitated uplinks of the one-hop
-    underlay (source and destination edge), reads back their current
-    accounting-window utilization, and prices each through the latency
-    model's M/M/1 term.  Returns 0.0 — and touches nothing — when the
-    topology carries no capacities (``_link_meter is None``) or the flow
-    never leaves its edge switch, which is what keeps capacity-less runs
-    bit-identical to pre-subsystem behaviour.
+
+class EdgePlane:
+    """Edge switches under one controller: the system both designs are.
+
+    Subclasses provide :meth:`_make_switch` and :meth:`_resolve_miss`.
     """
-    meter = system._link_meter
-    if meter is None or src_switch_id == dst_switch_id:
-        return 0.0
-    observation = meter.observe(flow, src_switch_id, dst_switch_id, now)
-    if observation.congested:
-        system.counters.congested_flows += 1
-    tracer = system.tracer
-    if tracer.enabled:
-        for switch_id, utilization in observation.newly_congested:
-            tracer.emit(
-                LinkCongestedEvent(time=now, switch_id=switch_id, utilization=utilization)
+
+    def __init__(
+        self,
+        network: DataCenterNetwork,
+        controller: EdgeController,
+        *,
+        config: LazyCtrlConfig,
+        latency_bucket_seconds: float = 7200.0,
+    ) -> None:
+        self.network = network
+        self.config = config
+        self.controller = controller
+        self.latency_model = LatencyModel(config.latency)
+        self.latency_recorder = LatencyRecorder(latency_bucket_seconds)
+        self.counters = SystemCounters()
+        self.perf = NULL_RECORDER
+        self.tracer = NULL_TRACER
+        #: Uplink utilization meter, or ``None`` on a topology without capacities.
+        self.link_meter = build_link_meter(network)
+        self._last_table_sweep = 0.0
+        self._switches: Dict[int, EdgeSwitch] = {}
+        for info in network.switches():
+            switch = self._make_switch(info)
+            self._switches[info.switch_id] = switch
+            controller.register_switch(switch)
+
+    def _make_switch(self, info: EdgeSwitchInfo) -> EdgeSwitch:
+        raise NotImplementedError
+
+    def switch(self, switch_id: int) -> EdgeSwitch:
+        """Return one of the plane's edge switches."""
+        return self._switches[switch_id]
+
+    def switches(self) -> List[EdgeSwitch]:
+        """All edge switches ordered by id."""
+        return list(self._switches.values())
+
+    # -- FlowSink protocol: resolve -> decide -> record -----------------------------
+
+    def handle_flow_arrival(self, flow: FlowRecord, now: float) -> Optional[FlowHandlingResult]:
+        """Handle one replayed flow: decide its path, then record it."""
+        result = self.decide(flow, now)
+        if result is None:
+            return None
+        matrix = self.intensity_matrix()
+        if matrix is not None:
+            matrix.record(result.src_switch_id, result.dst_switch_id)
+        first = result.first_packet_latency_ms
+        self.latency_recorder.record(now, first)
+        if flow.packet_count > 1:
+            self.latency_recorder.record(
+                now, result.steady_packet_latency_ms, count=flow.packet_count - 1
             )
-    model = system.latency_model
-    return model.queueing_delay_ms(observation.src_utilization) + model.queueing_delay_ms(
-        observation.dst_utilization
-    )
+        if self.tracer.enabled:
+            self.tracer.flow(now, first)
+        return result
+
+    def decide(self, flow: FlowRecord, now: float) -> Optional[FlowHandlingResult]:
+        """First-packet path decision and accounting for one flow, unrecorded.
+
+        Everything a flow changes in switches, controller, meter and
+        :attr:`counters` happens here; latency recorder, intensity window
+        and timeline are untouched, so the vectorized kernel can run this
+        for single flows and record in bulk.  Returns ``None`` (a departed
+        flow, counted) when an endpoint's tenant left mid-run: the flow
+        never materializes and generates no control-plane work.
+        """
+        src_host = self.network.host_if_present(flow.src_host_id)
+        dst_host = self.network.host_if_present(flow.dst_host_id)
+        if src_host is None or dst_host is None:
+            self.counters.departed_flows += 1
+            return None
+        packet = make_data_packet(
+            src_host.mac,
+            dst_host.mac,
+            src_host.tenant_id,
+            created_at=now,
+            flow_id=flow.flow_id,
+        )
+        decision = self._switches[src_host.switch_id].process_packet(packet, now)
+
+        counters = self.counters
+        controller_involved = False
+        false_positive_drop = False
+        if decision.outcome == ForwardingOutcome.LOCAL_DELIVERY:
+            path = FlowPathKind.LOCAL
+            first = steady = self.latency_model.local_delivery_ms()
+            counters.local_flows += 1
+        elif decision.outcome == ForwardingOutcome.FLOW_TABLE_HIT:
+            path = FlowPathKind.FLOW_TABLE
+            first = steady = self.latency_model.flow_table_hit_ms()
+        else:
+            path, first, steady, controller_involved, false_positive_drop = self._resolve_miss(
+                decision, src_host, dst_host, now
+            )
+            if controller_involved:
+                counters.controller_requests += 1
+
+        penalty = self.congestion_penalty_ms(flow, src_host.switch_id, dst_host.switch_id, now)
+        if penalty > 0.0:
+            first += penalty
+            steady += penalty
+
+        counters.flows_handled += 1
+        counters.duplicate_deliveries += decision.duplicate_count
+        if false_positive_drop:
+            counters.false_positive_drops += 1
+
+        return FlowHandlingResult(
+            flow_id=flow.flow_id,
+            path=path,
+            src_switch_id=src_host.switch_id,
+            dst_switch_id=dst_host.switch_id,
+            controller_involved=controller_involved,
+            first_packet_latency_ms=first,
+            steady_packet_latency_ms=steady,
+            duplicate_deliveries=decision.duplicate_count,
+            false_positive_drop=false_positive_drop,
+        )
+
+    def _resolve_miss(self, decision, src_host: Host, dst_host: Host, now: float) -> MissResolution:
+        """Handle a first packet the ingress switch neither delivered nor matched."""
+        raise NotImplementedError
+
+    def congestion_penalty_ms(
+        self, flow: FlowRecord, src_switch_id: int, dst_switch_id: int, now: float
+    ) -> float:
+        """Queueing delay the traversed uplinks add to one flow's packets.
+
+        Charges the flow's bytes to both capacitated uplinks of the one-hop
+        underlay (source and destination edge), reads back their current
+        accounting-window utilization, and prices each through the latency
+        model's M/M/1 term.  Returns 0.0 — and touches nothing — when the
+        topology carries no capacities (``link_meter is None``) or the flow
+        never leaves its edge switch, which is what keeps capacity-less runs
+        bit-identical to pre-subsystem behaviour.
+        """
+        meter = self.link_meter
+        if meter is None or src_switch_id == dst_switch_id:
+            return 0.0
+        observation = meter.observe(flow, src_switch_id, dst_switch_id, now)
+        if observation.congested:
+            self.counters.congested_flows += 1
+        tracer = self.tracer
+        if tracer.enabled:
+            for switch_id, utilization in observation.newly_congested:
+                tracer.emit(
+                    LinkCongestedEvent(time=now, switch_id=switch_id, utilization=utilization)
+                )
+        model = self.latency_model
+        return model.queueing_delay_ms(observation.src_utilization) + model.queueing_delay_ms(
+            observation.dst_utilization
+        )
+
+    def intensity_matrix(self) -> Optional[IntensityMatrix]:
+        """The intensity window handled flows are recorded in, if the plane regroups.
+
+        Read it per use: a regrouping starts a new window.
+        """
+        return None
+
+    # -- periodic housekeeping ---------------------------------------------------------
+
+    def periodic(self, now: float) -> None:
+        """Periodic housekeeping: the plane's control work, then table aging."""
+        self._control_tick(now)
+        with self.perf.timeit("table_sweep"):
+            self._sweep_tables(now)
+        # Gauges sample at every tick, independent of the sweep rate limit
+        # and after it: every plane's timeline shows post-expiry occupancy.
+        if self.tracer.enabled:
+            self.tracer.gauge(
+                "table_occupancy",
+                now,
+                sum(len(switch.flow_table) for switch in self._switches.values()),
+            )
+            if self.link_meter is not None:
+                self.tracer.gauge("link_utilization", now, self.link_meter.max_utilization(now))
+
+    def _control_tick(self, now: float) -> None:
+        """Controller-side periodic work; the reactive baseline has none."""
+
+    def _sweep_tables(self, now: float) -> None:
+        """Eagerly expire aged flow rules, at most once per sweep interval.
+
+        The periodic tick fires every couple of replay minutes; the sweep is
+        rate-limited by ``flow_table.sweep_interval_seconds`` so large
+        deployments do not walk every table on every tick.  Lookups expire
+        rules lazily in between, so the sweep only changes *when* a removal
+        is noticed, never whether it happens.
+        """
+        if now - self._last_table_sweep < self.config.flow_table.sweep_interval_seconds:
+            return
+        self._last_table_sweep = now
+        for switch in self._switches.values():
+            switch.advance_tables(now)
+
+    # -- ControlPlane protocol (runner-facing) ------------------------------------------
+
+    def prepare(self, trace, *, warmup_end: float, now: float = 0.0) -> None:
+        """Provision the plane from the warm-up window; reactive control needs none."""
+
+    def set_perf_recorder(self, recorder) -> None:
+        """Attach a perf recorder to the system and its controller."""
+        self.perf = recorder
+        self.controller.perf = recorder
+
+    def set_tracer(self, tracer) -> None:
+        """Attach an event tracer to the system, its controller, and its tables."""
+        self.tracer = tracer
+        self.controller.tracer = tracer
+        for switch in self._switches.values():
+            _attach_table_tracer(tracer, switch)
+
+    def fold_perf_counters(self) -> None:
+        """Fold data-plane counters into the recorder (end-of-replay snapshot).
+
+        The per-packet counters live on the switches themselves so the hot
+        path never pays for instrumentation; this aggregates them into the
+        recorder's registry once, when a snapshot is about to be taken.
+        """
+        perf = self.perf
+        if not perf.enabled:
+            return
+        packets = to_controller = table_hits = table_misses = 0
+        for switch in self._switches.values():
+            packets += switch.packets_processed
+            to_controller += switch.packets_to_controller
+            table_hits += switch.flow_table.stats.hits
+            table_misses += switch.flow_table.stats.misses
+        perf.count("edge.packets_processed", packets)
+        perf.count("edge.packets_to_controller", to_controller)
+        perf.count("edge.flow_table_hits", table_hits)
+        perf.count("edge.flow_table_misses", table_misses)
+        perf.count("controller.flow_mods", self.controller.flow_mods_sent)
+        self._fold_plane_counters(perf)
+        usage = self.table_usage()
+        perf.count("edge.table_overflows", usage.overflows)
+        perf.count("edge.table_evictions", usage.evictions)
+        perf.count("edge.table_idle_timeouts", usage.idle_timeouts)
+        perf.count("edge.table_hard_timeouts", usage.hard_timeouts)
+        perf.count("edge.table_reinstalls", usage.reinstalls)
+        perf.gauge("edge.table_peak_occupancy", usage.peak_occupancy)
+        perf.gauge("edge.table_final_occupancy", usage.final_occupancy)
+
+    def _fold_plane_counters(self, perf) -> None:
+        """Fold the counters only this design has."""
+
+    def table_usage(self) -> TableUsageResult:
+        """Flow-table pressure accounting aggregated over all edge switches."""
+        installs = overflows = evictions = idle = hard = reinstalls = 0
+        peak = final = 0
+        for switch in self._switches.values():
+            stats = switch.flow_table.stats
+            installs += stats.installs
+            overflows += stats.overflows
+            evictions += stats.evictions
+            idle += stats.timeouts
+            hard += stats.hard_timeouts
+            reinstalls += stats.reinstalls
+            peak = max(peak, stats.peak_occupancy)
+            final += len(switch.flow_table)
+        return TableUsageResult(
+            capacity=self.config.flow_table.capacity,
+            policy=self.config.flow_table.policy,
+            installs=installs,
+            overflows=overflows,
+            evictions=evictions,
+            idle_timeouts=idle,
+            hard_timeouts=hard,
+            reinstalls=reinstalls,
+            flow_removed_messages=self.controller.flow_removed_received,
+            peak_occupancy=peak,
+            final_occupancy=final,
+        )
+
+    def link_usage(self, duration_seconds: float):
+        """Per-uplink utilization matrix, or ``None`` without capacities."""
+        if self.link_meter is None:
+            return None
+        return self.link_meter.usage(duration_seconds)
+
+    def workload_series(self):
+        """Controller requests bucketed over simulation time."""
+        return self.controller.workload_series
+
+    def total_controller_requests(self) -> int:
+        """Total requests the controller served."""
+        return self.controller.total_requests
+
+    def updates_per_hour(self, *, hours: int) -> List[float]:
+        """Grouping updates per hour bucket; zero for a plane that never regroups."""
+        return [0.0] * max(0, hours)
+
+    def churn_attributed_regroupings(self) -> int:
+        """Grouping updates applied while topology churn was pending."""
+        return 0
 
 
-def _fold_table_counters(perf, usage: TableUsageResult) -> None:
-    """Expose table-pressure accounting through the perf registry."""
-    perf.count("edge.table_overflows", usage.overflows)
-    perf.count("edge.table_evictions", usage.evictions)
-    perf.count("edge.table_idle_timeouts", usage.idle_timeouts)
-    perf.count("edge.table_hard_timeouts", usage.hard_timeouts)
-    perf.count("edge.table_reinstalls", usage.reinstalls)
-    perf.gauge("edge.table_peak_occupancy", usage.peak_occupancy)
-    perf.gauge("edge.table_final_occupancy", usage.final_occupancy)
-
-
-class LazyCtrlSystem:
+class LazyCtrlSystem(EdgePlane):
     """The full LazyCtrl deployment: edge switches, LCGs and the lazy controller."""
+
+    controller: LazyCtrlController
 
     def __init__(
         self,
@@ -143,34 +397,30 @@ class LazyCtrlSystem:
         workload_bucket_seconds: float = 7200.0,
         latency_bucket_seconds: float = 7200.0,
     ) -> None:
-        self.network = network
-        self.config = config or LazyCtrlConfig()
-        self.controller = LazyCtrlController(
+        config = config or LazyCtrlConfig()
+        super().__init__(
             network,
-            config=self.config,
-            dynamic_grouping=dynamic_grouping,
-            workload_bucket_seconds=workload_bucket_seconds,
+            LazyCtrlController(
+                network,
+                config=config,
+                dynamic_grouping=dynamic_grouping,
+                workload_bucket_seconds=workload_bucket_seconds,
+            ),
+            config=config,
+            latency_bucket_seconds=latency_bucket_seconds,
         )
-        self.latency_model = LatencyModel(self.config.latency)
-        self.latency_recorder = LatencyRecorder(latency_bucket_seconds)
-        self.counters = SystemCounters()
-        self.perf = NULL_RECORDER
-        self.tracer = NULL_TRACER
         self.failover_records: List = []
-        self._last_table_sweep = 0.0
-        self._link_meter = build_link_meter(network)
-
-        for info in network.switches():
-            switch = LazyCtrlEdgeSwitch(
-                info.switch_id,
-                underlay_ip=info.underlay_ip,
-                management_mac=info.management_mac,
-                bloom_config=self.config.bloom,
-                flow_table_config=self.config.flow_table,
-            )
-            self.controller.register_switch(switch)
         self.controller.bootstrap_host_locations()
         self.disseminator = StateDisseminator(network, self.controller)
+
+    def _make_switch(self, info: EdgeSwitchInfo) -> LazyCtrlEdgeSwitch:
+        return LazyCtrlEdgeSwitch(
+            info.switch_id,
+            underlay_ip=info.underlay_ip,
+            management_mac=info.management_mac,
+            bloom_config=self.config.bloom,
+            flow_table_config=self.config.flow_table,
+        )
 
     # -- grouping lifecycle -------------------------------------------------------
 
@@ -186,214 +436,81 @@ class LazyCtrlSystem:
         self.controller.grouping_manager.current_grouping = grouping
         self.controller.apply_grouping(grouping, now=now)
 
-    # -- FlowSink protocol ----------------------------------------------------------
+    def prepare(self, trace, *, warmup_end: float, now: float = 0.0) -> None:
+        """Provision the initial grouping from the trace's warm-up window."""
+        self.install_initial_grouping(trace, warmup_end=warmup_end, now=now)
 
-    def handle_flow_arrival(self, flow: FlowRecord, now: float) -> Optional[FlowHandlingResult]:
-        """Handle one replayed flow: first-packet path decision + accounting."""
-        src_host = self.network.host_if_present(flow.src_host_id)
-        dst_host = self.network.host_if_present(flow.dst_host_id)
-        if src_host is None or dst_host is None:
-            # An endpoint's tenant departed mid-run (workload churn): the
-            # flow never materializes and generates no control-plane work.
-            self.counters.departed_flows += 1
-            return None
-        src_switch = self.controller.switch(src_host.switch_id)
-        packet = make_data_packet(
-            src_host.mac,
-            dst_host.mac,
-            src_host.tenant_id,
-            created_at=now,
-            flow_id=flow.flow_id,
-        )
+    # -- path selection --------------------------------------------------------------
 
-        self.controller.grouping_manager.observe_flow(src_host.switch_id, dst_host.switch_id)
-        decision = src_switch.process_packet(packet, now)
-
-        duplicates = decision.duplicate_count
-        false_positive_drop = False
-        controller_involved = False
+    def _resolve_miss(self, decision, src_host: Host, dst_host: Host, now: float) -> MissResolution:
+        """The G-FIB answered (intra-group), or the lazy controller sets the flow up."""
         latency_model = self.latency_model
-
-        if decision.outcome == ForwardingOutcome.LOCAL_DELIVERY:
-            path = FlowPathKind.LOCAL
-            first = latency_model.local_delivery_ms()
-            steady = first
-            self.counters.local_flows += 1
-        elif decision.outcome == ForwardingOutcome.FLOW_TABLE_HIT:
-            path = FlowPathKind.FLOW_TABLE
-            first = latency_model.flow_table_hit_ms()
-            steady = first
-        elif decision.outcome == ForwardingOutcome.INTRA_GROUP_FORWARD:
-            path = FlowPathKind.INTRA_GROUP
-            first = latency_model.intra_group_ms(len(decision.target_switches))
-            steady = latency_model.intra_group_ms()
+        if decision.outcome == ForwardingOutcome.INTRA_GROUP_FORWARD:
             self.counters.intra_group_flows += 1
-            false_positive_drop = self._deliver_intra_group_copies(decision, dst_host.switch_id, now)
-        else:
-            # The group could not resolve the destination: inter-group flow.
-            path = FlowPathKind.INTER_GROUP
-            controller_involved = True
-            load = self.controller.current_load_rps(now)
-            result = self.controller.handle_packet_in(src_host.switch_id, packet, now)
-            first = latency_model.inter_group_setup_ms(load)
-            steady = latency_model.flow_table_hit_ms()
-            self.counters.inter_group_flows += 1
-            self.counters.controller_requests += 1
-            if result.egress_switch_id is None:
-                path = FlowPathKind.DROPPED
-
-        penalty = _congestion_penalty_ms(self, flow, src_host.switch_id, dst_host.switch_id, now)
-        if penalty > 0.0:
-            first += penalty
-            steady += penalty
-
-        self.counters.flows_handled += 1
-        self.counters.duplicate_deliveries += duplicates
-        if false_positive_drop:
-            self.counters.false_positive_drops += 1
-
-        self.latency_recorder.record(now, first)
-        if flow.packet_count > 1:
-            self.latency_recorder.record(now, steady, count=flow.packet_count - 1)
-        if self.tracer.enabled:
-            self.tracer.flow(now, first)
-
-        return FlowHandlingResult(
-            flow_id=flow.flow_id,
-            path=path,
-            src_switch_id=src_host.switch_id,
-            dst_switch_id=dst_host.switch_id,
-            controller_involved=controller_involved,
-            first_packet_latency_ms=first,
-            steady_packet_latency_ms=steady,
-            duplicate_deliveries=duplicates,
-            false_positive_drop=false_positive_drop,
+            false_positive_drop = self._deliver_intra_group_copies(decision, now)
+            return (
+                FlowPathKind.INTRA_GROUP,
+                latency_model.intra_group_ms(len(decision.target_switches)),
+                latency_model.intra_group_ms(),
+                False,
+                false_positive_drop,
+            )
+        # The group could not resolve the destination: inter-group flow.
+        load = self.controller.current_load_rps(now)
+        result = self.controller.handle_packet_in(src_host.switch_id, decision.packet, now)
+        self.counters.inter_group_flows += 1
+        return (
+            FlowPathKind.INTER_GROUP if result.egress_switch_id is not None else FlowPathKind.DROPPED,
+            latency_model.inter_group_setup_ms(load),
+            latency_model.flow_table_hit_ms(),
+            True,
+            False,
         )
 
-    def _deliver_intra_group_copies(self, decision, true_destination_switch: int, now: float) -> bool:
+    def _deliver_intra_group_copies(self, decision, now: float) -> bool:
         """Deliver the encapsulated copies of an intra-group packet.
 
         Copies sent to false-positive switches are dropped there after an
         L-FIB miss (Fig. 5 line 28); returns whether any copy was dropped.
         """
         dropped_any = False
+        sender = self._switches[decision.switch_id]
         for target_id in decision.target_switches:
-            target = self.controller.switch(target_id)
-            header = self.controller.switch(decision.switch_id).make_encap_header(
-                target_id, self.network.switch(target_id).underlay_ip
-            )
-            copy = decision.packet.encapsulate(header)
-            outcome = target.process_packet(copy, now)
+            header = sender.make_encap_header(target_id, self.network.switch(target_id).underlay_ip)
+            outcome = self._switches[target_id].process_packet(decision.packet.encapsulate(header), now)
             if outcome.outcome == ForwardingOutcome.DROPPED_FALSE_POSITIVE:
                 dropped_any = True
         return dropped_any
 
+    def intensity_matrix(self) -> IntensityMatrix:
+        """The grouping manager's current measurement window."""
+        return self.controller.grouping_manager.recent_matrix
+
     # -- periodic housekeeping ---------------------------------------------------------
 
-    def periodic(self, now: float) -> None:
-        """Periodic housekeeping: state reports, regrouping, table aging."""
-        perf = self.perf
-        with perf.timeit("dissemination"):
+    def _control_tick(self, now: float) -> None:
+        """State reports to the C-LIB, then the regrouping check."""
+        with self.perf.timeit("dissemination"):
             self.controller.collect_state_reports(now=now)
-        with perf.timeit("regrouping"):
+        with self.perf.timeit("regrouping"):
             self.controller.periodic_check(now)
-        with perf.timeit("table_sweep"):
-            self._sweep_tables(now)
-        if self.tracer.enabled:
-            self.tracer.gauge(
-                "table_occupancy",
-                now,
-                sum(len(switch.flow_table) for switch in self.controller.switches()),
-            )
-            if self._link_meter is not None:
-                self.tracer.gauge(
-                    "link_utilization", now, self._link_meter.max_utilization(now)
-                )
-
-    def _sweep_tables(self, now: float) -> None:
-        """Eagerly expire aged flow rules, at most once per sweep interval.
-
-        The periodic tick fires every couple of replay minutes; the sweep is
-        rate-limited by ``flow_table.sweep_interval_seconds`` so large
-        deployments do not walk every table on every tick.  Lookups expire
-        rules lazily in between, so the sweep only changes *when* a removal
-        is noticed, never whether it happens.
-        """
-        if now - self._last_table_sweep < self.config.flow_table.sweep_interval_seconds:
-            return
-        self._last_table_sweep = now
-        for switch in self.controller.switches():
-            switch.advance_tables(now)
 
     # -- ControlPlane protocol (runner-facing) ------------------------------------------
 
-    def prepare(self, trace, *, warmup_end: float, now: float = 0.0) -> None:
-        """Provision the initial grouping from the trace's warm-up window."""
-        self.install_initial_grouping(trace, warmup_end=warmup_end, now=now)
-
-    def set_perf_recorder(self, recorder) -> None:
-        """Attach a perf recorder to the system and its controller."""
-        self.perf = recorder
-        self.controller.perf = recorder
-
     def set_tracer(self, tracer) -> None:
-        """Attach an event tracer to the system, its controller, and its tables."""
-        self.tracer = tracer
-        self.controller.tracer = tracer
+        """Attach an event tracer; the grouping manager publishes regroupings."""
+        super().set_tracer(tracer)
         self.controller.grouping_manager.tracer = tracer
-        for switch in self.controller.switches():
-            _attach_table_tracer(tracer, switch)
 
-    def fold_perf_counters(self) -> None:
-        """Fold data-plane counters into the recorder (end-of-replay snapshot).
-
-        The per-packet counters live on the switches themselves so the hot
-        path never pays for instrumentation; this aggregates them into the
-        recorder's registry once, when a snapshot is about to be taken.
-        """
-        perf = self.perf
-        if not perf.enabled:
-            return
-        queries = cache_hits = packets = to_controller = table_hits = table_misses = 0
-        for switch in self.controller.switches():
-            packets += switch.packets_processed
-            to_controller += switch.packets_to_controller
+    def _fold_plane_counters(self, perf) -> None:
+        queries = cache_hits = 0
+        for switch in self._switches.values():
             queries += switch.gfib.query_count
             cache_hits += switch.gfib.query_cache_hits
-            table_hits += switch.flow_table.stats.hits
-            table_misses += switch.flow_table.stats.misses
-        perf.count("edge.packets_processed", packets)
-        perf.count("edge.packets_to_controller", to_controller)
         perf.count("edge.gfib_queries", queries)
         perf.count("edge.gfib_query_cache_hits", cache_hits)
-        perf.count("edge.flow_table_hits", table_hits)
-        perf.count("edge.flow_table_misses", table_misses)
-        perf.count("controller.flow_mods", self.controller.flow_mods_sent)
         perf.count("controller.arp_relays", self.controller.arp_relays)
         perf.count("controller.group_config_messages", self.controller.group_config_messages)
-        _fold_table_counters(perf, self.table_usage())
-
-    def table_usage(self) -> TableUsageResult:
-        """Flow-table pressure accounting aggregated over all edge switches."""
-        return _aggregate_table_usage(
-            self.config,
-            (switch.flow_table for switch in self.controller.switches()),
-            self.controller.flow_removed_received,
-        )
-
-    def link_usage(self, duration_seconds: float):
-        """Per-uplink utilization matrix, or ``None`` without capacities."""
-        if self._link_meter is None:
-            return None
-        return self._link_meter.usage(duration_seconds)
-
-    def workload_series(self):
-        """Controller requests bucketed over simulation time."""
-        return self.controller.workload_series
-
-    def total_controller_requests(self) -> int:
-        """Total requests the lazy controller served."""
-        return self.controller.total_requests
 
     def updates_per_hour(self, *, hours: int) -> List[float]:
         """Grouping updates per hour bucket (Fig. 8)."""
@@ -461,8 +578,10 @@ class LazyCtrlSystem:
         return records
 
 
-class OpenFlowSystem:
+class OpenFlowSystem(EdgePlane):
     """The baseline: every flow set up reactively by the central controller."""
+
+    controller: OpenFlowController
 
     def __init__(
         self,
@@ -472,185 +591,44 @@ class OpenFlowSystem:
         workload_bucket_seconds: float = 7200.0,
         latency_bucket_seconds: float = 7200.0,
     ) -> None:
-        self.network = network
-        self.config = config or LazyCtrlConfig()
-        self.controller = OpenFlowController(workload_bucket_seconds=workload_bucket_seconds)
-        self.latency_model = LatencyModel(self.config.latency)
-        self.latency_recorder = LatencyRecorder(latency_bucket_seconds)
-        self.counters = SystemCounters()
-        self.perf = NULL_RECORDER
-        self.tracer = NULL_TRACER
-        self._last_table_sweep = 0.0
-        self._link_meter = build_link_meter(network)
-
-        self._switches: Dict[int, OpenFlowEdgeSwitch] = {}
-        for info in network.switches():
-            switch = OpenFlowEdgeSwitch(
-                info.switch_id,
-                underlay_ip=info.underlay_ip,
-                management_mac=info.management_mac,
-                flow_table_config=self.config.flow_table,
-            )
-            self._switches[info.switch_id] = switch
-            self.controller.register_switch(switch)
+        super().__init__(
+            network,
+            OpenFlowController(workload_bucket_seconds=workload_bucket_seconds),
+            config=config or LazyCtrlConfig(),
+            latency_bucket_seconds=latency_bucket_seconds,
+        )
         for host in network.hosts():
             self._switches[host.switch_id].attach_host(host.mac, host.port, host.tenant_id)
 
-    def switch(self, switch_id: int) -> OpenFlowEdgeSwitch:
-        """Return one of the baseline edge switches."""
-        return self._switches[switch_id]
-
-    # -- FlowSink protocol ------------------------------------------------------------
-
-    def handle_flow_arrival(self, flow: FlowRecord, now: float) -> Optional[FlowHandlingResult]:
-        """Handle one replayed flow under reactive centralized control."""
-        src_host = self.network.host_if_present(flow.src_host_id)
-        dst_host = self.network.host_if_present(flow.dst_host_id)
-        if src_host is None or dst_host is None:
-            self.counters.departed_flows += 1
-            return None
-        src_switch = self._switches[src_host.switch_id]
-        packet = make_data_packet(
-            src_host.mac,
-            dst_host.mac,
-            src_host.tenant_id,
-            created_at=now,
-            flow_id=flow.flow_id,
+    def _make_switch(self, info: EdgeSwitchInfo) -> OpenFlowEdgeSwitch:
+        return OpenFlowEdgeSwitch(
+            info.switch_id,
+            underlay_ip=info.underlay_ip,
+            management_mac=info.management_mac,
+            flow_table_config=self.config.flow_table,
         )
-        decision = src_switch.process_packet(packet, now)
 
-        controller_involved = False
-        latency_model = self.latency_model
-        if decision.outcome == ForwardingOutcome.LOCAL_DELIVERY:
-            path = FlowPathKind.LOCAL
-            first = latency_model.local_delivery_ms()
-            steady = first
-            self.counters.local_flows += 1
-        elif decision.outcome == ForwardingOutcome.FLOW_TABLE_HIT:
-            path = FlowPathKind.FLOW_TABLE
-            first = latency_model.flow_table_hit_ms()
-            steady = first
-        else:
-            # Every table miss goes to the controller for reactive setup.
-            path = FlowPathKind.CONTROLLER_REACTIVE
-            controller_involved = True
-            load = self.controller.current_load_rps(now)
-            result = self.controller.handle_packet_in(
-                src_host.switch_id,
-                packet,
-                now,
-                true_destination_switch=dst_host.switch_id,
-            )
-            first = latency_model.openflow_reactive_ms(
+    def _resolve_miss(self, decision, src_host: Host, dst_host: Host, now: float) -> MissResolution:
+        """Every table miss goes to the controller for reactive setup."""
+        load = self.controller.current_load_rps(now)
+        result = self.controller.handle_packet_in(
+            src_host.switch_id,
+            decision.packet,
+            now,
+            true_destination_switch=dst_host.switch_id,
+        )
+        return (
+            FlowPathKind.CONTROLLER_REACTIVE,
+            self.latency_model.openflow_reactive_ms(
                 load, needs_location_learning=result.needed_location_learning
-            )
-            steady = latency_model.flow_table_hit_ms()
-            self.counters.controller_requests += 1
-
-        penalty = _congestion_penalty_ms(self, flow, src_host.switch_id, dst_host.switch_id, now)
-        if penalty > 0.0:
-            first += penalty
-            steady += penalty
-
-        self.counters.flows_handled += 1
-        self.latency_recorder.record(now, first)
-        if flow.packet_count > 1:
-            self.latency_recorder.record(now, steady, count=flow.packet_count - 1)
-        if self.tracer.enabled:
-            self.tracer.flow(now, first)
-
-        return FlowHandlingResult(
-            flow_id=flow.flow_id,
-            path=path,
-            src_switch_id=src_host.switch_id,
-            dst_switch_id=dst_host.switch_id,
-            controller_involved=controller_involved,
-            first_packet_latency_ms=first,
-            steady_packet_latency_ms=steady,
+            ),
+            self.latency_model.flow_table_hit_ms(),
+            True,
+            False,
         )
 
-    def periodic(self, now: float) -> None:
-        """Periodic housekeeping: the baseline only ages its flow tables."""
-        # The occupancy gauge samples at every tick, independent of the
-        # sweep rate limit, so both systems' timelines share a cadence.
-        if self.tracer.enabled:
-            self.tracer.gauge(
-                "table_occupancy",
-                now,
-                sum(len(switch.flow_table) for switch in self._switches.values()),
-            )
-            if self._link_meter is not None:
-                self.tracer.gauge(
-                    "link_utilization", now, self._link_meter.max_utilization(now)
-                )
-        with self.perf.timeit("table_sweep"):
-            if now - self._last_table_sweep < self.config.flow_table.sweep_interval_seconds:
-                return
-            self._last_table_sweep = now
-            for switch in self._switches.values():
-                switch.advance_tables(now)
-
-    # -- ControlPlane protocol (runner-facing) -----------------------------------------
-
-    def prepare(self, trace, *, warmup_end: float, now: float = 0.0) -> None:
-        """The reactive baseline needs no warm-up provisioning."""
-
-    def set_perf_recorder(self, recorder) -> None:
-        """Attach a perf recorder to the system and its controller."""
-        self.perf = recorder
-        self.controller.perf = recorder
-
-    def set_tracer(self, tracer) -> None:
-        """Attach an event tracer to the system, its controller, and its tables."""
-        self.tracer = tracer
-        self.controller.tracer = tracer
-        for switch in self._switches.values():
-            _attach_table_tracer(tracer, switch)
-
-    def fold_perf_counters(self) -> None:
-        """Fold data-plane counters into the recorder (end-of-replay snapshot)."""
-        perf = self.perf
-        if not perf.enabled:
-            return
-        packets = to_controller = table_hits = table_misses = 0
-        for switch in self._switches.values():
-            packets += switch.packets_processed
-            to_controller += switch.packets_to_controller
-            table_hits += switch.flow_table.stats.hits
-            table_misses += switch.flow_table.stats.misses
-        perf.count("edge.packets_processed", packets)
-        perf.count("edge.packets_to_controller", to_controller)
-        perf.count("edge.flow_table_hits", table_hits)
-        perf.count("edge.flow_table_misses", table_misses)
-        perf.count("controller.flow_mods", self.controller.flow_mods_sent)
+    def _fold_plane_counters(self, perf) -> None:
         perf.count("controller.arp_floods", self.controller.arp_floods)
-        _fold_table_counters(perf, self.table_usage())
-
-    def table_usage(self) -> TableUsageResult:
-        """Flow-table pressure accounting aggregated over all edge switches."""
-        return _aggregate_table_usage(
-            self.config,
-            (switch.flow_table for switch in self._switches.values()),
-            self.controller.flow_removed_received,
-        )
-
-    def link_usage(self, duration_seconds: float):
-        """Per-uplink utilization matrix, or ``None`` without capacities."""
-        if self._link_meter is None:
-            return None
-        return self._link_meter.usage(duration_seconds)
-
-    def workload_series(self):
-        """Controller requests bucketed over simulation time."""
-        return self.controller.workload_series
-
-    def total_controller_requests(self) -> int:
-        """Total requests the central controller served."""
-        return self.controller.total_requests
-
-    def updates_per_hour(self, *, hours: int) -> List[float]:
-        """The baseline never regroups; every hour bucket is zero."""
-        return [0.0] * max(0, hours)
 
     # -- churn hooks (workload dynamics) ------------------------------------------------
     #
@@ -689,7 +667,3 @@ class OpenFlowSystem:
             self.network.remove_host(host_id)
         self.network.tenants.remove_tenant(tenant_id)
         return len(host_ids)
-
-    def churn_attributed_regroupings(self) -> int:
-        """The baseline has no grouping to update."""
-        return 0

@@ -12,123 +12,51 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.common.addresses import IpAddress, MacAddress
-from repro.common.config import FlowTableConfig
+from repro.common.addresses import MacAddress
 from repro.common.packets import FlowKey, Packet, PacketKind
-from repro.datastructures.fib import LocalFib
-from repro.datastructures.flow_table import ActionType, FlowAction, FlowRule, FlowTable
 from repro.dataplane.decisions import ForwardingDecision, ForwardingOutcome
-from repro.dataplane.edge_switch import FlowRemovedHandler
-from repro.tables.policies import RemovalReason
+from repro.dataplane.edge_switch import EdgeSwitch
 
 
-class OpenFlowEdgeSwitch:
+class OpenFlowEdgeSwitch(EdgeSwitch):
     """A reactive OpenFlow switch: flow table + local MAC learning only."""
 
-    def __init__(
-        self,
-        switch_id: int,
-        *,
-        underlay_ip: IpAddress,
-        management_mac: MacAddress,
-        flow_table_config: FlowTableConfig | None = None,
-    ) -> None:
-        self.switch_id = switch_id
-        self.underlay_ip = underlay_ip
-        self.management_mac = management_mac
-        self.lfib = LocalFib()
-        self.flow_table = FlowTable(flow_table_config)
-        self.flow_table.removed_listener = self._on_rule_removed
-        self.flow_removed_handler: Optional[FlowRemovedHandler] = None
-        self.failed = False
-        self.packets_processed = 0
-        self.packets_to_controller = 0
-
-    def attach_host(self, mac: MacAddress, port: int, tenant_id: int) -> bool:
-        """Learn a locally attached VM."""
-        return self.lfib.learn(mac, port, tenant_id)
-
-    def detach_host(self, mac: MacAddress) -> bool:
-        """Forget a locally attached VM."""
-        return self.lfib.forget(mac)
-
-    def process_packet(self, packet: Packet, now: float = 0.0) -> ForwardingDecision:
+    def _forward(self, packet: Packet, now: float) -> ForwardingDecision:
         """Flow-table lookup, then local delivery, otherwise Packet_In."""
-        self.packets_processed += 1
-        if self.failed:
-            return ForwardingDecision(
-                outcome=ForwardingOutcome.DROPPED_NO_RULE,
-                switch_id=self.switch_id,
-                packet=packet,
-                note="switch is failed",
-            )
         key = FlowKey(src_mac=packet.src_mac, dst_mac=packet.dst_mac, tenant_id=packet.tenant_id)
         rule = self.flow_table.lookup(key, now=now, size_bytes=packet.size_bytes)
-        if rule is not None and rule.action.kind != ActionType.SEND_TO_CONTROLLER:
-            if rule.action.kind == ActionType.FORWARD_LOCAL:
-                return ForwardingDecision(
-                    outcome=ForwardingOutcome.FLOW_TABLE_HIT,
-                    switch_id=self.switch_id,
-                    packet=packet,
-                    local_port=rule.action.target,
-                )
-            if rule.action.kind == ActionType.DROP:
-                return ForwardingDecision(
-                    outcome=ForwardingOutcome.DROPPED_NO_RULE,
-                    switch_id=self.switch_id,
-                    packet=packet,
-                    note="drop rule",
-                )
-            return ForwardingDecision(
-                outcome=ForwardingOutcome.FLOW_TABLE_HIT,
-                switch_id=self.switch_id,
-                packet=packet,
-                target_switches=(rule.action.target,) if rule.action.target is not None else (),
-            )
+        if rule is not None:
+            decision = self._apply_rule(rule, packet)
+            if decision is not None:
+                return decision
+            # A SEND_TO_CONTROLLER rule is handled like a table miss.
 
         # ARP requests for local hosts can be answered without the controller;
         # everything else is a table miss and becomes a Packet_In.
-        if packet.kind == PacketKind.ARP_REQUEST and self.lfib.lookup(packet.dst_mac) is not None:
-            return ForwardingDecision(
-                outcome=ForwardingOutcome.ARP_RESOLVED_LOCALLY,
-                switch_id=self.switch_id,
-                packet=packet,
-            )
         local_entry = self.lfib.lookup(packet.dst_mac)
-        if local_entry is not None and not packet.is_encapsulated:
-            return ForwardingDecision(
-                outcome=ForwardingOutcome.LOCAL_DELIVERY,
-                switch_id=self.switch_id,
-                packet=packet,
-                local_port=local_entry.port,
-            )
-        self.packets_to_controller += 1
-        outcome = (
+        is_arp_request = packet.kind == PacketKind.ARP_REQUEST
+        if local_entry is not None:
+            if is_arp_request:
+                return ForwardingDecision(
+                    outcome=ForwardingOutcome.ARP_RESOLVED_LOCALLY,
+                    switch_id=self.switch_id,
+                    packet=packet,
+                )
+            if not packet.is_encapsulated:
+                return ForwardingDecision(
+                    outcome=ForwardingOutcome.LOCAL_DELIVERY,
+                    switch_id=self.switch_id,
+                    packet=packet,
+                    local_port=local_entry.port,
+                )
+        return self._punt(
+            packet,
             ForwardingOutcome.ARP_FORWARDED_TO_CONTROLLER
-            if packet.kind == PacketKind.ARP_REQUEST
-            else ForwardingOutcome.SENT_TO_CONTROLLER
+            if is_arp_request
+            else ForwardingOutcome.SENT_TO_CONTROLLER,
         )
-        return ForwardingDecision(outcome=outcome, switch_id=self.switch_id, packet=packet)
-
-    def install_flow_rule(self, key: FlowKey, action: FlowAction, *, priority: int = 0, now: float = 0.0) -> None:
-        """Install a controller-provided rule."""
-        self.flow_table.install(key, action, priority=priority, now=now)
-
-    def advance_tables(self, now: float) -> int:
-        """Eagerly expire aged flow rules at replay time ``now``."""
-        return len(self.flow_table.expire(now))
-
-    def _on_rule_removed(self, rule: FlowRule, now: float, reason: RemovalReason) -> None:
-        """Relay a table-initiated removal as ``flow_removed`` to the controller."""
-        if self.flow_removed_handler is not None:
-            self.flow_removed_handler(self.switch_id, rule, now, reason)
 
     def local_host(self, mac: MacAddress) -> Optional[int]:
         """Port of a locally attached host, or ``None``."""
         entry = self.lfib.lookup(mac)
         return entry.port if entry else None
-
-    def reset_counters(self) -> None:
-        """Zero the per-switch counters."""
-        self.packets_processed = 0
-        self.packets_to_controller = 0

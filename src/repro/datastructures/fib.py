@@ -171,8 +171,20 @@ class GroupFib:
         if self._exact is not None:
             self._exact.clear()
 
+    def matching_peers(self, mac: MacAddress) -> tuple[int, ...]:
+        """Peer switch ids whose Bloom filter matches ``mac``, sorted.
+
+        The pure membership test: reads the filters and touches neither the
+        query cache nor the query counters, so a caller may probe what
+        :meth:`query` *will* answer without changing what it accounts.
+        """
+        needle = mac.to_bytes()
+        return tuple(
+            sorted(switch_id for switch_id, bloom in self._filters.items() if needle in bloom)
+        )
+
     def query(self, mac: MacAddress) -> tuple[int, ...]:
-        """Return peer switch ids whose Bloom filter matches ``mac``, sorted.
+        """:meth:`matching_peers` as the data path asks it: counted and memoized.
 
         Results are memoized until any peer filter changes; the tuple makes
         the shared cached value immutable by construction.
@@ -182,10 +194,7 @@ class GroupFib:
         if cached is not None:
             self.query_cache_hits += 1
             return cached
-        needle = mac.to_bytes()
-        result = tuple(
-            sorted(switch_id for switch_id, bloom in self._filters.items() if needle in bloom)
-        )
+        result = self.matching_peers(mac)
         if len(self._query_cache) >= self.QUERY_CACHE_LIMIT:
             self._query_cache.clear()
         self._query_cache[mac] = result

@@ -5,9 +5,10 @@ This package is the optimization layer behind ``ExecutionSpec.kernel ==
 arrives as a column chunk, is read as parallel numpy arrays without a copy
 and classified against a snapshot of per-switch L-FIB/flow-table state.
 Flows whose handling is a pure function of that snapshot (local delivery,
-live flow-table hits, intra-group forwarding) are accounted in bulk; everything that needs the control plane
-(packet-in, table pressure, expired rules, departed endpoints) falls back to
-the scalar per-flow path.  The kernel is *not* a second semantics: counters,
+live flow-table hits, intra-group forwarding) are accounted in bulk;
+everything that needs the control plane (packet-in, table pressure, expired
+rules, departed endpoints) goes flow by flow through the plane's own
+``decide`` step.  The kernel is *not* a second semantics: counters,
 timelines, latency totals and link matrices stay bit-identical to the scalar
 replayer, and the equivalence suite in ``tests/test_kernel_equivalence.py``
 gates exactly that.
@@ -52,8 +53,8 @@ def build_batch_handler(plane, *, perf=NULL_RECORDER):
     Returns a callable accepting one replay batch (a
     :class:`~repro.traffic.chunk.FlowChunk` view; a plain list of
     :class:`~repro.traffic.flow.FlowRecord` is adapted), or ``None`` when
-    ``plane`` is not a plane type the kernel knows how to accelerate (custom
-    control planes registered by tests keep the scalar path).  Raises
+    ``plane`` is not an :class:`~repro.core.system.EdgePlane` (a design that
+    implements only the ``ControlPlane`` protocol keeps the scalar path).  Raises
     :class:`~repro.common.errors.ConfigurationError` when numpy is missing.
     """
     require_numpy()

@@ -14,11 +14,13 @@ pair, and every pair is classified against the *current* dataplane state:
 * ``INTRA`` — no rule, not local, the G-FIB names candidate peers
   (LazyCtrl only);
 * ``DEPARTED`` — an endpoint no longer exists;
-* everything else — ``FALLBACK``: the flows run the scalar
-  ``handle_flow_arrival`` path one by one, in arrival order.  These (and,
-  under a link meter, the inter-switch flows the meter must see) are the
-  only flows a :class:`~repro.traffic.flow.FlowRecord` is built for;
-  ``kernel.records_minted`` counts them.
+* everything else — ``FALLBACK``: the flows go through the plane's own
+  :meth:`~repro.core.system.EdgePlane.decide` step one by one, in arrival
+  order.  These (and, under a link meter, the inter-switch flows the meter
+  must see) are the only flows a :class:`~repro.traffic.flow.FlowRecord` is
+  built for; ``kernel.records_minted`` counts them.  ``decide`` leaves the
+  latency recorder, the intensity window and the timeline alone, so these
+  flows and the array-path flows meet in the one in-order fold below.
 
 The contract is bit-identity with the scalar replayer, not approximation.
 The load-bearing facts, each mirrored from the scalar code it replaces:
@@ -38,14 +40,9 @@ The load-bearing facts, each mirrored from the scalar code it replaces:
   bit, so bucket indices agree with ``int(timestamp // bucket_seconds)``;
 * the intensity matrix accumulates ``+= 1.0`` per flow: the final float is
   a function of the *number* of adds only, but dict insertion order feeds
-  later float folds (``merge``/``pairs``), so the kernel suppresses the
-  scalar path's live recording and replays all pairs in first-arrival
-  order through ``record_many``;
+  later float folds (``merge``/``pairs``), so the kernel replays all pairs
+  in first-arrival order through ``record_many``;
 * integer counters are order-free and applied as batch sums.
-
-The one deliberate divergence, invisible to any result surface: the global
-``Packet`` id counter advances less, because vectorized flows never build a
-``Packet`` object.
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ import numpy as np
 
 from repro.common.packets import FlowKey
 from repro.datastructures.flow_table import ActionType
-from repro.obs.events import LinkCongestedEvent
 from repro.obs.timeline import _latency_bin
 from repro.perf.recorder import NULL_RECORDER
 from repro.traffic.chunk import FlowChunk
@@ -70,50 +66,6 @@ _DEPARTED = 4
 
 #: Host-id packing base for (src, dst) pair codes; ids are far below this.
 _CODE_BASE = 1 << 31
-
-
-class _NullLatencyRecorder:
-    """Swap-in for ``plane.latency_recorder`` while fallback flows replay.
-
-    The kernel re-records every flow of the batch (scalar and vectorized
-    alike) through one in-order bulk fold, so the scalar path's own record
-    calls must not double-count.
-    """
-
-    __slots__ = ()
-
-    def record(self, timestamp: float, latency_ms: float, *, count: int = 1) -> None:
-        return None
-
-
-class _NullIntensityMatrix:
-    """Swap-in for ``grouping_manager.recent_matrix`` during fallback replay."""
-
-    __slots__ = ()
-
-    def record(self, src_switch: int, dst_switch: int, amount: float = 1.0) -> None:
-        return None
-
-
-_NULL_LATENCY = _NullLatencyRecorder()
-_NULL_INTENSITY = _NullIntensityMatrix()
-
-
-def _probe_gfib(gfib, mac):
-    """GroupFib.query's membership computation, without its cache/counters.
-
-    Classification needs each pair's candidate set up front, but the real
-    query memoizes results and counts hits — state the execution stage
-    accounts for separately (wholesale when no cache clear is possible, by
-    replaying the real queries in arrival order otherwise).  Filters cannot
-    change mid-batch (dissemination runs at ticks, and the kernel is only
-    wired for churn-free replays), so this probe returns exactly what every
-    in-batch query for ``mac`` will.
-    """
-    needle = mac.to_bytes()
-    return tuple(
-        sorted(switch_id for switch_id, bloom in gfib._filters.items() if needle in bloom)
-    )
 
 
 class _PairStatic:
@@ -182,12 +134,11 @@ class _PairStatic:
 
 
 class ColumnarReplayKernel:
-    """Vectorized batch handler for one LazyCtrl or OpenFlow plane."""
+    """Vectorized batch handler for one :class:`~repro.core.system.EdgePlane`."""
 
-    def __init__(self, plane, switches: Dict[int, object], *, lazyctrl: bool, perf=NULL_RECORDER) -> None:
+    def __init__(self, plane, *, perf=NULL_RECORDER) -> None:
         self._plane = plane
-        self._switches = switches
-        self._lazyctrl = lazyctrl
+        self._switches = {switch.switch_id: switch for switch in plane.switches()}
         self._perf = perf
         self._pair_static: Dict[int, _PairStatic] = {}
         self._bounds_cache: Dict[int, Optional[Tuple[float, float]]] = {}
@@ -229,7 +180,7 @@ class ColumnarReplayKernel:
                 table=table,
                 rules=table._rules,
                 bounds=self._bounds(table),
-                gfib=switch.gfib if self._lazyctrl else None,
+                gfib=switch.gfib,
             )
         self._pair_static[code] = info
         return info
@@ -277,7 +228,7 @@ class ColumnarReplayKernel:
 
         # Whole-batch bypass guards: situations the columnar path does not
         # model (rare in practice, always safe to replay scalar).
-        if getattr(tracer, "_listeners", None):
+        if tracer.has_listeners:
             self._scalar_batch(batch)
             return
         for switch in self._switches.values():
@@ -346,8 +297,7 @@ class ColumnarReplayKernel:
         model = plane.latency_model
         local_ms = model.local_delivery_ms()
         hit_ms = model.flow_table_hit_ms()
-        intra_steady_ms = model.intra_group_ms() if self._lazyctrl else 0.0
-        lazyctrl = self._lazyctrl
+        intra_steady_ms = model.intra_group_ms()
         switches = self._switches
 
         infos: List[_PairStatic] = []
@@ -400,16 +350,17 @@ class ColumnarReplayKernel:
                 pair_first[g] = local_ms
                 pair_steady[g] = local_ms
                 local_pairs.append(g)
-            elif lazyctrl:
+            else:
                 gfib = info.gfib
-                if info.gfib_version != gfib.version:
-                    # Side-channel probe of the Bloom filters — same
-                    # computation as GroupFib.query but touching neither the
-                    # query cache nor its counters, whose aggregate evolution
-                    # the execution stage replays.  The result is a constant
-                    # of the pair until the next dissemination bumps the
-                    # filter generation.
-                    candidates = _probe_gfib(gfib, info.dst_mac)
+                if gfib is not None and info.gfib_version != gfib.version:
+                    # The pure membership test: what every in-batch query
+                    # for this MAC will answer (filters only change at
+                    # ticks), touching neither the query cache nor its
+                    # counters, whose aggregate evolution the execution
+                    # stage replays.  The result is a constant of the pair
+                    # until the next dissemination bumps the filter
+                    # generation.
+                    candidates = gfib.matching_peers(info.dst_mac)
                     info.candidates = candidates
                     info.gfib_version = gfib.version
                     if candidates:
@@ -424,15 +375,11 @@ class ColumnarReplayKernel:
                     pair_steady[g] = intra_steady_ms
                     intra_records.append((g, info))
                 else:
+                    # No group (the baseline) or no candidate peer: packet-in.
                     cls_append(_FALLBACK)
                     new_keys_by_switch[info.src_switch_id] = (
                         new_keys_by_switch.get(info.src_switch_id, 0) + 1
                     )
-            else:
-                cls_append(_FALLBACK)
-                new_keys_by_switch[info.src_switch_id] = (
-                    new_keys_by_switch.get(info.src_switch_id, 0) + 1
-                )
 
         # Per-switch slack guard: if this batch's potential new-key installs
         # can trigger eviction on a switch, every HIT pair there replays
@@ -449,7 +396,6 @@ class ColumnarReplayKernel:
         cls_arr = np.array(cls, dtype=np.int8)
         cls_flow = cls_arr[inverse]
         fallback_flow_idx = np.flatnonzero(cls_flow == _FALLBACK)
-        vectorized_flow_idx = np.flatnonzero((cls_flow >= _LOCAL) & (cls_flow <= _INTRA))
         first_flow = np.array(pair_first, dtype=np.float64)[inverse]
         steady_flow = np.array(pair_steady, dtype=np.float64)[inverse]
         handled = cls_flow != _DEPARTED
@@ -466,7 +412,6 @@ class ColumnarReplayKernel:
             "cls": cls,
             "cls_flow": cls_flow,
             "fallback_flow_idx": fallback_flow_idx,
-            "vectorized_flow_idx": vectorized_flow_idx,
             "fallback_flow_count": int(fallback_flow_idx.size),
             "first_flow": first_flow,
             "steady_flow": steady_flow,
@@ -480,31 +425,18 @@ class ColumnarReplayKernel:
     # -- stage 2: replay fallback flows (and meter, in true order) -------------
 
     def _execute(self, batch, state) -> None:
-        plane = self._plane
-        meter = plane._link_meter
-        saved_recorder = plane.latency_recorder
-        manager = plane.controller.grouping_manager if self._lazyctrl else None
-        saved_matrix = manager.recent_matrix if manager is not None else None
-        plane.latency_recorder = _NULL_LATENCY
-        if manager is not None:
-            manager.recent_matrix = _NULL_INTENSITY
-        try:
-            if meter is not None:
-                self._walk_with_meter(batch, state, meter)
-            elif self._lazyctrl and not self._bulk_gfib_accounting(state):
-                # A G-FIB query cache could overflow mid-batch: replay every
-                # intra-group query (and the fallbacks) in true arrival order
-                # so the wholesale cache clear lands exactly where the scalar
-                # replayer would put it.
-                cls_flow = state["cls_flow"]
-                indices = np.flatnonzero((cls_flow == _FALLBACK) | (cls_flow == _INTRA))
-                self._walk_plain(batch, state, indices.tolist())
-            else:
-                self._walk_plain(batch, state, state["fallback_flow_idx"].tolist())
-        finally:
-            plane.latency_recorder = saved_recorder
-            if manager is not None:
-                manager.recent_matrix = saved_matrix
+        if self._plane.link_meter is not None:
+            self._walk_with_meter(batch, state)
+        elif not self._bulk_gfib_accounting(state):
+            # A G-FIB query cache could overflow mid-batch: replay every
+            # intra-group query (and the fallbacks) in true arrival order
+            # so the wholesale cache clear lands exactly where the scalar
+            # replayer would put it.
+            cls_flow = state["cls_flow"]
+            indices = np.flatnonzero((cls_flow == _FALLBACK) | (cls_flow == _INTRA))
+            self._walk_plain(batch, state, indices.tolist())
+        else:
+            self._walk_plain(batch, state, state["fallback_flow_idx"].tolist())
 
     def _bulk_gfib_accounting(self, state) -> bool:
         """Apply the batch's intra-group G-FIB query effects wholesale.
@@ -570,7 +502,7 @@ class ColumnarReplayKernel:
         """
         if not indices:
             return
-        handle = self._plane.handle_flow_arrival
+        decide = self._plane.decide
         cls_flow = state["cls_flow"].tolist()
         inverse = state["inverse"].tolist()
         infos = state["infos"]
@@ -585,7 +517,7 @@ class ColumnarReplayKernel:
                 continue
             flow = batch[i]
             replayed += 1
-            result = handle(flow, flow.start_time)
+            result = decide(flow, flow.start_time)
             if result is None:
                 handled[i] = False
             else:
@@ -593,7 +525,7 @@ class ColumnarReplayKernel:
                 steady_flow[i] = result.steady_packet_latency_ms
         self._count_minted(batch, replayed)
 
-    def _walk_with_meter(self, batch, state, meter) -> None:
+    def _walk_with_meter(self, batch, state) -> None:
         """Replay the whole batch in arrival order when links are metered.
 
         The meter's window accounting and congestion-crossing detection are
@@ -602,11 +534,8 @@ class ColumnarReplayKernel:
         exactly as the scalar replayer would.  The meter reads whole records
         (rate profiles), so this walk iterates — and mints — the batch.
         """
-        plane = self._plane
-        model = plane.latency_model
-        counters = plane.counters
-        tracer = plane.tracer
-        handle = plane.handle_flow_arrival
+        decide = self._plane.decide
+        congestion_penalty_ms = self._plane.congestion_penalty_ms
         cls_flow = state["cls_flow"].tolist()
         inverse = state["inverse"].tolist()
         infos = state["infos"]
@@ -618,7 +547,7 @@ class ColumnarReplayKernel:
             if flow_class == _DEPARTED:
                 continue
             if flow_class == _FALLBACK:
-                result = handle(flow, flow.start_time)
+                result = decide(flow, flow.start_time)
                 if result is None:
                     handled[i] = False
                 else:
@@ -630,19 +559,8 @@ class ColumnarReplayKernel:
                 # Scalar order: the G-FIB query happens inside process_packet,
                 # before the congestion penalty is computed.
                 info.gfib.query(info.dst_mac)
-            if info.src_switch_id == info.dst_switch_id:
-                continue
-            now = flow.start_time
-            observation = meter.observe(flow, info.src_switch_id, info.dst_switch_id, now)
-            if observation.congested:
-                counters.congested_flows += 1
-            if tracer.enabled:
-                for switch_id, utilization in observation.newly_congested:
-                    tracer.emit(
-                        LinkCongestedEvent(time=now, switch_id=switch_id, utilization=utilization)
-                    )
-            penalty = model.queueing_delay_ms(observation.src_utilization) + model.queueing_delay_ms(
-                observation.dst_utilization
+            penalty = congestion_penalty_ms(
+                flow, info.src_switch_id, info.dst_switch_id, flow.start_time
             )
             if penalty > 0.0:
                 first_flow[i] = float(first_flow[i]) + penalty
@@ -723,9 +641,8 @@ class ColumnarReplayKernel:
         counters.flows_handled += local_flows + hit_flows + intra_flows
         counters.local_flows += local_flows
         counters.duplicate_deliveries += duplicate_deliveries
-        if self._lazyctrl:
-            counters.intra_group_flows += intra_flows
-            counters.false_positive_drops += false_positive_flows
+        counters.intra_group_flows += intra_flows
+        counters.false_positive_drops += false_positive_flows
 
         for switch_id, amount in ingress_by_switch.items():
             switches[switch_id].packets_processed += amount
@@ -735,8 +652,8 @@ class ColumnarReplayKernel:
         # Intensity: replay every non-departed pair in first-arrival order so
         # the recent matrix's key order (which later float folds iterate)
         # matches the scalar path; the values themselves are order-free.
-        if self._lazyctrl:
-            matrix = plane.controller.grouping_manager.recent_matrix
+        matrix = plane.intensity_matrix()
+        if matrix is not None:
             for g in np.argsort(state["first_index"], kind="stable").tolist():
                 if cls[g] == _DEPARTED:
                     continue
@@ -778,12 +695,12 @@ class ColumnarReplayKernel:
         tracer = self._plane.tracer
         if not tracer.enabled or tracer.timeline is None:
             return
-        vec_idx = state["vectorized_flow_idx"]
-        if vec_idx.size == 0:
+        handled = state["handled"]
+        if not handled.any():
             return
         timeline = tracer.timeline
-        times = state["times"][vec_idx]
-        first = state["first_flow"][vec_idx]
+        times = state["times"][handled]
+        first = state["first_flow"][handled]
         buckets = np.maximum(
             np.floor_divide(times, timeline.bucket_seconds).astype(np.int64), 0
         )
@@ -807,13 +724,10 @@ class ColumnarReplayKernel:
 
 def build_kernel(plane, *, perf=NULL_RECORDER) -> Optional[ColumnarReplayKernel]:
     """Build a kernel for ``plane``, or ``None`` when it cannot be accelerated."""
-    from repro.core.system import LazyCtrlSystem, OpenFlowSystem
+    from repro.core.system import EdgePlane
 
-    if not isinstance(plane, (LazyCtrlSystem, OpenFlowSystem)):
+    if not isinstance(plane, EdgePlane):
         return None  # custom planes registered by tests keep the scalar path
     if plane.latency_recorder._all is not None:
         return None  # pragma: no cover - replays never keep raw samples
-    if isinstance(plane, LazyCtrlSystem):
-        switches = {switch.switch_id: switch for switch in plane.controller.switches()}
-        return ColumnarReplayKernel(plane, switches, lazyctrl=True, perf=perf)
-    return ColumnarReplayKernel(plane, dict(plane._switches), lazyctrl=False, perf=perf)
+    return ColumnarReplayKernel(plane, perf=perf)

@@ -70,6 +70,7 @@ class NullTracer:
     __slots__ = ()
 
     enabled = False
+    has_listeners = False
     timeline: Optional[MetricsTimeline] = None
 
     def emit(self, event: TraceEvent) -> None:
@@ -117,6 +118,11 @@ class EventTracer:
     def add_listener(self, listener: EventListener) -> None:
         """Register an additional event listener."""
         self._listeners.append(listener)
+
+    @property
+    def has_listeners(self) -> bool:
+        """Whether events go anywhere besides the timeline (whose folds are order-free)."""
+        return bool(self._listeners)
 
     def emit(self, event: TraceEvent) -> None:
         """Publish one event to the timeline and every listener."""

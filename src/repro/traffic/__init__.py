@@ -6,7 +6,6 @@ from repro.traffic.flow import FlowRecord
 from repro.traffic.mix import (
     TrafficComponentSpec,
     TrafficMixSpec,
-    generate_mix_trace,
     stream_mix_trace,
 )
 from repro.traffic.models import (
@@ -14,10 +13,6 @@ from repro.traffic.models import (
     ElephantMiceParams,
     IncastHotspotParams,
     UniformBackgroundParams,
-    generate_all_to_all_shuffle,
-    generate_elephant_mice,
-    generate_incast_hotspot,
-    generate_uniform_background,
     stream_all_to_all_shuffle,
     stream_elephant_mice,
     stream_incast_hotspot,
@@ -83,11 +78,6 @@ __all__ = [
     "accumulate_intensity",
     "available_traffic_models",
     "expand_trace",
-    "generate_all_to_all_shuffle",
-    "generate_elephant_mice",
-    "generate_incast_hotspot",
-    "generate_mix_trace",
-    "generate_uniform_background",
     "get_traffic_model",
     "paper_synthetic_specs",
     "register_traffic_model",

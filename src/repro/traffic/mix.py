@@ -2,9 +2,9 @@
 
 A :class:`TrafficMixSpec` lists components, each naming a registered traffic
 model with raw params, a weight (its share of the mix's ``total_flows``) and
-an optional time window.  :func:`generate_mix_trace` materializes every
+an optional time window.  :func:`stream_mix_trace` generates every
 component over the same topology and merges the results into one
-deterministic trace — e.g. a diurnal realistic baseline, an elephant/mice
+deterministic stream — e.g. a diurnal realistic baseline, an elephant/mice
 overlay through business hours, and an incast burst at 9 am.
 
 Two properties the tests pin down:
@@ -25,7 +25,6 @@ component's stream and performs a k-way merge over them
 (:class:`~repro.traffic.stream.MergedStream`), holding each component's
 current chunk plus one output chunk — O(components × chunk), independent of
 trace length — instead of concatenating materialized lists.
-:func:`generate_mix_trace` is the materialized wrapper.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from repro.common.rng import derive_seed
 from repro.common.serialize import to_jsonable
 from repro.topology.network import DataCenterNetwork
 from repro.traffic.stream import FlowStream, MergedStream
-from repro.traffic.trace import Trace
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,15 +179,3 @@ def stream_mix_trace(
     return MergedStream(
         name, network, parts, duration=mix.duration_hours * 3600.0
     )
-
-
-def generate_mix_trace(
-    network: DataCenterNetwork, mix: TrafficMixSpec, *, name: str = "mix"
-) -> Trace:
-    """Materialize the merged component streams into one deterministic trace.
-
-    Raises :class:`~repro.common.errors.TrafficError` when the mix produces
-    no flows (the merged stream itself enforces this, so the streamed path
-    agrees).
-    """
-    return Trace.from_stream(stream_mix_trace(network, mix, name=name))

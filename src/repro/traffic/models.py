@@ -21,11 +21,11 @@ Every model generates natively as a chunked
 setup state (elephant pairs, hotspots, shuffle participants) is drawn once
 from a dedicated setup RNG stream, and each chunk's flows come from their
 own per-chunk RNG, so any chunk can be produced in O(chunk) memory without
-generating its predecessors.  The ``generate_*`` functions are the
-materialized wrappers (``Trace.from_stream``), so the streamed and
-materialized paths are bit-identical by construction.  All RNG streams
-derive from the params seed only (not the trace name), so a model's output
-is a pure function of its params over a given topology.
+generating its predecessors.  A materialized trace is the stream collected
+(``Trace.from_stream``, which is what the registry's ``build`` does), so
+there is no second generator to keep in step.  All RNG streams derive from
+the params seed only (not the trace name), so a model's output is a pure
+function of its params over a given topology.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.traffic.stream import (
     subdivide_span,
     uniform_spans,
 )
-from repro.traffic.trace import Trace
 
 
 def _require_hosts(network: DataCenterNetwork, minimum: int = 4) -> int:
@@ -155,12 +154,6 @@ def stream_elephant_mice(
         duration=seconds,
     )
 
-
-def generate_elephant_mice(
-    network: DataCenterNetwork, params: ElephantMiceParams, *, name: str = "elephant-mice"
-) -> Trace:
-    """Materialized elephant/mice trace (the streamed flows, collected)."""
-    return Trace.from_stream(stream_elephant_mice(network, params, name=name))
 
 
 # -- incast hotspot -----------------------------------------------------------
@@ -279,12 +272,6 @@ def stream_incast_hotspot(
     )
 
 
-def generate_incast_hotspot(
-    network: DataCenterNetwork, params: IncastHotspotParams, *, name: str = "incast-hotspot"
-) -> Trace:
-    """Materialized incast-hotspot trace (the streamed flows, collected)."""
-    return Trace.from_stream(stream_incast_hotspot(network, params, name=name))
-
 
 # -- all-to-all shuffle -------------------------------------------------------
 
@@ -382,12 +369,6 @@ def stream_all_to_all_shuffle(
     )
 
 
-def generate_all_to_all_shuffle(
-    network: DataCenterNetwork, params: AllToAllShuffleParams, *, name: str = "all-to-all-shuffle"
-) -> Trace:
-    """Materialized shuffle trace (the streamed flows, collected)."""
-    return Trace.from_stream(stream_all_to_all_shuffle(network, params, name=name))
-
 
 # -- uniform background -------------------------------------------------------
 
@@ -433,9 +414,3 @@ def stream_uniform_background(
         duration=seconds,
     )
 
-
-def generate_uniform_background(
-    network: DataCenterNetwork, params: UniformBackgroundParams, *, name: str = "uniform"
-) -> Trace:
-    """Materialized uniform-background trace (the streamed flows, collected)."""
-    return Trace.from_stream(stream_uniform_background(network, params, name=name))

@@ -5,8 +5,9 @@ extends the same pattern to the *workload* half of a scenario.  A traffic
 model is a named trace generator:
 
 * each model owns a frozen **params dataclass** (its knobs, JSON-shaped) and
-  a **factory** that turns a topology plus validated params into a
-  :class:`~repro.traffic.trace.Trace`;
+  a **factory** that turns a topology plus validated params into flows: a
+  lazy :class:`~repro.traffic.stream.FlowStream` (every built-in; its
+  :class:`~repro.traffic.trace.Trace` is that stream collected) or a ``Trace``;
 * :func:`register_traffic_model` registers the pair under a short name
   (``"realistic"``, ``"elephant-mice"``, ...); third-party generators plug
   in with the same decorator from their own modules;
@@ -25,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, List, Mapping, Optional
 
+from repro.common.errors import ConfigurationError
 from repro.common.registry import (
     NamedRegistry,
     make_entry_params,
@@ -48,7 +50,8 @@ class TrafficModelEntry:
     """One registered traffic model."""
 
     name: str
-    factory: TrafficModelFactory
+    #: ``None`` for a model whose one generator is its stream factory.
+    factory: Optional[TrafficModelFactory]
     params_type: type
     label: str
     description: str = ""
@@ -75,7 +78,13 @@ class TrafficModelEntry:
         *,
         name: str = "trace",
     ) -> Trace:
-        """Generate one trace over ``network`` from a raw params mapping."""
+        """Generate one trace over ``network`` from a raw params mapping.
+
+        A model with a stream factory has one generator: its trace is the
+        stream, collected.
+        """
+        if self.stream_factory is not None:
+            return Trace.from_stream(self.build_stream(network, params, name=name))
         return self.factory(network, self.make_params(params), name=name)
 
     def build_stream(
@@ -113,15 +122,17 @@ def register_traffic_model(
     description: str = "",
     stream: Optional[TrafficStreamFactory] = None,
     replace: bool = False,
-) -> Callable[[TrafficModelFactory], TrafficModelFactory]:
+) -> Callable[[Optional[TrafficModelFactory]], Optional[TrafficModelFactory]]:
     """Register a traffic-model factory under ``name``.
 
     Use as a decorator on a factory taking ``(network, params, *, name)``
     and returning a :class:`~repro.traffic.trace.Trace`; ``params`` is the
     frozen dataclass describing the model's knobs.  ``stream`` optionally
     registers the model's native chunked generator (same signature,
-    returning a :class:`~repro.traffic.stream.FlowStream`); without it the
-    streaming API falls back to materializing the trace::
+    returning a :class:`~repro.traffic.stream.FlowStream`), which then is
+    the model's one generator: ``build`` collects it, and the decorated
+    trace factory may be ``None``.  Without it the streaming API falls back
+    to materializing the trace::
 
         @dataclasses.dataclass(frozen=True)
         class RingParams:
@@ -137,7 +148,9 @@ def register_traffic_model(
     _REGISTRY.validate_name(name)
     require_params_dataclass("traffic model", name, params)
 
-    def decorator(factory: TrafficModelFactory) -> TrafficModelFactory:
+    def decorator(factory: Optional[TrafficModelFactory]) -> Optional[TrafficModelFactory]:
+        if factory is None and stream is None:
+            raise ConfigurationError(f"traffic model {name!r} needs a trace or a stream factory")
         _REGISTRY.add(
             name,
             TrafficModelEntry(
@@ -174,16 +187,12 @@ def _register_builtin_traffic_models() -> None:
     """Register the built-in models (idempotent; called at import time)."""
     if "realistic" in _REGISTRY:
         return
-    from repro.traffic.mix import TrafficMixSpec, generate_mix_trace, stream_mix_trace
+    from repro.traffic.mix import TrafficMixSpec, stream_mix_trace
     from repro.traffic.models import (
         AllToAllShuffleParams,
         ElephantMiceParams,
         IncastHotspotParams,
         UniformBackgroundParams,
-        generate_all_to_all_shuffle,
-        generate_elephant_mice,
-        generate_incast_hotspot,
-        generate_uniform_background,
         stream_all_to_all_shuffle,
         stream_elephant_mice,
         stream_incast_hotspot,
@@ -195,28 +204,26 @@ def _register_builtin_traffic_models() -> None:
     def _stream_realistic(network, params, *, name="real-like"):
         return RealisticTraceGenerator(network, params).stream(name=name)
 
-    @register_traffic_model(
+    def _stream_synthetic(network, params, *, name="synthetic"):
+        return SyntheticTraceGenerator(network).stream(params)
+
+    # Every built-in has one generator, its stream factory: there is no
+    # trace factory to decorate, so each registration is applied to ``None``.
+    register_traffic_model(
         "realistic",
         params=RealisticTraceProfile,
         label="Realistic day-long",
         description="Diurnal enterprise substitute: skewed pairs, tenant locality (paper §V-A)",
         stream=_stream_realistic,
-    )
-    def _build_realistic(network, params, *, name="real-like"):
-        return RealisticTraceGenerator(network, params).generate(name=name)
+    )(None)
 
-    def _stream_synthetic(network, params, *, name="synthetic"):
-        return SyntheticTraceGenerator(network).stream(params)
-
-    @register_traffic_model(
+    register_traffic_model(
         "synthetic",
         params=SyntheticTraceSpec,
         label="Synthetic p/q",
         description="The paper's p/q construction varying locality (Table II, §V-B)",
         stream=_stream_synthetic,
-    )
-    def _build_synthetic(network, params, *, name="synthetic"):
-        return SyntheticTraceGenerator(network).generate(params)
+    )(None)
 
     register_traffic_model(
         "elephant-mice",
@@ -224,7 +231,7 @@ def _register_builtin_traffic_models() -> None:
         label="Elephant/mice",
         description="Few heavy long-lived pairs over a swarm of short mice flows",
         stream=stream_elephant_mice,
-    )(generate_elephant_mice)
+    )(None)
 
     register_traffic_model(
         "incast-hotspot",
@@ -232,7 +239,7 @@ def _register_builtin_traffic_models() -> None:
         label="Incast hotspot",
         description="Fan-in onto a few hot destination hosts, optionally burst-windowed",
         stream=stream_incast_hotspot,
-    )(generate_incast_hotspot)
+    )(None)
 
     register_traffic_model(
         "all-to-all-shuffle",
@@ -240,7 +247,7 @@ def _register_builtin_traffic_models() -> None:
         label="All-to-all shuffle",
         description="Periodic shuffle waves where participants exchange flows pairwise",
         stream=stream_all_to_all_shuffle,
-    )(generate_all_to_all_shuffle)
+    )(None)
 
     register_traffic_model(
         "uniform",
@@ -248,7 +255,7 @@ def _register_builtin_traffic_models() -> None:
         label="Uniform background",
         description="Locality-free baseline: uniform pairs, uniform arrival times",
         stream=stream_uniform_background,
-    )(generate_uniform_background)
+    )(None)
 
     register_traffic_model(
         "mix",
@@ -256,7 +263,7 @@ def _register_builtin_traffic_models() -> None:
         label="Traffic mix",
         description="Weighted, time-windowed composition of other registered models",
         stream=stream_mix_trace,
-    )(generate_mix_trace)
+    )(None)
 
 
 _register_builtin_traffic_models()

@@ -167,72 +167,6 @@ class TestChurnAwareRegistration:
         assert isinstance(OpenFlowSystem(network), ChurnAware)
         assert isinstance(LazyCtrlSystem(network), ChurnAware)
 
-    def test_legacy_plane_with_hooks_warns_but_still_receives_churn(self):
-        """A plane that implements the hooks without declaring churn_aware
-        keeps working through the deprecation shim — with a warning."""
-        import pytest
-
-        from repro.core.registry import register_control_plane, unregister_control_plane
-        from repro.core.system import OpenFlowSystem
-
-        @register_control_plane("test-legacy-churn", label="Legacy churn")
-        def _build(network, *, config=None, workload_bucket_seconds=7200.0,
-                   latency_bucket_seconds=7200.0):
-            return OpenFlowSystem(
-                network,
-                config=config,
-                workload_bucket_seconds=workload_bucket_seconds,
-                latency_bucket_seconds=latency_bucket_seconds,
-            )
-
-        try:
-            spec = churn_scenario(
-                ChurnSpec(seed=7, migration_rate_per_hour=12.0),
-                systems=("test-legacy-churn",),
-            )
-            with pytest.warns(DeprecationWarning, match="churn_aware=True"):
-                result = ScenarioRunner().run(spec)
-            run = result.result_for("test-legacy-churn")
-            assert run.churn is not None
-            assert run.churn.total_events() > 0
-        finally:
-            unregister_control_plane("test-legacy-churn")
-
-    def test_legacy_shim_reproduces_the_declared_plane_bit_for_bit(self):
-        """The shim only warns — the replay itself must match a properly
-        declared registration exactly."""
-        import pytest
-
-        from repro.core.registry import register_control_plane, unregister_control_plane
-        from repro.core.system import OpenFlowSystem
-
-        def _factory(network, *, config=None, workload_bucket_seconds=7200.0,
-                     latency_bucket_seconds=7200.0):
-            return OpenFlowSystem(
-                network,
-                config=config,
-                workload_bucket_seconds=workload_bucket_seconds,
-                latency_bucket_seconds=latency_bucket_seconds,
-            )
-
-        register_control_plane("test-churn-legacy", label="OpenFlow")(_factory)
-        register_control_plane("test-churn-aware", label="OpenFlow", churn_aware=True)(_factory)
-        try:
-            churn = ChurnSpec(seed=7, migration_rate_per_hour=12.0)
-            with pytest.warns(DeprecationWarning):
-                legacy = ScenarioRunner().run(
-                    churn_scenario(churn, systems=("test-churn-legacy",))
-                )
-            declared = ScenarioRunner().run(
-                churn_scenario(churn, systems=("test-churn-aware",))
-            )
-            left = legacy.result_for("test-churn-legacy").to_dict()
-            right = declared.result_for("test-churn-aware").to_dict()
-            assert left == right
-        finally:
-            unregister_control_plane("test-churn-legacy")
-            unregister_control_plane("test-churn-aware")
-
     def test_hookless_plane_skips_churn_silently(self, recwarn):
         from repro.core.registry import register_control_plane, unregister_control_plane
         from repro.core.results import SystemCounters
@@ -266,19 +200,22 @@ class TestChurnAwareRegistration:
             def updates_per_hour(self, *, hours):
                 return [0.0] * hours
 
-        register_control_plane("test-hookless", label="Hookless")(_HooklessPlane)
-        try:
-            spec = churn_scenario(
-                ChurnSpec(seed=7, migration_rate_per_hour=12.0),
-                systems=("test-hookless",),
-            )
-            result = ScenarioRunner().run(spec)
-            run = result.result_for("test-hookless")
-            assert run.churn is None
-            assert run.counters.flows_handled > 0
-            deprecations = [
-                w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-            ]
-            assert not deprecations
-        finally:
-            unregister_control_plane("test-hookless")
+        # Churn follows the registration flag, not the methods a plane has:
+        # the baseline registered without churn_aware=True has every hook
+        # and still replays a frozen topology, as silently as the plane
+        # that has none.
+        from repro.core.system import OpenFlowSystem
+
+        for name, factory in (("test-hookless", _HooklessPlane), ("test-undeclared", OpenFlowSystem)):
+            register_control_plane(name, label=name)(factory)
+            try:
+                spec = churn_scenario(
+                    ChurnSpec(seed=7, migration_rate_per_hour=12.0), systems=(name,)
+                )
+                run = ScenarioRunner().run(spec).result_for(name)
+                assert run.churn is None
+                assert run.counters.flows_handled > 0
+                assert run.counters.departed_flows == 0
+            finally:
+                unregister_control_plane(name)
+        assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]

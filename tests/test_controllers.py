@@ -163,6 +163,22 @@ class TestLazyCtrlController:
         assert result.resolved
         assert lazy_controller.clib.locate(dst.mac) == dst.switch_id
 
+    def test_packet_in_cold_lookup_swallows_only_unknown_host(self, lazy_controller, network, monkeypatch):
+        """A destination nobody knows is a dropped flow; any other failure in
+        the cold-C-LIB branch is a defect and must surface, not turn into one."""
+        lazy_controller.apply_grouping(simple_grouping(network))
+        src = network.hosts()[0]
+        packet = make_data_packet(src.mac, mac(999_999), src.tenant_id)
+        result = lazy_controller.handle_packet_in(src.switch_id, packet, now=1.0)
+        assert not result.resolved and result.egress_switch_id is None
+
+        def broken(_mac):
+            raise RuntimeError("unrelated defect")
+
+        monkeypatch.setattr(network, "host_by_mac", broken)
+        with pytest.raises(RuntimeError, match="unrelated defect"):
+            lazy_controller.handle_packet_in(src.switch_id, packet, now=2.0)
+
     def test_arp_escalation_relays_to_tenant_groups(self, lazy_controller, network):
         lazy_controller.apply_grouping(simple_grouping(network))
         host = network.hosts()[0]

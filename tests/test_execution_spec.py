@@ -1,4 +1,4 @@
-"""The ExecutionSpec API surface: validation, parsing, and deprecation shims."""
+"""The ExecutionSpec API surface: validation, parsing, and the legacy-JSON upgrade."""
 
 import dataclasses
 import json
@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.core.runner import ScenarioRunner
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec
 from repro.replay.spec import SHARD_STRATEGIES, ExecutionSpec
 from repro.topology.builder import TopologyProfile
@@ -134,17 +133,6 @@ class TestScenarioSpecExecution:
         replaced = dataclasses.replace(spec, execution=ExecutionSpec(workers=2, stream=True))
         assert replaced.execution == ExecutionSpec(workers=2, stream=True)
 
-    def test_legacy_stream_kwarg_warns_and_folds(self):
-        with pytest.warns(DeprecationWarning, match="ScenarioSpec"):
-            spec = tiny_spec(stream=True)
-        assert spec.execution == ExecutionSpec(stream=True)
-        assert spec.stream is True
-
-    def test_legacy_stream_kwarg_overrides_supplied_execution(self):
-        with pytest.warns(DeprecationWarning):
-            spec = tiny_spec(stream=True, execution=ExecutionSpec(workers=3))
-        assert spec.execution == ExecutionSpec(workers=3, stream=True)
-
     def test_property_read_is_silent(self, recwarn):
         spec = tiny_spec()
         assert spec.stream is False
@@ -161,23 +149,6 @@ class TestScenarioSpecExecution:
         data["stream"] = True
         spec = ScenarioSpec.from_dict(data)
         assert spec.execution == ExecutionSpec(stream=True)
-
-
-class TestRunManyDeprecation:
-    def test_workers_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="run_many"):
-            results = ScenarioRunner().run_many([tiny_spec()], workers=1)
-        assert len(results) == 1
-
-    def test_workers_kwarg_still_validates(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                ScenarioRunner().run_many([], workers=-1)
-
-    def test_execution_kwarg_is_silent(self, recwarn):
-        results = ScenarioRunner().run_many([tiny_spec()], execution=ExecutionSpec(workers=1))
-        assert len(results) == 1
-        assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]
 
 
 class TestStrategies:

@@ -118,6 +118,24 @@ class TestGroupFib:
         gfib.install_peer(2, [mac(7)])
         assert sorted(gfib.query(mac(7))) == [1, 2]
 
+    def test_matching_peers_is_query_without_its_accounting(self):
+        """The pure membership test answers what ``query`` answers — for
+        members, strangers and false positives alike — and leaves the query
+        counters and the memo alone."""
+        gfib = GroupFib(BloomFilterConfig(size_bits=64, hash_count=2))  # small: false positives
+        for peer in range(1, 6):
+            gfib.install_peer(peer, [mac(peer * 10 + i) for i in range(8)])
+        probes = [mac(i) for i in range(120)]
+        probed = [gfib.matching_peers(m) for m in probes]
+        assert gfib.query_count == 0 and gfib.query_cache_hits == 0
+        assert not gfib._query_cache
+        assert probed == [gfib.query(m) for m in probes]
+        assert any(len(peers) > 1 for peers in probed)
+        # Probing a memoized MAC neither hits nor refreshes the memo.
+        counts = (gfib.query_count, gfib.query_cache_hits, dict(gfib._query_cache))
+        assert gfib.matching_peers(mac(11)) == gfib._query_cache[mac(11)]
+        assert (gfib.query_count, gfib.query_cache_hits, dict(gfib._query_cache)) == counts
+
     def test_exact_tracking_requires_flag(self):
         gfib = GroupFib()
         with pytest.raises(UnknownHostError):

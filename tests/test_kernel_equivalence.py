@@ -9,10 +9,6 @@ table policies and capacity overlays through both kernels and compares the
 full serialized runs, while the directed tests pin the edge cases — forced
 fallback under tiny tables, churn-coupled replays silently degrading to
 scalar, and the kernel composed with both shard strategies.
-
-The one deliberate divergence is invisible to any result surface: the global
-``Packet`` id counter advances less under the kernel, because vectorized
-flows never build ``Packet`` objects.
 """
 
 import dataclasses
@@ -181,6 +177,54 @@ class TestDirectedEquivalence:
             spec, execution=ExecutionSpec(kernel="vectorized", workers=2)
         )
         assert serial_scalar == ScenarioRunner().run(sharded).to_dict()["runs"]
+
+
+class TestFallbackIsThePlanesDecideStep:
+    """Fallback flows go through ``plane.decide``; nothing is swapped out under it."""
+
+    @pytest.mark.parametrize("links", LINK_SPECS, ids=("plain-walk", "metered-walk"))
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_recorder_and_intensity_window_keep_their_identity(self, system, links):
+        from repro.core.registry import get_control_plane
+        from repro.kernel import build_batch_handler
+
+        from repro.common.config import GroupingConfig, LazyCtrlConfig
+
+        # Groups of three switches, so LazyCtrl has inter-group flows to punt.
+        spec = dataclasses.replace(
+            build_spec(flows=800, seed=9, links=links),
+            config=LazyCtrlConfig(grouping=GroupingConfig(group_size_limit=3, random_seed=9)),
+        )
+        network = spec.build_network()
+        trace = spec.build_trace(network)
+        plane = get_control_plane(system).build(network, config=spec.effective_config())
+        plane.prepare(trace, warmup_end=SCHEDULE.warmup_seconds)
+        manager = getattr(plane.controller, "grouping_manager", None)
+
+        def identities():
+            return plane.latency_recorder, manager.recent_matrix if manager else None
+
+        before = identities()
+        during = []
+        decide = plane.decide
+
+        def spy(flow, now):
+            during.append(identities())
+            return decide(flow, now)
+
+        plane.decide = spy
+        handler = build_batch_handler(plane)
+        records = list(trace.flows)
+        samples_before = plane.latency_recorder.sample_count()
+        for start in range(0, len(records), 200):
+            handler(records[start : start + 200])
+            assert all(a is b for a, b in zip(identities(), before))
+        assert during, "no flow took the fallback"
+        assert all(a is b for seen in during for a, b in zip(seen, before))
+        # ... and what decide left unrecorded, the batch fold recorded once.
+        assert plane.latency_recorder.sample_count() - samples_before == sum(
+            flow.packet_count for flow in records
+        )
 
 
 class TestRecordsOnDemand:

@@ -27,12 +27,6 @@ class TestPacket:
         assert not packet.is_arp
         assert packet.tenant_id == 3
 
-    def test_packet_ids_unique(self, macs):
-        src, dst = macs
-        a = make_data_packet(src, dst, 0)
-        b = make_data_packet(src, dst, 0)
-        assert a.packet_id != b.packet_id
-
     def test_encapsulate_and_decapsulate(self, macs):
         src, dst = macs
         packet = make_data_packet(src, dst, 0)
@@ -58,7 +52,6 @@ class TestPacket:
         header = EncapHeader(source_switch=1, destination_switch=2, tunnel_destination=IpAddress.from_switch_index(2))
         assert packet.encapsulate(header) == dataclasses.replace(packet, encap=header)
         assert packet.encapsulate(header).decapsulate() == packet
-        assert packet.encapsulate(header).packet_id == packet.packet_id
 
     def test_with_created_at(self, macs):
         src, dst = macs

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.config import GroupingConfig, LazyCtrlConfig
 from repro.core.results import FlowPathKind
 from repro.core.system import LazyCtrlSystem, OpenFlowSystem
 from repro.traffic.flow import FlowRecord
@@ -141,3 +140,81 @@ class TestOpenFlowSystem:
 
     def test_periodic_is_noop(self, openflow_system):
         openflow_system.periodic(now=100.0)
+
+
+EDGE_COUNTERS = {
+    "edge.packets_processed",
+    "edge.packets_to_controller",
+    "edge.flow_table_hits",
+    "edge.flow_table_misses",
+    "edge.table_overflows",
+    "edge.table_evictions",
+    "edge.table_idle_timeouts",
+    "edge.table_hard_timeouts",
+    "edge.table_reinstalls",
+    "controller.flow_mods",
+}
+LAZYCTRL_COUNTERS = {
+    "edge.gfib_queries",
+    "edge.gfib_query_cache_hits",
+    "controller.arp_relays",
+    "controller.group_config_messages",
+}
+PLANE_COUNTERS = {
+    "openflow": EDGE_COUNTERS | {"controller.arp_floods"},
+    "lazyctrl-static": EDGE_COUNTERS | LAZYCTRL_COUNTERS,
+    "lazyctrl-dynamic": EDGE_COUNTERS | LAZYCTRL_COUNTERS,
+}
+
+
+class TestEdgePlaneContract:
+    """The surface the runner and the kernel bind to, on every registered plane."""
+
+    @pytest.fixture(scope="class")
+    def failover_result(self):
+        import dataclasses
+
+        from repro.core.presets import get_preset
+        from repro.core.runner import ScenarioRunner
+
+        spec = dataclasses.replace(get_preset("failover").build()[0], systems=tuple(PLANE_COUNTERS))
+        return ScenarioRunner().run(spec)
+
+    @pytest.mark.parametrize("name", sorted(PLANE_COUNTERS))
+    def test_fold_perf_counters_emits_exactly_the_planes_names(self, name, small_network, small_config):
+        from repro.core.registry import get_control_plane
+        from repro.core.system import EdgePlane
+        from repro.perf.recorder import PerfRecorder
+
+        plane = get_control_plane(name).build(small_network, config=small_config)
+        assert isinstance(plane, EdgePlane)
+        perf = PerfRecorder()
+        plane.set_perf_recorder(perf)
+        plane.fold_perf_counters()
+        assert set(perf.counters) == PLANE_COUNTERS[name]
+        assert set(perf.gauges) == {"edge.table_peak_occupancy", "edge.table_final_occupancy"}
+
+    @pytest.mark.parametrize("name", sorted(PLANE_COUNTERS))
+    def test_tables_and_links_are_reported(self, name, failover_result):
+        run = failover_result.runs[name]
+        assert run.tables is not None and run.tables.installs > 0
+        assert run.tables.final_occupancy <= run.tables.installs
+        assert run.links is None  # the preset's topology carries no capacities
+
+    def test_failures_reach_only_the_plane_that_injects_them(self, failover_result):
+        assert failover_result.runs["openflow"].failover_events == 0
+        assert failover_result.runs["lazyctrl-static"].failover_events == 2
+        assert failover_result.runs["lazyctrl-dynamic"].failover_events == 2
+
+    @pytest.mark.parametrize("name", sorted(PLANE_COUNTERS))
+    def test_capacitated_topology_reports_link_usage(self, name, small_config):
+        from repro.bandwidth.spec import LinkCapacitySpec
+        from repro.core.registry import get_control_plane
+        from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
+
+        network = build_multi_tenant_datacenter(TopologyProfile(switch_count=6, host_count=48, seed=7))
+        LinkCapacitySpec(uplink_mbps=1.0).apply_network(network)
+        plane = get_control_plane(name).build(network, config=small_config)
+        assert plane.link_meter is not None
+        usage = plane.link_usage(3600.0)
+        assert usage is not None and usage.peak_utilization == 0.0

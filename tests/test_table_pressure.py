@@ -59,13 +59,13 @@ class TestTickDrivenExpiry:
         )
         system = OpenFlowSystem(network, config=config)
         assert feed(system, tiny_trace(network)) > 0
-        occupied = sum(len(s.flow_table) for s in system._switches.values())
+        occupied = sum(len(s.flow_table) for s in system.switches())
         assert occupied > 0
         assert system.controller.flow_removed_received == 0
 
         system.periodic(now=300_000.0)
 
-        assert sum(len(s.flow_table) for s in system._switches.values()) == 0
+        assert sum(len(s.flow_table) for s in system.switches()) == 0
         usage = system.table_usage()
         assert usage.idle_timeouts == occupied
         # Every expiry was reported to the controller as a flow_removed.
@@ -82,13 +82,39 @@ class TestTickDrivenExpiry:
         trace = tiny_trace(network)
         system.install_initial_grouping(trace, warmup_end=3600.0)
         feed(system, trace)
-        occupied = sum(len(s.flow_table) for s in system.controller.switches())
+        occupied = sum(len(s.flow_table) for s in system.switches())
         assert occupied > 0  # inter-group flows installed fine-grained rules
 
         system.periodic(now=300_000.0)
 
-        assert sum(len(s.flow_table) for s in system.controller.switches()) == 0
+        assert sum(len(s.flow_table) for s in system.switches()) == 0
         assert system.controller.flow_removed_received == occupied
+
+    @pytest.mark.parametrize("system_type", [OpenFlowSystem, LazyCtrlSystem])
+    def test_occupancy_gauge_samples_after_the_sweep(self, system_type):
+        """On a sweep tick every plane's timeline shows post-expiry occupancy
+        (the baseline used to sample before its sweep, LazyCtrl after)."""
+        from repro.obs.timeline import MetricsTimeline
+        from repro.obs.tracer import EventTracer
+
+        network = tiny_network()
+        config = LazyCtrlConfig(
+            grouping=GroupingConfig(group_size_limit=2, random_seed=11),
+            flow_table=FlowTableConfig(idle_timeout_seconds=100_000.0, sweep_interval_seconds=60.0),
+        )
+        system = system_type(network, config=config)
+        timeline = MetricsTimeline(bucket_seconds=3600.0)
+        system.set_tracer(EventTracer(timeline=timeline))
+        trace = tiny_trace(network)
+        system.prepare(trace, warmup_end=3600.0)
+        feed(system, trace)
+        assert sum(len(s.flow_table) for s in system.switches()) > 0
+
+        system.periodic(now=300_000.0)
+
+        assert sum(len(s.flow_table) for s in system.switches()) == 0
+        gauges = timeline.result(bucket_count=84).gauges
+        assert gauges["table_occupancy_last"][-1] == 0
 
     def test_sweep_respects_its_interval(self):
         network = tiny_network()
@@ -97,11 +123,11 @@ class TestTickDrivenExpiry:
         )
         system = OpenFlowSystem(network, config=config)
         feed(system, tiny_trace(network), upto=600.0)
-        occupied = sum(len(s.flow_table) for s in system._switches.values())
+        occupied = sum(len(s.flow_table) for s in system.switches())
         assert occupied > 0
         # Expired by idle time, but the sweep interval has not elapsed yet.
         system.periodic(now=600.0 + 100.0)
-        assert sum(len(s.flow_table) for s in system._switches.values()) == occupied
+        assert sum(len(s.flow_table) for s in system.switches()) == occupied
 
 
 class TestTablePressureRuns:

@@ -9,13 +9,14 @@ from repro.traffic.models import (
     ElephantMiceParams,
     IncastHotspotParams,
     UniformBackgroundParams,
-    generate_all_to_all_shuffle,
-    generate_elephant_mice,
-    generate_incast_hotspot,
-    generate_uniform_background,
+    stream_all_to_all_shuffle,
+    stream_elephant_mice,
+    stream_incast_hotspot,
+    stream_uniform_background,
 )
 from repro.traffic.realistic import RealisticTraceGenerator, RealisticTraceProfile
 from repro.traffic.synthetic import SyntheticTraceGenerator, SyntheticTraceSpec
+from repro.traffic.trace import Trace
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ class TestElephantMice:
             total_flows=3000, duration_hours=2.0, elephant_pair_count=4,
             elephant_flow_fraction=0.3, seed=5,
         )
-        trace = generate_elephant_mice(network, params)
+        trace = Trace.from_stream(stream_elephant_mice(network, params))
         assert len(trace) == 3000
         from collections import Counter
 
@@ -45,7 +46,7 @@ class TestElephantMice:
 
     def test_flows_within_duration(self, network):
         params = ElephantMiceParams(total_flows=500, duration_hours=1.0, seed=5)
-        trace = generate_elephant_mice(network, params)
+        trace = Trace.from_stream(stream_elephant_mice(network, params))
         assert all(flow.start_time < 3600.0 for flow in trace)
 
     def test_validation(self):
@@ -61,7 +62,7 @@ class TestIncastHotspot:
             total_flows=4000, duration_hours=2.0, hotspot_count=2,
             hotspot_flow_fraction=0.8, seed=5,
         )
-        trace = generate_incast_hotspot(network, params)
+        trace = Trace.from_stream(stream_incast_hotspot(network, params))
         from collections import Counter
 
         dst_counts = Counter(flow.dst_host_id for flow in trace)
@@ -73,7 +74,7 @@ class TestIncastHotspot:
             total_flows=2000, duration_hours=4.0, hotspot_count=1,
             hotspot_flow_fraction=1.0, burst_window_hours=(1.0, 2.0), seed=5,
         )
-        trace = generate_incast_hotspot(network, params)
+        trace = Trace.from_stream(stream_incast_hotspot(network, params))
         assert all(3600.0 <= flow.start_time < 7200.0 for flow in trace)
 
     def test_burst_window_validation(self):
@@ -89,7 +90,7 @@ class TestAllToAllShuffle:
             total_flows=1200, duration_hours=4.0, phase_count=4,
             phase_duration_hours=0.5, seed=5,
         )
-        trace = generate_all_to_all_shuffle(network, params)
+        trace = Trace.from_stream(stream_all_to_all_shuffle(network, params))
         assert len(trace) == 1200
         slot = 3600.0  # 4 h / 4 phases
         for flow in trace:
@@ -101,7 +102,7 @@ class TestAllToAllShuffle:
             total_flows=2000, duration_hours=1.0, phase_count=1,
             phase_duration_hours=1.0, participant_fraction=0.1, seed=5,
         )
-        trace = generate_all_to_all_shuffle(network, params)
+        trace = Trace.from_stream(stream_all_to_all_shuffle(network, params))
         hosts = {flow.src_host_id for flow in trace} | {flow.dst_host_id for flow in trace}
         assert len(hosts) <= max(2, round(network.host_count() * 0.1))
 
@@ -113,13 +114,13 @@ class TestAllToAllShuffle:
 class TestUniformBackground:
     def test_counts_and_duration(self, network):
         params = UniformBackgroundParams(total_flows=800, duration_hours=2.0, seed=5)
-        trace = generate_uniform_background(network, params)
+        trace = Trace.from_stream(stream_uniform_background(network, params))
         assert len(trace) == 800
         assert all(flow.start_time < 7200.0 for flow in trace)
 
     def test_no_pair_concentration(self, network):
         params = UniformBackgroundParams(total_flows=4000, duration_hours=2.0, seed=5)
-        activity = generate_uniform_background(network, params).pair_activity()
+        activity = Trace.from_stream(stream_uniform_background(network, params)).pair_activity()
         # Uniform traffic has no heavy decile: far below the realistic 90%.
         assert activity.top_decile_share < 0.35
 

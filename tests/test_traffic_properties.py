@@ -16,7 +16,8 @@ coverage test fails when a new model is added without extending it.
 from hypothesis import given, settings, strategies as st
 
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
-from repro.traffic.mix import TrafficComponentSpec, TrafficMixSpec, generate_mix_trace
+from repro.traffic.mix import TrafficComponentSpec, TrafficMixSpec, stream_mix_trace
+from repro.traffic.trace import Trace
 from repro.traffic.registry import available_traffic_models, get_traffic_model
 
 #: One small-but-representative params dict per registered built-in model
@@ -107,8 +108,8 @@ class TestMixProperties:
         shuffled = TrafficMixSpec(
             components=tuple(permutation), total_flows=400, duration_hours=3.0, seed=seed
         )
-        first = generate_mix_trace(_NETWORK, base)
-        second = generate_mix_trace(_NETWORK, shuffled)
+        first = Trace.from_stream(stream_mix_trace(_NETWORK, base))
+        second = Trace.from_stream(stream_mix_trace(_NETWORK, shuffled))
         assert list(first) == list(second)
 
     @given(components=component_lists, seed=seeds)
@@ -117,6 +118,6 @@ class TestMixProperties:
         mix = TrafficMixSpec(
             components=tuple(components), total_flows=400, duration_hours=3.0, seed=seed
         )
-        assert list(generate_mix_trace(_NETWORK, mix)) == list(
-            generate_mix_trace(_NETWORK, mix)
+        assert list(Trace.from_stream(stream_mix_trace(_NETWORK, mix))) == list(
+            Trace.from_stream(stream_mix_trace(_NETWORK, mix))
         )

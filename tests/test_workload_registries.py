@@ -15,7 +15,7 @@ from repro.topology.registry import (
     unregister_topology,
 )
 from repro.traffic.flow import FlowRecord
-from repro.traffic.mix import TrafficComponentSpec, TrafficMixSpec, generate_mix_trace
+from repro.traffic.mix import TrafficComponentSpec, TrafficMixSpec, stream_mix_trace
 from repro.traffic.registry import (
     available_traffic_models,
     get_traffic_model,
@@ -250,7 +250,7 @@ class TestTrafficMix:
             total_flows=4000,
             duration_hours=4.0,
         )
-        trace = generate_mix_trace(network, mix)
+        trace = Trace.from_stream(stream_mix_trace(network, mix))
         assert len(trace) == 4000
 
     def test_inexact_weight_shares_still_hit_the_budget_exactly(self, network):
@@ -265,7 +265,7 @@ class TestTrafficMix:
                 total_flows=total,
                 duration_hours=1.0,
             )
-            assert len(generate_mix_trace(network, mix)) == total
+            assert len(Trace.from_stream(stream_mix_trace(network, mix))) == total
 
     def test_windows_confine_components(self, network):
         mix = TrafficMixSpec(
@@ -277,7 +277,7 @@ class TestTrafficMix:
             total_flows=500,
             duration_hours=4.0,
         )
-        trace = generate_mix_trace(network, mix)
+        trace = Trace.from_stream(stream_mix_trace(network, mix))
         assert all(2.0 * 3600 <= flow.start_time < 3.0 * 3600 for flow in trace)
 
     def test_flow_ids_are_canonical(self, network):
@@ -289,7 +289,7 @@ class TestTrafficMix:
             total_flows=600,
             duration_hours=2.0,
         )
-        trace = generate_mix_trace(network, mix)
+        trace = Trace.from_stream(stream_mix_trace(network, mix))
         assert [flow.flow_id for flow in trace] == list(range(len(trace)))
         times = [flow.start_time for flow in trace]
         assert times == sorted(times)
@@ -317,7 +317,7 @@ class TestTrafficMix:
             total_flows=1,
             duration_hours=1.0,
         )
-        trace = generate_mix_trace(network, mix)
+        trace = Trace.from_stream(stream_mix_trace(network, mix))
         assert len(trace) == 1
 
     def test_nested_mix_composes(self, network):
@@ -334,7 +334,7 @@ class TestTrafficMix:
             total_flows=400,
             duration_hours=2.0,
         )
-        trace = generate_mix_trace(network, outer)
+        trace = Trace.from_stream(stream_mix_trace(network, outer))
         assert len(trace) == 400
 
     def test_mix_model_registered(self, network):
