@@ -23,6 +23,10 @@ from typing import Optional
 from repro.common.addresses import IpAddress, MacAddress
 
 
+#: Size of a full data packet; what a replayed flow's first packet weighs.
+DATA_PACKET_BYTES = 1500
+
+
 class PacketKind(enum.Enum):
     """The role a packet plays in the overlay."""
 
@@ -77,7 +81,7 @@ class Packet:
     src_mac: MacAddress
     dst_mac: MacAddress
     tenant_id: int
-    size_bytes: int = 1500
+    size_bytes: int = DATA_PACKET_BYTES
     created_at: float = 0.0
     encap: Optional[EncapHeader] = None
     flow_id: Optional[int] = None
@@ -153,7 +157,7 @@ def make_data_packet(
     dst_mac: MacAddress,
     tenant_id: int,
     *,
-    size_bytes: int = 1500,
+    size_bytes: int = DATA_PACKET_BYTES,
     created_at: float = 0.0,
     flow_id: Optional[int] = None,
 ) -> Packet:

@@ -204,7 +204,8 @@ class ScenarioRunner:
 
         timeline_bucket: Optional[float] = None
         if obs_active and obs.timeline:
-            timeline_bucket = obs.timeline_bucket_seconds or spec.schedule.bucket_seconds
+            bucket = obs.timeline_bucket_seconds
+            timeline_bucket = spec.schedule.bucket_seconds if bucket is None else bucket
         outcomes = execute_plan(
             spec,
             plan,
@@ -301,8 +302,9 @@ class ScenarioRunner:
                 if obs_active:
                     timeline = None
                     if obs.timeline:
+                        bucket = obs.timeline_bucket_seconds
                         timeline = MetricsTimeline(
-                            obs.timeline_bucket_seconds or spec.schedule.bucket_seconds
+                            spec.schedule.bucket_seconds if bucket is None else bucket
                         )
                     tracer = EventTracer(system=entry.name, timeline=timeline)
                     if events_sink is not None:

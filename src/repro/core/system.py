@@ -13,8 +13,11 @@ counters; **record** latency samples for every packet, the flow in the
 intensity window, and the timeline.  :class:`LazyCtrlSystem` and
 :class:`OpenFlowSystem` supply the switch and controller they are built
 from, what a miss at the ingress switch leads to, their own perf counters
-and their churn hooks.  The vectorized kernel (:mod:`repro.kernel`) calls
-*decide* for the flows it cannot account in bulk and records per batch.
+and their churn hooks.  What *decide* does for a flow its ingress switch
+handled alone — price it, deliver intra-group copies, count it — is
+:meth:`EdgePlane.settle_run`, written for ``n`` such flows at once; the
+vectorized kernel (:mod:`repro.kernel`) calls it per (src, dst) pair, calls
+*decide* for the flows it cannot account in bulk, and records per batch.
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.bandwidth.meter import build_link_meter
+from repro.common.addresses import MacAddress
 from repro.common.config import LazyCtrlConfig
 from repro.common.packets import make_data_packet
 from repro.controlplane.base import EdgeController
 from repro.controlplane.lazyctrl_controller import LazyCtrlController
 from repro.controlplane.openflow_controller import OpenFlowController
 from repro.controlplane.state_dissemination import StateDisseminator
-from repro.dataplane.decisions import ForwardingOutcome
+from repro.dataplane.decisions import INTRA_GROUP, LOCAL, TABLE_HIT, ForwardingOutcome
 from repro.dataplane.edge_switch import EdgeSwitch, LazyCtrlEdgeSwitch
 from repro.dataplane.openflow_switch import OpenFlowEdgeSwitch
 from repro.core.results import (
@@ -74,9 +78,12 @@ def _attach_table_tracer(tracer, switch) -> None:
     switch.flow_table.pressure_listener = on_pressure
 
 
-#: A plane's miss handling returns (path, first-packet ms, steady ms,
-#: controller involved, an intra-group copy dropped at a false positive).
-MissResolution = Tuple[FlowPathKind, float, float, bool, bool]
+#: A plane's miss handling returns (path, first-packet ms, steady ms).
+MissResolution = Tuple[FlowPathKind, float, float]
+
+#: :meth:`EdgePlane.settle_run` returns (path, first-packet ms, steady ms,
+#: an intra-group copy dropped at a false positive).
+SettledRun = Tuple[FlowPathKind, float, float, bool]
 
 
 class EdgePlane:
@@ -165,47 +172,75 @@ class EdgePlane:
         )
         decision = self._switches[src_host.switch_id].process_packet(packet, now)
 
-        counters = self.counters
-        controller_involved = False
-        false_positive_drop = False
-        if decision.outcome == ForwardingOutcome.LOCAL_DELIVERY:
-            path = FlowPathKind.LOCAL
-            first = steady = self.latency_model.local_delivery_ms()
-            counters.local_flows += 1
-        elif decision.outcome == ForwardingOutcome.FLOW_TABLE_HIT:
-            path = FlowPathKind.FLOW_TABLE
-            first = steady = self.latency_model.flow_table_hit_ms()
+        settled = self.settle_run(decision.outcome, decision.target_switches, dst_host.mac, 1)
+        if settled is None:
+            path, first, steady = self._resolve_miss(decision, src_host, dst_host, now)
+            false_positive_drop = False
+            self.counters.controller_requests += 1
+            self.counters.flows_handled += 1
         else:
-            path, first, steady, controller_involved, false_positive_drop = self._resolve_miss(
-                decision, src_host, dst_host, now
-            )
-            if controller_involved:
-                counters.controller_requests += 1
+            path, first, steady, false_positive_drop = settled
 
         penalty = self.congestion_penalty_ms(flow, src_host.switch_id, dst_host.switch_id, now)
         if penalty > 0.0:
             first += penalty
             steady += penalty
 
-        counters.flows_handled += 1
-        counters.duplicate_deliveries += decision.duplicate_count
-        if false_positive_drop:
-            counters.false_positive_drops += 1
-
         return FlowHandlingResult(
             flow_id=flow.flow_id,
             path=path,
             src_switch_id=src_host.switch_id,
             dst_switch_id=dst_host.switch_id,
-            controller_involved=controller_involved,
+            controller_involved=settled is None,
             first_packet_latency_ms=first,
             steady_packet_latency_ms=steady,
             duplicate_deliveries=decision.duplicate_count,
             false_positive_drop=false_positive_drop,
         )
 
+    def settle_run(
+        self, outcome: ForwardingOutcome, target_switches: Tuple[int, ...], dst_mac: MacAddress, n: int
+    ) -> Optional[SettledRun]:
+        """Price and count ``n`` flows whose first packet the ingress switch decided alone.
+
+        ``outcome`` and ``target_switches`` are what the ingress switch
+        answered for each of them — a ``ForwardingDecision``'s or a
+        ``RunVerdict``'s.  For a table hit, a local delivery or an
+        intra-group forward this prices the path with the latency model,
+        delivers the intra-group copies to the candidate switches (those that
+        do not host ``dst_mac`` drop them, Fig. 5 line 28) and bumps
+        :attr:`counters`; uplink congestion is the caller's to add.  Returns
+        ``None``, having changed nothing, for every other outcome: those
+        flows need the controller, one at a time (:meth:`_resolve_miss`).
+        """
+        counters = self.counters
+        model = self.latency_model
+        false_positive_drop = False
+        if outcome is LOCAL:
+            path = FlowPathKind.LOCAL
+            first = steady = model.local_delivery_ms()
+            counters.local_flows += n
+        elif outcome is TABLE_HIT:
+            path = FlowPathKind.FLOW_TABLE
+            first = steady = model.flow_table_hit_ms()
+        elif outcome is INTRA_GROUP:
+            path = FlowPathKind.INTRA_GROUP
+            first = model.intra_group_ms(len(target_switches))
+            steady = model.intra_group_ms()
+            counters.intra_group_flows += n
+            counters.duplicate_deliveries += (len(target_switches) - 1) * n
+            for target_id in target_switches:
+                if self._switches[target_id].receive_run(dst_mac, n):
+                    false_positive_drop = True
+            if false_positive_drop:
+                counters.false_positive_drops += n
+        else:
+            return None
+        counters.flows_handled += n
+        return path, first, steady, false_positive_drop
+
     def _resolve_miss(self, decision, src_host: Host, dst_host: Host, now: float) -> MissResolution:
-        """Handle a first packet the ingress switch neither delivered nor matched."""
+        """Set up, through the controller, a flow the ingress switch could not place."""
         raise NotImplementedError
 
     def congestion_penalty_ms(
@@ -443,44 +478,15 @@ class LazyCtrlSystem(EdgePlane):
     # -- path selection --------------------------------------------------------------
 
     def _resolve_miss(self, decision, src_host: Host, dst_host: Host, now: float) -> MissResolution:
-        """The G-FIB answered (intra-group), or the lazy controller sets the flow up."""
-        latency_model = self.latency_model
-        if decision.outcome == ForwardingOutcome.INTRA_GROUP_FORWARD:
-            self.counters.intra_group_flows += 1
-            false_positive_drop = self._deliver_intra_group_copies(decision, now)
-            return (
-                FlowPathKind.INTRA_GROUP,
-                latency_model.intra_group_ms(len(decision.target_switches)),
-                latency_model.intra_group_ms(),
-                False,
-                false_positive_drop,
-            )
-        # The group could not resolve the destination: inter-group flow.
+        """The group could not resolve the destination: an inter-group flow."""
         load = self.controller.current_load_rps(now)
         result = self.controller.handle_packet_in(src_host.switch_id, decision.packet, now)
         self.counters.inter_group_flows += 1
         return (
             FlowPathKind.INTER_GROUP if result.egress_switch_id is not None else FlowPathKind.DROPPED,
-            latency_model.inter_group_setup_ms(load),
-            latency_model.flow_table_hit_ms(),
-            True,
-            False,
+            self.latency_model.inter_group_setup_ms(load),
+            self.latency_model.flow_table_hit_ms(),
         )
-
-    def _deliver_intra_group_copies(self, decision, now: float) -> bool:
-        """Deliver the encapsulated copies of an intra-group packet.
-
-        Copies sent to false-positive switches are dropped there after an
-        L-FIB miss (Fig. 5 line 28); returns whether any copy was dropped.
-        """
-        dropped_any = False
-        sender = self._switches[decision.switch_id]
-        for target_id in decision.target_switches:
-            header = sender.make_encap_header(target_id, self.network.switch(target_id).underlay_ip)
-            outcome = self._switches[target_id].process_packet(decision.packet.encapsulate(header), now)
-            if outcome.outcome == ForwardingOutcome.DROPPED_FALSE_POSITIVE:
-                dropped_any = True
-        return dropped_any
 
     def intensity_matrix(self) -> IntensityMatrix:
         """The grouping manager's current measurement window."""
@@ -623,8 +629,6 @@ class OpenFlowSystem(EdgePlane):
                 load, needs_location_learning=result.needed_location_learning
             ),
             self.latency_model.flow_table_hit_ms(),
-            True,
-            False,
         )
 
     def _fold_plane_counters(self, perf) -> None:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from repro.common.packets import Packet
+from repro.common.packets import FlowKey, Packet
+from repro.datastructures.flow_table import FlowRule
 
 
 class ForwardingOutcome(enum.Enum):
@@ -62,3 +63,31 @@ class ForwardingDecision:
             ForwardingOutcome.DELIVERED_AFTER_DECAP,
             ForwardingOutcome.ARP_RESOLVED_LOCALLY,
         )
+
+
+#: The four outcomes a run of data packets can have, as module constants for
+#: the per-packet and per-pair paths: looking a member up on the enum class
+#: costs about as much as the L-FIB lookup it sits next to.
+TABLE_HIT = ForwardingOutcome.FLOW_TABLE_HIT
+LOCAL = ForwardingOutcome.LOCAL_DELIVERY
+INTRA_GROUP = ForwardingOutcome.INTRA_GROUP_FORWARD
+PUNT = ForwardingOutcome.SENT_TO_CONTROLLER
+
+
+@dataclass(slots=True)
+class RunVerdict:
+    """What back-to-back data packets of one flow key do at their ingress switch.
+
+    The answer of :meth:`~repro.dataplane.edge_switch.EdgeSwitch.classify_run`:
+    ``outcome`` is ``FLOW_TABLE_HIT`` (on ``rule``), ``LOCAL_DELIVERY`` (to
+    ``local_port``), ``INTRA_GROUP_FORWARD`` (copies to ``target_switches``)
+    or ``SENT_TO_CONTROLLER``, and it is the same for every packet of the run.
+    One is built per classified run, so it is neither frozen nor a tuple:
+    both cost more to construct.
+    """
+
+    outcome: ForwardingOutcome
+    key: FlowKey
+    rule: Optional[FlowRule] = None
+    local_port: Optional[int] = None
+    target_switches: tuple[int, ...] = ()

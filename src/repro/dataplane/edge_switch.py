@@ -7,11 +7,18 @@ machines, a flow table of controller-installed rules wired to report
 baseline :class:`~repro.dataplane.openflow_switch.OpenFlowEdgeSwitch` adds
 only its miss handling; :class:`LazyCtrlEdgeSwitch` adds the Bloom-filter
 G-FIB summarizing the L-FIBs of its Local Control Group peers (the third
-table of paper Fig. 4) and the packet-forwarding routine of Fig. 5.
+table of paper Fig. 4) and the encapsulated/ARP halves of Fig. 5.
 
 A switch is a pure control-logic model: "forwarding" a packet means
 returning a :class:`~repro.dataplane.decisions.ForwardingDecision` that the
 simulation layer turns into latency and workload accounting.
+
+The data path of Fig. 5 (flow table → L-FIB → G-FIB → ``Packet_In``) is
+written once, for a *run* of packets of one flow key:
+:meth:`EdgeSwitch.classify_run` reads what every packet of the run does and
+:meth:`EdgeSwitch.apply_run` writes what they change.  ``process_packet`` on
+a data packet is the run of one; the vectorized kernel (:mod:`repro.kernel`)
+asks the same two methods about a batch's whole (src, dst) pairs.
 """
 
 from __future__ import annotations
@@ -21,11 +28,22 @@ from typing import Callable, Dict, Iterable, Optional
 from repro.common.addresses import IpAddress, MacAddress
 from repro.common.config import BloomFilterConfig, FlowTableConfig
 from repro.common.errors import ControlPlaneError
-from repro.common.packets import EncapHeader, FlowKey, Packet, PacketKind
+from repro.common.packets import DATA_PACKET_BYTES, EncapHeader, FlowKey, Packet, PacketKind
 from repro.datastructures.fib import FibEntry, GroupFib, LocalFib
 from repro.datastructures.flow_table import ActionType, FlowAction, FlowRule, FlowTable
-from repro.dataplane.decisions import ForwardingDecision, ForwardingOutcome
+from repro.dataplane.decisions import (
+    INTRA_GROUP,
+    LOCAL,
+    PUNT,
+    TABLE_HIT,
+    ForwardingDecision,
+    ForwardingOutcome,
+    RunVerdict,
+)
 from repro.tables.policies import RemovalReason
+
+#: Rule actions that forward; only these let a run be a run of table hits.
+_FORWARDING_ACTIONS = (ActionType.FORWARD_LOCAL, ActionType.ENCAP_TO_SWITCH)
 
 #: Callback a controller registers to receive ``flow_removed`` notifications:
 #: ``(switch_id, rule, now, reason)``.
@@ -35,7 +53,9 @@ FlowRemovedHandler = Callable[[int, FlowRule, float, RemovalReason], None]
 class EdgeSwitch:
     """What both edge switches share: identity, L-FIB, flow table, counters.
 
-    Subclasses implement :meth:`_forward`, a live switch's routine for one packet.
+    Subclasses implement :meth:`_forward`, a live switch's routine for one
+    packet, which counts the packet in ``packets_processed`` and hands a local
+    host's data packet to :meth:`_forward_data`.
     """
 
     #: ``None`` on a switch (the OpenFlow baseline) that belongs to no group.
@@ -60,6 +80,8 @@ class EdgeSwitch:
         # Counters used by the evaluation and by tests.
         self.packets_processed = 0
         self.packets_to_controller = 0
+        # Copies beyond the first sent on G-FIB answers (0 without a G-FIB).
+        self.duplicate_deliveries = 0
 
     # -- host management ----------------------------------------------------
 
@@ -75,8 +97,8 @@ class EdgeSwitch:
 
     def process_packet(self, packet: Packet, now: float = 0.0) -> ForwardingDecision:
         """Run the switch's forwarding routine for one packet."""
-        self.packets_processed += 1
         if self.failed:
+            self.packets_processed += 1
             return ForwardingDecision(
                 outcome=ForwardingOutcome.DROPPED_NO_RULE,
                 switch_id=self.switch_id,
@@ -87,6 +109,97 @@ class EdgeSwitch:
 
     def _forward(self, packet: Packet, now: float) -> ForwardingDecision:
         raise NotImplementedError
+
+    # -- the data path of Fig. 5, for a run of packets -------------------------
+
+    def classify_run(
+        self, key: FlowKey, first_t: float, max_gap: float, last_t: float
+    ) -> Optional[RunVerdict]:
+        """What a run of data packets of flow ``key`` from a local host does here.
+
+        The packets arrive from ``first_t`` to ``last_t``, consecutive ones at
+        most ``max_gap`` apart.  Pure: nothing on the switch changes.  The
+        verdict holds for every packet of the run; ``None`` means the run is
+        undecidable in bulk — a rule is resident but may expire within the
+        run, is governed by a stateful policy, or drops / punts explicitly —
+        and its packets must be processed one at a time.
+        """
+        table = self.flow_table
+        rule = table.peek(key)
+        if rule is None:
+            return self._classify_miss(key)
+        if rule.action.kind in _FORWARDING_ACTIONS and table.stays_alive(
+            rule, first_t, max_gap, last_t
+        ):
+            return RunVerdict(TABLE_HIT, key, rule)
+        return None
+
+    def _classify_miss(self, key: FlowKey) -> RunVerdict:
+        """Past a table miss: L-FIB, then G-FIB, else the controller."""
+        entry = self.lfib.lookup(key.dst_mac)
+        if entry is not None:
+            return RunVerdict(LOCAL, key, None, entry.port)
+        if self.gfib is not None:
+            # The G-FIB answers a sorted (memoized) tuple of candidates.
+            candidates = self.gfib.peek(key.dst_mac)
+            if candidates:
+                return RunVerdict(INTRA_GROUP, key, None, None, candidates)
+        return RunVerdict(PUNT, key)
+
+    def apply_run(
+        self, verdict: RunVerdict, n: int, last_t: float, size_bytes: int = DATA_PACKET_BYTES
+    ) -> None:
+        """What ``n`` packets of a classified run, the last at ``last_t``, change here.
+
+        Exactly what ``n`` :meth:`process_packet` calls would: ``verdict``
+        must come from :meth:`classify_run` over those arrivals, with no
+        change to the switch in between.
+        """
+        self.packets_processed += n
+        self.flow_table.account_run(verdict.rule, n, last_t, size_bytes)
+        if verdict.rule is None:
+            self._apply_miss(verdict, n)
+
+    def _apply_miss(self, verdict: RunVerdict, n: int) -> None:
+        """What ``n`` packets count past the table miss :meth:`_classify_miss` judged."""
+        if verdict.outcome is LOCAL:
+            return
+        if self.gfib is not None:
+            self.gfib.account_queries(verdict.key.dst_mac, verdict.target_switches, n)
+        if verdict.outcome is INTRA_GROUP:
+            self.duplicate_deliveries += (len(verdict.target_switches) - 1) * n
+        else:
+            self.packets_to_controller += n
+
+    def _forward_data(self, packet: Packet, now: float) -> ForwardingDecision:
+        """Lines 1-21 of Fig. 5 for a local host's packet: the run of one."""
+        key = FlowKey(src_mac=packet.src_mac, dst_mac=packet.dst_mac, tenant_id=packet.tenant_id)
+        verdict = self.classify_run(key, now, 0.0, now)
+        if verdict is not None:
+            self.apply_run(verdict, 1, now, packet.size_bytes)
+        else:
+            # A resident rule no run can vouch for.  This packet's own lookup
+            # settles it: expires the rule, shows a stateful policy the
+            # match, or finds an explicit drop / send-to-controller action.
+            self.packets_processed += 1
+            rule = self.flow_table.lookup(key, now=now, size_bytes=packet.size_bytes)
+            if rule is not None:
+                return self._apply_rule(rule, packet) or self._punt(
+                    packet, note="explicit send-to-controller rule"
+                )
+            verdict = self._classify_miss(key)
+            self._apply_miss(verdict, 1)
+        if verdict.rule is not None:
+            return self._apply_rule(verdict.rule, packet)
+        duplicates = max(0, len(verdict.target_switches) - 1)
+        return ForwardingDecision(
+            outcome=verdict.outcome,
+            switch_id=self.switch_id,
+            packet=packet,
+            target_switches=verdict.target_switches,
+            local_port=verdict.local_port,
+            duplicate_count=duplicates,
+        )
 
     def _apply_rule(self, rule: FlowRule, packet: Packet) -> Optional[ForwardingDecision]:
         """The decision a matched rule dictates.
@@ -151,6 +264,7 @@ class EdgeSwitch:
         """Zero the per-switch counters (between experiment phases)."""
         self.packets_processed = 0
         self.packets_to_controller = 0
+        self.duplicate_deliveries = 0
 
 
 class LazyCtrlEdgeSwitch(EdgeSwitch):
@@ -174,7 +288,6 @@ class LazyCtrlEdgeSwitch(EdgeSwitch):
         self.gfib = GroupFib(bloom_config)
         self.group_id: Optional[int] = None
         self.is_designated = False
-        self.duplicate_deliveries = 0
         self.false_positive_drops = 0
 
     def local_hosts(self) -> list[MacAddress]:
@@ -213,52 +326,23 @@ class LazyCtrlEdgeSwitch(EdgeSwitch):
             return self._process_encapsulated(packet)
         if packet.kind == PacketKind.ARP_REQUEST:
             return self._process_arp_request(packet)
+        return self._forward_data(packet, now)
 
-        # Lines 1-21 of Fig. 5: a packet originating from a local host.
-        # 1. Flow table first (controller-installed inter-group rules).
-        key = FlowKey(src_mac=packet.src_mac, dst_mac=packet.dst_mac, tenant_id=packet.tenant_id)
-        rule = self.flow_table.lookup(key, now=now, size_bytes=packet.size_bytes)
-        if rule is not None:
-            decision = self._apply_rule(rule, packet)
-            if decision is not None:
-                return decision
-            return self._punt(packet, note="explicit send-to-controller rule")
+    def receive_run(self, dst_mac: MacAddress, n: int) -> bool:
+        """Lines 22-29 of Fig. 5 for ``n`` copies of a packet to ``dst_mac`` sent over the underlay.
 
-        # 2. L-FIB: is the destination a local host?
-        local_entry = self.lfib.lookup(packet.dst_mac)
-        if local_entry is not None:
-            return ForwardingDecision(
-                outcome=ForwardingOutcome.LOCAL_DELIVERY,
-                switch_id=self.switch_id,
-                packet=packet,
-                local_port=local_entry.port,
-            )
-
-        # 3. G-FIB: is the destination somewhere in the same group?
-        candidates = self.gfib.query(packet.dst_mac)
-        if candidates:
-            duplicates = len(candidates) - 1
-            self.duplicate_deliveries += duplicates
-            return ForwardingDecision(
-                outcome=ForwardingOutcome.INTRA_GROUP_FORWARD,
-                switch_id=self.switch_id,
-                packet=packet,
-                # The G-FIB returns a sorted (memoized) tuple of candidates.
-                target_switches=candidates,
-                duplicate_count=duplicates,
-            )
-
-        # 4. Out of options locally: hand the packet to the controller.
-        return self._punt(packet)
+        Returns whether they were dropped as a false positive: the sender's
+        Bloom filter matched, yet the destination is not in this L-FIB.
+        """
+        self.packets_processed += n
+        if self.failed or dst_mac in self.lfib:
+            return False
+        self.false_positive_drops += n
+        return True
 
     def _process_encapsulated(self, packet: Packet) -> ForwardingDecision:
-        """Lines 22-29 of Fig. 5: a packet delivered over the underlay."""
-        inner = packet.decapsulate()
-        entry = self.lfib.lookup(inner.dst_mac)
-        if entry is None:
-            # The Bloom filter of the sender produced a false positive: the
-            # destination is not actually here, so the copy is dropped.
-            self.false_positive_drops += 1
+        """One encapsulated packet: :meth:`receive_run` of one, as a decision."""
+        if self.receive_run(packet.dst_mac, 1):
             return ForwardingDecision(
                 outcome=ForwardingOutcome.DROPPED_FALSE_POSITIVE,
                 switch_id=self.switch_id,
@@ -269,11 +353,12 @@ class LazyCtrlEdgeSwitch(EdgeSwitch):
             outcome=ForwardingOutcome.DELIVERED_AFTER_DECAP,
             switch_id=self.switch_id,
             packet=packet,
-            local_port=entry.port,
+            local_port=self.lfib.lookup(packet.dst_mac).port,
         )
 
     def _process_arp_request(self, packet: Packet) -> ForwardingDecision:
         """Live state dissemination levels i-iii of §III-D.3 for ARP requests."""
+        self.packets_processed += 1
         # Level i: learn the source and check whether a local host answers.
         if self.lfib.lookup(packet.dst_mac) is not None:
             return ForwardingDecision(
@@ -316,7 +401,6 @@ class LazyCtrlEdgeSwitch(EdgeSwitch):
     def reset_counters(self) -> None:
         """Zero the per-switch counters (between experiment phases)."""
         super().reset_counters()
-        self.duplicate_deliveries = 0
         self.false_positive_drops = 0
 
     def __repr__(self) -> str:

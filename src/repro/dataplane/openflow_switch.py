@@ -22,7 +22,14 @@ class OpenFlowEdgeSwitch(EdgeSwitch):
     """A reactive OpenFlow switch: flow table + local MAC learning only."""
 
     def _forward(self, packet: Packet, now: float) -> ForwardingDecision:
-        """Flow-table lookup, then local delivery, otherwise Packet_In."""
+        """Flow-table lookup, then local delivery, otherwise Packet_In.
+
+        A local host's data packet takes the shared run-of-one routine (with
+        no G-FIB it is exactly that); ARP and tunnelled packets follow below.
+        """
+        if packet.kind == PacketKind.DATA and not packet.is_encapsulated:
+            return self._forward_data(packet, now)
+        self.packets_processed += 1
         key = FlowKey(src_mac=packet.src_mac, dst_mac=packet.dst_mac, tenant_id=packet.tenant_id)
         rule = self.flow_table.lookup(key, now=now, size_bytes=packet.size_bytes)
         if rule is not None:

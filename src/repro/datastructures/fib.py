@@ -189,16 +189,40 @@ class GroupFib:
         Results are memoized until any peer filter changes; the tuple makes
         the shared cached value immutable by construction.
         """
-        self.query_count += 1
+        peers = self.peek(mac)
+        self.account_queries(mac, peers, 1)
+        return peers
+
+    # -- runs of queries ----------------------------------------------------
+
+    def peek(self, mac: MacAddress) -> tuple[int, ...]:
+        """What :meth:`query` answers for ``mac`` now, without being a query.
+
+        Reads the memo and, past it, the filters; counts and memoizes nothing.
+        """
         cached = self._query_cache.get(mac)
-        if cached is not None:
-            self.query_cache_hits += 1
-            return cached
-        result = self.matching_peers(mac)
-        if len(self._query_cache) >= self.QUERY_CACHE_LIMIT:
-            self._query_cache.clear()
-        self._query_cache[mac] = result
-        return result
+        return cached if cached is not None else self.matching_peers(mac)
+
+    def account_queries(self, mac: MacAddress, peers: tuple[int, ...], n: int) -> None:
+        """What ``n`` back-to-back :meth:`query` calls for ``mac`` leave behind.
+
+        ``peers`` is their common answer (:meth:`peek`): every call is
+        counted, the first memoizes it — clearing a full memo first — and
+        all that find it memoized are cache hits.
+        """
+        self.query_count += n
+        cache = self._query_cache
+        if mac in cache:
+            self.query_cache_hits += n
+            return
+        if len(cache) >= self.QUERY_CACHE_LIMIT:
+            cache.clear()
+        cache[mac] = peers
+        self.query_cache_hits += n - 1
+
+    def cache_room(self) -> int:
+        """How many more distinct MACs can be memoized before the memo is cleared wholesale."""
+        return self.QUERY_CACHE_LIMIT - len(self._query_cache)
 
     def query_exact(self, mac: MacAddress) -> tuple[int, ...]:
         """Ground-truth query against the shadow sets (analysis only)."""

@@ -114,6 +114,7 @@ class FlowTable:
     __slots__ = (
         "_config",
         "_policy",
+        "_bounds",
         "_rules",
         "_removed_keys",
         "stats",
@@ -129,6 +130,8 @@ class FlowTable:
     ) -> None:
         self._config = config or FlowTableConfig()
         self._policy = policy if policy is not None else build_policy(self._config)
+        # What the policy declares for bulk handling; ``None`` when stateful.
+        self._bounds = self._policy.timeout_bounds()
         self._rules: Dict[FlowKey, FlowRule] = {}
         # Keys removed by timeout/eviction, for re-install accounting.  Bounded
         # by the number of distinct flow keys ever removed (O(host pairs)), not
@@ -219,15 +222,54 @@ class FlowTable:
             if reason is not None:
                 self._discard(rule, now, reason)
                 rule = None
-        if rule is None:
-            self.stats.misses += 1
-            return None
-        rule.last_matched_at = now
-        rule.packet_count += 1
-        rule.byte_count += size_bytes
-        self.stats.hits += 1
-        self._policy.rule_matched(rule, now)
+        self.account_run(rule, 1, now, size_bytes)
+        if rule is not None:
+            self._policy.rule_matched(rule, now)
         return rule
+
+    # -- runs of lookups ----------------------------------------------------
+    #
+    # ``n`` back-to-back lookups of one key, asked and answered without doing
+    # them one by one: :meth:`peek` and :meth:`stays_alive` read, and
+    # :meth:`account_run` writes what the ``n`` calls would have written.
+
+    def peek(self, key: FlowKey) -> Optional[FlowRule]:
+        """The resident rule for ``key``, expired or not; touches nothing."""
+        return self._rules.get(key)
+
+    def stays_alive(self, rule: FlowRule, first_t: float, max_gap: float, last_t: float) -> bool:
+        """Whether every lookup of a run provably hits the resident ``rule``.
+
+        The run's lookups arrive from ``first_t`` to ``last_t``, no two
+        consecutive ones more than ``max_gap`` apart.  Each hit refreshes the
+        idle clock, so survival is a chain condition over the gaps, checked
+        against the policy's static :meth:`timeout_bounds`.  ``False`` means
+        undecidable in bulk, not dead: the rule expires somewhere in the
+        run, or a stateful policy (no bounds) governs it and only
+        :meth:`lookup`, one arrival at a time, knows.
+        """
+        if self._bounds is None:
+            return False
+        idle, hard = self._bounds
+        return (
+            first_t - rule.last_matched_at <= idle
+            and max_gap <= idle
+            and last_t - rule.installed_at <= hard
+        )
+
+    def account_run(self, rule: Optional[FlowRule], n: int, last_t: float, size_bytes: int) -> None:
+        """What ``n`` lookups ending at ``last_t`` leave behind: hits on ``rule``, or misses.
+
+        ``rule`` is the resident rule every lookup matched (:meth:`stays_alive`
+        held for the run) or ``None`` when no rule was resident.
+        """
+        if rule is None:
+            self.stats.misses += n
+            return
+        rule.last_matched_at = last_t
+        rule.packet_count += n
+        rule.byte_count += n * size_bytes
+        self.stats.hits += n
 
     def expire(self, now: float) -> List[FlowRule]:
         """Eagerly sweep every rule the policy considers expired at ``now``."""
@@ -236,10 +278,6 @@ class FlowTable:
             self._discard(rule, now, reason)
             removed.append(rule)
         return removed
-
-    def expire_idle(self, now: float) -> int:
-        """Back-compat alias for :meth:`expire`; returns the removal count."""
-        return len(self.expire(now))
 
     def clear(self) -> None:
         """Remove every rule (switch reset); resets re-install tracking too."""

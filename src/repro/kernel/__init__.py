@@ -3,15 +3,20 @@
 This package is the optimization layer behind ``ExecutionSpec.kernel ==
 "vectorized"``: each replay batch (the flows between two periodic ticks)
 arrives as a column chunk, is read as parallel numpy arrays without a copy
-and classified against a snapshot of per-switch L-FIB/flow-table state.
-Flows whose handling is a pure function of that snapshot (local delivery,
-live flow-table hits, intra-group forwarding) are accounted in bulk;
-everything that needs the control plane (packet-in, table pressure, expired
-rules, departed endpoints) goes flow by flow through the plane's own
-``decide`` step.  The kernel is *not* a second semantics: counters,
-timelines, latency totals and link matrices stay bit-identical to the scalar
-replayer, and the equivalence suite in ``tests/test_kernel_equivalence.py``
-gates exactly that.
+and grouped by (src, dst) host pair.  Each pair's arrival structure is then
+put to its ingress switch — ``EdgeSwitch.classify_run``, the question
+``process_packet`` asks for a run of one — two cross-pair hazards (table
+eviction, G-FIB memo clear) are guarded, the decided pairs are applied once
+for all their flows through ``EdgeSwitch.apply_run`` and
+``EdgePlane.settle_run``, and everything that needs the control plane
+(packet-in, table pressure, expiring rules) goes flow by flow through the
+plane's own ``decide`` step.  The batch is then folded into the latency
+recorder, the intensity window and the timeline.  The kernel is *not* a
+second semantics — it holds no forwarding rule of its own, and
+``tests/test_kernel_boundaries.py`` keeps it off its owners' internals —
+so counters, timelines, latency totals, link matrices and every switch's end
+state stay bit-identical to the scalar replayer;
+``tests/test_kernel_equivalence.py`` gates exactly that.
 
 numpy is deliberately a soft dependency: importing :mod:`repro` (and running
 any scalar replay) never imports this package, and the column chunks it reads

@@ -55,7 +55,7 @@ _PREFERRED_ORDER = (
 )
 
 
-def _latency_bin(latency_ms: float) -> int:
+def latency_bin(latency_ms: float) -> int:
     """The histogram bin index of one latency sample."""
     if latency_ms <= 0.0:
         return _MIN_BIN
@@ -197,7 +197,7 @@ class MetricsTimeline:
         bins = self._latency.get(bucket)
         if bins is None:
             bins = self._latency[bucket] = {}
-        index = _latency_bin(latency_ms)
+        index = latency_bin(latency_ms)
         bins[index] = bins.get(index, 0) + 1
 
     def record_flows_bulk(

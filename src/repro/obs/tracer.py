@@ -54,6 +54,12 @@ class TraceOptions:
     timeline: bool = False
     timeline_bucket_seconds: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.timeline_bucket_seconds is not None and not self.timeline_bucket_seconds > 0:
+            raise ConfigurationError(
+                f"timeline bucket width must be positive, got {self.timeline_bucket_seconds}"
+            )
+
     @property
     def active(self) -> bool:
         """Whether this options object asks for any collection at all."""

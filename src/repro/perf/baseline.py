@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
+from repro.common.errors import ConfigurationError
+
 #: Per-system keys that must match bit for bit.
 EXACT_SYSTEM_KEYS = (
     "total_controller_requests",
@@ -147,6 +149,12 @@ def _compare_timeline(
             check.failures.append(f"{name}.timeline.{series}: {drift}")
 
 
+def _require_band(tolerance: float) -> None:
+    """A negative band is meaningless, and ``<= -1`` divides by zero or flips it."""
+    if not tolerance >= 0:
+        raise ConfigurationError(f"bench tolerance must be >= 0, got {tolerance}")
+
+
 def compare_payloads(
     current: Dict[str, Any],
     baseline: Dict[str, Any],
@@ -154,6 +162,7 @@ def compare_payloads(
     tolerance: float = 0.30,
 ) -> BaselineCheck:
     """Compare one freshly produced benchmark payload against its baseline."""
+    _require_band(tolerance)
     check = BaselineCheck(scenario=str(current.get("scenario", "<unnamed>")))
 
     for key in EXACT_TOP_KEYS:
@@ -254,6 +263,7 @@ def check_against_baselines(
     (``--presets`` subsets) legitimately skip scenarios — but in a full run
     a stale file means the perf gate silently lost coverage.
     """
+    _require_band(tolerance)
     directory = Path(baseline_dir)
     checks: List[BaselineCheck] = []
     problems: List[str] = []

@@ -121,6 +121,11 @@ class LatencyRecorder:
         """Width of each bucket in seconds."""
         return self._bucket_seconds
 
+    @property
+    def keeps_samples(self) -> bool:
+        """Whether raw samples are kept beside the bucket sums (``keep_samples=True``)."""
+        return self._all is not None
+
     def record(self, timestamp: float, latency_ms: float, *, count: int = 1) -> None:
         """Record ``count`` samples of value ``latency_ms`` observed at ``timestamp``.
 

@@ -82,7 +82,7 @@ class TestTimeoutsAndEviction:
         table = FlowTable(FlowTableConfig(idle_timeout_seconds=10.0))
         for i in range(5):
             table.install(key(i, i + 100), FlowAction(ActionType.DROP), now=0.0)
-        assert table.expire_idle(now=100.0) == 5
+        assert len(table.expire(100.0)) == 5
         assert len(table) == 0
 
     def test_capacity_eviction(self):

@@ -2,8 +2,9 @@
 contract they lean on.
 
 ``pytest-benchmark`` times the two array-heavy stages in isolation —
-``_classify`` (pair-grouped classification over a chunk's columns) and
-``_accumulate`` (bulk counter/latency/timeline folds) — on a real
+``_classify`` (pair grouping over a chunk's columns, one ``classify_run`` per
+pair, the hazard guards) and ``_accumulate`` (one ``apply_run``/``settle_run``
+per decided pair, then the latency/intensity/timeline folds) — on a real
 lazyctrl-dynamic plane warmed with the paper-fig7 trace.  These numbers are
 for profiling regressions locally (``pytest tests/test_kernel_bench.py
 --benchmark-only``); in a plain test run each stage executes once as a
@@ -61,9 +62,9 @@ def test_classify_primitive(kernel_and_batch, benchmark):
 
 
 def test_accumulate_primitive(kernel_and_batch, benchmark):
-    """Fold one classified batch into counters/latency/timeline.  Repeats
-    inflate the plane's counters, which is fine — this plane is never used
-    for result assertions."""
+    """Apply one classified batch's decided pairs and fold it into
+    latency/intensity/timeline.  Repeats inflate the plane's counters, which
+    is fine — this plane is never used for result assertions."""
     kernel, batch = kernel_and_batch
     state = kernel._classify(batch, len(batch))
     assert state is not None

@@ -179,6 +179,74 @@ class TestDirectedEquivalence:
         assert serial_scalar == ScenarioRunner().run(sharded).to_dict()["runs"]
 
 
+class TestEndStateEquivalence:
+    """Every switch ends a replay in the same state, not just the same result.
+
+    ``run.to_dict()`` carries no per-rule counts, no rule order, no G-FIB memo
+    and no per-switch counters; this compares them directly, plane to plane.
+    """
+
+    #: The adaptive policy is left to the result-level suite: it is all fallback.
+    TABLES = TABLE_SPECS[:4] + (
+        TableSpec(capacity=64, policy="static-idle", idle_timeout_seconds=300.0),
+    )
+
+    @staticmethod
+    def switch_state(switch):
+        gfib = switch.gfib
+        return {
+            "rules": [
+                (
+                    rule.key,
+                    rule.installed_at,
+                    rule.last_matched_at,
+                    rule.packet_count,
+                    rule.byte_count,
+                    rule.action,
+                )
+                for rule in switch.flow_table
+            ],
+            "table_stats": dataclasses.asdict(switch.flow_table.stats),
+            "packets_processed": switch.packets_processed,
+            "packets_to_controller": switch.packets_to_controller,
+            "duplicate_deliveries": switch.duplicate_deliveries,
+            "false_positive_drops": getattr(switch, "false_positive_drops", 0),
+            "gfib": None
+            if gfib is None
+            else (gfib.query_count, gfib.query_cache_hits, gfib.version, set(gfib._query_cache)),
+        }
+
+    @pytest.mark.parametrize("system", ("openflow", "lazyctrl-dynamic"))
+    @pytest.mark.parametrize("links", LINK_SPECS, ids=("unmetered", "metered"))
+    @pytest.mark.parametrize(
+        "tables", TABLES, ids=("no-overlay", "idle-cap8", "hybrid-cap8", "lru-cap4", "idle300-cap64")
+    )
+    def test_switches_end_in_the_same_state(self, tables, links, system):
+        from repro.common.config import GroupingConfig, LazyCtrlConfig
+
+        # Elephant pairs re-hit their rules, and groups of three switches give
+        # LazyCtrl all of local, intra-group and inter-group flows.
+        spec = dataclasses.replace(
+            build_spec(model="elephant-mice", flows=12000, seed=17, tables=tables, links=links),
+            config=LazyCtrlConfig(grouping=GroupingConfig(group_size_limit=3, random_seed=17)),
+        )
+        states = {}
+        for kernel in ("scalar", "vectorized"):
+            _, plane = ScenarioRunner()._replay_system(
+                system,
+                spec.build_trace(spec.build_network()),
+                schedule=spec.schedule,
+                config=spec.effective_config(),
+                # Stop mid-schedule, between sweeps: rules are still resident.
+                end=10_000.0,
+                kernel=kernel,
+            )
+            states[kernel] = [self.switch_state(switch) for switch in plane.switches()]
+        for scalar, vectorized in zip(states["scalar"], states["vectorized"], strict=True):
+            assert scalar == vectorized
+        assert any(state["rules"] for state in states["scalar"])
+
+
 class TestFallbackIsThePlanesDecideStep:
     """Fallback flows go through ``plane.decide``; nothing is swapped out under it."""
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.obs.export import read_events
 from repro.obs.events import SAMPLED_EVENTS
@@ -92,6 +94,13 @@ class TestTimelineCommand:
         assert main(["timeline", "paper-fig7", *RUN_SMALL, "--systems", "openflow",
                      "--bucket-seconds", "3600"]) == 0
         assert "2 buckets × 1h" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("width", ("0", "-5"))
+    def test_non_positive_bucket_seconds_is_a_usage_error(self, width, capsys):
+        """``0`` used to be silently ignored and ``-5`` escaped as a traceback."""
+        code = main(["timeline", "paper-fig7", *RUN_SMALL, "--bucket-seconds", width])
+        assert code == 2
+        assert "bucket width must be positive" in capsys.readouterr().err
 
 
 class TestTraceExportCommand:

@@ -273,6 +273,16 @@ class TestBaselineComparison:
     def test_custom_tolerance(self):
         assert compare_payloads(payload(runtime=14.0), payload(runtime=10.0), tolerance=0.5).ok
 
+    @pytest.mark.parametrize("tolerance", (-0.1, -1.0, -2.0, float("nan")))
+    def test_negative_tolerance_is_a_configuration_error(self, tolerance, tmp_path):
+        """``-1`` used to die with ZeroDivisionError; below it the band flips."""
+        from repro.common.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="tolerance"):
+            compare_payloads(payload(), payload(), tolerance=tolerance)
+        with pytest.raises(ConfigurationError, match="tolerance"):
+            check_against_baselines([payload("nope")], tmp_path, tolerance=tolerance)
+
     def test_peak_rss_blowup_notes_but_never_fails(self):
         current, baseline = payload(), payload()
         baseline["peak_rss_bytes"] = 50_000_000

@@ -46,8 +46,8 @@ class TestTickDrivenExpiry:
     """Satellite regression: rules expire from the periodic tick alone.
 
     No lookups happen after the feed, so any removal observed here came
-    from the eager sweep the systems run in ``periodic`` — the path that
-    used to be dead code (``expire_idle`` existed but nothing called it).
+    from the eager sweep the systems run in ``periodic``
+    (``advance_tables`` → ``FlowTable.expire``).
     """
 
     def test_openflow_tables_age_out_via_periodic(self):
