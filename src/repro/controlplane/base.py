@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.common.errors import ControlPlaneError
-from repro.common.packets import FlowKey, Packet
+from repro.common.packets import FlowKey
 from repro.datastructures.flow_table import ActionType, FlowAction
 from repro.dataplane.edge_switch import EdgeSwitch
 from repro.obs.events import FlowInstallEvent, FlowRemovedEvent, PacketInEvent
@@ -66,15 +66,14 @@ class EdgeController:
     # -- flow-table management -----------------------------------------------------
 
     def _install_forwarding_rule(
-        self, ingress_switch_id: int, packet: Packet, egress_switch_id: int, now: float
+        self, ingress_switch_id: int, key: FlowKey, egress_switch_id: int, now: float
     ) -> None:
-        """Install the rule that forwards ``packet``'s flow towards ``egress_switch_id``."""
+        """Install the rule that forwards flow ``key`` towards ``egress_switch_id``."""
         switch = self._switches.get(ingress_switch_id)
         if switch is None:
             return
-        key = FlowKey(src_mac=packet.src_mac, dst_mac=packet.dst_mac, tenant_id=packet.tenant_id)
         if egress_switch_id == ingress_switch_id:
-            entry = switch.lfib.lookup(packet.dst_mac)
+            entry = switch.lfib.lookup(key.dst_mac)
             action = FlowAction(ActionType.FORWARD_LOCAL, entry.port if entry else 1)
         else:
             action = FlowAction(ActionType.ENCAP_TO_SWITCH, egress_switch_id)

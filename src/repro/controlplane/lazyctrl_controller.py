@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 from repro.common.config import LazyCtrlConfig
 from repro.common.errors import UnknownHostError
-from repro.common.packets import Packet
+from repro.common.packets import FlowKey, Packet
 from repro.datastructures.fib import CentralLib, FibEntry
 from repro.dataplane.edge_switch import LazyCtrlEdgeSwitch
 from repro.controlplane.base import EdgeController
@@ -194,8 +194,8 @@ class LazyCtrlController(EdgeController):
 
     # -- inter-group control ------------------------------------------------------------------
 
-    def handle_packet_in(self, ingress_switch_id: int, packet: Packet, now: float) -> InterGroupSetupResult:
-        """Handle a Packet_In for a flow the ingress group could not resolve.
+    def handle_packet_in(self, ingress_switch_id: int, key: FlowKey, now: float) -> InterGroupSetupResult:
+        """Handle a Packet_In for a flow ``key`` the ingress group could not resolve.
 
         The controller locates the destination in the C-LIB and installs an
         encapsulation rule on the ingress switch.  When even the C-LIB does
@@ -203,19 +203,19 @@ class LazyCtrlController(EdgeController):
         ARP to the designated switches of every group hosting the tenant.
         """
         self._record_request(ingress_switch_id, now, "inter_group")
-        egress = self.clib.locate(packet.dst_mac)
+        egress = self.clib.locate(key.dst_mac)
         if egress is not None:
-            self._install_forwarding_rule(ingress_switch_id, packet, egress, now)
+            self._install_forwarding_rule(ingress_switch_id, key, egress, now)
             return InterGroupSetupResult(
                 ingress_switch_id=ingress_switch_id,
                 egress_switch_id=egress,
                 resolved=True,
             )
-        relayed = self._relay_arp(packet, now)
+        relayed = self._relay_arp(key.tenant_id)
         # After the relay the owning switch answers and the location becomes
         # known; resolve from the ground truth topology if possible.
         try:
-            host = self._network.host_by_mac(packet.dst_mac)
+            host = self._network.host_by_mac(key.dst_mac)
         except UnknownHostError:
             return InterGroupSetupResult(
                 ingress_switch_id=ingress_switch_id,
@@ -223,8 +223,8 @@ class LazyCtrlController(EdgeController):
                 resolved=False,
                 relayed_groups=relayed,
             )
-        self.clib.record_host(packet.dst_mac, host.switch_id, host.tenant_id)
-        self._install_forwarding_rule(ingress_switch_id, packet, host.switch_id, now)
+        self.clib.record_host(key.dst_mac, host.switch_id, host.tenant_id)
+        self._install_forwarding_rule(ingress_switch_id, key, host.switch_id, now)
         return InterGroupSetupResult(
             ingress_switch_id=ingress_switch_id,
             egress_switch_id=host.switch_id,
@@ -238,10 +238,10 @@ class LazyCtrlController(EdgeController):
         Returns the number of groups the request was relayed to.
         """
         self._record_request(ingress_switch_id, now, "arp")
-        return self._relay_arp(packet, now)
+        return self._relay_arp(packet.tenant_id)
 
-    def _relay_arp(self, packet: Packet, now: float) -> int:
-        groups = self.tenant_manager.groups_with_tenant(packet.tenant_id, self._group_of_switch)
+    def _relay_arp(self, tenant_id: int) -> int:
+        groups = self.tenant_manager.groups_with_tenant(tenant_id, self._group_of_switch)
         relayed = 0
         for group_id in sorted(groups):
             group = self._groups.get(group_id)

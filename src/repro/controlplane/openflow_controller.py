@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.common.addresses import MacAddress
-from repro.common.packets import Packet
+from repro.common.packets import FlowKey
 from repro.controlplane.base import EdgeController
 
 
@@ -59,12 +59,12 @@ class OpenFlowController(EdgeController):
     def handle_packet_in(
         self,
         ingress_switch_id: int,
-        packet: Packet,
+        key: FlowKey,
         now: float,
         *,
         true_destination_switch: Optional[int] = None,
     ) -> PacketInResult:
-        """Process one Packet_In.
+        """Process one Packet_In for the first packet of flow ``key``.
 
         ``true_destination_switch`` is the ground-truth location of the
         destination host, supplied by the experiment harness; when the
@@ -75,10 +75,10 @@ class OpenFlowController(EdgeController):
         self._record_request(ingress_switch_id, now, "reactive")
         # Learning-switch behaviour: the Packet_In itself teaches the
         # controller where the source lives.
-        self.learn_location(packet.src_mac, ingress_switch_id)
+        self.learn_location(key.src_mac, ingress_switch_id)
 
         needed_learning = False
-        egress = self.located_switch(packet.dst_mac)
+        egress = self.located_switch(key.dst_mac)
         if egress is None:
             needed_learning = True
             self.arp_floods += 1
@@ -87,11 +87,11 @@ class OpenFlowController(EdgeController):
             self._record_request(ingress_switch_id, now, "arp_flood")
             egress = true_destination_switch
             if egress is not None:
-                self.learn_location(packet.dst_mac, egress)
+                self.learn_location(key.dst_mac, egress)
 
         installed = False
         if egress is not None:
-            self._install_forwarding_rule(ingress_switch_id, packet, egress, now)
+            self._install_forwarding_rule(ingress_switch_id, key, egress, now)
             installed = True
         return PacketInResult(
             ingress_switch_id=ingress_switch_id,

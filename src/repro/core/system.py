@@ -13,11 +13,14 @@ counters; **record** latency samples for every packet, the flow in the
 intensity window, and the timeline.  :class:`LazyCtrlSystem` and
 :class:`OpenFlowSystem` supply the switch and controller they are built
 from, what a miss at the ingress switch leads to, their own perf counters
-and their churn hooks.  What *decide* does for a flow its ingress switch
-handled alone — price it, deliver intra-group copies, count it — is
-:meth:`EdgePlane.settle_run`, written for ``n`` such flows at once; the
-vectorized kernel (:mod:`repro.kernel`) calls it per (src, dst) pair, calls
-*decide* for the flows it cannot account in bulk, and records per batch.
+and their churn hooks.  *decide* is resolve →
+:meth:`EdgePlane.first_packet` (the packet-in cycle on the flow key: switch,
+then :meth:`EdgePlane.settle_run` or the controller) → congestion.  What it
+does for a flow its ingress switch handled alone — price it, deliver
+intra-group copies, count it — is ``settle_run``, written for ``n`` such flows
+at once; the vectorized kernel (:mod:`repro.kernel`) calls it per (src, dst)
+pair, takes ``first_packet`` for the flows it cannot account in bulk, and
+records per batch.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.bandwidth.meter import build_link_meter
 from repro.common.addresses import MacAddress
 from repro.common.config import LazyCtrlConfig
-from repro.common.packets import make_data_packet
+from repro.common.packets import FlowKey
 from repro.controlplane.base import EdgeController
 from repro.controlplane.lazyctrl_controller import LazyCtrlController
 from repro.controlplane.openflow_controller import OpenFlowController
@@ -53,7 +56,6 @@ from repro.perf.recorder import NULL_RECORDER
 from repro.datastructures.intensity import IntensityMatrix
 from repro.simulation.latency import LatencyModel
 from repro.simulation.metrics import LatencyRecorder
-from repro.topology.host import Host
 from repro.topology.network import DataCenterNetwork, EdgeSwitchInfo
 from repro.traffic.flow import FlowRecord
 
@@ -84,6 +86,9 @@ MissResolution = Tuple[FlowPathKind, float, float]
 #: :meth:`EdgePlane.settle_run` returns (path, first-packet ms, steady ms,
 #: an intra-group copy dropped at a false positive).
 SettledRun = Tuple[FlowPathKind, float, float, bool]
+
+#: :meth:`EdgePlane.first_packet` adds (the controller was involved, duplicate copies sent).
+FirstPacket = Tuple[FlowPathKind, float, float, bool, bool, int]
 
 
 class EdgePlane:
@@ -152,51 +157,62 @@ class EdgePlane:
         """First-packet path decision and accounting for one flow, unrecorded.
 
         Everything a flow changes in switches, controller, meter and
-        :attr:`counters` happens here; latency recorder, intensity window
-        and timeline are untouched, so the vectorized kernel can run this
-        for single flows and record in bulk.  Returns ``None`` (a departed
-        flow, counted) when an endpoint's tenant left mid-run: the flow
-        never materializes and generates no control-plane work.
+        :attr:`counters` happens here — resolve the endpoints, take
+        :meth:`first_packet` on their flow key, add the uplinks' congestion —
+        and latency recorder, intensity window and timeline are untouched.
+        Returns ``None`` (a departed flow, counted) when an endpoint's tenant
+        left mid-run: the flow never materializes and generates no
+        control-plane work.
         """
         src_host = self.network.host_if_present(flow.src_host_id)
         dst_host = self.network.host_if_present(flow.dst_host_id)
         if src_host is None or dst_host is None:
             self.counters.departed_flows += 1
             return None
-        packet = make_data_packet(
-            src_host.mac,
-            dst_host.mac,
-            src_host.tenant_id,
-            created_at=now,
-            flow_id=flow.flow_id,
+        src_switch_id = src_host.switch_id
+        dst_switch_id = dst_host.switch_id
+        key = FlowKey(src_mac=src_host.mac, dst_mac=dst_host.mac, tenant_id=src_host.tenant_id)
+        path, first, steady, false_positive_drop, controller_involved, duplicates = (
+            self.first_packet(key, src_switch_id, dst_switch_id, now)
         )
-        decision = self._switches[src_host.switch_id].process_packet(packet, now)
-
-        settled = self.settle_run(decision.outcome, decision.target_switches, dst_host.mac, 1)
-        if settled is None:
-            path, first, steady = self._resolve_miss(decision, src_host, dst_host, now)
-            false_positive_drop = False
-            self.counters.controller_requests += 1
-            self.counters.flows_handled += 1
-        else:
-            path, first, steady, false_positive_drop = settled
-
-        penalty = self.congestion_penalty_ms(flow, src_host.switch_id, dst_host.switch_id, now)
+        penalty = self.congestion_penalty_ms(flow, src_switch_id, dst_switch_id, now)
         if penalty > 0.0:
             first += penalty
             steady += penalty
-
         return FlowHandlingResult(
             flow_id=flow.flow_id,
             path=path,
-            src_switch_id=src_host.switch_id,
-            dst_switch_id=dst_host.switch_id,
-            controller_involved=settled is None,
+            src_switch_id=src_switch_id,
+            dst_switch_id=dst_switch_id,
+            controller_involved=controller_involved,
             first_packet_latency_ms=first,
             steady_packet_latency_ms=steady,
-            duplicate_deliveries=decision.duplicate_count,
+            duplicate_deliveries=duplicates,
             false_positive_drop=false_positive_drop,
         )
+
+    def first_packet(
+        self, key: FlowKey, src_switch_id: int, dst_switch_id: int, now: float
+    ) -> FirstPacket:
+        """One flow's first packet on its flow key alone: the packet-in cycle.
+
+        The ingress switch's
+        :meth:`~repro.dataplane.edge_switch.EdgeSwitch.forward_key`, then
+        :meth:`settle_run` for what the switch decided alone or
+        :meth:`_resolve_miss` for what it could not; uplink congestion is the
+        caller's to add.  :meth:`decide` takes this step for a record; the
+        vectorized kernel's ordered walk takes it with a (src, dst) pair's
+        memoized key and switch ids and the time column.
+        """
+        verdict = self._switches[src_switch_id].forward_key(key, now)
+        targets = verdict.target_switches
+        settled = self.settle_run(verdict.outcome, targets, key.dst_mac, 1)
+        if settled is None:
+            path, first, steady = self._resolve_miss(key, src_switch_id, dst_switch_id, now)
+            self.counters.controller_requests += 1
+            self.counters.flows_handled += 1
+            return path, first, steady, False, True, 0
+        return *settled, False, max(0, len(targets) - 1)
 
     def settle_run(
         self, outcome: ForwardingOutcome, target_switches: Tuple[int, ...], dst_mac: MacAddress, n: int
@@ -239,7 +255,9 @@ class EdgePlane:
         counters.flows_handled += n
         return path, first, steady, false_positive_drop
 
-    def _resolve_miss(self, decision, src_host: Host, dst_host: Host, now: float) -> MissResolution:
+    def _resolve_miss(
+        self, key: FlowKey, src_switch_id: int, dst_switch_id: int, now: float
+    ) -> MissResolution:
         """Set up, through the controller, a flow the ingress switch could not place."""
         raise NotImplementedError
 
@@ -477,10 +495,12 @@ class LazyCtrlSystem(EdgePlane):
 
     # -- path selection --------------------------------------------------------------
 
-    def _resolve_miss(self, decision, src_host: Host, dst_host: Host, now: float) -> MissResolution:
+    def _resolve_miss(
+        self, key: FlowKey, src_switch_id: int, dst_switch_id: int, now: float
+    ) -> MissResolution:
         """The group could not resolve the destination: an inter-group flow."""
         load = self.controller.current_load_rps(now)
-        result = self.controller.handle_packet_in(src_host.switch_id, decision.packet, now)
+        result = self.controller.handle_packet_in(src_switch_id, key, now)
         self.counters.inter_group_flows += 1
         return (
             FlowPathKind.INTER_GROUP if result.egress_switch_id is not None else FlowPathKind.DROPPED,
@@ -614,14 +634,13 @@ class OpenFlowSystem(EdgePlane):
             flow_table_config=self.config.flow_table,
         )
 
-    def _resolve_miss(self, decision, src_host: Host, dst_host: Host, now: float) -> MissResolution:
+    def _resolve_miss(
+        self, key: FlowKey, src_switch_id: int, dst_switch_id: int, now: float
+    ) -> MissResolution:
         """Every table miss goes to the controller for reactive setup."""
         load = self.controller.current_load_rps(now)
         result = self.controller.handle_packet_in(
-            src_host.switch_id,
-            decision.packet,
-            now,
-            true_destination_switch=dst_host.switch_id,
+            src_switch_id, key, now, true_destination_switch=dst_switch_id
         )
         return (
             FlowPathKind.CONTROLLER_REACTIVE,

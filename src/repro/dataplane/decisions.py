@@ -72,6 +72,7 @@ TABLE_HIT = ForwardingOutcome.FLOW_TABLE_HIT
 LOCAL = ForwardingOutcome.LOCAL_DELIVERY
 INTRA_GROUP = ForwardingOutcome.INTRA_GROUP_FORWARD
 PUNT = ForwardingOutcome.SENT_TO_CONTROLLER
+DROPPED = ForwardingOutcome.DROPPED_NO_RULE  # forward_key only: failed switch, DROP rule
 
 
 @dataclass(slots=True)
@@ -81,7 +82,8 @@ class RunVerdict:
     The answer of :meth:`~repro.dataplane.edge_switch.EdgeSwitch.classify_run`:
     ``outcome`` is ``FLOW_TABLE_HIT`` (on ``rule``), ``LOCAL_DELIVERY`` (to
     ``local_port``), ``INTRA_GROUP_FORWARD`` (copies to ``target_switches``)
-    or ``SENT_TO_CONTROLLER``, and it is the same for every packet of the run.
+    or ``SENT_TO_CONTROLLER``, and it is the same for every packet of the run
+    (``forward_key``, the applied run of one, also answers ``DROPPED_NO_RULE``).
     One is built per classified run, so it is neither frozen nor a tuple:
     both cost more to construct.
     """

@@ -16,9 +16,11 @@ simulation layer turns into latency and workload accounting.
 The data path of Fig. 5 (flow table → L-FIB → G-FIB → ``Packet_In``) is
 written once, for a *run* of packets of one flow key:
 :meth:`EdgeSwitch.classify_run` reads what every packet of the run does and
-:meth:`EdgeSwitch.apply_run` writes what they change.  ``process_packet`` on
-a data packet is the run of one; the vectorized kernel (:mod:`repro.kernel`)
-asks the same two methods about a batch's whole (src, dst) pairs.
+:meth:`EdgeSwitch.apply_run` writes what they change.  The run of one is
+:meth:`EdgeSwitch.forward_key` — what the planes call per flow, and what
+``process_packet`` on a data packet presents as a decision; the vectorized
+kernel (:mod:`repro.kernel`) asks the same two methods about a batch's whole
+(src, dst) pairs.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.common.packets import DATA_PACKET_BYTES, EncapHeader, FlowKey, Packet
 from repro.datastructures.fib import FibEntry, GroupFib, LocalFib
 from repro.datastructures.flow_table import ActionType, FlowAction, FlowRule, FlowTable
 from repro.dataplane.decisions import (
+    DROPPED,
     INTRA_GROUP,
     LOCAL,
     PUNT,
@@ -171,34 +174,52 @@ class EdgeSwitch:
         else:
             self.packets_to_controller += n
 
-    def _forward_data(self, packet: Packet, now: float) -> ForwardingDecision:
-        """Lines 1-21 of Fig. 5 for a local host's packet: the run of one."""
-        key = FlowKey(src_mac=packet.src_mac, dst_mac=packet.dst_mac, tenant_id=packet.tenant_id)
+    def forward_key(self, key: FlowKey, now: float, size_bytes: int = DATA_PACKET_BYTES) -> RunVerdict:
+        """Lines 1-21 of Fig. 5 for one data packet of ``key`` from a local host: the run of one.
+
+        Applied: whatever the packet changes here has happened.  Beyond
+        :meth:`classify_run`'s four outcomes, a failed switch or a ``DROP``
+        rule answers ``DROPPED_NO_RULE`` and a ``SEND_TO_CONTROLLER`` rule
+        punts, the verdict carrying the rule.
+        """
+        if self.failed:
+            self.packets_processed += 1
+            return RunVerdict(DROPPED, key)
         verdict = self.classify_run(key, now, 0.0, now)
         if verdict is not None:
-            self.apply_run(verdict, 1, now, packet.size_bytes)
-        else:
-            # A resident rule no run can vouch for.  This packet's own lookup
-            # settles it: expires the rule, shows a stateful policy the
-            # match, or finds an explicit drop / send-to-controller action.
-            self.packets_processed += 1
-            rule = self.flow_table.lookup(key, now=now, size_bytes=packet.size_bytes)
-            if rule is not None:
-                return self._apply_rule(rule, packet) or self._punt(
-                    packet, note="explicit send-to-controller rule"
-                )
+            self.apply_run(verdict, 1, now, size_bytes)
+            return verdict
+        # A resident rule no run can vouch for.  This packet's own lookup
+        # settles it: expires the rule, shows a stateful policy the match,
+        # or finds an explicit drop / send-to-controller action.
+        self.packets_processed += 1
+        rule = self.flow_table.lookup(key, now=now, size_bytes=size_bytes)
+        if rule is None:
             verdict = self._classify_miss(key)
             self._apply_miss(verdict, 1)
-        if verdict.rule is not None:
+            return verdict
+        kind = rule.action.kind
+        if kind in _FORWARDING_ACTIONS:
+            return RunVerdict(TABLE_HIT, key, rule)
+        if kind == ActionType.DROP:
+            return RunVerdict(DROPPED, key, rule)
+        self.packets_to_controller += 1
+        return RunVerdict(PUNT, key, rule)
+
+    def _forward_data(self, packet: Packet, now: float) -> ForwardingDecision:
+        """A live switch's :meth:`forward_key` for a local host's packet, as a decision."""
+        key = FlowKey(src_mac=packet.src_mac, dst_mac=packet.dst_mac, tenant_id=packet.tenant_id)
+        verdict = self.forward_key(key, now, packet.size_bytes)
+        if verdict.rule is not None and verdict.outcome is not PUNT:
             return self._apply_rule(verdict.rule, packet)
-        duplicates = max(0, len(verdict.target_switches) - 1)
         return ForwardingDecision(
             outcome=verdict.outcome,
             switch_id=self.switch_id,
             packet=packet,
             target_switches=verdict.target_switches,
             local_port=verdict.local_port,
-            duplicate_count=duplicates,
+            duplicate_count=max(0, len(verdict.target_switches) - 1),
+            note="explicit send-to-controller rule" if verdict.rule is not None else "",
         )
 
     def _apply_rule(self, rule: FlowRule, packet: Packet) -> Optional[ForwardingDecision]:
@@ -230,15 +251,10 @@ class EdgeSwitch:
             )
         return None
 
-    def _punt(
-        self,
-        packet: Packet,
-        outcome: ForwardingOutcome = ForwardingOutcome.SENT_TO_CONTROLLER,
-        note: str = "",
-    ) -> ForwardingDecision:
-        """Hand the packet to the controller (a ``Packet_In``)."""
+    def _punt(self, packet: Packet, outcome: ForwardingOutcome) -> ForwardingDecision:
+        """Hand an ARP or tunnelled packet to the controller (a ``Packet_In``)."""
         self.packets_to_controller += 1
-        return ForwardingDecision(outcome=outcome, switch_id=self.switch_id, packet=packet, note=note)
+        return ForwardingDecision(outcome=outcome, switch_id=self.switch_id, packet=packet)
 
     # -- controller-driven configuration --------------------------------------
 

@@ -9,8 +9,10 @@ put to its ingress switch — ``EdgeSwitch.classify_run``, the question
 eviction, G-FIB memo clear) are guarded, the decided pairs are applied once
 for all their flows through ``EdgeSwitch.apply_run`` and
 ``EdgePlane.settle_run``, and everything that needs the control plane
-(packet-in, table pressure, expiring rules) goes flow by flow through the
-plane's own ``decide`` step.  The batch is then folded into the latency
+(packet-in, table pressure, expiring rules) goes flow by flow through
+``EdgePlane.first_packet``, the step the plane's own ``decide`` takes, on the
+pair's flow key and the time column: no record, packet, decision or result is
+built (only a link meter reads records).  The batch is then folded into the latency
 recorder, the intensity window and the timeline.  The kernel is *not* a
 second semantics — it holds no forwarding rule of its own, and
 ``tests/test_kernel_boundaries.py`` keeps it off its owners' internals —

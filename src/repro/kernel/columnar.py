@@ -20,16 +20,18 @@ wrapped as numpy arrays without a copy, and goes through four steps:
   G-FIB's :meth:`~repro.datastructures.fib.GroupFib.cache_room` could run
   out, intra-group runs are applied flow by flow on the ordered walk).
 * **walk** — what is order-dependent runs in arrival order: fallback flows
-  through the plane's own :meth:`~repro.core.system.EdgePlane.decide`, and,
-  under a link meter, every inter-switch flow's congestion penalty.  These
-  are the only flows a :class:`~repro.traffic.flow.FlowRecord` is built for;
-  ``kernel.records_minted`` counts them.
+  through :meth:`~repro.core.system.EdgePlane.first_packet`, the packet-in
+  step the plane's own ``decide`` takes, on the pair's memoized flow key and
+  the time column; and, under a link meter, every inter-switch flow's
+  congestion penalty.  Only the meter reads a
+  :class:`~repro.traffic.flow.FlowRecord`: ``kernel.records_minted`` is 0 on
+  an unmetered walk and the whole batch on a metered (or bypassed) one.
 * **apply and fold** — each decided pair is applied once for its ``n``
   flows — :meth:`~repro.dataplane.edge_switch.EdgeSwitch.apply_run` at the
   switch, :meth:`~repro.core.system.EdgePlane.settle_run` at the plane, the
-  calls ``process_packet`` and ``decide`` make with ``n = 1`` — and the whole
-  batch, fallbacks included (``decide`` records nothing), is folded into the
-  latency recorder, the intensity window and the timeline.
+  calls ``forward_key`` and ``first_packet`` make with ``n = 1`` — and the
+  whole batch, fallbacks included (``first_packet`` records nothing), is folded
+  into the latency recorder, the intensity window and the timeline.
 
 The kernel owns no forwarding rule: what a pair does and what that changes
 is the switch's and the plane's.  What it owns is the batch arithmetic, whose
@@ -139,17 +141,18 @@ class ColumnarReplayKernel:
             perf.count("kernel.batches", 1)
             perf.count("kernel.batches_bypassed", 1)
             perf.count("kernel.flows_fallback", len(batch))
-            self._count_minted(batch, len(batch))
+            perf.count("kernel.fallback_bypass", len(batch))
+            self._count_minted(batch)
             self._note_coverage(0, len(batch))
 
-    def _count_minted(self, batch: FlowChunk, records: int) -> None:
-        """Account ``records`` flows of ``batch`` read as records.
+    def _count_minted(self, batch: FlowChunk) -> None:
+        """Account a batch read record by record (a bypass, or for a link meter).
 
         Only a column-backed chunk builds them; a chunk adapted from existing
         records hands those back and mints nothing.
         """
-        if records and batch.mints_records:
-            self._perf.count("kernel.records_minted", records)
+        if batch.mints_records:
+            self._perf.count("kernel.records_minted", len(batch))
 
     def _note_coverage(self, vectorized: int, total: int) -> None:
         if total <= 0:
@@ -202,6 +205,8 @@ class ColumnarReplayKernel:
             perf.count("kernel.batches", 1)
             perf.count("kernel.flows_vectorized", n - fallback_flows)
             perf.count("kernel.flows_fallback", fallback_flows)
+            for cause, flows in state["fallback_causes"].items():
+                perf.count(f"kernel.fallback_{cause}", flows)
             self._note_coverage(n - fallback_flows, n)
 
     # -- stage 1: classify ------------------------------------------------------
@@ -245,6 +250,9 @@ class ColumnarReplayKernel:
         hit_pairs_by_switch: Dict[int, List[int]] = {}
         intra_pairs_by_switch: Dict[int, int] = {}
         new_keys_by_switch: Dict[int, int] = {}
+        # Why flows leave the array path, in flows: a packet-in for a key with
+        # no rule, a resident rule the run cannot vouch for, the slack guard.
+        causes = {"punt": 0, "rule_may_expire": 0, "eviction_guard": 0}
         uniq_list = uniq.tolist()
 
         pair_static_get = self._pair_static.get
@@ -263,12 +271,14 @@ class ColumnarReplayKernel:
             verdict = info.switch.classify_run(info.key, first_t[g], max_gap[g], last_t[g])
             if verdict is None:
                 cls_append(_FALLBACK)
+                causes["rule_may_expire"] += counts_list[g]
                 continue
             outcome = verdict.outcome
             if outcome is PUNT:
                 # A packet-in: the controller's answer is order-dependent,
                 # and may install a rule for a key the table does not hold.
                 cls_append(_FALLBACK)
+                causes["punt"] += counts_list[g]
                 new_keys_by_switch[info.src_switch_id] = (
                     new_keys_by_switch.get(info.src_switch_id, 0) + 1
                 )
@@ -296,6 +306,7 @@ class ColumnarReplayKernel:
                 for g in pair_list:
                     cls[g] = _FALLBACK
                     verdicts[g] = None
+                    causes["eviction_guard"] += counts_list[g]
 
         # G-FIB memo guard.  Absent a wholesale clear, a run's query
         # accounting is order-free: every distinct new MAC costs one memo
@@ -326,6 +337,7 @@ class ColumnarReplayKernel:
             "ordered_intra": ordered_intra,
             "fallback_flow_idx": fallback_flow_idx,
             "fallback_flow_count": int(fallback_flow_idx.size),
+            "fallback_causes": causes,
             # Per flow, what the walk found: a fallback's latencies, a
             # vectorized flow's congestion penalty.  Pair prices are added
             # at apply time.
@@ -339,12 +351,13 @@ class ColumnarReplayKernel:
     def _walk(self, batch, state) -> None:
         """Replay, in arrival order, the flows whose handling depends on it.
 
-        Fallback flows always; under a link meter every flow, since the
-        meter's window accounting and congestion-crossing detection are
-        order-dependent (it reads whole records — rate profiles — so a
-        metered walk mints the batch); and, when a G-FIB memo could clear
-        mid-batch, intra-group flows, applied one at a time so the clear
-        interleaves with the fallbacks' own live queries as it would scalar.
+        Fallback flows always, on their pair's memoized key and the time
+        column; under a link meter every flow, since the meter's window
+        accounting and congestion-crossing detection are order-dependent (it
+        reads whole records — rate profiles — so only a metered walk mints,
+        and mints the batch); and, when a G-FIB memo could clear mid-batch,
+        intra-group flows, applied one at a time so the clear interleaves
+        with the fallbacks' own live queries as it would scalar.
         """
         plane = self._plane
         metered = plane.link_meter is not None
@@ -359,45 +372,38 @@ class ColumnarReplayKernel:
                 indices = state["fallback_flow_idx"]
             if not indices.size:
                 return
-            walk = zip(indices.tolist(), repeat(None))  # records minted on demand
-        decide = plane.decide
+            walk = zip(indices.tolist(), repeat(None))  # columns only: no record is built
+        first_packet = plane.first_packet
         congestion_penalty_ms = plane.congestion_penalty_ms
         cls_flow = cls_flow.tolist()
         inverse = state["inverse"].tolist()
         infos = state["infos"]
         verdicts = state["verdicts"]
-        times = state["times"]
+        times = batch.start_times  # a buffer of doubles: indexing reads a float
         first_flow = state["first_flow"]
         steady_flow = state["steady_flow"]
-        handled = state["handled"]
         for i, flow in walk:
             flow_class = cls_flow[i]
             if flow_class == _DEPARTED:
                 continue
-            if flow_class == _FALLBACK:
-                if flow is None:
-                    flow = batch[i]
-                result = decide(flow, flow.start_time)
-                if result is None:
-                    handled[i] = False
-                else:
-                    first_flow[i] = result.first_packet_latency_ms
-                    steady_flow[i] = result.steady_packet_latency_ms
-                continue
             g = inverse[i]
-            if ordered_intra and flow_class == _INTRA:
-                # Scalar order: the G-FIB query happens inside process_packet,
-                # before the congestion penalty is computed.
-                infos[g].switch.apply_run(verdicts[g], 1, float(times[i]))
-            if metered:
-                info = infos[g]
-                penalty = congestion_penalty_ms(
-                    flow, info.src_switch_id, info.dst_switch_id, flow.start_time
+            info = infos[g]
+            now = times[i]
+            if flow_class == _FALLBACK:
+                _, first_flow[i], steady_flow[i], _, _, _ = first_packet(
+                    info.key, info.src_switch_id, info.dst_switch_id, now
                 )
+            elif ordered_intra and flow_class == _INTRA:
+                # Scalar order: the G-FIB query happens at the switch, before
+                # the congestion penalty is computed.
+                info.switch.apply_run(verdicts[g], 1, now)
+            if metered:
+                penalty = congestion_penalty_ms(flow, info.src_switch_id, info.dst_switch_id, now)
                 if penalty > 0.0:
-                    first_flow[i] = penalty
-                    steady_flow[i] = penalty
-        self._count_minted(batch, len(batch) if metered else state["fallback_flow_count"])
+                    first_flow[i] += penalty
+                    steady_flow[i] += penalty
+        if metered:
+            self._count_minted(batch)
 
     # -- stage 3: apply each decided pair once, then fold the batch ---------------
 

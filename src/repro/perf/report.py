@@ -69,6 +69,16 @@ class PerfSnapshot:
         return dataclass_from_dict(cls, cleaned)
 
 
+#: Why flows left the array path: the ``kernel.fallback_<cause>`` counters,
+#: which sum to ``kernel.flows_fallback``, and how the profile words them.
+KERNEL_FALLBACK_CAUSES = {
+    "punt": "no-rule packet-ins",
+    "rule_may_expire": "resident rule may expire",
+    "eviction_guard": "eviction-guard demotions",
+    "bypass": "in bypassed batches",
+}
+
+
 def format_kernel_breakdown(snapshot: PerfSnapshot) -> str:
     """Render the vectorized-kernel section of a profile, if the kernel ran.
 
@@ -95,10 +105,15 @@ def format_kernel_breakdown(snapshot: PerfSnapshot) -> str:
     floor = snapshot.gauges.get("kernel.min_batch_coverage")
     if floor is not None:
         lines.append(f"  worst single-batch coverage: {floor:.1%}")
+    causes = (
+        f"{counters.get(f'kernel.fallback_{cause}', 0):,} {label}"
+        for cause, label in KERNEL_FALLBACK_CAUSES.items()
+    )
+    lines.append(f"  fallback flows: {fallback:,} = " + " + ".join(causes))
     minted = counters.get("kernel.records_minted", 0)
     lines.append(
-        f"  records minted: {minted:,} (FlowRecords built from column chunks; "
-        "the rest of the flows stayed columns)"
+        f"  records minted: {minted:,} (FlowRecords built from column chunks, for a link "
+        "meter or a bypassed batch; every other flow stayed columns)"
     )
     for name in ("kernel_classify", "kernel_fallback", "kernel_accumulate"):
         try:

@@ -62,40 +62,43 @@ class TestOpenFlowController:
     def test_every_packet_in_counts_workload(self):
         controller = OpenFlowController()
         controller.register_switch(make_of_switch(0))
-        packet = make_data_packet(mac(1), mac(2), 0)
-        controller.handle_packet_in(0, packet, now=1.0, true_destination_switch=1)
+        key = FlowKey(mac(1), mac(2), 0)
+        controller.handle_packet_in(0, key, now=1.0, true_destination_switch=1)
         assert controller.total_requests >= 1
         assert controller.workload_series.total() >= 1
 
     def test_unknown_destination_triggers_learning(self):
         controller = OpenFlowController()
         controller.register_switch(make_of_switch(0))
-        packet = make_data_packet(mac(1), mac(2), 0)
-        result = controller.handle_packet_in(0, packet, now=1.0, true_destination_switch=3)
-        assert result.needed_location_learning
+        key = FlowKey(mac(1), mac(2), 0)
+        result = controller.handle_packet_in(0, key, now=1.0, true_destination_switch=3)
+        assert result.needed_location_learning and result.installed_rule
         assert controller.arp_floods == 1
+        # The flood is a second round of requests on top of the Packet_In.
+        assert controller.total_requests == 2
         assert controller.located_switch(mac(2)) == 3
+        assert controller.switch(0).flow_table.peek(key).action.target == 3
 
     def test_known_destination_skips_learning(self):
         controller = OpenFlowController()
         controller.register_switch(make_of_switch(0))
         controller.learn_location(mac(2), 5)
-        result = controller.handle_packet_in(0, make_data_packet(mac(1), mac(2), 0), now=1.0)
+        result = controller.handle_packet_in(0, FlowKey(mac(1), mac(2), 0), now=1.0)
         assert not result.needed_location_learning
         assert result.egress_switch_id == 5
 
     def test_source_location_learned_from_packet_in(self):
         controller = OpenFlowController()
         controller.register_switch(make_of_switch(2))
-        controller.handle_packet_in(2, make_data_packet(mac(7), mac(8), 0), now=0.0, true_destination_switch=3)
+        controller.handle_packet_in(2, FlowKey(mac(7), mac(8), 0), now=0.0, true_destination_switch=3)
         assert controller.located_switch(mac(7)) == 2
 
     def test_rule_installed_on_ingress_switch(self):
         controller = OpenFlowController()
         switch = make_of_switch(0)
         controller.register_switch(switch)
-        packet = make_data_packet(mac(1), mac(2), 0)
-        controller.handle_packet_in(0, packet, now=1.0, true_destination_switch=4)
+        key = FlowKey(mac(1), mac(2), 0)
+        controller.handle_packet_in(0, key, now=1.0, true_destination_switch=4)
         assert FlowKey(mac(1), mac(2), 0) in switch.flow_table
         assert controller.flow_mods_sent == 1
 
@@ -104,21 +107,21 @@ class TestOpenFlowController:
         switch = make_of_switch(0)
         switch.attach_host(mac(2), 7, 0)
         controller.register_switch(switch)
-        controller.handle_packet_in(0, make_data_packet(mac(1), mac(2), 0), now=1.0, true_destination_switch=0)
+        controller.handle_packet_in(0, FlowKey(mac(1), mac(2), 0), now=1.0, true_destination_switch=0)
         rule = switch.flow_table.lookup(FlowKey(mac(1), mac(2), 0), now=1.0)
         assert rule.action.target == 7
 
     def test_unresolvable_destination(self):
         controller = OpenFlowController()
         controller.register_switch(make_of_switch(0))
-        result = controller.handle_packet_in(0, make_data_packet(mac(1), mac(2), 0), now=1.0)
+        result = controller.handle_packet_in(0, FlowKey(mac(1), mac(2), 0), now=1.0)
         assert result.egress_switch_id is None and not result.installed_rule
 
     def test_current_load_rps(self):
         controller = OpenFlowController()
         controller.register_switch(make_of_switch(0))
         for i in range(20):
-            controller.handle_packet_in(0, make_data_packet(mac(1), mac(2 + i), 0), now=1.0 + i * 0.1,
+            controller.handle_packet_in(0, FlowKey(mac(1), mac(2 + i), 0), now=1.0 + i * 0.1,
                                         true_destination_switch=1)
         assert controller.current_load_rps(3.0) > 0
 
@@ -145,8 +148,8 @@ class TestLazyCtrlController:
         hosts = network.hosts()
         src = hosts[0]
         dst = next(h for h in hosts if h.switch_id != src.switch_id)
-        packet = make_data_packet(src.mac, dst.mac, src.tenant_id)
-        result = lazy_controller.handle_packet_in(src.switch_id, packet, now=1.0)
+        key = FlowKey(src.mac, dst.mac, src.tenant_id)
+        result = lazy_controller.handle_packet_in(src.switch_id, key, now=1.0)
         assert result.resolved and result.egress_switch_id == dst.switch_id
         assert lazy_controller.total_requests == 1
         # The rule was installed on the ingress switch.
@@ -158,18 +161,21 @@ class TestLazyCtrlController:
         hosts = network.hosts()
         src, dst = hosts[0], hosts[-1]
         lazy_controller.clib.remove_host(dst.mac)
-        packet = make_data_packet(src.mac, dst.mac, src.tenant_id)
-        result = lazy_controller.handle_packet_in(src.switch_id, packet, now=1.0)
-        assert result.resolved
+        key = FlowKey(src.mac, dst.mac, src.tenant_id)
+        result = lazy_controller.handle_packet_in(src.switch_id, key, now=1.0)
+        assert result.resolved and result.egress_switch_id == dst.switch_id
+        # The C-LIB missed, so the request went out to every group hosting the tenant.
+        assert result.relayed_groups == lazy_controller.arp_relays > 0
         assert lazy_controller.clib.locate(dst.mac) == dst.switch_id
+        assert key in lazy_controller.switch(src.switch_id).flow_table
 
     def test_packet_in_cold_lookup_swallows_only_unknown_host(self, lazy_controller, network, monkeypatch):
         """A destination nobody knows is a dropped flow; any other failure in
         the cold-C-LIB branch is a defect and must surface, not turn into one."""
         lazy_controller.apply_grouping(simple_grouping(network))
         src = network.hosts()[0]
-        packet = make_data_packet(src.mac, mac(999_999), src.tenant_id)
-        result = lazy_controller.handle_packet_in(src.switch_id, packet, now=1.0)
+        key = FlowKey(src.mac, mac(999_999), src.tenant_id)
+        result = lazy_controller.handle_packet_in(src.switch_id, key, now=1.0)
         assert not result.resolved and result.egress_switch_id is None
 
         def broken(_mac):
@@ -177,7 +183,7 @@ class TestLazyCtrlController:
 
         monkeypatch.setattr(network, "host_by_mac", broken)
         with pytest.raises(RuntimeError, match="unrelated defect"):
-            lazy_controller.handle_packet_in(src.switch_id, packet, now=2.0)
+            lazy_controller.handle_packet_in(src.switch_id, key, now=2.0)
 
     def test_arp_escalation_relays_to_tenant_groups(self, lazy_controller, network):
         lazy_controller.apply_grouping(simple_grouping(network))
@@ -218,6 +224,6 @@ class TestLazyCtrlController:
         hosts = network.hosts()
         src = hosts[0]
         dst = next(h for h in hosts if h.switch_id != src.switch_id)
-        packet = make_data_packet(src.mac, dst.mac, src.tenant_id)
-        lazy_controller.handle_packet_in(src.switch_id, packet, now=3600.0)
+        key = FlowKey(src.mac, dst.mac, src.tenant_id)
+        lazy_controller.handle_packet_in(src.switch_id, key, now=3600.0)
         assert lazy_controller.workload_series.bucket_count(0) == 1

@@ -5,7 +5,10 @@ contract they lean on.
 ``_classify`` (pair grouping over a chunk's columns, one ``classify_run`` per
 pair, the hazard guards) and ``_accumulate`` (one ``apply_run``/``settle_run``
 per decided pair, then the latency/intensity/timeline folds) — on a real
-lazyctrl-dynamic plane warmed with the paper-fig7 trace.  These numbers are
+lazyctrl-dynamic plane warmed with the paper-fig7 trace, and the ordered
+``_walk`` at its worst: a cold-table batch in which every pair punts
+(``EdgePlane.first_packet`` per flow: switch, controller, rule install, then
+the repeats' table hits), on the baseline and on LazyCtrl.  These numbers are
 for profiling regressions locally (``pytest tests/test_kernel_bench.py
 --benchmark-only``); in a plain test run each stage executes once as a
 smoke test, so CI cost stays negligible.
@@ -29,16 +32,23 @@ from hypothesis import strategies as st
 from repro.core.presets import get_preset
 from repro.core.registry import get_control_plane
 from repro.kernel.columnar import build_kernel
+from repro.traffic.chunk import FlowChunk
 
 BATCH_FLOWS = 4096
 
 
 @pytest.fixture(scope="module")
-def kernel_and_batch():
-    """A lazyctrl-dynamic plane warmed on paper-fig7, plus one real batch."""
+def fig7():
+    """The paper-fig7 spec with its network and trace."""
     spec = next(iter(get_preset("paper-fig7").specs()))
     network = spec.build_network()
-    trace = spec.build_trace(network)
+    return spec, network, spec.build_trace(network)
+
+
+@pytest.fixture(scope="module")
+def kernel_and_batch(fig7):
+    """A lazyctrl-dynamic plane warmed on paper-fig7, plus one real batch."""
+    spec, network, trace = fig7
     plane = get_control_plane("lazyctrl-dynamic").build(
         network,
         config=spec.effective_config(),
@@ -69,6 +79,44 @@ def test_accumulate_primitive(kernel_and_batch, benchmark):
     state = kernel._classify(batch, len(batch))
     assert state is not None
     benchmark(kernel._accumulate, state)
+
+
+@pytest.mark.parametrize("system", ("openflow", "lazyctrl-dynamic"))
+def test_fallback_walk_primitive(system, fig7, benchmark):
+    """Walk one batch whose every pair punts: the trace's first flows that fall
+    back on a cold plane, so each pair's first flow is a packet-in and its
+    repeats hit (or outlive) the rule that installed.  A walk warms the tables
+    it walks over, so every round gets a cold plane and a fresh
+    classification (set-up, untimed)."""
+    spec, network, trace = fig7
+
+    def cold_kernel():
+        plane = get_control_plane(system).build(network, config=spec.effective_config())
+        plane.prepare(trace, warmup_end=spec.schedule.warmup_seconds)
+        return build_kernel(plane)
+
+    columns = trace.columns()
+    cold = cold_kernel()._classify(columns, len(columns))
+    assert cold["fallback_causes"]["rule_may_expire"] == 0  # cold: every fallback is a punt
+    punting = cold["fallback_flow_idx"][:BATCH_FLOWS].tolist()
+    assert len(punting) >= 256
+    batch = FlowChunk.from_draws(zip(*(map(column.__getitem__, punting) for column in columns.columns())))
+
+    def setup():
+        kernel = cold_kernel()
+        state = kernel._classify(batch, len(batch))
+        assert state["fallback_causes"]["punt"] == len(batch)
+        return (kernel, state), {}
+
+    def walk(kernel, state):
+        kernel._walk(batch, state)
+        return kernel, state
+
+    kernel, state = benchmark.pedantic(walk, setup=setup, rounds=5)
+    counters = kernel._plane.counters
+    assert counters.flows_handled == len(batch)
+    assert counters.controller_requests >= len(state["cls"])  # a packet-in per pair, at least
+    assert (state["first_flow"] > 0.0).all()
 
 
 @given(

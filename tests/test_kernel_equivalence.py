@@ -248,15 +248,13 @@ class TestEndStateEquivalence:
 
 
 class TestFallbackIsThePlanesDecideStep:
-    """Fallback flows go through ``plane.decide``; nothing is swapped out under it."""
+    """Fallback flows take ``plane.first_packet``, the step ``decide`` itself
+    takes for every scalar flow; nothing is swapped out under it."""
 
-    @pytest.mark.parametrize("links", LINK_SPECS, ids=("plain-walk", "metered-walk"))
-    @pytest.mark.parametrize("system", SYSTEMS)
-    def test_recorder_and_intensity_window_keep_their_identity(self, system, links):
-        from repro.core.registry import get_control_plane
-        from repro.kernel import build_batch_handler
-
+    @staticmethod
+    def prepared_plane(system, links):
         from repro.common.config import GroupingConfig, LazyCtrlConfig
+        from repro.core.registry import get_control_plane
 
         # Groups of three switches, so LazyCtrl has inter-group flows to punt.
         spec = dataclasses.replace(
@@ -267,6 +265,24 @@ class TestFallbackIsThePlanesDecideStep:
         trace = spec.build_trace(network)
         plane = get_control_plane(system).build(network, config=spec.effective_config())
         plane.prepare(trace, warmup_end=SCHEDULE.warmup_seconds)
+        return plane, list(trace.flows)
+
+    @staticmethod
+    def spy_on_first_packet(plane, seen, note):
+        first_packet = plane.first_packet
+
+        def spy(key, src_switch_id, dst_switch_id, now):
+            seen.append(note(key, now))
+            return first_packet(key, src_switch_id, dst_switch_id, now)
+
+        plane.first_packet = spy
+
+    @pytest.mark.parametrize("links", LINK_SPECS, ids=("plain-walk", "metered-walk"))
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_recorder_and_intensity_window_keep_their_identity(self, system, links):
+        from repro.kernel import build_batch_handler
+
+        plane, records = self.prepared_plane(system, links)
         manager = getattr(plane.controller, "grouping_manager", None)
 
         def identities():
@@ -274,29 +290,35 @@ class TestFallbackIsThePlanesDecideStep:
 
         before = identities()
         during = []
-        decide = plane.decide
-
-        def spy(flow, now):
-            during.append(identities())
-            return decide(flow, now)
-
-        plane.decide = spy
+        self.spy_on_first_packet(plane, during, lambda key, now: identities())
         handler = build_batch_handler(plane)
-        records = list(trace.flows)
         samples_before = plane.latency_recorder.sample_count()
         for start in range(0, len(records), 200):
             handler(records[start : start + 200])
             assert all(a is b for a, b in zip(identities(), before))
         assert during, "no flow took the fallback"
         assert all(a is b for seen in during for a, b in zip(seen, before))
-        # ... and what decide left unrecorded, the batch fold recorded once.
+        # ... and what the step left unrecorded, the batch fold recorded once.
         assert plane.latency_recorder.sample_count() - samples_before == sum(
             flow.packet_count for flow in records
         )
 
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_decide_takes_the_same_step_for_every_scalar_flow(self, system):
+        plane, records = self.prepared_plane(system, LINK_SPECS[0])
+        network = plane.network
+        seen = []
+        self.spy_on_first_packet(plane, seen, lambda key, now: (key.src_mac, key.dst_mac, now))
+        for flow in records:
+            assert plane.handle_flow_arrival(flow, flow.start_time) is not None
+        assert seen == [
+            (network.host(flow.src_host_id).mac, network.host(flow.dst_host_id).mac, flow.start_time)
+            for flow in records
+        ]
+
 
 class TestRecordsOnDemand:
-    """The kernel reads columns; records exist only for the flows that need one."""
+    """The kernel reads columns; records exist only where a link meter reads one."""
 
     def _run(self, spec):
         result = ScenarioRunner().run(
@@ -305,14 +327,16 @@ class TestRecordsOnDemand:
         )
         return {name: run.perf for name, run in result.runs.items()}
 
-    def test_unmetered_run_mints_exactly_the_fallback_flows(self):
+    def test_unmetered_walk_mints_no_record(self):
+        """Fallback flows included: the packet-in step runs on the pair's flow
+        key and the time column."""
         perfs = self._run(build_spec(flows=800, seed=21))
         for name, perf in perfs.items():
             counters = perf.counters
             assert counters["kernel.flows_vectorized"] > 0, name
             # The counter only appears once something was minted.
-            assert counters.get("kernel.records_minted", 0) == counters["kernel.flows_fallback"], name
-        assert perfs["openflow"].counters["kernel.records_minted"] > 0
+            assert "kernel.records_minted" not in counters, name
+        assert perfs["openflow"].counters["kernel.flows_fallback"] > 0
 
     def test_metered_walk_mints_every_flow_it_walks(self):
         """Under a link meter the ordered walk hands each flow to the meter
@@ -325,9 +349,12 @@ class TestRecordsOnDemand:
     def test_profile_kernel_block_reports_minted_records(self):
         from repro.perf.report import format_kernel_breakdown
 
-        perf = self._run(build_spec(flows=800, seed=21))["openflow"]
-        minted = perf.counters["kernel.records_minted"]
-        assert f"records minted: {minted:,}" in format_kernel_breakdown(perf)
+        unmetered = self._run(build_spec(flows=800, seed=21))["openflow"]
+        assert "records minted: 0 " in format_kernel_breakdown(unmetered)
+        metered = self._run(build_spec(flows=800, seed=21, links=LINK_SPECS[1]))["openflow"]
+        minted = metered.counters["kernel.records_minted"]
+        assert minted > 0
+        assert f"records minted: {minted:,} " in format_kernel_breakdown(metered)
 
     def test_record_list_batches_are_adapted_not_minted(self):
         """A plain record list handed to the kernel is transposed once and
@@ -363,3 +390,70 @@ class TestNumpyGate:
         monkeypatch.setattr(kernel_pkg, "numpy_available", lambda: False)
         result = ScenarioRunner().run(build_spec(flows=50))
         assert result.runs
+
+
+class TestFallbackCauses:
+    """``kernel.flows_fallback`` split by why the flows left the array path."""
+
+    @staticmethod
+    def split(counters):
+        from repro.perf.report import KERNEL_FALLBACK_CAUSES
+
+        assert set(KERNEL_FALLBACK_CAUSES) == {"punt", "rule_may_expire", "eviction_guard", "bypass"}
+        return {
+            cause: counters.get(f"kernel.fallback_{cause}", 0) for cause in KERNEL_FALLBACK_CAUSES
+        }
+
+    @pytest.mark.parametrize(
+        "model,flows,tables,links,expected",
+        [
+            ("realistic", 800, None, None, {"punt", "rule_may_expire"}),
+            # 4-entry LRU tables: rules never age, installs evict.
+            ("elephant-mice", 3000, TABLE_SPECS[3], None, {"punt", "eviction_guard"}),
+            # The adaptive predictor is never decidable in bulk.
+            ("realistic", 800, TABLE_SPECS[4], LINK_SPECS[1], {"punt", "rule_may_expire"}),
+        ],
+        ids=("plain", "tiny-lru", "adaptive-metered"),
+    )
+    def test_the_parts_sum_to_flows_fallback(self, model, flows, tables, links, expected):
+        from repro.perf.report import format_kernel_breakdown
+
+        result = ScenarioRunner().run(
+            build_spec(
+                model=model,
+                flows=flows,
+                seed=21,
+                tables=tables,
+                links=links,
+                execution=ExecutionSpec(kernel="vectorized"),
+            ),
+            collect_perf=True,
+        )
+        seen = set()
+        for name, run in result.runs.items():
+            counters = run.perf.counters
+            parts = self.split(counters)
+            assert sum(parts.values()) == counters["kernel.flows_fallback"], name
+            seen.update(cause for cause, flows in parts.items() if flows)
+            block = format_kernel_breakdown(run.perf)
+            assert f"fallback flows: {counters['kernel.flows_fallback']:,} = " in block
+            assert f"{parts['punt']:,} no-rule packet-ins" in block
+        assert seen == expected
+
+    def test_a_bypassed_batch_counts_whole(self):
+        from repro.core.registry import get_control_plane
+        from repro.kernel import build_batch_handler
+        from repro.perf.recorder import PerfRecorder
+
+        spec = build_spec(flows=400, seed=5)
+        network = spec.build_network()
+        records = list(spec.build_trace(network).flows)
+        plane = get_control_plane("openflow").build(network, config=spec.effective_config())
+        perf = PerfRecorder()
+        handler = build_batch_handler(plane, perf=perf)
+        handler(records[:100])
+        plane.switches()[0].failed = True  # a state the array path does not model
+        handler(records[100:250])
+        parts = self.split(perf.counters)
+        assert parts["bypass"] == 150
+        assert sum(parts.values()) == perf.counter("kernel.flows_fallback")

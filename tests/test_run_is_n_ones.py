@@ -3,8 +3,9 @@
 The data path is written once, for a run of ``n`` back-to-back packets of one
 flow key (``FlowTable.stays_alive``/``account_run``, ``GroupFib.peek``/
 ``account_queries``, ``EdgeSwitch.classify_run``/``apply_run``); the per-packet
-calls (``lookup``, ``query``, ``process_packet``) are the run of one.  These
-properties hold the contract where it lives: a run either is declared
+calls (``lookup``, ``query``, ``forward_key``) are the run of one, and
+``process_packet`` on a data packet is ``forward_key`` presented as a decision.
+These properties hold the contract where it lives: a run either is declared
 undecidable, having changed nothing, or leaves exactly what ``n`` single calls
 leave — and asking alone never changes anything.
 """
@@ -239,3 +240,73 @@ class TestSwitchRun:
             11: intra,
             30: ForwardingOutcome.SENT_TO_CONTROLLER,
         }
+
+
+class TestKeyStepIsThePacketStep:
+    """``forward_key`` on a flow key ≡ ``process_packet`` on the data packet made of it."""
+
+    @pytest.mark.parametrize("policy", ("static-idle", "idle-hard-hybrid", "lru", "adaptive"))
+    @pytest.mark.parametrize("kind", ("lazyctrl", "openflow"))
+    @given(
+        dsts=st.lists(st.sampled_from(DESTINATIONS), min_size=1, max_size=7),
+        arrivals=arrivals_strategy,
+        size_bytes=st.sampled_from((64, 1500, 9000)),
+        fails_from=st.none() | st.integers(0, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_verdict_and_same_switch_afterwards(
+        self, kind, policy, dsts, arrivals, size_bytes, fails_from
+    ):
+        """A walk over mixed destinations — every rule kind, an expiring rule,
+        local, G-FIB and unknown hosts — on a switch that may fail part-way."""
+        times, _ = arrival_times(arrivals)
+        by_key, by_packet = make_switch(kind, policy), make_switch(kind, policy)
+        for step, (dst, now) in enumerate(zip(dsts, times)):
+            if step == fails_from:
+                by_key.failed = by_packet.failed = True
+            verdict = by_key.forward_key(key(1, dst), now, size_bytes)
+            decision = by_packet.process_packet(
+                make_data_packet(mac(1), mac(dst), 0, size_bytes=size_bytes, created_at=now), now
+            )
+            assert verdict.key == key(1, dst)
+            assert decision.outcome is verdict.outcome
+            assert decision.target_switches == (
+                verdict.target_switches
+                if verdict.rule is None
+                else tuple(
+                    [verdict.rule.action.target]
+                    if verdict.rule.action.kind is ActionType.ENCAP_TO_SWITCH
+                    else []
+                )
+            )
+            assert decision.duplicate_count == max(0, len(verdict.target_switches) - 1)
+            assert decision.local_port == (
+                verdict.rule.action.target
+                if verdict.rule is not None and verdict.rule.action.kind is ActionType.FORWARD_LOCAL
+                else verdict.local_port
+            )
+            assert switch_state(by_key) == switch_state(by_packet)
+
+    @pytest.mark.parametrize("kind", ("lazyctrl", "openflow"))
+    def test_every_outcome_of_the_key_step_is_reached(self, kind):
+        switch = make_switch(kind, "lru")
+        outcomes = {dst: switch.forward_key(key(1, dst), 11.0).outcome for dst in DESTINATIONS}
+        intra = (
+            ForwardingOutcome.INTRA_GROUP_FORWARD
+            if kind == "lazyctrl"
+            else ForwardingOutcome.SENT_TO_CONTROLLER
+        )
+        assert outcomes == {
+            20: ForwardingOutcome.FLOW_TABLE_HIT,
+            2: ForwardingOutcome.FLOW_TABLE_HIT,
+            21: ForwardingOutcome.DROPPED_NO_RULE,  # drop rule
+            22: ForwardingOutcome.SENT_TO_CONTROLLER,  # send-to-controller rule
+            3: ForwardingOutcome.LOCAL_DELIVERY,
+            10: intra,
+            11: intra,
+            30: ForwardingOutcome.SENT_TO_CONTROLLER,
+        }
+        assert switch.packets_to_controller == (2 if kind == "lazyctrl" else 4)
+        switch.failed = True
+        failed = switch.forward_key(key(1, 3), 12.0)
+        assert failed.outcome is ForwardingOutcome.DROPPED_NO_RULE and failed.rule is None

@@ -218,3 +218,81 @@ class TestEdgePlaneContract:
         assert plane.link_meter is not None
         usage = plane.link_usage(3600.0)
         assert usage is not None and usage.peak_utilization == 0.0
+
+
+class TestDecideWhereTheIngressSwitchDoesNotForward:
+    """Pinned, not endorsed: a failed ingress switch and an explicit ``DROP`` or
+    ``SEND_TO_CONTROLLER`` rule all reach ``_resolve_miss`` — the controller is
+    asked, counted and installs a forwarding rule over whatever was there."""
+
+    CASES = ("failed", "drop-rule", "send-to-controller-rule")
+
+    @staticmethod
+    def build(kind, network, trace, config):
+        if kind == "openflow":
+            return OpenFlowSystem(network, config=config)
+        plane = LazyCtrlSystem(network, config=config)
+        plane.install_initial_grouping(trace, warmup_end=3600.0)
+        return plane
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("kind", ("lazyctrl", "openflow"))
+    def test_counters_requests_and_result(self, kind, case, small_network, small_trace, small_config):
+        from repro.common.packets import FlowKey
+        from repro.core.results import FlowHandlingResult, SystemCounters
+        from repro.datastructures.flow_table import ActionType, FlowAction
+
+        plane = self.build(kind, small_network, small_trace, small_config)
+        group_of = plane.controller.group_assignment() if kind == "lazyctrl" else None
+        flow = pick_flow(
+            small_network,
+            same_switch=False,
+            same_group=None if group_of is None else False,
+            group_of=group_of,
+            flow_id=301,
+        )
+        src = small_network.host(flow.src_host_id)
+        dst = small_network.host(flow.dst_host_id)
+        key = FlowKey(src_mac=src.mac, dst_mac=dst.mac, tenant_id=src.tenant_id)
+        switch = plane.switch(src.switch_id)
+        if case == "failed":
+            switch.failed = True
+        else:
+            kind_of = ActionType.DROP if case == "drop-rule" else ActionType.SEND_TO_CONTROLLER
+            switch.install_flow_rule(key, FlowAction(kind_of), now=0.0)
+        model = plane.latency_model
+
+        result = plane.decide(flow, now=1.0)
+
+        lazy = kind == "lazyctrl"
+        assert result == FlowHandlingResult(
+            flow_id=301,
+            path=FlowPathKind.INTER_GROUP if lazy else FlowPathKind.CONTROLLER_REACTIVE,
+            src_switch_id=src.switch_id,
+            dst_switch_id=dst.switch_id,
+            controller_involved=True,
+            first_packet_latency_ms=(
+                model.inter_group_setup_ms(0.0)
+                if lazy
+                else model.openflow_reactive_ms(0.0, needs_location_learning=True)
+            ),
+            steady_packet_latency_ms=model.flow_table_hit_ms(),
+        )
+        assert plane.counters == SystemCounters(
+            flows_handled=1, inter_group_flows=1 if lazy else 0, controller_requests=1
+        )
+        # The baseline's cold controller floods an ARP before it can answer.
+        assert plane.controller.total_requests == (1 if lazy else 2)
+        assert plane.controller.flow_mods_sent == 1
+        assert switch.packets_processed == 1
+        assert switch.packets_to_controller == (1 if case == "send-to-controller-rule" else 0)
+        stats = switch.flow_table.stats
+        # A failed switch never reaches its table; an explicit rule is a hit.
+        assert (stats.hits, stats.misses) == ((0, 0) if case == "failed" else (1, 0))
+        assert stats.installs == (1 if case == "failed" else 2)
+        # The controller's answer replaced the explicit rule.
+        (rule,) = list(switch.flow_table)
+        assert rule.key == key
+        assert rule.action == FlowAction(ActionType.ENCAP_TO_SWITCH, dst.switch_id)
+        if lazy:
+            assert switch.gfib.query_count == 0
