@@ -9,8 +9,9 @@ for.  This package gives them something to saturate:
   :class:`~repro.traffic.flow.FlowRecord` (derived deterministically from
   ``byte_count`` / ``duration`` when absent);
 * :class:`~repro.bandwidth.meter.LinkUtilizationMeter` — a per-window
-  byte accumulator over edge-switch uplinks, fed by both dataplanes during
-  replay;
+  byte accumulator over edge-switch uplinks, fed during replay a run of
+  flows at a time (``account_run``, on start / duration / byte columns) or a
+  record at a time (``observe``, the run of one);
 * :class:`~repro.bandwidth.usage.LinkUsageResult` — the serializable
   per-link utilization matrix attached to every run that has capacities;
 * :class:`~repro.bandwidth.spec.LinkCapacitySpec` — the spec-level overlay

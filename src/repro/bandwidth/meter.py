@@ -4,10 +4,13 @@ The meter models the underlay the way the paper's latency model does: the
 core is an opaque one-hop fabric, so every inter-switch flow traverses
 exactly two capacitated links — the source edge switch's uplink into the
 core and the destination edge switch's uplink out of it.  Each observed
-flow spreads its bytes over fixed accounting windows according to its
-(possibly derived) rate profile, and the offered load of the current
-window, as a fraction of capacity, is what the latency model's queueing
-term feeds on.
+flow spreads its bytes over fixed accounting windows — at the constant rate
+its byte count and duration imply, or along an attached rate profile — and
+the offered load of the current window, as a fraction of capacity, is what
+the latency model's queueing term feeds on.  The accounting is written once,
+on what it reads: :meth:`LinkUtilizationMeter.account_run` takes start,
+duration and byte columns, and :meth:`~LinkUtilizationMeter.observe` is that
+run for one record.
 
 A meter only exists when at least one switch has a capacity assigned;
 :func:`build_link_meter` returns ``None`` otherwise, and the dataplanes
@@ -18,16 +21,21 @@ bit-identical to a build without this subsystem.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
+from itertools import repeat
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bandwidth.usage import LinkUsageResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.bandwidth.profile import RateProfile
     from repro.topology.network import DataCenterNetwork
     from repro.traffic.flow import FlowRecord
 
 #: Bytes per second carried by one Mbit/s.
 _BYTES_PER_MBPS = 125_000.0
+
+#: An uplink's first reading of at least 1.0 in a window: (time, switch_id, utilization).
+Crossing = Tuple[float, int, float]
 
 
 class LinkObservation(NamedTuple):
@@ -72,43 +80,138 @@ class LinkUtilizationMeter:
     ) -> LinkObservation:
         """Account one inter-switch flow and report current-window utilization.
 
-        The returned utilizations include the observed flow's own
-        current-window bytes, so back-to-back arrivals inside one window see
-        monotonically growing load — the behaviour an M/M/1 queue's offered
-        load should have.  An untracked switch reads as 0.0 utilization.
+        The record form of :meth:`account_run`'s step.  The returned
+        utilizations include the observed flow's own current-window bytes, so
+        back-to-back arrivals inside one window see monotonically growing
+        load — the behaviour an M/M/1 queue's offered load should have.  An
+        untracked switch reads as 0.0 utilization.
         """
-        profile = flow.resolved_rate_profile()
-        current_window = int(now / self.window_seconds)
-        utilizations = []
-        newly_congested = []
+        crossings: List[Crossing] = []
+        src_utilization, dst_utilization = self._account(
+            flow.start_time,
+            flow.duration,
+            flow.byte_count,
+            flow.rate_profile,
+            src_switch_id,
+            dst_switch_id,
+            now,
+            crossings,
+        )
+        return LinkObservation(
+            src_utilization,
+            dst_utilization,
+            tuple([(switch_id, utilization) for _, switch_id, utilization in crossings]),
+        )
+
+    def account_run(
+        self,
+        starts: Sequence[float],
+        durations: Sequence[float],
+        byte_counts: Sequence[int],
+        src_switch_ids: Sequence[int],
+        dst_switch_ids: Sequence[int],
+        profiles: Optional[Sequence[Optional["RateProfile"]]] = None,
+        *,
+        nows: Optional[Sequence[float]] = None,
+    ) -> Tuple[List[Tuple[float, float]], List[Crossing]]:
+        """Account a run of inter-switch flows, in order, from parallel sequences.
+
+        Flow ``i`` sends ``byte_counts[i]`` bytes at a constant rate over
+        ``durations[i]`` seconds from ``starts[i]`` — the columns a flow chunk
+        already holds — unless ``profiles[i]`` says otherwise, and reads its
+        two uplinks at ``nows[i]``: its start, as in a replay, when ``nows``
+        is omitted.  Returns each flow's ``(src_utilization,
+        dst_utilization)`` and the ``(time, switch_id, utilization)``
+        crossings of 1.0 in the order they happened.
+        """
+        crossings: List[Crossing] = []
+        utilizations = list(
+            map(
+                self._account,
+                starts,
+                durations,
+                byte_counts,
+                repeat(None) if profiles is None else profiles,
+                src_switch_ids,
+                dst_switch_ids,
+                starts if nows is None else nows,
+                repeat(crossings),
+            )
+        )
+        return utilizations, crossings
+
+    def _account(
+        self,
+        start: float,
+        duration: float,
+        byte_count: int,
+        profile: Optional["RateProfile"],
+        src_switch_id: int,
+        dst_switch_id: int,
+        now: float,
+        crossings: List[Crossing],
+    ) -> Tuple[float, float]:
+        """Charge one flow to its two uplinks and read both back at ``now``.
+
+        A constant rate that ends inside the window it starts in — nearly
+        every flow — is one product, the two operations :meth:`_spread` would
+        perform for it; the rest take the stepping loop.
+        """
+        window_seconds = self.window_seconds
+        index = int(start / window_seconds)
+        current_window = int(now / window_seconds)
+        if profile is not None:
+            segments = profile.segments
+        else:
+            rate_bps = byte_count * 8.0 / duration
+            end = start + duration
+            if start < end <= (index + 1) * window_seconds:
+                segments = None
+                whole = rate_bps / 8.0 * (end - start)
+            else:
+                segments = ((duration, rate_bps),)
+        readings = []
         for switch_id in (src_switch_id, dst_switch_id):
             windows = self._bytes.get(switch_id)
             if windows is None:
-                utilizations.append(0.0)
+                readings.append(0.0)
                 continue
-            self._spread(windows, flow.start_time, profile)
-            utilization = (
-                windows.get(current_window, 0.0) / self._window_capacity_bytes[switch_id]
-            )
-            utilizations.append(utilization)
+            if segments is None:
+                windows[index] = windows.get(index, 0.0) + whole
+            else:
+                self._spread(windows, start, index, segments)
+            utilization = windows.get(current_window, 0.0) / self._window_capacity_bytes[switch_id]
+            readings.append(utilization)
             if utilization >= 1.0 and (switch_id, current_window) not in self._crossed:
                 self._crossed.add((switch_id, current_window))
-                newly_congested.append((switch_id, utilization))
-        return LinkObservation(utilizations[0], utilizations[1], tuple(newly_congested))
+                crossings.append((now, switch_id, utilization))
+        return readings[0], readings[1]
 
-    def _spread(self, windows: Dict[int, float], start: float, profile) -> None:
-        """Distribute one profile's bytes across the windows it overlaps."""
+    def _spread(
+        self,
+        windows: Dict[int, float],
+        cursor: float,
+        index: int,
+        segments: Tuple[Tuple[float, float], ...],
+    ) -> None:
+        """Distribute segments starting at ``cursor``, in window ``index``, across windows.
+
+        The window index is stepped, never re-derived from the cursor: at a
+        boundary ``k * w`` whose quotient ``(k * w) / w`` rounds below ``k``
+        a re-derived index would name the window just left, and the cursor
+        would never advance.
+        """
         window_seconds = self.window_seconds
-        cursor = start
-        for segment_duration, rate_bps in profile.segments:
+        for segment_duration, rate_bps in segments:
             segment_end = cursor + segment_duration
             bytes_per_second = rate_bps / 8.0
             while cursor < segment_end:
-                index = int(cursor / window_seconds)
                 boundary = (index + 1) * window_seconds
                 step_end = segment_end if segment_end < boundary else boundary
                 windows[index] = windows.get(index, 0.0) + bytes_per_second * (step_end - cursor)
                 cursor = step_end
+                if step_end == boundary:
+                    index += 1
 
     def utilization(self, switch_id: int, now: float) -> float:
         """Current-window offered load of one uplink (0.0 when untracked)."""

@@ -19,15 +19,18 @@ then :meth:`EdgePlane.settle_run` or the controller) → congestion.  What it
 does for a flow its ingress switch handled alone — price it, deliver
 intra-group copies, count it — is ``settle_run``, written for ``n`` such flows
 at once; the vectorized kernel (:mod:`repro.kernel`) calls it per (src, dst)
-pair, takes ``first_packet`` for the flows it cannot account in bulk, and
-records per batch.
+pair, takes ``first_packet`` for the flows it cannot account in bulk, charges
+a batch's uplinks through :meth:`EdgePlane.link_penalties_ms` (the congestion
+step, written for a run of flows; ``decide`` takes it for one), and records
+per batch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bandwidth.meter import build_link_meter
+from repro.bandwidth.profile import RateProfile
 from repro.common.addresses import MacAddress
 from repro.common.config import LazyCtrlConfig
 from repro.common.packets import FlowKey
@@ -266,30 +269,64 @@ class EdgePlane:
     ) -> float:
         """Queueing delay the traversed uplinks add to one flow's packets.
 
-        Charges the flow's bytes to both capacitated uplinks of the one-hop
-        underlay (source and destination edge), reads back their current
-        accounting-window utilization, and prices each through the latency
-        model's M/M/1 term.  Returns 0.0 — and touches nothing — when the
-        topology carries no capacities (``link_meter is None``) or the flow
-        never leaves its edge switch, which is what keeps capacity-less runs
-        bit-identical to pre-subsystem behaviour.
+        :meth:`link_penalties_ms` for a run of one.  Returns 0.0 — and touches
+        nothing — when the topology carries no capacities (``link_meter is
+        None``) or the flow never leaves its edge switch, which is what keeps
+        capacity-less runs bit-identical to pre-subsystem behaviour.
         """
-        meter = self.link_meter
-        if meter is None or src_switch_id == dst_switch_id:
+        if self.link_meter is None or src_switch_id == dst_switch_id:
             return 0.0
-        observation = meter.observe(flow, src_switch_id, dst_switch_id, now)
-        if observation.congested:
-            self.counters.congested_flows += 1
+        return self.link_penalties_ms(
+            (flow.start_time,),
+            (flow.duration,),
+            (flow.byte_count,),
+            (src_switch_id,),
+            (dst_switch_id,),
+            (flow.rate_profile,),
+            nows=(now,),
+        )[0]
+
+    def link_penalties_ms(
+        self,
+        starts: Sequence[float],
+        durations: Sequence[float],
+        byte_counts: Sequence[int],
+        src_switch_ids: Sequence[int],
+        dst_switch_ids: Sequence[int],
+        profiles: Optional[Sequence[Optional[RateProfile]]] = None,
+        *,
+        nows: Optional[Sequence[float]] = None,
+    ) -> List[float]:
+        """Queueing delay per flow for a run of inter-switch flows under a link meter.
+
+        One :meth:`~repro.bandwidth.meter.LinkUtilizationMeter.account_run`
+        over the run, in arrival order: each flow's bytes are charged to both
+        capacitated uplinks of the one-hop underlay (source and destination
+        edge), their current accounting-window utilization is read back and
+        priced through the latency model's M/M/1 term; flows that saw an
+        uplink at or over capacity are counted and each uplink's first such
+        reading in a window is published.  The meter reads nothing of
+        forwarding state, so a caller may account a batch's flows apart from
+        (but in the same order as) their forwarding.
+        """
+        utilizations, crossings = self.link_meter.account_run(
+            starts, durations, byte_counts, src_switch_ids, dst_switch_ids, profiles, nows=nows
+        )
         tracer = self.tracer
         if tracer.enabled:
-            for switch_id, utilization in observation.newly_congested:
+            for time, switch_id, utilization in crossings:
                 tracer.emit(
-                    LinkCongestedEvent(time=now, switch_id=switch_id, utilization=utilization)
+                    LinkCongestedEvent(time=time, switch_id=switch_id, utilization=utilization)
                 )
-        model = self.latency_model
-        return model.queueing_delay_ms(observation.src_utilization) + model.queueing_delay_ms(
-            observation.dst_utilization
-        )
+        queueing_delay_ms = self.latency_model.queueing_delay_ms
+        congested = 0
+        penalties = []
+        for src_utilization, dst_utilization in utilizations:
+            if src_utilization >= 1.0 or dst_utilization >= 1.0:
+                congested += 1
+            penalties.append(queueing_delay_ms(src_utilization) + queueing_delay_ms(dst_utilization))
+        self.counters.congested_flows += congested
+        return penalties
 
     def intensity_matrix(self) -> Optional[IntensityMatrix]:
         """The intensity window handled flows are recorded in, if the plane regroups.

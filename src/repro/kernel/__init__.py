@@ -12,8 +12,9 @@ for all their flows through ``EdgeSwitch.apply_run`` and
 (packet-in, table pressure, expiring rules) goes flow by flow through
 ``EdgePlane.first_packet``, the step the plane's own ``decide`` takes, on the
 pair's flow key and the time column: no record, packet, decision or result is
-built (only a link meter reads records).  The batch is then folded into the latency
-recorder, the intensity window and the timeline.  The kernel is *not* a
+built.  A link meter is one more pass over columns — the batch's inter-switch
+flows through ``EdgePlane.link_penalties_ms``.  The batch is then folded into
+the latency recorder, the intensity window and the timeline.  The kernel is *not* a
 second semantics — it holds no forwarding rule of its own, and
 ``tests/test_kernel_boundaries.py`` keeps it off its owners' internals —
 so counters, timelines, latency totals, link matrices and every switch's end

@@ -4,7 +4,7 @@ One kernel instance wraps one control plane for one replay and is invoked by
 :class:`~repro.traffic.replay.TraceReplayer` once per batch (the flows
 between two periodic ticks, within one stream chunk).  The batch arrives
 as a :class:`~repro.traffic.chunk.FlowChunk` view whose column buffers are
-wrapped as numpy arrays without a copy, and goes through four steps:
+wrapped as numpy arrays without a copy, and goes through five steps:
 
 * **classify** — the flows are grouped by (src host, dst host) pair and each
   pair's arrival structure (first, largest gap, last) is put to its ingress
@@ -19,13 +19,20 @@ wrapped as numpy arrays without a copy, and goes through four steps:
   hits fall back too), and a G-FIB memo can fill up and clear (so where a
   G-FIB's :meth:`~repro.datastructures.fib.GroupFib.cache_room` could run
   out, intra-group runs are applied flow by flow on the ordered walk).
-* **walk** — what is order-dependent runs in arrival order: fallback flows
-  through :meth:`~repro.core.system.EdgePlane.first_packet`, the packet-in
-  step the plane's own ``decide`` takes, on the pair's memoized flow key and
-  the time column; and, under a link meter, every inter-switch flow's
-  congestion penalty.  Only the meter reads a
-  :class:`~repro.traffic.flow.FlowRecord`: ``kernel.records_minted`` is 0 on
-  an unmetered walk and the whole batch on a metered (or bypassed) one.
+* **walk** — what forwarding makes order-dependent runs in arrival order:
+  fallback flows through :meth:`~repro.core.system.EdgePlane.first_packet`,
+  the packet-in step the plane's own ``decide`` takes, on the pair's memoized
+  flow key and the time column.  No
+  :class:`~repro.traffic.flow.FlowRecord` is built: ``kernel.records_minted``
+  counts only batches bypassed whole.
+* **meter** — under a link meter, the batch's inter-switch flows are charged
+  to their two uplinks in one
+  :meth:`~repro.core.system.EdgePlane.link_penalties_ms` call on the start /
+  duration / byte columns (and a record-backed chunk's rate profiles): the
+  step ``decide``'s ``congestion_penalty_ms`` takes for a run of one.  The
+  meter is order-dependent among those flows only — it reads nothing the walk
+  writes — so it is a pass of its own (``kernel.flows_metered`` flows, the
+  ``kernel_meter`` stage) rather than a reason to walk the whole batch.
 * **apply and fold** — each decided pair is applied once for its ``n``
   flows — :meth:`~repro.dataplane.edge_switch.EdgeSwitch.apply_run` at the
   switch, :meth:`~repro.core.system.EdgePlane.settle_run` at the plane, the
@@ -43,8 +50,8 @@ contract is bit-identity with the scalar replayer:
   ``steady * (packet_count - 1)`` terms interleaved exactly as the scalar
   ``record`` calls would produce them (``numpy`` float64 arithmetic is
   IEEE-754 double arithmetic, the same operations in the same order);
-* a flow's latency is its pair's price plus what the walk found for it (a
-  congestion penalty, or 0.0): the scalar ``price += penalty`` is the same
+* a flow's latency is its pair's price plus what the meter pass found for it
+  (a congestion penalty, or 0.0): the scalar ``price += penalty`` is the same
   one addition, and adding 0.0 changes no bit of a positive price;
 * ``numpy.floor_divide`` on float64 matches CPython's float ``//`` bit for
   bit, so bucket indices agree with ``int(timestamp // bucket_seconds)``;
@@ -57,7 +64,6 @@ contract is bit-identity with the scalar replayer:
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -142,17 +148,11 @@ class ColumnarReplayKernel:
             perf.count("kernel.batches_bypassed", 1)
             perf.count("kernel.flows_fallback", len(batch))
             perf.count("kernel.fallback_bypass", len(batch))
-            self._count_minted(batch)
+            if batch.mints_records:
+                # Only a column-backed chunk builds them; one adapted from
+                # existing records hands those back.
+                perf.count("kernel.records_minted", len(batch))
             self._note_coverage(0, len(batch))
-
-    def _count_minted(self, batch: FlowChunk) -> None:
-        """Account a batch read record by record (a bypass, or for a link meter).
-
-        Only a column-backed chunk builds them; a chunk adapted from existing
-        records hands those back and mints nothing.
-        """
-        if batch.mints_records:
-            self._perf.count("kernel.records_minted", len(batch))
 
     def _note_coverage(self, vectorized: int, total: int) -> None:
         if total <= 0:
@@ -197,6 +197,9 @@ class ColumnarReplayKernel:
             return
         with perf.timeit("kernel_fallback"):
             self._walk(batch, state)
+        if plane.link_meter is not None:
+            with perf.timeit("kernel_meter"):
+                self._meter(batch, state)
         with perf.timeit("kernel_accumulate"):
             self._accumulate(state)
 
@@ -338,9 +341,8 @@ class ColumnarReplayKernel:
             "fallback_flow_idx": fallback_flow_idx,
             "fallback_flow_count": int(fallback_flow_idx.size),
             "fallback_causes": causes,
-            # Per flow, what the walk found: a fallback's latencies, a
-            # vectorized flow's congestion penalty.  Pair prices are added
-            # at apply time.
+            # Per flow: a fallback's latencies from the walk, plus the meter
+            # pass's congestion penalty.  Pair prices are added at apply time.
             "first_flow": np.zeros(n, dtype=np.float64),
             "steady_flow": np.zeros(n, dtype=np.float64),
             "handled": cls_flow != _DEPARTED,
@@ -351,30 +353,20 @@ class ColumnarReplayKernel:
     def _walk(self, batch, state) -> None:
         """Replay, in arrival order, the flows whose handling depends on it.
 
-        Fallback flows always, on their pair's memoized key and the time
-        column; under a link meter every flow, since the meter's window
-        accounting and congestion-crossing detection are order-dependent (it
-        reads whole records — rate profiles — so only a metered walk mints,
-        and mints the batch); and, when a G-FIB memo could clear mid-batch,
-        intra-group flows, applied one at a time so the clear interleaves
-        with the fallbacks' own live queries as it would scalar.
+        Fallback flows, on their pair's memoized key and the time column;
+        and, when a G-FIB memo could clear mid-batch, intra-group flows,
+        applied one at a time so the clear interleaves with the fallbacks'
+        own live queries as it would scalar.  No record is built.
         """
-        plane = self._plane
-        metered = plane.link_meter is not None
         ordered_intra = state["ordered_intra"]
         cls_flow = state["cls_flow"]
-        if metered:
-            walk = enumerate(batch)
+        if ordered_intra:
+            indices = np.flatnonzero((cls_flow == _FALLBACK) | (cls_flow == _INTRA))
         else:
-            if ordered_intra:
-                indices = np.flatnonzero((cls_flow == _FALLBACK) | (cls_flow == _INTRA))
-            else:
-                indices = state["fallback_flow_idx"]
-            if not indices.size:
-                return
-            walk = zip(indices.tolist(), repeat(None))  # columns only: no record is built
-        first_packet = plane.first_packet
-        congestion_penalty_ms = plane.congestion_penalty_ms
+            indices = state["fallback_flow_idx"]
+        if not indices.size:
+            return
+        first_packet = self._plane.first_packet
         cls_flow = cls_flow.tolist()
         inverse = state["inverse"].tolist()
         infos = state["infos"]
@@ -382,30 +374,56 @@ class ColumnarReplayKernel:
         times = batch.start_times  # a buffer of doubles: indexing reads a float
         first_flow = state["first_flow"]
         steady_flow = state["steady_flow"]
-        for i, flow in walk:
-            flow_class = cls_flow[i]
-            if flow_class == _DEPARTED:
-                continue
+        for i in indices.tolist():
             g = inverse[i]
             info = infos[g]
             now = times[i]
-            if flow_class == _FALLBACK:
+            if cls_flow[i] == _FALLBACK:
                 _, first_flow[i], steady_flow[i], _, _, _ = first_packet(
                     info.key, info.src_switch_id, info.dst_switch_id, now
                 )
-            elif ordered_intra and flow_class == _INTRA:
-                # Scalar order: the G-FIB query happens at the switch, before
-                # the congestion penalty is computed.
+            else:
                 info.switch.apply_run(verdicts[g], 1, now)
-            if metered:
-                penalty = congestion_penalty_ms(flow, info.src_switch_id, info.dst_switch_id, now)
-                if penalty > 0.0:
-                    first_flow[i] += penalty
-                    steady_flow[i] += penalty
-        if metered:
-            self._count_minted(batch)
 
-    # -- stage 3: apply each decided pair once, then fold the batch ---------------
+    # -- stage 3: what the uplinks add, in one pass ----------------------------------
+
+    def _meter(self, batch: FlowChunk, state) -> None:
+        """Charge the batch's inter-switch flows to their uplinks, in arrival order.
+
+        The meter reads a flow's start, duration and bytes (or its attached
+        rate profile) and its two switches, and nothing of forwarding state,
+        so the whole batch is one :meth:`~repro.core.system.EdgePlane.link_penalties_ms`
+        call on the chunk's columns.  It runs after the walk, which *assigns*
+        the fallback flows' latencies: ``latency + penalty`` there, and
+        ``(0.0 + penalty) + pair price`` for a decided flow, are the scalar
+        ``price + penalty``.
+        """
+        infos = state["infos"]
+        inverse = state["inverse"]
+        # A departed pair resolves to switch -1 on both sides: never metered.
+        flow_src = np.array([info.src_switch_id for info in infos], dtype=np.int64)[inverse]
+        flow_dst = np.array([info.dst_switch_id for info in infos], dtype=np.int64)[inverse]
+        metered = np.flatnonzero(flow_src != flow_dst)
+        if not metered.size:
+            return
+        _, _, _, _, byte_column, duration_column = batch.columns()
+        profiles = batch.rate_profiles
+        penalties = np.array(
+            self._plane.link_penalties_ms(
+                state["times"][metered].tolist(),
+                np.frombuffer(duration_column, dtype=np.float64)[metered].tolist(),
+                np.frombuffer(byte_column, dtype=np.int64)[metered].tolist(),
+                flow_src[metered].tolist(),
+                flow_dst[metered].tolist(),
+                None if profiles is None else [profiles[i] for i in metered.tolist()],
+            ),
+            dtype=np.float64,
+        )
+        state["first_flow"][metered] += penalties
+        state["steady_flow"][metered] += penalties
+        self._perf.count("kernel.flows_metered", int(metered.size))
+
+    # -- stage 4: apply each decided pair once, then fold the batch ---------------
 
     def _accumulate(self, state) -> None:
         plane = self._plane

@@ -112,17 +112,21 @@ def format_kernel_breakdown(snapshot: PerfSnapshot) -> str:
     lines.append(f"  fallback flows: {fallback:,} = " + " + ".join(causes))
     minted = counters.get("kernel.records_minted", 0)
     lines.append(
-        f"  records minted: {minted:,} (FlowRecords built from column chunks, for a link "
-        "meter or a bypassed batch; every other flow stayed columns)"
+        f"  records minted: {minted:,} (FlowRecords built from column chunks, for a bypassed "
+        "batch; every other flow stayed columns, under a link meter too)"
     )
-    for name in ("kernel_classify", "kernel_fallback", "kernel_accumulate"):
+    for name in ("kernel_classify", "kernel_fallback", "kernel_meter", "kernel_accumulate"):
         try:
             stage = snapshot.stage(name)
         except KeyError:
             continue
-        lines.append(
+        line = (
             f"  {name.removeprefix('kernel_')}: {stage.total_seconds:.3f}s over {stage.calls:,} batches"
         )
+        if name == "kernel_meter":
+            metered = counters.get("kernel.flows_metered", 0)
+            line += f" ({metered:,} inter-switch flows charged to their uplinks)"
+        lines.append(line)
     return "\n".join(lines)
 
 

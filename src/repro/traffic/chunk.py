@@ -31,6 +31,7 @@ from collections.abc import Sequence as SequenceABC
 from operator import attrgetter, eq
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, overload
 
+from repro.bandwidth.profile import RateProfile
 from repro.traffic.flow import FlowRecord
 
 #: A flow before it has an identity: (start_time, src, dst, packets, bytes,
@@ -201,6 +202,17 @@ class FlowChunk(SequenceABC):
     def mints_records(self) -> bool:
         """Whether access builds new records (column-backed) or returns existing ones."""
         return self._records is None
+
+    @property
+    def rate_profiles(self) -> Optional[List[Optional[RateProfile]]]:
+        """Each flow's attached rate profile, or ``None`` where none can be attached.
+
+        Columns hold totals only, so a column-backed chunk's flows all send
+        at the constant rate those imply; adapted records may carry profiles.
+        """
+        if self._records is None:
+            return None
+        return [record.rate_profile for record in self._records]
 
     def check_hosts(self, network) -> None:
         """Fail fast on flows referencing hosts outside ``network``.

@@ -12,8 +12,11 @@ and latency histograms without changing the contract.
 """
 
 import dataclasses
+import signal
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import hot_links_report, latency_percentile_rows, render_heatmap
 from repro.bandwidth.meter import LinkUtilizationMeter, build_link_meter
@@ -41,6 +44,22 @@ def flow(start=0.0, flow_id=1, src=0, dst=1, byte_count=15_000, duration=1.0, **
         duration=duration,
         **extra,
     )
+
+
+@contextmanager
+def deadline(seconds):
+    """Interrupt the block after ``seconds``: a loop that never ends fails, not hangs."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def incast_spec(**overrides):
@@ -182,6 +201,49 @@ class TestLinkUtilizationMeter:
         meter.observe(flow(start=0.0, byte_count=250_000, duration=1.0), 1, 3, 0.0)
         meter.observe(flow(start=0.0, flow_id=2, byte_count=500_000, duration=1.0), 2, 3, 0.0)
         assert meter.max_utilization(0.0) == pytest.approx(0.4)
+
+    def test_a_boundary_whose_quotient_rounds_down_still_advances(self):
+        """``31245 * 1.1 == 34369.5`` but ``int(34369.5 / 1.1) == 31244``: an
+        index re-derived from the cursor at that boundary named the window
+        just left, and the spread never advanced."""
+        meter = LinkUtilizationMeter({1: 1.0, 2: 1.0}, window_seconds=1.1)
+        assert 31245 * 1.1 == 34369.5 and int(34369.5 / 1.1) == 31244
+        with deadline(10.0):
+            meter.observe(FlowRecord(34369.0, 0, 1, 2, 10, 1000, 2.0), 1, 2, 34369.0)
+        for link in (1, 2):
+            windows = meter._bytes[link]
+            assert list(windows) == [31244, 31245, 31246]
+            assert sum(windows.values()) == pytest.approx(1000.0, rel=1e-9)
+
+    @given(
+        window_seconds=st.floats(0.01, 500.0, exclude_min=True, exclude_max=True),
+        flows=st.lists(
+            st.tuples(
+                # A start anywhere, or exactly on the k-th window boundary.
+                st.floats(0.0, 1e5) | st.integers(0, 200_000),
+                st.floats(0.0, 60.0),  # windows spanned
+                st.integers(1, 10**9),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_window_width_terminates_and_conserves_bytes(self, window_seconds, flows):
+        meter = LinkUtilizationMeter({1: 1.0, 2: 1.0}, window_seconds=window_seconds)
+        total = 0
+        with deadline(20.0):
+            for position, (start, spanned, byte_count) in enumerate(flows):
+                if isinstance(start, int):
+                    start = min(start * window_seconds, 1e5)
+                # Long enough that rounding ``start + duration`` is below the tolerance.
+                duration = max(0.1, spanned * window_seconds)
+                meter.observe(
+                    FlowRecord(start, position, 1, 2, 10, byte_count, duration), 1, 2, start
+                )
+                total += byte_count
+        for link in (1, 2):
+            assert sum(meter._bytes[link].values()) == pytest.approx(total, rel=1e-9)
 
     def test_window_seconds_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -179,6 +179,97 @@ class TestDirectedEquivalence:
         assert serial_scalar == ScenarioRunner().run(sharded).to_dict()["runs"]
 
 
+class TestMeteredEquivalence:
+    """The meter's bulk pass against the scalar per-flow ``observe``, where it
+    has work to do: 2 s accounting windows that flows straddle, uplinks thin
+    enough to congest, and explicit piecewise rate profiles."""
+
+    LINKS = LinkCapacitySpec(uplink_mbps=0.05, window_seconds=2.0, queueing_service_ms=0.25)
+    TWO_SYSTEMS = ("openflow", "lazyctrl-dynamic")
+
+    def spec(self):
+        spec = build_spec(model="incast-hotspot", flows=1500, seed=29, links=self.LINKS)
+        return dataclasses.replace(spec, systems=self.TWO_SYSTEMS)
+
+    @staticmethod
+    def assert_the_meter_had_work(runs, spec):
+        for name, run in runs.items():
+            assert run["counters"]["congested_flows"] > 0, name
+            assert sum(run["timeline"]["counts"]["link_congested"]) > 0, name
+            matrix = run["links"]["utilization"]
+            assert any(value >= 1.0 for row in matrix.values() for value in row), name
+        window = spec.links.window_seconds
+        flows = spec.build_trace(spec.build_network()).flows
+        crossing = [
+            flow for flow in flows if int(flow.start_time / window) != int(flow.end_time / window)
+        ]
+        assert 0 < len(crossing) < len(flows)
+
+    def test_column_backed_chunks(self):
+        spec = self.spec()
+        scalar = run_dict(spec, "scalar", obs=TraceOptions(timeline=True))
+        assert scalar == run_dict(spec, "vectorized", obs=TraceOptions(timeline=True))
+        self.assert_the_meter_had_work(scalar, spec)
+
+    def test_record_backed_chunks_carrying_piecewise_profiles(self):
+        """A materialized record list reaches the kernel through
+        ``FlowChunk.from_records``; its records' profiles ride along."""
+        from repro.bandwidth.profile import RateProfile
+        from repro.obs.timeline import MetricsTimeline
+        from repro.obs.tracer import EventTracer
+        from repro.perf.recorder import PerfRecorder
+        from repro.traffic.trace import Trace
+
+        spec = self.spec()
+
+        def bursty(flow):
+            """Two bursts around a silence, same bytes; every third flow."""
+            if flow.flow_id % 3:
+                return flow
+            rate = flow.byte_count * 8.0 / flow.duration
+            quarter = flow.duration / 4.0
+            profile = RateProfile(
+                ((quarter, 2.0 * rate), (2.0 * quarter, 0.0), (quarter, 2.0 * rate))
+            )
+            return dataclasses.replace(flow, rate_profile=profile)
+
+        records = [bursty(flow) for flow in spec.build_trace(spec.build_network()).flows]
+        assert sum(flow.rate_profile is not None for flow in records) > len(records) // 4
+
+        def replay(system, kernel, perf=None):
+            return ScenarioRunner().replay_system(
+                system,
+                Trace(spec.name, spec.build_network(), records),
+                schedule=spec.schedule,
+                config=spec.effective_config(),
+                tracer=EventTracer(
+                    system=system, timeline=MetricsTimeline(spec.schedule.bucket_seconds)
+                ),
+                perf=perf,
+                kernel=kernel,
+            )
+
+        runs = {}
+        for system in self.TWO_SYSTEMS:
+            scalar = replay(system, "scalar").to_dict()
+            perf = PerfRecorder()
+            vectorized = replay(system, "vectorized", perf).to_dict()
+            assert perf.counter("kernel.flows_metered") > 0
+            assert perf.counter("kernel.flows_vectorized") > 0
+            assert scalar == {**vectorized, "perf": None}, system
+            runs[system] = scalar
+        self.assert_the_meter_had_work(runs, spec)
+        # The profiles are not decoration: constant-rate records land elsewhere.
+        plain = ScenarioRunner().replay_system(
+            "openflow",
+            spec.build_trace(spec.build_network()),
+            schedule=spec.schedule,
+            config=spec.effective_config(),
+            kernel="vectorized",
+        )
+        assert plain.to_dict()["links"] != runs["openflow"]["links"]
+
+
 class TestEndStateEquivalence:
     """Every switch ends a replay in the same state, not just the same result.
 
@@ -318,7 +409,7 @@ class TestFallbackIsThePlanesDecideStep:
 
 
 class TestRecordsOnDemand:
-    """The kernel reads columns; records exist only where a link meter reads one."""
+    """The kernel reads columns, link meter included; only a bypassed batch builds records."""
 
     def _run(self, spec):
         result = ScenarioRunner().run(
@@ -338,23 +429,27 @@ class TestRecordsOnDemand:
             assert "kernel.records_minted" not in counters, name
         assert perfs["openflow"].counters["kernel.flows_fallback"] > 0
 
-    def test_metered_walk_mints_every_flow_it_walks(self):
-        """Under a link meter the ordered walk hands each flow to the meter
-        as a record, so coverage stays partial while minting is total."""
+    def test_metered_run_mints_no_record_either(self):
+        """The link meter reads the start / duration / byte columns in one
+        pass per batch: every inter-switch flow is metered, none is minted."""
         for name, perf in self._run(build_spec(flows=800, seed=21, links=LINK_SPECS[1])).items():
             counters = perf.counters
             replayed = counters["kernel.flows_vectorized"] + counters["kernel.flows_fallback"]
-            assert counters["kernel.records_minted"] == replayed, name
+            assert "kernel.records_minted" not in counters, name
+            assert 0 < counters["kernel.flows_metered"] <= replayed, name
+            assert perf.stage("kernel_meter").calls == counters["kernel.batches"], name
 
-    def test_profile_kernel_block_reports_minted_records(self):
+    def test_profile_kernel_block_reports_minted_records_and_the_meter_stage(self):
         from repro.perf.report import format_kernel_breakdown
 
-        unmetered = self._run(build_spec(flows=800, seed=21))["openflow"]
-        assert "records minted: 0 " in format_kernel_breakdown(unmetered)
+        unmetered = format_kernel_breakdown(self._run(build_spec(flows=800, seed=21))["openflow"])
+        assert "records minted: 0 " in unmetered
+        assert "  meter: " not in unmetered
         metered = self._run(build_spec(flows=800, seed=21, links=LINK_SPECS[1]))["openflow"]
-        minted = metered.counters["kernel.records_minted"]
-        assert minted > 0
-        assert f"records minted: {minted:,} " in format_kernel_breakdown(metered)
+        block = format_kernel_breakdown(metered)
+        assert "records minted: 0 " in block
+        assert f"  meter: {metered.stage('kernel_meter').total_seconds:.3f}s" in block
+        assert f"{metered.counters['kernel.flows_metered']:,} inter-switch flows" in block
 
     def test_record_list_batches_are_adapted_not_minted(self):
         """A plain record list handed to the kernel is transposed once and

@@ -310,3 +310,174 @@ class TestKeyStepIsThePacketStep:
         switch.failed = True
         failed = switch.forward_key(key(1, 3), 12.0)
         assert failed.outcome is ForwardingOutcome.DROPPED_NO_RULE and failed.rule is None
+
+
+# -- the link meter: a run of flows is n observations ----------------------------
+
+#: Tracked uplinks 1–3 (thin enough to cross 1.0) and an untracked switch 9.
+METER_SWITCHES = (1, 2, 3, 9)
+
+#: Integer-valued, fractional (boundaries whose quotient rounds), and wide.
+METER_WINDOWS = (10.0, 1.1, 300.0)
+
+segments_strategy = st.lists(
+    st.tuples(st.floats(0.05, 30.0), st.floats(0.0, 4e5)), min_size=1, max_size=4
+)
+
+#: (gap to the previous start, duration, bytes, src, dst, segments or None):
+#: sub-window and window-crossing constant rates, explicit multi-segment profiles.
+metered_flows_strategy = st.lists(
+    st.tuples(
+        st.floats(0.0, 8.0),
+        st.floats(0.01, 45.0),
+        st.integers(1, 400_000),
+        st.sampled_from(METER_SWITCHES),
+        st.sampled_from(METER_SWITCHES),
+        st.none() | segments_strategy,
+    ).filter(lambda flow: flow[3] != flow[4]),
+    min_size=1,
+    max_size=12,
+)
+
+
+def metered_columns(flows):
+    """The parallel sequences a chunk would hold, and the records of the same flows."""
+    from repro.bandwidth.profile import RateProfile
+    from repro.traffic.flow import FlowRecord
+
+    now = 0.0
+    records, src_ids, dst_ids = [], [], []
+    for position, (gap, duration, byte_count, src, dst, segments) in enumerate(flows):
+        now += gap
+        profile = None if segments is None else RateProfile(tuple(segments))
+        records.append(FlowRecord(now, position, 1, 2, 10, byte_count, duration, profile))
+        src_ids.append(src)
+        dst_ids.append(dst)
+    columns = (
+        [record.start_time for record in records],
+        [record.duration for record in records],
+        [record.byte_count for record in records],
+        src_ids,
+        dst_ids,
+        [record.rate_profile for record in records],
+    )
+    return records, columns
+
+
+def meter_state(meter, horizon):
+    return (
+        # Key order too: ``usage`` folds overflow windows in dict order.
+        {switch_id: list(windows.items()) for switch_id, windows in meter._bytes.items()},
+        set(meter._crossed),
+        meter.usage(horizon),
+        meter.usage(horizon / 4),
+    )
+
+
+class TestLinkMeterRun:
+    @pytest.mark.parametrize("window_seconds", METER_WINDOWS)
+    @given(flows=metered_flows_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_account_run_is_n_observes(self, window_seconds, flows):
+        from repro.bandwidth.meter import LinkUtilizationMeter
+
+        capacities = {1: 0.05, 2: 0.05, 3: 1.0}
+        run = LinkUtilizationMeter(capacities, window_seconds=window_seconds)
+        single = LinkUtilizationMeter(capacities, window_seconds=window_seconds)
+        records, columns = metered_columns(flows)
+
+        utilizations, crossings = run.account_run(*columns)
+        observations = [
+            single.observe(record, src, dst, record.start_time)
+            for record, src, dst in zip(records, columns[3], columns[4])
+        ]
+        assert utilizations == [(seen.src_utilization, seen.dst_utilization) for seen in observations]
+        assert crossings == [
+            (record.start_time, switch_id, utilization)
+            for record, seen in zip(records, observations)
+            for switch_id, utilization in seen.newly_congested
+        ]
+        horizon = records[-1].start_time + 50.0
+        assert meter_state(run, horizon) == meter_state(single, horizon)
+
+    def test_constant_columns_need_no_profiles(self):
+        """Omitting ``profiles`` is every flow at its constant rate, and
+        ``nows`` defaults to the start times."""
+        from repro.bandwidth.meter import LinkUtilizationMeter
+
+        columns = ([0.0, 4.0, 9.5], [1.0, 30.0, 2.0], [90_000, 50_000, 70_000], [1, 2, 1], [2, 9, 3])
+        bare = LinkUtilizationMeter({1: 0.05, 2: 0.05, 3: 1.0}, window_seconds=10.0)
+        full = LinkUtilizationMeter({1: 0.05, 2: 0.05, 3: 1.0}, window_seconds=10.0)
+        assert bare.account_run(*columns) == full.account_run(
+            *columns, [None] * 3, nows=columns[0]
+        )
+        assert meter_state(bare, 60.0) == meter_state(full, 60.0)
+        # ... and the run is not vacuous: a link crossed, a flow spanned windows.
+        assert bare._crossed and len(bare._bytes[2]) > 1
+
+
+class RecordingListener:
+    def __init__(self):
+        self.events = []
+
+    def on_event(self, event):
+        self.events.append(event)
+
+
+def metered_plane(window_seconds):
+    from repro.bandwidth.spec import LinkCapacitySpec
+    from repro.common.config import LazyCtrlConfig
+    from repro.core.system import OpenFlowSystem
+    from repro.obs.tracer import EventTracer
+    from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
+
+    links = LinkCapacitySpec(uplink_mbps=0.05, window_seconds=window_seconds, queueing_service_ms=0.25)
+    network = build_multi_tenant_datacenter(TopologyProfile(switch_count=4, host_count=16, seed=3))
+    links.apply_network(network)
+    plane = OpenFlowSystem(network, config=links.apply(LazyCtrlConfig()))
+    listener = RecordingListener()
+    plane.set_tracer(EventTracer(system="openflow", listeners=[listener]))
+    return plane, listener
+
+
+class TestPlaneLinkRun:
+    @pytest.mark.parametrize("window_seconds", METER_WINDOWS[:2])
+    @given(flows=metered_flows_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_link_penalties_is_n_congestion_penalties(self, window_seconds, flows):
+        """Switch 9 does not exist on the 4-switch plane: it reads as untracked."""
+        run, run_events = metered_plane(window_seconds)
+        single, single_events = metered_plane(window_seconds)
+        records, columns = metered_columns(flows)
+
+        penalties = run.link_penalties_ms(*columns)
+        assert penalties == [
+            single.congestion_penalty_ms(record, src, dst, record.start_time)
+            for record, src, dst in zip(records, columns[3], columns[4])
+        ]
+        assert run.counters == single.counters
+        assert run_events.events == single_events.events
+        horizon = records[-1].start_time + 50.0
+        assert meter_state(run.link_meter, horizon) == meter_state(single.link_meter, horizon)
+
+    def test_the_property_is_not_vacuous(self):
+        plane, listener = metered_plane(10.0)
+        penalties = plane.link_penalties_ms(
+            [0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [90_000, 10, 10], [1, 1, 0], [2, 3, 3]
+        )
+        assert plane.counters.congested_flows == 2
+        assert [event.switch_id for event in listener.events] == [1, 2]
+        assert penalties[0] > penalties[2] > 0.0
+
+    def test_an_intra_switch_flow_or_a_meterless_plane_costs_nothing(self):
+        from repro.core.system import OpenFlowSystem
+        from repro.topology.network import DataCenterNetwork
+        from repro.traffic.flow import FlowRecord
+
+        plane, listener = metered_plane(10.0)
+        flow = FlowRecord(0.0, 0, 1, 2, 10, 10**9, 1.0)
+        assert plane.congestion_penalty_ms(flow, 1, 1, 0.0) == 0.0
+        assert not any(plane.link_meter._bytes.values()) and not listener.events
+        assert plane.congestion_penalty_ms(flow, 1, 2, 0.0) > 0.0
+        bare = OpenFlowSystem(DataCenterNetwork())
+        assert bare.link_meter is None and bare.congestion_penalty_ms(flow, 1, 2, 0.0) == 0.0
