@@ -9,6 +9,10 @@ affinity that carries out distributed control among themselves (paper
 * group-wide G-FIB synchronization from member L-FIBs,
 * relaying of member L-FIB updates via the designated switch (peer links)
   and aggregation into state reports for the controller (state link).
+
+An L-FIB travels in two derived forms, each produced once per dissemination:
+the Bloom summary its switch builds and every other member installs, and the
+wire tuple (``LocalFib.wire_entries``) every relay and report carries.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.common.errors import ControlPlaneError
+from repro.common.errors import ConfigurationError, ControlPlaneError
 from repro.controlplane.channels import ChannelRegistry, ChannelType
 from repro.controlplane.messages import GroupStateReportMessage, LfibUpdateMessage
 from repro.dataplane.edge_switch import LazyCtrlEdgeSwitch
@@ -49,6 +53,9 @@ class LocalControlGroup:
         self._members: Dict[int, LazyCtrlEdgeSwitch] = {switch.switch_id: switch for switch in members}
         if len(self._members) != len(members):
             raise ControlPlaneError("duplicate switch in group membership")
+        # A member's summary is installed, as built, in every other member's G-FIB.
+        if len({switch.gfib.config for switch in members}) != 1:
+            raise ConfigurationError(f"the members of group {group_id} do not share one Bloom-filter geometry")
         self._rng = rng or random.Random(group_id)
         self._channels = channels or ChannelRegistry()
         self.designated_switch_id: int = -1
@@ -149,18 +156,22 @@ class LocalControlGroup:
     def synchronize_gfibs(self) -> int:
         """Rebuild every member's G-FIB from the L-FIBs of all other members.
 
-        Returns the number of peer-link messages this full synchronization
-        generates (each member receives the L-FIBs of every other member via
-        the designated switch, i.e. unicast dissemination, paper §III-B.3).
+        Each member summarizes its L-FIB once; every other member installs
+        that summary.  Returns the number of peer-link messages this full
+        synchronization generates (each member receives the L-FIBs of every other
+        member via the designated switch, i.e. unicast dissemination, §III-B.3).
         """
-        snapshots = {switch_id: switch.local_hosts() for switch_id, switch in self._members.items()}
+        summaries = {
+            switch_id: (switch.summarize_lfib(), switch.local_hosts())
+            for switch_id, switch in self._members.items()
+        }
         messages = 0
         for switch_id, switch in self._members.items():
             switch.gfib.clear()
-            for peer_id, macs in snapshots.items():
+            for peer_id, (summary, macs) in summaries.items():
                 if peer_id == switch_id:
                     continue
-                switch.install_peer_lfib(peer_id, macs)
+                switch.install_peer_summary(peer_id, summary, macs)
                 messages += 1
         self.peer_messages_sent += messages
         return messages
@@ -172,10 +183,12 @@ class LocalControlGroup:
         peer link; the designated switch relays it to every other member
         (updating their G-FIB entries for the updating switch) and the caller
         is expected to follow up with :meth:`build_state_report` towards the
-        controller.  Returns the number of peer-link messages generated.
+        controller.  One summary and one wire tuple serve every member and
+        relay.  Returns the number of peer-link messages generated.
         """
         source = self.member(switch_id)
-        snapshot = source.lfib_snapshot()
+        entries = source.lfib.wire_entries()
+        size_bytes = 64 + 16 * len(entries)
         designated = self.designated_switch
         messages = 0
 
@@ -183,25 +196,25 @@ class LocalControlGroup:
         channel = self._channels.get_or_create(
             ChannelType.PEER_LINK, f"switch:{switch_id}", f"switch:{designated.switch_id}"
         )
-        update = LfibUpdateMessage.create(switch_id, snapshot, f"switch:{designated.switch_id}", timestamp)
-        if channel.deliver(update, size_bytes=64 + 16 * len(snapshot)):
+        update = LfibUpdateMessage.create(switch_id, entries, f"switch:{designated.switch_id}", timestamp)
+        if channel.deliver(update, size_bytes=size_bytes):
             messages += 1
 
         # Designated -> every other member (multiple unicasts).
-        macs = list(snapshot)
+        summary, macs = source.summarize_lfib(), source.local_hosts()
         for peer_id, peer in self._members.items():
             if peer_id == switch_id:
                 continue
-            peer.install_peer_lfib(switch_id, macs)
+            peer.install_peer_summary(switch_id, summary, macs)
             if peer_id == designated.switch_id:
                 continue
             relay_channel = self._channels.get_or_create(
                 ChannelType.PEER_LINK, f"switch:{designated.switch_id}", f"switch:{peer_id}"
             )
             relay = LfibUpdateMessage.create(
-                designated.switch_id, snapshot, f"switch:{peer_id}", timestamp
+                designated.switch_id, entries, f"switch:{peer_id}", timestamp
             )
-            if relay_channel.deliver(relay, size_bytes=64 + 16 * len(snapshot)):
+            if relay_channel.deliver(relay, size_bytes=size_bytes):
                 messages += 1
         self.peer_messages_sent += messages
         return messages
@@ -224,10 +237,10 @@ class LocalControlGroup:
             for switch_id, switch in self._members.items():
                 version = switch.lfib.version
                 if reported.get(switch_id) != version:
-                    snapshots[switch_id] = switch.lfib_snapshot()
+                    snapshots[switch_id] = switch.lfib.wire_entries()
                     reported[switch_id] = version
         else:
-            snapshots = {switch_id: switch.lfib_snapshot() for switch_id, switch in self._members.items()}
+            snapshots = {switch_id: switch.lfib.wire_entries() for switch_id, switch in self._members.items()}
         return GroupStateReportMessage.create(
             self.group_id,
             self.designated_switch_id,

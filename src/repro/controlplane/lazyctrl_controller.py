@@ -24,7 +24,7 @@ from typing import Dict, Optional
 from repro.common.config import LazyCtrlConfig
 from repro.common.errors import UnknownHostError
 from repro.common.packets import FlowKey, Packet
-from repro.datastructures.fib import CentralLib, FibEntry
+from repro.datastructures.fib import CentralLib
 from repro.dataplane.edge_switch import LazyCtrlEdgeSwitch
 from repro.controlplane.base import EdgeController
 from repro.controlplane.channels import ChannelRegistry, ChannelType
@@ -163,16 +163,17 @@ class LazyCtrlController(EdgeController):
     # -- state reports -------------------------------------------------------------------
 
     def receive_state_report(self, report: GroupStateReportMessage) -> int:
-        """Fold a designated switch's aggregated state report into the C-LIB."""
+        """Fold a designated switch's aggregated state report into the C-LIB.
+
+        The wire tuples are merged as they come; noting each tenant of a switch
+        once, in first-seen order, leaves what noting every entry would.
+        """
         changed = 0
+        note = self.tenant_manager.note_host_location
         for switch_id, entries in report.switch_lfibs:
-            snapshot = {
-                mac: FibEntry(mac=mac, port=port, tenant_id=tenant_id)
-                for mac, port, tenant_id in entries
-            }
-            changed += self.clib.update_from_lfib(switch_id, snapshot)
-            for mac, _port, tenant_id in entries:
-                self.tenant_manager.note_host_location(tenant_id, switch_id)
+            changed += self.clib.update_from_lfib(switch_id, entries)
+            for tenant_id in dict.fromkeys(entry[2] for entry in entries):
+                note(tenant_id, switch_id)
         return changed
 
     def collect_state_reports(self, *, now: float = 0.0) -> int:
@@ -261,9 +262,11 @@ class LazyCtrlController(EdgeController):
 
         Returns ``True`` when a regrouping was applied.
         """
-        decision = self.grouping_manager.check(now, self.current_load_rps(now))
+        with self.perf.timeit("regroup_decide"):
+            decision = self.grouping_manager.check(now, self.current_load_rps(now))
         if decision.regrouped and decision.grouping is not None:
-            self.apply_grouping(decision.grouping, now=now)
+            with self.perf.timeit("regroup_apply"):
+                self.apply_grouping(decision.grouping, now=now)
             return True
         return False
 

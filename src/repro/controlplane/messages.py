@@ -13,11 +13,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
-from repro.common.addresses import MacAddress
 from repro.common.packets import FlowKey, Packet
-from repro.datastructures.fib import FibEntry
+from repro.datastructures.fib import WireEntries
 
 _message_counter = itertools.count()
 
@@ -102,12 +101,11 @@ class LfibUpdateMessage(ControlMessage):
     """An edge switch pushing its updated L-FIB to the designated switch (peer link)."""
 
     switch_id: int = -1
-    entries: Tuple[Tuple[MacAddress, int, int], ...] = ()
+    entries: WireEntries = ()
 
     @classmethod
-    def create(cls, switch_id: int, snapshot: Dict[MacAddress, FibEntry], destination: str, timestamp: float) -> "LfibUpdateMessage":
-        """Build an L-FIB update carrying a compact snapshot of (mac, port, tenant)."""
-        entries = tuple((mac, entry.port, entry.tenant_id) for mac, entry in sorted(snapshot.items()))
+    def create(cls, switch_id: int, entries: WireEntries, destination: str, timestamp: float) -> "LfibUpdateMessage":
+        """Build an L-FIB update carrying the table's wire tuple (``LocalFib.wire_entries``)."""
         return cls(
             message_type=MessageType.LFIB_UPDATE,
             source=f"switch:{switch_id}",
@@ -123,28 +121,24 @@ class GroupStateReportMessage(ControlMessage):
     """The designated switch's aggregated group state pushed over the state link."""
 
     group_id: int = -1
-    switch_lfibs: Tuple[Tuple[int, Tuple[Tuple[MacAddress, int, int], ...]], ...] = ()
+    switch_lfibs: Tuple[Tuple[int, WireEntries], ...] = ()
 
     @classmethod
     def create(
         cls,
         group_id: int,
         designated_switch_id: int,
-        switch_lfibs: Dict[int, Dict[MacAddress, FibEntry]],
+        switch_lfibs: Mapping[int, WireEntries],
         timestamp: float,
     ) -> "GroupStateReportMessage":
-        """Build a state report aggregating every member's L-FIB."""
-        compact = tuple(
-            (switch_id, tuple((mac, entry.port, entry.tenant_id) for mac, entry in sorted(snapshot.items())))
-            for switch_id, snapshot in sorted(switch_lfibs.items())
-        )
+        """Build a state report aggregating the reported members' L-FIB wire tuples."""
         return cls(
             message_type=MessageType.GROUP_STATE_REPORT,
             source=f"switch:{designated_switch_id}",
             destination="controller",
             timestamp=timestamp,
             group_id=group_id,
-            switch_lfibs=compact,
+            switch_lfibs=tuple(sorted(switch_lfibs.items())),
         )
 
 

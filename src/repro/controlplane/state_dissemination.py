@@ -109,10 +109,11 @@ class StateDisseminator:
         group = self._controller.groups.get(group_id)
         if group is None:
             raise ControlPlaneError(f"group {group_id} is not provisioned at the controller")
-        self.stats.peer_messages += group.propagate_lfib_update(switch_id, timestamp=now)
-        report = group.build_state_report(timestamp=now)
-        self.stats.state_reports += 1
-        self.stats.controller_updates += self._controller.receive_state_report(report)
+        with self._controller.perf.timeit("live_dissemination"):
+            self.stats.peer_messages += group.propagate_lfib_update(switch_id, timestamp=now)
+            report = group.build_state_report(timestamp=now)
+            self.stats.state_reports += 1
+            self.stats.controller_updates += self._controller.receive_state_report(report)
 
     def full_synchronization(self, *, now: float = 0.0) -> None:
         """Re-disseminate all group state (used right after a regrouping)."""

@@ -566,12 +566,16 @@ class LazyCtrlSystem(EdgePlane):
         self.controller.grouping_manager.tracer = tracer
 
     def _fold_plane_counters(self, perf) -> None:
-        queries = cache_hits = 0
+        queries = cache_hits = summaries = installs = 0
         for switch in self._switches.values():
             queries += switch.gfib.query_count
             cache_hits += switch.gfib.query_cache_hits
+            summaries += switch.gfib.summaries_built
+            installs += switch.gfib.peer_installs
         perf.count("edge.gfib_queries", queries)
         perf.count("edge.gfib_query_cache_hits", cache_hits)
+        perf.count("edge.gfib_summaries_built", summaries)
+        perf.count("edge.gfib_peer_installs", installs)
         perf.count("controller.arp_relays", self.controller.arp_relays)
         perf.count("controller.group_config_messages", self.controller.group_config_messages)
 

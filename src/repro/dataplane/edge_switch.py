@@ -25,13 +25,14 @@ kernel (:mod:`repro.kernel`) asks the same two methods about a batch's whole
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from repro.common.addresses import IpAddress, MacAddress
 from repro.common.config import BloomFilterConfig, FlowTableConfig
 from repro.common.errors import ControlPlaneError
 from repro.common.packets import DATA_PACKET_BYTES, EncapHeader, FlowKey, Packet, PacketKind
-from repro.datastructures.fib import FibEntry, GroupFib, LocalFib
+from repro.datastructures.bloom import BloomFilter
+from repro.datastructures.fib import GroupFib, LocalFib
 from repro.datastructures.flow_table import ActionType, FlowAction, FlowRule, FlowTable
 from repro.dataplane.decisions import (
     DROPPED,
@@ -324,8 +325,18 @@ class LazyCtrlEdgeSwitch(EdgeSwitch):
         self.is_designated = False
         self.gfib.clear()
 
+    def summarize_lfib(self) -> BloomFilter:
+        """The Bloom summary of this switch's L-FIB, built now: what its group peers hold."""
+        return self.gfib.summarize(self.lfib.macs())
+
+    def install_peer_summary(self, peer_switch_id: int, summary: BloomFilter, macs: Collection[MacAddress]) -> None:
+        """Install/update the G-FIB entry for a peer with the ``summary`` it built of its ``macs``."""
+        if peer_switch_id == self.switch_id:
+            raise ControlPlaneError("a switch does not keep a G-FIB entry for itself")
+        self.gfib.install_summary(peer_switch_id, summary, macs)
+
     def install_peer_lfib(self, peer_switch_id: int, macs: Iterable[MacAddress]) -> None:
-        """Install/update the Bloom filter summarizing a peer's L-FIB."""
+        """Install/update the Bloom filter summarizing a peer's L-FIB, building it here."""
         if peer_switch_id == self.switch_id:
             raise ControlPlaneError("a switch does not keep a G-FIB entry for itself")
         self.gfib.install_peer(peer_switch_id, macs)
@@ -403,12 +414,6 @@ class LazyCtrlEdgeSwitch(EdgeSwitch):
             destination_switch=destination_switch,
             tunnel_destination=destination_ip,
         )
-
-    # -- state snapshots ----------------------------------------------------
-
-    def lfib_snapshot(self) -> Dict[MacAddress, FibEntry]:
-        """Snapshot of the local L-FIB for peer/state-link dissemination."""
-        return self.lfib.snapshot()
 
     def storage_bytes(self) -> int:
         """Bytes of high-speed memory consumed by the G-FIB Bloom filters."""

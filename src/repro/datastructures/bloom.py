@@ -10,7 +10,9 @@ duplicate deliveries that the receiving switch drops after an L-FIB miss
 The implementation uses double hashing over two independent 64-bit hashes
 derived from ``hashlib.blake2b``, the standard Kirsch–Mitzenmacher
 construction, which gives the textbook false-positive behaviour that the
-paper's storage analysis (§V-D) relies on.
+paper's storage analysis (§V-D) relies on.  An element's bit positions depend
+only on its bytes and the filter geometry, so :func:`probe_positions` derives
+and memoizes them once for every filter of that geometry.
 """
 
 from __future__ import annotations
@@ -18,27 +20,32 @@ from __future__ import annotations
 import hashlib
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.common.config import BloomFilterConfig
 from repro.common.errors import ConfigurationError
 
 
 @lru_cache(maxsize=1 << 16)
-def _hash_pair(data: bytes) -> tuple[int, int]:
-    """Return two independent 64-bit hash values for ``data``.
+def probe_positions(data: bytes, size_bits: int, hash_count: int) -> tuple[int, ...]:
+    """The bit positions of ``data`` in any filter of this geometry: ``(h1 + i·h2) mod m``.
 
-    The pair is a pure function of the bytes, so it is memoized: the replay
-    hot path hashes the same few hundred host MACs millions of times (every
-    G-FIB query and every group re-synchronization re-inserts them), and a
-    dict hit is an order of magnitude cheaper than a blake2b digest.
+    A pure function of its arguments, so it is memoized (bounded): the replay
+    hot path probes and re-inserts the same few thousand host MACs millions
+    of times, and a dict hit is an order of magnitude cheaper than a blake2b
+    digest plus ``hash_count`` modular steps.
     """
     digest = hashlib.blake2b(data, digest_size=16).digest()
-    return int.from_bytes(digest[:8], "big"), int.from_bytes(digest[8:], "big")
+    h1, h2 = int.from_bytes(digest[:8], "big"), int.from_bytes(digest[8:], "big")
+    return tuple((h1 + i * h2) % size_bits for i in range(hash_count))
 
 
 class BloomFilter:
     """A fixed-size Bloom filter over byte strings.
+
+    ``add`` and ``in`` work on an element's :func:`probe_positions`;
+    :meth:`has_positions` takes positions a caller already derived, which is
+    how a G-FIB hashes a MAC once and tests it against every peer filter.
 
     Parameters
     ----------
@@ -100,15 +107,11 @@ class BloomFilter:
         """Number of ``add`` calls performed (not distinct elements)."""
         return self._count
 
-    def _positions(self, item: bytes) -> Iterator[int]:
-        h1, h2 = _hash_pair(item)
-        for i in range(self._hash_count):
-            yield (h1 + i * h2) % self._size_bits
-
     def add(self, item: bytes) -> None:
         """Insert a byte-string element."""
-        for position in self._positions(item):
-            self._bits[position >> 3] |= 1 << (position & 7)
+        bits = self._bits
+        for position in probe_positions(item, self._size_bits, self._hash_count):
+            bits[position >> 3] |= 1 << (position & 7)
         self._count += 1
 
     def add_all(self, items: Iterable[bytes]) -> None:
@@ -117,7 +120,15 @@ class BloomFilter:
             self.add(item)
 
     def __contains__(self, item: bytes) -> bool:
-        return all(self._bits[position >> 3] & (1 << (position & 7)) for position in self._positions(item))
+        return self.has_positions(probe_positions(item, self._size_bits, self._hash_count))
+
+    def has_positions(self, positions: Iterable[int]) -> bool:
+        """Whether every bit of ``positions`` — :func:`probe_positions` for this geometry — is set."""
+        bits = self._bits
+        for position in positions:
+            if not bits[position >> 3] & (1 << (position & 7)):
+                return False
+        return True
 
     def clear(self) -> None:
         """Remove all elements (reset every bit)."""
@@ -126,8 +137,7 @@ class BloomFilter:
 
     def fill_ratio(self) -> float:
         """Fraction of bits currently set, in ``[0, 1]``."""
-        set_bits = sum(bin(byte).count("1") for byte in self._bits)
-        return set_bits / self._size_bits
+        return int.from_bytes(self._bits, "big").bit_count() / self._size_bits
 
     def estimated_false_positive_rate(self) -> float:
         """Estimate the current false-positive probability from the fill ratio."""

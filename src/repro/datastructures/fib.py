@@ -14,12 +14,15 @@ Three tables implement the table organization of paper Fig. 4:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional
+from typing import Collection, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.common.addresses import MacAddress
 from repro.common.config import BloomFilterConfig
-from repro.common.errors import UnknownHostError
-from repro.datastructures.bloom import BloomFilter
+from repro.common.errors import ConfigurationError, UnknownHostError
+from repro.datastructures.bloom import BloomFilter, probe_positions
+
+#: An L-FIB as peer and state links carry it: ``(mac, port, tenant_id)`` sorted by MAC.
+WireEntries = Tuple[Tuple[MacAddress, int, int], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,11 +37,13 @@ class FibEntry:
 class LocalFib:
     """The Local Forwarding Information Base of a single edge switch."""
 
-    __slots__ = ("_entries", "_version")
+    __slots__ = ("_entries", "_version", "_wire", "_wire_version")
 
     def __init__(self) -> None:
         self._entries: Dict[MacAddress, FibEntry] = {}
         self._version = 0
+        self._wire: WireEntries = ()
+        self._wire_version = 0
 
     @property
     def version(self) -> int:
@@ -52,10 +57,9 @@ class LocalFib:
         which is the condition for pushing an update over the peer link.
         """
         existing = self._entries.get(mac)
-        entry = FibEntry(mac=mac, port=port, tenant_id=tenant_id)
-        if existing == entry:
+        if existing is not None and existing.port == port and existing.tenant_id == tenant_id:
             return False
-        self._entries[mac] = entry
+        self._entries[mac] = FibEntry(mac=mac, port=port, tenant_id=tenant_id)
         self._version += 1
         return True
 
@@ -89,8 +93,18 @@ class LocalFib:
         return [entry for entry in self._entries.values() if entry.tenant_id == tenant_id]
 
     def snapshot(self) -> Dict[MacAddress, FibEntry]:
-        """Return a copy of the table for dissemination over peer/state links."""
+        """Return a copy of the table."""
         return dict(self._entries)
+
+    def wire_entries(self) -> WireEntries:
+        """The table as peer and state links carry it, derived once per :attr:`version`."""
+        if self._wire_version != self._version:
+            self._wire = tuple(
+                (mac, entry.port, entry.tenant_id)
+                for mac, entry in sorted(self._entries.items(), key=lambda item: item[0].value)
+            )
+            self._wire_version = self._version
+        return self._wire
 
     def replace(self, entries: Mapping[MacAddress, FibEntry]) -> None:
         """Replace the whole table (used when restoring from a snapshot)."""
@@ -105,9 +119,17 @@ class GroupFib:
     from the peer's L-FIB.  ``query`` returns the identifiers of all peers
     whose filter matches — possibly more than one because of false positives,
     exactly as the paper's forwarding routine anticipates.
+
+    Building a filter (:meth:`summarize`) and holding one
+    (:meth:`install_summary`) are separate steps: a dissemination builds an
+    L-FIB's summary once and every member of the group installs that object;
+    :meth:`install_peer` is both steps for a single holder.  Installed filters
+    are only replaced, never mutated, so sharing is safe; all have this
+    G-FIB's geometry, so a probe hashes its MAC once for every peer.
     """
 
-    __slots__ = ("_config", "_filters", "_exact", "_query_cache", "query_count", "query_cache_hits", "version")
+    __slots__ = ("_config", "_filters", "_exact", "_query_cache", "query_count", "query_cache_hits", "version",
+                 "summaries_built", "peer_installs")
 
     #: Cached query results are cleared wholesale past this size rather than
     #: tracking per-entry recency; real replays query far fewer distinct MACs.
@@ -130,6 +152,9 @@ class GroupFib:
         # disseminations (the query cache itself is cleared on the same
         # events, but observing a counter is cheaper than re-querying).
         self.version = 0
+        # A group of n members installs each summary built n - 1 times.
+        self.summaries_built = 0
+        self.peer_installs = 0
 
     @property
     def config(self) -> BloomFilterConfig:
@@ -144,16 +169,35 @@ class GroupFib:
         """Identifiers of the summarized peer switches."""
         return list(self._filters)
 
-    def install_peer(self, switch_id: int, macs: Iterable[MacAddress]) -> None:
-        """Install or replace the filter for peer ``switch_id`` from its L-FIB."""
-        bloom = BloomFilter.from_config(self._config)
-        mac_list = list(macs)
-        bloom.add_all(mac.to_bytes() for mac in mac_list)
-        self._filters[switch_id] = bloom
+    def summarize(self, macs: Iterable[MacAddress]) -> BloomFilter:
+        """Build the Bloom summary of an L-FIB holding ``macs``, in this G-FIB's geometry."""
+        summary = BloomFilter.from_config(self._config)
+        summary.add_all(mac.to_bytes() for mac in macs)
+        self.summaries_built += 1
+        return summary
+
+    def install_summary(self, switch_id: int, summary: BloomFilter, macs: Collection[MacAddress]) -> None:
+        """Hold ``summary``, built of ``macs``, as the filter for peer ``switch_id`` (not copied).
+
+        One of another geometry is rejected: a probe derives its positions once, from this config.
+        """
+        config = self._config
+        if summary.size_bits != config.size_bits or summary.hash_count != config.hash_count:
+            raise ConfigurationError(
+                f"a {summary.size_bits}-bit/{summary.hash_count}-hash summary does not fit a G-FIB of "
+                f"{config.size_bits}-bit/{config.hash_count}-hash filters"
+            )
+        self._filters[switch_id] = summary
         self._query_cache.clear()
         self.version += 1
+        self.peer_installs += 1
         if self._exact is not None:
-            self._exact[switch_id] = set(mac_list)
+            self._exact[switch_id] = set(macs)
+
+    def install_peer(self, switch_id: int, macs: Iterable[MacAddress]) -> None:
+        """Install or replace the filter for peer ``switch_id`` from its L-FIB: a summary held once."""
+        mac_list = list(macs)
+        self.install_summary(switch_id, self.summarize(mac_list), mac_list)
 
     def remove_peer(self, switch_id: int) -> None:
         """Drop the filter for a peer that left the group."""
@@ -178,9 +222,12 @@ class GroupFib:
         query cache nor the query counters, so a caller may probe what
         :meth:`query` *will* answer without changing what it accounts.
         """
-        needle = mac.to_bytes()
+        config = self._config
+        positions = probe_positions(mac.to_bytes(), config.size_bits, config.hash_count)
         return tuple(
-            sorted(switch_id for switch_id, bloom in self._filters.items() if needle in bloom)
+            sorted(
+                switch_id for switch_id, bloom in self._filters.items() if bloom.has_positions(positions)
+            )
         )
 
     def query(self, mac: MacAddress) -> tuple[int, ...]:
@@ -261,13 +308,14 @@ class CentralLib:
         """Monotonic counter bumped on every mutation."""
         return self._version
 
-    def update_from_lfib(self, switch_id: int, snapshot: Mapping[MacAddress, FibEntry]) -> int:
-        """Merge one switch's L-FIB snapshot; returns the number of changed hosts."""
+    def update_from_lfib(self, switch_id: int, entries: WireEntries) -> int:
+        """Merge one switch's L-FIB as a state report carries it; returns the number of changed hosts."""
+        locations, tenants = self._locations, self._tenants
         changed = 0
-        for mac, entry in snapshot.items():
-            if self._locations.get(mac) != switch_id or self._tenants.get(mac) != entry.tenant_id:
-                self._locations[mac] = switch_id
-                self._tenants[mac] = entry.tenant_id
+        for mac, _port, tenant_id in entries:
+            if locations.get(mac) != switch_id or tenants.get(mac) != tenant_id:
+                locations[mac] = switch_id
+                tenants[mac] = tenant_id
                 changed += 1
         if changed:
             self._version += 1

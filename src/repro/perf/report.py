@@ -130,6 +130,26 @@ def format_kernel_breakdown(snapshot: PerfSnapshot) -> str:
     return "\n".join(lines)
 
 
+def format_group_state_breakdown(snapshot: PerfSnapshot) -> str:
+    """Render what keeping group state current cost; empty for a plane without G-FIBs.
+
+    ``regrouping`` split into deciding and applying, the live dissemination
+    inside ``engine``, and G-FIB entries installed per Bloom summary built.
+    """
+    counters = snapshot.counters
+    if "edge.gfib_peer_installs" not in counters:
+        return ""
+    stages = {stage.name: stage for stage in snapshot.stages}
+    lines = ["group state:"] + [
+        f"  {name}: {stages[name].total_seconds:.3f}s over {stages[name].calls:,} calls"
+        for name in ("regroup_decide", "regroup_apply", "live_dissemination")
+        if name in stages
+    ]
+    installs, summaries = counters["edge.gfib_peer_installs"], counters.get("edge.gfib_summaries_built", 0)
+    lines.append(f"  peer installs: {installs:,} from {summaries:,} summaries")
+    return "\n".join(lines)
+
+
 def format_stage_breakdown(snapshot: PerfSnapshot, *, label: str = "") -> str:
     """Render one snapshot as the per-stage table ``repro profile`` prints."""
     from repro.analysis.reports import format_table
@@ -157,9 +177,9 @@ def format_stage_breakdown(snapshot: PerfSnapshot, *, label: str = "") -> str:
     )
     counter_lines = [f"  {name} = {value}" for name, value in snapshot.counters.items()]
     parts = [table, headline]
-    kernel = format_kernel_breakdown(snapshot)
-    if kernel:
-        parts.append(kernel)
+    for section in (format_kernel_breakdown(snapshot), format_group_state_breakdown(snapshot)):
+        if section:
+            parts.append(section)
     if counter_lines:
         parts.append("counters:")
         parts.extend(counter_lines)

@@ -15,7 +15,7 @@ from repro.controlplane.messages import (
     MessageType,
     PacketInMessage,
 )
-from repro.datastructures.fib import FibEntry
+from repro.datastructures.fib import LocalFib
 
 
 def mac(i: int) -> MacAddress:
@@ -43,19 +43,22 @@ class TestMessages:
         assert message.destination == "switch:4"
         assert message.action_target == 7
 
-    def test_lfib_update_compacts_snapshot(self):
-        snapshot = {mac(1): FibEntry(mac(1), 2, 5)}
-        message = LfibUpdateMessage.create(3, snapshot, "switch:9", timestamp=0.0)
-        assert message.entries == ((mac(1), 2, 5),)
+    def test_lfib_update_carries_the_wire_tuple_as_given(self):
+        lfib = LocalFib()
+        lfib.learn(mac(2), 1, 5)
+        lfib.learn(mac(1), 2, 5)
+        message = LfibUpdateMessage.create(3, lfib.wire_entries(), "switch:9", timestamp=0.0)
+        assert message.entries is lfib.wire_entries()
+        assert message.entries == ((mac(1), 2, 5), (mac(2), 1, 5))
 
     def test_group_state_report_aggregates(self):
         lfibs = {
-            1: {mac(1): FibEntry(mac(1), 1, 0)},
-            2: {mac(2): FibEntry(mac(2), 1, 0)},
+            2: ((mac(2), 1, 0),),
+            1: ((mac(1), 1, 0),),
         }
         report = GroupStateReportMessage.create(7, 1, lfibs, timestamp=0.0)
         assert report.group_id == 7
-        assert len(report.switch_lfibs) == 2
+        assert report.switch_lfibs == ((1, lfibs[1]), (2, lfibs[2]))
 
     def test_group_config_construction(self):
         message = GroupConfigMessage.create(

@@ -176,11 +176,15 @@ class TestGroupMembershipAndState:
         # Paper §V-D: 45 filters of 2048 bytes = 92,160 bytes.
         assert switch.storage_bytes() == 92_160
 
-    def test_lfib_snapshot(self):
-        switch = make_switch()
-        switch.attach_host(mac(1), 1, 0)
-        snap = switch.lfib_snapshot()
-        assert mac(1) in snap
+    def test_lfib_summary_is_what_peers_install(self):
+        source, holder = make_switch(), make_switch(switch_id=1)
+        source.attach_host(mac(1), 1, 0)
+        summary = source.summarize_lfib()
+        assert mac(1).to_bytes() in summary and summary.inserted_count == 1
+        holder.install_peer_summary(0, summary, source.local_hosts())
+        assert holder.gfib.query(mac(1)) == (0,)
+        with pytest.raises(ControlPlaneError):
+            source.install_peer_summary(0, summary, source.local_hosts())
 
     def test_reset_counters(self):
         switch = make_switch()

@@ -160,15 +160,17 @@ class TestCentralLib:
 
     def test_update_from_lfib_counts_changes(self):
         clib = CentralLib()
-        snapshot = {mac(1): FibEntry(mac(1), 1, 0), mac(2): FibEntry(mac(2), 2, 0)}
-        assert clib.update_from_lfib(7, snapshot) == 2
-        # Re-applying the same snapshot changes nothing.
-        assert clib.update_from_lfib(7, snapshot) == 0
+        entries = ((mac(1), 1, 0), (mac(2), 2, 0))
+        assert clib.update_from_lfib(7, entries) == 2
+        assert clib.version == 1
+        # Re-applying the same entries changes nothing.
+        assert clib.update_from_lfib(7, entries) == 0
+        assert clib.version == 1
 
     def test_update_detects_migration(self):
         clib = CentralLib()
         clib.record_host(mac(1), 3, 0)
-        assert clib.update_from_lfib(4, {mac(1): FibEntry(mac(1), 1, 0)}) == 1
+        assert clib.update_from_lfib(4, ((mac(1), 1, 0),)) == 1
         assert clib.locate(mac(1)) == 4
 
     def test_remove_host(self):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.common.addresses import IpAddress, MacAddress
-from repro.common.errors import ControlPlaneError
+from repro.common.config import BloomFilterConfig
+from repro.common.errors import ConfigurationError, ControlPlaneError
 from repro.controlplane.group import LocalControlGroup
 from repro.dataplane.edge_switch import LazyCtrlEdgeSwitch
 
@@ -57,6 +58,21 @@ class TestGroupConstruction:
         switch = make_switches(1)[0]
         with pytest.raises(ControlPlaneError):
             LocalControlGroup(1, [switch, switch])
+
+    def test_members_of_mixed_bloom_geometry_rejected(self):
+        """A member's summary is installed as built at every other member."""
+        switches = make_switches(2)
+        switches.append(
+            LazyCtrlEdgeSwitch(
+                2,
+                underlay_ip=IpAddress.from_switch_index(2),
+                management_mac=MacAddress.from_switch_index(2),
+                bloom_config=BloomFilterConfig(size_bits=64, hash_count=2),
+            )
+        )
+        with pytest.raises(ConfigurationError, match="geometry"):
+            LocalControlGroup(1, switches)
+        assert all(switch.group_id is None for switch in switches)
 
     def test_member_lookup(self):
         switches = make_switches(3)
@@ -131,6 +147,9 @@ class TestStateSynchronization:
         # Every switch can now resolve every other switch's host.
         assert switches[0].gfib.query(mac(2)) == (1,)
         assert switches[2].gfib.query(mac(1)) == (0,)
+        # One summary per member, held by each of the two others.
+        assert [switch.gfib.summaries_built for switch in switches] == [1, 1, 1]
+        assert [switch.gfib.peer_installs for switch in switches] == [2, 2, 2]
 
     def test_propagate_lfib_update_reaches_all_members(self):
         switches = make_switches(4)
@@ -141,6 +160,9 @@ class TestStateSynchronization:
         for index, switch in enumerate(switches):
             if index != 2:
                 assert 2 in switch.gfib.query(mac(42))
+        # The update was summarized once, by its source, for the three others.
+        assert [switch.gfib.summaries_built for switch in switches] == [1, 1, 2, 1]
+        assert sum(switch.gfib.peer_installs for switch in switches) == 4 * 3 + 3
 
     def test_propagate_unknown_member_rejected(self):
         group = LocalControlGroup(1, make_switches(2))
@@ -156,6 +178,12 @@ class TestStateSynchronization:
         switch_ids = [switch_id for switch_id, _ in report.switch_lfibs]
         assert switch_ids == [0, 1, 2]
         assert group.state_reports_sent == 1
+        # A report carries each member's wire tuple itself, re-derived only on change.
+        assert report.switch_lfibs[0][1] is switches[0].lfib.wire_entries() == ((mac(1), 1, 5),)
+        switches[1].attach_host(mac(2), 1, 5)
+        later = group.build_state_report(timestamp=3.0)
+        assert later.switch_lfibs[0][1] is report.switch_lfibs[0][1]
+        assert later.switch_lfibs[1][1] == ((mac(2), 1, 5),)
 
     def test_storage_bytes_grows_with_group_size(self):
         small = LocalControlGroup(1, make_switches(3, first_id=0))

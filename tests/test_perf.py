@@ -183,6 +183,34 @@ class TestInstrumentedRuns:
         assert openflow.counters["controller.requests"] == result.runs["openflow"].total_controller_requests
         assert openflow.flows_per_second > 0
 
+    def test_group_state_stages_nest_and_installs_are_set_against_summaries(self):
+        from repro.churn import ChurnSpec
+        from repro.common.config import GroupingConfig, LazyCtrlConfig, RegroupingPolicy
+
+        spec = small_spec(
+            traffic=TraceSpec.realistic(total_flows=1500, seed=7),
+            schedule=ScheduleSpec(duration_hours=8.0, bucket_hours=2.0),
+            config=LazyCtrlConfig(
+                grouping=GroupingConfig(group_size_limit=3, random_seed=7),
+                regrouping=RegroupingPolicy(churn_event_trigger=10),
+            ),
+            churn=ChurnSpec(seed=7, migration_rate_per_hour=12.0, drift_rate_per_hour=2.0),
+        )
+        result = ScenarioRunner().run(spec, collect_perf=True)
+        lazy = result.runs["lazyctrl-dynamic"].perf
+        regrouping, decide, apply = (lazy.stage(n) for n in ("regrouping", "regroup_decide", "regroup_apply"))
+        assert decide.calls == regrouping.calls
+        assert apply.calls == sum(result.runs["lazyctrl-dynamic"].updates_per_hour) > 0
+        assert decide.total_seconds + apply.total_seconds <= regrouping.total_seconds
+        assert 0 < lazy.stage("live_dissemination").total_seconds <= lazy.stage("engine").total_seconds
+        summaries = lazy.counters["edge.gfib_summaries_built"]
+        installs = lazy.counters["edge.gfib_peer_installs"]
+        assert 0 < summaries < installs
+        text = format_stage_breakdown(lazy)
+        assert f"peer installs: {installs:,} from {summaries:,} summaries" in text
+        assert all(f"  {name}: " in text for name in ("regroup_decide", "regroup_apply", "live_dissemination"))
+        assert "group state:" not in format_stage_breakdown(result.runs["openflow"].perf)
+
     def test_instrumented_run_records_chunks_and_peak_rss(self):
         result = ScenarioRunner().run(small_spec(systems=("lazyctrl-dynamic",)), collect_perf=True)
         perf = result.runs["lazyctrl-dynamic"].perf

@@ -8,6 +8,11 @@ calls (``lookup``, ``query``, ``forward_key``) are the run of one, and
 These properties hold the contract where it lives: a run either is declared
 undecidable, having changed nothing, or leaves exactly what ``n`` single calls
 leave — and asking alone never changes anything.
+
+An L-FIB's derived forms follow the same rule: one Bloom summary installed in
+``n`` G-FIBs is ``n`` × ``install_peer(peer, macs)``, the memoized bit
+positions are the Kirsch–Mitzenmacher formula, and the memoized wire tuple is
+the sorted table after every mutation.
 """
 
 import dataclasses
@@ -481,3 +486,167 @@ class TestPlaneLinkRun:
         assert plane.congestion_penalty_ms(flow, 1, 2, 0.0) > 0.0
         bare = OpenFlowSystem(DataCenterNetwork())
         assert bare.link_meter is None and bare.congestion_penalty_ms(flow, 1, 2, 0.0) == 0.0
+
+
+# -- an L-FIB summarized once: one summary in n G-FIBs is n install_peers --------------
+
+#: Two peers' L-FIBs (host indices, overlapping ranges so some MACs have two
+#: candidates), re-disseminated in any order, any number of times.
+disseminations_strategy = st.lists(
+    st.tuples(st.sampled_from((5, 6)), st.lists(st.integers(0, 40), max_size=12, unique=True)),
+    min_size=1,
+    max_size=5,
+)
+
+
+def shared_state(gfib: GroupFib):
+    return {
+        "state": gfib_state(gfib),
+        "storage": gfib.storage_bytes(),
+        "peers": gfib.peers(),
+        "answers": [gfib.matching_peers(mac(i)) for i in range(0, 60)],  # residents, then strangers
+        "exact": {peer: set(macs) for peer, macs in gfib._exact.items()},
+        "inserted": {peer: bloom.inserted_count for peer, bloom in gfib._filters.items()},
+        "installs": gfib.peer_installs,
+    }
+
+
+class TestSharedSummary:
+    @given(n=st.integers(1, 5), disseminations=disseminations_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_one_summary_in_n_gfibs_is_n_install_peers(self, n, disseminations):
+        source = GroupFib()
+        shared = [GroupFib(track_exact=True) for _ in range(n)]
+        twins = [GroupFib(track_exact=True) for _ in range(n)]
+        for peer, hosts in disseminations:
+            macs = [mac(i) for i in hosts]
+            for gfib in shared + twins:
+                gfib.query(mac(3)), gfib.query(mac(3)), gfib.query(mac(50))  # a warm memo
+            counted = [(gfib.query_count, gfib.query_cache_hits) for gfib in shared]
+
+            summary = source.summarize(macs)
+            for gfib in shared:
+                gfib.install_summary(peer, summary, macs)
+            for gfib in twins:
+                gfib.install_peer(peer, macs)
+
+            assert all(gfib._filters[peer] is summary for gfib in shared)
+            assert all(not gfib._query_cache for gfib in shared), "an install empties the memo"
+            assert counted == [(gfib.query_count, gfib.query_cache_hits) for gfib in shared]
+            for holder, twin in zip(shared, twins):
+                assert shared_state(holder) == shared_state(twin)
+        assert source.summaries_built == len(disseminations)
+        assert all(twin.summaries_built == twin.peer_installs == len(disseminations) for twin in twins)
+        assert all(gfib.summaries_built == 0 for gfib in shared)
+
+    def test_a_summary_of_another_geometry_is_rejected(self):
+        from repro.common.errors import ConfigurationError
+        from repro.datastructures.bloom import BloomFilter
+
+        gfib = GroupFib(track_exact=True)
+        gfib.install_peer(5, [mac(1)])
+        before = shared_state(gfib)
+        small = BloomFilter(64, 2)
+        small.add(mac(2).to_bytes())
+        with pytest.raises(ConfigurationError, match="64-bit/2-hash"):
+            gfib.install_summary(6, small, [mac(2)])
+        assert shared_state(gfib) == before
+
+
+# -- the memoized bit positions are the Kirsch–Mitzenmacher formula ---------------------
+
+
+def km_positions(data: bytes, size_bits: int, hash_count: int):
+    """``(h1 + i·h2) mod m`` over the two halves of a 16-byte blake2b digest."""
+    import hashlib
+
+    digest = hashlib.blake2b(data, digest_size=16).digest()
+    h1, h2 = int.from_bytes(digest[:8], "big"), int.from_bytes(digest[8:], "big")
+    return [(h1 + i * h2) % size_bits for i in range(hash_count)]
+
+
+#: sha256 of ``to_bytes()`` after adding the MACs of hosts 0..11, as built
+#: before positions were memoized (commit a669cb4).
+PINNED_FILTER_DIGESTS = {
+    (64, 2): "b7b0f75be1fe58d4fcecee3777d67cca59918b6cfe9e3761a73f7a8a4e3f4f1a",
+    (1024, 1): "eaba63b6a692e3e27fa134603329623601a725713e93d797df8582ba1617b8b4",
+    (16384, 7): "2f0d7c7353789fa07247026eb64834e39bc09ce65ce72d75d9e1061103281256",
+}
+
+
+class TestBloomPositions:
+    @pytest.mark.parametrize("hash_count", (1, 2, 7))
+    @pytest.mark.parametrize("size_bits", (64, 1024, 16384))
+    @given(
+        items=st.lists(st.binary(min_size=0, max_size=8), max_size=10),
+        probes=st.lists(st.binary(min_size=0, max_size=8), max_size=10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_add_and_contains_are_the_formula(self, size_bits, hash_count, items, probes):
+        from repro.datastructures.bloom import BloomFilter, probe_positions
+
+        bloom = BloomFilter(size_bits, hash_count)
+        bits = bytearray((size_bits + 7) // 8)
+        for item in items:
+            bloom.add(item)
+            for position in km_positions(item, size_bits, hash_count):
+                bits[position >> 3] |= 1 << (position & 7)
+        assert bloom.to_bytes() == bytes(bits)
+        assert bloom.inserted_count == len(items)
+        for probe in items + probes:
+            positions = km_positions(probe, size_bits, hash_count)
+            expected = all(bits[position >> 3] & (1 << (position & 7)) for position in positions)
+            assert (probe in bloom) == expected
+            assert probe_positions(probe, size_bits, hash_count) == tuple(positions)
+            assert bloom.has_positions(positions) == expected
+
+    @pytest.mark.parametrize("geometry", PINNED_FILTER_DIGESTS)
+    def test_serialized_filters_are_unchanged(self, geometry):
+        import hashlib
+
+        from repro.datastructures.bloom import BloomFilter
+
+        bloom = BloomFilter(*geometry)
+        bloom.add_all(mac(i).to_bytes() for i in range(12))
+        assert hashlib.sha256(bloom.to_bytes()).hexdigest() == PINNED_FILTER_DIGESTS[geometry]
+        assert bloom.fill_ratio() == sum(bin(byte).count("1") for byte in bloom.to_bytes()) / geometry[0]
+
+
+# -- the memoized wire tuple is the sorted table, after every mutation ----------------------
+
+lfib_ops_strategy = st.lists(
+    st.one_of(
+        st.tuples(st.just("learn"), st.integers(0, 9), st.integers(1, 3), st.integers(0, 2)),
+        st.tuples(st.just("forget"), st.integers(0, 9)),
+        st.tuples(st.just("replace"), st.lists(st.integers(0, 9), max_size=4, unique=True)),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+class TestLocalFibWireTuple:
+    @given(ops=lfib_ops_strategy)
+    @settings(max_examples=120, deadline=None)
+    def test_refreshed_by_every_mutation_and_only_by_one(self, ops):
+        from repro.datastructures.fib import FibEntry, LocalFib
+
+        lfib = LocalFib()
+        assert lfib.wire_entries() == ()
+        for op in ops:
+            before, version = lfib.wire_entries(), lfib.version
+            if op[0] == "learn":
+                changed = lfib.learn(mac(op[1]), op[2], op[3])
+            elif op[0] == "forget":
+                changed = lfib.forget(mac(op[1]))
+            else:
+                lfib.replace({mac(i): FibEntry(mac(i), 1, 0) for i in op[1]})
+                changed = True
+            assert (lfib.version != version) == changed
+            wire = lfib.wire_entries()
+            assert wire == tuple(
+                (m, entry.port, entry.tenant_id) for m, entry in sorted(lfib.snapshot().items())
+            )
+            if not changed:  # a no-op learn / forget: the very same tuple
+                assert wire is before
+            assert lfib.wire_entries() is wire

@@ -157,6 +157,8 @@ EDGE_COUNTERS = {
 LAZYCTRL_COUNTERS = {
     "edge.gfib_queries",
     "edge.gfib_query_cache_hits",
+    "edge.gfib_summaries_built",
+    "edge.gfib_peer_installs",
     "controller.arp_relays",
     "controller.group_config_messages",
 }
