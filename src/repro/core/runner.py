@@ -293,9 +293,9 @@ class ScenarioRunner:
                     # Churn mutates the topology during a replay, so each system
                     # starts from its own pristine network.  The deterministic
                     # builder yields an identical copy, and the already-generated
-                    # flows are simply rebound to it — far cheaper than
-                    # regenerating the trace per system.
-                    system_trace = Trace(base_trace.name, spec.build_network(), base_trace.flows)
+                    # flows are simply rebound to it — resident once, and far
+                    # cheaper than regenerating the trace per system.
+                    system_trace = base_trace.bound_to(spec.build_network())
                 else:
                     system_trace = base_trace
                 tracer = NULL_TRACER
@@ -387,8 +387,8 @@ class ScenarioRunner:
         .. warning:: Active churn mutates ``trace.network`` in place during
            the replay.  To compare systems fairly, give each call its own
            trace bound to a pristine network (rebind the flows with
-           ``Trace(name, fresh_network, trace.flows)``), which is what
-           :meth:`run` does.
+           ``trace.bound_to(fresh_network)``, which shares them instead of
+           sorting and holding a second copy), which is what :meth:`run` does.
         """
         run, _ = self._replay_system(
             system,

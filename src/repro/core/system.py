@@ -4,11 +4,13 @@ The paper compares them on the same edge switches and the same replayed
 trace, and the baseline is the degenerate case of the hybrid plane: no
 groups, so every table miss is a ``Packet_In``.  :class:`EdgePlane` is that
 common system.  It implements the :class:`~repro.traffic.replay.FlowSink`
-protocol the trace replayer drives and handles one flow in three steps:
-**resolve** its endpoints on the (possibly churning) topology; **decide**
-(:meth:`EdgePlane.decide`) which mechanism handles the first packet — flow
-table, L-FIB, G-FIB or the controller — what that path costs under the
-latency model and the traversed uplinks' congestion, and what it adds to the
+protocol the trace replayer drives — :meth:`EdgePlane.flow_arrival`, written
+on a flow's six columns, with ``handle_flow_arrival`` its record form — and
+handles one flow in three steps: **resolve** its endpoints on the (possibly
+churning) topology; **decide** (where :meth:`EdgePlane.decide` stops) which
+mechanism handles the first packet — flow table, L-FIB, G-FIB or the
+controller — what that path costs under the latency model and the traversed
+uplinks' congestion, and what it adds to the
 counters; **record** latency samples for every packet, the flow in the
 intensity window, and the timeline.  :class:`LazyCtrlSystem` and
 :class:`OpenFlowSystem` supply the switch and controller they are built
@@ -21,8 +23,8 @@ intra-group copies, count it — is ``settle_run``, written for ``n`` such flows
 at once; the vectorized kernel (:mod:`repro.kernel`) calls it per (src, dst)
 pair, takes ``first_packet`` for the flows it cannot account in bulk, charges
 a batch's uplinks through :meth:`EdgePlane.link_penalties_ms` (the congestion
-step, written for a run of flows; ``decide`` takes it for one), and records
-per batch.
+step, written for a run of flows; ``flow_arrival`` takes it for one), and
+records per batch.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from repro.datastructures.intensity import IntensityMatrix
 from repro.simulation.latency import LatencyModel
 from repro.simulation.metrics import LatencyRecorder
 from repro.topology.network import DataCenterNetwork, EdgeSwitchInfo
+from repro.traffic.chunk import draw_of
 from repro.traffic.flow import FlowRecord
 
 
@@ -92,6 +95,10 @@ SettledRun = Tuple[FlowPathKind, float, float, bool]
 
 #: :meth:`EdgePlane.first_packet` adds (the controller was involved, duplicate copies sent).
 FirstPacket = Tuple[FlowPathKind, float, float, bool, bool, int]
+
+#: :meth:`EdgePlane.flow_arrival` returns a :class:`FlowHandlingResult`'s
+#: fields after the flow id, in its order.
+Arrival = Tuple[FlowPathKind, int, int, bool, float, float, int, bool]
 
 
 class EdgePlane:
@@ -138,37 +145,39 @@ class EdgePlane:
 
     # -- FlowSink protocol: resolve -> decide -> record -----------------------------
 
-    def handle_flow_arrival(self, flow: FlowRecord, now: float) -> Optional[FlowHandlingResult]:
-        """Handle one replayed flow: decide its path, then record it."""
-        result = self.decide(flow, now)
-        if result is None:
-            return None
-        matrix = self.intensity_matrix()
-        if matrix is not None:
-            matrix.record(result.src_switch_id, result.dst_switch_id)
-        first = result.first_packet_latency_ms
-        self.latency_recorder.record(now, first)
-        if flow.packet_count > 1:
-            self.latency_recorder.record(
-                now, result.steady_packet_latency_ms, count=flow.packet_count - 1
-            )
-        if self.tracer.enabled:
-            self.tracer.flow(now, first)
-        return result
+    def flow_arrival(
+        self,
+        start_time: float,
+        src_host_id: int,
+        dst_host_id: int,
+        packet_count: int,
+        byte_count: int,
+        duration: float,
+        rate_profile: Optional[RateProfile] = None,
+        *,
+        now: Optional[float] = None,
+        record: bool = True,
+    ) -> Optional[Arrival]:
+        """Handle one flow arriving at ``now``, given as its six columns.
 
-    def decide(self, flow: FlowRecord, now: float) -> Optional[FlowHandlingResult]:
-        """First-packet path decision and accounting for one flow, unrecorded.
-
+        The arrival step itself — a replayer calls it with one row of a flow
+        chunk's columns (``now`` is then the flow's start) and builds no
+        :class:`~repro.traffic.flow.FlowRecord`;
+        :meth:`handle_flow_arrival` and :meth:`decide` are its record form.
         Everything a flow changes in switches, controller, meter and
-        :attr:`counters` happens here — resolve the endpoints, take
-        :meth:`first_packet` on their flow key, add the uplinks' congestion —
-        and latency recorder, intensity window and timeline are untouched.
-        Returns ``None`` (a departed flow, counted) when an endpoint's tenant
-        left mid-run: the flow never materializes and generates no
-        control-plane work.
+        :attr:`counters` happens first: resolve the endpoints, take
+        :meth:`first_packet` on their flow key, add the uplinks' congestion.
+        Then, unless ``record`` is off, the flow goes into the intensity
+        window, every packet's latency into the recorder, and the first
+        packet's onto the timeline.  Returns ``None`` (a departed flow,
+        counted, nothing else) when an endpoint's tenant left mid-run: the
+        flow never materializes and generates no control-plane work.
         """
-        src_host = self.network.host_if_present(flow.src_host_id)
-        dst_host = self.network.host_if_present(flow.dst_host_id)
+        if now is None:
+            now = start_time
+        network = self.network
+        src_host = network.host_if_present(src_host_id)
+        dst_host = network.host_if_present(dst_host_id)
         if src_host is None or dst_host is None:
             self.counters.departed_flows += 1
             return None
@@ -178,21 +187,38 @@ class EdgePlane:
         path, first, steady, false_positive_drop, controller_involved, duplicates = (
             self.first_packet(key, src_switch_id, dst_switch_id, now)
         )
-        penalty = self.congestion_penalty_ms(flow, src_switch_id, dst_switch_id, now)
+        penalty = self.congestion_penalty_ms(
+            start_time, duration, byte_count, src_switch_id, dst_switch_id, rate_profile, now=now
+        )
         if penalty > 0.0:
             first += penalty
             steady += penalty
-        return FlowHandlingResult(
-            flow_id=flow.flow_id,
-            path=path,
-            src_switch_id=src_switch_id,
-            dst_switch_id=dst_switch_id,
-            controller_involved=controller_involved,
-            first_packet_latency_ms=first,
-            steady_packet_latency_ms=steady,
-            duplicate_deliveries=duplicates,
-            false_positive_drop=false_positive_drop,
-        )
+        if record:
+            matrix = self.intensity_matrix()
+            if matrix is not None:
+                matrix.record(src_switch_id, dst_switch_id)
+            self.latency_recorder.record(now, first)
+            if packet_count > 1:
+                self.latency_recorder.record(now, steady, count=packet_count - 1)
+            if self.tracer.enabled:
+                self.tracer.flow(now, first)
+        return path, src_switch_id, dst_switch_id, controller_involved, first, steady, duplicates, false_positive_drop
+
+    def handle_flow_arrival(self, flow: FlowRecord, now: float) -> Optional[FlowHandlingResult]:
+        """Handle one replayed flow: decide its path, then record it."""
+        return self._record_form(flow, now, record=True)
+
+    def decide(self, flow: FlowRecord, now: float) -> Optional[FlowHandlingResult]:
+        """First-packet path decision and accounting for one flow, unrecorded.
+
+        Latency recorder, intensity window and timeline are untouched.
+        """
+        return self._record_form(flow, now, record=False)
+
+    def _record_form(self, flow: FlowRecord, now: float, record: bool) -> Optional[FlowHandlingResult]:
+        """:meth:`flow_arrival` for a record, answering with a result object."""
+        arrival = self.flow_arrival(*draw_of(flow), flow.rate_profile, now=now, record=record)
+        return None if arrival is None else FlowHandlingResult(flow.flow_id, *arrival)
 
     def first_packet(
         self, key: FlowKey, src_switch_id: int, dst_switch_id: int, now: float
@@ -203,8 +229,8 @@ class EdgePlane:
         :meth:`~repro.dataplane.edge_switch.EdgeSwitch.forward_key`, then
         :meth:`settle_run` for what the switch decided alone or
         :meth:`_resolve_miss` for what it could not; uplink congestion is the
-        caller's to add.  :meth:`decide` takes this step for a record; the
-        vectorized kernel's ordered walk takes it with a (src, dst) pair's
+        caller's to add.  :meth:`flow_arrival` takes this step for one flow;
+        the vectorized kernel's ordered walk takes it with a (src, dst) pair's
         memoized key and switch ids and the time column.
         """
         verdict = self._switches[src_switch_id].forward_key(key, now)
@@ -265,7 +291,15 @@ class EdgePlane:
         raise NotImplementedError
 
     def congestion_penalty_ms(
-        self, flow: FlowRecord, src_switch_id: int, dst_switch_id: int, now: float
+        self,
+        start_time: float,
+        duration: float,
+        byte_count: int,
+        src_switch_id: int,
+        dst_switch_id: int,
+        rate_profile: Optional[RateProfile] = None,
+        *,
+        now: Optional[float] = None,
     ) -> float:
         """Queueing delay the traversed uplinks add to one flow's packets.
 
@@ -277,13 +311,13 @@ class EdgePlane:
         if self.link_meter is None or src_switch_id == dst_switch_id:
             return 0.0
         return self.link_penalties_ms(
-            (flow.start_time,),
-            (flow.duration,),
-            (flow.byte_count,),
+            (start_time,),
+            (duration,),
+            (byte_count,),
             (src_switch_id,),
             (dst_switch_id,),
-            (flow.rate_profile,),
-            nows=(now,),
+            (rate_profile,),
+            nows=None if now is None else (now,),
         )[0]
 
     def link_penalties_ms(

@@ -21,18 +21,19 @@ wrapped as numpy arrays without a copy, and goes through five steps:
   out, intra-group runs are applied flow by flow on the ordered walk).
 * **walk** — what forwarding makes order-dependent runs in arrival order:
   fallback flows through :meth:`~repro.core.system.EdgePlane.first_packet`,
-  the packet-in step the plane's own ``decide`` takes, on the pair's memoized
-  flow key and the time column.  No
-  :class:`~repro.traffic.flow.FlowRecord` is built: ``kernel.records_minted``
-  counts only batches bypassed whole.
+  the packet-in step the plane's own ``flow_arrival`` takes, on the pair's
+  memoized flow key and the time column.  No
+  :class:`~repro.traffic.flow.FlowRecord` is built — nor for a batch bypassed
+  whole, which takes the scalar replayer's own column walk
+  (:func:`~repro.traffic.replay.replay_batch`).
 * **meter** — under a link meter, the batch's inter-switch flows are charged
   to their two uplinks in one
   :meth:`~repro.core.system.EdgePlane.link_penalties_ms` call on the start /
   duration / byte columns (and a record-backed chunk's rate profiles): the
-  step ``decide``'s ``congestion_penalty_ms`` takes for a run of one.  The
-  meter is order-dependent among those flows only — it reads nothing the walk
-  writes — so it is a pass of its own (``kernel.flows_metered`` flows, the
-  ``kernel_meter`` stage) rather than a reason to walk the whole batch.
+  step ``flow_arrival``'s ``congestion_penalty_ms`` takes for a run of one.
+  The meter is order-dependent among those flows only — it reads nothing the
+  walk writes — so it is a pass of its own (``kernel.flows_metered`` flows,
+  the ``kernel_meter`` stage) rather than a reason to walk the whole batch.
 * **apply and fold** — each decided pair is applied once for its ``n``
   flows — :meth:`~repro.dataplane.edge_switch.EdgeSwitch.apply_run` at the
   switch, :meth:`~repro.core.system.EdgePlane.settle_run` at the plane, the
@@ -73,6 +74,7 @@ from repro.dataplane.decisions import INTRA_GROUP, PUNT, TABLE_HIT, RunVerdict
 from repro.obs.timeline import latency_bin
 from repro.perf.recorder import NULL_RECORDER
 from repro.traffic.chunk import FlowChunk
+from repro.traffic.replay import replay_batch
 
 # Pair classes.
 _FALLBACK = 0
@@ -139,19 +141,13 @@ class ColumnarReplayKernel:
         return info
 
     def _scalar_batch(self, batch: FlowChunk) -> None:
-        handle = self._plane.handle_flow_arrival
-        for flow in batch:
-            handle(flow, flow.start_time)
+        replay_batch(self._plane, batch)
         perf = self._perf
         if perf.enabled:
             perf.count("kernel.batches", 1)
             perf.count("kernel.batches_bypassed", 1)
             perf.count("kernel.flows_fallback", len(batch))
             perf.count("kernel.fallback_bypass", len(batch))
-            if batch.mints_records:
-                # Only a column-backed chunk builds them; one adapted from
-                # existing records hands those back.
-                perf.count("kernel.records_minted", len(batch))
             self._note_coverage(0, len(batch))
 
     def _note_coverage(self, vectorized: int, total: int) -> None:

@@ -194,14 +194,19 @@ class SgiGrouper:
         combined = history_matrix.copy()
         combined.merge(recent_matrix)
 
+        # ``combined`` does not change below: one graph and one known-switch
+        # set serve every merge-split of this update.
+        graph = WeightedGraph.from_intensity_matrix(combined)
+        known = graph.vertex_weights.keys()
+
         current = {group_id: set(members) for group_id, members in grouping.groups.items()}
         before = combined.normalized_inter_group_intensity(list(current.values()))
+        now_intensity = before
         merge_splits = 0
         rng = make_rng(self._config.random_seed, "incupdate", str(self.statistics.incremental_updates))
 
         attempted_pairs: set[Tuple[int, int]] = set()
         for _ in range(max_merge_splits):
-            now_intensity = combined.normalized_inter_group_intensity(list(current.values()))
             if stop_when_intensity_below is not None and now_intensity <= stop_when_intensity_below:
                 break
             pair = self._find_candidate_pair(current, recent_matrix, combined, limit, attempted_pairs)
@@ -210,8 +215,10 @@ class SgiGrouper:
             group_a, group_b = pair
             attempted_pairs.add(pair)
             merged_members = current[group_a] | current[group_b]
-            subgraph = WeightedGraph.from_intensity_matrix(combined).subgraph(merged_members) \
-                if self._all_known(combined, merged_members) else self._build_subgraph(combined, merged_members)
+            if merged_members <= known:
+                subgraph = graph.subgraph(merged_members)
+            else:
+                subgraph = self._build_subgraph(combined, merged_members)
             try:
                 bisection = min_bisection(subgraph, max_side_weight=limit, rng=rng)
             except (InfeasibleGroupingError, PartitioningError):
@@ -223,10 +230,13 @@ class SgiGrouper:
             candidate[group_b] = set(bisection.side_b)
             candidate_intensity = combined.normalized_inter_group_intensity(list(candidate.values()))
             if candidate_intensity <= now_intensity + 1e-12:
+                # The intensity the next round starts from, and the last one
+                # accepted the update ends on, is the one just computed.
                 current = candidate
+                now_intensity = candidate_intensity
                 merge_splits += 1
 
-        after = combined.normalized_inter_group_intensity(list(current.values()))
+        after = now_intensity
         elapsed = time.perf_counter() - started
         self.statistics.incremental_updates += 1
         self.statistics.merge_split_operations += merge_splits
@@ -247,11 +257,6 @@ class SgiGrouper:
         group_id = self._next_group_id
         self._next_group_id += 1
         return group_id
-
-    @staticmethod
-    def _all_known(matrix: IntensityMatrix, members: set[int]) -> bool:
-        known = set(matrix.switches())
-        return members <= known
 
     @staticmethod
     def _build_subgraph(matrix: IntensityMatrix, members: set[int]) -> WeightedGraph:
@@ -278,6 +283,9 @@ class SgiGrouper:
         eligible (otherwise no feasible re-split exists).  Pairs already
         attempted in this invocation are skipped so the loop terminates.
         """
+        group_of = {switch_id: group_id for group_id, members in current.items() for switch_id in members}
+        recent_scores = self._group_pair_intensities(recent_matrix, group_of)
+        fallback_scores = self._group_pair_intensities(combined_matrix, group_of)
         group_ids = sorted(current)
         best_pair: Optional[Tuple[int, int]] = None
         best_score = 0.0
@@ -288,21 +296,32 @@ class SgiGrouper:
                     continue
                 if len(current[group_a]) + len(current[group_b]) > 2 * limit + 1e-9:
                     continue
-                recent = self._pairwise_intensity(recent_matrix, current[group_a], current[group_b])
-                fallback = self._pairwise_intensity(combined_matrix, current[group_a], current[group_b])
-                score = recent if recent > 0 else 0.5 * fallback
+                recent = recent_scores.get(key, 0.0)
+                score = recent if recent > 0 else 0.5 * fallback_scores.get(key, 0.0)
                 if score > best_score + 1e-12:
                     best_score = score
                     best_pair = key
         return best_pair
 
     @staticmethod
-    def _pairwise_intensity(matrix: IntensityMatrix, group_a: set[int], group_b: set[int]) -> float:
-        total = 0.0
+    def _group_pair_intensities(
+        matrix: IntensityMatrix, group_of: Dict[int, int]
+    ) -> Dict[Tuple[int, int], float]:
+        """Intensity between every two groups, keyed ``(lower id, higher id)``, in one pass.
+
+        Each total is a left fold of its own pairs in ``matrix.pairs()`` order
+        — the float a scan per group pair would produce.  Ungrouped switches
+        belong to no pair.
+        """
+        totals: Dict[Tuple[int, int], float] = {}
         for a, b, weight in matrix.pairs():
-            if (a in group_a and b in group_b) or (a in group_b and b in group_a):
-                total += weight
-        return total
+            group_a = group_of.get(a)
+            group_b = group_of.get(b)
+            if group_a is None or group_b is None or group_a == group_b:
+                continue
+            key = (group_a, group_b) if group_a < group_b else (group_b, group_a)
+            totals[key] = totals.get(key, 0.0) + weight
+        return totals
 
 
 def grouping_quality(matrix: IntensityMatrix, grouping: Grouping) -> float:

@@ -64,7 +64,7 @@ def stoer_wagner_min_cut(graph: WeightedGraph) -> MinCutResult:
             vertex: adjacency[start].get(vertex, 0.0) for vertex in active if vertex != start
         }
         while len(in_a) < len(active):
-            next_vertex = max(connectivity, key=lambda vertex: connectivity[vertex])
+            next_vertex = max(connectivity, key=connectivity.__getitem__)
             in_a.append(next_vertex)
             in_a_set.add(next_vertex)
             del connectivity[next_vertex]

@@ -110,11 +110,6 @@ def format_kernel_breakdown(snapshot: PerfSnapshot) -> str:
         for cause, label in KERNEL_FALLBACK_CAUSES.items()
     )
     lines.append(f"  fallback flows: {fallback:,} = " + " + ".join(causes))
-    minted = counters.get("kernel.records_minted", 0)
-    lines.append(
-        f"  records minted: {minted:,} (FlowRecords built from column chunks, for a bypassed "
-        "batch; every other flow stayed columns, under a link meter too)"
-    )
     for name in ("kernel_classify", "kernel_fallback", "kernel_meter", "kernel_accumulate"):
         try:
             stage = snapshot.stage(name)

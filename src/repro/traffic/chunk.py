@@ -19,9 +19,16 @@ The data flow is therefore *draws → columns → (records on demand)*:
   kernel wraps them with ``numpy.frombuffer`` without a copy.  This module
   never imports numpy, so the scalar path stays numpy-free;
 * :meth:`FlowChunk.from_records` adapts an existing record sequence (a
-  materialized trace, a third-party stream's list chunk) for a column
+  record-born trace, a third-party stream's list chunk) for a column
   consumer: the columns are transposed once per chunk and indexing returns
   the original records, ``rate_profile`` and all.
+
+A stream's chunks are O(chunk) and short-lived.  A materialized
+:class:`~repro.traffic.trace.Trace` is one chunk from birth — it appends each
+arriving chunk's buffers onto six growing columns and lets the chunk go — so
+a resident flow is held once, as 48 bytes of columns, and
+:meth:`FlowChunk.records` mints the record list beside them only for a
+caller that asks.
 """
 
 from __future__ import annotations
@@ -62,13 +69,12 @@ def _transpose(draws: Iterable[FlowDraw]) -> Tuple[memoryview, ...]:
     )
 
 
-def _from_buffers(parts_per_column: Sequence[Sequence], first_id: int) -> "FlowChunk":
-    """A minting chunk whose columns are the concatenation of byte buffers."""
+def _from_buffers(buffers: Sequence, first_id: int) -> "FlowChunk":
+    """A minting chunk over copies of six byte buffers (how a chunk unpickles)."""
     columns = []
-    for typecode, parts in zip(COLUMN_TYPECODES, parts_per_column):
+    for typecode, buffer in zip(COLUMN_TYPECODES, buffers):
         column = array(typecode)
-        for part in parts:
-            column.frombytes(memoryview(part).cast("B"))
+        column.frombytes(buffer)
         columns.append(memoryview(column).toreadonly())
     return FlowChunk(tuple(columns), first_id)
 
@@ -153,20 +159,12 @@ class FlowChunk(SequenceABC):
         first_id = records[0].flow_id if len(records) else 0
         return cls(_transpose(map(draw_of, records)), first_id, records)
 
-    @classmethod
-    def joined(cls, chunks: Sequence["FlowChunk"]) -> "FlowChunk":
-        """One minting chunk holding the flows of consecutive minting chunks."""
-        return _from_buffers(
-            [[chunk._columns[index] for chunk in chunks] for index in range(len(COLUMN_TYPECODES))],
-            chunks[0]._first_id if chunks else 0,
-        )
-
     def __reduce__(self):
-        # Buffer views do not pickle, their bytes do: a trace holding chunks
+        # Buffer views do not pickle, their bytes do: a trace holding columns
         # stays as picklable and deep-copyable as one holding records.
         if self._records is not None:
             return (FlowChunk.from_records, (self._records,))
-        return (_from_buffers, ([[column.tobytes()] for column in self._columns], self._first_id))
+        return (_from_buffers, ([column.tobytes() for column in self._columns], self._first_id))
 
     # -- columns ---------------------------------------------------------------
 

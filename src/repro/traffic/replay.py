@@ -22,13 +22,17 @@ The replayer drains its source chunk by chunk through the
 a generated stream as a lazy sequence of O(chunk)-sized ones — so replay
 memory is bounded by the chunk size, not the trace size.  Within each chunk
 the inner loop stays batched: flows between two periodic ticks are drained
-in one slice with the sink's handler pre-resolved to a local, and the engine
-lockstep is consulted only when an engine event is actually pending.  Which
-representation of a flow gets touched is the consumer's call, not an option:
-with a batch handler (the vectorized kernel) every batch is a
-:class:`~repro.traffic.chunk.FlowChunk` view read column-wise; without one
-the per-flow loop iterates records — a materialized trace's shared list, or
-records minted batch by batch from a stream's columns.  An
+in one slice, and the engine lockstep cuts that slice where an engine event is
+actually pending instead of asking per flow.  Which representation of a flow
+gets touched is the consumer's call, not an option: with a batch handler (the
+vectorized kernel) every batch is a :class:`~repro.traffic.chunk.FlowChunk`
+view read column-wise; without one, a sink that offers the column form of the
+arrival step (:meth:`FlowSink.flow_arrival`, as every
+:class:`~repro.core.system.EdgePlane` does) is handed the rows of a
+column-backed batch and no record is built, while a sink without it, or a
+batch backed by records (whose attached rate profiles must reach the meter),
+gets records — the chunk's own, or minted batch by batch from a stream's
+columns (:func:`replay_batch`).  An
 optional :class:`~repro.perf.recorder.PerfRecorder` times the stages and
 counts drained chunks; the default
 :data:`~repro.perf.recorder.NULL_RECORDER` makes instrumentation a
@@ -53,11 +57,34 @@ if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
 
 
 class FlowSink(Protocol):
-    """Anything that can accept replayed flow arrivals."""
+    """Anything that can accept replayed flow arrivals.
+
+    A sink may also offer the column form of the same step,
+    ``flow_arrival(start_time, src_host_id, dst_host_id, packet_count,
+    byte_count, duration)`` — the flow arriving at its start time — and is
+    then handed the rows of column-backed batches instead of records minted
+    from them (:func:`replay_batch`).
+    """
 
     def handle_flow_arrival(self, flow: FlowRecord, now: float) -> object:
         """Process one flow arriving at simulation time ``now``."""
         ...
+
+
+def replay_batch(sink: FlowSink, batch: Sequence[FlowRecord]) -> None:
+    """Present every flow of ``batch`` to ``sink``, in order, at its start time.
+
+    Row by row off the columns when the batch is column-backed and the sink
+    takes them; record by record otherwise.
+    """
+    flow_arrival = getattr(sink, "flow_arrival", None)
+    if flow_arrival is not None and isinstance(batch, FlowChunk) and batch.mints_records:
+        for row in zip(*batch.columns()):
+            flow_arrival(*row)
+    else:
+        handle = sink.handle_flow_arrival
+        for flow in batch:
+            handle(flow, flow.start_time)
 
 
 PeriodicCallback = Callable[[float], None]
@@ -140,13 +167,17 @@ class TraceReplayer:
         perf = self._perf
         engine = self._engine
         tracer = self._tracer
-        handle = self._sink.handle_flow_arrival
         batch_handler = self._batch_handler if engine is None else None
         next_tick = start + interval
         last_arrival: Optional[float] = None
 
+        # Columns where somebody reads them: the batch handler, or a sink
+        # with the column form of the arrival step.
         chunks = windowed_chunks(
-            self._trace, start=start, end=end, columnar=batch_handler is not None
+            self._trace,
+            start=start,
+            end=end,
+            columnar=batch_handler is not None or hasattr(self._sink, "flow_arrival"),
         )
         for flows in chunks:
             progress.chunks_drained += 1
@@ -161,15 +192,13 @@ class TraceReplayer:
                 # batch; the tick at time T fires before flows at or after T.
                 boundary = bisect_left(start_times, next_tick, index)
                 if boundary > index:
-                    batch = flows[index:boundary]
                     with perf.timeit("flow_handling"):
                         if batch_handler is not None:
-                            batch_handler(batch)
+                            batch_handler(flows[index:boundary])
                         elif engine is None:
-                            for flow in batch:
-                                handle(flow, flow.start_time)
+                            replay_batch(self._sink, flows[index:boundary])
                         else:
-                            self._drain_with_engine(batch, handle, engine, perf)
+                            self._drain_with_engine(flows, start_times, index, boundary)
                     progress.flows_replayed += boundary - index
                     index = boundary
                 if index >= total:
@@ -205,24 +234,27 @@ class TraceReplayer:
         self._advance_engine(window_end)
         progress.end_time = window_end
 
-    @staticmethod
-    def _drain_with_engine(
-        batch: Sequence[FlowRecord], handle, engine: "SimulationEngine", perf
-    ) -> None:
-        """Replay one batch in lockstep with the coupled engine.
+    def _drain_with_engine(self, flows, start_times, index: int, boundary: int) -> None:
+        """Replay ``flows[index:boundary]`` in lockstep with the coupled engine.
 
-        The engine is consulted only while events are actually pending: once
-        the queue peeks empty the loop degenerates to the plain fast path
-        (the clock catches up at the next periodic tick or at window end).
+        An engine event at time T fires before the flows arriving at or after
+        T, so the batch is cut at each pending event and every stretch between
+        two of them is replayed as the plain batch it is; once the queue peeks
+        empty that is the whole rest (the clock catches up at the next
+        periodic tick or at window end).
         """
+        engine = self._engine
         next_event = engine.queue.peek_time()
-        for flow in batch:
-            now = flow.start_time
-            if next_event is not None and next_event <= now:
-                with perf.timeit("engine"):
-                    engine.run_until(now)
+        while index < boundary:
+            if next_event is not None and next_event <= start_times[index]:
+                with self._perf.timeit("engine"):
+                    engine.run_until(start_times[index])
                 next_event = engine.queue.peek_time()
-            handle(flow, now)
+            cut = boundary
+            if next_event is not None:
+                cut = bisect_left(start_times, next_event, index, boundary)
+            replay_batch(self._sink, flows[index:cut])
+            index = cut
 
     def _fire_periodic(self, now: float, progress: ReplayProgress) -> None:
         self._advance_engine(now)

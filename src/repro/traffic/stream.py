@@ -434,8 +434,8 @@ class GeneratedStream(FlowStreamBase):
     def chunks(self) -> Iterator[FlowChunk]:
         return self.chunks_from(0.0)
 
-    def chunks_from(self, start: float) -> Iterator[FlowChunk]:
-        """Chunks that may contain flows at or after ``start``, ids intact.
+    def chunks_from(self, start: float, end: Optional[float] = None) -> Iterator[FlowChunk]:
+        """Chunks that may contain flows in ``[start, end)``, ids intact.
 
         Windows ending strictly before ``start`` are *skipped without
         generating*: their planned ``flow_count`` is added to the flow-id
@@ -448,6 +448,12 @@ class GeneratedStream(FlowStreamBase):
         window (``end == start``) is still generated — an emitter may draw
         an arrival exactly on its window's end edge, and ownership of that
         instant belongs to the consumer's trimming, not to the generator.
+
+        Generation stops at the first window starting at or past ``end``
+        (``None``: never), which is valid because no emitter draws an arrival
+        before its window's start — checked, likewise, on every window that
+        is generated — so a consumer of ``[start, end)`` never pays for a
+        chunk it would trim away whole.
         """
         flow_id = 0
         for window in self._windows:
@@ -456,6 +462,8 @@ class GeneratedStream(FlowStreamBase):
             if window.end < start:
                 flow_id += window.flow_count
                 continue
+            if end is not None and window.start >= end:
+                return
             rng = make_rng(self._seed, *self._rng_labels, "chunk", str(window.index))
             draws = self._emit(rng, window)
             if len(draws) != window.flow_count:
@@ -465,6 +473,12 @@ class GeneratedStream(FlowStreamBase):
                     f"[{window.start}, {window.end}), which planned {window.flow_count}"
                 )
             draws.sort()
+            if draws[0][0] < window.start:
+                raise TrafficError(
+                    f"traffic model {self._rng_labels[0]!r} (stream {self.name!r}) drew an "
+                    f"arrival at {draws[0][0]} for window {window.index} "
+                    f"[{window.start}, {window.end}), before the window starts"
+                )
             chunk = FlowChunk.from_draws(draws, flow_id)
             chunk.check_hosts(self.network)
             flow_id += window.flow_count
@@ -638,11 +652,11 @@ def windowed_chunks(
 ) -> Iterator[Sequence[FlowRecord]]:
     """Drain a stream's chunks trimmed to the replay window ``[start, end)``.
 
-    Consuming a sub-window never generates flows past it (see
+    Consuming a sub-window never reads past the first chunk beyond it (see
     :func:`trim_chunks`), and sources that can seek
-    (:meth:`GeneratedStream.chunks_from`) additionally never generate the
-    chunks *before* the window, which is what makes a time-window shard's
-    cost proportional to its own span.
+    (:meth:`GeneratedStream.chunks_from`) generate neither the chunks *before*
+    the window nor that one chunk *past* it, which is what makes a
+    time-window shard's cost proportional to its own span.
 
     ``columnar`` is the consumer saying it reads columns, not records (the
     vectorized kernel): every chunk then arrives as a :class:`FlowChunk` —
@@ -652,8 +666,8 @@ def windowed_chunks(
     """
     if columnar and hasattr(source, "columns"):
         source_chunks = (source.columns(),)
-    elif start > 0.0 and hasattr(source, "chunks_from"):
-        source_chunks = source.chunks_from(start)
+    elif hasattr(source, "chunks_from"):
+        source_chunks = source.chunks_from(start, end)
     else:
         source_chunks = source.chunks()
     if columnar:

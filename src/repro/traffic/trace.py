@@ -5,18 +5,21 @@ A :class:`Trace` couples a time-sorted collection of flows with the
 the streaming refactor it is the *materialized convenience wrapper* over the
 chunked pipeline: every built-in generator natively emits a
 :class:`~repro.traffic.stream.FlowStream`, and :meth:`Trace.from_stream`
-(or passing the stream straight to the constructor) keeps its chunks for
+(or passing the stream straight to the constructor) keeps its flows for
 callers that want random access.
 
-A trace built from a generated stream starts out *columnar*: it holds the
-stream's :class:`~repro.traffic.chunk.FlowChunk` columns and no
-:class:`FlowRecord` at all.  Column consumers — the warm-up intensity fold,
-the vectorized kernel via :meth:`Trace.columns` — read those directly.  The
-first consumer that wants records (``.flows``, iteration, ``chunks()``,
-``window``) materializes the record list once, chunk by chunk, dropping each
-chunk's columns as its records come into being; from then on the trace is
-exactly the record list it always was, shared by every later pass.  A trace
-built from a record iterable is in that state from the start.
+A trace built from a generated stream is *column-born*: the constructor
+appends each arriving chunk's six buffers onto six growing ``array`` columns
+and ends holding one :class:`~repro.traffic.chunk.FlowChunk` — the one
+resident form of its flows from then on, and no
+:class:`FlowRecord` at all.  Column consumers read it as it is: the warm-up
+intensity fold, the vectorized kernel and the scalar replay of a sink that
+takes columns, all through :meth:`Trace.columns`.  A caller that asks for
+records (``.flows``, iteration, ``chunks()``, ``window`` — the analysis views,
+``expand``, ``subtrace``) has the record list minted once *beside* the
+columns and shared by every later call; the columns stay.  A trace built from
+a record iterable holds that sorted list, and transposes it for a column
+consumer on request.
 
 The derived views the rest of the library needs —
 
@@ -36,17 +39,18 @@ churn moves hosts between switches mid-replay).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from collections import deque
+from copy import copy
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import le
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import TrafficError
 from repro.datastructures.intensity import IntensityMatrix
 from repro.topology.network import DataCenterNetwork
-from repro.traffic.chunk import FlowChunk, start_time_of
+from repro.traffic.chunk import COLUMN_TYPECODES, FlowChunk, start_time_of
 from repro.traffic.flow import FlowRecord
 from repro.traffic.stream import FlowStream, TraceStatistics, accumulate_intensity, trim_chunks
 
@@ -60,26 +64,53 @@ class PairActivity:
     top_decile_share: float
 
 
-def _already_sorted(chunks: Sequence[Sequence[FlowRecord]]) -> bool:
-    """Whether ``chunks`` are minting chunks forming one run in trace order.
+def _continues_run(chunk: Sequence[FlowRecord], next_id: Optional[int], last_time: float) -> bool:
+    """Whether ``chunk`` is a minting chunk continuing a run in trace order.
 
     Trace order is ``(start_time, flow_id)``.  A run whose ids ascend by one
     and whose start times never decrease is already in it — sorting would be
     the identity — which is the canonical order every built-in stream emits.
     """
-    next_id = None
+    if not (isinstance(chunk, FlowChunk) and chunk.mints_records):
+        return False
+    if next_id is not None and chunk.first_id != next_id:
+        return False
+    times = chunk.start_times
+    return times[0] >= last_time and all(map(le, times, islice(times, 1, None)))
+
+
+def _gather_run(
+    chunks: Iterable[Sequence[FlowRecord]],
+) -> Tuple[FlowChunk, Optional[Iterator[FlowRecord]]]:
+    """Append a stream's chunks onto six growing columns while they form one run.
+
+    Returns the run as one chunk, and ``None`` when that is the whole stream;
+    otherwise the flows of the chunk that broke the run (a third-party
+    stream's record list, an unsorted chunk, an id gap) and of every chunk
+    after it.
+    """
+    columns = tuple(array(typecode) for typecode in COLUMN_TYPECODES)
+    first_id, next_id = 0, None
     last_time = float("-inf")
+    rest = None
+    chunks = iter(chunks)
     for chunk in chunks:
-        if not (isinstance(chunk, FlowChunk) and chunk.mints_records):
-            return False
-        if next_id is not None and chunk.first_id != next_id:
-            return False
-        times = chunk.start_times
-        if times[0] < last_time or not all(map(le, times, islice(times, 1, None))):
-            return False
+        if not len(chunk):
+            continue
+        if not _continues_run(chunk, next_id, last_time):
+            rest = chain(chunk, chain.from_iterable(chunks))
+            break
+        if next_id is None:
+            first_id = chunk.first_id
         next_id = chunk.first_id + len(chunk)
-        last_time = times[-1]
-    return True
+        last_time = chunk.start_times[-1]
+        for column, part in zip(columns, chunk.columns()):
+            column.frombytes(part.cast("B"))
+        # Let go before the stream generates the next chunk, so no flow is
+        # resident twice while that chunk's draws are.
+        del chunk, part
+    run = FlowChunk(tuple(memoryview(column).toreadonly() for column in columns), first_id)
+    return run, rest
 
 
 class Trace:
@@ -91,32 +122,51 @@ class Trace:
         self.name = name
         self.network = network
         self._pair_stats: Optional[TraceStatistics] = None
-        # Exactly one of the two is set: the stream's column chunks, or the
-        # sorted record list they (or a record iterable) turn into.
-        self._chunks: Optional[List[FlowChunk]] = None
+        # Column-born: the columns, and the record list once somebody asked.
+        # Record-born: the sorted record list alone.
+        self._columns: Optional[FlowChunk] = None
         self._flows: Optional[List[FlowRecord]] = None
         if hasattr(flows, "chunks"):
-            chunks = [chunk for chunk in flows.chunks() if len(chunk)]
-            if _already_sorted(chunks):
-                for chunk in chunks:
-                    chunk.check_hosts(network)
-                self._chunks = chunks
-                self._count = sum(len(chunk) for chunk in chunks)
-                self._duration = chunks[-1].start_times[-1] if chunks else 0.0
+            run, flows = _gather_run(flows.chunks())
+            if flows is None:
+                self._columns = run
+                self._count = len(run)
+                self._duration = run.start_times[-1] if run else 0.0
+                self._check_hosts()
                 return
-            flows = chain.from_iterable(chunks)
+            flows = chain(run, flows)
         self._flows = sorted(flows)
         self._count = len(self._flows)
         self._duration = self._flows[-1].start_time if self._flows else 0.0
+        self._check_hosts()
+
+    def _check_hosts(self) -> None:
+        """Fail fast on flows referencing hosts outside the topology."""
+        if self._columns is not None:
+            self._columns.check_hosts(self.network)
+            return
         for flow in self._flows:
-            # Fail fast on flows referencing hosts outside the topology.
-            network.host(flow.src_host_id)
-            network.host(flow.dst_host_id)
+            self.network.host(flow.src_host_id)
+            self.network.host(flow.dst_host_id)
 
     @classmethod
     def from_stream(cls, stream: FlowStream, *, name: Optional[str] = None) -> "Trace":
         """Materialize a chunked flow stream into a trace."""
         return cls(name or stream.name, stream.network, stream)
+
+    def bound_to(self, network: DataCenterNetwork) -> "Trace":
+        """The same flows over another copy of the topology, resident once.
+
+        What a replay under churn needs — churn mutates the network, so every
+        system starts from its own pristine copy.  The new trace shares this
+        one's columns (or record list) instead of sorting and holding its own;
+        ``network`` must hold every endpoint, checked as at construction.
+        """
+        twin = copy(self)
+        twin.network = network
+        twin._pair_stats = None
+        twin._check_hosts()
+        return twin
 
     # -- basic accessors ----------------------------------------------------
 
@@ -128,32 +178,22 @@ class Trace:
 
     @property
     def flows(self) -> Sequence[FlowRecord]:
-        """The time-sorted flow records (built on first access, then shared)."""
+        """The time-sorted flow records (minted on first access, then shared)."""
         if self._flows is None:
-            flows: List[FlowRecord] = []
-            pending = deque(self._chunks)
-            self._chunks = None
-            while pending:
-                # Popping releases each chunk's columns as soon as its records
-                # exist, so columns and records of the same flows are never
-                # both resident beyond one chunk.
-                flows.extend(pending.popleft().records())
-            self._flows = flows
+            self._flows = self._columns.records()
         return self._flows
 
     def columns(self) -> FlowChunk:
         """The whole trace as one :class:`FlowChunk`, for column consumers.
 
-        A columnar trace joins its chunks into one (once) without building a
-        record; a trace already holding records transposes them.  One chunk,
-        not several, so a replay batches a materialized trace the same way
-        whichever representation it reads.
+        A column-born trace hands out the chunk it holds, copying nothing and
+        building no record; a record-born one transposes its records.  One
+        chunk, not several, so a replay batches a materialized trace the same
+        way whichever representation it reads.
         """
-        if self._chunks is None:
+        if self._columns is None:
             return FlowChunk.from_records(self._flows)
-        if len(self._chunks) != 1:
-            self._chunks = [FlowChunk.joined(self._chunks)]
-        return self._chunks[0]
+        return self._columns
 
     @property
     def total_flows(self) -> int:
@@ -219,15 +259,15 @@ class Trace:
         arrival: a flow arriving exactly at ``duration`` is counted once.
         An explicit ``end`` keeps the usual half-open ``[start, end)``
         semantics.  The matrix reflects host placement at call time, so it
-        is accumulated fresh per call rather than cached.  A columnar trace
+        is accumulated fresh per call rather than cached.  A column-born trace
         folds its endpoint columns and builds no record for it.
         """
         window_end = float("inf") if end is None else end
         if window_end < start:
             raise TrafficError(f"invalid window [{start}, {window_end})")
-        chunks = self._chunks if self._chunks is not None else (self._flows,)
+        whole = self._columns if self._columns is not None else self._flows
         matrix = IntensityMatrix(self.network.switch_ids())
-        for chunk in trim_chunks(chunks, start, window_end):
+        for chunk in trim_chunks((whole,), start, window_end):
             accumulate_intensity(self.network, chunk, matrix)
         return matrix
 

@@ -52,3 +52,27 @@ def clustered_matrix():
             elif rng.random() < 0.05:
                 matrix.record(i, j, rng.uniform(0.1, 1.0))
     return matrix
+
+
+@pytest.fixture()
+def constructions(monkeypatch):
+    """Count every FlowRecord a chunk mints and every FlowHandlingResult a plane builds."""
+    import repro.core.system as system_module
+    import repro.traffic.chunk as chunk_module
+
+    built = {"FlowRecord": 0, "FlowHandlingResult": 0}
+
+    def counting(name, cls):
+        def construct(*args, **kwargs):
+            built[name] += 1
+            return cls(*args, **kwargs)
+
+        return construct
+
+    monkeypatch.setattr(chunk_module, "FlowRecord", counting("FlowRecord", chunk_module.FlowRecord))
+    monkeypatch.setattr(
+        system_module,
+        "FlowHandlingResult",
+        counting("FlowHandlingResult", system_module.FlowHandlingResult),
+    )
+    return built

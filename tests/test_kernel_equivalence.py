@@ -409,7 +409,7 @@ class TestFallbackIsThePlanesDecideStep:
 
 
 class TestRecordsOnDemand:
-    """The kernel reads columns, link meter included; only a bypassed batch builds records."""
+    """The kernel reads columns, link meter and whole-batch bypass included."""
 
     def _run(self, spec):
         result = ScenarioRunner().run(
@@ -418,40 +418,36 @@ class TestRecordsOnDemand:
         )
         return {name: run.perf for name, run in result.runs.items()}
 
-    def test_unmetered_walk_mints_no_record(self):
+    def test_unmetered_walk_mints_no_record(self, constructions):
         """Fallback flows included: the packet-in step runs on the pair's flow
         key and the time column."""
         perfs = self._run(build_spec(flows=800, seed=21))
         for name, perf in perfs.items():
-            counters = perf.counters
-            assert counters["kernel.flows_vectorized"] > 0, name
-            # The counter only appears once something was minted.
-            assert "kernel.records_minted" not in counters, name
+            assert perf.counters["kernel.flows_vectorized"] > 0, name
         assert perfs["openflow"].counters["kernel.flows_fallback"] > 0
+        assert constructions["FlowRecord"] == 0
 
-    def test_metered_run_mints_no_record_either(self):
+    def test_metered_run_mints_no_record_either(self, constructions):
         """The link meter reads the start / duration / byte columns in one
         pass per batch: every inter-switch flow is metered, none is minted."""
         for name, perf in self._run(build_spec(flows=800, seed=21, links=LINK_SPECS[1])).items():
             counters = perf.counters
             replayed = counters["kernel.flows_vectorized"] + counters["kernel.flows_fallback"]
-            assert "kernel.records_minted" not in counters, name
             assert 0 < counters["kernel.flows_metered"] <= replayed, name
             assert perf.stage("kernel_meter").calls == counters["kernel.batches"], name
+        assert constructions["FlowRecord"] == 0
 
-    def test_profile_kernel_block_reports_minted_records_and_the_meter_stage(self):
+    def test_profile_kernel_block_reports_the_meter_stage(self):
         from repro.perf.report import format_kernel_breakdown
 
         unmetered = format_kernel_breakdown(self._run(build_spec(flows=800, seed=21))["openflow"])
-        assert "records minted: 0 " in unmetered
         assert "  meter: " not in unmetered
         metered = self._run(build_spec(flows=800, seed=21, links=LINK_SPECS[1]))["openflow"]
         block = format_kernel_breakdown(metered)
-        assert "records minted: 0 " in block
         assert f"  meter: {metered.stage('kernel_meter').total_seconds:.3f}s" in block
         assert f"{metered.counters['kernel.flows_metered']:,} inter-switch flows" in block
 
-    def test_record_list_batches_are_adapted_not_minted(self):
+    def test_record_list_batches_are_adapted_not_minted(self, constructions):
         """A plain record list handed to the kernel is transposed once and
         its own records are replayed: nothing is minted."""
         from repro.core.registry import get_control_plane
@@ -463,9 +459,10 @@ class TestRecordsOnDemand:
         records = list(spec.build_trace(network).flows)
         plane = get_control_plane("openflow").build(network, config=spec.effective_config())
         perf = PerfRecorder()
+        constructions["FlowRecord"] = 0  # building the record list above is the caller's business
         build_batch_handler(plane, perf=perf)(records[:200])
         assert perf.counter("kernel.flows_fallback") > 0
-        assert perf.counter("kernel.records_minted") == 0
+        assert constructions["FlowRecord"] == 0
 
 
 class TestNumpyGate:

@@ -456,10 +456,7 @@ class TestPlaneLinkRun:
         records, columns = metered_columns(flows)
 
         penalties = run.link_penalties_ms(*columns)
-        assert penalties == [
-            single.congestion_penalty_ms(record, src, dst, record.start_time)
-            for record, src, dst in zip(records, columns[3], columns[4])
-        ]
+        assert penalties == [single.congestion_penalty_ms(*row) for row in zip(*columns)]
         assert run.counters == single.counters
         assert run_events.events == single_events.events
         horizon = records[-1].start_time + 50.0
@@ -477,15 +474,13 @@ class TestPlaneLinkRun:
     def test_an_intra_switch_flow_or_a_meterless_plane_costs_nothing(self):
         from repro.core.system import OpenFlowSystem
         from repro.topology.network import DataCenterNetwork
-        from repro.traffic.flow import FlowRecord
 
         plane, listener = metered_plane(10.0)
-        flow = FlowRecord(0.0, 0, 1, 2, 10, 10**9, 1.0)
-        assert plane.congestion_penalty_ms(flow, 1, 1, 0.0) == 0.0
+        assert plane.congestion_penalty_ms(0.0, 1.0, 10**9, 1, 1) == 0.0
         assert not any(plane.link_meter._bytes.values()) and not listener.events
-        assert plane.congestion_penalty_ms(flow, 1, 2, 0.0) > 0.0
+        assert plane.congestion_penalty_ms(0.0, 1.0, 10**9, 1, 2) > 0.0
         bare = OpenFlowSystem(DataCenterNetwork())
-        assert bare.link_meter is None and bare.congestion_penalty_ms(flow, 1, 2, 0.0) == 0.0
+        assert bare.link_meter is None and bare.congestion_penalty_ms(0.0, 1.0, 10**9, 1, 2) == 0.0
 
 
 # -- an L-FIB summarized once: one summary in n G-FIBs is n install_peers --------------
@@ -650,3 +645,293 @@ class TestLocalFibWireTuple:
             if not changed:  # a no-op learn / forget: the very same tuple
                 assert wire is before
             assert lfib.wire_entries() is wire
+
+
+# -- the arrival step: a row of columns is the record form ----------------------------------
+
+ARRIVAL_SYSTEMS = ("openflow", "lazyctrl-static", "lazyctrl-dynamic")
+ARRIVAL_HOSTS = 48
+
+#: (gap to the previous arrival, src host, dst host, packets, bytes, duration).
+arrivals_of_flows_strategy = st.lists(
+    st.tuples(
+        st.floats(0.0, 90.0),
+        st.integers(0, ARRIVAL_HOSTS - 1),
+        st.integers(0, ARRIVAL_HOSTS - 1),
+        st.integers(1, 6),
+        st.integers(64, 400_000),
+        st.floats(0.01, 45.0),
+    ).filter(lambda flow: flow[1] != flow[2]),
+    min_size=1,
+    max_size=40,
+)
+
+
+def arrival_network(links=None):
+    from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
+
+    network = build_multi_tenant_datacenter(
+        TopologyProfile(
+            switch_count=8,
+            host_count=ARRIVAL_HOSTS,
+            min_tenant_size=6,
+            max_tenant_size=12,
+            home_switches_per_tenant=2,
+            seed=4,
+        )
+    )
+    if links is not None:
+        links.apply_network(network)
+    return network
+
+
+def arrival_plane(system, *, links=None, timeline=False, departed=False):
+    """A provisioned plane on its own network, a listener on its bus."""
+    from repro.core.presets import default_grouping_config
+    from repro.core.registry import get_control_plane
+    from repro.obs.timeline import MetricsTimeline
+    from repro.obs.tracer import EventTracer
+    from repro.traffic.registry import get_traffic_model
+
+    network = arrival_network(links)
+    config = default_grouping_config(8)
+    if links is not None:
+        config = links.apply(config)
+    plane = get_control_plane(system).build(
+        network, config=config, workload_bucket_seconds=600.0, latency_bucket_seconds=600.0
+    )
+    listener = RecordingListener()
+    plane.set_tracer(
+        EventTracer(
+            system=system,
+            timeline=MetricsTimeline(600.0) if timeline else None,
+            listeners=[listener],
+        )
+    )
+    warmup = get_traffic_model("realistic").build(
+        network, {"total_flows": 300, "seed": 3, "duration_hours": 1.0}, name="warm-up"
+    )
+    plane.prepare(warmup, warmup_end=1800.0)
+    if departed:
+        plane.churn_tenant_departure(network.host(0).tenant_id, now=0.0)
+    return plane, listener
+
+
+def plane_state(plane, listener, horizon):
+    matrix = plane.intensity_matrix()
+    timeline = plane.tracer.timeline
+    return {
+        "counters": plane.counters,
+        "switches": [switch_state(switch) for switch in plane.switches()],
+        "latency": plane.latency_recorder.bucket_totals(),
+        "intensity": None if matrix is None else list(matrix.pairs()),  # key order included
+        "links": plane.link_usage(horizon),
+        "requests": plane.total_controller_requests(),
+        "workload": plane.workload_series().series(bucket_range=(0, 8)),
+        "updates": plane.updates_per_hour(hours=2),
+        "events": listener.events,
+        "timeline": None if timeline is None else timeline.result(8),
+    }
+
+
+def thin_links():
+    from repro.bandwidth.spec import LinkCapacitySpec
+
+    return LinkCapacitySpec(uplink_mbps=0.05, window_seconds=10.0, queueing_service_ms=0.25)
+
+
+class TestArrivalStep:
+    @pytest.mark.parametrize(
+        "variant", ("plain", "metered", "departed", "timeline", "metered-departed-timeline")
+    )
+    @pytest.mark.parametrize("system", ARRIVAL_SYSTEMS)
+    @given(flows=arrivals_of_flows_strategy)
+    @settings(max_examples=15, deadline=None)
+    def test_a_row_of_columns_is_handle_flow_arrival(self, system, variant, flows):
+        """... ticks included, so the intensity window a regrouping reads —
+        key order and all — is the one the record form leaves."""
+        from repro.core.results import FlowHandlingResult
+        from repro.traffic.flow import FlowRecord
+
+        options = dict(
+            links=thin_links() if "metered" in variant else None,
+            timeline="timeline" in variant,
+            departed="departed" in variant,
+        )
+        (by_row, row_events), (by_record, record_events) = (
+            arrival_plane(system, **options),
+            arrival_plane(system, **options),
+        )
+        now, next_tick = 0.0, 120.0
+        for flow_id, (gap, *rest) in enumerate(flows):
+            now += gap
+            while next_tick <= now:
+                by_row.periodic(next_tick), by_record.periodic(next_tick)
+                next_tick += 120.0
+            arrival = by_row.flow_arrival(now, *rest)
+            result = by_record.handle_flow_arrival(FlowRecord(now, flow_id, *rest), now)
+            if arrival is None:
+                assert result is None
+            else:
+                assert result == FlowHandlingResult(flow_id, *arrival)
+        horizon = now + 60.0
+        assert plane_state(by_row, row_events, horizon) == plane_state(
+            by_record, record_events, horizon
+        )
+        handled = by_row.counters.flows_handled + by_row.counters.departed_flows
+        assert handled == len(flows)
+
+    @pytest.mark.parametrize("system", ARRIVAL_SYSTEMS)
+    def test_the_property_is_not_vacuous(self, system):
+        """Departed, congested, controller-bound and intra-group arrivals all occur."""
+        plane, listener = arrival_plane(system, links=thin_links(), timeline=True, departed=True)
+        for index in range(200):
+            src, dst = (7 * index) % ARRIVAL_HOSTS, (11 * index + 5) % ARRIVAL_HOSTS
+            if src != dst:
+                plane.flow_arrival(3.0 * index, src, dst, 3, 90_000, 2.0)
+        counters = plane.counters
+        assert counters.departed_flows > 0 and counters.congested_flows > 0
+        assert counters.controller_requests > 0 and counters.local_flows > 0
+        if system != "openflow":
+            assert counters.intra_group_flows > 0 and list(plane.intensity_matrix().pairs())
+        assert any(type(event).__name__ == "LinkCongestedEvent" for event in listener.events)
+
+    @given(flows=arrivals_of_flows_strategy, lag=st.floats(0.0, 30.0))
+    @settings(max_examples=25, deadline=None)
+    def test_a_record_arriving_after_its_start_and_unrecorded_decide(self, flows, lag):
+        """The record form's two extras: ``now`` apart from the flow's start
+        (the meter charges from the start and reads at ``now``), and
+        ``decide``, which stops before *record*."""
+        from repro.core.results import FlowHandlingResult
+        from repro.traffic.flow import FlowRecord
+
+        (by_row, row_events), (by_record, record_events) = (
+            arrival_plane("lazyctrl-dynamic", links=thin_links()),
+            arrival_plane("lazyctrl-dynamic", links=thin_links()),
+        )
+        start = 0.0
+        for flow_id, (gap, *rest) in enumerate(flows):
+            start += gap
+            unrecorded = flow_id % 2 == 1
+            arrival = by_row.flow_arrival(start, *rest, now=start + lag, record=not unrecorded)
+            handle = by_record.decide if unrecorded else by_record.handle_flow_arrival
+            result = handle(FlowRecord(start, flow_id, *rest), start + lag)
+            assert result == (None if arrival is None else FlowHandlingResult(flow_id, *arrival))
+        horizon = start + lag + 60.0
+        assert plane_state(by_row, row_events, horizon) == plane_state(
+            by_record, record_events, horizon
+        )
+        recorded = sum(count for _, count in by_row.latency_recorder.bucket_totals().values())
+        assert recorded == sum(flow[3] for flow in flows[0::2])
+
+
+class TestColumnBornReplay:
+    """Replay level: a column-born trace and the same flows handed over as a
+    record list are one run, whatever rides on the replay."""
+
+    FLOWS = 900
+
+    def _traces(self, links=None):
+        from repro.traffic.registry import get_traffic_model
+        from repro.traffic.trace import Trace
+
+        column_born = get_traffic_model("uniform").build(
+            arrival_network(links),
+            {"total_flows": self.FLOWS, "seed": 12, "duration_hours": 4.0},
+            name="replayed",
+        )
+        record_born = Trace("replayed", arrival_network(links), list(column_born.flows))
+        assert column_born._columns is not None and record_born._columns is None
+        return column_born, record_born
+
+    @pytest.mark.parametrize(
+        "variant", ("churn", "failures", "tables", "links", "events", "churn-tables-links-events")
+    )
+    @pytest.mark.parametrize("system", ("openflow", "lazyctrl-dynamic"))
+    def test_identical_run_result(self, system, variant):
+        from repro.churn.spec import ChurnSpec
+        from repro.core.presets import default_grouping_config
+        from repro.core.runner import ScenarioRunner
+        from repro.core.scenario import FailureInjectionSpec, ScheduleSpec
+        from repro.obs.timeline import MetricsTimeline
+        from repro.obs.tracer import EventTracer
+        from repro.tables.spec import TableSpec
+
+        links = thin_links() if "links" in variant else None
+        config = default_grouping_config(8)
+        if links is not None:
+            config = links.apply(config)
+        if "tables" in variant:
+            config = TableSpec(capacity=2, policy="lru").apply(config)
+        schedule = ScheduleSpec(warmup_hours=0.5, duration_hours=4.0, bucket_hours=1.0)
+        churn = None
+        if "churn" in variant:
+            churn = ChurnSpec(seed=3, migration_rate_per_hour=40.0, drift_rate_per_hour=6.0)
+
+        outcomes = []
+        for trace in self._traces(links):
+            listener = RecordingListener()
+            tracer = EventTracer(
+                system=system,
+                timeline=MetricsTimeline(schedule.bucket_seconds),
+                listeners=[listener] if "events" in variant else [],
+            )
+            run = ScenarioRunner().replay_system(
+                system,
+                trace,
+                schedule=schedule,
+                config=config,
+                churn=churn,
+                failures=FailureInjectionSpec(at_hours=(1.0, 2.5)) if variant == "failures" else None,
+                tracer=tracer,
+            )
+            outcomes.append((run.to_dict(), listener.events))
+        (by_columns, column_events), (by_records, record_events) = outcomes
+        assert by_columns == by_records
+        assert column_events == record_events
+        counters = by_columns["counters"]
+        assert counters["flows_handled"] + counters["departed_flows"] == self.FLOWS
+        if churn is not None and system == "lazyctrl-dynamic":
+            assert by_columns["churn"]["migrations"] > 0 and by_columns["churn"]["drift_events"] > 0
+        if variant == "failures" and system == "lazyctrl-dynamic":
+            assert by_columns["failover_events"] == 2
+        if "tables" in variant:
+            assert by_columns["tables"]["evictions"] > 0
+        if links is not None:
+            assert counters["congested_flows"] > 0
+        if "events" in variant:
+            assert column_events
+
+    @pytest.mark.parametrize("system", ("openflow", "lazyctrl-dynamic"))
+    def test_the_kernels_whole_batch_bypass_walks_columns_too(self, system):
+        """A failed switch sends every batch around the kernel: the
+        column-backed one row by row, the record-backed one record by record."""
+        pytest.importorskip("numpy")
+        from repro.core.presets import default_grouping_config
+        from repro.core.registry import get_control_plane
+        from repro.kernel import build_batch_handler
+        from repro.perf.recorder import PerfRecorder
+        from repro.traffic.replay import TraceReplayer
+
+        states = []
+        for trace in self._traces():
+            plane = get_control_plane(system).build(
+                trace.network,
+                config=default_grouping_config(8),
+                workload_bucket_seconds=3600.0,
+                latency_bucket_seconds=3600.0,
+            )
+            plane.prepare(trace, warmup_end=1800.0)
+            plane.switch(3).failed = True
+            perf = PerfRecorder()
+            TraceReplayer(
+                trace,
+                plane,
+                periodic_interval=120.0,
+                periodic_callbacks=[plane.periodic],
+                batch_handler=build_batch_handler(plane, perf=perf),
+            ).replay(start=0.0, end=4 * 3600.0)
+            assert perf.counter("kernel.batches_bypassed") == perf.counter("kernel.batches") > 0
+            assert perf.counter("kernel.fallback_bypass") == self.FLOWS
+            states.append(plane_state(plane, RecordingListener(), 4 * 3600.0))
+        assert states[0] == states[1]

@@ -345,6 +345,59 @@ class TestGeneratedStreamInternals:
         with pytest.raises(TrafficError, match="window 1"):
             list(stream.chunks_from(15.0))
 
+    @staticmethod
+    def _ten_second_windows(network, emit, count=5):
+        windows = [
+            ChunkWindow(index=index, start=10.0 * index, end=10.0 * (index + 1), counts=(1,))
+            for index in range(count)
+        ]
+        return GeneratedStream(
+            "grid", network, windows, emit, seed=1, rng_label="grid-model", duration=10.0 * count
+        )
+
+    def test_no_window_at_or_past_the_end_is_ever_generated(self, network):
+        emitted = []
+
+        def emit(rng, window):
+            emitted.append(window.index)
+            return [(window.start + 1.0, 1, 2, 1, 1400, 0.05)]
+
+        stream = self._ten_second_windows(network, emit)
+        for start, end, generated, replayed in (
+            (0.0, 20.0, [0, 1], [0, 1]),  # start == 0.0 seeks (and stops) too
+            (15.0, 30.0, [1, 2], [2]),  # window 1 straddles the start; its flow is before it
+            (15.0, 35.0, [1, 2, 3], [2, 3]),  # ... and window 3 straddles the end
+            # The boundary window (its end == the start) is still generated:
+            # an arrival may sit exactly on that edge.
+            (20.0, 40.0, [1, 2, 3], [2, 3]),
+            (20.0, 20.0, [1], []),
+            (30.0, None, [2, 3, 4], [3, 4]),
+        ):
+            del emitted[:]
+            chunks = list(windowed_chunks(stream, start=start, end=end))
+            assert emitted == generated, (start, end)
+            # Ids are the serial stream's whatever was skipped or never reached.
+            assert [record.flow_id for chunk in chunks for record in chunk] == replayed
+        del emitted[:]
+        stream.switch_intensity(start=0.0, end=10.0)
+        assert emitted == [0]
+
+    def test_emitter_must_not_draw_before_its_window(self, network):
+        """Stopping at the first window that starts past the end trusts that
+        no later window reaches back before it — checked where generated."""
+
+        def emit(rng, window):
+            early = 0.5 if window.index == 2 else -1.0
+            return [(window.start - early, 1, 2, 1, 1400, 0.05)]
+
+        stream = self._ten_second_windows(network, emit)
+        chunks = stream.chunks()
+        assert [len(next(chunks)), len(next(chunks))] == [1, 1]
+        with pytest.raises(
+            TrafficError, match=r"'grid-model'.*arrival at 19.5 for window 2 .*before the window starts"
+        ):
+            next(chunks)
+
     def test_faulty_emitter_fails_like_the_record_path(self, network):
         windows = [ChunkWindow(index=0, start=0.0, end=10.0, counts=(1,))]
 

@@ -123,6 +123,28 @@ class TestStreamEquivalence:
             )
 
 
+class TestWindowedGeneration:
+    """A time-window shard generates its own window — nothing before it,
+    nothing past it — and the shards together are the serial stream."""
+
+    @pytest.mark.parametrize("windows", [1, 2, 4, 8])
+    @pytest.mark.parametrize("model", sorted(BASE_PARAMS))
+    def test_shard_windows_concatenate_to_the_serial_stream(self, model, windows):
+        hours = 6.0
+        params = {**BASE_PARAMS[model], "total_flows": 1200, "seed": 31, "duration_hours": hours}
+        stream = get_traffic_model(model).build_stream(_NETWORK, params, name="equiv")
+        serial = [_fields(flow) for flow in stream]
+        assert len(serial) == 1200
+        edges = [hours * 3600.0 * index / windows for index in range(windows)] + [None]
+        sharded = [
+            _fields(flow)
+            for start, end in zip(edges, edges[1:])
+            for chunk in windowed_chunks(stream, start=start, end=end)
+            for flow in chunk
+        ]
+        assert sharded == serial  # flow ids included
+
+
 def _mix_params(inner_models, seed, duration):
     """A mix whose last component is itself a mix (the nesting case)."""
     components = [
@@ -369,7 +391,7 @@ class TestChunkEquivalence:
         listed = Trace("equiv", _NETWORK, list(get_traffic_model(model).build_stream(
             _NETWORK, params, name="equiv"
         )))
-        assert columnar._chunks is not None and listed._chunks is None
+        assert columnar._columns is not None and listed._columns is None
         schedule = ScheduleSpec(warmup_hours=0.5, duration_hours=2.0, bucket_hours=1.0)
         config = LazyCtrlConfig()
         if tables:
