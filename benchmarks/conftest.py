@@ -66,7 +66,9 @@ def real_trace(real_topology):
 @pytest.fixture(scope="session")
 def expanded_trace(real_trace):
     """The real trace expanded with 30 % extra flows in hours 8-24 (paper §V-D)."""
-    return expand_trace(real_trace, extra_fraction=0.30, window_start_hour=8.0, window_end_hour=24.0, seed=SEED)
+    return expand_trace(
+        real_trace, extra_fraction=0.30, window_start_hour=8.0, window_end_hour=24.0, seed=SEED
+    ).materialize()
 
 
 @pytest.fixture(scope="session")

@@ -703,7 +703,7 @@ def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help="override the execution spec as key=value pairs "
-        "(workers, shard-strategy, shard-count, chunk-flows, stream) or a "
+        "(workers, shard-strategy, shard-count, stream) or a "
         "JSON object, e.g. --exec workers=4,shard-strategy=time-window",
     )
     parser.add_argument(

@@ -380,9 +380,10 @@ class ScenarioRunner:
         :class:`~repro.replay.spec.ExecutionSpec`): ``"vectorized"`` runs
         the columnar numpy kernel from :mod:`repro.kernel`, bit-identical
         to the scalar path by construction.  It silently degrades to
-        scalar when the replay needs per-flow engine lockstep (active
-        churn) or the control plane is not an
-        :class:`~repro.core.system.EdgePlane`.
+        scalar when the replay is coupled to an engine (active churn): the
+        kernel is unverified there, and its ``_PairStatic`` entries memoize
+        the host placement that churn events change.  So it does when the
+        control plane is not an :class:`~repro.core.system.EdgePlane`.
 
         .. warning:: Active churn mutates ``trace.network`` in place during
            the replay.  To compare systems fairly, give each call its own
@@ -468,9 +469,10 @@ class ScenarioRunner:
 
         batch_handler = None
         if kernel == "vectorized" and engine is None:
-            # Engine lockstep (active churn) needs per-flow draining, so the
-            # kernel only takes over engine-free replays; build_batch_handler
-            # returns None for control planes it cannot accelerate.
+            # Not under an engine (active churn): the kernel is unverified
+            # there and _PairStatic memoizes host placement, which churn
+            # moves.  build_batch_handler returns None for control planes it
+            # cannot accelerate.
             from repro.kernel import build_batch_handler
 
             batch_handler = build_batch_handler(

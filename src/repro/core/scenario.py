@@ -47,7 +47,7 @@ from repro.traffic.expand import expand_trace
 from repro.traffic.mix import TrafficMixSpec
 from repro.traffic.realistic import RealisticTraceProfile
 from repro.traffic.registry import TrafficModelEntry, get_traffic_model
-from repro.traffic.stream import CHUNK_TARGET_FLOWS, FlowStream, MaterializedStream
+from repro.traffic.stream import FlowStream
 from repro.traffic.synthetic import SyntheticTraceSpec
 from repro.traffic.trace import Trace
 
@@ -244,42 +244,30 @@ class TraceSpec:
         return getattr(self.resolved_params(), "total_flows", None)
 
     def build(self, network: DataCenterNetwork, *, name: str = "scenario") -> Trace:
-        """Generate the trace this spec describes over ``network``."""
-        trace = self.entry().build(network, self.params, name=name)
+        """Generate the trace this spec describes over ``network``: the stream, collected."""
+        stream = self.build_stream(network, name=name)
+        # A trace-factory model's stream already is its trace.
+        return stream if isinstance(stream, Trace) else Trace.from_stream(stream)
+
+    def build_stream(self, network: DataCenterNetwork, *, name: str = "scenario") -> FlowStream:
+        """Generate the trace as a lazy chunk stream over ``network``.
+
+        The §V-D expansion needs the base's full set of silent pairs, so a
+        spec with ``expand_fraction > 0`` generates the base once here to find
+        them, and holds the extra flows (one chunk) for as long as the stream
+        lives; the base itself is still only ever resident a chunk at a time.
+        """
+        stream = self.entry().build_stream(network, self.params, name=name)
         if self.expand_fraction > 0.0:
             start, end = self.expand_window_hours
-            trace = expand_trace(
-                trace,
+            stream = expand_trace(
+                stream,
                 extra_fraction=self.expand_fraction,
                 window_start_hour=start,
                 window_end_hour=end,
                 seed=self.expand_seed,
             )
-        return trace
-
-    def build_stream(
-        self,
-        network: DataCenterNetwork,
-        *,
-        name: str = "scenario",
-        chunk_flows: int = 0,
-    ) -> FlowStream:
-        """Generate the trace as a lazy chunk stream over ``network``.
-
-        The §V-D expansion needs the full set of silent pairs and therefore a
-        materialized trace; a spec with ``expand_fraction > 0`` falls back to
-        building the trace and presenting it through the stream protocol
-        (correct, but without the O(chunk) memory bound).  ``chunk_flows``
-        sizes the slices of that materialized adaptation (0 = library
-        default); *generated* streams ignore it, because their chunk grid
-        feeds the per-chunk RNG derivation and is never a runtime knob.
-        """
-        if self.expand_fraction > 0.0:
-            return MaterializedStream.from_trace(
-                self.build(network, name=name),
-                chunk_flows=chunk_flows or CHUNK_TARGET_FLOWS,
-            )
-        return self.entry().build_stream(network, self.params, name=name)
+        return stream
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,7 +320,7 @@ class ScenarioSpec:
     """A fully declarative description of one experiment.
 
     ``execution`` carries every knob about *how* the replay runs — process
-    fan-out, shard strategy, chunk size, and the bounded-memory streaming
+    fan-out, shard strategy, kernel, and the bounded-memory streaming
     flag (:class:`~repro.replay.spec.ExecutionSpec`).  ``stream=True``
     there selects chunk-by-chunk generation and replay, trading one extra
     generation of the warm-up window (and one full regeneration per
@@ -423,9 +411,7 @@ class ScenarioSpec:
 
     def build_stream(self, network: DataCenterNetwork) -> FlowStream:
         """Generate the trace as a lazy chunk stream over ``network``."""
-        return self.traffic.build_stream(
-            network, name=self.name, chunk_flows=self.execution.chunk_flows
-        )
+        return self.traffic.build_stream(network, name=self.name)
 
     # -- serialization -------------------------------------------------------
 
@@ -439,9 +425,10 @@ class ScenarioSpec:
 
         Spec JSON written before the workload registries existed (PR ≤ 3:
         ``topology`` as a bare profile dict, ``traffic`` with a ``kind``
-        discriminator) is transparently upgraded to the registry form, and
-        a pre-ExecutionSpec top-level ``stream`` flag (PR ≤ 7) folds into
-        ``execution``.
+        discriminator) is transparently upgraded to the registry form, a
+        pre-ExecutionSpec top-level ``stream`` flag (PR ≤ 7) folds into
+        ``execution``, and an ``execution.chunk_flows`` (PR ≤ 20; it sized an
+        adapter that no longer exists) is dropped.
         """
         data = dict(data)
         if "topology" in data:
@@ -452,6 +439,11 @@ class ScenarioSpec:
             legacy_stream = data.pop("stream")
             if "execution" not in data:
                 data["execution"] = {"stream": bool(legacy_stream)}
+        execution = data.get("execution")
+        if isinstance(execution, Mapping) and "chunk_flows" in execution:
+            data["execution"] = {
+                key: value for key, value in execution.items() if key != "chunk_flows"
+            }
         return dataclass_from_dict(cls, data, path="spec")
 
     def to_json(self, *, indent: int | None = 2) -> str:

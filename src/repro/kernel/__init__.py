@@ -59,8 +59,7 @@ def build_batch_handler(plane, *, perf=NULL_RECORDER):
     """Build the vectorized batch handler for one control plane.
 
     Returns a callable accepting one replay batch (a
-    :class:`~repro.traffic.chunk.FlowChunk` view; a plain list of
-    :class:`~repro.traffic.flow.FlowRecord` is adapted), or ``None`` when
+    :class:`~repro.traffic.chunk.FlowChunk` view), or ``None`` when
     ``plane`` is not an :class:`~repro.core.system.EdgePlane` (a design that
     implements only the ``ControlPlane`` protocol keeps the scalar path).  Raises
     :class:`~repro.common.errors.ConfigurationError` when numpy is missing.

@@ -160,13 +160,10 @@ class ColumnarReplayKernel:
 
     # -- the batch entry point -------------------------------------------------
 
-    def __call__(self, batch) -> None:
+    def __call__(self, batch: FlowChunk) -> None:
         n = len(batch)
         if n == 0:
             return
-        # The replayer hands over chunk views; a plain record list (a direct
-        # caller) is transposed here, once.
-        batch = FlowChunk.from_records(batch)
         plane = self._plane
         tracer = plane.tracer
 

@@ -12,18 +12,16 @@ from repro.partitioning.graph import (
     WeightedGraph,
     cut_weight,
     groups_from_assignment,
-    partition_sizes,
     partition_weights,
 )
 from repro.partitioning.initial import balanced_random_assignment, greedy_region_growing
 from repro.partitioning.mlkp import MultiLevelKWayPartitioner, PartitionResult, verify_partition
-from repro.partitioning.refinement import refine, refine_once, refinement_gain
+from repro.partitioning.refinement import refine, refine_once
 from repro.partitioning.sgi import (
     Grouping,
     IncUpdateReport,
     SgiGrouper,
     SgiStatistics,
-    average_group_centrality,
     grouping_quality,
 )
 from repro.partitioning.stoer_wagner import MinCutResult, stoer_wagner_min_cut
@@ -39,7 +37,6 @@ __all__ = [
     "SgiGrouper",
     "SgiStatistics",
     "WeightedGraph",
-    "average_group_centrality",
     "balanced_random_assignment",
     "coarsen",
     "contract",
@@ -49,12 +46,10 @@ __all__ = [
     "groups_from_assignment",
     "heavy_edge_matching",
     "min_bisection",
-    "partition_sizes",
     "partition_weights",
     "project_assignment",
     "refine",
     "refine_once",
-    "refinement_gain",
     "stoer_wagner_min_cut",
     "verify_partition",
 ]

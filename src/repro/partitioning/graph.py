@@ -146,14 +146,6 @@ def partition_weights(graph: WeightedGraph, assignment: Mapping[int, int]) -> Di
     return weights
 
 
-def partition_sizes(assignment: Mapping[int, int]) -> Dict[int, int]:
-    """Number of vertices in each part under ``assignment``."""
-    sizes: Dict[int, int] = {}
-    for part in assignment.values():
-        sizes[part] = sizes.get(part, 0) + 1
-    return sizes
-
-
 def groups_from_assignment(assignment: Mapping[int, int]) -> list[set[int]]:
     """Convert a vertex->part mapping into a list of disjoint vertex sets."""
     buckets: Dict[int, set[int]] = {}

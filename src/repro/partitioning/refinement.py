@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
-from repro.partitioning.graph import WeightedGraph, cut_weight, partition_weights
+from repro.partitioning.graph import WeightedGraph, partition_weights
 
 
 def _external_gains(graph: WeightedGraph, assignment: Mapping[int, int], vertex: int) -> Dict[int, float]:
@@ -170,8 +170,3 @@ def refine(
         if gain <= 1e-12:
             break
     return assignment
-
-
-def refinement_gain(graph: WeightedGraph, before: Mapping[int, int], after: Mapping[int, int]) -> float:
-    """Cut-weight improvement achieved between two assignments (positive is better)."""
-    return cut_weight(graph, before) - cut_weight(graph, after)

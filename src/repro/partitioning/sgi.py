@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import GroupingConfig
 from repro.common.errors import InfeasibleGroupingError, PartitioningError
@@ -327,29 +327,3 @@ class SgiGrouper:
 def grouping_quality(matrix: IntensityMatrix, grouping: Grouping) -> float:
     """Normalized inter-group intensity of ``grouping`` under ``matrix`` (lower is better)."""
     return matrix.normalized_inter_group_intensity(grouping.as_sets())
-
-
-def average_group_centrality(matrix: IntensityMatrix, grouping: Grouping) -> float:
-    """Mean *centrality* across groups as defined in the paper's motivation section.
-
-    The centrality of a group is the ratio of intra-group traffic to the
-    total traffic involving any member of the group.  Groups with no traffic
-    at all are skipped.
-    """
-    centralities: List[float] = []
-    for members in grouping.as_sets():
-        intra = 0.0
-        related = 0.0
-        for a, b, weight in matrix.pairs():
-            a_in = a in members
-            b_in = b in members
-            if a_in and b_in:
-                intra += weight
-                related += weight
-            elif a_in or b_in:
-                related += weight
-        if related > 0:
-            centralities.append(intra / related)
-    if not centralities:
-        return 0.0
-    return sum(centralities) / len(centralities)

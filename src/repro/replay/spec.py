@@ -15,12 +15,9 @@ frozen, JSON-round-trippable dataclass carried on
   (bucket-aligned windows of the replay timeline, each replayed against
   fresh per-shard control-plane state and merged deterministically);
 * ``shard_count`` — number of time windows (0 = derive from ``workers``);
-* ``chunk_flows`` — chunk size used when a materialized trace is adapted
-  into the stream protocol (0 = the library default; the *generated* chunk
-  grid is never a runtime knob, because it feeds the per-chunk RNG);
 * ``stream`` — the bounded-memory chunked generation/replay path;
-* ``kernel`` — the per-shard flow-handling engine: ``"scalar"`` (one
-  ``FlowRecord`` at a time through the dataplane objects) or
+* ``kernel`` — the per-shard flow-handling engine: ``"scalar"`` (one row
+  of a flow chunk's columns at a time through the dataplane objects) or
   ``"vectorized"`` (the columnar numpy kernel in :mod:`repro.kernel`,
   which batches the fast path and falls back to the scalar path for
   flows that need the control plane).
@@ -50,7 +47,6 @@ _PARSE_COERCERS = {
     "workers": int,
     "shard_strategy": str,
     "shard_count": int,
-    "chunk_flows": int,
     "stream": None,  # bool, parsed specially
     "kernel": str,
 }
@@ -77,7 +73,6 @@ class ExecutionSpec:
     workers: int = 1
     shard_strategy: str = "system"
     shard_count: int = 0
-    chunk_flows: int = 0
     stream: bool = False
     kernel: str = "scalar"
 
@@ -96,8 +91,6 @@ class ExecutionSpec:
             )
         if self.shard_count < 0:
             raise ConfigurationError("shard_count must be non-negative (0 = derive from workers)")
-        if self.chunk_flows < 0:
-            raise ConfigurationError("chunk_flows must be non-negative (0 = library default)")
 
     @property
     def parallel(self) -> bool:

@@ -32,7 +32,6 @@ from repro.traffic.stream import (
     ChunkWindow,
     FlowStream,
     GeneratedStream,
-    MaterializedStream,
     MergedStream,
     TraceStatistics,
     accumulate_intensity,
@@ -59,7 +58,6 @@ __all__ = [
     "FlowStream",
     "GeneratedStream",
     "IncastHotspotParams",
-    "MaterializedStream",
     "MergedStream",
     "PAPER_SYNTHETIC_SPECS",
     "PairActivity",

@@ -18,15 +18,14 @@ The data flow is therefore *draws → columns → (records on demand)*:
   directly bisectable, and :meth:`columns` hands out the raw buffers — the
   kernel wraps them with ``numpy.frombuffer`` without a copy.  This module
   never imports numpy, so the scalar path stays numpy-free;
-* :meth:`FlowChunk.from_records` adapts an existing record sequence (a
-  record-born trace, a third-party stream's list chunk) for a column
-  consumer: the columns are transposed once per chunk and indexing returns
-  the original records, ``rate_profile`` and all.
+* :meth:`FlowChunk.from_records` is where records enter: a third-party
+  trace's record list or stream's list chunk is transposed once, and indexing
+  returns the original records, ids and ``rate_profile`` and all.
 
 A stream's chunks are O(chunk) and short-lived.  A materialized
-:class:`~repro.traffic.trace.Trace` is one chunk from birth — it appends each
-arriving chunk's buffers onto six growing columns and lets the chunk go — so
-a resident flow is held once, as 48 bytes of columns, and
+:class:`~repro.traffic.trace.Trace` is one chunk (:meth:`FlowChunk.gathered`
+appends each arriving chunk's buffers onto six growing columns and lets the
+chunk go), so a resident flow is held once, as 48 bytes of columns, and
 :meth:`FlowChunk.records` mints the record list beside them only for a
 caller that asks.
 """
@@ -35,7 +34,8 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence as SequenceABC
-from operator import attrgetter, eq
+from itertools import chain, islice
+from operator import attrgetter, eq, le
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, overload
 
 from repro.bandwidth.profile import RateProfile
@@ -55,9 +55,6 @@ COLUMN_TYPECODES = ("d", "q", "q", "q", "q", "d")
 draw_of = attrgetter(
     "start_time", "src_host_id", "dst_host_id", "packet_count", "byte_count", "duration"
 )
-
-#: Bisect key over a plain record list (a chunk bisects its time column).
-start_time_of = attrgetter("start_time")
 
 
 def _transpose(draws: Iterable[FlowDraw]) -> Tuple[memoryview, ...]:
@@ -94,6 +91,18 @@ def _shared(column: memoryview) -> Iterator:
     read as they are.
     """
     return map({value: value for value in set(column)}.__getitem__, column)
+
+
+def _continues_run(chunk: Iterable[FlowRecord], next_id: Optional[int], last_time: float) -> bool:
+    """Whether ``chunk`` is column-backed and carries on a run in trace order."""
+    if not (isinstance(chunk, FlowChunk) and chunk.mints_records):
+        return False
+    if not len(chunk):
+        return True
+    if next_id is not None and chunk.first_id != next_id:
+        return False
+    times = chunk.start_times
+    return times[0] >= last_time and all(map(le, times, islice(times, 1, None)))
 
 
 class FlowChunk(SequenceABC):
@@ -158,6 +167,42 @@ class FlowChunk(SequenceABC):
             return records
         first_id = records[0].flow_id if len(records) else 0
         return cls(_transpose(map(draw_of, records)), first_id, records)
+
+    @classmethod
+    def gathered(cls, chunks: Iterable[Iterable[FlowRecord]]) -> "FlowChunk":
+        """Every flow of ``chunks`` as one chunk in trace order, ``(start_time, flow_id)``.
+
+        Column-backed chunks whose ids ascend by one and whose start times
+        never decrease are already in it — the order every built-in stream
+        emits — and have their buffers appended onto six growing columns.
+        The first chunk that is anything else (a record list, a chunk holding
+        records, an unsorted chunk, an id gap) sends what was collected, that
+        chunk and every later one through ``sorted`` as records, adapted once
+        by :meth:`from_records` with their ids and rate profiles intact.
+        """
+        columns = tuple(array(typecode) for typecode in COLUMN_TYPECODES)
+        first_id, next_id = 0, None
+        last_time = float("-inf")
+
+        def collected() -> "FlowChunk":
+            return cls(tuple(memoryview(column).toreadonly() for column in columns), first_id)
+
+        chunks = iter(chunks)
+        for chunk in chunks:
+            if not _continues_run(chunk, next_id, last_time):
+                return cls.from_records(sorted(chain(collected(), chunk, *chunks)))
+            if not len(chunk):
+                continue
+            if next_id is None:
+                first_id = chunk._first_id
+            next_id = chunk._first_id + len(chunk)
+            last_time = chunk.start_times[-1]
+            for column, part in zip(columns, chunk._columns):
+                column.frombytes(part.cast("B"))
+            # Let go before the source generates the next chunk, so no flow
+            # is resident twice while that chunk's draws are.
+            del chunk, part
+        return collected()
 
     def __reduce__(self):
         # Buffer views do not pickle, their bytes do: a trace holding columns

@@ -64,14 +64,3 @@ class FlowRecord:
     def end_time(self) -> float:
         """Time at which the flow's last packet is sent."""
         return self.start_time + self.duration
-
-    def resolved_rate_profile(self) -> RateProfile:
-        """The attached rate profile, or the constant profile its totals imply.
-
-        The derivation is deterministic — ``byte_count * 8 / duration`` over
-        ``duration`` — so two replays of the same trace always account the
-        same bytes to the same instants.
-        """
-        if self.rate_profile is not None:
-            return self.rate_profile
-        return RateProfile.constant(self.byte_count * 8.0 / self.duration, self.duration)

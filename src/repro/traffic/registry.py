@@ -34,7 +34,7 @@ from repro.common.registry import (
     require_params_dataclass,
 )
 from repro.topology.network import DataCenterNetwork
-from repro.traffic.stream import FlowStream, MaterializedStream
+from repro.traffic.stream import FlowStream
 from repro.traffic.trace import Trace
 
 #: Builds one trace over a network from validated params; ``name`` labels the
@@ -97,14 +97,13 @@ class TrafficModelEntry:
         """Generate one chunked flow stream over ``network`` from raw params.
 
         Models registered with a ``stream`` factory (all the built-ins)
-        generate lazily in O(chunk) memory; models that only provide a trace
-        factory are materialized once and presented through the stream
-        protocol, so every consumer still works — just without the memory
-        bound.
+        generate lazily in O(chunk) memory; a model that only provides a trace
+        factory answers with its trace, which is a stream of one resident
+        chunk, so every consumer still works — just without the memory bound.
         """
         if self.stream_factory is not None:
             return self.stream_factory(network, self.make_params(params), name=name)
-        return MaterializedStream.from_trace(self.build(network, params, name=name))
+        return self.build(network, params, name=name)
 
 
 _REGISTRY: NamedRegistry[TrafficModelEntry] = NamedRegistry(
@@ -131,8 +130,8 @@ def register_traffic_model(
     registers the model's native chunked generator (same signature,
     returning a :class:`~repro.traffic.stream.FlowStream`), which then is
     the model's one generator: ``build`` collects it, and the decorated
-    trace factory may be ``None``.  Without it the streaming API falls back
-    to materializing the trace::
+    trace factory may be ``None``.  Without it the streaming API is handed
+    the trace the factory returns::
 
         @dataclasses.dataclass(frozen=True)
         class RingParams:

@@ -20,30 +20,25 @@ The replayer drains its source chunk by chunk through the
 :class:`~repro.traffic.stream.FlowStream` protocol — a materialized
 :class:`~repro.traffic.trace.Trace` presents itself as one resident chunk,
 a generated stream as a lazy sequence of O(chunk)-sized ones — so replay
-memory is bounded by the chunk size, not the trace size.  Within each chunk
-the inner loop stays batched: flows between two periodic ticks are drained
-in one slice, and the engine lockstep cuts that slice where an engine event is
-actually pending instead of asking per flow.  Which representation of a flow
-gets touched is the consumer's call, not an option: with a batch handler (the
-vectorized kernel) every batch is a :class:`~repro.traffic.chunk.FlowChunk`
-view read column-wise; without one, a sink that offers the column form of the
-arrival step (:meth:`FlowSink.flow_arrival`, as every
-:class:`~repro.core.system.EdgePlane` does) is handed the rows of a
-column-backed batch and no record is built, while a sink without it, or a
-batch backed by records (whose attached rate profiles must reach the meter),
-gets records — the chunk's own, or minted batch by batch from a stream's
-columns (:func:`replay_batch`).  An
-optional :class:`~repro.perf.recorder.PerfRecorder` times the stages and
-counts drained chunks; the default
-:data:`~repro.perf.recorder.NULL_RECORDER` makes instrumentation a
-per-batch no-op.
+memory is bounded by the chunk size, not the trace size.  Every chunk is a
+:class:`~repro.traffic.chunk.FlowChunk` and every batch a view of one: the
+flows between two periodic ticks are drained in one slice, and the engine
+lockstep cuts that slice where an engine event is actually pending instead of
+asking per flow.  A batch handler (the vectorized kernel) reads the batch
+column-wise; without one, :func:`replay_batch` hands a sink the batch's rows —
+:meth:`FlowSink.flow_arrival`, as every
+:class:`~repro.core.system.EdgePlane` offers, and no record is built — or, for
+a sink that only speaks records, the chunk's records.  An optional
+:class:`~repro.perf.recorder.PerfRecorder` times the stages and counts
+drained chunks; the default :data:`~repro.perf.recorder.NULL_RECORDER` makes
+instrumentation a per-batch no-op.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Protocol
 
 from repro.obs.events import ChunkDrainedEvent, ReplayTickEvent
 from repro.obs.tracer import NULL_TRACER
@@ -61,9 +56,9 @@ class FlowSink(Protocol):
 
     A sink may also offer the column form of the same step,
     ``flow_arrival(start_time, src_host_id, dst_host_id, packet_count,
-    byte_count, duration)`` — the flow arriving at its start time — and is
-    then handed the rows of column-backed batches instead of records minted
-    from them (:func:`replay_batch`).
+    byte_count, duration[, rate_profile])`` — the flow arriving at its start
+    time — and is then handed the rows of each batch instead of its records
+    (:func:`replay_batch`).
     """
 
     def handle_flow_arrival(self, flow: FlowRecord, now: float) -> object:
@@ -71,20 +66,25 @@ class FlowSink(Protocol):
         ...
 
 
-def replay_batch(sink: FlowSink, batch: Sequence[FlowRecord]) -> None:
+def replay_batch(sink: FlowSink, batch: FlowChunk) -> None:
     """Present every flow of ``batch`` to ``sink``, in order, at its start time.
 
-    Row by row off the columns when the batch is column-backed and the sink
-    takes them; record by record otherwise.
+    Row by row off the columns when the sink takes them — a chunk holding
+    records with rate profiles zips those in as the seventh column — and
+    record by record otherwise.
     """
     flow_arrival = getattr(sink, "flow_arrival", None)
-    if flow_arrival is not None and isinstance(batch, FlowChunk) and batch.mints_records:
-        for row in zip(*batch.columns()):
-            flow_arrival(*row)
-    else:
+    if flow_arrival is None:
         handle = sink.handle_flow_arrival
         for flow in batch:
             handle(flow, flow.start_time)
+        return
+    columns = batch.columns()
+    profiles = batch.rate_profiles
+    if profiles is not None:
+        columns = (*columns, profiles)
+    for row in zip(*columns):
+        flow_arrival(*row)
 
 
 PeriodicCallback = Callable[[float], None]
@@ -124,7 +124,7 @@ class TraceReplayer:
         event_engine: "SimulationEngine | None" = None,
         perf=NULL_RECORDER,
         tracer=NULL_TRACER,
-        batch_handler: Optional[Callable[[Sequence[FlowRecord]], None]] = None,
+        batch_handler: Optional[Callable[[FlowChunk], None]] = None,
     ) -> None:
         if periodic_interval <= 0:
             raise ValueError("periodic_interval must be positive")
@@ -136,7 +136,8 @@ class TraceReplayer:
         self._perf = perf
         self._tracer = tracer
         # Optional whole-batch fast path (the vectorized kernel).  Only used
-        # without a coupled engine: engine lockstep needs per-flow draining.
+        # without a coupled engine: the kernel is unverified under one, and
+        # memoizes host placement that engine events (churn) change.
         self._batch_handler = batch_handler
 
     def add_periodic_callback(self, callback: PeriodicCallback) -> None:
@@ -171,20 +172,9 @@ class TraceReplayer:
         next_tick = start + interval
         last_arrival: Optional[float] = None
 
-        # Columns where somebody reads them: the batch handler, or a sink
-        # with the column form of the arrival step.
-        chunks = windowed_chunks(
-            self._trace,
-            start=start,
-            end=end,
-            columnar=batch_handler is not None or hasattr(self._sink, "flow_arrival"),
-        )
-        for flows in chunks:
+        for flows in windowed_chunks(self._trace, start=start, end=end):
             progress.chunks_drained += 1
-            if isinstance(flows, FlowChunk):
-                start_times = flows.start_times
-            else:
-                start_times = [flow.start_time for flow in flows]
+            start_times = flows.start_times
             total = len(flows)
             index = 0
             while index < total:

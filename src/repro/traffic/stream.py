@@ -9,13 +9,13 @@ just the convenience consumer that keeps every chunk — so a multi-million-flow
 replay never holds more than one chunk (plus the control plane under test) in
 memory.
 
-A chunk is any ``Sequence[FlowRecord]``.  The built-in streams yield
-:class:`~repro.traffic.chunk.FlowChunk`: the generators' draws transposed
-into six columns, which builds a :class:`~repro.traffic.flow.FlowRecord`
-only for the flows a consumer actually indexes or iterates.  Third-party
-streams may keep yielding plain record lists; a column consumer adapts those
-once per chunk through :meth:`FlowChunk.from_records
-<repro.traffic.chunk.FlowChunk.from_records>`.
+A chunk is a :class:`~repro.traffic.chunk.FlowChunk`: six columns, which
+build a :class:`~repro.traffic.flow.FlowRecord` only for the flows a consumer
+indexes or iterates.  Every built-in stream yields them, and every consumer
+is handed them: :func:`windowed_chunks` is the one boundary, where a
+third-party stream's record-list chunk enters through
+:meth:`FlowChunk.from_records <repro.traffic.chunk.FlowChunk.from_records>`,
+its records' ids and rate profiles intact.
 
 The contract every stream upholds:
 
@@ -37,8 +37,7 @@ The contract every stream upholds:
 
 :class:`TraceStatistics` is the single accumulating pass shared by streams
 and traces: it folds switch intensity, pair activity and hourly arrival
-counts out of one walk over the flows, instead of re-scanning a materialized
-list per view.
+counts out of one walk over the chunks' start-time and endpoint columns.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Dict,
     Iterable,
     Iterator,
     List,
@@ -66,7 +64,7 @@ from repro.common.errors import TrafficError
 from repro.common.rng import make_rng
 from repro.datastructures.intensity import IntensityMatrix
 from repro.topology.network import DataCenterNetwork
-from repro.traffic.chunk import FlowChunk, FlowDraw, draw_of, start_time_of
+from repro.traffic.chunk import FlowChunk, FlowDraw
 from repro.traffic.flow import FlowRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace imports stream)
@@ -96,7 +94,11 @@ class FlowStream(Protocol):
         ...
 
     def chunks(self) -> Iterator[Sequence[FlowRecord]]:
-        """Yield the flows as time-ordered chunks (re-iterable)."""
+        """Yield the flows as time-ordered chunks (re-iterable).
+
+        Flow chunks; a third-party stream may yield plain record lists, which
+        :func:`windowed_chunks` adapts.
+        """
         ...
 
 
@@ -105,25 +107,20 @@ class FlowStream(Protocol):
 
 def accumulate_intensity(
     network: DataCenterNetwork,
-    flows: Iterable[FlowRecord],
+    chunk: FlowChunk,
     matrix: Optional[IntensityMatrix] = None,
 ) -> IntensityMatrix:
-    """Fold flows into a switch-level intensity matrix, and nothing else.
+    """Fold a chunk's endpoint columns into a switch-level intensity matrix.
 
     The intensity-only fast path: the warm-up grouping and the Fig. 6
-    analysis only need the matrix, so they skip the per-flow hourly/pair
-    accounting :class:`TraceStatistics` would also do.
+    analysis only need the matrix, so they skip the hourly/pair accounting
+    :class:`TraceStatistics` would also do.
     """
     if matrix is None:
         matrix = IntensityMatrix(network.switch_ids())
     pair_of = network.switch_pair_of_hosts
     record = matrix.record
-    if isinstance(flows, FlowChunk):
-        # The endpoint columns are all this fold reads: no record is built.
-        endpoints = zip(flows.src_host_ids, flows.dst_host_ids)
-    else:
-        endpoints = ((flow.src_host_id, flow.dst_host_id) for flow in flows)
-    for src_host_id, dst_host_id in endpoints:
+    for src_host_id, dst_host_id in zip(chunk.src_host_ids, chunk.dst_host_ids):
         src_switch, dst_switch = pair_of(src_host_id, dst_host_id)
         record(src_switch, dst_switch, 1.0)
     return matrix
@@ -132,12 +129,12 @@ def accumulate_intensity(
 class TraceStatistics:
     """Accumulates every derived trace view in one pass over flow arrivals.
 
-    Feed it flows with :meth:`observe` (or :meth:`observe_all`) and read the
-    finished views: the switch-level :attr:`intensity` matrix, the
-    :meth:`pair_activity` concentration summary, :meth:`hourly_flow_counts`
-    and :meth:`communicating_pairs`.  One accumulator walk replaces the
-    per-view re-scans the materialized ``Trace`` used to do, and is the only
-    way to compute these views for a stream without materializing it.
+    Feed it chunks with :meth:`observe_all` (or one record with
+    :meth:`observe`) and read the finished views: the switch-level
+    :attr:`intensity` matrix, the :meth:`pair_activity` concentration summary,
+    :meth:`hourly_flow_counts` and :meth:`communicating_pairs`.  One
+    accumulator walk serves every view, and is the only way to compute them
+    for a stream without materializing it.
 
     ``track_pairs=False`` drops the per-pair counter — the only view whose
     memory grows with distinct pairs rather than with topology size — which
@@ -162,28 +159,30 @@ class TraceStatistics:
         self.flow_count = 0
         self.last_arrival = 0.0
         self._pair_counts: Optional[Counter] = Counter() if track_pairs else None
-        self._hourly: Dict[int, int] = {}
+        self._hourly: Counter = Counter()
+
+    def observe_all(self, chunks: Iterable[FlowChunk]) -> "TraceStatistics":
+        """Fold every flow of ``chunks`` into every view; returns self for chaining.
+
+        Reads the start-time and endpoint columns: no record is built.
+        """
+        for chunk in chunks:
+            if not len(chunk):
+                continue
+            if self.intensity is not None:
+                accumulate_intensity(self.network, chunk, self.intensity)
+            times = chunk.start_times
+            self.flow_count += len(times)
+            self.last_arrival = max(self.last_arrival, times[-1])
+            self._hourly.update(int(time // 3600) for time in times)
+            if self._pair_counts is not None:
+                src, dst = chunk.src_host_ids, chunk.dst_host_ids
+                self._pair_counts.update(zip(map(min, src, dst), map(max, src, dst)))
+        return self
 
     def observe(self, flow: FlowRecord) -> None:
-        """Fold one flow arrival into every view."""
-        if self.intensity is not None:
-            src_switch, dst_switch = self.network.switch_pair_of_hosts(
-                flow.src_host_id, flow.dst_host_id
-            )
-            self.intensity.record(src_switch, dst_switch, 1.0)
-        self.flow_count += 1
-        if flow.start_time > self.last_arrival:
-            self.last_arrival = flow.start_time
-        hour = int(flow.start_time // 3600)
-        self._hourly[hour] = self._hourly.get(hour, 0) + 1
-        if self._pair_counts is not None:
-            self._pair_counts[flow.unordered_pair] += 1
-
-    def observe_all(self, flows: Iterable[FlowRecord]) -> "TraceStatistics":
-        """Fold a whole iterable of flows; returns self for chaining."""
-        for flow in flows:
-            self.observe(flow)
-        return self
+        """Fold one flow arrival into every view (the record form)."""
+        self.observe_all((FlowChunk.from_records((flow,)),))
 
     def hourly_flow_counts(self, *, hours: int = 24) -> List[int]:
         """Flow arrivals per hour over the first ``hours`` hours."""
@@ -358,9 +357,7 @@ class FlowStreamBase:
         exactly at the nominal duration.
         """
         stats = TraceStatistics(self.network, track_pairs=track_pairs)
-        for chunk in windowed_chunks(self, start=start, end=end):
-            stats.observe_all(chunk)
-        return stats
+        return stats.observe_all(windowed_chunks(self, start=start, end=end))
 
     def switch_intensity(self, *, start: float = 0.0, end: Optional[float] = None) -> IntensityMatrix:
         """The switch-level intensity matrix over a window, in one pass.
@@ -485,56 +482,6 @@ class GeneratedStream(FlowStreamBase):
             yield chunk
 
 
-class MaterializedStream(FlowStreamBase):
-    """An already-materialized flow list presented through the stream protocol.
-
-    Adapts third-party trace factories (which return a ``Trace``) and lets
-    every stream consumer also accept materialized input.  Chunks are list
-    slices, so iteration allocates one chunk at a time but the backing list
-    stays resident — this adapter provides the *interface*, not the memory
-    bound.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        network: DataCenterNetwork,
-        flows: Sequence[FlowRecord],
-        *,
-        duration: Optional[float] = None,
-        chunk_flows: int = CHUNK_TARGET_FLOWS,
-    ) -> None:
-        if chunk_flows <= 0:
-            raise TrafficError("chunk_flows must be positive")
-        self.name = name
-        self.network = network
-        self._flows = flows
-        self._chunk_flows = chunk_flows
-        self._duration = duration
-
-    @classmethod
-    def from_trace(cls, trace: "Trace", *, chunk_flows: int = CHUNK_TARGET_FLOWS) -> "MaterializedStream":
-        """Wrap a materialized trace (flows are shared, not copied)."""
-        return cls(
-            trace.name, trace.network, trace.flows, duration=trace.duration, chunk_flows=chunk_flows
-        )
-
-    @property
-    def total_flows(self) -> int:
-        return len(self._flows)
-
-    @property
-    def duration(self) -> float:
-        if self._duration is not None:
-            return self._duration
-        return self._flows[-1].start_time if self._flows else 0.0
-
-    def chunks(self) -> Iterator[Sequence[FlowRecord]]:
-        flows = self._flows
-        for offset in range(0, len(flows), self._chunk_flows):
-            yield flows[offset : offset + self._chunk_flows]
-
-
 class MergedStream(FlowStreamBase):
     """A k-way merge of component streams onto one renumbered timeline.
 
@@ -570,19 +517,14 @@ class MergedStream(FlowStreamBase):
 
     @staticmethod
     def _shifted(stream: FlowStream, offset: float, span: float) -> Iterator[FlowDraw]:
-        for chunk in stream.chunks():
-            if isinstance(chunk, FlowChunk):
-                draws = zip(*chunk.columns())
-            else:
-                draws = map(draw_of, chunk)
-            for draw in draws:
-                # Models that ignore duration_hours could emit past the
-                # component's window; chunks are time-ordered, so the first
-                # flow at or past the span ends the component without
-                # generating (and discarding) everything after it.
-                if draw[0] >= span:
-                    return
-                yield (draw[0] + offset, *draw[1:]) if offset else draw
+        # Models that ignore duration_hours could emit past the component's
+        # window; chunks are time-ordered, so the first flow at or past the
+        # span ends the component without generating everything after it.
+        for chunk in windowed_chunks(stream, end=span):
+            draws = zip(*chunk.columns())
+            if offset:
+                draws = ((draw[0] + offset, *draw[1:]) for draw in draws)
+            yield from draws
 
     def chunks(self) -> Iterator[FlowChunk]:
         # Draws sort canonically — (time, endpoints, payload), the order the
@@ -599,34 +541,29 @@ class MergedStream(FlowStreamBase):
             flow_id += len(chunk)
             yield chunk
         if flow_id == 0:
-            # Match the materialized path, which refuses to build an empty
-            # mix trace, so the streamed and materialized contracts agree.
-            raise TrafficError("the traffic mix produced no flows")
+            # Every flow was clipped away (or no part had any): fail rather
+            # than silently replay nothing.
+            raise TrafficError(f"merged stream {self.name!r} produced no flows")
 
 
 # -- windowed consumption ------------------------------------------------------
 
 
 def trim_chunks(
-    chunks: Iterable[Sequence[FlowRecord]], start: float, end: Optional[float]
-) -> Iterator[Sequence[FlowRecord]]:
+    chunks: Iterable[FlowChunk], start: float, end: Optional[float]
+) -> Iterator[FlowChunk]:
     """Trim time-ordered chunks to ``[start, end)``, stopping at the first one past it.
 
     Chunks entirely before ``start`` are skipped, iteration is abandoned at
     the first chunk starting at or past ``end`` (so a lazy source never
-    generates beyond the window), and boundary chunks are bisect-trimmed —
-    over the start-time column of a :class:`FlowChunk`, whose slice is a
-    view, or over the records of a plain list.
+    generates beyond the window), and boundary chunks are bisect-trimmed over
+    their start-time column into zero-copy views.
     """
     for chunk in chunks:
-        if not chunk:
+        if not len(chunk):
             continue
-        if isinstance(chunk, FlowChunk):
-            haystack, key = chunk.start_times, None
-            first, last = haystack[0], haystack[-1]
-        else:
-            haystack, key = chunk, start_time_of
-            first, last = chunk[0].start_time, chunk[-1].start_time
+        times = chunk.start_times
+        first, last = times[0], times[-1]
         if last < start:
             continue
         if end is not None and first >= end:
@@ -634,9 +571,9 @@ def trim_chunks(
         lo = 0
         hi = len(chunk)
         if first < start:
-            lo = bisect_left(haystack, start, key=key)
+            lo = bisect_left(times, start)
         if end is not None and last >= end:
-            hi = bisect_left(haystack, end, lo, key=key)
+            hi = bisect_left(times, end, lo)
         if lo == 0 and hi == len(chunk):
             yield chunk
         elif lo < hi:
@@ -644,32 +581,23 @@ def trim_chunks(
 
 
 def windowed_chunks(
-    source: FlowStream,
-    *,
-    start: float = 0.0,
-    end: Optional[float] = None,
-    columnar: bool = False,
-) -> Iterator[Sequence[FlowRecord]]:
+    source: FlowStream, *, start: float = 0.0, end: Optional[float] = None
+) -> Iterator[FlowChunk]:
     """Drain a stream's chunks trimmed to the replay window ``[start, end)``.
+
+    The one place chunks cross from producers to consumers, so also where a
+    third-party stream's record-list chunk becomes a :class:`FlowChunk`
+    (:meth:`~repro.traffic.chunk.FlowChunk.from_records`: transposed once,
+    its records, their ids and rate profiles kept).
 
     Consuming a sub-window never reads past the first chunk beyond it (see
     :func:`trim_chunks`), and sources that can seek
     (:meth:`GeneratedStream.chunks_from`) generate neither the chunks *before*
     the window nor that one chunk *past* it, which is what makes a
     time-window shard's cost proportional to its own span.
-
-    ``columnar`` is the consumer saying it reads columns, not records (the
-    vectorized kernel): every chunk then arrives as a :class:`FlowChunk` —
-    record lists adapted once per chunk — and a materialized
-    :class:`~repro.traffic.trace.Trace` is asked for its columns instead of
-    its shared record list, so no record is built for a flow nobody indexes.
     """
-    if columnar and hasattr(source, "columns"):
-        source_chunks = (source.columns(),)
-    elif hasattr(source, "chunks_from"):
+    if hasattr(source, "chunks_from"):
         source_chunks = source.chunks_from(start, end)
     else:
         source_chunks = source.chunks()
-    if columnar:
-        source_chunks = map(FlowChunk.from_records, source_chunks)
-    return trim_chunks(source_chunks, start, end)
+    return trim_chunks(map(FlowChunk.from_records, source_chunks), start, end)

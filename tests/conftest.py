@@ -54,6 +54,32 @@ def clustered_matrix():
     return matrix
 
 
+class RecordListStream:
+    """A third-party stream: the ``FlowStream`` protocol over plain record lists.
+
+    Yields ``flows`` as list slices of ``chunk_flows`` records — the chunk form
+    built-in streams no longer produce, which ``windowed_chunks`` must adapt.
+    """
+
+    def __init__(self, name, network, flows, *, chunk_flows, duration=None):
+        self.name = name
+        self.network = network
+        self.total_flows = len(flows)
+        self.duration = duration if duration is not None else (flows[-1].start_time if flows else 0.0)
+        self._flows = flows
+        self._chunk_flows = chunk_flows
+
+    def chunks(self):
+        for offset in range(0, len(self._flows), self._chunk_flows):
+            yield self._flows[offset : offset + self._chunk_flows]
+
+
+@pytest.fixture(scope="session")
+def record_list_stream():
+    """The :class:`RecordListStream` test double (a class, to instantiate or subclass)."""
+    return RecordListStream
+
+
 @pytest.fixture()
 def constructions(monkeypatch):
     """Count every FlowRecord a chunk mints and every FlowHandlingResult a plane builds."""

@@ -131,17 +131,6 @@ class TestFlowRecordRates:
         with pytest.raises(ValueError, match="byte_count"):
             flow(byte_count=byte_count)
 
-    def test_derived_profile_matches_totals(self):
-        record = flow(byte_count=15_000, duration=2.0)
-        profile = record.resolved_rate_profile()
-        assert profile.segments == ((2.0, 60_000.0),)
-        assert profile.total_bytes == 15_000.0
-
-    def test_attached_profile_wins_over_derivation(self):
-        explicit = RateProfile(((0.5, 1_000.0), (0.5, 3_000.0)))
-        record = flow(rate_profile=explicit)
-        assert record.resolved_rate_profile() is explicit
-
     def test_rate_profile_excluded_from_equality(self):
         assert flow() == flow(rate_profile=RateProfile.constant(100.0, 1.0))
 

@@ -29,7 +29,6 @@ class TestExecutionSpec:
         assert spec.workers == 1
         assert spec.shard_strategy == "system"
         assert spec.shard_count == 0
-        assert spec.chunk_flows == 0
         assert spec.stream is False
         assert spec.kernel == "scalar"
         assert spec.parallel is False
@@ -44,7 +43,6 @@ class TestExecutionSpec:
             {"workers": -1},
             {"shard_strategy": "typo"},
             {"shard_count": -1},
-            {"chunk_flows": -5},
             {"kernel": "simd"},
         ],
     )
@@ -100,6 +98,7 @@ class TestExecutionSpecParse:
             "workers",
             "workers=two",
             "unknown-key=1",
+            "chunk-flows=1",  # a key until PR 21
             "stream=maybe",
             '{"workers": 4',
             '["workers"]',
@@ -112,6 +111,17 @@ class TestExecutionSpecParse:
     def test_unknown_key_error_lists_valid_keys(self):
         with pytest.raises(ConfigurationError, match="shard-strategy"):
             ExecutionSpec.parse("sharding=time-window")
+
+    def test_the_removed_chunk_flows_key_is_an_unknown_key(self, capsys):
+        from repro.cli import main
+
+        valid = "kernel, shard-count, shard-strategy, stream, workers"
+        message = f"unknown execution key 'chunk-flows'; valid keys: {valid}"
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            ExecutionSpec.parse("chunk-flows=1")
+        assert main(["run", "paper-fig7", "--flows", "50", "--exec", "chunk-flows=1"]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert len(dataclasses.fields(ExecutionSpec)) == 5
 
     def test_parsed_spec_is_still_validated(self):
         with pytest.raises(ConfigurationError):

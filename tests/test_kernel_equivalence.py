@@ -68,6 +68,7 @@ def build_spec(
     links=None,
     churn=None,
     execution=None,
+    expand=0.0,
     name="kernel-equiv",
 ):
     params = {"total_flows": flows, "seed": seed}
@@ -80,7 +81,10 @@ def build_spec(
     return ScenarioSpec(
         name=name,
         topology=TopologyProfile(switch_count=8, host_count=64, seed=seed),
-        traffic=TraceSpec(model=model, params=params),
+        # The §V-D expansion, when asked for, lands inside the 4 h schedule.
+        traffic=TraceSpec(
+            model=model, params=params, expand_fraction=expand, expand_window_hours=(1.0, 4.0)
+        ),
         systems=SYSTEMS,
         schedule=SCHEDULE,
         tables=tables,
@@ -115,18 +119,24 @@ class TestHypothesisEquivalence:
         seed=st.integers(min_value=0, max_value=2**16),
         tables=st.sampled_from(TABLE_SPECS),
         links=st.sampled_from(LINK_SPECS),
+        expand=st.sampled_from((0.0, 0.3)),
     )
-    def test_vectorized_matches_scalar(self, model, flows, seed, tables, links):
+    def test_vectorized_matches_scalar(self, model, flows, seed, tables, links, expand):
         assert_equivalent(
-            build_spec(model=model, flows=flows, seed=seed, tables=tables, links=links)
+            build_spec(
+                model=model, flows=flows, seed=seed, tables=tables, links=links, expand=expand
+            )
         )
 
 
 class TestDirectedEquivalence:
-    def test_timeline_fold_matches(self):
+    @pytest.mark.parametrize("expand", (0.0, 0.3), ids=("base", "expanded"))
+    def test_timeline_fold_matches(self, expand):
         """With the tracer's timeline on, the kernel's bulk per-bucket and
         per-latency-bin folds must land exactly where scalar emission does."""
-        assert_equivalent(build_spec(flows=500, seed=13), obs=TraceOptions(timeline=True))
+        assert_equivalent(
+            build_spec(flows=500, seed=13, expand=expand), obs=TraceOptions(timeline=True)
+        )
 
     def test_tiny_tables_force_fallback_yet_match(self):
         """4-entry tables keep every switch at the slack guard's threshold,
@@ -153,10 +163,15 @@ class TestDirectedEquivalence:
             assert "kernel.batches" not in run.perf.counters
 
     @pytest.mark.parametrize(
-        "strategy,extra",
-        [("system", {}), ("time-window", {"shard_count": 4})],
+        "strategy,extra,expand",
+        [
+            ("system", {}, 0.0),
+            ("time-window", {"shard_count": 4}, 0.0),
+            ("time-window", {"shard_count": 4, "stream": True}, 0.3),
+        ],
+        ids=("system", "time-window", "time-window-streamed-expanded"),
     )
-    def test_vectorized_composes_with_sharding(self, strategy, extra):
+    def test_vectorized_composes_with_sharding(self, strategy, extra, expand):
         """Swapping the kernel inside a 2-worker shard pool must change
         nothing: scalar-sharded ≡ vectorized-sharded for both strategies.
         (Time-window shards are only defined against workers=1 of the same
@@ -164,14 +179,16 @@ class TestDirectedEquivalence:
         spec = build_spec(
             flows=600,
             seed=11,
+            expand=expand,
             execution=ExecutionSpec(workers=2, shard_strategy=strategy, **extra),
         )
         assert_equivalent(spec)
 
-    def test_vectorized_system_sharding_matches_serial_scalar(self):
+    @pytest.mark.parametrize("expand", (0.0, 0.3), ids=("base", "expanded"))
+    def test_vectorized_system_sharding_matches_serial_scalar(self, expand):
         """The system strategy additionally promises sharded ≡ serial, so
         vectorized-sharded must land on the serial scalar run exactly."""
-        spec = build_spec(flows=600, seed=11)
+        spec = build_spec(flows=600, seed=11, expand=expand)
         serial_scalar = run_dict(spec, "scalar")
         sharded = dataclasses.replace(
             spec, execution=ExecutionSpec(kernel="vectorized", workers=2)
@@ -212,8 +229,9 @@ class TestMeteredEquivalence:
         self.assert_the_meter_had_work(scalar, spec)
 
     def test_record_backed_chunks_carrying_piecewise_profiles(self):
-        """A materialized record list reaches the kernel through
-        ``FlowChunk.from_records``; its records' profiles ride along."""
+        """A trace built from records holds them beside its columns
+        (``FlowChunk.from_records``); their profiles ride along to the meter,
+        on the kernel's bulk pass and on the scalar row walk alike."""
         from repro.bandwidth.profile import RateProfile
         from repro.obs.timeline import MetricsTimeline
         from repro.obs.tracer import EventTracer
@@ -356,7 +374,7 @@ class TestFallbackIsThePlanesDecideStep:
         trace = spec.build_trace(network)
         plane = get_control_plane(system).build(network, config=spec.effective_config())
         plane.prepare(trace, warmup_end=SCHEDULE.warmup_seconds)
-        return plane, list(trace.flows)
+        return plane, trace.columns()
 
     @staticmethod
     def spy_on_first_packet(plane, seen, note):
@@ -447,23 +465,6 @@ class TestRecordsOnDemand:
         assert f"  meter: {metered.stage('kernel_meter').total_seconds:.3f}s" in block
         assert f"{metered.counters['kernel.flows_metered']:,} inter-switch flows" in block
 
-    def test_record_list_batches_are_adapted_not_minted(self, constructions):
-        """A plain record list handed to the kernel is transposed once and
-        its own records are replayed: nothing is minted."""
-        from repro.core.registry import get_control_plane
-        from repro.kernel import build_batch_handler
-        from repro.perf.recorder import PerfRecorder
-
-        spec = build_spec(flows=400, seed=5)
-        network = spec.build_network()
-        records = list(spec.build_trace(network).flows)
-        plane = get_control_plane("openflow").build(network, config=spec.effective_config())
-        perf = PerfRecorder()
-        constructions["FlowRecord"] = 0  # building the record list above is the caller's business
-        build_batch_handler(plane, perf=perf)(records[:200])
-        assert perf.counter("kernel.flows_fallback") > 0
-        assert constructions["FlowRecord"] == 0
-
 
 class TestNumpyGate:
     def test_vectorized_without_numpy_raises_configuration_error(self, monkeypatch):
@@ -539,13 +540,13 @@ class TestFallbackCauses:
 
         spec = build_spec(flows=400, seed=5)
         network = spec.build_network()
-        records = list(spec.build_trace(network).flows)
+        flows = spec.build_trace(network).columns()
         plane = get_control_plane("openflow").build(network, config=spec.effective_config())
         perf = PerfRecorder()
         handler = build_batch_handler(plane, perf=perf)
-        handler(records[:100])
+        handler(flows[:100])
         plane.switches()[0].failed = True  # a state the array path does not model
-        handler(records[100:250])
+        handler(flows[100:250])
         parts = self.split(perf.counters)
         assert parts["bypass"] == 150
         assert sum(parts.values()) == perf.counter("kernel.flows_fallback")

@@ -11,7 +11,6 @@ from repro.partitioning.graph import (
     WeightedGraph,
     cut_weight,
     groups_from_assignment,
-    partition_sizes,
     partition_weights,
 )
 
@@ -99,11 +98,10 @@ class TestPartitionHelpers:
         assignment = {0: 0, 1: 0, 2: 1, 3: 1}
         assert cut_weight(graph, assignment) == 2.0
 
-    def test_partition_weights_and_sizes(self):
+    def test_partition_weights(self):
         graph = ring_graph(4)
         assignment = {0: 0, 1: 0, 2: 1, 3: 1}
         assert partition_weights(graph, assignment) == {0: 2.0, 1: 2.0}
-        assert partition_sizes(assignment) == {0: 2, 1: 2}
 
     def test_groups_from_assignment(self):
         groups = groups_from_assignment({0: 1, 1: 0, 2: 1})

@@ -826,8 +826,8 @@ class TestArrivalStep:
 
 
 class TestColumnBornReplay:
-    """Replay level: a column-born trace and the same flows handed over as a
-    record list are one run, whatever rides on the replay."""
+    """Replay level: a trace gathered from a stream and the same flows handed
+    over as a record list are one run, whatever rides on the replay."""
 
     FLOWS = 900
 
@@ -841,7 +841,7 @@ class TestColumnBornReplay:
             name="replayed",
         )
         record_born = Trace("replayed", arrival_network(links), list(column_born.flows))
-        assert column_born._columns is not None and record_born._columns is None
+        assert column_born.columns().mints_records and not record_born.columns().mints_records
         return column_born, record_born
 
     @pytest.mark.parametrize(
@@ -904,8 +904,8 @@ class TestColumnBornReplay:
 
     @pytest.mark.parametrize("system", ("openflow", "lazyctrl-dynamic"))
     def test_the_kernels_whole_batch_bypass_walks_columns_too(self, system):
-        """A failed switch sends every batch around the kernel: the
-        column-backed one row by row, the record-backed one record by record."""
+        """A failed switch sends every batch around the kernel, row by row
+        whether the chunk holds columns alone or records beside them."""
         pytest.importorskip("numpy")
         from repro.core.presets import default_grouping_config
         from repro.core.registry import get_control_plane

@@ -11,7 +11,6 @@ from repro.datastructures.intensity import IntensityMatrix
 from repro.partitioning.sgi import (
     Grouping,
     SgiGrouper,
-    average_group_centrality,
     grouping_quality,
 )
 
@@ -245,11 +244,3 @@ class TestQualityMetrics:
         switches = frozenset(clustered_matrix.switches())
         grouping = Grouping(groups={0: switches})
         assert grouping_quality(clustered_matrix, grouping) == 0.0
-
-    def test_average_group_centrality_high_for_good_grouping(self, clustered_matrix):
-        grouper = SgiGrouper(GroupingConfig(group_size_limit=20, random_seed=1))
-        grouping = grouper.initial_grouping(clustered_matrix)
-        assert average_group_centrality(clustered_matrix, grouping) > 0.85
-
-    def test_average_group_centrality_empty(self):
-        assert average_group_centrality(IntensityMatrix(), Grouping(groups={})) == 0.0

@@ -41,6 +41,20 @@ def mini_fig7(**overrides):
     return ScenarioSpec(**defaults)
 
 
+def mini_fig7_expanded(**overrides):
+    """The paper-fig7-expanded shape at test scale: +30 % flows among silent pairs, hours 2–8."""
+    traffic = dataclasses.replace(
+        mini_fig7().traffic, expand_fraction=0.3, expand_window_hours=(2.0, 8.0)
+    )
+    return mini_fig7(name="mini-fig7-expanded", traffic=traffic, **overrides)
+
+
+#: The two Fig. 7 curves: every sharded ≡ serial claim is made for both.
+FIG7_SHAPES = pytest.mark.parametrize(
+    "shape", (mini_fig7, mini_fig7_expanded), ids=("fig7", "fig7-expanded")
+)
+
+
 def mini_table_pressure(**overrides):
     """The table-pressure shape at test scale: streamed flows vs tiny tables."""
     defaults = dict(
@@ -179,8 +193,9 @@ class TestShardPlanning:
 
 
 class TestShardedSerialEquivalence:
-    def test_system_strategy_workers_4_is_bit_identical_to_serial_fig7(self):
-        spec = mini_fig7()
+    @FIG7_SHAPES
+    def test_system_strategy_workers_4_is_bit_identical_to_serial_fig7(self, shape):
+        spec = shape()
         runner = ScenarioRunner()
         obs = TraceOptions(timeline=True)
         serial = runner.run(spec, obs=obs)
@@ -200,8 +215,9 @@ class TestShardedSerialEquivalence:
         for name in serial.runs:
             assert serial.runs[name].tables is not None
 
-    def test_time_window_workers_4_matches_workers_1_bit_for_bit(self):
-        spec = mini_fig7(systems=("lazyctrl-dynamic",), execution=ExecutionSpec(stream=True))
+    @FIG7_SHAPES
+    def test_time_window_workers_4_matches_workers_1_bit_for_bit(self, shape):
+        spec = shape(systems=("lazyctrl-dynamic",), execution=ExecutionSpec(stream=True))
         runner = ScenarioRunner()
         obs = TraceOptions(timeline=True)
         window = lambda workers: ExecutionSpec(
@@ -213,10 +229,11 @@ class TestShardedSerialEquivalence:
         right = json.dumps(serialized_runs(four), sort_keys=True)
         assert left == right
 
-    def test_time_window_single_window_degenerates_to_the_serial_replay(self):
+    @FIG7_SHAPES
+    def test_time_window_single_window_degenerates_to_the_serial_replay(self, shape):
         """Regression: a workers=1, one-window sharded run must serialize the
         exact bytes the serial path produces."""
-        spec = mini_fig7(systems=("lazyctrl-dynamic",), execution=ExecutionSpec(stream=True))
+        spec = shape(systems=("lazyctrl-dynamic",), execution=ExecutionSpec(stream=True))
         runner = ScenarioRunner()
         serial = runner.run(spec)
         single = runner.run(
@@ -229,10 +246,11 @@ class TestShardedSerialEquivalence:
         right = json.dumps(serialized_runs(single), sort_keys=True)
         assert left == right
 
-    def test_time_window_merges_counters_to_the_streamed_totals(self):
+    @FIG7_SHAPES
+    def test_time_window_merges_counters_to_the_streamed_totals(self, shape):
         """Windowed shards see exactly the flows of their window: summed
         counters equal the whole streamed replay's flow accounting."""
-        spec = mini_fig7(systems=("lazyctrl-dynamic",), execution=ExecutionSpec(stream=True))
+        spec = shape(systems=("lazyctrl-dynamic",), execution=ExecutionSpec(stream=True))
         runner = ScenarioRunner()
         serial = runner.run(spec)
         sharded = runner.run(

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.core.presets import get_preset
 from repro.core.runner import ScenarioRunner
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TopologySpec, TraceSpec
@@ -127,3 +128,18 @@ class TestLegacySpecRuns:
         assert spec.traffic.model == "synthetic"
         trace = spec.build_trace(spec.build_network())
         assert len(trace) == 400
+
+
+class TestLegacyExecutionKeys:
+    def test_chunk_flows_written_before_pr21_is_dropped_on_load(self):
+        """Spec, result and baseline JSON that carries the removed knob still loads."""
+        modern = get_preset("paper-fig7").specs()[0]
+        legacy = modern.to_dict()
+        legacy["execution"] = {**legacy["execution"], "chunk_flows": 4096, "stream": True}
+        spec = ScenarioSpec.from_dict(legacy)
+        assert spec.execution == dataclasses.replace(modern.execution, stream=True)
+        assert "chunk_flows" not in spec.to_dict()["execution"]
+        # A genuinely unknown execution key is still an error.
+        legacy["execution"]["chunk_rows"] = 1
+        with pytest.raises(ConfigurationError, match="unknown key 'chunk_rows'"):
+            ScenarioSpec.from_dict(legacy)

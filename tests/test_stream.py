@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import TrafficError
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
+from repro.traffic.chunk import FlowChunk
 from repro.traffic.flow import FlowRecord
 from repro.traffic.models import (
     IncastHotspotParams,
@@ -16,7 +17,6 @@ from repro.traffic.replay import TraceReplayer
 from repro.traffic.stream import (
     ChunkWindow,
     GeneratedStream,
-    MaterializedStream,
     MergedStream,
     TraceStatistics,
     allocate_counts,
@@ -136,56 +136,46 @@ class TestGeneratedStream:
         assert max(sizes) <= CHUNK_TARGET_FLOWS * 1.2
 
 
-class TestMaterializedStream:
-    def test_chunks_cover_all_flows(self, network):
-        flows = [flow(float(i), flow_id=i) for i in range(10)]
-        stream = MaterializedStream("m", network, flows, chunk_flows=3)
-        chunks = list(stream.chunks())
-        assert [len(chunk) for chunk in chunks] == [3, 3, 3, 1]
-        assert [record.flow_id for chunk in chunks for record in chunk] == list(range(10))
-
-    def test_from_trace_shares_flows(self, network):
-        trace = Trace("t", network, [flow(1.0), flow(2.0, flow_id=1)])
-        stream = MaterializedStream.from_trace(trace)
-        assert list(stream) == list(trace)
-        assert stream.duration == trace.duration
-        assert stream.total_flows == 2
-
-    def test_rejects_bad_chunk_size(self, network):
-        with pytest.raises(Exception):
-            MaterializedStream("m", network, [], chunk_flows=0)
-
-
 class TestMergedStream:
     def test_merges_in_time_order_and_renumbers(self, network):
-        a = MaterializedStream("a", network, [flow(1.0), flow(5.0, flow_id=1)])
-        b = MaterializedStream("b", network, [flow(2.0, src=2, dst=3), flow(4.0, src=2, dst=3, flow_id=1)])
+        a = Trace("a", network, [flow(1.0), flow(5.0, flow_id=1)])
+        b = Trace("b", network, [flow(2.0, src=2, dst=3), flow(4.0, src=2, dst=3, flow_id=1)])
         merged = MergedStream("mix", network, [(a, 0.0, 10.0), (b, 0.0, 10.0)], duration=10.0)
         flows = list(merged)
         assert [record.start_time for record in flows] == [1.0, 2.0, 4.0, 5.0]
         assert [record.flow_id for record in flows] == [0, 1, 2, 3]
+        assert merged.total_flows == 4
 
     def test_offset_shifts_component_timeline(self, network):
-        a = MaterializedStream("a", network, [flow(1.0)])
+        a = Trace("a", network, [flow(1.0)])
         merged = MergedStream("mix", network, [(a, 100.0, 10.0)], duration=110.0)
         assert [record.start_time for record in merged] == [101.0]
 
     def test_clips_flows_past_component_span(self, network):
-        a = MaterializedStream("a", network, [flow(1.0), flow(50.0, flow_id=1)])
+        a = Trace("a", network, [flow(1.0), flow(50.0, flow_id=1)])
         merged = MergedStream("mix", network, [(a, 0.0, 10.0)], duration=10.0)
         assert [record.start_time for record in merged] == [1.0]
 
     def test_chunking_by_count(self, network):
-        a = MaterializedStream("a", network, [flow(float(i), flow_id=i) for i in range(7)])
+        a = Trace("a", network, [flow(float(i), flow_id=i) for i in range(7)])
         merged = MergedStream("mix", network, [(a, 0.0, 100.0)], duration=100.0, chunk_flows=3)
         assert [len(chunk) for chunk in merged.chunks()] == [3, 3, 1]
 
-    def test_empty_merge_raises_like_the_materialized_path(self, network):
+    def test_empty_merge_raises(self, network):
         """A mix whose every flow is clipped must fail, not silently replay nothing."""
-        a = MaterializedStream("a", network, [flow(50.0)])
+        a = Trace("a", network, [flow(50.0)])
         merged = MergedStream("mix", network, [(a, 0.0, 10.0)], duration=10.0)
-        with pytest.raises(TrafficError):
+        with pytest.raises(TrafficError, match="'mix' produced no flows"):
             list(merged.chunks())
+
+    def test_a_third_party_part_yielding_record_lists_merges_the_same(self, network, record_list_stream):
+        records = [flow(float(i), src=i % 3, dst=3, flow_id=i) for i in range(9)]
+        listed = record_list_stream("a", network, records, chunk_flows=2)
+        merged = [
+            list(MergedStream("mix", network, [(part, 5.0, 7.5)], duration=20.0))
+            for part in (listed, Trace("a", network, records))
+        ]
+        assert merged[0] == merged[1] and len(merged[0]) == 8
 
 
 class TestTraceStatistics:
@@ -193,7 +183,7 @@ class TestTraceStatistics:
         trace = RealisticTraceGenerator(
             network, RealisticTraceProfile(total_flows=800, duration_hours=3.0, seed=5)
         ).generate()
-        stats = TraceStatistics(network).observe_all(trace)
+        stats = TraceStatistics(network).observe_all(trace.chunks())
         assert stats.flow_count == len(trace)
         assert stats.pair_activity() == trace.pair_activity()
         assert stats.hourly_flow_counts(hours=4) == trace.hourly_flow_counts(hours=4)
@@ -208,8 +198,23 @@ class TestTraceStatistics:
             stats.communicating_pairs()
 
     def test_last_arrival(self, network):
-        stats = TraceStatistics(network).observe_all([flow(3.0), flow(9.0, flow_id=1)])
+        stats = TraceStatistics(network).observe_all([FlowChunk.from_records([flow(3.0), flow(9.0, flow_id=1)])])
         assert stats.last_arrival == 9.0
+
+    def test_observe_is_the_record_form_of_the_column_fold(self, network, constructions):
+        trace = RealisticTraceGenerator(
+            network, RealisticTraceProfile(total_flows=300, duration_hours=3.0, seed=5)
+        ).generate()
+        by_columns = trace.statistics()
+        assert constructions["FlowRecord"] == 0  # the fold read columns
+        by_records = TraceStatistics(network)
+        for record in trace.flows:
+            by_records.observe(record)
+        assert by_records.flow_count == by_columns.flow_count == 300
+        assert by_records.last_arrival == by_columns.last_arrival == trace.duration
+        assert by_records.pair_activity() == by_columns.pair_activity()
+        assert by_records.hourly_flow_counts(hours=4) == by_columns.hourly_flow_counts(hours=4)
+        assert list(by_records.intensity.pairs()) == list(by_columns.intensity.pairs())
 
 
 class TestStreamIntensity:
@@ -224,16 +229,33 @@ class TestStreamIntensity:
 
 
 class TestWindowedChunks:
-    def test_trims_boundaries(self, network):
+    def test_trims_boundaries(self, network, record_list_stream):
         flows = [flow(float(i), flow_id=i) for i in range(10)]
-        stream = MaterializedStream("m", network, flows, chunk_flows=4)
-        windowed = [record.flow_id for chunk in windowed_chunks(stream, start=3.0, end=7.0) for record in chunk]
-        assert windowed == [3, 4, 5, 6]
+        for source in (record_list_stream("m", network, flows, chunk_flows=4), Trace("m", network, flows)):
+            windowed = [record.flow_id for chunk in windowed_chunks(source, start=3.0, end=7.0) for record in chunk]
+            assert windowed == [3, 4, 5, 6]
 
-    def test_stops_generating_past_end(self, network):
+    def test_record_list_chunks_become_flow_chunks_holding_the_same_records(self, network, record_list_stream):
+        from repro.bandwidth.profile import RateProfile
+
+        profile = RateProfile.constant(8_000.0, 1.0)
+        flows = [
+            FlowRecord(float(i), 100 + 7 * i, 0, 1, rate_profile=profile if i % 2 else None)
+            for i in range(10)
+        ]
+        chunks = list(windowed_chunks(record_list_stream("m", network, flows, chunk_flows=4), start=1.0))
+        assert all(isinstance(chunk, FlowChunk) for chunk in chunks)
+        assert [len(chunk) for chunk in chunks] == [3, 4, 2]
+        handed_over = [record for chunk in chunks for record in chunk]
+        assert all(got is want for got, want in zip(handed_over, flows[1:], strict=True))
+        assert [profile for chunk in chunks for profile in chunk.rate_profiles] == [
+            record.rate_profile for record in flows[1:]
+        ]
+
+    def test_stops_generating_past_end(self, network, record_list_stream):
         seen = []
 
-        class Probe(MaterializedStream):
+        class Probe(record_list_stream):
             def chunks(self):
                 for chunk in super().chunks():
                     seen.append(chunk[0].flow_id)
@@ -271,9 +293,9 @@ class TestReplayerOnStreams:
 
         assert run(stream) == run(trace)
 
-    def test_stream_replay_default_window_stops_at_last_arrival(self, network):
+    def test_stream_replay_default_window_stops_at_last_arrival(self, network, record_list_stream):
         flows = [flow(10.0, flow_id=0), flow(250.0, flow_id=1)]
-        stream = MaterializedStream("m", network, flows, chunk_flows=1, duration=3600.0)
+        stream = record_list_stream("m", network, flows, chunk_flows=1, duration=3600.0)
         ticks = []
         progress = TraceReplayer(
             stream, _RecordingSink(), periodic_interval=100.0, periodic_callbacks=[ticks.append]
@@ -281,18 +303,18 @@ class TestReplayerOnStreams:
         assert progress.end_time == 250.0
         assert ticks == [100.0, 200.0]
 
-    def test_chunks_drained_counted(self, network):
+    def test_chunks_drained_counted(self, network, record_list_stream):
         flows = [flow(float(i), flow_id=i) for i in range(10)]
-        stream = MaterializedStream("m", network, flows, chunk_flows=4)
+        stream = record_list_stream("m", network, flows, chunk_flows=4)
         progress = TraceReplayer(stream, _RecordingSink(), periodic_interval=1000.0).replay()
         assert progress.chunks_drained == 3
         trace = Trace("t", network, flows)
         assert TraceReplayer(trace, _RecordingSink(), periodic_interval=1000.0).replay().chunks_drained == 1
 
-    def test_ticks_fire_in_chunk_gaps(self, network):
+    def test_ticks_fire_in_chunk_gaps(self, network, record_list_stream):
         # A tick scheduled between two chunks fires before the later chunk's flows.
         flows = [flow(10.0, flow_id=0), flow(350.0, flow_id=1)]
-        stream = MaterializedStream("m", network, flows, chunk_flows=1)
+        stream = record_list_stream("m", network, flows, chunk_flows=1)
         events = []
         sink = _RecordingSink()
         sink.handle_flow_arrival = lambda f, now: events.append(("flow", now))

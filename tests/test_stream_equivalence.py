@@ -1,8 +1,8 @@
 """Property tests: the streamed and materialized trace paths are bit-identical.
 
 The streaming refactor's core contract — for every registered traffic model
-(nested mixes and fractional durations included), the chunked stream and the
-materialized trace must agree on:
+(nested mixes, fractional durations and the §V-D expansion included), the
+chunked stream and the materialized trace must agree on:
 
 * the exact ``FlowRecord`` sequence (ids, timestamps, endpoints, payloads);
 * the replayed arrival sequence and deterministic replay counters;
@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import UnknownHostError
 from repro.common.rng import make_rng
+from repro.core.scenario import TraceSpec
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
 from repro.traffic.chunk import FlowChunk, draw_of
 from repro.traffic.flow import FlowRecord
@@ -32,7 +33,6 @@ from repro.replay.spec import ExecutionSpec
 from repro.traffic.replay import TraceReplayer
 from repro.traffic.stream import (
     GeneratedStream,
-    MaterializedStream,
     MergedStream,
     windowed_chunks,
 )
@@ -58,6 +58,8 @@ seeds = st.integers(min_value=0, max_value=2**16)
 #: Whole and fractional day lengths (the final partial diurnal hour is the
 #: case the realistic model special-cases).
 durations = st.sampled_from([1.0, 2.0, 1.5, 2.25])
+#: Without and with +30 % flows among the model's silent pairs.
+expansions = st.sampled_from([0.0, 0.3])
 
 
 def test_base_params_cover_every_builtin_model():
@@ -68,11 +70,11 @@ def test_base_params_cover_every_builtin_model():
     )
 
 
-def _build_both(model: str, params: dict):
-    entry = get_traffic_model(model)
-    stream = entry.build_stream(_NETWORK, params, name="equiv")
-    trace = entry.build(_NETWORK, params, name="equiv")
-    return stream, trace
+def _build_both(model: str, params: dict, expand: float = 0.0):
+    spec = TraceSpec(
+        model=model, params=params, expand_fraction=expand, expand_window_hours=(0.25, 1.0)
+    )
+    return spec.build_stream(_NETWORK, name="equiv"), spec.build(_NETWORK, name="equiv")
 
 
 class _CountingSink:
@@ -96,27 +98,28 @@ def _replay(source):
 
 
 class TestStreamEquivalence:
-    @given(model=model_names, seed=seeds, duration=durations)
+    @given(model=model_names, seed=seeds, duration=durations, expand=expansions)
     @settings(max_examples=40, deadline=None)
-    def test_streamed_flows_equal_materialized(self, model, seed, duration):
+    def test_streamed_flows_equal_materialized(self, model, seed, duration, expand):
         params = {**BASE_PARAMS[model], "seed": seed, "duration_hours": duration}
-        stream, trace = _build_both(model, params)
+        stream, trace = _build_both(model, params, expand)
         streamed = [flow for chunk in stream.chunks() for flow in chunk]
         assert streamed == list(trace)
-        assert stream.total_flows == len(trace)
+        assert stream.total_flows == len(trace) == round(250 * (1.0 + expand))
+        assert [flow.flow_id for flow in streamed] == list(range(len(streamed)))
 
-    @given(model=model_names, seed=seeds, duration=durations)
+    @given(model=model_names, seed=seeds, duration=durations, expand=expansions)
     @settings(max_examples=15, deadline=None)
-    def test_streamed_replay_equals_materialized_replay(self, model, seed, duration):
+    def test_streamed_replay_equals_materialized_replay(self, model, seed, duration, expand):
         params = {**BASE_PARAMS[model], "seed": seed, "duration_hours": duration}
-        stream, trace = _build_both(model, params)
+        stream, trace = _build_both(model, params, expand)
         assert _replay(stream) == _replay(trace)
 
-    @given(model=model_names, seed=seeds)
+    @given(model=model_names, seed=seeds, expand=expansions)
     @settings(max_examples=15, deadline=None)
-    def test_streamed_intensity_equals_materialized(self, model, seed):
+    def test_streamed_intensity_equals_materialized(self, model, seed, expand):
         params = {**BASE_PARAMS[model], "seed": seed, "duration_hours": 1.5}
-        stream, trace = _build_both(model, params)
+        stream, trace = _build_both(model, params, expand)
         for start, end in ((0.0, None), (0.0, 1800.0), (600.0, 4000.0)):
             assert sorted(stream.switch_intensity(start=start, end=end).pairs()) == sorted(
                 trace.switch_intensity(start=start, end=end).pairs()
@@ -205,15 +208,46 @@ class TestMixStreamEquivalence:
         assert list(stream_mix_trace(_NETWORK, forward)) == list(stream_mix_trace(_NETWORK, backward))
 
 
+#: ``paper-fig7-expanded`` at its default 20 000 base flows, as read from the
+#: record-born expansion this stream replaced (PR 20, commit 271255e).
+EXPANDED_PINS = {
+    "openflow": {
+        "total_controller_requests": 17810,
+        "updates": [0.0] * 24,
+        "counters": dict(flows_handled=26000, local_flows=5940, intra_group_flows=0,
+                         inter_group_flows=0, controller_requests=17529),
+    },
+    "lazyctrl-static": {
+        "total_controller_requests": 5701,
+        "updates": [0.0] * 24,
+        "counters": dict(flows_handled=26000, local_flows=5940, intra_group_flows=14166,
+                         inter_group_flows=5701, controller_requests=5701),
+    },
+    "lazyctrl-dynamic": {
+        "total_controller_requests": 5224,
+        "updates": [1.0, 0.0, 1.0, 0.0, 2.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0,
+                    1.0, 0.0, 0.0, 2.0, 0.0, 1.0, 0.0, 2.0, 0.0, 1.0, 0.0, 2.0],
+        "counters": dict(flows_handled=26000, local_flows=5940, intra_group_flows=14722,
+                         inter_group_flows=5224, controller_requests=5224),
+    },
+}
+
+
 class TestScenarioStreamEquivalence:
-    def test_scenario_runner_streamed_counters_match_materialized(self):
+    @pytest.mark.parametrize(
+        "preset,flows,pins",
+        [("paper-fig7", 2500, None), ("paper-fig7-expanded", 20_000, EXPANDED_PINS)],
+        ids=("paper-fig7", "paper-fig7-expanded"),
+    )
+    def test_scenario_runner_streamed_counters_match_materialized(self, preset, flows, pins):
         import dataclasses
 
         from repro.core.presets import get_preset
+        from repro.core.results import SystemCounters
         from repro.core.runner import ScenarioRunner
 
-        spec = get_preset("paper-fig7").specs()[0]
-        spec = dataclasses.replace(spec, traffic=spec.traffic.with_params(total_flows=2500))
+        spec = get_preset(preset).specs()[0]
+        spec = dataclasses.replace(spec, traffic=spec.traffic.with_params(total_flows=flows))
         runner = ScenarioRunner()
         materialized = runner.run(spec)
         streamed = runner.run(dataclasses.replace(spec, execution=ExecutionSpec(stream=True)))
@@ -224,6 +258,11 @@ class TestScenarioStreamEquivalence:
             assert left.workload.krps == right.workload.krps
             assert left.latency == right.latency
             assert left.updates_per_hour == right.updates_per_hour
+            if pins is not None:
+                pinned = pins[name]
+                assert left.total_controller_requests == pinned["total_controller_requests"]
+                assert left.updates_per_hour == pinned["updates"]
+                assert left.counters == SystemCounters(**pinned["counters"])
 
 
 # -- columnar chunks ≡ the record lists they replaced ----------------------------
@@ -330,7 +369,9 @@ class TestChunkEquivalence:
 
     @given(model=chunk_models, seed=seeds, data=st.data())
     @settings(max_examples=30, deadline=None)
-    def test_slices_bisect_and_trimming_agree_at_chunk_edges(self, model, seed, data):
+    def test_slices_bisect_and_trimming_agree_at_chunk_edges(
+        self, model, seed, data, record_list_stream
+    ):
         stream = get_traffic_model(model).build_stream(
             _NETWORK, _params_for(model, seed, 1.5), name="equiv"
         )
@@ -363,13 +404,11 @@ class TestChunkEquivalence:
             for flow in flat
             if flow.start_time >= start and (end is None or flow.start_time < end)
         ]
-        listed = MaterializedStream("lists", _NETWORK, flat, chunk_flows=37)
-        for source in (stream, Trace.from_stream(stream), listed):
-            for columnar in (False, True):
-                trimmed = list(windowed_chunks(source, start=start, end=end, columnar=columnar))
-                assert [_fields(flow) for part in trimmed for flow in part] == expected
-                if columnar:
-                    assert all(isinstance(part, FlowChunk) for part in trimmed)
+        listed = record_list_stream("lists", _NETWORK, flat, chunk_flows=37)
+        for source in (stream, Trace.from_stream(stream), Trace("lists", _NETWORK, flat), listed):
+            trimmed = list(windowed_chunks(source, start=start, end=end))
+            assert [_fields(flow) for part in trimmed for flow in part] == expected
+            assert all(isinstance(part, FlowChunk) for part in trimmed)
 
     @given(
         model=st.sampled_from(["realistic", "incast-hotspot", "mix"]),
@@ -391,7 +430,7 @@ class TestChunkEquivalence:
         listed = Trace("equiv", _NETWORK, list(get_traffic_model(model).build_stream(
             _NETWORK, params, name="equiv"
         )))
-        assert columnar._columns is not None and listed._columns is None
+        assert columnar.columns().mints_records and not listed.columns().mints_records
         schedule = ScheduleSpec(warmup_hours=0.5, duration_hours=2.0, bucket_hours=1.0)
         config = LazyCtrlConfig()
         if tables:

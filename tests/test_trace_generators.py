@@ -1,10 +1,13 @@
 """Unit tests for the realistic and synthetic trace generators and trace expansion."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import ConfigurationError, TrafficError
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
 from repro.traffic.expand import expand_trace
+from repro.traffic.flow import FlowRecord
 from repro.traffic.realistic import DIURNAL_PROFILE, RealisticTraceGenerator, RealisticTraceProfile
 from repro.traffic.synthetic import (
     PAPER_SYNTHETIC_SPECS,
@@ -12,6 +15,7 @@ from repro.traffic.synthetic import (
     SyntheticTraceSpec,
     paper_synthetic_specs,
 )
+from repro.traffic.trace import Trace
 
 
 @pytest.fixture(scope="module")
@@ -184,23 +188,44 @@ class TestSyntheticGenerator:
 
 
 class TestExpandTrace:
+    @staticmethod
+    def extras(expanded, base):
+        """The flows between pairs the base never used (ids are minted in merge order)."""
+        silent = base.communicating_pairs()
+        return [flow for flow in expanded if flow.unordered_pair not in silent]
+
     def test_expansion_adds_thirty_percent(self, real_like_trace):
         expanded = expand_trace(real_like_trace, extra_fraction=0.30, seed=5)
-        assert len(expanded) == pytest.approx(len(real_like_trace) * 1.30, rel=0.01)
+        assert expanded.total_flows == round(len(real_like_trace) * 1.30)
+        flows = list(expanded)
+        assert len(flows) == expanded.total_flows
+        assert [flow.flow_id for flow in flows] == list(range(len(flows)))
+        assert flows == sorted(flows)
 
     def test_extra_flows_confined_to_window(self, real_like_trace):
         expanded = expand_trace(real_like_trace, extra_fraction=0.2, window_start_hour=8.0, window_end_hour=24.0, seed=5)
-        original_ids = {f.flow_id for f in real_like_trace}
-        extra = [f for f in expanded if f.flow_id not in original_ids]
+        extra = self.extras(expanded, real_like_trace)
         assert extra and all(8 * 3600 <= f.start_time < 24 * 3600 for f in extra)
 
     def test_extra_flows_use_previously_silent_pairs(self, real_like_trace):
         expanded = expand_trace(real_like_trace, extra_fraction=0.1, seed=5)
-        original_pairs = real_like_trace.communicating_pairs()
-        original_ids = {f.flow_id for f in real_like_trace}
-        extra = [f for f in expanded if f.flow_id not in original_ids]
-        fresh = sum(1 for f in extra if f.unordered_pair not in original_pairs)
-        assert fresh / len(extra) > 0.95
+        extra = self.extras(expanded, real_like_trace)
+        assert len(extra) / (expanded.total_flows - len(real_like_trace)) > 0.95
+        # ... and the base flows are all still there, in their order.
+        base_pairs = real_like_trace.communicating_pairs()
+        kept = [flow for flow in expanded if flow.unordered_pair in base_pairs]
+        assert [dataclasses.replace(flow, flow_id=0) for flow in kept[:500]] == [
+            dataclasses.replace(flow, flow_id=0) for flow in real_like_trace.flows[:500]
+        ]
+
+    def test_a_topology_out_of_silent_pairs_falls_back_to_default_payload_flows(self):
+        tiny = build_multi_tenant_datacenter(TopologyProfile(switch_count=2, host_count=4, seed=1))
+        pairs = [(a, b) for a in range(4) for b in range(4) if a < b]
+        base = Trace("full", tiny, [FlowRecord(float(i), i, a, b) for i, (a, b) in enumerate(pairs)])
+        expanded = list(expand_trace(base, extra_fraction=1.0, window_start_hour=1.0, window_end_hour=2.0))
+        extra = expanded[len(pairs):]
+        assert len(extra) == len(pairs) and all(3600.0 <= flow.start_time < 7200.0 for flow in extra)
+        assert {(f.packet_count, f.byte_count, f.duration) for f in extra} == {(10, 15_000, 1.0)}
 
     def test_expansion_lowers_locality(self, real_like_trace):
         from repro.analysis.centrality import centrality_of_groups, partition_intensity

@@ -1,12 +1,14 @@
-"""A materialized trace has one resident form, and it is the right one.
+"""A materialized trace has one resident form, however it was born.
 
-A :class:`~repro.traffic.trace.Trace` built from a stream is six columns from
-birth and stays that: records are a view minted once, on request, beside the
-columns.  These tests hold the column-born trace to the record-born one it
-must be indistinguishable from on every public accessor, pin the fallback for
-streams that are not one sorted run, and pin *residency*: a scalar replay of a
-column-born trace constructs no ``FlowRecord`` and no ``FlowHandlingResult``,
-and handing out the columns copies nothing.
+A :class:`~repro.traffic.trace.Trace` holds one
+:class:`~repro.traffic.chunk.FlowChunk`: gathered from a stream's chunks, or
+transposed once from records.  These tests hold every birth — a generated
+stream, a merged one, a record list, a third-party stream of unsorted record
+lists, a run of chunks with an id gap — to the same flows on every public
+accessor, and pin *residency*: handing out the columns copies nothing, records
+are minted once and only on request, record-born ids and rate profiles
+survive, and a scalar replay constructs no ``FlowRecord`` and no
+``FlowHandlingResult``.
 """
 
 import copy
@@ -16,6 +18,7 @@ import tracemalloc
 
 import pytest
 
+from repro.bandwidth.profile import RateProfile
 from repro.churn.spec import ChurnSpec
 from repro.common.errors import UnknownHostError
 from repro.core.presets import get_preset
@@ -24,22 +27,23 @@ from repro.core.runner import ScenarioRunner
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
 from repro.traffic.chunk import FlowChunk
 from repro.traffic.registry import get_traffic_model
-from repro.traffic.stream import MaterializedStream, MergedStream
+from repro.traffic.stream import MergedStream
 from repro.traffic.trace import Trace
 
 PROFILE = TopologyProfile(switch_count=6, host_count=48, seed=23, home_switches_per_tenant=2)
 NETWORK = build_multi_tenant_datacenter(PROFILE)
+FLOWS = 400
+PROFILED = RateProfile.constant(8_000.0, 2.0)
 
 
-def built_in(model, flows=400, **params):
+def built_in(model, flows=FLOWS, **params):
     params = {"total_flows": flows, "seed": 5, "duration_hours": 3.0, **params}
     return get_traffic_model(model).build_stream(NETWORK, params, name="rep")
 
 
-#: Streams of several chunks each: one per diurnal hour, and a 37-flow merge grid.
-STREAMS = {
-    "realistic": lambda: built_in("realistic"),
-    "merged": lambda: MergedStream(
+def merged():
+    """Two models on a 37-flow merge grid."""
+    return MergedStream(
         "rep",
         NETWORK,
         [
@@ -48,99 +52,13 @@ STREAMS = {
         ],
         duration=10_800.0,
         chunk_flows=37,
-    ),
-}
+    )
 
 
-def stream_of(model):
-    return STREAMS[model]()
-
-
-def both(model):
-    """The same flows column-born (from the stream) and record-born (from a list)."""
-    stream = stream_of(model)
-    assert sum(1 for _ in stream.chunks()) > 1
-    column_born = Trace.from_stream(stream)
-    record_born = Trace("rep", NETWORK, list(stream))
-    assert column_born._columns is not None and column_born._flows is None
-    assert record_born._columns is None
-    return column_born, record_born
-
-
-def column_lists(chunk):
-    return [list(column) for column in chunk.columns()]
-
-
-@pytest.mark.parametrize("model", sorted(STREAMS))
-class TestStreamBuiltEqualsRecordBuilt:
-    def test_flows_columns_and_scalars(self, model):
-        column_born, record_born = both(model)
-        assert len(column_born) == len(record_born) == 400
-        assert column_born.duration == record_born.duration
-        assert column_lists(column_born.columns()) == column_lists(record_born.columns())
-        assert column_born.columns().first_id == record_born.columns().first_id == 0
-        assert column_born.columns().mints_records and not record_born.columns().mints_records
-        # Reading the columns built no record; asking for records keeps the columns.
-        assert column_born._flows is None
-        assert list(column_born.flows) == list(record_born.flows)
-        assert list(column_born) == list(record_born)
-        assert list(column_born.chunks()) == [column_born.flows]
-
-    def test_flows_is_one_shared_list_beside_the_columns(self, model):
-        column_born, _ = both(model)
-        columns = column_born.columns()
-        flows = column_born.flows
-        assert column_born.flows is flows and next(column_born.chunks()) is flows
-        assert column_born.columns() is columns
-        assert column_lists(columns) == column_lists(FlowChunk.from_records(flows))
-
-    def test_windows_and_subtraces(self, model):
-        column_born, record_born = both(model)
-        edges = [0.0, 1799.5, 3600.0, column_born.duration, column_born.duration + 1.0]
-        for start in edges:
-            for end in edges:
-                if end < start:
-                    continue
-                assert column_born.window(start, end) == record_born.window(start, end)
-                assert list(column_born.subtrace(start=start, end=end)) == list(
-                    record_born.subtrace(start=start, end=end)
-                )
-
-    def test_derived_views(self, model):
-        column_born, record_born = both(model)
-        for start, end in ((0.0, None), (0.0, 3600.0), (1800.0, 7200.0)):
-            ours = column_born.switch_intensity(start=start, end=end)
-            theirs = record_born.switch_intensity(start=start, end=end)
-            assert list(ours.pairs()) == list(theirs.pairs())
-        assert column_born._flows is None  # the intensity fold read columns
-        assert column_born.pair_activity() == record_born.pair_activity()
-        assert column_born.hourly_flow_counts(hours=4) == record_born.hourly_flow_counts(hours=4)
-        assert column_born.communicating_pairs() == record_born.communicating_pairs()
-
-    @pytest.mark.parametrize("minted", [False, True])
-    def test_pickle_and_deepcopy_round_trip(self, model, minted):
-        column_born, record_born = both(model)
-        if minted:
-            column_born.flows
-        for clone in (pickle.loads(pickle.dumps(column_born)), copy.deepcopy(column_born)):
-            assert clone._columns is not None and clone._columns is not column_born._columns
-            assert (clone._flows is None) == (not minted)
-            assert len(clone) == 400 and clone.duration == column_born.duration
-            assert column_lists(clone.columns()) == column_lists(column_born.columns())
-            assert list(clone.flows) == list(record_born.flows)
-
-    def test_merged_with(self, model):
-        column_born, record_born = both(model)
-        other = Trace.from_stream(stream_of("realistic" if model == "merged" else "merged"))
-        merged = column_born.merged_with(other)
-        assert list(merged) == list(record_born.merged_with(other))
-        assert len(merged) == 800
-
-
-class ListChunks:
+class Chunks:
     """A third-party stream: whatever chunks it is given, as they are."""
 
-    name = "third-party"
+    name = "rep"
     network = NETWORK
     total_flows = 0
     duration = 0.0
@@ -152,80 +70,206 @@ class ListChunks:
         return iter(self._chunks)
 
 
-class TestStreamsThatAreNotOneRun:
-    def test_unsorted_record_lists_take_the_record_path(self):
-        records = list(stream_of("realistic"))
-        shuffled = [records[300:], records[:100], [], records[100:300]]
-        trace = Trace.from_stream(ListChunks(shuffled))
-        assert trace._columns is None
-        assert list(trace.flows) == records
-        # ... and so does a sorted stream of lists: only minting chunks are a run.
-        listed = Trace.from_stream(MaterializedStream("m", NETWORK, records, chunk_flows=64))
-        assert listed._columns is None and list(listed) == records
-
-    def test_a_chunk_breaking_id_continuity_falls_back_with_what_was_collected(self):
-        first, second, third = list(stream_of("realistic").chunks())[:3]
-        draws = list(zip(*second.columns()))
-        gapped = FlowChunk.from_draws(draws, second.first_id + 5)
-        trace = Trace.from_stream(ListChunks([first, gapped, third]))
-        assert trace._columns is None
-        assert list(trace.flows) == sorted([*first, *gapped, *third])
-        assert [flow.flow_id for flow in trace.flows][len(first)] == second.first_id + 5
-
-    def test_a_chunk_starting_before_the_run_ends_falls_back_too(self):
-        first, second = list(stream_of("realistic").chunks())[:2]
-        trace = Trace.from_stream(ListChunks([second, first]))
-        assert trace._columns is None
-        assert list(trace.flows) == [*first, *second]
-
-    def test_an_empty_stream_is_an_empty_column_born_trace(self):
-        trace = Trace.from_stream(ListChunks([]))
-        assert len(trace) == 0 and trace.duration == 0.0
-        assert len(trace.columns()) == 0 and list(trace.flows) == [] and list(trace.chunks()) == []
-
-    def test_unknown_hosts_are_rejected_on_the_columns(self):
-        small = build_multi_tenant_datacenter(dataclasses.replace(PROFILE, host_count=12))
-        with pytest.raises(UnknownHostError):
-            Trace("rep", small, stream_of("realistic"))
+def records_of(stream):
+    """``stream``'s flows as third-party records: ids of their own, some rate profiles."""
+    return [
+        dataclasses.replace(
+            flow, flow_id=1_000 + 3 * flow.flow_id, rate_profile=None if flow.flow_id % 4 else PROFILED
+        )
+        for flow in stream
+    ]
 
 
-class TestBoundTo:
-    def test_shares_the_resident_form_with_a_fresh_network(self):
+def id_gapped(stream):
+    """``stream``'s chunks with the second one's ids pushed up by five."""
+    first, second, *rest = stream.chunks()
+    assert rest
+    return [first, FlowChunk.from_draws(zip(*second.columns()), second.first_id + 5), *rest]
+
+
+def from_record_list():
+    records = records_of(merged())
+    return list(reversed(records)), records
+
+
+def from_unsorted_list_chunks():
+    records = records_of(built_in("realistic"))
+    return Chunks([records[300:], records[:100], [], records[100:300]]), records
+
+
+def from_id_gapped_chunks():
+    chunks = id_gapped(built_in("realistic"))
+    return Chunks(chunks), sorted(flow for chunk in chunks for flow in chunk)
+
+
+#: birth -> (what the constructor is handed, the records the trace must hold, in order)
+BIRTHS = {
+    "generated-stream": lambda: (built_in("realistic"), list(built_in("realistic"))),
+    "merged-stream": lambda: (merged(), list(merged())),
+    "record-list": from_record_list,
+    "unsorted-list-chunk-stream": from_unsorted_list_chunks,
+    "id-gapped-chunk-run": from_id_gapped_chunks,
+}
+#: Births whose flows arrive as records: their objects, ids and profiles are kept.
+RECORD_BORN = {"record-list", "unsorted-list-chunk-stream"}
+#: Births that are one column-backed run: gathered buffer by buffer, no record ever.
+GATHERED = {"generated-stream", "merged-stream"}
+
+
+def born(birth):
+    source, expected = BIRTHS[birth]()
+    return Trace("rep", NETWORK, source), expected
+
+
+def column_lists(chunk):
+    return [list(column) for column in chunk.columns()]
+
+
+@pytest.mark.parametrize("birth", sorted(BIRTHS))
+class TestEveryBirthIsOneResidentChunk:
+    def test_flows_columns_and_scalars(self, birth, constructions):
+        trace, expected = born(birth)
+        constructions["FlowRecord"] = 0  # minting ``expected`` was this test's business
+        assert len(trace) == trace.total_flows == trace.flow_count() == len(expected) == FLOWS
+        assert trace.duration == expected[-1].start_time
+        columns = trace.columns()
+        # The resident chunk itself: no copy, whoever asks.
+        assert columns is trace.columns() and list(trace.chunks()) == [columns]
+        assert column_lists(columns) == column_lists(FlowChunk.from_records(expected))
+        assert columns.first_id == expected[0].flow_id
+        assert constructions["FlowRecord"] == 0  # nothing so far needed a record
+        assert list(trace.flows) == list(trace) == expected
+
+    def test_flows_is_one_shared_list_beside_the_columns(self, birth):
+        trace, expected = born(birth)
+        columns = trace.columns()
+        flows = trace.flows
+        assert trace.flows is flows and trace.columns() is columns
+        assert [flow.flow_id for flow in flows] == [flow.flow_id for flow in expected]
+        assert [flow.rate_profile for flow in flows] == [flow.rate_profile for flow in expected]
+        assert columns.mints_records == (birth in GATHERED)
+        if birth in RECORD_BORN:
+            assert all(got is want for got, want in zip(flows, expected))
+            assert sum(flow.rate_profile is PROFILED for flow in flows) == FLOWS // 4
+            assert columns.rate_profiles == [flow.rate_profile for flow in expected]
+
+    def test_windows_and_subtraces(self, birth):
+        trace, expected = born(birth)
+        edges = [0.0, 1799.5, 3600.0, trace.duration, trace.duration + 1.0]
+        for start in edges:
+            for end in edges:
+                if end < start:
+                    continue
+                inside = [flow for flow in expected if start <= flow.start_time < end]
+                assert trace.window(start, end) == inside
+                assert list(trace.subtrace(start=start, end=end)) == inside
+
+    def test_derived_views(self, birth, constructions):
+        trace, expected = born(birth)
+        reference = Trace("rep", NETWORK, expected)
+        constructions["FlowRecord"] = 0  # minting ``expected`` was this test's business
+        for start, end in ((0.0, None), (0.0, 3600.0), (1800.0, 7200.0)):
+            ours = trace.switch_intensity(start=start, end=end)
+            assert list(ours.pairs()) == list(reference.switch_intensity(start=start, end=end).pairs())
+        assert trace.pair_activity() == reference.pair_activity()
+        assert trace.pair_activity().total_flows == FLOWS
+        assert trace.hourly_flow_counts(hours=4) == reference.hourly_flow_counts(hours=4)
+        assert sum(trace.hourly_flow_counts(hours=4)) == FLOWS
+        assert trace.communicating_pairs() == {flow.unordered_pair for flow in expected}
+        # Every fold read columns: no record was built for any of it.
+        assert constructions["FlowRecord"] == 0 and trace._flows is None
+
+    @pytest.mark.parametrize("minted", [False, True])
+    def test_pickle_and_deepcopy_round_trip(self, birth, minted):
+        trace, expected = born(birth)
+        if minted:
+            trace.flows
+        for clone in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
+            assert clone.columns() is not trace.columns()
+            assert (clone._flows is None) == (not minted)
+            assert len(clone) == FLOWS and clone.duration == trace.duration
+            assert column_lists(clone.columns()) == column_lists(trace.columns())
+            assert list(clone.flows) == expected
+            assert [flow.rate_profile for flow in clone.flows] == [
+                flow.rate_profile for flow in expected
+            ]
+
+    def test_merged_with(self, birth):
+        trace, expected = born(birth)
+        other = Trace.from_stream(built_in("uniform", flows=300, seed=9))
+        assert list(trace.merged_with(other)) == sorted([*expected, *other.flows])
+
+    def test_bound_to_shares_the_resident_form_with_a_fresh_network(self, birth):
+        trace, expected = born(birth)
         fresh = build_multi_tenant_datacenter(PROFILE)
-        for trace in both("realistic"):
-            twin = trace.bound_to(fresh)
-            assert twin.network is fresh and trace.network is NETWORK
-            assert twin._columns is trace._columns and twin._flows is trace._flows
-            assert (twin.name, len(twin), twin.duration) == (trace.name, len(trace), trace.duration)
-            assert list(twin.flows) == list(trace.flows)
+        twin = trace.bound_to(fresh)
+        assert twin.network is fresh and trace.network is NETWORK
+        assert twin.columns() is trace.columns() and twin._flows is trace._flows
+        assert (twin.name, len(twin), twin.duration) == (trace.name, len(trace), trace.duration)
+        assert list(twin.flows) == expected
 
-    def test_probes_every_endpoint_on_the_new_network(self):
+    def test_unknown_hosts_are_rejected_on_the_columns(self, birth):
         small = build_multi_tenant_datacenter(dataclasses.replace(PROFILE, host_count=12))
-        for trace in both("realistic"):
-            with pytest.raises(UnknownHostError):
-                trace.bound_to(small)
+        source, _ = BIRTHS[birth]()
+        with pytest.raises(UnknownHostError):
+            Trace("rep", small, source)
+        with pytest.raises(UnknownHostError):
+            born(birth)[0].bound_to(small)
+
+
+class TestWhatBreaksARun:
+    def test_only_column_backed_chunks_in_trace_order_are_gathered(self):
+        first, second, third = list(built_in("realistic").chunks())[:3]
+        assert Trace.from_stream(Chunks([first, second, third])).columns().mints_records
+        # A chunk starting before the run ends, and a sorted stream of lists:
+        # sorted as records, the same flows either way.
+        for chunks in ([second, first], [list(first), list(second)]):
+            trace = Trace.from_stream(Chunks(chunks))
+            assert not trace.columns().mints_records
+            assert list(trace.flows) == [*first, *second]
+
+    def test_an_id_gap_keeps_the_ids_it_was_given(self):
+        chunks = id_gapped(built_in("realistic"))
+        trace = Trace.from_stream(Chunks(chunks))
+        assert [flow.flow_id for flow in trace.flows][len(chunks[0])] == chunks[1].first_id
+        assert chunks[1].first_id == len(chunks[0]) + 5
+
+    def test_an_empty_stream_is_an_empty_trace(self):
+        for trace in (Trace.from_stream(Chunks([])), Trace("rep", NETWORK, [])):
+            assert len(trace) == 0 and trace.duration == 0.0
+            assert len(trace.columns()) == 0 and list(trace.flows) == [] and list(trace.chunks()) == []
 
 
 class TestResidency:
-    @pytest.mark.parametrize("churn", [None, ChurnSpec(seed=7, migration_rate_per_hour=30.0)])
-    def test_a_scalar_run_builds_no_record_and_no_result_object(self, constructions, churn):
-        (spec,) = get_preset("paper-fig7").specs()
+    @pytest.mark.parametrize(
+        "preset,churn,flows",
+        [
+            ("paper-fig7", None, 6_000),
+            ("paper-fig7", ChurnSpec(seed=7, migration_rate_per_hour=30.0), 6_000),
+            ("paper-fig7-expanded", None, 7_800),
+        ],
+        ids=("plain", "churn", "expanded"),
+    )
+    def test_a_scalar_run_builds_no_record_and_no_result_object(
+        self, constructions, preset, churn, flows
+    ):
+        (spec,) = get_preset(preset).specs()
         spec = dataclasses.replace(
             spec, traffic=spec.traffic.with_params(total_flows=6_000), churn=churn
         )
         result = ScenarioRunner().run(spec)
         for run in result.runs.values():
-            assert run.counters.flows_handled + run.counters.departed_flows == 6_000
+            assert run.counters.flows_handled + run.counters.departed_flows == flows
         if churn is not None:
             assert result.runs["lazyctrl-dynamic"].churn.total_events() > 0
         assert constructions == {"FlowRecord": 0, "FlowHandlingResult": 0}
 
     def test_the_counting_is_not_vacuous(self, constructions):
-        trace = Trace.from_stream(stream_of("realistic"))
+        trace = Trace.from_stream(built_in("realistic"))
         plane = get_control_plane("openflow").build(NETWORK)
         for flow in trace.flows:
             plane.handle_flow_arrival(flow, flow.start_time)
-        assert constructions == {"FlowRecord": 400, "FlowHandlingResult": 400}
+        assert constructions == {"FlowRecord": FLOWS, "FlowHandlingResult": FLOWS}
 
     def test_columns_hands_out_the_resident_chunk_without_a_copy(self):
         params = {"total_flows": 60_000, "seed": 5, "duration_hours": 24.0}
