@@ -24,13 +24,12 @@ The same experiment from the command line::
     python -m repro run paper-fig7
     python -m repro list-scenarios
 
-The legacy helpers remain: :func:`quickstart` runs the headline comparison
-in one call, and :class:`DayLongExperiment` drives a pre-built trace.
+To replay one registered control plane over a trace you built yourself,
+call :meth:`ScenarioRunner.replay_system`.
 """
 
 from repro.churn.spec import ChurnSpec
 from repro.common.config import LazyCtrlConfig
-from repro.core.experiment import DayLongExperiment, DayLongExperimentResult
 from repro.core.presets import Preset, get_preset, list_presets
 from repro.core.registry import (
     ControlPlane,
@@ -81,8 +80,6 @@ __all__ = [
     "ChurnSpec",
     "ControlPlane",
     "ControlPlaneEntry",
-    "DayLongExperiment",
-    "DayLongExperimentResult",
     "EdgePlane",
     "EventTracer",
     "FailureInjectionSpec",
@@ -120,7 +117,6 @@ __all__ = [
     "get_topology",
     "get_traffic_model",
     "list_presets",
-    "quickstart",
     "register_control_plane",
     "register_topology",
     "register_traffic_model",
@@ -128,31 +124,3 @@ __all__ = [
     "write_chrome_trace",
     "__version__",
 ]
-
-
-def quickstart(
-    *,
-    switch_count: int = 48,
-    host_count: int = 600,
-    total_flows: int = 20_000,
-    seed: int = 2015,
-) -> DayLongExperimentResult:
-    """Run a small end-to-end experiment and return the workload comparison.
-
-    Builds a multi-tenant data center, generates a day-long skewed trace,
-    and replays it against the OpenFlow baseline and both LazyCtrl variants.
-    Sized to finish in well under a minute on a laptop.  This is a thin
-    wrapper over the Scenario API; see :class:`ScenarioSpec` for the full
-    declarative surface.
-    """
-    from repro.core.presets import default_grouping_config
-
-    spec = ScenarioSpec(
-        name="quickstart",
-        topology=TopologyProfile(switch_count=switch_count, host_count=host_count, seed=seed),
-        traffic=TraceSpec.realistic(total_flows=total_flows, seed=seed),
-        systems=("openflow", "lazyctrl-static", "lazyctrl-dynamic"),
-        config=default_grouping_config(switch_count, seed=seed),
-    )
-    result = ScenarioRunner().run(spec)
-    return DayLongExperimentResult(runs={run.label: run for run in result.runs.values()})

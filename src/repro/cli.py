@@ -35,12 +35,13 @@ Multi-scenario presets fan out over ``--workers`` processes.  ``--traffic``
 and ``--topology`` swap in any registered traffic model or topology shape by
 name, carrying the old spec's dimensions over where the new shape supports
 them.  ``bench`` replays the benchmark presets and writes one
-``BENCH_<scenario>.json`` per scenario (runtime, flows/sec, controller
-workload, regroup and churn counts) so CI can track the performance
-trajectory; with ``--check`` it additionally compares the fresh payloads
+``BENCH_<scenario>.json`` per scenario (controller workload, latency,
+regroup, churn, table and link counters, per-bucket timelines — nothing
+timed); with ``--check`` it additionally compares the fresh payloads
 against the baselines committed under ``benchmarks/baselines/`` and exits
-non-zero on drift.  ``profile`` instruments a replay and prints where the
-wall-clock went, stage by stage.
+non-zero on drift.  Timing lives in the stage ledger
+(``benchmarks/ledger/``).  ``profile`` instruments a replay and prints
+where the wall-clock went, stage by stage.
 
 Observability: ``run --events-out events.jsonl`` streams every structured
 event (packet-ins, flow installs/removals, evictions, regroupings, churn) to
@@ -57,7 +58,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -78,7 +78,6 @@ from repro.obs.export import validate_chrome_trace, write_chrome_trace
 from repro.obs.timeline import render_timeline
 from repro.obs.tracer import TraceOptions
 from repro.perf.baseline import check_against_baselines
-from repro.perf.recorder import peak_rss_bytes
 from repro.replay.spec import ExecutionSpec
 from repro.perf.report import format_stage_breakdown
 from repro.tables.registry import available_table_policies
@@ -89,9 +88,9 @@ from repro.traffic.registry import available_traffic_models
 #: Presets the ``bench`` subcommand replays by default.
 BENCH_PRESETS = ("paper-fig7", "churn-migration", "traffic-mix")
 
-#: Scale-smoke presets benchmarked by their own (non-gating) CI job rather
-#: than the default list: they take minutes, so a full default run must not
-#: flag their committed baselines as stale.
+#: Full-scale presets benchmarked by their own CI steps rather than the
+#: default list: they take minutes, so a full default run must not flag
+#: their committed baselines as stale.
 SMOKE_BENCH_PRESETS = (
     "paper-fig7-10m",
     "paper-fig7-100m",
@@ -376,22 +375,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_payload(
-    preset_name: str,
-    result: ScenarioResult,
-    runtime_seconds: float,
-    *,
-    peak_rss: int = 0,
-) -> dict:
-    """The machine-readable benchmark record for one scenario run."""
+def _bench_payload(preset_name: str, result: ScenarioResult) -> dict:
+    """The machine-readable benchmark record for one scenario run.
+
+    Every value is replay arithmetic, deterministic for the spec, so
+    ``--check`` can gate on it; nothing timed or host-dependent goes in.
+    """
     systems = {}
-    total_flows_replayed = 0
     for name, run in result.runs.items():
-        flows_handled = run.counters.flows_handled + run.counters.departed_flows
-        total_flows_replayed += flows_handled
         record = {
             "label": run.label,
-            "flows_handled": flows_handled,
+            "flows_handled": run.counters.flows_handled + run.counters.departed_flows,
             "total_controller_requests": run.total_controller_requests,
             "mean_krps": run.workload.mean_krps(),
             "peak_krps": run.workload.peak_krps(),
@@ -452,35 +446,17 @@ def _bench_payload(
     payload = {
         "scenario": result.spec.name,
         "preset": preset_name,
-        "runtime_seconds": runtime_seconds,
-        "flows_per_second": (total_flows_replayed / runtime_seconds) if runtime_seconds > 0 else 0.0,
         "flows": result.spec.traffic.total_flows,
         "switches": switches,
         "hosts": hosts,
-        "streaming": result.spec.stream,
-        # Process-lifetime high-water mark sampled after the run: an upper
-        # bound on the run's footprint (earlier scenarios in the same bench
-        # invocation contribute too).  Non-gating in --check.
-        "peak_rss_bytes": peak_rss,
         "systems": systems,
     }
     if result.shards is not None:
-        critical_path = result.shards["critical_path_seconds"]
         payload["execution"] = {
             **result.spec.execution.to_dict(),
             "strategy": result.shards["strategy"],
             "pooled": result.shards["pooled"],
             "windows_per_system": result.shards["windows_per_system"],
-            "shard_walls_seconds": result.shards["shard_walls_seconds"],
-            "critical_path_seconds": critical_path,
-            "total_shard_seconds": result.shards["total_shard_seconds"],
-            # Throughput of an ideally parallel run (every worker its own
-            # core): total flows over the slowest shard's wall.  On a box
-            # with fewer cores than workers the shards time-slice and
-            # ``flows_per_second`` above stays the honest measured number.
-            "parallel_flows_per_second": (
-                total_flows_replayed / critical_path if critical_path > 0 else 0.0
-            ),
         }
     return payload
 
@@ -491,29 +467,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     runner = ScenarioRunner()
     payloads = []
-    repeat = max(1, args.repeat)
     for preset_name in preset_names:
         for spec in get_preset(preset_name).specs():
             spec = _apply_overrides(spec, args)
-            # Best-of-N wall-clock: the minimum is the noise-robust estimate
-            # (replays are deterministic, so every repeat does identical work).
-            runtime = None
-            for _ in range(repeat):
-                started = time.perf_counter()
-                result = runner.run(spec, obs=TraceOptions(timeline=True))
-                elapsed = time.perf_counter() - started
-                runtime = elapsed if runtime is None else min(runtime, elapsed)
-            payload = _bench_payload(
-                preset_name, result, runtime, peak_rss=peak_rss_bytes()
-            )
+            result = runner.run(spec, obs=TraceOptions(timeline=True))
+            payload = _bench_payload(preset_name, result)
             payloads.append(payload)
             path = out_dir / f"BENCH_{spec.name}.json"
             path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-            print(
-                f"wrote {path} (runtime {runtime:.1f}s, "
-                f"{payload['flows_per_second']:,.0f} flows/sec, "
-                f"peak RSS {payload['peak_rss_bytes'] / 1e6:,.0f} MB)"
-            )
+            print(f"wrote {path}")
     if args.check:
         # A full run (the default preset list) must cover every committed
         # baseline, otherwise the perf gate silently loses a scenario; a
@@ -534,9 +496,7 @@ def _smoke_scenario_names() -> set:
 
 def _check_baselines(payloads: List[dict], args: argparse.Namespace, *, stale_fails: bool) -> int:
     """Compare fresh bench payloads against committed baselines; 1 on drift."""
-    checks, problems, stale = check_against_baselines(
-        payloads, args.baseline_dir, tolerance=args.tolerance
-    )
+    checks, problems, stale = check_against_baselines(payloads, args.baseline_dir)
     # Scale-smoke baselines are produced by their own CI job, never by the
     # default preset list — a default full run must not treat them as stale.
     smoke_files = {f"BENCH_{name}.json" for name in _smoke_scenario_names()}
@@ -559,8 +519,6 @@ def _check_baselines(payloads: List[dict], args: argparse.Namespace, *, stale_fa
         failed = True
         print(f"FAIL: {problem}", file=sys.stderr)
     for check in checks:
-        for note in check.notes:
-            print(f"note [{check.scenario}]: {note}")
         if check.ok:
             print(f"OK: {check.scenario} within baseline expectations")
         else:
@@ -805,18 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline-dir",
         default=DEFAULT_BASELINE_DIR,
         help="directory holding the committed BENCH_*.json baselines",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="relative tolerance band for wall-clock metrics (default 0.30 = ±30%%)",
-    )
-    bench.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="replay each scenario N times and report the best wall-clock (de-noises --check)",
     )
     _add_override_arguments(bench)
     bench.set_defaults(handler=_cmd_bench)

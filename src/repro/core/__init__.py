@@ -1,6 +1,5 @@
-"""Core systems, the Scenario API and the experiment harness."""
+"""Core systems and the Scenario API."""
 
-from repro.core.experiment import DayLongExperiment, DayLongExperimentResult
 from repro.core.latency_eval import ColdCacheExperiment, ColdCacheExperimentConfig
 from repro.core.presets import Preset, default_grouping_config, get_preset, list_presets
 from repro.core.registry import (
@@ -37,8 +36,6 @@ __all__ = [
     "ColdCacheResult",
     "ControlPlane",
     "ControlPlaneEntry",
-    "DayLongExperiment",
-    "DayLongExperimentResult",
     "EdgePlane",
     "FailureInjectionSpec",
     "FlowHandlingResult",

@@ -89,7 +89,7 @@ def default_grouping_config(switch_count: int, *, seed: int = 2015) -> LazyCtrlC
 
     Small topologies would otherwise collapse into one or two groups and
     never exercise inter-group traffic, which exists at the paper's full
-    scale; presets and :func:`repro.quickstart` share this heuristic.
+    scale; the presets share this heuristic.
     """
     return LazyCtrlConfig(
         grouping=GroupingConfig(group_size_limit=max(4, switch_count // 6), random_seed=seed)
@@ -139,10 +139,9 @@ def _paper_fig7_100m() -> Tuple[ScenarioSpec, ...]:
     window per bucket is the finest split the 2 h result buckets allow,
     and it matters: the diurnal peak makes business-hour windows several
     times heavier than the overnight ones, so coarser windows leave the
-    critical path — and with it ``parallel_flows_per_second`` — dominated
-    by one hot shard.  The merged counters are deterministic across
-    worker counts, so the committed baseline gates correctness as well as
-    throughput.
+    critical path dominated by one hot shard.  The merged counters are
+    deterministic across worker counts but depend on the window count, so
+    the committed baseline records this plan and gates its counters.
     """
     spec = _paper_fig7()[0]
     return (

@@ -8,8 +8,7 @@ process pool, which is how sweeps (scale, config, traffic mix) use every
 core.
 
 The lower-level :meth:`ScenarioRunner.replay_system` drives one registered
-control plane over an already-built trace; the legacy
-:class:`~repro.core.experiment.DayLongExperiment` is a thin wrapper over it.
+control plane over an already-built trace.
 """
 
 from __future__ import annotations

@@ -10,15 +10,11 @@ compares a freshly produced payload against the committed one:
   regenerated deliberately; the per-bucket ``timeline`` count series get the
   same bit-for-bit treatment (each sums to one of the scalar counters);
 * **deterministic floats** (mean/peak Krps, mean latency) must match to
-  within a relative epsilon that only absorbs JSON round-off;
-* **wall-clock metrics** (``runtime_seconds``, ``flows_per_second``) get a
-  generous tolerance band (±30 % by default).  Only *regressions* beyond the
-  band fail the check; running faster than the band produces a note
-  suggesting the baselines be refreshed, because punishing an improvement
-  would gate exactly the PRs this scheme exists to encourage;
-* **peak RSS** (``peak_rss_bytes``) is tracked but never gated — it is a
-  process-lifetime high-water mark that shifts with the allocator and the
-  Python build; a clear blow-up beyond the band only produces a note.
+  within a relative epsilon that only absorbs JSON round-off.
+
+Nothing here is timed: wall-clock, throughput and memory are the stage
+ledger's job (``benchmarks/ledger/``), which measures them in paired runs
+with committed bounds instead of against a number from another host.
 """
 
 from __future__ import annotations
@@ -28,8 +24,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
-
-from repro.common.errors import ConfigurationError
 
 #: Per-system keys that must match bit for bit.
 EXACT_SYSTEM_KEYS = (
@@ -80,7 +74,6 @@ class BaselineCheck:
 
     scenario: str
     failures: List[str] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -149,20 +142,8 @@ def _compare_timeline(
             check.failures.append(f"{name}.timeline.{series}: {drift}")
 
 
-def _require_band(tolerance: float) -> None:
-    """A negative band is meaningless, and ``<= -1`` divides by zero or flips it."""
-    if not tolerance >= 0:
-        raise ConfigurationError(f"bench tolerance must be >= 0, got {tolerance}")
-
-
-def compare_payloads(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    *,
-    tolerance: float = 0.30,
-) -> BaselineCheck:
+def compare_payloads(current: Dict[str, Any], baseline: Dict[str, Any]) -> BaselineCheck:
     """Compare one freshly produced benchmark payload against its baseline."""
-    _require_band(tolerance)
     check = BaselineCheck(scenario=str(current.get("scenario", "<unnamed>")))
 
     for key in EXACT_TOP_KEYS:
@@ -195,63 +176,11 @@ def compare_payloads(
                     "(deterministic float drifted)"
                 )
         _compare_timeline(check, name, cur.get("timeline"), base.get("timeline"))
-
-    for key in ("runtime_seconds", "flows_per_second"):
-        if key not in baseline or key not in current:
-            continue
-        base_value = float(baseline[key])
-        cur_value = float(current[key])
-        if base_value <= 0:
-            continue
-        # Multiplicative band: a factor of (1 + tolerance) in either
-        # direction, so the check stays meaningful for tolerance >= 1
-        # (a subtractive lower bound would hit zero and never fire).
-        # Lower runtime / higher throughput is an improvement, never a failure.
-        regressed = (
-            cur_value > base_value * (1.0 + tolerance)
-            if key == "runtime_seconds"
-            else cur_value < base_value / (1.0 + tolerance)
-        )
-        improved = (
-            cur_value < base_value / (1.0 + tolerance)
-            if key == "runtime_seconds"
-            else cur_value > base_value * (1.0 + tolerance)
-        )
-        if regressed:
-            check.failures.append(
-                f"{key}: {cur_value:.3f} vs baseline {base_value:.3f} "
-                f"(beyond ±{tolerance:.0%} tolerance)"
-            )
-        elif improved:
-            check.notes.append(
-                f"{key}: {cur_value:.3f} beats baseline {base_value:.3f} by more than "
-                f"{tolerance:.0%} — consider regenerating benchmarks/baselines"
-            )
-
-    # Peak RSS is tracked, never gated: it is a process-lifetime high-water
-    # mark whose absolute value shifts with the allocator, the Python build
-    # and whatever ran earlier in the process.  A clear blow-up still gets a
-    # note so a broken memory bound is visible — but only for streaming
-    # scenarios, the ones that actually promise a memory bound; on a
-    # materialized replay the RSS is dominated by the resident trace and the
-    # note would be pure noise.
-    if current.get("streaming", False):
-        base_rss = float(baseline.get("peak_rss_bytes", 0) or 0)
-        cur_rss = float(current.get("peak_rss_bytes", 0) or 0)
-        if base_rss > 0 and cur_rss > base_rss * (1.0 + tolerance):
-            check.notes.append(
-                f"peak_rss_bytes: {cur_rss:,.0f} vs baseline {base_rss:,.0f} "
-                f"(beyond +{tolerance:.0%}; non-gating — the chunked replay's "
-                "memory bound may be broken)"
-            )
     return check
 
 
 def check_against_baselines(
-    payloads: List[Dict[str, Any]],
-    baseline_dir: str | Path,
-    *,
-    tolerance: float = 0.30,
+    payloads: List[Dict[str, Any]], baseline_dir: str | Path
 ) -> Tuple[List[BaselineCheck], List[str], List[str]]:
     """Check freshly produced payloads against committed baseline files.
 
@@ -263,7 +192,6 @@ def check_against_baselines(
     (``--presets`` subsets) legitimately skip scenarios — but in a full run
     a stale file means the perf gate silently lost coverage.
     """
-    _require_band(tolerance)
     directory = Path(baseline_dir)
     checks: List[BaselineCheck] = []
     problems: List[str] = []
@@ -279,7 +207,7 @@ def check_against_baselines(
             )
             continue
         baseline = json.loads(path.read_text(encoding="utf-8"))
-        checks.append(compare_payloads(payload, baseline, tolerance=tolerance))
+        checks.append(compare_payloads(payload, baseline))
     stale = sorted(
         str(path)
         for path in directory.glob("BENCH_*.json")

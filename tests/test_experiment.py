@@ -1,50 +1,13 @@
-"""Tests for the day-long experiment harness and the cold-cache experiment."""
+"""Tests for the workload-comparison helpers and the cold-cache experiment."""
 
 import pytest
 
 from repro.common.config import GroupingConfig, LazyCtrlConfig
-from repro.core.experiment import DayLongExperiment
 from repro.core.latency_eval import ColdCacheExperiment, ColdCacheExperimentConfig
 from repro.core.results import WorkloadComparison, WorkloadSeriesResult
 
 
-@pytest.fixture(scope="module")
-def experiment_result(small_trace, small_config):
-    experiment = DayLongExperiment(small_trace, config=small_config, bucket_hours=4.0)
-    return experiment.run_all()
-
-
-class TestDayLongExperiment:
-    def test_all_runs_present(self, experiment_result):
-        assert set(experiment_result.runs) == {"OpenFlow", "LazyCtrl (static)", "LazyCtrl (dynamic)"}
-
-    def test_lazyctrl_reduces_controller_workload(self, experiment_result):
-        static = experiment_result.reduction("OpenFlow", "LazyCtrl (static)")
-        dynamic = experiment_result.reduction("OpenFlow", "LazyCtrl (dynamic)")
-        assert static > 0.2
-        assert dynamic > 0.4
-        assert dynamic >= static - 0.05
-
-    def test_lazyctrl_latency_not_worse(self, experiment_result):
-        baseline = experiment_result.runs["OpenFlow"].latency.overall_mean_ms
-        lazy = experiment_result.runs["LazyCtrl (dynamic)"].latency.overall_mean_ms
-        assert lazy <= baseline
-
-    def test_workload_series_has_expected_buckets(self, experiment_result):
-        run = experiment_result.runs["OpenFlow"]
-        assert len(run.workload.krps) == 6  # 24 h / 4 h buckets
-        assert run.workload.peak_krps() >= run.workload.mean_krps()
-
-    def test_static_mode_never_updates_grouping(self, experiment_result):
-        assert sum(experiment_result.runs["LazyCtrl (static)"].updates_per_hour) == 0
-
-    def test_dynamic_mode_updates_grouping(self, experiment_result):
-        assert sum(experiment_result.runs["LazyCtrl (dynamic)"].updates_per_hour) >= 1
-
-    def test_counters_consistent_with_workload(self, experiment_result):
-        run = experiment_result.runs["LazyCtrl (dynamic)"]
-        assert run.counters.controller_requests <= run.total_controller_requests
-
+class TestWorkloadComparison:
     def test_workload_comparison_helpers(self):
         baseline = WorkloadSeriesResult(label="base", bucket_hours=2.0, krps=[2.0, 2.0])
         lazy = WorkloadSeriesResult(label="lazy", bucket_hours=2.0, krps=[1.0, 0.5])
@@ -56,14 +19,6 @@ class TestDayLongExperiment:
         empty = WorkloadSeriesResult(label="base", bucket_hours=2.0, krps=[0.0])
         lazy = WorkloadSeriesResult(label="lazy", bucket_hours=2.0, krps=[0.0])
         assert WorkloadComparison(baseline=empty, lazyctrl=lazy).reduction_fraction() == 0.0
-
-    def test_fractional_duration_reports_all_update_hours(self, small_trace, small_config):
-        """Regression: duration_hours=1.5 used to truncate to 1 hour of updates."""
-        experiment = DayLongExperiment(
-            small_trace, config=small_config, duration_hours=1.5, bucket_hours=1.5
-        )
-        run = experiment.run_lazyctrl(dynamic=True)
-        assert len(run.updates_per_hour) == 2
 
 
 class TestColdCacheExperiment:

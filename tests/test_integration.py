@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro import quickstart
 from repro.common.config import GroupingConfig, LazyCtrlConfig
 from repro.controlplane.state_dissemination import StateDisseminator
+from repro.core.presets import default_grouping_config
 from repro.core.results import FlowPathKind
+from repro.core.runner import ScenarioRunner
+from repro.core.scenario import ScenarioSpec, TraceSpec
 from repro.core.system import LazyCtrlSystem, OpenFlowSystem
 from repro.failover.detection import FailureDetector
 from repro.failover.recovery import FailoverManager
@@ -18,10 +20,20 @@ from repro.traffic.replay import TraceReplayer
 
 class TestQuickstart:
     def test_quickstart_headline_result(self):
-        result = quickstart(switch_count=24, host_count=300, total_flows=5000, seed=3)
+        spec = ScenarioSpec(
+            name="quickstart",
+            topology=TopologyProfile(switch_count=24, host_count=300, seed=3),
+            traffic=TraceSpec.realistic(total_flows=5000, seed=3),
+            systems=("openflow", "lazyctrl-static", "lazyctrl-dynamic"),
+            config=default_grouping_config(24, seed=3),
+        )
+        result = ScenarioRunner().run(spec)
         dynamic = result.reduction("OpenFlow", "LazyCtrl (dynamic)")
         assert 0.4 <= dynamic <= 1.0
-        assert result.runs["LazyCtrl (dynamic)"].latency.overall_mean_ms <= result.runs["OpenFlow"].latency.overall_mean_ms
+        assert (
+            result.result_for("LazyCtrl (dynamic)").latency.overall_mean_ms
+            <= result.result_for("OpenFlow").latency.overall_mean_ms
+        )
 
 
 class TestReplayIntegration:

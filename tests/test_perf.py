@@ -234,14 +234,12 @@ class TestInstrumentedRuns:
         assert perf.counters["replay.flows_replayed"] > 0
 
 
-def payload(scenario="s", runtime=10.0, fps=1000.0, requests=50):
+def payload(scenario="s", requests=50):
     return {
         "scenario": scenario,
         "flows": 400,
         "switches": 8,
         "hosts": 60,
-        "runtime_seconds": runtime,
-        "flows_per_second": fps,
         "systems": {
             "openflow": {
                 "flows_handled": 400,
@@ -261,7 +259,7 @@ class TestBaselineComparison:
     def test_identical_payloads_pass(self):
         check = compare_payloads(payload(), payload())
         assert check.ok
-        assert check.notes == []
+        assert check.failures == []
 
     def test_deterministic_counter_drift_fails(self):
         check = compare_payloads(payload(requests=51), payload(requests=50))
@@ -274,75 +272,12 @@ class TestBaselineComparison:
         check = compare_payloads(current, payload())
         assert not check.ok
 
-    def test_runtime_within_band_passes(self):
-        check = compare_payloads(payload(runtime=12.0), payload(runtime=10.0))
-        assert check.ok
-
-    def test_runtime_regression_beyond_band_fails(self):
-        check = compare_payloads(payload(runtime=14.0), payload(runtime=10.0))
-        assert not check.ok
-        assert any("runtime_seconds" in failure for failure in check.failures)
-
-    def test_runtime_improvement_never_fails(self):
-        check = compare_payloads(payload(runtime=1.0, fps=10000.0), payload(runtime=10.0))
-        assert check.ok
-        assert any("regenerating" in note for note in check.notes)
-
-    def test_throughput_regression_fails(self):
-        check = compare_payloads(payload(fps=500.0), payload(fps=1000.0))
-        assert not check.ok
-
-    def test_throughput_band_stays_meaningful_at_high_tolerance(self):
-        """A multiplicative band: tolerance >= 1.0 must not disable the check."""
-        check = compare_payloads(payload(fps=400.0), payload(fps=1000.0), tolerance=1.0)
-        assert not check.ok
-        assert compare_payloads(payload(fps=600.0), payload(fps=1000.0), tolerance=1.0).ok
-
-    def test_custom_tolerance(self):
-        assert compare_payloads(payload(runtime=14.0), payload(runtime=10.0), tolerance=0.5).ok
-
-    @pytest.mark.parametrize("tolerance", (-0.1, -1.0, -2.0, float("nan")))
-    def test_negative_tolerance_is_a_configuration_error(self, tolerance, tmp_path):
-        """``-1`` used to die with ZeroDivisionError; below it the band flips."""
-        from repro.common.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="tolerance"):
-            compare_payloads(payload(), payload(), tolerance=tolerance)
-        with pytest.raises(ConfigurationError, match="tolerance"):
-            check_against_baselines([payload("nope")], tmp_path, tolerance=tolerance)
-
-    def test_peak_rss_blowup_notes_but_never_fails(self):
+    def test_timing_keys_are_not_compared(self):
+        """Baselines are exact-only; an old file's wall-clock keys gate nothing."""
         current, baseline = payload(), payload()
-        baseline["peak_rss_bytes"] = 50_000_000
-        current["peak_rss_bytes"] = 500_000_000
-        current["streaming"] = True
-        check = compare_payloads(current, baseline)
-        assert check.ok
-        assert any("peak_rss_bytes" in note for note in check.notes)
-
-    def test_peak_rss_blowup_silent_when_not_streaming(self):
-        # A materialized replay holds the whole trace resident, so its RSS
-        # says nothing about the chunked path's memory bound: no note.
-        current, baseline = payload(), payload()
-        baseline["peak_rss_bytes"] = 50_000_000
-        current["peak_rss_bytes"] = 500_000_000
-        check = compare_payloads(current, baseline)
-        assert check.ok
-        assert check.notes == []
-
-    def test_peak_rss_within_band_is_silent(self):
-        current, baseline = payload(), payload()
-        baseline["peak_rss_bytes"] = 50_000_000
-        current["peak_rss_bytes"] = 55_000_000
-        check = compare_payloads(current, baseline)
-        assert check.ok
-        assert check.notes == []
-
-    def test_peak_rss_absent_from_baseline_is_ignored(self):
-        current = payload()
-        current["peak_rss_bytes"] = 500_000_000
-        check = compare_payloads(current, payload())
-        assert check.ok and check.notes == []
+        baseline.update(runtime_seconds=1.0, flows_per_second=1e6, peak_rss_bytes=1)
+        current.update(runtime_seconds=100.0, flows_per_second=1.0, peak_rss_bytes=10**9)
+        assert compare_payloads(current, baseline).ok
 
     def test_missing_system_fails(self):
         current = payload()
@@ -358,7 +293,7 @@ class TestBaselineComparison:
 
     def test_check_against_committed_file(self, tmp_path):
         (tmp_path / "BENCH_s.json").write_text(json.dumps(payload()))
-        checks, problems, stale = check_against_baselines([payload(runtime=11.0)], tmp_path)
+        checks, problems, stale = check_against_baselines([payload()], tmp_path)
         assert problems == [] and stale == []
         assert len(checks) == 1 and checks[0].ok
 
@@ -390,7 +325,7 @@ class TestOnePassDriftReporting:
         return data
 
     def test_all_drifted_metrics_surface_together(self):
-        current = payload(requests=51, fps=400.0)
+        current = payload(requests=51)
         current["systems"]["openflow"]["flows_handled"] = 399
         current["systems"]["openflow"]["mean_latency_ms"] = 9.99
         check = compare_payloads(current, payload())
@@ -399,8 +334,7 @@ class TestOnePassDriftReporting:
         assert "total_controller_requests" in joined
         assert "flows_handled" in joined
         assert "mean_latency_ms" in joined
-        assert "flows_per_second" in joined
-        assert len(check.failures) >= 4
+        assert len(check.failures) >= 3
 
     def test_timeline_drift_pinpoints_bucket_indices(self):
         drifted = [100] * 8
