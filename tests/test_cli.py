@@ -1,9 +1,9 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
-
-
 from pathlib import Path
+
+import pytest
 
 from repro.cli import BENCH_PRESETS, SMOKE_BENCH_PRESETS, main
 from repro.core.presets import get_preset
@@ -11,6 +11,33 @@ from repro.core.runner import ScenarioResult
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec
 from repro.replay.sharding import plan_shards
 from repro.topology.builder import TopologyProfile
+
+#: The committed ``BENCH_<scenario>.json`` files ``repro bench --check`` gates on.
+COMMITTED_BASELINES = sorted(
+    (Path(__file__).parent.parent / "benchmarks" / "baselines").glob("BENCH_*.json")
+)
+
+
+def timed_keys(payload):
+    """Every key of a bench payload, at any depth, that names a wall-clock,
+    throughput or memory measurement (``bucket_seconds`` is the timeline's
+    simulated bucket width, not a timing)."""
+
+    def keys(value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                yield key
+                yield from keys(item)
+        elif isinstance(value, list):
+            for item in value:
+                yield from keys(item)
+
+    return [
+        key for key in keys(payload)
+        if (key.endswith(("_seconds", "_per_second")) and key != "bucket_seconds")
+        or key == "peak_rss_bytes"
+    ]
+
 
 RUN_SMALL = [
     "--flows", "400",
@@ -251,37 +278,29 @@ class TestBench:
         assert main(["bench", "--presets", "nope", "--out-dir", str(tmp_path)]) == 2
         assert "unknown preset" in capsys.readouterr().err
 
-    def test_bench_payload_carries_no_timing(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "mode, extra",
+        (
+            ("serial", []),
+            ("pooled", ["--exec", "workers=2,shard-strategy=time-window,shard-count=2"]),
+            ("streamed", ["--stream"]),
+            ("vectorized", ["--exec", "kernel=vectorized"]),
+        ),
+    )
+    def test_bench_payload_carries_no_timing(self, mode, extra, tmp_path, capsys):
         """A payload is replay arithmetic only; timing is the ledger's job."""
-
-        def keys(value):
-            if isinstance(value, dict):
-                for key, item in value.items():
-                    yield key
-                    yield from keys(item)
-            elif isinstance(value, list):
-                for item in value:
-                    yield from keys(item)
-
-        args = ["bench", "--presets", "paper-fig7", *RUN_SMALL]
-        assert main([*args, "--out-dir", str(tmp_path / "serial")]) == 0
-        assert main([*args, "--exec", "workers=2,shard-strategy=time-window,shard-count=2",
-                     "--out-dir", str(tmp_path / "pooled")]) == 0
-        serial = json.loads((tmp_path / "serial" / "BENCH_paper-fig7.json").read_text())
-        pooled = json.loads((tmp_path / "pooled" / "BENCH_paper-fig7.json").read_text())
-        assert "execution" not in serial
-        assert {"strategy", "pooled", "windows_per_system"} <= set(pooled["execution"])
-        for payload in (serial, pooled):
-            # ``bucket_seconds`` is the timeline's simulated bucket width.
-            timed = [
-                key for key in keys(payload)
-                if (key.endswith(("_seconds", "_per_second")) and key != "bucket_seconds")
-                or key == "peak_rss_bytes"
-            ]
-            assert timed == []
+        assert main(["bench", "--presets", "paper-fig7", *RUN_SMALL, *extra,
+                     "--out-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "BENCH_paper-fig7.json").read_text())
+        if mode == "pooled":
+            assert set(payload["execution"]) >= {"strategy", "pooled", "windows_per_system"}
+        else:
+            assert "execution" not in payload
+        assert "streaming" not in payload
+        assert timed_keys(payload) == []
         # Every system replays the identical flow sequence (only the flows
         # inside the --duration-hours window are presented).
-        handled = {record["flows_handled"] for record in serial["systems"].values()}
+        handled = {record["flows_handled"] for record in payload["systems"].values()}
         assert len(handled) == 1 and handled.pop() > 0
 
     def test_bench_streamed_counters_match_materialized(self, tmp_path, capsys):
@@ -490,8 +509,7 @@ class TestBenchBaselineCoverage:
             for preset_name in (*BENCH_PRESETS, *SMOKE_BENCH_PRESETS)
             for spec in get_preset(preset_name).specs()
         }
-        baseline_dir = Path(__file__).parent.parent / "benchmarks" / "baselines"
-        committed = {path.stem.removeprefix("BENCH_") for path in baseline_dir.glob("BENCH_*.json")}
+        committed = {path.stem.removeprefix("BENCH_") for path in COMMITTED_BASELINES}
         assert committed, "no committed baselines found — the perf gate is empty"
         assert committed <= produced, (
             f"committed baselines {sorted(committed - produced)} are not produced by "
@@ -499,23 +517,33 @@ class TestBenchBaselineCoverage:
             "or restore its scenario"
         )
 
-    def test_committed_sharded_baselines_record_the_preset_plan(self):
+    @pytest.mark.parametrize("path", COMMITTED_BASELINES, ids=lambda path: path.stem)
+    def test_committed_baseline_records_its_preset_plan(self, path):
         """A baseline's execution block must be the plan its preset makes today.
 
         Time-window counters depend on the window count, so a baseline
         recorded under another plan gates numbers no ``--check`` run
-        reproduces.  Checked statically: no replay needed.
+        reproduces.  A baseline without the block must come from a preset
+        that still replays each system whole, in one process.  Checked
+        statically: no replay needed.
         """
-        baseline_dir = Path(__file__).parent.parent / "benchmarks" / "baselines"
-        checked = 0
-        for path in sorted(baseline_dir.glob("BENCH_*.json")):
-            payload = json.loads(path.read_text())
-            if "execution" not in payload:
-                continue
-            plan = plan_shards(get_preset(payload["preset"]).specs()[0])
+        payload = json.loads(path.read_text())
+        plan = plan_shards(get_preset(payload["preset"]).specs()[0])
+        if "execution" in payload:
             recorded = payload["execution"]
             assert (recorded["strategy"], recorded["windows_per_system"]) == (
                 plan.strategy, plan.windows_per_system
             ), f"{path.name} records a plan its preset {payload['preset']!r} no longer makes"
-            checked += 1
-        assert checked, "no committed baseline carries an execution block"
+        else:
+            assert plan.is_serial_per_system and (plan.workers <= 1 or len(plan.shards) <= 1), (
+                f"{path.name} records a serial run but its preset {payload['preset']!r} "
+                f"now shards ({plan.strategy}, {len(plan.shards)} shards, "
+                f"{plan.workers} workers)"
+            )
+
+    @pytest.mark.parametrize("path", COMMITTED_BASELINES, ids=lambda path: path.stem)
+    def test_committed_baseline_carries_no_timing(self, path):
+        """Committed baselines hold exact counters only, like fresh payloads."""
+        payload = json.loads(path.read_text())
+        assert "streaming" not in payload
+        assert timed_keys(payload) == [], f"{path.name} still carries timing keys"

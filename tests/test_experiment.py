@@ -1,10 +1,76 @@
-"""Tests for the workload-comparison helpers and the cold-cache experiment."""
+"""Tests for the day-long Fig. 7/8/9 replay, its workload-comparison helpers
+and the cold-cache experiment."""
 
 import pytest
 
 from repro.common.config import GroupingConfig, LazyCtrlConfig
 from repro.core.latency_eval import ColdCacheExperiment, ColdCacheExperimentConfig
 from repro.core.results import WorkloadComparison, WorkloadSeriesResult
+from repro.core.runner import ScenarioRunner
+from repro.core.scenario import ScheduleSpec
+
+#: The Fig. 7/8/9 systems, replayed on a pre-built trace the way the figure
+#: benchmarks do (``benchmarks/conftest.py``).
+DAY_LONG_SYSTEMS = ("openflow", "lazyctrl-static", "lazyctrl-dynamic")
+
+
+@pytest.fixture(scope="module")
+def day_long_runs(small_trace, small_config):
+    runner = ScenarioRunner()
+    schedule = ScheduleSpec(bucket_hours=4.0)
+    runs = (
+        runner.replay_system(system, small_trace, schedule=schedule, config=small_config)
+        for system in DAY_LONG_SYSTEMS
+    )
+    return {run.label: run for run in runs}
+
+
+def reduction(runs, lazy_label):
+    return WorkloadComparison(
+        baseline=runs["OpenFlow"].workload, lazyctrl=runs[lazy_label].workload
+    ).reduction_fraction()
+
+
+class TestDayLongReplay:
+    def test_all_runs_present(self, day_long_runs):
+        assert set(day_long_runs) == {"OpenFlow", "LazyCtrl (static)", "LazyCtrl (dynamic)"}
+
+    def test_lazyctrl_reduces_controller_workload(self, day_long_runs):
+        static = reduction(day_long_runs, "LazyCtrl (static)")
+        dynamic = reduction(day_long_runs, "LazyCtrl (dynamic)")
+        assert static > 0.2
+        assert dynamic > 0.4
+        assert dynamic >= static - 0.05
+
+    def test_lazyctrl_latency_not_worse(self, day_long_runs):
+        baseline = day_long_runs["OpenFlow"].latency.overall_mean_ms
+        lazy = day_long_runs["LazyCtrl (dynamic)"].latency.overall_mean_ms
+        assert lazy <= baseline
+
+    def test_workload_series_has_expected_buckets(self, day_long_runs):
+        run = day_long_runs["OpenFlow"]
+        assert len(run.workload.krps) == 6  # 24 h / 4 h buckets
+        assert run.workload.peak_krps() >= run.workload.mean_krps()
+
+    def test_static_mode_never_updates_grouping(self, day_long_runs):
+        assert sum(day_long_runs["LazyCtrl (static)"].updates_per_hour) == 0
+
+    def test_dynamic_mode_updates_grouping(self, day_long_runs):
+        assert sum(day_long_runs["LazyCtrl (dynamic)"].updates_per_hour) >= 1
+
+    def test_counters_consistent_with_workload(self, day_long_runs):
+        run = day_long_runs["LazyCtrl (dynamic)"]
+        assert run.counters.controller_requests <= run.total_controller_requests
+
+    def test_fractional_duration_reports_all_update_hours(self, small_trace, small_config):
+        """Regression: duration_hours=1.5 used to truncate to 1 hour of updates."""
+        run = ScenarioRunner().replay_system(
+            "lazyctrl-dynamic",
+            small_trace,
+            schedule=ScheduleSpec(duration_hours=1.5, bucket_hours=1.5),
+            config=small_config,
+        )
+        assert len(run.updates_per_hour) == 2
 
 
 class TestWorkloadComparison:

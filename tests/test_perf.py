@@ -272,12 +272,28 @@ class TestBaselineComparison:
         check = compare_payloads(current, payload())
         assert not check.ok
 
-    def test_timing_keys_are_not_compared(self):
-        """Baselines are exact-only; an old file's wall-clock keys gate nothing."""
+    @pytest.mark.parametrize("side", ("baseline", "both"))
+    @pytest.mark.parametrize(
+        "key, old, new",
+        (
+            ("runtime_seconds", 1.0, 100.0),
+            ("flows_per_second", 1e6, 1.0),
+            ("peak_rss_bytes", 1, 10**9),
+            ("streaming", False, True),
+        ),
+    )
+    def test_timing_keys_are_not_compared(self, key, old, new, side):
+        """Baselines are exact-only; an old file's wall-clock keys gate nothing.
+
+        ``baseline``: a file committed before payloads dropped the key, checked
+        against a fresh payload without it; ``both``: the two disagree wildly.
+        """
         current, baseline = payload(), payload()
-        baseline.update(runtime_seconds=1.0, flows_per_second=1e6, peak_rss_bytes=1)
-        current.update(runtime_seconds=100.0, flows_per_second=1.0, peak_rss_bytes=10**9)
-        assert compare_payloads(current, baseline).ok
+        baseline[key] = old
+        if side == "both":
+            current[key] = new
+        check = compare_payloads(current, baseline)
+        assert check.ok and check.failures == []
 
     def test_missing_system_fails(self):
         current = payload()
