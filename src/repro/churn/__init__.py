@@ -1,11 +1,13 @@
 """Workload-dynamics (churn) subsystem.
 
-Schedules VM migrations, traffic-locality drift and tenant lifecycle events
-onto the simulation engine during a replay, so LazyCtrl's dynamic regrouping
-is exercised by *topology* dynamics rather than only by traffic noise.
+Pre-draws VM migrations, traffic-locality drift and tenant lifecycle events
+as one time-sorted list that the trace replayer cuts its batches on, so
+LazyCtrl's dynamic regrouping is exercised by *topology* dynamics rather
+than only by traffic noise.
 """
 
 from repro.churn.processes import (
+    ChurnKind,
     ChurnProcess,
     ChurnTarget,
     DriftProcess,
@@ -19,6 +21,7 @@ from repro.churn.scheduler import ChurnScheduler, ChurnStats
 from repro.churn.spec import ChurnSpec
 
 __all__ = [
+    "ChurnKind",
     "ChurnProcess",
     "ChurnRunResult",
     "ChurnScheduler",

@@ -4,9 +4,9 @@ Each process owns an independent RNG stream derived from the churn seed and
 its own name, draws its event *times* up front (a Poisson arrival process
 over the churn window) and picks event *targets* when the event fires, from
 the network state of that moment.  Because a process only ever consumes its
-own stream, and fires in deterministic event-queue order, two replays of the
-same spec — or the same spec against two different control planes — apply
-exactly the same churn.
+own stream, and fires in the deterministic order of the scheduler's sorted
+event list, two replays of the same spec — or the same spec against two
+different control planes — apply exactly the same churn.
 
 Processes do not touch control-plane state directly: they call the
 :class:`ChurnTarget` hooks a system under test exposes
@@ -19,13 +19,22 @@ L-FIB/G-FIB/C-LIB state and the intensity matrices all see it.
 
 from __future__ import annotations
 
+import enum
 import random
 from typing import List, Protocol, Sequence, Tuple
 
 from repro.churn.spec import ChurnSpec
 from repro.common.rng import make_rng
-from repro.simulation.events import EventKind
 from repro.topology.network import DataCenterNetwork
+
+
+class ChurnKind(enum.Enum):
+    """The churn event kinds; the values are ``ChurnAppliedEvent.kind`` in traces."""
+
+    HOST_MIGRATION = "host_migration"
+    TRAFFIC_DRIFT = "traffic_drift"
+    TENANT_ARRIVAL = "tenant_arrival"
+    TENANT_DEPARTURE = "tenant_departure"
 
 
 class ChurnTarget(Protocol):
@@ -68,11 +77,11 @@ class ChurnProcess:
         self.spec = spec
         self.rng = make_rng(spec.seed, "churn", self.name)
 
-    def schedule(self, start: float, end: float) -> List[Tuple[float, EventKind]]:
+    def schedule(self, start: float, end: float) -> List[Tuple[float, ChurnKind]]:
         """Pre-draw the ``(time, kind)`` stream this process will fire."""
         raise NotImplementedError
 
-    def fire(self, kind: EventKind, target: ChurnTarget, now: float) -> int:
+    def fire(self, kind: ChurnKind, target: ChurnTarget, now: float) -> int:
         """Apply one event; returns the number of VM-level changes (0 = skipped)."""
         raise NotImplementedError
 
@@ -82,11 +91,11 @@ class MigrationProcess(ChurnProcess):
 
     name = "migration"
 
-    def schedule(self, start: float, end: float) -> List[Tuple[float, EventKind]]:
+    def schedule(self, start: float, end: float) -> List[Tuple[float, ChurnKind]]:
         times = poisson_event_times(self.rng, self.spec.migration_rate_per_hour, start, end)
-        return [(t, EventKind.HOST_MIGRATION) for t in times]
+        return [(t, ChurnKind.HOST_MIGRATION) for t in times]
 
-    def fire(self, kind: EventKind, target: ChurnTarget, now: float) -> int:
+    def fire(self, kind: ChurnKind, target: ChurnTarget, now: float) -> int:
         network = target.network
         hosts = network.hosts()
         if not hosts or network.switch_count() < 2:
@@ -108,11 +117,11 @@ class DriftProcess(ChurnProcess):
 
     name = "drift"
 
-    def schedule(self, start: float, end: float) -> List[Tuple[float, EventKind]]:
+    def schedule(self, start: float, end: float) -> List[Tuple[float, ChurnKind]]:
         times = poisson_event_times(self.rng, self.spec.drift_rate_per_hour, start, end)
-        return [(t, EventKind.TRAFFIC_DRIFT) for t in times]
+        return [(t, ChurnKind.TRAFFIC_DRIFT) for t in times]
 
-    def fire(self, kind: EventKind, target: ChurnTarget, now: float) -> int:
+    def fire(self, kind: ChurnKind, target: ChurnTarget, now: float) -> int:
         network = target.network
         tenants = network.tenants.tenants()
         if not tenants or network.switch_count() < 2:
@@ -141,16 +150,16 @@ class TenantLifecycleProcess(ChurnProcess):
         super().__init__(spec)
         self._arrival_counter = 0
 
-    def schedule(self, start: float, end: float) -> List[Tuple[float, EventKind]]:
+    def schedule(self, start: float, end: float) -> List[Tuple[float, ChurnKind]]:
         arrivals = poisson_event_times(self.rng, self.spec.tenant_arrival_rate_per_hour, start, end)
         departures = poisson_event_times(self.rng, self.spec.tenant_departure_rate_per_hour, start, end)
-        events = [(t, EventKind.TENANT_ARRIVAL) for t in arrivals]
-        events.extend((t, EventKind.TENANT_DEPARTURE) for t in departures)
+        events = [(t, ChurnKind.TENANT_ARRIVAL) for t in arrivals]
+        events.extend((t, ChurnKind.TENANT_DEPARTURE) for t in departures)
         events.sort(key=lambda item: item[0])
         return events
 
-    def fire(self, kind: EventKind, target: ChurnTarget, now: float) -> int:
-        if kind == EventKind.TENANT_ARRIVAL:
+    def fire(self, kind: ChurnKind, target: ChurnTarget, now: float) -> int:
+        if kind == ChurnKind.TENANT_ARRIVAL:
             return self._arrive(target, now)
         return self._depart(target, now)
 

@@ -1,26 +1,26 @@
-"""Schedules churn events onto the simulation engine and accounts for them.
+"""Turns a churn spec into the replay's sorted event list and accounts for it.
 
 :class:`ChurnScheduler` is the glue between a :class:`~repro.churn.spec.ChurnSpec`
 and one replay: it builds the enabled processes, pre-draws their event
-streams, loads every event onto a :class:`~repro.simulation.engine.SimulationEngine`
-queue, and fires them through the system under test's churn hooks as the
-:class:`~repro.traffic.replay.TraceReplayer` advances the engine clock.
-Applied events are counted per result bucket so :class:`ScenarioResult`
-surfaces how much dynamics each bucket experienced (the churn analogue of the
-Fig. 8 update-frequency series).
+streams and hands the :class:`~repro.traffic.replay.TraceReplayer` one
+time-sorted list of ``(time, action)`` pairs.  The replayer cuts its batches
+at those times and fires each action through the system under test's churn
+hooks.  Applied events are counted per result bucket so
+:class:`ScenarioResult` surfaces how much dynamics each bucket experienced
+(the churn analogue of the Fig. 8 update-frequency series).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, List, Tuple
 
-from repro.churn.processes import ChurnProcess, ChurnTarget, build_processes
+from repro.churn.processes import ChurnKind, ChurnProcess, ChurnTarget, build_processes
 from repro.churn.results import ChurnRunResult
 from repro.churn.spec import ChurnSpec
 from repro.obs.events import ChurnAppliedEvent
 from repro.obs.tracer import NULL_TRACER
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.events import Event, EventKind
 from repro.simulation.metrics import CounterSeries
 
 
@@ -43,14 +43,13 @@ class ChurnStats:
 
 
 class ChurnScheduler:
-    """Loads a spec's churn events onto an engine and fires them into a target."""
+    """Pre-draws a spec's churn events as one sorted list firing into a target."""
 
     def __init__(
         self,
         spec: ChurnSpec,
         target: ChurnTarget,
         *,
-        engine: SimulationEngine,
         replay_end: float,
         bucket_seconds: float,
         tracer=NULL_TRACER,
@@ -60,35 +59,39 @@ class ChurnScheduler:
         self.tracer = tracer
         self.stats = ChurnStats()
         self.events_series = CounterSeries(bucket_seconds)
-        self.scheduled_events = 0
         start, end = spec.window_seconds(replay_end)
-        for process in build_processes(spec):
-            for time, kind in process.schedule(start, end):
-                engine.schedule_at(time, kind, callback=self._make_callback(process, kind))
-                self.scheduled_events += 1
+        events = [
+            (time, self._action(process, kind))
+            for process in build_processes(spec)
+            for time, kind in process.schedule(start, end)
+        ]
+        # Stable: simultaneous events keep build_processes order, then each
+        # process's own stream order.
+        events.sort(key=itemgetter(0))
+        #: The replay's churn, time-sorted, for ``TraceReplayer(events=...)``.
+        self.events: List[Tuple[float, Callable[[float], None]]] = events
 
-    def _make_callback(self, process: ChurnProcess, kind: EventKind):
-        def fire(event: Event) -> None:
-            applied = process.fire(kind, self.target, event.time)
-            self._account(kind, applied, event.time)
+    def _action(self, process: ChurnProcess, kind: ChurnKind):
+        def fire(now: float) -> None:
+            self._account(kind, process.fire(kind, self.target, now), now)
 
         return fire
 
-    def _account(self, kind: EventKind, applied: int, now: float) -> None:
+    def _account(self, kind: ChurnKind, applied: int, now: float) -> None:
         if self.tracer.enabled:
             self.tracer.emit(ChurnAppliedEvent(time=now, kind=kind.value, applied=applied))
         if applied <= 0:
             self.stats.skipped_events += 1
             return
-        if kind == EventKind.HOST_MIGRATION:
+        if kind == ChurnKind.HOST_MIGRATION:
             self.stats.migrations += 1
-        elif kind == EventKind.TRAFFIC_DRIFT:
+        elif kind == ChurnKind.TRAFFIC_DRIFT:
             self.stats.drift_events += 1
             self.stats.drift_host_moves += applied
-        elif kind == EventKind.TENANT_ARRIVAL:
+        elif kind == ChurnKind.TENANT_ARRIVAL:
             self.stats.tenant_arrivals += 1
             self.stats.hosts_added += applied
-        elif kind == EventKind.TENANT_DEPARTURE:
+        elif kind == ChurnKind.TENANT_DEPARTURE:
             self.stats.tenant_departures += 1
             self.stats.hosts_removed += applied
         self.events_series.record(now)

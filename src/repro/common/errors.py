@@ -41,14 +41,6 @@ class InfeasibleGroupingError(PartitioningError):
     """No grouping satisfying the size constraint exists for the given input."""
 
 
-class SimulationError(ReproError):
-    """The discrete-event simulation reached an inconsistent state."""
-
-
-class EventOrderError(SimulationError):
-    """An event was scheduled in the past relative to the simulation clock."""
-
-
 class ControlPlaneError(ReproError):
     """A control-plane component (controller, LCG, channel) misbehaved."""
 

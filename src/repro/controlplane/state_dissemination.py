@@ -19,7 +19,6 @@ generates so the control-plane overhead can be reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.common.errors import ControlPlaneError
 from repro.controlplane.lazyctrl_controller import LazyCtrlController

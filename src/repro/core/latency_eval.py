@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import List, Tuple
+from typing import List
 
 from repro.common.config import LazyCtrlConfig
-from repro.common.packets import make_data_packet
 from repro.core.results import ColdCacheResult
 from repro.core.system import LazyCtrlSystem, OpenFlowSystem
 from repro.simulation.latency import LatencyModel

@@ -43,7 +43,6 @@ from repro.replay.executor import can_fork_workers, execute_plan
 from repro.replay.merge import merge_outcomes
 from repro.replay.sharding import plan_shards
 from repro.replay.spec import ExecutionSpec
-from repro.simulation.engine import SimulationEngine
 from repro.traffic.replay import TraceReplayer
 from repro.traffic.stream import FlowStream
 from repro.traffic.trace import Trace
@@ -369,20 +368,18 @@ class ScenarioRunner:
         When ``churn`` is active and the control plane declares itself
         churn-aware (``register_control_plane(..., churn_aware=True)`` plus
         the :class:`~repro.core.registry.ChurnAware` hooks), the churn
-        events are scheduled onto a simulation engine that the replayer
-        advances in lockstep with the trace; a plane registered without the
-        flag runs on a frozen topology whatever methods it has.  An inert
-        churn spec (all rates zero) is ignored entirely, so it reproduces
-        the churn-free replay bit for bit.
+        events are pre-drawn as one time-sorted list that the replayer cuts
+        its batches on; a plane registered without the flag runs on a frozen
+        topology whatever methods it has.  An inert churn spec (all rates
+        zero) is ignored entirely, so it reproduces the churn-free replay
+        bit for bit.
 
         ``kernel`` selects the per-shard flow-handling engine (see
         :class:`~repro.replay.spec.ExecutionSpec`): ``"vectorized"`` runs
         the columnar numpy kernel from :mod:`repro.kernel`, bit-identical
-        to the scalar path by construction.  It silently degrades to
-        scalar when the replay is coupled to an engine (active churn): the
-        kernel is unverified there, and its ``_PairStatic`` entries memoize
-        the host placement that churn events change.  So it does when the
-        control plane is not an :class:`~repro.core.system.EdgePlane`.
+        to the scalar path by construction, churn included.  It silently
+        degrades to scalar when the control plane is not an
+        :class:`~repro.core.system.EdgePlane`.
 
         .. warning:: Active churn mutates ``trace.network`` in place during
            the replay.  To compare systems fairly, give each call its own
@@ -453,25 +450,20 @@ class ScenarioRunner:
             injector = _FailureInjector(plane, failures)
             callbacks.append(injector)
 
-        engine: Optional[SimulationEngine] = None
         scheduler: Optional[ChurnScheduler] = None
         if churn is not None and churn.active and entry.churn_aware:
-            engine = SimulationEngine()
             scheduler = ChurnScheduler(
                 churn,
                 plane,
-                engine=engine,
                 replay_end=schedule.duration_seconds,
                 bucket_seconds=schedule.bucket_seconds,
                 tracer=tracer,
             )
 
         batch_handler = None
-        if kernel == "vectorized" and engine is None:
-            # Not under an engine (active churn): the kernel is unverified
-            # there and _PairStatic memoizes host placement, which churn
-            # moves.  build_batch_handler returns None for control planes it
-            # cannot accelerate.
+        if kernel == "vectorized":
+            # build_batch_handler returns None for control planes it cannot
+            # accelerate.
             from repro.kernel import build_batch_handler
 
             batch_handler = build_batch_handler(
@@ -483,7 +475,7 @@ class ScenarioRunner:
             plane,
             periodic_interval=schedule.periodic_interval_seconds,
             periodic_callbacks=callbacks,
-            event_engine=engine,
+            events=scheduler.events if scheduler is not None else (),
             perf=perf if perf is not None else NULL_RECORDER,
             tracer=tracer,
             batch_handler=batch_handler,

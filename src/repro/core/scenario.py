@@ -398,7 +398,7 @@ class ScenarioSpec:
 
         The ``links`` overlay (if any) is applied here, so every path that
         rebuilds the network from the spec — serial replay, streaming,
-        shard workers, churn engines — sees the same capacities.
+        shard workers, per-system churn networks — sees the same capacities.
         """
         network = self.topology.build()
         if self.links is not None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.common.errors import FailoverError
 from repro.controlplane.group import LocalControlGroup

@@ -89,9 +89,10 @@ _CODE_BASE = 1 << 31
 class _PairStatic:
     """Host resolution of one (src, dst) pair: flow key and the switches involved.
 
-    The kernel is only wired up for churn-free replays (no coupled engine),
-    so host placement is run-static; a cheap topology token guards the
-    assumption and clears the memo if it ever breaks.
+    Host placement holds between churn events, and churn events fire only
+    between batches (the replayer cuts a batch at every event), so placement
+    is batch-static; a cheap topology token clears the memo when a batch
+    sees a migration, arrival or departure.
     """
 
     __slots__ = ("departed", "src_switch_id", "dst_switch_id", "key", "switch")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Set, Tuple
+from typing import Set, Tuple
 
 from repro.common.errors import InfeasibleGroupingError
 from repro.partitioning.graph import WeightedGraph

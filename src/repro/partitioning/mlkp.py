@@ -19,7 +19,7 @@ from typing import Dict, Mapping
 from repro.common.config import GroupingConfig
 from repro.common.errors import InfeasibleGroupingError
 from repro.common.rng import make_rng
-from repro.partitioning.coarsening import coarsen, project_assignment
+from repro.partitioning.coarsening import coarsen
 from repro.partitioning.graph import (
     WeightedGraph,
     cut_weight,

@@ -1,8 +1,5 @@
-"""Discrete-event simulation substrate: clock, events, engine, latency and metrics."""
+"""Simulation measurement substrate: the latency model and the metric recorders."""
 
-from repro.simulation.clock import SimulationClock
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.events import Event, EventKind, EventQueue
 from repro.simulation.latency import LatencyBreakdown, LatencyModel
 from repro.simulation.metrics import (
     CounterSeries,
@@ -13,14 +10,9 @@ from repro.simulation.metrics import (
 
 __all__ = [
     "CounterSeries",
-    "Event",
-    "EventKind",
-    "EventQueue",
     "LatencyBreakdown",
     "LatencyModel",
     "LatencyRecorder",
-    "SimulationClock",
-    "SimulationEngine",
     "SummaryStatistics",
     "WorkloadMeter",
 ]

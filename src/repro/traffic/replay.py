@@ -10,11 +10,11 @@ interval of simulation time.
 The sink protocol is intentionally tiny so the replayer works for the
 baseline OpenFlow design, for LazyCtrl, and for unit-test doubles alike.
 
-A replay can additionally be coupled to a
-:class:`~repro.simulation.engine.SimulationEngine`: the replayer then
-advances the engine clock in lockstep with the trace, so events queued on
-the engine (workload churn, failure storms) fire in exact time order,
-interleaved with flow arrivals and periodic ticks.
+A replay can additionally be handed a time-sorted list of control events
+(workload churn: ``(time, action)`` pairs from
+:class:`~repro.churn.scheduler.ChurnScheduler`).  They share the one
+timeline with the ticks: an event at time T fires before the tick at T and
+before the flows arriving at or after T.
 
 The replayer drains its source chunk by chunk through the
 :class:`~repro.traffic.stream.FlowStream` protocol — a materialized
@@ -22,11 +22,10 @@ The replayer drains its source chunk by chunk through the
 a generated stream as a lazy sequence of O(chunk)-sized ones — so replay
 memory is bounded by the chunk size, not the trace size.  Every chunk is a
 :class:`~repro.traffic.chunk.FlowChunk` and every batch a view of one: the
-flows between two periodic ticks are drained in one slice, and the engine
-lockstep cuts that slice where an engine event is actually pending instead of
-asking per flow.  A batch handler (the vectorized kernel) reads the batch
-column-wise; without one, :func:`replay_batch` hands a sink the batch's rows —
-:meth:`FlowSink.flow_arrival`, as every
+flows before the next periodic tick or control event, whichever is first,
+are drained in one slice.  A batch handler (the vectorized kernel) reads the
+batch column-wise, churn or not; without one, :func:`replay_batch` hands a
+sink the batch's rows — :meth:`FlowSink.flow_arrival`, as every
 :class:`~repro.core.system.EdgePlane` offers, and no record is built — or, for
 a sink that only speaks records, the chunk's records.  An optional
 :class:`~repro.perf.recorder.PerfRecorder` times the stages and counts
@@ -36,9 +35,10 @@ instrumentation a per-batch no-op.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Protocol
+from math import inf
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.obs.events import ChunkDrainedEvent, ReplayTickEvent
 from repro.obs.tracer import NULL_TRACER
@@ -46,9 +46,6 @@ from repro.perf.recorder import NULL_RECORDER
 from repro.traffic.chunk import FlowChunk
 from repro.traffic.flow import FlowRecord
 from repro.traffic.stream import FlowStream, windowed_chunks
-
-if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
-    from repro.simulation.engine import SimulationEngine
 
 
 class FlowSink(Protocol):
@@ -88,6 +85,8 @@ def replay_batch(sink: FlowSink, batch: FlowChunk) -> None:
 
 
 PeriodicCallback = Callable[[float], None]
+#: One control event: its simulation time and the action it applies then.
+ControlEvent = Tuple[float, Callable[[float], None]]
 
 
 @dataclass(slots=True)
@@ -121,7 +120,7 @@ class TraceReplayer:
         *,
         periodic_interval: float = 60.0,
         periodic_callbacks: Optional[List[PeriodicCallback]] = None,
-        event_engine: "SimulationEngine | None" = None,
+        events: Sequence[ControlEvent] = (),
         perf=NULL_RECORDER,
         tracer=NULL_TRACER,
         batch_handler: Optional[Callable[[FlowChunk], None]] = None,
@@ -132,17 +131,13 @@ class TraceReplayer:
         self._sink = sink
         self._interval = periodic_interval
         self._callbacks: List[PeriodicCallback] = list(periodic_callbacks or [])
-        self._engine = event_engine
+        self._events = events
+        # The events' times, closed by a sentinel so the next one always exists.
+        self._event_times = [time for time, _ in events] + [inf]
         self._perf = perf
         self._tracer = tracer
-        # Optional whole-batch fast path (the vectorized kernel).  Only used
-        # without a coupled engine: the kernel is unverified under one, and
-        # memoizes host placement that engine events (churn) change.
+        # Optional whole-batch fast path (the vectorized kernel).
         self._batch_handler = batch_handler
-
-    def add_periodic_callback(self, callback: PeriodicCallback) -> None:
-        """Register an additional housekeeping callback."""
-        self._callbacks.append(callback)
 
     def replay(self, *, start: float = 0.0, end: Optional[float] = None) -> ReplayProgress:
         """Replay the source window ``[start, end)`` in time order.
@@ -156,7 +151,9 @@ class TraceReplayer:
         Periodic callbacks fire at every multiple of the configured interval
         that falls inside the window, interleaved correctly with flow
         arrivals (callbacks scheduled at time T fire before flows arriving at
-        or after T).
+        or after T).  Control events fire in list order at every time up to
+        the window end, an event at T before the tick at T; events past the
+        window end never fire.
         """
         progress = ReplayProgress(start_time=start, end_time=start)
         with self._perf.timeit("replay"):
@@ -164,12 +161,12 @@ class TraceReplayer:
         return progress
 
     def _run(self, start: float, end: Optional[float], progress: ReplayProgress) -> None:
-        interval = self._interval
         perf = self._perf
-        engine = self._engine
         tracer = self._tracer
-        batch_handler = self._batch_handler if engine is None else None
-        next_tick = start + interval
+        batch_handler = self._batch_handler
+        event_times = self._event_times
+        next_tick = start + self._interval
+        next_event = 0  # index of the next control event to fire
         last_arrival: Optional[float] = None
 
         for flows in windowed_chunks(self._trace, start=start, end=end):
@@ -178,27 +175,22 @@ class TraceReplayer:
             total = len(flows)
             index = 0
             while index < total:
-                # All flows arriving strictly before the next tick form one
-                # batch; the tick at time T fires before flows at or after T.
-                boundary = bisect_left(start_times, next_tick, index)
+                # All flows arriving strictly before the next tick and the next
+                # event form one batch; both fire before flows at or after them.
+                cut = min(next_tick, event_times[next_event])
+                boundary = bisect_left(start_times, cut, index)
                 if boundary > index:
                     with perf.timeit("flow_handling"):
                         if batch_handler is not None:
                             batch_handler(flows[index:boundary])
-                        elif engine is None:
-                            replay_batch(self._sink, flows[index:boundary])
                         else:
-                            self._drain_with_engine(flows, start_times, index, boundary)
+                            replay_batch(self._sink, flows[index:boundary])
                     progress.flows_replayed += boundary - index
                     index = boundary
-                if index >= total:
-                    break
-                # The next flow arrives at or after next_tick: fire every tick
-                # scheduled up to (and including) that arrival time first.
-                arrival = start_times[index]
-                while next_tick <= arrival:
-                    self._fire_periodic(next_tick, progress)
-                    next_tick += interval
+                if index < total:
+                    next_tick, next_event = self._fire_until(
+                        start_times[index], next_tick, next_event, progress
+                    )
             if total:
                 last_arrival = start_times[-1]
             if tracer.enabled:
@@ -218,36 +210,32 @@ class TraceReplayer:
             window_end = max(start, last_arrival)
         else:
             window_end = start
-        while next_tick <= window_end:
-            self._fire_periodic(next_tick, progress)
-            next_tick += interval
-        self._advance_engine(window_end)
+        self._fire_until(window_end, next_tick, next_event, progress)
         progress.end_time = window_end
 
-    def _drain_with_engine(self, flows, start_times, index: int, boundary: int) -> None:
-        """Replay ``flows[index:boundary]`` in lockstep with the coupled engine.
+    def _fire_until(
+        self, until: float, next_tick: float, next_event: int, progress: ReplayProgress
+    ) -> Tuple[float, int]:
+        """Fire every event and tick at or before ``until``, in time order.
 
-        An engine event at time T fires before the flows arriving at or after
-        T, so the batch is cut at each pending event and every stretch between
-        two of them is replayed as the plain batch it is; once the queue peeks
-        empty that is the whole rest (the clock catches up at the next
-        periodic tick or at window end).
+        An event at time T fires before the tick at T.  Returns the next tick
+        time and the index of the next event to fire.
         """
-        engine = self._engine
-        next_event = engine.queue.peek_time()
-        while index < boundary:
-            if next_event is not None and next_event <= start_times[index]:
+        while True:
+            due = bisect_right(self._event_times, min(until, next_tick), next_event)
+            if due > next_event:
+                # Timed as "engine", the stage profiles and the ledger's
+                # churn.engine_s read.
                 with self._perf.timeit("engine"):
-                    engine.run_until(start_times[index])
-                next_event = engine.queue.peek_time()
-            cut = boundary
-            if next_event is not None:
-                cut = bisect_left(start_times, next_event, index, boundary)
-            replay_batch(self._sink, flows[index:cut])
-            index = cut
+                    for time, action in self._events[next_event:due]:
+                        action(time)
+                next_event = due
+            if next_tick > until:
+                return next_tick, next_event
+            self._fire_periodic(next_tick, progress)
+            next_tick += self._interval
 
     def _fire_periodic(self, now: float, progress: ReplayProgress) -> None:
-        self._advance_engine(now)
         with self._perf.timeit("periodic"):
             for callback in self._callbacks:
                 callback(now)
@@ -256,9 +244,3 @@ class TraceReplayer:
             self._tracer.emit(
                 ReplayTickEvent(time=now, index=progress.periodic_invocations - 1)
             )
-
-    def _advance_engine(self, now: float) -> None:
-        """Dispatch all coupled-engine events scheduled up to ``now``."""
-        if self._engine is not None and now >= self._engine.now:
-            with self._perf.timeit("engine"):
-                self._engine.run_until(now)

@@ -1,6 +1,7 @@
-"""Unit tests for the churn processes and the scheduler/engine integration."""
+"""Unit tests for the churn processes and the scheduler's sorted event list."""
 
 from repro.churn import (
+    ChurnKind,
     ChurnScheduler,
     ChurnSpec,
     DriftProcess,
@@ -12,8 +13,6 @@ from repro.churn import (
 from repro.common.config import GroupingConfig, LazyCtrlConfig
 from repro.common.rng import make_rng
 from repro.core.system import LazyCtrlSystem, OpenFlowSystem
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.events import EventKind
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
 from repro.traffic.trace import Trace
 
@@ -78,7 +77,7 @@ class TestMigrationProcess:
         system = lazyctrl_system(network)
         before = {h.host_id: h.switch_id for h in network.hosts()}
         process = MigrationProcess(ChurnSpec(migration_rate_per_hour=1.0))
-        assert process.fire(EventKind.HOST_MIGRATION, system, 100.0) == 1
+        assert process.fire(ChurnKind.HOST_MIGRATION, system, 100.0) == 1
         after = {h.host_id: h.switch_id for h in network.hosts()}
         moved = [h for h in before if before[h] != after[h]]
         assert len(moved) == 1
@@ -87,7 +86,7 @@ class TestMigrationProcess:
         network = small_network()
         system = lazyctrl_system(network)
         process = MigrationProcess(ChurnSpec(migration_rate_per_hour=1.0))
-        process.fire(EventKind.HOST_MIGRATION, system, 100.0)
+        process.fire(ChurnKind.HOST_MIGRATION, system, 100.0)
         for host in network.hosts():
             assert system.controller.clib.locate(host.mac) == host.switch_id
 
@@ -95,7 +94,7 @@ class TestMigrationProcess:
         network = build_multi_tenant_datacenter(TopologyProfile(switch_count=1, host_count=20, seed=1))
         system = lazyctrl_system(network)
         process = MigrationProcess(ChurnSpec(migration_rate_per_hour=1.0))
-        assert process.fire(EventKind.HOST_MIGRATION, system, 0.0) == 0
+        assert process.fire(ChurnKind.HOST_MIGRATION, system, 0.0) == 0
 
 
 class TestDriftProcess:
@@ -104,7 +103,7 @@ class TestDriftProcess:
         system = lazyctrl_system(network)
         process = DriftProcess(ChurnSpec(drift_rate_per_hour=1.0, drift_batch_size=3))
         before = {h.host_id: h.switch_id for h in network.hosts()}
-        moved = process.fire(EventKind.TRAFFIC_DRIFT, system, 100.0)
+        moved = process.fire(ChurnKind.TRAFFIC_DRIFT, system, 100.0)
         assert 1 <= moved <= 3
         after = {h.host_id: h.switch_id for h in network.hosts()}
         moved_hosts = [h for h in before if before[h] != after[h]]
@@ -124,7 +123,7 @@ class TestTenantLifecycleProcess:
         process = TenantLifecycleProcess(
             ChurnSpec(tenant_arrival_rate_per_hour=1.0, tenant_size_range=(5, 8))
         )
-        added = process.fire(EventKind.TENANT_ARRIVAL, system, 100.0)
+        added = process.fire(ChurnKind.TENANT_ARRIVAL, system, 100.0)
         assert 5 <= added <= 8
         assert len(network.tenants) == tenants_before + 1
         assert network.host_count() == hosts_before + added
@@ -141,7 +140,7 @@ class TestTenantLifecycleProcess:
         process = TenantLifecycleProcess(ChurnSpec(tenant_departure_rate_per_hour=1.0))
         tenants_before = len(network.tenants)
         hosts_before = network.host_count()
-        removed = process.fire(EventKind.TENANT_DEPARTURE, system, 100.0)
+        removed = process.fire(ChurnKind.TENANT_DEPARTURE, system, 100.0)
         assert removed > 0
         assert len(network.tenants) == tenants_before - 1
         assert network.host_count() == hosts_before - removed
@@ -153,34 +152,67 @@ class TestTenantLifecycleProcess:
         assert len(network.tenants) == 1
         system = lazyctrl_system(network)
         process = TenantLifecycleProcess(ChurnSpec(tenant_departure_rate_per_hour=1.0))
-        assert process.fire(EventKind.TENANT_DEPARTURE, system, 0.0) == 0
+        assert process.fire(ChurnKind.TENANT_DEPARTURE, system, 0.0) == 0
         assert len(network.tenants) == 1
 
 
 class TestChurnScheduler:
-    def make_scheduler(self, system, spec, engine):
-        return ChurnScheduler(spec, system, engine=engine, replay_end=6 * 3600.0, bucket_seconds=3600.0)
+    def make_scheduler(self, system, spec):
+        return ChurnScheduler(spec, system, replay_end=6 * 3600.0, bucket_seconds=3600.0)
 
-    def test_events_fire_as_engine_advances(self):
+    @staticmethod
+    def fire_until(events, until):
+        """Fire the list's events at or before ``until``, as the replayer does."""
+        while events and events[0][0] <= until:
+            time, action = events.pop(0)
+            action(time)
+
+    def test_events_fire_as_the_list_is_walked(self):
         network = small_network()
         system = lazyctrl_system(network)
-        engine = SimulationEngine()
         spec = ChurnSpec(seed=1, migration_rate_per_hour=6.0)
-        scheduler = self.make_scheduler(system, spec, engine)
-        assert scheduler.scheduled_events > 0
-        engine.run_until(3 * 3600.0)
+        scheduler = self.make_scheduler(system, spec)
+        events = list(scheduler.events)
+        assert events
+        self.fire_until(events, 3 * 3600.0)
         mid = scheduler.stats.migrations
         assert mid > 0
-        engine.run_until(6 * 3600.0)
+        self.fire_until(events, 6 * 3600.0)
+        assert not events
         assert scheduler.stats.migrations >= mid
         assert scheduler.stats.applied_events() == scheduler.stats.migrations
+
+    def test_list_is_a_stable_time_sort_of_the_process_streams(self):
+        spec = ChurnSpec(
+            seed=4,
+            migration_rate_per_hour=6.0,
+            drift_rate_per_hour=3.0,
+            tenant_arrival_rate_per_hour=1.0,
+            tenant_departure_rate_per_hour=1.0,
+        )
+        scheduler = self.make_scheduler(lazyctrl_system(small_network()), spec)
+        streams = [
+            time for process in build_processes(spec) for time, _ in process.schedule(0.0, 6 * 3600.0)
+        ]
+        times = [time for time, _ in scheduler.events]
+        assert times == sorted(streams)
+        assert len(set(times)) > 1
+
+    def test_inert_spec_draws_no_events(self):
+        scheduler = self.make_scheduler(lazyctrl_system(small_network()), ChurnSpec(seed=1))
+        assert scheduler.events == []
+
+    def test_events_stay_inside_the_churn_window(self):
+        spec = ChurnSpec(seed=2, migration_rate_per_hour=20.0, start_hour=2.0, end_hour=4.0)
+        scheduler = self.make_scheduler(lazyctrl_system(small_network()), spec)
+        times = [time for time, _ in scheduler.events]
+        assert times and all(2 * 3600.0 <= time < 4 * 3600.0 for time in times)
 
     def test_per_bucket_series_covers_bucket_range(self):
         network = small_network()
         system = lazyctrl_system(network)
-        engine = SimulationEngine()
-        scheduler = self.make_scheduler(system, ChurnSpec(seed=1, migration_rate_per_hour=6.0), engine)
-        engine.run_until(6 * 3600.0)
+        scheduler = self.make_scheduler(system, ChurnSpec(seed=1, migration_rate_per_hour=6.0))
+        self.fire_until(list(scheduler.events), 6 * 3600.0)
         result = scheduler.result(bucket_count=6)
         assert len(result.per_bucket_events) == 6
         assert sum(result.per_bucket_events) == scheduler.stats.applied_events()
@@ -191,8 +223,11 @@ class TestChurnScheduler:
         for build in (lambda n: lazyctrl_system(n), lambda n: OpenFlowSystem(n)):
             network = small_network()
             system = build(network)
-            engine = SimulationEngine()
-            self.make_scheduler(system, spec, engine)
-            engine.run_until(6 * 3600.0)
+            self.fire_until(list(self.make_scheduler(system, spec).events), 6 * 3600.0)
             placements.append({h.host_id: h.switch_id for h in network.hosts()})
         assert placements[0] == placements[1]
+
+    def test_kind_values_are_the_trace_names(self):
+        assert [kind.value for kind in ChurnKind] == [
+            "host_migration", "traffic_drift", "tenant_arrival", "tenant_departure",
+        ]

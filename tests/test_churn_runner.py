@@ -8,8 +8,6 @@ from repro.churn import ChurnSpec
 from repro.common.config import GroupingConfig, LazyCtrlConfig, RegroupingPolicy
 from repro.core.runner import ScenarioRunner
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.events import EventKind
 from repro.topology.builder import TopologyProfile
 from repro.traffic.replay import TraceReplayer
 from repro.traffic.trace import Trace
@@ -99,40 +97,121 @@ class TestDepartureHandling:
         assert loaded.runs == result.runs
 
 
-class TestReplayerEngineCoupling:
-    class _RecordingSink:
-        def __init__(self):
-            self.order = []
+class TestReplayerControlTimeline:
+    """Control events, flow arrivals and ticks on the replayer's one timeline.
 
-        def handle_flow_arrival(self, flow, now):
-            self.order.append(("flow", now))
+    An event at time T fires before the tick at T and before the flows
+    arriving at or after T: the order every committed churn baseline and
+    ledger digest was recorded under.
+    """
 
-    def test_engine_events_interleave_with_flows_in_time_order(self):
+    @staticmethod
+    def replay(arrivals, event_times, *, interval=1000.0, start=0.0, end=None, batch_handler=None):
         from repro.topology.builder import build_multi_tenant_datacenter
         from repro.traffic.flow import FlowRecord
 
         network = build_multi_tenant_datacenter(TopologyProfile(switch_count=2, host_count=20, seed=3))
+        order = []
+
+        class Sink:
+            def handle_flow_arrival(self, flow, now):
+                order.append(("flow", now))
+
         flows = [
-            FlowRecord(flow_id=i, src_host_id=0, dst_host_id=1, start_time=100.0 * (i + 1),
-                       packet_count=1, byte_count=100)
-            for i in range(5)
+            FlowRecord(flow_id=i, src_host_id=0, dst_host_id=1, start_time=t, packet_count=1, byte_count=100)
+            for i, t in enumerate(arrivals)
         ]
-        trace = Trace("t", network, flows)
-        sink = self._RecordingSink()
-        engine = SimulationEngine()
-        for when in (50.0, 250.0, 260.0, 450.0):
-            engine.schedule_at(
-                when, EventKind.TIMER,
-                callback=lambda event: sink.order.append(("event", event.time)),
-            )
-        replayer = TraceReplayer(trace, sink, periodic_interval=1000.0, event_engine=engine)
-        replayer.replay(start=0.0, end=500.0)
-        assert sink.order == sorted(sink.order, key=lambda item: item[1])
-        assert [kind for kind, _ in sink.order] == [
+        events = [(when, lambda now: order.append(("event", now))) for when in event_times]
+        TraceReplayer(
+            Trace("t", network, flows),
+            Sink(),
+            periodic_interval=interval,
+            periodic_callbacks=[lambda now: order.append(("tick", now))],
+            events=events,
+            batch_handler=batch_handler and (lambda batch: batch_handler(batch, order)),
+        ).replay(start=start, end=end)
+        return order
+
+    def test_control_events_interleave_with_flows_in_time_order(self):
+        order = self.replay([100.0, 200.0, 300.0, 400.0, 500.0], [50.0, 250.0, 260.0, 450.0], end=500.0)
+        assert order == sorted(order, key=lambda item: item[1])
+        assert [kind for kind, _ in order] == [
             "event", "flow", "flow", "event", "event", "flow", "flow", "event",
         ]
 
-    def test_without_engine_behaviour_is_unchanged(self):
+    def test_event_exactly_at_a_flow_arrival_fires_first(self):
+        assert self.replay([100.0, 200.0], [200.0], end=300.0) == [
+            ("flow", 100.0), ("event", 200.0), ("flow", 200.0),
+        ]
+
+    def test_event_exactly_at_a_tick_fires_before_its_callbacks(self):
+        assert self.replay([50.0, 150.0], [100.0], interval=100.0, end=199.0) == [
+            ("flow", 50.0), ("event", 100.0), ("tick", 100.0), ("flow", 150.0),
+        ]
+
+    def test_event_after_the_last_flow_fires_up_to_the_window_end(self):
+        assert self.replay([100.0], [400.0, 500.0], end=500.0) == [
+            ("flow", 100.0), ("event", 400.0), ("event", 500.0),
+        ]
+
+    def test_event_past_the_window_end_never_fires(self):
+        assert self.replay([100.0], [499.0, 500.5, 900.0], end=500.0) == [
+            ("flow", 100.0), ("event", 499.0),
+        ]
+        # With no end the window closes at the last arrival.
+        assert self.replay([100.0, 300.0], [300.0, 300.5]) == [
+            ("flow", 100.0), ("event", 300.0), ("flow", 300.0),
+        ]
+
+    def test_event_tick_and_flow_at_one_time(self):
+        assert self.replay([100.0], [100.0], interval=100.0, end=150.0) == [
+            ("event", 100.0), ("tick", 100.0), ("flow", 100.0),
+        ]
+
+    def test_events_before_the_window_start_fire_first(self):
+        assert self.replay([50.0, 150.0, 250.0], [20.0, 120.0, 160.0], start=100.0, end=300.0) == [
+            ("event", 20.0), ("event", 120.0), ("flow", 150.0), ("event", 160.0), ("flow", 250.0),
+        ]
+
+    def test_events_on_an_empty_source_fire_up_to_the_window_end(self):
+        assert self.replay([], [10.0, 100.0, 150.0], interval=60.0, end=100.0) == [
+            ("event", 10.0), ("tick", 60.0), ("event", 100.0),
+        ]
+
+    def test_simultaneous_events_fire_in_list_order(self):
+        from repro.topology.builder import build_multi_tenant_datacenter
+        from repro.traffic.flow import FlowRecord
+
+        network = build_multi_tenant_datacenter(TopologyProfile(switch_count=2, host_count=20, seed=3))
+        order = []
+
+        class Sink:
+            def handle_flow_arrival(self, flow, now):
+                order.append("flow")
+
+        flow = FlowRecord(flow_id=0, src_host_id=0, dst_host_id=1, start_time=10.0, packet_count=1, byte_count=1)
+        events = [(10.0, lambda now, label=label: order.append(label)) for label in ("a", "b", "c")]
+        TraceReplayer(Trace("t", network, [flow]), Sink(), events=events).replay(end=20.0)
+        assert order == ["a", "b", "c", "flow"]
+
+    def test_a_batch_handler_sees_every_stretch_between_events(self):
+        def handler(batch, order):
+            order.append(("batch", tuple(batch.start_times)))
+
+        order = self.replay(
+            [10.0, 20.0, 30.0, 40.0, 50.0], [20.0, 35.0], interval=45.0, end=60.0, batch_handler=handler
+        )
+        assert order == [
+            ("batch", (10.0,)),
+            ("event", 20.0),
+            ("batch", (20.0, 30.0)),
+            ("event", 35.0),
+            ("batch", (40.0,)),
+            ("tick", 45.0),
+            ("batch", (50.0,)),
+        ]
+
+    def test_without_events_behaviour_is_unchanged(self):
         from repro.topology.builder import build_multi_tenant_datacenter
         from repro.traffic.flow import FlowRecord
 
@@ -141,8 +220,14 @@ class TestReplayerEngineCoupling:
             FlowRecord(flow_id=0, src_host_id=0, dst_host_id=1, start_time=30.0,
                        packet_count=1, byte_count=100)
         ])
-        sink = self._RecordingSink()
-        progress = TraceReplayer(trace, sink, periodic_interval=60.0).replay(start=0.0, end=120.0)
+        seen = []
+
+        class Sink:
+            def handle_flow_arrival(self, flow, now):
+                seen.append(now)
+
+        progress = TraceReplayer(trace, Sink(), periodic_interval=60.0).replay(start=0.0, end=120.0)
+        assert seen == [30.0]
         assert progress.flows_replayed == 1
         assert progress.periodic_invocations == 2
 

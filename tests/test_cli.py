@@ -321,6 +321,26 @@ class TestBench:
         assert code == 0
         assert "OK: paper-fig7" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "extra",
+        (["--exec", "kernel=vectorized"], ["--exec", "kernel=vectorized", "--stream"]),
+        ids=("vectorized", "vectorized-streamed"),
+    )
+    def test_bench_check_holds_the_kernel_under_churn_to_a_scalar_baseline(
+        self, extra, tmp_path, capsys
+    ):
+        """The churn events cut the kernel's batches; its counters and
+        per-bucket timelines must equal the scalar run's exactly."""
+        baseline_dir = tmp_path / "baselines"
+        args = ["bench", "--presets", "churn-migration", *RUN_SMALL]
+        assert main([*args, "--out-dir", str(baseline_dir)]) == 0
+        scalar = json.loads((baseline_dir / "BENCH_churn-migration.json").read_text())
+        assert all(record["churn_events"] > 0 for record in scalar["systems"].values())
+        code = main([*args, *extra, "--out-dir", str(tmp_path / "fresh"),
+                     "--check", "--baseline-dir", str(baseline_dir)])
+        assert code == 0
+        assert "OK: churn-migration" in capsys.readouterr().out
+
     def test_bench_check_fails_on_counter_drift(self, tmp_path, capsys):
         baseline_dir = tmp_path / "baselines"
         args = ["bench", "--presets", "paper-fig7", *RUN_SMALL]

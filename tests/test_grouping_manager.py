@@ -3,7 +3,6 @@
 from repro.common.config import GroupingConfig, RegroupingPolicy
 from repro.controlplane.grouping_manager import GroupingManager
 from repro.datastructures.intensity import IntensityMatrix
-from repro.partitioning.sgi import Grouping
 
 
 def warmup_matrix() -> IntensityMatrix:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.config import GroupingConfig, LazyCtrlConfig
-from repro.controlplane.state_dissemination import StateDisseminator
 from repro.core.presets import default_grouping_config
 from repro.core.results import FlowPathKind
 from repro.core.runner import ScenarioRunner

@@ -7,8 +7,8 @@ any scenario, under any composition with sharding.  This suite is the
 streamed≡materialized harness's sibling: hypothesis drives traffic models,
 table policies and capacity overlays through both kernels and compares the
 full serialized runs, while the directed tests pin the edge cases — forced
-fallback under tiny tables, churn-coupled replays silently degrading to
-scalar, and the kernel composed with both shard strategies.
+fallback under tiny tables, the kernel under churn (whose events cut the
+replay's batches), and the kernel composed with both shard strategies.
 """
 
 import dataclasses
@@ -57,6 +57,20 @@ TABLE_SPECS = (
 #: Capacity overlays: no metering at all, and an undersized uplink that
 #: pushes the replay onto the kernel's ordered metered walk.
 LINK_SPECS = (None, LinkCapacitySpec(uplink_mbps=0.5, queueing_service_ms=0.25))
+
+#: Churn the kernel must follow: host moves, and whole tenants arriving and
+#: leaving (departures leave flows whose hosts are gone: the DEPARTED pairs).
+CHURN_SPECS = (
+    ChurnSpec(seed=5, migration_rate_per_hour=24.0, drift_rate_per_hour=4.0),
+    ChurnSpec(
+        seed=5,
+        migration_rate_per_hour=2.0,
+        tenant_arrival_rate_per_hour=3.0,
+        tenant_departure_rate_per_hour=3.0,
+        tenant_size_range=(4, 8),
+    ),
+)
+CHURN_IDS = ("migration-drift", "tenant-lifecycle")
 
 
 def build_spec(
@@ -150,17 +164,57 @@ class TestDirectedEquivalence:
         counters = next(iter(result.runs.values())).perf.counters
         assert counters.get("kernel.flows_fallback", 0) > 0
 
-    def test_churn_coupled_replay_degrades_to_scalar_and_matches(self):
-        """Churn couples a simulation engine to the replay; the kernel is
-        engine-incompatible by design and must silently stand aside."""
-        spec = build_spec(churn=ChurnSpec(seed=5, migration_rate_per_hour=24.0), flows=400)
-        assert_equivalent(spec)
-        result = ScenarioRunner().run(
-            dataclasses.replace(spec, execution=ExecutionSpec(kernel="vectorized")),
+    @pytest.mark.parametrize(
+        "churn,execution",
+        [
+            (CHURN_SPECS[0], {}),
+            (CHURN_SPECS[0], {"stream": True}),
+            (CHURN_SPECS[0], {"workers": 2}),
+            (CHURN_SPECS[1], {}),
+            (CHURN_SPECS[1], {"workers": 2}),
+            # No streamed tenant-lifecycle cell: a stream checks each new
+            # chunk's hosts against the live network, which a departure has
+            # shrunk, so that replay fails under either kernel.
+        ],
+        ids=(
+            "migration-drift-serial",
+            "migration-drift-streamed",
+            "migration-drift-system-sharded",
+            "tenant-lifecycle-serial",
+            "tenant-lifecycle-system-sharded",
+        ),
+    )
+    def test_kernel_runs_under_churn_and_matches(self, churn, execution):
+        """Churn events cut the replay's batches, so the kernel sees every
+        stretch between two of them; counters and timelines stay scalar's,
+        streamed or sharded per system alike."""
+        spec = build_spec(churn=churn, flows=1500, seed=5, execution=ExecutionSpec(**execution))
+        scalar = run_dict(spec, "scalar", obs=TraceOptions(timeline=True))
+        vectorized = ScenarioRunner().run(
+            dataclasses.replace(spec, execution=ExecutionSpec(kernel="vectorized", **execution)),
             collect_perf=True,
+            obs=TraceOptions(timeline=True),
         )
-        for run in result.runs.values():
-            assert "kernel.batches" not in run.perf.counters
+        assert scalar == {
+            name: {**run, "perf": None} for name, run in vectorized.to_dict()["runs"].items()
+        }
+        assert all(sum(run["churn"]["per_bucket_events"]) > 0 for run in scalar.values())
+        if churn.tenant_departure_rate_per_hour:
+            assert all(run["counters"]["departed_flows"] > 0 for run in scalar.values())
+        for name, run in vectorized.runs.items():
+            assert run.perf.counters["kernel.flows_vectorized"] > 0, name
+
+    def test_kernel_under_churn_with_an_event_listener_matches(self, tmp_path):
+        """A listener bypasses whole batches to scalar; the churn events it
+        records land in the same place in the stream either way."""
+        spec = build_spec(churn=CHURN_SPECS[1], flows=600, seed=5)
+        streams = {}
+        for kernel in ("scalar", "vectorized"):
+            path = tmp_path / f"{kernel}.jsonl"
+            runs = run_dict(spec, kernel, obs=TraceOptions(events_path=str(path)))
+            streams[kernel] = (runs, path.read_text())
+        assert streams["scalar"] == streams["vectorized"]
+        assert '"churn"' in streams["scalar"][1]
 
     @pytest.mark.parametrize(
         "strategy,extra,expand",
@@ -354,6 +408,36 @@ class TestEndStateEquivalence:
         for scalar, vectorized in zip(states["scalar"], states["vectorized"], strict=True):
             assert scalar == vectorized
         assert any(state["rules"] for state in states["scalar"])
+
+    @pytest.mark.parametrize("system", ("openflow", "lazyctrl-dynamic"))
+    @pytest.mark.parametrize("churn", CHURN_SPECS, ids=CHURN_IDS)
+    def test_switches_end_in_the_same_state_under_churn(self, churn, system):
+        """The batch between two churn events is the kernel's unit: the hosts
+        end where scalar put them, and so does every switch's state."""
+        from repro.common.config import GroupingConfig, LazyCtrlConfig
+
+        spec = dataclasses.replace(
+            build_spec(model="elephant-mice", flows=6000, seed=17, churn=churn),
+            config=LazyCtrlConfig(grouping=GroupingConfig(group_size_limit=3, random_seed=17)),
+        )
+        states = {}
+        for kernel in ("scalar", "vectorized"):
+            network = spec.build_network()
+            _, plane = ScenarioRunner()._replay_system(
+                system,
+                spec.build_trace(network),
+                schedule=spec.schedule,
+                config=spec.effective_config(),
+                churn=spec.churn,
+                end=10_000.0,
+                kernel=kernel,
+            )
+            placement = {host.host_id: host.switch_id for host in network.hosts()}
+            states[kernel] = (placement, [self.switch_state(switch) for switch in plane.switches()])
+        assert states["scalar"] == states["vectorized"]
+        # Churn changed the placement before the window closed.
+        pristine = {host.host_id: host.switch_id for host in spec.build_network().hosts()}
+        assert states["scalar"][0] != pristine
 
 
 class TestFallbackIsThePlanesDecideStep:

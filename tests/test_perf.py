@@ -211,6 +211,32 @@ class TestInstrumentedRuns:
         assert all(f"  {name}: " in text for name in ("regroup_decide", "regroup_apply", "live_dissemination"))
         assert "group state:" not in format_stage_breakdown(result.runs["openflow"].perf)
 
+    @pytest.mark.parametrize("kernel", ("scalar", "vectorized"))
+    def test_churn_events_fire_in_the_engine_stage_under_either_kernel(self, kernel):
+        """Simultaneous events fire under one ``engine`` call, so there are
+        at most as many calls as events drawn, applied or skipped."""
+        from repro.churn import ChurnSpec
+
+        if kernel == "vectorized":
+            pytest.importorskip("numpy")
+        spec = small_spec(
+            traffic=TraceSpec.realistic(total_flows=800, seed=7),
+            schedule=ScheduleSpec(duration_hours=4.0, bucket_hours=2.0),
+            churn=ChurnSpec(seed=7, migration_rate_per_hour=12.0, drift_rate_per_hour=2.0),
+            execution=ExecutionSpec(kernel=kernel),
+        )
+        result = ScenarioRunner().run(spec, collect_perf=True)
+        for name, run in result.runs.items():
+            drawn = run.churn.total_events() + run.churn.skipped_events
+            assert 0 < run.perf.stage("engine").calls <= drawn, name
+            assert run.perf.counters["replay.flows_replayed"] == run.counters.flows_handled > 0, name
+
+    def test_churn_free_replay_times_no_engine_stage(self):
+        result = ScenarioRunner().run(small_spec(), collect_perf=True)
+        for run in result.runs.values():
+            with pytest.raises(KeyError):
+                run.perf.stage("engine")
+
     def test_instrumented_run_records_chunks_and_peak_rss(self):
         result = ScenarioRunner().run(small_spec(systems=("lazyctrl-dynamic",)), collect_perf=True)
         perf = result.runs["lazyctrl-dynamic"].perf

@@ -329,6 +329,36 @@ class TestReplayerOnStreams:
             ("tick", 400.0),
         ]
 
+    def test_control_events_fire_in_chunk_gaps(self, network, record_list_stream):
+        # An event between two chunks fires after the earlier chunk is drained
+        # and, like a tick, before the later chunk's flows.
+        from repro.obs.events import ChunkDrainedEvent
+        from repro.obs.tracer import EventTracer
+
+        flows = [flow(10.0, flow_id=0), flow(350.0, flow_id=1)]
+        stream = record_list_stream("m", network, flows, chunk_flows=1)
+        order = []
+
+        class ChunkListener:
+            def on_event(self, event):
+                if isinstance(event, ChunkDrainedEvent):
+                    order.append(("chunk", event.time))
+
+        sink = _RecordingSink()
+        sink.handle_flow_arrival = lambda f, now: order.append(("flow", now))
+        TraceReplayer(
+            stream, sink, periodic_interval=200.0,
+            periodic_callbacks=[lambda now: order.append(("tick", now))],
+            events=[(when, lambda now: order.append(("event", now))) for when in (10.0, 200.0, 350.0)],
+            tracer=EventTracer(listeners=[ChunkListener()]),
+        ).replay(start=0.0, end=400.0)
+        assert order == [
+            ("event", 10.0), ("flow", 10.0), ("chunk", 10.0),
+            ("event", 200.0), ("tick", 200.0),
+            ("event", 350.0), ("flow", 350.0), ("chunk", 350.0),
+            ("tick", 400.0),
+        ]
+
 
 class TestGeneratedStreamInternals:
     def test_emit_draws_are_sorted_canonically(self, network):

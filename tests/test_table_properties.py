@@ -16,7 +16,6 @@ operation sequence:
 
 import dataclasses
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.addresses import MacAddress

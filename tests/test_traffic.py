@@ -175,14 +175,6 @@ class TestReplayer:
         TraceReplayer(trace, sink, periodic_interval=100.0).replay(start=3.0, end=6.0)
         assert [fid for fid, _ in sink.seen] == [3, 4, 5]
 
-    def test_add_periodic_callback(self, tiny_network):
-        trace = Trace("t", tiny_network, [])
-        replayer = TraceReplayer(trace, _RecordingSink(), periodic_interval=50.0)
-        ticks = []
-        replayer.add_periodic_callback(ticks.append)
-        replayer.replay(start=0.0, end=100.0)
-        assert ticks == [50.0, 100.0]
-
     def test_rejects_bad_interval(self, tiny_network):
         with pytest.raises(ValueError):
             TraceReplayer(Trace("t", tiny_network, []), _RecordingSink(), periodic_interval=0.0)
