@@ -25,15 +25,7 @@ from repro.common.errors import (
     UnknownHostError,
     UnknownSwitchError,
 )
-from repro.common.packets import (
-    EncapHeader,
-    FlowKey,
-    Packet,
-    PacketKind,
-    make_arp_reply,
-    make_arp_request,
-    make_data_packet,
-)
+from repro.common.packets import FlowKey
 from repro.common.rng import derive_seed, make_rng, sample_zipf_index, shuffled, weighted_choice
 
 __all__ = [
@@ -42,7 +34,6 @@ __all__ = [
     "ChannelError",
     "ConfigurationError",
     "ControlPlaneError",
-    "EncapHeader",
     "FailoverError",
     "FlowKey",
     "FlowTableConfig",
@@ -54,8 +45,6 @@ __all__ = [
     "LazyCtrlConfig",
     "MacAddress",
     "NegotiationError",
-    "Packet",
-    "PacketKind",
     "PartitioningError",
     "RegroupingPolicy",
     "ReproError",
@@ -65,9 +54,6 @@ __all__ = [
     "UnknownSwitchError",
     "derive_seed",
     "mac_range",
-    "make_arp_reply",
-    "make_arp_request",
-    "make_data_packet",
     "make_rng",
     "sample_zipf_index",
     "shuffled",

@@ -116,7 +116,6 @@ class LatencyModelConfig:
     controller_base_processing_ms: float = 1.2
     controller_per_krps_penalty_ms: float = 1.4
     arp_flood_ms: float = 4.0
-    group_broadcast_ms: float = 0.3
     # M/M/1-style congestion term (see LatencyModel.queueing_delay): each
     # capacitated uplink a flow traverses adds
     # ``queueing_service_ms * rho / (1 - rho)`` where rho is the link's
@@ -136,7 +135,6 @@ class LatencyModelConfig:
             "controller_base_processing_ms",
             "controller_per_krps_penalty_ms",
             "arp_flood_ms",
-            "group_broadcast_ms",
             "queueing_service_ms",
         ):
             if getattr(self, name) < 0:

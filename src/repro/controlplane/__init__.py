@@ -7,14 +7,10 @@ from repro.controlplane.grouping_manager import GroupingManager, RegroupingDecis
 from repro.controlplane.lazyctrl_controller import InterGroupSetupResult, LazyCtrlController
 from repro.controlplane.messages import (
     ControlMessage,
-    FailureNotificationMessage,
-    FlowModMessage,
     GroupConfigMessage,
     GroupStateReportMessage,
-    KeepaliveMessage,
     LfibUpdateMessage,
     MessageType,
-    PacketInMessage,
 )
 from repro.controlplane.openflow_controller import OpenFlowController, PacketInResult
 from repro.controlplane.state_dissemination import DisseminationStats, StateDisseminator
@@ -28,19 +24,15 @@ __all__ = [
     "ControlMessage",
     "DisseminationStats",
     "EdgeController",
-    "FailureNotificationMessage",
-    "FlowModMessage",
     "GroupConfigMessage",
     "GroupStateReportMessage",
     "GroupingManager",
     "InterGroupSetupResult",
-    "KeepaliveMessage",
     "LazyCtrlController",
     "LfibUpdateMessage",
     "LocalControlGroup",
     "MessageType",
     "OpenFlowController",
-    "PacketInMessage",
     "PacketInResult",
     "RegroupingDecision",
     "RingNeighbors",

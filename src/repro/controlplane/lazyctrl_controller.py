@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 from repro.common.config import LazyCtrlConfig
 from repro.common.errors import UnknownHostError
-from repro.common.packets import FlowKey, Packet
+from repro.common.packets import FlowKey
 from repro.datastructures.fib import CentralLib
 from repro.dataplane.edge_switch import LazyCtrlEdgeSwitch
 from repro.controlplane.base import EdgeController
@@ -233,25 +233,9 @@ class LazyCtrlController(EdgeController):
             relayed_groups=relayed,
         )
 
-    def handle_arp_escalation(self, ingress_switch_id: int, packet: Packet, now: float) -> int:
-        """Handle an ARP request escalated by a group (level iii of §III-D.3).
-
-        Returns the number of groups the request was relayed to.
-        """
-        self._record_request(ingress_switch_id, now, "arp")
-        return self._relay_arp(packet.tenant_id)
-
     def _relay_arp(self, tenant_id: int) -> int:
         groups = self.tenant_manager.groups_with_tenant(tenant_id, self._group_of_switch)
-        relayed = 0
-        for group_id in sorted(groups):
-            group = self._groups.get(group_id)
-            if group is None:
-                continue
-            channel = self._channels.get_or_create(
-                ChannelType.CONTROL_LINK, "controller", f"switch:{group.designated_switch_id}"
-            )
-            relayed += 1
+        relayed = sum(1 for group_id in groups if group_id in self._groups)
         self.arp_relays += relayed
         return relayed
 

@@ -6,6 +6,11 @@ records; the channels count and "deliver" them, and the controller / group
 logic reacts.  Modelling messages explicitly (rather than calling methods
 directly) lets the evaluation count control-plane overhead and lets the
 failover machinery reason about which messages were lost.
+
+Only the messages the simulation sends are records: L-FIB updates, state
+reports and group configuration.  A ``Packet_In`` is the controller's
+``handle_packet_in`` on a flow key, and its ``Flow_Mod`` the rule that call
+installs.
 """
 
 from __future__ import annotations
@@ -13,9 +18,8 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
-from repro.common.packets import FlowKey, Packet
 from repro.datastructures.fib import WireEntries
 
 _message_counter = itertools.count()
@@ -24,14 +28,9 @@ _message_counter = itertools.count()
 class MessageType(enum.Enum):
     """All control-plane message types used by LazyCtrl."""
 
-    PACKET_IN = "packet_in"
-    FLOW_MOD = "flow_mod"
-    ARP_RELAY = "arp_relay"
     LFIB_UPDATE = "lfib_update"
     GROUP_STATE_REPORT = "group_state_report"
     GROUP_CONFIG = "group_config"
-    KEEPALIVE = "keepalive"
-    FAILURE_NOTIFICATION = "failure_notification"
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,57 +42,6 @@ class ControlMessage:
     destination: str
     timestamp: float = 0.0
     message_id: int = field(default_factory=lambda: next(_message_counter))
-
-
-@dataclass(frozen=True, slots=True)
-class PacketInMessage(ControlMessage):
-    """An unknown packet forwarded to the controller over the control link."""
-
-    packet: Optional[Packet] = None
-    switch_id: int = -1
-
-    @classmethod
-    def create(cls, switch_id: int, packet: Packet, timestamp: float) -> "PacketInMessage":
-        """Build a Packet_In from ``switch_id`` carrying ``packet``."""
-        return cls(
-            message_type=MessageType.PACKET_IN,
-            source=f"switch:{switch_id}",
-            destination="controller",
-            timestamp=timestamp,
-            packet=packet,
-            switch_id=switch_id,
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class FlowModMessage(ControlMessage):
-    """A flow rule pushed by the controller to one switch."""
-
-    switch_id: int = -1
-    key: Optional[FlowKey] = None
-    action_kind: str = ""
-    action_target: Optional[int] = None
-
-    @classmethod
-    def create(
-        cls,
-        switch_id: int,
-        key: FlowKey,
-        action_kind: str,
-        action_target: Optional[int],
-        timestamp: float,
-    ) -> "FlowModMessage":
-        """Build a Flow_Mod targeting ``switch_id``."""
-        return cls(
-            message_type=MessageType.FLOW_MOD,
-            source="controller",
-            destination=f"switch:{switch_id}",
-            timestamp=timestamp,
-            switch_id=switch_id,
-            key=key,
-            action_kind=action_kind,
-            action_target=action_target,
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,30 +127,3 @@ class GroupConfigMessage(ControlMessage):
             ring_predecessor=ring_predecessor,
             ring_successor=ring_successor,
         )
-
-
-@dataclass(frozen=True, slots=True)
-class KeepaliveMessage(ControlMessage):
-    """A keep-alive probe on the failure-detection wheel or the control link."""
-
-    probe_kind: str = "ring"
-
-    @classmethod
-    def create(cls, source: str, destination: str, probe_kind: str, timestamp: float) -> "KeepaliveMessage":
-        """Build a keep-alive probe."""
-        return cls(
-            message_type=MessageType.KEEPALIVE,
-            source=source,
-            destination=destination,
-            timestamp=timestamp,
-            probe_kind=probe_kind,
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class FailureNotificationMessage(ControlMessage):
-    """A failure (or recovery) notification sent to or from the controller."""
-
-    subject: str = ""
-    failure_kind: str = ""
-    recovered: bool = False

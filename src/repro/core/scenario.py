@@ -425,10 +425,12 @@ class ScenarioSpec:
 
         Spec JSON written before the workload registries existed (PR ≤ 3:
         ``topology`` as a bare profile dict, ``traffic`` with a ``kind``
-        discriminator) is transparently upgraded to the registry form, a
+        discriminator) is transparently upgraded to the registry form, and a
         pre-ExecutionSpec top-level ``stream`` flag (PR ≤ 7) folds into
-        ``execution``, and an ``execution.chunk_flows`` (PR ≤ 20; it sized an
-        adapter that no longer exists) is dropped.
+        ``execution``.  Two removed keys are dropped: ``execution.chunk_flows``
+        (it sized an adapter that no longer exists) and
+        ``config.latency.group_broadcast_ms`` (it priced per-packet ARP
+        resolution, which the replay never modelled).
         """
         data = dict(data)
         if "topology" in data:
@@ -444,6 +446,11 @@ class ScenarioSpec:
             data["execution"] = {
                 key: value for key, value in execution.items() if key != "chunk_flows"
             }
+        config = data.get("config")
+        latency = config.get("latency") if isinstance(config, Mapping) else None
+        if isinstance(latency, Mapping) and "group_broadcast_ms" in latency:
+            latency = {key: value for key, value in latency.items() if key != "group_broadcast_ms"}
+            data["config"] = {**config, "latency": latency}
         return dataclass_from_dict(cls, data, path="spec")
 
     def to_json(self, *, indent: int | None = 2) -> str:

@@ -42,7 +42,6 @@ from repro.controlplane.openflow_controller import OpenFlowController
 from repro.controlplane.state_dissemination import StateDisseminator
 from repro.dataplane.decisions import INTRA_GROUP, LOCAL, TABLE_HIT, ForwardingOutcome
 from repro.dataplane.edge_switch import EdgeSwitch, LazyCtrlEdgeSwitch
-from repro.dataplane.openflow_switch import OpenFlowEdgeSwitch
 from repro.core.results import (
     FlowHandlingResult,
     FlowPathKind,
@@ -249,12 +248,12 @@ class EdgePlane:
         """Price and count ``n`` flows whose first packet the ingress switch decided alone.
 
         ``outcome`` and ``target_switches`` are what the ingress switch
-        answered for each of them — a ``ForwardingDecision``'s or a
-        ``RunVerdict``'s.  For a table hit, a local delivery or an
-        intra-group forward this prices the path with the latency model,
-        delivers the intra-group copies to the candidate switches (those that
-        do not host ``dst_mac`` drop them, Fig. 5 line 28) and bumps
-        :attr:`counters`; uplink congestion is the caller's to add.  Returns
+        answered for each of them, as a ``RunVerdict`` carries them.  For a
+        table hit, a local delivery or an intra-group forward this prices the
+        path with the latency model, delivers the intra-group copies to the
+        candidate switches (those that do not host ``dst_mac`` drop them,
+        Fig. 5 line 28) and bumps :attr:`counters`; uplink congestion is the
+        caller's to add.  Returns
         ``None``, having changed nothing, for every other outcome: those
         flows need the controller, one at a time (:meth:`_resolve_miss`).
         """
@@ -701,8 +700,8 @@ class OpenFlowSystem(EdgePlane):
         for host in network.hosts():
             self._switches[host.switch_id].attach_host(host.mac, host.port, host.tenant_id)
 
-    def _make_switch(self, info: EdgeSwitchInfo) -> OpenFlowEdgeSwitch:
-        return OpenFlowEdgeSwitch(
+    def _make_switch(self, info: EdgeSwitchInfo) -> EdgeSwitch:
+        return EdgeSwitch(
             info.switch_id,
             underlay_ip=info.underlay_ip,
             management_mac=info.management_mac,

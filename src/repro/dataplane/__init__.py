@@ -1,13 +1,11 @@
-"""Data plane: forwarding decisions, the edge-switch base, the LazyCtrl switch and the OpenFlow baseline."""
+"""Data plane: run verdicts, the edge switch (the OpenFlow baseline) and the LazyCtrl switch."""
 
-from repro.dataplane.decisions import ForwardingDecision, ForwardingOutcome
+from repro.dataplane.decisions import ForwardingOutcome, RunVerdict
 from repro.dataplane.edge_switch import EdgeSwitch, LazyCtrlEdgeSwitch
-from repro.dataplane.openflow_switch import OpenFlowEdgeSwitch
 
 __all__ = [
     "EdgeSwitch",
-    "ForwardingDecision",
     "ForwardingOutcome",
     "LazyCtrlEdgeSwitch",
-    "OpenFlowEdgeSwitch",
+    "RunVerdict",
 ]

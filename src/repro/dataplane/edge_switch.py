@@ -3,24 +3,21 @@
 :class:`EdgeSwitch` is what every edge switch of the simulated data center
 is: an identity on the underlay, an L-FIB of locally attached virtual
 machines, a flow table of controller-installed rules wired to report
-``flow_removed``, and the per-packet counters the evaluation reads.  The
-baseline :class:`~repro.dataplane.openflow_switch.OpenFlowEdgeSwitch` adds
-only its miss handling; :class:`LazyCtrlEdgeSwitch` adds the Bloom-filter
+``flow_removed``, and the per-packet counters the evaluation reads.  With
+no G-FIB it is the baseline OpenFlow switch, whose every miss past the
+L-FIB is a ``Packet_In``; :class:`LazyCtrlEdgeSwitch` adds the Bloom-filter
 G-FIB summarizing the L-FIBs of its Local Control Group peers (the third
-table of paper Fig. 4) and the encapsulated/ARP halves of Fig. 5.
+table of paper Fig. 4) and the receiving half of Fig. 5.
 
-A switch is a pure control-logic model: "forwarding" a packet means
-returning a :class:`~repro.dataplane.decisions.ForwardingDecision` that the
-simulation layer turns into latency and workload accounting.
-
-The data path of Fig. 5 (flow table → L-FIB → G-FIB → ``Packet_In``) is
-written once, for a *run* of packets of one flow key:
-:meth:`EdgeSwitch.classify_run` reads what every packet of the run does and
-:meth:`EdgeSwitch.apply_run` writes what they change.  The run of one is
-:meth:`EdgeSwitch.forward_key` — what the planes call per flow, and what
-``process_packet`` on a data packet presents as a decision; the vectorized
-kernel (:mod:`repro.kernel`) asks the same two methods about a batch's whole
-(src, dst) pairs.
+A switch is a pure control-logic model: forwarding answers a
+:class:`~repro.dataplane.decisions.RunVerdict` that the planes turn into
+latency and workload accounting.  The data path of Fig. 5 (flow table →
+L-FIB → G-FIB → ``Packet_In``) is written once, for a *run* of packets of
+one flow key: :meth:`EdgeSwitch.classify_run` reads what every packet of the
+run does and :meth:`EdgeSwitch.apply_run` writes what they change.  The run
+of one is :meth:`EdgeSwitch.forward_key`, what the planes call per flow; the
+vectorized kernel (:mod:`repro.kernel`) asks the same two methods about a
+batch's whole (src, dst) pairs.
 """
 
 from __future__ import annotations
@@ -30,20 +27,11 @@ from typing import Callable, Collection, Iterable, Optional
 from repro.common.addresses import IpAddress, MacAddress
 from repro.common.config import BloomFilterConfig, FlowTableConfig
 from repro.common.errors import ControlPlaneError
-from repro.common.packets import DATA_PACKET_BYTES, EncapHeader, FlowKey, Packet, PacketKind
+from repro.common.packets import DATA_PACKET_BYTES, FlowKey
 from repro.datastructures.bloom import BloomFilter
 from repro.datastructures.fib import GroupFib, LocalFib
 from repro.datastructures.flow_table import ActionType, FlowAction, FlowRule, FlowTable
-from repro.dataplane.decisions import (
-    DROPPED,
-    INTRA_GROUP,
-    LOCAL,
-    PUNT,
-    TABLE_HIT,
-    ForwardingDecision,
-    ForwardingOutcome,
-    RunVerdict,
-)
+from repro.dataplane.decisions import DROPPED, INTRA_GROUP, LOCAL, PUNT, TABLE_HIT, RunVerdict
 from repro.tables.policies import RemovalReason
 
 #: Rule actions that forward; only these let a run be a run of table hits.
@@ -55,12 +43,7 @@ FlowRemovedHandler = Callable[[int, FlowRule, float, RemovalReason], None]
 
 
 class EdgeSwitch:
-    """What both edge switches share: identity, L-FIB, flow table, counters.
-
-    Subclasses implement :meth:`_forward`, a live switch's routine for one
-    packet, which counts the packet in ``packets_processed`` and hands a local
-    host's data packet to :meth:`_forward_data`.
-    """
+    """An edge switch: identity, L-FIB, flow table, counters; the OpenFlow baseline as is."""
 
     #: ``None`` on a switch (the OpenFlow baseline) that belongs to no group.
     gfib: Optional[GroupFib] = None
@@ -96,23 +79,6 @@ class EdgeSwitch:
     def detach_host(self, mac: MacAddress) -> bool:
         """Forget a locally attached VM (migration away or removal)."""
         return self.lfib.forget(mac)
-
-    # -- packet processing ----------------------------------------------------
-
-    def process_packet(self, packet: Packet, now: float = 0.0) -> ForwardingDecision:
-        """Run the switch's forwarding routine for one packet."""
-        if self.failed:
-            self.packets_processed += 1
-            return ForwardingDecision(
-                outcome=ForwardingOutcome.DROPPED_NO_RULE,
-                switch_id=self.switch_id,
-                packet=packet,
-                note="switch is failed",
-            )
-        return self._forward(packet, now)
-
-    def _forward(self, packet: Packet, now: float) -> ForwardingDecision:
-        raise NotImplementedError
 
     # -- the data path of Fig. 5, for a run of packets -------------------------
 
@@ -155,9 +121,9 @@ class EdgeSwitch:
     ) -> None:
         """What ``n`` packets of a classified run, the last at ``last_t``, change here.
 
-        Exactly what ``n`` :meth:`process_packet` calls would: ``verdict``
-        must come from :meth:`classify_run` over those arrivals, with no
-        change to the switch in between.
+        Exactly what ``n`` :meth:`forward_key` calls would: ``verdict`` must
+        come from :meth:`classify_run` over those arrivals, with no change to
+        the switch in between.
         """
         self.packets_processed += n
         self.flow_table.account_run(verdict.rule, n, last_t, size_bytes)
@@ -206,56 +172,6 @@ class EdgeSwitch:
             return RunVerdict(DROPPED, key, rule)
         self.packets_to_controller += 1
         return RunVerdict(PUNT, key, rule)
-
-    def _forward_data(self, packet: Packet, now: float) -> ForwardingDecision:
-        """A live switch's :meth:`forward_key` for a local host's packet, as a decision."""
-        key = FlowKey(src_mac=packet.src_mac, dst_mac=packet.dst_mac, tenant_id=packet.tenant_id)
-        verdict = self.forward_key(key, now, packet.size_bytes)
-        if verdict.rule is not None and verdict.outcome is not PUNT:
-            return self._apply_rule(verdict.rule, packet)
-        return ForwardingDecision(
-            outcome=verdict.outcome,
-            switch_id=self.switch_id,
-            packet=packet,
-            target_switches=verdict.target_switches,
-            local_port=verdict.local_port,
-            duplicate_count=max(0, len(verdict.target_switches) - 1),
-            note="explicit send-to-controller rule" if verdict.rule is not None else "",
-        )
-
-    def _apply_rule(self, rule: FlowRule, packet: Packet) -> Optional[ForwardingDecision]:
-        """The decision a matched rule dictates.
-
-        ``None`` for a ``SEND_TO_CONTROLLER`` rule: punting is the subclass's call.
-        """
-        action = rule.action
-        if action.kind == ActionType.FORWARD_LOCAL:
-            return ForwardingDecision(
-                outcome=ForwardingOutcome.FLOW_TABLE_HIT,
-                switch_id=self.switch_id,
-                packet=packet,
-                local_port=action.target,
-            )
-        if action.kind == ActionType.ENCAP_TO_SWITCH:
-            return ForwardingDecision(
-                outcome=ForwardingOutcome.FLOW_TABLE_HIT,
-                switch_id=self.switch_id,
-                packet=packet,
-                target_switches=(action.target,) if action.target is not None else (),
-            )
-        if action.kind == ActionType.DROP:
-            return ForwardingDecision(
-                outcome=ForwardingOutcome.DROPPED_NO_RULE,
-                switch_id=self.switch_id,
-                packet=packet,
-                note="drop rule",
-            )
-        return None
-
-    def _punt(self, packet: Packet, outcome: ForwardingOutcome) -> ForwardingDecision:
-        """Hand an ARP or tunnelled packet to the controller (a ``Packet_In``)."""
-        self.packets_to_controller += 1
-        return ForwardingDecision(outcome=outcome, switch_id=self.switch_id, packet=packet)
 
     # -- controller-driven configuration --------------------------------------
 
@@ -345,15 +261,7 @@ class LazyCtrlEdgeSwitch(EdgeSwitch):
         """Drop the G-FIB entry of a peer that left the group or failed."""
         self.gfib.remove_peer(peer_switch_id)
 
-    # -- packet processing (Fig. 5) -----------------------------------------
-
-    def _forward(self, packet: Packet, now: float) -> ForwardingDecision:
-        """The forwarding routine of Fig. 5 for one packet."""
-        if packet.is_encapsulated:
-            return self._process_encapsulated(packet)
-        if packet.kind == PacketKind.ARP_REQUEST:
-            return self._process_arp_request(packet)
-        return self._forward_data(packet, now)
+    # -- the receiving half of Fig. 5 -----------------------------------------
 
     def receive_run(self, dst_mac: MacAddress, n: int) -> bool:
         """Lines 22-29 of Fig. 5 for ``n`` copies of a packet to ``dst_mac`` sent over the underlay.
@@ -366,54 +274,6 @@ class LazyCtrlEdgeSwitch(EdgeSwitch):
             return False
         self.false_positive_drops += n
         return True
-
-    def _process_encapsulated(self, packet: Packet) -> ForwardingDecision:
-        """One encapsulated packet: :meth:`receive_run` of one, as a decision."""
-        if self.receive_run(packet.dst_mac, 1):
-            return ForwardingDecision(
-                outcome=ForwardingOutcome.DROPPED_FALSE_POSITIVE,
-                switch_id=self.switch_id,
-                packet=packet,
-                note="L-FIB miss after decapsulation",
-            )
-        return ForwardingDecision(
-            outcome=ForwardingOutcome.DELIVERED_AFTER_DECAP,
-            switch_id=self.switch_id,
-            packet=packet,
-            local_port=self.lfib.lookup(packet.dst_mac).port,
-        )
-
-    def _process_arp_request(self, packet: Packet) -> ForwardingDecision:
-        """Live state dissemination levels i-iii of §III-D.3 for ARP requests."""
-        self.packets_processed += 1
-        # Level i: learn the source and check whether a local host answers.
-        if self.lfib.lookup(packet.dst_mac) is not None:
-            return ForwardingDecision(
-                outcome=ForwardingOutcome.ARP_RESOLVED_LOCALLY,
-                switch_id=self.switch_id,
-                packet=packet,
-            )
-        # Level ii: the G-FIB may place the target inside the group; the
-        # request is then sent to the designated switch for intra-group
-        # "broadcasting".
-        candidates = self.gfib.query(packet.dst_mac)
-        if candidates:
-            return ForwardingDecision(
-                outcome=ForwardingOutcome.ARP_FORWARDED_TO_DESIGNATED,
-                switch_id=self.switch_id,
-                packet=packet,
-                target_switches=candidates,
-            )
-        # Level iii: escalate to the controller.
-        return self._punt(packet, ForwardingOutcome.ARP_FORWARDED_TO_CONTROLLER)
-
-    def make_encap_header(self, destination_switch: int, destination_ip: IpAddress) -> EncapHeader:
-        """Build the GRE-like header used to tunnel a packet to a peer switch."""
-        return EncapHeader(
-            source_switch=self.switch_id,
-            destination_switch=destination_switch,
-            tunnel_destination=destination_ip,
-        )
 
     def storage_bytes(self) -> int:
         """Bytes of high-speed memory consumed by the G-FIB Bloom filters."""

@@ -5,13 +5,13 @@ This package is the optimization layer behind ``ExecutionSpec.kernel ==
 arrives as a column chunk, is read as parallel numpy arrays without a copy
 and grouped by (src, dst) host pair.  Each pair's arrival structure is then
 put to its ingress switch — ``EdgeSwitch.classify_run``, the question
-``process_packet`` asks for a run of one — two cross-pair hazards (table
+``forward_key`` asks for a run of one — two cross-pair hazards (table
 eviction, G-FIB memo clear) are guarded, the decided pairs are applied once
 for all their flows through ``EdgeSwitch.apply_run`` and
 ``EdgePlane.settle_run``, and everything that needs the control plane
 (packet-in, table pressure, expiring rules) goes flow by flow through
 ``EdgePlane.first_packet``, the step the plane's own ``decide`` takes, on the
-pair's flow key and the time column: no record, packet, decision or result is
+pair's flow key and the time column: no record or result is
 built.  A link meter is one more pass over columns — the batch's inter-switch
 flows through ``EdgePlane.link_penalties_ms``.  The batch is then folded into
 the latency recorder, the intensity window and the timeline.  The kernel is *not* a

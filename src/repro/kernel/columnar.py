@@ -9,7 +9,7 @@ wrapped as numpy arrays without a copy, and goes through five steps:
 * **classify** — the flows are grouped by (src host, dst host) pair and each
   pair's arrival structure (first, largest gap, last) is put to its ingress
   switch: :meth:`~repro.dataplane.edge_switch.EdgeSwitch.classify_run`, the
-  question ``process_packet`` asks for a run of one.  A table hit, a local
+  question ``forward_key`` asks for a run of one.  A table hit, a local
   delivery or an intra-group forward is a *decided* pair; a punt, or a run
   the switch cannot vouch for, is a ``FALLBACK`` pair; a pair with an
   endpoint that no longer exists is ``DEPARTED``.

@@ -229,23 +229,3 @@ class LatencyModel:
         return LatencyBreakdown.build(
             queueing=cfg.queueing_service_ms * rho / (1.0 - rho)
         )
-
-    def cross_group_arp_resolution(self, controller_load_rps: float, group_count: int) -> LatencyBreakdown:
-        """LazyCtrl ARP resolution that escalates to the controller (level iii)."""
-        cfg = self._config
-        return LatencyBreakdown.build(
-            local_flood=cfg.group_broadcast_ms,
-            designated_relay=cfg.group_broadcast_ms,
-            packet_in=cfg.controller_rtt_ms,
-            controller=self.controller_processing(controller_load_rps),
-            relay_to_groups=cfg.group_broadcast_ms * max(1, group_count - 1) * 0.1,
-        )
-
-    def intra_group_arp_resolution(self) -> LatencyBreakdown:
-        """ARP resolved by intra-group broadcasting via the designated switch."""
-        cfg = self._config
-        return LatencyBreakdown.build(
-            local_flood=cfg.group_broadcast_ms,
-            designated_relay=cfg.group_broadcast_ms,
-            reply=cfg.underlay_hop_ms,
-        )

@@ -36,9 +36,10 @@ from array import array
 from collections.abc import Sequence as SequenceABC
 from itertools import chain, islice
 from operator import attrgetter, eq, le
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, overload
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, overload
 
 from repro.bandwidth.profile import RateProfile
+from repro.common.errors import UnknownHostError
 from repro.traffic.flow import FlowRecord
 
 #: A flow before it has an identity: (start_time, src, dst, packets, bytes,
@@ -257,8 +258,8 @@ class FlowChunk(SequenceABC):
             return None
         return [record.rate_profile for record in self._records]
 
-    def check_hosts(self, network) -> None:
-        """Fail fast on flows referencing hosts outside ``network``.
+    def check_hosts(self, has_host: Callable[[int], bool]) -> None:
+        """Fail fast on flows referencing a host id ``has_host`` does not know.
 
         Probes each distinct endpoint once; on a miss, walks the flows in
         order so the error names the same host the per-flow check would.
@@ -266,10 +267,10 @@ class FlowChunk(SequenceABC):
         src, dst = self.src_host_ids, self.dst_host_ids
         endpoints = set(src)
         endpoints.update(dst)
-        if not all(map(network.has_host, endpoints)):
-            for src_host_id, dst_host_id in zip(src, dst):
-                network.host(src_host_id)
-                network.host(dst_host_id)
+        if not all(map(has_host, endpoints)):
+            for host_id in chain.from_iterable(zip(src, dst)):
+                if not has_host(host_id):
+                    raise UnknownHostError(f"unknown host {host_id}")
 
     # -- the sequence protocol -------------------------------------------------
 

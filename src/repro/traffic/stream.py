@@ -414,6 +414,10 @@ class GeneratedStream(FlowStreamBase):
         self._rng_labels = (rng_label,) if isinstance(rng_label, str) else tuple(rng_label)
         self._duration = duration
         self._total_flows = sum(window.flow_count for window in self._windows)
+        # Chunks are checked against the hosts the stream was generated over,
+        # not the live network: churn may remove hosts mid-replay, and their
+        # flows are the replay's to skip and count, as on a materialized trace.
+        self._host_ids = frozenset(host.host_id for host in network.hosts())
 
     @property
     def total_flows(self) -> int:
@@ -477,7 +481,7 @@ class GeneratedStream(FlowStreamBase):
                     f"[{window.start}, {window.end}), before the window starts"
                 )
             chunk = FlowChunk.from_draws(draws, flow_id)
-            chunk.check_hosts(self.network)
+            chunk.check_hosts(self._host_ids.__contains__)
             flow_id += window.flow_count
             yield chunk
 

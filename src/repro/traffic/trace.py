@@ -76,7 +76,7 @@ class Trace:
         self._columns = FlowChunk.gathered(chunks)
         # The cache of minted records, once somebody asked.
         self._flows: Optional[List[FlowRecord]] = None
-        self._columns.check_hosts(network)
+        self._columns.check_hosts(network.has_host)
 
     @classmethod
     def from_stream(cls, stream: FlowStream, *, name: Optional[str] = None) -> "Trace":
@@ -94,7 +94,7 @@ class Trace:
         twin = copy(self)
         twin.network = network
         twin._pair_stats = None
-        twin._columns.check_hosts(network)
+        twin._columns.check_hosts(network.has_host)
         return twin
 
     # -- basic accessors ----------------------------------------------------

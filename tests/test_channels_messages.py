@@ -4,16 +4,12 @@ import pytest
 
 from repro.common.addresses import MacAddress
 from repro.common.errors import ChannelError
-from repro.common.packets import FlowKey, make_data_packet
 from repro.controlplane.channels import ChannelRegistry, ChannelType, ControlChannel
 from repro.controlplane.messages import (
-    FlowModMessage,
     GroupConfigMessage,
     GroupStateReportMessage,
-    KeepaliveMessage,
     LfibUpdateMessage,
     MessageType,
-    PacketInMessage,
 )
 from repro.datastructures.fib import LocalFib
 
@@ -22,26 +18,22 @@ def mac(i: int) -> MacAddress:
     return MacAddress.from_host_index(i)
 
 
+def lfib_update(switch_id: int, destination: str) -> LfibUpdateMessage:
+    return LfibUpdateMessage.create(switch_id, ((mac(1), 1, 0),), destination, timestamp=0.0)
+
+
 class TestMessages:
-    def test_packet_in_construction(self):
-        packet = make_data_packet(mac(1), mac(2), 0)
-        message = PacketInMessage.create(3, packet, timestamp=5.0)
-        assert message.message_type == MessageType.PACKET_IN
+    def test_lfib_update_construction(self):
+        message = LfibUpdateMessage.create(3, (), "switch:9", timestamp=5.0)
+        assert message.message_type == MessageType.LFIB_UPDATE
         assert message.source == "switch:3"
-        assert message.destination == "controller"
-        assert message.packet is packet
+        assert message.destination == "switch:9"
+        assert message.timestamp == 5.0
 
     def test_message_ids_unique(self):
-        packet = make_data_packet(mac(1), mac(2), 0)
-        a = PacketInMessage.create(1, packet, 0.0)
-        b = PacketInMessage.create(1, packet, 0.0)
+        a = lfib_update(1, "switch:2")
+        b = lfib_update(1, "switch:2")
         assert a.message_id != b.message_id
-
-    def test_flow_mod_construction(self):
-        key = FlowKey(mac(1), mac(2), 0)
-        message = FlowModMessage.create(4, key, "encap", 7, timestamp=1.0)
-        assert message.destination == "switch:4"
-        assert message.action_target == 7
 
     def test_lfib_update_carries_the_wire_tuple_as_given(self):
         lfib = LocalFib()
@@ -74,15 +66,11 @@ class TestMessages:
         assert message.destination == "switch:5"
         assert message.designated_switch_id == 6
 
-    def test_keepalive(self):
-        message = KeepaliveMessage.create("switch:1", "switch:2", "ring", timestamp=0.0)
-        assert message.probe_kind == "ring"
-
 
 class TestControlChannel:
     def test_deliver_counts(self):
         channel = ControlChannel(ChannelType.CONTROL_LINK, "controller", "switch:1")
-        message = PacketInMessage.create(1, make_data_packet(mac(1), mac(2), 0), 0.0)
+        message = lfib_update(1, "controller")
         assert channel.deliver(message, size_bytes=100)
         assert channel.stats.delivered == 1
         assert channel.stats.bytes_delivered == 100
@@ -90,7 +78,7 @@ class TestControlChannel:
     def test_down_channel_drops(self):
         channel = ControlChannel(ChannelType.CONTROL_LINK, "controller", "switch:1")
         channel.fail()
-        message = PacketInMessage.create(1, make_data_packet(mac(1), mac(2), 0), 0.0)
+        message = lfib_update(1, "controller")
         assert not channel.deliver(message)
         assert channel.stats.dropped == 1
         channel.recover()
@@ -98,13 +86,13 @@ class TestControlChannel:
 
     def test_misrouted_message_rejected(self):
         channel = ControlChannel(ChannelType.CONTROL_LINK, "controller", "switch:1")
-        message = PacketInMessage.create(2, make_data_packet(mac(1), mac(2), 0), 0.0)
+        message = lfib_update(2, "controller")
         with pytest.raises(ChannelError):
             channel.deliver(message)
 
     def test_log_kept_when_requested(self):
         channel = ControlChannel(ChannelType.CONTROL_LINK, "controller", "switch:1", keep_log=True)
-        message = PacketInMessage.create(1, make_data_packet(mac(1), mac(2), 0), 0.0)
+        message = lfib_update(1, "controller")
         channel.deliver(message)
         assert channel.log() == [message]
 
@@ -134,7 +122,7 @@ class TestChannelRegistry:
     def test_total_stats(self):
         registry = ChannelRegistry()
         channel = registry.get_or_create(ChannelType.STATE_LINK, "controller", "switch:1")
-        message = KeepaliveMessage.create("controller", "switch:1", "control", 0.0)
+        message = lfib_update(1, "controller")
         channel.deliver(message, size_bytes=10)
         stats = registry.total_stats(ChannelType.STATE_LINK)
         assert stats.delivered == 1 and stats.bytes_delivered == 10

@@ -5,10 +5,10 @@ import pytest
 from repro.common.addresses import IpAddress, MacAddress
 from repro.common.config import GroupingConfig, LazyCtrlConfig
 from repro.common.errors import ControlPlaneError
-from repro.common.packets import FlowKey, make_data_packet
+from repro.common.packets import FlowKey
 from repro.controlplane.lazyctrl_controller import LazyCtrlController
 from repro.controlplane.openflow_controller import OpenFlowController
-from repro.dataplane.openflow_switch import OpenFlowEdgeSwitch
+from repro.dataplane.edge_switch import EdgeSwitch
 from repro.partitioning.sgi import Grouping
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
 
@@ -17,8 +17,8 @@ def mac(i: int) -> MacAddress:
     return MacAddress.from_host_index(i)
 
 
-def make_of_switch(switch_id: int) -> OpenFlowEdgeSwitch:
-    return OpenFlowEdgeSwitch(
+def make_of_switch(switch_id: int) -> EdgeSwitch:
+    return EdgeSwitch(
         switch_id,
         underlay_ip=IpAddress.from_switch_index(switch_id),
         management_mac=MacAddress.from_switch_index(switch_id),
@@ -185,15 +185,18 @@ class TestLazyCtrlController:
         with pytest.raises(RuntimeError, match="unrelated defect"):
             lazy_controller.handle_packet_in(src.switch_id, key, now=2.0)
 
-    def test_arp_escalation_relays_to_tenant_groups(self, lazy_controller, network):
+    def test_cold_packet_in_relays_to_tenant_groups(self, lazy_controller, network):
+        """Level iii of §III-D.3: a C-LIB miss is relayed, as an ARP, to the
+        designated switch of exactly the groups hosting the tenant."""
         lazy_controller.apply_grouping(simple_grouping(network))
         host = network.hosts()[0]
-        packet = make_data_packet(host.mac, mac(999_999), host.tenant_id)
-        relayed = lazy_controller.handle_arp_escalation(host.switch_id, packet, now=1.0)
+        key = FlowKey(host.mac, mac(999_999), host.tenant_id)
+        result = lazy_controller.handle_packet_in(host.switch_id, key, now=1.0)
         expected_groups = lazy_controller.tenant_manager.groups_with_tenant(
             host.tenant_id, lazy_controller.group_assignment()
         )
-        assert relayed == len(expected_groups)
+        assert result.relayed_groups == lazy_controller.arp_relays == len(expected_groups)
+        assert lazy_controller.total_requests == 1
 
     def test_state_reports_update_clib(self, lazy_controller, network):
         lazy_controller.apply_grouping(simple_grouping(network))

@@ -5,7 +5,7 @@ import pytest
 from repro.common.addresses import IpAddress, MacAddress
 from repro.common.config import BloomFilterConfig
 from repro.common.errors import ControlPlaneError
-from repro.common.packets import FlowKey, make_arp_request, make_data_packet
+from repro.common.packets import FlowKey
 from repro.datastructures.flow_table import ActionType, FlowAction
 from repro.dataplane.decisions import ForwardingOutcome
 from repro.dataplane.edge_switch import LazyCtrlEdgeSwitch
@@ -24,111 +24,95 @@ def mac(i: int) -> MacAddress:
 
 
 class TestLocalProcessing:
+    """Lines 1-21 of Fig. 5 for one data packet, as ``forward_key`` answers them."""
+
     def test_local_delivery_when_destination_attached(self):
         switch = make_switch()
         switch.attach_host(mac(1), port=1, tenant_id=0)
         switch.attach_host(mac(2), port=2, tenant_id=0)
-        decision = switch.process_packet(make_data_packet(mac(1), mac(2), 0))
-        assert decision.outcome == ForwardingOutcome.LOCAL_DELIVERY
-        assert decision.local_port == 2
-        assert not decision.involves_controller
+        verdict = switch.forward_key(FlowKey(mac(1), mac(2), 0), now=0.0)
+        assert verdict.outcome is ForwardingOutcome.LOCAL_DELIVERY
+        assert verdict.local_port == 2
+        assert switch.packets_to_controller == 0
 
     def test_flow_table_takes_precedence(self):
         switch = make_switch()
         switch.attach_host(mac(1), 1, 0)
         key = FlowKey(mac(1), mac(9), 0)
         switch.install_flow_rule(key, FlowAction(ActionType.ENCAP_TO_SWITCH, 7))
-        decision = switch.process_packet(make_data_packet(mac(1), mac(9), 0))
-        assert decision.outcome == ForwardingOutcome.FLOW_TABLE_HIT
-        assert decision.target_switches == (7,)
+        switch.install_peer_lfib(5, [mac(9)])
+        verdict = switch.forward_key(key, now=0.0)
+        assert verdict.outcome is ForwardingOutcome.FLOW_TABLE_HIT
+        assert verdict.rule.action == FlowAction(ActionType.ENCAP_TO_SWITCH, 7)
+        assert switch.gfib.query_count == 0
 
     def test_flow_table_drop_rule(self):
         switch = make_switch()
         key = FlowKey(mac(1), mac(9), 0)
         switch.install_flow_rule(key, FlowAction(ActionType.DROP))
-        decision = switch.process_packet(make_data_packet(mac(1), mac(9), 0))
-        assert decision.outcome == ForwardingOutcome.DROPPED_NO_RULE
+        verdict = switch.forward_key(key, now=0.0)
+        assert verdict.outcome is ForwardingOutcome.DROPPED_NO_RULE
+        assert verdict.rule.action.kind is ActionType.DROP
+        assert switch.packets_processed == 1 and switch.packets_to_controller == 0
 
     def test_flow_table_send_to_controller_rule(self):
         switch = make_switch()
         key = FlowKey(mac(1), mac(9), 0)
         switch.install_flow_rule(key, FlowAction(ActionType.SEND_TO_CONTROLLER))
-        decision = switch.process_packet(make_data_packet(mac(1), mac(9), 0))
-        assert decision.outcome == ForwardingOutcome.SENT_TO_CONTROLLER
-        assert decision.involves_controller
+        verdict = switch.forward_key(key, now=0.0)
+        assert verdict.outcome is ForwardingOutcome.SENT_TO_CONTROLLER
+        assert verdict.rule is not None
+        assert switch.packets_to_controller == 1
 
     def test_gfib_resolves_intra_group_destination(self):
         switch = make_switch()
         switch.join_group(1)
         switch.install_peer_lfib(5, [mac(9)])
-        decision = switch.process_packet(make_data_packet(mac(1), mac(9), 0))
-        assert decision.outcome == ForwardingOutcome.INTRA_GROUP_FORWARD
-        assert decision.target_switches == (5,)
-        assert decision.delivered
+        verdict = switch.forward_key(FlowKey(mac(1), mac(9), 0), now=0.0)
+        assert verdict.outcome is ForwardingOutcome.INTRA_GROUP_FORWARD
+        assert verdict.target_switches == (5,)
+        assert switch.packets_to_controller == 0
 
     def test_gfib_duplicates_counted(self):
         switch = make_switch()
         switch.join_group(1)
         switch.install_peer_lfib(5, [mac(9)])
         switch.install_peer_lfib(6, [mac(9)])
-        decision = switch.process_packet(make_data_packet(mac(1), mac(9), 0))
-        assert decision.duplicate_count == 1
+        verdict = switch.forward_key(FlowKey(mac(1), mac(9), 0), now=0.0)
+        assert verdict.target_switches == (5, 6)
         assert switch.duplicate_deliveries == 1
 
     def test_unknown_destination_goes_to_controller(self):
         switch = make_switch()
-        decision = switch.process_packet(make_data_packet(mac(1), mac(9), 0))
-        assert decision.outcome == ForwardingOutcome.SENT_TO_CONTROLLER
+        verdict = switch.forward_key(FlowKey(mac(1), mac(9), 0), now=0.0)
+        assert verdict.outcome is ForwardingOutcome.SENT_TO_CONTROLLER
+        assert verdict.rule is None
         assert switch.packets_to_controller == 1
 
     def test_failed_switch_drops(self):
         switch = make_switch()
+        switch.attach_host(mac(2), 2, 0)
         switch.failed = True
-        decision = switch.process_packet(make_data_packet(mac(1), mac(2), 0))
-        assert decision.outcome == ForwardingOutcome.DROPPED_NO_RULE
+        verdict = switch.forward_key(FlowKey(mac(1), mac(2), 0), now=0.0)
+        assert verdict.outcome is ForwardingOutcome.DROPPED_NO_RULE
+        assert verdict.rule is None
+        assert switch.packets_processed == 1
 
 
 class TestEncapsulatedProcessing:
+    """Lines 22-29 of Fig. 5: copies tunnelled here are delivered or dropped."""
+
     def test_delivery_after_decapsulation(self):
-        source = make_switch(0)
         destination = make_switch(1)
         destination.attach_host(mac(9), port=4, tenant_id=0)
-        header = source.make_encap_header(1, destination.underlay_ip)
-        packet = make_data_packet(mac(1), mac(9), 0).encapsulate(header)
-        decision = destination.process_packet(packet)
-        assert decision.outcome == ForwardingOutcome.DELIVERED_AFTER_DECAP
-        assert decision.local_port == 4
+        assert not destination.receive_run(mac(9), 1)
+        assert destination.packets_processed == 1
+        assert destination.false_positive_drops == 0
 
     def test_false_positive_copy_dropped(self):
-        source = make_switch(0)
         wrong_destination = make_switch(2)
-        header = source.make_encap_header(2, wrong_destination.underlay_ip)
-        packet = make_data_packet(mac(1), mac(9), 0).encapsulate(header)
-        decision = wrong_destination.process_packet(packet)
-        assert decision.outcome == ForwardingOutcome.DROPPED_FALSE_POSITIVE
+        assert wrong_destination.receive_run(mac(9), 1)
         assert wrong_destination.false_positive_drops == 1
-
-
-class TestArpProcessing:
-    def test_arp_resolved_locally(self):
-        switch = make_switch()
-        switch.attach_host(mac(9), 1, 0)
-        decision = switch.process_packet(make_arp_request(mac(1), mac(9), 0))
-        assert decision.outcome == ForwardingOutcome.ARP_RESOLVED_LOCALLY
-
-    def test_arp_forwarded_to_designated_when_gfib_matches(self):
-        switch = make_switch()
-        switch.join_group(3)
-        switch.install_peer_lfib(7, [mac(9)])
-        decision = switch.process_packet(make_arp_request(mac(1), mac(9), 0))
-        assert decision.outcome == ForwardingOutcome.ARP_FORWARDED_TO_DESIGNATED
-        assert decision.target_switches == (7,)
-
-    def test_arp_escalated_to_controller(self):
-        switch = make_switch()
-        decision = switch.process_packet(make_arp_request(mac(1), mac(9), 0))
-        assert decision.outcome == ForwardingOutcome.ARP_FORWARDED_TO_CONTROLLER
-        assert decision.involves_controller
 
 
 class TestGroupMembershipAndState:
@@ -188,7 +172,7 @@ class TestGroupMembershipAndState:
 
     def test_reset_counters(self):
         switch = make_switch()
-        switch.process_packet(make_data_packet(mac(1), mac(2), 0))
+        switch.forward_key(FlowKey(mac(1), mac(2), 0), now=0.0)
         switch.reset_counters()
         assert switch.packets_processed == 0
         assert switch.packets_to_controller == 0

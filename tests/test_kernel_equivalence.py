@@ -114,6 +114,16 @@ def run_dict(spec, kernel, **run_kwargs):
     return result.to_dict()["runs"]
 
 
+def without_chunk_counts(runs):
+    """Serialized runs minus the timeline's ``chunks_drained``: how the flows
+    were delivered, which a streamed and a materialized replay differ in."""
+    trimmed = {}
+    for name, run in runs.items():
+        counts = {k: v for k, v in run["timeline"]["counts"].items() if k != "chunks_drained"}
+        trimmed[name] = {**run, "timeline": {**run["timeline"], "counts": counts}}
+    return trimmed
+
+
 def assert_equivalent(spec, **run_kwargs):
     scalar = run_dict(spec, "scalar", **run_kwargs)
     vectorized = run_dict(spec, "vectorized", **run_kwargs)
@@ -171,25 +181,30 @@ class TestDirectedEquivalence:
             (CHURN_SPECS[0], {"stream": True}),
             (CHURN_SPECS[0], {"workers": 2}),
             (CHURN_SPECS[1], {}),
+            (CHURN_SPECS[1], {"stream": True}),
             (CHURN_SPECS[1], {"workers": 2}),
-            # No streamed tenant-lifecycle cell: a stream checks each new
-            # chunk's hosts against the live network, which a departure has
-            # shrunk, so that replay fails under either kernel.
         ],
         ids=(
             "migration-drift-serial",
             "migration-drift-streamed",
             "migration-drift-system-sharded",
             "tenant-lifecycle-serial",
+            "tenant-lifecycle-streamed",
             "tenant-lifecycle-system-sharded",
         ),
     )
     def test_kernel_runs_under_churn_and_matches(self, churn, execution):
         """Churn events cut the replay's batches, so the kernel sees every
         stretch between two of them; counters and timelines stay scalar's,
-        streamed or sharded per system alike."""
+        streamed or sharded per system alike — and a streamed replay's are
+        the materialized one's, departed hosts' flows included."""
         spec = build_spec(churn=churn, flows=1500, seed=5, execution=ExecutionSpec(**execution))
         scalar = run_dict(spec, "scalar", obs=TraceOptions(timeline=True))
+        if execution.get("stream"):
+            materialized = dataclasses.replace(spec, execution=ExecutionSpec())
+            assert without_chunk_counts(scalar) == without_chunk_counts(
+                run_dict(materialized, "scalar", obs=TraceOptions(timeline=True))
+            )
         vectorized = ScenarioRunner().run(
             dataclasses.replace(spec, execution=ExecutionSpec(kernel="vectorized", **execution)),
             collect_perf=True,

@@ -31,7 +31,6 @@ _configs = st.builds(
     controller_base_processing_ms=_ms,
     controller_per_krps_penalty_ms=_ms,
     arp_flood_ms=_ms,
-    group_broadcast_ms=_ms,
     queueing_service_ms=st.floats(
         min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False
     ),

@@ -155,10 +155,3 @@ class TestLatencyModelBasics:
         model = LatencyModel()
         breakdown = model.inter_group_setup(500.0)
         assert breakdown.total_ms == pytest.approx(sum(breakdown.components.values()))
-
-    def test_arp_paths_defined(self):
-        from repro.simulation.latency import LatencyModel
-
-        model = LatencyModel()
-        assert model.intra_group_arp_resolution().total_ms > 0
-        assert model.cross_group_arp_resolution(1000.0, group_count=6).total_ms > 0

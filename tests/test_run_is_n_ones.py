@@ -3,8 +3,7 @@
 The data path is written once, for a run of ``n`` back-to-back packets of one
 flow key (``FlowTable.stays_alive``/``account_run``, ``GroupFib.peek``/
 ``account_queries``, ``EdgeSwitch.classify_run``/``apply_run``); the per-packet
-calls (``lookup``, ``query``, ``forward_key``) are the run of one, and
-``process_packet`` on a data packet is ``forward_key`` presented as a decision.
+calls (``lookup``, ``query``, ``forward_key``) are the run of one.
 These properties hold the contract where it lives: a run either is declared
 undecidable, having changed nothing, or leaves exactly what ``n`` single calls
 leave — and asking alone never changes anything.
@@ -22,10 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.addresses import IpAddress, MacAddress
 from repro.common.config import FlowTableConfig
-from repro.common.packets import FlowKey, make_data_packet
+from repro.common.packets import FlowKey
 from repro.dataplane.decisions import ForwardingOutcome
-from repro.dataplane.edge_switch import LazyCtrlEdgeSwitch
-from repro.dataplane.openflow_switch import OpenFlowEdgeSwitch
+from repro.dataplane.edge_switch import EdgeSwitch, LazyCtrlEdgeSwitch
 from repro.datastructures.fib import GroupFib
 from repro.datastructures.flow_table import ActionType, FlowAction, FlowTable
 
@@ -151,7 +149,7 @@ class TestGroupFibRun:
 
 
 def make_switch(kind: str, policy: str):
-    cls = LazyCtrlEdgeSwitch if kind == "lazyctrl" else OpenFlowEdgeSwitch
+    cls = LazyCtrlEdgeSwitch if kind == "lazyctrl" else EdgeSwitch
     switch = cls(
         0,
         underlay_ip=IpAddress.from_switch_index(0),
@@ -193,34 +191,45 @@ DESTINATIONS = (20, 2, 21, 22, 3, 10, 11, 30)
 class TestSwitchRun:
     @pytest.mark.parametrize("policy", ("static-idle", "idle-hard-hybrid", "lru", "adaptive"))
     @pytest.mark.parametrize("kind", ("lazyctrl", "openflow"))
-    @given(dst=st.sampled_from(DESTINATIONS), arrivals=arrivals_strategy)
+    @given(
+        dst=st.sampled_from(DESTINATIONS),
+        arrivals=arrivals_strategy,
+        size_bytes=st.sampled_from((64, 1500, 9000)),
+        fails_from=st.none() | st.integers(0, 6),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_classify_then_apply_n_is_n_process_packets(self, kind, policy, dst, arrivals):
-        times, max_gap = arrival_times(arrivals)
+    def test_classify_then_apply_n_is_n_forward_keys(
+        self, kind, policy, dst, arrivals, size_bytes, fails_from
+    ):
+        """The run up to ``fails_from`` is applied at once; from there the
+        switch is failed, and the rest of the packets are dropped one by one."""
+        times, _ = arrival_times(arrivals)
+        head = times if fails_from is None else times[:fails_from]
         run, single = make_switch(kind, policy), make_switch(kind, policy)
-        before = switch_state(run)
-        verdict = run.classify_run(key(1, dst), times[0], max_gap, times[-1])
-        assert switch_state(run) == before, "classifying changed the switch"
-        if verdict is None:
-            assert key(1, dst) in run.flow_table  # only a resident rule is undecidable
-            return
-
-        run.apply_run(verdict, len(times), times[-1])
-        decisions = [
-            single.process_packet(make_data_packet(mac(1), mac(dst), 0, created_at=now), now)
-            for now in times
-        ]
+        if head:
+            max_gap = max((b - a for a, b in zip(head, head[1:])), default=0.0)
+            before = switch_state(run)
+            verdict = run.classify_run(key(1, dst), head[0], max_gap, head[-1])
+            assert switch_state(run) == before, "classifying changed the switch"
+            if verdict is None:
+                assert key(1, dst) in run.flow_table  # only a resident rule is undecidable
+                return
+            run.apply_run(verdict, len(head), head[-1], size_bytes)
+            for now in head:
+                single_verdict = single.forward_key(key(1, dst), now, size_bytes)
+                assert single_verdict.outcome is verdict.outcome
+                assert single_verdict.key == verdict.key
+                assert single_verdict.local_port == verdict.local_port
+                assert single_verdict.target_switches == verdict.target_switches
+                assert (single_verdict.rule is None) == (verdict.rule is None)
+        if fails_from is not None:
+            run.failed = single.failed = True
+            for now in times[len(head):]:
+                for switch in (run, single):
+                    dropped = switch.forward_key(key(1, dst), now, size_bytes)
+                    assert dropped.outcome is ForwardingOutcome.DROPPED_NO_RULE
+                    assert dropped.rule is None
         assert switch_state(run) == switch_state(single)
-        for decision in decisions:
-            assert decision.outcome is verdict.outcome
-            assert decision.local_port == (
-                verdict.rule.action.target
-                if verdict.rule is not None and verdict.rule.action.kind is ActionType.FORWARD_LOCAL
-                else verdict.local_port
-            )
-            if verdict.outcome is ForwardingOutcome.INTRA_GROUP_FORWARD:
-                assert decision.target_switches == verdict.target_switches
-                assert decision.duplicate_count == len(verdict.target_switches) - 1
 
     @pytest.mark.parametrize("kind", ("lazyctrl", "openflow"))
     def test_every_decidable_outcome_is_reached(self, kind):
@@ -245,52 +254,6 @@ class TestSwitchRun:
             11: intra,
             30: ForwardingOutcome.SENT_TO_CONTROLLER,
         }
-
-
-class TestKeyStepIsThePacketStep:
-    """``forward_key`` on a flow key ≡ ``process_packet`` on the data packet made of it."""
-
-    @pytest.mark.parametrize("policy", ("static-idle", "idle-hard-hybrid", "lru", "adaptive"))
-    @pytest.mark.parametrize("kind", ("lazyctrl", "openflow"))
-    @given(
-        dsts=st.lists(st.sampled_from(DESTINATIONS), min_size=1, max_size=7),
-        arrivals=arrivals_strategy,
-        size_bytes=st.sampled_from((64, 1500, 9000)),
-        fails_from=st.none() | st.integers(0, 6),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_same_verdict_and_same_switch_afterwards(
-        self, kind, policy, dsts, arrivals, size_bytes, fails_from
-    ):
-        """A walk over mixed destinations — every rule kind, an expiring rule,
-        local, G-FIB and unknown hosts — on a switch that may fail part-way."""
-        times, _ = arrival_times(arrivals)
-        by_key, by_packet = make_switch(kind, policy), make_switch(kind, policy)
-        for step, (dst, now) in enumerate(zip(dsts, times)):
-            if step == fails_from:
-                by_key.failed = by_packet.failed = True
-            verdict = by_key.forward_key(key(1, dst), now, size_bytes)
-            decision = by_packet.process_packet(
-                make_data_packet(mac(1), mac(dst), 0, size_bytes=size_bytes, created_at=now), now
-            )
-            assert verdict.key == key(1, dst)
-            assert decision.outcome is verdict.outcome
-            assert decision.target_switches == (
-                verdict.target_switches
-                if verdict.rule is None
-                else tuple(
-                    [verdict.rule.action.target]
-                    if verdict.rule.action.kind is ActionType.ENCAP_TO_SWITCH
-                    else []
-                )
-            )
-            assert decision.duplicate_count == max(0, len(verdict.target_switches) - 1)
-            assert decision.local_port == (
-                verdict.rule.action.target
-                if verdict.rule is not None and verdict.rule.action.kind is ActionType.FORWARD_LOCAL
-                else verdict.local_port
-            )
-            assert switch_state(by_key) == switch_state(by_packet)
 
     @pytest.mark.parametrize("kind", ("lazyctrl", "openflow"))
     def test_every_outcome_of_the_key_step_is_reached(self, kind):

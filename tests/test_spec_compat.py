@@ -143,3 +143,16 @@ class TestLegacyExecutionKeys:
         legacy["execution"]["chunk_rows"] = 1
         with pytest.raises(ConfigurationError, match="unknown key 'chunk_rows'"):
             ScenarioSpec.from_dict(legacy)
+
+    def test_group_broadcast_ms_of_the_removed_arp_levels_is_dropped_on_load(self):
+        """Spec JSON that still prices the per-packet ARP levels loads unchanged."""
+        modern = get_preset("paper-fig7").specs()[0]
+        legacy = modern.to_dict()
+        legacy["config"]["latency"]["group_broadcast_ms"] = 0.3
+        spec = ScenarioSpec.from_dict(legacy)
+        assert spec == modern
+        assert "group_broadcast_ms" not in spec.to_dict()["config"]["latency"]
+        # A genuinely unknown latency key is still an error.
+        legacy["config"]["latency"]["group_flood_ms"] = 0.3
+        with pytest.raises(ConfigurationError, match="unknown key 'group_flood_ms'"):
+            ScenarioSpec.from_dict(legacy)

@@ -480,8 +480,11 @@ class TestChunkEquivalence:
         with pytest.raises(UnknownHostError) as from_records:
             Trace("bad", _NETWORK, [_record(draw, flow_id) for flow_id, draw in enumerate(draws)])
         with pytest.raises(UnknownHostError) as from_columns:
-            FlowChunk.from_draws(draws).check_hosts(_NETWORK)
-        assert str(from_columns.value) == str(from_records.value) == "unknown host 10001"
+            FlowChunk.from_draws(draws).check_hosts(_NETWORK.has_host)
+        with pytest.raises(UnknownHostError) as from_network:
+            _NETWORK.host(10_001)
+        assert str(from_columns.value) == str(from_records.value) == str(from_network.value)
+        assert str(from_network.value) == "unknown host 10001"
 
     def test_from_records_keeps_the_records_and_their_rate_profiles(self):
         from repro.bandwidth.profile import RateProfile
