@@ -3,12 +3,13 @@
 import pytest
 
 from repro.common.addresses import IpAddress, MacAddress
-from repro.common.config import BloomFilterConfig
+from repro.common.config import BloomFilterConfig, FlowTableConfig
 from repro.common.errors import ControlPlaneError
-from repro.common.packets import FlowKey
+from repro.common.packets import DATA_PACKET_BYTES, FlowKey
 from repro.datastructures.flow_table import ActionType, FlowAction
 from repro.dataplane.decisions import ForwardingOutcome
 from repro.dataplane.edge_switch import LazyCtrlEdgeSwitch
+from repro.tables.policies import RemovalReason
 
 
 def make_switch(switch_id: int = 0) -> LazyCtrlEdgeSwitch:
@@ -98,6 +99,33 @@ class TestLocalProcessing:
         assert verdict.rule is None
         assert switch.packets_processed == 1
 
+    def test_a_packet_weighs_a_full_data_packet_unless_sized(self):
+        switch = make_switch()
+        key = FlowKey(mac(1), mac(9), 0)
+        switch.install_flow_rule(key, FlowAction(ActionType.ENCAP_TO_SWITCH, 7))
+        switch.forward_key(key, now=0.0)
+        switch.forward_key(key, now=1.0, size_bytes=64)
+        rule = switch.flow_table.peek(key)
+        assert rule.packet_count == 2
+        assert rule.byte_count == DATA_PACKET_BYTES + 64
+
+    def test_an_expired_rule_falls_through_to_the_lfib(self):
+        switch = LazyCtrlEdgeSwitch(
+            0,
+            underlay_ip=IpAddress.from_switch_index(0),
+            management_mac=MacAddress.from_switch_index(0),
+            flow_table_config=FlowTableConfig(idle_timeout_seconds=50.0),
+        )
+        switch.attach_host(mac(2), port=2, tenant_id=0)
+        key = FlowKey(mac(1), mac(2), 0)
+        switch.install_flow_rule(key, FlowAction(ActionType.ENCAP_TO_SWITCH, 7), now=0.0)
+        assert switch.forward_key(key, now=10.0).outcome is ForwardingOutcome.FLOW_TABLE_HIT
+        verdict = switch.forward_key(key, now=100.0)
+        assert verdict.outcome is ForwardingOutcome.LOCAL_DELIVERY
+        assert verdict.local_port == 2 and verdict.rule is None
+        assert key not in switch.flow_table
+        assert switch.packets_processed == 2
+
 
 class TestEncapsulatedProcessing:
     """Lines 22-29 of Fig. 5: copies tunnelled here are delivered or dropped."""
@@ -113,6 +141,21 @@ class TestEncapsulatedProcessing:
         wrong_destination = make_switch(2)
         assert wrong_destination.receive_run(mac(9), 1)
         assert wrong_destination.false_positive_drops == 1
+
+    def test_a_run_of_copies_counts_every_copy(self):
+        destination = make_switch(1)
+        destination.attach_host(mac(9), port=4, tenant_id=0)
+        assert not destination.receive_run(mac(9), 3)
+        assert destination.receive_run(mac(8), 5)
+        assert destination.packets_processed == 8
+        assert destination.false_positive_drops == 5
+
+    def test_a_failed_receiver_counts_no_false_positive(self):
+        failed = make_switch(2)
+        failed.failed = True
+        assert not failed.receive_run(mac(9), 2)
+        assert failed.packets_processed == 2
+        assert failed.false_positive_drops == 0
 
 
 class TestGroupMembershipAndState:
@@ -169,6 +212,25 @@ class TestGroupMembershipAndState:
         assert holder.gfib.query(mac(1)) == (0,)
         with pytest.raises(ControlPlaneError):
             source.install_peer_summary(0, summary, source.local_hosts())
+
+    def test_expiry_is_relayed_as_flow_removed(self):
+        switch = LazyCtrlEdgeSwitch(
+            4,
+            underlay_ip=IpAddress.from_switch_index(4),
+            management_mac=MacAddress.from_switch_index(4),
+            flow_table_config=FlowTableConfig(idle_timeout_seconds=50.0),
+        )
+        removed = []
+        switch.flow_removed_handler = lambda *notice: removed.append(notice)
+        for dst in (2, 3):
+            switch.install_flow_rule(FlowKey(mac(1), mac(dst), 0), FlowAction(ActionType.DROP), now=0.0)
+        assert switch.advance_tables(10.0) == 0 and removed == []
+        assert switch.advance_tables(100.0) == 2
+        assert [(switch_id, rule.key.dst_mac, now, reason) for switch_id, rule, now, reason in removed] == [
+            (4, mac(2), 100.0, RemovalReason.IDLE_TIMEOUT),
+            (4, mac(3), 100.0, RemovalReason.IDLE_TIMEOUT),
+        ]
+        assert len(switch.flow_table) == 0
 
     def test_reset_counters(self):
         switch = make_switch()

@@ -3,7 +3,8 @@
 The data path is written once, for a run of ``n`` back-to-back packets of one
 flow key (``FlowTable.stays_alive``/``account_run``, ``GroupFib.peek``/
 ``account_queries``, ``EdgeSwitch.classify_run``/``apply_run``); the per-packet
-calls (``lookup``, ``query``, ``forward_key``) are the run of one.
+calls (``lookup``, ``query``, ``forward_key``) are the run of one, and
+``forward_key`` is Fig. 5's packet step spelled with ``lookup`` and ``query``.
 These properties hold the contract where it lives: a run either is declared
 undecidable, having changed nothing, or leaves exactly what ``n`` single calls
 leave — and asking alone never changes anything.
@@ -254,6 +255,68 @@ class TestSwitchRun:
             11: intra,
             30: ForwardingOutcome.SENT_TO_CONTROLLER,
         }
+
+
+def packet_step(switch, key, now, size_bytes):
+    """Lines 1-21 of Fig. 5 for one data packet, with the per-call forms.
+
+    Flow table ``lookup``, then the L-FIB, then G-FIB ``query``, else a
+    ``Packet_In``: ``(outcome, rule, local_port, target_switches)``.
+    """
+    switch.packets_processed += 1
+    if switch.failed:
+        return ForwardingOutcome.DROPPED_NO_RULE, None, None, ()
+    rule = switch.flow_table.lookup(key, now=now, size_bytes=size_bytes)
+    if rule is not None:
+        if rule.action.kind is ActionType.DROP:
+            return ForwardingOutcome.DROPPED_NO_RULE, rule, None, ()
+        if rule.action.kind is ActionType.SEND_TO_CONTROLLER:
+            switch.packets_to_controller += 1
+            return ForwardingOutcome.SENT_TO_CONTROLLER, rule, None, ()
+        return ForwardingOutcome.FLOW_TABLE_HIT, rule, None, ()
+    entry = switch.lfib.lookup(key.dst_mac)
+    if entry is not None:
+        return ForwardingOutcome.LOCAL_DELIVERY, None, entry.port, ()
+    candidates = () if switch.gfib is None else switch.gfib.query(key.dst_mac)
+    if candidates:
+        switch.duplicate_deliveries += len(candidates) - 1
+        return ForwardingOutcome.INTRA_GROUP_FORWARD, None, None, candidates
+    switch.packets_to_controller += 1
+    return ForwardingOutcome.SENT_TO_CONTROLLER, None, None, ()
+
+
+class TestKeyStepIsThePacketStep:
+    """``forward_key`` on a flow key ≡ Fig. 5's packet step written out per call."""
+
+    @pytest.mark.parametrize("policy", ("static-idle", "idle-hard-hybrid", "lru", "adaptive"))
+    @pytest.mark.parametrize("kind", ("lazyctrl", "openflow"))
+    @given(
+        dsts=st.lists(st.sampled_from(DESTINATIONS), min_size=1, max_size=7),
+        arrivals=arrivals_strategy,
+        size_bytes=st.sampled_from((64, 1500, 9000)),
+        fails_from=st.none() | st.integers(0, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_verdict_and_same_switch_afterwards(
+        self, kind, policy, dsts, arrivals, size_bytes, fails_from
+    ):
+        """A walk over mixed destinations — every rule kind, an expiring rule,
+        local, G-FIB and unknown hosts — on a switch that may fail part-way."""
+        times, _ = arrival_times(arrivals)
+        by_key, by_step = make_switch(kind, policy), make_switch(kind, policy)
+        for step, (dst, now) in enumerate(zip(dsts, times)):
+            if step == fails_from:
+                by_key.failed = by_step.failed = True
+            verdict = by_key.forward_key(key(1, dst), now, size_bytes)
+            outcome, rule, local_port, targets = packet_step(by_step, key(1, dst), now, size_bytes)
+            assert verdict.key == key(1, dst)
+            assert verdict.outcome is outcome
+            assert (None if verdict.rule is None else dataclasses.asdict(verdict.rule)) == (
+                None if rule is None else dataclasses.asdict(rule)
+            )
+            assert verdict.local_port == local_port
+            assert verdict.target_switches == targets
+            assert switch_state(by_key) == switch_state(by_step)
 
     @pytest.mark.parametrize("kind", ("lazyctrl", "openflow"))
     def test_every_outcome_of_the_key_step_is_reached(self, kind):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import TrafficError
+from repro.common.errors import TrafficError, UnknownHostError
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
 from repro.traffic.chunk import FlowChunk
 from repro.traffic.flow import FlowRecord
@@ -463,6 +463,29 @@ class TestGeneratedStreamInternals:
             list(stream_of((1.0, 4, 4, 1, 1400, 0.05)).chunks())
         with pytest.raises(Exception, match="unknown host 9999"):
             list(stream_of((1.0, 4, 9999, 1, 1400, 0.05)).chunks())
+
+    def test_hosts_are_checked_against_the_network_it_was_built_over(self):
+        """A host that departs after the stream was built (tenant churn) still
+        passes the check — its flows are the replay's to skip and count —
+        while a host the network never had fails as before."""
+        network = build_multi_tenant_datacenter(TopologyProfile(switch_count=3, host_count=12, seed=2))
+        windows = [ChunkWindow(index=0, start=0.0, end=10.0, counts=(2,))]
+        draws = [(1.0, 4, 5, 1, 1400, 0.05), (2.0, 6, 4, 1, 1400, 0.05)]
+        stream = GeneratedStream(
+            "departed", network, windows, lambda rng, window: list(draws),
+            seed=1, rng_label="test", duration=10.0,
+        )
+        network.remove_host(4)
+        assert not network.has_host(4)
+        flows = list(stream)
+        assert [(record.src_host_id, record.dst_host_id) for record in flows] == [(4, 5), (6, 4)]
+        stranger = GeneratedStream(
+            "stranger", network, windows,
+            lambda rng, window: [(1.0, 5, 6, 1, 1400, 0.05), (3.0, 6, 99, 1, 1400, 0.05)],
+            seed=1, rng_label="test", duration=10.0,
+        )
+        with pytest.raises(UnknownHostError, match="unknown host 99"):
+            list(stranger.chunks())
 
 
 class TestFlowChunk:
