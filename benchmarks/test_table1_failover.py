@@ -11,19 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.reports import format_table
-from repro.common.addresses import IpAddress, MacAddress
+from repro.common.addresses import MacAddress
 from repro.controlplane.group import LocalControlGroup
 from repro.dataplane.edge_switch import LazyCtrlEdgeSwitch
 from repro.failover.detection import FailureDetector, FailureKind, ProbeObservation, infer_failure
 
 
 def _make_group(size: int) -> LocalControlGroup:
-    switches = [
-        LazyCtrlEdgeSwitch(
-            i, underlay_ip=IpAddress.from_switch_index(i), management_mac=MacAddress.from_switch_index(i)
-        )
-        for i in range(size)
-    ]
+    switches = [LazyCtrlEdgeSwitch(i, management_mac=MacAddress.from_switch_index(i)) for i in range(size)]
     return LocalControlGroup(0, switches)
 
 

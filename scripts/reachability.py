@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Reachability audit: which functions of ``src/repro`` does nothing run?
 
-Drives the whole command-line surface in this process with a profile hook
-that is installed *before* ``repro`` is imported (so import-time calls, the
-registry decorators among them, count), then walks ``src/repro`` with
-``ast`` and prints every function whose code never ran, by package, with
-line totals:
+Drives the whole command-line surface and the figure benchmarks in this
+process with a profile hook that is installed *before* ``repro`` is imported
+(so import-time calls, the registry decorators among them, count), then
+walks ``src/repro`` with ``ast`` and prints every function whose code never
+ran, by package, with line totals:
 
     python scripts/reachability.py                                  # every preset
     python scripts/reachability.py --presets paper-fig7 --flows 500
@@ -21,19 +21,28 @@ What runs, all in process with ``workers=1`` (so no code hides in a pool):
   ``compare``, ``bench`` (then ``bench --check`` against what it just
   wrote) and the four ``list-*`` commands;
 * every ``examples/*.py`` through :mod:`runpy`, the scale demos at
-  ``--flows``.
+  ``--flows``;
+* every figure benchmark, ``benchmarks/test_*.py``, through ``pytest.main``
+  with ``--benchmark-disable`` (pytest-benchmark's timing loop would hide
+  the timed call from the hook) at ``REPRO_BENCH_SCALE=0.05`` and
+  ``REPRO_BENCH_FLOWS=4000``.  The ledger's probes under
+  ``benchmarks/ledger/`` are *not* driven, so anything they call is in the
+  residue and must stay.
+
+The hook is a plain ``sys.setprofile`` function, not :mod:`cProfile`:
+calls made under ``pytest.main`` never reached a ``cProfile`` profiler.
 
 The residue is an upper bound on dead code: a function that only a test, a
-forked worker or an unlisted flag reaches is in it.  Declarations without a
-body (``...``, ``pass``, ``raise NotImplementedError``) are not counted.
-Standard library only.  Exits 1 when a run fails for any reason other than
-a planner refusal.
+forked worker, a ledger probe or an unlisted flag reaches is in it.
+Declarations without a body (``...``, ``pass``, ``raise NotImplementedError``)
+are not counted.  Standard library only, plus pytest and pytest-benchmark
+for the figure benchmarks.  Exits 1 when a run fails for any reason other
+than a planner refusal.
 """
 
 import argparse
 import ast
 import contextlib
-import cProfile
 import io
 import os
 import runpy
@@ -45,6 +54,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
+
+#: The figure benchmarks' scale: small enough for a few seconds per module.
+BENCH_ENV = {"REPRO_BENCH_SCALE": "0.05", "REPRO_BENCH_FLOWS": "4000"}
 
 #: ``--exec`` of the four execution shapes every preset is run under.
 SHAPES = (
@@ -99,6 +111,24 @@ class Audit:
         finally:
             sys.argv = saved
 
+    def benchmarks(self, paths) -> None:
+        """The figure benchmarks, one ``pytest`` session, timing loop off."""
+        import pytest
+
+        label = "pytest benchmarks/test_*.py"
+        try:
+            with _quiet():
+                code = pytest.main(
+                    [*map(str, paths), "-q", "--benchmark-disable", "-p", "no:cacheprovider", "--rootdir", str(ROOT)]
+                )
+        except (Exception, SystemExit) as error:
+            self.failed.append(f"{label}: {type(error).__name__}: {error}")
+            return
+        if code:
+            self.failed.append(f"{label}: exit {int(code)}")
+        else:
+            self.ok += 1
+
 
 @contextlib.contextmanager
 def _quiet():
@@ -107,7 +137,7 @@ def _quiet():
 
 
 def drive(audit: Audit, presets, flows: int, scratch: Path) -> None:
-    """Every preset × shape, every subcommand, every example."""
+    """Every preset × shape, every subcommand, every example, every figure benchmark."""
     from repro.cli import main
     from repro.core.presets import get_preset
 
@@ -146,6 +176,8 @@ def drive(audit: Audit, presets, flows: int, scratch: Path) -> None:
         if '"--workers"' in source:
             argv += ["--workers", "1"]
         audit.script(path, argv)
+
+    audit.benchmarks(sorted((ROOT / "benchmarks").glob("test_*.py")))
 
 
 # -- the static side: every function under src/repro ----------------------------
@@ -239,19 +271,19 @@ def main(argv=None) -> int:
     parser.add_argument("--flows", type=int, default=2000, help="flows per replayed scenario (default 2000)")
     args = parser.parse_args(argv)
 
-    # The hooks go in before the first ``repro`` import: module bodies and
+    # The hook goes in before the first ``repro`` import: module bodies and
     # the registry decorators they run count as reached.
-    thread_codes = set()
+    codes = set()
 
-    def thread_hook(frame, event, arg):
+    def hook(frame, event, arg):
         if event == "call":
-            thread_codes.add(frame.f_code)
+            codes.add(frame.f_code)
 
-    threading.setprofile(thread_hook)
-    profiler = cProfile.Profile(builtins=False)
+    os.environ.update(BENCH_ENV)
     sys.path.insert(0, str(PACKAGE.parent))
     audit = Audit()
-    profiler.enable()
+    threading.setprofile(hook)
+    sys.setprofile(hook)
     try:
         from repro.core.presets import list_presets
 
@@ -259,11 +291,9 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix="reachability-") as scratch:
             drive(audit, presets, args.flows, Path(scratch))
     finally:
-        profiler.disable()
+        sys.setprofile(None)
         threading.setprofile(None)
 
-    codes = {entry.code for entry in profiler.getstats() if not isinstance(entry.code, str)}
-    codes |= thread_codes
     reached = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in codes}
     report(reached, audit)
     return 1 if audit.failed else 0

@@ -7,13 +7,12 @@ from repro.analysis.centrality import (
     trace_centrality,
 )
 from repro.analysis.heatmap import hot_links_report, latency_percentile_rows, render_heatmap
-from repro.analysis.reports import format_percent, format_series, format_table, two_hour_bucket_labels
+from repro.analysis.reports import format_percent, format_table, two_hour_bucket_labels
 
 __all__ = [
     "CentralityReport",
     "centrality_of_groups",
     "format_percent",
-    "format_series",
     "format_table",
     "hot_links_report",
     "latency_percentile_rows",

@@ -32,12 +32,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], *, ti
     return "\n".join(lines)
 
 
-def format_series(label: str, xs: Sequence[object], ys: Sequence[float], *, x_name: str = "x", y_name: str = "y", precision: int = 3) -> str:
-    """Render an (x, y) series as a two-column table."""
-    rows = [(x, f"{y:.{precision}f}") for x, y in zip(xs, ys)]
-    return format_table([x_name, y_name], rows, title=label)
-
-
 def format_percent(value: float, *, precision: int = 1) -> str:
     """Format a fraction in [0, 1] as a percentage string."""
     return f"{100.0 * value:.{precision}f}%"

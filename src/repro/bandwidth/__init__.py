@@ -2,12 +2,9 @@
 
 Flows were latency-only events until this subsystem: the elephant-mice and
 incast-hotspot workloads never actually stressed the links they are named
-for.  This package gives them something to saturate:
+for.  This package gives them something to saturate.  Every flow sends its
+``byte_count`` at the constant rate its ``duration`` implies:
 
-* :class:`~repro.bandwidth.profile.RateProfile` — an optional
-  piecewise-constant send-rate profile on
-  :class:`~repro.traffic.flow.FlowRecord` (derived deterministically from
-  ``byte_count`` / ``duration`` when absent);
 * :class:`~repro.bandwidth.meter.LinkUtilizationMeter` — a per-window
   byte accumulator over edge-switch uplinks, fed during replay a run of
   flows at a time (``account_run``, on start / duration / byte columns) or a
@@ -24,7 +21,6 @@ to a build without it.
 """
 
 from repro.bandwidth.meter import LinkUtilizationMeter, build_link_meter
-from repro.bandwidth.profile import RateProfile
 from repro.bandwidth.spec import LinkCapacitySpec
 from repro.bandwidth.usage import LinkUsageResult
 
@@ -32,6 +28,5 @@ __all__ = [
     "LinkCapacitySpec",
     "LinkUsageResult",
     "LinkUtilizationMeter",
-    "RateProfile",
     "build_link_meter",
 ]

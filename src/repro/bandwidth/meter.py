@@ -4,13 +4,12 @@ The meter models the underlay the way the paper's latency model does: the
 core is an opaque one-hop fabric, so every inter-switch flow traverses
 exactly two capacitated links — the source edge switch's uplink into the
 core and the destination edge switch's uplink out of it.  Each observed
-flow spreads its bytes over fixed accounting windows — at the constant rate
-its byte count and duration imply, or along an attached rate profile — and
-the offered load of the current window, as a fraction of capacity, is what
-the latency model's queueing term feeds on.  The accounting is written once,
-on what it reads: :meth:`LinkUtilizationMeter.account_run` takes start,
-duration and byte columns, and :meth:`~LinkUtilizationMeter.observe` is that
-run for one record.
+flow spreads its bytes over fixed accounting windows at the constant rate its
+byte count and duration imply, and the offered load of the current window,
+as a fraction of capacity, is what the latency model's queueing term feeds
+on.  The accounting is written once, on what it reads:
+:meth:`LinkUtilizationMeter.account_run` takes start, duration and byte
+columns, and :meth:`~LinkUtilizationMeter.observe` is that run for one record.
 
 A meter only exists when at least one switch has a capacity assigned;
 :func:`build_link_meter` returns ``None`` otherwise, and the dataplanes
@@ -27,7 +26,6 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tu
 from repro.bandwidth.usage import LinkUsageResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.bandwidth.profile import RateProfile
     from repro.topology.network import DataCenterNetwork
     from repro.traffic.flow import FlowRecord
 
@@ -45,11 +43,6 @@ class LinkObservation(NamedTuple):
     dst_utilization: float
     #: ``(switch_id, utilization)`` pairs that crossed 1.0 with this flow.
     newly_congested: Tuple[Tuple[int, float], ...]
-
-    @property
-    def congested(self) -> bool:
-        """Whether either traversed uplink is offered at least its capacity."""
-        return self.src_utilization >= 1.0 or self.dst_utilization >= 1.0
 
 
 class LinkUtilizationMeter:
@@ -91,7 +84,6 @@ class LinkUtilizationMeter:
             flow.start_time,
             flow.duration,
             flow.byte_count,
-            flow.rate_profile,
             src_switch_id,
             dst_switch_id,
             now,
@@ -110,7 +102,6 @@ class LinkUtilizationMeter:
         byte_counts: Sequence[int],
         src_switch_ids: Sequence[int],
         dst_switch_ids: Sequence[int],
-        profiles: Optional[Sequence[Optional["RateProfile"]]] = None,
         *,
         nows: Optional[Sequence[float]] = None,
     ) -> Tuple[List[Tuple[float, float]], List[Crossing]]:
@@ -118,7 +109,7 @@ class LinkUtilizationMeter:
 
         Flow ``i`` sends ``byte_counts[i]`` bytes at a constant rate over
         ``durations[i]`` seconds from ``starts[i]`` — the columns a flow chunk
-        already holds — unless ``profiles[i]`` says otherwise, and reads its
+        already holds — and reads its
         two uplinks at ``nows[i]``: its start, as in a replay, when ``nows``
         is omitted.  Returns each flow's ``(src_utilization,
         dst_utilization)`` and the ``(time, switch_id, utilization)``
@@ -131,7 +122,6 @@ class LinkUtilizationMeter:
                 starts,
                 durations,
                 byte_counts,
-                repeat(None) if profiles is None else profiles,
                 src_switch_ids,
                 dst_switch_ids,
                 starts if nows is None else nows,
@@ -145,7 +135,6 @@ class LinkUtilizationMeter:
         start: float,
         duration: float,
         byte_count: int,
-        profile: Optional["RateProfile"],
         src_switch_id: int,
         dst_switch_id: int,
         now: float,
@@ -153,33 +142,30 @@ class LinkUtilizationMeter:
     ) -> Tuple[float, float]:
         """Charge one flow to its two uplinks and read both back at ``now``.
 
-        A constant rate that ends inside the window it starts in — nearly
-        every flow — is one product, the two operations :meth:`_spread` would
-        perform for it; the rest take the stepping loop.
+        A flow that ends inside the window it starts in — nearly every flow —
+        is one product, the two operations :meth:`_spread` would perform for
+        it; the rest take the stepping loop.
         """
         window_seconds = self.window_seconds
         index = int(start / window_seconds)
         current_window = int(now / window_seconds)
-        if profile is not None:
-            segments = profile.segments
-        else:
-            rate_bps = byte_count * 8.0 / duration
-            end = start + duration
-            if start < end <= (index + 1) * window_seconds:
-                segments = None
-                whole = rate_bps / 8.0 * (end - start)
-            else:
-                segments = ((duration, rate_bps),)
+        # Via bits per second: the rounding every pinned utilization was computed with.
+        rate_bps = byte_count * 8.0 / duration
+        bytes_per_second = rate_bps / 8.0
+        end = start + duration
+        whole = None
+        if start < end <= (index + 1) * window_seconds:
+            whole = bytes_per_second * (end - start)
         readings = []
         for switch_id in (src_switch_id, dst_switch_id):
             windows = self._bytes.get(switch_id)
             if windows is None:
                 readings.append(0.0)
                 continue
-            if segments is None:
+            if whole is not None:
                 windows[index] = windows.get(index, 0.0) + whole
             else:
-                self._spread(windows, start, index, segments)
+                self._spread(windows, start, index, end, bytes_per_second)
             utilization = windows.get(current_window, 0.0) / self._window_capacity_bytes[switch_id]
             readings.append(utilization)
             if utilization >= 1.0 and (switch_id, current_window) not in self._crossed:
@@ -192,9 +178,10 @@ class LinkUtilizationMeter:
         windows: Dict[int, float],
         cursor: float,
         index: int,
-        segments: Tuple[Tuple[float, float], ...],
+        end: float,
+        bytes_per_second: float,
     ) -> None:
-        """Distribute segments starting at ``cursor``, in window ``index``, across windows.
+        """Distribute a flow from ``cursor``, in window ``index``, to ``end`` across windows.
 
         The window index is stepped, never re-derived from the cursor: at a
         boundary ``k * w`` whose quotient ``(k * w) / w`` rounds below ``k``
@@ -202,23 +189,13 @@ class LinkUtilizationMeter:
         would never advance.
         """
         window_seconds = self.window_seconds
-        for segment_duration, rate_bps in segments:
-            segment_end = cursor + segment_duration
-            bytes_per_second = rate_bps / 8.0
-            while cursor < segment_end:
-                boundary = (index + 1) * window_seconds
-                step_end = segment_end if segment_end < boundary else boundary
-                windows[index] = windows.get(index, 0.0) + bytes_per_second * (step_end - cursor)
-                cursor = step_end
-                if step_end == boundary:
-                    index += 1
-
-    def utilization(self, switch_id: int, now: float) -> float:
-        """Current-window offered load of one uplink (0.0 when untracked)."""
-        windows = self._bytes.get(switch_id)
-        if windows is None:
-            return 0.0
-        return windows.get(int(now / self.window_seconds), 0.0) / self._window_capacity_bytes[switch_id]
+        while cursor < end:
+            boundary = (index + 1) * window_seconds
+            step_end = end if end < boundary else boundary
+            windows[index] = windows.get(index, 0.0) + bytes_per_second * (step_end - cursor)
+            cursor = step_end
+            if step_end == boundary:
+                index += 1
 
     def max_utilization(self, now: float) -> float:
         """The hottest current-window offered load across all tracked uplinks."""

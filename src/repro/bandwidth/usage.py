@@ -38,18 +38,6 @@ class LinkUsageResult:
         )
 
     @property
-    def peak_cell(self) -> Tuple[int, int]:
-        """``(switch_id, window_index)`` of the peak cell (``(-1, -1)`` if empty)."""
-        best = (-1, -1)
-        best_value = float("-inf")
-        for key in sorted(self.utilization, key=int):
-            for index, value in enumerate(self.utilization[key]):
-                if value > best_value:
-                    best_value = value
-                    best = (int(key), index)
-        return best if best_value > float("-inf") else (-1, -1)
-
-    @property
     def congested_cells(self) -> int:
         """Number of ``(link, window)`` cells offered at least their capacity."""
         return sum(
@@ -75,10 +63,6 @@ class LinkUsageResult:
                 rows.append((int(key), peak, hot_windows))
         rows.sort(key=lambda row: (-row[1], row[0]))
         return rows
-
-    def link_series(self, switch_id: int) -> List[float]:
-        """One uplink's per-window utilization series (empty when untracked)."""
-        return list(self.utilization.get(str(switch_id), ()))
 
     def bucket_maxima(self, bucket_seconds: float, bucket_count: int) -> List[float]:
         """Per result-bucket maximum utilization across all links and windows.

@@ -37,10 +37,6 @@ class ChurnStats:
     hosts_removed: int = 0
     skipped_events: int = 0
 
-    def applied_events(self) -> int:
-        """Number of churn events that changed the topology."""
-        return self.migrations + self.drift_events + self.tenant_arrivals + self.tenant_departures
-
 
 class ChurnScheduler:
     """Pre-draws a spec's churn events as one sorted list firing into a target."""

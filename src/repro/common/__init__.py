@@ -1,6 +1,6 @@
 """Shared value objects, configuration and helpers used by every subsystem."""
 
-from repro.common.addresses import IpAddress, MacAddress, mac_range
+from repro.common.addresses import MacAddress
 from repro.common.config import (
     BloomFilterConfig,
     FlowTableConfig,
@@ -11,7 +11,6 @@ from repro.common.config import (
 )
 from repro.common.errors import (
     AddressError,
-    ChannelError,
     ConfigurationError,
     ControlPlaneError,
     FailoverError,
@@ -26,12 +25,11 @@ from repro.common.errors import (
     UnknownSwitchError,
 )
 from repro.common.packets import FlowKey
-from repro.common.rng import derive_seed, make_rng, sample_zipf_index, shuffled, weighted_choice
+from repro.common.rng import derive_seed, make_rng, sample_zipf_index
 
 __all__ = [
     "AddressError",
     "BloomFilterConfig",
-    "ChannelError",
     "ConfigurationError",
     "ControlPlaneError",
     "FailoverError",
@@ -40,7 +38,6 @@ __all__ = [
     "FlowTableError",
     "GroupingConfig",
     "InfeasibleGroupingError",
-    "IpAddress",
     "LatencyModelConfig",
     "LazyCtrlConfig",
     "MacAddress",
@@ -53,9 +50,6 @@ __all__ = [
     "UnknownHostError",
     "UnknownSwitchError",
     "derive_seed",
-    "mac_range",
     "make_rng",
     "sample_zipf_index",
-    "shuffled",
-    "weighted_choice",
 ]

@@ -1,21 +1,19 @@
-"""MAC and IP address value objects.
+"""MAC address value objects.
 
-The LazyCtrl data plane is a layer-2 overlay on top of an IP underlay, so the
-library manipulates both MAC addresses (host identities tracked in L-FIBs,
-G-FIBs and the C-LIB) and IP addresses (edge-switch tunnel endpoints on the
-core).  Both types are small immutable value objects backed by integers so
-they hash fast and can be generated deterministically from indices.
+The LazyCtrl data plane is a layer-2 overlay, so hosts are known by their MAC
+addresses (the identities tracked in L-FIBs, G-FIBs and the C-LIB) and edge
+switches by a management MAC (the failure-detection wheel's order).  A MAC is
+a small immutable value object backed by an integer, so it hashes fast and is
+generated deterministically from an index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.common.errors import AddressError
 
 _MAC_MAX = (1 << 48) - 1
-_IPV4_MAX = (1 << 32) - 1
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -41,23 +39,6 @@ class MacAddress:
         return hash(self.value)
 
     @classmethod
-    def parse(cls, text: str) -> "MacAddress":
-        """Parse the canonical ``aa:bb:cc:dd:ee:ff`` notation."""
-        parts = text.strip().split(":")
-        if len(parts) != 6:
-            raise AddressError(f"malformed MAC address: {text!r}")
-        try:
-            octets = [int(part, 16) for part in parts]
-        except ValueError as exc:
-            raise AddressError(f"malformed MAC address: {text!r}") from exc
-        if any(not 0 <= octet <= 0xFF for octet in octets):
-            raise AddressError(f"malformed MAC address: {text!r}")
-        value = 0
-        for octet in octets:
-            value = (value << 8) | octet
-        return cls(value)
-
-    @classmethod
     def from_host_index(cls, index: int) -> "MacAddress":
         """Deterministically derive a host MAC from a dense host index.
 
@@ -80,16 +61,6 @@ class MacAddress:
             raise AddressError(f"switch index out of range: {index}")
         return cls((0x06 << 40) | index)
 
-    @property
-    def is_host(self) -> bool:
-        """Whether this address was allocated from the host range."""
-        return (self.value >> 40) == 0x02
-
-    @property
-    def is_switch(self) -> bool:
-        """Whether this address was allocated from the switch range."""
-        return (self.value >> 40) == 0x06
-
     def octets(self) -> tuple[int, ...]:
         """Return the six octets, most-significant first."""
         return tuple((self.value >> shift) & 0xFF for shift in range(40, -8, -8))
@@ -103,74 +74,3 @@ class MacAddress:
 
     def __repr__(self) -> str:
         return f"MacAddress('{self}')"
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class IpAddress:
-    """A 32-bit IPv4 address used for underlay tunnel endpoints."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= _IPV4_MAX:
-            raise AddressError(f"IPv4 value out of range: {self.value!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> "IpAddress":
-        """Parse dotted-quad notation such as ``10.0.1.7``."""
-        parts = text.strip().split(".")
-        if len(parts) != 4:
-            raise AddressError(f"malformed IPv4 address: {text!r}")
-        try:
-            octets = [int(part, 10) for part in parts]
-        except ValueError as exc:
-            raise AddressError(f"malformed IPv4 address: {text!r}") from exc
-        if any(not 0 <= octet <= 255 for octet in octets):
-            raise AddressError(f"malformed IPv4 address: {text!r}")
-        value = 0
-        for octet in octets:
-            value = (value << 8) | octet
-        return cls(value)
-
-    @classmethod
-    def from_switch_index(cls, index: int) -> "IpAddress":
-        """Allocate an underlay address for edge switch ``index`` in 10.0.0.0/8."""
-        if index < 0 or index >= (1 << 24):
-            raise AddressError(f"switch index out of range: {index}")
-        return cls((10 << 24) | index)
-
-    def octets(self) -> tuple[int, int, int, int]:
-        """Return the four dotted-quad octets."""
-        return (
-            (self.value >> 24) & 0xFF,
-            (self.value >> 16) & 0xFF,
-            (self.value >> 8) & 0xFF,
-            self.value & 0xFF,
-        )
-
-    def to_bytes(self) -> bytes:
-        """Return the 4-byte big-endian representation."""
-        return self.value.to_bytes(4, "big")
-
-    def __str__(self) -> str:
-        return ".".join(str(octet) for octet in self.octets())
-
-    def __repr__(self) -> str:
-        return f"IpAddress('{self}')"
-
-
-def mac_range(start_index: int, count: int, *, kind: str = "host") -> Iterator[MacAddress]:
-    """Yield ``count`` consecutive MAC addresses starting at ``start_index``.
-
-    ``kind`` selects the host or switch allocation range; this is the helper
-    the topology builder uses to mint addresses for an entire data center in
-    one pass.
-    """
-    if kind == "host":
-        factory = MacAddress.from_host_index
-    elif kind == "switch":
-        factory = MacAddress.from_switch_index
-    else:
-        raise AddressError(f"unknown MAC range kind: {kind!r}")
-    for offset in range(count):
-        yield factory(start_index + offset)

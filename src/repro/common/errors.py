@@ -18,7 +18,7 @@ class ConfigurationError(ReproError):
 
 
 class AddressError(ReproError):
-    """A MAC or IP address string/integer could not be parsed or is invalid."""
+    """A MAC address integer or index is out of range."""
 
 
 class TopologyError(ReproError):
@@ -42,11 +42,7 @@ class InfeasibleGroupingError(PartitioningError):
 
 
 class ControlPlaneError(ReproError):
-    """A control-plane component (controller, LCG, channel) misbehaved."""
-
-
-class ChannelError(ControlPlaneError):
-    """A control/state/peer channel is down or was used incorrectly."""
+    """A control-plane component (controller, LCG) misbehaved."""
 
 
 class FlowTableError(ReproError):

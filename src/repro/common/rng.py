@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
 
 
 def derive_seed(base_seed: int, *labels: str) -> int:
@@ -36,30 +33,6 @@ def make_rng(base_seed: int, *labels: str) -> random.Random:
     return random.Random(derive_seed(base_seed, *labels))
 
 
-def weighted_choice(rng: random.Random, items: Sequence[T], weights: Sequence[float]) -> T:
-    """Pick one item with probability proportional to its weight.
-
-    Raises ``ValueError`` when the sequences are empty, have mismatched
-    lengths, or all weights are zero/negative.
-    """
-    if not items:
-        raise ValueError("cannot choose from an empty sequence")
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have the same length")
-    total = float(sum(w for w in weights if w > 0))
-    if total <= 0:
-        raise ValueError("at least one weight must be positive")
-    target = rng.random() * total
-    cumulative = 0.0
-    for item, weight in zip(items, weights):
-        if weight <= 0:
-            continue
-        cumulative += weight
-        if target <= cumulative:
-            return item
-    return items[-1]
-
-
 def sample_zipf_index(rng: random.Random, population: int, exponent: float = 1.2) -> int:
     """Sample an index in ``[0, population)`` from a Zipf-like distribution.
 
@@ -78,9 +51,3 @@ def sample_zipf_index(rng: random.Random, population: int, exponent: float = 1.2
     index = int(population * (u ** exponent))
     return min(index, population - 1)
 
-
-def shuffled(rng: random.Random, items: Iterable[T]) -> list[T]:
-    """Return a new shuffled list of ``items`` without mutating the input."""
-    result = list(items)
-    rng.shuffle(result)
-    return result

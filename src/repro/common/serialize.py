@@ -147,10 +147,11 @@ def from_jsonable(annotation: Any, data: Any, *, path: str = "spec") -> Any:
     if annotation is float and isinstance(data, (int, float)) and not isinstance(data, bool):
         return float(data)
     # JSON object keys are always strings; revive numeric dict keys.
-    if annotation is int and isinstance(data, str):
-        return int(data)
-    if annotation is float and isinstance(data, str):
-        return float(data)
+    if annotation in (int, float) and isinstance(data, str):
+        try:
+            return annotation(data)
+        except ValueError:
+            raise ConfigurationError(f"{path}: expected {annotation.__name__}, got {data!r}") from None
     return data
 
 

@@ -10,9 +10,11 @@ affinity that carries out distributed control among themselves (paper
 * relaying of member L-FIB updates via the designated switch (peer links)
   and aggregation into state reports for the controller (state link).
 
-An L-FIB travels in two derived forms, each produced once per dissemination:
-the Bloom summary its switch builds and every other member installs, and the
-wire tuple (``LocalFib.wire_entries``) every relay and report carries.
+Peer-link and state-link traffic is counted (``peer_messages_sent``,
+``state_reports_sent``), not modelled as message objects.  An L-FIB travels
+in two derived forms, each produced once per version: the Bloom summary its
+switch builds and every other member installs, and the wire tuple
+(``LocalFib.wire_entries``) a state report carries.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError, ControlPlaneError
-from repro.controlplane.channels import ChannelRegistry, ChannelType
-from repro.controlplane.messages import GroupStateReportMessage, LfibUpdateMessage
+from repro.controlplane.messages import GroupStateReportMessage
 from repro.dataplane.edge_switch import LazyCtrlEdgeSwitch
 
 
@@ -45,7 +46,6 @@ class LocalControlGroup:
         *,
         backup_count: int = 1,
         rng: Optional[random.Random] = None,
-        channels: Optional[ChannelRegistry] = None,
     ) -> None:
         if not members:
             raise ControlPlaneError("a local control group needs at least one member switch")
@@ -57,7 +57,6 @@ class LocalControlGroup:
         if len({switch.gfib.config for switch in members}) != 1:
             raise ConfigurationError(f"the members of group {group_id} do not share one Bloom-filter geometry")
         self._rng = rng or random.Random(group_id)
-        self._channels = channels or ChannelRegistry()
         self.designated_switch_id: int = -1
         self.backup_switch_ids: List[int] = []
         self._ring_order: List[int] = []
@@ -78,10 +77,6 @@ class LocalControlGroup:
         """Identifiers of all member switches."""
         return sorted(self._members)
 
-    def members(self) -> List[LazyCtrlEdgeSwitch]:
-        """All member switch objects, ordered by identifier."""
-        return [self._members[switch_id] for switch_id in sorted(self._members)]
-
     def member(self, switch_id: int) -> LazyCtrlEdgeSwitch:
         """Return the member with ``switch_id`` (raises when not a member)."""
         try:
@@ -94,11 +89,6 @@ class LocalControlGroup:
 
     def __len__(self) -> int:
         return len(self._members)
-
-    @property
-    def designated_switch(self) -> LazyCtrlEdgeSwitch:
-        """The current designated switch object."""
-        return self._members[self.designated_switch_id]
 
     # -- designated switch & ring ---------------------------------------------
 
@@ -176,50 +166,31 @@ class LocalControlGroup:
         self.peer_messages_sent += messages
         return messages
 
-    def propagate_lfib_update(self, switch_id: int, *, timestamp: float = 0.0) -> int:
+    def propagate_lfib_update(self, switch_id: int) -> int:
         """Handle an L-FIB change at one member (asynchronous dissemination, §III-D.3).
 
         The updating switch sends its L-FIB to the designated switch via the
         peer link; the designated switch relays it to every other member
         (updating their G-FIB entries for the updating switch) and the caller
         is expected to follow up with :meth:`build_state_report` towards the
-        controller.  One summary and one wire tuple serve every member and
-        relay.  Returns the number of peer-link messages generated.
+        controller.  One summary serves every member.  Returns the number of
+        peer-link messages generated: the update, plus one relay per member
+        that is neither the updating nor the designated switch.
         """
         source = self.member(switch_id)
-        entries = source.lfib.wire_entries()
-        size_bytes = 64 + 16 * len(entries)
-        designated = self.designated_switch
-        messages = 0
-
-        # Source -> designated over the peer link.
-        channel = self._channels.get_or_create(
-            ChannelType.PEER_LINK, f"switch:{switch_id}", f"switch:{designated.switch_id}"
-        )
-        update = LfibUpdateMessage.create(switch_id, entries, f"switch:{designated.switch_id}", timestamp)
-        if channel.deliver(update, size_bytes=size_bytes):
-            messages += 1
-
-        # Designated -> every other member (multiple unicasts).
+        designated_id = self.designated_switch_id
+        messages = 1
         summary, macs = source.summarize_lfib(), source.local_hosts()
         for peer_id, peer in self._members.items():
             if peer_id == switch_id:
                 continue
             peer.install_peer_summary(switch_id, summary, macs)
-            if peer_id == designated.switch_id:
-                continue
-            relay_channel = self._channels.get_or_create(
-                ChannelType.PEER_LINK, f"switch:{designated.switch_id}", f"switch:{peer_id}"
-            )
-            relay = LfibUpdateMessage.create(
-                designated.switch_id, entries, f"switch:{peer_id}", timestamp
-            )
-            if relay_channel.deliver(relay, size_bytes=size_bytes):
+            if peer_id != designated_id:
                 messages += 1
         self.peer_messages_sent += messages
         return messages
 
-    def build_state_report(self, *, timestamp: float = 0.0, only_changes: bool = False) -> GroupStateReportMessage:
+    def build_state_report(self, *, only_changes: bool = False) -> GroupStateReportMessage:
         """Aggregate member L-FIBs into a state report for the controller.
 
         With ``only_changes=True`` the report carries only the L-FIBs whose
@@ -241,18 +212,7 @@ class LocalControlGroup:
                     reported[switch_id] = version
         else:
             snapshots = {switch_id: switch.lfib.wire_entries() for switch_id, switch in self._members.items()}
-        return GroupStateReportMessage.create(
-            self.group_id,
-            self.designated_switch_id,
-            snapshots,
-            timestamp,
-        )
-
-    # -- bookkeeping --------------------------------------------------------------
-
-    def storage_bytes(self) -> int:
-        """Total G-FIB storage across all members (the §V-D overhead metric)."""
-        return sum(switch.storage_bytes() for switch in self._members.values())
+        return GroupStateReportMessage.create(snapshots)
 
     def __repr__(self) -> str:
         return (

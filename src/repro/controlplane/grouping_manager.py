@@ -67,10 +67,6 @@ class GroupingManager:
 
     # -- traffic observation ------------------------------------------------
 
-    def observe_flow(self, src_switch: int, dst_switch: int, amount: float = 1.0) -> None:
-        """Record one observed flow arrival in the current measurement window."""
-        self.recent_matrix.record(src_switch, dst_switch, amount)
-
     def note_churn(self, count: int = 1) -> None:
         """Record VM-level topology churn (migration, arrival, departure).
 

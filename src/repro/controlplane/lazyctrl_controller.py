@@ -27,10 +27,9 @@ from repro.common.packets import FlowKey
 from repro.datastructures.fib import CentralLib
 from repro.dataplane.edge_switch import LazyCtrlEdgeSwitch
 from repro.controlplane.base import EdgeController
-from repro.controlplane.channels import ChannelRegistry, ChannelType
 from repro.controlplane.group import LocalControlGroup
 from repro.controlplane.grouping_manager import GroupingManager
-from repro.controlplane.messages import GroupConfigMessage, GroupStateReportMessage
+from repro.controlplane.messages import GroupStateReportMessage
 from repro.controlplane.tenant_manager import TenantManager
 from repro.partitioning.sgi import Grouping
 from repro.topology.network import DataCenterNetwork
@@ -69,7 +68,6 @@ class LazyCtrlController(EdgeController):
         )
         self._groups: Dict[int, LocalControlGroup] = {}
         self._group_of_switch: Dict[int, int] = {}
-        self._channels = ChannelRegistry()
         self._rng = random.Random(self.config.grouping.random_seed)
         self.arp_relays = 0
         self.group_config_messages = 0
@@ -80,7 +78,6 @@ class LazyCtrlController(EdgeController):
     def register_switch(self, switch: LazyCtrlEdgeSwitch) -> None:
         """Connect an edge switch to the controller via a control link."""
         super().register_switch(switch)
-        self._channels.get_or_create(ChannelType.CONTROL_LINK, "controller", f"switch:{switch.switch_id}")
         self.grouping_manager.register_switches([switch.switch_id])
 
     # -- bootstrap -----------------------------------------------------------------
@@ -115,10 +112,11 @@ class LazyCtrlController(EdgeController):
         """The full switch->group mapping."""
         return dict(self._group_of_switch)
 
-    def apply_grouping(self, grouping: Grouping, *, now: float = 0.0) -> int:
+    def apply_grouping(self, grouping: Grouping) -> int:
         """Provision Local Control Groups according to ``grouping``.
 
-        Returns the number of group-configuration messages sent.  Groups are
+        Returns the number of group-configuration messages sent over the
+        control links, one per member switch.  Groups are
         rebuilt from scratch (the paper preloads rules to avoid interruptions
         during updates; rule preloading is modelled as part of the update cost
         rather than as packet loss).
@@ -133,32 +131,15 @@ class LazyCtrlController(EdgeController):
                 members,
                 backup_count=self.config.designated_backup_count,
                 rng=random.Random(self._rng.random()),
-                channels=self._channels,
             )
             group.synchronize_gfibs()
             self._groups[group_id] = group
             for member in members:
                 self._group_of_switch[member.switch_id] = group_id
                 messages += 1
-                self._send_group_config(group, member.switch_id, now)
         self.group_config_messages += messages
         self.regroupings_applied += 1
         return messages
-
-    def _send_group_config(self, group: LocalControlGroup, switch_id: int, now: float) -> None:
-        neighbors = group.ring_neighbors(switch_id)
-        message = GroupConfigMessage.create(
-            group_id=group.group_id,
-            target_switch_id=switch_id,
-            member_switch_ids=tuple(group.member_ids()),
-            designated_switch_id=group.designated_switch_id,
-            backup_switch_ids=tuple(group.backup_switch_ids),
-            ring_predecessor=neighbors.predecessor,
-            ring_successor=neighbors.successor,
-            timestamp=now,
-        )
-        channel = self._channels.get_or_create(ChannelType.CONTROL_LINK, "controller", f"switch:{switch_id}")
-        channel.deliver(message, size_bytes=96 + 4 * len(group))
 
     # -- state reports -------------------------------------------------------------------
 
@@ -176,7 +157,7 @@ class LazyCtrlController(EdgeController):
                 note(tenant_id, switch_id)
         return changed
 
-    def collect_state_reports(self, *, now: float = 0.0) -> int:
+    def collect_state_reports(self) -> int:
         """Pull a state report from every group (periodic asynchronous sync).
 
         Reports are incremental: each group serializes only the L-FIBs that
@@ -185,11 +166,7 @@ class LazyCtrlController(EdgeController):
         """
         changed = 0
         for group in self._groups.values():
-            report = group.build_state_report(timestamp=now, only_changes=True)
-            channel = self._channels.get_or_create(
-                ChannelType.STATE_LINK, "controller", f"switch:{group.designated_switch_id}"
-            )
-            channel.deliver(report, size_bytes=128 + 24 * sum(len(entries) for _, entries in report.switch_lfibs))
+            report = group.build_state_report(only_changes=True)
             changed += self.receive_state_report(report)
         return changed
 
@@ -250,10 +227,6 @@ class LazyCtrlController(EdgeController):
             decision = self.grouping_manager.check(now, self.current_load_rps(now))
         if decision.regrouped and decision.grouping is not None:
             with self.perf.timeit("regroup_apply"):
-                self.apply_grouping(decision.grouping, now=now)
+                self.apply_grouping(decision.grouping)
             return True
         return False
-
-    def storage_bytes_per_switch(self) -> Dict[int, int]:
-        """G-FIB storage consumed on every switch (the §V-D overhead metric)."""
-        return {switch_id: switch.storage_bytes() for switch_id, switch in self._switches.items()}

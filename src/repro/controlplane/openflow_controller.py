@@ -38,10 +38,6 @@ class OpenFlowController(EdgeController):
 
     # -- location learning -------------------------------------------------------
 
-    def knows_location(self, mac: MacAddress) -> bool:
-        """Whether the controller has already learned where ``mac`` lives."""
-        return mac in self._learned_locations
-
     def learn_location(self, mac: MacAddress, switch_id: int) -> None:
         """Record a learned host location (from a Packet_In source or ARP reply)."""
         self._learned_locations[mac] = switch_id

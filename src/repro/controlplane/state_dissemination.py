@@ -47,16 +47,16 @@ class StateDisseminator:
 
     # -- live (host-driven) dissemination ------------------------------------------
 
-    def host_appeared(self, host_id: int, *, now: float = 0.0) -> None:
+    def host_appeared(self, host_id: int) -> None:
         """A VM booted (or was discovered through its first ARP broadcast)."""
         host = self._network.host(host_id)
         switch = self._controller.switch(host.switch_id)
         changed = switch.attach_host(host.mac, host.port, host.tenant_id)
         self.stats.live_events += 1
         if changed:
-            self._propagate_switch_update(host.switch_id, now)
+            self._propagate_switch_update(host.switch_id)
 
-    def migrate_host(self, host_id: int, new_switch_id: int, *, now: float = 0.0) -> None:
+    def migrate_host(self, host_id: int, new_switch_id: int) -> None:
         """A VM migrated to another edge switch.
 
         The old switch forgets the host, the new switch learns it, both
@@ -74,13 +74,13 @@ class StateDisseminator:
         new_switch.attach_host(migrated.mac, migrated.port, migrated.tenant_id)
         self.stats.migration_events += 1
         self.stats.live_events += 1
-        self._propagate_switch_update(old_switch_id, now)
-        self._propagate_switch_update(new_switch_id, now)
+        self._propagate_switch_update(old_switch_id)
+        self._propagate_switch_update(new_switch_id)
         self._controller.clib.record_host(migrated.mac, new_switch_id, migrated.tenant_id)
         self._controller.tenant_manager.note_host_location(migrated.tenant_id, new_switch_id)
         self.stats.controller_updates += 1
 
-    def host_departed(self, host_id: int, *, now: float = 0.0) -> None:
+    def host_departed(self, host_id: int) -> None:
         """A VM was decommissioned (tenant departure or scale-down).
 
         The local switch forgets the host, its group re-disseminates the
@@ -93,13 +93,13 @@ class StateDisseminator:
         self._network.remove_host(host_id)
         self.stats.departure_events += 1
         self.stats.live_events += 1
-        self._propagate_switch_update(host.switch_id, now)
+        self._propagate_switch_update(host.switch_id)
         if self._controller.clib.remove_host(host.mac):
             self.stats.controller_updates += 1
 
     # -- asynchronous (switch-driven) dissemination -----------------------------------
 
-    def _propagate_switch_update(self, switch_id: int, now: float) -> None:
+    def _propagate_switch_update(self, switch_id: int) -> None:
         group_id = self._controller.group_of_switch(switch_id)
         if group_id is None:
             # The switch is not grouped yet (bootstrap); the controller will
@@ -109,15 +109,7 @@ class StateDisseminator:
         if group is None:
             raise ControlPlaneError(f"group {group_id} is not provisioned at the controller")
         with self._controller.perf.timeit("live_dissemination"):
-            self.stats.peer_messages += group.propagate_lfib_update(switch_id, timestamp=now)
-            report = group.build_state_report(timestamp=now)
-            self.stats.state_reports += 1
-            self.stats.controller_updates += self._controller.receive_state_report(report)
-
-    def full_synchronization(self, *, now: float = 0.0) -> None:
-        """Re-disseminate all group state (used right after a regrouping)."""
-        for group in self._controller.groups.values():
-            self.stats.peer_messages += group.synchronize_gfibs()
-            report = group.build_state_report(timestamp=now)
+            self.stats.peer_messages += group.propagate_lfib_update(switch_id)
+            report = group.build_state_report()
             self.stats.state_reports += 1
             self.stats.controller_updates += self._controller.receive_state_report(report)

@@ -1,17 +1,15 @@
 """Tenant information management at the controller.
 
 The controller's tenant-information-management module (paper §IV-B) tracks
-which tenants exist, their VLAN identifiers, and which edge switches host
-VMs of which tenant.  The controller consults it to scope cross-group ARP
-relaying and to decide when a tenant is fully contained in one group (in
-which case its ARP traffic can be suppressed from the controller entirely —
-the "host exclusion"/blocking optimization of §III-D.3).
+which edge switches host VMs of which tenant.  The controller consults it to
+scope cross-group ARP relaying (paper §III-D.3, level iii) to the groups that
+host the tenant.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Mapping, Optional, Set
+from typing import Dict, Mapping, Set
 
 from repro.topology.network import DataCenterNetwork
 
@@ -21,30 +19,18 @@ class TenantManager:
 
     def __init__(self, network: DataCenterNetwork) -> None:
         self._network = network
-        self._vlan_by_tenant: Dict[int, int] = {}
         self._switches_by_tenant: Dict[int, Set[int]] = defaultdict(set)
         self.refresh()
 
     def refresh(self) -> None:
         """Recompute tenant footprints from the current topology."""
-        self._vlan_by_tenant.clear()
         self._switches_by_tenant.clear()
         for tenant in self._network.tenants.tenants():
-            self._vlan_by_tenant[tenant.tenant_id] = tenant.vlan_id
             self._switches_by_tenant[tenant.tenant_id] = self._network.tenant_footprint(tenant.tenant_id)
-
-    def vlan_of(self, tenant_id: int) -> Optional[int]:
-        """VLAN identifier of ``tenant_id`` (``None`` when unknown)."""
-        return self._vlan_by_tenant.get(tenant_id)
-
-    def switches_of(self, tenant_id: int) -> Set[int]:
-        """Edge switches hosting at least one VM of ``tenant_id``."""
-        return set(self._switches_by_tenant.get(tenant_id, set()))
 
     def note_host_location(self, tenant_id: int, switch_id: int) -> None:
         """Incrementally record that a VM of ``tenant_id`` lives on ``switch_id``."""
         self._switches_by_tenant[tenant_id].add(switch_id)
-        self._vlan_by_tenant.setdefault(tenant_id, tenant_id + 100)
 
     def groups_with_tenant(self, tenant_id: int, group_of_switch: Mapping[int, int]) -> Set[int]:
         """Groups containing at least one switch that hosts ``tenant_id``.
@@ -54,24 +40,8 @@ class TenantManager:
         must relay a cross-group ARP request.
         """
         groups: Set[int] = set()
-        for switch_id in self._switches_of_or_empty(tenant_id):
+        for switch_id in self._switches_by_tenant.get(tenant_id, ()):
             group = group_of_switch.get(switch_id)
             if group is not None:
                 groups.add(group)
         return groups
-
-    def is_tenant_contained_in_one_group(self, tenant_id: int, group_of_switch: Mapping[int, int]) -> bool:
-        """Whether every VM of ``tenant_id`` lives inside a single group.
-
-        When true the controller can block that tenant's ARP requests from
-        reaching it at all (paper §III-D.3), relying on asynchronous state
-        reports for visibility instead.
-        """
-        return len(self.groups_with_tenant(tenant_id, group_of_switch)) <= 1
-
-    def tenants(self) -> Iterable[int]:
-        """All known tenant identifiers."""
-        return list(self._vlan_by_tenant)
-
-    def _switches_of_or_empty(self, tenant_id: int) -> Set[int]:
-        return self._switches_by_tenant.get(tenant_id, set())

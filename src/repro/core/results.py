@@ -57,12 +57,6 @@ class SystemCounters:
     # its capacity (bandwidth subsystem); always 0 without capacities.
     congested_flows: int = 0
 
-    def controller_fraction(self) -> float:
-        """Fraction of flows whose setup required the controller."""
-        if self.flows_handled == 0:
-            return 0.0
-        return self.controller_requests / self.flows_handled
-
 
 @dataclass(frozen=True, slots=True)
 class WorkloadSeriesResult:
@@ -95,13 +89,6 @@ class WorkloadComparison:
         if baseline_total <= 0:
             return 0.0
         return max(0.0, 1.0 - lazy_total / baseline_total)
-
-    def per_bucket_reduction(self) -> List[float]:
-        """Per-bucket reduction fractions (0 where the baseline bucket is empty)."""
-        reductions = []
-        for base, lazy in zip(self.baseline.krps, self.lazyctrl.krps):
-            reductions.append(0.0 if base <= 0 else max(0.0, 1.0 - lazy / base))
-        return reductions
 
 
 @dataclass(frozen=True, slots=True)

@@ -48,7 +48,6 @@ from repro.traffic.mix import TrafficMixSpec
 from repro.traffic.realistic import RealisticTraceProfile
 from repro.traffic.registry import TrafficModelEntry, get_traffic_model
 from repro.traffic.stream import FlowStream
-from repro.traffic.synthetic import SyntheticTraceSpec
 from repro.traffic.trace import Trace
 
 
@@ -198,18 +197,6 @@ class TraceSpec:
         return cls(
             model="realistic",
             params=dataclass_to_dict(profile) if profile is not None else params,
-        )
-
-    @classmethod
-    def synthetic(
-        cls, spec: SyntheticTraceSpec | None = None, **params: Any
-    ) -> "TraceSpec":
-        """A synthetic p/q-model spec from a profile or from sparse knobs."""
-        if spec is not None and params:
-            raise ConfigurationError("pass either a spec or keyword params, not both")
-        return cls(
-            model="synthetic",
-            params=dataclass_to_dict(spec) if spec is not None else params,
         )
 
     @classmethod
@@ -371,6 +358,11 @@ class ScenarioSpec:
         if len(set(systems)) != len(systems):
             raise ConfigurationError("systems must not contain duplicate control-plane names")
         object.__setattr__(self, "systems", systems)
+        if not isinstance(self.execution, ExecutionSpec):
+            raise ConfigurationError(
+                "scenario execution must be an ExecutionSpec (a JSON object in a spec file), "
+                f"got {type(self.execution).__name__}"
+            )
 
     @property
     def stream(self) -> bool:

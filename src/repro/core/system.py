@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bandwidth.meter import build_link_meter
-from repro.bandwidth.profile import RateProfile
 from repro.common.addresses import MacAddress
 from repro.common.config import LazyCtrlConfig
 from repro.common.packets import FlowKey
@@ -152,7 +151,6 @@ class EdgePlane:
         packet_count: int,
         byte_count: int,
         duration: float,
-        rate_profile: Optional[RateProfile] = None,
         *,
         now: Optional[float] = None,
         record: bool = True,
@@ -187,7 +185,7 @@ class EdgePlane:
             self.first_packet(key, src_switch_id, dst_switch_id, now)
         )
         penalty = self.congestion_penalty_ms(
-            start_time, duration, byte_count, src_switch_id, dst_switch_id, rate_profile, now=now
+            start_time, duration, byte_count, src_switch_id, dst_switch_id, now=now
         )
         if penalty > 0.0:
             first += penalty
@@ -216,7 +214,7 @@ class EdgePlane:
 
     def _record_form(self, flow: FlowRecord, now: float, record: bool) -> Optional[FlowHandlingResult]:
         """:meth:`flow_arrival` for a record, answering with a result object."""
-        arrival = self.flow_arrival(*draw_of(flow), flow.rate_profile, now=now, record=record)
+        arrival = self.flow_arrival(*draw_of(flow), now=now, record=record)
         return None if arrival is None else FlowHandlingResult(flow.flow_id, *arrival)
 
     def first_packet(
@@ -296,7 +294,6 @@ class EdgePlane:
         byte_count: int,
         src_switch_id: int,
         dst_switch_id: int,
-        rate_profile: Optional[RateProfile] = None,
         *,
         now: Optional[float] = None,
     ) -> float:
@@ -315,7 +312,6 @@ class EdgePlane:
             (byte_count,),
             (src_switch_id,),
             (dst_switch_id,),
-            (rate_profile,),
             nows=None if now is None else (now,),
         )[0]
 
@@ -326,7 +322,6 @@ class EdgePlane:
         byte_counts: Sequence[int],
         src_switch_ids: Sequence[int],
         dst_switch_ids: Sequence[int],
-        profiles: Optional[Sequence[Optional[RateProfile]]] = None,
         *,
         nows: Optional[Sequence[float]] = None,
     ) -> List[float]:
@@ -343,7 +338,7 @@ class EdgePlane:
         (but in the same order as) their forwarding.
         """
         utilizations, crossings = self.link_meter.account_run(
-            starts, durations, byte_counts, src_switch_ids, dst_switch_ids, profiles, nows=nows
+            starts, durations, byte_counts, src_switch_ids, dst_switch_ids, nows=nows
         )
         tracer = self.tracer
         if tracer.enabled:
@@ -539,7 +534,6 @@ class LazyCtrlSystem(EdgePlane):
     def _make_switch(self, info: EdgeSwitchInfo) -> LazyCtrlEdgeSwitch:
         return LazyCtrlEdgeSwitch(
             info.switch_id,
-            underlay_ip=info.underlay_ip,
             management_mac=info.management_mac,
             bloom_config=self.config.bloom,
             flow_table_config=self.config.flow_table,
@@ -551,13 +545,8 @@ class LazyCtrlSystem(EdgePlane):
         """Run IniGroup on the warm-up window of a trace and provision the groups."""
         matrix = warmup_trace.switch_intensity(start=0.0, end=warmup_end)
         grouping = self.controller.grouping_manager.initial_grouping(matrix, now=now)
-        self.controller.apply_grouping(grouping, now=now)
+        self.controller.apply_grouping(grouping)
         return grouping
-
-    def install_grouping(self, grouping: Grouping, *, now: float = 0.0) -> None:
-        """Provision an externally computed grouping (used by ablation benches)."""
-        self.controller.grouping_manager.current_grouping = grouping
-        self.controller.apply_grouping(grouping, now=now)
 
     def prepare(self, trace, *, warmup_end: float, now: float = 0.0) -> None:
         """Provision the initial grouping from the trace's warm-up window."""
@@ -587,7 +576,7 @@ class LazyCtrlSystem(EdgePlane):
     def _control_tick(self, now: float) -> None:
         """State reports to the C-LIB, then the regrouping check."""
         with self.perf.timeit("dissemination"):
-            self.controller.collect_state_reports(now=now)
+            self.controller.collect_state_reports()
         with self.perf.timeit("regrouping"):
             self.controller.periodic_check(now)
 
@@ -620,7 +609,7 @@ class LazyCtrlSystem(EdgePlane):
 
     def churn_migrate_host(self, host_id: int, new_switch_id: int, *, now: float = 0.0) -> None:
         """Live-migrate one VM; L-FIB/G-FIB/C-LIB state follows (§III-D.3)."""
-        self.disseminator.migrate_host(host_id, new_switch_id, now=now)
+        self.disseminator.migrate_host(host_id, new_switch_id)
         self.controller.grouping_manager.note_churn()
 
     def churn_tenant_arrival(self, name: str, placements, *, now: float = 0.0) -> int:
@@ -628,7 +617,7 @@ class LazyCtrlSystem(EdgePlane):
         tenant = self.network.tenants.create_tenant(name)
         for switch_id in placements:
             host = self.network.attach_host(switch_id, tenant.tenant_id)
-            self.disseminator.host_appeared(host.host_id, now=now)
+            self.disseminator.host_appeared(host.host_id)
             self.controller.clib.record_host(host.mac, host.switch_id, host.tenant_id)
             self.controller.tenant_manager.note_host_location(host.tenant_id, host.switch_id)
         self.controller.grouping_manager.note_churn(len(placements))
@@ -638,7 +627,7 @@ class LazyCtrlSystem(EdgePlane):
         """A tenant departs: every VM is decommissioned and state cleaned up."""
         host_ids = list(self.network.tenants.get(tenant_id).host_ids)
         for host_id in host_ids:
-            self.disseminator.host_departed(host_id, now=now)
+            self.disseminator.host_departed(host_id)
         self.network.remove_tenant(tenant_id)
         self.controller.tenant_manager.refresh()
         self.controller.grouping_manager.note_churn(len(host_ids))
@@ -703,7 +692,6 @@ class OpenFlowSystem(EdgePlane):
     def _make_switch(self, info: EdgeSwitchInfo) -> EdgeSwitch:
         return EdgeSwitch(
             info.switch_id,
-            underlay_ip=info.underlay_ip,
             management_mac=info.management_mac,
             flow_table_config=self.config.flow_table,
         )

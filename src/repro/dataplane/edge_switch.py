@@ -1,7 +1,7 @@
 """Edge switches: the shared base and the LazyCtrl switch built on it.
 
 :class:`EdgeSwitch` is what every edge switch of the simulated data center
-is: an identity on the underlay, an L-FIB of locally attached virtual
+is: an identity (its management MAC), an L-FIB of locally attached virtual
 machines, a flow table of controller-installed rules wired to report
 ``flow_removed``, and the per-packet counters the evaluation reads.  With
 no G-FIB it is the baseline OpenFlow switch, whose every miss past the
@@ -22,9 +22,9 @@ batch's whole (src, dst) pairs.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Optional
+from typing import Callable, Collection, Optional
 
-from repro.common.addresses import IpAddress, MacAddress
+from repro.common.addresses import MacAddress
 from repro.common.config import BloomFilterConfig, FlowTableConfig
 from repro.common.errors import ControlPlaneError
 from repro.common.packets import DATA_PACKET_BYTES, FlowKey
@@ -52,19 +52,17 @@ class EdgeSwitch:
         self,
         switch_id: int,
         *,
-        underlay_ip: IpAddress,
         management_mac: MacAddress,
         flow_table_config: FlowTableConfig | None = None,
     ) -> None:
         self.switch_id = switch_id
-        self.underlay_ip = underlay_ip
         self.management_mac = management_mac
         self.lfib = LocalFib()
         self.flow_table = FlowTable(flow_table_config)
         self.flow_table.removed_listener = self._on_rule_removed
         self.flow_removed_handler: Optional[FlowRemovedHandler] = None
         self.failed = False
-        # Counters used by the evaluation and by tests.
+        # Counters used by the evaluation.
         self.packets_processed = 0
         self.packets_to_controller = 0
         # Copies beyond the first sent on G-FIB answers (0 without a G-FIB).
@@ -193,12 +191,6 @@ class EdgeSwitch:
         if self.flow_removed_handler is not None:
             self.flow_removed_handler(self.switch_id, rule, now, reason)
 
-    def reset_counters(self) -> None:
-        """Zero the per-switch counters (between experiment phases)."""
-        self.packets_processed = 0
-        self.packets_to_controller = 0
-        self.duplicate_deliveries = 0
-
 
 class LazyCtrlEdgeSwitch(EdgeSwitch):
     """An Open vSwitch-like edge switch extended with L-FIB/G-FIB processing."""
@@ -207,14 +199,12 @@ class LazyCtrlEdgeSwitch(EdgeSwitch):
         self,
         switch_id: int,
         *,
-        underlay_ip: IpAddress,
         management_mac: MacAddress,
         bloom_config: BloomFilterConfig | None = None,
         flow_table_config: FlowTableConfig | None = None,
     ) -> None:
         super().__init__(
             switch_id,
-            underlay_ip=underlay_ip,
             management_mac=management_mac,
             flow_table_config=flow_table_config,
         )
@@ -235,12 +225,6 @@ class LazyCtrlEdgeSwitch(EdgeSwitch):
         self.is_designated = designated
         self.gfib.clear()
 
-    def leave_group(self) -> None:
-        """Leave the current group and drop all group state."""
-        self.group_id = None
-        self.is_designated = False
-        self.gfib.clear()
-
     def summarize_lfib(self) -> BloomFilter:
         """The Bloom summary of this switch's L-FIB, built now: what its group peers hold."""
         return self.gfib.summarize(self.lfib.macs())
@@ -250,16 +234,6 @@ class LazyCtrlEdgeSwitch(EdgeSwitch):
         if peer_switch_id == self.switch_id:
             raise ControlPlaneError("a switch does not keep a G-FIB entry for itself")
         self.gfib.install_summary(peer_switch_id, summary, macs)
-
-    def install_peer_lfib(self, peer_switch_id: int, macs: Iterable[MacAddress]) -> None:
-        """Install/update the Bloom filter summarizing a peer's L-FIB, building it here."""
-        if peer_switch_id == self.switch_id:
-            raise ControlPlaneError("a switch does not keep a G-FIB entry for itself")
-        self.gfib.install_peer(peer_switch_id, macs)
-
-    def remove_peer(self, peer_switch_id: int) -> None:
-        """Drop the G-FIB entry of a peer that left the group or failed."""
-        self.gfib.remove_peer(peer_switch_id)
 
     # -- the receiving half of Fig. 5 -----------------------------------------
 
@@ -274,15 +248,6 @@ class LazyCtrlEdgeSwitch(EdgeSwitch):
             return False
         self.false_positive_drops += n
         return True
-
-    def storage_bytes(self) -> int:
-        """Bytes of high-speed memory consumed by the G-FIB Bloom filters."""
-        return self.gfib.storage_bytes()
-
-    def reset_counters(self) -> None:
-        """Zero the per-switch counters (between experiment phases)."""
-        super().reset_counters()
-        self.false_positive_drops = 0
 
     def __repr__(self) -> str:
         return (

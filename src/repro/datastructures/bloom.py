@@ -18,7 +18,6 @@ and memoizes them once for every filter of that geometry.
 from __future__ import annotations
 
 import hashlib
-import math
 from functools import lru_cache
 from typing import Iterable
 
@@ -55,7 +54,7 @@ class BloomFilter:
         Number of hash functions (positions set per inserted element).
     """
 
-    __slots__ = ("_size_bits", "_hash_count", "_bits", "_count")
+    __slots__ = ("_size_bits", "_hash_count", "_bits")
 
     def __init__(self, size_bits: int, hash_count: int) -> None:
         if size_bits <= 0:
@@ -65,27 +64,11 @@ class BloomFilter:
         self._size_bits = size_bits
         self._hash_count = hash_count
         self._bits = bytearray((size_bits + 7) // 8)
-        self._count = 0
 
     @classmethod
     def from_config(cls, config: BloomFilterConfig) -> "BloomFilter":
         """Build a filter sized according to ``config``."""
         return cls(config.size_bits, config.hash_count)
-
-    @classmethod
-    def with_capacity(cls, expected_items: int, target_fpr: float) -> "BloomFilter":
-        """Size a filter for ``expected_items`` at false-positive rate ``target_fpr``.
-
-        Uses the classical optimal sizing ``m = -n ln p / (ln 2)^2`` and
-        ``k = (m / n) ln 2``.
-        """
-        if expected_items <= 0:
-            raise ConfigurationError("expected_items must be positive")
-        if not 0.0 < target_fpr < 1.0:
-            raise ConfigurationError("target_fpr must be in (0, 1)")
-        size_bits = max(8, math.ceil(-expected_items * math.log(target_fpr) / (math.log(2) ** 2)))
-        hash_count = max(1, round((size_bits / expected_items) * math.log(2)))
-        return cls(size_bits, hash_count)
 
     @property
     def size_bits(self) -> int:
@@ -102,17 +85,11 @@ class BloomFilter:
         """Number of hash functions used per element."""
         return self._hash_count
 
-    @property
-    def inserted_count(self) -> int:
-        """Number of ``add`` calls performed (not distinct elements)."""
-        return self._count
-
     def add(self, item: bytes) -> None:
         """Insert a byte-string element."""
         bits = self._bits
         for position in probe_positions(item, self._size_bits, self._hash_count):
             bits[position >> 3] |= 1 << (position & 7)
-        self._count += 1
 
     def add_all(self, items: Iterable[bytes]) -> None:
         """Insert every element of ``items``."""
@@ -130,65 +107,5 @@ class BloomFilter:
                 return False
         return True
 
-    def clear(self) -> None:
-        """Remove all elements (reset every bit)."""
-        self._bits = bytearray(len(self._bits))
-        self._count = 0
-
-    def fill_ratio(self) -> float:
-        """Fraction of bits currently set, in ``[0, 1]``."""
-        return int.from_bytes(self._bits, "big").bit_count() / self._size_bits
-
-    def estimated_false_positive_rate(self) -> float:
-        """Estimate the current false-positive probability from the fill ratio."""
-        return self.fill_ratio() ** self._hash_count
-
-    def theoretical_false_positive_rate(self, item_count: int | None = None) -> float:
-        """Textbook FPR ``(1 - e^{-kn/m})^k`` for ``item_count`` inserted items."""
-        n = self._count if item_count is None else item_count
-        if n < 0:
-            raise ConfigurationError("item_count must be non-negative")
-        if n == 0:
-            return 0.0
-        exponent = -self._hash_count * n / self._size_bits
-        return (1.0 - math.exp(exponent)) ** self._hash_count
-
-    def union(self, other: "BloomFilter") -> "BloomFilter":
-        """Return a new filter containing elements of both inputs.
-
-        Both filters must have identical geometry; used when a designated
-        switch merges partial L-FIB summaries before dissemination.
-        """
-        if self._size_bits != other._size_bits or self._hash_count != other._hash_count:
-            raise ConfigurationError("cannot union Bloom filters with different geometry")
-        result = BloomFilter(self._size_bits, self._hash_count)
-        result._bits = bytearray(a | b for a, b in zip(self._bits, other._bits))
-        result._count = self._count + other._count
-        return result
-
-    def copy(self) -> "BloomFilter":
-        """Return a deep copy of the filter."""
-        duplicate = BloomFilter(self._size_bits, self._hash_count)
-        duplicate._bits = bytearray(self._bits)
-        duplicate._count = self._count
-        return duplicate
-
-    def to_bytes(self) -> bytes:
-        """Serialize the bit array (used to model state-link transfer sizes)."""
-        return bytes(self._bits)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, size_bits: int, hash_count: int, inserted_count: int = 0) -> "BloomFilter":
-        """Reconstruct a filter previously serialized with :meth:`to_bytes`."""
-        instance = cls(size_bits, hash_count)
-        if len(data) != len(instance._bits):
-            raise ConfigurationError("serialized Bloom filter has unexpected length")
-        instance._bits = bytearray(data)
-        instance._count = inserted_count
-        return instance
-
     def __repr__(self) -> str:
-        return (
-            f"BloomFilter(size_bits={self._size_bits}, hash_count={self._hash_count}, "
-            f"inserted={self._count}, fill={self.fill_ratio():.3f})"
-        )
+        return f"BloomFilter(size_bits={self._size_bits}, hash_count={self._hash_count})"

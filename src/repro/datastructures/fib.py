@@ -14,7 +14,7 @@ Three tables implement the table organization of paper Fig. 4:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Collection, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.common.addresses import MacAddress
 from repro.common.config import BloomFilterConfig
@@ -88,14 +88,6 @@ class LocalFib:
         """Return all known host MAC addresses."""
         return list(self._entries)
 
-    def entries_for_tenant(self, tenant_id: int) -> list[FibEntry]:
-        """Return all entries belonging to ``tenant_id``."""
-        return [entry for entry in self._entries.values() if entry.tenant_id == tenant_id]
-
-    def snapshot(self) -> Dict[MacAddress, FibEntry]:
-        """Return a copy of the table."""
-        return dict(self._entries)
-
     def wire_entries(self) -> WireEntries:
         """The table as peer and state links carry it, derived once per :attr:`version`."""
         if self._wire_version != self._version:
@@ -105,12 +97,6 @@ class LocalFib:
             )
             self._wire_version = self._version
         return self._wire
-
-    def replace(self, entries: Mapping[MacAddress, FibEntry]) -> None:
-        """Replace the whole table (used when restoring from a snapshot)."""
-        self._entries = dict(entries)
-        self._version += 1
-
 
 class GroupFib:
     """The Bloom-filter-based Group Forwarding Information Base.
@@ -161,14 +147,6 @@ class GroupFib:
         """The Bloom-filter sizing in force for this G-FIB."""
         return self._config
 
-    def peer_count(self) -> int:
-        """Number of peer switches currently summarized."""
-        return len(self._filters)
-
-    def peers(self) -> list[int]:
-        """Identifiers of the summarized peer switches."""
-        return list(self._filters)
-
     def summarize(self, macs: Iterable[MacAddress]) -> BloomFilter:
         """Build the Bloom summary of an L-FIB holding ``macs``, in this G-FIB's geometry."""
         summary = BloomFilter.from_config(self._config)
@@ -198,14 +176,6 @@ class GroupFib:
         """Install or replace the filter for peer ``switch_id`` from its L-FIB: a summary held once."""
         mac_list = list(macs)
         self.install_summary(switch_id, self.summarize(mac_list), mac_list)
-
-    def remove_peer(self, switch_id: int) -> None:
-        """Drop the filter for a peer that left the group."""
-        self._filters.pop(switch_id, None)
-        self._query_cache.clear()
-        self.version += 1
-        if self._exact is not None:
-            self._exact.pop(switch_id, None)
 
     def clear(self) -> None:
         """Remove every peer filter (switch left its group)."""
@@ -281,12 +251,6 @@ class GroupFib:
         """Total storage consumed by all peer filters, in bytes."""
         return sum(bloom.size_bytes for bloom in self._filters.values())
 
-    def false_positive_estimate(self) -> float:
-        """Mean estimated false-positive rate across the peer filters."""
-        if not self._filters:
-            return 0.0
-        return sum(bloom.estimated_false_positive_rate() for bloom in self._filters.values()) / len(self._filters)
-
 
 class CentralLib:
     """The controller's Central Location Information Base (C-LIB).
@@ -339,26 +303,6 @@ class CentralLib:
     def locate(self, mac: MacAddress) -> Optional[int]:
         """Return the switch hosting ``mac`` or ``None`` if unknown."""
         return self._locations.get(mac)
-
-    def tenant_of(self, mac: MacAddress) -> Optional[int]:
-        """Return the tenant id of ``mac`` or ``None`` if unknown."""
-        return self._tenants.get(mac)
-
-    def hosts_on_switch(self, switch_id: int) -> list[MacAddress]:
-        """Return all hosts currently located on ``switch_id``."""
-        return [mac for mac, location in self._locations.items() if location == switch_id]
-
-    def switches_with_tenant(self, tenant_id: int) -> set[int]:
-        """Return the switches that host at least one VM of ``tenant_id``.
-
-        The controller uses this to decide which designated switches must
-        relay a cross-group ARP request (paper §III-D.3, level iii).
-        """
-        return {
-            self._locations[mac]
-            for mac, tenant in self._tenants.items()
-            if tenant == tenant_id and mac in self._locations
-        }
 
     def __len__(self) -> int:
         return len(self._locations)

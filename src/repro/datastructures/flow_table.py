@@ -12,9 +12,9 @@ is delegated to a :class:`~repro.tables.policies.TableTimeoutPolicy` (built
 from ``config.policy`` via :mod:`repro.tables.registry`).  Expiry is enforced
 both lazily on lookup and eagerly through :meth:`FlowTable.expire`, which the
 systems drive from the replay's periodic tick so tables age in lockstep with
-replay time.  Every removal that was not an explicit delete is reported to
-``removed_listener`` — the hook switches use to emit ``flow_removed`` to
-their controller — and the stats track the table-pressure loop end to end:
+replay time.  Every removal is reported to ``removed_listener`` — the hook
+switches use to emit ``flow_removed`` to their controller — and the stats
+track the table-pressure loop end to end:
 overflows (installs that found a full table), evictions, idle/hard timeouts,
 re-installs (installs for a key the table had previously timed out or
 evicted) and peak occupancy.
@@ -90,12 +90,6 @@ class FlowTableStats:
     reinstalls: int = 0
     peak_occupancy: int = 0
 
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of lookups that matched an installed rule."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 #: Callback fired after a rule leaves the table by timeout or eviction.
 RemovedListener = Callable[[FlowRule, float, RemovalReason], None]
@@ -156,11 +150,6 @@ class FlowTable:
         """Maximum number of simultaneously installed rules."""
         return self._config.capacity
 
-    @property
-    def occupancy(self) -> int:
-        """Number of currently installed rules."""
-        return len(self._rules)
-
     def __len__(self) -> int:
         return len(self._rules)
 
@@ -200,15 +189,6 @@ class FlowTable:
             self.stats.peak_occupancy = len(self._rules)
         self._policy.rule_installed(rule, now)
         return rule
-
-    def remove(self, key: FlowKey) -> bool:
-        """Remove the rule for ``key``; returns ``True`` if one existed.
-
-        An explicit delete (controller-initiated) is not a timeout or an
-        eviction: it neither notifies ``removed_listener`` nor marks the key
-        for re-install accounting.
-        """
-        return self._rules.pop(key, None) is not None
 
     def lookup(self, key: FlowKey, *, now: float = 0.0, size_bytes: int = 0) -> Optional[FlowRule]:
         """Match ``key`` against the table, updating statistics and counters.
@@ -279,11 +259,6 @@ class FlowTable:
             removed.append(rule)
         return removed
 
-    def clear(self) -> None:
-        """Remove every rule (switch reset); resets re-install tracking too."""
-        self._rules.clear()
-        self._removed_keys.clear()
-
     def _evict(self, now: float) -> None:
         """Reclaim one batch of rules in the policy's eviction order."""
         victims = self._policy.eviction_order(self._rules.values())
@@ -305,7 +280,3 @@ class FlowTable:
             self.pressure_listener(reason.value, now)
         if self.removed_listener is not None:
             self.removed_listener(rule, now, reason)
-
-    def rules_with_action(self, kind: ActionType) -> list[FlowRule]:
-        """Return all rules whose action is of the given kind."""
-        return [rule for rule in self._rules.values() if rule.action.kind == kind]

@@ -4,9 +4,9 @@ The switch-grouping problem (paper §III-C.1) is defined over an intensity
 matrix ``W`` whose entry ``w[i][j]`` is the normalized traffic intensity
 (new flows per second) between edge switches ``i`` and ``j``.  The matrix is
 symmetric for grouping purposes — what matters is the affinity of a pair —
-so this class accumulates counts symmetrically and exposes the normalized
-view, plus helpers to decay history and to compute the inter-group intensity
-``W_inter`` of a candidate grouping.
+so this class accumulates counts symmetrically, decays history and computes
+the inter-group intensity ``W_inter`` of a candidate grouping, raw or as a
+fraction of the total.
 """
 
 from __future__ import annotations
@@ -81,35 +81,11 @@ class IntensityMatrix:
         self._counts[key] = value
         self._total = total
 
-    def intensity(self, a: int, b: int) -> float:
-        """Raw accumulated intensity between switches ``a`` and ``b``."""
-        if a == b:
-            return 0.0
-        return self._counts.get(self._ordered(a, b), 0.0)
-
-    def normalized(self, a: int, b: int) -> float:
-        """Intensity between ``a`` and ``b`` as a fraction of the total."""
-        if self._total <= 0:
-            return 0.0
-        return self.intensity(a, b) / self._total
-
     def pairs(self) -> Iterator[Tuple[int, int, float]]:
         """Iterate over ``(switch_a, switch_b, intensity)`` for all non-zero pairs."""
         for (a, b), weight in self._counts.items():
             if weight > 0:
                 yield a, b, weight
-
-    def neighbors(self, switch_id: int) -> Dict[int, float]:
-        """Return the non-zero intensities from ``switch_id`` to every peer."""
-        result: Dict[int, float] = {}
-        for (a, b), weight in self._counts.items():
-            if weight <= 0:
-                continue
-            if a == switch_id:
-                result[b] = result.get(b, 0.0) + weight
-            elif b == switch_id:
-                result[a] = result.get(a, 0.0) + weight
-        return result
 
     def decay(self, factor: float) -> None:
         """Multiply every intensity by ``factor`` (exponential history decay).

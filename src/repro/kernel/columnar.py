@@ -29,8 +29,8 @@ wrapped as numpy arrays without a copy, and goes through five steps:
 * **meter** — under a link meter, the batch's inter-switch flows are charged
   to their two uplinks in one
   :meth:`~repro.core.system.EdgePlane.link_penalties_ms` call on the start /
-  duration / byte columns (and a record-backed chunk's rate profiles): the
-  step ``flow_arrival``'s ``congestion_penalty_ms`` takes for a run of one.
+  duration / byte columns: the step ``flow_arrival``'s
+  ``congestion_penalty_ms`` takes for a run of one.
   The meter is order-dependent among those flows only — it reads nothing the
   walk writes — so it is a pass of its own (``kernel.flows_metered`` flows,
   the ``kernel_meter`` stage) rather than a reason to walk the whole batch.
@@ -401,7 +401,6 @@ class ColumnarReplayKernel:
         if not metered.size:
             return
         _, _, _, _, byte_column, duration_column = batch.columns()
-        profiles = batch.rate_profiles
         penalties = np.array(
             self._plane.link_penalties_ms(
                 state["times"][metered].tolist(),
@@ -409,7 +408,6 @@ class ColumnarReplayKernel:
                 np.frombuffer(byte_column, dtype=np.int64)[metered].tolist(),
                 flow_src[metered].tolist(),
                 flow_dst[metered].tolist(),
-                None if profiles is None else [profiles[i] for i in metered.tolist()],
             ),
             dtype=np.float64,
         )
@@ -526,6 +524,4 @@ def build_kernel(plane, *, perf=NULL_RECORDER) -> Optional[ColumnarReplayKernel]
 
     if not isinstance(plane, EdgePlane):
         return None  # custom planes registered by tests keep the scalar path
-    if plane.latency_recorder.keeps_samples:
-        return None  # pragma: no cover - replays never keep raw samples
     return ColumnarReplayKernel(plane, perf=perf)

@@ -115,12 +115,6 @@ class TimelineResult:
         bins = {int(index): count for index, count in self.latency_bins.items()}
         return _histogram_percentile(bins, fraction)
 
-    def rate_series(self, name: str) -> List[float]:
-        """One counter series as per-second rates."""
-        if self.bucket_seconds <= 0:
-            return [0.0] * self.bucket_count
-        return [count / self.bucket_seconds for count in self.counts.get(name, [])]
-
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready representation of this timeline."""
         return dataclass_to_dict(self)

@@ -121,14 +121,6 @@ class WeightedGraph:
                 result.add_edge(a, b, weight)
         return result
 
-    def copy(self) -> "WeightedGraph":
-        """Deep copy of the graph."""
-        duplicate = WeightedGraph()
-        duplicate.vertex_weights = dict(self.vertex_weights)
-        duplicate.adjacency = {vertex: dict(neighbors) for vertex, neighbors in self.adjacency.items()}
-        return duplicate
-
-
 def cut_weight(graph: WeightedGraph, assignment: Mapping[int, int]) -> float:
     """Total weight of edges whose endpoints are assigned to different parts."""
     total = 0.0

@@ -108,7 +108,7 @@ def balanced_random_assignment(
     max_part_weight: float,
     rng: random.Random,
 ) -> Dict[int, int]:
-    """Fallback initial partition ignoring edge weights (used in tests/fuzzing).
+    """Fallback initial partition ignoring edge weights (when region growing fails).
 
     Vertices are shuffled and placed first-fit-decreasing by weight into the
     lightest feasible part.

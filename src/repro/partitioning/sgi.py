@@ -45,21 +45,6 @@ class Grouping:
 
     groups: Dict[int, frozenset[int]]
 
-    def group_of(self, switch_id: int) -> Optional[int]:
-        """Return the group id containing ``switch_id`` (``None`` when ungrouped)."""
-        for group_id, members in self.groups.items():
-            if switch_id in members:
-                return group_id
-        return None
-
-    def assignment(self) -> Dict[int, int]:
-        """Return a switch-id -> group-id mapping."""
-        result: Dict[int, int] = {}
-        for group_id, members in self.groups.items():
-            for switch_id in members:
-                result[switch_id] = group_id
-        return result
-
     def group_count(self) -> int:
         """Number of groups."""
         return len(self.groups)

@@ -28,10 +28,6 @@ class MinCutResult:
     weight: float
     partition: FrozenSet[int]
 
-    def other_side(self, all_vertices: Set[int]) -> FrozenSet[int]:
-        """The complementary side of the cut."""
-        return frozenset(all_vertices - self.partition)
-
 
 def stoer_wagner_min_cut(graph: WeightedGraph) -> MinCutResult:
     """Compute a global minimum cut of ``graph``.

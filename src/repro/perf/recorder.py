@@ -22,7 +22,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.perf.report import PerfSnapshot, StageStats
 
@@ -79,10 +79,6 @@ class NullRecorder:
     def timeit(self, name: str) -> _NullTimer:
         """Return the shared no-op context manager."""
         return _NULL_TIMER
-
-    def snapshot(self, *, wall_seconds: float = 0.0, flows_replayed: int = 0) -> Optional[PerfSnapshot]:
-        """The null recorder has nothing to report."""
-        return None
 
 
 #: The shared disabled recorder; components default to this instance.
@@ -178,11 +174,6 @@ class PerfRecorder:
         """Total (inclusive) seconds accumulated by stage ``name``."""
         stage = self._stages.get(name)
         return stage.total_seconds if stage is not None else 0.0
-
-    def stage_calls(self, name: str) -> int:
-        """Number of completed entries into stage ``name``."""
-        stage = self._stages.get(name)
-        return stage.calls if stage is not None else 0
 
     def stage_stats(self) -> Tuple[StageStats, ...]:
         """Per-stage statistics ordered by descending total time."""

@@ -51,14 +51,6 @@ class Shard:
     start: float
     end: float
 
-    @property
-    def span_seconds(self) -> float:
-        return self.end - self.start
-
-    def owns(self, timestamp: float) -> bool:
-        """Whether a flow arriving at ``timestamp`` belongs to this shard."""
-        return self.start <= timestamp < self.end
-
 
 @dataclass(frozen=True, slots=True)
 class ShardPlan:
@@ -67,10 +59,6 @@ class ShardPlan:
     strategy: str
     workers: int
     shards: Tuple[Shard, ...]
-
-    def for_system(self, system: str) -> Tuple[Shard, ...]:
-        """This system's shards, in ascending window order."""
-        return tuple(shard for shard in self.shards if shard.system == system)
 
     @property
     def windows_per_system(self) -> int:

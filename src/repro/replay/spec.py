@@ -77,6 +77,14 @@ class ExecutionSpec:
     kernel: str = "scalar"
 
     def __post_init__(self) -> None:
+        # Types first: a float would be truncated by the planner (or fail deep
+        # inside it), and any non-empty string is a truthy ``stream``.
+        for key in ("workers", "shard_count"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(f"execution key {key!r} expects an integer, got {value!r}")
+        if not isinstance(self.stream, bool):
+            raise ConfigurationError(f"execution key 'stream' expects a boolean, got {self.stream!r}")
         if self.workers < 1:
             raise ConfigurationError("execution workers must be at least 1")
         if self.shard_strategy not in SHARD_STRATEGIES:
@@ -91,11 +99,6 @@ class ExecutionSpec:
             )
         if self.shard_count < 0:
             raise ConfigurationError("shard_count must be non-negative (0 = derive from workers)")
-
-    @property
-    def parallel(self) -> bool:
-        """Whether this spec asks for a process pool."""
-        return self.workers > 1
 
     # -- serialization -------------------------------------------------------
 
@@ -156,6 +159,10 @@ class ExecutionSpec:
             coercer = _PARSE_COERCERS[key]
             if coercer is None:
                 overrides[key] = _parse_bool(key, raw_value)
+            elif not isinstance(raw_value, str):
+                # A typed JSON value is taken as it is, never truncated:
+                # ``__post_init__`` rejects one of the wrong type.
+                overrides[key] = raw_value
             else:
                 try:
                     overrides[key] = coercer(raw_value)

@@ -4,7 +4,6 @@ from repro.simulation.latency import LatencyBreakdown, LatencyModel
 from repro.simulation.metrics import (
     CounterSeries,
     LatencyRecorder,
-    SummaryStatistics,
     WorkloadMeter,
 )
 
@@ -13,6 +12,5 @@ __all__ = [
     "LatencyBreakdown",
     "LatencyModel",
     "LatencyRecorder",
-    "SummaryStatistics",
     "WorkloadMeter",
 ]

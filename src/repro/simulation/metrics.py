@@ -4,55 +4,17 @@ Three recorders cover everything the paper's figures need:
 
 * :class:`CounterSeries` — time-bucketed counters (controller requests per
   2-hour bucket for Fig. 7, grouping updates per hour for Fig. 8).
-* :class:`LatencyRecorder` — per-bucket latency averages (Fig. 9) plus
-  overall summary statistics.
+* :class:`LatencyRecorder` — per-bucket latency sums and counts, folded
+  into per-bucket and overall means (Fig. 9).  Only the sums are kept, never
+  the raw samples.
 * :class:`WorkloadMeter` — sliding-window requests-per-second estimate the
   grouping manager consults for its overload/underload thresholds.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Tuple
-
-
-@dataclass(frozen=True, slots=True)
-class SummaryStatistics:
-    """Count/mean/percentile summary of a sample set."""
-
-    count: int
-    mean: float
-    minimum: float
-    maximum: float
-    p50: float
-    p95: float
-    p99: float
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[float]) -> "SummaryStatistics":
-        """Compute a summary; returns an all-zero summary for an empty input."""
-        values = sorted(samples)
-        if not values:
-            return cls(count=0, mean=0.0, minimum=0.0, maximum=0.0, p50=0.0, p95=0.0, p99=0.0)
-
-        def percentile(fraction: float) -> float:
-            index = min(len(values) - 1, max(0, math.ceil(fraction * len(values)) - 1))
-            return values[index]
-
-        # Clamp the mean into [min, max]: summing n equal floats can round a
-        # hair past the extreme values (e.g. (x + x + x) / 3 > x by one ulp).
-        mean = min(values[-1], max(values[0], sum(values) / len(values)))
-        return cls(
-            count=len(values),
-            mean=mean,
-            minimum=values[0],
-            maximum=values[-1],
-            p50=percentile(0.50),
-            p95=percentile(0.95),
-            p99=percentile(0.99),
-        )
+from typing import Deque, Dict, List, Tuple
 
 
 class CounterSeries:
@@ -95,36 +57,23 @@ class CounterSeries:
         start, end = bucket_range
         return [(index, self._buckets.get(index, 0.0)) for index in range(start, end)]
 
-    def rate_series(self, *, bucket_range: Tuple[int, int] | None = None) -> List[Tuple[int, float]]:
-        """Like :meth:`series` but values are per-second rates within the bucket."""
-        return [
-            (index, count / self._bucket_seconds)
-            for index, count in self.series(bucket_range=bucket_range)
-        ]
-
 
 class LatencyRecorder:
     """Latency samples grouped into fixed-width time buckets."""
 
-    __slots__ = ("_bucket_seconds", "_sums", "_counts", "_all")
+    __slots__ = ("_bucket_seconds", "_sums", "_counts")
 
-    def __init__(self, bucket_seconds: float, *, keep_samples: bool = False) -> None:
+    def __init__(self, bucket_seconds: float) -> None:
         if bucket_seconds <= 0:
             raise ValueError("bucket_seconds must be positive")
         self._bucket_seconds = float(bucket_seconds)
         self._sums: Dict[int, float] = {}
         self._counts: Dict[int, int] = {}
-        self._all: List[float] | None = [] if keep_samples else None
 
     @property
     def bucket_seconds(self) -> float:
         """Width of each bucket in seconds."""
         return self._bucket_seconds
-
-    @property
-    def keeps_samples(self) -> bool:
-        """Whether raw samples are kept beside the bucket sums (``keep_samples=True``)."""
-        return self._all is not None
 
     def record(self, timestamp: float, latency_ms: float, *, count: int = 1) -> None:
         """Record ``count`` samples of value ``latency_ms`` observed at ``timestamp``.
@@ -138,8 +87,6 @@ class LatencyRecorder:
         index = int(timestamp // self._bucket_seconds)
         self._sums[index] = self._sums.get(index, 0.0) + latency_ms * count
         self._counts[index] = self._counts.get(index, 0) + count
-        if self._all is not None:
-            self._all.extend([latency_ms] * min(count, 1000))
 
     def record_bulk(self, index: int, addends: List[float], count: int) -> None:
         """Fold precomputed per-call addends into one bucket, in order.
@@ -149,23 +96,15 @@ class LatencyRecorder:
         ``record`` call would have added, and they are folded into the bucket
         sum by the same sequential left-to-right addition, so the result is
         bit-identical to making the individual calls.  ``count`` is the total
-        sample count across those calls.  Not supported with
-        ``keep_samples=True`` (the kernel never runs against a sample-keeping
-        recorder).
+        sample count across those calls.
         """
         if count <= 0:
             return
-        if self._all is not None:
-            raise ValueError("record_bulk is not supported with keep_samples=True")
         total = self._sums.get(index, 0.0)
         for addend in addends:
             total += addend
         self._sums[index] = total
         self._counts[index] = self._counts.get(index, 0) + count
-
-    def sample_count(self) -> int:
-        """Total number of recorded samples."""
-        return sum(self._counts.values())
 
     def overall_mean(self) -> float:
         """Mean latency over all samples (0 when empty)."""
@@ -187,28 +126,6 @@ class LatencyRecorder:
         associative.  The sharded-replay merge depends on this.
         """
         return {index: (self._sums[index], self._counts[index]) for index in self._counts}
-
-    def mean_series(self, *, bucket_range: Tuple[int, int] | None = None) -> List[Tuple[int, float]]:
-        """Per-bucket mean latencies (empty buckets reported as 0)."""
-        if bucket_range is None:
-            indices = sorted(self._counts)
-        else:
-            indices = list(range(*bucket_range))
-        return [(index, self.bucket_mean(index)) for index in indices]
-
-    def summary(self) -> SummaryStatistics:
-        """Summary statistics over all retained samples.
-
-        Requires ``keep_samples=True``; otherwise only count/mean are exact
-        and percentiles are reported as the mean.
-        """
-        if self._all is not None:
-            return SummaryStatistics.from_samples(self._all)
-        mean = self.overall_mean()
-        count = self.sample_count()
-        return SummaryStatistics(
-            count=count, mean=mean, minimum=mean, maximum=mean, p50=mean, p95=mean, p99=mean
-        )
 
 
 class WorkloadMeter:

@@ -3,9 +3,9 @@
 The paper's architecture (§III-B.1) treats the core as an opaque IP underlay
 providing one-hop logical connectivity between edge switches, and puts all
 intelligence at the edge.  :class:`DataCenterNetwork` therefore records only
-what the control plane needs: the set of edge switches (with their underlay
-tunnel addresses and management MACs), the hosts attached to each switch, and
-the tenant directory.  VM migration updates the host-to-switch mapping, which
+what the control plane needs: the set of edge switches (with their
+management MACs), the hosts attached to each switch, and the tenant
+directory.  VM migration updates the host-to-switch mapping, which
 is the event that drives live state dissemination.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.common.addresses import IpAddress, MacAddress
+from repro.common.addresses import MacAddress
 from repro.common.errors import TopologyError, UnknownHostError, UnknownSwitchError
 from repro.topology.host import Host
 from repro.topology.tenant import TenantDirectory
@@ -26,7 +26,6 @@ class EdgeSwitchInfo:
 
     switch_id: int
     management_mac: MacAddress
-    underlay_ip: IpAddress
     port_count: int = 48
 
 
@@ -55,7 +54,6 @@ class DataCenterNetwork:
         info = EdgeSwitchInfo(
             switch_id=switch_id,
             management_mac=MacAddress.from_switch_index(switch_id),
-            underlay_ip=IpAddress.from_switch_index(switch_id),
             port_count=port_count,
         )
         self._switches[switch_id] = info
@@ -89,10 +87,6 @@ class DataCenterNetwork:
         if mbps <= 0:
             raise TopologyError(f"uplink capacity must be positive, got {mbps}")
         self._uplink_mbps[switch_id] = float(mbps)
-
-    def uplink_capacity_mbps(self, switch_id: int) -> Optional[float]:
-        """The uplink capacity of ``switch_id``, or ``None`` when uncapacitated."""
-        return self._uplink_mbps.get(switch_id)
 
     def link_capacities_mbps(self) -> Dict[int, float]:
         """All assigned uplink capacities by switch id (possibly empty)."""
@@ -226,36 +220,6 @@ class DataCenterNetwork:
         return port
 
     # -- derived views --------------------------------------------------------
-
-    def structurally_equal(self, other: "DataCenterNetwork") -> bool:
-        """Whether two networks describe the same topology, placement and tenancy.
-
-        Deterministic builders produce structurally-equal (but distinct)
-        objects from the same spec; this is the identity used to decide
-        whether two traces live in "the same" data center.  MAC and underlay
-        addresses are pure functions of the switch/host identifiers, so
-        comparing identifiers, port assignments and tenant membership covers
-        the full observable structure.
-        """
-        if self is other:
-            return True
-        if [(info.switch_id, info.port_count) for info in self.switches()] != [
-            (info.switch_id, info.port_count) for info in other.switches()
-        ]:
-            return False
-        if self._uplink_mbps != other._uplink_mbps:
-            return False
-        if {
-            host.host_id: (host.tenant_id, host.switch_id, host.port) for host in self.hosts()
-        } != {
-            host.host_id: (host.tenant_id, host.switch_id, host.port) for host in other.hosts()
-        }:
-            return False
-        return {
-            tenant.tenant_id: tuple(sorted(tenant.host_ids)) for tenant in self.tenants.tenants()
-        } == {
-            tenant.tenant_id: tuple(sorted(tenant.host_ids)) for tenant in other.tenants.tenants()
-        }
 
     def switch_pair_of_hosts(self, src_host_id: int, dst_host_id: int) -> tuple[int, int]:
         """The (source switch, destination switch) pair for a host pair."""

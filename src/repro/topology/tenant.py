@@ -10,7 +10,7 @@ to scope ARP relaying.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from repro.common.errors import TopologyError
 
@@ -97,13 +97,6 @@ class TenantDirectory:
         del self._tenants[tenant_id]
         return tenant
 
-    def tenant_of_host(self, host_id: int) -> int:
-        """Return the tenant id owning ``host_id``."""
-        try:
-            return self._host_to_tenant[host_id]
-        except KeyError as exc:
-            raise TopologyError(f"host {host_id} is not assigned to any tenant") from exc
-
     def tenants(self) -> List[Tenant]:
         """All tenants, ordered by identifier."""
         return [self._tenants[tenant_id] for tenant_id in sorted(self._tenants)]
@@ -113,14 +106,3 @@ class TenantDirectory:
 
     def __contains__(self, tenant_id: int) -> bool:
         return tenant_id in self._tenants
-
-    def sizes(self) -> List[int]:
-        """Sizes of all tenants (used to check the 20–100 VM property)."""
-        return [tenant.size for tenant in self.tenants()]
-
-    def hosts_of(self, tenant_ids: Iterable[int]) -> List[int]:
-        """All host ids belonging to any of ``tenant_ids``."""
-        result: List[int] = []
-        for tenant_id in tenant_ids:
-            result.extend(self.get(tenant_id).host_ids)
-        return result

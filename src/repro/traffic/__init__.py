@@ -33,7 +33,6 @@ from repro.traffic.stream import (
     FlowStream,
     GeneratedStream,
     MergedStream,
-    TraceStatistics,
     accumulate_intensity,
     subdivide_span,
     windowed_chunks,
@@ -44,7 +43,7 @@ from repro.traffic.synthetic import (
     SyntheticTraceSpec,
     paper_synthetic_specs,
 )
-from repro.traffic.trace import PairActivity, Trace
+from repro.traffic.trace import Trace
 
 __all__ = [
     "AllToAllShuffleParams",
@@ -60,7 +59,6 @@ __all__ = [
     "IncastHotspotParams",
     "MergedStream",
     "PAPER_SYNTHETIC_SPECS",
-    "PairActivity",
     "RealisticTraceGenerator",
     "RealisticTraceProfile",
     "ReplayProgress",
@@ -68,7 +66,6 @@ __all__ = [
     "SyntheticTraceSpec",
     "Trace",
     "TraceReplayer",
-    "TraceStatistics",
     "TrafficComponentSpec",
     "TrafficMixSpec",
     "TrafficModelEntry",

@@ -20,7 +20,9 @@ The data flow is therefore *draws → columns → (records on demand)*:
   never imports numpy, so the scalar path stays numpy-free;
 * :meth:`FlowChunk.from_records` is where records enter: a third-party
   trace's record list or stream's list chunk is transposed once, and indexing
-  returns the original records, ids and ``rate_profile`` and all.
+  returns the original records, ids and all.  Every flow sends its bytes at
+  the constant rate its byte count and duration imply, so the six columns
+  are all a consumer needs.
 
 A stream's chunks are O(chunk) and short-lived.  A materialized
 :class:`~repro.traffic.trace.Trace` is one chunk (:meth:`FlowChunk.gathered`
@@ -38,7 +40,6 @@ from itertools import chain, islice
 from operator import attrgetter, eq, le
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, overload
 
-from repro.bandwidth.profile import RateProfile
 from repro.common.errors import UnknownHostError
 from repro.traffic.flow import FlowRecord
 
@@ -161,8 +162,7 @@ class FlowChunk(SequenceABC):
 
         Returns ``records`` itself when it already is a chunk.  Otherwise the
         columns are transposed from the records (once — not per batch) and
-        the records stay the chunk's items, so ids need not be consecutive
-        and attached rate profiles survive.
+        the records stay the chunk's items, so ids need not be consecutive.
         """
         if isinstance(records, FlowChunk):
             return records
@@ -179,7 +179,7 @@ class FlowChunk(SequenceABC):
         The first chunk that is anything else (a record list, a chunk holding
         records, an unsorted chunk, an id gap) sends what was collected, that
         chunk and every later one through ``sorted`` as records, adapted once
-        by :meth:`from_records` with their ids and rate profiles intact.
+        by :meth:`from_records` with their ids intact.
         """
         columns = tuple(array(typecode) for typecode in COLUMN_TYPECODES)
         first_id, next_id = 0, None
@@ -246,17 +246,6 @@ class FlowChunk(SequenceABC):
     def mints_records(self) -> bool:
         """Whether access builds new records (column-backed) or returns existing ones."""
         return self._records is None
-
-    @property
-    def rate_profiles(self) -> Optional[List[Optional[RateProfile]]]:
-        """Each flow's attached rate profile, or ``None`` where none can be attached.
-
-        Columns hold totals only, so a column-backed chunk's flows all send
-        at the constant rate those imply; adapted records may carry profiles.
-        """
-        if self._records is None:
-            return None
-        return [record.rate_profile for record in self._records]
 
     def check_hosts(self, has_host: Callable[[int], bool]) -> None:
         """Fail fast on flows referencing a host id ``has_host`` does not know.

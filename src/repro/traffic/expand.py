@@ -8,11 +8,11 @@ the locality that the initial grouping exploited, which is what makes the
 incremental-update machinery earn its keep (Fig. 7 and Fig. 8, "expanded"
 curves).
 
-The expansion is a stream over a stream: one statistics pass over the base
-finds the silent pairs, the extra flows are drawn and held as one resident
-chunk (a fraction of the base, 48 bytes a flow), and the result is the k-way
-merge of the two — the base is regenerated chunk by chunk on every drain and
-never materialized.
+The expansion is a stream over a stream: one pass over the base's endpoint
+columns finds the silent pairs, the extra flows are drawn and held as one
+resident chunk (a fraction of the base, 48 bytes a flow), and the result is
+the k-way merge of the two — the base is regenerated chunk by chunk on every
+drain and never materialized.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import List, Optional
 from repro.common.errors import TrafficError
 from repro.common.rng import make_rng
 from repro.traffic.chunk import FlowChunk, FlowDraw
-from repro.traffic.stream import FlowStream, MergedStream, TraceStatistics, windowed_chunks
+from repro.traffic.stream import FlowStream, MergedStream, windowed_chunks
 from repro.traffic.trace import Trace
 
 
@@ -53,10 +53,15 @@ def expand_trace(
         raise TrafficError("the topology is too small to expand the trace")
 
     rng = make_rng(seed, "expand-trace", base.name)
-    base_statistics = TraceStatistics(network, track_intensity=False)
-    base_statistics.observe_all(windowed_chunks(base))
-    existing_pairs = base_statistics.communicating_pairs()
-    extra_count = int(round(base_statistics.flow_count * extra_fraction))
+    # One pass over the base's endpoint columns: its flow count and every
+    # unordered host pair that exchanged at least one flow.
+    base_flows = 0
+    existing_pairs = set()
+    for chunk in windowed_chunks(base):
+        src, dst = chunk.src_host_ids, chunk.dst_host_ids
+        base_flows += len(src)
+        existing_pairs.update(zip(map(min, src, dst), map(max, src, dst)))
+    extra_count = int(round(base_flows * extra_fraction))
 
     window_start = window_start_hour * 3600.0
     window_span = (window_end_hour - window_start_hour) * 3600.0

@@ -9,10 +9,7 @@ is phrased almost entirely in terms of flow arrivals per second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.bandwidth.profile import RateProfile
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -30,10 +27,6 @@ class FlowRecord:
     packet_count: int = 10
     byte_count: int = 15_000
     duration: float = 1.0
-    # Excluded from ordering: flow ids are unique within a trace, so the
-    # comparison never gets this far, and a None/profile mix must not break
-    # sorting if it somehow did.
-    rate_profile: Optional[RateProfile] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.start_time < 0:
@@ -48,19 +41,3 @@ class FlowRecord:
         # durations were always nonsense.
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-
-    @property
-    def host_pair(self) -> tuple[int, int]:
-        """The ordered (source, destination) host pair."""
-        return (self.src_host_id, self.dst_host_id)
-
-    @property
-    def unordered_pair(self) -> tuple[int, int]:
-        """The unordered host pair (used for pair-activity statistics)."""
-        a, b = self.src_host_id, self.dst_host_id
-        return (a, b) if a <= b else (b, a)
-
-    @property
-    def end_time(self) -> float:
-        """Time at which the flow's last packet is sent."""
-        return self.start_time + self.duration

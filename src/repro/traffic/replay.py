@@ -53,9 +53,9 @@ class FlowSink(Protocol):
 
     A sink may also offer the column form of the same step,
     ``flow_arrival(start_time, src_host_id, dst_host_id, packet_count,
-    byte_count, duration[, rate_profile])`` — the flow arriving at its start
-    time — and is then handed the rows of each batch instead of its records
-    (:func:`replay_batch`).
+    byte_count, duration)`` — the flow arriving at its start time, sending
+    its bytes at a constant rate for its duration — and is then handed the
+    rows of each batch instead of its records (:func:`replay_batch`).
     """
 
     def handle_flow_arrival(self, flow: FlowRecord, now: float) -> object:
@@ -66,9 +66,8 @@ class FlowSink(Protocol):
 def replay_batch(sink: FlowSink, batch: FlowChunk) -> None:
     """Present every flow of ``batch`` to ``sink``, in order, at its start time.
 
-    Row by row off the columns when the sink takes them — a chunk holding
-    records with rate profiles zips those in as the seventh column — and
-    record by record otherwise.
+    Row by row off the six columns when the sink takes them, record by
+    record otherwise.
     """
     flow_arrival = getattr(sink, "flow_arrival", None)
     if flow_arrival is None:
@@ -76,11 +75,7 @@ def replay_batch(sink: FlowSink, batch: FlowChunk) -> None:
         for flow in batch:
             handle(flow, flow.start_time)
         return
-    columns = batch.columns()
-    profiles = batch.rate_profiles
-    if profiles is not None:
-        columns = (*columns, profiles)
-    for row in zip(*columns):
+    for row in zip(*batch.columns()):
         flow_arrival(*row)
 
 
@@ -98,11 +93,6 @@ class ReplayProgress:
     chunks_drained: int = 0
     start_time: float = 0.0
     end_time: float = 0.0
-
-    @property
-    def duration(self) -> float:
-        """Simulated time covered by the replay."""
-        return max(0.0, self.end_time - self.start_time)
 
 
 class TraceReplayer:

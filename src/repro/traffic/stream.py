@@ -15,7 +15,7 @@ indexes or iterates.  Every built-in stream yields them, and every consumer
 is handed them: :func:`windowed_chunks` is the one boundary, where a
 third-party stream's record-list chunk enters through
 :meth:`FlowChunk.from_records <repro.traffic.chunk.FlowChunk.from_records>`,
-its records' ids and rate profiles intact.
+its records' ids intact.
 
 The contract every stream upholds:
 
@@ -34,17 +34,12 @@ The contract every stream upholds:
   be produced without generating chunks ``0..k-1``'s flows, and the chunk
   grid is a pure function of the generation params (never a runtime knob —
   otherwise two runs with different chunk sizes would diverge).
-
-:class:`TraceStatistics` is the single accumulating pass shared by streams
-and traces: it folds switch intensity, pair activity and hourly arrival
-counts out of one walk over the chunks' start-time and endpoint columns.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import (
@@ -68,7 +63,7 @@ from repro.traffic.chunk import FlowChunk, FlowDraw
 from repro.traffic.flow import FlowRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace imports stream)
-    from repro.traffic.trace import PairActivity, Trace
+    from repro.traffic.trace import Trace
 
 #: Target flows per generated chunk.  A model constant, deliberately not a
 #: runtime knob: the chunk grid feeds the per-chunk RNG derivation, so making
@@ -102,7 +97,7 @@ class FlowStream(Protocol):
         ...
 
 
-# -- the one-pass statistics accumulator --------------------------------------
+# -- the switch-level intensity fold ---------------------------------------------
 
 
 def accumulate_intensity(
@@ -112,9 +107,8 @@ def accumulate_intensity(
 ) -> IntensityMatrix:
     """Fold a chunk's endpoint columns into a switch-level intensity matrix.
 
-    The intensity-only fast path: the warm-up grouping and the Fig. 6
-    analysis only need the matrix, so they skip the hourly/pair accounting
-    :class:`TraceStatistics` would also do.
+    What the warm-up grouping and the Fig. 6 analysis read of a trace: every
+    flow is one unit of intensity between its endpoints' switches.
     """
     if matrix is None:
         matrix = IntensityMatrix(network.switch_ids())
@@ -124,90 +118,6 @@ def accumulate_intensity(
         src_switch, dst_switch = pair_of(src_host_id, dst_host_id)
         record(src_switch, dst_switch, 1.0)
     return matrix
-
-
-class TraceStatistics:
-    """Accumulates every derived trace view in one pass over flow arrivals.
-
-    Feed it chunks with :meth:`observe_all` (or one record with
-    :meth:`observe`) and read the finished views: the switch-level
-    :attr:`intensity` matrix, the :meth:`pair_activity` concentration summary,
-    :meth:`hourly_flow_counts` and :meth:`communicating_pairs`.  One
-    accumulator walk serves every view, and is the only way to compute them
-    for a stream without materializing it.
-
-    ``track_pairs=False`` drops the per-pair counter — the only view whose
-    memory grows with distinct pairs rather than with topology size — which
-    is what the bounded-memory replay path uses.  ``track_intensity=False``
-    skips the per-flow switch lookup for passes that only need the
-    topology-independent views.
-    """
-
-    __slots__ = ("network", "intensity", "flow_count", "last_arrival", "_pair_counts", "_hourly")
-
-    def __init__(
-        self,
-        network: DataCenterNetwork,
-        *,
-        track_pairs: bool = True,
-        track_intensity: bool = True,
-    ) -> None:
-        self.network = network
-        self.intensity: Optional[IntensityMatrix] = (
-            IntensityMatrix(network.switch_ids()) if track_intensity else None
-        )
-        self.flow_count = 0
-        self.last_arrival = 0.0
-        self._pair_counts: Optional[Counter] = Counter() if track_pairs else None
-        self._hourly: Counter = Counter()
-
-    def observe_all(self, chunks: Iterable[FlowChunk]) -> "TraceStatistics":
-        """Fold every flow of ``chunks`` into every view; returns self for chaining.
-
-        Reads the start-time and endpoint columns: no record is built.
-        """
-        for chunk in chunks:
-            if not len(chunk):
-                continue
-            if self.intensity is not None:
-                accumulate_intensity(self.network, chunk, self.intensity)
-            times = chunk.start_times
-            self.flow_count += len(times)
-            self.last_arrival = max(self.last_arrival, times[-1])
-            self._hourly.update(int(time // 3600) for time in times)
-            if self._pair_counts is not None:
-                src, dst = chunk.src_host_ids, chunk.dst_host_ids
-                self._pair_counts.update(zip(map(min, src, dst), map(max, src, dst)))
-        return self
-
-    def observe(self, flow: FlowRecord) -> None:
-        """Fold one flow arrival into every view (the record form)."""
-        self.observe_all((FlowChunk.from_records((flow,)),))
-
-    def hourly_flow_counts(self, *, hours: int = 24) -> List[int]:
-        """Flow arrivals per hour over the first ``hours`` hours."""
-        return [self._hourly.get(hour, 0) for hour in range(hours)]
-
-    def pair_activity(self) -> "PairActivity":
-        """Distinct communicating pairs and the busiest-decile flow share."""
-        from repro.traffic.trace import PairActivity
-
-        if self._pair_counts is None:
-            raise TrafficError("pair activity was not tracked by this accumulator")
-        counts = self._pair_counts
-        if not counts:
-            return PairActivity(total_flows=0, distinct_pairs=0, top_decile_share=0.0)
-        total = sum(counts.values())
-        ranked = sorted(counts.values(), reverse=True)
-        top_count = max(1, len(ranked) // 10)
-        top_share = sum(ranked[:top_count]) / total
-        return PairActivity(total_flows=total, distinct_pairs=len(counts), top_decile_share=top_share)
-
-    def communicating_pairs(self) -> set[tuple[int, int]]:
-        """The set of unordered host pairs that exchanged at least one flow."""
-        if self._pair_counts is None:
-            raise TrafficError("pair activity was not tracked by this accumulator")
-        return set(self._pair_counts)
 
 
 # -- chunk planning ------------------------------------------------------------
@@ -344,21 +254,6 @@ class FlowStreamBase:
         for chunk in self.chunks():
             yield from chunk
 
-    def statistics(
-        self,
-        *,
-        start: float = 0.0,
-        end: Optional[float] = None,
-        track_pairs: bool = True,
-    ) -> TraceStatistics:
-        """Accumulate every derived view over ``[start, end)`` in one pass.
-
-        ``end=None`` covers the whole stream including a flow arriving
-        exactly at the nominal duration.
-        """
-        stats = TraceStatistics(self.network, track_pairs=track_pairs)
-        return stats.observe_all(windowed_chunks(self, start=start, end=end))
-
     def switch_intensity(self, *, start: float = 0.0, end: Optional[float] = None) -> IntensityMatrix:
         """The switch-level intensity matrix over a window, in one pass.
 
@@ -426,11 +321,6 @@ class GeneratedStream(FlowStreamBase):
     @property
     def duration(self) -> float:
         return self._duration
-
-    @property
-    def chunk_count(self) -> int:
-        """Number of planned chunks (empty windows included)."""
-        return len(self._windows)
 
     def chunks(self) -> Iterator[FlowChunk]:
         return self.chunks_from(0.0)
@@ -592,7 +482,7 @@ def windowed_chunks(
     The one place chunks cross from producers to consumers, so also where a
     third-party stream's record-list chunk becomes a :class:`FlowChunk`
     (:meth:`~repro.traffic.chunk.FlowChunk.from_records`: transposed once,
-    its records, their ids and rate profiles kept).
+    its records and their ids kept).
 
     Consuming a sub-window never reads past the first chunk beyond it (see
     :func:`trim_chunks`), and sources that can seek

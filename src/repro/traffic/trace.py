@@ -1,4 +1,4 @@
-"""Trace container and trace-level statistics.
+"""Trace container.
 
 A :class:`Trace` couples a time-sorted collection of flows with the
 :class:`~repro.topology.network.DataCenterNetwork` the hosts live in.  Since
@@ -14,34 +14,21 @@ A stream's chunks are gathered onto six growing ``array`` columns
 (:meth:`FlowChunk.gathered <repro.traffic.chunk.FlowChunk.gathered>`) and no
 :class:`FlowRecord` is built; a record iterable (a third-party trace factory's
 ``Trace(name, network, records)``) is sorted and transposed once, and keeps
-its records, their ids and rate profiles.  Every consumer inside the library
-reads the chunk — the warm-up intensity fold, the statistics pass, the
-replayer, the vectorized kernel — through :meth:`Trace.chunks` or
-:meth:`Trace.columns`.  A caller that asks for records (``.flows``, iteration,
-``window``, ``subtrace``) has the record list minted once *beside* the columns
-and shared by every later call.
+its records and their ids.  Every consumer inside the library reads the chunk
+— the warm-up intensity fold, the replayer, the vectorized kernel — through
+:meth:`Trace.chunks`.  A caller that asks for records (``.flows``, iteration)
+has the record list minted once *beside* the columns and shared by every
+later call.
 
-The derived views the rest of the library needs —
-
-* the switch-level intensity matrix over an arbitrary time window (input to
-  the grouping algorithms and the replayer),
-* pair-activity statistics (distinct communicating host pairs, share of
-  flows contributed by the busiest pairs — the paper's motivation numbers),
-* per-hour flow-arrival counts (the diurnal shape used by Fig. 7)
-
-— are all computed by one accumulating
-:class:`~repro.traffic.stream.TraceStatistics` pass rather than a re-scan
-per view: the topology-independent views (pair activity, hourly counts,
-communicating pairs) share a single cached pass, while the intensity matrix
-is re-accumulated per call because it reflects host placement *now* (VM
-churn moves hosts between switches mid-replay).
+The switch-level intensity matrix over a time window (input to the grouping
+algorithms and to Fig. 6) is re-accumulated per call rather than cached,
+because it reflects host placement *now*: VM churn moves hosts between
+switches mid-replay.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from copy import copy
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.common.errors import TrafficError
@@ -49,16 +36,7 @@ from repro.datastructures.intensity import IntensityMatrix
 from repro.topology.network import DataCenterNetwork
 from repro.traffic.chunk import FlowChunk
 from repro.traffic.flow import FlowRecord
-from repro.traffic.stream import FlowStream, TraceStatistics, accumulate_intensity, trim_chunks
-
-
-@dataclass(frozen=True, slots=True)
-class PairActivity:
-    """Summary of how concentrated the traffic is across host pairs."""
-
-    total_flows: int
-    distinct_pairs: int
-    top_decile_share: float
+from repro.traffic.stream import FlowStream, accumulate_intensity, trim_chunks
 
 
 class Trace:
@@ -69,7 +47,6 @@ class Trace:
     ) -> None:
         self.name = name
         self.network = network
-        self._pair_stats: Optional[TraceStatistics] = None
         # A record iterable enters as a one-chunk stream: not a column-backed
         # run, so ``gathered`` sorts and adapts it.
         chunks = flows.chunks() if hasattr(flows, "chunks") else (flows,)
@@ -93,7 +70,6 @@ class Trace:
         """
         twin = copy(self)
         twin.network = network
-        twin._pair_stats = None
         twin._columns.check_hosts(network.has_host)
         return twin
 
@@ -126,10 +102,6 @@ class Trace:
         """Time of the last flow arrival (0 for an empty trace)."""
         return self._columns.start_times[-1] if len(self._columns) else 0.0
 
-    def flow_count(self) -> int:
-        """Number of flow arrivals in the trace."""
-        return len(self._columns)
-
     def chunks(self) -> Iterator[FlowChunk]:
         """The resident chunk, as the stream protocol's one chunk.
 
@@ -139,32 +111,6 @@ class Trace:
         """
         if len(self._columns):
             yield self._columns
-
-    def window(self, start: float, end: float) -> List[FlowRecord]:
-        """Flows whose arrival time falls in ``[start, end)``."""
-        if end < start:
-            raise TrafficError(f"invalid window [{start}, {end})")
-        times = self._columns.start_times
-        lo = bisect_left(times, start)
-        return self.flows[lo : bisect_left(times, end, lo)]
-
-    # -- derived statistics ---------------------------------------------------
-
-    def _cached_pair_statistics(self) -> TraceStatistics:
-        """The single shared pass behind every topology-independent view."""
-        if self._pair_stats is None:
-            stats = TraceStatistics(self.network, track_pairs=True, track_intensity=False)
-            self._pair_stats = stats.observe_all(self.chunks())
-        return self._pair_stats
-
-    def statistics(self, *, track_pairs: bool = True) -> TraceStatistics:
-        """Accumulate every derived view (intensity included) in one fresh pass."""
-        stats = TraceStatistics(self.network, track_pairs=track_pairs)
-        return stats.observe_all(self.chunks())
-
-    def pair_activity(self) -> PairActivity:
-        """Distinct communicating pairs and the share of the busiest 10 % of pairs."""
-        return self._cached_pair_statistics().pair_activity()
 
     def switch_intensity(self, *, start: float = 0.0, end: Optional[float] = None) -> IntensityMatrix:
         """Build the switch-level intensity matrix for a time window.
@@ -186,28 +132,3 @@ class Trace:
         for chunk in trim_chunks(self.chunks(), start, window_end):
             accumulate_intensity(self.network, chunk, matrix)
         return matrix
-
-    def hourly_flow_counts(self, *, hours: int = 24) -> List[int]:
-        """Flow arrivals per hour over the first ``hours`` hours."""
-        return self._cached_pair_statistics().hourly_flow_counts(hours=hours)
-
-    def communicating_pairs(self) -> set[tuple[int, int]]:
-        """The set of unordered host pairs that exchanged at least one flow."""
-        return self._cached_pair_statistics().communicating_pairs()
-
-    def subtrace(self, *, start: float, end: float, name: Optional[str] = None) -> "Trace":
-        """A new trace restricted to flows arriving in ``[start, end)``."""
-        return Trace(name or f"{self.name}[{start:.0f},{end:.0f})", self.network, self.window(start, end))
-
-    def merged_with(self, other: "Trace", *, name: Optional[str] = None) -> "Trace":
-        """Merge two traces defined over the same topology.
-
-        The topologies may be distinct objects as long as they are
-        structurally equal (same switches, host placement and tenancy) —
-        rebuilding a network from the same spec yields an equal topology,
-        and traces over it merge fine.  Genuinely different topologies are
-        still rejected.
-        """
-        if other.network is not self.network and not self.network.structurally_equal(other.network):
-            raise TrafficError("cannot merge traces defined over different topologies")
-        return Trace(name or f"{self.name}+{other.name}", self.network, list(self.flows) + list(other.flows))

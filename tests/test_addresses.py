@@ -1,27 +1,14 @@
-"""Unit tests for MAC/IP address value objects."""
+"""Unit tests for the MAC address value object."""
 
 import pytest
 
-from repro.common.addresses import IpAddress, MacAddress, mac_range
+from repro.common.addresses import MacAddress
 from repro.common.errors import AddressError
 
 
 class TestMacAddress:
-    def test_parse_round_trip(self):
-        mac = MacAddress.parse("02:00:00:00:12:34")
-        assert str(mac) == "02:00:00:00:12:34"
-
-    def test_parse_rejects_short_input(self):
-        with pytest.raises(AddressError):
-            MacAddress.parse("02:00:00:12:34")
-
-    def test_parse_rejects_non_hex(self):
-        with pytest.raises(AddressError):
-            MacAddress.parse("02:00:00:00:12:zz")
-
-    def test_parse_rejects_out_of_range_octet(self):
-        with pytest.raises(AddressError):
-            MacAddress.parse("02:00:00:00:12:1234")
+    def test_canonical_notation(self):
+        assert str(MacAddress(0x02_00_00_00_12_34)) == "02:00:00:00:12:34"
 
     def test_value_out_of_range_rejected(self):
         with pytest.raises(AddressError):
@@ -32,14 +19,10 @@ class TestMacAddress:
             MacAddress(-1)
 
     def test_host_range_allocation(self):
-        mac = MacAddress.from_host_index(5)
-        assert mac.is_host
-        assert not mac.is_switch
+        assert MacAddress.from_host_index(5).octets() == (0x02, 0, 0, 0, 0, 5)
 
     def test_switch_range_allocation(self):
-        mac = MacAddress.from_switch_index(5)
-        assert mac.is_switch
-        assert not mac.is_host
+        assert MacAddress.from_switch_index(5).octets() == (0x06, 0, 0, 0, 0, 5)
 
     def test_host_and_switch_ranges_disjoint(self):
         assert MacAddress.from_host_index(42) != MacAddress.from_switch_index(42)
@@ -47,6 +30,11 @@ class TestMacAddress:
     def test_host_index_out_of_range(self):
         with pytest.raises(AddressError):
             MacAddress.from_host_index(1 << 33)
+
+    @pytest.mark.parametrize("index", [-1, 1 << 32])
+    def test_switch_index_out_of_range(self, index):
+        with pytest.raises(AddressError, match="switch index out of range"):
+            MacAddress.from_switch_index(index)
 
     def test_octets_length(self):
         assert len(MacAddress.from_host_index(1).octets()) == 6
@@ -65,58 +53,3 @@ class TestMacAddress:
 
     def test_repr_contains_canonical_form(self):
         assert "02:00:00:00:00:07" in repr(MacAddress.from_host_index(7))
-
-
-class TestIpAddress:
-    def test_parse_round_trip(self):
-        ip = IpAddress.parse("10.0.1.7")
-        assert str(ip) == "10.0.1.7"
-
-    def test_parse_rejects_bad_octet(self):
-        with pytest.raises(AddressError):
-            IpAddress.parse("10.0.1.300")
-
-    def test_parse_rejects_wrong_field_count(self):
-        with pytest.raises(AddressError):
-            IpAddress.parse("10.0.1")
-
-    def test_parse_rejects_non_numeric(self):
-        with pytest.raises(AddressError):
-            IpAddress.parse("10.0.one.1")
-
-    def test_from_switch_index_in_ten_slash_eight(self):
-        ip = IpAddress.from_switch_index(300)
-        assert ip.octets()[0] == 10
-
-    def test_from_switch_index_unique(self):
-        assert IpAddress.from_switch_index(1) != IpAddress.from_switch_index(2)
-
-    def test_from_switch_index_out_of_range(self):
-        with pytest.raises(AddressError):
-            IpAddress.from_switch_index(1 << 24)
-
-    def test_to_bytes(self):
-        assert len(IpAddress.from_switch_index(9).to_bytes()) == 4
-
-    def test_value_bounds(self):
-        with pytest.raises(AddressError):
-            IpAddress(-1)
-        with pytest.raises(AddressError):
-            IpAddress(1 << 32)
-
-
-class TestMacRange:
-    def test_yields_requested_count(self):
-        assert len(list(mac_range(0, 10))) == 10
-
-    def test_consecutive_values(self):
-        macs = list(mac_range(5, 3))
-        assert [m.value & 0xFF for m in macs] == [5, 6, 7]
-
-    def test_switch_kind(self):
-        macs = list(mac_range(0, 2, kind="switch"))
-        assert all(m.is_switch for m in macs)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(AddressError):
-            list(mac_range(0, 1, kind="router"))

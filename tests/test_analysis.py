@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.centrality import centrality_of_groups, partition_intensity, trace_centrality
-from repro.analysis.reports import format_percent, format_series, format_table, two_hour_bucket_labels
+from repro.analysis.reports import format_percent, format_table, two_hour_bucket_labels
 from repro.datastructures.intensity import IntensityMatrix
 
 
@@ -61,10 +61,6 @@ class TestReports:
     def test_format_table_without_title(self):
         text = format_table(["x"], [[1]])
         assert text.splitlines()[0].startswith("x")
-
-    def test_format_series(self):
-        text = format_series("series", [1, 2], [0.5, 0.25], x_name="k", y_name="w")
-        assert "0.500" in text and "0.250" in text
 
     def test_format_percent(self):
         assert format_percent(0.817) == "81.7%"

@@ -1,9 +1,8 @@
-"""The bandwidth/congestion subsystem: profiles, metering, specs and replay wiring.
+"""The bandwidth/congestion subsystem: metering, specs and replay wiring.
 
-Covers the layers bottom-up: :class:`RateProfile` arithmetic and the
-deterministic per-flow derivation (including the satellite regression that
-degenerate durations are rejected before they can divide-by-zero), the
-per-uplink window accounting of :class:`LinkUtilizationMeter`, the
+Covers the layers bottom-up: the per-flow constant rate (degenerate
+durations are rejected before they can divide-by-zero), the per-uplink
+window accounting of :class:`LinkUtilizationMeter`, the
 serializable :class:`LinkUsageResult` matrix, the ``ScenarioSpec.links``
 overlay, and the headline replay invariants: a capacity-less run stays
 bit-identical to a build without the subsystem, a capacitated run pays
@@ -20,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import hot_links_report, latency_percentile_rows, render_heatmap
 from repro.bandwidth.meter import LinkUtilizationMeter, build_link_meter
-from repro.bandwidth.profile import RateProfile
 from repro.bandwidth.spec import LinkCapacitySpec
 from repro.bandwidth.usage import LinkUsageResult
 from repro.common.config import LazyCtrlConfig
@@ -34,7 +32,7 @@ from repro.topology.builder import TopologyProfile, build_multi_tenant_datacente
 from repro.traffic.flow import FlowRecord
 
 
-def flow(start=0.0, flow_id=1, src=0, dst=1, byte_count=15_000, duration=1.0, **extra):
+def flow(start=0.0, flow_id=1, src=0, dst=1, byte_count=15_000, duration=1.0):
     return FlowRecord(
         start_time=start,
         flow_id=flow_id,
@@ -42,7 +40,6 @@ def flow(start=0.0, flow_id=1, src=0, dst=1, byte_count=15_000, duration=1.0, **
         dst_host_id=dst,
         byte_count=byte_count,
         duration=duration,
-        **extra,
     )
 
 
@@ -89,33 +86,7 @@ def serialized_runs(result):
     return {name: run.to_dict() for name, run in result.runs.items()}
 
 
-# -- rate profiles --------------------------------------------------------------
-
-
-class TestRateProfile:
-    def test_constant_profile_totals(self):
-        profile = RateProfile.constant(8_000.0, 10.0)
-        assert profile.duration == 10.0
-        assert profile.total_bytes == 10_000.0
-        assert profile.peak_rate_bps == 8_000.0
-        assert profile.mean_rate_bps == 8_000.0
-
-    def test_multi_segment_bytes_between_spans_boundaries(self):
-        # 1000 B/s for 2 s, silent for 3 s, 500 B/s for 5 s.
-        profile = RateProfile(((2.0, 8_000.0), (3.0, 0.0), (5.0, 4_000.0)))
-        assert profile.total_bytes == 2 * 1_000.0 + 5 * 500.0
-        assert profile.bytes_between(1.0, 6.0) == 1_000.0 + 500.0
-        assert profile.bytes_between(0.0, profile.duration) == profile.total_bytes
-        assert profile.bytes_between(5.0, 5.0) == 0.0
-        assert profile.bytes_between(6.0, 3.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RateProfile(())
-        with pytest.raises(ValueError):
-            RateProfile(((0.0, 100.0),))
-        with pytest.raises(ValueError):
-            RateProfile(((1.0, -1.0),))
+# -- the per-flow rate -----------------------------------------------------------
 
 
 class TestFlowRecordRates:
@@ -131,9 +102,6 @@ class TestFlowRecordRates:
         with pytest.raises(ValueError, match="byte_count"):
             flow(byte_count=byte_count)
 
-    def test_rate_profile_excluded_from_equality(self):
-        assert flow() == flow(rate_profile=RateProfile.constant(100.0, 1.0))
-
 
 # -- the meter ------------------------------------------------------------------
 
@@ -147,8 +115,8 @@ class TestLinkUtilizationMeter:
         # Half the bytes land in the current window; the dst switch is untracked.
         assert observation.src_utilization == pytest.approx(500_000 / 1.25e6)
         assert observation.dst_utilization == 0.0
-        assert not observation.congested
-        assert meter.utilization(1, 12.0) == pytest.approx(500_000 / 1.25e6)
+        assert observation.newly_congested == ()
+        assert meter.usage(20.0).utilization["1"][1] == pytest.approx(500_000 / 1.25e6)
 
     def test_same_window_arrivals_see_growing_load(self):
         meter = LinkUtilizationMeter({1: 1.0}, window_seconds=10.0)
@@ -163,12 +131,12 @@ class TestLinkUtilizationMeter:
         # 0.1 Mbps / 10 s window: 125 kB of capacity; 200 kB crosses it.
         meter = LinkUtilizationMeter({1: 0.1}, window_seconds=10.0)
         first = meter.observe(flow(start=0.0, byte_count=200_000, duration=5.0), 1, 2, 0.0)
-        assert first.congested
+        assert first.src_utilization >= 1.0
         assert first.newly_congested == ((1, pytest.approx(1.6)),)
         again = meter.observe(
             flow(start=1.0, flow_id=2, byte_count=200_000, duration=5.0), 1, 2, 1.0
         )
-        assert again.congested
+        assert again.src_utilization >= 1.0
         assert again.newly_congested == ()  # same window: already crossed
         next_window = meter.observe(
             flow(start=12.0, flow_id=3, byte_count=200_000, duration=5.0), 1, 2, 12.0
@@ -184,6 +152,41 @@ class TestLinkUtilizationMeter:
         folded = meter.usage(10.0)
         assert folded.window_count == 1
         assert folded.utilization["1"] == [pytest.approx(0.8)]
+
+    def test_a_constant_rate_steps_across_several_windows(self):
+        # 100 B/s from 5 s to 30 s over 10 s windows: a partial first window,
+        # two whole ones, and nothing charged past the k * w boundary it ends on.
+        meter = LinkUtilizationMeter({1: 1.0}, window_seconds=10.0)
+        meter.observe(flow(start=5.0, byte_count=2_500, duration=25.0), 1, 2, 5.0)
+        assert meter._bytes[1] == {0: 500.0, 1: 1_000.0, 2: 1_000.0}
+
+    def test_a_flow_filling_one_window_exactly_is_one_product(self):
+        # Starts on 1 * w and ends on 2 * w: all of it lands in window 1.
+        meter = LinkUtilizationMeter({1: 1.0}, window_seconds=10.0)
+        meter.observe(flow(start=10.0, byte_count=1_000, duration=10.0), 1, 2, 10.0)
+        assert meter._bytes[1] == {1: 1_000.0}
+
+    def test_a_run_of_flows_reads_what_one_at_a_time_reads(self):
+        flows = [
+            flow(start=1.0, byte_count=300_000, duration=25.0),
+            flow(start=3.0, flow_id=2, byte_count=90_000, duration=2.0),
+            flow(start=9.5, flow_id=3, byte_count=50_000, duration=0.5),
+        ]
+        one_by_one = LinkUtilizationMeter({1: 0.1, 2: 0.2}, window_seconds=10.0)
+        observed = [one_by_one.observe(record, 1, 2, record.start_time) for record in flows]
+        in_a_run = LinkUtilizationMeter({1: 0.1, 2: 0.2}, window_seconds=10.0)
+        utilizations, crossings = in_a_run.account_run(
+            [record.start_time for record in flows],
+            [record.duration for record in flows],
+            [record.byte_count for record in flows],
+            [1, 1, 1],
+            [2, 2, 2],
+        )
+        assert utilizations == [(seen.src_utilization, seen.dst_utilization) for seen in observed]
+        assert [(switch, level) for _, switch, level in crossings] == [
+            pair for seen in observed for pair in seen.newly_congested
+        ]
+        assert in_a_run._bytes == one_by_one._bytes
 
     def test_max_utilization_tracks_the_hottest_link(self):
         meter = LinkUtilizationMeter({1: 1.0, 2: 1.0}, window_seconds=10.0)
@@ -264,17 +267,11 @@ class TestLinkUsageResult:
         usage = self.usage()
         assert usage.window_count == 3
         assert usage.peak_utilization == 1.4
-        assert usage.peak_cell == (1, 1)
         assert usage.congested_cells == 2
 
     def test_hot_links_sorted_by_peak(self):
         assert self.usage().hot_links(1.0) == [(1, 1.4, 1), (2, 1.0, 1)]
         assert self.usage().hot_links(2.0) == []
-
-    def test_link_series(self):
-        usage = self.usage()
-        assert usage.link_series(2) == [0.0, 0.5, 1.0]
-        assert usage.link_series(99) == []
 
     def test_bucket_maxima_aggregates_windows(self):
         assert self.usage().bucket_maxima(20.0, 2) == [1.4, 1.0]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.config import BloomFilterConfig
 from repro.common.errors import ConfigurationError
-from repro.datastructures.bloom import BloomFilter
+from repro.datastructures.bloom import BloomFilter, probe_positions
 
 
 class TestConstruction:
@@ -14,18 +14,6 @@ class TestConstruction:
         assert bloom.size_bits == 1024
         assert bloom.hash_count == 3
         assert bloom.size_bytes == 128
-
-    def test_with_capacity_targets_fpr(self):
-        bloom = BloomFilter.with_capacity(100, 0.01)
-        for i in range(100):
-            bloom.add(f"host-{i}".encode())
-        assert bloom.theoretical_false_positive_rate() < 0.03
-
-    def test_with_capacity_rejects_bad_inputs(self):
-        with pytest.raises(ConfigurationError):
-            BloomFilter.with_capacity(0, 0.01)
-        with pytest.raises(ConfigurationError):
-            BloomFilter.with_capacity(10, 1.5)
 
     def test_rejects_zero_size(self):
         with pytest.raises(ConfigurationError):
@@ -46,14 +34,6 @@ class TestMembership:
     def test_empty_filter_contains_nothing(self):
         bloom = BloomFilter(1024, 3)
         assert b"anything" not in bloom
-        assert bloom.fill_ratio() == 0.0
-
-    def test_clear_resets(self):
-        bloom = BloomFilter(1024, 3)
-        bloom.add(b"x")
-        bloom.clear()
-        assert b"x" not in bloom
-        assert bloom.inserted_count == 0
 
     def test_false_positive_rate_small_for_paper_sizing(self):
         # Paper §V-D: a 2048-byte filter per switch yields < 0.1 % FPR for a
@@ -66,58 +46,12 @@ class TestMembership:
         false_positives = sum(1 for probe in probes if probe in bloom)
         assert false_positives / len(probes) < 0.001
 
-    def test_fill_ratio_increases_with_inserts(self):
-        bloom = BloomFilter(512, 3)
-        before = bloom.fill_ratio()
-        bloom.add_all(str(i).encode() for i in range(50))
-        assert bloom.fill_ratio() > before
+    def test_positions_derived_once_answer_what_membership_answers(self):
+        bloom = BloomFilter(256, 3)
+        bloom.add_all(str(i).encode() for i in range(40))
+        for i in range(200):
+            item = str(i).encode()
+            assert bloom.has_positions(probe_positions(item, 256, 3)) == (item in bloom)
 
-    def test_estimated_fpr_tracks_theoretical(self):
-        bloom = BloomFilter(2048, 4)
-        bloom.add_all(str(i).encode() for i in range(100))
-        assert bloom.estimated_false_positive_rate() == pytest.approx(
-            bloom.theoretical_false_positive_rate(), rel=0.8
-        )
-
-    def test_theoretical_fpr_zero_when_empty(self):
-        assert BloomFilter(128, 2).theoretical_false_positive_rate() == 0.0
-
-    def test_theoretical_fpr_rejects_negative_count(self):
-        with pytest.raises(ConfigurationError):
-            BloomFilter(128, 2).theoretical_false_positive_rate(-1)
-
-
-class TestUnionCopySerialize:
-    def test_union_contains_both_sides(self):
-        a = BloomFilter(1024, 3)
-        b = BloomFilter(1024, 3)
-        a.add(b"alpha")
-        b.add(b"beta")
-        merged = a.union(b)
-        assert b"alpha" in merged and b"beta" in merged
-
-    def test_union_rejects_mismatched_geometry(self):
-        with pytest.raises(ConfigurationError):
-            BloomFilter(1024, 3).union(BloomFilter(512, 3))
-
-    def test_copy_is_independent(self):
-        a = BloomFilter(1024, 3)
-        a.add(b"alpha")
-        b = a.copy()
-        b.add(b"beta")
-        assert b"beta" not in a
-
-    def test_serialize_round_trip(self):
-        a = BloomFilter(1024, 3)
-        a.add_all([b"one", b"two", b"three"])
-        data = a.to_bytes()
-        b = BloomFilter.from_bytes(data, 1024, 3, inserted_count=3)
-        assert b"one" in b and b"two" in b and b"three" in b
-        assert b.inserted_count == 3
-
-    def test_from_bytes_rejects_wrong_length(self):
-        with pytest.raises(ConfigurationError):
-            BloomFilter.from_bytes(b"\x00" * 10, 1024, 3)
-
-    def test_repr_mentions_fill(self):
-        assert "fill=" in repr(BloomFilter(128, 2))
+    def test_repr_names_the_geometry(self):
+        assert "size_bits=128" in repr(BloomFilter(128, 2))

@@ -23,6 +23,11 @@ def small_network(seed: int = 11):
     )
 
 
+def applied(stats):
+    """Churn events that changed the topology."""
+    return stats.migrations + stats.drift_events + stats.tenant_arrivals + stats.tenant_departures
+
+
 def lazyctrl_system(network):
     system = LazyCtrlSystem(
         network,
@@ -32,7 +37,8 @@ def lazyctrl_system(network):
     warmup = Trace("warmup", network, [])
     matrix = warmup.switch_intensity()
     grouping = system.controller.grouping_manager.grouper.initial_grouping(matrix)
-    system.install_grouping(grouping)
+    system.controller.grouping_manager.current_grouping = grouping
+    system.controller.apply_grouping(grouping)
     return system
 
 
@@ -109,7 +115,7 @@ class TestDriftProcess:
         moved_hosts = [h for h in before if before[h] != after[h]]
         assert len(moved_hosts) == moved
         # All moved VMs belong to one tenant and land on one switch.
-        tenants = {network.tenants.tenant_of_host(h) for h in moved_hosts}
+        tenants = {network.host(h).tenant_id for h in moved_hosts}
         destinations = {after[h] for h in moved_hosts}
         assert len(tenants) == 1 and len(destinations) == 1
 
@@ -180,7 +186,7 @@ class TestChurnScheduler:
         self.fire_until(events, 6 * 3600.0)
         assert not events
         assert scheduler.stats.migrations >= mid
-        assert scheduler.stats.applied_events() == scheduler.stats.migrations
+        assert applied(scheduler.stats) == scheduler.stats.migrations
 
     def test_list_is_a_stable_time_sort_of_the_process_streams(self):
         spec = ChurnSpec(
@@ -215,7 +221,7 @@ class TestChurnScheduler:
         self.fire_until(list(scheduler.events), 6 * 3600.0)
         result = scheduler.result(bucket_count=6)
         assert len(result.per_bucket_events) == 6
-        assert sum(result.per_bucket_events) == scheduler.stats.applied_events()
+        assert sum(result.per_bucket_events) == applied(scheduler.stats)
 
     def test_identical_streams_for_lazyctrl_and_openflow(self):
         spec = ChurnSpec(seed=9, migration_rate_per_hour=8.0, drift_rate_per_hour=2.0)

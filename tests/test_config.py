@@ -72,6 +72,14 @@ class TestRegroupingPolicy:
         with pytest.raises(ConfigurationError):
             RegroupingPolicy(overload_threshold_rps=100.0, underload_threshold_rps=200.0)
 
+    def test_rejects_negative_churn_trigger(self):
+        with pytest.raises(ConfigurationError, match="churn_event_trigger"):
+            RegroupingPolicy(churn_event_trigger=-1)
+
+    def test_rejects_negative_min_interval(self):
+        with pytest.raises(ConfigurationError, match="min_interval_seconds"):
+            RegroupingPolicy(min_interval_seconds=-1.0)
+
 
 class TestLatencyModelConfig:
     def test_defaults_non_negative(self):
@@ -81,6 +89,11 @@ class TestLatencyModelConfig:
     def test_rejects_negative_component(self):
         with pytest.raises(ConfigurationError):
             LatencyModelConfig(underlay_hop_ms=-0.1)
+
+    @pytest.mark.parametrize("cap", [0.0, 1.0, 1.5, -0.2])
+    def test_rejects_a_queueing_cap_outside_the_open_unit_interval(self, cap):
+        with pytest.raises(ConfigurationError, match="queueing_utilization_cap"):
+            LatencyModelConfig(queueing_utilization_cap=cap)
 
 
 class TestFlowTableConfig:

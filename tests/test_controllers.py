@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.addresses import IpAddress, MacAddress
+from repro.common.addresses import MacAddress
 from repro.common.config import GroupingConfig, LazyCtrlConfig
 from repro.common.errors import ControlPlaneError
 from repro.common.packets import FlowKey
@@ -20,7 +20,6 @@ def mac(i: int) -> MacAddress:
 def make_of_switch(switch_id: int) -> EdgeSwitch:
     return EdgeSwitch(
         switch_id,
-        underlay_ip=IpAddress.from_switch_index(switch_id),
         management_mac=MacAddress.from_switch_index(switch_id),
     )
 
@@ -43,7 +42,7 @@ def lazy_controller(network):
     for info in network.switches():
         controller.register_switch(
             LazyCtrlEdgeSwitch(
-                info.switch_id, underlay_ip=info.underlay_ip, management_mac=info.management_mac
+                info.switch_id, management_mac=info.management_mac
             )
         )
     controller.bootstrap_host_locations()
@@ -137,11 +136,20 @@ class TestLazyCtrlController:
         assert set(lazy_controller.group_assignment()) == set(network.switch_ids())
         assert lazy_controller.regroupings_applied == 1
 
+    def test_group_config_messages_are_one_per_member_per_grouping(self, lazy_controller, network):
+        lazy_controller.apply_grouping(simple_grouping(network))
+        lazy_controller.apply_grouping(simple_grouping(network))
+        assert lazy_controller.group_config_messages == 2 * network.switch_count()
+        assert lazy_controller.regroupings_applied == 2
+
     def test_groups_have_synchronized_gfibs(self, lazy_controller, network):
         lazy_controller.apply_grouping(simple_grouping(network))
         for group in lazy_controller.groups.values():
-            for member in group.members():
-                assert member.gfib.peer_count() == len(group) - 1
+            for member_id in group.member_ids():
+                gfib = lazy_controller.switch(member_id).gfib
+                for peer_id in group.member_ids():
+                    for host in lazy_controller.switch(peer_id).local_hosts():
+                        assert (peer_id in gfib.matching_peers(host)) is (peer_id != member_id)
 
     def test_packet_in_resolves_from_clib(self, lazy_controller, network):
         lazy_controller.apply_grouping(simple_grouping(network))
@@ -205,19 +213,13 @@ class TestLazyCtrlController:
         new_host = network.attach_host(0, tenant.tenant_id)
         lazy_controller.switch(0).attach_host(new_host.mac, new_host.port, new_host.tenant_id)
         assert new_host.mac not in lazy_controller.clib
-        changed = lazy_controller.collect_state_reports(now=10.0)
+        changed = lazy_controller.collect_state_reports()
         assert changed >= 1
         assert lazy_controller.clib.locate(new_host.mac) == 0
 
     def test_unknown_switch_rejected(self, lazy_controller):
         with pytest.raises(ControlPlaneError):
             lazy_controller.switch(999)
-
-    def test_storage_bytes_per_switch(self, lazy_controller, network):
-        lazy_controller.apply_grouping(simple_grouping(network))
-        storage = lazy_controller.storage_bytes_per_switch()
-        assert set(storage) == set(network.switch_ids())
-        assert all(value > 0 for value in storage.values())
 
     def test_periodic_check_without_grouping_is_noop(self, lazy_controller):
         assert lazy_controller.periodic_check(now=1000.0) is False

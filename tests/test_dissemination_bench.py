@@ -29,11 +29,7 @@ def controller_and_group():
     )
     controller = LazyCtrlController(network)
     for info in network.switches():
-        controller.register_switch(
-            LazyCtrlEdgeSwitch(
-                info.switch_id, underlay_ip=info.underlay_ip, management_mac=info.management_mac
-            )
-        )
+        controller.register_switch(LazyCtrlEdgeSwitch(info.switch_id, management_mac=info.management_mac))
     controller.bootstrap_host_locations()
     controller.apply_grouping(Grouping(groups={0: frozenset(range(MEMBERS))}))
     return controller, controller.groups[0]
@@ -44,13 +40,14 @@ def test_group_sync_primitive(controller_and_group, benchmark):
     _, group = controller_and_group
     messages = benchmark(group.synchronize_gfibs)
     assert messages == MEMBERS * (MEMBERS - 1)
-    assert all(switch.gfib.peer_count() == MEMBERS - 1 for switch in group.members())
+    gfibs = [group.member(switch_id).gfib for switch_id in group.member_ids()]
+    assert all(gfib.storage_bytes() == (MEMBERS - 1) * gfib.config.size_bytes for gfib in gfibs)
 
 
 def test_live_update_primitive(controller_and_group, benchmark):
     """One member's L-FIB changes (a VM comes or goes): relay, report, merge."""
     controller, group = controller_and_group
-    member = group.members()[3]
+    member = group.member(3)
     visitor = MacAddress.from_host_index(10_000)
 
     def live_update():
@@ -62,8 +59,8 @@ def test_live_update_primitive(controller_and_group, benchmark):
         return messages, controller.receive_state_report(report)
 
     messages, _ = benchmark(live_update)
-    # Source -> designated, then designated -> the 14 others (or 0 + 15).
+    # Source -> designated, then designated -> the 14 others.
     assert messages == MEMBERS - 1
     assert len(group.build_state_report().switch_lfibs) == MEMBERS
-    peer = group.members()[4]
+    peer = group.member(4)
     assert (member.switch_id in peer.gfib.matching_peers(visitor)) == (visitor in member.lfib)

@@ -2,12 +2,12 @@
 
 A group disseminates an L-FIB by building its Bloom summary and its wire
 tuple once and handing them to every member, relay and report.  The form it
-replaced built a filter per receiving member, sorted the snapshot per relay and
-sent a dict of ``FibEntry`` through the state report; that form is kept here,
-written against the public run-of-one calls (``install_peer_lfib(peer, macs)``,
-``LocalFib.snapshot()``), as the reference.  A churn-migration-shaped replay
-stopped mid-trace must leave the same switches, C-LIB, counters and channel
-bytes under both, and a migration must leave no stale summary behind.
+replaced built a filter per receiving member and sent a dict of ``FibEntry``
+through the state report; that form is kept here, written against the public
+run-of-one calls (``GroupFib.install_peer(peer, macs)``, the L-FIB's entries),
+as the reference.  A churn-migration-shaped replay stopped mid-trace must
+leave the same switches, C-LIB and counters under both, and a migration must
+leave no stale summary behind.
 """
 
 import dataclasses
@@ -15,10 +15,9 @@ import dataclasses
 import pytest
 
 from repro.common.config import GroupingConfig, LazyCtrlConfig
-from repro.controlplane.channels import ChannelType
 from repro.controlplane.group import LocalControlGroup
 from repro.controlplane.lazyctrl_controller import LazyCtrlController
-from repro.controlplane.messages import GroupStateReportMessage, LfibUpdateMessage, MessageType
+from repro.controlplane.messages import GroupStateReportMessage
 from repro.core.presets import default_grouping_config, get_preset
 from repro.core.runner import ScenarioRunner
 from repro.core.system import LazyCtrlSystem
@@ -33,15 +32,8 @@ def _wire(snapshot):
     return tuple((mac, entry.port, entry.tenant_id) for mac, entry in sorted(snapshot.items()))
 
 
-def _lfib_update(switch_id, snapshot, destination, timestamp):
-    return LfibUpdateMessage(
-        message_type=MessageType.LFIB_UPDATE,
-        source=f"switch:{switch_id}",
-        destination=destination,
-        timestamp=timestamp,
-        switch_id=switch_id,
-        entries=_wire(snapshot),
-    )
+def _snapshot(lfib):
+    return {entry.mac: entry for entry in lfib}
 
 
 def per_holder_synchronize_gfibs(self):
@@ -52,41 +44,26 @@ def per_holder_synchronize_gfibs(self):
         for peer_id, macs in snapshots.items():
             if peer_id == switch_id:
                 continue
-            switch.install_peer_lfib(peer_id, macs)
+            switch.gfib.install_peer(peer_id, macs)
             messages += 1
     self.peer_messages_sent += messages
     return messages
 
 
-def per_holder_propagate_lfib_update(self, switch_id, *, timestamp=0.0):
-    snapshot = self.member(switch_id).lfib.snapshot()
-    designated = self.designated_switch
-    size_bytes = 64 + 16 * len(snapshot)
-    messages = 0
-    channel = self._channels.get_or_create(
-        ChannelType.PEER_LINK, f"switch:{switch_id}", f"switch:{designated.switch_id}"
-    )
-    update = _lfib_update(switch_id, snapshot, f"switch:{designated.switch_id}", timestamp)
-    if channel.deliver(update, size_bytes=size_bytes):
-        messages += 1
-    macs = list(snapshot)
+def per_holder_propagate_lfib_update(self, switch_id):
+    macs = list(_snapshot(self.member(switch_id).lfib))
+    messages = 1
     for peer_id, peer in self._members.items():
         if peer_id == switch_id:
             continue
-        peer.install_peer_lfib(switch_id, macs)
-        if peer_id == designated.switch_id:
-            continue
-        relay_channel = self._channels.get_or_create(
-            ChannelType.PEER_LINK, f"switch:{designated.switch_id}", f"switch:{peer_id}"
-        )
-        relay = _lfib_update(designated.switch_id, snapshot, f"switch:{peer_id}", timestamp)
-        if relay_channel.deliver(relay, size_bytes=size_bytes):
+        peer.gfib.install_peer(switch_id, macs)
+        if peer_id != self.designated_switch_id:
             messages += 1
     self.peer_messages_sent += messages
     return messages
 
 
-def per_holder_build_state_report(self, *, timestamp=0.0, only_changes=False):
+def per_holder_build_state_report(self, *, only_changes=False):
     self.state_reports_sent += 1
     if only_changes:
         snapshots = {}
@@ -94,16 +71,11 @@ def per_holder_build_state_report(self, *, timestamp=0.0, only_changes=False):
         for switch_id, switch in self._members.items():
             version = switch.lfib.version
             if reported.get(switch_id) != version:
-                snapshots[switch_id] = switch.lfib.snapshot()
+                snapshots[switch_id] = _snapshot(switch.lfib)
                 reported[switch_id] = version
     else:
-        snapshots = {sid: switch.lfib.snapshot() for sid, switch in self._members.items()}
+        snapshots = {sid: _snapshot(switch.lfib) for sid, switch in self._members.items()}
     return GroupStateReportMessage(
-        message_type=MessageType.GROUP_STATE_REPORT,
-        source=f"switch:{self.designated_switch_id}",
-        destination="controller",
-        timestamp=timestamp,
-        group_id=self.group_id,
         switch_lfibs=tuple((sid, _wire(snapshot)) for sid, snapshot in sorted(snapshots.items())),
     )
 
@@ -168,12 +140,11 @@ def replay_until_stop():
 def end_state(run, plane):
     controller = plane.controller
     macs = [host.mac for host in plane.network.hosts()]
-    channels = controller._channels
     return {
         "run": run.to_dict(),
         "gfib": {
             switch.switch_id: (
-                sorted(switch.gfib.peers()),
+                sorted(switch.gfib._filters),
                 switch.gfib.version,
                 switch.gfib.storage_bytes(),
                 [switch.gfib.matching_peers(mac) for mac in macs],
@@ -183,23 +154,16 @@ def end_state(run, plane):
         "clib": (
             controller.clib.version,
             len(controller.clib),
-            [(controller.clib.locate(mac), controller.clib.tenant_of(mac)) for mac in macs],
+            [(controller.clib.locate(mac), controller.clib._tenants.get(mac)) for mac in macs],
         ),
         "tenants": {
-            tenant: sorted(controller.tenant_manager.switches_of(tenant))
-            for tenant in controller.tenant_manager.tenants()
+            tenant: sorted(switches)
+            for tenant, switches in controller.tenant_manager._switches_by_tenant.items()
         },
         "dissemination": dataclasses.asdict(plane.disseminator.stats),
         "groups": {
             group_id: (group.member_ids(), group.peer_messages_sent, group.state_reports_sent)
             for group_id, group in controller.groups.items()
-        },
-        "links": {
-            kind.value: [
-                (channel.endpoint_a, channel.endpoint_b, dataclasses.asdict(channel.stats))
-                for channel in channels.channels(kind)
-            ]
-            for kind in (ChannelType.PEER_LINK, ChannelType.STATE_LINK)
         },
     }
 
@@ -219,6 +183,43 @@ class TestMidTraceEndState:
             assert state[section] == reference[section], section
 
 
+class TestLinkTraffic:
+    """What the control, state and peer links carried on the same replay.
+
+    The counters are what the channel objects used to count: one group
+    configuration per member per applied grouping (control links), one state
+    report per group per periodic sync plus one per live update (state
+    links), and each live update's message and relays (peer links).
+    """
+
+    def test_counts_are_pinned(self, monkeypatch):
+        reports = []
+        build_state_report = LocalControlGroup.build_state_report
+
+        def counted(self, **options):
+            reports.append(options.get("only_changes", False))
+            return build_state_report(self, **options)
+
+        monkeypatch.setattr(LocalControlGroup, "build_state_report", counted)
+        _, plane = replay_until_stop()
+        controller = plane.controller
+        assert (controller.regroupings_applied, controller.group_config_messages) == (12, 1152)
+        assert (reports.count(True), reports.count(False)) == (1152, 248)
+        assert dataclasses.asdict(plane.disseminator.stats) == {
+            "live_events": 124,
+            "migration_events": 124,
+            "departure_events": 0,
+            "peer_messages": 3748,
+            "state_reports": 248,
+            "controller_updates": 248,
+        }
+        # The groups of the last regrouping: one full synchronization each.
+        assert {
+            group_id: (group.peer_messages_sent, group.state_reports_sent)
+            for group_id, group in controller.groups.items()
+        } == {group_id: (240, 0) for group_id in range(6)}
+
+
 # -- no stale summary after a migration ---------------------------------------------------
 
 
@@ -234,7 +235,9 @@ def exact_system():
     )
     for switch in system.switches():
         switch.gfib = GroupFib(switch.gfib.config, track_exact=True)
-    system.install_grouping(Grouping(groups={0: frozenset({0, 1, 2}), 1: frozenset({3, 4, 5})}))
+    grouping = Grouping(groups={0: frozenset({0, 1, 2}), 1: frozenset({3, 4, 5})})
+    system.controller.grouping_manager.current_grouping = grouping
+    system.controller.apply_grouping(grouping)
     return system
 
 

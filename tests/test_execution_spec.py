@@ -4,6 +4,7 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec
@@ -31,10 +32,6 @@ class TestExecutionSpec:
         assert spec.shard_count == 0
         assert spec.stream is False
         assert spec.kernel == "scalar"
-        assert spec.parallel is False
-
-    def test_parallel_property(self):
-        assert ExecutionSpec(workers=2).parallel is True
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -49,6 +46,23 @@ class TestExecutionSpec:
     def test_validation_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
             ExecutionSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("workers", 2.7),
+            ("workers", True),
+            ("workers", "2"),
+            ("workers", None),
+            ("shard_count", 1.5),
+            ("shard_count", False),
+            ("stream", "no"),
+            ("stream", 1),
+        ],
+    )
+    def test_validation_rejects_wrong_types(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"execution key '{key}'"):
+            ExecutionSpec(**{key: value})
 
     def test_dict_round_trip(self):
         spec = ExecutionSpec(
@@ -126,6 +140,117 @@ class TestExecutionSpecParse:
     def test_parsed_spec_is_still_validated(self):
         with pytest.raises(ConfigurationError):
             ExecutionSpec.parse("workers=0")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"workers": 2.7}', "workers"),
+            ('{"shard_count": 1.5}', "shard_count"),
+            ('{"workers": true}', "workers"),
+            ("workers=2.7", "workers"),
+        ],
+    )
+    def test_a_fractional_count_is_rejected_not_truncated(self, text, key):
+        with pytest.raises(ConfigurationError, match=key.replace("_", "[-_]")):
+            ExecutionSpec.parse(text)
+
+    def test_json_strings_are_parsed_as_key_value_words(self):
+        assert ExecutionSpec.parse('{"workers": "3", "stream": "yes"}') == ExecutionSpec(workers=3, stream=True)
+
+
+class TestBadExecutionInputAtTheCli:
+    """Each ends as one ``error:`` line and exit 2, before anything replays."""
+
+    def run(self, argv, capsys):
+        from repro.cli import main
+
+        code = main(argv)
+        return code, capsys.readouterr().err.strip().splitlines()
+
+    def test_exec_json_with_a_fractional_worker_count(self, capsys):
+        code, err = self.run(["run", "paper-fig7", "--flows", "50", "--exec", '{"workers": 2.7}'], capsys)
+        assert code == 2
+        assert err == ["error: execution key 'workers' expects an integer, got 2.7"]
+
+    @pytest.mark.parametrize(
+        "execution, message",
+        [
+            (
+                {"workers": 2.5, "shard_strategy": "time-window"},
+                "execution key 'workers' expects an integer, got 2.5",
+            ),
+            ({"stream": "no"}, "execution key 'stream' expects a boolean, got 'no'"),
+        ],
+    )
+    def test_spec_file_with_a_wrongly_typed_execution_block(self, tmp_path, capsys, execution, message):
+        data = tiny_spec().to_dict()
+        data["execution"] = execution
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, err = self.run(["run", str(path)], capsys)
+        assert code == 2
+        assert err == [f"error: {message}"]
+
+
+#: Any JSON value: what a spec file or an ``--exec`` object may hold.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**40) | st.floats() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+FIELDS = [field.name for field in dataclasses.fields(ExecutionSpec)]
+execution_keys = st.sampled_from(FIELDS + ["shard-count", "Workers", "chunk_flows"]) | st.text(max_size=8)
+execution_values = json_values | st.sampled_from(["time-window", "vectorized", "4", "yes"])
+execution_blocks = st.dictionaries(execution_keys, execution_values, max_size=5)
+
+
+def well_typed(spec):
+    return (
+        type(spec.workers) is int and spec.workers >= 1
+        and type(spec.shard_count) is int and spec.shard_count >= 0
+        and type(spec.stream) is bool
+        and spec.shard_strategy in SHARD_STRATEGIES
+        and spec.kernel in ("scalar", "vectorized")
+    )
+
+
+class TestExecutionFuzz:
+    """Whatever the ``execution`` input, a well-typed spec or a ``ConfigurationError``."""
+
+    @given(
+        text=st.text(max_size=40)
+        | execution_blocks.map(json.dumps)
+        | st.lists(st.tuples(execution_keys, st.text(max_size=8)), max_size=4).map(
+            lambda pairs: ",".join(f"{key}={value}" for key, value in pairs)
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_parse(self, text):
+        try:
+            spec = ExecutionSpec.parse(text)
+        except ConfigurationError:
+            return
+        assert well_typed(spec)
+
+    @given(block=execution_blocks)
+    @settings(max_examples=300, deadline=None)
+    def test_from_dict(self, block):
+        try:
+            spec = ExecutionSpec.from_dict(block)
+        except ConfigurationError:
+            return
+        assert well_typed(spec)
+
+    @given(block=execution_blocks | json_values)
+    @settings(max_examples=200, deadline=None)
+    def test_scenario_spec_from_dict(self, block):
+        data = tiny_spec().to_dict()
+        data["execution"] = block
+        try:
+            spec = ScenarioSpec.from_dict(data)
+        except ConfigurationError:
+            return
+        assert well_typed(spec.execution)
 
 
 class TestScenarioSpecExecution:

@@ -79,7 +79,6 @@ class TestWorkloadComparison:
         lazy = WorkloadSeriesResult(label="lazy", bucket_hours=2.0, krps=[1.0, 0.5])
         comparison = WorkloadComparison(baseline=baseline, lazyctrl=lazy)
         assert comparison.reduction_fraction() == pytest.approx(1 - 1.5 / 4.0)
-        assert comparison.per_bucket_reduction() == [pytest.approx(0.5), pytest.approx(0.75)]
 
     def test_reduction_zero_when_baseline_empty(self):
         empty = WorkloadSeriesResult(label="base", bucket_hours=2.0, krps=[0.0])

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.common.addresses import IpAddress, MacAddress
+from repro.common.addresses import MacAddress
 from repro.common.config import GroupingConfig, LazyCtrlConfig
 from repro.common.errors import FailoverError
 from repro.controlplane.group import LocalControlGroup
@@ -21,12 +21,7 @@ from repro.topology.builder import TopologyProfile, build_multi_tenant_datacente
 
 
 def make_switches(count: int):
-    return [
-        LazyCtrlEdgeSwitch(
-            i, underlay_ip=IpAddress.from_switch_index(i), management_mac=MacAddress.from_switch_index(i)
-        )
-        for i in range(count)
-    ]
+    return [LazyCtrlEdgeSwitch(i, management_mac=MacAddress.from_switch_index(i)) for i in range(count)]
 
 
 class TestTableOneInference:
@@ -112,7 +107,7 @@ def failover_setup():
     )
     for info in network.switches():
         controller.register_switch(
-            LazyCtrlEdgeSwitch(info.switch_id, underlay_ip=info.underlay_ip, management_mac=info.management_mac)
+            LazyCtrlEdgeSwitch(info.switch_id, management_mac=info.management_mac)
         )
     controller.bootstrap_host_locations()
     controller.apply_grouping(Grouping(groups={0: frozenset(range(6))}))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.addresses import IpAddress, MacAddress
+from repro.common.addresses import MacAddress
 from repro.common.config import BloomFilterConfig
 from repro.common.errors import ConfigurationError, ControlPlaneError
 from repro.controlplane.group import LocalControlGroup
@@ -18,7 +18,6 @@ def make_switches(count: int, first_id: int = 0):
         switches.append(
             LazyCtrlEdgeSwitch(
                 switch_id,
-                underlay_ip=IpAddress.from_switch_index(switch_id),
                 management_mac=MacAddress.from_switch_index(switch_id),
             )
         )
@@ -40,7 +39,7 @@ class TestGroupConstruction:
     def test_designated_switch_selected_and_flagged(self):
         switches = make_switches(5)
         group = LocalControlGroup(1, switches, rng=random.Random(3))
-        designated = group.designated_switch
+        designated = group.member(group.designated_switch_id)
         assert designated.is_designated
         assert sum(1 for s in switches if s.is_designated) == 1
 
@@ -65,7 +64,6 @@ class TestGroupConstruction:
         switches.append(
             LazyCtrlEdgeSwitch(
                 2,
-                underlay_ip=IpAddress.from_switch_index(2),
                 management_mac=MacAddress.from_switch_index(2),
                 bloom_config=BloomFilterConfig(size_bits=64, hash_count=2),
             )
@@ -116,13 +114,13 @@ class TestDesignatedFailover:
         group.member(old).failed = True
         new = group.promote_backup()
         assert new != old
-        assert group.designated_switch.is_designated
+        assert group.member(group.designated_switch_id).is_designated
         assert not group.member(old).is_designated
 
     def test_promote_without_backups_picks_healthy_member(self):
         switches = make_switches(3)
         group = LocalControlGroup(1, switches, backup_count=0, rng=random.Random(0))
-        group.designated_switch.failed = True
+        group.member(group.designated_switch_id).failed = True
         new = group.promote_backup()
         assert not group.member(new).failed
 
@@ -164,6 +162,19 @@ class TestStateSynchronization:
         assert [switch.gfib.summaries_built for switch in switches] == [1, 1, 2, 1]
         assert sum(switch.gfib.peer_installs for switch in switches) == 4 * 3 + 3
 
+    def test_an_update_is_one_message_plus_one_relay_per_other_member(self):
+        switches = make_switches(4)
+        group = LocalControlGroup(1, switches, rng=random.Random(1))
+        designated = group.designated_switch_id
+        other = next(switch_id for switch_id in group.member_ids() if switch_id != designated)
+        # Source -> designated, then a relay to each member that is neither.
+        assert group.propagate_lfib_update(other) == 3
+        # The designated switch's own update still counts once, then relays to all three.
+        assert group.propagate_lfib_update(designated) == 4
+        assert group.peer_messages_sent == 7
+        assert group.synchronize_gfibs() == 12
+        assert group.peer_messages_sent == 19
+
     def test_propagate_unknown_member_rejected(self):
         group = LocalControlGroup(1, make_switches(2))
         with pytest.raises(ControlPlaneError):
@@ -173,24 +184,16 @@ class TestStateSynchronization:
         switches = make_switches(3)
         switches[0].attach_host(mac(1), 1, 5)
         group = LocalControlGroup(1, switches)
-        report = group.build_state_report(timestamp=2.0)
-        assert report.group_id == 1
+        report = group.build_state_report()
         switch_ids = [switch_id for switch_id, _ in report.switch_lfibs]
         assert switch_ids == [0, 1, 2]
         assert group.state_reports_sent == 1
         # A report carries each member's wire tuple itself, re-derived only on change.
         assert report.switch_lfibs[0][1] is switches[0].lfib.wire_entries() == ((mac(1), 1, 5),)
         switches[1].attach_host(mac(2), 1, 5)
-        later = group.build_state_report(timestamp=3.0)
+        later = group.build_state_report()
         assert later.switch_lfibs[0][1] is report.switch_lfibs[0][1]
         assert later.switch_lfibs[1][1] == ((mac(2), 1, 5),)
-
-    def test_storage_bytes_grows_with_group_size(self):
-        small = LocalControlGroup(1, make_switches(3, first_id=0))
-        large = LocalControlGroup(2, make_switches(6, first_id=10))
-        small.synchronize_gfibs()
-        large.synchronize_gfibs()
-        assert large.storage_bytes() > small.storage_bytes()
 
     def test_repr(self):
         assert "LocalControlGroup" in repr(LocalControlGroup(1, make_switches(2)))

@@ -65,7 +65,7 @@ class TestCheckTriggers:
         # Recent traffic crosses the old group boundary, so an update helps.
         for i in range(5, 10):
             for j in range(10, 15):
-                manager.observe_flow(i, j, 30.0)
+                manager.recent_matrix.record(i, j, 30.0)
         decision = manager.check(300.0, workload_rps=200.0)
         assert decision.regrouped
         assert decision.reason == "workload growth"
@@ -76,7 +76,7 @@ class TestCheckTriggers:
         manager = make_manager()
         manager.initial_grouping(warmup_matrix(), now=0.0, workload_rps=100.0)
         # Workload grew but traffic still matches the existing grouping.
-        manager.observe_flow(0, 1, 50.0)
+        manager.recent_matrix.record(0, 1, 50.0)
         decision = manager.check(300.0, workload_rps=500.0)
         assert not decision.regrouped
         assert manager.update_count == 0
@@ -86,7 +86,7 @@ class TestCheckTriggers:
         manager.initial_grouping(warmup_matrix(), now=0.0, workload_rps=10.0)
         for i in range(5, 10):
             for j in range(10, 15):
-                manager.observe_flow(i, j, 30.0)
+                manager.recent_matrix.record(i, j, 30.0)
         manager.check(3700.0, workload_rps=100.0)
         series = manager.updates_per_hour(hours=3)
         assert len(series) == 3
@@ -104,7 +104,7 @@ def observe_cross_boundary_traffic(manager: GroupingManager) -> None:
     """Traffic crossing the initial group boundary, so an update helps."""
     for i in range(5, 10):
         for j in range(10, 15):
-            manager.observe_flow(i, j, 30.0)
+            manager.recent_matrix.record(i, j, 30.0)
 
 
 class TestBoundaryInclusivity:

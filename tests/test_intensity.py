@@ -5,11 +5,15 @@ import pytest
 from repro.datastructures.intensity import IntensityMatrix
 
 
+def weights(matrix):
+    return {(a, b): weight for a, b, weight in matrix.pairs()}
+
+
 class TestRecording:
     def test_symmetric(self):
         matrix = IntensityMatrix()
-        matrix.record(1, 2, 3.0)
-        assert matrix.intensity(1, 2) == matrix.intensity(2, 1) == 3.0
+        matrix.record(2, 1, 3.0)
+        assert weights(matrix) == {(1, 2): 3.0}
 
     def test_self_traffic_ignored_in_pairs(self):
         matrix = IntensityMatrix()
@@ -21,28 +25,12 @@ class TestRecording:
         matrix = IntensityMatrix()
         matrix.record(1, 2, 1.0)
         matrix.record(2, 1, 2.0)
-        assert matrix.intensity(1, 2) == 3.0
-
-    def test_normalized(self):
-        matrix = IntensityMatrix()
-        matrix.record(1, 2, 1.0)
-        matrix.record(3, 4, 3.0)
-        assert matrix.normalized(1, 2) == pytest.approx(0.25)
-
-    def test_normalized_empty_matrix(self):
-        assert IntensityMatrix().normalized(1, 2) == 0.0
+        assert weights(matrix) == {(1, 2): 3.0}
 
     def test_add_switch_registers_isolated_vertex(self):
         matrix = IntensityMatrix()
         matrix.add_switch(9)
         assert 9 in matrix.switches()
-
-    def test_neighbors(self):
-        matrix = IntensityMatrix()
-        matrix.record(1, 2, 1.0)
-        matrix.record(1, 3, 2.0)
-        matrix.record(4, 5, 9.0)
-        assert matrix.neighbors(1) == {2: 1.0, 3: 2.0}
 
     def test_pairs_iteration(self):
         matrix = IntensityMatrix()
@@ -60,14 +48,14 @@ class TestDecayMerge:
         matrix = IntensityMatrix()
         matrix.record(1, 2, 10.0)
         matrix.decay(0.5)
-        assert matrix.intensity(1, 2) == pytest.approx(5.0)
+        assert weights(matrix) == {(1, 2): pytest.approx(5.0)}
         assert matrix.total_intensity == pytest.approx(5.0)
 
     def test_decay_one_is_noop(self):
         matrix = IntensityMatrix()
         matrix.record(1, 2, 10.0)
         matrix.decay(1.0)
-        assert matrix.intensity(1, 2) == 10.0
+        assert weights(matrix) == {(1, 2): 10.0}
 
     def test_decay_zero_clears(self):
         matrix = IntensityMatrix()
@@ -86,8 +74,7 @@ class TestDecayMerge:
         b.record(1, 2, 2.0)
         b.record(3, 4, 5.0)
         a.merge(b)
-        assert a.intensity(1, 2) == 3.0
-        assert a.intensity(3, 4) == 5.0
+        assert weights(a) == {(1, 2): 3.0, (3, 4): 5.0}
         assert 9 in a.switches()
 
     def test_copy_is_independent(self):
@@ -95,7 +82,7 @@ class TestDecayMerge:
         a.record(1, 2, 1.0)
         b = a.copy()
         b.record(1, 2, 5.0)
-        assert a.intensity(1, 2) == 1.0
+        assert weights(a) == {(1, 2): 1.0} and weights(b) == {(1, 2): 6.0}
 
 
 class TestInterGroupIntensity:

@@ -267,8 +267,8 @@ class TestDirectedEquivalence:
 
 class TestMeteredEquivalence:
     """The meter's bulk pass against the scalar per-flow ``observe``, where it
-    has work to do: 2 s accounting windows that flows straddle, uplinks thin
-    enough to congest, and explicit piecewise rate profiles."""
+    has work to do: 2 s accounting windows that flows straddle, and uplinks
+    thin enough to congest."""
 
     LINKS = LinkCapacitySpec(uplink_mbps=0.05, window_seconds=2.0, queueing_service_ms=0.25)
     TWO_SYSTEMS = ("openflow", "lazyctrl-dynamic")
@@ -287,7 +287,9 @@ class TestMeteredEquivalence:
         window = spec.links.window_seconds
         flows = spec.build_trace(spec.build_network()).flows
         crossing = [
-            flow for flow in flows if int(flow.start_time / window) != int(flow.end_time / window)
+            flow
+            for flow in flows
+            if int(flow.start_time / window) != int((flow.start_time + flow.duration) / window)
         ]
         assert 0 < len(crossing) < len(flows)
 
@@ -297,36 +299,24 @@ class TestMeteredEquivalence:
         assert scalar == run_dict(spec, "vectorized", obs=TraceOptions(timeline=True))
         self.assert_the_meter_had_work(scalar, spec)
 
-    def test_record_backed_chunks_carrying_piecewise_profiles(self):
+    def test_record_backed_chunks(self):
         """A trace built from records holds them beside its columns
-        (``FlowChunk.from_records``); their profiles ride along to the meter,
-        on the kernel's bulk pass and on the scalar row walk alike."""
-        from repro.bandwidth.profile import RateProfile
+        (``FlowChunk.from_records``); the meter reads the same columns on the
+        kernel's bulk pass and on the scalar row walk alike."""
         from repro.obs.timeline import MetricsTimeline
         from repro.obs.tracer import EventTracer
         from repro.perf.recorder import PerfRecorder
         from repro.traffic.trace import Trace
 
         spec = self.spec()
-
-        def bursty(flow):
-            """Two bursts around a silence, same bytes; every third flow."""
-            if flow.flow_id % 3:
-                return flow
-            rate = flow.byte_count * 8.0 / flow.duration
-            quarter = flow.duration / 4.0
-            profile = RateProfile(
-                ((quarter, 2.0 * rate), (2.0 * quarter, 0.0), (quarter, 2.0 * rate))
-            )
-            return dataclasses.replace(flow, rate_profile=profile)
-
-        records = [bursty(flow) for flow in spec.build_trace(spec.build_network()).flows]
-        assert sum(flow.rate_profile is not None for flow in records) > len(records) // 4
+        records = list(spec.build_trace(spec.build_network()).flows)
 
         def replay(system, kernel, perf=None):
+            trace = Trace(spec.name, spec.build_network(), records)
+            assert not trace.columns().mints_records
             return ScenarioRunner().replay_system(
                 system,
-                Trace(spec.name, spec.build_network(), records),
+                trace,
                 schedule=spec.schedule,
                 config=spec.effective_config(),
                 tracer=EventTracer(
@@ -346,15 +336,6 @@ class TestMeteredEquivalence:
             assert scalar == {**vectorized, "perf": None}, system
             runs[system] = scalar
         self.assert_the_meter_had_work(runs, spec)
-        # The profiles are not decoration: constant-rate records land elsewhere.
-        plain = ScenarioRunner().replay_system(
-            "openflow",
-            spec.build_trace(spec.build_network()),
-            schedule=spec.schedule,
-            config=spec.effective_config(),
-            kernel="vectorized",
-        )
-        assert plain.to_dict()["links"] != runs["openflow"]["links"]
 
 
 class TestEndStateEquivalence:
@@ -500,14 +481,17 @@ class TestFallbackIsThePlanesDecideStep:
         during = []
         self.spy_on_first_packet(plane, during, lambda key, now: identities())
         handler = build_batch_handler(plane)
-        samples_before = plane.latency_recorder.sample_count()
+        def samples():
+            return sum(count for _, count in plane.latency_recorder.bucket_totals().values())
+
+        samples_before = samples()
         for start in range(0, len(records), 200):
             handler(records[start : start + 200])
             assert all(a is b for a, b in zip(identities(), before))
         assert during, "no flow took the fallback"
         assert all(a is b for seen in during for a, b in zip(seen, before))
         # ... and what the step left unrecorded, the batch fold recorded once.
-        assert plane.latency_recorder.sample_count() - samples_before == sum(
+        assert samples() - samples_before == sum(
             flow.packet_count for flow in records
         )
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation.metrics import CounterSeries, LatencyRecorder, SummaryStatistics, WorkloadMeter
+from repro.simulation.metrics import CounterSeries, LatencyRecorder, WorkloadMeter
 
 
 class TestCounterSeries:
@@ -27,11 +27,12 @@ class TestCounterSeries:
         values = dict(series.series(bucket_range=(0, 4)))
         assert values == {0: 1.0, 1: 0.0, 2: 0.0, 3: 1.0}
 
-    def test_rate_series(self):
+    def test_series_without_a_range_is_the_touched_buckets_in_order(self):
         series = CounterSeries(10.0)
-        for t in range(10):
-            series.record(float(t))
-        assert dict(series.rate_series())[0] == pytest.approx(1.0)
+        series.record(35.0)
+        series.record(1.0, amount=2.0)
+        series.record(38.0)
+        assert series.series() == [(0, 2.0), (3, 2.0)]
 
     def test_rejects_bad_bucket(self):
         with pytest.raises(ValueError):
@@ -52,51 +53,29 @@ class TestLatencyRecorder:
         recorder.record(1.0, 2.0)
         recorder.record(1.0, 10.0, count=3)
         assert recorder.overall_mean() == pytest.approx((2.0 + 30.0) / 4)
-        assert recorder.sample_count() == 4
+        assert recorder.bucket_totals() == {0: (32.0, 4)}
 
     def test_zero_count_ignored(self):
         recorder = LatencyRecorder(10.0)
         recorder.record(1.0, 5.0, count=0)
-        assert recorder.sample_count() == 0
+        assert recorder.bucket_totals() == {}
 
     def test_empty_bucket_mean_zero(self):
         assert LatencyRecorder(10.0).bucket_mean(3) == 0.0
 
-    def test_mean_series_with_range(self):
-        recorder = LatencyRecorder(10.0)
-        recorder.record(25.0, 7.0)
-        series = dict(recorder.mean_series(bucket_range=(0, 3)))
-        assert series == {0: 0.0, 1: 0.0, 2: 7.0}
-
-    def test_summary_with_samples(self):
-        recorder = LatencyRecorder(10.0, keep_samples=True)
-        for value in [1.0, 2.0, 3.0, 4.0, 100.0]:
-            recorder.record(0.0, value)
-        summary = recorder.summary()
-        assert summary.count == 5
-        assert summary.maximum == 100.0
-        assert summary.p50 == 3.0
-
-    def test_summary_without_samples_degrades_gracefully(self):
-        recorder = LatencyRecorder(10.0)
-        recorder.record(0.0, 5.0)
-        summary = recorder.summary()
-        assert summary.mean == pytest.approx(5.0)
-        assert summary.p95 == pytest.approx(5.0)
+    def test_a_bulk_fold_is_the_record_calls_it_stands_for(self):
+        calls = [(12.0, 0.1, 1), (14.0, 0.7, 9), (17.5, 1.0 / 3.0, 2)]
+        one_by_one = LatencyRecorder(10.0)
+        for timestamp, latency_ms, count in calls:
+            one_by_one.record(timestamp, latency_ms, count=count)
+        bulk = LatencyRecorder(10.0)
+        bulk.record_bulk(1, [latency_ms * count for _, latency_ms, count in calls], 12)
+        bulk.record_bulk(1, [], 0)
+        assert bulk.bucket_totals() == one_by_one.bucket_totals()
 
     def test_rejects_bad_bucket(self):
         with pytest.raises(ValueError):
             LatencyRecorder(0.0)
-
-
-class TestSummaryStatistics:
-    def test_empty(self):
-        summary = SummaryStatistics.from_samples([])
-        assert summary.count == 0 and summary.mean == 0.0
-
-    def test_percentiles_monotone(self):
-        summary = SummaryStatistics.from_samples(range(100))
-        assert summary.p50 <= summary.p95 <= summary.p99 <= summary.maximum
 
 
 class TestWorkloadMeter:

@@ -30,7 +30,9 @@ def system():
         ),
         dynamic_grouping=True,
     )
-    system.install_grouping(Grouping(groups={0: frozenset({0, 1, 2}), 1: frozenset({3, 4, 5})}))
+    grouping = Grouping(groups={0: frozenset({0, 1, 2}), 1: frozenset({3, 4, 5})})
+    system.controller.grouping_manager.current_grouping = grouping
+    system.controller.apply_grouping(grouping)
     return system
 
 
@@ -115,7 +117,7 @@ class TestInFlightFlows:
         assert first.path == FlowPathKind.INTER_GROUP  # controller installed a rule
 
         # The destination migrates while the flow is in flight.
-        system.disseminator.migrate_host(dst.host_id, 5, now=1.0)
+        system.disseminator.migrate_host(dst.host_id, 5)
 
         # Packets of the same flow still hit the (now stale) tunnel rule.
         stale = system.handle_flow_arrival(flow, 2.0)
@@ -143,7 +145,7 @@ class TestInFlightFlows:
 
     def test_new_flow_after_migration_resolves_new_location(self, system):
         src, dst, _ = self._inter_group_flow(system)
-        system.disseminator.migrate_host(dst.host_id, 5, now=0.0)
+        system.disseminator.migrate_host(dst.host_id, 5)
         flow = FlowRecord(start_time=1.0, flow_id=2, src_host_id=src.host_id, dst_host_id=dst.host_id)
         result = system.handle_flow_arrival(flow, 1.0)
         assert result.path == FlowPathKind.INTER_GROUP

@@ -56,12 +56,6 @@ class TestStoerWagner:
         with pytest.raises(PartitioningError):
             stoer_wagner_min_cut(graph)
 
-    def test_other_side_helper(self):
-        graph = barbell_graph(3)
-        result = stoer_wagner_min_cut(graph)
-        everything = set(graph.vertices())
-        assert result.partition | result.other_side(everything) == frozenset(everything)
-
     def test_cycle_cut_weight(self):
         # A uniform cycle's minimum cut removes two edges.
         graph = WeightedGraph()

@@ -116,6 +116,26 @@ class TestValidation:
         with pytest.raises(ReproError, match="JSON object"):
             validate_event_dict([1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"system": None}, "'system' must be a string"),
+            ({"seq": 1.5}, "'seq' must be an integer"),
+            ({"seq": True}, "'seq' must be an integer"),
+            ({"scenario": 7}, "'scenario' must be a string"),
+        ],
+    )
+    def test_bad_envelope_rejected(self, change, message):
+        record = {**self.valid(), **change}
+        with pytest.raises(ReproError, match=message):
+            validate_event_dict(record)
+
+    def test_missing_envelope_key_rejected(self):
+        record = self.valid()
+        del record["system"]
+        with pytest.raises(ReproError, match="missing required key 'system'"):
+            validate_event_dict(record)
+
 
 class TestSampling:
     def test_stride_values(self):

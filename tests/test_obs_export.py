@@ -133,6 +133,20 @@ class TestTraceValidation:
         with pytest.raises(ReproError, match="traceEvents"):
             validate_chrome_trace([])
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("not-an-object", "not an object"),
+            ({"ph": "i", "pid": 1, "tid": 1, "ts": 0.0}, "missing event name"),
+            ({"ph": "i", "name": "x", "pid": "1", "tid": 1, "ts": 0.0}, "'pid' must be an integer"),
+            ({"ph": "i", "name": "x", "pid": 1, "tid": True, "ts": 0.0}, "'tid' must be an integer"),
+            ({"ph": "i", "name": "x", "pid": 1, "tid": 1, "ts": "0"}, "'ts' must be a number"),
+        ],
+    )
+    def test_rejects_a_malformed_entry(self, entry, message):
+        with pytest.raises(ReproError, match=message):
+            validate_chrome_trace({"traceEvents": [entry]})
+
     def test_rejects_negative_duration(self):
         payload = {"traceEvents": [
             {"ph": "X", "name": "stage", "pid": 1, "tid": 9, "ts": 0.0, "dur": -1.0},

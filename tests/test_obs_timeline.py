@@ -124,12 +124,6 @@ class TestSerialization:
         # None entries in gauge series must survive the JSON round-trip.
         assert rebuilt.gauges["table_occupancy_last"] == [12.0, None, None]
 
-    def test_rate_series(self):
-        timeline = MetricsTimeline(10.0)
-        for _ in range(20):
-            timeline.on_event(PacketInEvent(time=1.0, switch_id=0, kind="reactive"))
-        assert timeline.result(2).rate_series("packet_ins") == [2.0, 0.0]
-
 
 class TestRendering:
     def test_sparkline_maps_none_to_space_and_peak_to_full_block(self):

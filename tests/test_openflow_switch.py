@@ -1,6 +1,6 @@
 """Unit tests for the baseline OpenFlow edge switch: an ``EdgeSwitch`` with no G-FIB."""
 
-from repro.common.addresses import IpAddress, MacAddress
+from repro.common.addresses import MacAddress
 from repro.common.packets import FlowKey
 from repro.datastructures.flow_table import ActionType, FlowAction
 from repro.dataplane.decisions import ForwardingOutcome
@@ -10,7 +10,6 @@ from repro.dataplane.edge_switch import EdgeSwitch
 def make_switch(switch_id: int = 0) -> EdgeSwitch:
     return EdgeSwitch(
         switch_id,
-        underlay_ip=IpAddress.from_switch_index(switch_id),
         management_mac=MacAddress.from_switch_index(switch_id),
     )
 
@@ -82,10 +81,3 @@ class TestOpenFlowSwitch:
         switch.detach_host(mac(2))
         verdict = switch.forward_key(key(1, 2), now=0.0)
         assert verdict.outcome is ForwardingOutcome.SENT_TO_CONTROLLER
-
-    def test_reset_counters(self):
-        switch = make_switch()
-        switch.forward_key(key(1, 2), now=0.0)
-        switch.reset_counters()
-        assert switch.packets_processed == 0
-        assert switch.packets_to_controller == 0

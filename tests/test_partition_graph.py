@@ -85,12 +85,6 @@ class TestWeightedGraph:
         with pytest.raises(PartitioningError):
             ring_graph(3).subgraph([0, 99])
 
-    def test_copy_independent(self):
-        graph = ring_graph(3)
-        clone = graph.copy()
-        clone.add_vertex(99)
-        assert 99 not in graph.vertices()
-
 
 class TestPartitionHelpers:
     def test_cut_weight(self):

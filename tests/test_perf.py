@@ -40,8 +40,17 @@ class TestPerfRecorder:
         recorder = PerfRecorder()
         with recorder.timeit("outer"):
             time.sleep(0.01)
-        assert recorder.stage_calls("outer") == 1
-        assert recorder.stage_total_seconds("outer") >= 0.01
+        (stage,) = recorder.stage_stats()
+        assert stage.calls == 1
+        assert stage.total_seconds == recorder.stage_total_seconds("outer") >= 0.01
+
+    def test_snapshot_wall_defaults_to_the_replay_stage(self):
+        recorder = PerfRecorder()
+        with recorder.timeit("replay"):
+            time.sleep(0.01)
+        snapshot = recorder.snapshot(flows_replayed=10)
+        assert snapshot.wall_seconds == recorder.stage_total_seconds("replay") >= 0.01
+        assert snapshot.flows_per_second == 10 / snapshot.wall_seconds
 
     def test_timer_nesting_attributes_exclusive_time(self):
         recorder = PerfRecorder()
@@ -92,7 +101,6 @@ class TestPerfRecorder:
         recorder.gauge("anything", 1.0)
         with recorder.timeit("stage"):
             pass
-        assert recorder.snapshot() is None
         assert not recorder.enabled
         assert not NULL_RECORDER.enabled
 
@@ -412,6 +420,27 @@ class TestOnePassDriftReporting:
         )
         check = compare_payloads(current, self.timeline_payload())
         assert len([f for f in check.failures if ".timeline." in f]) == 2
+
+    def test_a_dropped_timeline_is_reported(self):
+        current = payload()
+        check = compare_payloads(current, self.timeline_payload())
+        assert check.failures == [
+            "openflow.timeline: baseline carries a timeline but the fresh payload does not"
+        ]
+
+    def test_a_bucket_width_change_is_reported(self):
+        current = self.timeline_payload()
+        current["systems"]["openflow"]["timeline"]["bucket_seconds"] = 3600.0
+        check = compare_payloads(current, self.timeline_payload())
+        assert check.failures == [
+            "openflow.timeline.bucket_seconds: expected 7200.0, got 3600.0"
+        ]
+
+    def test_a_scenario_header_change_is_reported(self):
+        current = payload()
+        current["switches"] = 9
+        check = compare_payloads(current, payload())
+        assert "switches: expected 8, got 9" in check.failures
 
     def test_missing_timeline_series_is_reported(self):
         current = self.timeline_payload()

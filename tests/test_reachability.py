@@ -1,8 +1,9 @@
 """The committed reachability audit (``scripts/reachability.py``) runs clean.
 
-It drives the CLI surface and the examples under a profile hook and prints
-the ``src/repro`` functions nothing reached.  Run small here: one preset at
-500 flows, as a subprocess so its hook sees a fresh ``import repro``.  Its
+It drives the CLI surface, the examples and the figure benchmarks under a
+profile hook and prints the ``src/repro`` functions nothing reached.  Run
+small here: one preset at 500 flows, as a subprocess so its hook sees a fresh
+``import repro``.  Its
 static half — which functions there are, which count, how the residue is
 totalled — is checked in process on small files.
 """
@@ -32,7 +33,7 @@ def load_audit():
 reachability = load_audit()
 
 
-def test_the_audit_runs_and_reaches_the_forwarding_front_end():
+def test_the_audit_runs_and_reaches_the_forwarding_front_end_and_the_benchmarks():
     completed = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "reachability.py"), "--presets", "paper-fig7", "--flows", "500"],
         capture_output=True,
@@ -43,7 +44,13 @@ def test_the_audit_runs_and_reaches_the_forwarding_front_end():
     assert completed.returncode == 0, completed.stdout[-3000:] + completed.stderr[-3000:]
     residue = [line.split()[1] for line in completed.stdout.splitlines() if line.startswith("  ") and ".py:" in line]
     assert residue, "the audit printed no residue at all"
-    reached = ("EdgeSwitch.forward_key", "EdgeSwitch.classify_run", "EdgeSwitch.apply_run")
+    # The last is reached by the group-size ablation benchmark alone.
+    reached = (
+        "EdgeSwitch.forward_key",
+        "EdgeSwitch.classify_run",
+        "EdgeSwitch.apply_run",
+        "GroupSizeBargainer.negotiate",
+    )
     assert not [name for name in residue if name in reached]
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.rng import derive_seed, make_rng, sample_zipf_index, shuffled, weighted_choice
+from repro.common.rng import derive_seed, make_rng, sample_zipf_index
 
 
 class TestDeriveSeed:
@@ -33,35 +33,6 @@ class TestMakeRng:
         assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
 
 
-class TestWeightedChoice:
-    def test_single_item(self):
-        assert weighted_choice(random.Random(0), ["x"], [1.0]) == "x"
-
-    def test_zero_weight_item_never_chosen(self):
-        rng = random.Random(0)
-        picks = {weighted_choice(rng, ["a", "b"], [0.0, 1.0]) for _ in range(50)}
-        assert picks == {"b"}
-
-    def test_empty_items_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_choice(random.Random(0), [], [])
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_choice(random.Random(0), ["a"], [1.0, 2.0])
-
-    def test_all_zero_weights_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_choice(random.Random(0), ["a", "b"], [0.0, 0.0])
-
-    def test_distribution_roughly_matches_weights(self):
-        rng = random.Random(1)
-        counts = {"a": 0, "b": 0}
-        for _ in range(2000):
-            counts[weighted_choice(rng, ["a", "b"], [3.0, 1.0])] += 1
-        assert counts["a"] > counts["b"] * 2
-
-
 class TestZipfSampling:
     def test_in_range(self):
         rng = random.Random(2)
@@ -84,13 +55,3 @@ class TestZipfSampling:
         with pytest.raises(ValueError):
             sample_zipf_index(random.Random(0), 10, 0.0)
 
-
-class TestShuffled:
-    def test_does_not_mutate_input(self):
-        items = [1, 2, 3, 4, 5]
-        shuffled(random.Random(0), items)
-        assert items == [1, 2, 3, 4, 5]
-
-    def test_preserves_elements(self):
-        items = list(range(20))
-        assert sorted(shuffled(random.Random(0), items)) == items

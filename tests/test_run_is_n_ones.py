@@ -20,7 +20,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.addresses import IpAddress, MacAddress
+from repro.common.addresses import MacAddress
 from repro.common.config import FlowTableConfig
 from repro.common.packets import FlowKey
 from repro.dataplane.decisions import ForwardingOutcome
@@ -153,7 +153,6 @@ def make_switch(kind: str, policy: str):
     cls = LazyCtrlEdgeSwitch if kind == "lazyctrl" else EdgeSwitch
     switch = cls(
         0,
-        underlay_ip=IpAddress.from_switch_index(0),
         management_mac=MacAddress.from_switch_index(0),
         flow_table_config=TABLE_CONFIGS[policy],
     )
@@ -161,8 +160,8 @@ def make_switch(kind: str, policy: str):
         switch.attach_host(mac(host), port=host, tenant_id=0)
     if kind == "lazyctrl":
         switch.join_group(1)
-        switch.install_peer_lfib(5, [mac(10), mac(11)])
-        switch.install_peer_lfib(6, [mac(11), mac(12)])  # mac(11): two candidates
+        switch.gfib.install_peer(5, [mac(10), mac(11)])
+        switch.gfib.install_peer(6, [mac(11), mac(12)])  # mac(11): two candidates
     # One rule per action kind, each towards its own destination.
     switch.install_flow_rule(key(1, 20), FlowAction(ActionType.ENCAP_TO_SWITCH, 7), now=10.0)
     switch.install_flow_rule(key(1, 2), FlowAction(ActionType.FORWARD_LOCAL, 2), now=10.0)
@@ -175,7 +174,7 @@ def switch_state(switch):
     gfib = switch.gfib
     return {
         "table": table_state(switch.flow_table),
-        "lfib": switch.lfib.snapshot(),
+        "lfib": {entry.mac: entry for entry in switch.lfib},
         "packets_processed": switch.packets_processed,
         "packets_to_controller": switch.packets_to_controller,
         "duplicate_deliveries": switch.duplicate_deliveries,
@@ -351,12 +350,8 @@ METER_SWITCHES = (1, 2, 3, 9)
 #: Integer-valued, fractional (boundaries whose quotient rounds), and wide.
 METER_WINDOWS = (10.0, 1.1, 300.0)
 
-segments_strategy = st.lists(
-    st.tuples(st.floats(0.05, 30.0), st.floats(0.0, 4e5)), min_size=1, max_size=4
-)
-
-#: (gap to the previous start, duration, bytes, src, dst, segments or None):
-#: sub-window and window-crossing constant rates, explicit multi-segment profiles.
+#: (gap to the previous start, duration, bytes, src, dst): constant rates,
+#: inside one window and across several.
 metered_flows_strategy = st.lists(
     st.tuples(
         st.floats(0.0, 8.0),
@@ -364,7 +359,6 @@ metered_flows_strategy = st.lists(
         st.integers(1, 400_000),
         st.sampled_from(METER_SWITCHES),
         st.sampled_from(METER_SWITCHES),
-        st.none() | segments_strategy,
     ).filter(lambda flow: flow[3] != flow[4]),
     min_size=1,
     max_size=12,
@@ -373,15 +367,13 @@ metered_flows_strategy = st.lists(
 
 def metered_columns(flows):
     """The parallel sequences a chunk would hold, and the records of the same flows."""
-    from repro.bandwidth.profile import RateProfile
     from repro.traffic.flow import FlowRecord
 
     now = 0.0
     records, src_ids, dst_ids = [], [], []
-    for position, (gap, duration, byte_count, src, dst, segments) in enumerate(flows):
+    for position, (gap, duration, byte_count, src, dst) in enumerate(flows):
         now += gap
-        profile = None if segments is None else RateProfile(tuple(segments))
-        records.append(FlowRecord(now, position, 1, 2, 10, byte_count, duration, profile))
+        records.append(FlowRecord(now, position, 1, 2, 10, byte_count, duration))
         src_ids.append(src)
         dst_ids.append(dst)
     columns = (
@@ -390,7 +382,6 @@ def metered_columns(flows):
         [record.byte_count for record in records],
         src_ids,
         dst_ids,
-        [record.rate_profile for record in records],
     )
     return records, columns
 
@@ -431,17 +422,13 @@ class TestLinkMeterRun:
         horizon = records[-1].start_time + 50.0
         assert meter_state(run, horizon) == meter_state(single, horizon)
 
-    def test_constant_columns_need_no_profiles(self):
-        """Omitting ``profiles`` is every flow at its constant rate, and
-        ``nows`` defaults to the start times."""
+    def test_nows_default_to_the_start_times(self):
         from repro.bandwidth.meter import LinkUtilizationMeter
 
         columns = ([0.0, 4.0, 9.5], [1.0, 30.0, 2.0], [90_000, 50_000, 70_000], [1, 2, 1], [2, 9, 3])
         bare = LinkUtilizationMeter({1: 0.05, 2: 0.05, 3: 1.0}, window_seconds=10.0)
         full = LinkUtilizationMeter({1: 0.05, 2: 0.05, 3: 1.0}, window_seconds=10.0)
-        assert bare.account_run(*columns) == full.account_run(
-            *columns, [None] * 3, nows=columns[0]
-        )
+        assert bare.account_run(*columns) == full.account_run(*columns, nows=columns[0])
         assert meter_state(bare, 60.0) == meter_state(full, 60.0)
         # ... and the run is not vacuous: a link crossed, a flow spanned windows.
         assert bare._crossed and len(bare._bytes[2]) > 1
@@ -524,10 +511,10 @@ def shared_state(gfib: GroupFib):
     return {
         "state": gfib_state(gfib),
         "storage": gfib.storage_bytes(),
-        "peers": gfib.peers(),
+        "peers": list(gfib._filters),
         "answers": [gfib.matching_peers(mac(i)) for i in range(0, 60)],  # residents, then strangers
         "exact": {peer: set(macs) for peer, macs in gfib._exact.items()},
-        "inserted": {peer: bloom.inserted_count for peer, bloom in gfib._filters.items()},
+        "bits": {peer: bytes(bloom._bits) for peer, bloom in gfib._filters.items()},
         "installs": gfib.peer_installs,
     }
 
@@ -586,7 +573,7 @@ def km_positions(data: bytes, size_bits: int, hash_count: int):
     return [(h1 + i * h2) % size_bits for i in range(hash_count)]
 
 
-#: sha256 of ``to_bytes()`` after adding the MACs of hosts 0..11, as built
+#: sha256 of the bit array after adding the MACs of hosts 0..11, as built
 #: before positions were memoized (commit a669cb4).
 PINNED_FILTER_DIGESTS = {
     (64, 2): "b7b0f75be1fe58d4fcecee3777d67cca59918b6cfe9e3761a73f7a8a4e3f4f1a",
@@ -612,8 +599,7 @@ class TestBloomPositions:
             bloom.add(item)
             for position in km_positions(item, size_bits, hash_count):
                 bits[position >> 3] |= 1 << (position & 7)
-        assert bloom.to_bytes() == bytes(bits)
-        assert bloom.inserted_count == len(items)
+        assert bytes(bloom._bits) == bytes(bits)
         for probe in items + probes:
             positions = km_positions(probe, size_bits, hash_count)
             expected = all(bits[position >> 3] & (1 << (position & 7)) for position in positions)
@@ -629,8 +615,7 @@ class TestBloomPositions:
 
         bloom = BloomFilter(*geometry)
         bloom.add_all(mac(i).to_bytes() for i in range(12))
-        assert hashlib.sha256(bloom.to_bytes()).hexdigest() == PINNED_FILTER_DIGESTS[geometry]
-        assert bloom.fill_ratio() == sum(bin(byte).count("1") for byte in bloom.to_bytes()) / geometry[0]
+        assert hashlib.sha256(bytes(bloom._bits)).hexdigest() == PINNED_FILTER_DIGESTS[geometry]
 
 
 # -- the memoized wire tuple is the sorted table, after every mutation ----------------------
@@ -639,7 +624,6 @@ lfib_ops_strategy = st.lists(
     st.one_of(
         st.tuples(st.just("learn"), st.integers(0, 9), st.integers(1, 3), st.integers(0, 2)),
         st.tuples(st.just("forget"), st.integers(0, 9)),
-        st.tuples(st.just("replace"), st.lists(st.integers(0, 9), max_size=4, unique=True)),
     ),
     min_size=1,
     max_size=14,
@@ -650,7 +634,7 @@ class TestLocalFibWireTuple:
     @given(ops=lfib_ops_strategy)
     @settings(max_examples=120, deadline=None)
     def test_refreshed_by_every_mutation_and_only_by_one(self, ops):
-        from repro.datastructures.fib import FibEntry, LocalFib
+        from repro.datastructures.fib import LocalFib
 
         lfib = LocalFib()
         assert lfib.wire_entries() == ()
@@ -658,15 +642,12 @@ class TestLocalFibWireTuple:
             before, version = lfib.wire_entries(), lfib.version
             if op[0] == "learn":
                 changed = lfib.learn(mac(op[1]), op[2], op[3])
-            elif op[0] == "forget":
-                changed = lfib.forget(mac(op[1]))
             else:
-                lfib.replace({mac(i): FibEntry(mac(i), 1, 0) for i in op[1]})
-                changed = True
+                changed = lfib.forget(mac(op[1]))
             assert (lfib.version != version) == changed
             wire = lfib.wire_entries()
             assert wire == tuple(
-                (m, entry.port, entry.tenant_id) for m, entry in sorted(lfib.snapshot().items())
+                (entry.mac, entry.port, entry.tenant_id) for entry in sorted(lfib, key=lambda entry: entry.mac)
             )
             if not changed:  # a no-op learn / forget: the very same tuple
                 assert wire is before

@@ -7,6 +7,7 @@ import pytest
 
 from repro.common.config import GroupingConfig, LazyCtrlConfig
 from repro.common.errors import ConfigurationError
+from repro.common.serialize import dataclass_to_dict
 from repro.core.presets import get_preset, list_presets
 from repro.core.registry import (
     available_control_planes,
@@ -81,13 +82,16 @@ class TestScenarioSpec:
 
     def test_synthetic_trace_round_trip(self):
         spec = tiny_spec(
-            traffic=TraceSpec.synthetic(
-                SyntheticTraceSpec(
-                    name="syn-a",
-                    concentrated_flow_fraction=0.9,
-                    concentrated_pair_fraction=0.1,
-                    total_flows=500,
-                    seed=5,
+            traffic=TraceSpec(
+                model="synthetic",
+                params=dataclass_to_dict(
+                    SyntheticTraceSpec(
+                        name="syn-a",
+                        concentrated_flow_fraction=0.9,
+                        concentrated_pair_fraction=0.1,
+                        total_flows=500,
+                        seed=5,
+                    )
                 ),
             ),
         )
@@ -140,11 +144,47 @@ class TestScenarioSpec:
         with pytest.raises(ConfigurationError):
             ScheduleSpec(periodic_interval_seconds=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"warmup_hours": -1.0}, "warmup_hours"),
+            ({"bucket_hours": 0.0}, "bucket_hours"),
+            ({"bucket_hours": -2.0}, "bucket_hours"),
+        ],
+    )
+    def test_schedule_rejects(self, kwargs, field):
+        with pytest.raises(ConfigurationError, match=field):
+            ScheduleSpec(**kwargs)
+
     def test_failure_spec_validation(self):
         with pytest.raises(ConfigurationError):
             FailureInjectionSpec(at_hours=())
         with pytest.raises(ConfigurationError):
             FailureInjectionSpec(switches_per_event=0)
+
+    def test_failure_spec_rejects_a_negative_hour(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            FailureInjectionSpec(at_hours=(2.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"model": ""}, "non-empty"),
+            ({"model": "   "}, "non-empty"),
+            ({"expand_fraction": -0.1}, "expand_fraction"),
+            ({"expand_fraction": 5.5}, "expand_fraction"),
+            ({"expand_window_hours": (10.0, 10.0)}, "expand_window_hours"),
+            ({"expand_window_hours": (12.0, 8.0)}, "expand_window_hours"),
+        ],
+    )
+    def test_trace_spec_rejects(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            TraceSpec(**kwargs)
+
+    @pytest.mark.parametrize("systems", [("openflow", ""), ("openflow", 3)])
+    def test_rejects_a_system_that_is_not_a_name(self, systems):
+        with pytest.raises(ConfigurationError, match="non-empty strings"):
+            tiny_spec(systems=systems)
 
 
 class TestRegistry:

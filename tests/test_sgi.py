@@ -16,13 +16,6 @@ from repro.partitioning.sgi import (
 
 
 class TestGroupingValue:
-    def test_assignment_and_group_of(self):
-        grouping = Grouping(groups={0: frozenset({1, 2}), 1: frozenset({3})})
-        assert grouping.group_of(2) == 0
-        assert grouping.group_of(3) == 1
-        assert grouping.group_of(99) is None
-        assert grouping.assignment() == {1: 0, 2: 0, 3: 1}
-
     def test_counts_and_sizes(self):
         grouping = Grouping(groups={0: frozenset({1, 2, 3}), 1: frozenset({4})})
         assert grouping.group_count() == 2

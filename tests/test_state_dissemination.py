@@ -20,7 +20,7 @@ def deployment():
     )
     for info in network.switches():
         controller.register_switch(
-            LazyCtrlEdgeSwitch(info.switch_id, underlay_ip=info.underlay_ip, management_mac=info.management_mac)
+            LazyCtrlEdgeSwitch(info.switch_id, management_mac=info.management_mac)
         )
     controller.bootstrap_host_locations()
     grouping = Grouping(groups={0: frozenset({0, 1, 2}), 1: frozenset({3, 4, 5})})
@@ -72,10 +72,28 @@ class TestMigration:
         assert disseminator.stats.migration_events == 0
 
 
-class TestFullSynchronization:
-    def test_full_sync_counts_messages(self, deployment):
+class TestBeforeAndOutsideGroups:
+    def test_an_ungrouped_switch_disseminates_nothing(self):
+        network = build_multi_tenant_datacenter(
+            TopologyProfile(switch_count=3, host_count=30, seed=9, home_switches_per_tenant=2)
+        )
+        controller = LazyCtrlController(network)
+        for info in network.switches():
+            controller.register_switch(LazyCtrlEdgeSwitch(info.switch_id, management_mac=info.management_mac))
+        disseminator = StateDisseminator(network, controller)
+        host = network.attach_host(0, network.tenants.tenants()[0].tenant_id)
+        disseminator.host_appeared(host.host_id)
+        # The switch learned the host; with no group yet, nothing went out.
+        assert host.mac in controller.switch(0).lfib
+        assert (disseminator.stats.live_events, disseminator.stats.peer_messages) == (1, 0)
+        assert disseminator.stats.state_reports == 0
+
+    def test_a_group_the_controller_does_not_hold_is_an_error(self, deployment, monkeypatch):
+        from repro.common.errors import ControlPlaneError
+
         network, controller, disseminator = deployment
-        disseminator.full_synchronization()
-        # Each group of 3 switches generates 3*2 peer messages.
-        assert disseminator.stats.peer_messages == 2 * 6
-        assert disseminator.stats.state_reports == 2
+        monkeypatch.setattr(type(controller), "groups", property(lambda self: {}))
+        host = network.attach_host(0, network.tenants.tenants()[0].tenant_id)
+        with pytest.raises(ControlPlaneError, match="not provisioned"):
+            disseminator.host_appeared(host.host_id)
+

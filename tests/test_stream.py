@@ -12,13 +12,11 @@ from repro.traffic.models import (
     stream_incast_hotspot,
     stream_uniform_background,
 )
-from repro.traffic.realistic import RealisticTraceGenerator, RealisticTraceProfile
 from repro.traffic.replay import TraceReplayer
 from repro.traffic.stream import (
     ChunkWindow,
     GeneratedStream,
     MergedStream,
-    TraceStatistics,
     allocate_counts,
     plan_windows,
     uniform_spans,
@@ -150,6 +148,7 @@ class TestMergedStream:
         a = Trace("a", network, [flow(1.0)])
         merged = MergedStream("mix", network, [(a, 100.0, 10.0)], duration=110.0)
         assert [record.start_time for record in merged] == [101.0]
+        assert merged.duration == 110.0
 
     def test_clips_flows_past_component_span(self, network):
         a = Trace("a", network, [flow(1.0), flow(50.0, flow_id=1)])
@@ -178,45 +177,6 @@ class TestMergedStream:
         assert merged[0] == merged[1] and len(merged[0]) == 8
 
 
-class TestTraceStatistics:
-    def test_matches_trace_views(self, network):
-        trace = RealisticTraceGenerator(
-            network, RealisticTraceProfile(total_flows=800, duration_hours=3.0, seed=5)
-        ).generate()
-        stats = TraceStatistics(network).observe_all(trace.chunks())
-        assert stats.flow_count == len(trace)
-        assert stats.pair_activity() == trace.pair_activity()
-        assert stats.hourly_flow_counts(hours=4) == trace.hourly_flow_counts(hours=4)
-        assert stats.communicating_pairs() == trace.communicating_pairs()
-        assert sorted(stats.intensity.pairs()) == sorted(trace.switch_intensity().pairs())
-
-    def test_track_pairs_off_rejects_pair_views(self, network):
-        stats = TraceStatistics(network, track_pairs=False)
-        with pytest.raises(Exception):
-            stats.pair_activity()
-        with pytest.raises(Exception):
-            stats.communicating_pairs()
-
-    def test_last_arrival(self, network):
-        stats = TraceStatistics(network).observe_all([FlowChunk.from_records([flow(3.0), flow(9.0, flow_id=1)])])
-        assert stats.last_arrival == 9.0
-
-    def test_observe_is_the_record_form_of_the_column_fold(self, network, constructions):
-        trace = RealisticTraceGenerator(
-            network, RealisticTraceProfile(total_flows=300, duration_hours=3.0, seed=5)
-        ).generate()
-        by_columns = trace.statistics()
-        assert constructions["FlowRecord"] == 0  # the fold read columns
-        by_records = TraceStatistics(network)
-        for record in trace.flows:
-            by_records.observe(record)
-        assert by_records.flow_count == by_columns.flow_count == 300
-        assert by_records.last_arrival == by_columns.last_arrival == trace.duration
-        assert by_records.pair_activity() == by_columns.pair_activity()
-        assert by_records.hourly_flow_counts(hours=4) == by_columns.hourly_flow_counts(hours=4)
-        assert list(by_records.intensity.pairs()) == list(by_columns.intensity.pairs())
-
-
 class TestStreamIntensity:
     def test_stream_switch_intensity_matches_trace(self, network):
         params = UniformBackgroundParams(total_flows=600, duration_hours=2.0, seed=8)
@@ -236,21 +196,12 @@ class TestWindowedChunks:
             assert windowed == [3, 4, 5, 6]
 
     def test_record_list_chunks_become_flow_chunks_holding_the_same_records(self, network, record_list_stream):
-        from repro.bandwidth.profile import RateProfile
-
-        profile = RateProfile.constant(8_000.0, 1.0)
-        flows = [
-            FlowRecord(float(i), 100 + 7 * i, 0, 1, rate_profile=profile if i % 2 else None)
-            for i in range(10)
-        ]
+        flows = [FlowRecord(float(i), 100 + 7 * i, 0, 1) for i in range(10)]
         chunks = list(windowed_chunks(record_list_stream("m", network, flows, chunk_flows=4), start=1.0))
         assert all(isinstance(chunk, FlowChunk) for chunk in chunks)
         assert [len(chunk) for chunk in chunks] == [3, 4, 2]
         handed_over = [record for chunk in chunks for record in chunk]
         assert all(got is want for got, want in zip(handed_over, flows[1:], strict=True))
-        assert [profile for chunk in chunks for profile in chunk.rate_profiles] == [
-            record.rate_profile for record in flows[1:]
-        ]
 
     def test_stops_generating_past_end(self, network, record_list_stream):
         seen = []

@@ -80,7 +80,27 @@ class TestLazyCtrlSystem:
         system.install_initial_grouping(small_trace, warmup_end=3600.0)
         flow = pick_flow(small_network, same_switch=True, flow_id=106)
         system.handle_flow_arrival(flow, now=1.0)
-        assert system.latency_recorder.sample_count() == flow.packet_count
+        assert system.latency_recorder.bucket_totals()[0][1] == flow.packet_count
+
+    def test_a_false_positive_copy_is_dropped_and_counted(self, small_network, small_config):
+        from repro.partitioning.sgi import Grouping
+
+        system = LazyCtrlSystem(small_network, config=small_config)
+        grouping = Grouping(groups={0: frozenset(small_network.switch_ids())})
+        system.controller.apply_grouping(grouping)
+        src = small_network.hosts()[0]
+        dst = next(host for host in small_network.hosts() if host.switch_id != src.switch_id)
+        liar = next(s for s in small_network.switch_ids() if s not in (src.switch_id, dst.switch_id))
+        # The ingress switch's filter for ``liar`` now matches a host ``liar`` lacks.
+        system.switch(src.switch_id).gfib.install_peer(liar, [dst.mac])
+        flow = FlowRecord(start_time=1.0, flow_id=1, src_host_id=src.host_id, dst_host_id=dst.host_id)
+        result = system.handle_flow_arrival(flow, now=1.0)
+        assert result.path == FlowPathKind.INTRA_GROUP
+        assert result.false_positive_drop and result.duplicate_deliveries == 1
+        assert system.counters.false_positive_drops == 1
+        assert system.counters.duplicate_deliveries == 1
+        assert system.switch(dst.switch_id).false_positive_drops == 0
+        assert system.switch(liar).false_positive_drops == 1
 
     def test_counters_accumulate(self, lazy_system):
         counters = lazy_system.counters
@@ -95,15 +115,6 @@ class TestLazyCtrlSystem:
         # Should not raise and should leave the grouping provisioned.
         lazy_system.periodic(now=10_000.0)
         assert lazy_system.controller.groups
-
-    def test_install_external_grouping(self, small_network, small_config):
-        from repro.partitioning.sgi import Grouping
-
-        system = LazyCtrlSystem(small_network, config=small_config)
-        switch_ids = small_network.switch_ids()
-        grouping = Grouping(groups={0: frozenset(switch_ids[:8]), 1: frozenset(switch_ids[8:])})
-        system.install_grouping(grouping)
-        assert len(system.controller.groups) == 2
 
 
 class TestOpenFlowSystem:

@@ -233,6 +233,17 @@ class TestRegistry:
 
 
 class TestFlowTablePolicyIntegration:
+    def test_static_hard_sweep_expires_by_age_not_by_use(self):
+        config = FlowTableConfig(idle_timeout_seconds=30.0, hard_timeout_seconds=50.0, policy="static-hard")
+        table = FlowTable(config)
+        table.install(key(1, 2), FlowAction(ActionType.DROP), now=0.0)
+        table.install(key(3, 4), FlowAction(ActionType.DROP), now=40.0)
+        table.lookup(key(1, 2), now=49.0)  # a hit does not extend a hard timeout
+        assert table.expire(now=50.0) == []
+        assert [rule.key for rule in table.expire(now=60.0)] == [key(1, 2)]
+        assert (table.stats.hard_timeouts, table.stats.timeouts) == (1, 0)
+        assert key(3, 4) in table and len(table) == 1
+
     def test_hard_timeout_counted_separately(self):
         config = FlowTableConfig(
             idle_timeout_seconds=10.0, hard_timeout_seconds=100.0, policy="idle-hard-hybrid"
@@ -251,15 +262,6 @@ class TestFlowTablePolicyIntegration:
         table.install(key(1, 2), FlowAction(ActionType.DROP), now=0.0)
         table.expire(now=100.0)
         assert removed == [(key(1, 2), RemovalReason.IDLE_TIMEOUT)]
-
-    def test_explicit_remove_is_not_reported_or_reinstall_tracked(self):
-        removed = []
-        table = FlowTable()
-        table.removed_listener = lambda r, now, reason: removed.append(r.key)
-        table.install(key(1, 2), FlowAction(ActionType.DROP), now=0.0)
-        assert table.remove(key(1, 2))
-        table.install(key(1, 2), FlowAction(ActionType.DROP), now=1.0)
-        assert removed == [] and table.stats.reinstalls == 0
 
     def test_reinstall_after_timeout_counted(self):
         table = FlowTable(FlowTableConfig(idle_timeout_seconds=10.0))

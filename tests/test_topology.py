@@ -28,7 +28,7 @@ class TestTenantDirectory:
         directory = TenantDirectory()
         tenant = directory.create_tenant("acme")
         directory.assign_host(tenant.tenant_id, 42)
-        assert directory.tenant_of_host(42) == tenant.tenant_id
+        assert 42 in tenant.host_ids
         assert tenant.size == 1
 
     def test_double_assignment_rejected(self):
@@ -45,15 +45,7 @@ class TestTenantDirectory:
 
     def test_unknown_host_rejected(self):
         with pytest.raises(TopologyError):
-            TenantDirectory().tenant_of_host(1)
-
-    def test_sizes_and_hosts_of(self):
-        directory = TenantDirectory()
-        a = directory.create_tenant("a")
-        directory.assign_host(a.tenant_id, 1)
-        directory.assign_host(a.tenant_id, 2)
-        assert directory.sizes() == [2]
-        assert directory.hosts_of([a.tenant_id]) == [1, 2]
+            TenantDirectory().unassign_host(1)
 
     def test_remove_host(self):
         directory = TenantDirectory()
@@ -70,7 +62,6 @@ class TestDataCenterNetwork:
         network = DataCenterNetwork()
         a = network.add_edge_switch()
         b = network.add_edge_switch()
-        assert a.underlay_ip != b.underlay_ip
         assert a.management_mac != b.management_mac
 
     def test_attach_host(self):
@@ -81,6 +72,52 @@ class TestDataCenterNetwork:
         assert host.switch_id == 0
         assert network.host_by_mac(host.mac).host_id == host.host_id
         assert network.hosts_on_switch(0) == [host]
+
+    def test_switch_of_host_follows_a_migration(self):
+        network = DataCenterNetwork()
+        network.add_edge_switch()
+        network.add_edge_switch()
+        tenant = network.tenants.create_tenant("t")
+        host = network.attach_host(0, tenant.tenant_id)
+        assert network.switch_of_host(host.host_id) == 0
+        network.migrate_host(host.host_id, 1)
+        assert network.switch_of_host(host.host_id) == 1
+
+    @pytest.mark.parametrize(
+        "setter, value",
+        [
+            ("set_uplink_capacity_mbps", 0.0),
+            ("set_uplink_capacity_mbps", -1.0),
+            ("set_link_utilization_window", 0.0),
+            ("set_link_utilization_window", -30.0),
+        ],
+    )
+    def test_link_settings_must_be_positive(self, setter, value):
+        network = DataCenterNetwork()
+        network.add_edge_switch()
+        args = (0, value) if setter == "set_uplink_capacity_mbps" else (value,)
+        with pytest.raises(TopologyError, match="must be positive"):
+            getattr(network, setter)(*args)
+        assert network.link_capacities_mbps() == {}
+        assert network.link_utilization_window_seconds == 300.0
+
+    def test_a_tenant_refuses_a_host_twice(self):
+        directory = TenantDirectory()
+        tenant = directory.create_tenant("acme")
+        tenant.add_host(7)
+        with pytest.raises(TopologyError, match="already belongs"):
+            tenant.add_host(7)
+        assert tenant.host_ids == [7]
+
+    def test_a_tenant_with_hosts_cannot_be_removed(self):
+        directory = TenantDirectory()
+        tenant = directory.create_tenant("acme")
+        directory.assign_host(tenant.tenant_id, 7)
+        with pytest.raises(TopologyError, match="still owns 1 hosts"):
+            directory.remove_tenant(tenant.tenant_id)
+        directory.unassign_host(7)
+        assert directory.remove_tenant(tenant.tenant_id) is tenant
+        assert len(directory) == 0
 
     def test_attach_host_unknown_switch(self):
         network = DataCenterNetwork()
@@ -164,6 +201,26 @@ class TestBuilders:
         with pytest.raises(ConfigurationError):
             TopologyProfile(switch_count=10, host_count=10, spill_fraction=2.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"host_count": 0}, "host_count"),
+            ({"home_switches_per_tenant": 0}, "home_switches_per_tenant"),
+            ({"uplink_mbps": 0.0}, "uplink_mbps"),
+            ({"uplink_mbps": -5.0}, "uplink_mbps"),
+        ],
+    )
+    def test_profile_rejects(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            TopologyProfile(**{"switch_count": 10, "host_count": 10, **kwargs})
+
+    def test_a_profile_capacity_reaches_every_uplink(self):
+        network = build_multi_tenant_datacenter(
+            TopologyProfile(switch_count=5, host_count=40, uplink_mbps=2.5, seed=3)
+        )
+        assert network.link_capacities_mbps() == {switch_id: 2.5 for switch_id in range(5)}
+        assert network.has_link_capacities()
+
     def test_builder_respects_counts(self):
         profile = TopologyProfile(switch_count=12, host_count=150, seed=3)
         network = build_multi_tenant_datacenter(profile)
@@ -173,7 +230,7 @@ class TestBuilders:
     def test_tenant_sizes_in_paper_range(self):
         profile = TopologyProfile(switch_count=20, host_count=800, seed=3)
         network = build_multi_tenant_datacenter(profile)
-        sizes = network.tenants.sizes()
+        sizes = [tenant.size for tenant in network.tenants.tenants()]
         # All but possibly the last (remainder) tenant obey the 20-100 range.
         assert all(20 <= size <= 100 for size in sizes[:-1])
 
@@ -203,3 +260,5 @@ class TestBuilders:
     def test_paper_topology_rejects_bad_scale(self):
         with pytest.raises(ConfigurationError):
             build_paper_real_topology(scale=0.0)
+        with pytest.raises(ConfigurationError):
+            build_paper_synthetic_topology(scale=-1.0)

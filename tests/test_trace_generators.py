@@ -1,6 +1,7 @@
 """Unit tests for the realistic and synthetic trace generators and trace expansion."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,15 @@ from repro.traffic.synthetic import (
     paper_synthetic_specs,
 )
 from repro.traffic.trace import Trace
+
+
+def pair_of(flow):
+    """The unordered host pair of a flow."""
+    return min(flow.src_host_id, flow.dst_host_id), max(flow.src_host_id, flow.dst_host_id)
+
+
+def flows_per_pair(trace) -> Counter:
+    return Counter(map(pair_of, trace))
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +109,8 @@ class TestRealisticGenerator:
         assert 20 * 3600 < real_like_trace.duration <= 24 * 3600
 
     def test_diurnal_shape(self, real_like_trace):
-        counts = real_like_trace.hourly_flow_counts()
+        hours = Counter(int(flow.start_time // 3600) for flow in real_like_trace)
+        counts = [hours[hour] for hour in range(24)]
         # Business hours are busier than the small hours, as in the profile.
         assert max(counts[8:18]) > 2 * max(1, min(counts[0:5]))
 
@@ -107,14 +118,14 @@ class TestRealisticGenerator:
         assert len(DIURNAL_PROFILE) == 24
 
     def test_traffic_is_skewed_across_pairs(self, real_like_trace):
-        activity = real_like_trace.pair_activity()
+        ranked = sorted(flows_per_pair(real_like_trace).values(), reverse=True)
         # The busiest 10 % of communicating pairs carry well over half the flows
         # (the paper reports ~90 % for the real trace).
-        assert activity.top_decile_share > 0.5
+        assert sum(ranked[: max(1, len(ranked) // 10)]) / sum(ranked) > 0.5
 
     def test_only_a_small_fraction_of_pairs_communicate(self, network, real_like_trace):
         total_pairs = network.host_count() * (network.host_count() - 1) // 2
-        assert real_like_trace.pair_activity().distinct_pairs < 0.2 * total_pairs
+        assert len(flows_per_pair(real_like_trace)) < 0.2 * total_pairs
 
     def test_deterministic(self, network):
         profile = RealisticTraceProfile(total_flows=500, seed=11)
@@ -164,7 +175,7 @@ class TestSyntheticGenerator:
         spread = generator.generate(
             SyntheticTraceSpec(name="lo-p", concentrated_flow_fraction=0.30, concentrated_pair_fraction=0.30, total_flows=4000)
         )
-        assert concentrated.pair_activity().distinct_pairs < spread.pair_activity().distinct_pairs
+        assert len(flows_per_pair(concentrated)) < len(flows_per_pair(spread))
 
     def test_payloads_from_reference_trace(self, network, real_like_trace):
         generator = SyntheticTraceGenerator(network, payload_trace=real_like_trace)
@@ -191,8 +202,8 @@ class TestExpandTrace:
     @staticmethod
     def extras(expanded, base):
         """The flows between pairs the base never used (ids are minted in merge order)."""
-        silent = base.communicating_pairs()
-        return [flow for flow in expanded if flow.unordered_pair not in silent]
+        silent = flows_per_pair(base)
+        return [flow for flow in expanded if pair_of(flow) not in silent]
 
     def test_expansion_adds_thirty_percent(self, real_like_trace):
         expanded = expand_trace(real_like_trace, extra_fraction=0.30, seed=5)
@@ -212,11 +223,20 @@ class TestExpandTrace:
         extra = self.extras(expanded, real_like_trace)
         assert len(extra) / (expanded.total_flows - len(real_like_trace)) > 0.95
         # ... and the base flows are all still there, in their order.
-        base_pairs = real_like_trace.communicating_pairs()
-        kept = [flow for flow in expanded if flow.unordered_pair in base_pairs]
+        base_pairs = flows_per_pair(real_like_trace)
+        kept = [flow for flow in expanded if pair_of(flow) in base_pairs]
         assert [dataclasses.replace(flow, flow_id=0) for flow in kept[:500]] == [
             dataclasses.replace(flow, flow_id=0) for flow in real_like_trace.flows[:500]
         ]
+
+    def test_a_topology_of_three_hosts_cannot_be_expanded(self):
+        tiny = build_multi_tenant_datacenter(
+            TopologyProfile(switch_count=1, host_count=3, min_tenant_size=1, max_tenant_size=3, seed=1)
+        )
+        with pytest.raises(TrafficError, match="too small"):
+            expand_trace(Trace("tiny", tiny, [FlowRecord(0.0, 0, 0, 1)]))
+        with pytest.raises(TrafficError, match="at least 4 hosts"):
+            SyntheticTraceGenerator(tiny)
 
     def test_a_topology_out_of_silent_pairs_falls_back_to_default_payload_flows(self):
         tiny = build_multi_tenant_datacenter(TopologyProfile(switch_count=2, host_count=4, seed=1))

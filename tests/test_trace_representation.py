@@ -6,8 +6,8 @@ transposed once from records.  These tests hold every birth — a generated
 stream, a merged one, a record list, a third-party stream of unsorted record
 lists, a run of chunks with an id gap — to the same flows on every public
 accessor, and pin *residency*: handing out the columns copies nothing, records
-are minted once and only on request, record-born ids and rate profiles
-survive, and a scalar replay constructs no ``FlowRecord`` and no
+are minted once and only on request, record-born ids survive, and a scalar
+replay constructs no ``FlowRecord`` and no
 ``FlowHandlingResult``.
 """
 
@@ -18,7 +18,6 @@ import tracemalloc
 
 import pytest
 
-from repro.bandwidth.profile import RateProfile
 from repro.churn.spec import ChurnSpec
 from repro.common.errors import UnknownHostError
 from repro.core.presets import get_preset
@@ -33,7 +32,6 @@ from repro.traffic.trace import Trace
 PROFILE = TopologyProfile(switch_count=6, host_count=48, seed=23, home_switches_per_tenant=2)
 NETWORK = build_multi_tenant_datacenter(PROFILE)
 FLOWS = 400
-PROFILED = RateProfile.constant(8_000.0, 2.0)
 
 
 def built_in(model, flows=FLOWS, **params):
@@ -71,13 +69,8 @@ class Chunks:
 
 
 def records_of(stream):
-    """``stream``'s flows as third-party records: ids of their own, some rate profiles."""
-    return [
-        dataclasses.replace(
-            flow, flow_id=1_000 + 3 * flow.flow_id, rate_profile=None if flow.flow_id % 4 else PROFILED
-        )
-        for flow in stream
-    ]
+    """``stream``'s flows as third-party records: ids of their own."""
+    return [dataclasses.replace(flow, flow_id=1_000 + 3 * flow.flow_id) for flow in stream]
 
 
 def id_gapped(stream):
@@ -110,7 +103,7 @@ BIRTHS = {
     "unsorted-list-chunk-stream": from_unsorted_list_chunks,
     "id-gapped-chunk-run": from_id_gapped_chunks,
 }
-#: Births whose flows arrive as records: their objects, ids and profiles are kept.
+#: Births whose flows arrive as records: their objects and ids are kept.
 RECORD_BORN = {"record-list", "unsorted-list-chunk-stream"}
 #: Births that are one column-backed run: gathered buffer by buffer, no record ever.
 GATHERED = {"generated-stream", "merged-stream"}
@@ -130,7 +123,7 @@ class TestEveryBirthIsOneResidentChunk:
     def test_flows_columns_and_scalars(self, birth, constructions):
         trace, expected = born(birth)
         constructions["FlowRecord"] = 0  # minting ``expected`` was this test's business
-        assert len(trace) == trace.total_flows == trace.flow_count() == len(expected) == FLOWS
+        assert len(trace) == trace.total_flows == len(expected) == FLOWS
         assert trace.duration == expected[-1].start_time
         columns = trace.columns()
         # The resident chunk itself: no copy, whoever asks.
@@ -146,23 +139,9 @@ class TestEveryBirthIsOneResidentChunk:
         flows = trace.flows
         assert trace.flows is flows and trace.columns() is columns
         assert [flow.flow_id for flow in flows] == [flow.flow_id for flow in expected]
-        assert [flow.rate_profile for flow in flows] == [flow.rate_profile for flow in expected]
         assert columns.mints_records == (birth in GATHERED)
         if birth in RECORD_BORN:
             assert all(got is want for got, want in zip(flows, expected))
-            assert sum(flow.rate_profile is PROFILED for flow in flows) == FLOWS // 4
-            assert columns.rate_profiles == [flow.rate_profile for flow in expected]
-
-    def test_windows_and_subtraces(self, birth):
-        trace, expected = born(birth)
-        edges = [0.0, 1799.5, 3600.0, trace.duration, trace.duration + 1.0]
-        for start in edges:
-            for end in edges:
-                if end < start:
-                    continue
-                inside = [flow for flow in expected if start <= flow.start_time < end]
-                assert trace.window(start, end) == inside
-                assert list(trace.subtrace(start=start, end=end)) == inside
 
     def test_derived_views(self, birth, constructions):
         trace, expected = born(birth)
@@ -171,11 +150,6 @@ class TestEveryBirthIsOneResidentChunk:
         for start, end in ((0.0, None), (0.0, 3600.0), (1800.0, 7200.0)):
             ours = trace.switch_intensity(start=start, end=end)
             assert list(ours.pairs()) == list(reference.switch_intensity(start=start, end=end).pairs())
-        assert trace.pair_activity() == reference.pair_activity()
-        assert trace.pair_activity().total_flows == FLOWS
-        assert trace.hourly_flow_counts(hours=4) == reference.hourly_flow_counts(hours=4)
-        assert sum(trace.hourly_flow_counts(hours=4)) == FLOWS
-        assert trace.communicating_pairs() == {flow.unordered_pair for flow in expected}
         # Every fold read columns: no record was built for any of it.
         assert constructions["FlowRecord"] == 0 and trace._flows is None
 
@@ -190,14 +164,6 @@ class TestEveryBirthIsOneResidentChunk:
             assert len(clone) == FLOWS and clone.duration == trace.duration
             assert column_lists(clone.columns()) == column_lists(trace.columns())
             assert list(clone.flows) == expected
-            assert [flow.rate_profile for flow in clone.flows] == [
-                flow.rate_profile for flow in expected
-            ]
-
-    def test_merged_with(self, birth):
-        trace, expected = born(birth)
-        other = Trace.from_stream(built_in("uniform", flows=300, seed=9))
-        assert list(trace.merged_with(other)) == sorted([*expected, *other.flows])
 
     def test_bound_to_shares_the_resident_form_with_a_fresh_network(self, birth):
         trace, expected = born(birth)

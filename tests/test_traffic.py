@@ -18,15 +18,16 @@ def flow(t: float, src: int, dst: int, flow_id: int = 0, packets: int = 5) -> Fl
     return FlowRecord(start_time=t, flow_id=flow_id, src_host_id=src, dst_host_id=dst, packet_count=packets)
 
 
+def weight(matrix, a: int, b: int) -> float:
+    """The intensity between two switches, 0.0 for a pair with none."""
+    return {(x, y): value for x, y, value in matrix.pairs()}.get((min(a, b), max(a, b)), 0.0)
+
+
 class TestFlowRecord:
     def test_valid_record(self):
         record = flow(1.0, 0, 1)
-        assert record.unordered_pair == (0, 1)
-        assert record.host_pair == (0, 1)
-        assert record.end_time == pytest.approx(2.0)
-
-    def test_unordered_pair_symmetric(self):
-        assert flow(0.0, 5, 2).unordered_pair == (2, 5)
+        assert (record.src_host_id, record.dst_host_id, record.packet_count) == (0, 1, 5)
+        assert (record.byte_count, record.duration) == (15_000, 1.0)
 
     def test_rejects_self_flow(self):
         with pytest.raises(ValueError):
@@ -56,34 +57,17 @@ class TestTrace:
         with pytest.raises(Exception):
             Trace("t", tiny_network, [flow(0.0, 0, 10_000)])
 
-    def test_window(self, tiny_network):
-        trace = Trace("t", tiny_network, [flow(float(i), 0, 1, i) for i in range(10)])
-        window = trace.window(3.0, 6.0)
-        assert [f.flow_id for f in window] == [3, 4, 5]
-
-    def test_window_rejects_inverted_bounds(self, tiny_network):
+    def test_intensity_window_rejects_inverted_bounds(self, tiny_network):
         trace = Trace("t", tiny_network, [])
         with pytest.raises(TrafficError):
-            trace.window(5.0, 1.0)
-
-    def test_pair_activity(self, tiny_network):
-        flows = [flow(float(i), 0, 1, i) for i in range(90)] + [flow(float(i), 2, 3, 100 + i) for i in range(10)]
-        trace = Trace("t", tiny_network, flows)
-        activity = trace.pair_activity()
-        assert activity.total_flows == 100
-        assert activity.distinct_pairs == 2
-        # The top decile (1 pair) carries 90 % of the flows.
-        assert activity.top_decile_share == pytest.approx(0.9)
-
-    def test_pair_activity_empty(self, tiny_network):
-        assert Trace("t", tiny_network, []).pair_activity().total_flows == 0
+            trace.switch_intensity(start=5.0, end=1.0)
 
     def test_switch_intensity_counts_flows(self, tiny_network):
         host_a = tiny_network.hosts()[0]
         host_b = next(h for h in tiny_network.hosts() if h.switch_id != host_a.switch_id)
         trace = Trace("t", tiny_network, [flow(0.0, host_a.host_id, host_b.host_id, 1)])
         matrix = trace.switch_intensity()
-        assert matrix.intensity(host_a.switch_id, host_b.switch_id) == 1.0
+        assert weight(matrix, host_a.switch_id, host_b.switch_id) == 1.0
 
     def test_switch_intensity_includes_flow_at_exact_duration(self, tiny_network):
         """A flow arriving exactly at ``duration`` is counted once by the default window."""
@@ -99,48 +83,11 @@ class TestTrace:
         )
         assert trace.duration == 100.0
         # Default window: inclusive of the last arrival, counted exactly once.
-        assert trace.switch_intensity().intensity(host_a.switch_id, host_b.switch_id) == 2.0
+        assert weight(trace.switch_intensity(), host_a.switch_id, host_b.switch_id) == 2.0
         # An explicit end keeps half-open semantics: the boundary flow is out.
-        assert trace.switch_intensity(end=100.0).intensity(host_a.switch_id, host_b.switch_id) == 1.0
+        assert weight(trace.switch_intensity(end=100.0), host_a.switch_id, host_b.switch_id) == 1.0
         # ...and an explicit end just past it includes it exactly once.
-        assert trace.switch_intensity(end=100.0 + 1e-9).intensity(host_a.switch_id, host_b.switch_id) == 2.0
-
-    def test_hourly_flow_counts(self, tiny_network):
-        flows = [flow(10.0, 0, 1, 1), flow(3700.0, 0, 1, 2), flow(3800.0, 2, 3, 3)]
-        trace = Trace("t", tiny_network, flows)
-        counts = trace.hourly_flow_counts(hours=3)
-        assert counts == [1, 2, 0]
-
-    def test_communicating_pairs(self, tiny_network):
-        trace = Trace("t", tiny_network, [flow(0.0, 0, 1, 1), flow(1.0, 1, 0, 2)])
-        assert trace.communicating_pairs() == {(0, 1)}
-
-    def test_subtrace(self, tiny_network):
-        trace = Trace("t", tiny_network, [flow(float(i), 0, 1, i) for i in range(10)])
-        sub = trace.subtrace(start=2.0, end=4.0)
-        assert len(sub) == 2
-
-    def test_merge_rejects_different_topologies(self, tiny_network):
-        other_network = build_multi_tenant_datacenter(TopologyProfile(switch_count=4, host_count=40, seed=2))
-        a = Trace("a", tiny_network, [flow(0.0, 0, 1, 1)])
-        b = Trace("b", other_network, [flow(0.0, 0, 1, 1)])
-        with pytest.raises(TrafficError):
-            a.merged_with(b)
-
-    def test_merge_accepts_structurally_equal_network(self, tiny_network):
-        """Traces rebuilt from the same spec merge despite distinct network objects."""
-        rebuilt = build_multi_tenant_datacenter(TopologyProfile(switch_count=4, host_count=40, seed=1))
-        assert rebuilt is not tiny_network
-        a = Trace("a", tiny_network, [flow(0.0, 0, 1, 1)])
-        b = Trace("b", rebuilt, [flow(1.0, 2, 3, 2)])
-        merged = a.merged_with(b)
-        assert len(merged) == 2
-        assert merged.network is tiny_network
-
-    def test_merge(self, tiny_network):
-        a = Trace("a", tiny_network, [flow(0.0, 0, 1, 1)])
-        b = Trace("b", tiny_network, [flow(1.0, 2, 3, 2)])
-        assert len(a.merged_with(b)) == 2
+        assert weight(trace.switch_intensity(end=100.0 + 1e-9), host_a.switch_id, host_b.switch_id) == 2.0
 
 
 class _RecordingSink:
@@ -182,7 +129,7 @@ class TestReplayer:
     def test_progress_duration(self, tiny_network):
         trace = Trace("t", tiny_network, [])
         progress = TraceReplayer(trace, _RecordingSink(), periodic_interval=10.0).replay(start=0.0, end=30.0)
-        assert progress.duration == 30.0
+        assert progress.end_time - progress.start_time == 30.0
         assert progress.periodic_invocations == 3
 
     def test_default_window_clamped_to_trace_duration(self, tiny_network):
@@ -193,7 +140,7 @@ class TestReplayer:
         replayer = TraceReplayer(trace, sink, periodic_interval=100.0, periodic_callbacks=[ticks.append])
         progress = replayer.replay()
         assert progress.end_time == 250.0
-        assert progress.duration == 250.0
+        assert progress.end_time - progress.start_time == 250.0
         # The flow arriving exactly at the trace's last timestamp is replayed,
         # and no tick fires past 250 s (300 s used to fire spuriously).
         assert [fid for fid, _ in sink.seen] == [0, 1]
@@ -218,7 +165,7 @@ class TestReplayer:
         progress = replayer.replay(start=100.0, end=100.0)
         assert progress.flows_replayed == 0
         assert progress.periodic_invocations == 0
-        assert progress.duration == 0.0
+        assert progress.end_time - progress.start_time == 0.0
         assert ticks == []
 
     def test_periodic_invocations_counts_ticks_not_callbacks(self, tiny_network):
@@ -242,7 +189,7 @@ class TestReplayer:
         progress = replayer.replay(start=500.0)
         assert progress.start_time == 500.0
         assert progress.end_time == 500.0
-        assert progress.duration == 0.0
+        assert progress.end_time - progress.start_time == 0.0
         assert progress.flows_replayed == 0
         assert ticks == []
 
@@ -262,7 +209,7 @@ class TestReplayer:
         assert progress.flows_replayed == 4
         assert sorted(fid for fid, _ in sink.seen) == [0, 1, 2, 3]
         assert progress.end_time == 120.0
-        assert progress.duration == 120.0
+        assert progress.end_time - progress.start_time == 120.0
         # Ticks at 60 and 120 fire (120 before the flows arriving at 120),
         # and nothing fires past the single shared timestamp.
         assert ticks == [60.0, 120.0]
@@ -273,7 +220,7 @@ class TestReplayer:
         progress = TraceReplayer(trace, sink, periodic_interval=60.0).replay()
         assert progress.flows_replayed == 3
         assert progress.end_time == 0.0
-        assert progress.duration == 0.0
+        assert progress.end_time - progress.start_time == 0.0
         assert progress.periodic_invocations == 0
 
     def test_start_past_last_arrival_with_default_window(self, tiny_network):
@@ -282,4 +229,4 @@ class TestReplayer:
         progress = TraceReplayer(trace, sink, periodic_interval=60.0).replay(start=50.0)
         assert progress.flows_replayed == 0
         assert progress.end_time == 50.0
-        assert progress.duration == 0.0
+        assert progress.end_time - progress.start_time == 0.0

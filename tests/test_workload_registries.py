@@ -33,6 +33,15 @@ def network():
 
 
 class TestTrafficModelRegistry:
+    def test_a_model_needs_a_trace_or_a_stream_factory(self):
+        @dataclasses.dataclass(frozen=True)
+        class NoParams:
+            seed: int = 1
+
+        with pytest.raises(ConfigurationError, match="needs a trace or a stream factory"):
+            register_traffic_model("factoryless", params=NoParams)(None)
+        assert "factoryless" not in {entry.name for entry in available_traffic_models()}
+
     def test_builtin_models_registered(self):
         names = {entry.name for entry in available_traffic_models()}
         assert {
@@ -170,6 +179,58 @@ class TestTopologyRegistry:
         assert params.switch_count == max(8, round(272 * 0.05))
         assert params.host_count == max(64, round(6509 * 0.05))
 
+    def test_paper_synthetic_scale_dimensions(self):
+        params = get_topology("paper-synthetic").make_params({"scale": 0.002})
+        assert (params.switch_count, params.host_count) == (16, 130)
+        assert get_topology("paper-synthetic").make_params({"scale": 0.0001}).host_count == 128
+
+    @pytest.mark.parametrize("shape", ["paper-real", "paper-synthetic"])
+    def test_paper_shapes_build_their_dimensions(self, shape):
+        entry = get_topology(shape)
+        params = entry.make_params({"scale": 0.005, "uplink_mbps": 3.0, "seed": 4})
+        network = entry.build({"scale": 0.005, "uplink_mbps": 3.0, "seed": 4})
+        assert (network.switch_count(), network.host_count()) == (params.switch_count, params.host_count)
+        assert set(network.link_capacities_mbps().values()) == {3.0}
+
+    @pytest.mark.parametrize("shape", ["paper-real", "paper-synthetic"])
+    @pytest.mark.parametrize("params", [{"scale": 0.0}, {"scale": -1.0}, {"uplink_mbps": 0.0}])
+    def test_paper_shape_params_are_validated(self, shape, params):
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            get_topology(shape).make_params(params)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"switch_count": 0}, "switch_count"),
+            ({"host_count": 0}, "host_count"),
+            ({"min_tenant_size": 30, "max_tenant_size": 20}, "tenant size bounds"),
+            ({"uplink_mbps": -1.0}, "uplink_mbps"),
+        ],
+    )
+    def test_striped_params_are_validated(self, params, message):
+        with pytest.raises(ConfigurationError, match=message):
+            get_topology("striped").make_params(params)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"pod_count": 0}, "pod_count"),
+            ({"switches_per_pod": 0}, "switches_per_pod"),
+            ({"host_count": 0}, "host_count"),
+            ({"min_tenant_size": 0}, "tenant size bounds"),
+            ({"home_switches_per_tenant": 0}, "home_switches_per_tenant"),
+            ({"pod_spill_fraction": 1.5}, "pod_spill_fraction"),
+            ({"uplink_mbps": 0.0}, "uplink_mbps"),
+        ],
+    )
+    def test_multi_pod_params_are_validated(self, params, message):
+        with pytest.raises(ConfigurationError, match=message):
+            get_topology("multi-pod").make_params(params)
+
+    def test_multi_pod_switch_count_is_pods_times_switches(self):
+        params = get_topology("multi-pod").make_params({"pod_count": 3, "switches_per_pod": 5})
+        assert params.switch_count == 15
+
 
 class TestTopologySpec:
     def test_round_trip(self):
@@ -202,7 +263,6 @@ class TestTopologySpec:
 class TestTraceSpec:
     def test_constructors(self):
         assert TraceSpec.realistic(total_flows=10).model == "realistic"
-        assert TraceSpec.synthetic(total_flows=10).model == "synthetic"
         mix = TrafficMixSpec(components=(TrafficComponentSpec(model="uniform"),))
         assert TraceSpec.mix(mix).model == "mix"
 
@@ -310,6 +370,26 @@ class TestTrafficMix:
     def test_zero_weight_rejected(self):
         with pytest.raises(ConfigurationError, match="weight"):
             TrafficComponentSpec(model="uniform", weight=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"model": " "}, "non-empty"),
+            ({"model": "uniform", "window_hours": (-1.0, 2.0)}, "window_hours"),
+            ({"model": "uniform", "window_hours": (3.0, 3.0)}, "window_hours"),
+        ],
+    )
+    def test_component_rejects(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            TrafficComponentSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"total_flows": 0}, "total_flows"), ({"duration_hours": 0.0}, "duration_hours")],
+    )
+    def test_mix_rejects(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            TrafficMixSpec(components=(TrafficComponentSpec(model="uniform"),), **kwargs)
 
     def test_single_flow_mix_materializes(self, network):
         mix = TrafficMixSpec(
