@@ -30,10 +30,9 @@ call :meth:`ScenarioRunner.replay_system`.
 
 from repro.churn.spec import ChurnSpec
 from repro.common.config import LazyCtrlConfig
-from repro.core.presets import Preset, get_preset, list_presets
+from repro.core.presets import get_preset, list_presets
 from repro.core.registry import (
     ControlPlane,
-    ControlPlaneEntry,
     available_control_planes,
     get_control_plane,
     register_control_plane,
@@ -60,7 +59,6 @@ from repro.partitioning.sgi import Grouping, SgiGrouper
 from repro.perf import PerfRecorder, PerfSnapshot
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
 from repro.topology.registry import (
-    TopologyEntry,
     available_topologies,
     get_topology,
     register_topology,
@@ -68,7 +66,6 @@ from repro.topology.registry import (
 from repro.traffic.mix import TrafficComponentSpec, TrafficMixSpec
 from repro.traffic.realistic import RealisticTraceGenerator, RealisticTraceProfile
 from repro.traffic.registry import (
-    TrafficModelEntry,
     available_traffic_models,
     get_traffic_model,
     register_traffic_model,
@@ -79,7 +76,6 @@ __version__ = "1.4.0"
 __all__ = [
     "ChurnSpec",
     "ControlPlane",
-    "ControlPlaneEntry",
     "EdgePlane",
     "EventTracer",
     "FailureInjectionSpec",
@@ -91,7 +87,6 @@ __all__ = [
     "OpenFlowSystem",
     "PerfRecorder",
     "PerfSnapshot",
-    "Preset",
     "RealisticTraceGenerator",
     "RealisticTraceProfile",
     "ScenarioResult",
@@ -100,14 +95,12 @@ __all__ = [
     "ScheduleSpec",
     "SgiGrouper",
     "TimelineResult",
-    "TopologyEntry",
     "TopologyProfile",
     "TopologySpec",
     "TraceOptions",
     "TraceSpec",
     "TrafficComponentSpec",
     "TrafficMixSpec",
-    "TrafficModelEntry",
     "available_control_planes",
     "available_topologies",
     "available_traffic_models",

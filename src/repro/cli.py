@@ -70,7 +70,7 @@ from repro.analysis.reports import format_percent, format_table
 from repro.bandwidth.spec import LinkCapacitySpec
 from repro.churn.spec import ChurnSpec
 from repro.common.errors import ReproError
-from repro.core.presets import get_preset, list_presets
+from repro.core.presets import default_grouping_config, get_preset, list_presets
 from repro.core.registry import available_control_planes
 from repro.core.runner import ScenarioResult, ScenarioRunner
 from repro.core.scenario import ScenarioSpec, TopologySpec, TraceSpec
@@ -111,40 +111,19 @@ def _load_specs(target: str) -> List[ScenarioSpec]:
     return list(get_preset(target).specs())
 
 
-def _carry_topology_shape(topology: TopologySpec, shape: str) -> TopologySpec:
-    """Swap a spec's topology shape, carrying dimensions the new shape accepts."""
-    replacement = TopologySpec(shape=shape)
-    supported = replacement.entry().param_names()
-    switch_count, host_count = topology.dimensions()
-    carried = {
-        key: value
-        for key, value in (
-            ("switch_count", switch_count),
-            ("host_count", host_count),
-            ("seed", topology.params.get("seed")),
-        )
-        if value is not None and key in supported
-    }
-    return replacement.with_params(**carried) if carried else replacement
+def _carry_params(old, replacement, keys: Sequence[str]):
+    """``replacement`` with those of ``old``'s resolved ``keys`` its entry accepts.
 
-
-def _carry_traffic_model(traffic: TraceSpec, model: str) -> TraceSpec:
-    """Swap a spec's traffic model, carrying the scale knobs the new model accepts.
-
-    Without this a ``--traffic`` swap would silently fall back to the new
-    model's defaults (e.g. 200k flows) instead of the preset's scale.
+    Without this a ``--traffic`` / ``--topology`` swap would silently fall
+    back to the new entry's defaults (e.g. 200k flows) instead of the
+    preset's scale.
     """
-    replacement = TraceSpec(model=model)
     supported = replacement.entry().param_names()
-    old_params = traffic.resolved_params()
+    old_params = old.resolved_params()
     carried = {
-        key: value
-        for key, value in (
-            ("total_flows", getattr(old_params, "total_flows", None)),
-            ("duration_hours", getattr(old_params, "duration_hours", None)),
-            ("seed", getattr(old_params, "seed", None)),
-        )
-        if value is not None and key in supported
+        key: getattr(old_params, key)
+        for key in keys
+        if key in supported and getattr(old_params, key, None) is not None
     }
     return replacement.with_params(**carried) if carried else replacement
 
@@ -154,7 +133,9 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
     topology = spec.topology
     config = spec.config
     if getattr(args, "topology", None) is not None and args.topology != topology.shape:
-        topology = _carry_topology_shape(topology, args.topology)
+        topology = _carry_params(
+            topology, TopologySpec(shape=args.topology), ("switch_count", "host_count", "seed")
+        )
 
     topology_overrides = {}
     if args.switches is not None:
@@ -167,7 +148,7 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
                 config,
                 grouping=dataclasses.replace(
                     config.grouping,
-                    group_size_limit=max(4, args.switches // 6),
+                    group_size_limit=default_grouping_config(args.switches).grouping.group_size_limit,
                 ),
             )
     if args.hosts is not None:
@@ -179,7 +160,9 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
 
     traffic = spec.traffic
     if getattr(args, "traffic", None) is not None and args.traffic != traffic.model:
-        traffic = _carry_traffic_model(traffic, args.traffic)
+        traffic = _carry_params(
+            traffic, TraceSpec(model=args.traffic), ("total_flows", "duration_hours", "seed")
+        )
     traffic_overrides = {}
     if args.flows is not None:
         traffic_overrides["total_flows"] = args.flows

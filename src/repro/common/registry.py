@@ -1,58 +1,136 @@
-"""Generic backbone for the library's named-entry registries.
+"""The one registry behind every name a scenario spec can reference.
 
-Three pluggable surfaces share the same shape — control planes, traffic
-models and topology shapes are each a name→entry mapping with duplicate
-protection, a helpful unknown-name error listing what *is* registered, and
-(for the workload registries) a frozen params dataclass validated from raw
-JSON dicts.  :class:`NamedRegistry` carries the mapping mechanics once;
-each surface keeps its own entry dataclass and decorator so its public API
-stays domain-shaped.
+Control planes, traffic models, topology shapes, flow-table policies and
+presets are each a :class:`NamedRegistry`: a name→:class:`Entry` mapping
+with duplicate protection and an unknown-name error that lists what *is*
+registered.  Specs hold only names plus plain params dicts, which is what
+keeps them JSON-serializable; the registry turns a name back into a factory.
+
+An entry is a factory plus how to list it (``label``, ``description``) and,
+optionally, a frozen **params dataclass** describing its knobs.  With one,
+:meth:`Entry.build` validates a raw JSON-shaped params mapping into that
+dataclass (naming any unknown or missing key) and hands it to the factory
+after the positional arguments::
+
+    @dataclasses.dataclass(frozen=True)
+    class RingParams:
+        total_flows: int = 10_000
+        seed: int = 1
+
+    @register_traffic_model("ring", params=RingParams, label="Ring")
+    def build_ring(network, params, *, name="ring"):
+        ...
+
+    get_traffic_model("ring").build(network, params={"total_flows": 50}, name="x")
+    # -> build_ring(network, RingParams(total_flows=50), name="x")
+
+Third-party entries plug in with the same decorator from their own modules.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Generic, List, Mapping, Optional, TypeVar
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.serialize import dataclass_from_dict
 
-E = TypeVar("E")
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class Entry:
+    """One registered name: its factory, how to list it, and its params schema."""
+
+    kind: str
+    name: str
+    factory: Callable[..., Any]
+    label: str
+    description: str = ""
+    params_type: Optional[type] = None
+    #: Control planes only: the design implements the
+    #: :class:`~repro.core.registry.ChurnAware` hooks and wants the scenario's
+    #: workload dynamics applied to it.
+    churn_aware: bool = False
+
+    def param_names(self) -> frozenset:
+        """Names of the knobs the params dataclass accepts (empty without one)."""
+        if self.params_type is None:
+            return frozenset()
+        return frozenset(
+            field.name for field in dataclasses.fields(self.params_type) if field.init
+        )
+
+    def make_params(self, params: Optional[Mapping[str, Any]] = None) -> Any:
+        """Validate a raw params mapping into the params dataclass.
+
+        Raises :class:`~repro.common.errors.ConfigurationError` naming any
+        unknown or missing key.
+        """
+        return dataclass_from_dict(
+            self.params_type, dict(params or {}), path=f"{self.kind} {self.name!r} params"
+        )
+
+    def build(self, *args: Any, params: Optional[Mapping[str, Any]] = None, **kwargs: Any) -> Any:
+        """Call the factory; validated ``params`` follow ``args`` when there is a schema."""
+        if self.params_type is None:
+            return self.factory(*args, **kwargs)
+        return self.factory(*args, self.make_params(params), **kwargs)
+
+    def specs(self) -> Any:
+        """A preset's scenario specs: its factory, called."""
+        return self.factory()
 
 
-class NamedRegistry(Generic[E]):
-    """A name→entry mapping with the registry conventions all surfaces share.
+class NamedRegistry:
+    """A name→:class:`Entry` mapping.
 
     ``kind`` names the surface in error messages ("control plane", "traffic
-    model", ...), ``name_label`` phrases the empty-name error, and
-    ``known_label`` introduces the list of registered names in the
-    unknown-name error.
+    model", ...) and ``known_label`` introduces the list of registered names
+    in the unknown-name error.
     """
 
-    def __init__(self, *, kind: str, name_label: str, known_label: str) -> None:
+    def __init__(self, *, kind: str, known_label: str) -> None:
         self._kind = kind
-        self._name_label = name_label
         self._known_label = known_label
-        self._entries: Dict[str, E] = {}
+        self._entries: Dict[str, Entry] = {}
 
-    def validate_name(self, name: str) -> None:
-        """Reject empty/blank registration names."""
+    def register(
+        self,
+        name: str,
+        *,
+        params: Optional[type] = None,
+        label: Optional[str] = None,
+        description: str = "",
+        churn_aware: bool = False,
+    ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+        """Decorator registering a factory under ``name``; returns the factory."""
         if not name or not name.strip():
-            raise ConfigurationError(f"{self._name_label} must be a non-empty string")
-
-    def add(self, name: str, entry: E, *, replace: bool = False) -> None:
-        """Register ``entry`` under ``name`` (duplicate-protected)."""
-        if name in self._entries and not replace:
+            raise ConfigurationError(f"{self._kind.replace(' ', '-')} name must be a non-empty string")
+        if params is not None and not (dataclasses.is_dataclass(params) and isinstance(params, type)):
             raise ConfigurationError(
-                f"{self._kind} {name!r} is already registered; pass replace=True to override"
+                f"{self._kind} {name!r} params must be a dataclass type, got {params!r}"
             )
-        self._entries[name] = entry
 
-    def remove(self, name: str) -> None:
+        def decorator(factory: Callable[..., Any]) -> Callable[..., Any]:
+            if name in self._entries:
+                raise ConfigurationError(f"{self._kind} {name!r} is already registered")
+            self._entries[name] = Entry(
+                kind=self._kind,
+                name=name,
+                factory=factory,
+                label=label or name,
+                description=description,
+                params_type=params,
+                churn_aware=churn_aware,
+            )
+            return factory
+
+        return decorator
+
+    def unregister(self, name: str) -> None:
         """Drop a registration (no-op when absent; primarily for tests)."""
         self._entries.pop(name, None)
 
-    def get(self, name: str) -> E:
+    def get(self, name: str) -> Entry:
         """Look an entry up, listing the registered names on a miss."""
         try:
             return self._entries[name]
@@ -62,38 +140,6 @@ class NamedRegistry(Generic[E]):
                 f"unknown {self._kind} {name!r}; {self._known_label}: {known}"
             ) from None
 
-    def available(self) -> List[E]:
+    def available(self) -> List[Entry]:
         """All entries, sorted by name."""
         return [self._entries[name] for name in sorted(self._entries)]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-
-def require_params_dataclass(kind: str, name: str, params: type) -> None:
-    """Reject registrations whose params schema is not a dataclass type."""
-    if not dataclasses.is_dataclass(params) or not isinstance(params, type):
-        raise ConfigurationError(
-            f"{kind} {name!r} params must be a dataclass type, got {params!r}"
-        )
-
-
-def params_field_names(params_type: type) -> frozenset:
-    """Names of the init fields of a params dataclass."""
-    return frozenset(
-        field.name for field in dataclasses.fields(params_type) if field.init
-    )
-
-
-def make_entry_params(
-    params_type: type,
-    params: Optional[Mapping[str, Any]],
-    *,
-    path: str,
-) -> Any:
-    """Validate a raw params mapping into an entry's params dataclass.
-
-    Raises :class:`~repro.common.errors.ConfigurationError` naming any
-    unknown or missing key at ``path``.
-    """
-    return dataclass_from_dict(params_type, dict(params or {}), path=path)

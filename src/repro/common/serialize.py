@@ -18,7 +18,8 @@ required key raises :class:`~repro.common.errors.ConfigurationError` naming
 the offending key and the path to the dataclass it belongs to (for example
 ``spec.traffic.params``), so a typo in a hand-written spec file points at
 itself instead of surfacing as a bare ``TypeError`` from a constructor
-three frames down.
+three frames down.  So does a value of the wrong JSON kind for an object,
+array, string or integer field (an integral float counts as an integer).
 """
 
 from __future__ import annotations
@@ -117,6 +118,9 @@ def from_jsonable(annotation: Any, data: Any, *, path: str = "spec") -> Any:
         return _dataclass_from_mapping(annotation, data, path)
 
     if origin in (list, tuple, dict):
+        if not isinstance(data, Mapping if origin is dict else (list, tuple)):
+            kind = "object" if origin is dict else "array"
+            raise ConfigurationError(f"{path}: expected a JSON {kind}, got {type(data).__name__}")
         args = get_args(annotation)
         if origin is list:
             item_type = args[0] if args else Any
@@ -152,6 +156,12 @@ def from_jsonable(annotation: Any, data: Any, *, path: str = "spec") -> Any:
             return annotation(data)
         except ValueError:
             raise ConfigurationError(f"{path}: expected {annotation.__name__}, got {data!r}") from None
+    if annotation is str and not isinstance(data, str):
+        raise ConfigurationError(f"{path}: expected a string, got {data!r}")
+    if annotation is int and (isinstance(data, bool) or not isinstance(data, int)):
+        if isinstance(data, float) and data.is_integer():
+            return int(data)
+        raise ConfigurationError(f"{path}: expected an integer, got {data!r}")
     return data
 
 

@@ -1,10 +1,9 @@
 """Core systems and the Scenario API."""
 
 from repro.core.latency_eval import ColdCacheExperiment, ColdCacheExperimentConfig
-from repro.core.presets import Preset, default_grouping_config, get_preset, list_presets
+from repro.core.presets import default_grouping_config, get_preset, list_presets
 from repro.core.registry import (
     ControlPlane,
-    ControlPlaneEntry,
     available_control_planes,
     get_control_plane,
     register_control_plane,
@@ -35,7 +34,6 @@ __all__ = [
     "ColdCacheExperimentConfig",
     "ColdCacheResult",
     "ControlPlane",
-    "ControlPlaneEntry",
     "EdgePlane",
     "FailureInjectionSpec",
     "FlowHandlingResult",
@@ -43,7 +41,6 @@ __all__ = [
     "LatencySeriesResult",
     "LazyCtrlSystem",
     "OpenFlowSystem",
-    "Preset",
     "RunResult",
     "ScenarioResult",
     "ScenarioRunner",

@@ -1,47 +1,9 @@
 """Named scenario presets for the CLI and for quick programmatic runs.
 
-A preset bundles one or more ready-to-run :class:`~repro.core.scenario.ScenarioSpec`
-under a memorable name:
-
-* ``paper-fig7`` — the paper's Fig. 7/8/9 day-long replay (OpenFlow vs both
-  LazyCtrl variants) at laptop scale;
-* ``paper-fig7-expanded`` — the same replay on the §V-D expanded trace
-  (+30 % flows among previously silent pairs);
-* ``paper-fig7-vectorized`` — the same comparison at 500k flows per system
-  replayed through the columnar kernel (``ExecutionSpec.kernel``), the
-  speedup smoke behind ``BENCH_paper-fig7-vectorized.json``;
-* ``paper-fig7-10m`` — the same workload at 10 million flows with a
-  streaming :class:`~repro.replay.spec.ExecutionSpec`: generated and
-  replayed chunk by chunk in bounded memory (the scaling smoke behind
-  ``BENCH_paper-fig7-10m.json``);
-* ``paper-fig7-100m`` — the same workload at 100 million flows, streamed
-  *and* sharded into bucket-aligned time windows replayed by a worker
-  pool (the scaling headline behind ``BENCH_paper-fig7-100m.json``);
-* ``failover`` — a failover storm: designated-switch failures injected at
-  two points of the day while the trace replays;
-* ``scale-sweep`` — the same workload density at three topology scales, a
-  natural ``run_many`` fan-out;
-* ``churn-migration`` — steady VM-migration and locality-drift churn all
-  day, the workload that exercises dynamic regrouping (Fig. 8);
-* ``churn-tenant-wave`` — a wave of tenant arrivals and departures through
-  the business hours on top of light migration churn;
-* ``traffic-mix`` — a composed workload: diurnal realistic baseline, an
-  elephant/mice overlay through business hours and a 9-11 am incast burst
-  (the registry-composition showcase);
-* ``table-pressure`` — one million streamed flows against 32-entry flow
-  tables: the overflow/eviction/re-install comparison axis the paper never
-  ran (LazyCtrl's lazy rule installs vs OpenFlow's rule-per-flow);
-* ``timeout-sweep`` — the same pressured workload under each built-in
-  timeout/eviction policy (static idle, idle+hard hybrid, LRU, adaptive);
-* ``incast-congestion`` — a two-hotspot incast burst against ~1 Mbps
-  uplinks: hot-link windows offered multiples of capacity, M/M/1 queueing
-  on every packet through them, and a p99 that separates the systems;
-* ``capacity-sweep`` — the same incast workload across an uplink-capacity
-  ladder, another ``run_many`` fan-out;
-* ``striped-antilocal`` — the realistic trace on the anti-local striped
-  topology, the adversarial placement that defeats switch grouping;
-* ``multi-pod-shuffle`` — shuffle waves plus uniform background on a
-  multi-pod topology with two tiers of locality.
+A preset is a function returning one or more ready-to-run
+:class:`~repro.core.scenario.ScenarioSpec`, registered in :data:`PRESETS`
+under a memorable name with a one-line description (``repro
+list-scenarios`` prints them; see :mod:`repro.common.registry`).
 
 Presets are deliberately sized to finish in seconds-to-minutes on a laptop;
 scale any of them up by overriding the spec fields (the CLI exposes
@@ -51,13 +13,12 @@ scale any of them up by overriding the spec fields (the CLI exposes
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Tuple
 
 from repro.bandwidth.spec import LinkCapacitySpec
 from repro.churn.spec import ChurnSpec
 from repro.common.config import GroupingConfig, LazyCtrlConfig
-from repro.common.errors import ConfigurationError
+from repro.common.registry import NamedRegistry
 from repro.core.scenario import (
     FailureInjectionSpec,
     ScenarioSpec,
@@ -70,18 +31,9 @@ from repro.tables.spec import TableSpec
 from repro.topology.builder import TopologyProfile
 from repro.traffic.mix import TrafficComponentSpec, TrafficMixSpec
 
-
-@dataclass(frozen=True, slots=True)
-class Preset:
-    """A named bundle of scenario specs."""
-
-    name: str
-    description: str
-    build: Callable[[], Tuple[ScenarioSpec, ...]]
-
-    def specs(self) -> Tuple[ScenarioSpec, ...]:
-        """Materialize the preset's scenario specs."""
-        return self.build()
+PRESETS = NamedRegistry(kind="preset", known_label="available presets")
+get_preset = PRESETS.get
+list_presets = PRESETS.available
 
 
 def default_grouping_config(switch_count: int, *, seed: int = 2015) -> LazyCtrlConfig:
@@ -96,6 +48,10 @@ def default_grouping_config(switch_count: int, *, seed: int = 2015) -> LazyCtrlC
     )
 
 
+@PRESETS.register(
+    "paper-fig7",
+    description="Fig. 7/8/9 day-long replay: OpenFlow vs LazyCtrl static/dynamic (laptop scale)",
+)
 def _paper_fig7() -> Tuple[ScenarioSpec, ...]:
     return (
         ScenarioSpec(
@@ -108,6 +64,10 @@ def _paper_fig7() -> Tuple[ScenarioSpec, ...]:
     )
 
 
+@PRESETS.register(
+    "paper-fig7-10m",
+    description="Fig. 7 workload at 10M flows, streamed chunk-by-chunk in bounded memory",
+)
 def _paper_fig7_10m() -> Tuple[ScenarioSpec, ...]:
     """The Fig. 7 workload at paper-and-beyond scale: 10M flows, streamed.
 
@@ -129,6 +89,10 @@ def _paper_fig7_10m() -> Tuple[ScenarioSpec, ...]:
     )
 
 
+@PRESETS.register(
+    "paper-fig7-100m",
+    description="Fig. 7 workload at 100M flows, streamed and sharded over a worker pool",
+)
 def _paper_fig7_100m() -> Tuple[ScenarioSpec, ...]:
     """The Fig. 7 workload at 100 million flows: streamed *and* sharded.
 
@@ -157,6 +121,10 @@ def _paper_fig7_100m() -> Tuple[ScenarioSpec, ...]:
     )
 
 
+@PRESETS.register(
+    "paper-fig7-vectorized",
+    description="Fig. 7 comparison at 500k flows/system on the vectorized columnar kernel",
+)
 def _paper_fig7_vectorized() -> Tuple[ScenarioSpec, ...]:
     """The Fig. 7 comparison at 500k flows per system on the columnar kernel.
 
@@ -178,6 +146,10 @@ def _paper_fig7_vectorized() -> Tuple[ScenarioSpec, ...]:
     )
 
 
+@PRESETS.register(
+    "paper-fig7-expanded",
+    description="Same replay on the expanded trace (+30% flows among silent pairs, paper §V-D)",
+)
 def _paper_fig7_expanded() -> Tuple[ScenarioSpec, ...]:
     spec = _paper_fig7()[0]
     return (
@@ -189,6 +161,7 @@ def _paper_fig7_expanded() -> Tuple[ScenarioSpec, ...]:
     )
 
 
+@PRESETS.register("failover", description="Failover storm: designated-switch failures injected at hours 6 and 14")
 def _failover() -> Tuple[ScenarioSpec, ...]:
     return (
         ScenarioSpec(
@@ -202,6 +175,7 @@ def _failover() -> Tuple[ScenarioSpec, ...]:
     )
 
 
+@PRESETS.register("scale-sweep", description="Same workload density at 16/32/64 switches — a run_many fan-out")
 def _scale_sweep() -> Tuple[ScenarioSpec, ...]:
     scales = ((16, 200, 6_000), (32, 400, 12_000), (64, 800, 24_000))
     return tuple(
@@ -217,6 +191,10 @@ def _scale_sweep() -> Tuple[ScenarioSpec, ...]:
     )
 
 
+@PRESETS.register(
+    "churn-migration",
+    description="All-day VM migration + locality drift churn driving dynamic regrouping",
+)
 def _churn_migration() -> Tuple[ScenarioSpec, ...]:
     return (
         ScenarioSpec(
@@ -234,6 +212,10 @@ def _churn_migration() -> Tuple[ScenarioSpec, ...]:
     )
 
 
+@PRESETS.register(
+    "churn-tenant-wave",
+    description="Tenant arrival/departure wave (hours 6-18) over light migration churn",
+)
 def _churn_tenant_wave() -> Tuple[ScenarioSpec, ...]:
     return (
         ScenarioSpec(
@@ -255,6 +237,10 @@ def _churn_tenant_wave() -> Tuple[ScenarioSpec, ...]:
     )
 
 
+@PRESETS.register(
+    "traffic-mix",
+    description="Composed mix: realistic baseline + elephant/mice overlay + 9-11am incast burst",
+)
 def _traffic_mix() -> Tuple[ScenarioSpec, ...]:
     mix = TrafficMixSpec(
         components=(
@@ -287,6 +273,10 @@ def _traffic_mix() -> Tuple[ScenarioSpec, ...]:
     )
 
 
+@PRESETS.register(
+    "table-pressure",
+    description="1M streamed flows vs 32-entry tables: overflow/re-install under finite TCAMs",
+)
 def _table_pressure() -> Tuple[ScenarioSpec, ...]:
     """One million streamed flows against 32-entry tables.
 
@@ -315,6 +305,7 @@ def _table_pressure() -> Tuple[ScenarioSpec, ...]:
     )
 
 
+@PRESETS.register("timeout-sweep", description="Same pressured workload under each timeout policy (64-entry tables)")
 def _timeout_sweep() -> Tuple[ScenarioSpec, ...]:
     """The same pressured workload under each built-in timeout policy.
 
@@ -353,6 +344,10 @@ def _timeout_sweep() -> Tuple[ScenarioSpec, ...]:
     )
 
 
+@PRESETS.register(
+    "incast-congestion",
+    description="Two-hotspot incast burst vs ~1 Mbps uplinks: congestion + p99 separation",
+)
 def _incast_congestion() -> Tuple[ScenarioSpec, ...]:
     """A two-hotspot incast burst against capacitated uplinks.
 
@@ -395,6 +390,7 @@ def _incast_congestion() -> Tuple[ScenarioSpec, ...]:
     )
 
 
+@PRESETS.register("capacity-sweep", description="The incast workload across an uplink-capacity ladder (0.5-4 Mbps)")
 def _capacity_sweep() -> Tuple[ScenarioSpec, ...]:
     """The same incast workload across a ladder of uplink capacities.
 
@@ -425,6 +421,10 @@ def _capacity_sweep() -> Tuple[ScenarioSpec, ...]:
     )
 
 
+@PRESETS.register(
+    "striped-antilocal",
+    description="Realistic trace on the striped anti-local topology that defeats grouping",
+)
 def _striped_antilocal() -> Tuple[ScenarioSpec, ...]:
     return (
         ScenarioSpec(
@@ -440,6 +440,10 @@ def _striped_antilocal() -> Tuple[ScenarioSpec, ...]:
     )
 
 
+@PRESETS.register(
+    "multi-pod-shuffle",
+    description="Shuffle waves + uniform background on a 4-pod topology (two locality tiers)",
+)
 def _multi_pod_shuffle() -> Tuple[ScenarioSpec, ...]:
     mix = TrafficMixSpec(
         components=(
@@ -468,104 +472,3 @@ def _multi_pod_shuffle() -> Tuple[ScenarioSpec, ...]:
             config=default_grouping_config(32),
         ),
     )
-
-
-_PRESETS: Dict[str, Preset] = {
-    preset.name: preset
-    for preset in (
-        Preset(
-            name="paper-fig7",
-            description="Fig. 7/8/9 day-long replay: OpenFlow vs LazyCtrl static/dynamic (laptop scale)",
-            build=_paper_fig7,
-        ),
-        Preset(
-            name="paper-fig7-vectorized",
-            description="Fig. 7 comparison at 500k flows/system on the vectorized columnar kernel",
-            build=_paper_fig7_vectorized,
-        ),
-        Preset(
-            name="paper-fig7-expanded",
-            description="Same replay on the expanded trace (+30% flows among silent pairs, paper §V-D)",
-            build=_paper_fig7_expanded,
-        ),
-        Preset(
-            name="paper-fig7-10m",
-            description="Fig. 7 workload at 10M flows, streamed chunk-by-chunk in bounded memory",
-            build=_paper_fig7_10m,
-        ),
-        Preset(
-            name="paper-fig7-100m",
-            description="Fig. 7 workload at 100M flows, streamed and sharded over a worker pool",
-            build=_paper_fig7_100m,
-        ),
-        Preset(
-            name="failover",
-            description="Failover storm: designated-switch failures injected at hours 6 and 14",
-            build=_failover,
-        ),
-        Preset(
-            name="scale-sweep",
-            description="Same workload density at 16/32/64 switches — a run_many fan-out",
-            build=_scale_sweep,
-        ),
-        Preset(
-            name="churn-migration",
-            description="All-day VM migration + locality drift churn driving dynamic regrouping",
-            build=_churn_migration,
-        ),
-        Preset(
-            name="churn-tenant-wave",
-            description="Tenant arrival/departure wave (hours 6-18) over light migration churn",
-            build=_churn_tenant_wave,
-        ),
-        Preset(
-            name="traffic-mix",
-            description="Composed mix: realistic baseline + elephant/mice overlay + 9-11am incast burst",
-            build=_traffic_mix,
-        ),
-        Preset(
-            name="table-pressure",
-            description="1M streamed flows vs 32-entry tables: overflow/re-install under finite TCAMs",
-            build=_table_pressure,
-        ),
-        Preset(
-            name="timeout-sweep",
-            description="Same pressured workload under each timeout policy (64-entry tables)",
-            build=_timeout_sweep,
-        ),
-        Preset(
-            name="incast-congestion",
-            description="Two-hotspot incast burst vs ~1 Mbps uplinks: congestion + p99 separation",
-            build=_incast_congestion,
-        ),
-        Preset(
-            name="capacity-sweep",
-            description="The incast workload across an uplink-capacity ladder (0.5-4 Mbps)",
-            build=_capacity_sweep,
-        ),
-        Preset(
-            name="striped-antilocal",
-            description="Realistic trace on the striped anti-local topology that defeats grouping",
-            build=_striped_antilocal,
-        ),
-        Preset(
-            name="multi-pod-shuffle",
-            description="Shuffle waves + uniform background on a 4-pod topology (two locality tiers)",
-            build=_multi_pod_shuffle,
-        ),
-    )
-}
-
-
-def get_preset(name: str) -> Preset:
-    """Look a preset up by name."""
-    try:
-        return _PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(_PRESETS))
-        raise ConfigurationError(f"unknown preset {name!r}; available presets: {known}") from None
-
-
-def list_presets() -> List[Preset]:
-    """All presets, sorted by name."""
-    return [_PRESETS[name] for name in sorted(_PRESETS)]

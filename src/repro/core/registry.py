@@ -1,34 +1,21 @@
-"""The pluggable control-plane registry.
+"""Control planes: the protocol a design implements and the registry naming it.
 
-The trace replayer only ever needed an implicit contract — "has
-``handle_flow_arrival`` and a ``periodic`` callback" — which kept the two
-built-in designs (OpenFlow and LazyCtrl) wired by hand in the experiment
-runner.  This module makes the contract explicit so any control-plane design
-can be driven by :class:`~repro.core.runner.ScenarioRunner` without touching
-core code:
-
-* :class:`ControlPlane` is the full protocol a design must implement:
-  the replayer-facing half (``handle_flow_arrival`` / ``periodic``), a
-  ``prepare`` hook for warm-up provisioning, and the metric accessors the
-  runner collects results from.
-* :func:`register_control_plane` registers a factory under a short name
-  (``"openflow"``, ``"lazyctrl-dynamic"``, ...); third-party designs plug in
-  with the same decorator from their own modules.
-* :func:`get_control_plane` / :func:`available_control_planes` look the
-  registry up; :class:`~repro.core.scenario.ScenarioSpec` references entries
-  purely by name, which is what keeps scenario specs JSON-serializable.
+:class:`ControlPlane` is what :class:`~repro.core.runner.ScenarioRunner`
+drives: the replayer-facing half (``handle_flow_arrival`` / ``periodic``), a
+``prepare`` hook for warm-up provisioning, and the metric accessors results
+are collected from.  :data:`CONTROL_PLANES` names the designs
+(``"openflow"``, ``"lazyctrl-dynamic"``, ...); see :mod:`repro.common.registry`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Protocol, Sequence, runtime_checkable
+from functools import partial
+from typing import List, Protocol, Sequence, runtime_checkable
 
-from repro.common.config import LazyCtrlConfig
 from repro.common.registry import NamedRegistry
 from repro.core.results import SystemCounters
+from repro.core.system import LazyCtrlSystem, OpenFlowSystem
 from repro.simulation.metrics import CounterSeries, LatencyRecorder
-from repro.topology.network import DataCenterNetwork
 from repro.traffic.flow import FlowRecord
 from repro.traffic.trace import Trace
 
@@ -105,150 +92,39 @@ class ChurnAware(Protocol):
         ...
 
 
-#: Builds a control plane for one network; called once per (system, trace) run.
-ControlPlaneFactory = Callable[..., ControlPlane]
+CONTROL_PLANES = NamedRegistry(kind="control plane", known_label="registered designs")
+
+#: Register a factory ``(network, *, config, workload_bucket_seconds,
+#: latency_bucket_seconds) -> ControlPlane`` under a name, as a decorator::
+#:
+#:     @register_control_plane("my-design", label="My design")
+#:     def build_my_design(network, *, config=None, **buckets):
+#:         return MyDesign(network, config=config, **buckets)
+#:
+#: Pass ``churn_aware=True`` when the design implements the :class:`ChurnAware`
+#: hooks and should experience scenario churn.
+register_control_plane = CONTROL_PLANES.register
+unregister_control_plane = CONTROL_PLANES.unregister
+get_control_plane = CONTROL_PLANES.get
+available_control_planes = CONTROL_PLANES.available
 
 
-@dataclass(frozen=True, slots=True)
-class ControlPlaneEntry:
-    """One registered control-plane design."""
+register_control_plane(
+    "openflow",
+    label="OpenFlow",
+    description="Reactive centralized baseline: every table miss goes to the controller",
+    churn_aware=True,
+)(OpenFlowSystem)
+register_control_plane(
+    "lazyctrl-static",
+    label="LazyCtrl (static)",
+    description="LazyCtrl with the initial grouping frozen (no IncUpdate)",
+    churn_aware=True,
+)(partial(LazyCtrlSystem, dynamic_grouping=False))
+register_control_plane(
+    "lazyctrl-dynamic",
+    label="LazyCtrl (dynamic)",
+    description="LazyCtrl with incremental grouping updates enabled",
+    churn_aware=True,
+)(partial(LazyCtrlSystem, dynamic_grouping=True))
 
-    name: str
-    factory: ControlPlaneFactory
-    label: str
-    description: str = ""
-    #: Declares that the design implements the :class:`ChurnAware` hooks and
-    #: wants the scenario's workload dynamics applied to it.
-    churn_aware: bool = False
-
-    def build(
-        self,
-        network: DataCenterNetwork,
-        *,
-        config: LazyCtrlConfig | None = None,
-        workload_bucket_seconds: float = 7200.0,
-        latency_bucket_seconds: float = 7200.0,
-    ) -> ControlPlane:
-        """Instantiate the design for one network."""
-        return self.factory(
-            network,
-            config=config,
-            workload_bucket_seconds=workload_bucket_seconds,
-            latency_bucket_seconds=latency_bucket_seconds,
-        )
-
-
-_REGISTRY: NamedRegistry[ControlPlaneEntry] = NamedRegistry(
-    kind="control plane",
-    name_label="control-plane name",
-    known_label="registered designs",
-)
-
-
-def register_control_plane(
-    name: str,
-    *,
-    label: str | None = None,
-    description: str = "",
-    replace: bool = False,
-    churn_aware: bool = False,
-) -> Callable[[ControlPlaneFactory], ControlPlaneFactory]:
-    """Register a control-plane factory under ``name``.
-
-    Use as a decorator on a factory callable taking ``(network, *, config,
-    workload_bucket_seconds, latency_bucket_seconds)`` and returning a
-    :class:`ControlPlane`::
-
-        @register_control_plane("my-design", label="My design")
-        def build_my_design(network, *, config=None, **buckets):
-            return MyDesign(network, config=config, **buckets)
-
-    Pass ``churn_aware=True`` when the design implements the
-    :class:`ChurnAware` hooks and should experience scenario churn.
-    """
-    _REGISTRY.validate_name(name)
-
-    def decorator(factory: ControlPlaneFactory) -> ControlPlaneFactory:
-        _REGISTRY.add(
-            name,
-            ControlPlaneEntry(
-                name=name,
-                factory=factory,
-                label=label or name,
-                description=description,
-                churn_aware=churn_aware,
-            ),
-            replace=replace,
-        )
-        return factory
-
-    return decorator
-
-
-def unregister_control_plane(name: str) -> None:
-    """Remove a registered design (primarily for tests)."""
-    _REGISTRY.remove(name)
-
-
-def get_control_plane(name: str) -> ControlPlaneEntry:
-    """Look a registered design up by name."""
-    return _REGISTRY.get(name)
-
-
-def available_control_planes() -> List[ControlPlaneEntry]:
-    """All registered designs, sorted by name."""
-    return _REGISTRY.available()
-
-
-def _register_builtin_control_planes() -> None:
-    """Register the paper's designs (idempotent; called at import time)."""
-    if "openflow" in _REGISTRY:
-        return
-    from repro.core.system import LazyCtrlSystem, OpenFlowSystem
-
-    @register_control_plane(
-        "openflow",
-        label="OpenFlow",
-        description="Reactive centralized baseline: every table miss goes to the controller",
-        churn_aware=True,
-    )
-    def _build_openflow(network, *, config=None, workload_bucket_seconds=7200.0, latency_bucket_seconds=7200.0):
-        return OpenFlowSystem(
-            network,
-            config=config,
-            workload_bucket_seconds=workload_bucket_seconds,
-            latency_bucket_seconds=latency_bucket_seconds,
-        )
-
-    @register_control_plane(
-        "lazyctrl-static",
-        label="LazyCtrl (static)",
-        description="LazyCtrl with the initial grouping frozen (no IncUpdate)",
-        churn_aware=True,
-    )
-    def _build_lazyctrl_static(network, *, config=None, workload_bucket_seconds=7200.0, latency_bucket_seconds=7200.0):
-        return LazyCtrlSystem(
-            network,
-            config=config,
-            dynamic_grouping=False,
-            workload_bucket_seconds=workload_bucket_seconds,
-            latency_bucket_seconds=latency_bucket_seconds,
-        )
-
-    @register_control_plane(
-        "lazyctrl-dynamic",
-        label="LazyCtrl (dynamic)",
-        description="LazyCtrl with incremental grouping updates enabled",
-        churn_aware=True,
-    )
-    def _build_lazyctrl_dynamic(network, *, config=None, workload_bucket_seconds=7200.0, latency_bucket_seconds=7200.0):
-        return LazyCtrlSystem(
-            network,
-            config=config,
-            dynamic_grouping=True,
-            workload_bucket_seconds=workload_bucket_seconds,
-            latency_bucket_seconds=latency_bucket_seconds,
-        )
-
-
-_register_builtin_control_planes()

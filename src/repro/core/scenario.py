@@ -37,16 +37,17 @@ from repro.churn.spec import ChurnSpec
 from repro.bandwidth.spec import LinkCapacitySpec
 from repro.common.config import LazyCtrlConfig
 from repro.common.errors import ConfigurationError
+from repro.common.registry import Entry
 from repro.common.serialize import dataclass_from_dict, dataclass_to_dict, to_jsonable
 from repro.replay.spec import ExecutionSpec
 from repro.tables.spec import TableSpec
 from repro.topology.builder import TopologyProfile
 from repro.topology.network import DataCenterNetwork
-from repro.topology.registry import TopologyEntry, get_topology
+from repro.topology.registry import get_topology
 from repro.traffic.expand import expand_trace
 from repro.traffic.mix import TrafficMixSpec
 from repro.traffic.realistic import RealisticTraceProfile
-from repro.traffic.registry import TrafficModelEntry, get_traffic_model
+from repro.traffic.registry import get_traffic_model
 from repro.traffic.stream import FlowStream
 from repro.traffic.trace import Trace
 
@@ -123,7 +124,7 @@ class TopologySpec:
 
     # -- registry resolution -------------------------------------------------
 
-    def entry(self) -> TopologyEntry:
+    def entry(self) -> Entry:
         """The registry entry this spec references (raises on unknown shape)."""
         return get_topology(self.shape)
 
@@ -133,7 +134,7 @@ class TopologySpec:
 
     def build(self) -> DataCenterNetwork:
         """Build the data-center topology this spec describes."""
-        return self.entry().build(self.params)
+        return self.entry().build(params=self.params)
 
     # -- conveniences --------------------------------------------------------
 
@@ -206,7 +207,7 @@ class TraceSpec:
 
     # -- registry resolution -------------------------------------------------
 
-    def entry(self) -> TrafficModelEntry:
+    def entry(self) -> Entry:
         """The registry entry this spec references (raises on unknown model)."""
         return get_traffic_model(self.model)
 
@@ -233,7 +234,6 @@ class TraceSpec:
     def build(self, network: DataCenterNetwork, *, name: str = "scenario") -> Trace:
         """Generate the trace this spec describes over ``network``: the stream, collected."""
         stream = self.build_stream(network, name=name)
-        # A trace-factory model's stream already is its trace.
         return stream if isinstance(stream, Trace) else Trace.from_stream(stream)
 
     def build_stream(self, network: DataCenterNetwork, *, name: str = "scenario") -> FlowStream:
@@ -244,7 +244,7 @@ class TraceSpec:
         them, and holds the extra flows (one chunk) for as long as the stream
         lives; the base itself is still only ever resident a chunk at a time.
         """
-        stream = self.entry().build_stream(network, self.params, name=name)
+        stream = self.entry().build(network, params=self.params, name=name)
         if self.expand_fraction > 0.0:
             start, end = self.expand_window_hours
             stream = expand_trace(

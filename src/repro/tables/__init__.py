@@ -26,7 +26,6 @@ from repro.tables.policies import (
     TableTimeoutPolicy,
 )
 from repro.tables.registry import (
-    TablePolicyEntry,
     available_table_policies,
     build_policy,
     get_table_policy,
@@ -47,7 +46,6 @@ __all__ = [
     "StaticIdleParams",
     "StaticIdlePolicy",
     "TableSpec",
-    "TablePolicyEntry",
     "TableTimeoutPolicy",
     "available_table_policies",
     "build_policy",

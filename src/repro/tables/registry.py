@@ -1,200 +1,72 @@
-"""The pluggable flow-table timeout/eviction policy registry.
+"""Flow-table policies: the named timeout/eviction policies a :class:`~repro.common.config.FlowTableConfig` references.
 
-Mirrors the traffic/topology/control-plane registries: a table policy is a
-named pair of
-
-* a frozen **params dataclass** (its knobs, JSON-shaped), and
-* a **factory** that turns a :class:`~repro.common.config.FlowTableConfig`
-  plus validated params into a fresh
-  :class:`~repro.tables.policies.TableTimeoutPolicy` instance;
-
-registered under a short name (``"static-idle"``, ``"adaptive"``, ...) with
-:func:`register_table_policy`.  Third-party policies plug in with the same
-decorator from their own modules.  :class:`~repro.common.config.FlowTableConfig`
-references a policy purely by name plus a plain params dict, which keeps
-scenario specs JSON-serializable, and every :class:`~repro.datastructures.flow_table.FlowTable`
-builds its **own** policy instance via :func:`build_policy`, so stateful
-policies (e.g. the adaptive timeout predictor) never share learned state
-across switches or systems.
+A policy's factory takes ``(config, params)`` — the owning table's
+:class:`~repro.common.config.FlowTableConfig` and validated params — and
+returns a fresh :class:`~repro.tables.policies.TableTimeoutPolicy`.  Every
+:class:`~repro.datastructures.flow_table.FlowTable` builds its **own**
+instance via :func:`build_policy`, so stateful policies (e.g. the adaptive
+timeout predictor) never share learned state across switches or systems.
+See :mod:`repro.common.registry`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Callable, List, Mapping, Optional
-
 from repro.common.config import FlowTableConfig
-from repro.common.registry import (
-    NamedRegistry,
-    make_entry_params,
-    params_field_names,
-    require_params_dataclass,
-)
-from repro.tables.policies import TableTimeoutPolicy
-
-#: Builds one policy instance from the owning table's config and validated
-#: params.  Called once per table, so returning a fresh instance is required.
-TablePolicyFactory = Callable[[FlowTableConfig, Any], TableTimeoutPolicy]
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class TablePolicyEntry:
-    """One registered flow-table timeout/eviction policy."""
-
-    name: str
-    factory: TablePolicyFactory
-    params_type: type
-    label: str
-    description: str = ""
-
-    def param_names(self) -> frozenset:
-        """Names of the knobs this policy's params dataclass accepts."""
-        return params_field_names(self.params_type)
-
-    def make_params(self, params: Optional[Mapping[str, Any]] = None) -> Any:
-        """Validate a raw params mapping into this policy's params dataclass.
-
-        Raises :class:`~repro.common.errors.ConfigurationError` naming any
-        unknown or missing key.
-        """
-        return make_entry_params(
-            self.params_type, params, path=f"table policy {self.name!r} params"
-        )
-
-    def build(
-        self,
-        config: FlowTableConfig,
-        params: Optional[Mapping[str, Any]] = None,
-    ) -> TableTimeoutPolicy:
-        """Build a fresh policy instance for one table."""
-        return self.factory(config, self.make_params(params))
-
-
-_REGISTRY: NamedRegistry[TablePolicyEntry] = NamedRegistry(
-    kind="table policy",
-    name_label="table-policy name",
-    known_label="registered policies",
+from repro.common.registry import NamedRegistry
+from repro.tables.policies import (
+    AdaptiveParams,
+    IdleHardParams,
+    LruParams,
+    StaticHardParams,
+    StaticIdleParams,
+    TableTimeoutPolicy,
+    build_adaptive,
+    build_idle_hard,
+    build_lru,
+    build_static_hard,
+    build_static_idle,
 )
 
-
-def register_table_policy(
-    name: str,
-    *,
-    params: type,
-    label: str | None = None,
-    description: str = "",
-    replace: bool = False,
-) -> Callable[[TablePolicyFactory], TablePolicyFactory]:
-    """Register a table-policy factory under ``name``.
-
-    Use as a decorator on a factory taking ``(config, params)`` — the owning
-    table's :class:`~repro.common.config.FlowTableConfig` and an instance of
-    the ``params`` dataclass — and returning a fresh
-    :class:`~repro.tables.policies.TableTimeoutPolicy`::
-
-        @dataclasses.dataclass(frozen=True)
-        class RandomEvictParams:
-            seed: int = 1
-
-        @register_table_policy("random-evict", params=RandomEvictParams)
-        def build_random_evict(config, params):
-            return RandomEvictPolicy(params.seed)
-    """
-    _REGISTRY.validate_name(name)
-    require_params_dataclass("table policy", name, params)
-
-    def decorator(factory: TablePolicyFactory) -> TablePolicyFactory:
-        _REGISTRY.add(
-            name,
-            TablePolicyEntry(
-                name=name,
-                factory=factory,
-                params_type=params,
-                label=label or name,
-                description=description,
-            ),
-            replace=replace,
-        )
-        return factory
-
-    return decorator
-
-
-def unregister_table_policy(name: str) -> None:
-    """Remove a registered table policy (primarily for tests)."""
-    _REGISTRY.remove(name)
-
-
-def get_table_policy(name: str) -> TablePolicyEntry:
-    """Look a registered table policy up by name."""
-    return _REGISTRY.get(name)
-
-
-def available_table_policies() -> List[TablePolicyEntry]:
-    """All registered table policies, sorted by name."""
-    return _REGISTRY.available()
+TABLE_POLICIES = NamedRegistry(kind="table policy", known_label="registered policies")
+register_table_policy = TABLE_POLICIES.register
+unregister_table_policy = TABLE_POLICIES.unregister
+get_table_policy = TABLE_POLICIES.get
+available_table_policies = TABLE_POLICIES.available
 
 
 def build_policy(config: FlowTableConfig) -> TableTimeoutPolicy:
-    """Build the policy instance a table with ``config`` should run.
-
-    Resolves ``config.policy`` in the registry and validates
-    ``config.policy_params`` against that policy's params dataclass.
-    """
-    return get_table_policy(config.policy).build(config, config.policy_params)
+    """Build the policy instance a table with ``config`` should run."""
+    return get_table_policy(config.policy).build(config, params=config.policy_params)
 
 
-def _register_builtin_table_policies() -> None:
-    """Register the built-in policies (idempotent; called at import time)."""
-    if "static-idle" in _REGISTRY:
-        return
-    from repro.tables.policies import (
-        AdaptiveParams,
-        IdleHardParams,
-        LruParams,
-        StaticHardParams,
-        StaticIdleParams,
-        build_adaptive,
-        build_idle_hard,
-        build_lru,
-        build_static_hard,
-        build_static_idle,
-    )
+register_table_policy(
+    "static-idle",
+    params=StaticIdleParams,
+    label="Static idle timeout",
+    description="Fixed idle timeout; rules expire once unmatched that long",
+)(build_static_idle)
+register_table_policy(
+    "static-hard",
+    params=StaticHardParams,
+    label="Static hard timeout",
+    description="Fixed hard timeout; rules expire a set time after install",
+)(build_static_hard)
+register_table_policy(
+    "idle-hard-hybrid",
+    params=IdleHardParams,
+    label="Idle + hard hybrid",
+    description="OpenFlow's standard pair: idle timeout with a hard upper bound",
+)(build_idle_hard)
+register_table_policy(
+    "lru",
+    params=LruParams,
+    label="LRU eviction only",
+    description="No timeouts; capacity eviction of least-recently matched rules",
+)(build_lru)
+register_table_policy(
+    "adaptive",
+    params=AdaptiveParams,
+    label="Adaptive inter-arrival predictor",
+    description="Tunes per-flow idle timeouts from observed inter-arrival gaps",
+)(build_adaptive)
 
-    register_table_policy(
-        "static-idle",
-        params=StaticIdleParams,
-        label="Static idle timeout",
-        description="Fixed idle timeout; rules expire once unmatched that long",
-    )(build_static_idle)
-
-    register_table_policy(
-        "static-hard",
-        params=StaticHardParams,
-        label="Static hard timeout",
-        description="Fixed hard timeout; rules expire a set time after install",
-    )(build_static_hard)
-
-    register_table_policy(
-        "idle-hard-hybrid",
-        params=IdleHardParams,
-        label="Idle + hard hybrid",
-        description="OpenFlow's standard pair: idle timeout with a hard upper bound",
-    )(build_idle_hard)
-
-    register_table_policy(
-        "lru",
-        params=LruParams,
-        label="LRU eviction only",
-        description="No timeouts; capacity eviction of least-recently matched rules",
-    )(build_lru)
-
-    register_table_policy(
-        "adaptive",
-        params=AdaptiveParams,
-        label="Adaptive inter-arrival predictor",
-        description="Tunes per-flow idle timeouts from observed inter-arrival gaps",
-    )(build_adaptive)
-
-
-_register_builtin_table_policies()

@@ -21,8 +21,9 @@ from typing import Any, Dict, Optional
 
 from repro.common.config import FlowTableConfig, LazyCtrlConfig
 from repro.common.errors import ConfigurationError
+from repro.common.registry import Entry
 from repro.common.serialize import to_jsonable
-from repro.tables.registry import TablePolicyEntry, get_table_policy
+from repro.tables.registry import get_table_policy
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +54,7 @@ class TableSpec:
 
     # -- registry resolution -------------------------------------------------
 
-    def entry(self) -> TablePolicyEntry:
+    def entry(self) -> Entry:
         """The registry entry this spec references (raises on unknown policy)."""
         return get_table_policy(self.policy)
 

@@ -11,7 +11,6 @@ from repro.topology.builder import (
 from repro.topology.host import Host
 from repro.topology.network import DataCenterNetwork, EdgeSwitchInfo
 from repro.topology.registry import (
-    TopologyEntry,
     available_topologies,
     get_topology,
     register_topology,
@@ -35,7 +34,6 @@ __all__ = [
     "StripedTopologyParams",
     "Tenant",
     "TenantDirectory",
-    "TopologyEntry",
     "TopologyProfile",
     "available_topologies",
     "build_multi_pod_datacenter",

@@ -1,183 +1,79 @@
-"""The pluggable topology registry.
+"""Topology shapes: the named network builders a :class:`~repro.core.scenario.TopologySpec` references.
 
-The twin of :mod:`repro.traffic.registry` for the other half of a workload: a
-topology shape is a named builder owning a frozen params dataclass, and
-:class:`~repro.core.scenario.TopologySpec` references it purely by name plus
-a plain params dict — which is what keeps scenario specs JSON-serializable.
-
-* :func:`register_topology` registers a builder under a short name
-  (``"multi-tenant"``, ``"striped"``, ...); third-party shapes plug in with
-  the same decorator from their own modules;
-* :func:`get_topology` / :func:`available_topologies` look the registry up.
-
-Builders whose params expose ``switch_count`` / ``host_count`` (as fields or
-properties — all the built-ins do) let the CLI and benchmark payloads report
-topology dimensions without knowing the shape.
+A shape's factory takes its validated params and returns a
+:class:`~repro.topology.network.DataCenterNetwork`.  Shapes whose params
+expose ``switch_count`` / ``host_count`` (as fields or properties — all the
+built-ins do) let the CLI and benchmark payloads report topology dimensions
+without knowing the shape.  See :mod:`repro.common.registry`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Callable, List, Mapping, Optional
-
-from repro.common.registry import (
-    NamedRegistry,
-    make_entry_params,
-    params_field_names,
-    require_params_dataclass,
+from repro.common.registry import NamedRegistry
+from repro.topology.builder import (
+    PaperRealTopologyParams,
+    PaperSyntheticTopologyParams,
+    TopologyProfile,
+    build_multi_tenant_datacenter,
+    build_paper_real_topology,
+    build_paper_synthetic_topology,
 )
-from repro.topology.network import DataCenterNetwork
-
-#: Builds one network from validated params.
-TopologyFactory = Callable[[Any], DataCenterNetwork]
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class TopologyEntry:
-    """One registered topology shape."""
-
-    name: str
-    factory: TopologyFactory
-    params_type: type
-    label: str
-    description: str = ""
-
-    def param_names(self) -> frozenset:
-        """Names of the knobs this shape's params dataclass accepts."""
-        return params_field_names(self.params_type)
-
-    def make_params(self, params: Optional[Mapping[str, Any]] = None) -> Any:
-        """Validate a raw params mapping into this shape's params dataclass."""
-        return make_entry_params(
-            self.params_type, params, path=f"topology {self.name!r} params"
-        )
-
-    def build(self, params: Optional[Mapping[str, Any]] = None) -> DataCenterNetwork:
-        """Build one network from a raw params mapping."""
-        return self.factory(self.make_params(params))
-
-
-_REGISTRY: NamedRegistry[TopologyEntry] = NamedRegistry(
-    kind="topology",
-    name_label="topology name",
-    known_label="registered shapes",
+from repro.topology.shapes import (
+    MultiPodTopologyParams,
+    StripedTopologyParams,
+    build_multi_pod_datacenter,
+    build_striped_datacenter,
 )
 
-
-def register_topology(
-    name: str,
-    *,
-    params: type,
-    label: str | None = None,
-    description: str = "",
-    replace: bool = False,
-) -> Callable[[TopologyFactory], TopologyFactory]:
-    """Register a topology builder under ``name``.
-
-    Use as a decorator on a builder taking validated params and returning a
-    :class:`~repro.topology.network.DataCenterNetwork`::
-
-        @register_topology("ring", params=RingTopologyParams, label="Ring")
-        def build_ring(params):
-            ...
-            return network
-    """
-    _REGISTRY.validate_name(name)
-    require_params_dataclass("topology", name, params)
-
-    def decorator(factory: TopologyFactory) -> TopologyFactory:
-        _REGISTRY.add(
-            name,
-            TopologyEntry(
-                name=name,
-                factory=factory,
-                params_type=params,
-                label=label or name,
-                description=description,
-            ),
-            replace=replace,
-        )
-        return factory
-
-    return decorator
+TOPOLOGIES = NamedRegistry(kind="topology", known_label="registered shapes")
+register_topology = TOPOLOGIES.register
+unregister_topology = TOPOLOGIES.unregister
+get_topology = TOPOLOGIES.get
+available_topologies = TOPOLOGIES.available
 
 
-def unregister_topology(name: str) -> None:
-    """Remove a registered topology shape (primarily for tests)."""
-    _REGISTRY.remove(name)
+register_topology(
+    "multi-tenant",
+    params=TopologyProfile,
+    label="Multi-tenant home-switch",
+    description="Tenants placed on a few home switches with a spill fraction (paper §V-A)",
+)(build_multi_tenant_datacenter)
 
 
-def get_topology(name: str) -> TopologyEntry:
-    """Look a registered topology shape up by name."""
-    return _REGISTRY.get(name)
-
-
-def available_topologies() -> List[TopologyEntry]:
-    """All registered topology shapes, sorted by name."""
-    return _REGISTRY.available()
-
-
-def _register_builtin_topologies() -> None:
-    """Register the built-in shapes (idempotent; called at import time)."""
-    if "multi-tenant" in _REGISTRY:
-        return
-    from repro.topology.builder import (
-        PaperRealTopologyParams,
-        PaperSyntheticTopologyParams,
-        TopologyProfile,
-        build_multi_tenant_datacenter,
-        build_paper_real_topology,
-        build_paper_synthetic_topology,
-    )
-    from repro.topology.shapes import (
-        MultiPodTopologyParams,
-        StripedTopologyParams,
-        build_multi_pod_datacenter,
-        build_striped_datacenter,
+@register_topology(
+    "paper-real",
+    params=PaperRealTopologyParams,
+    label="Paper real-trace scale",
+    description="The published real-trace dimensions (272 switches / 6509 hosts), scalable",
+)
+def _build_paper_real(params):
+    return build_paper_real_topology(
+        scale=params.scale, seed=params.seed, uplink_mbps=params.uplink_mbps
     )
 
-    register_topology(
-        "multi-tenant",
-        params=TopologyProfile,
-        label="Multi-tenant home-switch",
-        description="Tenants placed on a few home switches with a spill fraction (paper §V-A)",
-    )(build_multi_tenant_datacenter)
 
-    @register_topology(
-        "paper-real",
-        params=PaperRealTopologyParams,
-        label="Paper real-trace scale",
-        description="The published real-trace dimensions (272 switches / 6509 hosts), scalable",
+@register_topology(
+    "paper-synthetic",
+    params=PaperSyntheticTopologyParams,
+    label="Paper synthetic scale",
+    description="The 10x synthetic dimensions (2713 switches / 65090 hosts), scalable",
+)
+def _build_paper_synthetic(params):
+    return build_paper_synthetic_topology(
+        scale=params.scale, seed=params.seed, uplink_mbps=params.uplink_mbps
     )
-    def _build_paper_real(params):
-        return build_paper_real_topology(
-            scale=params.scale, seed=params.seed, uplink_mbps=params.uplink_mbps
-        )
-
-    @register_topology(
-        "paper-synthetic",
-        params=PaperSyntheticTopologyParams,
-        label="Paper synthetic scale",
-        description="The 10x synthetic dimensions (2713 switches / 65090 hosts), scalable",
-    )
-    def _build_paper_synthetic(params):
-        return build_paper_synthetic_topology(
-            scale=params.scale, seed=params.seed, uplink_mbps=params.uplink_mbps
-        )
-
-    register_topology(
-        "striped",
-        params=StripedTopologyParams,
-        label="Striped (anti-local)",
-        description="Tenant VMs striped round-robin across all switches — defeats grouping",
-    )(build_striped_datacenter)
-
-    register_topology(
-        "multi-pod",
-        params=MultiPodTopologyParams,
-        label="Multi-pod",
-        description="Pods of switches with tenants confined to a home pod (two locality tiers)",
-    )(build_multi_pod_datacenter)
 
 
-_register_builtin_topologies()
+register_topology(
+    "striped",
+    params=StripedTopologyParams,
+    label="Striped (anti-local)",
+    description="Tenant VMs striped round-robin across all switches — defeats grouping",
+)(build_striped_datacenter)
+register_topology(
+    "multi-pod",
+    params=MultiPodTopologyParams,
+    label="Multi-pod",
+    description="Pods of switches with tenants confined to a home pod (two locality tiers)",
+)(build_multi_pod_datacenter)
+

@@ -20,7 +20,6 @@ from repro.traffic.models import (
 )
 from repro.traffic.realistic import DIURNAL_PROFILE, RealisticTraceGenerator, RealisticTraceProfile
 from repro.traffic.registry import (
-    TrafficModelEntry,
     available_traffic_models,
     get_traffic_model,
     register_traffic_model,
@@ -68,7 +67,6 @@ __all__ = [
     "TraceReplayer",
     "TrafficComponentSpec",
     "TrafficMixSpec",
-    "TrafficModelEntry",
     "UniformBackgroundParams",
     "accumulate_intensity",
     "available_traffic_models",

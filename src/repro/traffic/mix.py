@@ -112,10 +112,6 @@ class TrafficMixSpec:
                 )
 
 
-#: Per-component knobs the mix overrides when the target model supports them.
-_MIX_OVERRIDE_KEYS = ("total_flows", "duration_hours", "seed")
-
-
 def _component_flow_counts(mix: TrafficMixSpec) -> List[int]:
     """Split ``total_flows`` across components by weight, hitting it exactly.
 
@@ -174,7 +170,7 @@ def stream_mix_trace(
         params.update(
             {key: value for key, value in overrides.items() if key in supported}
         )
-        stream = entry.build_stream(network, params, name=f"{name}:{component.model}")
+        stream = entry.build(network, params=params, name=f"{name}:{component.model}")
         parts.append((stream, window[0] * 3600.0, window_span_hours * 3600.0))
     return MergedStream(
         name, network, parts, duration=mix.duration_hours * 3600.0

@@ -231,6 +231,87 @@ class TestRun:
         assert "unknown preset" in capsys.readouterr().err
 
 
+def _malformed(data, key_path, value):
+    """``data`` with the value at ``key_path`` (a tuple of keys) replaced."""
+    *parents, last = key_path
+    target = data
+    for key in parents:
+        if target.get(key) is None:
+            target[key] = {}
+        target = target[key]
+    target[last] = value
+    return data
+
+
+class TestMalformedSpecFiles:
+    """A spec file with a value of the wrong JSON kind exits 2 with one ``error:`` line naming it."""
+
+    @pytest.fixture
+    def spec_dict(self):
+        return ScenarioSpec(
+            name="malformed",
+            topology=TopologyProfile(switch_count=8, host_count=60, seed=9),
+            traffic=TraceSpec.realistic(total_flows=300, seed=9),
+            systems=("openflow",),
+            schedule=ScheduleSpec(duration_hours=2.0, bucket_hours=2.0),
+        ).to_dict()
+
+    def _assert_error(self, tmp_path, capsys, data, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_traffic_params_as_a_list(self, tmp_path, capsys, spec_dict):
+        data = _malformed(spec_dict, ("traffic", "params"), [1, 2])
+        self._assert_error(tmp_path, capsys, data, "spec.traffic.params: expected a JSON object, got list")
+
+    def test_topology_params_as_a_list(self, tmp_path, capsys, spec_dict):
+        data = _malformed(spec_dict, ("topology", "params"), [1, 2])
+        self._assert_error(tmp_path, capsys, data, "spec.topology.params: expected a JSON object, got list")
+
+    def test_table_params_as_a_list(self, tmp_path, capsys, spec_dict):
+        data = _malformed(spec_dict, ("tables", "params"), [1, 2])
+        self._assert_error(tmp_path, capsys, data, "spec.tables.params: expected a JSON object, got list")
+
+    def test_systems_as_an_object(self, tmp_path, capsys, spec_dict):
+        data = _malformed(spec_dict, ("systems",), {"openflow": 1})
+        self._assert_error(tmp_path, capsys, data, "spec.systems: expected a JSON array, got dict")
+
+    def test_model_as_a_number(self, tmp_path, capsys, spec_dict):
+        data = _malformed(spec_dict, ("traffic", "model"), 5)
+        self._assert_error(tmp_path, capsys, data, "spec.traffic.model: expected a string, got 5")
+
+    def test_fractional_total_flows(self, tmp_path, capsys, spec_dict):
+        data = _malformed(spec_dict, ("traffic", "params", "total_flows"), 300.5)
+        self._assert_error(
+            tmp_path, capsys, data,
+            "traffic model 'realistic' params.total_flows: expected an integer, got 300.5",
+        )
+
+    def test_boolean_switch_count(self, tmp_path, capsys, spec_dict):
+        data = _malformed(spec_dict, ("topology", "params", "switch_count"), True)
+        self._assert_error(
+            tmp_path, capsys, data,
+            "topology 'multi-tenant' params.switch_count: expected an integer, got True",
+        )
+
+    def test_integral_float_is_an_integer(self, spec_dict):
+        data = _malformed(spec_dict, ("traffic", "params", "total_flows"), 300.0)
+        assert ScenarioSpec.from_dict(data).traffic.resolved_params().total_flows == 300
+
+    @pytest.mark.parametrize(
+        "path",
+        [Path(__file__).parent.parent / "examples" / "traffic_mix.json",
+         *sorted((Path(__file__).parent / "data" / "legacy_specs").glob("*.json"))],
+        ids=lambda path: path.name,
+    )
+    def test_committed_spec_files_still_load(self, path):
+        spec = ScenarioSpec.load(path)
+        spec.topology.resolved_params()
+        spec.traffic.resolved_params()
+
+
 class TestChurnFlags:
     def test_churn_rate_flag_enables_churn(self, tmp_path, capsys):
         out_path = tmp_path / "results.json"

@@ -177,7 +177,7 @@ class TestBadExecutionInputAtTheCli:
         [
             (
                 {"workers": 2.5, "shard_strategy": "time-window"},
-                "execution key 'workers' expects an integer, got 2.5",
+                "spec.execution.workers: expected an integer, got 2.5",
             ),
             ({"stream": "no"}, "execution key 'stream' expects a boolean, got 'no'"),
         ],

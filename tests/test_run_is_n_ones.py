@@ -716,7 +716,7 @@ def arrival_plane(system, *, links=None, timeline=False, departed=False):
         )
     )
     warmup = get_traffic_model("realistic").build(
-        network, {"total_flows": 300, "seed": 3, "duration_hours": 1.0}, name="warm-up"
+        network, params={"total_flows": 300, "seed": 3, "duration_hours": 1.0}, name="warm-up"
     )
     plane.prepare(warmup, warmup_end=1800.0)
     if departed:
@@ -842,11 +842,11 @@ class TestColumnBornReplay:
         from repro.traffic.registry import get_traffic_model
         from repro.traffic.trace import Trace
 
-        column_born = get_traffic_model("uniform").build(
+        column_born = Trace.from_stream(get_traffic_model("uniform").build(
             arrival_network(links),
-            {"total_flows": self.FLOWS, "seed": 12, "duration_hours": 4.0},
+            params={"total_flows": self.FLOWS, "seed": 12, "duration_hours": 4.0},
             name="replayed",
-        )
+        ))
         record_born = Trace("replayed", arrival_network(links), list(column_born.flows))
         assert column_born.columns().mints_records and not record_born.columns().mints_records
         return column_born, record_born

@@ -135,7 +135,7 @@ class TestWindowedGeneration:
     def test_shard_windows_concatenate_to_the_serial_stream(self, model, windows):
         hours = 6.0
         params = {**BASE_PARAMS[model], "total_flows": 1200, "seed": 31, "duration_hours": hours}
-        stream = get_traffic_model(model).build_stream(_NETWORK, params, name="equiv")
+        stream = get_traffic_model(model).build(_NETWORK, params=params, name="equiv")
         serial = [_fields(flow) for flow in stream]
         assert len(serial) == 1200
         edges = [hours * 3600.0 * index / windows for index in range(windows)] + [None]
@@ -346,8 +346,8 @@ class TestChunkEquivalence:
     @given(model=chunk_models, seed=seeds, duration=st.sampled_from([1.0, 1.5]))
     @settings(max_examples=30, deadline=None)
     def test_minted_records_equal_the_record_pipeline(self, model, seed, duration):
-        stream = get_traffic_model(model).build_stream(
-            _NETWORK, _params_for(model, seed, duration), name="equiv"
+        stream = get_traffic_model(model).build(
+            _NETWORK, params=_params_for(model, seed, duration), name="equiv"
         )
         chunks = list(stream.chunks())
         reference = list(_reference_chunks(stream))
@@ -371,8 +371,8 @@ class TestChunkEquivalence:
     def test_slices_bisect_and_trimming_agree_at_chunk_edges(
         self, model, seed, data, record_list_stream
     ):
-        stream = get_traffic_model(model).build_stream(
-            _NETWORK, _params_for(model, seed, 1.5), name="equiv"
+        stream = get_traffic_model(model).build(
+            _NETWORK, params=_params_for(model, seed, 1.5), name="equiv"
         )
         chunks = [chunk for chunk in stream.chunks() if len(chunk)]
         reference = [records for records in _reference_chunks(stream) if records]
@@ -425,9 +425,9 @@ class TestChunkEquivalence:
         from repro.tables.spec import TableSpec
 
         params = {**_params_for(model, seed, 2.0), "total_flows": 600}
-        columnar = get_traffic_model(model).build(_NETWORK, params, name="equiv")
-        listed = Trace("equiv", _NETWORK, list(get_traffic_model(model).build_stream(
-            _NETWORK, params, name="equiv"
+        columnar = Trace.from_stream(get_traffic_model(model).build(_NETWORK, params=params, name="equiv"))
+        listed = Trace("equiv", _NETWORK, list(get_traffic_model(model).build(
+            _NETWORK, params=params, name="equiv"
         )))
         assert columnar.columns().mints_records and not listed.columns().mints_records
         schedule = ScheduleSpec(warmup_hours=0.5, duration_hours=2.0, bucket_hours=1.0)

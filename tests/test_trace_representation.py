@@ -36,7 +36,7 @@ FLOWS = 400
 
 def built_in(model, flows=FLOWS, **params):
     params = {"total_flows": flows, "seed": 5, "duration_hours": 3.0, **params}
-    return get_traffic_model(model).build_stream(NETWORK, params, name="rep")
+    return get_traffic_model(model).build(NETWORK, params=params, name="rep")
 
 
 def merged():
@@ -239,7 +239,7 @@ class TestResidency:
 
     def test_columns_hands_out_the_resident_chunk_without_a_copy(self):
         params = {"total_flows": 60_000, "seed": 5, "duration_hours": 24.0}
-        trace = get_traffic_model("realistic").build(NETWORK, params, name="resident")
+        trace = Trace.from_stream(get_traffic_model("realistic").build(NETWORK, params=params, name="resident"))
         one_column_bytes = 8 * len(trace)
         tracemalloc.start()
         try:

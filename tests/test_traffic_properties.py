@@ -56,16 +56,16 @@ class TestModelDeterminism:
     def test_identical_spec_and_seed_identical_flows(self, model, seed):
         entry = get_traffic_model(model)
         params = {**BASE_PARAMS[model], "seed": seed}
-        first = entry.build(_NETWORK, params, name="prop")
-        second = entry.build(_NETWORK, params, name="prop")
+        first = entry.build(_NETWORK, params=params, name="prop")
+        second = entry.build(_NETWORK, params=params, name="prop")
         assert list(first) == list(second)
 
     @given(model=model_names, seed=seeds)
     @settings(max_examples=15, deadline=None)
     def test_different_seeds_differ(self, model, seed):
         entry = get_traffic_model(model)
-        first = entry.build(_NETWORK, {**BASE_PARAMS[model], "seed": seed}, name="p")
-        second = entry.build(_NETWORK, {**BASE_PARAMS[model], "seed": seed + 1}, name="p")
+        first = entry.build(_NETWORK, params={**BASE_PARAMS[model], "seed": seed}, name="p")
+        second = entry.build(_NETWORK, params={**BASE_PARAMS[model], "seed": seed + 1}, name="p")
         # Not a hard guarantee flow-by-flow, but two full sequences colliding
         # would mean the seed is ignored.
         assert list(first) != list(second)

@@ -6,7 +6,9 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.core.scenario import ScenarioSpec, TopologySpec, TraceSpec
+from repro.core.runner import ScenarioRunner
+from repro.core.scenario import ScenarioSpec, ScheduleSpec, TopologySpec, TraceSpec
+from repro.replay.spec import ExecutionSpec
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
 from repro.topology.registry import (
     available_topologies,
@@ -22,6 +24,7 @@ from repro.traffic.registry import (
     register_traffic_model,
     unregister_traffic_model,
 )
+from repro.traffic.stream import GeneratedStream, plan_windows, uniform_spans
 from repro.traffic.trace import Trace
 
 
@@ -32,16 +35,81 @@ def network():
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class RingStreamParams:
+    total_flows: int = 600
+    duration_hours: float = 4.0
+    seed: int = 3
+
+
+def build_ring_stream(network, params, *, name="ring-stream"):
+    """A third-party model whose one factory returns a lazy GeneratedStream."""
+    host_count = network.host_count()
+    seconds = params.duration_hours * 3600.0
+
+    def emit(rng, window):
+        draws = []
+        for _ in range(window.counts[0]):
+            src = rng.randrange(host_count)
+            draws.append((window.start + rng.random() * window.span, src, (src + 1) % host_count, 3, 1500, 1.0))
+        return draws
+
+    # A small chunk target puts several chunks, and so chunk edges, in every window.
+    windows = plan_windows(uniform_spans(seconds), params.total_flows, target_flows=97)
+    return GeneratedStream(
+        name, network, windows, emit, seed=params.seed, rng_label="ring-stream", duration=seconds
+    )
+
+
+@pytest.fixture
+def ring_stream_model():
+    register_traffic_model("test-ring-stream", params=RingStreamParams)(build_ring_stream)
+    yield "test-ring-stream"
+    unregister_traffic_model("test-ring-stream")
+
+
+class TestThirdPartyStreamModel:
+    """One factory returning a stream: it streams, shards and collects like a built-in."""
+
+    @staticmethod
+    def _spec(model, **execution):
+        return ScenarioSpec(
+            name="ring-stream",
+            topology=TopologySpec(params={"switch_count": 8, "host_count": 80, "seed": 11}),
+            traffic=TraceSpec(model=model),
+            systems=("openflow", "lazyctrl-dynamic"),
+            schedule=ScheduleSpec(warmup_hours=0.5, duration_hours=4.0, bucket_hours=1.0),
+            execution=ExecutionSpec(**execution),
+        )
+
+    @staticmethod
+    def _runs(spec):
+        return json.dumps(
+            {name: run.to_dict() for name, run in ScenarioRunner().run(spec).runs.items()},
+            sort_keys=True,
+        )
+
+    def test_build_returns_the_stream_and_the_spec_collects_it(self, ring_stream_model, network):
+        stream = get_traffic_model(ring_stream_model).build(network, params={}, name="ring")
+        assert isinstance(stream, GeneratedStream) and len(list(stream.chunks())) > 1
+        trace = TraceSpec(model=ring_stream_model).build(network, name="ring")
+        assert isinstance(trace, Trace)
+        assert [flow.flow_id for flow in trace] == list(range(600))
+        assert list(trace) == list(stream)
+
+    def test_streamed_run_matches_the_materialized_run(self, ring_stream_model):
+        materialized = self._runs(self._spec(ring_stream_model))
+        assert self._runs(self._spec(ring_stream_model, stream=True)) == materialized
+
+    def test_time_window_shards_match_across_stream_and_materialized(self, ring_stream_model):
+        window = {"shard_strategy": "time-window", "shard_count": 2}
+        streamed = self._runs(self._spec(ring_stream_model, stream=True, **window))
+        assert self._runs(self._spec(ring_stream_model, **window)) == streamed
+        single = self._spec(ring_stream_model, stream=True, shard_strategy="time-window", shard_count=1)
+        assert self._runs(single) == self._runs(self._spec(ring_stream_model))
+
+
 class TestTrafficModelRegistry:
-    def test_a_model_needs_a_trace_or_a_stream_factory(self):
-        @dataclasses.dataclass(frozen=True)
-        class NoParams:
-            seed: int = 1
-
-        with pytest.raises(ConfigurationError, match="needs a trace or a stream factory"):
-            register_traffic_model("factoryless", params=NoParams)(None)
-        assert "factoryless" not in {entry.name for entry in available_traffic_models()}
-
     def test_builtin_models_registered(self):
         names = {entry.name for entry in available_traffic_models()}
         assert {
@@ -154,7 +222,7 @@ class TestTopologyRegistry:
 
     def test_striped_topology_spreads_each_tenant(self):
         network = get_topology("striped").build(
-            {"switch_count": 10, "host_count": 120, "seed": 3}
+            params={"switch_count": 10, "host_count": 120, "seed": 3}
         )
         assert network.switch_count() == 10
         assert network.host_count() == 120
@@ -165,7 +233,7 @@ class TestTopologyRegistry:
 
     def test_multi_pod_topology_confines_tenants(self):
         network = get_topology("multi-pod").build(
-            {"pod_count": 3, "switches_per_pod": 4, "host_count": 120,
+            params={"pod_count": 3, "switches_per_pod": 4, "host_count": 120,
              "pod_spill_fraction": 0.0, "seed": 3}
         )
         assert network.switch_count() == 12
@@ -188,7 +256,7 @@ class TestTopologyRegistry:
     def test_paper_shapes_build_their_dimensions(self, shape):
         entry = get_topology(shape)
         params = entry.make_params({"scale": 0.005, "uplink_mbps": 3.0, "seed": 4})
-        network = entry.build({"scale": 0.005, "uplink_mbps": 3.0, "seed": 4})
+        network = entry.build(params={"scale": 0.005, "uplink_mbps": 3.0, "seed": 4})
         assert (network.switch_count(), network.host_count()) == (params.switch_count, params.host_count)
         assert set(network.link_capacities_mbps().values()) == {3.0}
 
