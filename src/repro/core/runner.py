@@ -13,10 +13,8 @@ control plane over an already-built trace.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-import multiprocessing
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -36,10 +34,10 @@ from repro.core.results import (
 from repro.core.scenario import FailureInjectionSpec, ScenarioSpec, ScheduleSpec
 from repro.core.system import EdgePlane
 from repro.obs.timeline import MetricsTimeline, TimelineResult
-from repro.obs.tracer import NULL_TRACER, EventTracer, JsonlEventListener, TraceOptions
+from repro.obs.tracer import NULL_TRACER, TraceOptions
 from repro.perf.recorder import NULL_RECORDER, PerfRecorder, peak_rss_bytes
 from repro.perf.report import PerfSnapshot
-from repro.replay.executor import can_fork_workers, execute_plan
+from repro.replay.executor import can_fork_workers, execute_plan, fork_pool_map
 from repro.replay.merge import merge_outcomes
 from repro.replay.sharding import plan_shards
 from repro.replay.spec import ExecutionSpec
@@ -55,8 +53,8 @@ class ScenarioResult:
     spec: ScenarioSpec
     runs: Dict[str, RunResult]
     #: Shard-execution telemetry (strategy, per-shard walls, critical path);
-    #: ``None`` for a serial run, so pre-sharding serialized results and the
-    #: serial byte format are unchanged.
+    #: ``None`` for a serial run (the per-system plan in process), which
+    #: keeps the serial result format free of wall-clock values.
     shards: Optional[Dict[str, Any]] = None
 
     # -- lookups -------------------------------------------------------------
@@ -146,16 +144,16 @@ class ScenarioRunner:
         *,
         collect_perf: bool = False,
         obs: Optional[TraceOptions] = None,
-        execution: Optional[ExecutionSpec] = None,
     ) -> ScenarioResult:
         """Materialize ``spec`` and run every selected control plane on it.
 
-        ``spec.execution`` (overridable per call via ``execution=``) decides
-        *how*: the default serial path, a process pool over per-system
-        shards, or bucket-aligned time-window shards merged deterministically
-        (see :mod:`repro.replay`).  The per-system (``"system"``) strategy is
-        bit-identical to the serial run for any worker count; the
-        ``"time-window"`` strategy is bit-identical across worker counts.
+        Every run plans ``spec.execution``'s shards, executes them and merges
+        them (see :mod:`repro.replay`).  A serial run is the per-system plan
+        executed in process: one whole-timeline shard per system, in spec
+        order, sharing one materialized trace where semantics allow.  The
+        per-system (``"system"``) strategy is bit-identical to it for any
+        worker count; the ``"time-window"`` strategy is bit-identical across
+        worker counts.
 
         With ``collect_perf=True`` every run is instrumented with a
         :class:`~repro.perf.recorder.PerfRecorder` and carries a
@@ -175,19 +173,15 @@ class ScenarioRunner:
         of regenerating the flows per shard (generation is deterministic,
         so all shards still see the identical workload).
         """
-        if execution is not None:
-            spec = dataclasses.replace(spec, execution=execution)
-        # Resolve every name up front so a typo fails before minutes of replay.
+        # Resolve every name up front so a typo fails before minutes of
+        # generation and replay: the control planes, the finite-table
+        # overlay (capacity + policy) and the policy name in ``spec.tables``.
         entries = [get_control_plane(name) for name in spec.systems]
-        # Fold the finite-table overlay (capacity + policy) into the config
-        # all systems run with; also resolves the policy name so a typo in
-        # ``spec.tables`` fails before minutes of replay.
-        config = spec.effective_config()
+        spec.effective_config()
         if spec.tables is not None:
             spec.tables.resolved_params()
         plan = plan_shards(spec)
-        obs_active = obs is not None and obs.active
-        stream_events = obs_active and obs.events_path is not None
+        stream_events = obs is not None and obs.events_path is not None
         if stream_events and not plan.is_serial_per_system:
             raise ConfigurationError(
                 "events streaming needs one whole-timeline replay per system "
@@ -195,22 +189,7 @@ class ScenarioRunner:
                 "per-shard lifecycles in the JSONL stream"
             )
         use_pool = plan.workers > 1 and len(plan.shards) > 1 and not stream_events and can_fork_workers()
-        if not use_pool and plan.is_serial_per_system:
-            # The classic serial path, byte for byte: one process, systems in
-            # spec order, shared materialized trace where semantics allow.
-            return self._run_serial(spec, entries, config, collect_perf=collect_perf, obs=obs)
-
-        timeline_bucket: Optional[float] = None
-        if obs_active and obs.timeline:
-            bucket = obs.timeline_bucket_seconds
-            timeline_bucket = spec.schedule.bucket_seconds if bucket is None else bucket
-        outcomes = execute_plan(
-            spec,
-            plan,
-            collect_perf=collect_perf,
-            timeline_bucket_seconds=timeline_bucket,
-            use_pool=use_pool,
-        )
+        outcomes = execute_plan(spec, plan, collect_perf=collect_perf, obs=obs, use_pool=use_pool)
         runs: Dict[str, RunResult] = {}
         walls: Dict[str, List[float]] = {}
         for entry in entries:
@@ -220,6 +199,8 @@ class ScenarioRunner:
             )
             runs[entry.name] = merge_outcomes(system_outcomes, schedule=spec.schedule)
             walls[entry.name] = [outcome.wall_seconds for outcome in system_outcomes]
+        if not use_pool and plan.is_serial_per_system:
+            return ScenarioResult(spec=spec, runs=runs)
         all_walls = [wall for system_walls in walls.values() for wall in system_walls]
         telemetry = {
             "strategy": plan.strategy,
@@ -243,9 +224,7 @@ class ScenarioRunner:
 
         ``execution.workers`` sizes the fan-out across *scenarios* (each
         spec still runs under its own ``spec.execution``).  With one worker
-        (or a single spec) the scenarios run serially in this process.  The
-        fan-out uses fork-start processes where available so control planes
-        registered by the calling program remain visible to the workers.
+        (or a single spec) the scenarios run serially in this process.
         """
         spec_list = list(specs)
         fan_out = execution.workers if execution is not None else 1
@@ -253,82 +232,9 @@ class ScenarioRunner:
             return []
         if fan_out <= 1 or len(spec_list) == 1 or not can_fork_workers():
             return [self.run(spec) for spec in spec_list]
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        else:  # pragma: no cover - Windows/macOS spawn fallback
-            context = multiprocessing.get_context()
         payloads = [spec.to_dict() for spec in spec_list]
-        with context.Pool(processes=min(fan_out, len(spec_list))) as pool:
-            results = pool.map(_run_spec_payload, payloads)
+        results = fork_pool_map(_run_spec_payload, payloads, fan_out)
         return [ScenarioResult.from_dict(result) for result in results]
-
-    def _run_serial(
-        self,
-        spec: ScenarioSpec,
-        entries,
-        config: LazyCtrlConfig,
-        *,
-        collect_perf: bool,
-        obs: Optional[TraceOptions],
-    ) -> ScenarioResult:
-        """One process, systems in spec order — the pre-sharding replay loop."""
-        obs_active = obs is not None and obs.active
-        base_trace = None if spec.stream else spec.build_trace(spec.build_network())
-        runs: Dict[str, RunResult] = {}
-        events_sink = None
-        try:
-            if obs_active and obs.events_path is not None:
-                events_sink = open(obs.events_path, "w", encoding="utf-8")
-            for entry in entries:
-                system_trace: Trace | FlowStream
-                if spec.stream:
-                    # A stream is consumed by its replay, and churn additionally
-                    # mutates the topology, so every system gets a fresh network
-                    # and a fresh (lazily regenerated) stream over it.
-                    system_trace = spec.build_stream(spec.build_network())
-                elif spec.churn_active:
-                    # Churn mutates the topology during a replay, so each system
-                    # starts from its own pristine network.  The deterministic
-                    # builder yields an identical copy, and the already-generated
-                    # flows are simply rebound to it — resident once, and far
-                    # cheaper than regenerating the trace per system.
-                    system_trace = base_trace.bound_to(spec.build_network())
-                else:
-                    system_trace = base_trace
-                tracer = NULL_TRACER
-                if obs_active:
-                    timeline = None
-                    if obs.timeline:
-                        bucket = obs.timeline_bucket_seconds
-                        timeline = MetricsTimeline(
-                            spec.schedule.bucket_seconds if bucket is None else bucket
-                        )
-                    tracer = EventTracer(system=entry.name, timeline=timeline)
-                    if events_sink is not None:
-                        tracer.add_listener(
-                            JsonlEventListener(
-                                events_sink,
-                                system=entry.name,
-                                scenario=spec.name,
-                                sample=obs.sample,
-                            )
-                        )
-                runs[entry.name] = self.replay_system(
-                    entry.name,
-                    system_trace,
-                    schedule=spec.schedule,
-                    config=config,
-                    failures=spec.failures,
-                    churn=spec.churn,
-                    perf=PerfRecorder() if collect_perf else None,
-                    tracer=tracer,
-                    kernel=spec.execution.kernel,
-                )
-        finally:
-            if events_sink is not None:
-                events_sink.close()
-        return ScenarioResult(spec=spec, runs=runs)
 
     # -- single-system replay -------------------------------------------------
 
@@ -524,9 +430,9 @@ class ScenarioRunner:
         perf_snapshot: Optional[PerfSnapshot] = None,
         timeline: Optional[MetricsTimeline] = None,
     ) -> RunResult:
-        # Ceil so a partial final bucket is reported rather than dropped
-        # (its rate is still averaged over a full bucket width).
-        bucket_count = max(1, math.ceil(schedule.duration_hours / schedule.bucket_hours))
+        # A partial final bucket is reported rather than dropped (its rate
+        # is still averaged over a full bucket width).
+        bucket_count = schedule.bucket_count()
         # A fractional duration (say 1.5 h) still covers two hour buckets of
         # grouping updates, so round the hour count up rather than truncating.
         hours = max(1, math.ceil(schedule.duration_hours))
@@ -551,10 +457,7 @@ class ScenarioRunner:
         if timeline is not None:
             # The timeline may use its own bucket width; size the result to
             # cover the same duration the other series cover.
-            timeline_buckets = max(
-                1, math.ceil(schedule.duration_seconds / timeline.bucket_seconds)
-            )
-            timeline_result = timeline.result(timeline_buckets)
+            timeline_result = timeline.result(schedule.bucket_count(timeline.bucket_seconds))
         return RunResult(
             label=label,
             workload=WorkloadSeriesResult(label=label, bucket_hours=schedule.bucket_hours, krps=krps),

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -85,6 +86,16 @@ class ScheduleSpec:
     def bucket_seconds(self) -> float:
         """Result bucket width in seconds."""
         return self.bucket_hours * 3600.0
+
+    def bucket_count(self, bucket_seconds: Optional[float] = None) -> int:
+        """How many buckets (default: result buckets) cover the replay window.
+
+        A partial last bucket counts; a ratio within float error of a whole
+        number is that number, so 39.6 h in 3.3 h buckets is 12, not 13.
+        """
+        ratio = self.duration_seconds / (bucket_seconds or self.bucket_seconds)
+        whole = round(ratio)
+        return max(1, whole if math.isclose(ratio, whole, rel_tol=1e-9) else math.ceil(ratio))
 
 
 def _merge_registry_params(

@@ -4,19 +4,20 @@ This package owns the *execution* half of a scenario — how a replay runs,
 as opposed to what it measures:
 
 * :mod:`repro.replay.spec` — :class:`ExecutionSpec`, the serializable knob
-  bundle (workers, shard strategy/count, chunk size, streaming) that rides
-  on :class:`~repro.core.scenario.ScenarioSpec` as ``spec.execution``;
+  bundle (workers, shard strategy/count, streaming, kernel) that rides on
+  :class:`~repro.core.scenario.ScenarioSpec` as ``spec.execution``;
 * :mod:`repro.replay.sharding` — :func:`plan_shards`, which partitions one
   scenario's replay into an ordered :class:`ShardPlan` (per control-plane
   system, or per bucket-aligned time window);
 * :mod:`repro.replay.merge` — the deterministic merge of per-shard
   :class:`~repro.replay.merge.ShardOutcome` records back into a single
   :class:`~repro.core.results.RunResult`;
-* :mod:`repro.replay.executor` — the shard executor bodies shared by the
-  in-process path and the ``multiprocessing`` pool workers.
+* :mod:`repro.replay.executor` — the one shard replay body and the driver
+  that runs a plan's shards in process or over a ``multiprocessing`` pool.
 
 :class:`~repro.core.runner.ScenarioRunner` is the only intended entry
-point; it plans, executes and merges according to ``spec.execution``.
+point; every run plans, executes and merges according to
+``spec.execution``, a serial run being the per-system plan in process.
 """
 
 # Only the cycle-free leaves are re-exported here: ``repro.core.scenario``

@@ -4,18 +4,17 @@ Two strategies are registered (see :data:`repro.replay.spec.SHARD_STRATEGIES`):
 
 ``system``
     One shard per selected control-plane system, each covering the whole
-    replay timeline.  Every shard runs exactly the code path the serial
-    runner uses for that system, so the merged scenario result is
-    bit-identical to the serial run by construction — this is the default
-    and the safe way to use a process pool.
+    replay timeline.  A serial run is this plan executed in process, so a
+    pooled run of it is bit-identical to the serial run by construction —
+    this is the default and the safe way to use a process pool.
 
 ``time-window``
     Each system's replay timeline is split into contiguous half-open
     windows ``[start, end)`` aligned to whole result buckets, and every
     (system, window) pair becomes a shard replayed against *fresh*
     per-shard control-plane state.  Deterministic per-chunk RNG seeding
-    (PR 5) makes each window reproducible in isolation, and bucket
-    alignment makes the per-bucket merge exact.  The guarantee here is
+    makes each window reproducible in isolation, and bucket alignment
+    makes the per-bucket merge exact.  The guarantee here is
     determinism across worker counts — ``workers=k`` is bit-identical to
     ``workers=1`` for every ``k`` — not equivalence with the unsharded
     serial run, whose control-plane state is warm across window
@@ -32,14 +31,13 @@ the serial tick train with no duplicates and no gaps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 from repro.common.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.scenario import ScenarioSpec
+    from repro.core.scenario import ScenarioSpec, ScheduleSpec
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,16 +69,17 @@ class ShardPlan:
         return self.windows_per_system == 1
 
 
-def _window_edges(duration: float, bucket_seconds: float, count: int) -> Tuple[float, ...]:
-    """``count + 1`` bucket-aligned edges from 0.0 to ``duration``."""
-    bucket_count = math.ceil(duration / bucket_seconds)
+def _window_edges(schedule: "ScheduleSpec", count: int) -> Tuple[float, ...]:
+    """``count + 1`` result-bucket-aligned edges from 0.0 to the replay's end."""
+    bucket_count = schedule.bucket_count()
     count = max(1, min(count, bucket_count))
     base, remainder = divmod(bucket_count, count)
     edges = [0.0]
     bucket_index = 0
-    for window_index in range(count):
+    for window_index in range(count - 1):
         bucket_index += base + (1 if window_index < remainder else 0)
-        edges.append(min(bucket_index * bucket_seconds, duration))
+        edges.append(bucket_index * schedule.bucket_seconds)
+    edges.append(schedule.duration_seconds)
     return tuple(edges)
 
 
@@ -128,8 +127,7 @@ def plan_shards(spec: "ScenarioSpec") -> ShardPlan:
             f"({interval}s) to divide the result bucket ({bucket_seconds}s) "
             f"so shard edges own disjoint tick trains"
         )
-    count = execution.shard_count or execution.workers
-    edges = _window_edges(duration, bucket_seconds, count)
+    edges = _window_edges(spec.schedule, execution.shard_count or execution.workers)
     shards = []
     for system in spec.systems:
         for start, end in zip(edges, edges[1:]):

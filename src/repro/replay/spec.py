@@ -1,11 +1,8 @@
 """The serializable execution spec: how a scenario replays, in one place.
 
-Before this existed, execution knobs were scattered: ``ScenarioSpec`` had a
-bare ``stream`` flag, ``ScenarioRunner.run_many`` took an ad-hoc
-``workers=`` keyword, and each CLI command grew its own ``--stream`` /
-``--workers`` flags.  :class:`ExecutionSpec` replaces all of that with one
-frozen, JSON-round-trippable dataclass carried on
-``ScenarioSpec.execution`` and surfaced as a single ``--exec`` option:
+:class:`ExecutionSpec` is one frozen, JSON-round-trippable dataclass
+carried on ``ScenarioSpec.execution`` and surfaced as a single ``--exec``
+option:
 
 * ``workers`` — process fan-out for one scenario's shards (and, through
   ``run_many(execution=...)``, for multi-scenario sweeps);

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError
+from repro.core.presets import get_preset
 from repro.core.runner import ScenarioRunner
 from repro.core.scenario import (
     FailureInjectionSpec,
@@ -199,7 +200,7 @@ class TestShardedSerialEquivalence:
         runner = ScenarioRunner()
         obs = TraceOptions(timeline=True)
         serial = runner.run(spec, obs=obs)
-        sharded = runner.run(spec, obs=obs, execution=ExecutionSpec(workers=4))
+        sharded = runner.run(dataclasses.replace(spec, execution=ExecutionSpec(workers=4)), obs=obs)
         assert sharded.shards is not None and serial.shards is None
         assert serialized_runs(serial) == serialized_runs(sharded)
 
@@ -209,7 +210,8 @@ class TestShardedSerialEquivalence:
         obs = TraceOptions(timeline=True)
         serial = runner.run(spec, obs=obs)
         sharded = runner.run(
-            spec, obs=obs, execution=dataclasses.replace(spec.execution, workers=4)
+            dataclasses.replace(spec, execution=dataclasses.replace(spec.execution, workers=4)),
+            obs=obs,
         )
         assert serialized_runs(serial) == serialized_runs(sharded)
         for name in serial.runs:
@@ -223,8 +225,8 @@ class TestShardedSerialEquivalence:
         window = lambda workers: ExecutionSpec(
             workers=workers, shard_strategy="time-window", shard_count=4, stream=True
         )
-        one = runner.run(spec, obs=obs, execution=window(1))
-        four = runner.run(spec, obs=obs, execution=window(4))
+        one = runner.run(dataclasses.replace(spec, execution=window(1)), obs=obs)
+        four = runner.run(dataclasses.replace(spec, execution=window(4)), obs=obs)
         left = json.dumps(serialized_runs(one), sort_keys=True)
         right = json.dumps(serialized_runs(four), sort_keys=True)
         assert left == right
@@ -237,10 +239,12 @@ class TestShardedSerialEquivalence:
         runner = ScenarioRunner()
         serial = runner.run(spec)
         single = runner.run(
-            spec,
-            execution=ExecutionSpec(
-                workers=1, shard_strategy="time-window", shard_count=1, stream=True
-            ),
+            dataclasses.replace(
+                spec,
+                execution=ExecutionSpec(
+                    workers=1, shard_strategy="time-window", shard_count=1, stream=True
+                ),
+            )
         )
         left = json.dumps(serialized_runs(serial), sort_keys=True)
         right = json.dumps(serialized_runs(single), sort_keys=True)
@@ -254,10 +258,12 @@ class TestShardedSerialEquivalence:
         runner = ScenarioRunner()
         serial = runner.run(spec)
         sharded = runner.run(
-            spec,
-            execution=ExecutionSpec(
-                workers=2, shard_strategy="time-window", shard_count=4, stream=True
-            ),
+            dataclasses.replace(
+                spec,
+                execution=ExecutionSpec(
+                    workers=2, shard_strategy="time-window", shard_count=4, stream=True
+                ),
+            )
         )
         for name in serial.runs:
             flows = lambda run: run.counters.flows_handled + run.counters.departed_flows
@@ -267,7 +273,7 @@ class TestShardedSerialEquivalence:
         from repro.core.runner import ScenarioResult
 
         spec = mini_fig7()
-        result = ScenarioRunner().run(spec, execution=ExecutionSpec(workers=2))
+        result = ScenarioRunner().run(dataclasses.replace(spec, execution=ExecutionSpec(workers=2)))
         assert result.shards is not None
         assert result.shards["strategy"] == "system"
         assert result.shards["critical_path_seconds"] > 0
@@ -278,11 +284,13 @@ class TestShardedSerialEquivalence:
     def test_perf_snapshots_merge_across_time_windows(self):
         spec = mini_fig7(systems=("lazyctrl-dynamic",), execution=ExecutionSpec(stream=True))
         sharded = ScenarioRunner().run(
-            spec,
-            collect_perf=True,
-            execution=ExecutionSpec(
-                workers=2, shard_strategy="time-window", shard_count=4, stream=True
+            dataclasses.replace(
+                spec,
+                execution=ExecutionSpec(
+                    workers=2, shard_strategy="time-window", shard_count=4, stream=True
+                ),
             ),
+            collect_perf=True,
         )
         perf = sharded.runs["lazyctrl-dynamic"].perf
         assert perf is not None
@@ -305,6 +313,89 @@ class TestShardedSerialEquivalence:
         assert result.shards["workers"] == 2
 
 
+class TestOneExecutionPath:
+    """Serial, pooled and windowed runs are one driver over one shard plan."""
+
+    def test_in_process_time_windows_generate_a_materialized_trace_once(self, monkeypatch):
+        calls = []
+        build_stream = TraceSpec.build_stream
+
+        def counting_build_stream(self, network, *, name="scenario"):
+            calls.append(name)
+            return build_stream(self, network, name=name)
+
+        monkeypatch.setattr(TraceSpec, "build_stream", counting_build_stream)
+        spec = mini_fig7(
+            systems=("openflow", "lazyctrl-static", "lazyctrl-dynamic"),
+            execution=ExecutionSpec(shard_strategy="time-window", shard_count=4),
+        )
+        result = ScenarioRunner().run(spec)
+        assert result.shards["windows_per_system"] == 4
+        assert result.shards["pooled"] is False
+        assert len(calls) == 1
+
+    def test_failover_is_bit_identical_between_serial_and_the_per_system_pool(self):
+        (spec,) = get_preset("failover").specs()
+        spec = dataclasses.replace(spec, traffic=spec.traffic.with_params(total_flows=2_000))
+        runner = ScenarioRunner()
+        serial = runner.run(spec)
+        pooled = runner.run(dataclasses.replace(spec, execution=ExecutionSpec(workers=2)))
+        assert serial.shards is None and pooled.shards["pooled"] is True
+        assert serial.runs["lazyctrl-dynamic"].failover_events == 2
+        assert serialized_runs(serial) == serialized_runs(pooled)
+
+
+class TestResultGrid:
+    """One bucket count for the result series, the timeline and the window planner."""
+
+    @pytest.mark.parametrize(
+        "duration_hours, bucket_hours, expected",
+        [
+            (39.6, 3.3, 12),
+            (22.8, 3.8, 6),
+            (33.2, 0.2, 166),
+            (24.0, 2.0, 12),
+            (25.0, 2.0, 13),
+            (1.5, 1.0, 2),
+            (0.5, 2.0, 1),
+        ],
+    )
+    def test_float_error_adds_no_bucket_but_a_partial_bucket_counts(
+        self, duration_hours, bucket_hours, expected
+    ):
+        schedule = ScheduleSpec(duration_hours=duration_hours, bucket_hours=bucket_hours)
+        assert schedule.bucket_count() == expected
+
+    @pytest.mark.parametrize(
+        "execution",
+        [
+            ExecutionSpec(),
+            ExecutionSpec(workers=2),
+            ExecutionSpec(shard_strategy="time-window", shard_count=4),
+        ],
+        ids=("serial", "per-system-pool", "time-window"),
+    )
+    def test_no_phantom_result_bucket(self, execution):
+        spec = mini_fig7(
+            schedule=ScheduleSpec(duration_hours=39.6, bucket_hours=3.3), execution=execution
+        )
+        result = ScenarioRunner().run(spec, obs=TraceOptions(timeline=True))
+        for run in result.runs.values():
+            assert len(run.workload.krps) == 12
+            assert len(run.latency.mean_latency_ms) == 12
+            assert run.timeline.bucket_count == 12
+
+    def test_the_window_planner_uses_the_same_grid(self):
+        spec = mini_fig7(
+            systems=("openflow",),
+            schedule=ScheduleSpec(duration_hours=33.2, bucket_hours=0.2),
+            execution=ExecutionSpec(shard_strategy="time-window", shard_count=1000),
+        )
+        shards = plan_shards(spec).shards
+        assert len(shards) == 166
+        assert shards[-1].end == spec.schedule.duration_seconds
+
+
 class TestPoolWorkerPayload:
     """What a pool worker runs, run in process: the payload and the outcome both ways."""
 
@@ -313,6 +404,8 @@ class TestPoolWorkerPayload:
             _execute_shard_payload,
             _outcome_from_dict,
             execute_shard,
+            shard_trace,
+            shard_tracer,
         )
 
         spec = mini_fig7(systems=("lazyctrl-dynamic",))
@@ -324,7 +417,7 @@ class TestPoolWorkerPayload:
             "timeline_bucket_seconds": 3600.0,
         }
         shipped = _outcome_from_dict(_execute_shard_payload(payload))
-        local = execute_shard(spec, shard, timeline_bucket_seconds=3600.0)
+        local = execute_shard(spec, shard, shard_trace(spec), shard_tracer(shard.system, 3600.0))
         assert shipped.shard == local.shard == shard
         assert shipped.run.to_dict() == local.run.to_dict()
         assert (shipped.workload_counts, shipped.latency_totals) == (
