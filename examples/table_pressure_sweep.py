@@ -21,33 +21,35 @@ Run with::
 from __future__ import annotations
 
 from repro.analysis.reports import format_table
-from repro.common.config import GroupingConfig, LazyCtrlConfig
+from repro.common.config import FlowTableConfig, GroupingConfig, LazyCtrlConfig
 from repro.core.runner import ScenarioRunner
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec
-from repro.tables.spec import TableSpec
 from repro.topology.builder import TopologyProfile
 
 SWITCHES, HOSTS, FLOWS, SEED = 16, 200, 30_000, 7
 
 POLICIES = [
-    TableSpec(capacity=8, policy="static-idle", idle_timeout_seconds=1800.0),
-    TableSpec(capacity=8, policy="idle-hard-hybrid",
-              idle_timeout_seconds=1800.0, hard_timeout_seconds=7200.0),
-    TableSpec(capacity=8, policy="lru"),
-    TableSpec(capacity=8, policy="adaptive", idle_timeout_seconds=1800.0,
-              params={"min_timeout_seconds": 60.0, "max_timeout_seconds": 3600.0}),
+    FlowTableConfig(policy="static-idle", idle_timeout_seconds=1800.0),
+    FlowTableConfig(policy="idle-hard-hybrid",
+                    idle_timeout_seconds=1800.0, hard_timeout_seconds=7200.0),
+    FlowTableConfig(policy="lru"),
+    FlowTableConfig(policy="adaptive", idle_timeout_seconds=1800.0,
+                    policy_params={"min_timeout_seconds": 60.0, "max_timeout_seconds": 3600.0}),
 ]
 
 
-def spec_with(tables: TableSpec, name: str) -> ScenarioSpec:
+def spec_with(table: FlowTableConfig, capacity: int, name: str) -> ScenarioSpec:
+    # resized() also shrinks the eviction batch to fit the tiny tables.
     return ScenarioSpec(
         name=name,
         topology=TopologyProfile(switch_count=SWITCHES, host_count=HOSTS, seed=SEED),
         traffic=TraceSpec.realistic(total_flows=FLOWS, seed=SEED),
         systems=("openflow", "lazyctrl-dynamic"),
         schedule=ScheduleSpec(duration_hours=24.0, bucket_hours=2.0),
-        config=LazyCtrlConfig(grouping=GroupingConfig(group_size_limit=4, random_seed=SEED)),
-        tables=tables,
+        config=LazyCtrlConfig(
+            grouping=GroupingConfig(group_size_limit=4, random_seed=SEED),
+            flow_table=table.resized(capacity),
+        ),
     )
 
 
@@ -56,12 +58,12 @@ def main() -> None:
 
     # --- policy sweep at a fixed tight capacity ------------------------------
     rows = []
-    for tables in POLICIES:
-        result = runner.run(spec_with(tables, f"sweep-{tables.policy}"))
+    for table in POLICIES:
+        result = runner.run(spec_with(table, 8, f"sweep-{table.policy}"))
         for system in ("openflow", "lazyctrl-dynamic"):
             usage = result.runs[system].tables
             rows.append([
-                tables.policy,
+                table.policy,
                 system,
                 result.runs[system].counters.controller_requests,
                 usage.overflows,
@@ -81,7 +83,7 @@ def main() -> None:
     rows = []
     for capacity in (4, 8, 16):
         result = runner.run(spec_with(
-            TableSpec(capacity=capacity, policy="lru"), f"capacity-{capacity}"
+            FlowTableConfig(policy="lru"), capacity, f"capacity-{capacity}"
         ))
         openflow = result.runs["openflow"].tables
         lazyctrl = result.runs["lazyctrl-dynamic"].tables

@@ -11,9 +11,10 @@ for.  This package gives them something to saturate.  Every flow sends its
   record at a time (``observe``, the run of one);
 * :class:`~repro.bandwidth.usage.LinkUsageResult` — the serializable
   per-link utilization matrix attached to every run that has capacities;
-* :class:`~repro.bandwidth.spec.LinkCapacitySpec` — the spec-level overlay
-  (mirroring ``ScenarioSpec.tables``) that assigns capacities and enables
-  the M/M/1-style queueing term in the latency model.
+* :class:`~repro.bandwidth.spec.LinkCapacitySpec` — ``ScenarioSpec.links``,
+  the one place a scenario assigns uplink capacities and the accounting
+  window; the M/M/1-style queueing term they feed is configured in
+  ``config.latency``.
 
 With no capacities configured (the default) nothing in this package runs
 and every counter, latency sample, and timeline bucket stays bit-identical

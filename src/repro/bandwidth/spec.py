@@ -1,15 +1,10 @@
-"""The spec-level link-capacity overlay.
+"""The spec-level link capacities: ``ScenarioSpec.links``.
 
-``ScenarioSpec.links`` mirrors ``ScenarioSpec.tables``: an optional frozen
-overlay that a scenario folds into its runtime configuration without the
-base ``LazyCtrlConfig`` having to know about it.  The overlay does two
-things at build time:
-
-* assigns a uniform uplink capacity (and accounting window) to every edge
-  switch of the built network, regardless of which topology shape produced
-  it — :meth:`LinkCapacitySpec.apply_network`;
-* folds the queueing knobs into ``config.latency`` so the latency model's
-  M/M/1-style term activates — :meth:`LinkCapacitySpec.apply`.
+The one place a scenario sets uplink capacity and the accounting window.
+``ScenarioSpec.build_network`` applies it to whatever topology shape it
+built (:meth:`LinkCapacitySpec.apply_network`), so every path that rebuilds
+the network from the spec sees the same capacities.  The queueing term the
+capacities feed is configured in ``config.latency``.
 
 Leaving ``ScenarioSpec.links`` as ``None`` (the default) keeps every run
 bit-identical to a build without the bandwidth subsystem.
@@ -20,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Optional
 
-from repro.common.config import LazyCtrlConfig
 from repro.common.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -29,42 +23,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class LinkCapacitySpec:
-    """Per-scenario link capacities and queueing knobs.
+    """Per-scenario uplink capacity and accounting window.
 
-    ``None`` fields inherit: no capacity override leaves whatever the
-    topology shape assigned (usually nothing), and unset queueing knobs
-    keep the base config's values.
+    ``None`` fields leave the network's defaults: no capacity keeps links
+    uncapacitated, no window keeps the network's 300 s accounting window.
     """
 
     uplink_mbps: Optional[float] = None
     window_seconds: Optional[float] = None
-    queueing_service_ms: Optional[float] = None
-    utilization_cap: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.uplink_mbps is not None and self.uplink_mbps <= 0:
             raise ConfigurationError("uplink_mbps must be positive")
         if self.window_seconds is not None and self.window_seconds <= 0:
             raise ConfigurationError("window_seconds must be positive")
-        if self.queueing_service_ms is not None and self.queueing_service_ms < 0:
-            raise ConfigurationError("queueing_service_ms must be non-negative")
-        if self.utilization_cap is not None and not 0.0 < self.utilization_cap < 1.0:
-            raise ConfigurationError("utilization_cap must lie strictly inside (0, 1)")
-
-    def apply(self, config: LazyCtrlConfig) -> LazyCtrlConfig:
-        """``config`` with this overlay's queueing knobs folded into the latency model."""
-        updates = {}
-        if self.queueing_service_ms is not None:
-            updates["queueing_service_ms"] = self.queueing_service_ms
-        if self.utilization_cap is not None:
-            updates["queueing_utilization_cap"] = self.utilization_cap
-        if not updates:
-            return config
-        latency = dataclasses.replace(config.latency, **updates)
-        return dataclasses.replace(config, latency=latency)
 
     def apply_network(self, network: "DataCenterNetwork") -> None:
-        """Assign this overlay's capacities to every edge switch of ``network``."""
+        """Assign these capacities to every edge switch of ``network``."""
         if self.window_seconds is not None:
             network.set_link_utilization_window(self.window_seconds)
         if self.uplink_mbps is not None:

@@ -22,8 +22,11 @@ Seven subcommands cover the everyday workflow::
 JSON scenario spec (written with ``ScenarioSpec.save`` or by hand).  Common
 spec fields can be overridden from the command line (``--flows``,
 ``--switches``, ``--hosts``, ``--duration-hours``, ``--systems``, ``--seed``,
-``--traffic``, ``--topology``, ``--churn-rate``, ``--churn-seed``,
-``--table-capacity``/``--table-policy`` for finite-flow-table pressure).
+``--traffic``, ``--topology``, ``--churn-rate``, ``--churn-seed``).  Each
+override edits the one place the spec keeps its setting:
+``--table-capacity``/``--table-policy`` put finite-flow-table pressure into
+``config.flow_table``, ``--queueing-ms`` sets the queueing term in
+``config.latency``, and ``--uplink-mbps`` sets the capacity in ``links``.
 ``--exec`` overrides the spec's :class:`~repro.replay.spec.ExecutionSpec`
 — *how* the replay runs — as ``key=value`` pairs or a JSON object::
 
@@ -81,7 +84,6 @@ from repro.perf.baseline import check_against_baselines
 from repro.replay.spec import ExecutionSpec
 from repro.perf.report import format_stage_breakdown
 from repro.tables.registry import available_table_policies
-from repro.tables.spec import TableSpec
 from repro.topology.registry import available_topologies
 from repro.traffic.registry import available_traffic_models
 
@@ -185,14 +187,17 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
     if getattr(args, "stream", None) is not None:
         execution = dataclasses.replace(execution, stream=args.stream)
 
-    tables = spec.tables
+    table = config.flow_table
     if getattr(args, "table_policy", None) is not None:
         # Swapping the policy drops the old policy's params (they rarely
-        # transfer between policies) but keeps capacity/timeout overrides.
-        base = tables or TableSpec()
-        tables = dataclasses.replace(base, policy=args.table_policy, params={})
+        # transfer between policies) but keeps capacity and timeouts.
+        table = dataclasses.replace(table, policy=args.table_policy, policy_params={})
     if getattr(args, "table_capacity", None) is not None:
-        tables = dataclasses.replace(tables or TableSpec(), capacity=args.table_capacity)
+        table = table.resized(args.table_capacity)
+    latency = config.latency
+    if getattr(args, "queueing_ms", None) is not None:
+        latency = dataclasses.replace(latency, queueing_service_ms=args.queueing_ms)
+    config = dataclasses.replace(config, flow_table=table, latency=latency)
 
     churn = spec.churn
     if getattr(args, "churn_rate", None) is not None:
@@ -217,10 +222,6 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
         links = dataclasses.replace(
             links or LinkCapacitySpec(), uplink_mbps=args.uplink_mbps
         )
-    if getattr(args, "queueing_ms", None) is not None:
-        links = dataclasses.replace(
-            links or LinkCapacitySpec(), queueing_service_ms=args.queueing_ms
-        )
 
     return dataclasses.replace(
         spec,
@@ -231,7 +232,6 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
         config=config,
         churn=churn,
         execution=execution,
-        tables=tables,
         links=links,
     )
 
@@ -561,10 +561,10 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     obs = TraceOptions(timeline=True)
     first = True
     for spec in specs:
-        if spec.links is None and not spec.build_network().has_link_capacities():
+        if not spec.build_network().has_link_capacities():
             raise ReproError(
-                f"scenario {spec.name!r} assigns no link capacities — add a "
-                "'links' overlay to the spec or pass --uplink-mbps"
+                f"scenario {spec.name!r} assigns no link capacities — set "
+                "'links.uplink_mbps' in the spec or pass --uplink-mbps"
             )
         result = runner.run(spec, obs=obs)
         for run in result.runs.values():

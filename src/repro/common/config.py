@@ -9,7 +9,7 @@ calibration, Bloom-filter sizing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict
 
 from repro.common.errors import ConfigurationError
@@ -196,6 +196,14 @@ class FlowTableConfig:
         if not self.policy or not self.policy.strip():
             raise ConfigurationError("flow table policy must be a non-empty string")
         object.__setattr__(self, "policy_params", dict(to_jsonable(dict(self.policy_params))))
+
+    def resized(self, capacity: int) -> "FlowTableConfig":
+        """This config at ``capacity`` rules, its eviction batch clamped to fit.
+
+        A batch larger than the table is rejected, so shrinking a table below
+        the batch shrinks the batch with it.
+        """
+        return replace(self, capacity=capacity, eviction_batch=min(self.eviction_batch, capacity))
 
 
 @dataclass(frozen=True, slots=True)

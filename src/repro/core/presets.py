@@ -17,7 +17,7 @@ from typing import Tuple
 
 from repro.bandwidth.spec import LinkCapacitySpec
 from repro.churn.spec import ChurnSpec
-from repro.common.config import GroupingConfig, LazyCtrlConfig
+from repro.common.config import FlowTableConfig, GroupingConfig, LatencyModelConfig, LazyCtrlConfig
 from repro.common.registry import NamedRegistry
 from repro.core.scenario import (
     FailureInjectionSpec,
@@ -27,7 +27,6 @@ from repro.core.scenario import (
     TraceSpec,
 )
 from repro.replay.spec import ExecutionSpec
-from repro.tables.spec import TableSpec
 from repro.topology.builder import TopologyProfile
 from repro.traffic.mix import TrafficComponentSpec, TrafficMixSpec
 
@@ -293,14 +292,17 @@ def _table_pressure() -> Tuple[ScenarioSpec, ...]:
             topology=TopologyProfile(switch_count=48, host_count=600, seed=2015),
             traffic=TraceSpec.realistic(total_flows=1_000_000, seed=2015),
             systems=("openflow", "lazyctrl-dynamic"),
-            config=default_grouping_config(48),
-            execution=ExecutionSpec(stream=True),
-            tables=TableSpec(
-                capacity=32,
-                policy="idle-hard-hybrid",
-                idle_timeout_seconds=1800.0,
-                hard_timeout_seconds=7200.0,
+            config=dataclasses.replace(
+                default_grouping_config(48),
+                flow_table=FlowTableConfig(
+                    capacity=32,
+                    eviction_batch=32,
+                    idle_timeout_seconds=1800.0,
+                    hard_timeout_seconds=7200.0,
+                    policy="idle-hard-hybrid",
+                ),
             ),
+            execution=ExecutionSpec(stream=True),
         ),
     )
 
@@ -315,32 +317,31 @@ def _timeout_sweep() -> Tuple[ScenarioSpec, ...]:
     tightens timeouts for one-shot flows while keeping periodic ones
     resident.  Compare overflow/re-install counts across the four runs.
     """
-    policies = (
-        TableSpec(capacity=64, policy="static-idle", idle_timeout_seconds=1800.0),
-        TableSpec(
+    tables = (
+        FlowTableConfig(capacity=64, policy="static-idle", idle_timeout_seconds=1800.0),
+        FlowTableConfig(
             capacity=64,
             policy="idle-hard-hybrid",
             idle_timeout_seconds=1800.0,
             hard_timeout_seconds=7200.0,
         ),
-        TableSpec(capacity=64, policy="lru"),
-        TableSpec(
+        FlowTableConfig(capacity=64, policy="lru"),
+        FlowTableConfig(
             capacity=64,
             policy="adaptive",
             idle_timeout_seconds=1800.0,
-            params={"min_timeout_seconds": 60.0, "max_timeout_seconds": 3600.0},
+            policy_params={"min_timeout_seconds": 60.0, "max_timeout_seconds": 3600.0},
         ),
     )
     return tuple(
         ScenarioSpec(
-            name=f"timeout-sweep-{tables.policy}",
+            name=f"timeout-sweep-{table.policy}",
             topology=TopologyProfile(switch_count=24, host_count=320, seed=2015),
             traffic=TraceSpec.realistic(total_flows=40_000, seed=2015),
             systems=("openflow", "lazyctrl-dynamic"),
-            config=default_grouping_config(24),
-            tables=tables,
+            config=dataclasses.replace(default_grouping_config(24), flow_table=table),
         )
-        for tables in policies
+        for table in tables
     )
 
 
@@ -382,10 +383,11 @@ def _incast_congestion() -> Tuple[ScenarioSpec, ...]:
             ),
             systems=("openflow", "lazyctrl-dynamic"),
             config=LazyCtrlConfig(
-                grouping=GroupingConfig(group_size_limit=8, random_seed=2015)
+                grouping=GroupingConfig(group_size_limit=8, random_seed=2015),
+                latency=LatencyModelConfig(queueing_service_ms=0.25),
             ),
             execution=ExecutionSpec(stream=True),
-            links=LinkCapacitySpec(uplink_mbps=1.0, queueing_service_ms=0.25),
+            links=LinkCapacitySpec(uplink_mbps=1.0),
         ),
     )
 
@@ -414,8 +416,11 @@ def _capacity_sweep() -> Tuple[ScenarioSpec, ...]:
                 },
             ),
             systems=("openflow", "lazyctrl-dynamic"),
-            config=default_grouping_config(32),
-            links=LinkCapacitySpec(uplink_mbps=mbps, queueing_service_ms=0.25),
+            config=dataclasses.replace(
+                default_grouping_config(32),
+                latency=LatencyModelConfig(queueing_service_ms=0.25),
+            ),
+            links=LinkCapacitySpec(uplink_mbps=mbps),
         )
         for mbps in capacities
     )

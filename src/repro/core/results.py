@@ -148,7 +148,7 @@ class RunResult:
     # (``--events-out`` / ``repro timeline`` / bench), None otherwise.
     timeline: Optional[TimelineResult] = None
     # Per-uplink utilization matrix; present only when the scenario assigned
-    # link capacities (``ScenarioSpec.links`` or a topology ``uplink_mbps``).
+    # link capacities (``ScenarioSpec.links``).
     links: Optional[LinkUsageResult] = None
 
     def to_dict(self) -> Dict[str, Any]:

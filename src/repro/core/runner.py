@@ -41,6 +41,7 @@ from repro.replay.executor import can_fork_workers, execute_plan, fork_pool_map
 from repro.replay.merge import merge_outcomes
 from repro.replay.sharding import plan_shards
 from repro.replay.spec import ExecutionSpec
+from repro.tables.registry import get_table_policy
 from repro.traffic.replay import TraceReplayer
 from repro.traffic.stream import FlowStream
 from repro.traffic.trace import Trace
@@ -174,12 +175,11 @@ class ScenarioRunner:
         so all shards still see the identical workload).
         """
         # Resolve every name up front so a typo fails before minutes of
-        # generation and replay: the control planes, the finite-table
-        # overlay (capacity + policy) and the policy name in ``spec.tables``.
+        # generation and replay: the control planes and the flow-table
+        # policy with its params.
         entries = [get_control_plane(name) for name in spec.systems]
-        spec.effective_config()
-        if spec.tables is not None:
-            spec.tables.resolved_params()
+        table = spec.config.flow_table
+        get_table_policy(table.policy).make_params(table.policy_params)
         plan = plan_shards(spec)
         stream_events = obs is not None and obs.events_path is not None
         if stream_events and not plan.is_serial_per_system:

@@ -20,9 +20,11 @@ Workloads are referenced purely by registry name:
 
 Both resolve their registry entry lazily at build time, so specs for
 third-party models can be constructed before the plugin module is imported.
-Legacy spec JSON from before the registries existed (``topology`` as a bare
-profile dict, ``traffic`` with a ``kind`` discriminator) still loads through
-a compatibility shim in :meth:`ScenarioSpec.from_dict`.
+Every setting has one home: flow tables in ``config.flow_table``, queueing
+in ``config.latency``, uplink capacity and its window in ``links``.  Legacy
+spec JSON still loads through shims in :meth:`ScenarioSpec.from_dict`:
+pre-registry forms (``topology`` as a bare profile dict, ``traffic`` with a
+``kind`` discriminator) and settings in an old second place.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ from repro.bandwidth.spec import LinkCapacitySpec
 from repro.common.config import LazyCtrlConfig
 from repro.common.errors import ConfigurationError
 from repro.common.registry import Entry
-from repro.common.serialize import dataclass_from_dict, dataclass_to_dict, to_jsonable
+from repro.common.serialize import dataclass_from_dict, dataclass_to_dict, from_jsonable, to_jsonable
 from repro.replay.spec import ExecutionSpec
-from repro.tables.spec import TableSpec
 from repro.topology.builder import TopologyProfile
 from repro.topology.network import DataCenterNetwork
 from repro.topology.registry import get_topology
@@ -313,6 +314,56 @@ def _modernize_traffic(data: Any) -> Any:
     return modern
 
 
+#: Built-in topology shapes whose params took an ``uplink_mbps``.
+_UPLINK_SHAPES = frozenset({"multi-tenant", "paper-real", "paper-synthetic", "striped", "multi-pod"})
+#: Legacy ``links`` queueing key -> its ``config.latency`` field.
+_LEGACY_QUEUEING = {"queueing_service_ms": "queueing_service_ms", "utilization_cap": "queueing_utilization_cap"}
+
+
+def _merge_config(data: Dict[str, Any], section: str, updates: Dict[str, Any]) -> None:
+    """Merge ``updates`` into ``data["config"][section]`` (a malformed config is left to report)."""
+    config = data.get("config") or {}
+    if updates and isinstance(config, Mapping) and isinstance(config.get(section) or {}, Mapping):
+        data["config"] = {**config, section: {**(config.get(section) or {}), **updates}}
+
+
+def _fold_second_homes(data: Dict[str, Any]) -> Any:
+    """Shim: a setting written in its old second place moves to its home, nulls dropped.
+
+    ``links`` queueing knobs go to ``config.latency``; a built-in shape's
+    ``uplink_mbps`` goes to ``links`` unless ``links`` sets one; a ``tables``
+    overlay goes to ``config.flow_table`` the way it always applied (its
+    policy and params replace the config's, ``static-idle`` and none when
+    unset).  Returns the overlay's capacity for
+    :meth:`~repro.common.config.FlowTableConfig.resized` to apply once typed.
+    """
+    links = data.get("links")
+    if isinstance(links, Mapping):
+        links = data["links"] = dict(links)
+        queueing = {new: links.pop(old, None) for old, new in _LEGACY_QUEUEING.items()}
+        _merge_config(data, "latency", {key: value for key, value in queueing.items() if value is not None})
+    topology = data.get("topology")
+    params = topology.get("params") if isinstance(topology, Mapping) else None
+    if isinstance(params, Mapping) and topology.get("shape", "multi-tenant") in _UPLINK_SHAPES:
+        params = dict(params)
+        uplink = params.pop("uplink_mbps", None)
+        data["topology"] = {**topology, "params": params}
+        if uplink is not None and isinstance(links or {}, Mapping) and (links or {}).get("uplink_mbps") is None:
+            data["links"] = {**(links or {}), "uplink_mbps": uplink}
+    tables = data.pop("tables", None)
+    if tables is None:
+        return None
+    if not isinstance(tables, Mapping):
+        raise ConfigurationError(f"spec.tables: expected a JSON object, got {type(tables).__name__}")
+    table = {"policy": "static-idle", "policy_params": {}}
+    for key, value in tables.items():
+        if value is not None:
+            table["policy_params" if key == "params" else key] = value
+    capacity = table.pop("capacity", None)
+    _merge_config(data, "flow_table", table)
+    return capacity
+
+
 @dataclass(frozen=True, slots=True)
 class ScenarioSpec:
     """A fully declarative description of one experiment.
@@ -340,14 +391,9 @@ class ScenarioSpec:
     failures: Optional[FailureInjectionSpec] = None
     churn: Optional[ChurnSpec] = None
     execution: ExecutionSpec = field(default_factory=ExecutionSpec)
-    # Finite-table overlay: capacity plus a registered timeout/eviction
-    # policy, applied on top of ``config.flow_table`` at build time.  ``None``
-    # leaves the config's flow-table settings untouched.
-    tables: Optional[TableSpec] = None
-    # Link-capacity overlay: uniform uplink capacities plus the queueing
-    # knobs, applied to the built network and ``config.latency`` at build
-    # time.  ``None`` keeps links uncapacitated and the bandwidth subsystem
-    # inert (the bit-identical default).
+    # Uniform uplink capacity and accounting window, applied to the built
+    # network whatever its shape.  ``None`` keeps links uncapacitated and
+    # the bandwidth subsystem inert (the bit-identical default).
     links: Optional[LinkCapacitySpec] = None
 
     def __post_init__(self) -> None:
@@ -386,22 +432,17 @@ class ScenarioSpec:
         return self.churn is not None and self.churn.active
 
     def effective_config(self) -> LazyCtrlConfig:
-        """The system config with the ``tables``/``links`` overlays folded in."""
-        config = self.config
-        if self.tables is not None:
-            config = self.tables.apply(config)
-        if self.links is not None:
-            config = self.links.apply(config)
-        return config
+        """The system config a replay runs with: ``config`` itself."""
+        return self.config
 
     # -- materialization -----------------------------------------------------
 
     def build_network(self) -> DataCenterNetwork:
         """Build the data-center topology this spec describes.
 
-        The ``links`` overlay (if any) is applied here, so every path that
-        rebuilds the network from the spec — serial replay, streaming,
-        shard workers, per-system churn networks — sees the same capacities.
+        ``links`` (if any) is applied here, so every path that rebuilds the
+        network from the spec — serial replay, streaming, shard workers,
+        per-system churn networks — sees the same capacities.
         """
         network = self.topology.build()
         if self.links is not None:
@@ -433,7 +474,11 @@ class ScenarioSpec:
         ``execution``.  Two removed keys are dropped: ``execution.chunk_flows``
         (it sized an adapter that no longer exists) and
         ``config.latency.group_broadcast_ms`` (it priced per-packet ARP
-        resolution, which the replay never modelled).
+        resolution, which the replay never modelled).  A setting written in
+        a second place folds into its home, ``null`` values dropped: a
+        ``tables`` overlay into ``config.flow_table``, ``links`` queueing
+        knobs into ``config.latency``, and a topology ``uplink_mbps`` into
+        ``links`` (whose own capacity wins).
         """
         data = dict(data)
         if "topology" in data:
@@ -454,7 +499,12 @@ class ScenarioSpec:
         if isinstance(latency, Mapping) and "group_broadcast_ms" in latency:
             latency = {key: value for key, value in latency.items() if key != "group_broadcast_ms"}
             data["config"] = {**config, "latency": latency}
-        return dataclass_from_dict(cls, data, path="spec")
+        capacity = _fold_second_homes(data)
+        spec = dataclass_from_dict(cls, data, path="spec")
+        if capacity is None:
+            return spec
+        table = spec.config.flow_table.resized(from_jsonable(int, capacity, path="spec.tables.capacity"))
+        return dataclasses.replace(spec, config=dataclasses.replace(spec.config, flow_table=table))
 
     def to_json(self, *, indent: int | None = 2) -> str:
         """This spec as a JSON document."""

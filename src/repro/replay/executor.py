@@ -116,7 +116,7 @@ def execute_shard(
         shard.system,
         trace,
         schedule=spec.schedule,
-        config=spec.effective_config(),
+        config=spec.config,
         failures=spec.failures,
         churn=spec.churn,
         perf=PerfRecorder() if collect_perf else None,

@@ -1,15 +1,15 @@
-"""Finite flow-table management: timeout/eviction policies and table specs.
+"""Finite flow-table management: timeout/eviction policies.
 
-The package has three layers:
+The package has two layers:
 
 * :mod:`repro.tables.policies` — the :class:`TableTimeoutPolicy` interface
   and the built-in policies (static idle/hard timeouts, the OpenFlow-style
   hybrid, pure LRU, and an adaptive inter-arrival timeout predictor);
 * :mod:`repro.tables.registry` — the ``@register_table_policy`` registry
-  resolving policy names from :class:`~repro.common.config.FlowTableConfig`;
-* :mod:`repro.tables.spec` — :class:`TableSpec`, the declarative overlay a
-  :class:`~repro.core.scenario.ScenarioSpec` uses to put every switch under
-  table pressure.
+  resolving policy names from :class:`~repro.common.config.FlowTableConfig`.
+
+A scenario puts every switch under table pressure through its
+``config.flow_table``: capacity, timeouts, policy name and policy params.
 """
 
 from repro.tables.policies import (
@@ -32,7 +32,6 @@ from repro.tables.registry import (
     register_table_policy,
     unregister_table_policy,
 )
-from repro.tables.spec import TableSpec
 
 __all__ = [
     "AdaptiveParams",
@@ -45,7 +44,6 @@ __all__ = [
     "StaticHardPolicy",
     "StaticIdleParams",
     "StaticIdlePolicy",
-    "TableSpec",
     "TableTimeoutPolicy",
     "available_table_policies",
     "build_policy",

@@ -18,19 +18,10 @@ Two builders cover everything the evaluation needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
 from repro.topology.network import DataCenterNetwork
-
-
-def _assign_uplink_capacities(network: DataCenterNetwork, uplink_mbps: Optional[float]) -> None:
-    """Assign one uniform uplink capacity to every switch (no-op when unset)."""
-    if uplink_mbps is None:
-        return
-    for switch_id in network.switch_ids():
-        network.set_uplink_capacity_mbps(switch_id, uplink_mbps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,7 +34,6 @@ class TopologyProfile:
     max_tenant_size: int = 100
     home_switches_per_tenant: int = 3
     spill_fraction: float = 0.05
-    uplink_mbps: Optional[float] = None
     seed: int = 2015
 
     def __post_init__(self) -> None:
@@ -57,8 +47,6 @@ class TopologyProfile:
             raise ConfigurationError("home_switches_per_tenant must be at least 1")
         if not 0.0 <= self.spill_fraction <= 1.0:
             raise ConfigurationError("spill_fraction must be in [0, 1]")
-        if self.uplink_mbps is not None and self.uplink_mbps <= 0:
-            raise ConfigurationError("uplink_mbps must be positive when set")
 
 
 def build_multi_tenant_datacenter(profile: TopologyProfile) -> DataCenterNetwork:
@@ -87,7 +75,6 @@ def build_multi_tenant_datacenter(profile: TopologyProfile) -> DataCenterNetwork
                 switch_id = rng.choice(home_switches)
             network.attach_host(switch_id, tenant.tenant_id)
             created_hosts += 1
-    _assign_uplink_capacities(network, profile.uplink_mbps)
     return network
 
 
@@ -96,14 +83,11 @@ class PaperRealTopologyParams:
     """Params of the registered ``"paper-real"`` shape (272 sw / 6509 hosts x scale)."""
 
     scale: float = 1.0
-    uplink_mbps: Optional[float] = None
     seed: int = 2015
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise ConfigurationError("scale must be positive")
-        if self.uplink_mbps is not None and self.uplink_mbps <= 0:
-            raise ConfigurationError("uplink_mbps must be positive when set")
 
     @property
     def switch_count(self) -> int:
@@ -121,14 +105,11 @@ class PaperSyntheticTopologyParams:
     """Params of the registered ``"paper-synthetic"`` shape (2713 sw / 65090 hosts x scale)."""
 
     scale: float = 1.0
-    uplink_mbps: Optional[float] = None
     seed: int = 2015
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise ConfigurationError("scale must be positive")
-        if self.uplink_mbps is not None and self.uplink_mbps <= 0:
-            raise ConfigurationError("uplink_mbps must be positive when set")
 
     @property
     def switch_count(self) -> int:
@@ -141,38 +122,26 @@ class PaperSyntheticTopologyParams:
         return max(128, round(65090 * self.scale))
 
 
-def build_paper_real_topology(
-    *, scale: float = 1.0, seed: int = 2015, uplink_mbps: Optional[float] = None
-) -> DataCenterNetwork:
+def build_paper_scale_topology(params: PaperRealTopologyParams | PaperSyntheticTopologyParams) -> DataCenterNetwork:
+    """A multi-tenant topology with the dimensions ``params`` gives at its scale."""
+    profile = TopologyProfile(switch_count=params.switch_count, host_count=params.host_count, seed=params.seed)
+    return build_multi_tenant_datacenter(profile)
+
+
+def build_paper_real_topology(*, scale: float = 1.0, seed: int = 2015) -> DataCenterNetwork:
     """Topology with the dimensions of the paper's real trace (272 switches, 6509 hosts).
 
     ``scale`` shrinks both dimensions proportionally (minimum 8 switches / 64
     hosts) so tests and examples can run in seconds while benchmarks use the
     full size.
     """
-    if scale <= 0:
-        raise ConfigurationError("scale must be positive")
-    switch_count = max(8, round(272 * scale))
-    host_count = max(64, round(6509 * scale))
-    profile = TopologyProfile(
-        switch_count=switch_count, host_count=host_count, uplink_mbps=uplink_mbps, seed=seed
-    )
-    return build_multi_tenant_datacenter(profile)
+    return build_paper_scale_topology(PaperRealTopologyParams(scale=scale, seed=seed))
 
 
-def build_paper_synthetic_topology(
-    *, scale: float = 1.0, seed: int = 2015, uplink_mbps: Optional[float] = None
-) -> DataCenterNetwork:
+def build_paper_synthetic_topology(*, scale: float = 1.0, seed: int = 2015) -> DataCenterNetwork:
     """Topology with the dimensions of the synthetic traces (2713 switches, 65090 hosts).
 
     The full synthetic scale is 10× the real one (paper §V-B); ``scale``
     shrinks it for tractable runs.
     """
-    if scale <= 0:
-        raise ConfigurationError("scale must be positive")
-    switch_count = max(16, round(2713 * scale))
-    host_count = max(128, round(65090 * scale))
-    profile = TopologyProfile(
-        switch_count=switch_count, host_count=host_count, uplink_mbps=uplink_mbps, seed=seed
-    )
-    return build_multi_tenant_datacenter(profile)
+    return build_paper_scale_topology(PaperSyntheticTopologyParams(scale=scale, seed=seed))

@@ -43,7 +43,7 @@ class DataCenterNetwork:
         self.tenants = TenantDirectory()
         # Uplink capacities into the one-hop core, by switch.  Empty means
         # links are uncapacitated and the bandwidth subsystem stays inert.
-        self._uplink_mbps: Dict[int, float] = {}
+        self._uplink_capacities: Dict[int, float] = {}
         self.link_utilization_window_seconds: float = 300.0
 
     # -- switches ----------------------------------------------------------
@@ -86,15 +86,15 @@ class DataCenterNetwork:
         self.switch(switch_id)
         if mbps <= 0:
             raise TopologyError(f"uplink capacity must be positive, got {mbps}")
-        self._uplink_mbps[switch_id] = float(mbps)
+        self._uplink_capacities[switch_id] = float(mbps)
 
     def link_capacities_mbps(self) -> Dict[int, float]:
         """All assigned uplink capacities by switch id (possibly empty)."""
-        return dict(self._uplink_mbps)
+        return dict(self._uplink_capacities)
 
     def has_link_capacities(self) -> bool:
         """Whether any uplink has a capacity assigned."""
-        return bool(self._uplink_mbps)
+        return bool(self._uplink_capacities)
 
     def set_link_utilization_window(self, seconds: float) -> None:
         """Set the accounting window the utilization meter buckets bytes into."""

@@ -15,8 +15,7 @@ from repro.topology.builder import (
     PaperSyntheticTopologyParams,
     TopologyProfile,
     build_multi_tenant_datacenter,
-    build_paper_real_topology,
-    build_paper_synthetic_topology,
+    build_paper_scale_topology,
 )
 from repro.topology.shapes import (
     MultiPodTopologyParams,
@@ -40,30 +39,18 @@ register_topology(
 )(build_multi_tenant_datacenter)
 
 
-@register_topology(
+register_topology(
     "paper-real",
     params=PaperRealTopologyParams,
     label="Paper real-trace scale",
     description="The published real-trace dimensions (272 switches / 6509 hosts), scalable",
-)
-def _build_paper_real(params):
-    return build_paper_real_topology(
-        scale=params.scale, seed=params.seed, uplink_mbps=params.uplink_mbps
-    )
-
-
-@register_topology(
+)(build_paper_scale_topology)
+register_topology(
     "paper-synthetic",
     params=PaperSyntheticTopologyParams,
     label="Paper synthetic scale",
     description="The 10x synthetic dimensions (2713 switches / 65090 hosts), scalable",
-)
-def _build_paper_synthetic(params):
-    return build_paper_synthetic_topology(
-        scale=params.scale, seed=params.seed, uplink_mbps=params.uplink_mbps
-    )
-
-
+)(build_paper_scale_topology)
 register_topology(
     "striped",
     params=StripedTopologyParams,

@@ -20,11 +20,9 @@ Both builders are deterministic given their seed and are registered in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
-from repro.topology.builder import _assign_uplink_capacities
 from repro.topology.network import DataCenterNetwork
 
 
@@ -36,7 +34,6 @@ class StripedTopologyParams:
     host_count: int = 400
     min_tenant_size: int = 20
     max_tenant_size: int = 100
-    uplink_mbps: Optional[float] = None
     seed: int = 2015
 
     def __post_init__(self) -> None:
@@ -46,8 +43,6 @@ class StripedTopologyParams:
             raise ConfigurationError("host_count must be positive")
         if not 1 <= self.min_tenant_size <= self.max_tenant_size:
             raise ConfigurationError("tenant size bounds must satisfy 1 <= min <= max")
-        if self.uplink_mbps is not None and self.uplink_mbps <= 0:
-            raise ConfigurationError("uplink_mbps must be positive when set")
 
 
 def build_striped_datacenter(params: StripedTopologyParams) -> DataCenterNetwork:
@@ -72,7 +67,6 @@ def build_striped_datacenter(params: StripedTopologyParams) -> DataCenterNetwork
             network.attach_host(switch_id, tenant.tenant_id)
             created_hosts += 1
         tenant_index += 1
-    _assign_uplink_capacities(network, params.uplink_mbps)
     return network
 
 
@@ -87,7 +81,6 @@ class MultiPodTopologyParams:
     max_tenant_size: int = 100
     home_switches_per_tenant: int = 2
     pod_spill_fraction: float = 0.03
-    uplink_mbps: Optional[float] = None
     seed: int = 2015
 
     def __post_init__(self) -> None:
@@ -103,8 +96,6 @@ class MultiPodTopologyParams:
             raise ConfigurationError("home_switches_per_tenant must be at least 1")
         if not 0.0 <= self.pod_spill_fraction <= 1.0:
             raise ConfigurationError("pod_spill_fraction must be in [0, 1]")
-        if self.uplink_mbps is not None and self.uplink_mbps <= 0:
-            raise ConfigurationError("uplink_mbps must be positive when set")
 
     @property
     def switch_count(self) -> int:
@@ -140,5 +131,4 @@ def build_multi_pod_datacenter(params: MultiPodTopologyParams) -> DataCenterNetw
             network.attach_host(switch_id, tenant.tenant_id)
             created_hosts += 1
         tenant_index += 1
-    _assign_uplink_capacities(network, params.uplink_mbps)
     return network

@@ -3,8 +3,8 @@
 Covers the layers bottom-up: the per-flow constant rate (degenerate
 durations are rejected before they can divide-by-zero), the per-uplink
 window accounting of :class:`LinkUtilizationMeter`, the
-serializable :class:`LinkUsageResult` matrix, the ``ScenarioSpec.links``
-overlay, and the headline replay invariants: a capacity-less run stays
+serializable :class:`LinkUsageResult` matrix, ``ScenarioSpec.links``
+and the queueing knobs in ``config.latency``, and the headline replay invariants: a capacity-less run stays
 bit-identical to a build without the subsystem, a capacitated run pays
 queueing and reports utilization, and sharded replays merge link matrices
 and latency histograms without changing the contract.
@@ -21,7 +21,7 @@ from repro.analysis import hot_links_report, latency_percentile_rows, render_hea
 from repro.bandwidth.meter import LinkUtilizationMeter, build_link_meter
 from repro.bandwidth.spec import LinkCapacitySpec
 from repro.bandwidth.usage import LinkUsageResult
-from repro.common.config import LazyCtrlConfig
+from repro.common.config import LatencyModelConfig, LazyCtrlConfig
 from repro.common.errors import ConfigurationError
 from repro.common.serialize import dataclass_from_dict, dataclass_to_dict
 from repro.core.runner import ScenarioRunner
@@ -76,7 +76,8 @@ def incast_spec(**overrides):
         ),
         systems=("openflow", "lazyctrl-dynamic"),
         schedule=ScheduleSpec(duration_hours=24.0, bucket_hours=2.0),
-        links=LinkCapacitySpec(uplink_mbps=0.1, queueing_service_ms=0.25),
+        config=LazyCtrlConfig(latency=LatencyModelConfig(queueing_service_ms=0.25)),
+        links=LinkCapacitySpec(uplink_mbps=0.1),
     )
     defaults.update(overrides)
     return ScenarioSpec(**defaults)
@@ -283,7 +284,7 @@ class TestLinkUsageResult:
         assert rebuilt == usage
 
 
-# -- the spec overlay -----------------------------------------------------------
+# -- the spec's link capacities ---------------------------------------------------
 
 
 class TestLinkCapacitySpec:
@@ -293,19 +294,23 @@ class TestLinkCapacitySpec:
         with pytest.raises(ConfigurationError):
             LinkCapacitySpec(window_seconds=-1.0)
         with pytest.raises(ConfigurationError):
-            LinkCapacitySpec(queueing_service_ms=-0.1)
+            LatencyModelConfig(queueing_service_ms=-0.1)
         with pytest.raises(ConfigurationError):
-            LinkCapacitySpec(utilization_cap=1.0)
+            LatencyModelConfig(queueing_utilization_cap=1.0)
 
-    def test_apply_folds_queueing_into_latency_config(self):
-        overlay = LinkCapacitySpec(queueing_service_ms=0.25, utilization_cap=0.9)
-        config = overlay.apply(LazyCtrlConfig())
-        assert config.latency.queueing_service_ms == 0.25
-        assert config.latency.queueing_utilization_cap == 0.9
+    def test_legacy_queueing_knobs_fold_into_latency_config(self):
+        spec = ScenarioSpec.from_dict(
+            {"name": "legacy", "links": {"queueing_service_ms": 0.25, "utilization_cap": 0.9}}
+        )
+        assert spec.config.latency.queueing_service_ms == 0.25
+        assert spec.config.latency.queueing_utilization_cap == 0.9
+        assert spec.links == LinkCapacitySpec()
 
-    def test_apply_without_knobs_is_the_identity(self):
-        config = LazyCtrlConfig()
-        assert LinkCapacitySpec(uplink_mbps=5.0).apply(config) is config
+    def test_legacy_queueing_knobs_are_validated(self):
+        with pytest.raises(ConfigurationError, match="queueing_service_ms"):
+            ScenarioSpec.from_dict({"name": "legacy", "links": {"queueing_service_ms": -0.1}})
+        with pytest.raises(ConfigurationError, match="queueing_utilization_cap"):
+            ScenarioSpec.from_dict({"name": "legacy", "links": {"utilization_cap": "high"}})
 
     def test_apply_network_capacitates_every_uplink(self):
         network = build_multi_tenant_datacenter(
@@ -338,9 +343,12 @@ class TestCongestionOffIdentity:
     def test_queueing_knobs_without_capacities_change_nothing(self):
         # A queueing service time with no capacitated link must be inert:
         # the meter never exists, so the M/M/1 term never sees a utilization.
-        plain = ScenarioRunner().run(incast_spec(links=None))
+        plain = ScenarioRunner().run(incast_spec(links=None, config=LazyCtrlConfig()))
         knobs_only = ScenarioRunner().run(
-            incast_spec(links=LinkCapacitySpec(queueing_service_ms=0.5))
+            incast_spec(
+                links=LinkCapacitySpec(),
+                config=LazyCtrlConfig(latency=LatencyModelConfig(queueing_service_ms=0.5)),
+            )
         )
         assert serialized_runs(knobs_only) == serialized_runs(plain)
 

@@ -1,11 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.cli import BENCH_PRESETS, SMOKE_BENCH_PRESETS, main
+from repro.cli import BENCH_PRESETS, SMOKE_BENCH_PRESETS, _apply_overrides, build_parser, main
+from repro.common.config import FlowTableConfig
 from repro.core.presets import get_preset
 from repro.core.runner import ScenarioResult
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec
@@ -129,15 +131,15 @@ class TestTableFlags:
             assert name in out
         assert "min_timeout_seconds" in out  # params column
 
-    def test_table_overrides_create_the_overlay(self, tmp_path, capsys):
+    def test_table_overrides_edit_the_flow_table(self, tmp_path, capsys):
         out_path = tmp_path / "results.json"
         code = main(["run", "paper-fig7", *RUN_SMALL, "--systems", "openflow",
                      "--table-capacity", "32", "--table-policy", "lru",
                      "--out", str(out_path)])
         assert code == 0
         result = ScenarioResult.from_dict(json.loads(out_path.read_text()))
-        assert result.spec.tables.capacity == 32
-        assert result.spec.tables.policy == "lru"
+        assert result.spec.config.flow_table.capacity == 32
+        assert result.spec.config.flow_table.policy == "lru"
         run = result.runs["openflow"]
         assert run.tables is not None
         assert run.tables.capacity == 32 and run.tables.policy == "lru"
@@ -148,8 +150,24 @@ class TestTableFlags:
                      "--table-capacity", "16", "--out", str(out_path)])
         assert code == 0
         result = ScenarioResult.from_dict(json.loads(out_path.read_text()))
-        assert result.spec.tables.capacity == 16
-        assert result.spec.tables.policy == "static-idle"
+        table = result.spec.config.flow_table
+        assert (table.capacity, table.eviction_batch, table.policy) == (16, 16, "static-idle")
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            FlowTableConfig(policy="lru"),
+            FlowTableConfig(policy="adaptive", policy_params={"margin": 3.0}),
+        ],
+        ids=["lru", "adaptive"],
+    )
+    def test_table_capacity_changes_the_capacity_only(self, table):
+        (preset,) = get_preset("paper-fig7").specs()
+        spec = dataclasses.replace(preset, config=dataclasses.replace(preset.config, flow_table=table))
+        args = build_parser().parse_args(["run", "paper-fig7", "--table-capacity", "128"])
+        assert _apply_overrides(spec, args).config.flow_table == dataclasses.replace(
+            table, capacity=128, eviction_batch=64
+        )
 
     def test_unknown_table_policy_fails_cleanly(self, capsys):
         assert main(["run", "paper-fig7", *RUN_SMALL, "--table-policy", "nope"]) == 2
@@ -270,9 +288,13 @@ class TestMalformedSpecFiles:
         data = _malformed(spec_dict, ("topology", "params"), [1, 2])
         self._assert_error(tmp_path, capsys, data, "spec.topology.params: expected a JSON object, got list")
 
-    def test_table_params_as_a_list(self, tmp_path, capsys, spec_dict):
-        data = _malformed(spec_dict, ("tables", "params"), [1, 2])
-        self._assert_error(tmp_path, capsys, data, "spec.tables.params: expected a JSON object, got list")
+    @pytest.mark.parametrize(
+        "key_path", [("config", "flow_table", "policy_params"), ("tables", "params")], ids=["home", "legacy"]
+    )
+    def test_table_params_as_a_list(self, tmp_path, capsys, spec_dict, key_path):
+        data = _malformed(spec_dict, key_path, [1, 2])
+        message = "spec.config.flow_table.policy_params: expected a JSON object, got list"
+        self._assert_error(tmp_path, capsys, data, message)
 
     def test_systems_as_an_object(self, tmp_path, capsys, spec_dict):
         data = _malformed(spec_dict, ("systems",), {"openflow": 1})
@@ -558,6 +580,13 @@ class TestCongestionCli:
         assert "assigns no link capacities" in err
         assert "--uplink-mbps" in err
 
+    def test_heatmap_with_queueing_but_no_capacities_fails_before_replay(self, capsys):
+        assert main(["heatmap", "paper-fig7", *RUN_SMALL, "--queueing-ms", "0.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error: ") == 1
+        assert "assigns no link capacities" in captured.err
+
     def test_uplink_override_capacitates_any_preset(self, tmp_path, capsys):
         out_path = tmp_path / "results.json"
         code = main(["run", "paper-fig7", *RUN_SMALL, "--out", str(out_path),
@@ -565,8 +594,7 @@ class TestCongestionCli:
         assert code == 0
         result = ScenarioResult.from_dict(json.loads(out_path.read_text()))
         assert result.spec.links.uplink_mbps == 0.5
-        assert result.spec.links.queueing_service_ms == 0.25
-        assert result.spec.effective_config().latency.queueing_service_ms == 0.25
+        assert result.spec.config.latency.queueing_service_ms == 0.25
         for run in result.runs.values():
             assert run.links is not None
 

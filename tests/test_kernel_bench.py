@@ -51,7 +51,7 @@ def kernel_and_batch(fig7):
     spec, network, trace = fig7
     plane = get_control_plane("lazyctrl-dynamic").build(
         network,
-        config=spec.effective_config(),
+        config=spec.config,
         workload_bucket_seconds=spec.schedule.bucket_seconds,
         latency_bucket_seconds=spec.schedule.bucket_seconds,
     )
@@ -91,7 +91,7 @@ def test_fallback_walk_primitive(system, fig7, benchmark):
     spec, network, trace = fig7
 
     def cold_kernel():
-        plane = get_control_plane(system).build(network, config=spec.effective_config())
+        plane = get_control_plane(system).build(network, config=spec.config)
         plane.prepare(trace, warmup_end=spec.schedule.warmup_seconds)
         return build_kernel(plane)
 

@@ -5,7 +5,7 @@ semantics: every result surface — counters, per-bucket timelines, latency
 totals, link matrices — must be *bit-identical* to the scalar replayer, for
 any scenario, under any composition with sharding.  This suite is the
 streamed≡materialized harness's sibling: hypothesis drives traffic models,
-table policies and capacity overlays through both kernels and compares the
+table policies and link capacities through both kernels and compares the
 full serialized runs, while the directed tests pin the edge cases — forced
 fallback under tiny tables, the kernel under churn (whose events cut the
 replay's batches), and the kernel composed with both shard strategies.
@@ -22,12 +22,17 @@ from hypothesis import strategies as st
 
 from repro.bandwidth.spec import LinkCapacitySpec
 from repro.churn.spec import ChurnSpec
+from repro.common.config import (
+    FlowTableConfig,
+    GroupingConfig,
+    LatencyModelConfig,
+    LazyCtrlConfig,
+)
 from repro.common.errors import ConfigurationError
 from repro.core.runner import ScenarioRunner
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec
 from repro.obs.tracer import TraceOptions
 from repro.replay.spec import ExecutionSpec
-from repro.tables.spec import TableSpec
 from repro.topology.builder import TopologyProfile
 
 SCHEDULE = ScheduleSpec(warmup_hours=0.5, duration_hours=4.0, bucket_hours=2.0)
@@ -38,25 +43,23 @@ SYSTEMS = ("openflow", "lazyctrl-static", "lazyctrl-dynamic")
 #: and the adaptive predictor, whose per-rule timeouts force full fallback.
 TABLE_SPECS = (
     None,
-    TableSpec(capacity=8, policy="static-idle", idle_timeout_seconds=900.0),
-    TableSpec(
-        capacity=8,
+    FlowTableConfig(policy="static-idle", idle_timeout_seconds=900.0).resized(8),
+    FlowTableConfig(
         policy="idle-hard-hybrid",
         idle_timeout_seconds=900.0,
         hard_timeout_seconds=3600.0,
-    ),
-    TableSpec(capacity=4, policy="lru"),
-    TableSpec(
-        capacity=8,
+    ).resized(8),
+    FlowTableConfig(policy="lru").resized(4),
+    FlowTableConfig(
         policy="adaptive",
         idle_timeout_seconds=900.0,
-        params={"min_timeout_seconds": 60.0, "max_timeout_seconds": 1800.0},
-    ),
+        policy_params={"min_timeout_seconds": 60.0, "max_timeout_seconds": 1800.0},
+    ).resized(8),
 )
 
-#: Capacity overlays: no metering at all, and an undersized uplink that
+#: Link capacities: no metering at all, and an undersized uplink that
 #: pushes the replay onto the kernel's ordered metered walk.
-LINK_SPECS = (None, LinkCapacitySpec(uplink_mbps=0.5, queueing_service_ms=0.25))
+LINK_SPECS = (None, LinkCapacitySpec(uplink_mbps=0.5))
 
 #: Churn the kernel must follow: host moves, and whole tenants arriving and
 #: leaving (departures leave flows whose hosts are gone: the DEPARTED pairs).
@@ -83,8 +86,10 @@ def build_spec(
     churn=None,
     execution=None,
     expand=0.0,
+    group_size_limit=None,
     name="kernel-equiv",
 ):
+    """A small spec; capacitated ``links`` come with the 0.25 ms queueing term."""
     params = {"total_flows": flows, "seed": seed}
     if model == "incast-hotspot":
         params.update(
@@ -101,7 +106,15 @@ def build_spec(
         ),
         systems=SYSTEMS,
         schedule=SCHEDULE,
-        tables=tables,
+        config=LazyCtrlConfig(
+            grouping=(
+                GroupingConfig()
+                if group_size_limit is None
+                else GroupingConfig(group_size_limit=group_size_limit, random_seed=seed)
+            ),
+            flow_table=tables or FlowTableConfig(),
+            latency=LatencyModelConfig(queueing_service_ms=0.0 if links is None else 0.25),
+        ),
         links=links,
         churn=churn,
         execution=execution or ExecutionSpec(),
@@ -165,7 +178,7 @@ class TestDirectedEquivalence:
     def test_tiny_tables_force_fallback_yet_match(self):
         """4-entry tables keep every switch at the slack guard's threshold,
         so hits demote to the scalar path — and results still agree."""
-        spec = build_spec(tables=TableSpec(capacity=4, policy="lru"), flows=500, seed=3)
+        spec = build_spec(tables=FlowTableConfig(policy="lru").resized(4), flows=500, seed=3)
         assert_equivalent(spec)
         result = ScenarioRunner().run(
             dataclasses.replace(spec, execution=ExecutionSpec(kernel="vectorized")),
@@ -270,7 +283,7 @@ class TestMeteredEquivalence:
     has work to do: 2 s accounting windows that flows straddle, and uplinks
     thin enough to congest."""
 
-    LINKS = LinkCapacitySpec(uplink_mbps=0.05, window_seconds=2.0, queueing_service_ms=0.25)
+    LINKS = LinkCapacitySpec(uplink_mbps=0.05, window_seconds=2.0)
     TWO_SYSTEMS = ("openflow", "lazyctrl-dynamic")
 
     def spec(self):
@@ -318,7 +331,7 @@ class TestMeteredEquivalence:
                 system,
                 trace,
                 schedule=spec.schedule,
-                config=spec.effective_config(),
+                config=spec.config,
                 tracer=EventTracer(
                     system=system, timeline=MetricsTimeline(spec.schedule.bucket_seconds)
                 ),
@@ -347,7 +360,7 @@ class TestEndStateEquivalence:
 
     #: The adaptive policy is left to the result-level suite: it is all fallback.
     TABLES = TABLE_SPECS[:4] + (
-        TableSpec(capacity=64, policy="static-idle", idle_timeout_seconds=300.0),
+        FlowTableConfig(policy="static-idle", idle_timeout_seconds=300.0).resized(64),
     )
 
     @staticmethod
@@ -378,16 +391,18 @@ class TestEndStateEquivalence:
     @pytest.mark.parametrize("system", ("openflow", "lazyctrl-dynamic"))
     @pytest.mark.parametrize("links", LINK_SPECS, ids=("unmetered", "metered"))
     @pytest.mark.parametrize(
-        "tables", TABLES, ids=("no-overlay", "idle-cap8", "hybrid-cap8", "lru-cap4", "idle300-cap64")
+        "tables", TABLES, ids=("default", "idle-cap8", "hybrid-cap8", "lru-cap4", "idle300-cap64")
     )
     def test_switches_end_in_the_same_state(self, tables, links, system):
-        from repro.common.config import GroupingConfig, LazyCtrlConfig
-
         # Elephant pairs re-hit their rules, and groups of three switches give
         # LazyCtrl all of local, intra-group and inter-group flows.
-        spec = dataclasses.replace(
-            build_spec(model="elephant-mice", flows=12000, seed=17, tables=tables, links=links),
-            config=LazyCtrlConfig(grouping=GroupingConfig(group_size_limit=3, random_seed=17)),
+        spec = build_spec(
+            model="elephant-mice",
+            flows=12000,
+            seed=17,
+            tables=tables,
+            links=links,
+            group_size_limit=3,
         )
         states = {}
         for kernel in ("scalar", "vectorized"):
@@ -395,7 +410,7 @@ class TestEndStateEquivalence:
                 system,
                 spec.build_trace(spec.build_network()),
                 schedule=spec.schedule,
-                config=spec.effective_config(),
+                config=spec.config,
                 # Stop mid-schedule, between sweeps: rules are still resident.
                 end=10_000.0,
                 kernel=kernel,
@@ -410,11 +425,8 @@ class TestEndStateEquivalence:
     def test_switches_end_in_the_same_state_under_churn(self, churn, system):
         """The batch between two churn events is the kernel's unit: the hosts
         end where scalar put them, and so does every switch's state."""
-        from repro.common.config import GroupingConfig, LazyCtrlConfig
-
-        spec = dataclasses.replace(
-            build_spec(model="elephant-mice", flows=6000, seed=17, churn=churn),
-            config=LazyCtrlConfig(grouping=GroupingConfig(group_size_limit=3, random_seed=17)),
+        spec = build_spec(
+            model="elephant-mice", flows=6000, seed=17, churn=churn, group_size_limit=3
         )
         states = {}
         for kernel in ("scalar", "vectorized"):
@@ -423,7 +435,7 @@ class TestEndStateEquivalence:
                 system,
                 spec.build_trace(network),
                 schedule=spec.schedule,
-                config=spec.effective_config(),
+                config=spec.config,
                 churn=spec.churn,
                 end=10_000.0,
                 kernel=kernel,
@@ -442,17 +454,13 @@ class TestFallbackIsThePlanesDecideStep:
 
     @staticmethod
     def prepared_plane(system, links):
-        from repro.common.config import GroupingConfig, LazyCtrlConfig
         from repro.core.registry import get_control_plane
 
         # Groups of three switches, so LazyCtrl has inter-group flows to punt.
-        spec = dataclasses.replace(
-            build_spec(flows=800, seed=9, links=links),
-            config=LazyCtrlConfig(grouping=GroupingConfig(group_size_limit=3, random_seed=9)),
-        )
+        spec = build_spec(flows=800, seed=9, links=links, group_size_limit=3)
         network = spec.build_network()
         trace = spec.build_trace(network)
-        plane = get_control_plane(system).build(network, config=spec.effective_config())
+        plane = get_control_plane(system).build(network, config=spec.config)
         plane.prepare(trace, warmup_end=SCHEDULE.warmup_seconds)
         return plane, trace.columns()
 
@@ -624,7 +632,7 @@ class TestFallbackCauses:
         spec = build_spec(flows=400, seed=5)
         network = spec.build_network()
         flows = spec.build_trace(network).columns()
-        plane = get_control_plane("openflow").build(network, config=spec.effective_config())
+        plane = get_control_plane("openflow").build(network, config=spec.config)
         perf = PerfRecorder()
         handler = build_batch_handler(plane, perf=perf)
         handler(flows[:100])

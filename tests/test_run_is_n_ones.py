@@ -449,10 +449,10 @@ def metered_plane(window_seconds):
     from repro.obs.tracer import EventTracer
     from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
 
-    links = LinkCapacitySpec(uplink_mbps=0.05, window_seconds=window_seconds, queueing_service_ms=0.25)
+    links = LinkCapacitySpec(uplink_mbps=0.05, window_seconds=window_seconds)
     network = build_multi_tenant_datacenter(TopologyProfile(switch_count=4, host_count=16, seed=3))
     links.apply_network(network)
-    plane = OpenFlowSystem(network, config=links.apply(LazyCtrlConfig()))
+    plane = OpenFlowSystem(network, config=queued(LazyCtrlConfig()))
     listener = RecordingListener()
     plane.set_tracer(EventTracer(system="openflow", listeners=[listener]))
     return plane, listener
@@ -703,7 +703,7 @@ def arrival_plane(system, *, links=None, timeline=False, departed=False):
     network = arrival_network(links)
     config = default_grouping_config(8)
     if links is not None:
-        config = links.apply(config)
+        config = queued(config)
     plane = get_control_plane(system).build(
         network, config=config, workload_bucket_seconds=600.0, latency_bucket_seconds=600.0
     )
@@ -744,7 +744,14 @@ def plane_state(plane, listener, horizon):
 def thin_links():
     from repro.bandwidth.spec import LinkCapacitySpec
 
-    return LinkCapacitySpec(uplink_mbps=0.05, window_seconds=10.0, queueing_service_ms=0.25)
+    return LinkCapacitySpec(uplink_mbps=0.05, window_seconds=10.0)
+
+
+def queued(config):
+    """``config`` with the queueing term the thin links feed switched on."""
+    return dataclasses.replace(
+        config, latency=dataclasses.replace(config.latency, queueing_service_ms=0.25)
+    )
 
 
 class TestArrivalStep:
@@ -862,14 +869,15 @@ class TestColumnBornReplay:
         from repro.core.scenario import FailureInjectionSpec, ScheduleSpec
         from repro.obs.timeline import MetricsTimeline
         from repro.obs.tracer import EventTracer
-        from repro.tables.spec import TableSpec
 
         links = thin_links() if "links" in variant else None
         config = default_grouping_config(8)
         if links is not None:
-            config = links.apply(config)
+            config = queued(config)
         if "tables" in variant:
-            config = TableSpec(capacity=2, policy="lru").apply(config)
+            config = dataclasses.replace(
+                config, flow_table=FlowTableConfig(policy="lru").resized(2)
+            )
         schedule = ScheduleSpec(warmup_hours=0.5, duration_hours=4.0, bucket_hours=1.0)
         churn = None
         if "churn" in variant:

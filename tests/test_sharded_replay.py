@@ -12,6 +12,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.config import FlowTableConfig, LazyCtrlConfig
 from repro.common.errors import ConfigurationError
 from repro.core.presets import get_preset
 from repro.core.runner import ScenarioRunner
@@ -25,7 +26,6 @@ from repro.churn.spec import ChurnSpec
 from repro.obs.tracer import TraceOptions
 from repro.replay.sharding import plan_shards
 from repro.replay.spec import SHARD_STRATEGIES, ExecutionSpec
-from repro.tables.spec import TableSpec
 from repro.topology.builder import TopologyProfile
 
 
@@ -65,11 +65,14 @@ def mini_table_pressure(**overrides):
         systems=("openflow", "lazyctrl-dynamic"),
         schedule=ScheduleSpec(duration_hours=8.0, bucket_hours=2.0),
         execution=ExecutionSpec(stream=True),
-        tables=TableSpec(
-            capacity=16,
-            policy="idle-hard-hybrid",
-            idle_timeout_seconds=1800.0,
-            hard_timeout_seconds=7200.0,
+        config=LazyCtrlConfig(
+            flow_table=FlowTableConfig(
+                capacity=16,
+                eviction_batch=16,
+                policy="idle-hard-hybrid",
+                idle_timeout_seconds=1800.0,
+                hard_timeout_seconds=7200.0,
+            ),
         ),
     )
     defaults.update(overrides)

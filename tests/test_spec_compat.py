@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bandwidth.spec import LinkCapacitySpec
 from repro.common.errors import ConfigurationError
 from repro.core.presets import get_preset
 from repro.core.runner import ScenarioRunner
@@ -21,6 +22,11 @@ from repro.core.scenario import ScenarioSpec, ScheduleSpec, TopologySpec, TraceS
 
 LEGACY_DIR = Path(__file__).parent / "data" / "legacy_specs"
 LEGACY_FILES = sorted(LEGACY_DIR.glob("*.json"))
+#: Every preset's spec dicts as pinned while a setting could live in two
+#: places (a ``tables`` overlay, queueing in ``links``, topology ``uplink_mbps``).
+LEGACY_PRESET_SPECS = json.loads(
+    (Path(__file__).parent / "data" / "legacy_preset_specs.json").read_text(encoding="utf-8")
+)
 
 #: legacy file stem -> (preset name, index of the spec inside the preset)
 LEGACY_TO_PRESET = {
@@ -156,3 +162,56 @@ class TestLegacyExecutionKeys:
         legacy["config"]["latency"]["group_flood_ms"] = 0.3
         with pytest.raises(ConfigurationError, match="unknown key 'group_flood_ms'"):
             ScenarioSpec.from_dict(legacy)
+
+
+@pytest.mark.parametrize("name", sorted(LEGACY_PRESET_SPECS))
+def test_preset_specs_pinned_with_second_homes_load_as_todays_preset(name):
+    legacy = [ScenarioSpec.from_dict(data) for data in LEGACY_PRESET_SPECS[name]]
+    assert legacy == list(get_preset(name).specs())
+
+
+class TestSettingsFoldIntoTheirHome:
+    """A setting written in its old second place folds into its one home on load."""
+
+    @staticmethod
+    def load(topology_params, links=None, shape="multi-tenant"):
+        data = {"name": "legacy", "topology": {"shape": shape, "params": topology_params}}
+        if links is not None:
+            data["links"] = links
+        return ScenarioSpec.from_dict(data)
+
+    def test_topology_uplink_folds_into_links(self):
+        for shape in ("multi-tenant", "paper-real", "paper-synthetic", "striped", "multi-pod"):
+            spec = self.load({"uplink_mbps": 2.0}, shape=shape)
+            assert spec.links == LinkCapacitySpec(uplink_mbps=2.0), shape
+            assert spec.topology.params == {}, shape
+
+    def test_bare_profile_uplink_folds_into_links(self):
+        spec = ScenarioSpec.from_dict(
+            {"name": "legacy", "topology": {"switch_count": 4, "host_count": 20, "uplink_mbps": 1.5}}
+        )
+        assert spec.links == LinkCapacitySpec(uplink_mbps=1.5)
+        network = spec.build_network()
+        assert network.link_capacities_mbps() == {switch_id: 1.5 for switch_id in range(4)}
+
+    def test_links_capacity_wins_over_the_topology(self):
+        spec = self.load({"uplink_mbps": 2.0}, links={"uplink_mbps": 5.0, "window_seconds": 60.0})
+        assert spec.links == LinkCapacitySpec(uplink_mbps=5.0, window_seconds=60.0)
+
+    def test_topology_uplink_fills_a_null_links_capacity(self):
+        spec = self.load({"uplink_mbps": 2.0}, links={"uplink_mbps": None, "window_seconds": 60.0})
+        assert spec.links == LinkCapacitySpec(uplink_mbps=2.0, window_seconds=60.0)
+
+    def test_null_second_homes_are_dropped(self):
+        spec = self.load(
+            {"uplink_mbps": None},
+            links={"queueing_service_ms": None, "utilization_cap": None},
+        )
+        assert spec.links == LinkCapacitySpec()
+        assert spec.config == ScenarioSpec(name="legacy").config
+        assert ScenarioSpec.from_dict({"name": "legacy", "tables": None}) == ScenarioSpec(name="legacy")
+
+    def test_a_third_party_shape_keeps_its_own_uplink_param(self):
+        spec = self.load({"uplink_mbps": 2.0}, shape="plugin-shape-not-loaded")
+        assert spec.topology.params == {"uplink_mbps": 2.0}
+        assert spec.links is None

@@ -419,10 +419,9 @@ class TestChunkEquivalence:
         pytest.importorskip("numpy")
         from repro.core.runner import ScenarioRunner
         from repro.core.scenario import ScheduleSpec
-        from repro.common.config import LazyCtrlConfig
+        from repro.common.config import FlowTableConfig, LazyCtrlConfig
         from repro.obs.timeline import MetricsTimeline
         from repro.obs.tracer import EventTracer
-        from repro.tables.spec import TableSpec
 
         params = {**_params_for(model, seed, 2.0), "total_flows": 600}
         columnar = Trace.from_stream(get_traffic_model(model).build(_NETWORK, params=params, name="equiv"))
@@ -433,7 +432,7 @@ class TestChunkEquivalence:
         schedule = ScheduleSpec(warmup_hours=0.5, duration_hours=2.0, bucket_hours=1.0)
         config = LazyCtrlConfig()
         if tables:
-            config = TableSpec(capacity=8, policy="lru").apply(config)
+            config = LazyCtrlConfig(flow_table=FlowTableConfig(policy="lru").resized(8))
 
         def run(trace, system):
             tracer = EventTracer(system=system, timeline=MetricsTimeline(schedule.bucket_seconds))

@@ -9,6 +9,7 @@ from repro.common.addresses import MacAddress
 from repro.common.config import FlowTableConfig, LazyCtrlConfig
 from repro.common.errors import ConfigurationError
 from repro.common.packets import FlowKey
+from repro.core.runner import ScenarioRunner
 from repro.core.scenario import ScenarioSpec
 from repro.datastructures.flow_table import ActionType, FlowAction, FlowRule, FlowTable
 from repro.tables.policies import (
@@ -28,7 +29,6 @@ from repro.tables.registry import (
     register_table_policy,
     unregister_table_policy,
 )
-from repro.tables.spec import TableSpec
 
 
 def key(i: int, j: int, tenant: int = 0) -> FlowKey:
@@ -285,52 +285,78 @@ class TestFlowTablePolicyIntegration:
         assert len(table) <= 4
 
 
-class TestTableSpec:
-    def test_apply_overrides_capacity_and_policy(self):
-        spec = TableSpec(capacity=256, policy="idle-hard-hybrid",
-                         idle_timeout_seconds=1800.0, hard_timeout_seconds=7200.0)
-        config = spec.apply(LazyCtrlConfig())
-        table = config.flow_table
+class TestFlowTableSettings:
+    """Every table setting lives in ``config.flow_table``; a legacy ``tables`` overlay folds there."""
+
+    @staticmethod
+    def legacy(tables, flow_table=None):
+        data = {"name": "legacy", "tables": tables}
+        if flow_table is not None:
+            data["config"] = {"flow_table": flow_table}
+        return ScenarioSpec.from_dict(data).config.flow_table
+
+    def test_legacy_overlay_overrides_capacity_and_policy(self):
+        table = self.legacy({"capacity": 256, "policy": "idle-hard-hybrid",
+                             "idle_timeout_seconds": 1800.0, "hard_timeout_seconds": 7200.0})
         assert table.capacity == 256
         assert table.policy == "idle-hard-hybrid"
         assert (table.idle_timeout_seconds, table.hard_timeout_seconds) == (1800.0, 7200.0)
 
-    def test_apply_inherits_unset_fields(self):
-        base = LazyCtrlConfig()
-        config = TableSpec(policy="lru").apply(base)
-        assert config.flow_table.capacity == base.flow_table.capacity
-        assert config.flow_table.idle_timeout_seconds == base.flow_table.idle_timeout_seconds
-        assert config.flow_table.sweep_interval_seconds == base.flow_table.sweep_interval_seconds
+    def test_legacy_overlay_inherits_unset_and_null_fields(self):
+        base = FlowTableConfig()
+        table = self.legacy({"policy": "lru", "capacity": None, "hard_timeout_seconds": None})
+        assert table.capacity == base.capacity
+        assert table.idle_timeout_seconds == base.idle_timeout_seconds
+        assert table.hard_timeout_seconds == base.hard_timeout_seconds
+        assert table.sweep_interval_seconds == base.sweep_interval_seconds
 
-    def test_apply_clamps_eviction_batch_to_small_capacity(self):
-        config = TableSpec(capacity=8, policy="lru").apply(LazyCtrlConfig())
-        assert config.flow_table.eviction_batch == 8
+    def test_legacy_overlay_replaces_policy_and_params_as_it_always_did(self):
+        # The overlay's policy defaulted to static-idle and always won.
+        table = self.legacy(
+            {"capacity": 128}, flow_table={"policy": "adaptive", "policy_params": {"margin": 3.0}}
+        )
+        assert (table.capacity, table.policy, table.policy_params) == (128, "static-idle", {})
+
+    def test_resized_clamps_eviction_batch_to_small_capacity(self):
+        assert FlowTableConfig(policy="lru").resized(8).eviction_batch == 8
+        assert FlowTableConfig(eviction_batch=16).resized(128).eviction_batch == 16
+        assert self.legacy({"capacity": 8, "policy": "lru"}).eviction_batch == 8
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ConfigurationError):
-            TableSpec(capacity=0)
+            FlowTableConfig().resized(0)
         with pytest.raises(ConfigurationError):
-            TableSpec(policy="  ")
+            FlowTableConfig(policy="  ")
+        with pytest.raises(ConfigurationError):
+            self.legacy({"capacity": 0})
+        with pytest.raises(ConfigurationError):
+            self.legacy({"policy": "  "})
+        with pytest.raises(ConfigurationError, match="spec.tables.capacity"):
+            self.legacy({"capacity": "big"})
+        with pytest.raises(ConfigurationError, match="unknown key 'capacty'"):
+            self.legacy({"capacty": 8})
 
     def test_unknown_policy_fails_at_resolution_not_construction(self):
-        spec = TableSpec(policy="third-party-not-loaded")  # lazy, like other specs
+        spec = ScenarioSpec(  # lazy, like other specs
+            name="t", config=LazyCtrlConfig(flow_table=FlowTableConfig(policy="third-party-not-loaded"))
+        )
         with pytest.raises(ConfigurationError, match="unknown table policy"):
-            spec.resolved_params()
+            ScenarioRunner().run(spec)  # before any trace is generated
 
     def test_scenario_spec_round_trips_tables(self):
         spec = ScenarioSpec(
             name="with-tables",
-            tables=TableSpec(capacity=128, policy="adaptive", params={"margin": 3.0}),
+            config=LazyCtrlConfig(
+                flow_table=FlowTableConfig(
+                    capacity=128, policy="adaptive", policy_params={"margin": 3.0}
+                )
+            ),
         )
         restored = ScenarioSpec.from_dict(spec.to_dict())
         assert restored == spec
-        assert restored.tables.params == {"margin": 3.0}
+        assert restored.config.flow_table.policy_params == {"margin": 3.0}
+        assert "tables" not in spec.to_dict()
 
-    def test_effective_config_folds_overlay(self):
-        spec = ScenarioSpec(name="t", tables=TableSpec(capacity=64, policy="lru"))
-        assert spec.effective_config().flow_table.capacity == 64
-        assert spec.effective_config().flow_table.policy == "lru"
-
-    def test_effective_config_without_tables_is_identity(self):
+    def test_effective_config_is_the_config(self):
         spec = ScenarioSpec(name="t")
         assert spec.effective_config() is spec.config

@@ -14,7 +14,6 @@ from repro.common.config import FlowTableConfig, GroupingConfig, LazyCtrlConfig
 from repro.core.runner import ScenarioResult, ScenarioRunner
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec
 from repro.core.system import LazyCtrlSystem, OpenFlowSystem
-from repro.tables.spec import TableSpec
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
 from repro.traffic.realistic import RealisticTraceGenerator, RealisticTraceProfile
 
@@ -139,13 +138,16 @@ class TestTablePressureRuns:
             traffic=TraceSpec.realistic(total_flows=3000, seed=11),
             systems=("openflow", "lazyctrl-dynamic"),
             schedule=ScheduleSpec(duration_hours=8.0, bucket_hours=2.0),
-            config=LazyCtrlConfig(grouping=GroupingConfig(group_size_limit=2, random_seed=11)),
-            tables=TableSpec(
-                capacity=16,
-                policy="idle-hard-hybrid",
-                idle_timeout_seconds=600.0,
-                hard_timeout_seconds=3600.0,
-                sweep_interval_seconds=120.0,
+            config=LazyCtrlConfig(
+                grouping=GroupingConfig(group_size_limit=2, random_seed=11),
+                flow_table=FlowTableConfig(
+                    capacity=16,
+                    eviction_batch=16,
+                    policy="idle-hard-hybrid",
+                    idle_timeout_seconds=600.0,
+                    hard_timeout_seconds=3600.0,
+                    sweep_interval_seconds=120.0,
+                ),
             ),
         )
         return ScenarioRunner().run(spec)

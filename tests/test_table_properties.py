@@ -24,7 +24,6 @@ from repro.common.packets import FlowKey
 from repro.core.runner import ScenarioRunner
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec
 from repro.datastructures.flow_table import ActionType, FlowAction, FlowTable
-from repro.tables.spec import TableSpec
 from repro.topology.builder import TopologyProfile
 
 
@@ -138,9 +137,9 @@ class TestSweepLookupEquivalence:
 
 
 class TestInfiniteCapacityEquivalence:
-    def test_huge_capacity_default_policy_matches_no_overlay(self):
+    def test_huge_capacity_default_policy_matches_the_default_table(self):
         """A capacity far beyond reach with the default policy must replay
-        bit-identically to a spec with no tables overlay at all."""
+        bit-identically to the default 4096-entry table."""
         base = ScenarioSpec(
             name="inf-equivalence",
             topology=TopologyProfile(switch_count=8, host_count=60, seed=7),
@@ -149,7 +148,10 @@ class TestInfiniteCapacityEquivalence:
             schedule=ScheduleSpec(duration_hours=6.0, bucket_hours=2.0),
         )
         huge = dataclasses.replace(
-            base, tables=TableSpec(capacity=10**9, policy="static-idle")
+            base,
+            config=dataclasses.replace(
+                base.config, flow_table=FlowTableConfig(capacity=10**9, policy="static-idle")
+            ),
         )
         runner = ScenarioRunner()
         plain_runs = runner.run(base).to_dict()["runs"]

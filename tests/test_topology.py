@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.bandwidth.spec import LinkCapacitySpec
 from repro.common.errors import ConfigurationError, TopologyError, UnknownHostError, UnknownSwitchError
+from repro.core.scenario import ScenarioSpec
 from repro.topology.builder import (
+    PaperRealTopologyParams,
+    PaperSyntheticTopologyParams,
     TopologyProfile,
     build_multi_tenant_datacenter,
     build_paper_real_topology,
@@ -206,18 +210,18 @@ class TestBuilders:
         [
             ({"host_count": 0}, "host_count"),
             ({"home_switches_per_tenant": 0}, "home_switches_per_tenant"),
-            ({"uplink_mbps": 0.0}, "uplink_mbps"),
-            ({"uplink_mbps": -5.0}, "uplink_mbps"),
         ],
     )
     def test_profile_rejects(self, kwargs, message):
         with pytest.raises(ConfigurationError, match=message):
             TopologyProfile(**{"switch_count": 10, "host_count": 10, **kwargs})
 
-    def test_a_profile_capacity_reaches_every_uplink(self):
-        network = build_multi_tenant_datacenter(
-            TopologyProfile(switch_count=5, host_count=40, uplink_mbps=2.5, seed=3)
-        )
+    def test_a_links_capacity_reaches_every_uplink(self):
+        network = ScenarioSpec(
+            name="capacitated",
+            topology=TopologyProfile(switch_count=5, host_count=40, seed=3),
+            links=LinkCapacitySpec(uplink_mbps=2.5),
+        ).build_network()
         assert network.link_capacities_mbps() == {switch_id: 2.5 for switch_id in range(5)}
         assert network.has_link_capacities()
 
@@ -251,6 +255,18 @@ class TestBuilders:
         network = build_paper_real_topology(scale=0.05)
         assert network.switch_count() == round(272 * 0.05)
         assert network.host_count() == round(6509 * 0.05)
+
+    @pytest.mark.parametrize("scale", [0.001, 0.05, 0.3])
+    def test_paper_builders_take_their_dimensions_from_the_params(self, scale):
+        for build, params in (
+            (build_paper_real_topology, PaperRealTopologyParams(scale=scale)),
+            (build_paper_synthetic_topology, PaperSyntheticTopologyParams(scale=scale / 10)),
+        ):
+            network = build(scale=params.scale)
+            assert (network.switch_count(), network.host_count()) == (
+                params.switch_count,
+                params.host_count,
+            )
 
     def test_paper_synthetic_topology_scaled(self):
         network = build_paper_synthetic_topology(scale=0.01)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.bandwidth.spec import LinkCapacitySpec
 from repro.common.errors import ConfigurationError
 from repro.core.runner import ScenarioRunner
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TopologySpec, TraceSpec
@@ -254,14 +255,17 @@ class TestTopologyRegistry:
 
     @pytest.mark.parametrize("shape", ["paper-real", "paper-synthetic"])
     def test_paper_shapes_build_their_dimensions(self, shape):
-        entry = get_topology(shape)
-        params = entry.make_params({"scale": 0.005, "uplink_mbps": 3.0, "seed": 4})
-        network = entry.build(params={"scale": 0.005, "uplink_mbps": 3.0, "seed": 4})
+        params = get_topology(shape).make_params({"scale": 0.005, "seed": 4})
+        network = ScenarioSpec(
+            name=shape,
+            topology=TopologySpec(shape=shape, params={"scale": 0.005, "seed": 4}),
+            links=LinkCapacitySpec(uplink_mbps=3.0),
+        ).build_network()
         assert (network.switch_count(), network.host_count()) == (params.switch_count, params.host_count)
         assert set(network.link_capacities_mbps().values()) == {3.0}
 
     @pytest.mark.parametrize("shape", ["paper-real", "paper-synthetic"])
-    @pytest.mark.parametrize("params", [{"scale": 0.0}, {"scale": -1.0}, {"uplink_mbps": 0.0}])
+    @pytest.mark.parametrize("params", [{"scale": 0.0}, {"scale": -1.0}])
     def test_paper_shape_params_are_validated(self, shape, params):
         with pytest.raises(ConfigurationError, match="must be positive"):
             get_topology(shape).make_params(params)
@@ -272,7 +276,6 @@ class TestTopologyRegistry:
             ({"switch_count": 0}, "switch_count"),
             ({"host_count": 0}, "host_count"),
             ({"min_tenant_size": 30, "max_tenant_size": 20}, "tenant size bounds"),
-            ({"uplink_mbps": -1.0}, "uplink_mbps"),
         ],
     )
     def test_striped_params_are_validated(self, params, message):
@@ -288,7 +291,6 @@ class TestTopologyRegistry:
             ({"min_tenant_size": 0}, "tenant size bounds"),
             ({"home_switches_per_tenant": 0}, "home_switches_per_tenant"),
             ({"pod_spill_fraction": 1.5}, "pod_spill_fraction"),
-            ({"uplink_mbps": 0.0}, "uplink_mbps"),
         ],
     )
     def test_multi_pod_params_are_validated(self, params, message):
