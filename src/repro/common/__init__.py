@@ -25,7 +25,7 @@ from repro.common.errors import (
     UnknownSwitchError,
 )
 from repro.common.packets import FlowKey
-from repro.common.rng import derive_seed, make_rng, sample_zipf_index
+from repro.common.rng import derive_seed, make_rng
 
 __all__ = [
     "AddressError",
@@ -51,5 +51,4 @@ __all__ = [
     "UnknownSwitchError",
     "derive_seed",
     "make_rng",
-    "sample_zipf_index",
 ]

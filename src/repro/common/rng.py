@@ -32,22 +32,3 @@ def make_rng(base_seed: int, *labels: str) -> random.Random:
     """Create an independent ``random.Random`` stream for a named component."""
     return random.Random(derive_seed(base_seed, *labels))
 
-
-def sample_zipf_index(rng: random.Random, population: int, exponent: float = 1.2) -> int:
-    """Sample an index in ``[0, population)`` from a Zipf-like distribution.
-
-    Used by the realistic trace generator to produce the heavy-tailed
-    host-pair popularity reported in the paper's motivation section (90 % of
-    flows from ~10 % of active pairs).
-    """
-    if population <= 0:
-        raise ValueError("population must be positive")
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
-    # Inverse-CDF sampling over harmonic weights would be O(n); a simple
-    # rejection-free approximation via the inverse power transform suffices
-    # for trace generation purposes.
-    u = rng.random()
-    index = int(population * (u ** exponent))
-    return min(index, population - 1)
-

@@ -1,19 +1,23 @@
 """Columnar flow chunks: a run of flows held as six parallel columns.
 
-A generated trace is born as *draws* — ``(start_time, src, dst, packets,
-bytes, duration)`` tuples — and most of its flows are only ever read column
-by column: the replayer bisects the start times, the warm-up grouping folds
-the endpoint columns into an intensity matrix, and the vectorized kernel
-classifies whole (src, dst) pairs in numpy.  :class:`FlowChunk` keeps the
-draws transposed into six stdlib ``array`` columns and builds a
-:class:`~repro.traffic.flow.FlowRecord` only when somebody indexes or
-iterates it, so the flows a consumer never looks at one by one never cost an
-object each.
+A generated trace is born as *columns* — six lists (start times, sources,
+destinations, packets, bytes, durations) that an emitter appends to flow by
+flow — and most of its flows are only ever read column by column: the
+replayer bisects the start times, the warm-up grouping folds the endpoint
+columns into an intensity matrix, and the vectorized kernel classifies whole
+(src, dst) pairs in numpy.  :class:`FlowChunk` keeps the columns as six
+stdlib ``array`` buffers and builds a :class:`~repro.traffic.flow.FlowRecord`
+only when somebody indexes or iterates it, so the flows a consumer never
+looks at one by one never cost an object each.
 
-The data flow is therefore *draws → columns → (records on demand)*:
+The data flow is therefore *columns → arrays → (records on demand)*:
 
-* :meth:`FlowChunk.from_draws` transposes canonically sorted draws and runs
-  ``FlowRecord``'s own checks column-wise (same exceptions, nothing skipped);
+* :meth:`FlowChunk.from_columns` is the one validating constructor: it runs
+  ``FlowRecord``'s own checks on the replay-ordered lists (same exceptions,
+  nothing skipped) before they become arrays.  :meth:`FlowChunk.from_draws`
+  is the same for ``(start_time, src, dst, packets, bytes, duration)``
+  tuples — transposed, then handed to it — which is what a k-way merge of
+  streams produces;
 * slicing yields a *view* over the same buffers, :attr:`start_times` is
   directly bisectable, and :meth:`columns` hands out the raw buffers — the
   kernel wraps them with ``numpy.frombuffer`` without a copy.  This module
@@ -44,7 +48,8 @@ from repro.common.errors import UnknownHostError
 from repro.traffic.flow import FlowRecord
 
 #: A flow before it has an identity: (start_time, src, dst, packets, bytes,
-#: duration).  Generators emit draws, the stream sorts them and mints ids.
+#: duration).  One row of the six columns, and what a k-way merge of streams
+#: orders by.
 FlowDraw = Tuple[float, int, int, int, int, float]
 
 #: ``array`` typecodes of the six columns, in :data:`FlowDraw` order
@@ -59,9 +64,13 @@ draw_of = attrgetter(
 )
 
 
-def _transpose(draws: Iterable[FlowDraw]) -> Tuple[memoryview, ...]:
-    """Six read-only column buffers from an iterable of draws."""
-    columns = tuple(zip(*draws)) or ((),) * len(COLUMN_TYPECODES)
+def _transpose(draws: Iterable[FlowDraw]) -> Tuple[Sequence, ...]:
+    """The six columns of an iterable of draws."""
+    return tuple(zip(*draws)) or ((),) * len(COLUMN_TYPECODES)
+
+
+def _frozen(columns: Iterable[Iterable]) -> Tuple[memoryview, ...]:
+    """Six read-only array buffers holding six columns."""
     return tuple(
         memoryview(array(typecode, column)).toreadonly()
         for typecode, column in zip(COLUMN_TYPECODES, columns)
@@ -112,7 +121,7 @@ class FlowChunk(SequenceABC):
 
     Behaves as a ``Sequence[FlowRecord]``: ``len``, indexing and iteration
     work as on the record list it replaces, and a slice is a zero-copy view.
-    A chunk built by :meth:`from_draws` holds consecutive flow ids starting
+    A chunk built by :meth:`from_columns` holds consecutive flow ids starting
     at :attr:`first_id` and *mints* a validated record per access; a chunk
     built by :meth:`from_records` hands back the records it was given.
     """
@@ -132,17 +141,19 @@ class FlowChunk(SequenceABC):
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def from_draws(cls, draws: Iterable[FlowDraw], first_id: int = 0) -> "FlowChunk":
-        """Transpose canonically sorted draws into a chunk, validating columns.
+    def from_columns(cls, columns: Sequence[Sequence], first_id: int = 0) -> "FlowChunk":
+        """Six replay-ordered columns as a chunk, validated before they become arrays.
 
-        ``draws`` must already be in replay order (sorted by time, then
-        endpoints and payload); flow ids ``first_id, first_id + 1, …`` are
-        implied by position.  Raises exactly what building the records one by
-        one would: the ``ValueError`` of the first offending flow's first
-        failed ``FlowRecord`` check.
+        ``columns`` are (times, src, dst, packets, bytes, durations), in
+        replay order (sorted by time, then endpoints and payload); flow ids
+        ``first_id, first_id + 1, …`` are implied by position.  Raises
+        exactly what building the records one by one would: the
+        ``ValueError`` of the first offending flow's first failed
+        ``FlowRecord`` check.
         """
-        chunk = cls(_transpose(draws), first_id)
-        times, src, dst, packets, byte_counts, durations = chunk._columns
+        times, src, dst, packets, byte_counts, durations = columns
+        if any(len(column) != len(times) for column in columns):
+            raise ValueError("the six columns of a flow chunk must have equal lengths")
         if len(times) and (
             min(times) < 0
             or any(map(eq, src, dst))
@@ -152,9 +163,15 @@ class FlowChunk(SequenceABC):
         ):
             # Something is off somewhere in the chunk: let FlowRecord itself
             # name the first offending flow, as the per-record path did.
-            for _ in chunk:
+            ids = range(first_id, first_id + len(times))
+            for _ in map(FlowRecord, times, ids, src, dst, packets, byte_counts, durations):
                 pass
-        return chunk
+        return cls(_frozen(columns), first_id)
+
+    @classmethod
+    def from_draws(cls, draws: Iterable[FlowDraw], first_id: int = 0) -> "FlowChunk":
+        """Replay-ordered draws as a chunk: transposed, then :meth:`from_columns`."""
+        return cls.from_columns(_transpose(draws), first_id)
 
     @classmethod
     def from_records(cls, records: Sequence[FlowRecord]) -> "FlowChunk":
@@ -167,7 +184,7 @@ class FlowChunk(SequenceABC):
         if isinstance(records, FlowChunk):
             return records
         first_id = records[0].flow_id if len(records) else 0
-        return cls(_transpose(map(draw_of, records)), first_id, records)
+        return cls(_frozen(_transpose(map(draw_of, records))), first_id, records)
 
     @classmethod
     def gathered(cls, chunks: Iterable[Iterable[FlowRecord]]) -> "FlowChunk":
@@ -201,7 +218,7 @@ class FlowChunk(SequenceABC):
             for column, part in zip(columns, chunk._columns):
                 column.frombytes(part.cast("B"))
             # Let go before the source generates the next chunk, so no flow
-            # is resident twice while that chunk's draws are.
+            # is resident twice while that chunk's columns are being drawn.
             del chunk, part
         return collected()
 

@@ -31,20 +31,24 @@ function of its params over a given topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log
 from typing import List, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, TrafficError
-from repro.common.rng import make_rng, sample_zipf_index
+from repro.common.rng import make_rng
 from repro.topology.network import DataCenterNetwork
 from repro.traffic.stream import (
     ChunkWindow,
-    FlowDraw,
     GeneratedStream,
     allocate_counts,
+    per_distinct,
     plan_windows,
     subdivide_span,
     uniform_spans,
 )
+
+#: Rate of the exponential behind a mouse flow's packet count (mean 8).
+MICE_PACKET_RATE = 1.0 / 8.0
 
 
 def _require_hosts(network: DataCenterNetwork, minimum: int = 4) -> int:
@@ -62,9 +66,17 @@ def _random_pair(rng, host_count: int) -> Tuple[int, int]:
     return src, dst
 
 
-def _mice_payload(rng) -> Tuple[int, int, float]:
-    packet_count = max(1, int(rng.expovariate(1.0 / 8.0)) + 1)
-    return packet_count, packet_count * 1400, min(30.0, packet_count * 0.05)
+def _mice_packets(rng) -> int:
+    return max(1, int(rng.expovariate(MICE_PACKET_RATE)) + 1)
+
+
+def _mice_duration(packet_count: int) -> float:
+    return min(30.0, packet_count * 0.05)
+
+
+def _mice_sizes(packets: List[int]) -> Tuple[List[int], List[float]]:
+    """The byte and duration columns of mice flows, from their packet counts."""
+    return [packet_count * 1400 for packet_count in packets], per_distinct(_mice_duration, packets)
 
 
 # -- elephant / mice ----------------------------------------------------------
@@ -126,23 +138,27 @@ def stream_elephant_mice(
     elephant_fraction = params.elephant_flow_fraction
     packet_mean = params.elephant_packet_mean
 
-    def emit(rng, window: ChunkWindow) -> List[FlowDraw]:
-        draws: List[FlowDraw] = []
+    def emit(rng, window: ChunkWindow) -> Tuple[List, ...]:
+        times, sources, destinations, packets, durations = [], [], [], [], []
         start, span = window.start, window.span
         for _ in range(window.counts[0]):
-            timestamp = start + rng.random() * span
+            times.append(start + rng.random() * span)
             if rng.random() < elephant_fraction:
                 src, dst = elephants[rng.randrange(len(elephants))]
                 if rng.random() < 0.5:
                     src, dst = dst, src
                 packet_count = max(1, int(rng.expovariate(1.0 / packet_mean)) + 1)
-                byte_count = packet_count * 1400
                 duration = min(600.0, packet_count * 0.05)
             else:
                 src, dst = _random_pair(rng, host_count)
-                packet_count, byte_count, duration = _mice_payload(rng)
-            draws.append((timestamp, src, dst, packet_count, byte_count, duration))
-        return draws
+                packet_count = _mice_packets(rng)
+                duration = _mice_duration(packet_count)
+            sources.append(src)
+            destinations.append(dst)
+            packets.append(packet_count)
+            durations.append(duration)
+        byte_counts = [packet_count * 1400 for packet_count in packets]
+        return times, sources, destinations, packets, byte_counts, durations
 
     return GeneratedStream(
         name,
@@ -239,27 +255,52 @@ def stream_incast_hotspot(
     ]
 
     zipf_exponent = params.hotspot_zipf_exponent
+    hotspot_population = len(hotspots)
+    host_bits = host_count.bit_length()
 
-    def emit(rng, window: ChunkWindow) -> List[FlowDraw]:
-        draws: List[FlowDraw] = []
+    def emit(rng, window: ChunkWindow) -> Tuple[List, ...]:
+        # A hot loop of trace generation, inlined as the realistic model's
+        # is: the hotspot's Zipf index and the clamp, randrange(n) as its
+        # getrandbits(n.bit_length()) rejection loop (a draw that is out of
+        # range or lands on the other endpoint is drawn again, which is what
+        # redrawing a whole randrange does), and the mice packet count's
+        # expovariate as -log(1 - random()) / rate.  The RNG call sequence —
+        # and so every draw — is unchanged.
+        times: List[float] = []
+        sources: List[int] = []
+        destinations: List[int] = []
+        packets: List[int] = []
+        add_time, add_source = times.append, sources.append
+        add_destination, add_packets = destinations.append, packets.append
+        random, getrandbits = rng.random, rng.getrandbits
         hot_count, background_count = window.counts
         overlap_start = max(window.start, burst_start)
         overlap_span = min(window.end, burst_end) - overlap_start
         for _ in range(hot_count):
-            dst = hotspots[sample_zipf_index(rng, len(hotspots), zipf_exponent)]
-            src = rng.randrange(host_count)
-            while src == dst:
-                src = rng.randrange(host_count)
-            timestamp = overlap_start + rng.random() * overlap_span
-            packet_count, byte_count, duration = _mice_payload(rng)
-            draws.append((timestamp, src, dst, packet_count, byte_count, duration))
+            index = int(hotspot_population * (random() ** zipf_exponent))
+            if index >= hotspot_population:
+                index = hotspot_population - 1
+            dst = hotspots[index]
+            src = getrandbits(host_bits)
+            while src >= host_count or src == dst:
+                src = getrandbits(host_bits)
+            add_time(overlap_start + random() * overlap_span)
+            add_source(src)
+            add_destination(dst)
+            add_packets(int(-log(1.0 - random()) / MICE_PACKET_RATE) + 1)
         start, span = window.start, window.span
         for _ in range(background_count):
-            src, dst = _random_pair(rng, host_count)
-            timestamp = start + rng.random() * span
-            packet_count, byte_count, duration = _mice_payload(rng)
-            draws.append((timestamp, src, dst, packet_count, byte_count, duration))
-        return draws
+            src = getrandbits(host_bits)
+            while src >= host_count:
+                src = getrandbits(host_bits)
+            dst = getrandbits(host_bits)
+            while dst >= host_count or dst == src:
+                dst = getrandbits(host_bits)
+            add_time(start + random() * span)
+            add_source(src)
+            add_destination(dst)
+            add_packets(int(-log(1.0 - random()) / MICE_PACKET_RATE) + 1)
+        return (times, sources, destinations, packets, *_mice_sizes(packets))
 
     return GeneratedStream(
         name,
@@ -344,19 +385,20 @@ def stream_all_to_all_shuffle(
             phase_of_window.append(phase)
             index += 1
 
-    def emit(rng, window: ChunkWindow) -> List[FlowDraw]:
+    def emit(rng, window: ChunkWindow) -> Tuple[List, ...]:
         participants = participants_by_phase[phase_of_window[window.index]]
-        draws: List[FlowDraw] = []
+        times, sources, destinations, packets = [], [], [], []
         start, span = window.start, window.span
         for _ in range(window.counts[0]):
             src = participants[rng.randrange(len(participants))]
             dst = participants[rng.randrange(len(participants))]
             while dst == src:
                 dst = participants[rng.randrange(len(participants))]
-            timestamp = start + rng.random() * span
-            packet_count, byte_count, duration = _mice_payload(rng)
-            draws.append((timestamp, src, dst, packet_count, byte_count, duration))
-        return draws
+            times.append(start + rng.random() * span)
+            sources.append(src)
+            destinations.append(dst)
+            packets.append(_mice_packets(rng))
+        return (times, sources, destinations, packets, *_mice_sizes(packets))
 
     return GeneratedStream(
         name,
@@ -395,14 +437,16 @@ def stream_uniform_background(
     host_count = _require_hosts(network)
     seconds = params.duration_hours * 3600.0
 
-    def emit(rng, window: ChunkWindow) -> List[FlowDraw]:
-        draws: List[FlowDraw] = []
+    def emit(rng, window: ChunkWindow) -> Tuple[List, ...]:
+        times, sources, destinations, packets = [], [], [], []
         start, span = window.start, window.span
         for _ in range(window.counts[0]):
             src, dst = _random_pair(rng, host_count)
-            packet_count, byte_count, duration = _mice_payload(rng)
-            draws.append((start + rng.random() * span, src, dst, packet_count, byte_count, duration))
-        return draws
+            packets.append(_mice_packets(rng))
+            times.append(start + rng.random() * span)
+            sources.append(src)
+            destinations.append(dst)
+        return (times, sources, destinations, packets, *_mice_sizes(packets))
 
     return GeneratedStream(
         name,

@@ -24,12 +24,13 @@ its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log
 from typing import List, Tuple
 
 from repro.common.errors import ConfigurationError, TrafficError
 from repro.common.rng import make_rng
 from repro.topology.network import DataCenterNetwork
-from repro.traffic.stream import ChunkWindow, FlowDraw, GeneratedStream, plan_windows
+from repro.traffic.stream import ChunkWindow, GeneratedStream, per_distinct, plan_windows
 from repro.traffic.trace import Trace
 
 #: Relative flow-arrival rate per hour of the day (diurnal enterprise shape).
@@ -65,6 +66,11 @@ class RealisticTraceProfile:
                 raise ConfigurationError(f"{name} must be in [0, 1]")
         if self.zipf_exponent <= 0:
             raise ConfigurationError("zipf_exponent must be positive")
+
+
+def _duration_of(packet_count: int) -> float:
+    """A flow's duration: 50 ms a packet, capped at a minute."""
+    return min(60.0, packet_count * 0.05)
 
 
 def diurnal_spans(duration_hours: float) -> List[Tuple[float, float, float]]:
@@ -124,15 +130,23 @@ class RealisticTraceGenerator:
 
         hot_population = len(hot_pairs)
         cold_population = len(cold_pairs)
+        cold_bits = cold_population.bit_length()
         packet_rate = 1.0 / 12.0
 
-        def emit(rng, window: ChunkWindow) -> List[FlowDraw]:
-            # The hot loop of trace generation: bound methods and lengths are
-            # hoisted and sample_zipf_index / the max-min clamps are inlined.
-            # The RNG call sequence — and so every draw — is unchanged.
-            draws: List[FlowDraw] = []
-            append = draws.append
-            random, randrange, expovariate = rng.random, rng.randrange, rng.expovariate
+        def emit(rng, window: ChunkWindow) -> Tuple[List, ...]:
+            # The hot loop of trace generation.  Bound methods are hoisted and
+            # the per-flow calls inlined as the RNG computes them: the hot
+            # pair's Zipf index int(n * u ** exponent) and its clamp,
+            # randrange(n) as its getrandbits(n.bit_length()) rejection loop,
+            # expovariate(rate) as -log(1 - random()) / rate.  The RNG call
+            # sequence — and so every draw — is unchanged.
+            times: List[float] = []
+            sources: List[int] = []
+            destinations: List[int] = []
+            packets: List[int] = []
+            add_time, add_source = times.append, sources.append
+            add_destination, add_packets = destinations.append, packets.append
+            random, getrandbits = rng.random, rng.getrandbits
             start, span = window.start, window.span
             for _ in range(window.counts[0]):
                 if random() < hot_share:
@@ -141,17 +155,20 @@ class RealisticTraceGenerator:
                         index = hot_population - 1
                     src, dst = hot_pairs[index]
                 else:
-                    src, dst = cold_pairs[randrange(cold_population)]
+                    index = getrandbits(cold_bits)
+                    while index >= cold_population:
+                        index = getrandbits(cold_bits)
+                    src, dst = cold_pairs[index]
                 if random() < 0.5:
                     src, dst = dst, src
-                packet_count = int(expovariate(packet_rate)) + 1
-                if packet_count < 1:
-                    packet_count = 1
-                duration = packet_count * 0.05
-                if duration > 60.0:
-                    duration = 60.0
-                append((start + random() * span, src, dst, packet_count, packet_count * 1400, duration))
-            return draws
+                # int() of a non-negative draw, plus one: never below one packet.
+                add_packets(int(-log(1.0 - random()) / packet_rate) + 1)
+                add_time(start + random() * span)
+                add_source(src)
+                add_destination(dst)
+            byte_counts = [packet_count * 1400 for packet_count in packets]
+            durations = per_distinct(_duration_of, packets)
+            return times, sources, destinations, packets, byte_counts, durations
 
         return GeneratedStream(
             name,

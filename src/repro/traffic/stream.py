@@ -11,7 +11,10 @@ memory.
 
 A chunk is a :class:`~repro.traffic.chunk.FlowChunk`: six columns, which
 build a :class:`~repro.traffic.flow.FlowRecord` only for the flows a consumer
-indexes or iterates.  Every built-in stream yields them, and every consumer
+indexes or iterates.  A :class:`GeneratedStream`'s emitter hands each chunk
+over as six lists in draw order (a :data:`ChunkEmitter`), and the stream
+gathers them into replay order through one permutation — no flow is ever a
+tuple on the way.  Every built-in stream yields them, and every consumer
 is handed them: :func:`windowed_chunks` is the one boundary, where a
 third-party stream's record-list chunk enters through
 :meth:`FlowChunk.from_records <repro.traffic.chunk.FlowChunk.from_records>`,
@@ -42,6 +45,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
+from operator import eq, itemgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -59,7 +63,7 @@ from repro.common.errors import TrafficError
 from repro.common.rng import make_rng
 from repro.datastructures.intensity import IntensityMatrix
 from repro.topology.network import DataCenterNetwork
-from repro.traffic.chunk import FlowChunk, FlowDraw
+from repro.traffic.chunk import COLUMN_TYPECODES, FlowChunk, FlowDraw
 from repro.traffic.flow import FlowRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace imports stream)
@@ -274,20 +278,55 @@ class FlowStreamBase:
         return Trace(name or self.name, self.network, self)
 
 
-#: Produces one chunk's draws: ``(rng, window) -> list of FlowDraw``.
-ChunkEmitter = Callable[..., List[FlowDraw]]
+#: Produces one chunk's flows: ``(rng, window) -> six lists`` in draw order —
+#: start times, sources, destinations, packets, bytes, durations.
+ChunkEmitter = Callable[..., Sequence[List]]
+
+
+def in_replay_order(columns: Sequence[Sequence]) -> Sequence[Sequence]:
+    """One chunk's columns, gathered into replay order through one permutation.
+
+    The permutation sorts the row indices by start time.  Only when two
+    start times tie does it fall back to the whole ``(time, src, dst,
+    packets, bytes, duration)`` row as the key, so the order is exactly that
+    of sorting the rows as tuples: distinct times decide alone, and the sort
+    is stable, so rows equal in every column keep their draw order either
+    way.
+    """
+    times = columns[0]
+    if len(times) < 2:
+        # Already in order (and itemgetter of one index returns the item, not a tuple).
+        return columns
+    pick = itemgetter(*sorted(range(len(times)), key=times.__getitem__))
+    ordered_times = pick(times)
+    if any(map(eq, ordered_times, islice(ordered_times, 1, None))):
+        rows = list(zip(*columns))
+        pick = itemgetter(*sorted(range(len(rows)), key=rows.__getitem__))
+        return [pick(column) for column in columns]
+    return [ordered_times, *(pick(column) for column in columns[1:])]
+
+
+def per_distinct(function: Callable, column: Sequence) -> List:
+    """``[function(value) for value in column]``, calling ``function`` once per distinct value.
+
+    For an emitter's derived columns (a duration from a packet count): a few
+    hundred distinct values cover a chunk of tens of thousands of flows.
+    """
+    return list(map({value: function(value) for value in set(column)}.__getitem__, column))
 
 
 class GeneratedStream(FlowStreamBase):
     """A stream produced chunk-by-chunk from a planned window grid.
 
-    ``emit(rng, window)`` returns the chunk's raw draws; the stream checks
-    the emitter drew what the grid planned, sorts the draws canonically and
-    transposes them into a :class:`~repro.traffic.chunk.FlowChunk` whose
-    position implies the ascending flow ids.  ``FlowRecord``'s own checks and
-    the hosts-exist check run on the chunk's columns, so a faulty emitter
-    fails here exactly as it did when every draw became a record — and no
-    record is built until a consumer asks for one.
+    ``emit(rng, window)`` returns the chunk's six columns in draw order (see
+    :data:`ChunkEmitter`); the stream checks the emitter drew what the grid
+    planned and gathers the columns into replay order through one
+    permutation (:func:`in_replay_order`), into a
+    :class:`~repro.traffic.chunk.FlowChunk` whose position implies the
+    ascending flow ids.  ``FlowRecord``'s own checks and the hosts-exist
+    check run on the chunk's columns, so a faulty emitter fails here exactly
+    as it did when every draw became a record — and no record is built
+    until a consumer asks for one.
     """
 
     def __init__(
@@ -356,21 +395,28 @@ class GeneratedStream(FlowStreamBase):
             if end is not None and window.start >= end:
                 return
             rng = make_rng(self._seed, *self._rng_labels, "chunk", str(window.index))
-            draws = self._emit(rng, window)
-            if len(draws) != window.flow_count:
+            columns = self._emit(rng, window)
+            drawn = len(columns[0])
+            if drawn != window.flow_count:
                 raise TrafficError(
                     f"traffic model {self._rng_labels[0]!r} (stream {self.name!r}) drew "
-                    f"{len(draws)} flows for window {window.index} "
+                    f"{drawn} flows for window {window.index} "
                     f"[{window.start}, {window.end}), which planned {window.flow_count}"
                 )
-            draws.sort()
-            if draws[0][0] < window.start:
+            if len(columns) != len(COLUMN_TYPECODES) or any(len(column) != drawn for column in columns):
+                raise TrafficError(
+                    f"traffic model {self._rng_labels[0]!r} (stream {self.name!r}) returned "
+                    f"columns of lengths {[len(column) for column in columns]} for window "
+                    f"{window.index}; an emitter returns six columns of one length"
+                )
+            columns = in_replay_order(columns)
+            if columns[0][0] < window.start:
                 raise TrafficError(
                     f"traffic model {self._rng_labels[0]!r} (stream {self.name!r}) drew an "
-                    f"arrival at {draws[0][0]} for window {window.index} "
+                    f"arrival at {columns[0][0]} for window {window.index} "
                     f"[{window.start}, {window.end}), before the window starts"
                 )
-            chunk = FlowChunk.from_draws(draws, flow_id)
+            chunk = FlowChunk.from_columns(columns, flow_id)
             chunk.check_hosts(self._host_ids.__contains__)
             flow_id += window.flow_count
             yield chunk

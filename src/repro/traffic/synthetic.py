@@ -26,7 +26,7 @@ is the materialized wrapper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, TrafficError
 from repro.common.rng import make_rng
@@ -34,7 +34,6 @@ from repro.topology.network import DataCenterNetwork
 from repro.traffic.flow import FlowRecord
 from repro.traffic.stream import (
     ChunkWindow,
-    FlowDraw,
     GeneratedStream,
     plan_windows,
     uniform_spans,
@@ -122,11 +121,13 @@ class SyntheticTraceGenerator:
         concentrated_fraction = spec.concentrated_flow_fraction
         payloads = self._payloads
 
-        def emit(rng, window: ChunkWindow) -> List[FlowDraw]:
-            draws: List[FlowDraw] = []
+        def emit(rng, window: ChunkWindow) -> Tuple[List, ...]:
+            columns = times, sources, destinations, packets, byte_counts, durations = (
+                [], [], [], [], [], []
+            )
             start, span = window.start, window.span
             for _ in range(window.counts[0]):
-                timestamp = start + rng.random() * span
+                times.append(start + rng.random() * span)
                 if concentrated_pairs and rng.random() < concentrated_fraction:
                     src, dst = concentrated_pairs[rng.randrange(len(concentrated_pairs))]
                 else:
@@ -146,8 +147,12 @@ class SyntheticTraceGenerator:
                 else:
                     packet_count = max(1, int(rng.expovariate(1.0 / 12.0)) + 1)
                     byte_count, duration = packet_count * 1400, min(60.0, packet_count * 0.05)
-                draws.append((timestamp, src, dst, packet_count, byte_count, duration))
-            return draws
+                sources.append(src)
+                destinations.append(dst)
+                packets.append(packet_count)
+                byte_counts.append(byte_count)
+                durations.append(duration)
+            return columns
 
         return GeneratedStream(
             spec.name,

@@ -100,7 +100,7 @@ def test_fallback_walk_primitive(system, fig7, benchmark):
     assert cold["fallback_causes"]["rule_may_expire"] == 0  # cold: every fallback is a punt
     punting = cold["fallback_flow_idx"][:BATCH_FLOWS].tolist()
     assert len(punting) >= 256
-    batch = FlowChunk.from_draws(zip(*(map(column.__getitem__, punting) for column in columns.columns())))
+    batch = FlowChunk.from_columns([list(map(column.__getitem__, punting)) for column in columns.columns()])
 
     def setup():
         kernel = cold_kernel()

@@ -36,6 +36,11 @@ def flow(t: float, src: int = 0, dst: int = 1, flow_id: int = 0) -> FlowRecord:
     return FlowRecord(start_time=t, flow_id=flow_id, src_host_id=src, dst_host_id=dst)
 
 
+def columns_of(draws):
+    """What an emitter returns for ``draws``: six lists, in draw order."""
+    return tuple(map(list, zip(*draws))) or ([],) * 6
+
+
 class TestAllocateCounts:
     def test_sums_exactly(self):
         assert sum(allocate_counts(1000, [0.3, 0.3, 0.4])) == 1000
@@ -318,11 +323,64 @@ class TestGeneratedStreamInternals:
         draws = [(5.0, 3, 4, 1, 1400, 0.05), (5.0, 1, 2, 1, 1400, 0.05)]
 
         stream = GeneratedStream(
-            "s", network, windows, lambda rng, window: list(draws),
+            "s", network, windows, lambda rng, window: columns_of(draws),
             seed=1, rng_label="test", duration=10.0,
         )
         flows = list(stream)
         assert [(record.src_host_id, record.flow_id) for record in flows] == [(1, 0), (3, 1)]
+
+    def test_tied_start_times_order_as_the_sorted_draws(self, network):
+        """Ties fall back to the whole row as the key: the chunk is byte for
+        byte the chunk of the sorted draws, and the ids run on unbroken."""
+        import random
+
+        first = [(0.5, 1, 2, 3, 4200, 0.15), (2.0, 4, 5, 1, 1400, 0.05), (1.0, 2, 3, 1, 1400, 0.05)]
+        tied = [
+            (5.0, 3, 4, 1, 1400, 0.05),
+            (5.0, 1, 2, 1, 1400, 0.05),  # broken by src
+            (5.0, 1, 0, 1, 1400, 0.05),  # ... by dst
+            (5.0, 1, 2, 2, 2800, 0.10),  # ... by payload
+            (5.0, 1, 2, 2, 2800, 0.05),  # ... by duration alone
+            (5.0, 1, 2, 1, 1400, 0.05),  # a duplicate flow
+            (5.0, 1, 2, 1, 1400, 0.05),  # ... twice
+            (0.0, 7, 8, 1, 1400, 0.05),
+            (-0.0, 6, 8, 1, 1400, 0.05),  # ties with 0.0: the sign of zero stays put
+            (9.5, 2, 1, 1, 1400, 0.05),
+        ]
+        random.Random(4).shuffle(tied)
+        windows = [
+            ChunkWindow(index=0, start=0.0, end=10.0, counts=(len(first),)),
+            ChunkWindow(index=1, start=-0.0, end=10.0, counts=(len(tied),)),
+        ]
+        stream = GeneratedStream(
+            "ties", network, windows,
+            lambda rng, window: columns_of(first if window.index == 0 else tied),
+            seed=1, rng_label="test", duration=10.0,
+        )
+        untied, chunk = list(stream.chunks())
+        expected = FlowChunk.from_draws(sorted(tied), first_id=len(first))
+        assert [column.tobytes() for column in chunk.columns()] == [
+            column.tobytes() for column in expected.columns()
+        ]
+        assert [column.tobytes() for column in untied.columns()] == [
+            column.tobytes() for column in FlowChunk.from_draws(sorted(first)).columns()
+        ]
+        assert [record.flow_id for record in [*untied, *chunk]] == list(range(len(first) + len(tied)))
+        assert list(chunk) == [
+            FlowRecord(draw[0], len(first) + offset, *draw[1:])
+            for offset, draw in enumerate(sorted(tied))
+        ]
+
+    def test_emitter_must_return_six_columns_of_one_length(self, network):
+        windows = [ChunkWindow(index=0, start=0.0, end=10.0, counts=(2,))]
+        draws = [(1.0, 1, 2, 1, 1400, 0.05), (2.0, 2, 3, 1, 1400, 0.05)]
+        for columns in (columns_of(draws)[:5], (*columns_of(draws)[:5], [0.05])):
+            stream = GeneratedStream(
+                "ragged", network, windows, lambda rng, window, columns=columns: columns,
+                seed=1, rng_label="ragged-model", duration=10.0,
+            )
+            with pytest.raises(TrafficError, match=r"'ragged-model'.*columns of lengths .* window 0"):
+                list(stream.chunks())
 
     def test_emitter_must_draw_its_planned_count(self, network):
         """Seeking skips a window by adding its *planned* count to the id
@@ -335,7 +393,7 @@ class TestGeneratedStreamInternals:
 
         def emit(rng, window):
             # Window 0 honours its plan; window 1 under-draws by one.
-            return [(window.start + 1.0, 1, 2, 1, 1400, 0.05)]
+            return columns_of([(window.start + 1.0, 1, 2, 1, 1400, 0.05)])
 
         stream = GeneratedStream(
             "short", network, windows, emit, seed=1, rng_label="sloppy-model", duration=20.0
@@ -363,7 +421,7 @@ class TestGeneratedStreamInternals:
 
         def emit(rng, window):
             emitted.append(window.index)
-            return [(window.start + 1.0, 1, 2, 1, 1400, 0.05)]
+            return columns_of([(window.start + 1.0, 1, 2, 1, 1400, 0.05)])
 
         stream = self._ten_second_windows(network, emit)
         for start, end, generated, replayed in (
@@ -391,7 +449,7 @@ class TestGeneratedStreamInternals:
 
         def emit(rng, window):
             early = 0.5 if window.index == 2 else -1.0
-            return [(window.start - early, 1, 2, 1, 1400, 0.05)]
+            return columns_of([(window.start - early, 1, 2, 1, 1400, 0.05)])
 
         stream = self._ten_second_windows(network, emit)
         chunks = stream.chunks()
@@ -406,7 +464,7 @@ class TestGeneratedStreamInternals:
 
         def stream_of(draw):
             return GeneratedStream(
-                "bad", network, windows, lambda rng, window: [draw],
+                "bad", network, windows, lambda rng, window: columns_of([draw]),
                 seed=1, rng_label="test", duration=10.0,
             )
 
@@ -423,7 +481,7 @@ class TestGeneratedStreamInternals:
         windows = [ChunkWindow(index=0, start=0.0, end=10.0, counts=(2,))]
         draws = [(1.0, 4, 5, 1, 1400, 0.05), (2.0, 6, 4, 1, 1400, 0.05)]
         stream = GeneratedStream(
-            "departed", network, windows, lambda rng, window: list(draws),
+            "departed", network, windows, lambda rng, window: columns_of(draws),
             seed=1, rng_label="test", duration=10.0,
         )
         network.remove_host(4)
@@ -432,7 +490,7 @@ class TestGeneratedStreamInternals:
         assert [(record.src_host_id, record.dst_host_id) for record in flows] == [(4, 5), (6, 4)]
         stranger = GeneratedStream(
             "stranger", network, windows,
-            lambda rng, window: [(1.0, 5, 6, 1, 1400, 0.05), (3.0, 6, 99, 1, 1400, 0.05)],
+            lambda rng, window: columns_of([(1.0, 5, 6, 1, 1400, 0.05), (3.0, 6, 99, 1, 1400, 0.05)]),
             seed=1, rng_label="test", duration=10.0,
         )
         with pytest.raises(UnknownHostError, match="unknown host 99"):
@@ -484,6 +542,17 @@ class TestFlowChunk:
     def test_columns_are_read_only(self):
         with pytest.raises(TypeError):
             self._chunk().start_times[0] = 5.0
+
+    def test_from_columns_is_from_draws_of_the_rows(self):
+        from repro.traffic.chunk import FlowChunk
+
+        chunk = FlowChunk.from_columns(columns_of(self.DRAWS), first_id=40)
+        assert list(chunk) == list(self._chunk())
+        assert [column.tobytes() for column in chunk.columns()] == [
+            column.tobytes() for column in self._chunk().columns()
+        ]
+        with pytest.raises(ValueError, match="equal lengths"):
+            FlowChunk.from_columns((*columns_of(self.DRAWS)[:5], [1.0]))
 
     def test_empty_chunk(self):
         from repro.traffic.chunk import FlowChunk

@@ -307,8 +307,7 @@ def _reference_chunks(stream):
             if window.flow_count <= 0:
                 continue
             rng = make_rng(stream._seed, *stream._rng_labels, "chunk", str(window.index))
-            draws = stream._emit(rng, window)
-            draws.sort()
+            draws = sorted(zip(*stream._emit(rng, window)))
             yield [_record(draw, flow_id + offset) for offset, draw in enumerate(draws)]
             flow_id += len(draws)
         return
@@ -468,9 +467,11 @@ class TestChunkEquivalence:
             draws = sorted(draws)
             with pytest.raises(ValueError) as from_records:
                 [_record(each, flow_id) for flow_id, each in enumerate(draws)]
-            with pytest.raises(ValueError) as from_columns:
+            with pytest.raises(ValueError) as from_draws:
                 FlowChunk.from_draws(draws)
-            assert str(from_columns.value) == str(from_records.value)
+            with pytest.raises(ValueError) as from_columns:
+                FlowChunk.from_columns([list(column) for column in zip(*draws)])
+            assert str(from_draws.value) == str(from_columns.value) == str(from_records.value)
 
     def test_unknown_hosts_raise_the_record_paths_error(self):
         draws = [(1.0, 0, 1, 10, 15_000, 1.0), (2.0, 2, 10_001, 10, 15_000, 1.0),

@@ -1,14 +1,27 @@
 """Unit tests for the realistic and synthetic trace generators and trace expansion."""
 
 import dataclasses
+import inspect
+import random
 from collections import Counter
 
 import pytest
 
 from repro.common.errors import ConfigurationError, TrafficError
+from repro.common.rng import derive_seed, make_rng
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
 from repro.traffic.expand import expand_trace
 from repro.traffic.flow import FlowRecord
+from repro.traffic.models import (
+    AllToAllShuffleParams,
+    ElephantMiceParams,
+    IncastHotspotParams,
+    UniformBackgroundParams,
+    stream_all_to_all_shuffle,
+    stream_elephant_mice,
+    stream_incast_hotspot,
+    stream_uniform_background,
+)
 from repro.traffic.realistic import DIURNAL_PROFILE, RealisticTraceGenerator, RealisticTraceProfile
 from repro.traffic.synthetic import (
     PAPER_SYNTHETIC_SPECS,
@@ -41,15 +54,53 @@ def real_like_trace(network):
     return generator.generate(name="real-like-test")
 
 
-def _reference_realistic_emit(generator):
-    """The realistic model's emit loop as first written (readable, slow).
+# -- reference loops ---------------------------------------------------------
+#
+# Every built-in model's emit loop as first written: readable, slow, one
+# ``(time, src, dst, packets, bytes, duration)`` draw per flow.  The models
+# now hand their chunks over as six columns, and the two hot loops (realistic,
+# incast-hotspot) inline their RNG calls, on the promise that every draw
+# stays bit-identical; these are the loops that promise is held against.  A
+# model's setup state (pair tables, hotspots, participants) is read off its
+# emitter, so what is pinned is the per-flow loop.
 
-    ``RealisticTraceGenerator.stream`` tightened it — hoisted bound methods,
-    inlined ``sample_zipf_index`` and the clamps — on the promise that every
-    draw stays bit-identical; this is the loop that promise is held against.
+
+def sample_zipf_index(rng, population, exponent=1.2):
+    """Sample an index in ``[0, population)`` from a Zipf-like distribution.
+
+    The heavy-tailed pick of the realistic model's hot pairs and the incast
+    model's hotspots, as a helper: an inverse power transform of one uniform
+    draw, clamped into range.
     """
-    from repro.common.rng import make_rng, sample_zipf_index
+    if population <= 0:
+        raise ValueError("population must be positive")
+    if exponent <= 0:
+        raise ValueError("exponent must be positive")
+    u = rng.random()
+    index = int(population * (u ** exponent))
+    return min(index, population - 1)
 
+
+def _random_pair(rng, host_count):
+    src = rng.randrange(host_count)
+    dst = rng.randrange(host_count)
+    while dst == src:
+        dst = rng.randrange(host_count)
+    return src, dst
+
+
+def _mice_payload(rng):
+    packet_count = max(1, int(rng.expovariate(1.0 / 8.0)) + 1)
+    return packet_count, packet_count * 1400, min(30.0, packet_count * 0.05)
+
+
+def _setup_of(stream):
+    """The setup state an emitter closes over (pair tables, hotspots, ...), by name."""
+    return inspect.getclosurevars(stream._emit).nonlocals
+
+
+def _reference_realistic_emit(generator):
+    """The realistic model's emit loop as first written."""
     profile = generator.profile
     setup_rng = make_rng(profile.seed, "realistic-trace", "real-like", "setup")
     active_pairs = generator._select_active_pairs(setup_rng)
@@ -84,23 +135,182 @@ def _reference_realistic_emit(generator):
     return emit
 
 
+def _reference_synthetic_emit(stream):
+    setup = _setup_of(stream)
+    concentrated_pairs = setup["concentrated_pairs"]
+    concentrated_fraction = setup["concentrated_fraction"]
+    payloads = setup["payloads"]
+    host_count = setup["host_count"]
+
+    def emit(rng, window):
+        draws = []
+        start, span = window.start, window.span
+        for _ in range(window.counts[0]):
+            timestamp = start + rng.random() * span
+            if concentrated_pairs and rng.random() < concentrated_fraction:
+                src, dst = concentrated_pairs[rng.randrange(len(concentrated_pairs))]
+            else:
+                src = rng.randrange(host_count)
+                dst = rng.randrange(host_count)
+                while dst == src:
+                    dst = rng.randrange(host_count)
+            if rng.random() < 0.5:
+                src, dst = dst, src
+            if payloads:
+                sample = payloads[rng.randrange(len(payloads))]
+                packet_count, byte_count, duration = (
+                    sample.packet_count,
+                    sample.byte_count,
+                    sample.duration,
+                )
+            else:
+                packet_count = max(1, int(rng.expovariate(1.0 / 12.0)) + 1)
+                byte_count, duration = packet_count * 1400, min(60.0, packet_count * 0.05)
+            draws.append((timestamp, src, dst, packet_count, byte_count, duration))
+        return draws
+
+    return emit
+
+
+def _reference_elephant_mice_emit(stream):
+    setup = _setup_of(stream)
+    elephants = setup["elephants"]
+    host_count = setup["host_count"]
+
+    def emit(rng, window):
+        draws = []
+        start, span = window.start, window.span
+        for _ in range(window.counts[0]):
+            timestamp = start + rng.random() * span
+            if rng.random() < setup["elephant_fraction"]:
+                src, dst = elephants[rng.randrange(len(elephants))]
+                if rng.random() < 0.5:
+                    src, dst = dst, src
+                packet_count = max(1, int(rng.expovariate(1.0 / setup["packet_mean"])) + 1)
+                byte_count = packet_count * 1400
+                duration = min(600.0, packet_count * 0.05)
+            else:
+                src, dst = _random_pair(rng, host_count)
+                packet_count, byte_count, duration = _mice_payload(rng)
+            draws.append((timestamp, src, dst, packet_count, byte_count, duration))
+        return draws
+
+    return emit
+
+
+def _reference_incast_hotspot_emit(stream, tally):
+    """Counts each ``src == dst`` redraw of a hot flow in ``tally``."""
+    setup = _setup_of(stream)
+    hotspots = setup["hotspots"]
+    host_count = setup["host_count"]
+    burst_start, burst_end = setup["burst_start"], setup["burst_end"]
+
+    def emit(rng, window):
+        draws = []
+        hot_count, background_count = window.counts
+        overlap_start = max(window.start, burst_start)
+        overlap_span = min(window.end, burst_end) - overlap_start
+        for _ in range(hot_count):
+            dst = hotspots[sample_zipf_index(rng, len(hotspots), setup["zipf_exponent"])]
+            src = rng.randrange(host_count)
+            while src == dst:
+                tally["src == dst redraw"] += 1
+                src = rng.randrange(host_count)
+            timestamp = overlap_start + rng.random() * overlap_span
+            packet_count, byte_count, duration = _mice_payload(rng)
+            draws.append((timestamp, src, dst, packet_count, byte_count, duration))
+        start, span = window.start, window.span
+        for _ in range(background_count):
+            src, dst = _random_pair(rng, host_count)
+            timestamp = start + rng.random() * span
+            packet_count, byte_count, duration = _mice_payload(rng)
+            draws.append((timestamp, src, dst, packet_count, byte_count, duration))
+        return draws
+
+    return emit
+
+
+def _reference_all_to_all_shuffle_emit(stream):
+    setup = _setup_of(stream)
+    participants_by_phase = setup["participants_by_phase"]
+    phase_of_window = setup["phase_of_window"]
+
+    def emit(rng, window):
+        participants = participants_by_phase[phase_of_window[window.index]]
+        draws = []
+        start, span = window.start, window.span
+        for _ in range(window.counts[0]):
+            src = participants[rng.randrange(len(participants))]
+            dst = participants[rng.randrange(len(participants))]
+            while dst == src:
+                dst = participants[rng.randrange(len(participants))]
+            timestamp = start + rng.random() * span
+            packet_count, byte_count, duration = _mice_payload(rng)
+            draws.append((timestamp, src, dst, packet_count, byte_count, duration))
+        return draws
+
+    return emit
+
+
+def _reference_uniform_background_emit(stream):
+    host_count = _setup_of(stream)["host_count"]
+
+    def emit(rng, window):
+        draws = []
+        start, span = window.start, window.span
+        for _ in range(window.counts[0]):
+            src, dst = _random_pair(rng, host_count)
+            packet_count, byte_count, duration = _mice_payload(rng)
+            draws.append((start + rng.random() * span, src, dst, packet_count, byte_count, duration))
+        return draws
+
+    return emit
+
+
+class _BitCountingRandom(random.Random):
+    """A ``random.Random`` that keeps every ``getrandbits`` draw (``randrange`` draws through it)."""
+
+    def __init__(self, seed):
+        self.bit_draws = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        value = super().getrandbits(k)
+        self.bit_draws.append((k, value))
+        return value
+
+
+def _emits_as_the_reference(stream, reference_emit, *, rng_type=random.Random):
+    """Assert every window's columns are the reference loop's draws, transposed.
+
+    Returns the rngs the stream's emitter drew from, one per window.
+    """
+    windows = [window for window in stream._windows if window.flow_count]
+    assert windows
+    rngs = []
+    for window in windows:
+        seed = derive_seed(stream._seed, *stream._rng_labels, "chunk", str(window.index))
+        rngs.append(rng_type(seed))
+        columns = stream._emit(rngs[-1], window)
+        assert list(zip(*columns)) == reference_emit(random.Random(seed), window)
+    return rngs
+
+
 class TestRealisticGenerator:
     @pytest.mark.parametrize("seed", [7, 2015])
     def test_tightened_emit_loop_draws_what_the_original_drew(self, network, seed):
-        from repro.common.rng import make_rng
-
         generator = RealisticTraceGenerator(
             network, RealisticTraceProfile(total_flows=6000, duration_hours=24.0, seed=seed)
         )
         stream = generator.stream()
-        reference_emit = _reference_realistic_emit(generator)
-        windows = [window for window in stream._windows if window.flow_count]
-        assert len(windows) == 24
-        for window in windows:
-            labels = ("realistic-trace", "real-like", "chunk", str(window.index))
-            assert stream._emit(make_rng(seed, *labels), window) == reference_emit(
-                make_rng(seed, *labels), window
-            )
+        rngs = _emits_as_the_reference(
+            stream, _reference_realistic_emit(generator), rng_type=_BitCountingRandom
+        )
+        assert len(rngs) == 24
+        # The inlined randrange over the cold pairs met (and redrew) a
+        # getrandbits value past the population, as randrange does.
+        cold_population = len(_setup_of(stream)["cold_pairs"])
+        assert any(value >= cold_population for rng in rngs for _, value in rng.bit_draws)
 
     def test_flow_count_close_to_requested(self, real_like_trace):
         assert abs(len(real_like_trace) - 8000) < 200
@@ -269,3 +479,95 @@ class TestExpandTrace:
 
     def test_expanded_name(self, real_like_trace):
         assert expand_trace(real_like_trace).name.endswith("-expanded")
+
+
+@pytest.fixture(scope="module")
+def six_host_network():
+    """Few enough hosts that random endpoints often collide and are redrawn."""
+    return build_multi_tenant_datacenter(
+        TopologyProfile(switch_count=2, host_count=6, min_tenant_size=1, max_tenant_size=3, seed=3)
+    )
+
+
+class TestEveryEmitterDrawsWhatItsReferenceLoopDrew:
+    """Each model's columns are its reference loop's draws, window by window, on two seeds."""
+
+    @pytest.mark.parametrize("seed", [7, 2015])
+    @pytest.mark.parametrize("with_payloads", [False, True])
+    def test_synthetic(self, network, real_like_trace, seed, with_payloads):
+        generator = SyntheticTraceGenerator(
+            network, payload_trace=real_like_trace if with_payloads else None
+        )
+        stream = generator.stream(
+            SyntheticTraceSpec(name="syn", concentrated_flow_fraction=0.7, total_flows=3000, seed=seed)
+        )
+        _emits_as_the_reference(stream, _reference_synthetic_emit(stream))
+
+    @pytest.mark.parametrize("seed", [7, 2015])
+    def test_elephant_mice(self, network, seed):
+        stream = stream_elephant_mice(
+            network, ElephantMiceParams(total_flows=3000, elephant_flow_fraction=0.4, seed=seed)
+        )
+        _emits_as_the_reference(stream, _reference_elephant_mice_emit(stream))
+
+    @pytest.mark.parametrize("seed", [7, 2015])
+    @pytest.mark.parametrize("burst_window_hours", [None, (3.0, 3.5)])
+    def test_incast_hotspot(self, network, seed, burst_window_hours):
+        stream = stream_incast_hotspot(
+            network,
+            IncastHotspotParams(total_flows=4000, burst_window_hours=burst_window_hours, seed=seed),
+        )
+        _emits_as_the_reference(stream, _reference_incast_hotspot_emit(stream, Counter()))
+
+    @pytest.mark.parametrize("seed", [7, 2015])
+    def test_incast_hotspot_redraws_a_source_that_is_its_hotspot(self, six_host_network, seed):
+        stream = stream_incast_hotspot(
+            six_host_network, IncastHotspotParams(total_flows=600, hotspot_count=3, seed=seed)
+        )
+        tally = Counter()
+        rngs = _emits_as_the_reference(
+            stream, _reference_incast_hotspot_emit(stream, tally), rng_type=_BitCountingRandom
+        )
+        assert tally["src == dst redraw"] > 0
+        # ... and six hosts take three bits, so the inlined randrange met and
+        # redrew out-of-range values too.
+        assert any(value >= 6 for rng in rngs for _, value in rng.bit_draws)
+
+    @pytest.mark.parametrize("seed", [7, 2015])
+    def test_all_to_all_shuffle(self, network, seed):
+        stream = stream_all_to_all_shuffle(
+            network, AllToAllShuffleParams(total_flows=3000, participant_fraction=0.1, seed=seed)
+        )
+        _emits_as_the_reference(stream, _reference_all_to_all_shuffle_emit(stream))
+
+    @pytest.mark.parametrize("seed", [7, 2015])
+    def test_uniform_background(self, six_host_network, seed):
+        stream = stream_uniform_background(
+            six_host_network, UniformBackgroundParams(total_flows=3000, seed=seed)
+        )
+        _emits_as_the_reference(stream, _reference_uniform_background_emit(stream))
+
+
+class TestZipfSampling:
+    """The reference loops' Zipf helper samples what the hot loops inline."""
+
+    def test_in_range(self):
+        rng = random.Random(2)
+        for _ in range(100):
+            assert 0 <= sample_zipf_index(rng, 50) < 50
+
+    def test_skewed_toward_low_indices(self):
+        rng = random.Random(3)
+        samples = [sample_zipf_index(rng, 100, 1.5) for _ in range(5000)]
+        low = sum(1 for s in samples if s < 20)
+        # A uniform sampler would put ~20 % of the mass below index 20; the
+        # skewed sampler concentrates noticeably more there (~34 % analytically).
+        assert low > len(samples) * 0.3
+
+    def test_rejects_empty_population(self):
+        with pytest.raises(ValueError):
+            sample_zipf_index(random.Random(0), 0)
+
+    def test_rejects_bad_exponent(self):
+        with pytest.raises(ValueError):
+            sample_zipf_index(random.Random(0), 10, 0.0)

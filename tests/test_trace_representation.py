@@ -77,7 +77,7 @@ def id_gapped(stream):
     """``stream``'s chunks with the second one's ids pushed up by five."""
     first, second, *rest = stream.chunks()
     assert rest
-    return [first, FlowChunk.from_draws(zip(*second.columns()), second.first_id + 5), *rest]
+    return [first, FlowChunk.from_columns(second.columns(), second.first_id + 5), *rest]
 
 
 def from_record_list():

@@ -49,11 +49,14 @@ def build_ring_stream(network, params, *, name="ring-stream"):
     seconds = params.duration_hours * 3600.0
 
     def emit(rng, window):
-        draws = []
+        times, sources = [], []
         for _ in range(window.counts[0]):
             src = rng.randrange(host_count)
-            draws.append((window.start + rng.random() * window.span, src, (src + 1) % host_count, 3, 1500, 1.0))
-        return draws
+            times.append(window.start + rng.random() * window.span)
+            sources.append(src)
+        count = len(times)
+        destinations = [(src + 1) % host_count for src in sources]
+        return times, sources, destinations, [3] * count, [1500] * count, [1.0] * count
 
     # A small chunk target puts several chunks, and so chunk edges, in every window.
     windows = plan_windows(uniform_spans(seconds), params.total_flows, target_flows=97)
