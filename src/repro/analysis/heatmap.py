@@ -22,7 +22,7 @@ Everything is plain text: the repo has no plotting dependency by design.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.analysis.reports import format_table
 from repro.bandwidth.usage import LinkUsageResult
@@ -126,20 +126,15 @@ def latency_percentile_rows(
         rows.append(
             (
                 run.label,
-                _format_percentile(run, 0.50),
-                _format_percentile(run, 0.95),
-                _format_percentile(run, 0.99),
+                format_percentile(run, 0.50),
+                format_percentile(run, 0.95),
+                format_percentile(run, 0.99),
             )
         )
     return rows
 
 
-def _format_percentile(run: RunResult, fraction: float) -> str:
-    value = _run_percentile(run, fraction)
+def format_percentile(run: RunResult, fraction: float) -> str:
+    """One formatted latency-percentile cell ("-" when the run carries no histogram)."""
+    value = run.timeline.latency_percentile(fraction) if run.timeline is not None else None
     return "-" if value is None else f"{value:.3f}"
-
-
-def _run_percentile(run: RunResult, fraction: float) -> Optional[float]:
-    if run.timeline is None:
-        return None
-    return run.timeline.latency_percentile(fraction)

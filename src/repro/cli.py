@@ -33,7 +33,6 @@ override edits the one place the spec keeps its setting:
     python -m repro run paper-fig7-10m --exec workers=4,shard-strategy=time-window,shard-count=8
     python -m repro bench --presets paper-fig7 --exec '{"workers": 4}'
 
-(``--stream`` remains as shorthand for ``--exec stream=true``.)
 Multi-scenario presets fan out over ``--workers`` processes.  ``--traffic``
 and ``--topology`` swap in any registered traffic model or topology shape by
 name, carrying the old spec's dimensions over where the new shape supports
@@ -65,6 +64,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.analysis.heatmap import (
+    format_percentile,
     hot_links_report,
     latency_percentile_rows,
     render_heatmap,
@@ -184,8 +184,6 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
     execution = spec.execution
     if getattr(args, "exec_spec", None) is not None:
         execution = ExecutionSpec.parse(args.exec_spec, base=execution)
-    if getattr(args, "stream", None) is not None:
-        execution = dataclasses.replace(execution, stream=args.stream)
 
     table = config.flow_table
     if getattr(args, "table_policy", None) is not None:
@@ -315,12 +313,6 @@ def _load_results(target: str) -> List[ScenarioResult]:
     return [runner.run(spec, obs=obs) for spec in specs]
 
 
-def _run_percentile_cell(run, fraction: float) -> str:
-    """One formatted percentile cell ("-" when the run carries no histogram)."""
-    value = run.timeline.latency_percentile(fraction) if run.timeline is not None else None
-    return "-" if value is None else f"{value:.3f}"
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     results = _load_results(args.target)
     for index, result in enumerate(results):
@@ -341,9 +333,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 format_percent(result.reduction(baseline, name)),
                 f"{baseline_run.latency.overall_mean_ms:.3f}",
                 f"{run.latency.overall_mean_ms:.3f}",
-                _run_percentile_cell(run, 0.50),
-                _run_percentile_cell(run, 0.95),
-                _run_percentile_cell(run, 0.99),
+                format_percentile(run, 0.50),
+                format_percentile(run, 0.95),
+                format_percentile(run, 0.99),
             ])
         if not rows:
             print(f"Scenario '{result.spec.name}': nothing to compare against {baseline_run.label!r}")
@@ -646,14 +638,6 @@ def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
         help="override the execution spec as key=value pairs "
         "(workers, shard-strategy, shard-count, stream) or a "
         "JSON object, e.g. --exec workers=4,shard-strategy=time-window",
-    )
-    parser.add_argument(
-        "--stream",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="generate and replay the trace chunk-by-chunk in bounded memory; "
-        "shorthand for --exec stream=true "
-        "(--no-stream forces the materialized path on streaming presets)",
     )
     parser.add_argument(
         "--traffic",

@@ -45,7 +45,6 @@ class GroupingConfig:
     """Parameters of the SGI switch-grouping algorithm (paper §III-C)."""
 
     group_size_limit: int = 50
-    imbalance_tolerance: float = 0.05
     coarsening_threshold: int = 64
     refinement_passes: int = 8
     restarts: int = 3
@@ -54,8 +53,6 @@ class GroupingConfig:
     def __post_init__(self) -> None:
         if self.group_size_limit < 1:
             raise ConfigurationError("group_size_limit must be at least 1")
-        if not 0.0 <= self.imbalance_tolerance <= 1.0:
-            raise ConfigurationError("imbalance_tolerance must be in [0, 1]")
         if self.coarsening_threshold < 2:
             raise ConfigurationError("coarsening_threshold must be at least 2")
         if self.refinement_passes < 0:
@@ -78,7 +75,6 @@ class RegroupingPolicy:
     min_interval_seconds: float = 120.0
     max_interval_seconds: float = 7200.0
     overload_threshold_rps: float = 4000.0
-    underload_threshold_rps: float = 1500.0
     # Topology-churn trigger: regroup once this many VM-level churn changes
     # (migrations, arrivals, departures) accumulated since the last update.
     # Zero disables the trigger; it never fires on a static topology either
@@ -94,8 +90,6 @@ class RegroupingPolicy:
             raise ConfigurationError("min_interval_seconds must be non-negative")
         if self.max_interval_seconds < self.min_interval_seconds:
             raise ConfigurationError("max_interval_seconds must be >= min_interval_seconds")
-        if self.underload_threshold_rps > self.overload_threshold_rps:
-            raise ConfigurationError("underload threshold must not exceed overload threshold")
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,12 +211,9 @@ class LazyCtrlConfig:
     flow_table: FlowTableConfig = field(default_factory=FlowTableConfig)
     designated_backup_count: int = 1
     keepalive_interval_seconds: float = 1.0
-    state_report_interval_seconds: float = 5.0
 
     def __post_init__(self) -> None:
         if self.designated_backup_count < 0:
             raise ConfigurationError("designated_backup_count must be non-negative")
         if self.keepalive_interval_seconds <= 0:
             raise ConfigurationError("keepalive_interval_seconds must be positive")
-        if self.state_report_interval_seconds <= 0:
-            raise ConfigurationError("state_report_interval_seconds must be positive")

@@ -52,13 +52,12 @@ class ColdCacheExperiment:
     def run(self) -> ColdCacheResult:
         """Run the experiment and return the three average latencies."""
         cfg = self.config
-        network = build_multi_tenant_datacenter(
-            TopologyProfile(
-                switch_count=cfg.switch_count,
-                host_count=cfg.background_host_count,
-                seed=cfg.seed,
-            )
+        profile = TopologyProfile(
+            switch_count=cfg.switch_count,
+            host_count=cfg.background_host_count,
+            seed=cfg.seed,
         )
+        network = build_multi_tenant_datacenter(profile)
         generator = RealisticTraceGenerator(
             network,
             RealisticTraceProfile(total_flows=cfg.warmup_flows, duration_hours=2, seed=cfg.seed),
@@ -67,27 +66,21 @@ class ColdCacheExperiment:
 
         lazy = LazyCtrlSystem(network, config=self.system_config, dynamic_grouping=False)
         lazy.install_initial_grouping(warmup_trace, warmup_end=2 * 3600.0)
-        baseline = OpenFlowSystem(network, config=self.system_config)
+        baseline = OpenFlowSystem(build_multi_tenant_datacenter(profile), config=self.system_config)
 
-        # Deploy the fresh hosts: a brand-new tenant spread over a few switches.
-        fresh_tenant = network.tenants.create_tenant("cold-cache-tenant")
+        # Deploy the fresh hosts: a brand-new tenant spread over a few
+        # switches arrives at each plane, over its own copy of the network,
+        # the way a tenant arrives mid-run.  The hosts become visible to the
+        # switches (live dissemination) but deliberately NOT to any flow
+        # table: every first packet is cold.  Both copies are built from one
+        # profile, so the fresh hosts get the same ids and MACs in each.
         switch_ids = network.switch_ids()
-        fresh_hosts = []
-        for index in range(cfg.fresh_host_count):
-            switch_id = switch_ids[index % max(1, len(switch_ids) // 4)]
-            fresh_hosts.append(network.attach_host(switch_id, fresh_tenant.tenant_id))
-
-        # The fresh hosts become visible to the switches (live dissemination)
-        # but deliberately NOT to any flow table: every first packet is cold.
-        for host in fresh_hosts:
-            lazy.controller.switch(host.switch_id).attach_host(host.mac, host.port, host.tenant_id)
-            lazy.controller.clib.record_host(host.mac, host.switch_id, host.tenant_id)
-            lazy.controller.tenant_manager.note_host_location(host.tenant_id, host.switch_id)
-            baseline.switch(host.switch_id).attach_host(host.mac, host.port, host.tenant_id)
-        # Refresh every group's G-FIBs so intra-group peers can resolve the
-        # new hosts without the controller (the normal steady-state situation).
-        for group in lazy.controller.groups.values():
-            group.synchronize_gfibs()
+        placements = [
+            switch_ids[index % max(1, len(switch_ids) // 4)] for index in range(cfg.fresh_host_count)
+        ]
+        tenant_id = lazy.churn_tenant_arrival("cold-cache-tenant", placements)
+        baseline.churn_tenant_arrival("cold-cache-tenant", placements)
+        fresh_hosts = [network.host(host_id) for host_id in network.tenants.get(tenant_id).host_ids]
 
         lazy_intra: List[float] = []
         lazy_inter: List[float] = []

@@ -48,7 +48,6 @@ from repro.topology.network import DataCenterNetwork
 from repro.topology.registry import get_topology
 from repro.traffic.expand import expand_trace
 from repro.traffic.mix import TrafficMixSpec
-from repro.traffic.realistic import RealisticTraceProfile
 from repro.traffic.registry import get_traffic_model
 from repro.traffic.stream import FlowStream
 from repro.traffic.trace import Trace
@@ -201,16 +200,9 @@ class TraceSpec:
     # -- constructors for the common models ----------------------------------
 
     @classmethod
-    def realistic(
-        cls, profile: RealisticTraceProfile | None = None, **params: Any
-    ) -> "TraceSpec":
-        """A realistic-model spec from a profile or from sparse knobs."""
-        if profile is not None and params:
-            raise ConfigurationError("pass either a profile or keyword params, not both")
-        return cls(
-            model="realistic",
-            params=dataclass_to_dict(profile) if profile is not None else params,
-        )
+    def realistic(cls, **params: Any) -> "TraceSpec":
+        """A realistic-model spec from sparse knobs."""
+        return cls(model="realistic", params=params)
 
     @classmethod
     def mix(cls, mix_spec: TrafficMixSpec) -> "TraceSpec":
@@ -318,6 +310,29 @@ def _modernize_traffic(data: Any) -> Any:
 _UPLINK_SHAPES = frozenset({"multi-tenant", "paper-real", "paper-synthetic", "striped", "multi-pod"})
 #: Legacy ``links`` queueing key -> its ``config.latency`` field.
 _LEGACY_QUEUEING = {"queueing_service_ms": "queueing_service_ms", "utilization_cap": "queueing_utilization_cap"}
+
+
+#: Settings a spec no longer has, as (path of the object that held it, key):
+#: ``chunk_flows`` sized an adapter that no longer exists,
+#: ``group_broadcast_ms`` priced per-packet ARP resolution the replay never
+#: modelled, and the other three were validated but never read.
+_REMOVED_KEYS = (
+    (("execution",), "chunk_flows"),
+    (("config", "latency"), "group_broadcast_ms"),
+    (("config", "grouping"), "imbalance_tolerance"),
+    (("config", "regrouping"), "underload_threshold_rps"),
+    (("config",), "state_report_interval_seconds"),
+)
+
+
+def _without(data: Any, path: Tuple[str, ...], key: str) -> Any:
+    """Shim: ``data`` (not mutated) without ``key`` in the object at ``path``; malformed data is left to report."""
+    if not isinstance(data, Mapping):
+        return data
+    if path:
+        head = path[0]
+        return {**data, head: _without(data[head], path[1:], key)} if head in data else data
+    return {name: value for name, value in data.items() if name != key} if key in data else data
 
 
 def _merge_config(data: Dict[str, Any], section: str, updates: Dict[str, Any]) -> None:
@@ -471,10 +486,8 @@ class ScenarioSpec:
         ``topology`` as a bare profile dict, ``traffic`` with a ``kind``
         discriminator) is transparently upgraded to the registry form, and a
         pre-ExecutionSpec top-level ``stream`` flag (PR ≤ 7) folds into
-        ``execution``.  Two removed keys are dropped: ``execution.chunk_flows``
-        (it sized an adapter that no longer exists) and
-        ``config.latency.group_broadcast_ms`` (it priced per-packet ARP
-        resolution, which the replay never modelled).  A setting written in
+        ``execution``.  The keys of removed settings are dropped (see
+        :data:`_REMOVED_KEYS`).  A setting written in
         a second place folds into its home, ``null`` values dropped: a
         ``tables`` overlay into ``config.flow_table``, ``links`` queueing
         knobs into ``config.latency``, and a topology ``uplink_mbps`` into
@@ -489,16 +502,8 @@ class ScenarioSpec:
             legacy_stream = data.pop("stream")
             if "execution" not in data:
                 data["execution"] = {"stream": bool(legacy_stream)}
-        execution = data.get("execution")
-        if isinstance(execution, Mapping) and "chunk_flows" in execution:
-            data["execution"] = {
-                key: value for key, value in execution.items() if key != "chunk_flows"
-            }
-        config = data.get("config")
-        latency = config.get("latency") if isinstance(config, Mapping) else None
-        if isinstance(latency, Mapping) and "group_broadcast_ms" in latency:
-            latency = {key: value for key, value in latency.items() if key != "group_broadcast_ms"}
-            data["config"] = {**config, "latency": latency}
+        for path, key in _REMOVED_KEYS:
+            data = _without(data, path, key)
         capacity = _fold_second_homes(data)
         spec = dataclass_from_dict(cls, data, path="spec")
         if capacity is None:

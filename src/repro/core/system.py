@@ -7,10 +7,9 @@ common system.  It implements the :class:`~repro.traffic.replay.FlowSink`
 protocol the trace replayer drives — :meth:`EdgePlane.flow_arrival`, written
 on a flow's six columns, with ``handle_flow_arrival`` its record form — and
 handles one flow in three steps: **resolve** its endpoints on the (possibly
-churning) topology; **decide** (where :meth:`EdgePlane.decide` stops) which
-mechanism handles the first packet — flow table, L-FIB, G-FIB or the
-controller — what that path costs under the latency model and the traversed
-uplinks' congestion, and what it adds to the
+churning) topology; **decide** which mechanism handles the first packet —
+flow table, L-FIB, G-FIB or the controller — what that path costs under the
+latency model and the traversed uplinks' congestion, and what it adds to the
 counters; **record** latency samples for every packet, the flow in the
 intensity window, and the timeline.  :class:`LazyCtrlSystem` and
 :class:`OpenFlowSystem` supply the switch and controller they are built
@@ -153,20 +152,18 @@ class EdgePlane:
         duration: float,
         *,
         now: Optional[float] = None,
-        record: bool = True,
     ) -> Optional[Arrival]:
         """Handle one flow arriving at ``now``, given as its six columns.
 
         The arrival step itself — a replayer calls it with one row of a flow
         chunk's columns (``now`` is then the flow's start) and builds no
-        :class:`~repro.traffic.flow.FlowRecord`;
-        :meth:`handle_flow_arrival` and :meth:`decide` are its record form.
-        Everything a flow changes in switches, controller, meter and
-        :attr:`counters` happens first: resolve the endpoints, take
-        :meth:`first_packet` on their flow key, add the uplinks' congestion.
-        Then, unless ``record`` is off, the flow goes into the intensity
-        window, every packet's latency into the recorder, and the first
-        packet's onto the timeline.  Returns ``None`` (a departed flow,
+        :class:`~repro.traffic.flow.FlowRecord`; :meth:`handle_flow_arrival`
+        is its record form.  Everything a flow changes in switches,
+        controller, meter and :attr:`counters` happens first: resolve the
+        endpoints, take :meth:`first_packet` on their flow key, add the
+        uplinks' congestion.  Then the flow goes into the intensity window,
+        every packet's latency into the recorder, and the first packet's
+        onto the timeline.  Returns ``None`` (a departed flow,
         counted, nothing else) when an endpoint's tenant left mid-run: the
         flow never materializes and generates no control-plane work.
         """
@@ -190,31 +187,19 @@ class EdgePlane:
         if penalty > 0.0:
             first += penalty
             steady += penalty
-        if record:
-            matrix = self.intensity_matrix()
-            if matrix is not None:
-                matrix.record(src_switch_id, dst_switch_id)
-            self.latency_recorder.record(now, first)
-            if packet_count > 1:
-                self.latency_recorder.record(now, steady, count=packet_count - 1)
-            if self.tracer.enabled:
-                self.tracer.flow(now, first)
+        matrix = self.intensity_matrix()
+        if matrix is not None:
+            matrix.record(src_switch_id, dst_switch_id)
+        self.latency_recorder.record(now, first)
+        if packet_count > 1:
+            self.latency_recorder.record(now, steady, count=packet_count - 1)
+        if self.tracer.enabled:
+            self.tracer.flow(now, first)
         return path, src_switch_id, dst_switch_id, controller_involved, first, steady, duplicates, false_positive_drop
 
     def handle_flow_arrival(self, flow: FlowRecord, now: float) -> Optional[FlowHandlingResult]:
-        """Handle one replayed flow: decide its path, then record it."""
-        return self._record_form(flow, now, record=True)
-
-    def decide(self, flow: FlowRecord, now: float) -> Optional[FlowHandlingResult]:
-        """First-packet path decision and accounting for one flow, unrecorded.
-
-        Latency recorder, intensity window and timeline are untouched.
-        """
-        return self._record_form(flow, now, record=False)
-
-    def _record_form(self, flow: FlowRecord, now: float, record: bool) -> Optional[FlowHandlingResult]:
         """:meth:`flow_arrival` for a record, answering with a result object."""
-        arrival = self.flow_arrival(*draw_of(flow), now=now, record=record)
+        arrival = self.flow_arrival(*draw_of(flow), now=now)
         return None if arrival is None else FlowHandlingResult(flow.flow_id, *arrival)
 
     def first_packet(

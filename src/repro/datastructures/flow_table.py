@@ -193,11 +193,12 @@ class FlowTable:
     def lookup(self, key: FlowKey, *, now: float = 0.0, size_bytes: int = 0) -> Optional[FlowRule]:
         """Match ``key`` against the table, updating statistics and counters.
 
-        Rules the policy considers expired at ``now`` are treated as misses
-        and removed lazily, so expiry is enforced even between eager sweeps.
+        A rule :meth:`stays_alive` does not vouch for at ``now`` is asked
+        about by the policy; if expired, it is treated as a miss and removed
+        lazily, so expiry is enforced even between eager sweeps.
         """
         rule = self._rules.get(key)
-        if rule is not None:
+        if rule is not None and not self.stays_alive(rule, now, 0.0, now):
             reason = self._policy.expiry_reason(rule, now)
             if reason is not None:
                 self._discard(rule, now, reason)
@@ -252,12 +253,17 @@ class FlowTable:
         self.stats.hits += n
 
     def expire(self, now: float) -> List[FlowRule]:
-        """Eagerly sweep every rule the policy considers expired at ``now``."""
-        removed = []
-        for rule, reason in self._policy.expired(self._rules.values(), now):
+        """Eagerly sweep every rule a lookup at ``now`` would find expired."""
+        expiry_reason = self._policy.expiry_reason
+        expired = [
+            (rule, reason)
+            for rule in self._rules.values()
+            if not self.stays_alive(rule, now, 0.0, now)
+            and (reason := expiry_reason(rule, now)) is not None
+        ]
+        for rule, reason in expired:
             self._discard(rule, now, reason)
-            removed.append(rule)
-        return removed
+        return [rule for rule, _ in expired]
 
     def _evict(self, now: float) -> None:
         """Reclaim one batch of rules in the policy's eviction order."""

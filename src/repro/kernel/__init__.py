@@ -10,7 +10,7 @@ eviction, G-FIB memo clear) are guarded, the decided pairs are applied once
 for all their flows through ``EdgeSwitch.apply_run`` and
 ``EdgePlane.settle_run``, and everything that needs the control plane
 (packet-in, table pressure, expiring rules) goes flow by flow through
-``EdgePlane.first_packet``, the step the plane's own ``decide`` takes, on the
+``EdgePlane.first_packet``, the step ``EdgePlane.flow_arrival`` takes, on the
 pair's flow key and the time column: no record or result is
 built.  A link meter is one more pass over columns — the batch's inter-switch
 flows through ``EdgePlane.link_penalties_ms``.  The batch is then folded into

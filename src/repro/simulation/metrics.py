@@ -8,7 +8,7 @@ Three recorders cover everything the paper's figures need:
   into per-bucket and overall means (Fig. 9).  Only the sums are kept, never
   the raw samples.
 * :class:`WorkloadMeter` — sliding-window requests-per-second estimate the
-  grouping manager consults for its overload/underload thresholds.
+  grouping manager consults for its overload threshold.
 """
 
 from __future__ import annotations
@@ -131,9 +131,9 @@ class LatencyRecorder:
 class WorkloadMeter:
     """Sliding-window estimate of controller requests per second.
 
-    The grouping manager compares this estimate against its overload and
-    underload thresholds, and against the load measured at the previous
-    regrouping to detect the 30 % accumulated growth trigger.
+    The grouping manager compares this estimate against its overload
+    threshold, and against the load measured at the previous regrouping to
+    detect the 30 % accumulated growth trigger.
     """
 
     __slots__ = ("_window_seconds", "_events", "_total")

@@ -2,9 +2,10 @@
 
 The package has two layers:
 
-* :mod:`repro.tables.policies` — the :class:`TableTimeoutPolicy` interface
-  and the built-in policies (static idle/hard timeouts, the OpenFlow-style
-  hybrid, pure LRU, and an adaptive inter-arrival timeout predictor);
+* :mod:`repro.tables.policies` — the :class:`TableTimeoutPolicy`, which
+  is the static ``(idle, hard)`` policy behind the ``static-idle``,
+  ``static-hard``, ``idle-hard-hybrid`` and ``lru`` built-ins, and the
+  adaptive inter-arrival timeout predictor that overrides it;
 * :mod:`repro.tables.registry` — the ``@register_table_policy`` registry
   resolving policy names from :class:`~repro.common.config.FlowTableConfig`.
 
@@ -15,14 +16,11 @@ A scenario puts every switch under table pressure through its
 from repro.tables.policies import (
     AdaptiveParams,
     AdaptiveTimeoutPolicy,
-    IdleHardHybridPolicy,
     IdleHardParams,
     LruParams,
     RemovalReason,
     StaticHardParams,
-    StaticHardPolicy,
     StaticIdleParams,
-    StaticIdlePolicy,
     TableTimeoutPolicy,
 )
 from repro.tables.registry import (
@@ -36,14 +34,11 @@ from repro.tables.registry import (
 __all__ = [
     "AdaptiveParams",
     "AdaptiveTimeoutPolicy",
-    "IdleHardHybridPolicy",
     "IdleHardParams",
     "LruParams",
     "RemovalReason",
     "StaticHardParams",
-    "StaticHardPolicy",
     "StaticIdleParams",
-    "StaticIdlePolicy",
     "TableTimeoutPolicy",
     "available_table_policies",
     "build_policy",

@@ -47,16 +47,24 @@ class RemovalReason(enum.Enum):
 
 
 class TableTimeoutPolicy:
-    """Base policy: never expires anything, evicts least-recently matched.
+    """The static policy: fixed ``(idle, hard)`` timeout bounds, least-recently matched eviction.
 
-    Subclasses override :meth:`expiry_reason` (and, for hot paths,
-    :meth:`expired`) to implement timeouts, and the lifecycle hooks to keep
-    whatever per-flow state they need.  The base class doubles as the
-    ``lru`` built-in: a table governed by it relies purely on capacity
-    eviction, like a TCAM manager with timeouts disabled.
+    A rule expires once ``now - installed_at > hard`` (a hard timeout, which
+    wins a tie so a rule pinned by constant matches still ages out) or else
+    once ``now - last_matched_at > idle`` (an idle timeout).  Both bounds are
+    infinite by default, which is the ``lru`` built-in: a table governed by
+    it relies purely on capacity eviction, like a TCAM manager with
+    timeouts disabled.  ``static-idle``, ``static-hard`` and
+    ``idle-hard-hybrid`` are the same class with one or both bounds set.
+
+    Stateful policies subclass it, override :meth:`expiry_reason` and
+    :meth:`timeout_bounds`, and keep whatever per-flow state they need in
+    the lifecycle hooks.
     """
 
-    name = "lru"
+    def __init__(self, idle: float = float("inf"), hard: float = float("inf")) -> None:
+        self._idle = idle
+        self._hard = hard
 
     # -- lifecycle hooks (stateful policies override) -----------------------
 
@@ -73,39 +81,25 @@ class TableTimeoutPolicy:
 
     def expiry_reason(self, rule: "FlowRule", now: float) -> Optional[RemovalReason]:
         """Why ``rule`` is expired at ``now``, or ``None`` while it is live."""
+        if now - rule.installed_at > self._hard:
+            return RemovalReason.HARD_TIMEOUT
+        if now - rule.last_matched_at > self._idle:
+            return RemovalReason.IDLE_TIMEOUT
         return None
 
-    def expired(
-        self, rules: Iterable["FlowRule"], now: float
-    ) -> List[Tuple["FlowRule", RemovalReason]]:
-        """All expired rules with their reasons (the periodic sweep body).
-
-        The default defers to :meth:`expiry_reason` per rule; policies with
-        a single timeout override this with a tight comprehension because
-        the sweep visits every resident rule.
-        """
-        out = []
-        for rule in rules:
-            reason = self.expiry_reason(rule, now)
-            if reason is not None:
-                out.append((rule, reason))
-        return out
-
-    # -- vectorization ------------------------------------------------------
-
     def timeout_bounds(self) -> Optional[Tuple[float, float]]:
-        """Static ``(idle, hard)`` timeout bounds, or ``None`` if stateful.
+        """The static ``(idle, hard)`` timeout bounds, or ``None`` if stateful.
 
-        The vectorized replay kernel classifies a rule as alive across a
-        batch of arrivals purely from these bounds (a rule expires once
-        ``now - last_matched_at > idle`` or ``now - installed_at > hard``).
-        A policy whose expiry depends on learned per-flow state — or whose
-        match/install hooks mutate state — must return ``None``, which makes
-        the kernel route every flow touching an installed rule through the
-        scalar path instead.  The base (``lru``) policy never expires
-        anything, so both bounds are infinite.
+        The table decides from these bounds alone whether a rule is alive —
+        for one lookup, for a run of them and in the periodic sweep — and
+        asks :meth:`expiry_reason` only about a rule they do not keep alive.
+        A policy whose expiry depends on learned per-flow state, or whose
+        match/install hooks mutate state, must return ``None``: the table
+        then asks :meth:`expiry_reason` at every lookup, and the vectorized
+        kernel routes every flow touching an installed rule through the
+        scalar path.
         """
-        return (float("inf"), float("inf"))
+        return (self._idle, self._hard)
 
     # -- eviction -----------------------------------------------------------
 
@@ -118,7 +112,7 @@ class TableTimeoutPolicy:
         return sorted(rules, key=lambda rule: rule.last_matched_at)
 
 
-# -- static timeouts ---------------------------------------------------------
+# -- params of the static built-ins ------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,65 +122,11 @@ class StaticIdleParams:
     idle_timeout_seconds: Optional[float] = None
 
 
-class StaticIdlePolicy(TableTimeoutPolicy):
-    """A fixed idle timeout: a rule expires once unmatched for that long."""
-
-    name = "static-idle"
-
-    def __init__(self, idle_timeout_seconds: float) -> None:
-        if idle_timeout_seconds <= 0:
-            raise ConfigurationError("static-idle idle_timeout_seconds must be positive")
-        self._idle = idle_timeout_seconds
-
-    def expiry_reason(self, rule: "FlowRule", now: float) -> Optional[RemovalReason]:
-        if now - rule.last_matched_at > self._idle:
-            return RemovalReason.IDLE_TIMEOUT
-        return None
-
-    def expired(self, rules, now):
-        idle = self._idle
-        return [
-            (rule, RemovalReason.IDLE_TIMEOUT)
-            for rule in rules
-            if now - rule.last_matched_at > idle
-        ]
-
-    def timeout_bounds(self) -> Optional[Tuple[float, float]]:
-        return (self._idle, float("inf"))
-
-
 @dataclass(frozen=True, slots=True)
 class StaticHardParams:
     """Knobs of ``static-hard``; ``None`` inherits the table config's value."""
 
     hard_timeout_seconds: Optional[float] = None
-
-
-class StaticHardPolicy(TableTimeoutPolicy):
-    """A fixed hard timeout: a rule expires a set time after installation."""
-
-    name = "static-hard"
-
-    def __init__(self, hard_timeout_seconds: float) -> None:
-        if hard_timeout_seconds <= 0:
-            raise ConfigurationError("static-hard hard_timeout_seconds must be positive")
-        self._hard = hard_timeout_seconds
-
-    def expiry_reason(self, rule: "FlowRule", now: float) -> Optional[RemovalReason]:
-        if now - rule.installed_at > self._hard:
-            return RemovalReason.HARD_TIMEOUT
-        return None
-
-    def expired(self, rules, now):
-        hard = self._hard
-        return [
-            (rule, RemovalReason.HARD_TIMEOUT)
-            for rule in rules
-            if now - rule.installed_at > hard
-        ]
-
-    def timeout_bounds(self) -> Optional[Tuple[float, float]]:
-        return (float("inf"), self._hard)
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,34 +135,6 @@ class IdleHardParams:
 
     idle_timeout_seconds: Optional[float] = None
     hard_timeout_seconds: Optional[float] = None
-
-
-class IdleHardHybridPolicy(TableTimeoutPolicy):
-    """OpenFlow's standard pair: idle timeout plus a hard upper bound."""
-
-    name = "idle-hard-hybrid"
-
-    def __init__(self, idle_timeout_seconds: float, hard_timeout_seconds: float) -> None:
-        if idle_timeout_seconds <= 0:
-            raise ConfigurationError("idle-hard-hybrid idle_timeout_seconds must be positive")
-        if hard_timeout_seconds < idle_timeout_seconds:
-            raise ConfigurationError(
-                "idle-hard-hybrid hard_timeout_seconds must be >= idle_timeout_seconds "
-                f"({hard_timeout_seconds} < {idle_timeout_seconds})"
-            )
-        self._idle = idle_timeout_seconds
-        self._hard = hard_timeout_seconds
-
-    def expiry_reason(self, rule: "FlowRule", now: float) -> Optional[RemovalReason]:
-        # Hard wins on a tie so a rule pinned by constant matches still ages out.
-        if now - rule.installed_at > self._hard:
-            return RemovalReason.HARD_TIMEOUT
-        if now - rule.last_matched_at > self._idle:
-            return RemovalReason.IDLE_TIMEOUT
-        return None
-
-    def timeout_bounds(self) -> Optional[Tuple[float, float]]:
-        return (self._idle, self._hard)
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,8 +174,6 @@ class AdaptiveTimeoutPolicy(TableTimeoutPolicy):
     fast), periodic flows get timeouts just past their period (avoiding the
     re-install round trip).
     """
-
-    name = "adaptive"
 
     def __init__(self, params: AdaptiveParams, default_timeout_seconds: float) -> None:
         if params.min_timeout_seconds <= 0:
@@ -330,37 +240,52 @@ class AdaptiveTimeoutPolicy(TableTimeoutPolicy):
 # -- factories (wired into the registry) -------------------------------------
 
 
-def build_static_idle(config: FlowTableConfig, params: StaticIdleParams) -> StaticIdlePolicy:
+def _positive(policy: str, knob: str, value: float) -> float:
+    """``value``, or a :class:`ConfigurationError` naming ``policy`` and ``knob`` unless positive."""
+    if value <= 0:
+        raise ConfigurationError(f"{policy} {knob} must be positive")
+    return value
+
+
+def build_static_idle(config: FlowTableConfig, params: StaticIdleParams) -> TableTimeoutPolicy:
     """``static-idle`` from params, inheriting the config's idle timeout."""
     idle = params.idle_timeout_seconds
-    return StaticIdlePolicy(config.idle_timeout_seconds if idle is None else idle)
+    if idle is None:
+        idle = config.idle_timeout_seconds
+    return TableTimeoutPolicy(idle=_positive("static-idle", "idle_timeout_seconds", idle))
 
 
-def build_static_hard(config: FlowTableConfig, params: StaticHardParams) -> StaticHardPolicy:
+def build_static_hard(config: FlowTableConfig, params: StaticHardParams) -> TableTimeoutPolicy:
     """``static-hard`` from params, inheriting the config's hard timeout."""
     hard = params.hard_timeout_seconds
     if hard is None:
         hard = config.hard_timeout_seconds
     if hard is None:
         hard = DEFAULT_HARD_TIMEOUT_SECONDS
-    return StaticHardPolicy(hard)
+    return TableTimeoutPolicy(hard=_positive("static-hard", "hard_timeout_seconds", hard))
 
 
-def build_idle_hard(config: FlowTableConfig, params: IdleHardParams) -> IdleHardHybridPolicy:
+def build_idle_hard(config: FlowTableConfig, params: IdleHardParams) -> TableTimeoutPolicy:
     """``idle-hard-hybrid`` from params, inheriting the config's timeouts."""
     idle = params.idle_timeout_seconds
     if idle is None:
         idle = config.idle_timeout_seconds
+    _positive("idle-hard-hybrid", "idle_timeout_seconds", idle)
     hard = params.hard_timeout_seconds
     if hard is None:
         hard = config.hard_timeout_seconds
     if hard is None:
         hard = max(DEFAULT_HARD_TIMEOUT_SECONDS, idle)
-    return IdleHardHybridPolicy(idle, hard)
+    if hard < idle:
+        raise ConfigurationError(
+            "idle-hard-hybrid hard_timeout_seconds must be >= idle_timeout_seconds "
+            f"({hard} < {idle})"
+        )
+    return TableTimeoutPolicy(idle=idle, hard=hard)
 
 
 def build_lru(config: FlowTableConfig, params: LruParams) -> TableTimeoutPolicy:
-    """``lru``: the timeout-free base policy."""
+    """``lru``: the timeout-free static policy."""
     return TableTimeoutPolicy()
 
 

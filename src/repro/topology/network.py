@@ -26,7 +26,6 @@ class EdgeSwitchInfo:
 
     switch_id: int
     management_mac: MacAddress
-    port_count: int = 48
 
 
 class DataCenterNetwork:
@@ -48,13 +47,12 @@ class DataCenterNetwork:
 
     # -- switches ----------------------------------------------------------
 
-    def add_edge_switch(self, *, port_count: int = 48) -> EdgeSwitchInfo:
+    def add_edge_switch(self) -> EdgeSwitchInfo:
         """Register a new edge switch and return its static description."""
         switch_id = len(self._switches)
         info = EdgeSwitchInfo(
             switch_id=switch_id,
             management_mac=MacAddress.from_switch_index(switch_id),
-            port_count=port_count,
         )
         self._switches[switch_id] = info
         self._hosts_on_switch[switch_id] = []

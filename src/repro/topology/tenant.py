@@ -2,9 +2,9 @@
 
 The paper's motivation (§II-B) is that tenants stay small (20–100 VMs each)
 while the number of tenants grows; traffic is mostly confined within a
-tenant.  The tenant model tracks which hosts belong to which tenant and the
-VLAN identifier the controller's tenant-information-management module uses
-to scope ARP relaying.
+tenant.  The tenant model tracks which hosts belong to which tenant; the
+tenant identifier is what the controller's tenant-information-management
+module scopes ARP relaying by.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ class Tenant:
 
     tenant_id: int
     name: str
-    vlan_id: int
     host_ids: List[int] = field(default_factory=list)
 
     @property
@@ -51,15 +50,15 @@ class TenantDirectory:
     def __init__(self) -> None:
         self._tenants: Dict[int, Tenant] = {}
         self._host_to_tenant: Dict[int, int] = {}
-        # Identifiers are never reused, so tenants arriving after a departure
-        # (workload churn) cannot collide with an earlier tenant's VLAN.
+        # Identifiers are never reused: a tenant arriving after a departure
+        # (workload churn) must not inherit the departed tenant's flow keys.
         self._next_tenant_id = 0
 
-    def create_tenant(self, name: str, *, vlan_id: int | None = None) -> Tenant:
-        """Create a new tenant with a fresh identifier (VLAN defaults to the id + 100)."""
+    def create_tenant(self, name: str) -> Tenant:
+        """Create a new tenant with a fresh identifier."""
         tenant_id = self._next_tenant_id
         self._next_tenant_id += 1
-        tenant = Tenant(tenant_id=tenant_id, name=name, vlan_id=vlan_id if vlan_id is not None else tenant_id + 100)
+        tenant = Tenant(tenant_id=tenant_id, name=name)
         self._tenants[tenant_id] = tenant
         return tenant
 

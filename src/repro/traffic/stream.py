@@ -238,7 +238,7 @@ def uniform_spans(duration_seconds: float) -> List[Tuple[float, float, float]]:
 
 
 class FlowStreamBase:
-    """Shared behaviour of every concrete stream: views, iteration, materialization."""
+    """What every stream shares, the resident :class:`Trace` too: iteration, warm-up fold, materialization."""
 
     name: str
     network: DataCenterNetwork
@@ -259,13 +259,17 @@ class FlowStreamBase:
             yield from chunk
 
     def switch_intensity(self, *, start: float = 0.0, end: Optional[float] = None) -> IntensityMatrix:
-        """The switch-level intensity matrix over a window, in one pass.
+        """The switch-level intensity matrix over ``[start, end)``, in one pass.
 
-        This is what lets a control plane's ``prepare`` warm up from a
-        stream exactly as it does from a materialized trace.  Generation
-        stops at the first chunk past ``end``, so a warm-up window only ever
-        generates its own chunks.
+        Every flow contributes one unit of intensity between the switches of
+        its two endpoints; same-switch flows only register the switch.
+        ``end=None`` includes the last arrival.  This is the warm-up fold of
+        a control plane's ``prepare``, from a materialized trace and a lazy
+        stream alike.  Generation stops at the first chunk past ``end``, so a
+        warm-up window only ever generates its own chunks.
         """
+        if end is not None and end < start:
+            raise TrafficError(f"invalid window [{start}, {end})")
         matrix = IntensityMatrix(self.network.switch_ids())
         for chunk in windowed_chunks(self, start=start, end=end):
             accumulate_intensity(self.network, chunk, matrix)

@@ -20,8 +20,10 @@ its records and their ids.  Every consumer inside the library reads the chunk
 has the record list minted once *beside* the columns and shared by every
 later call.
 
-The switch-level intensity matrix over a time window (input to the grouping
-algorithms and to Fig. 6) is re-accumulated per call rather than cached,
+A trace is a :class:`~repro.traffic.stream.FlowStreamBase` whose one chunk
+is resident, so it folds its switch-level intensity matrix over a time
+window (input to the grouping algorithms and to Fig. 6) exactly as every
+stream does.  The matrix is re-accumulated per call rather than cached,
 because it reflects host placement *now*: VM churn moves hosts between
 switches mid-replay.
 """
@@ -31,15 +33,13 @@ from __future__ import annotations
 from copy import copy
 from typing import Iterable, Iterator, List, Optional, Sequence
 
-from repro.common.errors import TrafficError
-from repro.datastructures.intensity import IntensityMatrix
 from repro.topology.network import DataCenterNetwork
 from repro.traffic.chunk import FlowChunk
 from repro.traffic.flow import FlowRecord
-from repro.traffic.stream import FlowStream, accumulate_intensity, trim_chunks
+from repro.traffic.stream import FlowStream, FlowStreamBase
 
 
-class Trace:
+class Trace(FlowStreamBase):
     """A named, time-sorted collection of flow records bound to a topology."""
 
     def __init__(
@@ -111,24 +111,3 @@ class Trace:
         """
         if len(self._columns):
             yield self._columns
-
-    def switch_intensity(self, *, start: float = 0.0, end: Optional[float] = None) -> IntensityMatrix:
-        """Build the switch-level intensity matrix for a time window.
-
-        Every flow contributes one unit of intensity between the switches of
-        its two endpoints; same-switch flows only register the switch.  The
-        matrix is what SGI partitions and what Fig. 6 is computed from.
-
-        ``end=None`` means the window is inclusive of the trace's last
-        arrival: a flow arriving exactly at ``duration`` is counted once.
-        An explicit ``end`` keeps the usual half-open ``[start, end)``
-        semantics.  The matrix reflects host placement at call time, so it
-        is accumulated fresh per call rather than cached.
-        """
-        window_end = float("inf") if end is None else end
-        if window_end < start:
-            raise TrafficError(f"invalid window [{start}, {window_end})")
-        matrix = IntensityMatrix(self.network.switch_ids())
-        for chunk in trim_chunks(self.chunks(), start, window_end):
-            accumulate_intensity(self.network, chunk, matrix)
-        return matrix

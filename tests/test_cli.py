@@ -206,7 +206,7 @@ class TestRun:
     def test_stream_flag_selects_bounded_memory_replay(self, tmp_path, capsys):
         out_path = tmp_path / "results.json"
         code = main(["run", "paper-fig7", *RUN_SMALL, "--systems", "openflow",
-                     "--stream", "--out", str(out_path)])
+                     "--exec", "stream=true", "--out", str(out_path)])
         assert code == 0
         result = ScenarioResult.from_dict(json.loads(out_path.read_text()))
         assert result.spec.stream is True
@@ -215,7 +215,7 @@ class TestRun:
         out_path = tmp_path / "results.json"
         code = main(["run", "paper-fig7-10m", "--flows", "2000", "--switches", "8",
                      "--hosts", "60", "--duration-hours", "2",
-                     "--no-stream", "--out", str(out_path)])
+                     "--exec", "stream=false", "--out", str(out_path)])
         assert code == 0
         result = ScenarioResult.from_dict(json.loads(out_path.read_text()))
         assert result.spec.stream is False
@@ -224,7 +224,7 @@ class TestRun:
         materialized, streamed = tmp_path / "mat.json", tmp_path / "str.json"
         base = ["run", "paper-fig7", *RUN_SMALL, "--systems", "openflow,lazyctrl-dynamic"]
         assert main([*base, "--out", str(materialized)]) == 0
-        assert main([*base, "--stream", "--out", str(streamed)]) == 0
+        assert main([*base, "--exec", "stream=true", "--out", str(streamed)]) == 0
         left = json.loads(materialized.read_text())
         right = json.loads(streamed.read_text())
         # Identical replay outcomes; only the spec's execution differs.
@@ -386,7 +386,7 @@ class TestBench:
         (
             ("serial", []),
             ("pooled", ["--exec", "workers=2,shard-strategy=time-window,shard-count=2"]),
-            ("streamed", ["--stream"]),
+            ("streamed", ["--exec", "stream=true"]),
             ("vectorized", ["--exec", "kernel=vectorized"]),
         ),
     )
@@ -409,7 +409,7 @@ class TestBench:
     def test_bench_streamed_counters_match_materialized(self, tmp_path, capsys):
         assert main(["bench", "--presets", "paper-fig7", *RUN_SMALL,
                      "--out-dir", str(tmp_path / "mat")]) == 0
-        assert main(["bench", "--presets", "paper-fig7", *RUN_SMALL, "--stream",
+        assert main(["bench", "--presets", "paper-fig7", *RUN_SMALL, "--exec", "stream=true",
                      "--out-dir", str(tmp_path / "str")]) == 0
         materialized = json.loads((tmp_path / "mat" / "BENCH_paper-fig7.json").read_text())
         streamed = json.loads((tmp_path / "str" / "BENCH_paper-fig7.json").read_text())
@@ -426,7 +426,7 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "extra",
-        (["--exec", "kernel=vectorized"], ["--exec", "kernel=vectorized", "--stream"]),
+        (["--exec", "kernel=vectorized"], ["--exec", "kernel=vectorized,stream=true"]),
         ids=("vectorized", "vectorized-streamed"),
     )
     def test_bench_check_holds_the_kernel_under_churn_to_a_scalar_baseline(

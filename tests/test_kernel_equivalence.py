@@ -449,7 +449,7 @@ class TestEndStateEquivalence:
 
 
 class TestFallbackIsThePlanesDecideStep:
-    """Fallback flows take ``plane.first_packet``, the step ``decide`` itself
+    """Fallback flows take ``plane.first_packet``, the step ``flow_arrival`` itself
     takes for every scalar flow; nothing is swapped out under it."""
 
     @staticmethod

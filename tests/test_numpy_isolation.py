@@ -50,7 +50,7 @@ def test_scalar_cli_run_imports_neither_numpy_nor_the_kernel():
 
 def test_streamed_scalar_cli_run_imports_neither_numpy_nor_the_kernel():
     """The streamed path drains FlowChunks directly — still stdlib only."""
-    code, out, err = _cli(RUN + ["--stream"])
+    code, out, err = _cli(RUN + ["--exec", "stream=true"])
     assert code == 0, err
     assert out.strip().splitlines()[-1] == "LOADED []"
 

@@ -812,10 +812,9 @@ class TestArrivalStep:
 
     @given(flows=arrivals_of_flows_strategy, lag=st.floats(0.0, 30.0))
     @settings(max_examples=25, deadline=None)
-    def test_a_record_arriving_after_its_start_and_unrecorded_decide(self, flows, lag):
-        """The record form's two extras: ``now`` apart from the flow's start
-        (the meter charges from the start and reads at ``now``), and
-        ``decide``, which stops before *record*."""
+    def test_a_record_arriving_after_its_start(self, flows, lag):
+        """The record form's extra: ``now`` apart from the flow's start (the
+        meter charges from the start and reads at ``now``)."""
         from repro.core.results import FlowHandlingResult
         from repro.traffic.flow import FlowRecord
 
@@ -826,17 +825,13 @@ class TestArrivalStep:
         start = 0.0
         for flow_id, (gap, *rest) in enumerate(flows):
             start += gap
-            unrecorded = flow_id % 2 == 1
-            arrival = by_row.flow_arrival(start, *rest, now=start + lag, record=not unrecorded)
-            handle = by_record.decide if unrecorded else by_record.handle_flow_arrival
-            result = handle(FlowRecord(start, flow_id, *rest), start + lag)
+            arrival = by_row.flow_arrival(start, *rest, now=start + lag)
+            result = by_record.handle_flow_arrival(FlowRecord(start, flow_id, *rest), start + lag)
             assert result == (None if arrival is None else FlowHandlingResult(flow_id, *arrival))
         horizon = start + lag + 60.0
         assert plane_state(by_row, row_events, horizon) == plane_state(
             by_record, record_events, horizon
         )
-        recorded = sum(count for _, count in by_row.latency_recorder.bucket_totals().values())
-        assert recorded == sum(flow[3] for flow in flows[0::2])
 
 
 class TestColumnBornReplay:

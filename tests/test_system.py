@@ -275,7 +275,7 @@ class TestDecideWhereTheIngressSwitchDoesNotForward:
             switch.install_flow_rule(key, FlowAction(kind_of), now=0.0)
         model = plane.latency_model
 
-        result = plane.decide(flow, now=1.0)
+        result = plane.handle_flow_arrival(flow, now=1.0)
 
         lazy = kind == "lazyctrl"
         assert result == FlowHandlingResult(

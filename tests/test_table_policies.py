@@ -1,9 +1,15 @@
 """Unit tests for flow-table timeout/eviction policies, their registry,
-and the spec-level finite-table overlay."""
+and the spec-level finite-table overlay.
+
+Every policy is built the way a table builds it, through
+``build_policy(FlowTableConfig(policy=...))``: the four static built-ins are
+one rule with different ``(idle, hard)`` bounds.
+"""
 
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.addresses import MacAddress
 from repro.common.config import FlowTableConfig, LazyCtrlConfig
@@ -14,12 +20,8 @@ from repro.core.scenario import ScenarioSpec
 from repro.datastructures.flow_table import ActionType, FlowAction, FlowRule, FlowTable
 from repro.tables.policies import (
     DEFAULT_HARD_TIMEOUT_SECONDS,
-    AdaptiveParams,
     AdaptiveTimeoutPolicy,
-    IdleHardHybridPolicy,
     RemovalReason,
-    StaticHardPolicy,
-    StaticIdlePolicy,
     TableTimeoutPolicy,
 )
 from repro.tables.registry import (
@@ -29,6 +31,8 @@ from repro.tables.registry import (
     register_table_policy,
     unregister_table_policy,
 )
+
+INF = float("inf")
 
 
 def key(i: int, j: int, tenant: int = 0) -> FlowKey:
@@ -44,79 +48,134 @@ def rule(i: int, j: int, *, installed_at: float = 0.0, matched_at: float | None 
     )
 
 
+def policy(name: str, **params) -> TableTimeoutPolicy:
+    """The ``name`` policy built from its params, as a table would."""
+    return build_policy(FlowTableConfig(policy=name, policy_params=params))
+
+
 class TestStaticIdlePolicy:
     def test_expires_after_idle_gap(self):
-        policy = StaticIdlePolicy(10.0)
+        idle = policy("static-idle", idle_timeout_seconds=10.0)
         r = rule(1, 2, matched_at=5.0)
-        assert policy.expiry_reason(r, now=15.0) is None  # exactly at the limit
-        assert policy.expiry_reason(r, now=15.1) is RemovalReason.IDLE_TIMEOUT
+        assert idle.expiry_reason(r, now=15.0) is None  # exactly at the limit
+        assert idle.expiry_reason(r, now=15.1) is RemovalReason.IDLE_TIMEOUT
 
-    def test_bulk_expired_matches_per_rule_reason(self):
-        policy = StaticIdlePolicy(10.0)
-        rules = [rule(i, i + 50, matched_at=float(i)) for i in range(5)]
-        bulk = policy.expired(rules, now=12.5)
-        per_rule = [r for r in rules if policy.expiry_reason(r, 12.5) is not None]
-        assert [r for r, _ in bulk] == per_rule
-        assert all(reason is RemovalReason.IDLE_TIMEOUT for _, reason in bulk)
+    def test_sweep_matches_per_rule_reason(self):
+        table = FlowTable(FlowTableConfig(idle_timeout_seconds=10.0))
+        for i in range(5):
+            table.install(key(i, i + 50), FlowAction(ActionType.DROP), now=float(i))
+        per_rule = [r for r in table if table.policy.expiry_reason(r, 12.5) is not None]
+        assert [r.installed_at for r in per_rule] == [0.0, 1.0, 2.0]
+        assert table.expire(now=12.5) == per_rule
+        assert (table.stats.timeouts, table.stats.hard_timeouts) == (len(per_rule), 0)
 
     def test_rejects_non_positive_timeout(self):
-        with pytest.raises(ConfigurationError):
-            StaticIdlePolicy(0.0)
+        with pytest.raises(ConfigurationError, match="^static-idle idle_timeout_seconds must be positive$"):
+            policy("static-idle", idle_timeout_seconds=0.0)
 
 
 class TestStaticHardPolicy:
     def test_expires_from_install_time_despite_matches(self):
-        policy = StaticHardPolicy(100.0)
+        hard = policy("static-hard", hard_timeout_seconds=100.0)
         r = rule(1, 2, installed_at=0.0, matched_at=99.0)  # just refreshed
-        assert policy.expiry_reason(r, now=100.0) is None
-        assert policy.expiry_reason(r, now=100.5) is RemovalReason.HARD_TIMEOUT
+        assert hard.expiry_reason(r, now=100.0) is None
+        assert hard.expiry_reason(r, now=100.5) is RemovalReason.HARD_TIMEOUT
 
     def test_rejects_non_positive_timeout(self):
-        with pytest.raises(ConfigurationError):
-            StaticHardPolicy(-1.0)
+        with pytest.raises(ConfigurationError, match="^static-hard hard_timeout_seconds must be positive$"):
+            policy("static-hard", hard_timeout_seconds=-1.0)
 
 
 class TestIdleHardHybridPolicy:
     def test_idle_fires_before_hard(self):
-        policy = IdleHardHybridPolicy(10.0, 100.0)
+        hybrid = policy("idle-hard-hybrid", idle_timeout_seconds=10.0, hard_timeout_seconds=100.0)
         r = rule(1, 2, installed_at=0.0, matched_at=0.0)
-        assert policy.expiry_reason(r, now=20.0) is RemovalReason.IDLE_TIMEOUT
+        assert hybrid.expiry_reason(r, now=20.0) is RemovalReason.IDLE_TIMEOUT
 
     def test_hard_caps_constantly_matched_rules(self):
-        policy = IdleHardHybridPolicy(10.0, 100.0)
+        hybrid = policy("idle-hard-hybrid", idle_timeout_seconds=10.0, hard_timeout_seconds=100.0)
         r = rule(1, 2, installed_at=0.0, matched_at=99.0)
-        assert policy.expiry_reason(r, now=101.0) is RemovalReason.HARD_TIMEOUT
+        assert hybrid.expiry_reason(r, now=101.0) is RemovalReason.HARD_TIMEOUT
+
+    def test_hard_wins_when_both_bounds_are_past(self):
+        hybrid = policy("idle-hard-hybrid", idle_timeout_seconds=10.0, hard_timeout_seconds=100.0)
+        r = rule(1, 2, installed_at=0.0, matched_at=0.0)
+        assert hybrid.expiry_reason(r, now=101.0) is RemovalReason.HARD_TIMEOUT
 
     def test_rejects_hard_below_idle(self):
-        with pytest.raises(ConfigurationError):
-            IdleHardHybridPolicy(100.0, 50.0)
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^idle-hard-hybrid hard_timeout_seconds must be >= idle_timeout_seconds \(50.0 < 100.0\)$",
+        ):
+            policy("idle-hard-hybrid", idle_timeout_seconds=100.0, hard_timeout_seconds=50.0)
+
+    def test_rejects_non_positive_idle(self):
+        with pytest.raises(ConfigurationError, match="^idle-hard-hybrid idle_timeout_seconds must be positive$"):
+            policy("idle-hard-hybrid", idle_timeout_seconds=0.0, hard_timeout_seconds=50.0)
 
 
 class TestLruBasePolicy:
     def test_never_expires(self):
-        policy = TableTimeoutPolicy()
-        r = rule(1, 2, matched_at=0.0)
-        assert policy.expiry_reason(r, now=1e12) is None
-        assert policy.expired([r], now=1e12) == []
+        lru = policy("lru")
+        assert lru.timeout_bounds() == (INF, INF)
+        assert lru.expiry_reason(rule(1, 2, matched_at=0.0), now=1e12) is None
+        table = FlowTable(FlowTableConfig(policy="lru"))
+        table.install(key(1, 2), FlowAction(ActionType.DROP), now=0.0)
+        assert table.expire(now=1e12) == []
 
     def test_eviction_order_is_least_recently_matched_first(self):
-        policy = TableTimeoutPolicy()
         rules = [rule(i, i + 50, matched_at=float(10 - i)) for i in range(5)]
-        ordered = policy.eviction_order(rules)
+        ordered = policy("lru").eviction_order(rules)
         assert [r.last_matched_at for r in ordered] == sorted(r.last_matched_at for r in rules)
+
+
+#: The static built-ins at idle 50 s / hard 200 s, where they take each bound.
+STATIC_CONFIGS = {
+    "static-idle": FlowTableConfig(idle_timeout_seconds=50.0),
+    "static-hard": FlowTableConfig(hard_timeout_seconds=200.0, policy="static-hard"),
+    "idle-hard-hybrid": FlowTableConfig(
+        idle_timeout_seconds=50.0, hard_timeout_seconds=200.0, policy="idle-hard-hybrid"
+    ),
+    "lru": FlowTableConfig(policy="lru"),
+}
+
+
+class TestOneExpiryRule:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(STATIC_CONFIGS)),
+        # Whole-second gaps, often 25/50/100 s, land exactly on the 50 s / 200 s
+        # bounds as well as before and past them.
+        gaps=st.lists(
+            st.sampled_from([25.0, 50.0, 100.0]) | st.integers(0, 120).map(float), min_size=1, max_size=12
+        ),
+    )
+    def test_lookup_hits_exactly_when_the_rule_stays_alive(self, name, gaps):
+        """On a resident rule, a lookup at ``t`` hits iff ``stays_alive(rule, t, 0.0, t)``."""
+        table = FlowTable(STATIC_CONFIGS[name])
+        table.install(key(1, 2), FlowAction(ActionType.DROP), now=0.0)
+        now = 0.0
+        for gap in gaps:
+            now += gap
+            resident = table.peek(key(1, 2))
+            if resident is None:
+                table.install(key(1, 2), FlowAction(ActionType.DROP), now=now)
+                continue
+            alive = table.stays_alive(resident, now, 0.0, now)
+            assert (table.lookup(key(1, 2), now=now) is not None) == alive
 
 
 class TestAdaptivePolicy:
     def make(self, **overrides) -> AdaptiveTimeoutPolicy:
-        params = AdaptiveParams(**{
+        params = {
             "min_timeout_seconds": 5.0,
             "max_timeout_seconds": 300.0,
             "margin": 2.0,
             "smoothing": 1.0,  # pure last-gap, easy to reason about
             "max_tracked_keys": 64,
             **overrides,
-        })
-        return AdaptiveTimeoutPolicy(params, default_timeout_seconds=60.0)
+        }
+        return build_policy(FlowTableConfig(policy="adaptive", idle_timeout_seconds=60.0, policy_params=params))
 
     def test_unseen_key_uses_default_timeout(self):
         policy = self.make()
@@ -220,16 +279,16 @@ class TestRegistry:
 
     def test_factories_inherit_config_timeouts(self):
         config = FlowTableConfig(idle_timeout_seconds=42.0, hard_timeout_seconds=420.0)
-        idle = get_table_policy("static-idle").build(config)
-        hybrid = get_table_policy("idle-hard-hybrid").build(config)
-        hard = get_table_policy("static-hard").build(config)
-        assert idle._idle == 42.0
-        assert (hybrid._idle, hybrid._hard) == (42.0, 420.0)
-        assert hard._hard == 420.0
+
+        def bounds(name):
+            return build_policy(dataclasses.replace(config, policy=name)).timeout_bounds()
+
+        assert bounds("static-idle") == (42.0, INF)
+        assert bounds("idle-hard-hybrid") == (42.0, 420.0)
+        assert bounds("static-hard") == (INF, 420.0)
 
     def test_static_hard_falls_back_to_module_default(self):
-        hard = get_table_policy("static-hard").build(FlowTableConfig())
-        assert hard._hard == DEFAULT_HARD_TIMEOUT_SECONDS
+        assert policy("static-hard").timeout_bounds() == (INF, DEFAULT_HARD_TIMEOUT_SECONDS)
 
 
 class TestFlowTablePolicyIntegration:

@@ -23,11 +23,6 @@ class TestTenantDirectory:
         tenant = directory.create_tenant("acme")
         assert directory.get(tenant.tenant_id).name == "acme"
 
-    def test_vlan_defaults_offset(self):
-        directory = TenantDirectory()
-        tenant = directory.create_tenant("acme")
-        assert tenant.vlan_id == tenant.tenant_id + 100
-
     def test_assign_host(self):
         directory = TenantDirectory()
         tenant = directory.create_tenant("acme")

@@ -339,12 +339,6 @@ class TestTraceSpec:
         mix = TrafficMixSpec(components=(TrafficComponentSpec(model="uniform"),))
         assert TraceSpec.mix(mix).model == "mix"
 
-    def test_realistic_rejects_profile_plus_kwargs(self):
-        from repro.traffic.realistic import RealisticTraceProfile
-
-        with pytest.raises(ConfigurationError):
-            TraceSpec.realistic(RealisticTraceProfile(), total_flows=5)
-
     def test_with_params_rejects_unsupported_key(self):
         with pytest.raises(ConfigurationError, match="uniform"):
             TraceSpec(model="uniform").with_params(hotspot_count=2)
