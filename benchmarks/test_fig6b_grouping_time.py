@@ -80,6 +80,8 @@ def test_fig6b_incupdate_faster_than_inigroup(benchmark, synthetic_traces):
 
     report = benchmark.pedantic(incremental, rounds=3, iterations=1)
     print(f"\nIniGroup: {initial_seconds * 1000:.1f} ms, IncUpdate: {report.elapsed_seconds * 1000:.1f} ms")
-    # The paper claims IncUpdate is more than an order of magnitude faster;
-    # at reduced scale we assert it is at least not slower.
+    # The paper claims IncUpdate is more than an order of magnitude faster.
+    # At the default scale it measures 6-9x faster (about 2 ms against
+    # IniGroup's 11-18 ms, two merge-splits, shared 2-core host); the
+    # assertion asks only that it is not slower, so host noise does not fail it.
     assert report.elapsed_seconds <= initial_seconds * 1.5 + 0.05

@@ -127,11 +127,7 @@ class IntensityMatrix:
             for group_id, members in enumerate(grouping):
                 for switch_id in members:
                     assignment[switch_id] = group_id
-        crossing = 0.0
-        for a, b, weight in self.pairs():
-            if assignment.get(a, ("solo", a)) != assignment.get(b, ("solo", b)):
-                crossing += weight
-        return crossing
+        return crossing_intensity(self.pairs(), assignment)
 
     def normalized_inter_group_intensity(self, grouping: Mapping[int, int] | Sequence[set[int]]) -> float:
         """``W_inter`` as a fraction of total intensity (the paper's Fig. 6(a) metric)."""
@@ -148,3 +144,16 @@ class IntensityMatrix:
 
     def __len__(self) -> int:
         return len(self._switches)
+
+
+def crossing_intensity(pairs: Iterable[Tuple[int, int, float]], assignment: Mapping[int, object]) -> float:
+    """Total weight of the ``(a, b, weight)`` pairs whose switches ``assignment``
+    puts in different groups, folded in ``pairs`` order.
+
+    A switch missing from ``assignment`` is a group of its own.
+    """
+    crossing = 0.0
+    for a, b, weight in pairs:
+        if assignment.get(a, ("solo", a)) != assignment.get(b, ("solo", b)):
+            crossing += weight
+    return crossing

@@ -112,13 +112,21 @@ class WeightedGraph:
         """Return the induced subgraph on ``vertices`` (weights preserved)."""
         keep = set(vertices)
         result = WeightedGraph()
+        weights, adjacency = result.vertex_weights, result.adjacency
         for vertex in keep:
             if vertex not in self.vertex_weights:
                 raise PartitioningError(f"unknown vertex {vertex} in subgraph request")
-            result.add_vertex(vertex, self.vertex_weights[vertex])
-        for a, b, weight in self.edges():
-            if a in keep and b in keep:
-                result.add_edge(a, b, weight)
+            weights[vertex] = self.vertex_weights[vertex]
+            adjacency[vertex] = {}
+        # The members' rows, walked in ``edges()`` order: the insertion order
+        # of every neighbour dict is what the min-cut's tie-break reads.
+        for a, neighbors in self.adjacency.items():
+            if a in keep:
+                row = adjacency[a]
+                for b, weight in neighbors.items():
+                    if a < b and b in keep:
+                        row[b] = weight
+                        adjacency[b][a] = weight
         return result
 
 def cut_weight(graph: WeightedGraph, assignment: Mapping[int, int]) -> float:

@@ -27,10 +27,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.config import GroupingConfig
 from repro.common.errors import InfeasibleGroupingError, PartitioningError
 from repro.common.rng import make_rng
-from repro.datastructures.intensity import IntensityMatrix
+from repro.datastructures.intensity import IntensityMatrix, crossing_intensity
 from repro.partitioning.graph import WeightedGraph
 from repro.partitioning.bisection import min_bisection
 from repro.partitioning.mlkp import MultiLevelKWayPartitioner, verify_partition
+
+#: Intensity between two groups, keyed ``(lower id, higher id)``.
+PairScores = Dict[Tuple[int, int], float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,22 +182,33 @@ class SgiGrouper:
         combined = history_matrix.copy()
         combined.merge(recent_matrix)
 
-        # ``combined`` does not change below: one graph and one known-switch
-        # set serve every merge-split of this update.
+        # ``combined`` does not change below: one graph, one known-switch set
+        # and one pair list serve every merge-split of this update.
         graph = WeightedGraph.from_intensity_matrix(combined)
         known = graph.vertex_weights.keys()
+        combined_pairs = list(combined.pairs())
+        total = combined.total_intensity
 
         current = {group_id: set(members) for group_id, members in grouping.groups.items()}
-        before = combined.normalized_inter_group_intensity(list(current.values()))
+        before = _crossing_share(combined_pairs, total, current)
         now_intensity = before
         merge_splits = 0
         rng = make_rng(self._config.random_seed, "incupdate", str(self.statistics.incremental_updates))
 
         attempted_pairs: set[Tuple[int, int]] = set()
+        scores: Optional[Tuple[PairScores, PairScores]] = None
         for _ in range(max_merge_splits):
             if stop_when_intensity_below is not None and now_intensity <= stop_when_intensity_below:
                 break
-            pair = self._find_candidate_pair(current, recent_matrix, combined, limit, attempted_pairs)
+            if scores is None:
+                # Scored again only once ``current`` changes: a rejected or
+                # infeasible round leaves it, and so its scores, as they were.
+                group_of = {switch_id: gid for gid, members in current.items() for switch_id in members}
+                scores = (
+                    self._group_pair_intensities(recent_matrix, group_of),
+                    self._group_pair_intensities(combined, group_of),
+                )
+            pair = self._find_candidate_pair(current, *scores, limit, attempted_pairs)
             if pair is None:
                 break
             group_a, group_b = pair
@@ -213,13 +227,14 @@ class SgiGrouper:
             candidate = {gid: members for gid, members in current.items() if gid not in (group_a, group_b)}
             candidate[group_a] = set(bisection.side_a)
             candidate[group_b] = set(bisection.side_b)
-            candidate_intensity = combined.normalized_inter_group_intensity(list(candidate.values()))
+            candidate_intensity = _crossing_share(combined_pairs, total, candidate)
             if candidate_intensity <= now_intensity + 1e-12:
                 # The intensity the next round starts from, and the last one
                 # accepted the update ends on, is the one just computed.
                 current = candidate
                 now_intensity = candidate_intensity
                 merge_splits += 1
+                scores = None
 
         after = now_intensity
         elapsed = time.perf_counter() - started
@@ -254,23 +269,22 @@ class SgiGrouper:
                 graph.add_edge(a, b, weight)
         return graph
 
+    @staticmethod
     def _find_candidate_pair(
-        self,
         current: Dict[int, set[int]],
-        recent_matrix: IntensityMatrix,
-        combined_matrix: IntensityMatrix,
+        recent_scores: PairScores,
+        fallback_scores: PairScores,
         limit: float,
         attempted: set[Tuple[int, int]],
     ) -> Optional[Tuple[int, int]]:
         """Pick the pair of groups with the most significant recent inter-group traffic.
 
-        Only pairs whose combined size fits within twice the group limit are
-        eligible (otherwise no feasible re-split exists).  Pairs already
-        attempted in this invocation are skipped so the loop terminates.
+        ``recent_scores`` and ``fallback_scores`` are ``current``'s group-pair
+        intensities in the recent and combined matrices.  Only pairs whose
+        combined size fits within twice the group limit are eligible
+        (otherwise no feasible re-split exists).  Pairs already attempted in
+        this invocation are skipped so the loop terminates.
         """
-        group_of = {switch_id: group_id for group_id, members in current.items() for switch_id in members}
-        recent_scores = self._group_pair_intensities(recent_matrix, group_of)
-        fallback_scores = self._group_pair_intensities(combined_matrix, group_of)
         group_ids = sorted(current)
         best_pair: Optional[Tuple[int, int]] = None
         best_score = 0.0
@@ -291,14 +305,14 @@ class SgiGrouper:
     @staticmethod
     def _group_pair_intensities(
         matrix: IntensityMatrix, group_of: Dict[int, int]
-    ) -> Dict[Tuple[int, int], float]:
+    ) -> PairScores:
         """Intensity between every two groups, keyed ``(lower id, higher id)``, in one pass.
 
         Each total is a left fold of its own pairs in ``matrix.pairs()`` order
         — the float a scan per group pair would produce.  Ungrouped switches
         belong to no pair.
         """
-        totals: Dict[Tuple[int, int], float] = {}
+        totals: PairScores = {}
         for a, b, weight in matrix.pairs():
             group_a = group_of.get(a)
             group_b = group_of.get(b)
@@ -307,6 +321,17 @@ class SgiGrouper:
             key = (group_a, group_b) if group_a < group_b else (group_b, group_a)
             totals[key] = totals.get(key, 0.0) + weight
         return totals
+
+
+def _crossing_share(
+    pairs: List[Tuple[int, int, float]], total: float, groups: Dict[int, set[int]]
+) -> float:
+    """:meth:`IntensityMatrix.normalized_inter_group_intensity` of ``groups``,
+    read from the matrix's ``pairs()`` list and total, bit for bit."""
+    if total <= 0:
+        return 0.0
+    group_of = {switch_id: gid for gid, members in groups.items() for switch_id in members}
+    return crossing_intensity(pairs, group_of) / total
 
 
 def grouping_quality(matrix: IntensityMatrix, grouping: Grouping) -> float:

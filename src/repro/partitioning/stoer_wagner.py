@@ -10,12 +10,19 @@ The algorithm runs ``n - 1`` *minimum cut phases*.  Each phase performs a
 maximum-adjacency search, records the "cut of the phase" (weight of the last
 vertex added), and contracts the last two vertices.  The lightest cut of any
 phase is a global minimum cut.
+
+The search stops at the first zero-weight cut of a phase, which a
+disconnected graph reaches early.  That is exact: no cut weighs less than
+zero, because :meth:`WeightedGraph.add_edge` drops weights that are not
+positive, and a later phase replaces the best cut only when it is strictly
+lighter, so the full loop would return the same weight and the same side.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict, FrozenSet, Set
 
 from repro.common.errors import PartitioningError
 from repro.partitioning.graph import WeightedGraph
@@ -52,39 +59,41 @@ def stoer_wagner_min_cut(graph: WeightedGraph) -> MinCutResult:
 
     active = list(vertices)
     while len(active) > 1:
-        # Maximum adjacency search from an arbitrary start vertex.
+        # Maximum adjacency search from an arbitrary start vertex, over a
+        # connectivity list in ``active`` order: the next vertex is the first
+        # heaviest entry, so ties go to the earliest in ``active`` (the pinned
+        # IncUpdate groupings rest on that).  A vertex already added holds
+        # -inf, which no finite weight lifts.
         start = active[0]
-        in_a: List[int] = [start]
-        in_a_set = {start}
-        connectivity: Dict[int, float] = {
-            vertex: adjacency[start].get(vertex, 0.0) for vertex in active if vertex != start
-        }
-        while len(in_a) < len(active):
-            next_vertex = max(connectivity, key=connectivity.__getitem__)
-            in_a.append(next_vertex)
-            in_a_set.add(next_vertex)
-            del connectivity[next_vertex]
-            for neighbor, weight in adjacency[next_vertex].items():
-                if neighbor in connectivity:
-                    connectivity[neighbor] += weight
-        last = in_a[-1]
-        second_last = in_a[-2]
+        row = adjacency[start]
+        position = {vertex: index for index, vertex in enumerate(active)}
+        connectivity = [row.get(vertex, 0.0) for vertex in active]
+        connectivity[0] = -math.inf
+        last = start
+        for _ in range(len(active) - 1):
+            index = connectivity.index(max(connectivity))
+            connectivity[index] = -math.inf
+            second_last, last = last, active[index]
+            for neighbor, weight in adjacency[last].items():
+                connectivity[position[neighbor]] += weight
         cut_of_phase = sum(adjacency[last].values())
         if cut_of_phase < best_weight:
             best_weight = cut_of_phase
             best_partition = set(merged[last])
+            if best_weight == 0.0:
+                break  # no later phase cuts lighter (see the module docstring)
 
         # Contract `last` into `second_last`.
-        merged[second_last] |= merged[last]
-        for neighbor, weight in adjacency[last].items():
+        merged[second_last] |= merged.pop(last)
+        kept = adjacency[second_last]
+        for neighbor, weight in adjacency.pop(last).items():
             if neighbor == second_last:
+                del kept[last]
                 continue
-            adjacency[second_last][neighbor] = adjacency[second_last].get(neighbor, 0.0) + weight
-            adjacency[neighbor][second_last] = adjacency[neighbor].get(second_last, 0.0) + weight
-        for neighbor in adjacency[last]:
-            adjacency[neighbor].pop(last, None)
-        del adjacency[last]
-        del merged[last]
+            kept[neighbor] = kept.get(neighbor, 0.0) + weight
+            row = adjacency[neighbor]
+            row[second_last] = row.get(second_last, 0.0) + weight
+            del row[last]
         active.remove(last)
 
     return MinCutResult(weight=best_weight, partition=frozenset(best_partition))

@@ -1,13 +1,15 @@
 """Unit tests for Stoer–Wagner min cut and the size-constrained bisection."""
 
 import random
+from typing import Dict, List, Set
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import InfeasibleGroupingError, PartitioningError
 from repro.partitioning.bisection import min_bisection
 from repro.partitioning.graph import WeightedGraph
-from repro.partitioning.stoer_wagner import stoer_wagner_min_cut
+from repro.partitioning.stoer_wagner import MinCutResult, stoer_wagner_min_cut
 
 
 def barbell_graph(side: int, bridge_weight: float = 0.5) -> WeightedGraph:
@@ -85,6 +87,128 @@ class TestStoerWagner:
                 continue
             expected, _ = networkx.stoer_wagner(nx_graph)
             assert stoer_wagner_min_cut(graph).weight == pytest.approx(expected, rel=1e-6)
+
+
+def full_phase_min_cut(graph: WeightedGraph) -> MinCutResult:
+    """Stoer–Wagner running all ``n - 1`` phases: the loop before the search
+    stopped at its first zero cut, kept verbatim as the reference."""
+    vertices = graph.vertices()
+    if len(vertices) < 2:
+        raise PartitioningError("minimum cut requires at least two vertices")
+
+    # Work on a contracted adjacency copy; "merged[v]" tracks which original
+    # vertices the super-vertex v currently represents.
+    adjacency: Dict[int, Dict[int, float]] = {
+        vertex: dict(graph.neighbors(vertex)) for vertex in vertices
+    }
+    merged: Dict[int, Set[int]] = {vertex: {vertex} for vertex in vertices}
+
+    best_weight = float("inf")
+    best_partition: Set[int] = set()
+
+    active = list(vertices)
+    while len(active) > 1:
+        # Maximum adjacency search from an arbitrary start vertex.
+        start = active[0]
+        in_a: List[int] = [start]
+        in_a_set = {start}
+        connectivity: Dict[int, float] = {
+            vertex: adjacency[start].get(vertex, 0.0) for vertex in active if vertex != start
+        }
+        while len(in_a) < len(active):
+            next_vertex = max(connectivity, key=connectivity.__getitem__)
+            in_a.append(next_vertex)
+            in_a_set.add(next_vertex)
+            del connectivity[next_vertex]
+            for neighbor, weight in adjacency[next_vertex].items():
+                if neighbor in connectivity:
+                    connectivity[neighbor] += weight
+        last = in_a[-1]
+        second_last = in_a[-2]
+        cut_of_phase = sum(adjacency[last].values())
+        if cut_of_phase < best_weight:
+            best_weight = cut_of_phase
+            best_partition = set(merged[last])
+
+        # Contract `last` into `second_last`.
+        merged[second_last] |= merged[last]
+        for neighbor, weight in adjacency[last].items():
+            if neighbor == second_last:
+                continue
+            adjacency[second_last][neighbor] = adjacency[second_last].get(neighbor, 0.0) + weight
+            adjacency[neighbor][second_last] = adjacency[neighbor].get(second_last, 0.0) + weight
+        for neighbor in adjacency[last]:
+            adjacency[neighbor].pop(last, None)
+        del adjacency[last]
+        del merged[last]
+        active.remove(last)
+
+    return MinCutResult(weight=best_weight, partition=frozenset(best_partition))
+
+
+@st.composite
+def clustered_graphs(draw, min_vertices=2, max_vertices=24):
+    """Graphs of one to four components, sparse to dense, with isolated
+    vertices, repeated equal weights and vertices and edges inserted in
+    shuffled order."""
+    count = draw(st.integers(min_vertices, max_vertices))
+    components = draw(st.integers(1, 4))
+    component_of = draw(
+        st.lists(st.integers(0, components - 1), min_size=count, max_size=count)
+    )
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+    # Few distinct weights, so phases often tie for the lightest cut.
+    weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.25]), min_size=1, max_size=3))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [
+        (a, b, rng.choice(weights))
+        for a in range(count)
+        for b in range(a + 1, count)
+        if component_of[a] == component_of[b] and rng.random() < density
+    ]
+    rng.shuffle(edges)
+    graph = WeightedGraph()
+    for vertex in draw(st.permutations(range(count))):
+        graph.add_vertex(vertex)
+    for a, b, weight in edges:
+        graph.add_edge(a, b, weight)
+    return graph
+
+
+class TestStopAtFirstZeroCut:
+    """Stopping at the first zero cut returns what the full loop returns."""
+
+    @given(graph=clustered_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_same_weight_and_side_as_every_phase(self, graph):
+        assert stoer_wagner_min_cut(graph) == full_phase_min_cut(graph)
+
+    def test_equal_cuts_keep_the_first_phase(self):
+        # Every phase of a uniform 4-cycle cuts 2.0: {3}, {2, 3}, {1, 2, 3}.
+        graph = WeightedGraph()
+        for vertex in range(4):
+            graph.add_vertex(vertex)
+        for vertex in range(4):
+            graph.add_edge(vertex, (vertex + 1) % 4, 1.0)
+        expected = MinCutResult(weight=2.0, partition=frozenset({3}))
+        assert full_phase_min_cut(graph) == expected
+        assert stoer_wagner_min_cut(graph) == expected
+
+    def test_zero_cut_from_a_middle_phase(self):
+        # A triangle and a path.  The phases cut 2.0 ({5}), 2.0 ({4, 5}),
+        # then 0 ({3, 4, 5}), then 2.0 and 4.0: the first zero comes from
+        # the third of five phases, and the two after it cannot replace it.
+        graph = WeightedGraph()
+        for vertex in range(6):
+            graph.add_vertex(vertex)
+        graph.add_edge(0, 1, 3.0)
+        graph.add_edge(1, 2, 1.0)
+        graph.add_edge(0, 2, 1.0)
+        graph.add_edge(3, 4, 2.0)
+        graph.add_edge(4, 5, 2.0)
+        expected = MinCutResult(weight=0, partition=frozenset({3, 4, 5}))
+        assert full_phase_min_cut(graph) == expected
+        assert stoer_wagner_min_cut(graph) == expected
 
 
 class TestMinBisection:

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import PartitioningError
 from repro.datastructures.intensity import IntensityMatrix
@@ -84,6 +85,45 @@ class TestWeightedGraph:
     def test_subgraph_unknown_vertex(self):
         with pytest.raises(PartitioningError):
             ring_graph(3).subgraph([0, 99])
+
+
+def edge_scan_subgraph(graph: WeightedGraph, vertices) -> WeightedGraph:
+    """The induced subgraph by definition: every edge of ``graph`` is scanned
+    and the members' edges added in ``edges()`` order."""
+    keep = set(vertices)
+    result = WeightedGraph()
+    for vertex in keep:
+        result.add_vertex(vertex, graph.vertex_weights[vertex])
+    for a, b, weight in graph.edges():
+        if a in keep and b in keep:
+            result.add_edge(a, b, weight)
+    return result
+
+
+class TestSubgraphOrder:
+    """Dict ``==`` ignores insertion order; the min-cut's tie-break does not."""
+
+    @given(
+        order=st.permutations(range(16)),
+        edges=st.lists(
+            st.tuples(st.integers(0, 15), st.integers(0, 15), st.sampled_from([0.5, 1.0, 2.5])),
+            max_size=60,
+        ),
+        members=st.lists(st.integers(0, 15), unique=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_insertion_order_as_the_edge_scan(self, order, edges, members):
+        graph = WeightedGraph()
+        for vertex in order:
+            graph.add_vertex(vertex, weight=1.0 + vertex % 3)
+        for a, b, weight in edges:
+            graph.add_edge(a, b, weight)
+        sub = graph.subgraph(members)
+        expected = edge_scan_subgraph(graph, members)
+        assert list(sub.vertex_weights.items()) == list(expected.vertex_weights.items())
+        assert [(v, list(n.items())) for v, n in sub.adjacency.items()] == [
+            (v, list(n.items())) for v, n in expected.adjacency.items()
+        ]
 
 
 class TestPartitionHelpers:

@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 from repro.common.config import GroupingConfig
 from repro.common.errors import InfeasibleGroupingError
 from repro.datastructures.intensity import IntensityMatrix
+from repro.partitioning import bisection
+from repro.partitioning.stoer_wagner import stoer_wagner_min_cut
 from repro.partitioning.sgi import (
     Grouping,
     SgiGrouper,
+    _crossing_share,
     grouping_quality,
 )
 
@@ -146,16 +149,21 @@ def _pairwise_intensity(matrix, group_a, group_b):
     return total
 
 
-def _pinned_case(seed, switches, groups, stray=False):
-    """A random history / recent pair with non-dyadic weights and a shuffled grouping."""
+def _pinned_case(seed, switches, groups, stray=False, density=(0.35, 0.25)):
+    """A random history / recent pair with non-dyadic weights and a shuffled grouping.
+
+    ``density`` is the chance that a switch pair carries history and recent
+    traffic respectively.
+    """
     rng = random.Random(seed)
     history = IntensityMatrix(range(switches))
     recent = IntensityMatrix()
+    history_p, recent_p = density
     for i in range(switches):
         for j in range(i + 1, switches):
-            if rng.random() < 0.35:
+            if rng.random() < history_p:
                 history.record(i, j, rng.uniform(0.1, 9.0))
-            if rng.random() < 0.25:
+            if rng.random() < recent_p:
                 recent.record(i, j, rng.uniform(0.1, 30.0))
     members = list(range(switches))
     rng.shuffle(members)
@@ -164,6 +172,9 @@ def _pinned_case(seed, switches, groups, stray=False):
         # known to them and ungrouped.
         members = [999] + members[1:]
     return history, recent, Grouping({g: frozenset(members[g::groups]) for g in range(groups)})
+
+
+SPARSE_CASE = (405, 48, 6, False, (0.05, 0.05))
 
 
 class TestIncUpdateOnOneGraph:
@@ -194,6 +205,25 @@ class TestIncUpdateOnOneGraph:
                     expected = _pairwise_intensity(matrix, members[group_a], members[group_b])
                     assert scores.get((group_a, group_b), 0.0) == expected
 
+    @given(
+        weights=st.lists(
+            st.tuples(st.integers(0, 11), st.integers(0, 11), st.floats(0.01, 50.0)),
+            max_size=60,
+        ),
+        group_of=st.dictionaries(st.integers(0, 11), st.integers(0, 3)),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_crossing_share_is_the_matrix_fold_bit_for_bit(self, weights, group_of):
+        """Switches missing from ``group_of`` are groups of their own."""
+        matrix = IntensityMatrix()
+        for a, b, weight in weights:
+            matrix.record(a, b, weight)
+        groups = {}
+        for switch_id, group_id in group_of.items():
+            groups.setdefault(group_id, set()).add(switch_id)
+        share = _crossing_share(list(matrix.pairs()), matrix.total_intensity, groups)
+        assert share == matrix.normalized_inter_group_intensity(list(groups.values()))
+
     @pytest.mark.parametrize(
         "case, limit, groups, merge_splits, before, after",
         [
@@ -216,6 +246,15 @@ class TestIncUpdateOnOneGraph:
                  0: [5, 9, 18, 20, 23, 24, 25, 999], 2: [3, 15, 16, 19, 21, 29]},
                 4, 0.8566658605616703, 0.6494877418152365,
             ),
+            (
+                # Sparse: most merged groups are disconnected, so most of
+                # the min-cuts weigh zero (see the test below).
+                SPARSE_CASE, 8,
+                {2: [9, 12, 23, 27, 32, 37, 42, 45], 3: [4, 5, 7, 11, 16, 26, 38, 46],
+                 1: [3, 8, 10, 22, 24, 29, 31, 47], 0: [6, 14, 17, 21, 30, 33, 39, 41],
+                 4: [2, 13, 18, 25, 34, 36, 43, 44], 5: [0, 1, 15, 19, 20, 28, 35, 40]},
+                6, 0.8707439747783428, 0.5209593933496762,
+            ),
         ],
     )
     def test_report_is_the_one_a_graph_per_merge_split_gave(
@@ -230,6 +269,25 @@ class TestIncUpdateOnOneGraph:
         assert {gid: sorted(members) for gid, members in report.grouping.groups.items()} == groups
         assert report.merge_split_count == merge_splits
         assert (report.inter_group_before, report.inter_group_after) == (before, after)
+
+    def test_sparse_case_mostly_cuts_at_zero(self, monkeypatch):
+        """The sparse pin reaches zero-weight min-cuts in most of its splits
+        and rejects some of them, so it covers the min-cut's early return and
+        rounds that leave the grouping unchanged."""
+        cuts = []
+
+        def recording_min_cut(graph):
+            cuts.append(stoer_wagner_min_cut(graph))
+            return cuts[-1]
+
+        monkeypatch.setattr(bisection, "stoer_wagner_min_cut", recording_min_cut)
+        history, recent, grouping = _pinned_case(*SPARSE_CASE)
+        grouper = SgiGrouper(GroupingConfig(group_size_limit=8, random_seed=5))
+        report = grouper.incremental_update(grouping, history, recent)
+        zero_cuts = sum(cut.weight == 0.0 for cut in cuts)
+        assert 2 * zero_cuts >= len(cuts) > 0
+        assert zero_cuts < len(cuts)
+        assert report.merge_split_count < len(cuts)
 
 
 class TestQualityMetrics:
