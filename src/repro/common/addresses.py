@@ -3,40 +3,44 @@
 The LazyCtrl data plane is a layer-2 overlay, so hosts are known by their MAC
 addresses (the identities tracked in L-FIBs, G-FIBs and the C-LIB) and edge
 switches by a management MAC (the failure-detection wheel's order).  A MAC is
-a small immutable value object backed by an integer, so it hashes fast and is
+an integer with a MAC's name and range, so it hashes and compares in C and is
 generated deterministically from an index.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.common.errors import AddressError
 
 _MAC_MAX = (1 << 48) - 1
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class MacAddress:
-    """A 48-bit MAC address.
+class MacAddress(int):
+    """A 48-bit MAC address: an ``int`` in ``[0, 2**48)``.
 
-    Instances are immutable, hashable and totally ordered by their integer
-    value, which makes them usable as dictionary keys in forwarding tables
-    and as set members in Bloom-filter membership tests.
+    Instances are immutable and hash, compare and order exactly as their
+    integer value, so ``hash(mac) == hash(int(mac))``: a dict or set of MACs
+    iterates in the order the same dict or set of integers would, which is
+    what every seed-pinned counter rests on.
+
+    A MAC also *equals* its integer, and ``MacAddress(0)`` is falsy.  Neither
+    is observable in the library: every dict and set a MAC keys (L-FIB
+    entries, G-FIB peers and query memo, C-LIB locations, OpenFlow's learned
+    locations, the network's host index) holds MACs only, no code tests a MAC
+    for truth (the allocators never produce 0 anyway), and no result, event
+    or spec payload carries a MAC, so none serializes one as a bare number.
     """
 
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= _MAC_MAX:
-            raise AddressError(f"MAC value out of range: {self.value!r}")
+    def __new__(cls, value: int) -> "MacAddress":
+        if not 0 <= value <= _MAC_MAX:
+            raise AddressError(f"MAC value out of range: {value!r}")
+        return super().__new__(cls, value)
 
-    def __hash__(self) -> int:
-        # MAC addresses key every forwarding table on the replay hot path;
-        # hashing the integer directly skips the generated implementation's
-        # per-call field-tuple build.  Consistent with the generated __eq__
-        # (equal value ⇒ equal hash).
-        return hash(self.value)
+    @property
+    def value(self) -> int:
+        """The address as a plain integer."""
+        return int(self)
 
     @classmethod
     def from_host_index(cls, index: int) -> "MacAddress":
@@ -63,11 +67,11 @@ class MacAddress:
 
     def octets(self) -> tuple[int, ...]:
         """Return the six octets, most-significant first."""
-        return tuple((self.value >> shift) & 0xFF for shift in range(40, -8, -8))
+        return tuple((self >> shift) & 0xFF for shift in range(40, -8, -8))
 
     def to_bytes(self) -> bytes:
         """Return the 6-byte big-endian representation (used for BF hashing)."""
-        return self.value.to_bytes(6, "big")
+        return int.to_bytes(self, 6, "big")
 
     def __str__(self) -> str:
         return ":".join(f"{octet:02x}" for octet in self.octets())

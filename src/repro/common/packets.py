@@ -8,7 +8,7 @@ flow's first packet weighs :data:`DATA_PACKET_BYTES`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.addresses import MacAddress
 
@@ -17,21 +17,16 @@ from repro.common.addresses import MacAddress
 DATA_PACKET_BYTES = 1500
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     """Identity of a flow: the (source MAC, destination MAC, tenant) triple.
 
     The paper's traces are switch-to-switch/host-to-host; we keep the tenant
     in the key because inter-tenant communication is what the controller
-    must always see.
+    must always see.  A key is a tuple of three integers, so it hashes,
+    compares and orders as ``(int(src_mac), int(dst_mac), tenant_id)`` does,
+    in C, on every flow-table probe.
     """
 
     src_mac: MacAddress
     dst_mac: MacAddress
     tenant_id: int
-
-    def __hash__(self) -> int:
-        # Flow keys are looked up in every switch's flow table per packet;
-        # hashing the raw integers skips three nested dataclass hashes.
-        # Consistent with the generated __eq__ (equal fields ⇒ equal hash).
-        return hash((self.src_mac.value, self.dst_mac.value, self.tenant_id))

@@ -177,7 +177,7 @@ class EdgePlane:
             return None
         src_switch_id = src_host.switch_id
         dst_switch_id = dst_host.switch_id
-        key = FlowKey(src_mac=src_host.mac, dst_mac=dst_host.mac, tenant_id=src_host.tenant_id)
+        key = FlowKey(src_host.mac, dst_host.mac, src_host.tenant_id)
         path, first, steady, false_positive_drop, controller_involved, duplicates = (
             self.first_packet(key, src_switch_id, dst_switch_id, now)
         )

@@ -93,7 +93,7 @@ class LocalFib:
         if self._wire_version != self._version:
             self._wire = tuple(
                 (mac, entry.port, entry.tenant_id)
-                for mac, entry in sorted(self._entries.items(), key=lambda item: item[0].value)
+                for mac, entry in sorted(self._entries.items())
             )
             self._wire_version = self._version
         return self._wire

@@ -135,7 +135,7 @@ class ColumnarReplayKernel:
                 departed=False,
                 src_switch_id=src_host.switch_id,
                 dst_switch_id=dst_host.switch_id,
-                key=FlowKey(src_mac=src_host.mac, dst_mac=dst_host.mac, tenant_id=src_host.tenant_id),
+                key=FlowKey(src_host.mac, dst_host.mac, src_host.tenant_id),
                 switch=self._switches[src_host.switch_id],
             )
         self._pair_static[code] = info

@@ -1,6 +1,9 @@
 """Unit tests for the MAC address value object."""
 
+import pickle
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.addresses import MacAddress
 from repro.common.errors import AddressError
@@ -53,3 +56,24 @@ class TestMacAddress:
 
     def test_repr_contains_canonical_form(self):
         assert "02:00:00:00:00:07" in repr(MacAddress.from_host_index(7))
+
+    def test_value_is_immutable(self):
+        mac = MacAddress.from_host_index(7)
+        with pytest.raises(AttributeError):
+            mac.value = 8
+
+    @given(st.integers(0, (1 << 48) - 1))
+    def test_hash_is_the_integer_hash(self, value):
+        assert hash(MacAddress(value)) == hash(value)
+
+    @given(st.lists(st.integers(0, (1 << 48) - 1), max_size=64))
+    def test_set_iterates_as_the_set_of_its_integers(self, values):
+        """G-FIB peer sets and every MAC-keyed dict iterate as the same
+        collection of integers would, so seed-pinned counters hold."""
+        assert [mac.value for mac in {MacAddress(v) for v in values}] == list(set(values))
+
+    def test_pickle_round_trip(self):
+        mac = MacAddress.from_switch_index(12)
+        copy = pickle.loads(pickle.dumps(mac))
+        assert copy == mac and hash(copy) == hash(mac) and type(copy) is MacAddress
+        assert str(copy) == "06:00:00:00:00:0c"
