@@ -32,6 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Bytes per second carried by one Mbit/s.
 _BYTES_PER_MBPS = 125_000.0
 
+#: The default accounting window, in seconds.
+WINDOW_SECONDS = 300.0
+
 #: An uplink's first reading of at least 1.0 in a window: (time, switch_id, utilization).
 Crossing = Tuple[float, int, float]
 
@@ -50,7 +53,7 @@ class LinkUtilizationMeter:
 
     __slots__ = ("window_seconds", "_capacities_mbps", "_window_capacity_bytes", "_bytes", "_crossed")
 
-    def __init__(self, capacities_mbps: Dict[int, float], *, window_seconds: float = 300.0) -> None:
+    def __init__(self, capacities_mbps: Dict[int, float], *, window_seconds: float = WINDOW_SECONDS) -> None:
         if window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
         self.window_seconds = float(window_seconds)
@@ -238,6 +241,4 @@ def build_link_meter(network: "DataCenterNetwork") -> Optional[LinkUtilizationMe
     capacities = network.link_capacities_mbps()
     if not capacities:
         return None
-    return LinkUtilizationMeter(
-        capacities, window_seconds=network.link_utilization_window_seconds
-    )
+    return LinkUtilizationMeter(capacities, window_seconds=WINDOW_SECONDS)

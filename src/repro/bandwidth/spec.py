@@ -1,6 +1,6 @@
 """The spec-level link capacities: ``ScenarioSpec.links``.
 
-The one place a scenario sets uplink capacity and the accounting window.
+The one place a scenario sets uplink capacity.
 ``ScenarioSpec.build_network`` applies it to whatever topology shape it
 built (:meth:`LinkCapacitySpec.apply_network`), so every path that rebuilds
 the network from the spec sees the same capacities.  The queueing term the
@@ -23,25 +23,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class LinkCapacitySpec:
-    """Per-scenario uplink capacity and accounting window.
-
-    ``None`` fields leave the network's defaults: no capacity keeps links
-    uncapacitated, no window keeps the network's 300 s accounting window.
-    """
+    """Per-scenario uplink capacity; ``None`` keeps links uncapacitated."""
 
     uplink_mbps: Optional[float] = None
-    window_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.uplink_mbps is not None and self.uplink_mbps <= 0:
             raise ConfigurationError("uplink_mbps must be positive")
-        if self.window_seconds is not None and self.window_seconds <= 0:
-            raise ConfigurationError("window_seconds must be positive")
 
     def apply_network(self, network: "DataCenterNetwork") -> None:
         """Assign these capacities to every edge switch of ``network``."""
-        if self.window_seconds is not None:
-            network.set_link_utilization_window(self.window_seconds)
         if self.uplink_mbps is not None:
             for switch_id in network.switch_ids():
                 network.set_uplink_capacity_mbps(switch_id, self.uplink_mbps)

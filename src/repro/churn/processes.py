@@ -27,6 +27,11 @@ from repro.churn.spec import ChurnSpec
 from repro.common.rng import make_rng
 from repro.topology.network import DataCenterNetwork
 
+# A locality-drift event moves this many of one tenant's VMs together.
+DRIFT_BATCH_SIZE = 4
+# An arriving tenant brings a uniform draw of this many VMs (inclusive).
+TENANT_SIZE_RANGE = (20, 40)
+
 
 class ChurnKind(enum.Enum):
     """The churn event kinds; the values are ``ChurnAppliedEvent.kind`` in traces."""
@@ -135,7 +140,7 @@ class DriftProcess(ChurnProcess):
         ]
         if not movable:
             return 0
-        batch_size = min(self.spec.drift_batch_size, len(movable))
+        batch_size = min(DRIFT_BATCH_SIZE, len(movable))
         for host_id in sorted(self.rng.sample(movable, batch_size)):
             target.churn_migrate_host(host_id, destination, now=now)
         return batch_size
@@ -168,7 +173,7 @@ class TenantLifecycleProcess(ChurnProcess):
         switch_ids = network.switch_ids()
         if not switch_ids:
             return 0
-        low, high = self.spec.tenant_size_range
+        low, high = TENANT_SIZE_RANGE
         size = self.rng.randint(low, high)
         # New tenants show the same locality as the seeded ones: a couple of
         # home switches absorb almost all of the VMs.

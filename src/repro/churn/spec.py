@@ -41,10 +41,8 @@ class ChurnSpec:
     seed: int = 2015
     migration_rate_per_hour: float = 0.0
     drift_rate_per_hour: float = 0.0
-    drift_batch_size: int = 4
     tenant_arrival_rate_per_hour: float = 0.0
     tenant_departure_rate_per_hour: float = 0.0
-    tenant_size_range: Tuple[int, int] = (20, 40)
     start_hour: float = 0.0
     end_hour: Optional[float] = None
 
@@ -57,12 +55,6 @@ class ChurnSpec:
         ):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")
-        if self.drift_batch_size < 1:
-            raise ConfigurationError("drift_batch_size must be at least 1")
-        low, high = self.tenant_size_range
-        if not 1 <= low <= high:
-            raise ConfigurationError("tenant_size_range must satisfy 1 <= low <= high")
-        object.__setattr__(self, "tenant_size_range", (int(low), int(high)))
         if self.start_hour < 0:
             raise ConfigurationError("start_hour must be non-negative")
         if self.end_hour is not None and self.end_hour <= self.start_hour:

@@ -7,7 +7,6 @@ from repro.common.config import (
     GroupingConfig,
     LatencyModelConfig,
     LazyCtrlConfig,
-    RegroupingPolicy,
 )
 from repro.common.errors import (
     AddressError,
@@ -43,7 +42,6 @@ __all__ = [
     "MacAddress",
     "NegotiationError",
     "PartitioningError",
-    "RegroupingPolicy",
     "ReproError",
     "TopologyError",
     "TrafficError",

@@ -22,12 +22,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.common.config import GroupingConfig, RegroupingPolicy
+from repro.common.config import GroupingConfig
 from repro.datastructures.intensity import IntensityMatrix
 from repro.obs.events import RegroupFinishEvent, RegroupStartEvent
 from repro.obs.tracer import NULL_TRACER
 from repro.partitioning.sgi import Grouping, SgiGrouper
 from repro.simulation.metrics import CounterSeries
+
+# The §IV-B regrouping triggers.  An update fires when the controller
+# workload grew by 30 % since the last one, when it exceeds the overload
+# threshold, when the maximum interval elapsed, or when this many VM-level
+# churn changes (migrations, arrivals, departures) accumulated; churn never
+# accumulates on a static topology, so that trigger leaves churn-free runs
+# alone.  The two-minute minimum interval prevents oscillation.
+WORKLOAD_GROWTH_TRIGGER = 0.30
+MIN_INTERVAL_SECONDS = 120.0
+MAX_INTERVAL_SECONDS = 7200.0
+OVERLOAD_THRESHOLD_RPS = 4000.0
+CHURN_EVENT_TRIGGER = 25
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,12 +58,10 @@ class GroupingManager:
         self,
         *,
         grouping_config: GroupingConfig | None = None,
-        policy: RegroupingPolicy | None = None,
         dynamic: bool = True,
         history_decay: float = 0.5,
     ) -> None:
         self.grouper = SgiGrouper(grouping_config)
-        self.policy = policy or RegroupingPolicy()
         self.dynamic = dynamic
         self._history_decay = history_decay
         self.history_matrix = IntensityMatrix()
@@ -71,7 +81,7 @@ class GroupingManager:
         """Record VM-level topology churn (migration, arrival, departure).
 
         Churn accumulates until the next applied grouping update; reaching
-        ``policy.churn_event_trigger`` pending changes is itself a regrouping
+        :data:`CHURN_EVENT_TRIGGER` pending changes is itself a regrouping
         trigger, and an update applied with churn pending is counted as
         churn-attributed.
         """
@@ -128,18 +138,15 @@ class GroupingManager:
         # both fire.  The epsilons keep that true when the values come out of
         # floating-point arithmetic a hair below the boundary.
         elapsed = now - self._last_update_time
-        if elapsed + 1e-9 < self.policy.min_interval_seconds:
+        if elapsed + 1e-9 < MIN_INTERVAL_SECONDS:
             return RegroupingDecision(regrouped=False, reason="within minimum update interval")
 
         baseline = max(self._workload_at_last_update, 1e-9)
         growth = (workload_rps - self._workload_at_last_update) / baseline
-        overloaded = workload_rps > self.policy.overload_threshold_rps
-        growth_triggered = growth >= self.policy.workload_growth_trigger - 1e-12 and workload_rps > 0
-        stale = elapsed + 1e-9 >= self.policy.max_interval_seconds
-        churn_triggered = (
-            self.policy.churn_event_trigger > 0
-            and self.churn_events_since_update >= self.policy.churn_event_trigger
-        )
+        overloaded = workload_rps > OVERLOAD_THRESHOLD_RPS
+        growth_triggered = growth >= WORKLOAD_GROWTH_TRIGGER - 1e-12 and workload_rps > 0
+        stale = elapsed + 1e-9 >= MAX_INTERVAL_SECONDS
+        churn_triggered = self.churn_events_since_update >= CHURN_EVENT_TRIGGER
 
         if not (growth_triggered or overloaded or stale or churn_triggered):
             return RegroupingDecision(regrouped=False, reason="no trigger fired")

@@ -63,7 +63,6 @@ class LazyCtrlController(EdgeController):
         self.tenant_manager = TenantManager(network)
         self.grouping_manager = GroupingManager(
             grouping_config=self.config.grouping,
-            policy=self.config.regrouping,
             dynamic=dynamic_grouping,
         )
         self._groups: Dict[int, LocalControlGroup] = {}

@@ -228,7 +228,6 @@ def _churn_tenant_wave() -> Tuple[ScenarioSpec, ...]:
                 migration_rate_per_hour=2.0,
                 tenant_arrival_rate_per_hour=1.5,
                 tenant_departure_rate_per_hour=1.0,
-                tenant_size_range=(20, 40),
                 start_hour=6.0,
                 end_hour=18.0,
             ),

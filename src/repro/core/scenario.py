@@ -21,15 +21,17 @@ Workloads are referenced purely by registry name:
 Both resolve their registry entry lazily at build time, so specs for
 third-party models can be constructed before the plugin module is imported.
 Every setting has one home: flow tables in ``config.flow_table``, queueing
-in ``config.latency``, uplink capacity and its window in ``links``.  Legacy
-spec JSON still loads through shims in :meth:`ScenarioSpec.from_dict`:
-pre-registry forms (``topology`` as a bare profile dict, ``traffic`` with a
-``kind`` discriminator) and settings in an old second place.
+in ``config.latency``, uplink capacity in ``links``.  Legacy spec JSON still
+loads through shims in :meth:`ScenarioSpec.from_dict`: pre-registry forms
+(``topology`` as a bare profile dict, ``traffic`` with a ``kind``
+discriminator), settings in an old second place, and retired settings at the
+value of the constant that replaced them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -52,19 +54,22 @@ from repro.traffic.registry import get_traffic_model
 from repro.traffic.stream import FlowStream
 from repro.traffic.trace import Trace
 
+# The first hour of traffic is the warm-up the initial grouping is computed
+# from (IniGroup, §III-C); the replay window starts after it.
+WARMUP_HOURS = 1.0
+# The §V-D expansion spreads its extra flows over hours 8-24 of the day.
+EXPAND_WINDOW_HOURS = (8.0, 24.0)
+
 
 @dataclass(frozen=True, slots=True)
 class ScheduleSpec:
     """When the replay starts, ends, and how results are bucketed."""
 
-    warmup_hours: float = 1.0
     duration_hours: float = 24.0
     bucket_hours: float = 2.0
     periodic_interval_seconds: float = 120.0
 
     def __post_init__(self) -> None:
-        if self.warmup_hours < 0:
-            raise ConfigurationError("warmup_hours must be non-negative")
         if self.duration_hours <= 0:
             raise ConfigurationError("duration_hours must be positive")
         if self.bucket_hours <= 0:
@@ -80,7 +85,7 @@ class ScheduleSpec:
     @property
     def warmup_seconds(self) -> float:
         """Warm-up window length in seconds."""
-        return self.warmup_hours * 3600.0
+        return WARMUP_HOURS * 3600.0
 
     @property
     def bucket_seconds(self) -> float:
@@ -183,7 +188,6 @@ class TraceSpec:
     model: str = "realistic"
     params: Dict[str, Any] = field(default_factory=dict)
     expand_fraction: float = 0.0
-    expand_window_hours: Tuple[float, float] = (8.0, 24.0)
     expand_seed: int = 2015
 
     def __post_init__(self) -> None:
@@ -192,10 +196,6 @@ class TraceSpec:
         object.__setattr__(self, "params", dict(to_jsonable(dict(self.params))))
         if not 0.0 <= self.expand_fraction <= 5.0:
             raise ConfigurationError("expand_fraction must be in [0, 5]")
-        start, end = self.expand_window_hours
-        if end <= start:
-            raise ConfigurationError("expand_window_hours must have positive length")
-        object.__setattr__(self, "expand_window_hours", (float(start), float(end)))
 
     # -- constructors for the common models ----------------------------------
 
@@ -250,7 +250,7 @@ class TraceSpec:
         """
         stream = self.entry().build(network, params=self.params, name=name)
         if self.expand_fraction > 0.0:
-            start, end = self.expand_window_hours
+            start, end = EXPAND_WINDOW_HOURS
             stream = expand_trace(
                 stream,
                 extra_fraction=self.expand_fraction,
@@ -312,27 +312,73 @@ _UPLINK_SHAPES = frozenset({"multi-tenant", "paper-real", "paper-synthetic", "st
 _LEGACY_QUEUEING = {"queueing_service_ms": "queueing_service_ms", "utilization_cap": "queueing_utilization_cap"}
 
 
-#: Settings a spec no longer has, as (path of the object that held it, key):
+#: Settings a spec no longer has: (path of the object that held it, key,
+#: dotted name of the constant that replaced it).  The constant is ``None``
+#: for the five that were never read, which load as absent at any value:
 #: ``chunk_flows`` sized an adapter that no longer exists,
 #: ``group_broadcast_ms`` priced per-packet ARP resolution the replay never
-#: modelled, and the other three were validated but never read.
-_REMOVED_KEYS = (
-    (("execution",), "chunk_flows"),
-    (("config", "latency"), "group_broadcast_ms"),
-    (("config", "grouping"), "imbalance_tolerance"),
-    (("config", "regrouping"), "underload_threshold_rps"),
-    (("config",), "state_report_interval_seconds"),
+#: modelled, and the other three were validated but never read.  No
+#: experiment varied the rest, so each is fixed at its constant.
+_RETIRED = (
+    (("execution",), "chunk_flows", None),
+    (("config", "latency"), "group_broadcast_ms", None),
+    (("config", "grouping"), "imbalance_tolerance", None),
+    (("config", "regrouping"), "underload_threshold_rps", None),
+    (("config",), "state_report_interval_seconds", None),
+    (("schedule",), "warmup_hours", "repro.core.scenario.WARMUP_HOURS"),
+    (("traffic",), "expand_window_hours", "repro.core.scenario.EXPAND_WINDOW_HOURS"),
+    (("config", "grouping"), "coarsening_threshold", "repro.partitioning.mlkp.COARSENING_THRESHOLD"),
+    (("config", "grouping"), "refinement_passes", "repro.partitioning.mlkp.REFINEMENT_PASSES"),
+    (("config", "grouping"), "restarts", "repro.partitioning.mlkp.RESTARTS"),
+    (("config", "regrouping"), "workload_growth_trigger", "repro.controlplane.grouping_manager.WORKLOAD_GROWTH_TRIGGER"),
+    (("config", "regrouping"), "min_interval_seconds", "repro.controlplane.grouping_manager.MIN_INTERVAL_SECONDS"),
+    (("config", "regrouping"), "max_interval_seconds", "repro.controlplane.grouping_manager.MAX_INTERVAL_SECONDS"),
+    (("config", "regrouping"), "overload_threshold_rps", "repro.controlplane.grouping_manager.OVERLOAD_THRESHOLD_RPS"),
+    (("config", "regrouping"), "churn_event_trigger", "repro.controlplane.grouping_manager.CHURN_EVENT_TRIGGER"),
+    (("config", "latency"), "datapath_lookup_ms", "repro.simulation.latency.DATAPATH_LOOKUP_MS"),
+    (("config", "latency"), "encapsulation_ms", "repro.simulation.latency.ENCAPSULATION_MS"),
+    (("config", "latency"), "underlay_hop_ms", "repro.simulation.latency.UNDERLAY_HOP_MS"),
+    (("config", "latency"), "host_link_ms", "repro.simulation.latency.HOST_LINK_MS"),
+    (("config", "latency"), "controller_rtt_ms", "repro.simulation.latency.CONTROLLER_RTT_MS"),
+    (("config", "latency"), "controller_base_processing_ms", "repro.simulation.latency.CONTROLLER_BASE_PROCESSING_MS"),
+    (("config", "latency"), "controller_per_krps_penalty_ms", "repro.simulation.latency.CONTROLLER_PER_KRPS_PENALTY_MS"),
+    (("config", "latency"), "arp_flood_ms", "repro.simulation.latency.ARP_FLOOD_MS"),
+    (("config", "latency"), "queueing_utilization_cap", "repro.simulation.latency.QUEUEING_UTILIZATION_CAP"),
+    (("config", "flow_table"), "sweep_interval_seconds", "repro.core.system.TABLE_SWEEP_INTERVAL_SECONDS"),
+    (("config",), "keepalive_interval_seconds", "repro.failover.detection.KEEPALIVE_INTERVAL_SECONDS"),
+    (("churn",), "drift_batch_size", "repro.churn.processes.DRIFT_BATCH_SIZE"),
+    (("churn",), "tenant_size_range", "repro.churn.processes.TENANT_SIZE_RANGE"),
+    (("links",), "window_seconds", "repro.bandwidth.meter.WINDOW_SECONDS"),
 )
 
 
-def _without(data: Any, path: Tuple[str, ...], key: str) -> Any:
-    """Shim: ``data`` (not mutated) without ``key`` in the object at ``path``; malformed data is left to report."""
+def _without_retired(data: Any, path: Tuple[str, ...], key: str, constant: Optional[str], where: str = "spec") -> Any:
+    """Shim: ``data`` (not mutated) without a retired ``key`` in the object at ``path``.
+
+    The key loads as absent when it is ``null``, when it holds its constant's
+    value, or at any value when it has no constant; any other value raises,
+    so an old spec never silently runs a different model.  Malformed data is
+    left to report.
+    """
     if not isinstance(data, Mapping):
         return data
     if path:
         head = path[0]
-        return {**data, head: _without(data[head], path[1:], key)} if head in data else data
-    return {name: value for name, value in data.items() if name != key} if key in data else data
+        if head not in data:
+            return data
+        return {**data, head: _without_retired(data[head], path[1:], key, constant, f"{where}.{head}")}
+    if key not in data:
+        return data
+    value = data[key]
+    if value is not None and constant is not None:
+        module, _, name = constant.rpartition(".")
+        fixed = to_jsonable(getattr(importlib.import_module(module), name))
+        if value != fixed:
+            raise ConfigurationError(
+                f"{where}.{key} is no longer a setting: it is fixed at {fixed!r} "
+                f"({constant}), got {value!r}"
+            )
+    return {name: item for name, item in data.items() if name != key}
 
 
 def _merge_config(data: Dict[str, Any], section: str, updates: Dict[str, Any]) -> None:
@@ -486,12 +532,14 @@ class ScenarioSpec:
         ``topology`` as a bare profile dict, ``traffic`` with a ``kind``
         discriminator) is transparently upgraded to the registry form, and a
         pre-ExecutionSpec top-level ``stream`` flag (PR ≤ 7) folds into
-        ``execution``.  The keys of removed settings are dropped (see
-        :data:`_REMOVED_KEYS`).  A setting written in
-        a second place folds into its home, ``null`` values dropped: a
-        ``tables`` overlay into ``config.flow_table``, ``links`` queueing
-        knobs into ``config.latency``, and a topology ``uplink_mbps`` into
-        ``links`` (whose own capacity wins).
+        ``execution``.  A setting written in a second place folds into its
+        home, ``null`` values dropped: a ``tables`` overlay into
+        ``config.flow_table``, ``links`` queueing knobs into
+        ``config.latency``, and a topology ``uplink_mbps`` into ``links``
+        (whose own capacity wins).  A retired setting then loads as absent
+        at its constant's value and raises at any other (see
+        :data:`_RETIRED`); the ``config.regrouping`` section the retired
+        triggers leave empty goes with them.
         """
         data = dict(data)
         if "topology" in data:
@@ -502,9 +550,12 @@ class ScenarioSpec:
             legacy_stream = data.pop("stream")
             if "execution" not in data:
                 data["execution"] = {"stream": bool(legacy_stream)}
-        for path, key in _REMOVED_KEYS:
-            data = _without(data, path, key)
         capacity = _fold_second_homes(data)
+        for path, key, constant in _RETIRED:
+            data = _without_retired(data, path, key, constant)
+        config = data.get("config")
+        if isinstance(config, Mapping) and "regrouping" in config and config["regrouping"] in (None, {}):
+            data["config"] = {name: value for name, value in config.items() if name != "regrouping"}
         spec = dataclass_from_dict(cls, data, path="spec")
         if capacity is None:
             return spec

@@ -62,6 +62,10 @@ from repro.topology.network import DataCenterNetwork, EdgeSwitchInfo
 from repro.traffic.chunk import draw_of
 from repro.traffic.flow import FlowRecord
 
+# How often, at most, the periodic tick sweeps expired rules out of every
+# flow table (see ``EdgePlane._sweep_tables``).
+TABLE_SWEEP_INTERVAL_SECONDS = 300.0
+
 
 def _attach_table_tracer(tracer, switch) -> None:
     """Tap one switch's flow table into the event bus with its switch id.
@@ -373,12 +377,12 @@ class EdgePlane:
         """Eagerly expire aged flow rules, at most once per sweep interval.
 
         The periodic tick fires every couple of replay minutes; the sweep is
-        rate-limited by ``flow_table.sweep_interval_seconds`` so large
+        rate-limited by :data:`TABLE_SWEEP_INTERVAL_SECONDS` so large
         deployments do not walk every table on every tick.  Lookups expire
         rules lazily in between, so the sweep only changes *when* a removal
         is noticed, never whether it happens.
         """
-        if now - self._last_table_sweep < self.config.flow_table.sweep_interval_seconds:
+        if now - self._last_table_sweep < TABLE_SWEEP_INTERVAL_SECONDS:
             return
         self._last_table_sweep = now
         for switch in self._switches.values():
@@ -643,7 +647,7 @@ class LazyCtrlSystem(EdgePlane):
                 continue
             victim = group.designated_switch_id
             group.member(victim).failed = True
-            detector = FailureDetector(group, keepalive_interval=self.config.keepalive_interval_seconds)
+            detector = FailureDetector(group)
             manager = FailoverManager(self.controller, group)
             records.extend(manager.handle_all(detector.detect(now=now), now=now))
             group.member(victim).failed = False

@@ -28,6 +28,9 @@ from typing import List
 from repro.common.errors import FailoverError
 from repro.controlplane.group import LocalControlGroup
 
+#: Seconds between the keep-alive probes of the failure-detection wheel.
+KEEPALIVE_INTERVAL_SECONDS = 1.0
+
 
 class ProbeKind(enum.Enum):
     """The three keep-alive probes of the failure-detection wheel."""
@@ -92,7 +95,7 @@ class DetectionResult:
 class FailureDetector:
     """Group-wide failure detector driving the keep-alive wheel."""
 
-    def __init__(self, group: LocalControlGroup, *, keepalive_interval: float = 1.0) -> None:
+    def __init__(self, group: LocalControlGroup, *, keepalive_interval: float = KEEPALIVE_INTERVAL_SECONDS) -> None:
         if keepalive_interval <= 0:
             raise FailoverError("keepalive_interval must be positive")
         self._group = group

@@ -6,7 +6,6 @@ from repro.partitioning.coarsening import (
     coarsen,
     contract,
     heavy_edge_matching,
-    project_assignment,
 )
 from repro.partitioning.graph import (
     WeightedGraph,
@@ -47,7 +46,6 @@ __all__ = [
     "heavy_edge_matching",
     "min_bisection",
     "partition_weights",
-    "project_assignment",
     "refine",
     "refine_once",
     "stoer_wagner_min_cut",

@@ -120,13 +120,3 @@ def coarsen(
         current = level.graph
     return levels
 
-
-def project_assignment(levels: List[CoarseningLevel], coarse_assignment: Dict[int, int]) -> Dict[int, int]:
-    """Project a partition of the coarsest graph back to the original vertices."""
-    assignment = dict(coarse_assignment)
-    for level in reversed(levels):
-        finer: Dict[int, int] = {}
-        for fine_vertex, coarse_vertex in level.fine_to_coarse.items():
-            finer[fine_vertex] = assignment[coarse_vertex]
-        assignment = finer
-    return assignment

@@ -29,6 +29,14 @@ from repro.partitioning.graph import (
 from repro.partitioning.initial import balanced_random_assignment, greedy_region_growing
 from repro.partitioning.refinement import refine
 
+# Search effort of the multi-level scheme (Karypis & Kumar's usual choices):
+# coarsen until at most this many vertices remain (or 4k, whichever is more),
+# run at most this many boundary-refinement passes per level, and keep the
+# lowest-cut of this many independently seeded runs.
+COARSENING_THRESHOLD = 64
+REFINEMENT_PASSES = 8
+RESTARTS = 3
+
 
 @dataclass(frozen=True, slots=True)
 class PartitionResult:
@@ -71,19 +79,19 @@ class MultiLevelKWayPartitioner:
         """Partition ``graph`` into at most ``k`` parts.
 
         ``max_part_weight`` defaults to the configuration's group-size limit.
-        The multi-level scheme is run ``restarts`` times with independent
+        The multi-level scheme is run :data:`RESTARTS` times with independent
         random streams and the lowest-cut feasible result is kept.  Raises
         :class:`InfeasibleGroupingError` when no feasible partition exists for
         the requested ``k`` and limit.
         """
         best: PartitionResult | None = None
-        for restart in range(self._config.restarts):
+        for restart in range(RESTARTS):
             candidate = self._partition_once(
                 graph, k, max_part_weight=max_part_weight, seed_label=f"{seed_label}/{restart}"
             )
             if best is None or candidate.cut_weight < best.cut_weight:
                 best = candidate
-        assert best is not None  # restarts >= 1 is enforced by the config
+        assert best is not None
         return best
 
     def _partition_once(
@@ -111,7 +119,7 @@ class MultiLevelKWayPartitioner:
         levels = coarsen(
             graph,
             rng,
-            target_vertex_count=max(self._config.coarsening_threshold, 4 * k),
+            target_vertex_count=max(COARSENING_THRESHOLD, 4 * k),
             max_vertex_weight=limit,
         )
         coarsest = levels[-1].graph if levels else graph
@@ -129,7 +137,7 @@ class MultiLevelKWayPartitioner:
             coarse_assignment,
             max_part_weight=limit,
             parts=k,
-            max_passes=self._config.refinement_passes,
+            max_passes=REFINEMENT_PASSES,
         )
 
         # Phase 3: uncoarsening with refinement at every level.
@@ -145,7 +153,7 @@ class MultiLevelKWayPartitioner:
                 assignment,
                 max_part_weight=limit,
                 parts=k,
-                max_passes=self._config.refinement_passes,
+                max_passes=REFINEMENT_PASSES,
             )
 
         weights = partition_weights(graph, assignment)

@@ -17,6 +17,22 @@ from dataclasses import dataclass
 
 from repro.common.config import LatencyModelConfig
 
+# Calibration of the substrate, in milliseconds.  The values make the
+# cold-cache experiment reproduce the magnitudes §V-E reports: about 0.83 ms
+# for intra-group forwarding, about 5.4 ms for LazyCtrl inter-group setup,
+# and about 15 ms for the baseline OpenFlow reactive path.
+DATAPATH_LOOKUP_MS = 0.03
+ENCAPSULATION_MS = 0.05
+UNDERLAY_HOP_MS = 0.25
+HOST_LINK_MS = 0.25
+CONTROLLER_RTT_MS = 2.0
+CONTROLLER_BASE_PROCESSING_MS = 1.2
+CONTROLLER_PER_KRPS_PENALTY_MS = 1.4
+ARP_FLOOD_MS = 4.0
+# The queueing term's offered load is capped below 1, where the M/M/1 form
+# ``rho / (1 - rho)`` diverges.
+QUEUEING_UTILIZATION_CAP = 0.95
+
 
 @dataclass(frozen=True, slots=True)
 class LatencyBreakdown:
@@ -42,17 +58,12 @@ class LatencyModel:
 
     def __init__(self, config: LatencyModelConfig | None = None) -> None:
         self._config = config or LatencyModelConfig()
-        # Load-independent totals are pure functions of the config: compute
+        # Load-independent totals are pure functions of the constants: compute
         # them once through the breakdown methods so both paths stay equal
         # bit for bit.
         self._local_ms = self.local_delivery().total_ms
         self._flow_table_hit_ms = self.flow_table_hit_delivery().total_ms
         self._intra_group_ms: dict[int, float] = {}
-
-    @property
-    def config(self) -> LatencyModelConfig:
-        """The calibration constants in force."""
-        return self._config
 
     # -- allocation-free totals (hot path) --------------------------------
 
@@ -78,16 +89,15 @@ class LatencyModel:
         The additions run left to right in the breakdown's component order,
         so the result is bit-identical to ``inter_group_setup(...).total_ms``.
         """
-        cfg = self._config
         return (
-            2 * cfg.datapath_lookup_ms
-            + cfg.controller_rtt_ms
+            2 * DATAPATH_LOOKUP_MS
+            + CONTROLLER_RTT_MS
             + self.controller_processing(controller_load_rps)
-            + cfg.controller_rtt_ms / 2
-            + cfg.encapsulation_ms
-            + cfg.underlay_hop_ms
-            + cfg.datapath_lookup_ms
-            + cfg.host_link_ms
+            + CONTROLLER_RTT_MS / 2
+            + ENCAPSULATION_MS
+            + UNDERLAY_HOP_MS
+            + DATAPATH_LOOKUP_MS
+            + HOST_LINK_MS
         )
 
     def openflow_reactive_ms(self, controller_load_rps: float, *, needs_location_learning: bool) -> float:
@@ -96,18 +106,17 @@ class LatencyModel:
         Bit-identical to ``openflow_reactive_setup(...).total_ms`` (same
         left-to-right component order, learning terms appended last).
         """
-        cfg = self._config
         total = (
-            cfg.datapath_lookup_ms
-            + cfg.controller_rtt_ms
+            DATAPATH_LOOKUP_MS
+            + CONTROLLER_RTT_MS
             + self.controller_processing(controller_load_rps)
-            + cfg.controller_rtt_ms / 2
-            + cfg.underlay_hop_ms
-            + cfg.datapath_lookup_ms
-            + cfg.host_link_ms
+            + CONTROLLER_RTT_MS / 2
+            + UNDERLAY_HOP_MS
+            + DATAPATH_LOOKUP_MS
+            + HOST_LINK_MS
         )
         if needs_location_learning:
-            total = total + cfg.arp_flood_ms + 2 * cfg.controller_rtt_ms
+            total = total + ARP_FLOOD_MS + 2 * CONTROLLER_RTT_MS
         return total
 
     def queueing_delay_ms(self, utilization: float) -> float:
@@ -119,17 +128,16 @@ class LatencyModel:
         cfg = self._config
         if cfg.queueing_service_ms <= 0.0 or utilization <= 0.0:
             return 0.0
-        rho = min(utilization, cfg.queueing_utilization_cap)
+        rho = min(utilization, QUEUEING_UTILIZATION_CAP)
         return cfg.queueing_service_ms * rho / (1.0 - rho)
 
     # -- data-plane-only paths -------------------------------------------
 
     def local_delivery(self) -> LatencyBreakdown:
         """Source and destination host on the same edge switch."""
-        cfg = self._config
         return LatencyBreakdown.build(
-            lookup=cfg.datapath_lookup_ms,
-            host_link=cfg.host_link_ms,
+            lookup=DATAPATH_LOOKUP_MS,
+            host_link=HOST_LINK_MS,
         )
 
     def intra_group_delivery(self, duplicate_targets: int = 1) -> LatencyBreakdown:
@@ -139,26 +147,24 @@ class LatencyModel:
         the Bloom-filter query (false positives add encapsulation work at the
         source but not to the critical path of the true copy).
         """
-        cfg = self._config
-        extra_encap = cfg.encapsulation_ms * max(0, duplicate_targets - 1) * 0.5
+        extra_encap = ENCAPSULATION_MS * max(0, duplicate_targets - 1) * 0.5
         return LatencyBreakdown.build(
-            lookup=cfg.datapath_lookup_ms,
-            gfib_query=cfg.datapath_lookup_ms,
-            encapsulation=cfg.encapsulation_ms + extra_encap,
-            underlay=cfg.underlay_hop_ms,
-            remote_lookup=cfg.datapath_lookup_ms,
-            host_link=cfg.host_link_ms,
+            lookup=DATAPATH_LOOKUP_MS,
+            gfib_query=DATAPATH_LOOKUP_MS,
+            encapsulation=ENCAPSULATION_MS + extra_encap,
+            underlay=UNDERLAY_HOP_MS,
+            remote_lookup=DATAPATH_LOOKUP_MS,
+            host_link=HOST_LINK_MS,
         )
 
     def flow_table_hit_delivery(self) -> LatencyBreakdown:
         """A packet matching an already-installed flow rule (both designs)."""
-        cfg = self._config
         return LatencyBreakdown.build(
-            lookup=cfg.datapath_lookup_ms,
-            encapsulation=cfg.encapsulation_ms,
-            underlay=cfg.underlay_hop_ms,
-            remote_lookup=cfg.datapath_lookup_ms,
-            host_link=cfg.host_link_ms,
+            lookup=DATAPATH_LOOKUP_MS,
+            encapsulation=ENCAPSULATION_MS,
+            underlay=UNDERLAY_HOP_MS,
+            remote_lookup=DATAPATH_LOOKUP_MS,
+            host_link=HOST_LINK_MS,
         )
 
     # -- controller-involved paths ---------------------------------------
@@ -170,9 +176,8 @@ class LatencyModel:
         thousands of requests per second, reflecting queueing at a
         single-server controller well below saturation.
         """
-        cfg = self._config
         load_krps = max(0.0, controller_load_rps) / 1000.0
-        return cfg.controller_base_processing_ms + cfg.controller_per_krps_penalty_ms * load_krps
+        return CONTROLLER_BASE_PROCESSING_MS + CONTROLLER_PER_KRPS_PENALTY_MS * load_krps
 
     def inter_group_setup(self, controller_load_rps: float) -> LatencyBreakdown:
         """First packet of an inter-group flow under LazyCtrl.
@@ -180,16 +185,15 @@ class LatencyModel:
         The controller already knows host locations from the C-LIB, so the
         setup is one Packet_In round trip plus rule installation.
         """
-        cfg = self._config
         return LatencyBreakdown.build(
-            lookup=2 * cfg.datapath_lookup_ms,
-            packet_in=cfg.controller_rtt_ms,
+            lookup=2 * DATAPATH_LOOKUP_MS,
+            packet_in=CONTROLLER_RTT_MS,
             controller=self.controller_processing(controller_load_rps),
-            flow_mod=cfg.controller_rtt_ms / 2,
-            encapsulation=cfg.encapsulation_ms,
-            underlay=cfg.underlay_hop_ms,
-            remote_lookup=cfg.datapath_lookup_ms,
-            host_link=cfg.host_link_ms,
+            flow_mod=CONTROLLER_RTT_MS / 2,
+            encapsulation=ENCAPSULATION_MS,
+            underlay=UNDERLAY_HOP_MS,
+            remote_lookup=DATAPATH_LOOKUP_MS,
+            host_link=HOST_LINK_MS,
         )
 
     def openflow_reactive_setup(self, controller_load_rps: float, *, needs_location_learning: bool) -> LatencyBreakdown:
@@ -199,19 +203,18 @@ class LatencyModel:
         must flood/learn via ARP across the whole network, which is the
         dominant part of the 15 ms cold-cache latency the paper reports.
         """
-        cfg = self._config
         components = {
-            "lookup": cfg.datapath_lookup_ms,
-            "packet_in": cfg.controller_rtt_ms,
+            "lookup": DATAPATH_LOOKUP_MS,
+            "packet_in": CONTROLLER_RTT_MS,
             "controller": self.controller_processing(controller_load_rps),
-            "flow_mod": cfg.controller_rtt_ms / 2,
-            "underlay": cfg.underlay_hop_ms,
-            "remote_lookup": cfg.datapath_lookup_ms,
-            "host_link": cfg.host_link_ms,
+            "flow_mod": CONTROLLER_RTT_MS / 2,
+            "underlay": UNDERLAY_HOP_MS,
+            "remote_lookup": DATAPATH_LOOKUP_MS,
+            "host_link": HOST_LINK_MS,
         }
         if needs_location_learning:
-            components["arp_flood"] = cfg.arp_flood_ms
-            components["learning_round_trip"] = 2 * cfg.controller_rtt_ms
+            components["arp_flood"] = ARP_FLOOD_MS
+            components["learning_round_trip"] = 2 * CONTROLLER_RTT_MS
         return LatencyBreakdown(total_ms=sum(components.values()), components=components)
 
     def queueing_delay(self, utilization: float) -> LatencyBreakdown:
@@ -225,7 +228,7 @@ class LatencyModel:
         cfg = self._config
         if cfg.queueing_service_ms <= 0.0 or utilization <= 0.0:
             return LatencyBreakdown.build(queueing=0.0)
-        rho = min(utilization, cfg.queueing_utilization_cap)
+        rho = min(utilization, QUEUEING_UTILIZATION_CAP)
         return LatencyBreakdown.build(
             queueing=cfg.queueing_service_ms * rho / (1.0 - rho)
         )

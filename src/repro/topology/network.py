@@ -43,7 +43,6 @@ class DataCenterNetwork:
         # Uplink capacities into the one-hop core, by switch.  Empty means
         # links are uncapacitated and the bandwidth subsystem stays inert.
         self._uplink_capacities: Dict[int, float] = {}
-        self.link_utilization_window_seconds: float = 300.0
 
     # -- switches ----------------------------------------------------------
 
@@ -93,12 +92,6 @@ class DataCenterNetwork:
     def has_link_capacities(self) -> bool:
         """Whether any uplink has a capacity assigned."""
         return bool(self._uplink_capacities)
-
-    def set_link_utilization_window(self, seconds: float) -> None:
-        """Set the accounting window the utilization meter buckets bytes into."""
-        if seconds <= 0:
-            raise TopologyError(f"utilization window must be positive, got {seconds}")
-        self.link_utilization_window_seconds = float(seconds)
 
     # -- hosts ---------------------------------------------------------------
 

@@ -250,7 +250,7 @@ class TestLinkUtilizationMeter:
         network.set_uplink_capacity_mbps(0, 10.0)
         meter = build_link_meter(network)
         assert meter is not None
-        assert meter.window_seconds == network.link_utilization_window_seconds
+        assert meter.window_seconds == 300.0
 
 
 # -- the serializable usage matrix ----------------------------------------------
@@ -292,35 +292,31 @@ class TestLinkCapacitySpec:
         with pytest.raises(ConfigurationError):
             LinkCapacitySpec(uplink_mbps=0.0)
         with pytest.raises(ConfigurationError):
-            LinkCapacitySpec(window_seconds=-1.0)
-        with pytest.raises(ConfigurationError):
             LatencyModelConfig(queueing_service_ms=-0.1)
-        with pytest.raises(ConfigurationError):
-            LatencyModelConfig(queueing_utilization_cap=1.0)
 
     def test_legacy_queueing_knobs_fold_into_latency_config(self):
         spec = ScenarioSpec.from_dict(
-            {"name": "legacy", "links": {"queueing_service_ms": 0.25, "utilization_cap": 0.9}}
+            {"name": "legacy", "links": {"queueing_service_ms": 0.25, "utilization_cap": 0.95}}
         )
-        assert spec.config.latency.queueing_service_ms == 0.25
-        assert spec.config.latency.queueing_utilization_cap == 0.9
+        assert spec.config.latency == LatencyModelConfig(queueing_service_ms=0.25)
         assert spec.links == LinkCapacitySpec()
 
     def test_legacy_queueing_knobs_are_validated(self):
         with pytest.raises(ConfigurationError, match="queueing_service_ms"):
             ScenarioSpec.from_dict({"name": "legacy", "links": {"queueing_service_ms": -0.1}})
-        with pytest.raises(ConfigurationError, match="queueing_utilization_cap"):
-            ScenarioSpec.from_dict({"name": "legacy", "links": {"utilization_cap": "high"}})
+        # The cap is a fixed constant now: only its value loads.
+        for cap in (0.9, "high"):
+            with pytest.raises(ConfigurationError, match="queueing_utilization_cap"):
+                ScenarioSpec.from_dict({"name": "legacy", "links": {"utilization_cap": cap}})
 
     def test_apply_network_capacitates_every_uplink(self):
         network = build_multi_tenant_datacenter(
             TopologyProfile(switch_count=4, host_count=16, seed=3)
         )
-        LinkCapacitySpec(uplink_mbps=2.5, window_seconds=60.0).apply_network(network)
+        LinkCapacitySpec(uplink_mbps=2.5).apply_network(network)
         capacities = network.link_capacities_mbps()
         assert set(capacities) == set(network.switch_ids())
         assert all(value == 2.5 for value in capacities.values())
-        assert network.link_utilization_window_seconds == 60.0
 
     def test_spec_round_trips_through_scenario_json(self):
         spec = incast_spec()

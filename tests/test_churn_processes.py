@@ -10,6 +10,7 @@ from repro.churn import (
     build_processes,
     poisson_event_times,
 )
+from repro.churn.processes import DRIFT_BATCH_SIZE, TENANT_SIZE_RANGE
 from repro.common.config import GroupingConfig, LazyCtrlConfig
 from repro.common.rng import make_rng
 from repro.core.system import LazyCtrlSystem, OpenFlowSystem
@@ -107,10 +108,10 @@ class TestDriftProcess:
     def test_fire_moves_a_coherent_tenant_batch(self):
         network = small_network()
         system = lazyctrl_system(network)
-        process = DriftProcess(ChurnSpec(drift_rate_per_hour=1.0, drift_batch_size=3))
+        process = DriftProcess(ChurnSpec(drift_rate_per_hour=1.0))
         before = {h.host_id: h.switch_id for h in network.hosts()}
         moved = process.fire(ChurnKind.TRAFFIC_DRIFT, system, 100.0)
-        assert 1 <= moved <= 3
+        assert 1 <= moved <= DRIFT_BATCH_SIZE
         after = {h.host_id: h.switch_id for h in network.hosts()}
         moved_hosts = [h for h in before if before[h] != after[h]]
         assert len(moved_hosts) == moved
@@ -126,11 +127,10 @@ class TestTenantLifecycleProcess:
         system = lazyctrl_system(network)
         tenants_before = len(network.tenants)
         hosts_before = network.host_count()
-        process = TenantLifecycleProcess(
-            ChurnSpec(tenant_arrival_rate_per_hour=1.0, tenant_size_range=(5, 8))
-        )
+        process = TenantLifecycleProcess(ChurnSpec(tenant_arrival_rate_per_hour=1.0))
         added = process.fire(ChurnKind.TENANT_ARRIVAL, system, 100.0)
-        assert 5 <= added <= 8
+        low, high = TENANT_SIZE_RANGE
+        assert low <= added <= high
         assert len(network.tenants) == tenants_before + 1
         assert network.host_count() == hosts_before + added
         new_tenant = network.tenants.tenants()[-1]

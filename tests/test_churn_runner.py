@@ -5,7 +5,7 @@ import json
 
 
 from repro.churn import ChurnSpec
-from repro.common.config import GroupingConfig, LazyCtrlConfig, RegroupingPolicy
+from repro.common.config import GroupingConfig, LazyCtrlConfig
 from repro.core.runner import ScenarioRunner
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec
 from repro.topology.builder import TopologyProfile
@@ -20,10 +20,7 @@ def churn_scenario(churn, *, systems=("openflow", "lazyctrl-static", "lazyctrl-d
         traffic=TraceSpec.realistic(total_flows=2_000, seed=7),
         systems=systems,
         schedule=ScheduleSpec(duration_hours=6.0, bucket_hours=2.0),
-        config=LazyCtrlConfig(
-            grouping=GroupingConfig(group_size_limit=3, random_seed=7),
-            regrouping=RegroupingPolicy(churn_event_trigger=10),
-        ),
+        config=LazyCtrlConfig(grouping=GroupingConfig(group_size_limit=3, random_seed=7)),
         churn=churn,
     )
 

@@ -30,14 +30,6 @@ class TestValidation:
         assert ChurnSpec(tenant_arrival_rate_per_hour=0.1).active
         assert ChurnSpec(tenant_departure_rate_per_hour=0.1).active
 
-    def test_batch_and_size_bounds(self):
-        with pytest.raises(ConfigurationError):
-            ChurnSpec(drift_batch_size=0)
-        with pytest.raises(ConfigurationError):
-            ChurnSpec(tenant_size_range=(0, 10))
-        with pytest.raises(ConfigurationError):
-            ChurnSpec(tenant_size_range=(10, 5))
-
     def test_window_bounds(self):
         with pytest.raises(ConfigurationError):
             ChurnSpec(start_hour=-1.0)
@@ -59,7 +51,6 @@ class TestScenarioIntegration:
             churn=ChurnSpec(
                 migration_rate_per_hour=3.0,
                 tenant_arrival_rate_per_hour=0.5,
-                tenant_size_range=(10, 20),
                 end_hour=12.0,
             ),
         )

@@ -296,6 +296,14 @@ class TestMalformedSpecFiles:
         message = "spec.config.flow_table.policy_params: expected a JSON object, got list"
         self._assert_error(tmp_path, capsys, data, message)
 
+    def test_a_retired_setting_off_its_constant(self, tmp_path, capsys, spec_dict):
+        data = {**spec_dict, "config": {**spec_dict["config"], "regrouping": {"min_interval_seconds": 60}}}
+        message = (
+            "spec.config.regrouping.min_interval_seconds is no longer a setting: it is fixed at "
+            "120.0 (repro.controlplane.grouping_manager.MIN_INTERVAL_SECONDS), got 60"
+        )
+        self._assert_error(tmp_path, capsys, data, message)
+
     def test_systems_as_an_object(self, tmp_path, capsys, spec_dict):
         data = _malformed(spec_dict, ("systems",), {"openflow": 1})
         self._assert_error(tmp_path, capsys, data, "spec.systems: expected a JSON array, got dict")

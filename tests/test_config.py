@@ -8,9 +8,9 @@ from repro.common.config import (
     GroupingConfig,
     LatencyModelConfig,
     LazyCtrlConfig,
-    RegroupingPolicy,
 )
 from repro.common.errors import ConfigurationError
+from repro.controlplane import grouping_manager
 
 
 class TestBloomFilterConfig:
@@ -37,55 +37,20 @@ class TestGroupingConfig:
         with pytest.raises(ConfigurationError):
             GroupingConfig(group_size_limit=0)
 
-    def test_rejects_tiny_coarsening_threshold(self):
-        with pytest.raises(ConfigurationError):
-            GroupingConfig(coarsening_threshold=1)
 
-    def test_rejects_negative_refinement_passes(self):
-        with pytest.raises(ConfigurationError):
-            GroupingConfig(refinement_passes=-1)
-
-    def test_rejects_zero_restarts(self):
-        with pytest.raises(ConfigurationError):
-            GroupingConfig(restarts=0)
-
-
-class TestRegroupingPolicy:
-    def test_default_triggers_match_paper(self):
-        policy = RegroupingPolicy()
-        assert policy.workload_growth_trigger == pytest.approx(0.30)
-        assert policy.min_interval_seconds == pytest.approx(120.0)
-
-    def test_rejects_negative_growth_trigger(self):
-        with pytest.raises(ConfigurationError):
-            RegroupingPolicy(workload_growth_trigger=0.0)
-
-    def test_rejects_max_interval_below_min(self):
-        with pytest.raises(ConfigurationError):
-            RegroupingPolicy(min_interval_seconds=100.0, max_interval_seconds=50.0)
-
-    def test_rejects_negative_churn_trigger(self):
-        with pytest.raises(ConfigurationError, match="churn_event_trigger"):
-            RegroupingPolicy(churn_event_trigger=-1)
-
-    def test_rejects_negative_min_interval(self):
-        with pytest.raises(ConfigurationError, match="min_interval_seconds"):
-            RegroupingPolicy(min_interval_seconds=-1.0)
+class TestRegroupingTriggers:
+    def test_triggers_match_paper(self):
+        assert grouping_manager.WORKLOAD_GROWTH_TRIGGER == pytest.approx(0.30)
+        assert grouping_manager.MIN_INTERVAL_SECONDS == pytest.approx(120.0)
 
 
 class TestLatencyModelConfig:
-    def test_defaults_non_negative(self):
-        config = LatencyModelConfig()
-        assert config.controller_rtt_ms > 0
+    def test_queueing_is_off_by_default(self):
+        assert LatencyModelConfig().queueing_service_ms == 0.0
 
-    def test_rejects_negative_component(self):
-        with pytest.raises(ConfigurationError):
-            LatencyModelConfig(underlay_hop_ms=-0.1)
-
-    @pytest.mark.parametrize("cap", [0.0, 1.0, 1.5, -0.2])
-    def test_rejects_a_queueing_cap_outside_the_open_unit_interval(self, cap):
-        with pytest.raises(ConfigurationError, match="queueing_utilization_cap"):
-            LatencyModelConfig(queueing_utilization_cap=cap)
+    def test_rejects_negative_queueing_service_time(self):
+        with pytest.raises(ConfigurationError, match="queueing_service_ms"):
+            LatencyModelConfig(queueing_service_ms=-0.1)
 
 
 class TestFlowTableConfig:
@@ -117,10 +82,6 @@ class TestFlowTableConfig:
         with pytest.raises(ConfigurationError, match="eviction_batch"):
             FlowTableConfig(capacity=8, eviction_batch=9)
 
-    def test_rejects_zero_sweep_interval(self):
-        with pytest.raises(ConfigurationError, match="sweep_interval_seconds"):
-            FlowTableConfig(sweep_interval_seconds=0)
-
     def test_rejects_blank_policy_name(self):
         with pytest.raises(ConfigurationError):
             FlowTableConfig(policy="  ")
@@ -135,7 +96,3 @@ class TestLazyCtrlConfig:
     def test_rejects_negative_backups(self):
         with pytest.raises(ConfigurationError):
             LazyCtrlConfig(designated_backup_count=-1)
-
-    def test_rejects_zero_keepalive(self):
-        with pytest.raises(ConfigurationError):
-            LazyCtrlConfig(keepalive_interval_seconds=0)

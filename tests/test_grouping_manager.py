@@ -1,7 +1,7 @@
 """Unit tests for the grouping manager (regrouping triggers, Fig. 8 accounting)."""
 
-from repro.common.config import GroupingConfig, RegroupingPolicy
-from repro.controlplane.grouping_manager import GroupingManager
+from repro.common.config import GroupingConfig
+from repro.controlplane.grouping_manager import CHURN_EVENT_TRIGGER, GroupingManager
 from repro.datastructures.intensity import IntensityMatrix
 
 
@@ -14,10 +14,9 @@ def warmup_matrix() -> IntensityMatrix:
     return matrix
 
 
-def make_manager(*, dynamic: bool = True, policy: RegroupingPolicy | None = None) -> GroupingManager:
+def make_manager(*, dynamic: bool = True) -> GroupingManager:
     return GroupingManager(
         grouping_config=GroupingConfig(group_size_limit=10, random_seed=1),
-        policy=policy or RegroupingPolicy(min_interval_seconds=120.0, max_interval_seconds=7200.0),
         dynamic=dynamic,
     )
 
@@ -155,12 +154,10 @@ class TestBoundaryInclusivity:
 
 class TestChurnTrigger:
     def test_accumulated_churn_triggers_regrouping(self):
-        manager = make_manager(
-            policy=RegroupingPolicy(min_interval_seconds=120.0, churn_event_trigger=5)
-        )
+        manager = make_manager()
         manager.initial_grouping(warmup_matrix(), now=0.0, workload_rps=100.0)
         observe_cross_boundary_traffic(manager)
-        manager.note_churn(5)
+        manager.note_churn(CHURN_EVENT_TRIGGER)
         decision = manager.check(300.0, workload_rps=100.0)
         assert decision.regrouped
         assert decision.reason == "topology churn"
@@ -168,23 +165,12 @@ class TestChurnTrigger:
         assert manager.churn_events_since_update == 0
 
     def test_churn_below_trigger_does_not_fire(self):
-        manager = make_manager(
-            policy=RegroupingPolicy(min_interval_seconds=120.0, churn_event_trigger=5)
-        )
+        manager = make_manager()
         manager.initial_grouping(warmup_matrix(), now=0.0, workload_rps=100.0)
-        manager.note_churn(4)
+        manager.note_churn(CHURN_EVENT_TRIGGER - 1)
         decision = manager.check(300.0, workload_rps=100.0)
         assert not decision.regrouped
         assert decision.reason == "no trigger fired"
-
-    def test_zero_trigger_disables_churn_regrouping(self):
-        manager = make_manager(
-            policy=RegroupingPolicy(min_interval_seconds=120.0, churn_event_trigger=0)
-        )
-        manager.initial_grouping(warmup_matrix(), now=0.0, workload_rps=100.0)
-        manager.note_churn(1000)
-        decision = manager.check(300.0, workload_rps=100.0)
-        assert not decision.regrouped
 
     def test_regrouping_with_pending_churn_is_attributed(self):
         manager = make_manager()

@@ -12,6 +12,7 @@ replay's batches), and the kernel composed with both shard strategies.
 """
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
@@ -20,6 +21,7 @@ pytest.importorskip("numpy")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bandwidth import meter
 from repro.bandwidth.spec import LinkCapacitySpec
 from repro.churn.spec import ChurnSpec
 from repro.common.config import (
@@ -29,13 +31,14 @@ from repro.common.config import (
     LazyCtrlConfig,
 )
 from repro.common.errors import ConfigurationError
+from repro.core import scenario
 from repro.core.runner import ScenarioRunner
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec
 from repro.obs.tracer import TraceOptions
 from repro.replay.spec import ExecutionSpec
 from repro.topology.builder import TopologyProfile
 
-SCHEDULE = ScheduleSpec(warmup_hours=0.5, duration_hours=4.0, bucket_hours=2.0)
+SCHEDULE = ScheduleSpec(duration_hours=4.0, bucket_hours=2.0)
 SYSTEMS = ("openflow", "lazyctrl-static", "lazyctrl-dynamic")
 
 #: Policies chosen to hit every kernel classification path: generous tables
@@ -70,10 +73,16 @@ CHURN_SPECS = (
         migration_rate_per_hour=2.0,
         tenant_arrival_rate_per_hour=3.0,
         tenant_departure_rate_per_hour=3.0,
-        tenant_size_range=(4, 8),
     ),
 )
 CHURN_IDS = ("migration-drift", "tenant-lifecycle")
+
+
+@pytest.fixture(autouse=True, scope="module")
+def expansion_inside_the_schedule():
+    """The §V-D expansion, when asked for, lands inside the 4 h schedule."""
+    with mock.patch.object(scenario, "EXPAND_WINDOW_HOURS", (1.0, 4.0)):
+        yield
 
 
 def build_spec(
@@ -100,10 +109,7 @@ def build_spec(
     return ScenarioSpec(
         name=name,
         topology=TopologyProfile(switch_count=8, host_count=64, seed=seed),
-        # The §V-D expansion, when asked for, lands inside the 4 h schedule.
-        traffic=TraceSpec(
-            model=model, params=params, expand_fraction=expand, expand_window_hours=(1.0, 4.0)
-        ),
+        traffic=TraceSpec(model=model, params=params, expand_fraction=expand),
         systems=SYSTEMS,
         schedule=SCHEDULE,
         config=LazyCtrlConfig(
@@ -283,8 +289,13 @@ class TestMeteredEquivalence:
     has work to do: 2 s accounting windows that flows straddle, and uplinks
     thin enough to congest."""
 
-    LINKS = LinkCapacitySpec(uplink_mbps=0.05, window_seconds=2.0)
+    LINKS = LinkCapacitySpec(uplink_mbps=0.05)
     TWO_SYSTEMS = ("openflow", "lazyctrl-dynamic")
+
+    @pytest.fixture(autouse=True, scope="class")
+    def two_second_windows(self):
+        with mock.patch.object(meter, "WINDOW_SECONDS", 2.0):
+            yield
 
     def spec(self):
         spec = build_spec(model="incast-hotspot", flows=1500, seed=29, links=self.LINKS)
@@ -297,7 +308,7 @@ class TestMeteredEquivalence:
             assert sum(run["timeline"]["counts"]["link_congested"]) > 0, name
             matrix = run["links"]["utilization"]
             assert any(value >= 1.0 for row in matrix.values() for value in row), name
-        window = spec.links.window_seconds
+        window = meter.WINDOW_SECONDS
         flows = spec.build_trace(spec.build_network()).flows
         crossing = [
             flow

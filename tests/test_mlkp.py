@@ -135,11 +135,15 @@ class TestMlkp:
         b = MultiLevelKWayPartitioner(config).partition(graph, 3)
         assert a.assignment == b.assignment
 
-    def test_more_restarts_never_hurt(self):
-        graph = clustered_graph(5, 8, seed=9)
-        one = MultiLevelKWayPartitioner(GroupingConfig(group_size_limit=9, restarts=1, random_seed=3)).partition(graph, 5)
-        many = MultiLevelKWayPartitioner(GroupingConfig(group_size_limit=9, restarts=4, random_seed=3)).partition(graph, 5)
-        assert many.cut_weight <= one.cut_weight + 1e-9
+    def test_uncoarsening_projects_every_vertex_onto_a_part(self):
+        # Above the coarsening threshold the partition is made on a coarse
+        # graph and projected back level by level.
+        graph = clustered_graph(8, 10, seed=2)
+        partitioner = MultiLevelKWayPartitioner(GroupingConfig(group_size_limit=12, random_seed=1))
+        result = partitioner.partition(graph, 8)
+        assert result.levels >= 1
+        assert set(result.assignment) == set(graph.vertices())
+        assert set(result.assignment.values()) <= set(range(8))
 
     def test_groups_accessor(self):
         graph = clustered_graph(2, 6)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import PartitioningError
 from repro.datastructures.intensity import IntensityMatrix
-from repro.partitioning.coarsening import coarsen, contract, heavy_edge_matching, project_assignment
+from repro.partitioning.coarsening import coarsen, contract, heavy_edge_matching
 from repro.partitioning.graph import (
     WeightedGraph,
     cut_weight,
@@ -173,15 +173,6 @@ class TestCoarsening:
         graph = ring_graph(64)
         levels = coarsen(graph, random.Random(0), target_vertex_count=10)
         assert levels[-1].graph.vertex_count() <= max(10, graph.vertex_count() // 2)
-
-    def test_project_assignment_round_trip(self):
-        graph = ring_graph(16)
-        levels = coarsen(graph, random.Random(0), target_vertex_count=4)
-        coarse = levels[-1].graph
-        coarse_assignment = {v: v % 2 for v in coarse.vertices()}
-        fine_assignment = project_assignment(levels, coarse_assignment)
-        assert set(fine_assignment) == set(graph.vertices())
-        assert set(fine_assignment.values()) <= {0, 1}
 
     def test_coarsen_empty_levels_for_small_graph(self):
         graph = ring_graph(4)

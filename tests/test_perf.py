@@ -193,15 +193,12 @@ class TestInstrumentedRuns:
 
     def test_group_state_stages_nest_and_installs_are_set_against_summaries(self):
         from repro.churn import ChurnSpec
-        from repro.common.config import GroupingConfig, LazyCtrlConfig, RegroupingPolicy
+        from repro.common.config import GroupingConfig, LazyCtrlConfig
 
         spec = small_spec(
             traffic=TraceSpec.realistic(total_flows=1500, seed=7),
             schedule=ScheduleSpec(duration_hours=8.0, bucket_hours=2.0),
-            config=LazyCtrlConfig(
-                grouping=GroupingConfig(group_size_limit=3, random_seed=7),
-                regrouping=RegroupingPolicy(churn_event_trigger=10),
-            ),
+            config=LazyCtrlConfig(grouping=GroupingConfig(group_size_limit=3, random_seed=7)),
             churn=ChurnSpec(seed=7, migration_rate_per_hour=12.0, drift_rate_per_hour=2.0),
         )
         result = ScenarioRunner().run(spec, collect_perf=True)

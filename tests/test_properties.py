@@ -114,7 +114,7 @@ class TestPartitioningProperties:
         graph = graph_from_edges(edges)
         # Guarantee feasibility: k parts of this size always fit all vertices.
         limit = float(max(1, math.ceil(graph.vertex_count() / k * 1.3)))
-        partitioner = MultiLevelKWayPartitioner(GroupingConfig(group_size_limit=max(1, int(limit)), restarts=1))
+        partitioner = MultiLevelKWayPartitioner(GroupingConfig(group_size_limit=max(1, int(limit))))
         result = partitioner.partition(graph, k, max_part_weight=limit)
         assert set(result.assignment) == set(graph.vertices())
         weights = partition_weights(graph, result.assignment)
@@ -151,7 +151,7 @@ class TestPartitioningProperties:
         matrix = IntensityMatrix()
         for a, b, w in edges:
             matrix.record(a, b, w)
-        grouper = SgiGrouper(GroupingConfig(group_size_limit=limit, restarts=1))
+        grouper = SgiGrouper(GroupingConfig(group_size_limit=limit))
         grouping = grouper.initial_grouping(matrix)
         assigned = [s for members in grouping.as_sets() for s in members]
         assert sorted(assigned) == sorted(matrix.switches())

@@ -1,8 +1,8 @@
 """Pins what every preset runs with, wherever its spec writes each setting.
 
 ``tests/data/registry_pins/resolved_state.json`` holds, for every spec of
-every preset, the system config the replay reads, the capacity of every
-edge uplink of the built network, and the link-accounting window.  A change
+every preset, the system config the replay reads and the capacity of every
+edge uplink of the built network.  A change
 that only moves a setting to another part of the spec must leave this pin
 untouched; drift here changes what a preset replays.
 """
@@ -28,7 +28,6 @@ def resolved_state(spec):
         "uplink_mbps": {
             str(switch_id): mbps for switch_id, mbps in network.link_capacities_mbps().items()
         },
-        "window_seconds": network.link_utilization_window_seconds,
     }
 
 

@@ -16,10 +16,12 @@ the sorted table after every mutation.
 """
 
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bandwidth import meter
 from repro.common.addresses import MacAddress
 from repro.common.config import FlowTableConfig
 from repro.common.packets import FlowKey
@@ -449,10 +451,10 @@ def metered_plane(window_seconds):
     from repro.obs.tracer import EventTracer
     from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
 
-    links = LinkCapacitySpec(uplink_mbps=0.05, window_seconds=window_seconds)
     network = build_multi_tenant_datacenter(TopologyProfile(switch_count=4, host_count=16, seed=3))
-    links.apply_network(network)
-    plane = OpenFlowSystem(network, config=queued(LazyCtrlConfig()))
+    LinkCapacitySpec(uplink_mbps=0.05).apply_network(network)
+    with mock.patch.object(meter, "WINDOW_SECONDS", window_seconds):
+        plane = OpenFlowSystem(network, config=queued(LazyCtrlConfig()))
     listener = RecordingListener()
     plane.set_tracer(EventTracer(system="openflow", listeners=[listener]))
     return plane, listener
@@ -742,9 +744,17 @@ def plane_state(plane, listener, horizon):
 
 
 def thin_links():
+    """Uplinks thin enough to congest in the 10 s windows of :func:`ten_second_windows`."""
     from repro.bandwidth.spec import LinkCapacitySpec
 
-    return LinkCapacitySpec(uplink_mbps=0.05, window_seconds=10.0)
+    return LinkCapacitySpec(uplink_mbps=0.05)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def ten_second_windows():
+    """Short link accounting windows, so a few hours of flows straddle many."""
+    with mock.patch.object(meter, "WINDOW_SECONDS", 10.0):
+        yield
 
 
 def queued(config):
@@ -873,7 +883,7 @@ class TestColumnBornReplay:
             config = dataclasses.replace(
                 config, flow_table=FlowTableConfig(policy="lru").resized(2)
             )
-        schedule = ScheduleSpec(warmup_hours=0.5, duration_hours=4.0, bucket_hours=1.0)
+        schedule = ScheduleSpec(duration_hours=4.0, bucket_hours=1.0)
         churn = None
         if "churn" in variant:
             churn = ChurnSpec(seed=3, migration_rate_per_hour=40.0, drift_rate_per_hour=6.0)

@@ -147,7 +147,6 @@ class TestScenarioSpec:
     @pytest.mark.parametrize(
         "kwargs, field",
         [
-            ({"warmup_hours": -1.0}, "warmup_hours"),
             ({"bucket_hours": 0.0}, "bucket_hours"),
             ({"bucket_hours": -2.0}, "bucket_hours"),
         ],
@@ -173,8 +172,6 @@ class TestScenarioSpec:
             ({"model": "   "}, "non-empty"),
             ({"expand_fraction": -0.1}, "expand_fraction"),
             ({"expand_fraction": 5.5}, "expand_fraction"),
-            ({"expand_window_hours": (10.0, 10.0)}, "expand_window_hours"),
-            ({"expand_window_hours": (12.0, 8.0)}, "expand_window_hours"),
         ],
     )
     def test_trace_spec_rejects(self, kwargs, message):

@@ -8,12 +8,14 @@ across worker counts (workers=k ≡ workers=1).
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import FlowTableConfig, LazyCtrlConfig
 from repro.common.errors import ConfigurationError
+from repro.core import scenario
 from repro.core.presets import get_preset
 from repro.core.runner import ScenarioRunner
 from repro.core.scenario import (
@@ -43,11 +45,19 @@ def mini_fig7(**overrides):
 
 
 def mini_fig7_expanded(**overrides):
-    """The paper-fig7-expanded shape at test scale: +30 % flows among silent pairs, hours 2–8."""
-    traffic = dataclasses.replace(
-        mini_fig7().traffic, expand_fraction=0.3, expand_window_hours=(2.0, 8.0)
-    )
+    """The paper-fig7-expanded shape at test scale: +30 % flows among silent pairs.
+
+    The module's expansion window (hours 2-8) keeps the extra flows inside
+    the 8 h schedule.
+    """
+    traffic = dataclasses.replace(mini_fig7().traffic, expand_fraction=0.3)
     return mini_fig7(name="mini-fig7-expanded", traffic=traffic, **overrides)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def expansion_inside_the_schedule():
+    with mock.patch.object(scenario, "EXPAND_WINDOW_HOURS", (2.0, 8.0)):
+        yield
 
 
 #: The two Fig. 7 curves: every sharded ≡ serial claim is made for both.

@@ -195,12 +195,12 @@ class TestSettingsFoldIntoTheirHome:
         assert network.link_capacities_mbps() == {switch_id: 1.5 for switch_id in range(4)}
 
     def test_links_capacity_wins_over_the_topology(self):
-        spec = self.load({"uplink_mbps": 2.0}, links={"uplink_mbps": 5.0, "window_seconds": 60.0})
-        assert spec.links == LinkCapacitySpec(uplink_mbps=5.0, window_seconds=60.0)
+        spec = self.load({"uplink_mbps": 2.0}, links={"uplink_mbps": 5.0})
+        assert spec.links == LinkCapacitySpec(uplink_mbps=5.0)
 
     def test_topology_uplink_fills_a_null_links_capacity(self):
-        spec = self.load({"uplink_mbps": 2.0}, links={"uplink_mbps": None, "window_seconds": 60.0})
-        assert spec.links == LinkCapacitySpec(uplink_mbps=2.0, window_seconds=60.0)
+        spec = self.load({"uplink_mbps": 2.0}, links={"uplink_mbps": None})
+        assert spec.links == LinkCapacitySpec(uplink_mbps=2.0)
 
     def test_null_second_homes_are_dropped(self):
         spec = self.load(

@@ -17,12 +17,14 @@ coverage test fails when a new model is added without extending it.
 
 import heapq
 from bisect import bisect_left
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import UnknownHostError
 from repro.common.rng import make_rng
+from repro.core import scenario
 from repro.core.scenario import TraceSpec
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
 from repro.traffic.chunk import FlowChunk, draw_of
@@ -71,10 +73,10 @@ def test_base_params_cover_every_builtin_model():
 
 
 def _build_both(model: str, params: dict, expand: float = 0.0):
-    spec = TraceSpec(
-        model=model, params=params, expand_fraction=expand, expand_window_hours=(0.25, 1.0)
-    )
-    return spec.build_stream(_NETWORK, name="equiv"), spec.build(_NETWORK, name="equiv")
+    spec = TraceSpec(model=model, params=params, expand_fraction=expand)
+    # The expansion lands inside the shortest day the properties draw.
+    with mock.patch.object(scenario, "EXPAND_WINDOW_HOURS", (0.25, 1.0)):
+        return spec.build_stream(_NETWORK, name="equiv"), spec.build(_NETWORK, name="equiv")
 
 
 class _CountingSink:
@@ -428,7 +430,7 @@ class TestChunkEquivalence:
             _NETWORK, params=params, name="equiv"
         )))
         assert columnar.columns().mints_records and not listed.columns().mints_records
-        schedule = ScheduleSpec(warmup_hours=0.5, duration_hours=2.0, bucket_hours=1.0)
+        schedule = ScheduleSpec(duration_hours=2.0, bucket_hours=1.0)
         config = LazyCtrlConfig()
         if tables:
             config = LazyCtrlConfig(flow_table=FlowTableConfig(policy="lru").resized(8))

@@ -367,7 +367,6 @@ class TestFlowTableSettings:
         assert table.capacity == base.capacity
         assert table.idle_timeout_seconds == base.idle_timeout_seconds
         assert table.hard_timeout_seconds == base.hard_timeout_seconds
-        assert table.sweep_interval_seconds == base.sweep_interval_seconds
 
     def test_legacy_overlay_replaces_policy_and_params_as_it_always_did(self):
         # The overlay's policy defaulted to static-idle and always won.

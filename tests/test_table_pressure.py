@@ -11,6 +11,7 @@ re-install load than the reactive baseline under the same capacity.
 import pytest
 
 from repro.common.config import FlowTableConfig, GroupingConfig, LazyCtrlConfig
+from repro.core import system as system_module
 from repro.core.runner import ScenarioResult, ScenarioRunner
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec
 from repro.core.system import LazyCtrlSystem, OpenFlowSystem
@@ -54,7 +55,7 @@ class TestTickDrivenExpiry:
         # Idle timeout longer than the whole trace: nothing can expire lazily
         # during the feed, so every removal below is the sweep's doing.
         config = LazyCtrlConfig(
-            flow_table=FlowTableConfig(idle_timeout_seconds=100_000.0, sweep_interval_seconds=60.0)
+            flow_table=FlowTableConfig(idle_timeout_seconds=100_000.0)
         )
         system = OpenFlowSystem(network, config=config)
         assert feed(system, tiny_trace(network)) > 0
@@ -75,7 +76,7 @@ class TestTickDrivenExpiry:
         network = tiny_network()
         config = LazyCtrlConfig(
             grouping=GroupingConfig(group_size_limit=2, random_seed=11),
-            flow_table=FlowTableConfig(idle_timeout_seconds=100_000.0, sweep_interval_seconds=60.0),
+            flow_table=FlowTableConfig(idle_timeout_seconds=100_000.0),
         )
         system = LazyCtrlSystem(network, config=config, dynamic_grouping=False)
         trace = tiny_trace(network)
@@ -99,7 +100,7 @@ class TestTickDrivenExpiry:
         network = tiny_network()
         config = LazyCtrlConfig(
             grouping=GroupingConfig(group_size_limit=2, random_seed=11),
-            flow_table=FlowTableConfig(idle_timeout_seconds=100_000.0, sweep_interval_seconds=60.0),
+            flow_table=FlowTableConfig(idle_timeout_seconds=100_000.0),
         )
         system = system_type(network, config=config)
         timeline = MetricsTimeline(bucket_seconds=3600.0)
@@ -115,11 +116,10 @@ class TestTickDrivenExpiry:
         gauges = timeline.result(bucket_count=84).gauges
         assert gauges["table_occupancy_last"][-1] == 0
 
-    def test_sweep_respects_its_interval(self):
+    def test_sweep_respects_its_interval(self, monkeypatch):
+        monkeypatch.setattr(system_module, "TABLE_SWEEP_INTERVAL_SECONDS", 3600.0)
         network = tiny_network()
-        config = LazyCtrlConfig(
-            flow_table=FlowTableConfig(idle_timeout_seconds=30.0, sweep_interval_seconds=3600.0)
-        )
+        config = LazyCtrlConfig(flow_table=FlowTableConfig(idle_timeout_seconds=30.0))
         system = OpenFlowSystem(network, config=config)
         feed(system, tiny_trace(network), upto=600.0)
         occupied = sum(len(s.flow_table) for s in system.switches())
@@ -146,7 +146,6 @@ class TestTablePressureRuns:
                     policy="idle-hard-hybrid",
                     idle_timeout_seconds=600.0,
                     hard_timeout_seconds=3600.0,
-                    sweep_interval_seconds=120.0,
                 ),
             ),
         )

@@ -82,7 +82,7 @@ class TestThirdPartyStreamModel:
             topology=TopologySpec(params={"switch_count": 8, "host_count": 80, "seed": 11}),
             traffic=TraceSpec(model=model),
             systems=("openflow", "lazyctrl-dynamic"),
-            schedule=ScheduleSpec(warmup_hours=0.5, duration_hours=4.0, bucket_hours=1.0),
+            schedule=ScheduleSpec(duration_hours=4.0, bucket_hours=1.0),
             execution=ExecutionSpec(**execution),
         )
 
