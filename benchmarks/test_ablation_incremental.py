@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.reports import format_percent, format_table
+from repro.common.formatting import format_percent, format_table
 from repro.core.results import WorkloadComparison
 
 

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.analysis.reports import format_table
+from repro.common.formatting import format_table
 from repro.common.config import GroupingConfig
 from repro.datastructures.intensity import IntensityMatrix
 from repro.partitioning.sgi import SgiGrouper

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.reports import format_table, two_hour_bucket_labels
+from repro.common.formatting import format_table, two_hour_bucket_labels
 from repro.core.results import WorkloadComparison
 
 

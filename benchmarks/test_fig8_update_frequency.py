@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.reports import format_table
+from repro.common.formatting import format_table
 
 
 @pytest.mark.benchmark(group="fig8")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.reports import format_table, two_hour_bucket_labels
+from repro.common.formatting import format_table, two_hour_bucket_labels
 
 
 @pytest.mark.benchmark(group="fig9")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.reports import format_table
+from repro.common.formatting import format_table
 from repro.common.addresses import MacAddress
 from repro.common.config import BloomFilterConfig
 from repro.datastructures.fib import GroupFib

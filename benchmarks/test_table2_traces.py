@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.centrality import trace_centrality
-from repro.analysis.reports import format_table
+from repro.common.formatting import format_table
 
 
 def _rows(real_trace, synthetic_traces):

@@ -23,7 +23,7 @@ from repro import (
     TraceSpec,
     register_control_plane,
 )
-from repro.analysis.reports import format_percent, format_table
+from repro.common.formatting import format_percent, format_table
 from repro.core.results import SystemCounters
 from repro.simulation.latency import LatencyModel
 from repro.simulation.metrics import CounterSeries, LatencyRecorder

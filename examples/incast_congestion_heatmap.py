@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.analysis import hot_links_report, latency_percentile_rows, render_heatmap
-from repro.analysis.reports import format_table
+from repro.common.formatting import format_table
 from repro.core.presets import get_preset
 from repro.core.runner import ScenarioRunner
 from repro.obs.tracer import TraceOptions

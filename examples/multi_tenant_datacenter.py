@@ -17,7 +17,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.analysis.reports import format_table
+from repro.common.formatting import format_table
 from repro.common.config import GroupingConfig, LazyCtrlConfig
 from repro.core.system import LazyCtrlSystem
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter

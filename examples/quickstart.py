@@ -18,7 +18,7 @@ The same experiment from the command line::
 from __future__ import annotations
 
 from repro import ScenarioRunner, get_preset
-from repro.analysis.reports import format_percent, format_table, two_hour_bucket_labels
+from repro.common.formatting import format_percent, format_table, two_hour_bucket_labels
 
 
 def main() -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 
-from repro.analysis.reports import format_percent, format_table
+from repro.common.formatting import format_percent, format_table
 from repro.common.config import GroupingConfig
 from repro.datastructures.intensity import IntensityMatrix
 from repro.partitioning.sgi import SgiGrouper, grouping_quality

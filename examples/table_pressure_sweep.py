@@ -20,7 +20,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.analysis.reports import format_table
+from repro.common.formatting import format_table
 from repro.common.config import FlowTableConfig, GroupingConfig, LazyCtrlConfig
 from repro.core.runner import ScenarioRunner
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec

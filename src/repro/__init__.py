@@ -26,49 +26,83 @@ The same experiment from the command line::
 
 To replay one registered control plane over a trace you built yourself,
 call :meth:`ScenarioRunner.replay_system`.
+
+Importing :mod:`repro` or any of its subpackages imports no submodule: each
+name in a package's ``__all__`` loads its defining module on first access
+(PEP 562), so ``python -m repro`` pays only for the modules a command and its
+spec use (README "Start-up cost").
 """
 
-from repro.churn.spec import ChurnSpec
-from repro.common.config import LazyCtrlConfig
-from repro.core.presets import get_preset, list_presets
-from repro.core.registry import (
-    ControlPlane,
-    available_control_planes,
-    get_control_plane,
-    register_control_plane,
-)
-from repro.core.runner import ScenarioResult, ScenarioRunner
-from repro.core.scenario import (
-    FailureInjectionSpec,
-    ScenarioSpec,
-    ScheduleSpec,
-    TopologySpec,
-    TraceSpec,
-)
-from repro.core.system import EdgePlane, LazyCtrlSystem, OpenFlowSystem
-from repro.obs import (
-    EventTracer,
-    JsonlEventListener,
-    MetricsTimeline,
-    TimelineResult,
-    TraceOptions,
-    render_timeline,
-    write_chrome_trace,
-)
-from repro.partitioning.sgi import Grouping, SgiGrouper
-from repro.perf import PerfRecorder, PerfSnapshot
-from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
-from repro.topology.registry import (
-    available_topologies,
-    get_topology,
-    register_topology,
-)
-from repro.traffic.mix import TrafficComponentSpec, TrafficMixSpec
-from repro.traffic.realistic import RealisticTraceGenerator, RealisticTraceProfile
-from repro.traffic.registry import (
-    available_traffic_models,
-    get_traffic_model,
-    register_traffic_model,
+import importlib
+import sys
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+
+
+def _lazy_exports(
+    owner: str, exports: Mapping[str, Sequence[str]]
+) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a module whose names load lazily.
+
+    ``exports`` maps each defining module to the names ``owner`` (a package's
+    re-exports, or a module's optional types) takes from it.  A name's module
+    is imported the first time the name is read (``from repro.core import
+    ScenarioRunner`` included) and the value is cached in ``owner``'s
+    namespace, so importing a package costs only its ``__init__`` and a run
+    imports only the modules it touches.
+    """
+    namespace = sys.modules[owner].__dict__
+    homes: Dict[str, str] = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        module = homes.get(name)
+        if module is None:
+            raise AttributeError(f"module {owner!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(module), name)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(homes))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.churn.spec": ("ChurnSpec",),
+        "repro.common.config": ("LazyCtrlConfig",),
+        "repro.core.presets": ("get_preset", "list_presets"),
+        "repro.core.registry": (
+            "ControlPlane",
+            "available_control_planes",
+            "get_control_plane",
+            "register_control_plane",
+        ),
+        "repro.core.runner": ("ScenarioResult", "ScenarioRunner"),
+        "repro.core.scenario": (
+            "FailureInjectionSpec",
+            "ScenarioSpec",
+            "ScheduleSpec",
+            "TopologySpec",
+            "TraceSpec",
+        ),
+        "repro.core.system": ("EdgePlane", "LazyCtrlSystem", "OpenFlowSystem"),
+        "repro.obs.export": ("write_chrome_trace",),
+        "repro.obs.timeline": ("MetricsTimeline", "TimelineResult", "render_timeline"),
+        "repro.obs.tracer": ("EventTracer", "JsonlEventListener", "TraceOptions"),
+        "repro.partitioning.sgi": ("Grouping", "SgiGrouper"),
+        "repro.perf.recorder": ("PerfRecorder",),
+        "repro.perf.report": ("PerfSnapshot",),
+        "repro.topology.builder": ("TopologyProfile", "build_multi_tenant_datacenter"),
+        "repro.topology.registry": ("available_topologies", "get_topology", "register_topology"),
+        "repro.traffic.mix": ("TrafficComponentSpec", "TrafficMixSpec"),
+        "repro.traffic.realistic": ("RealisticTraceGenerator", "RealisticTraceProfile"),
+        "repro.traffic.registry": (
+            "available_traffic_models",
+            "get_traffic_model",
+            "register_traffic_model",
+        ),
+    },
 )
 
 __version__ = "1.4.0"

@@ -1,13 +1,6 @@
-"""Analysis helpers: centrality computation and report formatting."""
+"""Analysis helpers: centrality computation, the link heatmap and report formatting."""
 
-from repro.analysis.centrality import (
-    CentralityReport,
-    centrality_of_groups,
-    partition_intensity,
-    trace_centrality,
-)
-from repro.analysis.heatmap import hot_links_report, latency_percentile_rows, render_heatmap
-from repro.analysis.reports import format_percent, format_table, two_hour_bucket_labels
+from repro import _lazy_exports
 
 __all__ = [
     "CentralityReport",
@@ -21,3 +14,21 @@ __all__ = [
     "trace_centrality",
     "two_hour_bucket_labels",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.analysis.centrality": (
+            "CentralityReport",
+            "centrality_of_groups",
+            "partition_intensity",
+            "trace_centrality",
+        ),
+        "repro.analysis.heatmap": (
+            "hot_links_report",
+            "latency_percentile_rows",
+            "render_heatmap",
+        ),
+        "repro.common.formatting": ("format_percent", "format_table", "two_hour_bucket_labels"),
+    },
+)

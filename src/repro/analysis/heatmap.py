@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.analysis.reports import format_table
+from repro.common.formatting import format_table
 from repro.bandwidth.usage import LinkUsageResult
 from repro.core.results import RunResult
 

@@ -21,9 +21,7 @@ and every counter, latency sample, and timeline bucket stays bit-identical
 to a build without it.
 """
 
-from repro.bandwidth.meter import LinkUtilizationMeter, build_link_meter
-from repro.bandwidth.spec import LinkCapacitySpec
-from repro.bandwidth.usage import LinkUsageResult
+from repro import _lazy_exports
 
 __all__ = [
     "LinkCapacitySpec",
@@ -31,3 +29,12 @@ __all__ = [
     "LinkUtilizationMeter",
     "build_link_meter",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.bandwidth.meter": ("LinkUtilizationMeter", "build_link_meter"),
+        "repro.bandwidth.spec": ("LinkCapacitySpec",),
+        "repro.bandwidth.usage": ("LinkUsageResult",),
+    },
+)

@@ -6,19 +6,7 @@ LazyCtrl's dynamic regrouping is exercised by *topology* dynamics rather
 than only by traffic noise.
 """
 
-from repro.churn.processes import (
-    ChurnKind,
-    ChurnProcess,
-    ChurnTarget,
-    DriftProcess,
-    MigrationProcess,
-    TenantLifecycleProcess,
-    build_processes,
-    poisson_event_times,
-)
-from repro.churn.results import ChurnRunResult
-from repro.churn.scheduler import ChurnScheduler, ChurnStats
-from repro.churn.spec import ChurnSpec
+from repro import _lazy_exports
 
 __all__ = [
     "ChurnKind",
@@ -34,3 +22,22 @@ __all__ = [
     "build_processes",
     "poisson_event_times",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.churn.processes": (
+            "ChurnKind",
+            "ChurnProcess",
+            "ChurnTarget",
+            "DriftProcess",
+            "MigrationProcess",
+            "TenantLifecycleProcess",
+            "build_processes",
+            "poisson_event_times",
+        ),
+        "repro.churn.results": ("ChurnRunResult",),
+        "repro.churn.scheduler": ("ChurnScheduler", "ChurnStats"),
+        "repro.churn.spec": ("ChurnSpec",),
+    },
+)

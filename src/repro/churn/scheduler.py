@@ -19,7 +19,6 @@ from typing import Callable, List, Tuple
 from repro.churn.processes import ChurnKind, ChurnProcess, ChurnTarget, build_processes
 from repro.churn.results import ChurnRunResult
 from repro.churn.spec import ChurnSpec
-from repro.obs.events import ChurnAppliedEvent
 from repro.obs.tracer import NULL_TRACER
 from repro.simulation.metrics import CounterSeries
 
@@ -75,6 +74,8 @@ class ChurnScheduler:
 
     def _account(self, kind: ChurnKind, applied: int, now: float) -> None:
         if self.tracer.enabled:
+            from repro.obs.events import ChurnAppliedEvent
+
             self.tracer.emit(ChurnAppliedEvent(time=now, kind=kind.value, applied=applied))
         if applied <= 0:
             self.stats.skipped_events += 1

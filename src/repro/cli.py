@@ -57,35 +57,18 @@ Perfetto.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.analysis.heatmap import (
-    format_percentile,
-    hot_links_report,
-    latency_percentile_rows,
-    render_heatmap,
-)
-from repro.analysis.reports import format_percent, format_table
-from repro.bandwidth.spec import LinkCapacitySpec
-from repro.churn.spec import ChurnSpec
-from repro.common.errors import ReproError
-from repro.core.presets import default_grouping_config, get_preset, list_presets
-from repro.core.registry import available_control_planes
-from repro.core.runner import ScenarioResult, ScenarioRunner
-from repro.core.scenario import ScenarioSpec, TopologySpec, TraceSpec
-from repro.obs.export import validate_chrome_trace, write_chrome_trace
-from repro.obs.timeline import render_timeline
-from repro.obs.tracer import TraceOptions
-from repro.perf.baseline import check_against_baselines
-from repro.replay.spec import ExecutionSpec
-from repro.perf.report import format_stage_breakdown
-from repro.tables.registry import available_table_policies
-from repro.topology.registry import available_topologies
-from repro.traffic.registry import available_traffic_models
+if TYPE_CHECKING:
+    from repro.core.runner import ScenarioResult
+    from repro.core.scenario import ScenarioSpec
+
+# Each subcommand imports what it runs inside its handler, so building the
+# parser (and ``--help``) imports nothing of the simulator, and a run loads
+# only the modules its spec uses (README "Start-up cost").
 
 #: Presets the ``bench`` subcommand replays by default.
 BENCH_PRESETS = ("paper-fig7", "churn-migration", "traffic-mix")
@@ -109,7 +92,11 @@ def _load_specs(target: str) -> List[ScenarioSpec]:
     """Resolve a CLI scenario argument into specs: a JSON file or a preset name."""
     path = Path(target)
     if target.endswith(".json") or path.is_file():
+        from repro.core.scenario import ScenarioSpec
+
         return [ScenarioSpec.load(path)]
+    from repro.core.presets import get_preset
+
     return list(get_preset(target).specs())
 
 
@@ -132,9 +119,13 @@ def _carry_params(old, replacement, keys: Sequence[str]):
 
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
     """Apply ``--flows``/``--switches``/``--traffic``/... overrides to one spec."""
+    import dataclasses
+
     topology = spec.topology
     config = spec.config
     if getattr(args, "topology", None) is not None and args.topology != topology.shape:
+        from repro.core.scenario import TopologySpec
+
         topology = _carry_params(
             topology, TopologySpec(shape=args.topology), ("switch_count", "host_count", "seed")
         )
@@ -146,6 +137,8 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
             # Re-run the preset sizing heuristic: a group-size limit tuned
             # for the original scale would let a smaller topology collapse
             # into a single group and never exercise inter-group traffic.
+            from repro.core.presets import default_grouping_config
+
             config = dataclasses.replace(
                 config,
                 grouping=dataclasses.replace(
@@ -162,6 +155,8 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
 
     traffic = spec.traffic
     if getattr(args, "traffic", None) is not None and args.traffic != traffic.model:
+        from repro.core.scenario import TraceSpec
+
         traffic = _carry_params(
             traffic, TraceSpec(model=args.traffic), ("total_flows", "duration_hours", "seed")
         )
@@ -183,6 +178,8 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
 
     execution = spec.execution
     if getattr(args, "exec_spec", None) is not None:
+        from repro.replay.spec import ExecutionSpec
+
         execution = ExecutionSpec.parse(args.exec_spec, base=execution)
 
     table = config.flow_table
@@ -198,25 +195,30 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
     config = dataclasses.replace(config, flow_table=table, latency=latency)
 
     churn = spec.churn
-    if getattr(args, "churn_rate", None) is not None:
-        if args.churn_rate == 0:
+    churn_rate = getattr(args, "churn_rate", None)
+    churn_seed = getattr(args, "churn_seed", None)
+    if churn_rate is not None or churn_seed is not None:
+        from repro.churn.spec import ChurnSpec
+
+        churn = churn or ChurnSpec()
+        if churn_rate == 0:
             # Zero disables every churn process, not just migrations.
             churn = dataclasses.replace(
-                churn or ChurnSpec(),
+                churn,
                 migration_rate_per_hour=0.0,
                 drift_rate_per_hour=0.0,
                 tenant_arrival_rate_per_hour=0.0,
                 tenant_departure_rate_per_hour=0.0,
             )
-        else:
-            churn = dataclasses.replace(
-                churn or ChurnSpec(), migration_rate_per_hour=args.churn_rate
-            )
-    if getattr(args, "churn_seed", None) is not None:
-        churn = dataclasses.replace(churn or ChurnSpec(), seed=args.churn_seed)
+        elif churn_rate is not None:
+            churn = dataclasses.replace(churn, migration_rate_per_hour=churn_rate)
+        if churn_seed is not None:
+            churn = dataclasses.replace(churn, seed=churn_seed)
 
     links = spec.links
     if getattr(args, "uplink_mbps", None) is not None:
+        from repro.bandwidth.spec import LinkCapacitySpec
+
         links = dataclasses.replace(
             links or LinkCapacitySpec(), uplink_mbps=args.uplink_mbps
         )
@@ -236,6 +238,8 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
 
 def _print_result(result: ScenarioResult) -> None:
     """Print the summary table for one scenario."""
+    from repro.common.formatting import format_percent, format_table
+
     baseline_name = next(iter(result.runs))
     with_churn = any(run.churn is not None for run in result.runs.values())
     rows = []
@@ -260,6 +264,9 @@ def _print_result(result: ScenarioResult) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.common.errors import ReproError
+    from repro.core.runner import ScenarioRunner
+
     specs = [_apply_overrides(spec, args) for spec in _load_specs(args.scenario)]
     if args.events_out is not None:
         # Tracing pins the run to this process (one shared events file), so
@@ -270,13 +277,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{len(specs)} — pick one of: "
                 + ", ".join(spec.name for spec in specs)
             )
+        from repro.obs.tracer import TraceOptions
+
         obs = TraceOptions(
             events_path=args.events_out, sample=args.trace_sample, timeline=True
         )
         results = [ScenarioRunner().run(specs[0], obs=obs)]
         print(f"Events written to {args.events_out}\n")
     else:
-        fan_out = ExecutionSpec(workers=args.workers) if args.workers else None
+        fan_out = None
+        if args.workers:
+            from repro.replay.spec import ExecutionSpec
+
+            fan_out = ExecutionSpec(workers=args.workers)
         results = ScenarioRunner().run_many(specs, execution=fan_out)
     for index, result in enumerate(results):
         if index:
@@ -294,6 +307,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _load_results(target: str) -> List[ScenarioResult]:
     """Resolve a ``compare`` argument: a results JSON file or a preset to run."""
+    from repro.common.errors import ReproError
+    from repro.core.presets import get_preset
+    from repro.core.runner import ScenarioResult, ScenarioRunner
+    from repro.obs.tracer import TraceOptions
+
     path = Path(target)
     if target.endswith(".json") or path.is_file():
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -314,6 +332,9 @@ def _load_results(target: str) -> List[ScenarioResult]:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.analysis.heatmap import format_percentile
+    from repro.common.formatting import format_percent, format_table
+
     results = _load_results(args.target)
     for index, result in enumerate(results):
         if index:
@@ -437,6 +458,10 @@ def _bench_payload(preset_name: str, result: ScenarioResult) -> dict:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.core.presets import get_preset
+    from repro.core.runner import ScenarioRunner
+    from repro.obs.tracer import TraceOptions
+
     preset_names = [name.strip() for name in args.presets.split(",") if name.strip()]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -462,6 +487,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _smoke_scenario_names() -> set:
     """Scenario names produced by the scale-smoke presets."""
+    from repro.core.presets import get_preset
+
     return {
         spec.name
         for preset_name in SMOKE_BENCH_PRESETS
@@ -471,6 +498,8 @@ def _smoke_scenario_names() -> set:
 
 def _check_baselines(payloads: List[dict], args: argparse.Namespace, *, stale_fails: bool) -> int:
     """Compare fresh bench payloads against committed baselines; 1 on drift."""
+    from repro.perf.baseline import check_against_baselines
+
     checks, problems, stale = check_against_baselines(payloads, args.baseline_dir)
     # Scale-smoke baselines are produced by their own CI job, never by the
     # default preset list — a default full run must not treat them as stale.
@@ -512,6 +541,9 @@ def _check_baselines(payloads: List[dict], args: argparse.Namespace, *, stale_fa
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.core.runner import ScenarioRunner
+    from repro.perf.report import format_stage_breakdown
+
     specs = [_apply_overrides(spec, args) for spec in _load_specs(args.scenario)]
     runner = ScenarioRunner()
     snapshots = []
@@ -533,6 +565,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
+    from repro.core.runner import ScenarioRunner
+    from repro.obs.timeline import render_timeline
+    from repro.obs.tracer import TraceOptions
+
     specs = [_apply_overrides(spec, args) for spec in _load_specs(args.scenario)]
     runner = ScenarioRunner()
     obs = TraceOptions(timeline=True, timeline_bucket_seconds=args.bucket_seconds)
@@ -548,6 +584,12 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
+    from repro.analysis.heatmap import hot_links_report, latency_percentile_rows, render_heatmap
+    from repro.common.errors import ReproError
+    from repro.common.formatting import format_table
+    from repro.core.runner import ScenarioRunner
+    from repro.obs.tracer import TraceOptions
+
     specs = [_apply_overrides(spec, args) for spec in _load_specs(args.scenario)]
     runner = ScenarioRunner()
     obs = TraceOptions(timeline=True)
@@ -575,6 +617,8 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_export(args: argparse.Namespace) -> int:
+    from repro.obs.export import validate_chrome_trace, write_chrome_trace
+
     events, entries = write_chrome_trace(args.events, args.out, profile_path=args.profile)
     # Re-validate what was just written so a broken export fails here, not
     # silently when someone loads it into Perfetto.
@@ -584,6 +628,10 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_scenarios(args: argparse.Namespace) -> int:
+    from repro.common.formatting import format_table
+    from repro.core.presets import list_presets
+    from repro.core.registry import available_control_planes
+
     preset_rows = []
     for preset in list_presets():
         specs = preset.specs()
@@ -600,6 +648,8 @@ def _cmd_list_scenarios(args: argparse.Namespace) -> int:
 
 def _print_registry_table(entries, title: str) -> None:
     """Print the name/label/params/description table for one workload registry."""
+    from repro.common.formatting import format_table
+
     rows = [
         [entry.name, entry.label, ", ".join(sorted(entry.param_names())), entry.description]
         for entry in entries
@@ -608,16 +658,22 @@ def _print_registry_table(entries, title: str) -> None:
 
 
 def _cmd_list_traffic_models(args: argparse.Namespace) -> int:
+    from repro.traffic.registry import available_traffic_models
+
     _print_registry_table(available_traffic_models(), "Registered traffic models")
     return 0
 
 
 def _cmd_list_topologies(args: argparse.Namespace) -> int:
+    from repro.topology.registry import available_topologies
+
     _print_registry_table(available_topologies(), "Registered topology shapes")
     return 0
 
 
 def _cmd_list_table_policies(args: argparse.Namespace) -> int:
+    from repro.tables.registry import available_table_policies
+
     _print_registry_table(available_table_policies(), "Registered flow-table policies")
     return 0
 
@@ -811,6 +867,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    from repro.common.errors import ReproError
+
     try:
         return args.handler(args)
     except (ReproError, FileNotFoundError, json.JSONDecodeError) as error:

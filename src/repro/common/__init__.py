@@ -1,30 +1,6 @@
 """Shared value objects, configuration and helpers used by every subsystem."""
 
-from repro.common.addresses import MacAddress
-from repro.common.config import (
-    BloomFilterConfig,
-    FlowTableConfig,
-    GroupingConfig,
-    LatencyModelConfig,
-    LazyCtrlConfig,
-)
-from repro.common.errors import (
-    AddressError,
-    ConfigurationError,
-    ControlPlaneError,
-    FailoverError,
-    FlowTableError,
-    InfeasibleGroupingError,
-    NegotiationError,
-    PartitioningError,
-    ReproError,
-    TopologyError,
-    TrafficError,
-    UnknownHostError,
-    UnknownSwitchError,
-)
-from repro.common.packets import FlowKey
-from repro.common.rng import derive_seed, make_rng
+from repro import _lazy_exports
 
 __all__ = [
     "AddressError",
@@ -50,3 +26,34 @@ __all__ = [
     "derive_seed",
     "make_rng",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.common.addresses": ("MacAddress",),
+        "repro.common.config": (
+            "BloomFilterConfig",
+            "FlowTableConfig",
+            "GroupingConfig",
+            "LatencyModelConfig",
+            "LazyCtrlConfig",
+        ),
+        "repro.common.errors": (
+            "AddressError",
+            "ConfigurationError",
+            "ControlPlaneError",
+            "FailoverError",
+            "FlowTableError",
+            "InfeasibleGroupingError",
+            "NegotiationError",
+            "PartitioningError",
+            "ReproError",
+            "TopologyError",
+            "TrafficError",
+            "UnknownHostError",
+            "UnknownSwitchError",
+        ),
+        "repro.common.packets": ("FlowKey",),
+        "repro.common.rng": ("derive_seed", "make_rng"),
+    },
+)

@@ -1,9 +1,9 @@
 """Plain-text report formatting for tables and figure series.
 
 The benchmark harness prints the same rows/series the paper reports; these
-helpers render them as aligned text tables so ``pytest benchmarks/ -s`` (or
-the example scripts) produce readable output without any plotting
-dependency.
+helpers render them as aligned text tables so ``pytest benchmarks/ -s``, the
+example scripts and the CLI produce readable output without any plotting
+dependency.  :mod:`repro.analysis` re-exports them.
 """
 
 from __future__ import annotations

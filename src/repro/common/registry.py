@@ -24,12 +24,17 @@ after the positional arguments::
     get_traffic_model("ring").build(network, params={"total_flows": 50}, name="x")
     # -> build_ring(network, RingParams(total_flows=50), name="x")
 
-Third-party entries plug in with the same decorator from their own modules.
+Third-party entries plug in with the same decorator from their own modules,
+and so do the built-in traffic models and topology shapes: their registry
+lists ``builtins``, each name with the module that registers it, and imports
+that module the first time the name is looked up (or the registry listed), so
+a run loads only the models and shapes its spec names.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.common.errors import ConfigurationError
@@ -85,13 +90,27 @@ class NamedRegistry:
 
     ``kind`` names the surface in error messages ("control plane", "traffic
     model", ...) and ``known_label`` introduces the list of registered names
-    in the unknown-name error.
+    in the unknown-name error.  ``builtins`` maps each built-in name to the
+    module whose import registers it.
     """
 
-    def __init__(self, *, kind: str, known_label: str) -> None:
+    def __init__(
+        self, *, kind: str, known_label: str, builtins: Optional[Mapping[str, str]] = None
+    ) -> None:
         self._kind = kind
         self._known_label = known_label
         self._entries: Dict[str, Entry] = {}
+        self._builtins: Dict[str, str] = dict(builtins or {})
+
+    def _load(self, name: str) -> None:
+        """Import the module registering built-in ``name`` (once; no-op for others)."""
+        module = self._builtins.pop(name, None)
+        if module is not None:
+            importlib.import_module(module)
+
+    def _load_all(self) -> None:
+        for name in list(self._builtins):
+            self._load(name)
 
     def register(
         self,
@@ -111,6 +130,8 @@ class NamedRegistry:
             )
 
         def decorator(factory: Callable[..., Any]) -> Callable[..., Any]:
+            # A built-in's name is taken even before its module is imported.
+            self._load(name)
             if name in self._entries:
                 raise ConfigurationError(f"{self._kind} {name!r} is already registered")
             self._entries[name] = Entry(
@@ -128,13 +149,16 @@ class NamedRegistry:
 
     def unregister(self, name: str) -> None:
         """Drop a registration (no-op when absent; primarily for tests)."""
+        self._load(name)
         self._entries.pop(name, None)
 
     def get(self, name: str) -> Entry:
         """Look an entry up, listing the registered names on a miss."""
+        self._load(name)
         try:
             return self._entries[name]
         except KeyError:
+            self._load_all()
             known = ", ".join(sorted(self._entries)) or "<none>"
             raise ConfigurationError(
                 f"unknown {self._kind} {name!r}; {self._known_label}: {known}"
@@ -142,4 +166,5 @@ class NamedRegistry:
 
     def available(self) -> List[Entry]:
         """All entries, sorted by name."""
+        self._load_all()
         return [self._entries[name] for name in sorted(self._entries)]

@@ -20,18 +20,56 @@ the offending key and the path to the dataclass it belongs to (for example
 itself instead of surfacing as a bare ``TypeError`` from a constructor
 three frames down.  So does a value of the wrong JSON kind for an object,
 array, string or integer field (an integral float counts as an integer).
+
+A field's annotation is resolved only when the data gives it a value (a
+``null`` loads as ``None`` whatever the annotation), so deserializing a spec
+without an optional section never imports that section's type: its module
+names the type through a PEP 562 ``__getattr__`` (see
+:func:`repro._lazy_exports`), which :class:`_AnnotationNames` falls back to.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import sys
 import types
-from typing import Any, Dict, Mapping, Union, get_args, get_origin, get_type_hints
+from typing import Any, Dict, Mapping, Tuple, Union, get_args, get_origin
 
 from repro.common.errors import ConfigurationError
 
-_HINT_CACHE: Dict[type, Dict[str, Any]] = {}
+_HINT_CACHE: Dict[Tuple[type, str], Any] = {}
+
+
+class _AnnotationNames(dict):
+    """The names a class's string annotations see: the class namespace, then
+    its module's globals, then the module's PEP 562 ``__getattr__``."""
+
+    def __init__(self, cls: type) -> None:
+        super().__init__(vars(cls))
+        self._module = sys.modules[cls.__module__]
+
+    def __missing__(self, name: str) -> Any:
+        try:
+            return getattr(self._module, name)
+        except AttributeError:
+            raise KeyError(name) from None
+
+
+def field_type(cls: type, name: str) -> Any:
+    """The resolved annotation of dataclass field ``cls.name`` (cached).
+
+    Unlike :func:`typing.get_type_hints`, this resolves one field, and sees
+    a type its module binds lazily (and imports it).
+    """
+    key = (cls, name)
+    if key not in _HINT_CACHE:
+        owner = next(base for base in cls.__mro__ if name in base.__dict__.get("__annotations__", {}))
+        hint = owner.__dict__["__annotations__"][name]
+        if isinstance(hint, str):
+            hint = eval(hint, vars(sys.modules[owner.__module__]), _AnnotationNames(owner))
+        _HINT_CACHE[key] = hint
+    return _HINT_CACHE[key]
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -57,10 +95,6 @@ def _dataclass_from_mapping(annotation: type, data: Any, path: str) -> Any:
             f"{path}: expected a JSON object for {annotation.__name__}, "
             f"got {type(data).__name__}"
         )
-    hints = _HINT_CACHE.get(annotation)
-    if hints is None:
-        hints = get_type_hints(annotation)
-        _HINT_CACHE[annotation] = hints
     init_fields = {
         field.name: field for field in dataclasses.fields(annotation) if field.init
     }
@@ -86,7 +120,9 @@ def _dataclass_from_mapping(annotation: type, data: Any, path: str) -> Any:
             f"{annotation.__name__} at {path}"
         )
     kwargs = {
-        name: from_jsonable(hints[name], data[name], path=f"{path}.{name}")
+        name: None
+        if data[name] is None
+        else from_jsonable(field_type(annotation, name), data[name], path=f"{path}.{name}")
         for name in init_fields
         if name in data
     }

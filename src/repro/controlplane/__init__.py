@@ -1,13 +1,6 @@
 """Control plane: groups, controllers, state reports and grouping management."""
 
-from repro.controlplane.base import EdgeController
-from repro.controlplane.group import LocalControlGroup, RingNeighbors
-from repro.controlplane.grouping_manager import GroupingManager, RegroupingDecision
-from repro.controlplane.lazyctrl_controller import InterGroupSetupResult, LazyCtrlController
-from repro.controlplane.messages import GroupStateReportMessage
-from repro.controlplane.openflow_controller import OpenFlowController, PacketInResult
-from repro.controlplane.state_dissemination import DisseminationStats, StateDisseminator
-from repro.controlplane.tenant_manager import TenantManager
+from repro import _lazy_exports
 
 __all__ = [
     "DisseminationStats",
@@ -24,3 +17,17 @@ __all__ = [
     "StateDisseminator",
     "TenantManager",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.controlplane.base": ("EdgeController",),
+        "repro.controlplane.group": ("LocalControlGroup", "RingNeighbors"),
+        "repro.controlplane.grouping_manager": ("GroupingManager", "RegroupingDecision"),
+        "repro.controlplane.lazyctrl_controller": ("InterGroupSetupResult", "LazyCtrlController"),
+        "repro.controlplane.messages": ("GroupStateReportMessage",),
+        "repro.controlplane.openflow_controller": ("OpenFlowController", "PacketInResult"),
+        "repro.controlplane.state_dissemination": ("DisseminationStats", "StateDisseminator"),
+        "repro.controlplane.tenant_manager": ("TenantManager",),
+    },
+)

@@ -15,7 +15,6 @@ from repro.common.errors import ControlPlaneError
 from repro.common.packets import FlowKey
 from repro.datastructures.flow_table import ActionType, FlowAction
 from repro.dataplane.edge_switch import EdgeSwitch
-from repro.obs.events import FlowInstallEvent, FlowRemovedEvent, PacketInEvent
 from repro.obs.tracer import NULL_TRACER
 from repro.perf.recorder import NULL_RECORDER
 from repro.simulation.metrics import CounterSeries, WorkloadMeter
@@ -61,6 +60,8 @@ class EdgeController:
         self.workload_meter.record(now)
         self.perf.count("controller.requests")
         if self.tracer.enabled:
+            from repro.obs.events import PacketInEvent
+
             self.tracer.emit(PacketInEvent(time=now, switch_id=switch_id, kind=kind))
 
     # -- flow-table management -----------------------------------------------------
@@ -80,6 +81,8 @@ class EdgeController:
         switch.install_flow_rule(key, action, now=now)
         self.flow_mods_sent += 1
         if self.tracer.enabled:
+            from repro.obs.events import FlowInstallEvent
+
             self.tracer.emit(
                 FlowInstallEvent(
                     time=now,
@@ -99,6 +102,8 @@ class EdgeController:
         self.flow_removed_received += 1
         self.perf.count("controller.flow_removed")
         if self.tracer.enabled:
+            from repro.obs.events import FlowRemovedEvent
+
             self.tracer.emit(
                 FlowRemovedEvent(time=now, switch_id=switch_id, reason=reason.value)
             )

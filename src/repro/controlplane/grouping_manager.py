@@ -24,7 +24,6 @@ from typing import List, Optional
 
 from repro.common.config import GroupingConfig
 from repro.datastructures.intensity import IntensityMatrix
-from repro.obs.events import RegroupFinishEvent, RegroupStartEvent
 from repro.obs.tracer import NULL_TRACER
 from repro.partitioning.sgi import Grouping, SgiGrouper
 from repro.simulation.metrics import CounterSeries
@@ -163,6 +162,8 @@ class GroupingManager:
             trigger = "max interval elapsed"
         tracer = self.tracer
         if tracer.enabled:
+            from repro.obs.events import RegroupStartEvent
+
             tracer.emit(
                 RegroupStartEvent(
                     time=now,
@@ -188,6 +189,8 @@ class GroupingManager:
             # of avoiding oscillation.  Pending churn keeps accumulating so a
             # later applied update is still attributed to it.
             if tracer.enabled:
+                from repro.obs.events import RegroupFinishEvent
+
                 tracer.emit(
                     RegroupFinishEvent(
                         time=now,
@@ -207,6 +210,8 @@ class GroupingManager:
             self.churn_attributed_update_count += 1
         self.churn_events_since_update = 0
         if tracer.enabled:
+            from repro.obs.events import RegroupFinishEvent
+
             tracer.emit(
                 RegroupFinishEvent(
                     time=now,

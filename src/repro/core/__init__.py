@@ -1,33 +1,11 @@
-"""Core systems and the Scenario API."""
+"""Core systems and the Scenario API.
 
-from repro.core.latency_eval import ColdCacheExperiment, ColdCacheExperimentConfig
-from repro.core.presets import default_grouping_config, get_preset, list_presets
-from repro.core.registry import (
-    ControlPlane,
-    available_control_planes,
-    get_control_plane,
-    register_control_plane,
-    unregister_control_plane,
-)
-from repro.core.results import (
-    ColdCacheResult,
-    FlowHandlingResult,
-    FlowPathKind,
-    LatencySeriesResult,
-    RunResult,
-    SystemCounters,
-    WorkloadComparison,
-    WorkloadSeriesResult,
-)
-from repro.core.runner import ScenarioResult, ScenarioRunner
-from repro.core.scenario import (
-    FailureInjectionSpec,
-    ScenarioSpec,
-    ScheduleSpec,
-    TopologySpec,
-    TraceSpec,
-)
-from repro.core.system import EdgePlane, LazyCtrlSystem, OpenFlowSystem
+Every name below is resolved on first access (PEP 562), so importing this
+package imports none of its modules: the cold-cache experiment of
+:mod:`repro.core.latency_eval`, for one, loads only for code that names it.
+"""
+
+from repro import _lazy_exports
 
 __all__ = [
     "ColdCacheExperiment",
@@ -59,3 +37,37 @@ __all__ = [
     "register_control_plane",
     "unregister_control_plane",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.core.latency_eval": ("ColdCacheExperiment", "ColdCacheExperimentConfig"),
+        "repro.core.presets": ("default_grouping_config", "get_preset", "list_presets"),
+        "repro.core.registry": (
+            "ControlPlane",
+            "available_control_planes",
+            "get_control_plane",
+            "register_control_plane",
+            "unregister_control_plane",
+        ),
+        "repro.core.results": (
+            "ColdCacheResult",
+            "FlowHandlingResult",
+            "FlowPathKind",
+            "LatencySeriesResult",
+            "RunResult",
+            "SystemCounters",
+            "WorkloadComparison",
+            "WorkloadSeriesResult",
+        ),
+        "repro.core.runner": ("ScenarioResult", "ScenarioRunner"),
+        "repro.core.scenario": (
+            "FailureInjectionSpec",
+            "ScenarioSpec",
+            "ScheduleSpec",
+            "TopologySpec",
+            "TraceSpec",
+        ),
+        "repro.core.system": ("EdgePlane", "LazyCtrlSystem", "OpenFlowSystem"),
+    },
+)

@@ -15,8 +15,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Tuple
 
-from repro.bandwidth.spec import LinkCapacitySpec
-from repro.churn.spec import ChurnSpec
 from repro.common.config import FlowTableConfig, GroupingConfig, LatencyModelConfig, LazyCtrlConfig
 from repro.common.registry import NamedRegistry
 from repro.core.scenario import (
@@ -28,7 +26,6 @@ from repro.core.scenario import (
 )
 from repro.replay.spec import ExecutionSpec
 from repro.topology.builder import TopologyProfile
-from repro.traffic.mix import TrafficComponentSpec, TrafficMixSpec
 
 PRESETS = NamedRegistry(kind="preset", known_label="available presets")
 get_preset = PRESETS.get
@@ -195,6 +192,8 @@ def _scale_sweep() -> Tuple[ScenarioSpec, ...]:
     description="All-day VM migration + locality drift churn driving dynamic regrouping",
 )
 def _churn_migration() -> Tuple[ScenarioSpec, ...]:
+    from repro.churn.spec import ChurnSpec
+
     return (
         ScenarioSpec(
             name="churn-migration",
@@ -216,6 +215,8 @@ def _churn_migration() -> Tuple[ScenarioSpec, ...]:
     description="Tenant arrival/departure wave (hours 6-18) over light migration churn",
 )
 def _churn_tenant_wave() -> Tuple[ScenarioSpec, ...]:
+    from repro.churn.spec import ChurnSpec
+
     return (
         ScenarioSpec(
             name="churn-tenant-wave",
@@ -240,6 +241,8 @@ def _churn_tenant_wave() -> Tuple[ScenarioSpec, ...]:
     description="Composed mix: realistic baseline + elephant/mice overlay + 9-11am incast burst",
 )
 def _traffic_mix() -> Tuple[ScenarioSpec, ...]:
+    from repro.traffic.mix import TrafficComponentSpec, TrafficMixSpec
+
     mix = TrafficMixSpec(
         components=(
             TrafficComponentSpec(model="realistic", weight=0.6),
@@ -366,6 +369,8 @@ def _incast_congestion() -> Tuple[ScenarioSpec, ...]:
     in the same log-histogram bin; at a limit of 8 the LazyCtrl tail is
     dominated by cheaper data-plane hits and the p99s separate.
     """
+    from repro.bandwidth.spec import LinkCapacitySpec
+
     return (
         ScenarioSpec(
             name="incast-congestion",
@@ -399,6 +404,8 @@ def _capacity_sweep() -> Tuple[ScenarioSpec, ...]:
     count and the p99 collapse as capacity grows.  A natural ``run_many``
     fan-out like ``scale-sweep``.
     """
+    from repro.bandwidth.spec import LinkCapacitySpec
+
     capacities = (0.5, 1.0, 2.0, 4.0)
     return tuple(
         ScenarioSpec(
@@ -449,6 +456,8 @@ def _striped_antilocal() -> Tuple[ScenarioSpec, ...]:
     description="Shuffle waves + uniform background on a 4-pod topology (two locality tiers)",
 )
 def _multi_pod_shuffle() -> Tuple[ScenarioSpec, ...]:
+    from repro.traffic.mix import TrafficComponentSpec, TrafficMixSpec
+
     mix = TrafficMixSpec(
         components=(
             TrafficComponentSpec(

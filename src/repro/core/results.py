@@ -4,13 +4,28 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.bandwidth.usage import LinkUsageResult
-from repro.churn.results import ChurnRunResult
+from repro import _lazy_exports
 from repro.common.serialize import dataclass_from_dict, dataclass_to_dict
-from repro.obs.timeline import TimelineResult
-from repro.perf.report import PerfSnapshot
+
+if TYPE_CHECKING:
+    from repro.bandwidth.usage import LinkUsageResult
+    from repro.churn.results import ChurnRunResult
+    from repro.obs.timeline import TimelineResult
+    from repro.perf.report import PerfSnapshot
+
+# The optional sections of a RunResult name their types lazily: a run
+# without churn, perf, a timeline or link capacities never imports them.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.bandwidth.usage": ("LinkUsageResult",),
+        "repro.churn.results": ("ChurnRunResult",),
+        "repro.obs.timeline": ("TimelineResult",),
+        "repro.perf.report": ("PerfSnapshot",),
+    },
+)
 
 
 class FlowPathKind(enum.Enum):

@@ -18,10 +18,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.churn.scheduler import ChurnScheduler
-from repro.churn.spec import ChurnSpec
 from repro.common.errors import ConfigurationError
 from repro.common.config import LazyCtrlConfig
 from repro.core.registry import ControlPlane, get_control_plane
@@ -33,10 +31,8 @@ from repro.core.results import (
 )
 from repro.core.scenario import FailureInjectionSpec, ScenarioSpec, ScheduleSpec
 from repro.core.system import EdgePlane
-from repro.obs.timeline import MetricsTimeline, TimelineResult
 from repro.obs.tracer import NULL_TRACER, TraceOptions
 from repro.perf.recorder import NULL_RECORDER, PerfRecorder, peak_rss_bytes
-from repro.perf.report import PerfSnapshot
 from repro.replay.executor import can_fork_workers, execute_plan, fork_pool_map
 from repro.replay.merge import merge_outcomes
 from repro.replay.sharding import plan_shards
@@ -45,6 +41,12 @@ from repro.tables.registry import get_table_policy
 from repro.traffic.replay import TraceReplayer
 from repro.traffic.stream import FlowStream
 from repro.traffic.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.churn.scheduler import ChurnScheduler
+    from repro.churn.spec import ChurnSpec
+    from repro.obs.timeline import MetricsTimeline, TimelineResult
+    from repro.perf.report import PerfSnapshot
 
 
 @dataclass(frozen=True)
@@ -358,6 +360,8 @@ class ScenarioRunner:
 
         scheduler: Optional[ChurnScheduler] = None
         if churn is not None and churn.active and entry.churn_aware:
+            from repro.churn.scheduler import ChurnScheduler
+
             scheduler = ChurnScheduler(
                 churn,
                 plane,

@@ -36,10 +36,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
-from repro.churn.spec import ChurnSpec
-from repro.bandwidth.spec import LinkCapacitySpec
+from repro import _lazy_exports
 from repro.common.config import LazyCtrlConfig
 from repro.common.errors import ConfigurationError
 from repro.common.registry import Entry
@@ -48,11 +47,24 @@ from repro.replay.spec import ExecutionSpec
 from repro.topology.builder import TopologyProfile
 from repro.topology.network import DataCenterNetwork
 from repro.topology.registry import get_topology
-from repro.traffic.expand import expand_trace
-from repro.traffic.mix import TrafficMixSpec
 from repro.traffic.registry import get_traffic_model
 from repro.traffic.stream import FlowStream
 from repro.traffic.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.bandwidth.spec import LinkCapacitySpec
+    from repro.churn.spec import ChurnSpec
+    from repro.traffic.mix import TrafficMixSpec
+
+# A spec's optional sections name their types lazily: loading or running a
+# spec without churn or link capacities never imports those subsystems.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.bandwidth.spec": ("LinkCapacitySpec",),
+        "repro.churn.spec": ("ChurnSpec",),
+    },
+)
 
 # The first hour of traffic is the warm-up the initial grouping is computed
 # from (IniGroup, §III-C); the replay window starts after it.
@@ -250,6 +262,8 @@ class TraceSpec:
         """
         stream = self.entry().build(network, params=self.params, name=name)
         if self.expand_fraction > 0.0:
+            from repro.traffic.expand import expand_trace
+
             start, end = EXPAND_WINDOW_HOURS
             stream = expand_trace(
                 stream,

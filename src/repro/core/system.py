@@ -28,16 +28,14 @@ records per batch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.bandwidth.meter import build_link_meter
 from repro.common.addresses import MacAddress
 from repro.common.config import LazyCtrlConfig
 from repro.common.packets import FlowKey
 from repro.controlplane.base import EdgeController
 from repro.controlplane.lazyctrl_controller import LazyCtrlController
 from repro.controlplane.openflow_controller import OpenFlowController
-from repro.controlplane.state_dissemination import StateDisseminator
 from repro.dataplane.decisions import INTRA_GROUP, LOCAL, TABLE_HIT, ForwardingOutcome
 from repro.dataplane.edge_switch import EdgeSwitch, LazyCtrlEdgeSwitch
 from repro.core.results import (
@@ -45,12 +43,6 @@ from repro.core.results import (
     FlowPathKind,
     SystemCounters,
     TableUsageResult,
-)
-from repro.obs.events import (
-    EvictionEvent,
-    LinkCongestedEvent,
-    OverflowEvent,
-    ReinstallEvent,
 )
 from repro.obs.tracer import NULL_TRACER
 from repro.partitioning.sgi import Grouping
@@ -61,6 +53,9 @@ from repro.simulation.metrics import LatencyRecorder
 from repro.topology.network import DataCenterNetwork, EdgeSwitchInfo
 from repro.traffic.chunk import draw_of
 from repro.traffic.flow import FlowRecord
+
+if TYPE_CHECKING:
+    from repro.controlplane.state_dissemination import StateDisseminator
 
 # How often, at most, the periodic tick sweeps expired rules out of every
 # flow table (see ``EdgePlane._sweep_tables``).
@@ -73,6 +68,8 @@ def _attach_table_tracer(tracer, switch) -> None:
     The table itself knows only pressure *kinds*; the closure re-attaches
     the switch identity and maps each kind onto its typed event.
     """
+    from repro.obs.events import EvictionEvent, OverflowEvent, ReinstallEvent
+
     switch_id = switch.switch_id
 
     def on_pressure(kind: str, now: float) -> None:
@@ -124,8 +121,13 @@ class EdgePlane:
         self.counters = SystemCounters()
         self.perf = NULL_RECORDER
         self.tracer = NULL_TRACER
-        #: Uplink utilization meter, or ``None`` on a topology without capacities.
-        self.link_meter = build_link_meter(network)
+        #: Uplink utilization meter, or ``None`` on a topology without
+        #: capacities (which never imports the bandwidth subsystem).
+        self.link_meter = None
+        if network.has_link_capacities():
+            from repro.bandwidth.meter import build_link_meter
+
+            self.link_meter = build_link_meter(network)
         self._last_table_sweep = 0.0
         self._switches: Dict[int, EdgeSwitch] = {}
         for info in network.switches():
@@ -331,6 +333,8 @@ class EdgePlane:
         )
         tracer = self.tracer
         if tracer.enabled:
+            from repro.obs.events import LinkCongestedEvent
+
             for time, switch_id, utilization in crossings:
                 tracer.emit(
                     LinkCongestedEvent(time=time, switch_id=switch_id, utilization=utilization)
@@ -518,7 +522,20 @@ class LazyCtrlSystem(EdgePlane):
         )
         self.failover_records: List = []
         self.controller.bootstrap_host_locations()
-        self.disseminator = StateDisseminator(network, self.controller)
+        self._disseminator: Optional[StateDisseminator] = None
+
+    @property
+    def disseminator(self) -> StateDisseminator:
+        """The live state dissemination (§III-D.3) the churn hooks drive.
+
+        Built on first use: it holds only the network, the controller and
+        zeroed counters, so a run without churn never imports it.
+        """
+        if self._disseminator is None:
+            from repro.controlplane.state_dissemination import StateDisseminator
+
+            self._disseminator = StateDisseminator(self.network, self.controller)
+        return self._disseminator
 
     def _make_switch(self, info: EdgeSwitchInfo) -> LazyCtrlEdgeSwitch:
         return LazyCtrlEdgeSwitch(

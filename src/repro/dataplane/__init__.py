@@ -1,7 +1,6 @@
 """Data plane: run verdicts, the edge switch (the OpenFlow baseline) and the LazyCtrl switch."""
 
-from repro.dataplane.decisions import ForwardingOutcome, RunVerdict
-from repro.dataplane.edge_switch import EdgeSwitch, LazyCtrlEdgeSwitch
+from repro import _lazy_exports
 
 __all__ = [
     "EdgeSwitch",
@@ -9,3 +8,11 @@ __all__ = [
     "LazyCtrlEdgeSwitch",
     "RunVerdict",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.dataplane.decisions": ("ForwardingOutcome", "RunVerdict"),
+        "repro.dataplane.edge_switch": ("EdgeSwitch", "LazyCtrlEdgeSwitch"),
+    },
+)

@@ -1,15 +1,6 @@
 """Core data structures: Bloom filters, forwarding tables and intensity matrices."""
 
-from repro.datastructures.bloom import BloomFilter
-from repro.datastructures.fib import CentralLib, FibEntry, GroupFib, LocalFib
-from repro.datastructures.flow_table import (
-    ActionType,
-    FlowAction,
-    FlowRule,
-    FlowTable,
-    FlowTableStats,
-)
-from repro.datastructures.intensity import IntensityMatrix
+from repro import _lazy_exports
 
 __all__ = [
     "ActionType",
@@ -24,3 +15,19 @@ __all__ = [
     "IntensityMatrix",
     "LocalFib",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.datastructures.bloom": ("BloomFilter",),
+        "repro.datastructures.fib": ("CentralLib", "FibEntry", "GroupFib", "LocalFib"),
+        "repro.datastructures.flow_table": (
+            "ActionType",
+            "FlowAction",
+            "FlowRule",
+            "FlowTable",
+            "FlowTableStats",
+        ),
+        "repro.datastructures.intensity": ("IntensityMatrix",),
+    },
+)

@@ -1,14 +1,6 @@
 """Failure detection (Table I) and failover/recovery actions."""
 
-from repro.failover.detection import (
-    DetectionResult,
-    FailureDetector,
-    FailureKind,
-    ProbeKind,
-    ProbeObservation,
-    infer_failure,
-)
-from repro.failover.recovery import FailoverManager, RecoveryAction, RecoveryRecord
+from repro import _lazy_exports
 
 __all__ = [
     "DetectionResult",
@@ -21,3 +13,18 @@ __all__ = [
     "RecoveryRecord",
     "infer_failure",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.failover.detection": (
+            "DetectionResult",
+            "FailureDetector",
+            "FailureKind",
+            "ProbeKind",
+            "ProbeObservation",
+            "infer_failure",
+        ),
+        "repro.failover.recovery": ("FailoverManager", "RecoveryAction", "RecoveryRecord"),
+    },
+)

@@ -1,11 +1,6 @@
 """Dynamic group-size negotiation (modified Rubinstein bargaining, Appendix C)."""
 
-from repro.negotiation.bargaining import (
-    BargainingConfig,
-    GroupSizeBargainer,
-    NegotiationOutcome,
-    Offer,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "BargainingConfig",
@@ -13,3 +8,15 @@ __all__ = [
     "NegotiationOutcome",
     "Offer",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.negotiation.bargaining": (
+            "BargainingConfig",
+            "GroupSizeBargainer",
+            "NegotiationOutcome",
+            "Offer",
+        ),
+    },
+)

@@ -16,38 +16,7 @@ The subsystem has three layers, all off by default:
   sparkline renderer) and the Perfetto-loadable Chrome trace-event exporter.
 """
 
-from repro.obs.events import (
-    EVENT_TYPES,
-    SAMPLED_EVENTS,
-    ChunkDrainedEvent,
-    ChurnAppliedEvent,
-    EvictionEvent,
-    FlowInstallEvent,
-    FlowRemovedEvent,
-    OverflowEvent,
-    PacketInEvent,
-    RegroupFinishEvent,
-    RegroupStartEvent,
-    ReinstallEvent,
-    ReplayTickEvent,
-    TraceEvent,
-    event_to_dict,
-    validate_event_dict,
-)
-from repro.obs.export import (
-    chrome_trace,
-    read_events,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.timeline import MetricsTimeline, TimelineResult, render_timeline, sparkline
-from repro.obs.tracer import (
-    NULL_TRACER,
-    EventTracer,
-    JsonlEventListener,
-    NullTracer,
-    TraceOptions,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "EVENT_TYPES",
@@ -80,3 +49,46 @@ __all__ = [
     "validate_event_dict",
     "write_chrome_trace",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.obs.events": (
+            "EVENT_TYPES",
+            "SAMPLED_EVENTS",
+            "ChunkDrainedEvent",
+            "ChurnAppliedEvent",
+            "EvictionEvent",
+            "FlowInstallEvent",
+            "FlowRemovedEvent",
+            "OverflowEvent",
+            "PacketInEvent",
+            "RegroupFinishEvent",
+            "RegroupStartEvent",
+            "ReinstallEvent",
+            "ReplayTickEvent",
+            "TraceEvent",
+            "event_to_dict",
+            "validate_event_dict",
+        ),
+        "repro.obs.export": (
+            "chrome_trace",
+            "read_events",
+            "validate_chrome_trace",
+            "write_chrome_trace",
+        ),
+        "repro.obs.timeline": (
+            "MetricsTimeline",
+            "TimelineResult",
+            "render_timeline",
+            "sparkline",
+        ),
+        "repro.obs.tracer": (
+            "NULL_TRACER",
+            "EventTracer",
+            "JsonlEventListener",
+            "NullTracer",
+            "TraceOptions",
+        ),
+    },
+)

@@ -6,7 +6,8 @@ Mirrors the perf recorder's design
 ``enabled`` is ``False``, and every publisher guards its emit sites with
 ``if tracer.enabled`` — so a run without observability pays one attribute
 lookup per guarded site and allocates nothing, keeping untraced replays
-bit-identical to pre-observability ones.
+bit-identical to pre-observability ones.  The event classes are imported
+inside those guards, so an untraced run never loads :mod:`repro.obs.events`.
 
 :class:`EventTracer` is per system under test: it feeds an optional
 :class:`~repro.obs.timeline.MetricsTimeline` *before* any sampling (so
@@ -23,11 +24,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Protocol, TextIO
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Protocol, TextIO
 
 from repro.common.errors import ConfigurationError
-from repro.obs.events import SAMPLED_EVENTS, TraceEvent, event_to_dict
-from repro.obs.timeline import MetricsTimeline
+
+if TYPE_CHECKING:
+    from repro.obs.events import TraceEvent
+    from repro.obs.timeline import MetricsTimeline
 
 
 class EventListener(Protocol):
@@ -191,6 +194,8 @@ class JsonlEventListener:
 
     def on_event(self, event: TraceEvent) -> None:
         """Serialize one event to the sink, honouring the sampling stride."""
+        from repro.obs.events import SAMPLED_EVENTS, event_to_dict
+
         name = type(event).event
         seq = self._seq.get(name, 0)
         self._seq[name] = seq + 1

@@ -1,29 +1,6 @@
 """Graph partitioning: MLkP, min-cut/min-bisection and the SGI grouping algorithm."""
 
-from repro.partitioning.bisection import BisectionResult, min_bisection
-from repro.partitioning.coarsening import (
-    CoarseningLevel,
-    coarsen,
-    contract,
-    heavy_edge_matching,
-)
-from repro.partitioning.graph import (
-    WeightedGraph,
-    cut_weight,
-    groups_from_assignment,
-    partition_weights,
-)
-from repro.partitioning.initial import balanced_random_assignment, greedy_region_growing
-from repro.partitioning.mlkp import MultiLevelKWayPartitioner, PartitionResult, verify_partition
-from repro.partitioning.refinement import refine, refine_once
-from repro.partitioning.sgi import (
-    Grouping,
-    IncUpdateReport,
-    SgiGrouper,
-    SgiStatistics,
-    grouping_quality,
-)
-from repro.partitioning.stoer_wagner import MinCutResult, stoer_wagner_min_cut
+from repro import _lazy_exports
 
 __all__ = [
     "BisectionResult",
@@ -51,3 +28,37 @@ __all__ = [
     "stoer_wagner_min_cut",
     "verify_partition",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.partitioning.bisection": ("BisectionResult", "min_bisection"),
+        "repro.partitioning.coarsening": (
+            "CoarseningLevel",
+            "coarsen",
+            "contract",
+            "heavy_edge_matching",
+        ),
+        "repro.partitioning.graph": (
+            "WeightedGraph",
+            "cut_weight",
+            "groups_from_assignment",
+            "partition_weights",
+        ),
+        "repro.partitioning.initial": ("balanced_random_assignment", "greedy_region_growing"),
+        "repro.partitioning.mlkp": (
+            "MultiLevelKWayPartitioner",
+            "PartitionResult",
+            "verify_partition",
+        ),
+        "repro.partitioning.refinement": ("refine", "refine_once"),
+        "repro.partitioning.sgi": (
+            "Grouping",
+            "IncUpdateReport",
+            "SgiGrouper",
+            "SgiStatistics",
+            "grouping_quality",
+        ),
+        "repro.partitioning.stoer_wagner": ("MinCutResult", "stoer_wagner_min_cut"),
+    },
+)

@@ -122,39 +122,40 @@ class MultiLevelKWayPartitioner:
             target_vertex_count=max(COARSENING_THRESHOLD, 4 * k),
             max_vertex_weight=limit,
         )
-        coarsest = levels[-1].graph if levels else graph
 
-        # Phase 2: initial partitioning on the coarsest graph.
+        # Phase 2: initial partitioning on the coarsest graph.  Region growing
+        # can paint itself into a corner on dense coarse graphs, and so can
+        # the weight-only first-fit fallback: coarse vertices up to the limit
+        # in weight are bins that may not pack even when the fine vertices
+        # would.  The fallback is retried one level finer each time, down to
+        # the fine graph itself, before the grouping counts as infeasible.
+        def graph_at(depth: int) -> WeightedGraph:
+            """The graph ``depth`` coarsening levels up (0: ``graph`` itself)."""
+            return levels[depth - 1].graph if depth else graph
+
+        depth = len(levels)
         try:
-            coarse_assignment = greedy_region_growing(coarsest, k, max_part_weight=limit, rng=rng)
+            assignment = greedy_region_growing(graph_at(depth), k, max_part_weight=limit, rng=rng)
         except InfeasibleGroupingError:
-            # Region growing can paint itself into a corner on dense coarse
-            # graphs; the weight-only first-fit fallback is always feasible
-            # when a feasible partition exists at all.
-            coarse_assignment = balanced_random_assignment(coarsest, k, max_part_weight=limit, rng=rng)
-        refine(
-            coarsest,
-            coarse_assignment,
-            max_part_weight=limit,
-            parts=k,
-            max_passes=REFINEMENT_PASSES,
-        )
+            while True:
+                try:
+                    assignment = balanced_random_assignment(
+                        graph_at(depth), k, max_part_weight=limit, rng=rng
+                    )
+                    break
+                except InfeasibleGroupingError:
+                    if depth == 0:
+                        raise
+                    depth -= 1
+        refine(graph_at(depth), assignment, max_part_weight=limit, parts=k, max_passes=REFINEMENT_PASSES)
 
         # Phase 3: uncoarsening with refinement at every level.
-        assignment = coarse_assignment
-        for index in range(len(levels) - 1, -1, -1):
-            finer_graph = levels[index - 1].graph if index > 0 else graph
+        for index in range(depth - 1, -1, -1):
             assignment = {
                 fine_vertex: assignment[coarse_vertex]
                 for fine_vertex, coarse_vertex in levels[index].fine_to_coarse.items()
             }
-            refine(
-                finer_graph,
-                assignment,
-                max_part_weight=limit,
-                parts=k,
-                max_passes=REFINEMENT_PASSES,
-            )
+            refine(graph_at(index), assignment, max_part_weight=limit, parts=k, max_passes=REFINEMENT_PASSES)
 
         weights = partition_weights(graph, assignment)
         return PartitionResult(

@@ -10,9 +10,7 @@ The package has three halves:
   ``repro bench --check``.
 """
 
-from repro.perf.baseline import BaselineCheck, check_against_baselines, compare_payloads
-from repro.perf.recorder import NULL_RECORDER, NullRecorder, PerfRecorder, peak_rss_bytes
-from repro.perf.report import PerfSnapshot, StageStats, format_stage_breakdown
+from repro import _lazy_exports
 
 __all__ = [
     "BaselineCheck",
@@ -26,3 +24,12 @@ __all__ = [
     "format_stage_breakdown",
     "peak_rss_bytes",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.perf.baseline": ("BaselineCheck", "check_against_baselines", "compare_payloads"),
+        "repro.perf.recorder": ("NULL_RECORDER", "NullRecorder", "PerfRecorder", "peak_rss_bytes"),
+        "repro.perf.report": ("PerfSnapshot", "StageStats", "format_stage_breakdown"),
+    },
+)

@@ -22,9 +22,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.perf.report import PerfSnapshot, StageStats
+if TYPE_CHECKING:
+    from repro.perf.report import PerfSnapshot, StageStats
 
 
 def peak_rss_bytes() -> int:
@@ -177,6 +178,8 @@ class PerfRecorder:
 
     def stage_stats(self) -> Tuple[StageStats, ...]:
         """Per-stage statistics ordered by descending total time."""
+        from repro.perf.report import StageStats
+
         stats = [
             StageStats(
                 name=name,
@@ -193,6 +196,8 @@ class PerfRecorder:
 
     def snapshot(self, *, wall_seconds: float = 0.0, flows_replayed: int = 0) -> PerfSnapshot:
         """Freeze the collected metrics into a serializable snapshot."""
+        from repro.perf.report import PerfSnapshot
+
         if wall_seconds <= 0.0:
             wall_seconds = self.stage_total_seconds("replay")
         return PerfSnapshot(

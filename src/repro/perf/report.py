@@ -147,7 +147,7 @@ def format_group_state_breakdown(snapshot: PerfSnapshot) -> str:
 
 def format_stage_breakdown(snapshot: PerfSnapshot, *, label: str = "") -> str:
     """Render one snapshot as the per-stage table ``repro profile`` prints."""
-    from repro.analysis.reports import format_table
+    from repro.common.formatting import format_table
 
     wall = snapshot.wall_seconds
     rows: List[List[object]] = []

@@ -20,12 +20,9 @@ point; every run plans, executes and merges according to
 ``spec.execution``, a serial run being the per-system plan in process.
 """
 
-# Only the cycle-free leaves are re-exported here: ``repro.core.scenario``
-# imports ``repro.replay.spec`` (and therefore this package) at module load,
-# so eagerly importing ``merge``/``executor`` — which depend on core results —
-# would close an import cycle.  Import those submodules directly.
-from repro.replay.sharding import Shard, ShardPlan, plan_shards
-from repro.replay.spec import SHARD_STRATEGIES, ExecutionSpec
+# Only the leaves are re-exported here; ``merge`` and ``executor`` depend on
+# core results and are imported as submodules.
+from repro import _lazy_exports
 
 __all__ = [
     "ExecutionSpec",
@@ -34,3 +31,11 @@ __all__ = [
     "ShardPlan",
     "plan_shards",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.replay.sharding": ("Shard", "ShardPlan", "plan_shards"),
+        "repro.replay.spec": ("SHARD_STRATEGIES", "ExecutionSpec"),
+    },
+)

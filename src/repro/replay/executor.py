@@ -21,7 +21,6 @@ imported by :mod:`repro.core.runner` itself.
 
 from __future__ import annotations
 
-import multiprocessing
 from contextlib import nullcontext
 from dataclasses import asdict
 from time import perf_counter
@@ -29,7 +28,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.results import RunResult
 from repro.core.scenario import ScenarioSpec
-from repro.obs.timeline import MetricsTimeline
 from repro.obs.tracer import NULL_TRACER, EventTracer, JsonlEventListener, TraceOptions
 from repro.perf.recorder import PerfRecorder
 from repro.replay.merge import ShardOutcome
@@ -46,6 +44,8 @@ def can_fork_workers() -> bool:
     execution when it is itself being run inside a ``run_many`` worker —
     same results, no nested pool.
     """
+    import multiprocessing
+
     return not multiprocessing.current_process().daemon
 
 
@@ -55,10 +55,30 @@ def fork_pool_map(function: Callable[[Any], Any], payloads: Sequence[Any], worke
     Fork-start processes where available, so control planes registered by
     the calling program remain visible to the workers.
     """
+    import multiprocessing
+
     start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     context = multiprocessing.get_context(start_method)
     with context.Pool(processes=min(workers, len(payloads))) as pool:
         return pool.map(function, payloads)
+
+
+def _import_shard_modules(spec: ScenarioSpec) -> None:
+    """Import, before a pool forks, the modules every shard of ``spec`` imports.
+
+    The package imports lazily, so a module the parent never touched would
+    otherwise be imported again by each worker in its first shard: the
+    traffic model and topology shape the spec names, and the vectorized
+    kernel with numpy.  (The runner has already resolved the control planes.)
+    Forked workers inherit them.
+    """
+    spec.traffic.entry()
+    spec.topology.entry()
+    if spec.execution.kernel == "vectorized":
+        from repro.kernel import require_numpy
+
+        require_numpy()
+        import repro.kernel.columnar  # noqa: F401
 
 
 def shard_trace(spec: ScenarioSpec, base: Optional[Trace] = None) -> Trace | FlowStream:
@@ -85,7 +105,11 @@ def shard_tracer(
     """An event tracer when a timeline or a JSONL listener wants events, else the null one."""
     if timeline_bucket_seconds is None and listener is None:
         return NULL_TRACER
-    timeline = None if timeline_bucket_seconds is None else MetricsTimeline(timeline_bucket_seconds)
+    timeline = None
+    if timeline_bucket_seconds is not None:
+        from repro.obs.timeline import MetricsTimeline
+
+        timeline = MetricsTimeline(timeline_bucket_seconds)
     tracer = EventTracer(system=system, timeline=timeline)
     if listener is not None:
         tracer.add_listener(listener)
@@ -157,6 +181,7 @@ def execute_plan(
     if obs is not None and obs.timeline:
         timeline_bucket = obs.timeline_bucket_seconds or spec.schedule.bucket_seconds
     if use_pool:
+        _import_shard_modules(spec)
         spec_dict = spec.to_dict()
         payloads = [
             {

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.bandwidth.usage import LinkUsageResult
 from repro.core.results import (
     LatencySeriesResult,
     RunResult,
@@ -44,9 +43,12 @@ from repro.core.results import (
     WorkloadSeriesResult,
 )
 from repro.core.scenario import ScheduleSpec
-from repro.obs.timeline import TimelineResult
-from repro.perf.report import PerfSnapshot, StageStats
 from repro.replay.sharding import Shard
+
+if TYPE_CHECKING:
+    from repro.bandwidth.usage import LinkUsageResult
+    from repro.obs.timeline import TimelineResult
+    from repro.perf.report import PerfSnapshot
 
 _COUNTER_FIELDS = tuple(field.name for field in dataclasses.fields(SystemCounters))
 _TABLE_SUM_FIELDS = (
@@ -171,6 +173,8 @@ def _merge_links(usages: Sequence[Optional[LinkUsageResult]]) -> Optional[LinkUs
     """
     if any(usage is None for usage in usages):
         return None
+    from repro.bandwidth.usage import LinkUsageResult
+
     merged: Dict[str, List[float]] = {}
     for usage in usages:
         for key, series in usage.utilization.items():
@@ -192,6 +196,8 @@ def _merge_links(usages: Sequence[Optional[LinkUsageResult]]) -> Optional[LinkUs
 def _merge_timelines(timelines: Sequence[Optional[TimelineResult]]) -> Optional[TimelineResult]:
     if any(timeline is None for timeline in timelines):
         return None
+    from repro.obs.timeline import TimelineResult
+
     bucket_count = timelines[0].bucket_count
 
     counts: Dict[str, List[int]] = {}
@@ -246,6 +252,8 @@ def _merge_timelines(timelines: Sequence[Optional[TimelineResult]]) -> Optional[
 def _merge_perf(snapshots: Sequence[Optional[PerfSnapshot]]) -> Optional[PerfSnapshot]:
     if any(snapshot is None for snapshot in snapshots):
         return None
+    from repro.perf.report import PerfSnapshot, StageStats
+
     wall = max(snapshot.wall_seconds for snapshot in snapshots)
     flows = sum(snapshot.flows_replayed for snapshot in snapshots)
 

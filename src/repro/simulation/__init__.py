@@ -1,11 +1,6 @@
 """Simulation measurement substrate: the latency model and the metric recorders."""
 
-from repro.simulation.latency import LatencyBreakdown, LatencyModel
-from repro.simulation.metrics import (
-    CounterSeries,
-    LatencyRecorder,
-    WorkloadMeter,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "CounterSeries",
@@ -14,3 +9,11 @@ __all__ = [
     "LatencyRecorder",
     "WorkloadMeter",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.simulation.latency": ("LatencyBreakdown", "LatencyModel"),
+        "repro.simulation.metrics": ("CounterSeries", "LatencyRecorder", "WorkloadMeter"),
+    },
+)

@@ -13,23 +13,7 @@ A scenario puts every switch under table pressure through its
 ``config.flow_table``: capacity, timeouts, policy name and policy params.
 """
 
-from repro.tables.policies import (
-    AdaptiveParams,
-    AdaptiveTimeoutPolicy,
-    IdleHardParams,
-    LruParams,
-    RemovalReason,
-    StaticHardParams,
-    StaticIdleParams,
-    TableTimeoutPolicy,
-)
-from repro.tables.registry import (
-    available_table_policies,
-    build_policy,
-    get_table_policy,
-    register_table_policy,
-    unregister_table_policy,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "AdaptiveParams",
@@ -46,3 +30,26 @@ __all__ = [
     "register_table_policy",
     "unregister_table_policy",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.tables.policies": (
+            "AdaptiveParams",
+            "AdaptiveTimeoutPolicy",
+            "IdleHardParams",
+            "LruParams",
+            "RemovalReason",
+            "StaticHardParams",
+            "StaticIdleParams",
+            "TableTimeoutPolicy",
+        ),
+        "repro.tables.registry": (
+            "available_table_policies",
+            "build_policy",
+            "get_table_policy",
+            "register_table_policy",
+            "unregister_table_policy",
+        ),
+    },
+)

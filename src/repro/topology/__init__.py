@@ -1,28 +1,6 @@
 """Topology and tenancy: hosts, tenants, edge switches, shapes and the registry."""
 
-from repro.topology.builder import (
-    PaperRealTopologyParams,
-    PaperSyntheticTopologyParams,
-    TopologyProfile,
-    build_multi_tenant_datacenter,
-    build_paper_real_topology,
-    build_paper_synthetic_topology,
-)
-from repro.topology.host import Host
-from repro.topology.network import DataCenterNetwork, EdgeSwitchInfo
-from repro.topology.registry import (
-    available_topologies,
-    get_topology,
-    register_topology,
-    unregister_topology,
-)
-from repro.topology.shapes import (
-    MultiPodTopologyParams,
-    StripedTopologyParams,
-    build_multi_pod_datacenter,
-    build_striped_datacenter,
-)
-from repro.topology.tenant import Tenant, TenantDirectory
+from repro import _lazy_exports
 
 __all__ = [
     "DataCenterNetwork",
@@ -45,3 +23,32 @@ __all__ = [
     "register_topology",
     "unregister_topology",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.topology.builder": (
+            "PaperRealTopologyParams",
+            "PaperSyntheticTopologyParams",
+            "TopologyProfile",
+            "build_multi_tenant_datacenter",
+            "build_paper_real_topology",
+            "build_paper_synthetic_topology",
+        ),
+        "repro.topology.host": ("Host",),
+        "repro.topology.network": ("DataCenterNetwork", "EdgeSwitchInfo"),
+        "repro.topology.registry": (
+            "available_topologies",
+            "get_topology",
+            "register_topology",
+            "unregister_topology",
+        ),
+        "repro.topology.shapes": (
+            "MultiPodTopologyParams",
+            "StripedTopologyParams",
+            "build_multi_pod_datacenter",
+            "build_striped_datacenter",
+        ),
+        "repro.topology.tenant": ("Tenant", "TenantDirectory"),
+    },
+)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
 from repro.topology.network import DataCenterNetwork
+from repro.topology.registry import register_topology
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,3 +146,23 @@ def build_paper_synthetic_topology(*, scale: float = 1.0, seed: int = 2015) -> D
     shrinks it for tractable runs.
     """
     return build_paper_scale_topology(PaperSyntheticTopologyParams(scale=scale, seed=seed))
+
+
+register_topology(
+    "multi-tenant",
+    params=TopologyProfile,
+    label="Multi-tenant home-switch",
+    description="Tenants placed on a few home switches with a spill fraction (paper §V-A)",
+)(build_multi_tenant_datacenter)
+register_topology(
+    "paper-real",
+    params=PaperRealTopologyParams,
+    label="Paper real-trace scale",
+    description="The published real-trace dimensions (272 switches / 6509 hosts), scalable",
+)(build_paper_scale_topology)
+register_topology(
+    "paper-synthetic",
+    params=PaperSyntheticTopologyParams,
+    label="Paper synthetic scale",
+    description="The 10x synthetic dimensions (2713 switches / 65090 hosts), scalable",
+)(build_paper_scale_topology)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
 from repro.topology.network import DataCenterNetwork
+from repro.topology.registry import register_topology
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,3 +133,17 @@ def build_multi_pod_datacenter(params: MultiPodTopologyParams) -> DataCenterNetw
             created_hosts += 1
         tenant_index += 1
     return network
+
+
+register_topology(
+    "striped",
+    params=StripedTopologyParams,
+    label="Striped (anti-local)",
+    description="Tenant VMs striped round-robin across all switches — defeats grouping",
+)(build_striped_datacenter)
+register_topology(
+    "multi-pod",
+    params=MultiPodTopologyParams,
+    label="Multi-pod",
+    description="Pods of switches with tenants confined to a home pod (two locality tiers)",
+)(build_multi_pod_datacenter)

@@ -38,6 +38,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed
 from repro.common.serialize import to_jsonable
 from repro.topology.network import DataCenterNetwork
+from repro.traffic.registry import get_traffic_model, register_traffic_model
 from repro.traffic.stream import FlowStream, MergedStream
 
 
@@ -139,6 +140,12 @@ def _component_flow_counts(mix: TrafficMixSpec) -> List[int]:
     return counts
 
 
+@register_traffic_model(
+    "mix",
+    params=TrafficMixSpec,
+    label="Traffic mix",
+    description="Weighted, time-windowed composition of other registered models",
+)
 def stream_mix_trace(
     network: DataCenterNetwork, mix: TrafficMixSpec, *, name: str = "mix"
 ) -> MergedStream:
@@ -150,8 +157,6 @@ def stream_mix_trace(
     of component list order.  Flows a component emits past its window are
     clipped by the merge rather than leaking outside its slot.
     """
-    from repro.traffic.registry import get_traffic_model
-
     flow_counts = _component_flow_counts(mix)
     parts: List[Tuple[FlowStream, float, float]] = []
     for component, flow_count in zip(mix.components, flow_counts):

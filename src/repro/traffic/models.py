@@ -37,6 +37,7 @@ from typing import List, Sequence, Tuple
 from repro.common.errors import ConfigurationError, TrafficError
 from repro.common.rng import make_rng
 from repro.topology.network import DataCenterNetwork
+from repro.traffic.registry import register_traffic_model
 from repro.traffic.stream import (
     ChunkWindow,
     GeneratedStream,
@@ -458,3 +459,28 @@ def stream_uniform_background(
         duration=seconds,
     )
 
+
+register_traffic_model(
+    "elephant-mice",
+    params=ElephantMiceParams,
+    label="Elephant/mice",
+    description="Few heavy long-lived pairs over a swarm of short mice flows",
+)(stream_elephant_mice)
+register_traffic_model(
+    "incast-hotspot",
+    params=IncastHotspotParams,
+    label="Incast hotspot",
+    description="Fan-in onto a few hot destination hosts, optionally burst-windowed",
+)(stream_incast_hotspot)
+register_traffic_model(
+    "all-to-all-shuffle",
+    params=AllToAllShuffleParams,
+    label="All-to-all shuffle",
+    description="Periodic shuffle waves where participants exchange flows pairwise",
+)(stream_all_to_all_shuffle)
+register_traffic_model(
+    "uniform",
+    params=UniformBackgroundParams,
+    label="Uniform background",
+    description="Locality-free baseline: uniform pairs, uniform arrival times",
+)(stream_uniform_background)

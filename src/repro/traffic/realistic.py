@@ -30,6 +30,7 @@ from typing import List, Tuple
 from repro.common.errors import ConfigurationError, TrafficError
 from repro.common.rng import make_rng
 from repro.topology.network import DataCenterNetwork
+from repro.traffic.registry import register_traffic_model
 from repro.traffic.stream import ChunkWindow, GeneratedStream, per_distinct, plan_windows
 from repro.traffic.trace import Trace
 
@@ -222,3 +223,13 @@ class RealisticTraceGenerator:
         ordered = sorted(pairs)
         rng.shuffle(ordered)
         return ordered
+
+
+@register_traffic_model(
+    "realistic",
+    params=RealisticTraceProfile,
+    label="Realistic day-long",
+    description="Diurnal enterprise substitute: skewed pairs, tenant locality (paper §V-A)",
+)
+def _stream_realistic(network, params, *, name="real-like"):
+    return RealisticTraceGenerator(network, params).stream(name=name)

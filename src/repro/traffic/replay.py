@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from math import inf
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
-from repro.obs.events import ChunkDrainedEvent, ReplayTickEvent
 from repro.obs.tracer import NULL_TRACER
 from repro.perf.recorder import NULL_RECORDER
 from repro.traffic.chunk import FlowChunk
@@ -184,6 +183,8 @@ class TraceReplayer:
             if total:
                 last_arrival = start_times[-1]
             if tracer.enabled:
+                from repro.obs.events import ChunkDrainedEvent
+
                 # Stamped with the chunk's last arrival: the simulation time
                 # at which the chunk was fully drained.
                 tracer.emit(
@@ -231,6 +232,8 @@ class TraceReplayer:
                 callback(now)
         progress.periodic_invocations += 1
         if self._tracer.enabled:
+            from repro.obs.events import ReplayTickEvent
+
             self._tracer.emit(
                 ReplayTickEvent(time=now, index=progress.periodic_invocations - 1)
             )

@@ -32,6 +32,7 @@ from repro.common.errors import ConfigurationError, TrafficError
 from repro.common.rng import make_rng
 from repro.topology.network import DataCenterNetwork
 from repro.traffic.flow import FlowRecord
+from repro.traffic.registry import register_traffic_model
 from repro.traffic.stream import (
     ChunkWindow,
     GeneratedStream,
@@ -209,3 +210,13 @@ class SyntheticTraceGenerator:
         ordered = sorted(pairs)
         rng.shuffle(ordered)
         return ordered
+
+
+@register_traffic_model(
+    "synthetic",
+    params=SyntheticTraceSpec,
+    label="Synthetic p/q",
+    description="The paper's p/q construction varying locality (Table II, §V-B)",
+)
+def _stream_synthetic(network, params, *, name="synthetic"):
+    return SyntheticTraceGenerator(network).stream(params)

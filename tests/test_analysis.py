@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.centrality import centrality_of_groups, partition_intensity, trace_centrality
-from repro.analysis.reports import format_percent, format_table, two_hour_bucket_labels
+from repro.common.formatting import format_percent, format_table, two_hour_bucket_labels
 from repro.datastructures.intensity import IntensityMatrix
 
 

@@ -28,6 +28,26 @@ def clustered_graph(clusters: int, size: int, seed: int = 0) -> WeightedGraph:
     return graph
 
 
+def uneven_clusters_graph(vertices: int, clusters: int, seed: int) -> WeightedGraph:
+    """Unit-weight vertices in clusters of random sizes, plus sparse light cross edges."""
+    rng = random.Random(seed)
+    graph = WeightedGraph()
+    members = [[] for _ in range(clusters)]
+    for vertex in range(vertices):
+        graph.add_vertex(vertex)
+        members[rng.randrange(clusters)].append(vertex)
+    for group in members:
+        for index, a in enumerate(group):
+            for b in group[index + 1:]:
+                if rng.random() < 0.3:
+                    graph.add_edge(a, b, 1.0 + rng.random())
+    for _ in range(vertices // 10):
+        a, b = rng.randrange(vertices), rng.randrange(vertices)
+        if a != b:
+            graph.add_edge(a, b, 0.1)
+    return graph
+
+
 class TestInitialPartitioning:
     def test_greedy_region_growing_assigns_everything(self):
         graph = clustered_graph(3, 6)
@@ -116,6 +136,17 @@ class TestMlkp:
         partitioner = MultiLevelKWayPartitioner(GroupingConfig(group_size_limit=5, random_seed=1))
         with pytest.raises(InfeasibleGroupingError):
             partitioner.partition(graph, 2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_exact_fit_is_found_when_the_coarse_fallback_cannot_pack(self, seed):
+        # 300 unit vertices into 6 parts of 50 is feasible, but the coarse
+        # vertices (each up to 50 heavy) do not first-fit into 6 bins, so the
+        # weight-only fallback has to retry on finer levels.
+        graph = uneven_clusters_graph(300, 12, seed)
+        partitioner = MultiLevelKWayPartitioner(GroupingConfig(group_size_limit=50, random_seed=1))
+        result = partitioner.partition(graph, 6)
+        verify_partition(graph, result.assignment, max_part_weight=50.0)
+        assert result.levels >= 1
 
     def test_zero_k_rejected(self):
         partitioner = MultiLevelKWayPartitioner()

@@ -22,6 +22,7 @@ import pytest
 from repro.bandwidth.spec import LinkCapacitySpec
 from repro.churn.spec import ChurnSpec
 from repro.common.errors import ConfigurationError
+from repro.common.serialize import field_type
 from repro.core.presets import list_presets
 from repro.core.scenario import ScenarioSpec
 
@@ -31,10 +32,9 @@ SRC = ROOT / "src" / "repro"
 
 def spec_leaves(cls, prefix=""):
     """``(dotted path, field name)`` of every non-dataclass field under ``cls``."""
-    hints = typing.get_type_hints(cls)
     leaves = []
     for field in dataclasses.fields(cls):
-        hint = hints[field.name]
+        hint = field_type(cls, field.name)
         inner = [arg for arg in typing.get_args(hint) if arg is not type(None)]
         if typing.get_origin(hint) is typing.Union and len(inner) == 1:
             hint = inner[0]
