@@ -37,7 +37,7 @@ def main() -> None:
 
     (spec,) = get_preset("paper-fig7-10m").specs()
     spec = dataclasses.replace(spec, traffic=spec.traffic.with_params(total_flows=args.flows))
-    assert spec.stream, "the preset selects the chunked streaming path"
+    assert spec.execution.stream, "the preset selects the chunked streaming path"
 
     print(f"streaming {args.flows:,} flows through {spec.systems[0]} ...")
     started = time.perf_counter()

@@ -18,14 +18,18 @@ required key raises :class:`~repro.common.errors.ConfigurationError` naming
 the offending key and the path to the dataclass it belongs to (for example
 ``spec.traffic.params``), so a typo in a hand-written spec file points at
 itself instead of surfacing as a bare ``TypeError`` from a constructor
-three frames down.  So does a value of the wrong JSON kind for an object,
-array, string or integer field (an integral float counts as an integer).
+three frames down.  So does a value of the wrong JSON kind for any field: an
+object, array, string, integer (an integral float counts), number (not a
+boolean) or enum value, an array of the wrong length for a
+fixed-length tuple, and a ``null`` where the field's default is not ``None``.
+Only a dict key is revived from a string, since JSON keys are always strings.
 
-A field's annotation is resolved only when the data gives it a value (a
-``null`` loads as ``None`` whatever the annotation), so deserializing a spec
-without an optional section never imports that section's type: its module
-names the type through a PEP 562 ``__getattr__`` (see
-:func:`repro._lazy_exports`), which :class:`_AnnotationNames` falls back to.
+A field's annotation is resolved only when the data gives it a value other
+than ``null`` (whether ``null`` is allowed is read off the field's default),
+so deserializing a spec without an optional section never imports that
+section's type: its module names the type through a PEP 562 ``__getattr__``
+(see :func:`repro._lazy_exports`), which :class:`_AnnotationNames` falls
+back to.
 """
 
 from __future__ import annotations
@@ -119,13 +123,16 @@ def _dataclass_from_mapping(annotation: type, data: Any, path: str) -> Any:
             f"missing required key{'s' if len(missing) > 1 else ''} {keys} for "
             f"{annotation.__name__} at {path}"
         )
-    kwargs = {
-        name: None
-        if data[name] is None
-        else from_jsonable(field_type(annotation, name), data[name], path=f"{path}.{name}")
-        for name in init_fields
-        if name in data
-    }
+    kwargs = {}
+    for name, field in init_fields.items():
+        if name not in data:
+            continue
+        value = data[name]
+        if value is None and field.default is not None:
+            raise ConfigurationError(f"{path}.{name}: expected a value, got null")
+        if value is not None:
+            value = from_jsonable(field_type(annotation, name), value, path=f"{path}.{name}")
+        kwargs[name] = value
     return annotation(**kwargs)
 
 
@@ -148,7 +155,7 @@ def from_jsonable(annotation: Any, data: Any, *, path: str = "spec") -> Any:
             raise TypeError(f"cannot deserialize ambiguous union {annotation!r}")
         return from_jsonable(members[0], data, path=path)
     if data is None:
-        return None
+        raise ConfigurationError(f"{path}: expected a value, got null")
 
     if dataclasses.is_dataclass(annotation) and isinstance(annotation, type):
         return _dataclass_from_mapping(annotation, data, path)
@@ -170,28 +177,27 @@ def from_jsonable(annotation: Any, data: Any, *, path: str = "spec") -> Any:
                     from_jsonable(args[0], item, path=f"{path}[{index}]")
                     for index, item in enumerate(data)
                 )
+            if args and len(data) != len(args):
+                raise ConfigurationError(f"{path}: expected an array of {len(args)}, got {len(data)}")
             return tuple(
                 from_jsonable(arg, item, path=f"{path}[{index}]")
                 for index, (arg, item) in enumerate(zip(args, data))
             )
         key_type, value_type = args if args else (Any, Any)
         return {
-            from_jsonable(key_type, key, path=path): from_jsonable(
-                value_type, value, path=f"{path}[{key!r}]"
-            )
+            _revive_key(key_type, key, path): from_jsonable(value_type, value, path=f"{path}[{key!r}]")
             for key, value in data.items()
         }
 
     if isinstance(annotation, type) and issubclass(annotation, enum.Enum):
-        return annotation(data)
-    if annotation is float and isinstance(data, (int, float)) and not isinstance(data, bool):
-        return float(data)
-    # JSON object keys are always strings; revive numeric dict keys.
-    if annotation in (int, float) and isinstance(data, str):
         try:
             return annotation(data)
-        except ValueError:
-            raise ConfigurationError(f"{path}: expected {annotation.__name__}, got {data!r}") from None
+        except (ValueError, TypeError):
+            raise ConfigurationError(f"{path}: {data!r} is not a {annotation.__name__}") from None
+    if annotation is float:
+        if isinstance(data, (int, float)) and not isinstance(data, bool):
+            return float(data)
+        raise ConfigurationError(f"{path}: expected a number, got {data!r}")
     if annotation is str and not isinstance(data, str):
         raise ConfigurationError(f"{path}: expected a string, got {data!r}")
     if annotation is int and (isinstance(data, bool) or not isinstance(data, int)):
@@ -199,6 +205,16 @@ def from_jsonable(annotation: Any, data: Any, *, path: str = "spec") -> Any:
             return int(data)
         raise ConfigurationError(f"{path}: expected an integer, got {data!r}")
     return data
+
+
+def _revive_key(annotation: Any, key: Any, path: str) -> Any:
+    """A dict key: JSON object keys are always strings, so numeric ones are revived."""
+    if annotation in (int, float) and isinstance(key, str):
+        try:
+            return annotation(key)
+        except ValueError:
+            raise ConfigurationError(f"{path}: expected {annotation.__name__} keys, got {key!r}") from None
+    return from_jsonable(annotation, key, path=path)
 
 
 def dataclass_to_dict(obj: Any) -> Dict[str, Any]:

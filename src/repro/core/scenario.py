@@ -419,7 +419,8 @@ def _fold_second_homes(data: Dict[str, Any]) -> Any:
         _merge_config(data, "latency", {key: value for key, value in queueing.items() if value is not None})
     topology = data.get("topology")
     params = topology.get("params") if isinstance(topology, Mapping) else None
-    if isinstance(params, Mapping) and topology.get("shape", "multi-tenant") in _UPLINK_SHAPES:
+    shape = topology.get("shape", "multi-tenant") if isinstance(topology, Mapping) else None
+    if isinstance(params, Mapping) and isinstance(shape, str) and shape in _UPLINK_SHAPES:
         params = dict(params)
         uplink = params.pop("uplink_mbps", None)
         data["topology"] = {**topology, "params": params}
@@ -498,7 +499,8 @@ class ScenarioSpec:
 
     @property
     def stream(self) -> bool:
-        """Alias for ``execution.stream`` (the bounded-memory replay flag)."""
+        """Alias for ``execution.stream``, kept for the stage ledger
+        (``benchmarks/ledger/child.py``); the library reads ``execution.stream``."""
         return self.execution.stream
 
     @property

@@ -114,7 +114,7 @@ class GroupFib:
     G-FIB's geometry, so a probe hashes its MAC once for every peer.
     """
 
-    __slots__ = ("_config", "_filters", "_exact", "_query_cache", "query_count", "query_cache_hits", "version",
+    __slots__ = ("_config", "_filters", "_exact", "_query_cache", "query_count", "query_cache_hits",
                  "summaries_built", "peer_installs")
 
     #: Cached query results are cleared wholesale past this size rather than
@@ -133,11 +133,6 @@ class GroupFib:
         self._query_cache: Dict[MacAddress, tuple[int, ...]] = {}
         self.query_count = 0
         self.query_cache_hits = 0
-        # Bumped whenever the set of peer filters changes; lets callers
-        # memoize query results across the quiet stretches between
-        # disseminations (the query cache itself is cleared on the same
-        # events, but observing a counter is cheaper than re-querying).
-        self.version = 0
         # A group of n members installs each summary built n - 1 times.
         self.summaries_built = 0
         self.peer_installs = 0
@@ -167,7 +162,6 @@ class GroupFib:
             )
         self._filters[switch_id] = summary
         self._query_cache.clear()
-        self.version += 1
         self.peer_installs += 1
         if self._exact is not None:
             self._exact[switch_id] = set(macs)
@@ -181,7 +175,6 @@ class GroupFib:
         """Remove every peer filter (switch left its group)."""
         self._filters.clear()
         self._query_cache.clear()
-        self.version += 1
         if self._exact is not None:
             self._exact.clear()
 

@@ -90,7 +90,7 @@ def shard_trace(spec: ScenarioSpec, base: Optional[Trace] = None) -> Trace | Flo
     churn each shard gets the flows rebound to its own pristine network.
     Without a base (a pool worker) the shard generates the trace itself.
     """
-    if spec.stream:
+    if spec.execution.stream:
         return spec.build_stream(spec.build_network())
     if base is None:
         return spec.build_trace(spec.build_network())
@@ -195,7 +195,7 @@ def execute_plan(
         raw = fork_pool_map(_execute_shard_payload, payloads, plan.workers)
         return [_outcome_from_dict(data) for data in raw]
 
-    base = None if spec.stream else spec.build_trace(spec.build_network())
+    base = None if spec.execution.stream else spec.build_trace(spec.build_network())
     events_path = obs.events_path if obs is not None else None
     events_file = nullcontext() if events_path is None else open(events_path, "w", encoding="utf-8")
     outcomes = []

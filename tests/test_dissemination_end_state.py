@@ -14,12 +14,12 @@ import dataclasses
 
 import pytest
 
+from equivalence import build_spec, comparable, plane_state, replay_plane
 from repro.common.config import GroupingConfig, LazyCtrlConfig
 from repro.controlplane.group import LocalControlGroup
 from repro.controlplane.lazyctrl_controller import LazyCtrlController
 from repro.controlplane.messages import GroupStateReportMessage
-from repro.core.presets import default_grouping_config, get_preset
-from repro.core.runner import ScenarioRunner
+from repro.core.presets import default_grouping_config
 from repro.core.system import LazyCtrlSystem
 from repro.datastructures.fib import FibEntry, GroupFib
 from repro.partitioning.sgi import Grouping
@@ -111,11 +111,10 @@ def per_holder_form(monkeypatch):
 # -- a churn-migration-shaped replay, stopped mid-trace ----------------------------------
 
 #: ``churn-migration`` at the ledger's ``churn-regroup`` topology, fewer flows.
-(_PRESET,) = get_preset("churn-migration").specs()
-SPEC = dataclasses.replace(
-    _PRESET,
+SPEC = build_spec(
+    "churn-migration",
+    flows=6_000,
     topology=TopologyProfile(switch_count=96, host_count=1200, seed=2015),
-    traffic=_PRESET.traffic.with_params(total_flows=6_000),
     systems=("lazyctrl-dynamic",),
     config=default_grouping_config(96),
 )
@@ -126,54 +125,16 @@ STOP_AT = 6.4 * 3600.0
 
 
 def replay_until_stop():
-    trace = SPEC.build_trace(SPEC.build_network())
-    return ScenarioRunner()._replay_system(
-        "lazyctrl-dynamic",
-        trace,
-        schedule=SPEC.schedule,
-        config=SPEC.config,
-        churn=SPEC.churn,
-        end=STOP_AT,
-    )
-
-
-def end_state(run, plane):
-    controller = plane.controller
-    macs = [host.mac for host in plane.network.hosts()]
-    return {
-        "run": run.to_dict(),
-        "gfib": {
-            switch.switch_id: (
-                sorted(switch.gfib._filters),
-                switch.gfib.version,
-                switch.gfib.storage_bytes(),
-                [switch.gfib.matching_peers(mac) for mac in macs],
-            )
-            for switch in plane.switches()
-        },
-        "clib": (
-            controller.clib.version,
-            len(controller.clib),
-            [(controller.clib.locate(mac), controller.clib._tenants.get(mac)) for mac in macs],
-        ),
-        "tenants": {
-            tenant: sorted(switches)
-            for tenant, switches in controller.tenant_manager._switches_by_tenant.items()
-        },
-        "dissemination": dataclasses.asdict(plane.disseminator.stats),
-        "groups": {
-            group_id: (group.member_ids(), group.peer_messages_sent, group.state_reports_sent)
-            for group_id, group in controller.groups.items()
-        },
-    }
+    return replay_plane(SPEC, "lazyctrl-dynamic", end=STOP_AT)
 
 
 class TestMidTraceEndState:
     def test_shared_summaries_leave_what_per_holder_builds_leave(self, per_holder_form):
-        reference = end_state(*replay_until_stop())
+        run, plane = replay_until_stop()
+        reference = {"run": comparable({"run": run}), **plane_state(plane, STOP_AT)}
         per_holder_form.undo()
         run, plane = replay_until_stop()
-        state = end_state(run, plane)
+        state = {"run": comparable({"run": run}), **plane_state(plane, STOP_AT)}
 
         # The run is the one the issue describes, and it exercised both paths.
         assert plane.controller.regroupings_applied >= 4  # the initial grouping + 3

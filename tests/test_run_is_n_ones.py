@@ -13,6 +13,10 @@ An L-FIB's derived forms follow the same rule: one Bloom summary installed in
 ``n`` G-FIBs is ``n`` × ``install_peer(peer, macs)``, the memoized bit
 positions are the Kirsch–Mitzenmacher formula, and the memoized wire tuple is
 the sorted table after every mutation.
+
+The run-of-n checks go through the equivalence harness's second entry point,
+:func:`equivalence.assert_n_ones`; tables, switches, G-FIBs and planes are
+read with its end-state readers.
 """
 
 import dataclasses
@@ -21,6 +25,17 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equivalence import (
+    SMALL_TENANTS,
+    THIN_LINKS,
+    assert_n_ones,
+    build_spec,
+    gfib_state,
+    plane_state,
+    queued,
+    switch_state,
+    table_state,
+)
 from repro.bandwidth import meter
 from repro.common.addresses import MacAddress
 from repro.common.config import FlowTableConfig
@@ -64,8 +79,11 @@ def arrival_times(arrivals, installed_at=10.0):
     return times, max(gaps, default=0.0)
 
 
-def table_state(table: FlowTable):
-    return [dataclasses.asdict(rule) for rule in table], dataclasses.asdict(table.stats)
+def installed(policy):
+    table = FlowTable(TABLE_CONFIGS[policy])
+    table.install(key(1, 2), FlowAction(ActionType.ENCAP_TO_SWITCH, 7), now=10.0)
+    table.install(key(3, 4), FlowAction(ActionType.FORWARD_LOCAL, 1), now=10.0)
+    return table
 
 
 class TestFlowTableRun:
@@ -74,24 +92,16 @@ class TestFlowTableRun:
     @settings(max_examples=60, deadline=None)
     def test_refresh_times_n_is_n_lookups_or_undecidable(self, policy, arrivals, size_bytes):
         times, max_gap = arrival_times(arrivals)
-        run, single = FlowTable(TABLE_CONFIGS[policy]), FlowTable(TABLE_CONFIGS[policy])
-        for table in (run, single):
-            table.install(key(1, 2), FlowAction(ActionType.ENCAP_TO_SWITCH, 7), now=10.0)
-            table.install(key(3, 4), FlowAction(ActionType.FORWARD_LOCAL, 1), now=10.0)
-        before = table_state(run)
-
-        rule = run.peek(key(1, 2))
-        alive = run.stays_alive(rule, times[0], max_gap, times[-1])
-        assert table_state(run) == before, "asking changed the table"
-        hits = [single.lookup(key(1, 2), now=now, size_bytes=size_bytes) for now in times]
+        alive, _, hits = assert_n_ones(
+            installed(policy), installed(policy), table_state,
+            ask=lambda table: table.stays_alive(table.peek(key(1, 2)), times[0], max_gap, times[-1]) or None,
+            whole=lambda table, _: table.account_run(table.peek(key(1, 2)), len(times), times[-1], size_bytes),
+            ones=lambda table: [table.lookup(key(1, 2), now=now, size_bytes=size_bytes) for now in times],
+        )
         if policy == "adaptive":
             assert not alive  # a stateful policy is never decidable in bulk
-        if not alive:
-            return  # undecidable, and nothing changed
-        # Decided: never a wrong hit, and the same end state.
-        assert all(hit is not None for hit in hits)
-        run.account_run(rule, len(times), times[-1], size_bytes)
-        assert table_state(run) == table_state(single)
+        if alive:  # decided: never a wrong hit
+            assert all(hit is not None for hit in hits)
 
     @given(arrivals=arrivals_strategy)
     @settings(max_examples=40, deadline=None)
@@ -99,32 +109,26 @@ class TestFlowTableRun:
         """Soundness from the other side: whenever a single lookup of the run
         would expire the rule, the run form must have declined."""
         times, max_gap = arrival_times(arrivals)
-        config = TABLE_CONFIGS["idle-hard-hybrid"]
-        run, single = FlowTable(config), FlowTable(config)
-        for table in (run, single):
-            table.install(key(1, 2), FlowAction(ActionType.ENCAP_TO_SWITCH, 7), now=10.0)
+        run, single = installed("idle-hard-hybrid"), installed("idle-hard-hybrid")
         expired = any(single.lookup(key(1, 2), now=now) is None for now in times)
         alive = run.stays_alive(run.peek(key(1, 2)), times[0], max_gap, times[-1])
         assert alive == (not expired)
 
     @given(n=st.integers(1, 9))
     def test_a_run_of_misses_is_n_missing_lookups(self, n):
-        run, single = FlowTable(), FlowTable()
-        assert run.peek(key(5, 6)) is None
-        run.account_run(None, n, 99.0, 1500)
-        for _ in range(n):
-            assert single.lookup(key(5, 6), now=99.0, size_bytes=1500) is None
-        assert table_state(run) == table_state(single)
+        assert FlowTable().peek(key(5, 6)) is None
+        _, _, misses = assert_n_ones(
+            FlowTable(), FlowTable(), table_state,
+            whole=lambda table, _: table.account_run(None, n, 99.0, 1500),
+            ones=lambda table: [table.lookup(key(5, 6), now=99.0, size_bytes=1500) for _ in range(n)],
+        )
+        assert misses == [None] * n
 
 
 class SmallMemoGroupFib(GroupFib):
     """A G-FIB whose memo fills up within a handful of distinct MACs."""
 
     QUERY_CACHE_LIMIT = 6
-
-
-def gfib_state(gfib: GroupFib):
-    return gfib.query_count, gfib.query_cache_hits, gfib.version, list(gfib._query_cache.items())
 
 
 class TestGroupFibRun:
@@ -143,12 +147,13 @@ class TestGroupFibRun:
                 gfib.query(mac(stranger))
             assert gfib.cache_room() == 1
         for host, n in runs:
-            before = gfib_state(run)
-            peers = run.peek(mac(host))
-            assert gfib_state(run) == before, "peek changed the G-FIB"
-            run.account_queries(mac(host), peers, n)
-            assert [single.query(mac(host)) for _ in range(n)] == [peers] * n
-            assert gfib_state(run) == gfib_state(single)
+            peers, _, answers = assert_n_ones(
+                run, single, gfib_state,
+                ask=lambda gfib: gfib.peek(mac(host)),
+                whole=lambda gfib, peers: gfib.account_queries(mac(host), peers, n),
+                ones=lambda gfib: [gfib.query(mac(host)) for _ in range(n)],
+            )
+            assert answers == [peers] * n
 
 
 def make_switch(kind: str, policy: str):
@@ -170,19 +175,6 @@ def make_switch(kind: str, policy: str):
     switch.install_flow_rule(key(1, 21), FlowAction(ActionType.DROP), now=10.0)
     switch.install_flow_rule(key(1, 22), FlowAction(ActionType.SEND_TO_CONTROLLER), now=10.0)
     return switch
-
-
-def switch_state(switch):
-    gfib = switch.gfib
-    return {
-        "table": table_state(switch.flow_table),
-        "lfib": {entry.mac: entry for entry in switch.lfib},
-        "packets_processed": switch.packets_processed,
-        "packets_to_controller": switch.packets_to_controller,
-        "duplicate_deliveries": switch.duplicate_deliveries,
-        "false_positive_drops": getattr(switch, "false_positive_drops", 0),
-        "gfib": None if gfib is None else gfib_state(gfib),
-    }
 
 
 #: Destinations: ruled (20, 2, 21, 22), local (3), one / two G-FIB candidates
@@ -210,20 +202,19 @@ class TestSwitchRun:
         run, single = make_switch(kind, policy), make_switch(kind, policy)
         if head:
             max_gap = max((b - a for a, b in zip(head, head[1:])), default=0.0)
-            before = switch_state(run)
-            verdict = run.classify_run(key(1, dst), head[0], max_gap, head[-1])
-            assert switch_state(run) == before, "classifying changed the switch"
+            verdict, _, verdicts = assert_n_ones(
+                run, single, switch_state,
+                ask=lambda switch: switch.classify_run(key(1, dst), head[0], max_gap, head[-1]),
+                whole=lambda switch, verdict: switch.apply_run(verdict, len(head), head[-1], size_bytes),
+                ones=lambda switch: [switch.forward_key(key(1, dst), now, size_bytes) for now in head],
+            )
             if verdict is None:
                 assert key(1, dst) in run.flow_table  # only a resident rule is undecidable
                 return
-            run.apply_run(verdict, len(head), head[-1], size_bytes)
-            for now in head:
-                single_verdict = single.forward_key(key(1, dst), now, size_bytes)
-                assert single_verdict.outcome is verdict.outcome
-                assert single_verdict.key == verdict.key
-                assert single_verdict.local_port == verdict.local_port
-                assert single_verdict.target_switches == verdict.target_switches
-                assert (single_verdict.rule is None) == (verdict.rule is None)
+            for one in verdicts:
+                assert (one.outcome, one.key, one.local_port, one.target_switches, one.rule is None) == (
+                    verdict.outcome, verdict.key, verdict.local_port, verdict.target_switches, verdict.rule is None
+                )
         if fails_from is not None:
             run.failed = single.failed = True
             for now in times[len(head):]:
@@ -232,30 +223,6 @@ class TestSwitchRun:
                     assert dropped.outcome is ForwardingOutcome.DROPPED_NO_RULE
                     assert dropped.rule is None
         assert switch_state(run) == switch_state(single)
-
-    @pytest.mark.parametrize("kind", ("lazyctrl", "openflow"))
-    def test_every_decidable_outcome_is_reached(self, kind):
-        """The property above is not vacuous: each verdict kind occurs."""
-        switch = make_switch(kind, "lru")
-        outcomes = {
-            dst: getattr(switch.classify_run(key(1, dst), 11.0, 0.0, 11.0), "outcome", None)
-            for dst in DESTINATIONS
-        }
-        intra = (
-            ForwardingOutcome.INTRA_GROUP_FORWARD
-            if kind == "lazyctrl"
-            else ForwardingOutcome.SENT_TO_CONTROLLER
-        )
-        assert outcomes == {
-            20: ForwardingOutcome.FLOW_TABLE_HIT,
-            2: ForwardingOutcome.FLOW_TABLE_HIT,
-            21: None,  # drop rule
-            22: None,  # send-to-controller rule
-            3: ForwardingOutcome.LOCAL_DELIVERY,
-            10: intra,
-            11: intra,
-            30: ForwardingOutcome.SENT_TO_CONTROLLER,
-        }
 
 
 def packet_step(switch, key, now, size_bytes):
@@ -320,24 +287,17 @@ class TestKeyStepIsThePacketStep:
             assert switch_state(by_key) == switch_state(by_step)
 
     @pytest.mark.parametrize("kind", ("lazyctrl", "openflow"))
-    def test_every_outcome_of_the_key_step_is_reached(self, kind):
+    def test_every_outcome_is_reached(self, kind):
+        """Neither property is vacuous: the run and the key step each reach every
+        verdict, except that a drop or send-to-controller rule leaves a run undecided."""
+        hit, punt = ForwardingOutcome.FLOW_TABLE_HIT, ForwardingOutcome.SENT_TO_CONTROLLER
+        intra = ForwardingOutcome.INTRA_GROUP_FORWARD if kind == "lazyctrl" else punt
+        by_key = {20: hit, 2: hit, 21: ForwardingOutcome.DROPPED_NO_RULE, 22: punt,
+                  3: ForwardingOutcome.LOCAL_DELIVERY, 10: intra, 11: intra, 30: punt}
         switch = make_switch(kind, "lru")
-        outcomes = {dst: switch.forward_key(key(1, dst), 11.0).outcome for dst in DESTINATIONS}
-        intra = (
-            ForwardingOutcome.INTRA_GROUP_FORWARD
-            if kind == "lazyctrl"
-            else ForwardingOutcome.SENT_TO_CONTROLLER
-        )
-        assert outcomes == {
-            20: ForwardingOutcome.FLOW_TABLE_HIT,
-            2: ForwardingOutcome.FLOW_TABLE_HIT,
-            21: ForwardingOutcome.DROPPED_NO_RULE,  # drop rule
-            22: ForwardingOutcome.SENT_TO_CONTROLLER,  # send-to-controller rule
-            3: ForwardingOutcome.LOCAL_DELIVERY,
-            10: intra,
-            11: intra,
-            30: ForwardingOutcome.SENT_TO_CONTROLLER,
-        }
+        runs = {dst: getattr(switch.classify_run(key(1, dst), 11.0, 0.0, 11.0), "outcome", None) for dst in by_key}
+        assert runs == {**by_key, 21: None, 22: None}
+        assert {dst: switch.forward_key(key(1, dst), 11.0).outcome for dst in by_key} == by_key
         assert switch.packets_to_controller == (2 if kind == "lazyctrl" else 4)
         switch.failed = True
         failed = switch.forward_key(key(1, 3), 12.0)
@@ -406,23 +366,23 @@ class TestLinkMeterRun:
         from repro.bandwidth.meter import LinkUtilizationMeter
 
         capacities = {1: 0.05, 2: 0.05, 3: 1.0}
-        run = LinkUtilizationMeter(capacities, window_seconds=window_seconds)
-        single = LinkUtilizationMeter(capacities, window_seconds=window_seconds)
         records, columns = metered_columns(flows)
-
-        utilizations, crossings = run.account_run(*columns)
-        observations = [
-            single.observe(record, src, dst, record.start_time)
-            for record, src, dst in zip(records, columns[3], columns[4])
-        ]
+        horizon = records[-1].start_time + 50.0
+        _, (utilizations, crossings), observations = assert_n_ones(
+            *(LinkUtilizationMeter(capacities, window_seconds=window_seconds) for _ in range(2)),
+            lambda meter: meter_state(meter, horizon),
+            whole=lambda meter, _: meter.account_run(*columns),
+            ones=lambda meter: [
+                meter.observe(record, src, dst, record.start_time)
+                for record, src, dst in zip(records, columns[3], columns[4])
+            ],
+        )
         assert utilizations == [(seen.src_utilization, seen.dst_utilization) for seen in observations]
         assert crossings == [
             (record.start_time, switch_id, utilization)
             for record, seen in zip(records, observations)
             for switch_id, utilization in seen.newly_congested
         ]
-        horizon = records[-1].start_time + 50.0
-        assert meter_state(run, horizon) == meter_state(single, horizon)
 
     def test_nows_default_to_the_start_times(self):
         from repro.bandwidth.meter import LinkUtilizationMeter
@@ -445,14 +405,13 @@ class RecordingListener:
 
 
 def metered_plane(window_seconds):
-    from repro.bandwidth.spec import LinkCapacitySpec
     from repro.common.config import LazyCtrlConfig
     from repro.core.system import OpenFlowSystem
     from repro.obs.tracer import EventTracer
     from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
 
     network = build_multi_tenant_datacenter(TopologyProfile(switch_count=4, host_count=16, seed=3))
-    LinkCapacitySpec(uplink_mbps=0.05).apply_network(network)
+    THIN_LINKS.apply_network(network)
     with mock.patch.object(meter, "WINDOW_SECONDS", window_seconds):
         plane = OpenFlowSystem(network, config=queued(LazyCtrlConfig()))
     listener = RecordingListener()
@@ -469,13 +428,18 @@ class TestPlaneLinkRun:
         run, run_events = metered_plane(window_seconds)
         single, single_events = metered_plane(window_seconds)
         records, columns = metered_columns(flows)
-
-        penalties = run.link_penalties_ms(*columns)
-        assert penalties == [single.congestion_penalty_ms(*row) for row in zip(*columns)]
-        assert run.counters == single.counters
-        assert run_events.events == single_events.events
         horizon = records[-1].start_time + 50.0
-        assert meter_state(run.link_meter, horizon) == meter_state(single.link_meter, horizon)
+        events = {id(run): run_events.events, id(single): single_events.events}
+
+        def state(plane):
+            return dataclasses.asdict(plane.counters), events[id(plane)], meter_state(plane.link_meter, horizon)
+
+        _, penalties, singles = assert_n_ones(
+            run, single, state,
+            whole=lambda plane, _: plane.link_penalties_ms(*columns),
+            ones=lambda plane: [plane.congestion_penalty_ms(*row) for row in zip(*columns)],
+        )
+        assert penalties == singles
 
     def test_the_property_is_not_vacuous(self):
         plane, listener = metered_plane(10.0)
@@ -509,18 +473,6 @@ disseminations_strategy = st.lists(
 )
 
 
-def shared_state(gfib: GroupFib):
-    return {
-        "state": gfib_state(gfib),
-        "storage": gfib.storage_bytes(),
-        "peers": list(gfib._filters),
-        "answers": [gfib.matching_peers(mac(i)) for i in range(0, 60)],  # residents, then strangers
-        "exact": {peer: set(macs) for peer, macs in gfib._exact.items()},
-        "bits": {peer: bytes(bloom._bits) for peer, bloom in gfib._filters.items()},
-        "installs": gfib.peer_installs,
-    }
-
-
 class TestSharedSummary:
     @given(n=st.integers(1, 5), disseminations=disseminations_strategy)
     @settings(max_examples=80, deadline=None)
@@ -544,7 +496,7 @@ class TestSharedSummary:
             assert all(not gfib._query_cache for gfib in shared), "an install empties the memo"
             assert counted == [(gfib.query_count, gfib.query_cache_hits) for gfib in shared]
             for holder, twin in zip(shared, twins):
-                assert shared_state(holder) == shared_state(twin)
+                assert gfib_state(holder) == gfib_state(twin)
         assert source.summaries_built == len(disseminations)
         assert all(twin.summaries_built == twin.peer_installs == len(disseminations) for twin in twins)
         assert all(gfib.summaries_built == 0 for gfib in shared)
@@ -555,12 +507,12 @@ class TestSharedSummary:
 
         gfib = GroupFib(track_exact=True)
         gfib.install_peer(5, [mac(1)])
-        before = shared_state(gfib)
+        before = gfib_state(gfib)
         small = BloomFilter(64, 2)
         small.add(mac(2).to_bytes())
         with pytest.raises(ConfigurationError, match="64-bit/2-hash"):
             gfib.install_summary(6, small, [mac(2)])
-        assert shared_state(gfib) == before
+        assert gfib_state(gfib) == before
 
 
 # -- the memoized bit positions are the Kirsch–Mitzenmacher formula ---------------------
@@ -676,24 +628,6 @@ arrivals_of_flows_strategy = st.lists(
 )
 
 
-def arrival_network(links=None):
-    from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
-
-    network = build_multi_tenant_datacenter(
-        TopologyProfile(
-            switch_count=8,
-            host_count=ARRIVAL_HOSTS,
-            min_tenant_size=6,
-            max_tenant_size=12,
-            home_switches_per_tenant=2,
-            seed=4,
-        )
-    )
-    if links is not None:
-        links.apply_network(network)
-    return network
-
-
 def arrival_plane(system, *, links=None, timeline=False, departed=False):
     """A provisioned plane on its own network, a listener on its bus."""
     from repro.core.presets import default_grouping_config
@@ -702,12 +636,10 @@ def arrival_plane(system, *, links=None, timeline=False, departed=False):
     from repro.obs.tracer import EventTracer
     from repro.traffic.registry import get_traffic_model
 
-    network = arrival_network(links)
-    config = default_grouping_config(8)
-    if links is not None:
-        config = queued(config)
+    spec = build_spec(topology=SMALL_TENANTS, links=links, config=default_grouping_config(8))
+    network = spec.build_network()
     plane = get_control_plane(system).build(
-        network, config=config, workload_bucket_seconds=600.0, latency_bucket_seconds=600.0
+        network, config=spec.config, workload_bucket_seconds=600.0, latency_bucket_seconds=600.0
     )
     listener = RecordingListener()
     plane.set_tracer(
@@ -726,42 +658,11 @@ def arrival_plane(system, *, links=None, timeline=False, departed=False):
     return plane, listener
 
 
-def plane_state(plane, listener, horizon):
-    matrix = plane.intensity_matrix()
-    timeline = plane.tracer.timeline
-    return {
-        "counters": plane.counters,
-        "switches": [switch_state(switch) for switch in plane.switches()],
-        "latency": plane.latency_recorder.bucket_totals(),
-        "intensity": None if matrix is None else list(matrix.pairs()),  # key order included
-        "links": plane.link_usage(horizon),
-        "requests": plane.total_controller_requests(),
-        "workload": plane.workload_series().series(bucket_range=(0, 8)),
-        "updates": plane.updates_per_hour(hours=2),
-        "events": listener.events,
-        "timeline": None if timeline is None else timeline.result(8),
-    }
-
-
-def thin_links():
-    """Uplinks thin enough to congest in the 10 s windows of :func:`ten_second_windows`."""
-    from repro.bandwidth.spec import LinkCapacitySpec
-
-    return LinkCapacitySpec(uplink_mbps=0.05)
-
-
 @pytest.fixture(autouse=True, scope="module")
 def ten_second_windows():
     """Short link accounting windows, so a few hours of flows straddle many."""
     with mock.patch.object(meter, "WINDOW_SECONDS", 10.0):
         yield
-
-
-def queued(config):
-    """``config`` with the queueing term the thin links feed switched on."""
-    return dataclasses.replace(
-        config, latency=dataclasses.replace(config.latency, queueing_service_ms=0.25)
-    )
 
 
 class TestArrivalStep:
@@ -778,7 +679,7 @@ class TestArrivalStep:
         from repro.traffic.flow import FlowRecord
 
         options = dict(
-            links=thin_links() if "metered" in variant else None,
+            links=THIN_LINKS if "metered" in variant else None,
             timeline="timeline" in variant,
             departed="departed" in variant,
         )
@@ -798,17 +699,15 @@ class TestArrivalStep:
                 assert result is None
             else:
                 assert result == FlowHandlingResult(flow_id, *arrival)
-        horizon = now + 60.0
-        assert plane_state(by_row, row_events, horizon) == plane_state(
-            by_record, record_events, horizon
-        )
+        assert plane_state(by_row, now + 60.0) == plane_state(by_record, now + 60.0)
+        assert row_events.events == record_events.events
         handled = by_row.counters.flows_handled + by_row.counters.departed_flows
         assert handled == len(flows)
 
     @pytest.mark.parametrize("system", ARRIVAL_SYSTEMS)
     def test_the_property_is_not_vacuous(self, system):
         """Departed, congested, controller-bound and intra-group arrivals all occur."""
-        plane, listener = arrival_plane(system, links=thin_links(), timeline=True, departed=True)
+        plane, listener = arrival_plane(system, links=THIN_LINKS, timeline=True, departed=True)
         for index in range(200):
             src, dst = (7 * index) % ARRIVAL_HOSTS, (11 * index + 5) % ARRIVAL_HOSTS
             if src != dst:
@@ -829,8 +728,8 @@ class TestArrivalStep:
         from repro.traffic.flow import FlowRecord
 
         (by_row, row_events), (by_record, record_events) = (
-            arrival_plane("lazyctrl-dynamic", links=thin_links()),
-            arrival_plane("lazyctrl-dynamic", links=thin_links()),
+            arrival_plane("lazyctrl-dynamic", links=THIN_LINKS),
+            arrival_plane("lazyctrl-dynamic", links=THIN_LINKS),
         )
         start = 0.0
         for flow_id, (gap, *rest) in enumerate(flows):
@@ -838,89 +737,14 @@ class TestArrivalStep:
             arrival = by_row.flow_arrival(start, *rest, now=start + lag)
             result = by_record.handle_flow_arrival(FlowRecord(start, flow_id, *rest), start + lag)
             assert result == (None if arrival is None else FlowHandlingResult(flow_id, *arrival))
-        horizon = start + lag + 60.0
-        assert plane_state(by_row, row_events, horizon) == plane_state(
-            by_record, record_events, horizon
-        )
+        assert plane_state(by_row, start + lag + 60.0) == plane_state(by_record, start + lag + 60.0)
+        assert row_events.events == record_events.events
 
 
 class TestColumnBornReplay:
-    """Replay level: a trace gathered from a stream and the same flows handed
-    over as a record list are one run, whatever rides on the replay."""
-
-    FLOWS = 900
-
-    def _traces(self, links=None):
-        from repro.traffic.registry import get_traffic_model
-        from repro.traffic.trace import Trace
-
-        column_born = Trace.from_stream(get_traffic_model("uniform").build(
-            arrival_network(links),
-            params={"total_flows": self.FLOWS, "seed": 12, "duration_hours": 4.0},
-            name="replayed",
-        ))
-        record_born = Trace("replayed", arrival_network(links), list(column_born.flows))
-        assert column_born.columns().mints_records and not record_born.columns().mints_records
-        return column_born, record_born
-
-    @pytest.mark.parametrize(
-        "variant", ("churn", "failures", "tables", "links", "events", "churn-tables-links-events")
-    )
-    @pytest.mark.parametrize("system", ("openflow", "lazyctrl-dynamic"))
-    def test_identical_run_result(self, system, variant):
-        from repro.churn.spec import ChurnSpec
-        from repro.core.presets import default_grouping_config
-        from repro.core.runner import ScenarioRunner
-        from repro.core.scenario import FailureInjectionSpec, ScheduleSpec
-        from repro.obs.timeline import MetricsTimeline
-        from repro.obs.tracer import EventTracer
-
-        links = thin_links() if "links" in variant else None
-        config = default_grouping_config(8)
-        if links is not None:
-            config = queued(config)
-        if "tables" in variant:
-            config = dataclasses.replace(
-                config, flow_table=FlowTableConfig(policy="lru").resized(2)
-            )
-        schedule = ScheduleSpec(duration_hours=4.0, bucket_hours=1.0)
-        churn = None
-        if "churn" in variant:
-            churn = ChurnSpec(seed=3, migration_rate_per_hour=40.0, drift_rate_per_hour=6.0)
-
-        outcomes = []
-        for trace in self._traces(links):
-            listener = RecordingListener()
-            tracer = EventTracer(
-                system=system,
-                timeline=MetricsTimeline(schedule.bucket_seconds),
-                listeners=[listener] if "events" in variant else [],
-            )
-            run = ScenarioRunner().replay_system(
-                system,
-                trace,
-                schedule=schedule,
-                config=config,
-                churn=churn,
-                failures=FailureInjectionSpec(at_hours=(1.0, 2.5)) if variant == "failures" else None,
-                tracer=tracer,
-            )
-            outcomes.append((run.to_dict(), listener.events))
-        (by_columns, column_events), (by_records, record_events) = outcomes
-        assert by_columns == by_records
-        assert column_events == record_events
-        counters = by_columns["counters"]
-        assert counters["flows_handled"] + counters["departed_flows"] == self.FLOWS
-        if churn is not None and system == "lazyctrl-dynamic":
-            assert by_columns["churn"]["migrations"] > 0 and by_columns["churn"]["drift_events"] > 0
-        if variant == "failures" and system == "lazyctrl-dynamic":
-            assert by_columns["failover_events"] == 2
-        if "tables" in variant:
-            assert by_columns["tables"]["evictions"] > 0
-        if links is not None:
-            assert counters["congested_flows"] > 0
-        if "events" in variant:
-            assert column_events
+    """A trace gathered from a stream and the same flows handed over as a
+    record list replay alike (the equivalence matrix's ``records`` cells);
+    here, also around the kernel."""
 
     @pytest.mark.parametrize("system", ("openflow", "lazyctrl-dynamic"))
     def test_the_kernels_whole_batch_bypass_walks_columns_too(self, system):
@@ -932,9 +756,14 @@ class TestColumnBornReplay:
         from repro.kernel import build_batch_handler
         from repro.perf.recorder import PerfRecorder
         from repro.traffic.replay import TraceReplayer
+        from repro.traffic.trace import Trace
 
+        spec = build_spec(model="uniform", flows=900, seed=12, trace_hours=4.0, topology=SMALL_TENANTS)
+        column_born = spec.build_trace(spec.build_network())
+        record_born = Trace(spec.name, spec.build_network(), list(column_born.flows))
+        assert column_born.columns().mints_records and not record_born.columns().mints_records
         states = []
-        for trace in self._traces():
+        for trace in (column_born, record_born):
             plane = get_control_plane(system).build(
                 trace.network,
                 config=default_grouping_config(8),
@@ -952,6 +781,6 @@ class TestColumnBornReplay:
                 batch_handler=build_batch_handler(plane, perf=perf),
             ).replay(start=0.0, end=4 * 3600.0)
             assert perf.counter("kernel.batches_bypassed") == perf.counter("kernel.batches") > 0
-            assert perf.counter("kernel.fallback_bypass") == self.FLOWS
-            states.append(plane_state(plane, RecordingListener(), 4 * 3600.0))
+            assert perf.counter("kernel.fallback_bypass") == 900
+            states.append(plane_state(plane, 4 * 3600.0))
         assert states[0] == states[1]

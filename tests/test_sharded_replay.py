@@ -1,96 +1,23 @@
-"""The sharded replay subsystem: planning invariants and sharded≡serial equivalence.
+"""The sharded replay subsystem: planning invariants, telemetry and the result grid.
 
-The equivalence suite extends the streamed≡materialized harness one level
-up: the per-system strategy must reproduce the serial run bit for bit at
-any worker count, and the time-window strategy must be bit-identical
-across worker counts (workers=k ≡ workers=1).
+Sharded ≡ serial (the per-system strategy at any worker count) and
+time-window ≡ time-window (across worker counts) are the equivalence
+matrix's (``test_equivalence_matrix.py``), and so are the plans it refuses.
 """
 
 import dataclasses
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import FlowTableConfig, LazyCtrlConfig
+from equivalence import Cell, outcome
+from equivalence import fig7 as mini_fig7
 from repro.common.errors import ConfigurationError
-from repro.core import scenario
-from repro.core.presets import get_preset
 from repro.core.runner import ScenarioRunner
-from repro.core.scenario import (
-    FailureInjectionSpec,
-    ScenarioSpec,
-    ScheduleSpec,
-    TraceSpec,
-)
-from repro.churn.spec import ChurnSpec
-from repro.obs.tracer import TraceOptions
+from repro.core.scenario import ScheduleSpec, TraceSpec
 from repro.replay.sharding import plan_shards
 from repro.replay.spec import SHARD_STRATEGIES, ExecutionSpec
-from repro.topology.builder import TopologyProfile
-
-
-def mini_fig7(**overrides):
-    """The paper-fig7 shape at test scale."""
-    defaults = dict(
-        name="mini-fig7",
-        topology=TopologyProfile(switch_count=12, host_count=120, seed=2015),
-        traffic=TraceSpec.realistic(total_flows=3_000, seed=2015),
-        systems=("openflow", "lazyctrl-dynamic"),
-        schedule=ScheduleSpec(duration_hours=8.0, bucket_hours=2.0),
-    )
-    defaults.update(overrides)
-    return ScenarioSpec(**defaults)
-
-
-def mini_fig7_expanded(**overrides):
-    """The paper-fig7-expanded shape at test scale: +30 % flows among silent pairs.
-
-    The module's expansion window (hours 2-8) keeps the extra flows inside
-    the 8 h schedule.
-    """
-    traffic = dataclasses.replace(mini_fig7().traffic, expand_fraction=0.3)
-    return mini_fig7(name="mini-fig7-expanded", traffic=traffic, **overrides)
-
-
-@pytest.fixture(autouse=True, scope="module")
-def expansion_inside_the_schedule():
-    with mock.patch.object(scenario, "EXPAND_WINDOW_HOURS", (2.0, 8.0)):
-        yield
-
-
-#: The two Fig. 7 curves: every sharded ≡ serial claim is made for both.
-FIG7_SHAPES = pytest.mark.parametrize(
-    "shape", (mini_fig7, mini_fig7_expanded), ids=("fig7", "fig7-expanded")
-)
-
-
-def mini_table_pressure(**overrides):
-    """The table-pressure shape at test scale: streamed flows vs tiny tables."""
-    defaults = dict(
-        name="mini-table-pressure",
-        topology=TopologyProfile(switch_count=12, host_count=120, seed=2015),
-        traffic=TraceSpec.realistic(total_flows=4_000, seed=2015),
-        systems=("openflow", "lazyctrl-dynamic"),
-        schedule=ScheduleSpec(duration_hours=8.0, bucket_hours=2.0),
-        execution=ExecutionSpec(stream=True),
-        config=LazyCtrlConfig(
-            flow_table=FlowTableConfig(
-                capacity=16,
-                eviction_batch=16,
-                policy="idle-hard-hybrid",
-                idle_timeout_seconds=1800.0,
-                hard_timeout_seconds=7200.0,
-            ),
-        ),
-    )
-    defaults.update(overrides)
-    return ScenarioSpec(**defaults)
-
-
-def serialized_runs(result):
-    return {name: run.to_dict() for name, run in result.runs.items()}
 
 
 # -- planning invariants --------------------------------------------------------
@@ -110,22 +37,6 @@ class TestShardPlanning:
     def test_system_strategy_rejects_mismatched_shard_count(self):
         spec = mini_fig7(execution=ExecutionSpec(shard_count=5))
         with pytest.raises(ConfigurationError, match="shard"):
-            plan_shards(spec)
-
-    def test_time_window_rejects_active_churn(self):
-        spec = mini_fig7(
-            execution=ExecutionSpec(workers=2, shard_strategy="time-window"),
-            churn=ChurnSpec(seed=7, migration_rate_per_hour=5.0),
-        )
-        with pytest.raises(ConfigurationError, match="churn"):
-            plan_shards(spec)
-
-    def test_time_window_rejects_failure_injection(self):
-        spec = mini_fig7(
-            execution=ExecutionSpec(workers=2, shard_strategy="time-window"),
-            failures=FailureInjectionSpec(at_hours=(2.0,), switches_per_event=1),
-        )
-        with pytest.raises(ConfigurationError, match="failure"):
             plan_shards(spec)
 
     def test_time_window_rejects_interval_not_dividing_bucket(self):
@@ -203,85 +114,7 @@ class TestShardPlanning:
             assert owners == []
 
 
-# -- equivalence suite ----------------------------------------------------------
-
-
-class TestShardedSerialEquivalence:
-    @FIG7_SHAPES
-    def test_system_strategy_workers_4_is_bit_identical_to_serial_fig7(self, shape):
-        spec = shape()
-        runner = ScenarioRunner()
-        obs = TraceOptions(timeline=True)
-        serial = runner.run(spec, obs=obs)
-        sharded = runner.run(dataclasses.replace(spec, execution=ExecutionSpec(workers=4)), obs=obs)
-        assert sharded.shards is not None and serial.shards is None
-        assert serialized_runs(serial) == serialized_runs(sharded)
-
-    def test_system_strategy_workers_4_is_bit_identical_to_serial_table_pressure(self):
-        spec = mini_table_pressure()
-        runner = ScenarioRunner()
-        obs = TraceOptions(timeline=True)
-        serial = runner.run(spec, obs=obs)
-        sharded = runner.run(
-            dataclasses.replace(spec, execution=dataclasses.replace(spec.execution, workers=4)),
-            obs=obs,
-        )
-        assert serialized_runs(serial) == serialized_runs(sharded)
-        for name in serial.runs:
-            assert serial.runs[name].tables is not None
-
-    @FIG7_SHAPES
-    def test_time_window_workers_4_matches_workers_1_bit_for_bit(self, shape):
-        spec = shape(systems=("lazyctrl-dynamic",), execution=ExecutionSpec(stream=True))
-        runner = ScenarioRunner()
-        obs = TraceOptions(timeline=True)
-        window = lambda workers: ExecutionSpec(
-            workers=workers, shard_strategy="time-window", shard_count=4, stream=True
-        )
-        one = runner.run(dataclasses.replace(spec, execution=window(1)), obs=obs)
-        four = runner.run(dataclasses.replace(spec, execution=window(4)), obs=obs)
-        left = json.dumps(serialized_runs(one), sort_keys=True)
-        right = json.dumps(serialized_runs(four), sort_keys=True)
-        assert left == right
-
-    @FIG7_SHAPES
-    def test_time_window_single_window_degenerates_to_the_serial_replay(self, shape):
-        """Regression: a workers=1, one-window sharded run must serialize the
-        exact bytes the serial path produces."""
-        spec = shape(systems=("lazyctrl-dynamic",), execution=ExecutionSpec(stream=True))
-        runner = ScenarioRunner()
-        serial = runner.run(spec)
-        single = runner.run(
-            dataclasses.replace(
-                spec,
-                execution=ExecutionSpec(
-                    workers=1, shard_strategy="time-window", shard_count=1, stream=True
-                ),
-            )
-        )
-        left = json.dumps(serialized_runs(serial), sort_keys=True)
-        right = json.dumps(serialized_runs(single), sort_keys=True)
-        assert left == right
-
-    @FIG7_SHAPES
-    def test_time_window_merges_counters_to_the_streamed_totals(self, shape):
-        """Windowed shards see exactly the flows of their window: summed
-        counters equal the whole streamed replay's flow accounting."""
-        spec = shape(systems=("lazyctrl-dynamic",), execution=ExecutionSpec(stream=True))
-        runner = ScenarioRunner()
-        serial = runner.run(spec)
-        sharded = runner.run(
-            dataclasses.replace(
-                spec,
-                execution=ExecutionSpec(
-                    workers=2, shard_strategy="time-window", shard_count=4, stream=True
-                ),
-            )
-        )
-        for name in serial.runs:
-            flows = lambda run: run.counters.flows_handled + run.counters.departed_flows
-            assert flows(sharded.runs[name]) == flows(serial.runs[name])
-
+class TestShardedResult:
     def test_sharded_result_round_trips_with_telemetry(self):
         from repro.core.runner import ScenarioResult
 
@@ -292,38 +125,14 @@ class TestShardedSerialEquivalence:
         assert result.shards["critical_path_seconds"] > 0
         restored = ScenarioResult.from_dict(json.loads(json.dumps(result.to_dict())))
         assert restored.shards == result.shards
-        assert serialized_runs(restored) == serialized_runs(result)
+        assert restored.to_dict()["runs"] == result.to_dict()["runs"]
 
     def test_perf_snapshots_merge_across_time_windows(self):
-        spec = mini_fig7(systems=("lazyctrl-dynamic",), execution=ExecutionSpec(stream=True))
-        sharded = ScenarioRunner().run(
-            dataclasses.replace(
-                spec,
-                execution=ExecutionSpec(
-                    workers=2, shard_strategy="time-window", shard_count=4, stream=True
-                ),
-            ),
-            collect_perf=True,
-        )
-        perf = sharded.runs["lazyctrl-dynamic"].perf
+        cell = Cell(delivery="stream", shard="time-window", workers=2, perf=True)
+        perf = outcome(mini_fig7(systems=("lazyctrl-dynamic",)), cell).perf["lazyctrl-dynamic"]
         assert perf is not None
         assert perf.flows_replayed > 0
         assert perf.counters["replay.flows_replayed"] == perf.flows_replayed
-
-    def test_events_streaming_requires_the_per_system_strategy(self, tmp_path):
-        spec = mini_fig7(
-            systems=("openflow",),
-            execution=ExecutionSpec(workers=2, shard_strategy="time-window", stream=True),
-        )
-        obs = TraceOptions(events_path=str(tmp_path / "events.jsonl"))
-        with pytest.raises(ConfigurationError, match="events"):
-            ScenarioRunner().run(spec, obs=obs)
-
-    def test_spec_level_execution_is_honoured_without_a_call_override(self):
-        spec = mini_fig7(execution=ExecutionSpec(workers=2))
-        result = ScenarioRunner().run(spec)
-        assert result.shards is not None
-        assert result.shards["workers"] == 2
 
 
 class TestOneExecutionPath:
@@ -346,16 +155,6 @@ class TestOneExecutionPath:
         assert result.shards["windows_per_system"] == 4
         assert result.shards["pooled"] is False
         assert len(calls) == 1
-
-    def test_failover_is_bit_identical_between_serial_and_the_per_system_pool(self):
-        (spec,) = get_preset("failover").specs()
-        spec = dataclasses.replace(spec, traffic=spec.traffic.with_params(total_flows=2_000))
-        runner = ScenarioRunner()
-        serial = runner.run(spec)
-        pooled = runner.run(dataclasses.replace(spec, execution=ExecutionSpec(workers=2)))
-        assert serial.shards is None and pooled.shards["pooled"] is True
-        assert serial.runs["lazyctrl-dynamic"].failover_events == 2
-        assert serialized_runs(serial) == serialized_runs(pooled)
 
 
 class TestResultGrid:
@@ -380,23 +179,15 @@ class TestResultGrid:
         assert schedule.bucket_count() == expected
 
     @pytest.mark.parametrize(
-        "execution",
-        [
-            ExecutionSpec(),
-            ExecutionSpec(workers=2),
-            ExecutionSpec(shard_strategy="time-window", shard_count=4),
-        ],
+        "cell",
+        [Cell(timeline=True), Cell(shard="system", workers=2, timeline=True), Cell(shard="time-window", timeline=True)],
         ids=("serial", "per-system-pool", "time-window"),
     )
-    def test_no_phantom_result_bucket(self, execution):
-        spec = mini_fig7(
-            schedule=ScheduleSpec(duration_hours=39.6, bucket_hours=3.3), execution=execution
-        )
-        result = ScenarioRunner().run(spec, obs=TraceOptions(timeline=True))
-        for run in result.runs.values():
-            assert len(run.workload.krps) == 12
-            assert len(run.latency.mean_latency_ms) == 12
-            assert run.timeline.bucket_count == 12
+    def test_no_phantom_result_bucket(self, cell):
+        spec = mini_fig7(schedule=ScheduleSpec(duration_hours=39.6, bucket_hours=3.3))
+        for run in outcome(spec, cell).runs.values():
+            assert len(run["workload"]["krps"]) == len(run["latency"]["mean_latency_ms"]) == 12
+            assert run["timeline"]["bucket_count"] == 12
 
     def test_the_window_planner_uses_the_same_grid(self):
         spec = mini_fig7(

@@ -8,8 +8,11 @@ chunked stream and the materialized trace must agree on:
 * the replayed arrival sequence and deterministic replay counters;
 * the derived intensity matrix over arbitrary windows;
 * the columnar chunks the streams now yield: records minted from them, their
-  slices, bisect positions and window trimming, the kernel fed by them, and
-  their validation errors all equal what the record lists they replaced gave.
+  slices, bisect positions and window trimming, and their validation errors
+  all equal what the record lists they replaced gave.
+
+Replays of a streamed scenario, a record-born one and the kernel fed by
+either are the equivalence matrix's (``test_equivalence_matrix.py``).
 
 The base-params table must cover every registered built-in model; the
 coverage test fails when a new model is added without extending it.
@@ -17,21 +20,19 @@ coverage test fails when a new model is added without extending it.
 
 import heapq
 from bisect import bisect_left
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equivalence import TRACE_PROFILE, build_spec, expansion_inside
 from repro.common.errors import UnknownHostError
 from repro.common.rng import make_rng
-from repro.core import scenario
-from repro.core.scenario import TraceSpec
-from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
+from repro.common.serialize import dataclass_to_dict
+from repro.topology.builder import build_multi_tenant_datacenter
 from repro.traffic.chunk import FlowChunk, draw_of
 from repro.traffic.flow import FlowRecord
-from repro.traffic.mix import TrafficComponentSpec, TrafficMixSpec
+from repro.traffic.mix import TrafficComponentSpec, TrafficMixSpec, stream_mix_trace
 from repro.traffic.registry import available_traffic_models, get_traffic_model
-from repro.replay.spec import ExecutionSpec
 from repro.traffic.replay import TraceReplayer
 from repro.traffic.stream import (
     GeneratedStream,
@@ -51,9 +52,7 @@ BASE_PARAMS = {
     "uniform": {"total_flows": 250},
 }
 
-_NETWORK = build_multi_tenant_datacenter(
-    TopologyProfile(switch_count=6, host_count=48, seed=23, home_switches_per_tenant=2)
-)
+_NETWORK = build_multi_tenant_datacenter(TRACE_PROFILE)
 
 model_names = st.sampled_from(sorted(BASE_PARAMS))
 seeds = st.integers(min_value=0, max_value=2**16)
@@ -73,10 +72,10 @@ def test_base_params_cover_every_builtin_model():
 
 
 def _build_both(model: str, params: dict, expand: float = 0.0):
-    spec = TraceSpec(model=model, params=params, expand_fraction=expand)
+    traffic = build_spec(model=model, params=params, expand=expand).traffic
     # The expansion lands inside the shortest day the properties draw.
-    with mock.patch.object(scenario, "EXPAND_WINDOW_HOURS", (0.25, 1.0)):
-        return spec.build_stream(_NETWORK, name="equiv"), spec.build(_NETWORK, name="equiv")
+    with expansion_inside(hours=(0.25, 1.0)):
+        return traffic.build_stream(_NETWORK, name="equiv"), traffic.build(_NETWORK, name="equiv")
 
 
 class _CountingSink:
@@ -165,8 +164,6 @@ def _mix_params(inner_models, seed, duration):
         duration_hours=duration,
         seed=seed + 1,
     )
-    from repro.common.serialize import dataclass_to_dict
-
     components.append({"model": "mix", "params": dataclass_to_dict(nested), "weight": 1.0})
     return {
         "components": components,
@@ -205,66 +202,7 @@ class TestMixStreamEquivalence:
         )
         forward = TrafficMixSpec(components=components, total_flows=240, duration_hours=1.0, seed=seed)
         backward = TrafficMixSpec(components=components[::-1], total_flows=240, duration_hours=1.0, seed=seed)
-        from repro.traffic.mix import stream_mix_trace
-
         assert list(stream_mix_trace(_NETWORK, forward)) == list(stream_mix_trace(_NETWORK, backward))
-
-
-#: ``paper-fig7-expanded`` at its default 20 000 base flows, as read from the
-#: record-born expansion this stream replaced (PR 20, commit 271255e).
-EXPANDED_PINS = {
-    "openflow": {
-        "total_controller_requests": 17810,
-        "updates": [0.0] * 24,
-        "counters": dict(flows_handled=26000, local_flows=5940, intra_group_flows=0,
-                         inter_group_flows=0, controller_requests=17529),
-    },
-    "lazyctrl-static": {
-        "total_controller_requests": 5701,
-        "updates": [0.0] * 24,
-        "counters": dict(flows_handled=26000, local_flows=5940, intra_group_flows=14166,
-                         inter_group_flows=5701, controller_requests=5701),
-    },
-    "lazyctrl-dynamic": {
-        "total_controller_requests": 5224,
-        "updates": [1.0, 0.0, 1.0, 0.0, 2.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0,
-                    1.0, 0.0, 0.0, 2.0, 0.0, 1.0, 0.0, 2.0, 0.0, 1.0, 0.0, 2.0],
-        "counters": dict(flows_handled=26000, local_flows=5940, intra_group_flows=14722,
-                         inter_group_flows=5224, controller_requests=5224),
-    },
-}
-
-
-class TestScenarioStreamEquivalence:
-    @pytest.mark.parametrize(
-        "preset,flows,pins",
-        [("paper-fig7", 2500, None), ("paper-fig7-expanded", 20_000, EXPANDED_PINS)],
-        ids=("paper-fig7", "paper-fig7-expanded"),
-    )
-    def test_scenario_runner_streamed_counters_match_materialized(self, preset, flows, pins):
-        import dataclasses
-
-        from repro.core.presets import get_preset
-        from repro.core.results import SystemCounters
-        from repro.core.runner import ScenarioRunner
-
-        spec = get_preset(preset).specs()[0]
-        spec = dataclasses.replace(spec, traffic=spec.traffic.with_params(total_flows=flows))
-        runner = ScenarioRunner()
-        materialized = runner.run(spec)
-        streamed = runner.run(dataclasses.replace(spec, execution=ExecutionSpec(stream=True)))
-        for name in materialized.runs:
-            left, right = materialized.runs[name], streamed.runs[name]
-            assert left.counters == right.counters
-            assert left.total_controller_requests == right.total_controller_requests
-            assert left.workload.krps == right.workload.krps
-            assert left.latency == right.latency
-            assert left.updates_per_hour == right.updates_per_hour
-            if pins is not None:
-                pinned = pins[name]
-                assert left.total_controller_requests == pinned["total_controller_requests"]
-                assert left.updates_per_hour == pinned["updates"]
-                assert left.counters == SystemCounters(**pinned["counters"])
 
 
 # -- columnar chunks ≡ the record lists they replaced ----------------------------
@@ -409,45 +347,6 @@ class TestChunkEquivalence:
             trimmed = list(windowed_chunks(source, start=start, end=end))
             assert [_fields(flow) for part in trimmed for flow in part] == expected
             assert all(isinstance(part, FlowChunk) for part in trimmed)
-
-    @given(
-        model=st.sampled_from(["realistic", "incast-hotspot", "mix"]),
-        seed=seeds,
-        tables=st.booleans(),
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_kernel_fed_chunks_equals_kernel_fed_record_lists(self, model, seed, tables):
-        pytest.importorskip("numpy")
-        from repro.core.runner import ScenarioRunner
-        from repro.core.scenario import ScheduleSpec
-        from repro.common.config import FlowTableConfig, LazyCtrlConfig
-        from repro.obs.timeline import MetricsTimeline
-        from repro.obs.tracer import EventTracer
-
-        params = {**_params_for(model, seed, 2.0), "total_flows": 600}
-        columnar = Trace.from_stream(get_traffic_model(model).build(_NETWORK, params=params, name="equiv"))
-        listed = Trace("equiv", _NETWORK, list(get_traffic_model(model).build(
-            _NETWORK, params=params, name="equiv"
-        )))
-        assert columnar.columns().mints_records and not listed.columns().mints_records
-        schedule = ScheduleSpec(duration_hours=2.0, bucket_hours=1.0)
-        config = LazyCtrlConfig()
-        if tables:
-            config = LazyCtrlConfig(flow_table=FlowTableConfig(policy="lru").resized(8))
-
-        def run(trace, system):
-            tracer = EventTracer(system=system, timeline=MetricsTimeline(schedule.bucket_seconds))
-            result = ScenarioRunner().replay_system(
-                system, trace, schedule=schedule, config=config, tracer=tracer, kernel="vectorized"
-            )
-            payload = result.to_dict()
-            payload.pop("perf")
-            return payload
-
-        for system in ("openflow", "lazyctrl-dynamic"):
-            assert run(columnar, system) == run(listed, system)
-        # Feeding the kernel built no record list on the columnar trace.
-        assert columnar._flows is None
 
     @pytest.mark.parametrize(
         "draw",

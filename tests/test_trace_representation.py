@@ -18,18 +18,18 @@ import tracemalloc
 
 import pytest
 
+from equivalence import TRACE_PROFILE as PROFILE
+from equivalence import build_spec
 from repro.churn.spec import ChurnSpec
 from repro.common.errors import UnknownHostError
-from repro.core.presets import get_preset
 from repro.core.registry import get_control_plane
 from repro.core.runner import ScenarioRunner
-from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
+from repro.topology.builder import build_multi_tenant_datacenter
 from repro.traffic.chunk import FlowChunk
 from repro.traffic.registry import get_traffic_model
 from repro.traffic.stream import MergedStream
 from repro.traffic.trace import Trace
 
-PROFILE = TopologyProfile(switch_count=6, host_count=48, seed=23, home_switches_per_tenant=2)
 NETWORK = build_multi_tenant_datacenter(PROFILE)
 FLOWS = 400
 
@@ -219,11 +219,7 @@ class TestResidency:
     def test_a_scalar_run_builds_no_record_and_no_result_object(
         self, constructions, preset, churn, flows
     ):
-        (spec,) = get_preset(preset).specs()
-        spec = dataclasses.replace(
-            spec, traffic=spec.traffic.with_params(total_flows=6_000), churn=churn
-        )
-        result = ScenarioRunner().run(spec)
+        result = ScenarioRunner().run(build_spec(preset, flows=6_000, churn=churn))
         for run in result.runs.values():
             assert run.counters.flows_handled + run.counters.departed_flows == flows
         if churn is not None:
