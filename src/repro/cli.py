@@ -867,10 +867,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    from repro.common.errors import ReproError
+    from repro.common.errors import ReproError, ShardFailure
 
     try:
         return args.handler(args)
+    except ShardFailure:
+        # A bug inside one shard's replay: its (chained) traceback matters.
+        import traceback
+
+        traceback.print_exc()
+        return 1
     except (ReproError, FileNotFoundError, json.JSONDecodeError) as error:
         # KeyError deliberately not caught: a missing dict key anywhere in a
         # replay is a bug whose traceback matters, not a usage error.

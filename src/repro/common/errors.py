@@ -13,6 +13,14 @@ class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
 
 
+class ShardFailure(ReproError):
+    """A replay shard raised an exception that is not a ``ReproError``: a bug.
+
+    The message names the shard and the original exception is chained to
+    it, so the CLI prints the traceback (exit 1) instead of one usage line.
+    """
+
+
 class ConfigurationError(ReproError):
     """A configuration object is inconsistent or out of range."""
 

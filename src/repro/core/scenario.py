@@ -48,7 +48,7 @@ from repro.topology.builder import TopologyProfile
 from repro.topology.network import DataCenterNetwork
 from repro.topology.registry import get_topology
 from repro.traffic.registry import get_traffic_model
-from repro.traffic.stream import FlowStream
+from repro.traffic.stream import FlowStream, GeneratedStream
 from repro.traffic.trace import Trace
 
 if TYPE_CHECKING:
@@ -248,19 +248,33 @@ class TraceSpec:
         return getattr(self.resolved_params(), "total_flows", None)
 
     def build(self, network: DataCenterNetwork, *, name: str = "scenario") -> Trace:
-        """Generate the trace this spec describes over ``network``: the stream, collected."""
+        """Generate the trace this spec describes over ``network``: the stream, collected.
+
+        Always through the models' Python emitters: drawing a resident trace
+        in numpy would import numpy before the trace is generated rather than
+        after, and that order alone costs 2–5 MB of peak RSS (the allocator
+        keeps the holes generation leaves, which the later import would fill).
+        """
         stream = self.build_stream(network, name=name)
         return stream if isinstance(stream, Trace) else Trace.from_stream(stream)
 
-    def build_stream(self, network: DataCenterNetwork, *, name: str = "scenario") -> FlowStream:
+    def build_stream(
+        self, network: DataCenterNetwork, *, name: str = "scenario", kernel: str = "scalar"
+    ) -> FlowStream:
         """Generate the trace as a lazy chunk stream over ``network``.
 
-        The §V-D expansion needs the base's full set of silent pairs, so a
-        spec with ``expand_fraction > 0`` generates the base once here to find
-        them, and holds the extra flows (one chunk) for as long as the stream
-        lives; the base itself is still only ever resident a chunk at a time.
+        Under ``kernel="vectorized"`` a model that can draw its chunks in
+        numpy does (:meth:`GeneratedStream.drawn_as_arrays
+        <repro.traffic.stream.GeneratedStream.drawn_as_arrays>`), byte for
+        byte as its Python emitter would.  The §V-D expansion needs the base's full
+        set of silent pairs, so a spec with ``expand_fraction > 0`` generates
+        the base once here to find them, and holds the extra flows (one
+        chunk) for as long as the stream lives; the base itself is still only
+        ever resident a chunk at a time.
         """
         stream = self.entry().build(network, params=self.params, name=name)
+        if kernel == "vectorized" and isinstance(stream, GeneratedStream):
+            stream = stream.drawn_as_arrays()
         if self.expand_fraction > 0.0:
             from repro.traffic.expand import expand_trace
 
@@ -531,8 +545,8 @@ class ScenarioSpec:
         return self.traffic.build(network, name=self.name)
 
     def build_stream(self, network: DataCenterNetwork) -> FlowStream:
-        """Generate the trace as a lazy chunk stream over ``network``."""
-        return self.traffic.build_stream(network, name=self.name)
+        """Generate the trace as a lazy chunk stream over ``network`` (drawn as ``execution.kernel`` says)."""
+        return self.traffic.build_stream(network, name=self.name, kernel=self.execution.kernel)
 
     # -- serialization -------------------------------------------------------
 

@@ -26,6 +26,7 @@ from dataclasses import asdict
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.common.errors import ReproError, ShardFailure
 from repro.core.results import RunResult
 from repro.core.scenario import ScenarioSpec
 from repro.obs.tracer import NULL_TRACER, EventTracer, JsonlEventListener, TraceOptions
@@ -69,16 +70,17 @@ def _import_shard_modules(spec: ScenarioSpec) -> None:
     The package imports lazily, so a module the parent never touched would
     otherwise be imported again by each worker in its first shard: the
     traffic model and topology shape the spec names, and the vectorized
-    kernel with numpy.  (The runner has already resolved the control planes.)
-    Forked workers inherit them.
+    kernel with numpy (and, for a stream, the realistic model's array
+    emitter).  (The runner has already resolved the control planes.)  Forked
+    workers inherit them.
     """
     spec.traffic.entry()
     spec.topology.entry()
     if spec.execution.kernel == "vectorized":
-        from repro.kernel import require_numpy
-
-        require_numpy()
         import repro.kernel.columnar  # noqa: F401
+
+        if spec.execution.stream:
+            import repro.kernel.realistic  # noqa: F401
 
 
 def shard_trace(spec: ScenarioSpec, base: Optional[Trace] = None) -> Trace | FlowStream:
@@ -116,6 +118,23 @@ def shard_tracer(
     return tracer
 
 
+def shard_failure(shard: Shard, error: Exception) -> ReproError:
+    """``error`` restated with the shard it ended: index, system and ``[start, end)``.
+
+    A :class:`~repro.common.errors.ReproError` keeps its class, anything else
+    (a bug) becomes a :class:`~repro.common.errors.ShardFailure`; the caller
+    chains the original to it.  The message alone names the shard, so it
+    survives a pool worker's pickling.
+    """
+    where = f"shard {shard.index} ({shard.system}, [{shard.start}, {shard.end})) failed"
+    if isinstance(error, ReproError):
+        try:
+            return type(error)(f"{where}: {error}")
+        except TypeError:  # a subclass with a constructor of its own
+            pass
+    return ShardFailure(f"{where}: {type(error).__name__}: {error}")
+
+
 def execute_shard(
     spec: ScenarioSpec,
     shard: Shard,
@@ -136,19 +155,22 @@ def execute_shard(
     from repro.core.runner import ScenarioRunner
 
     started = perf_counter() if started is None else started
-    run, plane = ScenarioRunner()._replay_system(
-        shard.system,
-        trace,
-        schedule=spec.schedule,
-        config=spec.config,
-        failures=spec.failures,
-        churn=spec.churn,
-        perf=PerfRecorder() if collect_perf else None,
-        tracer=tracer,
-        start=shard.start,
-        end=shard.end,
-        kernel=spec.execution.kernel,
-    )
+    try:
+        run, plane = ScenarioRunner()._replay_system(
+            shard.system,
+            trace,
+            schedule=spec.schedule,
+            config=spec.config,
+            failures=spec.failures,
+            churn=spec.churn,
+            perf=PerfRecorder() if collect_perf else None,
+            tracer=tracer,
+            start=shard.start,
+            end=shard.end,
+            kernel=spec.execution.kernel,
+        )
+    except Exception as error:
+        raise shard_failure(shard, error) from error
     wall_seconds = perf_counter() - started
     bucket_count = spec.schedule.bucket_count()
     return ShardOutcome(
@@ -176,7 +198,14 @@ def execute_plan(
     the ``obs.events_path`` JSONL file is opened once for the run.  Shard
     outcomes come back in plan order either way; the merge sorts by shard
     index again regardless, so results never depend on completion order.
+    A shard that raises is named in the error (:func:`shard_failure`); a
+    missing numpy under ``kernel=vectorized`` is refused before any shard
+    starts, as the run's configuration rather than one shard's failure.
     """
+    if spec.execution.kernel == "vectorized":
+        from repro.kernel import require_numpy
+
+        require_numpy()
     timeline_bucket: Optional[float] = None
     if obs is not None and obs.timeline:
         timeline_bucket = obs.timeline_bucket_seconds or spec.schedule.bucket_seconds

@@ -17,7 +17,11 @@ option:
   of a flow chunk's columns at a time through the dataplane objects) or
   ``"vectorized"`` (the columnar numpy kernel in :mod:`repro.kernel`,
   which batches the fast path and falls back to the scalar path for
-  flows that need the control plane).
+  flows that need the control plane).  It also says how a streamed trace
+  is generated: under ``"vectorized"`` the realistic model draws its
+  chunks in numpy (:mod:`repro.kernel.realistic`), byte-identical to the
+  Python emitter that every ``"scalar"`` run, and every materialized
+  trace, uses.
 
 Execution knobs never change *what* a serial replay measures — only how
 (and how fast) the measurement is produced.
@@ -127,7 +131,9 @@ class ExecutionSpec:
         if stripped.startswith("{"):
             try:
                 parsed = json.loads(stripped)
-            except json.JSONDecodeError as error:
+            except (ValueError, RecursionError) as error:
+                # ValueError: malformed, or an integer past int's digit limit;
+                # RecursionError: nested deeper than the decoder goes.
                 raise ConfigurationError(f"--exec is not valid JSON: {error}") from None
             if not isinstance(parsed, dict):
                 raise ConfigurationError("--exec JSON must be an object")

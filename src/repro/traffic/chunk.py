@@ -17,7 +17,9 @@ The data flow is therefore *columns → arrays → (records on demand)*:
   nothing skipped) before they become arrays.  :meth:`FlowChunk.from_draws`
   is the same for ``(start_time, src, dst, packets, bytes, duration)``
   tuples — transposed, then handed to it — which is what a k-way merge of
-  streams produces;
+  streams produces.  :meth:`FlowChunk.from_buffers` views six buffers
+  already checked (an unpickled chunk's bytes, the realistic model's numpy
+  columns under ``kernel=vectorized``) without a copy;
 * slicing yields a *view* over the same buffers, :attr:`start_times` is
   directly bisectable, and :meth:`columns` hands out the raw buffers — the
   kernel wraps them with ``numpy.frombuffer`` without a copy.  This module
@@ -75,16 +77,6 @@ def _frozen(columns: Iterable[Iterable]) -> Tuple[memoryview, ...]:
         memoryview(array(typecode, column)).toreadonly()
         for typecode, column in zip(COLUMN_TYPECODES, columns)
     )
-
-
-def _from_buffers(buffers: Sequence, first_id: int) -> "FlowChunk":
-    """A minting chunk over copies of six byte buffers (how a chunk unpickles)."""
-    columns = []
-    for typecode, buffer in zip(COLUMN_TYPECODES, buffers):
-        column = array(typecode)
-        column.frombytes(buffer)
-        columns.append(memoryview(column).toreadonly())
-    return FlowChunk(tuple(columns), first_id)
 
 
 def _shared(column: memoryview) -> Iterator:
@@ -169,6 +161,23 @@ class FlowChunk(SequenceABC):
         return cls(_frozen(columns), first_id)
 
     @classmethod
+    def from_buffers(cls, buffers: Sequence, first_id: int = 0) -> "FlowChunk":
+        """A chunk viewing six C-contiguous buffers of raw column bytes, unvalidated.
+
+        Each buffer is read in place as its column's typecode, so ``bytes``,
+        an ``array`` or a numpy array all do, and the chunk keeps it alive.
+        For columns already checked as :meth:`from_columns` checks them: a
+        chunk unpickling, or an array emitter's replay-ordered draws.
+        """
+        return cls(
+            tuple(
+                memoryview(buffer).cast("B").cast(typecode).toreadonly()
+                for typecode, buffer in zip(COLUMN_TYPECODES, buffers)
+            ),
+            first_id,
+        )
+
+    @classmethod
     def from_draws(cls, draws: Iterable[FlowDraw], first_id: int = 0) -> "FlowChunk":
         """Replay-ordered draws as a chunk: transposed, then :meth:`from_columns`."""
         return cls.from_columns(_transpose(draws), first_id)
@@ -227,7 +236,7 @@ class FlowChunk(SequenceABC):
         # stays as picklable and deep-copyable as one holding records.
         if self._records is not None:
             return (FlowChunk.from_records, (self._records,))
-        return (_from_buffers, ([column.tobytes() for column in self._columns], self._first_id))
+        return (FlowChunk.from_buffers, ([column.tobytes() for column in self._columns], self._first_id))
 
     # -- columns ---------------------------------------------------------------
 

@@ -69,9 +69,18 @@ class RealisticTraceProfile:
             raise ConfigurationError("zipf_exponent must be positive")
 
 
+#: A flow's payload per packet, its duration per packet and its longest duration.
+BYTES_PER_PACKET = 1400
+SECONDS_PER_PACKET = 0.05
+MAX_FLOW_SECONDS = 60.0
+
+#: Packets per flow are 1 + an exponential draw of this rate (mean 12).
+PACKET_RATE = 1.0 / 12.0
+
+
 def _duration_of(packet_count: int) -> float:
     """A flow's duration: 50 ms a packet, capped at a minute."""
-    return min(60.0, packet_count * 0.05)
+    return min(MAX_FLOW_SECONDS, packet_count * SECONDS_PER_PACKET)
 
 
 def diurnal_spans(duration_hours: float) -> List[Tuple[float, float, float]]:
@@ -132,7 +141,7 @@ class RealisticTraceGenerator:
         hot_population = len(hot_pairs)
         cold_population = len(cold_pairs)
         cold_bits = cold_population.bit_length()
-        packet_rate = 1.0 / 12.0
+        packet_rate = PACKET_RATE
 
         def emit(rng, window: ChunkWindow) -> Tuple[List, ...]:
             # The hot loop of trace generation.  Bound methods are hoisted and
@@ -167,9 +176,25 @@ class RealisticTraceGenerator:
                 add_time(start + random() * span)
                 add_source(src)
                 add_destination(dst)
-            byte_counts = [packet_count * 1400 for packet_count in packets]
+            byte_counts = [packet_count * BYTES_PER_PACKET for packet_count in packets]
             durations = per_distinct(_duration_of, packets)
             return times, sources, destinations, packets, byte_counts, durations
+
+        def array_emitter():
+            # The same draws parsed in numpy (kernel=vectorized); emit above
+            # stays the reference they are held to.
+            from repro.kernel import require_numpy
+
+            require_numpy()
+            from repro.kernel.realistic import RealisticArrayEmitter
+
+            return RealisticArrayEmitter(
+                hot_pairs,
+                cold_pairs,
+                hot_share=hot_share,
+                zipf_exponent=zipf_exponent,
+                packet_rate=packet_rate,
+            )
 
         return GeneratedStream(
             name,
@@ -179,6 +204,7 @@ class RealisticTraceGenerator:
             seed=profile.seed,
             rng_label=("realistic-trace", name),
             duration=profile.duration_hours * 3600.0,
+            array_emitter=array_emitter,
         )
 
     def generate(self, *, name: str = "real-like") -> Trace:

@@ -41,6 +41,7 @@ The contract every stream upholds:
 
 from __future__ import annotations
 
+import copy
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -286,6 +287,12 @@ class FlowStreamBase:
 #: start times, sources, destinations, packets, bytes, durations.
 ChunkEmitter = Callable[..., Sequence[List]]
 
+#: Produces one chunk whole: ``(rng, window, first_id) -> FlowChunk``,
+#: replay-ordered and validated, byte-identical to what the model's
+#: :data:`ChunkEmitter` yields from the same ``rng`` (which it may draw past
+#: the chunk's flows: each chunk's ``rng`` is its own).
+ArrayEmitter = Callable[..., FlowChunk]
+
 
 def in_replay_order(columns: Sequence[Sequence]) -> Sequence[Sequence]:
     """One chunk's columns, gathered into replay order through one permutation.
@@ -331,6 +338,10 @@ class GeneratedStream(FlowStreamBase):
     check run on the chunk's columns, so a faulty emitter fails here exactly
     as it did when every draw became a record — and no record is built
     until a consumer asks for one.
+
+    A model may also offer ``array_emitter``, a zero-argument factory of an
+    :data:`ArrayEmitter` that draws the same chunks in numpy;
+    :meth:`drawn_as_arrays` is the stream that uses it (``kernel=vectorized``).
     """
 
     def __init__(
@@ -343,11 +354,14 @@ class GeneratedStream(FlowStreamBase):
         seed: int,
         rng_label: str | Tuple[str, ...],
         duration: float,
+        array_emitter: Optional[Callable[[], ArrayEmitter]] = None,
     ) -> None:
         self.name = name
         self.network = network
         self._windows = list(windows)
         self._emit = emit
+        self._array_emitter = array_emitter
+        self._draw_chunk: Optional[ArrayEmitter] = None
         self._seed = seed
         self._rng_labels = (rng_label,) if isinstance(rng_label, str) else tuple(rng_label)
         self._duration = duration
@@ -367,6 +381,18 @@ class GeneratedStream(FlowStreamBase):
 
     def chunks(self) -> Iterator[FlowChunk]:
         return self.chunks_from(0.0)
+
+    def drawn_as_arrays(self) -> "GeneratedStream":
+        """This stream with its chunks drawn by the model's array emitter, if it has one.
+
+        The chunks are byte-identical either way; only what draws them
+        changes.  Without an array emitter the stream itself is returned.
+        """
+        if self._array_emitter is None:
+            return self
+        stream = copy.copy(self)
+        stream._draw_chunk = self._array_emitter()
+        return stream
 
     def chunks_from(self, start: float, end: Optional[float] = None) -> Iterator[FlowChunk]:
         """Chunks that may contain flows in ``[start, end)``, ids intact.
@@ -399,31 +425,44 @@ class GeneratedStream(FlowStreamBase):
             if end is not None and window.start >= end:
                 return
             rng = make_rng(self._seed, *self._rng_labels, "chunk", str(window.index))
-            columns = self._emit(rng, window)
-            drawn = len(columns[0])
-            if drawn != window.flow_count:
-                raise TrafficError(
-                    f"traffic model {self._rng_labels[0]!r} (stream {self.name!r}) drew "
-                    f"{drawn} flows for window {window.index} "
-                    f"[{window.start}, {window.end}), which planned {window.flow_count}"
-                )
-            if len(columns) != len(COLUMN_TYPECODES) or any(len(column) != drawn for column in columns):
-                raise TrafficError(
-                    f"traffic model {self._rng_labels[0]!r} (stream {self.name!r}) returned "
-                    f"columns of lengths {[len(column) for column in columns]} for window "
-                    f"{window.index}; an emitter returns six columns of one length"
-                )
-            columns = in_replay_order(columns)
-            if columns[0][0] < window.start:
-                raise TrafficError(
-                    f"traffic model {self._rng_labels[0]!r} (stream {self.name!r}) drew an "
-                    f"arrival at {columns[0][0]} for window {window.index} "
-                    f"[{window.start}, {window.end}), before the window starts"
-                )
-            chunk = FlowChunk.from_columns(columns, flow_id)
+            if self._draw_chunk is None:
+                columns = self._emit(rng, window)
+                self._check_drawn(window, len(columns[0]))
+                if len(columns) != len(COLUMN_TYPECODES) or any(
+                    len(column) != len(columns[0]) for column in columns
+                ):
+                    raise TrafficError(
+                        f"traffic model {self._rng_labels[0]!r} (stream {self.name!r}) returned "
+                        f"columns of lengths {[len(column) for column in columns]} for window "
+                        f"{window.index}; an emitter returns six columns of one length"
+                    )
+                columns = in_replay_order(columns)
+                self._check_first_arrival(window, columns[0][0])
+                chunk = FlowChunk.from_columns(columns, flow_id)
+            else:
+                chunk = self._draw_chunk(rng, window, flow_id)
+                self._check_drawn(window, len(chunk))
+                self._check_first_arrival(window, chunk.start_times[0])
             chunk.check_hosts(self._host_ids.__contains__)
             flow_id += window.flow_count
             yield chunk
+
+
+    def _check_drawn(self, window: ChunkWindow, drawn: int) -> None:
+        if drawn != window.flow_count:
+            raise TrafficError(
+                f"traffic model {self._rng_labels[0]!r} (stream {self.name!r}) drew "
+                f"{drawn} flows for window {window.index} "
+                f"[{window.start}, {window.end}), which planned {window.flow_count}"
+            )
+
+    def _check_first_arrival(self, window: ChunkWindow, first: float) -> None:
+        if first < window.start:
+            raise TrafficError(
+                f"traffic model {self._rng_labels[0]!r} (stream {self.name!r}) drew an "
+                f"arrival at {first} for window {window.index} "
+                f"[{window.start}, {window.end}), before the window starts"
+            )
 
 
 class MergedStream(FlowStreamBase):

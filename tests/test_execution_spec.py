@@ -203,6 +203,22 @@ execution_keys = st.sampled_from(FIELDS + ["shard-count", "Workers", "chunk_flow
 execution_values = json_values | st.sampled_from(["time-window", "vectorized", "4", "yes"])
 execution_blocks = st.dictionaries(execution_keys, execution_values, max_size=5)
 
+#: A JSON value as ``--exec`` text, including what the decoder itself refuses:
+#: integers past int's 4 300-digit limit and arrays nested past its depth.
+raw_json_values = (
+    json_values.map(json.dumps)
+    | st.integers(4_000, 5_000).map(lambda digits: "7" * digits)
+    | st.integers(1, 3_000).map(lambda depth: "[" * depth + "]" * depth)
+    | st.sampled_from(["NaN", "-Infinity", "1e400", "1.5", "true", '"4"', "{}", "[", '"\\ud800"'])
+)
+#: The value of a ``key=value`` entry: numbers, booleans, names and noise.
+value_words = (
+    st.text(max_size=8)
+    | st.integers(-(2**80), 2**80).map(str)
+    | st.integers(4_400, 5_000).map(lambda digits: "9" * digits)
+    | st.sampled_from(["true", "off", "time-window", "vectorized", " 4 ", "1_000", "٣", "0x10", "=", "a=b"])
+)
+
 
 def well_typed(spec):
     return (
@@ -223,9 +239,20 @@ class TestExecutionFuzz:
         | st.lists(st.tuples(execution_keys, st.text(max_size=8)), max_size=4).map(
             lambda pairs: ",".join(f"{key}={value}" for key, value in pairs)
         )
+        | st.lists(st.tuples(execution_keys, raw_json_values), max_size=4).map(
+            lambda items: "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in items) + "}"
+        )
+        | st.lists(st.tuples(execution_keys, value_words), max_size=4).map(
+            lambda pairs: ",".join(f"{key}={value}" for key, value in pairs)
+        )
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     def test_parse(self, text):
+        """Any ``--exec`` text, up to the decoder's limits: a huge integer, deep nesting, odd words.
+
+        Only parsed: a spec that parses (``workers=99999999999999999999999``
+        does) is never run, so no drawn value can reach a worker pool.
+        """
         try:
             spec = ExecutionSpec.parse(text)
         except ConfigurationError:

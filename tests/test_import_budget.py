@@ -125,16 +125,24 @@ def test_churn_run_imports_the_churn_subsystem():
     assert "repro.churn" in modules and "repro.churn.scheduler" in modules
 
 
-def test_a_pooled_vectorized_run_imports_the_kernel_before_forking():
-    """The parent imports what every shard needs, so no worker imports numpy again."""
+@pytest.mark.parametrize(
+    "stream, drawn_as_arrays", [(False, False), (True, True)], ids=["materialized", "streamed"]
+)
+def test_a_pooled_vectorized_run_imports_the_kernel_before_forking(stream, drawn_as_arrays):
+    """The parent imports what every shard needs, so no worker imports numpy again.
+
+    A streamed realistic trace is drawn by ``repro.kernel.realistic``; a
+    materialized one by the Python emitter, which never imports it.
+    """
     pytest.importorskip("numpy")
     code, modules, err = _modules_after(
         RUN
         + ["--switches", "8", "--hosts", "60", "--systems", "lazyctrl-dynamic"]
-        + ["--exec", "workers=2,shard-strategy=time-window,shard-count=2,kernel=vectorized"]
+        + ["--exec", f"workers=2,shard-strategy=time-window,shard-count=2,kernel=vectorized,stream={stream}"]
     )
     assert code == 0, err
     assert {"numpy", "repro.kernel.columnar", "multiprocessing"} <= modules
+    assert ("repro.kernel.realistic" in modules) == drawn_as_arrays
 
 
 @pytest.mark.parametrize("package", PACKAGES)

@@ -29,7 +29,8 @@ def _cli(argv, *, prelude=""):
         f"{prelude}\n"
         "from repro.cli import main\n"
         f"code = main({argv!r})\n"
-        "loaded = [name for name in ('numpy', 'repro.kernel', 'repro.kernel.columnar')\n"
+        "loaded = [name for name in ('numpy', 'repro.kernel', 'repro.kernel.columnar',\n"
+        "                            'repro.kernel.realistic')\n"
         "          if sys.modules.get(name) is not None]\n"
         "print('LOADED', loaded)\n"
         "sys.exit(code)\n"

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from equivalence import Cell, outcome
 from equivalence import fig7 as mini_fig7
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ReproError, ShardFailure, TrafficError
 from repro.core.runner import ScenarioRunner
 from repro.core.scenario import ScheduleSpec, TraceSpec
 from repro.replay.sharding import plan_shards
@@ -235,3 +235,103 @@ class TestPoolWorkerPayload:
         with pytest.raises(ValueError, match="zero shard outcomes"):
             merge_outcomes([], schedule=ScheduleSpec())
 
+
+# -- a failing shard -------------------------------------------------------------------
+
+
+class _FailingPlane:
+    """A third-party plane whose flow handling raises from ``FAIL_FROM`` seconds on."""
+
+    FAIL_FROM = 2 * 3600.0
+    error = ValueError
+
+    def __init__(self, network, *, config=None, workload_bucket_seconds, latency_bucket_seconds):
+        from repro.core.results import SystemCounters
+        from repro.simulation.metrics import CounterSeries, LatencyRecorder
+
+        self.network = network
+        self.counters = SystemCounters()
+        self.latency_recorder = LatencyRecorder(latency_bucket_seconds)
+        self._workload = CounterSeries(workload_bucket_seconds)
+
+    def prepare(self, trace, *, warmup_end, now=0.0):
+        pass
+
+    def handle_flow_arrival(self, flow, now):
+        if now >= self.FAIL_FROM:
+            raise self.error(f"flow {flow.flow_id} refused")
+        self.counters.flows_handled += 1
+        self._workload.record(now)
+        self.latency_recorder.record(now, 1.0)
+
+    def periodic(self, now):
+        pass
+
+    def workload_series(self):
+        return self._workload
+
+    def total_controller_requests(self):
+        return 0
+
+    def updates_per_hour(self, *, hours):
+        return [0.0] * hours
+
+
+class TestAFailingShardNamesItself:
+    """An exception out of a shard's replay says which shard, in process and from a pool."""
+
+    @pytest.fixture(params=[ValueError, TrafficError], ids=["foreign", "repro"])
+    def failing_plane(self, request, monkeypatch):
+        from repro.core.registry import register_control_plane, unregister_control_plane
+
+        monkeypatch.setattr(_FailingPlane, "error", request.param)
+        register_control_plane("test-failing", label="Failing")(_FailingPlane)
+        yield request.param
+        unregister_control_plane("test-failing")
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pooled"])
+    def test_the_error_names_the_shard(self, failing_plane, workers):
+        spec = mini_fig7(
+            flows=600,
+            systems=("test-failing",),
+            schedule=ScheduleSpec(duration_hours=4.0, bucket_hours=2.0),
+            execution=ExecutionSpec(workers=workers, shard_strategy="time-window", shard_count=2),
+        )
+        with pytest.raises(ReproError) as raised:
+            ScenarioRunner().run(spec)
+        error = raised.value
+        # The second window, [2 h, 4 h), is the one that fails.
+        assert str(error).startswith("shard 1 (test-failing, [7200.0, 14400.0)) failed: ")
+        assert "refused" in str(error)
+        if failing_plane is TrafficError:
+            assert type(error) is TrafficError
+        else:
+            assert type(error) is ShardFailure and "ValueError" in str(error)
+        if workers == 1:
+            assert isinstance(error.__cause__, failing_plane)
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pooled"])
+    def test_the_cli_prints_a_bug_with_its_traceback(self, failing_plane, workers, capsys):
+        """A usage error is one ``error:`` line (exit 2); a bug keeps its traceback (exit 1)."""
+        from repro.cli import main
+
+        code = main(
+            [
+                "run",
+                "paper-fig7",
+                "--flows=600",
+                "--switches=8",
+                "--hosts=60",
+                "--duration-hours=4",
+                "--systems=test-failing",
+                f"--exec=workers={workers},shard-strategy=time-window,shard-count=2",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert "shard 1 (test-failing, [7200.0, 14400.0)) failed: " in err
+        if failing_plane is TrafficError:
+            assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+        else:
+            assert code == 1 and "Traceback" in err
+            # The original raise site survives, from the worker too.
+            assert "handle_flow_arrival" in err

@@ -296,6 +296,139 @@ def _emits_as_the_reference(stream, reference_emit, *, rng_type=random.Random):
     return rngs
 
 
+def _chunk_bytes(stream):
+    """Every chunk of ``stream`` as (first id, six (format, bytes) buffers)."""
+    return [
+        (chunk.first_id, [(column.format, column.tobytes()) for column in chunk.columns()])
+        for chunk in stream.chunks()
+    ]
+
+
+_NETWORKS = {}
+
+
+def _network_of(host_count):
+    if host_count not in _NETWORKS:
+        _NETWORKS[host_count] = build_multi_tenant_datacenter(
+            TopologyProfile(
+                switch_count=max(2, host_count // 10),
+                host_count=host_count,
+                min_tenant_size=1,
+                max_tenant_size=max(3, host_count // 4),
+                seed=host_count,
+            )
+        )
+    return _NETWORKS[host_count]
+
+
+def _realistic_case(draw, st):
+    """A network and realistic profile; some pin the cold population at 2**k - 1, 2**k or 2**k + 1."""
+    host_count = draw(st.sampled_from([6, 24, 80]))
+    params = dict(
+        total_flows=draw(st.one_of(st.integers(1, 30), st.integers(1, 3000))),
+        duration_hours=draw(st.sampled_from([0.5, 1.0, 2.5, 24.0])),
+        hot_pair_flow_share=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+        zipf_exponent=draw(st.floats(0.05, 4.0)),
+        hot_pair_fraction=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    cold_population = None
+    if host_count > 6 and draw(st.booleans()):
+        # One hot pair and `cold_population` cold ones: pairs drawn uniformly
+        # (no tenant bias) until the target, one more than the cold population.
+        k = draw(st.integers(3, 6))
+        cold_population = 2**k + draw(st.sampled_from([-1, 0, 1]))
+        total_pairs = host_count * (host_count - 1) // 2
+        params.update(
+            hot_pair_fraction=0.0,
+            intra_tenant_fraction=0.0,
+            active_pair_fraction=(cold_population + 1.5) / total_pairs,
+        )
+    return _network_of(host_count), RealisticTraceProfile(**params), cold_population
+
+
+def test_array_emitter_builds_the_python_emitters_chunks():
+    """Under kernel=vectorized the realistic chunks are parsed from MT words in numpy, byte for byte.
+
+    Covers both hot shares' extremes, cold populations at a power of two
+    (every other try redrawn) and beside it, one-flow windows, blocks whose
+    word budget runs out (squeezed) and the math recheck of every floor.
+    """
+    pytest.importorskip("numpy")
+    pytest.importorskip("hypothesis")
+    from unittest import mock
+
+    from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+    import repro.kernel.realistic as array_emitter
+
+    def pinned(host_count, **params):
+        return _network_of(host_count), RealisticTraceProfile(**params), None
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @example(case=pinned(6, total_flows=1, duration_hours=1.0), squeeze=False, recheck=False)
+    @example(case=pinned(24, total_flows=24, hot_pair_flow_share=0.0), squeeze=True, recheck=True)
+    @example(case=pinned(24, total_flows=900, hot_pair_flow_share=1.0), squeeze=True, recheck=False)
+    @given(
+        case=st.composite(lambda draw: _realistic_case(draw, st))(),
+        squeeze=st.booleans(),
+        recheck=st.booleans(),
+    )
+    def emits_alike(case, squeeze, recheck):
+        network, profile, cold_population = case
+        stream = RealisticTraceGenerator(network, profile).stream()
+        if cold_population is not None:
+            assert len(_setup_of(stream)["cold_pairs"]) == cold_population
+        expected = _chunk_bytes(stream)
+        with mock.patch.multiple(
+            array_emitter,
+            WORD_BUDGET_FACTOR=0.1 if squeeze else array_emitter.WORD_BUDGET_FACTOR,
+            WORD_BUDGET_SLACK=1 if squeeze else array_emitter.WORD_BUDGET_SLACK,
+            NEAR_INTEGER=1.0 if recheck else array_emitter.NEAR_INTEGER,
+        ), mock.patch.object(
+            array_emitter.RealisticArrayEmitter,
+            "_chase",
+            autospec=True,
+            side_effect=array_emitter.RealisticArrayEmitter._chase,
+        ) as chase:
+            assert _chunk_bytes(stream.drawn_as_arrays()) == expected
+        if squeeze and profile.total_flows > 1:
+            # Blocks ran out of words and left flows to the next.
+            assert chase.call_count > len(expected)
+
+    emits_alike()
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["equal", "one-above"])
+def test_array_emitter_breaks_a_hot_test_tie_on_the_low_digit(network, above):
+    """The first flow's hot draw equals the share's top 27 bits: its low 26 bits decide."""
+    pytest.importorskip("numpy")
+    stream = RealisticTraceGenerator(network, RealisticTraceProfile(total_flows=500, seed=3)).stream()
+    window = next(window for window in stream._windows if window.flow_count)
+    rng = random.Random(derive_seed(stream._seed, *stream._rng_labels, "chunk", str(window.index)))
+    first, second = rng.getrandbits(32), rng.getrandbits(32)
+    draw = (first >> 5) * 2**26 + (second >> 6)
+    assert (second >> 6) < 2**26 - 1  # draw + 1 keeps the top digit
+    share = (draw + above) / 2**53
+    profile = RealisticTraceProfile(total_flows=500, seed=3, hot_pair_flow_share=share)
+    stream = RealisticTraceGenerator(network, profile).stream()
+    assert _chunk_bytes(stream.drawn_as_arrays()) == _chunk_bytes(stream)
+
+
+def test_array_emitter_orders_tied_start_times_by_the_whole_row():
+    np = pytest.importorskip("numpy")
+    from repro.kernel.realistic import _ordered_chunk
+    from repro.traffic.chunk import FlowChunk
+    from repro.traffic.realistic import BYTES_PER_PACKET, _duration_of
+    from repro.traffic.stream import in_replay_order
+
+    times, src, dst, packets = [5.0, 1.0, 5.0, 5.0, 1.0, 5.0], [3, 2, 1, 3, 2, 3], [4, 5, 6, 4, 5, 4], [2, 1, 7, 1, 1, 2]
+    columns = [times, src, dst, packets, [n * BYTES_PER_PACKET for n in packets], [_duration_of(n) for n in packets]]
+    expected = FlowChunk.from_columns(in_replay_order(columns), 10)
+    chunk = _ordered_chunk(*map(np.array, (times, src, dst, packets)), 10)
+    assert [column.tobytes() for column in chunk.columns()] == [column.tobytes() for column in expected.columns()]
+
+
 class TestRealisticGenerator:
     @pytest.mark.parametrize("seed", [7, 2015])
     def test_tightened_emit_loop_draws_what_the_original_drew(self, network, seed):
