@@ -6,6 +6,7 @@ Seven subcommands cover the everyday workflow::
     python -m repro run my-scenario.json --out out.json  # run a spec file
     python -m repro run traffic-mix --traffic uniform    # swap the workload
     python -m repro compare out.json                     # reductions vs baseline
+    python -m repro compare paper-fig7 --flows 2000      # ... of a fresh preset run
     python -m repro list-scenarios                       # presets + control planes
     python -m repro list-traffic-models                  # registered trace generators
     python -m repro list-topologies                      # registered topology shapes
@@ -19,31 +20,37 @@ Seven subcommands cover the everyday workflow::
     python -m repro trace-export ev.jsonl --out trace.json  # Perfetto-loadable
 
 ``run`` accepts either a preset name (see ``list-scenarios``) or a path to a
-JSON scenario spec (written with ``ScenarioSpec.save`` or by hand).  Common
-spec fields can be overridden from the command line (``--flows``,
-``--switches``, ``--hosts``, ``--duration-hours``, ``--systems``, ``--seed``,
-``--traffic``, ``--topology``, ``--churn-rate``, ``--churn-seed``).  Each
-override edits the one place the spec keeps its setting:
-``--table-capacity``/``--table-policy`` put finite-flow-table pressure into
-``config.flow_table``, ``--queueing-ms`` sets the queueing term in
-``config.latency``, and ``--uplink-mbps`` sets the capacity in ``links``.
-``--exec`` overrides the spec's :class:`~repro.replay.spec.ExecutionSpec`
-— *how* the replay runs — as ``key=value`` pairs or a JSON object::
+JSON scenario spec (written with ``ScenarioSpec.save`` or by hand).
+
+The run-like subcommands — ``run``, ``profile``, ``timeline``, ``heatmap``,
+``bench`` and ``compare`` on a preset — share one run loop (:func:`_runs`)
+and one set of spec-override flags.  Each flag is one row of
+:data:`OVERRIDE_FLAGS`: the flag, its argparse type and help, and the spec
+edit it makes.  The rows are applied in table order, and each edits the one
+place the spec keeps its setting: ``--flows``, ``--switches``, ``--hosts``,
+``--seed`` (topology and traffic seed), ``--duration-hours``,
+``--systems``, ``--churn-rate`` / ``--churn-seed``,
+``--table-capacity`` / ``--table-policy`` (``config.flow_table``),
+``--queueing-ms`` (``config.latency``) and ``--uplink-mbps`` (``links``).
+``--traffic`` and ``--topology`` swap in any registered traffic model or
+topology shape by name, carrying the old spec's dimensions over where the
+new shape supports them.  ``--exec`` overrides the spec's
+:class:`~repro.replay.spec.ExecutionSpec` — *how* the replay runs — as
+``key=value`` pairs or a JSON object::
 
     python -m repro run paper-fig7-10m --exec workers=4,shard-strategy=time-window,shard-count=8
     python -m repro bench --presets paper-fig7 --exec '{"workers": 4}'
 
-Multi-scenario presets fan out over ``--workers`` processes.  ``--traffic``
-and ``--topology`` swap in any registered traffic model or topology shape by
-name, carrying the old spec's dimensions over where the new shape supports
-them.  ``bench`` replays the benchmark presets and writes one
-``BENCH_<scenario>.json`` per scenario (controller workload, latency,
-regroup, churn, table and link counters, per-bucket timelines — nothing
-timed); with ``--check`` it additionally compares the fresh payloads
-against the baselines committed under ``benchmarks/baselines/`` and exits
-non-zero on drift.  Timing lives in the stage ledger
-(``benchmarks/ledger/``).  ``profile`` instruments a replay and prints
-where the wall-clock went, stage by stage.
+``compare`` takes the flags too, for a preset it runs; a results file is
+compared as it was written.  Multi-scenario presets fan out over
+``run --workers`` processes.  ``bench`` replays the benchmark presets and
+writes one ``BENCH_<scenario>.json`` per scenario (controller workload,
+latency, regroup, churn, table and link counters, per-bucket timelines —
+nothing timed); with ``--check`` each fresh payload, minus its
+``execution`` block, must equal the baseline committed under
+``benchmarks/baselines/``, or the command exits non-zero.  Timing lives in
+the stage ledger (``benchmarks/ledger/``).  ``profile`` instruments a
+replay and prints where the wall-clock went, stage by stage.
 
 Observability: ``run --events-out events.jsonl`` streams every structured
 event (packet-ins, flow installs/removals, evictions, regroupings, churn) to
@@ -60,7 +67,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.core.runner import ScenarioResult
@@ -87,153 +94,222 @@ SMOKE_BENCH_PRESETS = (
 #: Where ``bench --check`` looks for committed baselines by default.
 DEFAULT_BASELINE_DIR = "benchmarks/baselines"
 
+#: Help of the positional argument of ``run``, ``profile``, ``timeline`` and ``heatmap``.
+SCENARIO_HELP = "preset name or path to a ScenarioSpec JSON file"
 
-def _load_specs(target: str) -> List[ScenarioSpec]:
-    """Resolve a CLI scenario argument into specs: a JSON file or a preset name."""
+
+def _replace(obj, **changes):
+    """``dataclasses.replace``, imported on first use so ``--help`` never loads it."""
+    import dataclasses
+
+    return dataclasses.replace(obj, **changes)
+
+
+# -- the override flags --------------------------------------------------------
+
+
+def _swap(field: str, kind: str, carried: Sequence[str]) -> Callable[[ScenarioSpec, str], ScenarioSpec]:
+    """The edit swapping ``spec.<field>`` for the registry entry named by its ``kind`` field.
+
+    The swapped-in entry keeps those of the old entry's resolved ``carried``
+    params it accepts.  Without this a ``--traffic`` / ``--topology`` swap
+    would silently fall back to the new entry's defaults (e.g. 200k flows)
+    instead of the preset's scale.
+    """
+
+    def apply(spec: ScenarioSpec, name: str) -> ScenarioSpec:
+        old = getattr(spec, field)
+        if name == getattr(old, kind):
+            return spec
+        replacement = type(old)(**{kind: name})
+        supported = replacement.entry().param_names()
+        old_params = old.resolved_params()
+        params = {
+            key: getattr(old_params, key)
+            for key in carried
+            if key in supported and getattr(old_params, key, None) is not None
+        }
+        return _replace(spec, **{field: replacement.with_params(**params)})
+
+    return apply
+
+
+def _field(path: str) -> Callable[[Any, Any], Any]:
+    """The edit setting the (nested) dataclass field at dotted ``path`` to the flag's value."""
+    head, _, rest = path.partition(".")
+    if not rest:
+        return lambda owner, value: _replace(owner, **{head: value})
+    inner = _field(rest)
+    return lambda owner, value: _replace(owner, **{head: inner(getattr(owner, head), value)})
+
+
+def _params(key: str, *fields: str) -> Callable[[ScenarioSpec, Any], ScenarioSpec]:
+    """The edit setting registry param ``key`` of each of ``spec.<fields>`` to the flag's value."""
+    return lambda spec, value: _replace(
+        spec, **{field: getattr(spec, field).with_params(**{key: value}) for field in fields}
+    )
+
+
+def _set_switches(spec: ScenarioSpec, switches: int) -> ScenarioSpec:
+    if switches != spec.topology.dimensions()[0]:
+        # Re-run the preset sizing heuristic: a group-size limit tuned
+        # for the original scale would let a smaller topology collapse
+        # into a single group and never exercise inter-group traffic.
+        from repro.core.presets import default_grouping_config
+
+        limit = default_grouping_config(switches).grouping.group_size_limit
+        spec = _field("config.grouping.group_size_limit")(spec, limit)
+    return _params("switch_count", "topology")(spec, switches)
+
+
+def _set_exec(spec: ScenarioSpec, text: str) -> ScenarioSpec:
+    from repro.replay.spec import ExecutionSpec
+
+    return _replace(spec, execution=ExecutionSpec.parse(text, base=spec.execution))
+
+
+def _churn(spec: ScenarioSpec, **changes: float) -> ScenarioSpec:
+    """``spec`` with ``changes`` made to its churn section (a default one if it has none)."""
+    from repro.churn.spec import ChurnSpec
+
+    return _replace(spec, churn=_replace(spec.churn or ChurnSpec(), **changes))
+
+
+def _set_churn_rate(spec: ScenarioSpec, rate: float) -> ScenarioSpec:
+    if rate == 0:
+        # Zero disables every churn process, not just migrations.
+        rates = ("migration", "drift", "tenant_arrival", "tenant_departure")
+        return _churn(spec, **{f"{process}_rate_per_hour": 0.0 for process in rates})
+    return _churn(spec, migration_rate_per_hour=rate)
+
+
+def _set_uplink(spec: ScenarioSpec, mbps: float) -> ScenarioSpec:
+    from repro.bandwidth.spec import LinkCapacitySpec
+
+    return _replace(spec, links=_replace(spec.links or LinkCapacitySpec(), uplink_mbps=mbps))
+
+
+def _set_table_policy(spec: ScenarioSpec, policy: str) -> ScenarioSpec:
+    # Swapping the policy drops the old policy's params (they rarely
+    # transfer between policies) but keeps capacity and timeouts.
+    table = _replace(spec.config.flow_table, policy=policy, policy_params={})
+    return _field("config.flow_table")(spec, table)
+
+
+#: Every spec-override flag as ``(flag, argparse type, help, spec edit)``,
+#: applied in this order.  The swaps come first so that ``--switches`` /
+#: ``--flows`` / ``--seed`` edit the swapped-in entry.
+OVERRIDE_FLAGS = (
+    (
+        "--topology", str, "swap in a registered topology shape by name (see list-topologies)",
+        _swap("topology", "shape", ("switch_count", "host_count", "seed")),
+    ),
+    (
+        "--traffic", str, "swap in a registered traffic model by name (see list-traffic-models)",
+        _swap("traffic", "model", ("total_flows", "duration_hours", "seed")),
+    ),
+    ("--switches", int, "override switch count", _set_switches),
+    ("--hosts", int, "override host count", _params("host_count", "topology")),
+    ("--flows", int, "override total flow count", _params("total_flows", "traffic")),
+    ("--seed", int, "override topology/traffic seed", _params("seed", "topology", "traffic")),
+    ("--duration-hours", float, "override replay duration", _field("schedule.duration_hours")),
+    (
+        "--systems", str, "comma-separated control-plane names",
+        lambda spec, names: _replace(spec, systems=tuple(n.strip() for n in names.split(",") if n.strip())),
+    ),
+    (
+        "--exec", str,
+        "override the execution spec as key=value pairs (workers, shard-strategy, "
+        "shard-count, stream, kernel) or a JSON object, e.g. --exec workers=4,shard-strategy=time-window",
+        _set_exec,
+    ),
+    (
+        "--table-policy", str, "timeout/eviction policy for the flow tables (see list-table-policies)",
+        _set_table_policy,
+    ),
+    (
+        "--table-capacity", int, "cap every switch's flow table at this many rules",
+        lambda spec, capacity: _field("config.flow_table")(spec, spec.config.flow_table.resized(capacity)),
+    ),
+    (
+        "--queueing-ms", float,
+        "M/M/1 service time in ms for the utilization-dependent queueing "
+        "delay on capacitated uplinks (0 disables the term)",
+        _field("config.latency.queueing_service_ms"),
+    ),
+    (
+        "--churn-rate", float,
+        "override the VM migration churn rate (migrations per simulated hour; 0 disables)",
+        _set_churn_rate,
+    ),
+    ("--churn-seed", int, "override the churn RNG seed", lambda spec, seed: _churn(spec, seed=seed)),
+    (
+        "--uplink-mbps", float,
+        "assign every edge-switch uplink this capacity in Mbps "
+        "(enables link-utilization accounting and the queueing latency term)",
+        _set_uplink,
+    ),
+)
+
+
+def _override_parser() -> argparse.ArgumentParser:
+    """The argparse parent every run-like subcommand takes its override flags from."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, kind, help, _ in OVERRIDE_FLAGS:
+        parent.add_argument(flag, type=kind, help=help)
+    return parent
+
+
+def _given(args: argparse.Namespace) -> Iterator[Tuple[Callable[[ScenarioSpec, Any], ScenarioSpec], Any]]:
+    """Each override flag ``args`` carries, as ``(spec edit, value)`` in table order."""
+    for flag, _, _, edit in OVERRIDE_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            yield edit, value
+
+
+def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
+    """``spec`` with every override flag ``args`` carries applied, in table order."""
+    for edit, value in _given(args):
+        spec = edit(spec, value)
+    return spec
+
+
+# -- the run loop --------------------------------------------------------------
+
+
+def _scenarios(args: argparse.Namespace, target: str) -> List[ScenarioSpec]:
+    """Resolve ``target`` — a spec JSON file or a preset name — and apply the override flags to each spec."""
     path = Path(target)
     if target.endswith(".json") or path.is_file():
         from repro.core.scenario import ScenarioSpec
 
-        return [ScenarioSpec.load(path)]
-    from repro.core.presets import get_preset
+        specs = [ScenarioSpec.load(path)]
+    else:
+        from repro.core.presets import get_preset
 
-    return list(get_preset(target).specs())
+        specs = get_preset(target).specs()
+    return [_apply_overrides(spec, args) for spec in specs]
 
 
-def _carry_params(old, replacement, keys: Sequence[str]):
-    """``replacement`` with those of ``old``'s resolved ``keys`` its entry accepts.
+def _runs(
+    specs: List[ScenarioSpec], *, workers: Optional[int] = None, **run_options: Any
+) -> Iterator[ScenarioResult]:
+    """The one run loop behind every run-like subcommand: each spec's result, in turn.
 
-    Without this a ``--traffic`` / ``--topology`` swap would silently fall
-    back to the new entry's defaults (e.g. 200k flows) instead of the
-    preset's scale.
+    The specs run one after another with ``run_options`` (``obs``,
+    ``collect_perf``), or fanned out over ``workers`` processes.
     """
-    supported = replacement.entry().param_names()
-    old_params = old.resolved_params()
-    carried = {
-        key: getattr(old_params, key)
-        for key in keys
-        if key in supported and getattr(old_params, key, None) is not None
-    }
-    return replacement.with_params(**carried) if carried else replacement
+    from repro.core.runner import ScenarioRunner
 
-
-def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
-    """Apply ``--flows``/``--switches``/``--traffic``/... overrides to one spec."""
-    import dataclasses
-
-    topology = spec.topology
-    config = spec.config
-    if getattr(args, "topology", None) is not None and args.topology != topology.shape:
-        from repro.core.scenario import TopologySpec
-
-        topology = _carry_params(
-            topology, TopologySpec(shape=args.topology), ("switch_count", "host_count", "seed")
-        )
-
-    topology_overrides = {}
-    if args.switches is not None:
-        topology_overrides["switch_count"] = args.switches
-        if args.switches != topology.dimensions()[0]:
-            # Re-run the preset sizing heuristic: a group-size limit tuned
-            # for the original scale would let a smaller topology collapse
-            # into a single group and never exercise inter-group traffic.
-            from repro.core.presets import default_grouping_config
-
-            config = dataclasses.replace(
-                config,
-                grouping=dataclasses.replace(
-                    config.grouping,
-                    group_size_limit=default_grouping_config(args.switches).grouping.group_size_limit,
-                ),
-            )
-    if args.hosts is not None:
-        topology_overrides["host_count"] = args.hosts
-    if args.seed is not None:
-        topology_overrides["seed"] = args.seed
-    if topology_overrides:
-        topology = topology.with_params(**topology_overrides)
-
-    traffic = spec.traffic
-    if getattr(args, "traffic", None) is not None and args.traffic != traffic.model:
-        from repro.core.scenario import TraceSpec
-
-        traffic = _carry_params(
-            traffic, TraceSpec(model=args.traffic), ("total_flows", "duration_hours", "seed")
-        )
-    traffic_overrides = {}
-    if args.flows is not None:
-        traffic_overrides["total_flows"] = args.flows
-    if args.seed is not None:
-        traffic_overrides["seed"] = args.seed
-    if traffic_overrides:
-        traffic = traffic.with_params(**traffic_overrides)
-
-    schedule = spec.schedule
-    if args.duration_hours is not None:
-        schedule = dataclasses.replace(schedule, duration_hours=args.duration_hours)
-
-    systems = spec.systems
-    if args.systems is not None:
-        systems = tuple(name.strip() for name in args.systems.split(",") if name.strip())
-
-    execution = spec.execution
-    if getattr(args, "exec_spec", None) is not None:
+    runner = ScenarioRunner()
+    if workers:
         from repro.replay.spec import ExecutionSpec
 
-        execution = ExecutionSpec.parse(args.exec_spec, base=execution)
-
-    table = config.flow_table
-    if getattr(args, "table_policy", None) is not None:
-        # Swapping the policy drops the old policy's params (they rarely
-        # transfer between policies) but keeps capacity and timeouts.
-        table = dataclasses.replace(table, policy=args.table_policy, policy_params={})
-    if getattr(args, "table_capacity", None) is not None:
-        table = table.resized(args.table_capacity)
-    latency = config.latency
-    if getattr(args, "queueing_ms", None) is not None:
-        latency = dataclasses.replace(latency, queueing_service_ms=args.queueing_ms)
-    config = dataclasses.replace(config, flow_table=table, latency=latency)
-
-    churn = spec.churn
-    churn_rate = getattr(args, "churn_rate", None)
-    churn_seed = getattr(args, "churn_seed", None)
-    if churn_rate is not None or churn_seed is not None:
-        from repro.churn.spec import ChurnSpec
-
-        churn = churn or ChurnSpec()
-        if churn_rate == 0:
-            # Zero disables every churn process, not just migrations.
-            churn = dataclasses.replace(
-                churn,
-                migration_rate_per_hour=0.0,
-                drift_rate_per_hour=0.0,
-                tenant_arrival_rate_per_hour=0.0,
-                tenant_departure_rate_per_hour=0.0,
-            )
-        elif churn_rate is not None:
-            churn = dataclasses.replace(churn, migration_rate_per_hour=churn_rate)
-        if churn_seed is not None:
-            churn = dataclasses.replace(churn, seed=churn_seed)
-
-    links = spec.links
-    if getattr(args, "uplink_mbps", None) is not None:
-        from repro.bandwidth.spec import LinkCapacitySpec
-
-        links = dataclasses.replace(
-            links or LinkCapacitySpec(), uplink_mbps=args.uplink_mbps
-        )
-
-    return dataclasses.replace(
-        spec,
-        topology=topology,
-        traffic=traffic,
-        schedule=schedule,
-        systems=systems,
-        config=config,
-        churn=churn,
-        execution=execution,
-        links=links,
-    )
+        yield from runner.run_many(specs, execution=ExecutionSpec(workers=workers))
+    else:
+        for spec in specs:
+            yield runner.run(spec, **run_options)
 
 
 def _print_result(result: ScenarioResult) -> None:
@@ -264,33 +340,24 @@ def _print_result(result: ScenarioResult) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.common.errors import ReproError
-    from repro.core.runner import ScenarioRunner
-
-    specs = [_apply_overrides(spec, args) for spec in _load_specs(args.scenario)]
+    specs = _scenarios(args, args.scenario)
     if args.events_out is not None:
         # Tracing pins the run to this process (one shared events file), so
         # multi-scenario presets would overwrite each other's streams.
         if len(specs) > 1:
+            from repro.common.errors import ReproError
+
             raise ReproError(
                 f"--events-out needs a single scenario; {args.scenario!r} expands to "
-                f"{len(specs)} — pick one of: "
-                + ", ".join(spec.name for spec in specs)
+                f"{len(specs)} — pick one of: " + ", ".join(spec.name for spec in specs)
             )
         from repro.obs.tracer import TraceOptions
 
-        obs = TraceOptions(
-            events_path=args.events_out, sample=args.trace_sample, timeline=True
-        )
-        results = [ScenarioRunner().run(specs[0], obs=obs)]
+        obs = TraceOptions(events_path=args.events_out, sample=args.trace_sample, timeline=True)
+        results = list(_runs(specs, obs=obs))
         print(f"Events written to {args.events_out}\n")
     else:
-        fan_out = None
-        if args.workers:
-            from repro.replay.spec import ExecutionSpec
-
-            fan_out = ExecutionSpec(workers=args.workers)
-        results = ScenarioRunner().run_many(specs, execution=fan_out)
+        results = list(_runs(specs, workers=args.workers))
     for index, result in enumerate(results):
         if index:
             print()
@@ -305,16 +372,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_results(target: str) -> List[ScenarioResult]:
+def _load_results(args: argparse.Namespace) -> List[ScenarioResult]:
     """Resolve a ``compare`` argument: a results JSON file or a preset to run."""
     from repro.common.errors import ReproError
-    from repro.core.presets import get_preset
-    from repro.core.runner import ScenarioResult, ScenarioRunner
-    from repro.obs.tracer import TraceOptions
 
-    path = Path(target)
-    if target.endswith(".json") or path.is_file():
-        data = json.loads(path.read_text(encoding="utf-8"))
+    target = args.target
+    if target.endswith(".json") or Path(target).is_file():
+        from repro.core.runner import ScenarioResult
+
+        if any(_given(args)):
+            raise ReproError(f"{target} is a results file; override flags apply to a preset run")
+        data = json.loads(Path(target).read_text(encoding="utf-8"))
         payloads = data if isinstance(data, list) else [data]
         for payload in payloads:
             if not isinstance(payload, dict) or "spec" not in payload or "runs" not in payload:
@@ -323,20 +391,18 @@ def _load_results(target: str) -> List[ScenarioResult]:
                     "'repro run --out' (a scenario spec cannot be compared directly)"
                 )
         return [ScenarioResult.from_dict(payload) for payload in payloads]
-    specs = get_preset(target).specs()
+    from repro.obs.tracer import TraceOptions
+
     # Timeline observation gives compare its latency histograms (p50/p95/p99);
     # results loaded from a file show "-" when the run was not traced.
-    runner = ScenarioRunner()
-    obs = TraceOptions(timeline=True)
-    return [runner.run(spec, obs=obs) for spec in specs]
+    return list(_runs(_scenarios(args, target), obs=TraceOptions(timeline=True)))
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.analysis.heatmap import format_percentile
     from repro.common.formatting import format_percent, format_table
 
-    results = _load_results(args.target)
-    for index, result in enumerate(results):
+    for index, result in enumerate(_load_results(args)):
         if index:
             print()
         baseline = args.baseline or next(iter(result.runs))
@@ -418,9 +484,8 @@ def _bench_payload(preset_name: str, result: ScenarioResult) -> dict:
                     if series != "chunks_drained"
                 },
             }
-            # Whole-run latency percentiles from the exact log-histogram.
-            # Deterministic per scenario, but bin-quantized — gated as
-            # CLOSE, not EXACT, so a one-bin drift tells rather than trips.
+            # Whole-run latency percentiles from the exact log-histogram:
+            # deterministic per scenario, so gated like everything else.
             for label, fraction in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
                 value = run.timeline.latency_percentile(fraction)
                 if value is not None:
@@ -448,6 +513,7 @@ def _bench_payload(preset_name: str, result: ScenarioResult) -> dict:
         "systems": systems,
     }
     if result.shards is not None:
+        # How the run was executed, not what it computed: --check skips it.
         payload["execution"] = {
             **result.spec.execution.to_dict(),
             "strategy": result.shards["strategy"],
@@ -458,22 +524,17 @@ def _bench_payload(preset_name: str, result: ScenarioResult) -> dict:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.core.presets import get_preset
-    from repro.core.runner import ScenarioRunner
     from repro.obs.tracer import TraceOptions
 
     preset_names = [name.strip() for name in args.presets.split(",") if name.strip()]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runner = ScenarioRunner()
     payloads = []
     for preset_name in preset_names:
-        for spec in get_preset(preset_name).specs():
-            spec = _apply_overrides(spec, args)
-            result = runner.run(spec, obs=TraceOptions(timeline=True))
+        for result in _runs(_scenarios(args, preset_name), obs=TraceOptions(timeline=True)):
             payload = _bench_payload(preset_name, result)
             payloads.append(payload)
-            path = out_dir / f"BENCH_{spec.name}.json"
+            path = out_dir / f"BENCH_{result.spec.name}.json"
             path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
             print(f"wrote {path}")
     if args.check:
@@ -481,77 +542,61 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # baseline, otherwise the perf gate silently loses a scenario; a
         # --presets subset legitimately skips some, so stale files only warn.
         full_run = preset_names == list(BENCH_PRESETS)
-        return _check_baselines(payloads, args, stale_fails=full_run)
+        return _check_baselines(payloads, args.baseline_dir, stale_fails=full_run)
     return 0
 
 
-def _smoke_scenario_names() -> set:
-    """Scenario names produced by the scale-smoke presets."""
+def _check_baselines(payloads: List[dict], baseline_dir: str, *, stale_fails: bool) -> int:
+    """Compare fresh bench payloads against committed baselines; 1 on drift."""
     from repro.core.presets import get_preset
+    from repro.perf.baseline import check_against_baselines
 
-    return {
-        spec.name
+    checks, problems, stale = check_against_baselines(payloads, baseline_dir)
+    # Scale-smoke baselines are produced by their own CI job, never by the
+    # default preset list — a default full run must not treat them as stale.
+    smoke_files = {
+        f"BENCH_{spec.name}.json"
         for preset_name in SMOKE_BENCH_PRESETS
         for spec in get_preset(preset_name).specs()
     }
-
-
-def _check_baselines(payloads: List[dict], args: argparse.Namespace, *, stale_fails: bool) -> int:
-    """Compare fresh bench payloads against committed baselines; 1 on drift."""
-    from repro.perf.baseline import check_against_baselines
-
-    checks, problems, stale = check_against_baselines(payloads, args.baseline_dir)
-    # Scale-smoke baselines are produced by their own CI job, never by the
-    # default preset list — a default full run must not treat them as stale.
-    smoke_files = {f"BENCH_{name}.json" for name in _smoke_scenario_names()}
-    stale = [path for path in stale if Path(path).name not in smoke_files]
-    failed = False
+    failures = [f"FAIL: {problem}" for problem in problems]
     for path in stale:
+        if Path(path).name in smoke_files:
+            continue
         if stale_fails:
-            failed = True
-            print(
+            failures.append(
                 f"FAIL: committed baseline {path} is not covered by any benchmark "
-                "preset — remove it or restore its scenario",
-                file=sys.stderr,
+                "preset — remove it or restore its scenario"
             )
         else:
-            print(
-                f"warning: committed baseline {path} was not covered by this run "
-                "— remove it or include its preset",
-            )
-    for problem in problems:
-        failed = True
-        print(f"FAIL: {problem}", file=sys.stderr)
+            print(f"warning: committed baseline {path} was not covered by this run "
+                  "— remove it or include its preset")
     for check in checks:
         if check.ok:
-            print(f"OK: {check.scenario} within baseline expectations")
-        else:
-            failed = True
-            for failure in check.failures:
-                print(f"FAIL [{check.scenario}]: {failure}", file=sys.stderr)
-    if failed:
-        print(
-            "\nbaseline check failed — if the change is intentional, regenerate with\n"
-            f"  repro bench --flows <flows> --out-dir {args.baseline_dir}\n"
-            "and commit the updated BENCH_*.json files",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+            print(f"OK: {check.scenario} equals its baseline")
+        failures.extend(f"FAIL [{check.scenario}]: {failure}" for failure in check.failures)
+    if not failures:
+        return 0
+    print("\n".join(failures), file=sys.stderr)
+    print(
+        "\nbaseline check failed — if the change is intentional, regenerate with\n"
+        f"  repro bench --flows <flows> --out-dir {baseline_dir}\n"
+        "and commit the updated BENCH_*.json files",
+        file=sys.stderr,
+    )
+    return 1
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.core.runner import ScenarioRunner
     from repro.perf.report import format_stage_breakdown
 
-    specs = [_apply_overrides(spec, args) for spec in _load_specs(args.scenario)]
-    runner = ScenarioRunner()
     snapshots = []
-    for index, spec in enumerate(specs):
-        result = runner.run(spec, collect_perf=True)
+    first = True
+    for result in _runs(_scenarios(args, args.scenario), collect_perf=True):
         for name, run in result.runs.items():
-            if index or snapshots:
+            if not first:
                 print()
+            first = False
             label = f"{result.spec.name} · {run.label}"
             if run.perf is None:  # pragma: no cover - every built-in plane is instrumented
                 print(f"{label}: control plane exposes no perf instrumentation")
@@ -565,16 +610,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    from repro.core.runner import ScenarioRunner
     from repro.obs.timeline import render_timeline
     from repro.obs.tracer import TraceOptions
 
-    specs = [_apply_overrides(spec, args) for spec in _load_specs(args.scenario)]
-    runner = ScenarioRunner()
     obs = TraceOptions(timeline=True, timeline_bucket_seconds=args.bucket_seconds)
     first = True
-    for spec in specs:
-        result = runner.run(spec, obs=obs)
+    for result in _runs(_scenarios(args, args.scenario), obs=obs):
         for run in result.runs.values():
             if not first:
                 print()
@@ -587,20 +628,17 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     from repro.analysis.heatmap import hot_links_report, latency_percentile_rows, render_heatmap
     from repro.common.errors import ReproError
     from repro.common.formatting import format_table
-    from repro.core.runner import ScenarioRunner
     from repro.obs.tracer import TraceOptions
 
-    specs = [_apply_overrides(spec, args) for spec in _load_specs(args.scenario)]
-    runner = ScenarioRunner()
-    obs = TraceOptions(timeline=True)
-    first = True
+    specs = _scenarios(args, args.scenario)
     for spec in specs:
         if not spec.build_network().has_link_capacities():
             raise ReproError(
                 f"scenario {spec.name!r} assigns no link capacities — set "
                 "'links.uplink_mbps' in the spec or pass --uplink-mbps"
             )
-        result = runner.run(spec, obs=obs)
+    first = True
+    for result in _runs(specs, obs=TraceOptions(timeline=True)):
         for run in result.runs.values():
             if not first:
                 print()
@@ -632,10 +670,7 @@ def _cmd_list_scenarios(args: argparse.Namespace) -> int:
     from repro.core.presets import list_presets
     from repro.core.registry import available_control_planes
 
-    preset_rows = []
-    for preset in list_presets():
-        specs = preset.specs()
-        preset_rows.append([preset.name, len(specs), preset.description])
+    preset_rows = [[preset.name, len(preset.specs()), preset.description] for preset in list_presets()]
     print(format_table(["Preset", "Scenarios", "Description"], preset_rows, title="Presets"))
     print()
     plane_rows = [
@@ -678,69 +713,6 @@ def _cmd_list_table_policies(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
-    """Spec-override flags shared by ``run`` and ``bench``."""
-    parser.add_argument("--flows", type=int, default=None, help="override total flow count")
-    parser.add_argument("--switches", type=int, default=None, help="override switch count")
-    parser.add_argument("--hosts", type=int, default=None, help="override host count")
-    parser.add_argument("--seed", type=int, default=None, help="override topology/traffic seed")
-    parser.add_argument("--duration-hours", type=float, default=None, help="override replay duration")
-    parser.add_argument("--systems", default=None, help="comma-separated control-plane names")
-    parser.add_argument(
-        "--exec",
-        dest="exec_spec",
-        default=None,
-        metavar="SPEC",
-        help="override the execution spec as key=value pairs "
-        "(workers, shard-strategy, shard-count, stream) or a "
-        "JSON object, e.g. --exec workers=4,shard-strategy=time-window",
-    )
-    parser.add_argument(
-        "--traffic",
-        default=None,
-        help="swap in a registered traffic model by name (see list-traffic-models)",
-    )
-    parser.add_argument(
-        "--topology",
-        default=None,
-        help="swap in a registered topology shape by name (see list-topologies)",
-    )
-    parser.add_argument(
-        "--churn-rate",
-        type=float,
-        default=None,
-        help="override the VM migration churn rate (migrations per simulated hour; 0 disables)",
-    )
-    parser.add_argument(
-        "--churn-seed", type=int, default=None, help="override the churn RNG seed"
-    )
-    parser.add_argument(
-        "--table-capacity",
-        type=int,
-        default=None,
-        help="cap every switch's flow table at this many rules",
-    )
-    parser.add_argument(
-        "--table-policy",
-        default=None,
-        help="timeout/eviction policy for the flow tables (see list-table-policies)",
-    )
-    parser.add_argument(
-        "--uplink-mbps",
-        type=float,
-        default=None,
-        help="assign every edge-switch uplink this capacity in Mbps "
-        "(enables link-utilization accounting and the queueing latency term)",
-    )
-    parser.add_argument(
-        "--queueing-ms",
-        type=float,
-        default=None,
-        help="M/M/1 service time in ms for the utilization-dependent queueing "
-        "delay on capacitated uplinks (0 disables the term)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the ``repro`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -748,17 +720,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="LazyCtrl reproduction: run declarative control-plane scenarios.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    overrides = _override_parser()
 
-    run = subparsers.add_parser("run", help="run a preset or a JSON scenario spec")
-    run.add_argument("scenario", help="preset name or path to a ScenarioSpec JSON file")
-    _add_override_arguments(run)
-    run.add_argument("--workers", type=int, default=None, help="process fan-out for multi-scenario runs")
-    run.add_argument("--out", default=None, help="write results JSON to this path")
-    run.add_argument(
-        "--events-out",
-        default=None,
-        help="stream structured trace events to this JSONL file (single-scenario runs)",
-    )
+    def command(name: str, handler, help: str, *, runs: bool = False) -> argparse.ArgumentParser:
+        """Add subcommand ``name``; a run-like one (``runs``) takes the override flags."""
+        sub = subparsers.add_parser(name, help=help, parents=[overrides] if runs else [])
+        sub.set_defaults(handler=handler)
+        return sub
+
+    run = command("run", _cmd_run, "run a preset or a JSON scenario spec", runs=True)
+    run.add_argument("scenario", help=SCENARIO_HELP)
+    run.add_argument("--workers", type=int, help="process fan-out for multi-scenario runs")
+    run.add_argument("--out", help="write results JSON to this path")
+    run.add_argument("--events-out", help="stream structured trace events to this JSONL file (single-scenario runs)")
     run.add_argument(
         "--trace-sample",
         type=float,
@@ -766,10 +740,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampling rate in (0, 1] for high-volume event types in --events-out "
         "(deterministic stride, no RNG; lifecycle events are always written)",
     )
-    run.set_defaults(handler=_cmd_run)
 
-    bench = subparsers.add_parser(
-        "bench", help="run the benchmark presets and write BENCH_<scenario>.json files"
+    bench = command(
+        "bench", _cmd_bench, "run the benchmark presets and write BENCH_<scenario>.json files", runs=True
     )
     bench.add_argument(
         "--presets",
@@ -780,86 +753,65 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--check",
         action="store_true",
-        help="compare the fresh payloads against committed baselines and exit 1 on drift",
+        help="exit 1 unless each fresh payload, minus its execution block, equals its committed baseline",
     )
     bench.add_argument(
         "--baseline-dir",
         default=DEFAULT_BASELINE_DIR,
         help="directory holding the committed BENCH_*.json baselines",
     )
-    _add_override_arguments(bench)
-    bench.set_defaults(handler=_cmd_bench)
 
-    profile = subparsers.add_parser(
-        "profile", help="replay a scenario with instrumentation and print the stage breakdown"
+    profile = command(
+        "profile", _cmd_profile, "replay a scenario with instrumentation and print the stage breakdown", runs=True
     )
-    profile.add_argument("scenario", help="preset name or path to a ScenarioSpec JSON file")
-    _add_override_arguments(profile)
-    profile.add_argument("--out", default=None, help="write the perf snapshots JSON to this path")
-    profile.set_defaults(handler=_cmd_profile)
+    profile.add_argument("scenario", help=SCENARIO_HELP)
+    profile.add_argument("--out", help="write the perf snapshots JSON to this path")
 
-    timeline = subparsers.add_parser(
-        "timeline", help="replay a scenario and render per-bucket sparkline timelines"
+    timeline = command(
+        "timeline", _cmd_timeline, "replay a scenario and render per-bucket sparkline timelines", runs=True
     )
-    timeline.add_argument("scenario", help="preset name or path to a ScenarioSpec JSON file")
-    _add_override_arguments(timeline)
+    timeline.add_argument("scenario", help=SCENARIO_HELP)
     timeline.add_argument(
-        "--bucket-seconds",
-        type=float,
-        default=None,
-        help="timeline bucket width (defaults to the scenario's result bucket)",
+        "--bucket-seconds", type=float, help="timeline bucket width (defaults to the scenario's result bucket)"
     )
-    timeline.set_defaults(handler=_cmd_timeline)
 
-    trace_export = subparsers.add_parser(
+    trace_export = command(
         "trace-export",
-        help="convert an --events-out JSONL stream into Chrome trace-event JSON (Perfetto)",
+        _cmd_trace_export,
+        "convert an --events-out JSONL stream into Chrome trace-event JSON (Perfetto)",
     )
     trace_export.add_argument("events", help="events JSONL file written by 'run --events-out'")
     trace_export.add_argument("--out", required=True, help="path for the Chrome trace JSON")
-    trace_export.add_argument(
-        "--profile",
-        default=None,
-        help="perf snapshots JSON from 'profile --out' to add per-stage spans",
-    )
-    trace_export.set_defaults(handler=_cmd_trace_export)
+    trace_export.add_argument("--profile", help="perf snapshots JSON from 'profile --out' to add per-stage spans")
 
-    heatmap = subparsers.add_parser(
+    heatmap = command(
         "heatmap",
-        help="replay a capacitated scenario and render link-utilization heatmaps + p99s",
+        _cmd_heatmap,
+        "replay a capacitated scenario and render link-utilization heatmaps + p99s",
+        runs=True,
     )
-    heatmap.add_argument("scenario", help="preset name or path to a ScenarioSpec JSON file")
-    _add_override_arguments(heatmap)
+    heatmap.add_argument("scenario", help=SCENARIO_HELP)
     heatmap.add_argument(
         "--threshold",
         type=float,
         default=1.0,
         help="utilization threshold for the hot-links table (fraction of capacity)",
     )
-    heatmap.set_defaults(handler=_cmd_heatmap)
 
-    compare = subparsers.add_parser("compare", help="compare runs from a results file or preset")
+    compare = command("compare", _cmd_compare, "compare runs from a results file or preset", runs=True)
     compare.add_argument("target", help="results JSON (from 'run --out') or preset name")
-    compare.add_argument("--baseline", default=None, help="baseline system name or label")
-    compare.set_defaults(handler=_cmd_compare)
+    compare.add_argument("--baseline", help="baseline system name or label")
 
-    list_cmd = subparsers.add_parser("list-scenarios", help="list presets and registered control planes")
-    list_cmd.set_defaults(handler=_cmd_list_scenarios)
-
-    list_traffic = subparsers.add_parser(
-        "list-traffic-models", help="list registered traffic models and their params"
+    command("list-scenarios", _cmd_list_scenarios, "list presets and registered control planes")
+    command(
+        "list-traffic-models", _cmd_list_traffic_models, "list registered traffic models and their params"
     )
-    list_traffic.set_defaults(handler=_cmd_list_traffic_models)
-
-    list_topologies = subparsers.add_parser(
-        "list-topologies", help="list registered topology shapes and their params"
+    command("list-topologies", _cmd_list_topologies, "list registered topology shapes and their params")
+    command(
+        "list-table-policies",
+        _cmd_list_table_policies,
+        "list registered flow-table timeout/eviction policies",
     )
-    list_topologies.set_defaults(handler=_cmd_list_topologies)
-
-    list_tables = subparsers.add_parser(
-        "list-table-policies", help="list registered flow-table timeout/eviction policies"
-    )
-    list_tables.set_defaults(handler=_cmd_list_table_policies)
     return parser
 
 

@@ -68,17 +68,25 @@ class Entry:
         """Validate a raw params mapping into the params dataclass.
 
         Raises :class:`~repro.common.errors.ConfigurationError` naming any
-        unknown or missing key.
+        unknown or missing key; an entry without a params dataclass takes no
+        params at all, and returns ``None`` for none.
         """
+        if self.params_type is None:
+            if params:
+                raise ConfigurationError(
+                    f"{self.kind} {self.name!r} takes no params, got {', '.join(map(repr, sorted(params)))}"
+                )
+            return None
         return dataclass_from_dict(
             self.params_type, dict(params or {}), path=f"{self.kind} {self.name!r} params"
         )
 
     def build(self, *args: Any, params: Optional[Mapping[str, Any]] = None, **kwargs: Any) -> Any:
         """Call the factory; validated ``params`` follow ``args`` when there is a schema."""
+        validated = self.make_params(params)
         if self.params_type is None:
             return self.factory(*args, **kwargs)
-        return self.factory(*args, self.make_params(params), **kwargs)
+        return self.factory(*args, validated, **kwargs)
 
     def specs(self) -> Any:
         """A preset's scenario specs: its factory, called."""

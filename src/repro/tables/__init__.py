@@ -10,7 +10,8 @@ The package has two layers:
   resolving policy names from :class:`~repro.common.config.FlowTableConfig`.
 
 A scenario puts every switch under table pressure through its
-``config.flow_table``: capacity, timeouts, policy name and policy params.
+``config.flow_table``: capacity, timeouts, policy name and (``adaptive``'s)
+policy params.
 """
 
 from repro import _lazy_exports
@@ -18,11 +19,7 @@ from repro import _lazy_exports
 __all__ = [
     "AdaptiveParams",
     "AdaptiveTimeoutPolicy",
-    "IdleHardParams",
-    "LruParams",
     "RemovalReason",
-    "StaticHardParams",
-    "StaticIdleParams",
     "TableTimeoutPolicy",
     "available_table_policies",
     "build_policy",
@@ -37,11 +34,7 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.tables.policies": (
             "AdaptiveParams",
             "AdaptiveTimeoutPolicy",
-            "IdleHardParams",
-            "LruParams",
             "RemovalReason",
-            "StaticHardParams",
-            "StaticIdleParams",
             "TableTimeoutPolicy",
         ),
         "repro.tables.registry": (

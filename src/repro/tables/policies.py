@@ -33,8 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.common.packets import FlowKey
     from repro.datastructures.flow_table import FlowRule
 
-#: Hard timeout applied by the ``static-hard`` policy when neither its params
-#: nor the table config provide one.
+#: Hard timeout applied by the ``static-hard`` policy when the table config
+#: sets none.
 DEFAULT_HARD_TIMEOUT_SECONDS = 600.0
 
 
@@ -110,36 +110,6 @@ class TableTimeoutPolicy:
         the table's insertion order, so eviction is deterministic.
         """
         return sorted(rules, key=lambda rule: rule.last_matched_at)
-
-
-# -- params of the static built-ins ------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class StaticIdleParams:
-    """Knobs of ``static-idle``; ``None`` inherits the table config's value."""
-
-    idle_timeout_seconds: Optional[float] = None
-
-
-@dataclass(frozen=True, slots=True)
-class StaticHardParams:
-    """Knobs of ``static-hard``; ``None`` inherits the table config's value."""
-
-    hard_timeout_seconds: Optional[float] = None
-
-
-@dataclass(frozen=True, slots=True)
-class IdleHardParams:
-    """Knobs of ``idle-hard-hybrid``; ``None`` inherits the config's values."""
-
-    idle_timeout_seconds: Optional[float] = None
-    hard_timeout_seconds: Optional[float] = None
-
-
-@dataclass(frozen=True, slots=True)
-class LruParams:
-    """``lru`` takes no knobs: capacity eviction only, no timeouts."""
 
 
 # -- adaptive timeout prediction ---------------------------------------------
@@ -240,51 +210,27 @@ class AdaptiveTimeoutPolicy(TableTimeoutPolicy):
 # -- factories (wired into the registry) -------------------------------------
 
 
-def _positive(policy: str, knob: str, value: float) -> float:
-    """``value``, or a :class:`ConfigurationError` naming ``policy`` and ``knob`` unless positive."""
-    if value <= 0:
-        raise ConfigurationError(f"{policy} {knob} must be positive")
-    return value
+def build_static_idle(config: FlowTableConfig) -> TableTimeoutPolicy:
+    """``static-idle``: the config's idle timeout."""
+    return TableTimeoutPolicy(idle=config.idle_timeout_seconds)
 
 
-def build_static_idle(config: FlowTableConfig, params: StaticIdleParams) -> TableTimeoutPolicy:
-    """``static-idle`` from params, inheriting the config's idle timeout."""
-    idle = params.idle_timeout_seconds
-    if idle is None:
-        idle = config.idle_timeout_seconds
-    return TableTimeoutPolicy(idle=_positive("static-idle", "idle_timeout_seconds", idle))
+def build_static_hard(config: FlowTableConfig) -> TableTimeoutPolicy:
+    """``static-hard``: the config's hard timeout, else the module default."""
+    hard = config.hard_timeout_seconds
+    return TableTimeoutPolicy(hard=DEFAULT_HARD_TIMEOUT_SECONDS if hard is None else hard)
 
 
-def build_static_hard(config: FlowTableConfig, params: StaticHardParams) -> TableTimeoutPolicy:
-    """``static-hard`` from params, inheriting the config's hard timeout."""
-    hard = params.hard_timeout_seconds
-    if hard is None:
-        hard = config.hard_timeout_seconds
-    if hard is None:
-        hard = DEFAULT_HARD_TIMEOUT_SECONDS
-    return TableTimeoutPolicy(hard=_positive("static-hard", "hard_timeout_seconds", hard))
-
-
-def build_idle_hard(config: FlowTableConfig, params: IdleHardParams) -> TableTimeoutPolicy:
-    """``idle-hard-hybrid`` from params, inheriting the config's timeouts."""
-    idle = params.idle_timeout_seconds
-    if idle is None:
-        idle = config.idle_timeout_seconds
-    _positive("idle-hard-hybrid", "idle_timeout_seconds", idle)
-    hard = params.hard_timeout_seconds
-    if hard is None:
-        hard = config.hard_timeout_seconds
+def build_idle_hard(config: FlowTableConfig) -> TableTimeoutPolicy:
+    """``idle-hard-hybrid``: the config's timeouts; with no hard one set, the module default (at least the idle one)."""
+    idle = config.idle_timeout_seconds
+    hard = config.hard_timeout_seconds
     if hard is None:
         hard = max(DEFAULT_HARD_TIMEOUT_SECONDS, idle)
-    if hard < idle:
-        raise ConfigurationError(
-            "idle-hard-hybrid hard_timeout_seconds must be >= idle_timeout_seconds "
-            f"({hard} < {idle})"
-        )
     return TableTimeoutPolicy(idle=idle, hard=hard)
 
 
-def build_lru(config: FlowTableConfig, params: LruParams) -> TableTimeoutPolicy:
+def build_lru(config: FlowTableConfig) -> TableTimeoutPolicy:
     """``lru``: the timeout-free static policy."""
     return TableTimeoutPolicy()
 

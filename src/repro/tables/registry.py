@@ -1,8 +1,11 @@
 """Flow-table policies: the named timeout/eviction policies a :class:`~repro.common.config.FlowTableConfig` references.
 
-A policy's factory takes ``(config, params)`` — the owning table's
-:class:`~repro.common.config.FlowTableConfig` and validated params — and
-returns a fresh :class:`~repro.tables.policies.TableTimeoutPolicy`.  Every
+A policy's factory takes the owning table's
+:class:`~repro.common.config.FlowTableConfig` (plus, for a policy registered
+with a params dataclass, its validated ``policy_params``) and returns a fresh
+:class:`~repro.tables.policies.TableTimeoutPolicy`.  The static built-ins
+read their timeouts from the config alone, so only ``adaptive`` takes
+params; a policy without a params dataclass refuses any.  Every
 :class:`~repro.datastructures.flow_table.FlowTable` builds its **own**
 instance via :func:`build_policy`, so stateful policies (e.g. the adaptive
 timeout predictor) never share learned state across switches or systems.
@@ -15,10 +18,6 @@ from repro.common.config import FlowTableConfig
 from repro.common.registry import NamedRegistry
 from repro.tables.policies import (
     AdaptiveParams,
-    IdleHardParams,
-    LruParams,
-    StaticHardParams,
-    StaticIdleParams,
     TableTimeoutPolicy,
     build_adaptive,
     build_idle_hard,
@@ -41,25 +40,21 @@ def build_policy(config: FlowTableConfig) -> TableTimeoutPolicy:
 
 register_table_policy(
     "static-idle",
-    params=StaticIdleParams,
     label="Static idle timeout",
     description="Fixed idle timeout; rules expire once unmatched that long",
 )(build_static_idle)
 register_table_policy(
     "static-hard",
-    params=StaticHardParams,
     label="Static hard timeout",
     description="Fixed hard timeout; rules expire a set time after install",
 )(build_static_hard)
 register_table_policy(
     "idle-hard-hybrid",
-    params=IdleHardParams,
     label="Idle + hard hybrid",
     description="OpenFlow's standard pair: idle timeout with a hard upper bound",
 )(build_idle_hard)
 register_table_policy(
     "lru",
-    params=LruParams,
     label="LRU eviction only",
     description="No timeouts; capacity eviction of least-recently matched rules",
 )(build_lru)

@@ -1,15 +1,16 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
 import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.cli import BENCH_PRESETS, SMOKE_BENCH_PRESETS, _apply_overrides, build_parser, main
+from repro.cli import BENCH_PRESETS, OVERRIDE_FLAGS, SMOKE_BENCH_PRESETS, _apply_overrides, build_parser, main
 from repro.common.config import FlowTableConfig
 from repro.core.presets import get_preset
-from repro.core.runner import ScenarioResult
+from repro.core.runner import ScenarioResult, ScenarioRunner
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec
 from repro.replay.sharding import plan_shards
 from repro.topology.builder import TopologyProfile
@@ -467,6 +468,49 @@ class TestBench:
         assert "total_controller_requests" in err
         assert "regenerate" in err
 
+    @pytest.mark.parametrize(
+        "path, edit",
+        [
+            ("systems.openflow.label", lambda record: record.update(label="OpenFIow")),
+            (
+                "systems.openflow.link_utilization_max",
+                lambda record: record["link_utilization_max"].__setitem__(0, -1.0),
+            ),
+        ],
+        ids=["label", "link-utilization-cell"],
+    )
+    def test_bench_check_fails_on_any_drifted_key(self, path, edit, tmp_path, capsys):
+        """Equality gates every key, including ones no hand-kept list named."""
+        baseline_dir = tmp_path / "baselines"
+        args = ["bench", "--presets", "paper-fig7", *RUN_SMALL, "--uplink-mbps", "0.5"]
+        assert main([*args, "--out-dir", str(baseline_dir)]) == 0
+        baseline_path = baseline_dir / "BENCH_paper-fig7.json"
+        payload = json.loads(baseline_path.read_text())
+        edit(payload["systems"]["openflow"])
+        baseline_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main([*args, "--out-dir", str(tmp_path / "fresh"),
+                     "--check", "--baseline-dir", str(baseline_dir)])
+        assert code == 1
+        failures = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAIL")]
+        assert len(failures) == 1
+        assert failures[0].startswith(f"FAIL [paper-fig7]: {path}: ")
+
+    def test_bench_check_ignores_the_execution_block(self, tmp_path, capsys):
+        """How a run was executed is not what it computed: a pooled run
+        matches the serial baseline, whatever either file records."""
+        baseline_dir = tmp_path / "baselines"
+        args = ["bench", "--presets", "paper-fig7", *RUN_SMALL]
+        assert main([*args, "--out-dir", str(baseline_dir)]) == 0
+        baseline_path = baseline_dir / "BENCH_paper-fig7.json"
+        payload = json.loads(baseline_path.read_text())
+        payload["execution"] = {"workers": 99}
+        baseline_path.write_text(json.dumps(payload))
+        code = main([*args, "--exec", "workers=2", "--out-dir", str(tmp_path / "fresh"),
+                     "--check", "--baseline-dir", str(baseline_dir)])
+        assert code == 0
+        assert "execution" in json.loads((tmp_path / "fresh" / "BENCH_paper-fig7.json").read_text())
+
     def test_bench_check_warns_but_passes_on_stale_baseline_in_subset_run(self, tmp_path, capsys):
         baseline_dir = tmp_path / "baselines"
         args = ["bench", "--presets", "paper-fig7", *RUN_SMALL]
@@ -572,6 +616,61 @@ class TestCompare:
 
     def test_compare_missing_file_fails(self, capsys):
         assert main(["compare", "/definitely/not/here.json"]) == 2
+
+    def test_compare_runs_a_preset_under_the_override_flags(self, monkeypatch, capsys):
+        flows = []
+        run = ScenarioRunner.run
+
+        def recording_run(self, spec, **options):
+            flows.append(spec.traffic.total_flows)
+            return run(self, spec, **options)
+
+        monkeypatch.setattr(ScenarioRunner, "run", recording_run)
+        assert main(["compare", "paper-fig7", "--flows", "500"]) == 0
+        assert flows == [500]
+        assert "Workload reduction vs OpenFlow" in capsys.readouterr().out
+
+    def test_compare_refuses_override_flags_on_a_results_file(self, tmp_path, capsys):
+        out_path = tmp_path / "results.json"
+        assert main(["run", "paper-fig7", *RUN_SMALL, "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(out_path), "--flows", "500"]) == 2
+        assert "override flags apply to a preset run" in capsys.readouterr().err
+
+
+class TestOverrideFlags:
+    RUN_LIKE = ("run", "profile", "timeline", "heatmap", "bench", "compare")
+
+    @staticmethod
+    def flags(command):
+        (subparsers,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        return {
+            option
+            for action in subparsers.choices[command]._actions
+            for option in action.option_strings
+        }
+
+    def test_every_run_like_subcommand_takes_every_override_flag(self):
+        table = {flag for flag, *_ in OVERRIDE_FLAGS}
+        assert len(table) == len(OVERRIDE_FLAGS) == 15
+        for command in self.RUN_LIKE:
+            assert self.flags(command) >= table, command
+        others = {command: self.flags(command) - table for command in self.RUN_LIKE}
+        assert others == {
+            "run": {"-h", "--help", "--workers", "--out", "--events-out", "--trace-sample"},
+            "profile": {"-h", "--help", "--out"},
+            "timeline": {"-h", "--help", "--bucket-seconds"},
+            "heatmap": {"-h", "--help", "--threshold"},
+            "bench": {"-h", "--help", "--presets", "--out-dir", "--check", "--baseline-dir"},
+            "compare": {"-h", "--help", "--baseline"},
+        }
+
+    def test_no_flag_leaves_the_spec_as_it_is(self):
+        (spec,) = get_preset("paper-fig7").specs()
+        assert _apply_overrides(spec, build_parser().parse_args(["run", "paper-fig7"])) is spec
 
 
 class TestCongestionCli:

@@ -172,4 +172,4 @@ class TestBenchTimeline:
                      "--out-dir", str(tmp_path / "fresh"),
                      "--check", "--baseline-dir", str(baseline_dir)])
         assert code == 1
-        assert "timeline.packet_ins" in capsys.readouterr().err
+        assert "systems.openflow.timeline.counts.packet_ins" in capsys.readouterr().err

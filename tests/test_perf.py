@@ -313,18 +313,22 @@ class TestBaselineComparison:
             ("streaming", False, True),
         ),
     )
-    def test_timing_keys_are_not_compared(self, key, old, new, side):
-        """Baselines are exact-only; an old file's wall-clock keys gate nothing.
+    def test_a_timing_key_is_gated_like_any_other(self, key, old, new, side):
+        """The gate is equality, so no key goes unchecked; committed baselines
+        carry no timing keys (``tests/test_cli.py``), so none can trip it.
 
-        ``baseline``: a file committed before payloads dropped the key, checked
-        against a fresh payload without it; ``both``: the two disagree wildly.
+        ``baseline``: a file carrying a key the fresh payload lacks;
+        ``both``: the two disagree on it.
         """
         current, baseline = payload(), payload()
         baseline[key] = old
         if side == "both":
             current[key] = new
         check = compare_payloads(current, baseline)
-        assert check.ok and check.failures == []
+        expected = f"{key}: missing from the fresh payload" if side == "baseline" else (
+            f"{key}: expected {old!r}, got {new!r}"
+        )
+        assert check.failures == [expected]
 
     def test_missing_system_fails(self):
         current = payload()
@@ -391,8 +395,8 @@ class TestOnePassDriftReporting:
             self.timeline_payload(flows_handled=drifted), self.timeline_payload()
         )
         assert not check.ok
-        (failure,) = [f for f in check.failures if "timeline.flows_handled" in f]
-        assert "2/8 buckets drifted" in failure
+        (failure,) = [f for f in check.failures if "timeline.counts.flows_handled" in f]
+        assert failure.startswith("systems.openflow.timeline.counts.flows_handled: 2/8 drifted")
         assert "[2] 100->93" in failure
         assert "[5] 100->101" in failure
 
@@ -400,16 +404,16 @@ class TestOnePassDriftReporting:
         check = compare_payloads(
             self.timeline_payload(flows_handled=[99] * 8), self.timeline_payload()
         )
-        (failure,) = [f for f in check.failures if "timeline.flows_handled" in f]
-        assert "8/8 buckets drifted" in failure
+        (failure,) = [f for f in check.failures if "timeline.counts.flows_handled" in f]
+        assert "8/8 drifted" in failure
         assert "... 3 more" in failure
 
     def test_timeline_bucket_count_mismatch_is_described(self):
         check = compare_payloads(
             self.timeline_payload(flows_handled=[100] * 6), self.timeline_payload()
         )
-        (failure,) = [f for f in check.failures if "timeline.flows_handled" in f]
-        assert "bucket count 6 != baseline 8" in failure
+        (failure,) = [f for f in check.failures if "timeline.counts.flows_handled" in f]
+        assert "expected 8 entries, got 6" in failure
 
     def test_multiple_timeline_series_drift_in_one_pass(self):
         current = self.timeline_payload(
@@ -421,16 +425,14 @@ class TestOnePassDriftReporting:
     def test_a_dropped_timeline_is_reported(self):
         current = payload()
         check = compare_payloads(current, self.timeline_payload())
-        assert check.failures == [
-            "openflow.timeline: baseline carries a timeline but the fresh payload does not"
-        ]
+        assert check.failures == ["systems.openflow.timeline: missing from the fresh payload"]
 
     def test_a_bucket_width_change_is_reported(self):
         current = self.timeline_payload()
         current["systems"]["openflow"]["timeline"]["bucket_seconds"] = 3600.0
         check = compare_payloads(current, self.timeline_payload())
         assert check.failures == [
-            "openflow.timeline.bucket_seconds: expected 7200.0, got 3600.0"
+            "systems.openflow.timeline.bucket_seconds: expected 7200.0, got 3600.0"
         ]
 
     def test_a_scenario_header_change_is_reported(self):

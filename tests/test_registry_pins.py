@@ -143,7 +143,7 @@ class TestErrorStrings:
         [
             (lambda: get_traffic_model("uniform"), "at traffic model 'uniform' params;"),
             (lambda: get_topology("striped"), "at topology 'striped' params;"),
-            (lambda: get_table_policy("lru"), "at table policy 'lru' params;"),
+            (lambda: get_table_policy("adaptive"), "at table policy 'adaptive' params;"),
         ],
         ids=["traffic-model", "topology", "table-policy"],
     )

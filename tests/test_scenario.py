@@ -365,3 +365,17 @@ class TestRunResultSerialization:
         result = ScenarioRunner().run(tiny_spec(systems=("openflow",)))
         run = result.result_for("openflow")
         assert RunResult.from_dict(json.loads(json.dumps(run.to_dict()))) == run
+
+
+class TestTraceIdentity:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the realistic model labels its RNG with the scenario's name "
+        "(ScenarioSpec.build_trace / build_stream pass name=self.name to make_rng), "
+        "so a rename draws other flows; fixing it moves every ledger digest",
+    )
+    def test_renaming_a_spec_leaves_its_trace_unchanged(self):
+        spec = tiny_spec()
+        network = spec.build_network()
+        renamed = dataclasses.replace(spec, name="tiny-renamed")
+        assert list(renamed.build_trace(network).flows) == list(spec.build_trace(network).flows)

@@ -48,9 +48,9 @@ def rule(i: int, j: int, *, installed_at: float = 0.0, matched_at: float | None 
     )
 
 
-def policy(name: str, **params) -> TableTimeoutPolicy:
-    """The ``name`` policy built from its params, as a table would."""
-    return build_policy(FlowTableConfig(policy=name, policy_params=params))
+def policy(name: str, **timeouts) -> TableTimeoutPolicy:
+    """The ``name`` policy built from a table config with ``timeouts``, as a table would."""
+    return build_policy(FlowTableConfig(policy=name, **timeouts))
 
 
 class TestStaticIdlePolicy:
@@ -70,7 +70,7 @@ class TestStaticIdlePolicy:
         assert (table.stats.timeouts, table.stats.hard_timeouts) == (len(per_rule), 0)
 
     def test_rejects_non_positive_timeout(self):
-        with pytest.raises(ConfigurationError, match="^static-idle idle_timeout_seconds must be positive$"):
+        with pytest.raises(ConfigurationError, match="^idle_timeout_seconds must be positive$"):
             policy("static-idle", idle_timeout_seconds=0.0)
 
 
@@ -82,7 +82,7 @@ class TestStaticHardPolicy:
         assert hard.expiry_reason(r, now=100.5) is RemovalReason.HARD_TIMEOUT
 
     def test_rejects_non_positive_timeout(self):
-        with pytest.raises(ConfigurationError, match="^static-hard hard_timeout_seconds must be positive$"):
+        with pytest.raises(ConfigurationError, match="^hard_timeout_seconds must be positive when set$"):
             policy("static-hard", hard_timeout_seconds=-1.0)
 
 
@@ -105,12 +105,12 @@ class TestIdleHardHybridPolicy:
     def test_rejects_hard_below_idle(self):
         with pytest.raises(
             ConfigurationError,
-            match=r"^idle-hard-hybrid hard_timeout_seconds must be >= idle_timeout_seconds \(50.0 < 100.0\)$",
+            match=r"^hard_timeout_seconds must be >= idle_timeout_seconds \(50.0 < 100.0\): a rule would",
         ):
             policy("idle-hard-hybrid", idle_timeout_seconds=100.0, hard_timeout_seconds=50.0)
 
     def test_rejects_non_positive_idle(self):
-        with pytest.raises(ConfigurationError, match="^idle-hard-hybrid idle_timeout_seconds must be positive$"):
+        with pytest.raises(ConfigurationError, match="^idle_timeout_seconds must be positive$"):
             policy("idle-hard-hybrid", idle_timeout_seconds=0.0, hard_timeout_seconds=50.0)
 
 
@@ -289,6 +289,16 @@ class TestRegistry:
 
     def test_static_hard_falls_back_to_module_default(self):
         assert policy("static-hard").timeout_bounds() == (INF, DEFAULT_HARD_TIMEOUT_SECONDS)
+
+    @pytest.mark.parametrize("name", ["static-idle", "static-hard", "idle-hard-hybrid", "lru"])
+    def test_static_policies_take_no_params(self, name):
+        """Their timeouts have one home, the table config; params are ``adaptive``'s alone."""
+        config = FlowTableConfig(policy=name, policy_params={"idle_timeout_seconds": 5.0})
+        message = f"^table policy '{name}' takes no params, got 'idle_timeout_seconds'$"
+        with pytest.raises(ConfigurationError, match=message):
+            build_policy(config)
+        with pytest.raises(ConfigurationError, match=message):
+            ScenarioRunner().run(ScenarioSpec(name="x", config=LazyCtrlConfig(flow_table=config)))
 
 
 class TestFlowTablePolicyIntegration:
