@@ -18,8 +18,9 @@ What runs, all in process with ``workers=1`` (so no code hides in a pool):
 * every subcommand once, on the first single-scenario preset selected:
   ``run --events-out --out``, ``run`` on ``examples/traffic_mix.json``,
   ``profile --out``, ``timeline``, ``heatmap``, ``trace-export``,
-  ``compare``, ``bench`` (then ``bench --check`` against what it just
-  wrote) and the four ``list-*`` commands;
+  ``compare``, ``diff`` (of that results file with itself), ``bench``
+  (then ``bench --check`` against what it just wrote) and the four
+  ``list-*`` commands;
 * every ``examples/*.py`` through :mod:`runpy`, the scale demos at
   ``--flows``;
 * every figure benchmark, ``benchmarks/test_*.py``, through ``pytest.main``
@@ -156,6 +157,7 @@ def drive(audit: Audit, presets, flows: int, scratch: Path) -> None:
         audit.cli("heatmap", *one, "--uplink-mbps", "1")
         audit.cli("trace-export", str(events), "--out", str(scratch / "trace.json"), "--profile", str(perf))
         audit.cli("compare", str(result))
+        audit.cli("diff", str(result), str(result))
         bench = ("bench", "--presets", single, *size, "--exec", "workers=1")
         audit.cli(*bench, "--out-dir", str(scratch / "bench"))
         audit.cli(*bench, "--out-dir", str(scratch / "recheck"), "--check", "--baseline-dir", str(scratch / "bench"))

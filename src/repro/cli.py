@@ -1,12 +1,13 @@
 """The ``repro`` command-line interface.
 
-Seven subcommands cover the everyday workflow::
+The subcommands cover the everyday workflow::
 
     python -m repro run paper-fig7 --flows 2000          # run a preset
     python -m repro run my-scenario.json --out out.json  # run a spec file
     python -m repro run traffic-mix --traffic uniform    # swap the workload
     python -m repro compare out.json                     # reductions vs baseline
     python -m repro compare paper-fig7 --flows 2000      # ... of a fresh preset run
+    python -m repro diff a.json b.json                   # exit 1 unless they compute the same
     python -m repro list-scenarios                       # presets + control planes
     python -m repro list-traffic-models                  # registered trace generators
     python -m repro list-topologies                      # registered topology shapes
@@ -42,7 +43,9 @@ new shape supports them.  ``--exec`` overrides the spec's
     python -m repro bench --presets paper-fig7 --exec '{"workers": 4}'
 
 ``compare`` takes the flags too, for a preset it runs; a results file is
-compared as it was written.  Multi-scenario presets fan out over
+compared as it was written.  ``diff`` takes two results files and nothing
+else: it prints each JSON path at which they drift, their ``execution``
+blocks aside, and exits 1 if any does.  Multi-scenario presets fan out over
 ``run --workers`` processes.  ``bench`` replays the benchmark presets and
 writes one ``BENCH_<scenario>.json`` per scenario (controller workload,
 latency, regroup, churn, table and link counters, per-bucket timelines —
@@ -372,25 +375,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_results(target: str) -> List[ScenarioResult]:
+    """The results a ``repro run --out`` file holds: one scenario's, or a list."""
+    from repro.common.errors import ReproError
+    from repro.core.runner import ScenarioResult
+
+    data = json.loads(Path(target).read_text(encoding="utf-8"))
+    payloads = data if isinstance(data, list) else [data]
+    for payload in payloads:
+        if not isinstance(payload, dict) or "spec" not in payload or "runs" not in payload:
+            raise ReproError(
+                f"{target} is not a results file; expected the JSON written by "
+                "'repro run --out' (a scenario spec cannot be compared directly)"
+            )
+    return [ScenarioResult.from_dict(payload) for payload in payloads]
+
+
 def _load_results(args: argparse.Namespace) -> List[ScenarioResult]:
     """Resolve a ``compare`` argument: a results JSON file or a preset to run."""
-    from repro.common.errors import ReproError
-
     target = args.target
     if target.endswith(".json") or Path(target).is_file():
-        from repro.core.runner import ScenarioResult
-
         if any(_given(args)):
+            from repro.common.errors import ReproError
+
             raise ReproError(f"{target} is a results file; override flags apply to a preset run")
-        data = json.loads(Path(target).read_text(encoding="utf-8"))
-        payloads = data if isinstance(data, list) else [data]
-        for payload in payloads:
-            if not isinstance(payload, dict) or "spec" not in payload or "runs" not in payload:
-                raise ReproError(
-                    f"{target} is not a results file; expected the JSON written by "
-                    "'repro run --out' (a scenario spec cannot be compared directly)"
-                )
-        return [ScenarioResult.from_dict(payload) for payload in payloads]
+        return _read_results(target)
     from repro.obs.tracer import TraceOptions
 
     # Timeline observation gives compare its latency histograms (p50/p95/p99);
@@ -437,12 +446,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_diff(args: argparse.Namespace) -> int:
+    from repro.common.diff import payload_drift
+
+    def computed(path: str) -> dict:
+        """Each scenario's results, by name, minus how they were executed."""
+        return {result.spec.name: {**result.to_dict(), "execution": None} for result in _read_results(path)}
+
+    drift = payload_drift(computed(args.first), computed(args.second))
+    print("\n".join(drift) or f"no drift between {args.first} and {args.second}")
+    return 1 if drift else 0
+
+
 def _bench_payload(preset_name: str, result: ScenarioResult) -> dict:
     """The machine-readable benchmark record for one scenario run.
 
     Every value is replay arithmetic, deterministic for the spec, so
     ``--check`` can gate on it; nothing timed or host-dependent goes in.
     """
+    from repro.core.runner import TIMED_KEYS
+
     systems = {}
     for name, run in result.runs.items():
         record = {
@@ -472,18 +495,8 @@ def _bench_payload(preset_name: str, result: ScenarioResult) -> dict:
         if run.timeline is not None:
             # Count series only: they are exact (each sums to a scalar
             # counter above) so --check can gate on them bucket for bucket;
-            # gauges stay out (timing-flavoured, not exact), and so does
-            # chunks_drained — it counts replay mechanics, which
-            # legitimately differ between the streamed and materialized paths
-            # replaying the same scenario.
-            record["timeline"] = {
-                "bucket_seconds": run.timeline.bucket_seconds,
-                "counts": {
-                    series: values
-                    for series, values in run.timeline.counts.items()
-                    if series != "chunks_drained"
-                },
-            }
+            # gauges stay out (timing-flavoured, not exact).
+            record["timeline"] = {"bucket_seconds": run.timeline.bucket_seconds, "counts": run.timeline.counts}
             # Whole-run latency percentiles from the exact log-histogram:
             # deterministic per scenario, so gated like everything else.
             for label, fraction in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
@@ -504,23 +517,16 @@ def _bench_payload(preset_name: str, result: ScenarioResult) -> dict:
                 )
         systems[name] = record
     switches, hosts = result.spec.topology.dimensions()
-    payload = {
+    return {
         "scenario": result.spec.name,
         "preset": preset_name,
         "flows": result.spec.traffic.total_flows,
         "switches": switches,
         "hosts": hosts,
         "systems": systems,
-    }
-    if result.shards is not None:
         # How the run was executed, not what it computed: --check skips it.
-        payload["execution"] = {
-            **result.spec.execution.to_dict(),
-            "strategy": result.shards["strategy"],
-            "pooled": result.shards["pooled"],
-            "windows_per_system": result.shards["windows_per_system"],
-        }
-    return payload
+        "execution": {key: value for key, value in result.execution.items() if key not in TIMED_KEYS},
+    }
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -801,6 +807,10 @@ def build_parser() -> argparse.ArgumentParser:
     compare = command("compare", _cmd_compare, "compare runs from a results file or preset", runs=True)
     compare.add_argument("target", help="results JSON (from 'run --out') or preset name")
     compare.add_argument("--baseline", help="baseline system name or label")
+
+    diff = command("diff", _cmd_diff, "exit 1 unless two results files, minus their execution blocks, are equal")
+    diff.add_argument("first", help="results JSON (from 'run --out')")
+    diff.add_argument("second", help="results JSON to hold to the first")
 
     command("list-scenarios", _cmd_list_scenarios, "list presets and registered control planes")
     command(

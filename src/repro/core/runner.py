@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
@@ -49,16 +49,35 @@ if TYPE_CHECKING:
     from repro.perf.report import PerfSnapshot
 
 
+#: The ``execution`` keys that are measurements, not facts about the plan.
+TIMED_KEYS = ("shard_walls_seconds", "critical_path_seconds", "total_shard_seconds", "perf")
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
     """All runs of one scenario, keyed by control-plane registry name."""
 
     spec: ScenarioSpec
     runs: Dict[str, RunResult]
-    #: Shard-execution telemetry (strategy, per-shard walls, critical path);
-    #: ``None`` for a serial run (the per-system plan in process), which
-    #: keeps the serial result format free of wall-clock values.
-    shards: Optional[Dict[str, Any]] = None
+    #: How the shard plan ran: its ``strategy``, whether it was ``pooled``
+    #: and its ``windows_per_system``; a run that is not the serial
+    #: per-system plan in process adds its shard walls (``shard_walls_seconds``,
+    #: ``critical_path_seconds`` and ``total_shard_seconds``).
+    executed: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def shards(self) -> Optional[Dict[str, Any]]:
+        """Shard-execution telemetry (strategy, workers, per-shard walls,
+        critical path); ``None`` for a serial run (the per-system plan in process)."""
+        sharded = "critical_path_seconds" in self.executed
+        return {"workers": self.spec.execution.workers, **self.executed} if sharded else None
+
+    @property
+    def execution(self) -> Dict[str, Any]:
+        """Everything about how the run was executed: ``spec.execution``,
+        :attr:`executed` and each run's perf snapshot, when one was collected."""
+        perf = {name: run.perf.to_dict() for name, run in self.runs.items() if run.perf is not None}
+        return {**self.spec.execution.to_dict(), **self.executed, **({"perf": perf} if perf else {})}
 
     # -- lookups -------------------------------------------------------------
 
@@ -92,23 +111,28 @@ class ScenarioResult:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready representation of spec and runs."""
-        payload: Dict[str, Any] = {
-            "spec": self.spec.to_dict(),
-            "runs": {name: run.to_dict() for name, run in self.runs.items()},
-        }
-        if self.shards is not None:
-            payload["shards"] = self.shards
-        return payload
+        """The results file: what was computed (``spec`` and ``runs``, which
+        depend on the spec alone) and, apart, how (:attr:`execution`)."""
+        spec = {key: value for key, value in self.spec.to_dict().items() if key != "execution"}
+        runs = {name: run.to_dict() for name, run in self.runs.items()}
+        for run in runs.values():
+            del run["perf"]
+        return {"spec": spec, "runs": runs, "execution": self.execution}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        return cls(
-            spec=ScenarioSpec.from_dict(data["spec"]),
-            runs={name: RunResult.from_dict(run) for name, run in data["runs"].items()},
-            shards=data.get("shards"),
-        )
+        """Rebuild a result from :meth:`to_dict` output.
+
+        A file written before the ``execution`` block keeps its
+        ``ExecutionSpec`` in ``spec`` and its shard telemetry in a top-level
+        ``shards``; it loads as it was written.
+        """
+        execution = dict(data.get("execution") or data.get("shards") or {})
+        perf = execution.pop("perf", {})
+        knobs = {key: execution.pop(key) for key in ExecutionSpec().to_dict() if key in execution}
+        spec = {**data["spec"], "execution": knobs} if "execution" in data else data["spec"]
+        runs = {name: RunResult.from_dict({"perf": perf.get(name), **run}) for name, run in data["runs"].items()}
+        return cls(spec=ScenarioSpec.from_dict(spec), runs=runs, executed=execution)
 
     def save(self, path: str | Path) -> Path:
         """Write this result to ``path`` as JSON and return the path."""
@@ -201,20 +225,16 @@ class ScenarioRunner:
             )
             runs[entry.name] = merge_outcomes(system_outcomes, schedule=spec.schedule)
             walls[entry.name] = [outcome.wall_seconds for outcome in system_outcomes]
-        if not use_pool and plan.is_serial_per_system:
-            return ScenarioResult(spec=spec, runs=runs)
-        all_walls = [wall for system_walls in walls.values() for wall in system_walls]
-        telemetry = {
-            "strategy": plan.strategy,
-            "workers": plan.workers,
-            "pooled": use_pool,
-            "windows_per_system": plan.windows_per_system,
-            "shard_walls_seconds": walls,
-            # What a perfectly parallel run would take: the slowest shard.
-            "critical_path_seconds": max(all_walls),
-            "total_shard_seconds": sum(all_walls),
-        }
-        return ScenarioResult(spec=spec, runs=runs, shards=telemetry)
+        executed = {"strategy": plan.strategy, "pooled": use_pool, "windows_per_system": plan.windows_per_system}
+        if use_pool or not plan.is_serial_per_system:
+            all_walls = [wall for system_walls in walls.values() for wall in system_walls]
+            executed.update(
+                shard_walls_seconds=walls,
+                # What a perfectly parallel run would take: the slowest shard.
+                critical_path_seconds=max(all_walls),
+                total_shard_seconds=sum(all_walls),
+            )
+        return ScenarioResult(spec=spec, runs=runs, executed=executed)
 
     def run_many(
         self,

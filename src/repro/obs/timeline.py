@@ -50,7 +50,6 @@ _PREFERRED_ORDER = (
     "regroups",
     "churn_events",
     "link_congested",
-    "chunks_drained",
     "replay_ticks",
 )
 
@@ -176,8 +175,6 @@ class MetricsTimeline:
                 self._count("regroups", event.time)
         elif name == "link_congested":
             self._count("link_congested", event.time)
-        elif name == "chunk_drained":
-            self._count("chunks_drained", event.time)
         elif name == "replay_tick":
             self._count("replay_ticks", event.time)
         # regroup_start is a span marker, not an aggregate.

@@ -5,17 +5,16 @@ runs: scalar or vectorized kernel; flows delivered as a materialized trace,
 a stream or a record list; serial, pooled per system or in time windows;
 traced or not.  This module holds one copy of each piece checking it takes:
 the spec builder (:func:`build_spec`, with :func:`expansion_window`), the
-execution shape (:class:`Cell`: its reference and its refusal), the
-comparable form of a run (:func:`outcome`, :func:`comparable`), the end
-state a result does not carry (:func:`replay_plane`, :func:`plane_state`,
-:func:`switch_state`), and the component-level entry point "a run of ``n``
-is ``n`` runs of one" (:func:`assert_n_ones`).
+execution shape (:class:`Cell`: its reference and its refusal), a run's
+outcome and its one comparison (:func:`outcome`, :meth:`Outcome.assert_same`),
+the end state a result does not carry (:func:`replay_plane`,
+:func:`plane_state`, :func:`switch_state`), and the component-level entry
+point "a run of ``n`` is ``n`` runs of one" (:func:`assert_n_ones`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import tempfile
 from contextlib import nullcontext
 from pathlib import Path
@@ -27,8 +26,9 @@ import pytest
 from repro.bandwidth.spec import LinkCapacitySpec
 from repro.churn.spec import ChurnSpec
 from repro.common.config import FlowTableConfig, GroupingConfig, LazyCtrlConfig
+from repro.common.diff import payload_drift
 from repro.core import scenario
-from repro.core.runner import ScenarioRunner
+from repro.core.runner import ScenarioResult, ScenarioRunner
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec
 from repro.obs.tracer import JsonlEventListener, TraceOptions
 from repro.perf.recorder import PerfRecorder
@@ -222,28 +222,21 @@ class Cell:
 
 @dataclasses.dataclass
 class Outcome:
-    runs: Dict[str, Any]  #: system -> :func:`comparable` run
+    result: ScenarioResult
     events: Optional[List[str]]  #: the JSONL event lines but ``chunk_drained``
-    perf: Dict[str, Any]  #: system -> perf snapshot
-    shards: Optional[Dict[str, Any]]  #: shard telemetry
+
+    @property
+    def runs(self) -> Dict[str, Any]:
+        """system -> its run, as the results file holds it."""
+        return self.result.to_dict()["runs"]
 
     def assert_same(self, other: "Outcome") -> None:
-        assert self.runs == other.runs
-        assert json.dumps(self.runs, sort_keys=True) == json.dumps(other.runs, sort_keys=True)
+        """The results files minus ``execution`` are equal (the one comparison
+        ``repro diff`` and ``bench --check`` make), and so are the events."""
+        drift = payload_drift(other.result.to_dict(), self.result.to_dict())
+        if drift:
+            pytest.fail(f"{drift[0]} ({len(drift)} drifted paths)")
         assert self.events == other.events
-
-
-def comparable(runs) -> Dict[str, Any]:
-    """Each run's ``to_dict()`` minus the timeline's ``chunks_drained`` (how the
-    flows were delivered, as the event stream's ``chunk_drained`` lines are)
-    and the perf snapshot (timings)."""
-    form = {}
-    for name, run in runs.items():
-        form[name] = run = {**run.to_dict(), "perf": None}
-        if run["timeline"] is not None:
-            counts = {key: value for key, value in run["timeline"]["counts"].items() if key != "chunks_drained"}
-            run["timeline"] = {**run["timeline"], "counts": counts}
-    return form
 
 
 def outcome(spec: ScenarioSpec, cell: Cell = Cell()) -> Outcome:
@@ -253,12 +246,11 @@ def outcome(spec: ScenarioSpec, cell: Cell = Cell()) -> Outcome:
         path = str(Path(scratch) / "events.jsonl") if cell.events else None
         obs = TraceOptions(timeline=cell.timeline, events_path=path)
         if cell.delivery == "records":
-            runs, shards = _record_born(spec, obs, cell.perf), None
+            result = ScenarioResult(spec=spec, runs=_record_born(spec, obs, cell.perf))
         else:
             result = ScenarioRunner().run(spec, obs=obs, collect_perf=cell.perf)
-            runs, shards = result.runs, result.shards
         events = path and [line for line in Path(path).read_text().splitlines() if '"chunk_drained"' not in line]
-    return Outcome(comparable(runs), events, {name: run.perf for name, run in runs.items()}, shards)
+    return Outcome(result, events)
 
 
 def _record_born(spec: ScenarioSpec, obs: TraceOptions, collect_perf: bool):

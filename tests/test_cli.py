@@ -228,10 +228,10 @@ class TestRun:
         assert main([*base, "--exec", "stream=true", "--out", str(streamed)]) == 0
         left = json.loads(materialized.read_text())
         right = json.loads(streamed.read_text())
-        # Identical replay outcomes; only the spec's execution differs.
+        # Identical replay outcomes; only the execution block differs.
         assert left["runs"] == right["runs"]
-        assert left["spec"]["execution"]["stream"] is False
-        assert right["spec"]["execution"]["stream"] is True
+        assert left["execution"]["stream"] is False
+        assert right["execution"]["stream"] is True
 
     def test_run_spec_file(self, tmp_path, capsys):
         spec = ScenarioSpec(
@@ -404,10 +404,8 @@ class TestBench:
         assert main(["bench", "--presets", "paper-fig7", *RUN_SMALL, *extra,
                      "--out-dir", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "BENCH_paper-fig7.json").read_text())
-        if mode == "pooled":
-            assert set(payload["execution"]) >= {"strategy", "pooled", "windows_per_system"}
-        else:
-            assert "execution" not in payload
+        assert set(payload["execution"]) >= {"strategy", "pooled", "windows_per_system"}
+        assert payload["execution"]["pooled"] is (mode == "pooled")
         assert "streaming" not in payload
         assert timed_keys(payload) == []
         # Every system replays the identical flow sequence (only the flows
@@ -636,6 +634,123 @@ class TestCompare:
         capsys.readouterr()
         assert main(["compare", str(out_path), "--flows", "500"]) == 2
         assert "override flags apply to a preset run" in capsys.readouterr().err
+
+
+LEGACY_RESULTS = Path(__file__).parent / "data" / "legacy_results"
+
+#: The exec flags of each committed legacy results file (``paper-fig7 --flows 2000``).
+LEGACY_RUNS = {
+    "paper-fig7-serial.json": [],
+    "paper-fig7-time-window.json": ["--exec", "workers=2,shard-strategy=time-window,shard-count=2"],
+}
+
+
+class TestDiff:
+    """``repro diff A B``: exit 1 unless two results files, minus ``execution``, are equal."""
+
+    @staticmethod
+    def run(path, *extra):
+        assert main(["run", "paper-fig7", "--flows", "2000", *extra, "--out", str(path)]) == 0
+        return path
+
+    def test_two_pooled_runs_do_not_drift(self, tmp_path, capsys):
+        first = self.run(tmp_path / "a.json", "--exec", "workers=2")
+        second = self.run(tmp_path / "b.json", "--exec", "workers=2")
+        capsys.readouterr()
+        assert main(["diff", str(first), str(second)]) == 0
+        assert capsys.readouterr().out.startswith("no drift")
+
+    def test_a_results_file_minus_execution_depends_on_the_spec_alone(self, tmp_path, capsys):
+        """Two pooled runs of one spec write the same bytes once ``execution`` is gone."""
+
+        def computed(path):
+            data = json.loads(path.read_text())
+            assert data.pop("execution")["critical_path_seconds"] > 0
+            return json.dumps(data, indent=2)
+
+        first = self.run(tmp_path / "a.json", "--exec", "workers=2")
+        second = self.run(tmp_path / "b.json", "--exec", "workers=2")
+        assert computed(first) == computed(second)
+
+    @pytest.mark.parametrize(
+        "shape", ("workers=3", "stream=true", "kernel=vectorized", "workers=2,shard-strategy=time-window,shard-count=1")
+    )
+    def test_every_exact_shape_computes_the_serial_result(self, shape, tmp_path, capsys):
+        if "vectorized" in shape:
+            pytest.importorskip("numpy")
+        serial = self.run(tmp_path / "serial.json")
+        other = self.run(tmp_path / "other.json", "--exec", shape)
+        capsys.readouterr()
+        assert main(["diff", str(serial), str(other)]) == 0
+
+    def test_one_edited_counter_is_one_line(self, tmp_path, capsys):
+        first = self.run(tmp_path / "a.json", "--exec", "workers=2")
+        data = json.loads(first.read_text())
+        data["runs"]["openflow"]["counters"]["controller_requests"] += 1
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["diff", str(first), str(edited)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert "runs.openflow.counters.controller_requests: expected " in lines[0]
+
+    @pytest.mark.parametrize("content", ("spec", "not json"))
+    def test_a_spec_or_non_json_input_is_refused(self, content, tmp_path, capsys):
+        results = self.run(tmp_path / "a.json")
+        other = tmp_path / "other.json"
+        if content == "spec":
+            ScenarioSpec(name="just-a-spec", systems=("openflow",)).save(other)
+        else:
+            other.write_text("{not json")
+        capsys.readouterr()
+        assert main(["diff", str(results), str(other)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+
+    def test_a_results_list_is_compared_by_scenario_name(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        assert main(["run", "timeout-sweep", *RUN_SMALL, "--systems", "openflow", "--out", str(path)]) == 0
+        results = json.loads(path.read_text())
+        assert len(results) > 2
+        reordered = tmp_path / "reordered.json"
+        reordered.write_text(json.dumps(results[::-1]))
+        capsys.readouterr()
+        assert main(["diff", str(path), str(reordered)]) == 0
+
+        results[1]["runs"]["openflow"]["total_controller_requests"] += 1
+        dropped = results.pop()
+        reordered.write_text(json.dumps(results[::-1]))
+        capsys.readouterr()
+        assert main(["diff", str(path), str(reordered)]) == 1
+        requests = results[1]["runs"]["openflow"]["total_controller_requests"]
+        assert capsys.readouterr().out.splitlines() == [
+            f"{results[1]['spec']['name']}.runs.openflow.total_controller_requests: "
+            f"expected {requests - 1}, got {requests}",
+            f"{dropped['spec']['name']}: missing",
+        ]
+
+
+class TestLegacyResults:
+    """Results files written before the ``execution`` block still load and compare."""
+
+    @pytest.mark.parametrize("name", sorted(LEGACY_RUNS))
+    def test_a_legacy_file_loads_as_it_was_written(self, name, capsys):
+        path = LEGACY_RESULTS / name
+        written = json.loads(path.read_text())
+        result = ScenarioResult.load(path)
+        assert result.shards == written.get("shards")
+        assert result.spec.execution.to_dict() == written["spec"]["execution"]
+        assert main(["compare", str(path)]) == 0
+        assert "Workload reduction vs OpenFlow" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(LEGACY_RUNS))
+    def test_a_legacy_file_does_not_drift_from_todays_run(self, name, tmp_path, capsys):
+        fresh = TestDiff.run(tmp_path / "fresh.json", *LEGACY_RUNS[name])
+        capsys.readouterr()
+        assert main(["diff", str(LEGACY_RESULTS / name), str(fresh)]) == 0
 
 
 class TestOverrideFlags:

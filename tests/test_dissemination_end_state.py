@@ -14,8 +14,9 @@ import dataclasses
 
 import pytest
 
-from equivalence import build_spec, comparable, plane_state, replay_plane
+from equivalence import build_spec, plane_state, replay_plane
 from repro.common.config import GroupingConfig, LazyCtrlConfig
+from repro.common.diff import payload_drift
 from repro.controlplane.group import LocalControlGroup
 from repro.controlplane.lazyctrl_controller import LazyCtrlController
 from repro.controlplane.messages import GroupStateReportMessage
@@ -130,16 +131,17 @@ def replay_until_stop():
 
 class TestMidTraceEndState:
     def test_shared_summaries_leave_what_per_holder_builds_leave(self, per_holder_form):
-        run, plane = replay_until_stop()
-        reference = {"run": comparable({"run": run}), **plane_state(plane, STOP_AT)}
+        reference_run, plane = replay_until_stop()
+        reference = plane_state(plane, STOP_AT)
         per_holder_form.undo()
         run, plane = replay_until_stop()
-        state = {"run": comparable({"run": run}), **plane_state(plane, STOP_AT)}
+        state = plane_state(plane, STOP_AT)
 
         # The run is the one the issue describes, and it exercised both paths.
         assert plane.controller.regroupings_applied >= 4  # the initial grouping + 3
         assert run.churn.migrations > 20 and run.churn.drift_host_moves > 20
 
+        assert payload_drift(reference_run.to_dict(), run.to_dict()) == []
         for section in state:
             assert state[section] == reference[section], section
 

@@ -153,7 +153,7 @@ def every(path, holds=bool):
     def check(spec, ran):
         for name, run in ran.runs.items():
             if path.startswith("perf."):
-                value = ran.perf[name].counters.get(path[len("perf."):], 0)
+                value = ran.result.runs[name].perf.counters.get(path[len("perf."):], 0)
             else:
                 value = functools.reduce(operator.getitem, path.split("."), run)
             assert holds(sum(value) if isinstance(value, list) else value), (name, path)
@@ -163,7 +163,7 @@ def every(path, holds=bool):
 
 def pooled(workers):
     def check(spec, ran):
-        assert (ran.shards["workers"], ran.shards["pooled"]) == (workers, True)
+        assert (ran.result.shards["workers"], ran.result.shards["pooled"]) == (workers, True)
 
     return check
 
@@ -271,7 +271,8 @@ DIAGONAL = [
     row("kernel-timeline", build_spec(flows=500, seed=13), Cell(kernel=VECTORIZED, timeline=True)),
     row("kernel-timeline-expanded", build_spec(flows=500, seed=13, expand=0.3), Cell(kernel=VECTORIZED, timeline=True)),
     row("kernel-tiny-tables-fall-back", build_spec(tables=TABLE_SPECS[3], flows=500, seed=3),
-        Cell(kernel=VECTORIZED, perf=True), lambda spec, ran: ran.perf["openflow"].counters["kernel.flows_fallback"]),
+        Cell(kernel=VECTORIZED, perf=True),
+        lambda spec, ran: ran.result.runs["openflow"].perf.counters["kernel.flows_fallback"]),
     *churned(),
     row("kernel-churn-events", build_spec(churn=CHURN_SPECS[1], flows=600, seed=5),
         Cell(kernel=VECTORIZED, events=True), lambda spec, ran: any('"churn"' in line for line in ran.events)),

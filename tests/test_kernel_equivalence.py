@@ -19,7 +19,7 @@ from repro.replay.spec import ExecutionSpec
 
 def kernel_perf(spec):
     """Each system's perf snapshot of ``spec`` on the vectorized kernel."""
-    return outcome(spec, Cell(kernel="vectorized", perf=True)).perf
+    return {name: run.perf for name, run in outcome(spec, Cell(kernel="vectorized", perf=True)).result.runs.items()}
 
 
 class TestFallbackIsThePlanesDecideStep:

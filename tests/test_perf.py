@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.common.diff import payload_drift
 from repro.core.runner import ScenarioResult, ScenarioRunner
 from repro.core.scenario import ScenarioSpec, ScheduleSpec, TraceSpec
 from repro.perf.baseline import check_against_baselines, compare_payloads
@@ -169,10 +170,9 @@ class TestInstrumentedRuns:
         instrumented = ScenarioRunner().run(spec, collect_perf=True)
         plain_dict = plain.to_dict()
         instrumented_dict = instrumented.to_dict()
-        for name in plain_dict["runs"]:
-            assert instrumented_dict["runs"][name].pop("perf") is not None
-            assert plain_dict["runs"][name].pop("perf") is None
-        assert plain_dict == instrumented_dict
+        assert set(instrumented_dict["execution"]["perf"]) == set(plain_dict["runs"])
+        assert "perf" not in plain_dict["execution"]
+        assert payload_drift(plain_dict, instrumented_dict) == []
 
     def test_uninstrumented_run_has_no_perf(self):
         result = ScenarioRunner().run(small_spec(systems=("openflow",)))
@@ -325,10 +325,17 @@ class TestBaselineComparison:
         if side == "both":
             current[key] = new
         check = compare_payloads(current, baseline)
-        expected = f"{key}: missing from the fresh payload" if side == "baseline" else (
+        expected = f"{key}: missing" if side == "baseline" else (
             f"{key}: expected {old!r}, got {new!r}"
         )
         assert check.failures == [expected]
+
+    def test_an_integer_and_its_float_differ(self):
+        """Both sides are compared as the JSON they write, where 50 and 50.0 differ."""
+        current = payload()
+        current["systems"]["openflow"]["total_controller_requests"] = 50.0
+        check = compare_payloads(current, payload())
+        assert check.failures == ["systems.openflow.total_controller_requests: expected 50, got 50.0"]
 
     def test_missing_system_fails(self):
         current = payload()
@@ -425,7 +432,7 @@ class TestOnePassDriftReporting:
     def test_a_dropped_timeline_is_reported(self):
         current = payload()
         check = compare_payloads(current, self.timeline_payload())
-        assert check.failures == ["systems.openflow.timeline: missing from the fresh payload"]
+        assert check.failures == ["systems.openflow.timeline: missing"]
 
     def test_a_bucket_width_change_is_reported(self):
         current = self.timeline_payload()

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from equivalence import Cell, outcome
 from equivalence import fig7 as mini_fig7
+from repro.common.diff import payload_drift
 from repro.common.errors import ConfigurationError, ReproError, ShardFailure, TrafficError
 from repro.core.runner import ScenarioRunner
 from repro.core.scenario import ScheduleSpec, TraceSpec
@@ -129,7 +130,7 @@ class TestShardedResult:
 
     def test_perf_snapshots_merge_across_time_windows(self):
         cell = Cell(delivery="stream", shard="time-window", workers=2, perf=True)
-        perf = outcome(mini_fig7(systems=("lazyctrl-dynamic",)), cell).perf["lazyctrl-dynamic"]
+        perf = outcome(mini_fig7(systems=("lazyctrl-dynamic",)), cell).result.runs["lazyctrl-dynamic"].perf
         assert perf is not None
         assert perf.flows_replayed > 0
         assert perf.counters["replay.flows_replayed"] == perf.flows_replayed
@@ -223,7 +224,7 @@ class TestPoolWorkerPayload:
         shipped = _outcome_from_dict(_execute_shard_payload(payload))
         local = execute_shard(spec, shard, shard_trace(spec), shard_tracer(shard.system, 3600.0))
         assert shipped.shard == local.shard == shard
-        assert shipped.run.to_dict() == local.run.to_dict()
+        assert payload_drift(local.run.to_dict(), shipped.run.to_dict()) == []
         assert (shipped.workload_counts, shipped.latency_totals) == (
             local.workload_counts,
             local.latency_totals,
