@@ -380,7 +380,10 @@ def _read_results(target: str) -> List[ScenarioResult]:
     from repro.common.errors import ReproError
     from repro.core.runner import ScenarioResult
 
-    data = json.loads(Path(target).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(target).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as error:
+        raise ReproError(f"{target} is not JSON: {error}") from None
     payloads = data if isinstance(data, list) else [data]
     for payload in payloads:
         if not isinstance(payload, dict) or "spec" not in payload or "runs" not in payload:

@@ -20,7 +20,7 @@ inputs ``IncUpdate`` consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.common.config import GroupingConfig
 from repro.datastructures.intensity import IntensityMatrix
@@ -121,16 +121,18 @@ class GroupingManager:
 
     # -- periodic check ---------------------------------------------------------
 
-    def check(self, now: float, workload_rps: float) -> RegroupingDecision:
-        """Evaluate the regrouping triggers; run IncUpdate when they fire.
+    def trigger(self, now: float, workload_rps: float) -> Tuple[bool, str]:
+        """Whether a §IV-B trigger fires at ``now``: ``(True, its name)`` or ``(False, why not)``.
 
-        ``workload_rps`` is the controller's current request rate.  In static
-        mode (or before any initial grouping) the check never regroups.
+        ``workload_rps`` is the controller's current request rate.  Pure:
+        :meth:`check` asks it first, and a batched replay asks it before a
+        tick to learn whether that tick can regroup.  In static mode (or
+        before any initial grouping) nothing fires.
         """
         if self.current_grouping is None:
-            return RegroupingDecision(regrouped=False, reason="no initial grouping yet")
+            return False, "no initial grouping yet"
         if not self.dynamic:
-            return RegroupingDecision(regrouped=False, reason="static mode")
+            return False, "static mode"
 
         # Boundary semantics follow §IV-B inclusively: an elapsed time of
         # exactly the minimum interval and a growth of exactly the trigger
@@ -138,28 +140,29 @@ class GroupingManager:
         # floating-point arithmetic a hair below the boundary.
         elapsed = now - self._last_update_time
         if elapsed + 1e-9 < MIN_INTERVAL_SECONDS:
-            return RegroupingDecision(regrouped=False, reason="within minimum update interval")
+            return False, "within minimum update interval"
 
         baseline = max(self._workload_at_last_update, 1e-9)
         growth = (workload_rps - self._workload_at_last_update) / baseline
-        overloaded = workload_rps > OVERLOAD_THRESHOLD_RPS
-        growth_triggered = growth >= WORKLOAD_GROWTH_TRIGGER - 1e-12 and workload_rps > 0
-        stale = elapsed + 1e-9 >= MAX_INTERVAL_SECONDS
-        churn_triggered = self.churn_events_since_update >= CHURN_EVENT_TRIGGER
-
-        if not (growth_triggered or overloaded or stale or churn_triggered):
-            return RegroupingDecision(regrouped=False, reason="no trigger fired")
-
         # The first trigger in precedence order names the update; the same
         # string is the applied decision's reason and the trace attribution.
-        if growth_triggered:
-            trigger = "workload growth"
-        elif overloaded:
-            trigger = "overload"
-        elif churn_triggered:
-            trigger = "topology churn"
-        else:
-            trigger = "max interval elapsed"
+        if growth >= WORKLOAD_GROWTH_TRIGGER - 1e-12 and workload_rps > 0:
+            return True, "workload growth"
+        if workload_rps > OVERLOAD_THRESHOLD_RPS:
+            return True, "overload"
+        if self.churn_events_since_update >= CHURN_EVENT_TRIGGER:
+            return True, "topology churn"
+        if elapsed + 1e-9 >= MAX_INTERVAL_SECONDS:
+            return True, "max interval elapsed"
+        return False, "no trigger fired"
+
+    def check(self, now: float, workload_rps: float) -> RegroupingDecision:
+        """Evaluate the regrouping triggers; run IncUpdate when one fires (:meth:`trigger`)."""
+        fires, trigger = self.trigger(now, workload_rps)
+        if not fires:
+            return RegroupingDecision(regrouped=False, reason=trigger)
+        # A stale grouping is replaced even when the update does not improve it.
+        stale = now - self._last_update_time + 1e-9 >= MAX_INTERVAL_SECONDS
         tracer = self.tracer
         if tracer.enabled:
             from repro.obs.events import RegroupStartEvent

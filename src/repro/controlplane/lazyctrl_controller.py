@@ -217,6 +217,15 @@ class LazyCtrlController(EdgeController):
 
     # -- periodic housekeeping ---------------------------------------------------------------------
 
+    def regroup_due(self, now: float) -> bool:
+        """Whether :meth:`periodic_check` at ``now`` fires a regrouping trigger.
+
+        A fired trigger starts a new intensity window even when the update
+        it runs keeps the grouping.  Reads the workload meter at ``now``, as
+        the check does next; changes nothing else.
+        """
+        return self.grouping_manager.trigger(now, self.current_load_rps(now))[0]
+
     def periodic_check(self, now: float) -> bool:
         """Run the regrouping check; apply and provision a new grouping when one is produced.
 

@@ -171,9 +171,9 @@ class RunResult:
         return dataclass_to_dict(self)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunResult":
-        """Rebuild a run from :meth:`to_dict` output."""
-        return dataclass_from_dict(cls, data)
+    def from_dict(cls, data: Dict[str, Any], *, path: Optional[str] = None) -> "RunResult":
+        """Rebuild a run from :meth:`to_dict` output; ``path`` names it in errors."""
+        return dataclass_from_dict(cls, data, path=path)
 
 
 @dataclass(frozen=True, slots=True)

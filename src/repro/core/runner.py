@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
@@ -130,9 +130,14 @@ class ScenarioResult:
         execution = dict(data.get("execution") or data.get("shards") or {})
         perf = execution.pop("perf", {})
         knobs = {key: execution.pop(key) for key in ExecutionSpec().to_dict() if key in execution}
-        spec = {**data["spec"], "execution": knobs} if "execution" in data else data["spec"]
-        runs = {name: RunResult.from_dict({"perf": perf.get(name), **run}) for name, run in data["runs"].items()}
-        return cls(spec=ScenarioSpec.from_dict(spec), runs=runs, executed=execution)
+        spec = ScenarioSpec.from_dict(data["spec"])
+        if "execution" in data:
+            spec = replace(spec, execution=ExecutionSpec.from_dict(knobs))
+        runs = {
+            name: RunResult.from_dict({"perf": perf.get(name), **run}, path=f"runs.{name}")
+            for name, run in data["runs"].items()
+        }
+        return cls(spec=spec, runs=runs, executed=execution)
 
     def save(self, path: str | Path) -> Path:
         """Write this result to ``path`` as JSON and return the path."""

@@ -358,6 +358,19 @@ class EdgePlane:
 
     # -- periodic housekeeping ---------------------------------------------------------
 
+    #: Whether a periodic tick can change how a flow is forwarded; if so, a
+    #: batched replay asks :meth:`regroup_due` before each tick.
+    ticks_regroup = False
+
+    def regroup_due(self, now: float) -> bool:
+        """Whether the tick at ``now`` may change forwarding (or the intensity window).
+
+        What else a tick does — sweep expired rules, report L-FIBs that
+        churn alone changes, read the workload meter — leaves every
+        forwarding decision as it was, so the reactive baseline answers no.
+        """
+        return False
+
     def periodic(self, now: float) -> None:
         """Periodic housekeeping: the plane's control work, then table aging."""
         self._control_tick(now)
@@ -520,6 +533,7 @@ class LazyCtrlSystem(EdgePlane):
             config=config,
             latency_bucket_seconds=latency_bucket_seconds,
         )
+        self.ticks_regroup = dynamic_grouping
         self.failover_records: List = []
         self.controller.bootstrap_host_locations()
         self._disseminator: Optional[StateDisseminator] = None
@@ -578,6 +592,10 @@ class LazyCtrlSystem(EdgePlane):
         return self.controller.grouping_manager.recent_matrix
 
     # -- periodic housekeeping ---------------------------------------------------------
+
+    def regroup_due(self, now: float) -> bool:
+        """Whether the tick at ``now`` fires a regrouping trigger (never in static mode)."""
+        return self.controller.regroup_due(now)
 
     def _control_tick(self, now: float) -> None:
         """State reports to the C-LIB, then the regrouping check."""

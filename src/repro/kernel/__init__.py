@@ -1,15 +1,17 @@
 """Columnar replay kernel — the vectorized per-shard fast path.
 
 This package is the optimization layer behind ``ExecutionSpec.kernel ==
-"vectorized"``: each replay batch (the flows between two periodic ticks)
+"vectorized"``: each replay batch (up to ``KERNEL_BATCH_FLOWS`` flows before
+the next control event, the periodic ticks among them walked in place)
 arrives as a column chunk, is read as parallel numpy arrays without a copy
 and grouped by (src, dst) host pair.  Each pair's arrival structure is then
 put to its ingress switch — ``EdgeSwitch.classify_run``, the question
 ``forward_key`` asks for a run of one — two cross-pair hazards (table
 eviction, G-FIB memo clear) are guarded, the decided pairs are applied once
 for all their flows through ``EdgeSwitch.apply_run`` and
-``EdgePlane.settle_run``, and everything that needs the control plane
-(packet-in, table pressure, expiring rules) goes flow by flow through
+``EdgePlane.settle_run``, a rule's run is cut where its timer can fire and
+each piece applied at its first flow, and everything that needs the control
+plane (a packet-in, table pressure) goes flow by flow through
 ``EdgePlane.first_packet``, the step ``EdgePlane.flow_arrival`` takes, on the
 pair's flow key and the time column: no record or result is
 built.  A link meter is one more pass over columns — the batch's inter-switch
@@ -59,7 +61,8 @@ def build_batch_handler(plane, *, perf=NULL_RECORDER):
     """Build the vectorized batch handler for one control plane.
 
     Returns a callable accepting one replay batch (a
-    :class:`~repro.traffic.chunk.FlowChunk` view), or ``None`` when
+    :class:`~repro.traffic.chunk.FlowChunk` view), whose ``walk(batch,
+    ticks)`` also walks the periodic ticks inside one, or ``None`` when
     ``plane`` is not an :class:`~repro.core.system.EdgePlane` (a design that
     implements only the ``ControlPlane`` protocol keeps the scalar path).  Raises
     :class:`~repro.common.errors.ConfigurationError` when numpy is missing.

@@ -102,6 +102,15 @@ def format_kernel_breakdown(snapshot: PerfSnapshot) -> str:
     batches = counters.get("kernel.batches", 0)
     bypassed = counters.get("kernel.batches_bypassed", 0)
     lines.append(f"  batches: {batches:,} ({bypassed:,} bypassed to the scalar path whole)")
+    lines.append(
+        f"  units of work: {counters.get('kernel.runs', 0):,} runs"
+        f" ({counters.get('kernel.segments', 0):,} of them rule segments)"
+    )
+    lines.append(
+        f"  ticks walked: {counters.get('kernel.ticks_walked', 0):,}"
+        f" · batches stopped at a regrouping tick: {counters.get('kernel.batch_stops', 0):,}"
+        f" · batches walking intra-group flows: {counters.get('kernel.ordered_intra', 0):,}"
+    )
     floor = snapshot.gauges.get("kernel.min_batch_coverage")
     if floor is not None:
         lines.append(f"  worst single-batch coverage: {floor:.1%}")
@@ -115,9 +124,9 @@ def format_kernel_breakdown(snapshot: PerfSnapshot) -> str:
             stage = snapshot.stage(name)
         except KeyError:
             continue
-        line = (
-            f"  {name.removeprefix('kernel_')}: {stage.total_seconds:.3f}s over {stage.calls:,} batches"
-        )
+        # The walk is timed between the ticks it fires, the rest per batch.
+        unit = "stretches" if name == "kernel_fallback" else "batches"
+        line = f"  {name.removeprefix('kernel_')}: {stage.total_seconds:.3f}s over {stage.calls:,} {unit}"
         if name == "kernel_meter":
             metered = counters.get("kernel.flows_metered", 0)
             line += f" ({metered:,} inter-switch flows charged to their uplinks)"

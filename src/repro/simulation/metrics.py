@@ -88,21 +88,21 @@ class LatencyRecorder:
         self._sums[index] = self._sums.get(index, 0.0) + latency_ms * count
         self._counts[index] = self._counts.get(index, 0) + count
 
-    def record_bulk(self, index: int, addends: List[float], count: int) -> None:
-        """Fold precomputed per-call addends into one bucket, in order.
+    def bucket_sum(self, index: int) -> float:
+        """The latency sum of bucket ``index`` so far (0.0 when empty)."""
+        return self._sums.get(index, 0.0)
 
-        The vectorized replay kernel's companion to :meth:`record`: each
-        element of ``addends`` is the ``latency_ms * count`` term one scalar
-        ``record`` call would have added, and they are folded into the bucket
-        sum by the same sequential left-to-right addition, so the result is
-        bit-identical to making the individual calls.  ``count`` is the total
-        sample count across those calls.
+    def record_bulk(self, index: int, total: float, count: int) -> None:
+        """Set bucket ``index``'s sum to ``total`` and add ``count`` samples.
+
+        The vectorized replay kernel's companion to :meth:`record`: ``total``
+        is :meth:`bucket_sum` with the ``latency_ms * count`` term of each
+        scalar ``record`` call added to it in order, left to right, so the
+        bucket ends bit-identical to making the individual calls.  ``count``
+        is the total sample count across those calls.
         """
         if count <= 0:
             return
-        total = self._sums.get(index, 0.0)
-        for addend in addends:
-            total += addend
         self._sums[index] = total
         self._counts[index] = self._counts.get(index, 0) + count
 

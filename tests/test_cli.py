@@ -710,6 +710,31 @@ class TestDiff:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ("diff", "compare"))
+    def test_a_bad_input_is_named_by_file_and_json_path(self, command, tmp_path, capsys):
+        """A non-JSON file is named; a malformed run or execution value is
+        named by its path in the results file."""
+        results = self.run(tmp_path / "a.json")
+        data = json.loads(results.read_text())
+
+        def refused(name, text):
+            bad = tmp_path / name
+            bad.write_text(text)
+            capsys.readouterr()
+            argv = ["diff", str(results), str(bad)] if command == "diff" else ["compare", str(bad)]
+            assert main(argv) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            return line
+
+        line = refused("garbled.json", "{not json")
+        assert line.startswith(f"error: {tmp_path / 'garbled.json'} is not JSON: ")
+        counters = data["runs"]["openflow"]["counters"]
+        line = refused("run.json", json.dumps({**data, "runs": {"openflow": {**data["runs"]["openflow"], "counters": {
+            **counters, "controller_requests": "many"}}}}))
+        assert "runs.openflow.counters.controller_requests: expected an integer" in line
+        line = refused("execution.json", json.dumps({**data, "execution": {**data["execution"], "workers": "two"}}))
+        assert "execution.workers: expected an integer" in line and "spec.execution" not in line
+
     def test_a_results_list_is_compared_by_scenario_name(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"
         assert main(["run", "timeout-sweep", *RUN_SMALL, "--systems", "openflow", "--out", str(path)]) == 0

@@ -46,6 +46,7 @@ from repro.common.errors import ConfigurationError
 from repro.core.presets import default_grouping_config
 from repro.core.results import SystemCounters
 from repro.core.scenario import FailureInjectionSpec
+from repro.traffic import replay
 
 FAILURES = FailureInjectionSpec(at_hours=(1.0, 2.5))
 VECTORIZED = "vectorized"
@@ -241,8 +242,9 @@ def born_checks(system, variant):
     ]
 
 
-def row(id, spec, cell, *checks, meter_window=None, window=True):
-    return pytest.param(spec, cell, checks, meter_window, window, id=id)
+def row(id, spec, cell, *checks, meter_window=None, window=True, batch=None):
+    """``batch``: kernel batches of that many flows, so rules are resident when batches start."""
+    return pytest.param(spec, cell, checks, meter_window, window, batch, id=id)
 
 
 def churned():
@@ -255,6 +257,52 @@ def churned():
                 Cell(kernel=VECTORIZED, timeline=True, perf=True, **fields),
                 every("churn.per_bucket_events"), every("perf.kernel.flows_vectorized"), *departures,
             )
+
+
+def ruled(tables, **fields):
+    """Elephant pairs that re-hit their rules; groups of three switches give
+    LazyCtrl inter-group rules too."""
+    return build_spec(model="elephant-mice", flows=3000, seed=17, group_size_limit=3, tables=tables, **fields)
+
+
+def perf_counter(system, name):
+    return lambda spec, ran: ran.result.runs[system].perf.counters.get(f"kernel.{name}", 0)
+
+
+def heads_inside_segments(spec, ran):
+    """A rule that hard-expires inside a segment: the flow after it is walked as a head of its own."""
+    counters = ran.result.runs["openflow"].perf.counters
+    assert counters["kernel.flows_fallback"] > counters["kernel.segments"] > 0
+
+
+#: Ticks inside kernel batches: a tick fires in the ordered walk, a rule's run
+#: is cut where its timer can fire, a regrouping tick ends the batch.
+WALKED = Cell(kernel=VECTORIZED, perf=True)
+TICKS_IN_BATCHES = [
+    row("ticks-idle-below-the-tick", ruled(FlowTableConfig(policy="static-idle", idle_timeout_seconds=30.0)), WALKED,
+        every("perf.kernel.segments"), every("perf.kernel.ticks_walked"), every("tables.idle_timeouts")),
+    row("ticks-static-hard-expiry-inside-segments",
+        ruled(FlowTableConfig(policy="static-hard", hard_timeout_seconds=600.0)), WALKED,
+        every("tables.hard_timeouts"), heads_inside_segments),
+    row("ticks-hybrid-hard-expiry-inside-segments", ruled(FlowTableConfig(
+        policy="idle-hard-hybrid", idle_timeout_seconds=900.0, hard_timeout_seconds=900.0)), WALKED,
+        every("tables.hard_timeouts"), heads_inside_segments),
+    row("ticks-lru-rules-never-age", ruled(TABLE_SPECS[3]), WALKED, perf_counter("openflow", "segments"), batch=256),
+    row("ticks-adaptive-walks-every-rule-flow", ruled(TABLE_SPECS[4]), WALKED,
+        perf_counter("openflow", "fallback_rule_may_expire"), batch=256),
+    row("ticks-regroup-ends-the-batch", ruled(FlowTableConfig(policy="static-idle", idle_timeout_seconds=30.0),
+                                              systems=DYNAMIC), WALKED,
+        every("perf.kernel.batch_stops"), every("updates_per_hour"), every("perf.kernel.segments")),
+    row("ticks-eviction-guard", ruled(FlowTableConfig(policy="static-idle", idle_timeout_seconds=900.0).resized(8)),
+        WALKED, perf_counter("openflow", "fallback_eviction_guard"),
+        lambda spec, ran: ran.runs["openflow"]["tables"]["evictions"], batch=256),
+    row("ticks-static-churn-reports-in-the-walk",
+        build_spec(churn=CHURN_SPECS[0], flows=1500, seed=5, group_size_limit=3, systems=("lazyctrl-static",)), WALKED,
+        every("perf.kernel.ticks_walked"), every("churn.migrations"), every("counters.inter_group_flows")),
+    row("ticks-failures-cut-at-every-tick", build_spec(flows=1500, seed=5, failures=FAILURES, systems=DYNAMIC), WALKED,
+        every("failover_events", lambda events: events == 2), every("perf.kernel.batches"),
+        every("perf.kernel.ticks_walked", lambda ticks: ticks == 0)),
+]
 
 
 def windowed():
@@ -284,7 +332,9 @@ DIAGONAL = [
         Cell(kernel=VECTORIZED, delivery="stream", shard="time-window", workers=2)),
     row("time-window-tiny-tables", build_spec(tables=TABLE_SPECS[3], seed=11, trace_hours=4.0, systems=("openflow",)),
         Cell(shard="time-window", workers=2), every("tables.peak_occupancy", lambda peak: peak == 4)),
-    row("kernel-metered-columns", METERED, Cell(kernel=VECTORIZED, timeline=True), meter_had_work, meter_window=2.0),
+    row("kernel-metered-columns", METERED, Cell(kernel=VECTORIZED, timeline=True, perf=True), meter_had_work,
+        every("perf.kernel.ticks_walked", lambda ticks: ticks == 0), meter_window=2.0),  # traced: a cut per tick
+    *TICKS_IN_BATCHES,
     row("kernel-metered-records", METERED, Cell(kernel=VECTORIZED, delivery="records", timeline=True, perf=True),
         meter_had_work, every("perf.kernel.flows_metered"), every("perf.kernel.flows_vectorized"), meter_window=2.0),
     row("system-pool-fig7", fig7(), Cell(shard="system", workers=4, timeline=True), pooled(4)),
@@ -313,11 +363,14 @@ DIAGONAL = [
 ]
 
 
-@pytest.mark.parametrize("spec, cell, checks, meter_window, window", DIAGONAL)
-def test_diagonal(request, spec, cell, checks, meter_window, window):
+@pytest.mark.parametrize("spec, cell, checks, meter_window, window, batch", DIAGONAL)
+def test_diagonal(request, spec, cell, checks, meter_window, window, batch):
     if window:
         request.getfixturevalue("expansion_window")
-    with mock.patch.object(meter, "WINDOW_SECONDS", meter_window) if meter_window else nullcontext():
+    with (
+        mock.patch.object(meter, "WINDOW_SECONDS", meter_window) if meter_window else nullcontext(),
+        mock.patch.object(replay, "KERNEL_BATCH_FLOWS", batch) if batch else nullcontext(),
+    ):
         ran = assert_cell(spec, cell)
         for check in checks:
             verdict = check(spec, ran)  # a check asserts itself (None) or returns what must be truthy

@@ -6,9 +6,10 @@ contract they lean on.
 pair, the hazard guards) and ``_accumulate`` (one ``apply_run``/``settle_run``
 per decided pair, then the latency/intensity/timeline folds) — on a real
 lazyctrl-dynamic plane warmed with the paper-fig7 trace, and the ordered
-``_walk`` at its worst: a cold-table batch in which every pair punts
-(``EdgePlane.first_packet`` per flow: switch, controller, rule install, then
-the repeats' table hits), on the baseline and on LazyCtrl.  These numbers are
+``_walk`` at its worst: a cold-table batch in which every pair that leaves
+its switch punts (``EdgePlane.first_packet`` per segment head: switch,
+controller, rule install, then the rest of the segment applied as table
+hits), on the baseline and on LazyCtrl.  These numbers are
 for profiling regressions locally (``pytest tests/test_kernel_bench.py
 --benchmark-only``); in a plain test run each stage executes once as a
 smoke test, so CI cost stays negligible.
@@ -31,8 +32,7 @@ from hypothesis import strategies as st
 
 from repro.core.presets import get_preset
 from repro.core.registry import get_control_plane
-from repro.kernel.columnar import build_kernel
-from repro.traffic.chunk import FlowChunk
+from repro.kernel.columnar import _FALLBACK, _RULE, build_kernel
 
 BATCH_FLOWS = 4096
 
@@ -78,45 +78,39 @@ def test_accumulate_primitive(kernel_and_batch, benchmark):
     kernel, batch = kernel_and_batch
     state = kernel._classify(batch, len(batch))
     assert state is not None
-    benchmark(kernel._accumulate, state)
+    benchmark(kernel._accumulate, state, len(batch))
 
 
 @pytest.mark.parametrize("system", ("openflow", "lazyctrl-dynamic"))
-def test_fallback_walk_primitive(system, fig7, benchmark):
-    """Walk one batch whose every pair punts: the trace's first flows that fall
-    back on a cold plane, so each pair's first flow is a packet-in and its
-    repeats hit (or outlive) the rule that installed.  A walk warms the tables
-    it walks over, so every round gets a cold plane and a fresh
-    classification (set-up, untimed)."""
+def test_ordered_walk_primitive(system, fig7, benchmark):
+    """Walk one batch on a cold plane, where every pair that leaves its switch
+    (or its group) punts: each segment's head takes ``EdgePlane.first_packet``
+    (switch, controller, rule install) and the rest of the segment is applied
+    against the rule it installed.  A walk warms the tables it walks over, so
+    every round gets a cold plane and a fresh classification (set-up, untimed)."""
     spec, network, trace = fig7
-
-    def cold_kernel():
-        plane = get_control_plane(system).build(network, config=spec.config)
-        plane.prepare(trace, warmup_end=spec.schedule.warmup_seconds)
-        return build_kernel(plane)
-
-    columns = trace.columns()
-    cold = cold_kernel()._classify(columns, len(columns))
-    assert cold["fallback_causes"]["rule_may_expire"] == 0  # cold: every fallback is a punt
-    punting = cold["fallback_flow_idx"][:BATCH_FLOWS].tolist()
-    assert len(punting) >= 256
-    batch = FlowChunk.from_columns([list(map(column.__getitem__, punting)) for column in columns.columns()])
+    batch = trace.columns()[:BATCH_FLOWS]
 
     def setup():
-        kernel = cold_kernel()
+        plane = get_control_plane(system).build(network, config=spec.config)
+        plane.prepare(trace, warmup_end=spec.schedule.warmup_seconds)
+        kernel = build_kernel(plane)
         state = kernel._classify(batch, len(batch))
-        assert state["fallback_causes"]["punt"] == len(batch)
+        assert not state["cls"].count(_FALLBACK)  # cold: no pair falls back whole
         return (kernel, state), {}
 
     def walk(kernel, state):
-        kernel._walk(batch, state)
+        for _ in kernel._walk(batch, state, ()):
+            pass
         return kernel, state
 
     kernel, state = benchmark.pedantic(walk, setup=setup, rounds=5)
+    walked = state["walked"]
     counters = kernel._plane.counters
-    assert counters.flows_handled == len(batch)
-    assert counters.controller_requests >= len(state["cls"])  # a packet-in per pair, at least
-    assert (state["first_flow"] > 0.0).all()
+    assert counters.flows_handled == len(walked) >= 128
+    assert counters.controller_requests >= state["cls"].count(_RULE)  # a packet-in per rule pair, at least
+    assert sum(state["hits"]) > 0
+    assert (state["first_flow"][walked] > 0.0).all()
 
 
 @given(

@@ -7,6 +7,8 @@ swapped out under it, records are read as columns and never minted, numpy is
 asked for only by the kernel, and ``kernel.flows_fallback`` splits by cause.
 """
 
+from unittest import mock
+
 import pytest
 
 pytest.importorskip("numpy")
@@ -91,6 +93,17 @@ class TestFallbackIsThePlanesDecideStep:
         ]
 
 
+def test_batches_end_where_state_can_change_not_at_every_tick():
+    """``paper-fig7`` at 20 000 flows: ticks fire inside the kernel's walk, so there
+    are fewer batches than ticks, and a rule's run is cut only where its idle
+    timer can fire, so the baseline walks about one flow per packet-in."""
+    perfs = kernel_perf(build_spec("paper-fig7", flows=20_000))
+    for name, perf in perfs.items():
+        assert perf.counters["kernel.batches"] < perf.counters["replay.periodic_invocations"], name
+    counters = perfs["openflow"].counters
+    assert abs(counters["kernel.flows_fallback"] - counters["controller.requests"]) <= 0.05 * counters["controller.requests"]
+
+
 class TestRecordsOnDemand:
     """The kernel reads columns, link meter and whole-batch bypass included."""
 
@@ -158,7 +171,9 @@ class TestFallbackCauses:
     @pytest.mark.parametrize(
         "model,flows,tables,links,expected",
         [
-            ("realistic", 800, None, None, {"punt", "rule_may_expire"}),
+            # Static timeouts: a rule's run splits where its timer can fire,
+            # so only segment heads (packet-ins) are walked.
+            ("realistic", 800, None, None, {"punt"}),
             # 4-entry LRU tables: rules never age, installs evict.
             ("elephant-mice", 3000, TABLE_SPECS[3], None, {"punt", "eviction_guard"}),
             # The adaptive predictor is never decidable in bulk.
@@ -167,10 +182,14 @@ class TestFallbackCauses:
         ids=("plain", "tiny-lru", "adaptive-metered"),
     )
     def test_the_parts_sum_to_flows_fallback(self, model, flows, tables, links, expected):
+        """Batches of 16 flows, so that rules are resident when batches start."""
         from repro.perf.report import format_kernel_breakdown
+        from repro.traffic import replay
 
         seen, spec = set(), build_spec(model=model, flows=flows, seed=21, tables=tables, links=links)
-        for name, perf in kernel_perf(spec).items():
+        with mock.patch.object(replay, "KERNEL_BATCH_FLOWS", 16):
+            perfs = kernel_perf(spec)
+        for name, perf in perfs.items():
             counters = perf.counters
             parts = self.split(counters)
             assert sum(parts.values()) == counters["kernel.flows_fallback"], name

@@ -1,6 +1,8 @@
 """Unit tests for metric recorders."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulation.metrics import CounterSeries, LatencyRecorder, WorkloadMeter
 
@@ -69,9 +71,40 @@ class TestLatencyRecorder:
         for timestamp, latency_ms, count in calls:
             one_by_one.record(timestamp, latency_ms, count=count)
         bulk = LatencyRecorder(10.0)
-        bulk.record_bulk(1, [latency_ms * count for _, latency_ms, count in calls], 12)
-        bulk.record_bulk(1, [], 0)
+        total = bulk.bucket_sum(1)
+        for _, latency_ms, count in calls:
+            total += latency_ms * count
+        bulk.record_bulk(1, total, 12)
+        bulk.record_bulk(1, 99.0, 0)
         assert bulk.bucket_totals() == one_by_one.bucket_totals()
+
+
+finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    seed=st.one_of(st.just(0.0), finite),
+    flows=st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), finite, st.floats(min_value=1e-9, max_value=1e-3)),
+            st.one_of(st.just(0.0), finite),
+            st.sampled_from((1, 1, 2, 7, 1000)),
+        ),
+        max_size=60,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_kernels_numpy_fold_is_the_python_fold(seed, flows):
+    """The kernel's bucket fold over interleaved ``first``, ``steady * (packets - 1)``
+    addends — zeros, single-packet flows, mixed magnitudes — is the loop's, bit for bit."""
+    np = pytest.importorskip("numpy")
+    from repro.kernel.columnar import fold_sum
+
+    addends = [term for first, steady, packets in flows for term in (first, steady * (packets - 1))]
+    total = seed
+    for addend in addends:
+        total += addend
+    assert fold_sum(seed, np.array(addends, dtype=np.float64)) == total
 
     def test_rejects_bad_bucket(self):
         with pytest.raises(ValueError):
