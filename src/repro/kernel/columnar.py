@@ -42,7 +42,7 @@ wrapped as numpy arrays without a copy, and goes through five steps:
   the flows before it are handled, and the replayer fires it next.  No
   :class:`~repro.traffic.flow.FlowRecord` is built — nor for a batch bypassed
   whole, which takes the scalar replayer's own column walk
-  (:func:`~repro.traffic.replay.replay_batch`).
+  (:func:`~repro.traffic.replay.tick_walk`).
 * **meter** — under a link meter, the batch's inter-switch flows are charged
   to their two uplinks in one
   :meth:`~repro.core.system.EdgePlane.link_penalties_ms` call on the start /
@@ -102,7 +102,7 @@ from repro.dataplane.decisions import INTRA_GROUP, PUNT, TABLE_HIT, RunVerdict
 from repro.obs.timeline import latency_bin
 from repro.perf.recorder import NULL_RECORDER
 from repro.traffic.chunk import FlowChunk
-from repro.traffic.replay import replay_batch
+from repro.traffic.replay import tick_walk
 
 # Pair classes.
 _FALLBACK = 0
@@ -187,16 +187,7 @@ class ColumnarReplayKernel:
         return info
 
     def _scalar_walk(self, batch: FlowChunk, ticks: Sequence[float]) -> Iterator[float]:
-        """The whole batch on the scalar replayer's column walk, each tick at its place."""
-        start_times = batch.start_times
-        done = 0
-        for tick in ticks:
-            position = bisect_left(start_times, tick)
-            if position > done:
-                replay_batch(self._plane, batch[done:position])
-                done = position
-            yield tick
-        replay_batch(self._plane, batch[done:])
+        """The whole batch on the scalar replayer's walk, each tick at its place."""
         perf = self._perf
         if perf.enabled:
             perf.count("kernel.batches", 1)
@@ -205,6 +196,7 @@ class ColumnarReplayKernel:
             perf.count("kernel.flows_fallback", len(batch))
             perf.count("kernel.fallback_bypass", len(batch))
             self._note_coverage(0, len(batch))
+        yield from tick_walk(self._plane, batch, ticks)
 
     def _note_coverage(self, vectorized: int, total: int) -> None:
         if total <= 0:

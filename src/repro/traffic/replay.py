@@ -21,21 +21,20 @@ The replayer drains its source chunk by chunk through the
 :class:`~repro.traffic.trace.Trace` presents itself as one resident chunk,
 a generated stream as a lazy sequence of O(chunk)-sized ones — so replay
 memory is bounded by the chunk size, not the trace size.  Every chunk is a
-:class:`~repro.traffic.chunk.FlowChunk` and every batch a view of one: the
-flows before the next periodic tick or control event, whichever is first,
-are drained in one slice.  A batch handler (the vectorized kernel) reads the
-batch column-wise, churn or not; without one, :func:`replay_batch` hands a
-sink the batch's rows — :meth:`FlowSink.flow_arrival`, as every
-:class:`~repro.core.system.EdgePlane` offers, and no record is built — or, for
-a sink that only speaks records, the chunk's records.
-
-A batch handler that can walk ticks (it has a ``walk(batch, ticks)``) is
-handed batches that ticks do not cut: up to :data:`KERNEL_BATCH_FLOWS` flows
-before the next control event, with the ticks among them.  It yields each
-tick as its ordered walk reaches it, and the tick fires here, at its place
-in arrival order; a tick it does not yield ends the batch, and fires next.
-Ticks that do more than the sink's own housekeeping (a failure injector) or
-are traced keep a cut at every tick.  An optional
+:class:`~repro.traffic.chunk.FlowChunk` and every batch a view of one: up to
+:data:`KERNEL_BATCH_FLOWS` flows before the next control event.  A batch is
+handed to a *walk* with the periodic ticks among its flows; the walk yields
+each tick when it has handled every flow before it, and the tick fires here,
+at its place in arrival order.  Without a batch handler the walk is
+:func:`tick_walk`: :func:`replay_batch` hands the sink each stretch's rows
+— :meth:`FlowSink.flow_arrival`, as every
+:class:`~repro.core.system.EdgePlane` offers, and no record is built — or,
+for a sink that only speaks records, the chunk's records.  A batch handler
+(the vectorized kernel) reads the batch column-wise, churn or not, through
+its own ``walk(batch, ticks)``; a tick its walk does not yield ends the
+batch, and fires next.  Where ticks do more than the sink's own housekeeping
+(a failure injector) or are traced, or the handler has no walk, ticks cut the
+handler's batches instead.  An optional
 :class:`~repro.perf.recorder.PerfRecorder` times the stages and counts
 drained chunks; the default :data:`~repro.perf.recorder.NULL_RECORDER` makes
 instrumentation a per-batch no-op.
@@ -45,8 +44,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from math import inf
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from repro.obs.tracer import NULL_TRACER
 from repro.perf.recorder import NULL_RECORDER
@@ -86,7 +86,35 @@ def replay_batch(sink: FlowSink, batch: FlowChunk) -> None:
         flow_arrival(*row)
 
 
-#: The most flows one kernel batch holds when periodic ticks fire inside it.
+def tick_walk(sink: FlowSink, batch: FlowChunk, ticks: Sequence[float]) -> Iterator[float]:
+    """:func:`replay_batch` over ``batch``, yielding each of ``ticks`` at its place.
+
+    ``ticks`` are ascending; each is yielded after every flow before it and
+    before every flow at or after it, for the caller to fire.
+    """
+    start_times = batch.start_times
+    done = 0
+    for tick in ticks:
+        position = bisect_left(start_times, tick, done)
+        if position > done:
+            replay_batch(sink, batch[done:position])
+            done = position
+        yield tick
+    if done < len(batch):
+        replay_batch(sink, batch[done:])
+
+
+def _tickless(handler: Callable[[FlowChunk], None]) -> Callable[..., Iterator[float]]:
+    """A batch handler that takes no tick, as a walk of batches no tick falls in."""
+
+    def walk(batch: FlowChunk, ticks: Sequence[float]) -> Iterator[float]:
+        handler(batch)
+        yield from ()
+
+    return walk
+
+
+#: The most flows one batch holds.
 #: Its temporaries (pair grouping, rule segments, the link meter's columns)
 #: grow with it: on ``incast-links`` the largest batch peaks at 4.5 MB under
 #: tracemalloc at 4 096 flows and 8.1 MB at 8 192 (0.7 MB when every 120 s
@@ -141,16 +169,21 @@ class TraceReplayer:
         self._event_times = [time for time, _ in events] + [inf]
         self._perf = perf
         self._tracer = tracer
-        # Optional whole-batch fast path (the vectorized kernel).
-        self._batch_handler = batch_handler
-        # A kernel that fires ticks inside its ordered walk (see _walk_batch)
-        # takes batches that ticks do not cut, unless a tick does more than
-        # the sink's own housekeeping (failure injection) or is traced.
-        self._walk = None
-        if batch_handler is not None and not tracer.enabled:
+        # How a batch is handled: a ``walk(batch, ticks)`` that yields each
+        # tick at its place in arrival order (see _walk_batch).  The sink's
+        # own is replay_batch between ticks.  A batch handler with a walk (the
+        # vectorized kernel) takes ticks inside its batches unless a tick does
+        # more than the sink's own housekeeping (failure injection) or is
+        # traced; any other batch handler has its batches cut at every tick.
+        walk = getattr(batch_handler, "walk", None)
+        if batch_handler is None:
+            self._walk, self._ticks_inside = partial(tick_walk, sink), True
+        elif walk is None:
+            self._walk, self._ticks_inside = _tickless(batch_handler), False
+        else:
             own = getattr(sink, "periodic", None)
-            if all(tick == own for tick in self._callbacks):
-                self._walk = getattr(batch_handler, "walk", None)
+            self._walk = walk
+            self._ticks_inside = not tracer.enabled and all(tick == own for tick in self._callbacks)
 
     def replay(self, *, start: float = 0.0, end: Optional[float] = None) -> ReplayProgress:
         """Replay the source window ``[start, end)`` in time order.
@@ -174,16 +207,14 @@ class TraceReplayer:
         return progress
 
     def _run(self, start: float, end: Optional[float], progress: ReplayProgress) -> None:
-        perf = self._perf
         tracer = self._tracer
-        batch_handler = self._batch_handler
         event_times = self._event_times
         next_tick = start + self._interval
         next_event = 0  # index of the next control event to fire
         last_arrival: Optional[float] = None
-        # Flows in the next walked batch.  A batch that stopped at a tick
-        # classified flows it never handled: the next holds twice what that
-        # one used, and each full one after it twice as many again.
+        # Flows in the next batch.  A batch that stopped at a tick classified
+        # flows it never handled: the next holds twice what that one used,
+        # and each full one after it twice as many again.
         limit = KERNEL_BATCH_FLOWS
 
         for flows in windowed_chunks(self._trace, start=start, end=end):
@@ -192,42 +223,22 @@ class TraceReplayer:
             total = len(flows)
             index = 0
             while index < total:
-                if self._walk is not None:
-                    # Up to KERNEL_BATCH_FLOWS flows before the next event; the
-                    # ticks among them fire inside the kernel's walk.
-                    if next_tick <= start_times[index]:
-                        next_tick, next_event = self._fire_until(
-                            start_times[index], next_tick, next_event, progress
-                        )
-                    boundary = min(
-                        bisect_left(start_times, event_times[next_event], index), index + limit
-                    )
-                    if boundary > index:
-                        reached, next_tick = self._walk_batch(
-                            flows, index, boundary, next_tick, progress
-                        )
-                        stopped = reached < boundary
-                        limit = min(2 * (reached - index if stopped else limit), KERNEL_BATCH_FLOWS)
-                        progress.flows_replayed += reached - index
-                        index = reached
-                else:
-                    # All flows arriving strictly before the next tick and the
-                    # next event form one batch; both fire before flows at or
-                    # after them.
-                    cut = min(next_tick, event_times[next_event])
-                    boundary = bisect_left(start_times, cut, index)
-                    if boundary > index:
-                        with perf.timeit("flow_handling"):
-                            if batch_handler is not None:
-                                batch_handler(flows[index:boundary])
-                            else:
-                                replay_batch(self._sink, flows[index:boundary])
-                        progress.flows_replayed += boundary - index
-                        index = boundary
-                if index < total:
-                    next_tick, next_event = self._fire_until(
-                        start_times[index], next_tick, next_event, progress
-                    )
+                # Everything at or before the next flow fires first, so the
+                # batch opens after the last event and tick that precede it.
+                next_tick, next_event = self._fire_until(
+                    start_times[index], next_tick, next_event, progress
+                )
+                # A batch ends before the next event, the next tick too unless
+                # ticks fire inside the walk, and after `limit` flows.
+                cut = event_times[next_event]
+                if not self._ticks_inside:
+                    cut = min(cut, next_tick)
+                boundary = min(bisect_left(start_times, cut, index), index + limit)
+                reached, next_tick = self._walk_batch(flows, index, boundary, next_tick, progress)
+                stopped = reached < boundary
+                limit = min(2 * (reached - index if stopped else limit), KERNEL_BATCH_FLOWS)
+                progress.flows_replayed += reached - index
+                index = reached
             if total:
                 last_arrival = start_times[-1]
             if tracer.enabled:
@@ -255,14 +266,14 @@ class TraceReplayer:
     def _walk_batch(
         self, flows: FlowChunk, index: int, boundary: int, next_tick: float, progress: ReplayProgress
     ) -> Tuple[int, float]:
-        """Hand ``flows[index:boundary]`` to the kernel's walk with the ticks inside it.
+        """Hand ``flows[index:boundary]`` to the walk with the ticks inside it.
 
-        The kernel yields each tick as its walk reaches it (after every flow
-        before it, before every flow at or after it) and the tick fires here,
-        outside the batch's flow handling.  A kernel that stops at a tick —
-        one that may change forwarding — has handled only the flows before
-        it; that tick is the next to fire.  Returns the boundary actually
-        reached and the next tick time.
+        The walk yields each tick as it reaches it (after every flow before
+        it, before every flow at or after it) and the tick fires here,
+        outside the batch's flow handling.  A walk that stops at a tick — one
+        that may change forwarding — has handled only the flows before it;
+        that tick is the next to fire.  Returns the boundary actually reached
+        and the next tick time.
         """
         start_times = flows.start_times
         last = start_times[boundary - 1]

@@ -78,6 +78,10 @@ class TestLatencyRecorder:
         bulk.record_bulk(1, 99.0, 0)
         assert bulk.bucket_totals() == one_by_one.bucket_totals()
 
+    def test_rejects_bad_bucket(self):
+        with pytest.raises(ValueError):
+            LatencyRecorder(0.0)
+
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -105,10 +109,6 @@ def test_the_kernels_numpy_fold_is_the_python_fold(seed, flows):
     for addend in addends:
         total += addend
     assert fold_sum(seed, np.array(addends, dtype=np.float64)) == total
-
-    def test_rejects_bad_bucket(self):
-        with pytest.raises(ValueError):
-            LatencyRecorder(0.0)
 
 
 class TestWorkloadMeter:
