@@ -114,8 +114,8 @@ class GroupFib:
     G-FIB's geometry, so a probe hashes its MAC once for every peer.
     """
 
-    __slots__ = ("_config", "_filters", "_exact", "_query_cache", "query_count", "query_cache_hits",
-                 "summaries_built", "peer_installs")
+    __slots__ = ("_config", "_filters", "_exact", "_query_cache", "_peeked", "query_count",
+                 "query_cache_hits", "summaries_built", "peer_installs")
 
     #: Cached query results are cleared wholesale past this size rather than
     #: tracking per-entry recency; real replays query far fewer distinct MACs.
@@ -131,6 +131,11 @@ class GroupFib:
         # MACs, so repeated lookups skip the per-filter Bloom membership
         # tests.  Invalidated whenever any peer filter changes.
         self._query_cache: Dict[MacAddress, tuple[int, ...]] = {}
+        # Answers :meth:`peek` probed past that memo and no query has
+        # memoized yet: a batch classifies every pair before applying any, so
+        # pairs sharing a destination would each probe the filters.  Not the
+        # modelled memo (nothing counts or bounds it); invalidated with it.
+        self._peeked: Dict[MacAddress, tuple[int, ...]] = {}
         self.query_count = 0
         self.query_cache_hits = 0
         # A group of n members installs each summary built n - 1 times.
@@ -162,6 +167,7 @@ class GroupFib:
             )
         self._filters[switch_id] = summary
         self._query_cache.clear()
+        self._peeked.clear()
         self.peer_installs += 1
         if self._exact is not None:
             self._exact[switch_id] = set(macs)
@@ -175,6 +181,7 @@ class GroupFib:
         """Remove every peer filter (switch left its group)."""
         self._filters.clear()
         self._query_cache.clear()
+        self._peeked.clear()
         if self._exact is not None:
             self._exact.clear()
 
@@ -208,10 +215,19 @@ class GroupFib:
     def peek(self, mac: MacAddress) -> tuple[int, ...]:
         """What :meth:`query` answers for ``mac`` now, without being a query.
 
-        Reads the memo and, past it, the filters; counts and memoizes nothing.
+        Reads the memo and, past it, the filters; counts nothing and leaves
+        the memo as it was.
         """
         cached = self._query_cache.get(mac)
-        return cached if cached is not None else self.matching_peers(mac)
+        if cached is not None:
+            return cached
+        peeked = self._peeked
+        peers = peeked.get(mac)
+        if peers is None:
+            if len(peeked) >= self.QUERY_CACHE_LIMIT:
+                peeked.clear()
+            peers = peeked[mac] = self.matching_peers(mac)
+        return peers
 
     def account_queries(self, mac: MacAddress, peers: tuple[int, ...], n: int) -> None:
         """What ``n`` back-to-back :meth:`query` calls for ``mac`` leave behind.
@@ -228,6 +244,7 @@ class GroupFib:
         if len(cache) >= self.QUERY_CACHE_LIMIT:
             cache.clear()
         cache[mac] = peers
+        self._peeked.pop(mac, None)
         self.query_cache_hits += n - 1
 
     def cache_room(self) -> int:

@@ -23,9 +23,9 @@ wrapped as numpy arrays without a copy, and goes through five steps:
   policy (no bounds) is a ``FALLBACK`` pair; a pair with an endpoint that no
   longer exists is ``DEPARTED``.
 * **guard** — two things one pair can do to another within a batch, asked of
-  their owners: a punt's rule install can evict (so where a table's
-  occupancy plus the batch's new keys reaches its capacity, that switch's
-  rule pairs fall back flow by flow), and a G-FIB memo can fill up and clear
+  their owners: a punt's rule install can evict (so where the batch's new
+  keys can fill a table, that switch's rule flows from the install that fills
+  it on are walked flow by flow), and a G-FIB memo can fill up and clear
   (so where a G-FIB's :meth:`~repro.datastructures.fib.GroupFib.cache_room`
   could run out, intra-group runs are applied flow by flow on the ordered walk).
 * **walk** — what is order-dependent, in arrival order, with the ticks as
@@ -306,9 +306,9 @@ class ColumnarReplayKernel:
         # Why a fallback pair's flows leave the array path: a packet-in for a
         # key with no rule, a rule under a stateful policy, the slack guard.
         cause_of: List[Optional[str]] = [None] * p
-        rule_pairs_by_switch: Dict[int, List[int]] = {}
+        rule_switches = set()
         intra_pairs_by_switch: Dict[int, int] = {}
-        new_keys_by_switch: Dict[int, int] = {}
+        new_keys_by_switch: Dict[int, List[int]] = {}
         uniq_list = uniq.tolist()
 
         pair_static_get = self._pair_static.get
@@ -331,15 +331,13 @@ class ColumnarReplayKernel:
                     # Its first flow is a packet-in, which may install a rule
                     # for a key the table does not hold.
                     cause_of[g] = "punt"
-                    new_keys_by_switch[info.src_switch_id] = (
-                        new_keys_by_switch.get(info.src_switch_id, 0) + 1
-                    )
+                    new_keys_by_switch.setdefault(info.src_switch_id, []).append(g)
                 if info.idle is None:
                     cls_append(_FALLBACK)
                     cause_of[g] = cause_of[g] or "rule_may_expire"
                 else:
                     cls_append(_RULE)
-                    rule_pairs_by_switch.setdefault(info.src_switch_id, []).append(g)
+                    rule_switches.add(info.src_switch_id)
                 continue
             verdicts[g] = verdict
             if outcome is INTRA_GROUP:
@@ -350,18 +348,17 @@ class ColumnarReplayKernel:
             else:
                 cls_append(_DECIDED)
 
-        # Per-switch slack guard: if this batch's potential new-key installs
-        # can trigger eviction on a switch, every rule pair there replays
-        # flow by flow so eviction order and rule refreshes stay in true order.
-        for switch_id, pair_list in rule_pairs_by_switch.items():
-            pending = new_keys_by_switch.get(switch_id, 0)
-            if not pending:
-                continue
+        # Per-switch eviction horizon: where this batch's new keys can fill a
+        # table, the first flow of the pair whose install fills it.  No
+        # eviction can come before; from there on the switch's rule flows are
+        # walked one by one, so eviction order and rule refreshes stay in
+        # true order.
+        horizon: Dict[int, int] = {}
+        for switch_id, punting in new_keys_by_switch.items():
             table = switches[switch_id].flow_table
-            if len(table) + pending >= table.capacity:
-                for g in pair_list:
-                    cls[g] = _FALLBACK
-                    cause_of[g] = cause_of[g] or "eviction_guard"
+            room = table.capacity - len(table)
+            if switch_id in rule_switches and len(punting) >= room:
+                horizon[switch_id] = sorted(first_index[punting].tolist())[room - 1] if room > 0 else 0
 
         # G-FIB memo guard.  Absent a wholesale clear, a run's query
         # accounting is order-free: every distinct new MAC costs one memo
@@ -379,19 +376,28 @@ class ColumnarReplayKernel:
         walk_flows = cls_flow == _FALLBACK
         if ordered_intra:
             walk_flows |= cls_flow == _INTRA
+        rule_flow = cls_flow == _RULE
+        late_idx = ()
+        if horizon:
+            pair_horizon = np.array([horizon.get(info.src_switch_id, n) for info in infos])
+            late = rule_flow & (np.arange(n) >= pair_horizon[inverse])
+            walk_flows |= late
+            rule_flow &= ~late
+            late_idx = np.flatnonzero(late)
         walk_flow_idx = np.flatnonzero(walk_flows)
 
         # Segments: a rule pair's flows cut where its rule's idle timer can
         # fire and, where a tick can regroup, at the ticks.  A segment opening
         # past an idle gap, or a pair's first that punts, starts with a miss
         # for sure; any other is classified when its first flow's turn comes.
-        rule_flows = (cls_array == _RULE)[sorted_inv]
+        rule_flows = rule_flow[order]
         segments: List[tuple] = []
         if rule_flows.any():
             idle = np.array([np.inf if info.idle is None else info.idle for info in infos])
             idle_cut = gaps > idle[sorted_inv]
             cut = idle_cut.copy()
             cut[starts] = True
+            cut[1:] |= rule_flows[:-1] & ~rule_flows[1:]  # a pair's walked tail
             live = np.zeros(n, dtype=bool)
             live[starts] = np.array([cause is None for cause in cause_of])
             if ticks and self._plane.ticks_regroup:
@@ -450,6 +456,7 @@ class ColumnarReplayKernel:
             "verdicts": verdicts,
             "cause_of": cause_of,
             "ordered_intra": ordered_intra,
+            "late": late_idx,
             "ev_index": ev_index,
             "ev_code": ev_code,
             "tick_positions": np.searchsorted(times, ticks, side="left").tolist() if ticks else [],
@@ -531,7 +538,7 @@ class ColumnarReplayKernel:
             if s < 0:
                 g = int(inverse[i])
                 info = infos[g]
-                if cls_flow[i] == _FALLBACK:
+                if cls_flow[i] != _INTRA:
                     _, first_flow[i], steady_flow[i], _, _, _ = first_packet(
                         info.key, info.src_switch_id, info.dst_switch_id, times[i]
                     )
@@ -708,6 +715,7 @@ class ColumnarReplayKernel:
                 )
         plane.counters.departed_flows += departed_flows
         state["bulk_runs"] = bulk_runs
+        causes["eviction_guard"] = int(np.searchsorted(state["late"], reached))
         walked = state["walked"]
         # The rest of the walked flows are segment heads: each a packet-in.
         causes["punt"] += len(walked) - sum(causes.values())

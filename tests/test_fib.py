@@ -109,6 +109,34 @@ class TestGroupFib:
         assert gfib.matching_peers(mac(11)) == gfib._query_cache[mac(11)]
         assert (gfib.query_count, gfib.query_cache_hits, dict(gfib._query_cache)) == counts
 
+    def test_a_peek_is_the_filters_answer_while_they_stand(self, monkeypatch):
+        """A repeated peek probes no filter; it counts and memoizes no query,
+        and an install or a clear shows in the very next peek."""
+        gfib = GroupFib(BloomFilterConfig(size_bits=64, hash_count=2))  # small: false positives
+        for peer in range(1, 6):
+            gfib.install_peer(peer, [mac(peer * 10 + i) for i in range(8)])
+        probes = [mac(i) for i in range(120)]
+        expected = [gfib.matching_peers(m) for m in probes]
+        probed = []
+        matching_peers = GroupFib.matching_peers
+
+        def counted(self, m):
+            probed.append(m)
+            return matching_peers(self, m)
+
+        monkeypatch.setattr(GroupFib, "matching_peers", counted)
+        assert [gfib.peek(m) for m in probes] == expected
+        assert [gfib.peek(m) for m in probes] == expected
+        assert probed == probes
+        assert (gfib.query_count, gfib.query_cache_hits, gfib._query_cache) == (0, 0, {})
+        # The first query of a peeked MAC is still the memo's miss.
+        assert gfib.query(mac(11)) == expected[11]
+        assert (gfib.query_count, gfib.query_cache_hits) == (1, 0)
+        gfib.install_peer(1, [mac(i) for i in range(40)])
+        assert [gfib.peek(m) for m in probes] == [matching_peers(gfib, m) for m in probes]
+        gfib.clear()
+        assert all(gfib.peek(m) == () for m in probes)
+
     def test_exact_tracking_requires_flag(self):
         gfib = GroupFib()
         with pytest.raises(UnknownHostError):
