@@ -304,7 +304,7 @@ class ColumnarReplayKernel:
         cls: List[int] = []
         verdicts: List[Optional[RunVerdict]] = [None] * p
         # Why a fallback pair's flows leave the array path: a packet-in for a
-        # key with no rule, a rule under a stateful policy, the slack guard.
+        # key with no rule, or a rule under a stateful policy.
         cause_of: List[Optional[str]] = [None] * p
         rule_switches = set()
         intra_pairs_by_switch: Dict[int, int] = {}
