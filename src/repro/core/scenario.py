@@ -247,15 +247,15 @@ class TraceSpec:
         """The model's flow budget, when its params expose one."""
         return getattr(self.resolved_params(), "total_flows", None)
 
-    def build(self, network: DataCenterNetwork, *, name: str = "scenario") -> Trace:
+    def build(
+        self, network: DataCenterNetwork, *, name: str = "scenario", kernel: str = "scalar"
+    ) -> Trace:
         """Generate the trace this spec describes over ``network``: the stream, collected.
 
-        Always through the models' Python emitters: drawing a resident trace
-        in numpy would import numpy before the trace is generated rather than
-        after, and that order alone costs 2–5 MB of peak RSS (the allocator
-        keeps the holes generation leaves, which the later import would fill).
+        The stream is :meth:`build_stream`'s under the same ``kernel``, so a
+        resident trace is drawn exactly as a streamed one is.
         """
-        stream = self.build_stream(network, name=name)
+        stream = self.build_stream(network, name=name, kernel=kernel)
         return stream if isinstance(stream, Trace) else Trace.from_stream(stream)
 
     def build_stream(
@@ -541,8 +541,8 @@ class ScenarioSpec:
         return network
 
     def build_trace(self, network: DataCenterNetwork) -> Trace:
-        """Generate the trace this spec describes over ``network``."""
-        return self.traffic.build(network, name=self.name)
+        """Generate the trace this spec describes over ``network`` (drawn as ``execution.kernel`` says)."""
+        return self.traffic.build(network, name=self.name, kernel=self.execution.kernel)
 
     def build_stream(self, network: DataCenterNetwork) -> FlowStream:
         """Generate the trace as a lazy chunk stream over ``network`` (drawn as ``execution.kernel`` says)."""

@@ -27,8 +27,10 @@ numpy's, so a Zipf or packet value whose ``pow``/``log`` result lies within
 :data:`NEAR_INTEGER` of an integer is floored again with the loop's own
 expression.  Rows are put into replay order by ``argsort``, or ``lexsort``
 on tied start times, which is :func:`~repro.traffic.stream.in_replay_order`'s
-rule, and validated as :meth:`~repro.traffic.chunk.FlowChunk.from_columns`
-validates them; the chunk's six buffers are the Python path's, byte for byte.
+rule, written straight into the six columns the chunk views (a streamed
+chunk's own, or its window's slice of a resident trace's) and validated as
+:meth:`~repro.traffic.chunk.FlowChunk.from_columns` validates them; the
+chunk's six buffers are the Python path's, byte for byte.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.traffic.chunk import FlowChunk
+from repro.traffic.chunk import COLUMN_TYPECODES, FlowChunk
 from repro.traffic.realistic import BYTES_PER_PACKET, MAX_FLOW_SECONDS, SECONDS_PER_PACKET
 
 #: Flows parsed per block of words: bounds the per-word temporaries.
@@ -70,7 +72,13 @@ _DRAW_OFFSETS = np.array([[0, 1, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 6, 7]])
 
 
 class RealisticArrayEmitter:
-    """Draws one window's flows of a realistic stream as a replay-ordered chunk."""
+    """Draws one window's flows of a realistic stream, then places them in replay order.
+
+    The :class:`~repro.traffic.stream.ArrayEmitter` of the realistic model:
+    :meth:`draw` parses the draw-order columns, :meth:`place` writes them
+    replay-ordered into a streamed chunk's own arrays or a resident trace's
+    columns.
+    """
 
     def __init__(
         self,
@@ -94,11 +102,13 @@ class RealisticArrayEmitter:
         tries = 2**cold_bits / len(cold_pairs)
         self._words_per_flow = hot_share * HOT_WORDS + (1.0 - hot_share) * (COLD_WORDS + tries)
 
-    def __call__(self, rng, window, first_id: int) -> FlowChunk:
+    def draw(self, rng, window) -> Tuple[np.ndarray, ...]:
         """Parse ``window``'s flows from ``rng``'s words, a block at a time.
 
-        A block that runs out of words completes the flows it can and hands
-        the rest of its words to the next block, which fetches what is missing.
+        Returns the (times, src, dst, packets) columns in draw order.  A
+        block that runs out of words completes the flows it can and hands
+        the rest of its words to the next block, which fetches what is
+        missing.
         """
         count = window.counts[0]
         columns = [np.empty(count), *(np.empty(count, dtype=np.int64) for _ in range(3))]
@@ -127,7 +137,12 @@ class RealisticArrayEmitter:
             self._fill(is_hot, words[places], window.start, window.span, *block)
             words = words[places[-1, -1] + 1 :] if parsed else words
             drawn += parsed
-        return _ordered_chunk(*columns, first_id)
+        return tuple(columns)
+
+    @staticmethod
+    def place(drawn: Sequence[np.ndarray], first_id: int, out=None) -> FlowChunk:
+        """Draw-order columns as a validated, replay-ordered chunk (see :func:`_ordered_chunk`)."""
+        return _ordered_chunk(*drawn, first_id, out)
 
     def _fill(self, is_hot, draws, start: float, span: float, times, src, dst, packets) -> None:
         """Write parsed flows' (times, src, dst, packets) from their draw words, in draw order."""
@@ -250,20 +265,34 @@ def _floored(scaled: np.ndarray, draws: np.ndarray, exact) -> np.ndarray:
     return floors
 
 
-def _ordered_chunk(times, src, dst, packets, first_id: int) -> FlowChunk:
-    """Draw-order (times, src, dst, packets) columns as a validated, replay-ordered chunk."""
+def _ordered_chunk(times, src, dst, packets, first_id: int, out=None) -> FlowChunk:
+    """Draw-order (times, src, dst, packets) columns as a validated, replay-ordered chunk.
+
+    The six replay-ordered columns are written into ``out`` (six writable
+    buffers of the columns' length, such as one window's slice of a resident
+    trace's columns) or, without it, into fresh arrays; the chunk views them.
+    """
+    if out is None:
+        out = (None,) * len(COLUMN_TYPECODES)
+    else:
+        out = [np.frombuffer(buffer, dtype=typecode) for typecode, buffer in zip(COLUMN_TYPECODES, out)]
     # Distinct start times have one ascending order, which any sort finds.
+    # Every take is of a permutation, so "clip" clips nothing; unlike the
+    # default "raise" it writes into ``out`` without a buffer in between.
     order = np.argsort(times)
-    ordered = times[order]
+    ordered = np.take(times, order, out=out[0], mode="clip")
     if np.any(ordered[1:] == ordered[:-1]):
         # Tied start times: the whole row decides, as sorting the rows as
         # tuples would (bytes and duration are non-decreasing in packets),
         # and a stable sort keeps equal rows in draw order.
         order = np.lexsort((packets, dst, src, times))
-        ordered = times[order]
-    src, dst, packets = src[order], dst[order], packets[order]
-    byte_counts = packets * BYTES_PER_PACKET
-    durations = np.minimum(packets * SECONDS_PER_PACKET, MAX_FLOW_SECONDS)
+        ordered = np.take(times, order, out=out[0], mode="clip")
+    src, dst, packets = (
+        np.take(column, order, out=place, mode="clip") for column, place in zip((src, dst, packets), out[1:4])
+    )
+    byte_counts = np.multiply(packets, BYTES_PER_PACKET, out=out[4])
+    durations = np.multiply(packets, SECONDS_PER_PACKET, out=out[5])
+    np.minimum(durations, MAX_FLOW_SECONDS, out=durations)
     columns = (ordered, src, dst, packets, byte_counts, durations)
     if len(ordered) and (
         ordered.min() < 0

@@ -70,17 +70,14 @@ def _import_shard_modules(spec: ScenarioSpec) -> None:
     The package imports lazily, so a module the parent never touched would
     otherwise be imported again by each worker in its first shard: the
     traffic model and topology shape the spec names, and the vectorized
-    kernel with numpy (and, for a stream, the realistic model's array
-    emitter).  (The runner has already resolved the control planes.)  Forked
-    workers inherit them.
+    kernel with numpy and the realistic model's array emitter.  (The runner
+    has already resolved the control planes.)  Forked workers inherit them.
     """
     spec.traffic.entry()
     spec.topology.entry()
     if spec.execution.kernel == "vectorized":
         import repro.kernel.columnar  # noqa: F401
-
-        if spec.execution.stream:
-            import repro.kernel.realistic  # noqa: F401
+        import repro.kernel.realistic  # noqa: F401
 
 
 def shard_trace(spec: ScenarioSpec, base: Optional[Trace] = None) -> Trace | FlowStream:

@@ -17,11 +17,10 @@ option:
   of a flow chunk's columns at a time through the dataplane objects) or
   ``"vectorized"`` (the columnar numpy kernel in :mod:`repro.kernel`,
   which batches the fast path and falls back to the scalar path for
-  flows that need the control plane).  It also says how a streamed trace
-  is generated: under ``"vectorized"`` the realistic model draws its
-  chunks in numpy (:mod:`repro.kernel.realistic`), byte-identical to the
-  Python emitter that every ``"scalar"`` run, and every materialized
-  trace, uses.
+  flows that need the control plane).  It also says how the trace is
+  generated, streamed or resident alike: under ``"vectorized"`` the
+  realistic model draws its chunks in numpy (:mod:`repro.kernel.realistic`),
+  byte-identical to the Python emitter every ``"scalar"`` run uses.
 
 Execution knobs never change *what* a serial replay measures — only how
 (and how fast) the measurement is produced.

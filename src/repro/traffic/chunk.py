@@ -33,7 +33,8 @@ The data flow is therefore *columns → arrays → (records on demand)*:
 A stream's chunks are O(chunk) and short-lived.  A materialized
 :class:`~repro.traffic.trace.Trace` is one chunk (:meth:`FlowChunk.gathered`
 appends each arriving chunk's buffers onto six growing columns and lets the
-chunk go), so a resident flow is held once, as 48 bytes of columns, and
+chunk go; a generated stream lands each window in its slice of six presized
+columns instead), so a resident flow is held once, as 48 bytes of columns, and
 :meth:`FlowChunk.records` mints the record list beside them only for a
 caller that asks.
 """

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
@@ -287,11 +288,24 @@ class FlowStreamBase:
 #: start times, sources, destinations, packets, bytes, durations.
 ChunkEmitter = Callable[..., Sequence[List]]
 
-#: Produces one chunk whole: ``(rng, window, first_id) -> FlowChunk``,
-#: replay-ordered and validated, byte-identical to what the model's
-#: :data:`ChunkEmitter` yields from the same ``rng`` (which it may draw past
-#: the chunk's flows: each chunk's ``rng`` is its own).
-ArrayEmitter = Callable[..., FlowChunk]
+class ArrayEmitter(Protocol):
+    """Draws one chunk's flows in numpy, byte-identical to the model's :data:`ChunkEmitter`.
+
+    It may draw past the chunk's flows from ``rng``: each chunk's ``rng`` is
+    its own.
+    """
+
+    def draw(self, rng, window: ChunkWindow) -> Sequence:
+        """The window's flows in draw order, as columns of one length."""
+        ...
+
+    def place(self, drawn: Sequence, first_id: int, out: Optional[Sequence] = None) -> FlowChunk:
+        """``drawn`` as a replay-ordered, validated chunk, written into ``out`` if given.
+
+        ``out`` is six writable buffers of the drawn length; without it the
+        chunk's columns are fresh.
+        """
+        ...
 
 
 def in_replay_order(columns: Sequence[Sequence]) -> Sequence[Sequence]:
@@ -340,7 +354,7 @@ class GeneratedStream(FlowStreamBase):
     until a consumer asks for one.
 
     A model may also offer ``array_emitter``, a zero-argument factory of an
-    :data:`ArrayEmitter` that draws the same chunks in numpy;
+    :class:`ArrayEmitter` that draws the same chunks in numpy;
     :meth:`drawn_as_arrays` is the stream that uses it (``kernel=vectorized``).
     """
 
@@ -361,7 +375,7 @@ class GeneratedStream(FlowStreamBase):
         self._windows = list(windows)
         self._emit = emit
         self._array_emitter = array_emitter
-        self._draw_chunk: Optional[ArrayEmitter] = None
+        self._arrays: Optional[ArrayEmitter] = None
         self._seed = seed
         self._rng_labels = (rng_label,) if isinstance(rng_label, str) else tuple(rng_label)
         self._duration = duration
@@ -391,7 +405,7 @@ class GeneratedStream(FlowStreamBase):
         if self._array_emitter is None:
             return self
         stream = copy.copy(self)
-        stream._draw_chunk = self._array_emitter()
+        stream._arrays = self._array_emitter()
         return stream
 
     def chunks_from(self, start: float, end: Optional[float] = None) -> Iterator[FlowChunk]:
@@ -415,6 +429,31 @@ class GeneratedStream(FlowStreamBase):
         is generated — so a consumer of ``[start, end)`` never pays for a
         chunk it would trim away whole.
         """
+        return self._generated(start, end)
+
+    def gathered(self) -> FlowChunk:
+        """Every flow of the stream as one resident chunk, ids from 0.
+
+        Each window lands in its slice of six columns sized for
+        :attr:`total_flows` up front (every window draws its planned count,
+        checked before it lands): an array emitter writes it there in place,
+        a Python emitter's chunk is copied there, and no column ever grows.
+        Should a window start before the one before it ends (an emitter that
+        drew past its window's end), the chunks are gathered as any stream's
+        out-of-order chunks are (:meth:`FlowChunk.gathered`).
+        """
+        resident = tuple(array(typecode, [0]) * self._total_flows for typecode in COLUMN_TYPECODES)
+        last_time = float("-inf")
+        for chunk in self._generated(0.0, None, tuple(map(memoryview, resident))):
+            if chunk.start_times[0] < last_time:
+                return FlowChunk.gathered(self.chunks())
+            last_time = chunk.start_times[-1]
+        return FlowChunk.from_buffers(resident)
+
+    def _generated(
+        self, start: float, end: Optional[float], resident: Optional[Sequence[memoryview]] = None
+    ) -> Iterator[FlowChunk]:
+        """:meth:`chunks_from`, each chunk also landing in its slice of ``resident`` if given."""
         flow_id = 0
         for window in self._windows:
             if window.flow_count <= 0:
@@ -425,7 +464,10 @@ class GeneratedStream(FlowStreamBase):
             if end is not None and window.start >= end:
                 return
             rng = make_rng(self._seed, *self._rng_labels, "chunk", str(window.index))
-            if self._draw_chunk is None:
+            out = None
+            if resident is not None:
+                out = [column[flow_id : flow_id + window.flow_count] for column in resident]
+            if self._arrays is None:
                 columns = self._emit(rng, window)
                 self._check_drawn(window, len(columns[0]))
                 if len(columns) != len(COLUMN_TYPECODES) or any(
@@ -439,14 +481,18 @@ class GeneratedStream(FlowStreamBase):
                 columns = in_replay_order(columns)
                 self._check_first_arrival(window, columns[0][0])
                 chunk = FlowChunk.from_columns(columns, flow_id)
+                for place, column in zip(out or (), chunk.columns()):
+                    place[:] = column
             else:
-                chunk = self._draw_chunk(rng, window, flow_id)
-                self._check_drawn(window, len(chunk))
+                drawn = self._arrays.draw(rng, window)
+                self._check_drawn(window, len(drawn[0]))
+                chunk = self._arrays.place(drawn, flow_id, out)
+                # The draw-order scratch goes before the consumer takes the chunk.
+                del drawn
                 self._check_first_arrival(window, chunk.start_times[0])
             chunk.check_hosts(self._host_ids.__contains__)
             flow_id += window.flow_count
             yield chunk
-
 
     def _check_drawn(self, window: ChunkWindow, drawn: int) -> None:
         if drawn != window.flow_count:

@@ -10,13 +10,17 @@ callers that want random access.
 
 However it was built, a trace holds one
 :class:`~repro.traffic.chunk.FlowChunk` — the one resident form of its flows.
-A stream's chunks are gathered onto six growing ``array`` columns
-(:meth:`FlowChunk.gathered <repro.traffic.chunk.FlowChunk.gathered>`) and no
-:class:`FlowRecord` is built; a record iterable (a third-party trace factory's
-``Trace(name, network, records)``) is sorted and transposed once, and keeps
-its records and their ids.  Every consumer inside the library reads the chunk
-— the warm-up intensity fold, the replayer, the vectorized kernel — through
-:meth:`Trace.chunks`.  A caller that asks for records (``.flows``, iteration)
+A generated stream lands each window in its slice of six columns sized for
+the whole trace (:meth:`GeneratedStream.gathered
+<repro.traffic.stream.GeneratedStream.gathered>`; drawn as arrays, it is
+written there in place); any other stream's chunks are gathered onto six
+growing ``array`` columns (:meth:`FlowChunk.gathered
+<repro.traffic.chunk.FlowChunk.gathered>`).  Either way no
+:class:`FlowRecord` is built.  A record iterable (a third-party trace
+factory's ``Trace(name, network, records)``) is sorted and transposed once,
+and keeps its records and their ids.  Every consumer inside the library
+reads the chunk — the warm-up intensity fold, the replayer, the vectorized
+kernel — through :meth:`Trace.chunks`.  A caller that asks for records (``.flows``, iteration)
 has the record list minted once *beside* the columns and shared by every
 later call.
 
@@ -36,7 +40,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 from repro.topology.network import DataCenterNetwork
 from repro.traffic.chunk import FlowChunk
 from repro.traffic.flow import FlowRecord
-from repro.traffic.stream import FlowStream, FlowStreamBase
+from repro.traffic.stream import FlowStream, FlowStreamBase, GeneratedStream
 
 
 class Trace(FlowStreamBase):
@@ -47,13 +51,19 @@ class Trace(FlowStreamBase):
     ) -> None:
         self.name = name
         self.network = network
-        # A record iterable enters as a one-chunk stream: not a column-backed
-        # run, so ``gathered`` sorts and adapts it.
-        chunks = flows.chunks() if hasattr(flows, "chunks") else (flows,)
-        self._columns = FlowChunk.gathered(chunks)
+        generated = isinstance(flows, GeneratedStream)
+        if generated:
+            self._columns = flows.gathered()
+        else:
+            # A record iterable enters as a one-chunk stream: not a
+            # column-backed run, so ``gathered`` sorts and adapts it.
+            chunks = flows.chunks() if hasattr(flows, "chunks") else (flows,)
+            self._columns = FlowChunk.gathered(chunks)
         # The cache of minted records, once somebody asked.
         self._flows: Optional[List[FlowRecord]] = None
-        self._columns.check_hosts(network.has_host)
+        # A generated stream has checked every chunk against its network's hosts.
+        if not (generated and flows.network is network):
+            self._columns.check_hosts(network.has_host)
 
     @classmethod
     def from_stream(cls, stream: FlowStream, *, name: Optional[str] = None) -> "Trace":

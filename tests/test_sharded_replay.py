@@ -143,9 +143,9 @@ class TestOneExecutionPath:
         calls = []
         build_stream = TraceSpec.build_stream
 
-        def counting_build_stream(self, network, *, name="scenario"):
+        def counting_build_stream(self, network, *, name="scenario", kernel="scalar"):
             calls.append(name)
-            return build_stream(self, network, name=name)
+            return build_stream(self, network, name=name, kernel=kernel)
 
         monkeypatch.setattr(TraceSpec, "build_stream", counting_build_stream)
         spec = mini_fig7(

@@ -443,6 +443,22 @@ class TestGeneratedStreamInternals:
         stream.switch_intensity(start=0.0, end=10.0)
         assert emitted == [0]
 
+    def test_a_resident_trace_sorts_a_window_drawn_past_its_end(self, network):
+        """Each window lands in its own slice of the resident columns, so one
+        that ends after the next one starts is gathered and sorted instead."""
+        windows = [
+            ChunkWindow(index=0, start=0.0, end=10.0, counts=(2,)),
+            ChunkWindow(index=1, start=10.0, end=20.0, counts=(1,)),
+        ]
+
+        def emit(rng, window):
+            times = [1.0, 15.0] if window.index == 0 else [12.0]
+            return columns_of([(time, 1, 2, 1, 1400, 0.05) for time in times])
+
+        stream = GeneratedStream("late", network, windows, emit, seed=1, rng_label="late-model", duration=20.0)
+        trace = Trace.from_stream(stream)
+        assert [(flow.start_time, flow.flow_id) for flow in trace.flows] == [(1.0, 0), (12.0, 2), (15.0, 1)]
+
     def test_emitter_must_not_draw_before_its_window(self, network):
         """Stopping at the first window that starts past the end trusts that
         no later window reaches back before it — checked where generated."""

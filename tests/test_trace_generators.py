@@ -9,6 +9,9 @@ import pytest
 
 from repro.common.errors import ConfigurationError, TrafficError
 from repro.common.rng import derive_seed, make_rng
+from repro.core.presets import PRESETS
+from repro.core.scenario import TraceSpec
+from repro.replay.spec import ExecutionSpec
 from repro.topology.builder import TopologyProfile, build_multi_tenant_datacenter
 from repro.traffic.expand import expand_trace
 from repro.traffic.flow import FlowRecord
@@ -347,6 +350,11 @@ def _realistic_case(draw, st):
     return _network_of(host_count), RealisticTraceProfile(**params), cold_population
 
 
+def _pinned(host_count, **params):
+    """A pinned :func:`_realistic_case`."""
+    return _network_of(host_count), RealisticTraceProfile(**params), None
+
+
 def test_array_emitter_builds_the_python_emitters_chunks():
     """Under kernel=vectorized the realistic chunks are parsed from MT words in numpy, byte for byte.
 
@@ -362,13 +370,10 @@ def test_array_emitter_builds_the_python_emitters_chunks():
 
     import repro.kernel.realistic as array_emitter
 
-    def pinned(host_count, **params):
-        return _network_of(host_count), RealisticTraceProfile(**params), None
-
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @example(case=pinned(6, total_flows=1, duration_hours=1.0), squeeze=False, recheck=False)
-    @example(case=pinned(24, total_flows=24, hot_pair_flow_share=0.0), squeeze=True, recheck=True)
-    @example(case=pinned(24, total_flows=900, hot_pair_flow_share=1.0), squeeze=True, recheck=False)
+    @example(case=_pinned(6, total_flows=1, duration_hours=1.0), squeeze=False, recheck=False)
+    @example(case=_pinned(24, total_flows=24, hot_pair_flow_share=0.0), squeeze=True, recheck=True)
+    @example(case=_pinned(24, total_flows=900, hot_pair_flow_share=1.0), squeeze=True, recheck=False)
     @given(
         case=st.composite(lambda draw: _realistic_case(draw, st))(),
         squeeze=st.booleans(),
@@ -397,6 +402,74 @@ def test_array_emitter_builds_the_python_emitters_chunks():
             assert chase.call_count > len(expected)
 
     emits_alike()
+
+
+def _resident(trace):
+    """A resident trace as its first id, length and six (format, bytes) buffers."""
+    chunk = trace.columns()
+    return chunk.first_id, len(trace), [(column.format, column.tobytes()) for column in chunk.columns()]
+
+
+def _with_traffic(traffic, kernel, name="paper-fig7"):
+    """A preset's scenario spec with ``traffic`` in place, run under ``kernel``."""
+    spec = PRESETS.get(name).factory()[0]
+    return dataclasses.replace(spec, traffic=traffic, execution=ExecutionSpec(kernel=kernel))
+
+
+def test_a_resident_trace_is_drawn_alike_under_either_kernel():
+    """Under kernel=vectorized each window is written straight into the trace's columns, byte for byte."""
+    pytest.importorskip("numpy")
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    # One flow in a day: every window but one is planned with zero flows.
+    @example(case=_pinned(6, total_flows=1, duration_hours=24.0))
+    @example(case=_pinned(24, total_flows=900, hot_pair_flow_share=0.0))
+    @example(case=_pinned(80, total_flows=2000, hot_pair_flow_share=1.0))
+    @given(case=st.composite(lambda draw: _realistic_case(draw, st))())
+    def resident_alike(case):
+        network, profile, _ = case
+        traffic = TraceSpec.realistic(**dataclasses.asdict(profile))
+        scalar, vectorized = (
+            _with_traffic(traffic, kernel).build_trace(network) for kernel in ("scalar", "vectorized")
+        )
+        assert _resident(vectorized) == _resident(scalar)
+
+    resident_alike()
+
+
+def test_an_expanded_resident_trace_is_drawn_alike_under_either_kernel():
+    """The §V-D expansion merges the base's streamed chunks: it is gathered, not written in place."""
+    pytest.importorskip("numpy")
+    spec = PRESETS.get("paper-fig7-expanded").factory()[0]
+    traffic = spec.traffic.with_params(total_flows=3000)
+    assert traffic.expand_fraction > 0
+    network = spec.build_network()
+    scalar, vectorized = (
+        _with_traffic(traffic, kernel, "paper-fig7-expanded").build_trace(network)
+        for kernel in ("scalar", "vectorized")
+    )
+    assert len(scalar) > 3000
+    assert _resident(vectorized) == _resident(scalar)
+
+
+def test_an_over_drawing_array_emitter_fails_a_resident_trace(network):
+    """Each window's draw count is checked before it is written into the trace's columns."""
+    pytest.importorskip("numpy")
+    from unittest import mock
+
+    from repro.kernel.realistic import RealisticArrayEmitter
+
+    draw = RealisticArrayEmitter.draw
+
+    def over_draw(self, rng, window):
+        return draw(self, rng, dataclasses.replace(window, counts=(window.counts[0] + 1,)))
+
+    traffic = TraceSpec.realistic(total_flows=500, seed=3)
+    with mock.patch.object(RealisticArrayEmitter, "draw", over_draw):
+        with pytest.raises(TrafficError, match=r"'realistic-trace'.*drew \d+ flows for window 0 .*planned"):
+            traffic.build(network, kernel="vectorized")
 
 
 @pytest.mark.parametrize("above", [False, True], ids=["equal", "one-above"])

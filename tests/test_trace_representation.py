@@ -15,6 +15,7 @@ import copy
 import dataclasses
 import pickle
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -181,6 +182,20 @@ class TestEveryBirthIsOneResidentChunk:
             Trace("rep", small, source)
         with pytest.raises(UnknownHostError):
             born(birth)[0].bound_to(small)
+
+
+def test_a_generated_stream_over_the_traces_own_network_is_not_checked_again():
+    """Its chunks were checked against those hosts as they were drawn; a
+    record list is checked whole (as is a stream over another network, above)."""
+    windows = len(list(built_in("realistic").chunks()))
+    with mock.patch.object(FlowChunk, "check_hosts", autospec=True, side_effect=FlowChunk.check_hosts) as check:
+        Trace("rep", NETWORK, built_in("realistic"))
+    assert check.call_count == windows
+    small = build_multi_tenant_datacenter(dataclasses.replace(PROFILE, host_count=12))
+    records = list(built_in("realistic"))
+    assert not all(small.has_host(flow.dst_host_id) for flow in records)
+    with pytest.raises(UnknownHostError, match="unknown host"):
+        Trace("rep", small, records)
 
 
 class TestWhatBreaksARun:
